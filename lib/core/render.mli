@@ -89,7 +89,7 @@ val closest_pairs :
     to logically transform the data in situ").  Nothing is transformed up
     front; each navigation step runs one closest join for one instance, so a
     query that touches a fraction of the data only pays for that fraction.
-    {!Guarded.Logical} builds an XQuery evaluator on top. *)
+    {!Guarded.Logical} instantiates [Xquery.Eval.Make] on top. *)
 module Nav : sig
   type t
 

@@ -1,8 +1,5 @@
-module Q = Xquery.Qast
 module V = Xquery.Value
 module Nav = Xmorph.Render.Nav
-
-let err fmt = Format.kasprintf (fun s -> raise (Xquery.Eval.Error s)) fmt
 
 type t = {
   nav : Nav.t;
@@ -17,470 +14,93 @@ let create ?(enforce = true) store ~guard =
   let compiled = Xmorph.Interp.compile ~enforce (Store.Shredded.guide store) guard in
   of_compiled store compiled
 
-(* Items of the virtual document.  [Doc] is the virtual document node
-   (parent of the shape roots); [Virt] a virtual element instance. *)
-type item =
+(* Nodes of the virtual document.  [Doc] is the virtual document node
+   (parent of the shape roots); [Virt] a virtual element instance; [Text]
+   its text; [Tree] a node built by the query itself. *)
+type node =
   | Doc
   | Wrapper
       (* the synthetic <result> element the physical renderer wraps a
          multi-instance forest in; mirrored here so paths agree *)
   | Virt of Xmorph.Tshape.node * int
-  | Real of V.item
+  | Text of string
+  | Tree of Xml.Tree.t
 
 let strip_at s =
   if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
   else s
-
-let vname (tn : Xmorph.Tshape.node) = strip_at tn.Xmorph.Tshape.out_name
 
 let root_instances t =
   List.concat_map
     (fun (tn, ids) -> Array.to_list (Array.map (fun id -> (tn, id)) ids))
     (Nav.roots t.nav)
 
-let string_value t = function
-  | Doc | Wrapper ->
-      String.concat ""
-        (List.map (fun (tn, id) -> Nav.deep_text t.nav tn id) (root_instances t))
-  | Virt (tn, id) -> Nav.deep_text t.nav tn id
-  | Real it -> V.string_value it
+(* The navigation signature over the virtual document: each step into a
+   virtual element's children runs its closest joins, one per target edge. *)
+module Virtual = struct
+  type nonrec t = t
+  type nonrec node = node
 
-let to_number t it =
-  match it with
-  | Real r -> V.to_number r
-  | other -> float_of_string_opt (String.trim (string_value t other))
+  let document _ = Doc
 
-let materialize t = function
-  | Doc | Wrapper ->
-      (* Materializing the whole virtual document = the physical render. *)
-      [ V.Node (Xmorph.Interp.render t.store t.compiled) ]
-  | Virt (tn, id) -> [ V.Node (Nav.materialize t.nav tn id) ]
-  | Real it -> [ it ]
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  end
-
-(* element children of a virtual item; the document node has the wrapper as
-   its only child when the forest has several instances, matching
-   Render.to_tree *)
-let vchildren_items t = function
-  | Doc -> (
-      match root_instances t with
-      | [ (tn, id) ] -> [ Virt (tn, id) ]
-      | _ -> [ Wrapper ])
-  | Wrapper -> List.map (fun (tn, id) -> Virt (tn, id)) (root_instances t)
-  | Virt (tn, id) ->
-      List.concat_map
-        (fun (c, ids) -> Array.to_list (Array.map (fun i -> Virt (c, i)) ids))
-        (Nav.element_children t.nav tn id)
-  | Real _ -> []
-
-let child_step t (test : Q.node_test) (it : item) : item list =
-  match it with
-  | Real (V.Node n) ->
-      (* A materialized node navigates like the tree evaluator. *)
-      List.filter_map
-        (fun (c : Xml.Tree.t) ->
-          match (test, c) with
-          | Q.Any, Xml.Tree.Element _ -> Some (Real (V.Node c))
-          | Q.Name nm, Xml.Tree.Element { name; _ } when nm = name ->
-              Some (Real (V.Node c))
-          | Q.Text, Xml.Tree.Text s -> Some (Real (V.Str s))
-          | _ -> None)
-        (Xml.Tree.children n)
-  | Real _ -> []
-  | virt -> (
-      match test with
-      | Q.Text -> (
-          match virt with
-          | Virt (tn, id) ->
-              let v = Nav.value t.nav tn id in
-              if v = "" then [] else [ Real (V.Str v) ]
-          | _ -> [])
-      | Q.Any -> vchildren_items t virt
-      | Q.Name nm ->
-          List.filter
-            (fun it ->
-              match it with
-              | Virt (c, _) -> vname c = nm
-              | Wrapper -> nm = "result"
-              | _ -> false)
-            (vchildren_items t virt))
-
-let rec descendant_step t test (it : item) : item list =
-  let kids = child_step t Q.Any it in
-  let here = child_step t test it in
-  here @ List.concat_map (descendant_step t test) kids
-
-let attribute_step t (test : Q.node_test) (it : item) : item list =
-  match it with
-  | Virt (tn, id) ->
-      List.filter_map
-        (fun (k, v) ->
-          match test with
-          | Q.Name nm when nm = k -> Some (Real (V.Attr (k, v)))
-          | Q.Any -> Some (Real (V.Attr (k, v)))
-          | _ -> None)
-        (Nav.attributes t.nav tn id)
-  | Real (V.Node (Xml.Tree.Element { attrs; _ })) ->
-      List.filter_map
-        (fun (k, v) ->
-          match test with
-          | Q.Name nm when nm = k -> Some (Real (V.Attr (k, v)))
-          | Q.Any -> Some (Real (V.Attr (k, v)))
-          | _ -> None)
-        attrs
-  | _ -> []
-
-type env = {
-  vars : (string * item list) list;
-  context : item option;
-  position : int;
-  size : int;
-}
-
-let effective_bool t (seq : item list) =
-  match seq with
-  | [] -> false
-  | [ Real (V.Bool b) ] -> b
-  | [ Real (V.Num f) ] -> f <> 0.0 && not (Float.is_nan f)
-  | [ Real (V.Str s) ] -> s <> ""
-  | _ -> ignore t; true
-
-let item_equal t a b =
-  match (a, b) with
-  | Real x, Real y -> V.item_equal x y
-  | _ -> (
-      match (to_number t a, to_number t b) with
-      | Some x, Some y -> x = y
-      | _ -> string_value t a = string_value t b)
-
-let rec eval t env (e : Q.expr) : item list =
-  match e with
-  | Q.Literal_string s -> [ Real (V.Str s) ]
-  | Q.Literal_number f -> [ Real (V.Num f) ]
-  | Q.Var v -> (
-      match List.assoc_opt v env.vars with
-      | Some x -> x
-      | None -> err "unbound variable $%s" v)
-  | Q.Sequence es -> List.concat_map (eval t env) es
-  | Q.Root -> [ Doc ]
-  | Q.Context_item -> [ Option.value ~default:Doc env.context ]
-  | Q.Step (axis, test, preds) ->
-      apply_step t env [ Option.value ~default:Doc env.context ] axis test preds
-  | Q.Path (e, axis, test, preds) ->
-      apply_step t env (eval t env e) axis test preds
-  | Q.Flwor (clauses, where, order, ret) -> eval_flwor t env clauses where order ret
-  | Q.If (c, th, el) ->
-      if effective_bool t (eval t env c) then eval t env th else eval t env el
-  | Q.Or (a, b) ->
-      [ Real (V.Bool (effective_bool t (eval t env a) || effective_bool t (eval t env b))) ]
-  | Q.And (a, b) ->
-      [ Real (V.Bool (effective_bool t (eval t env a) && effective_bool t (eval t env b))) ]
-  | Q.Compare (op, a, b) ->
-      let va = eval t env a and vb = eval t env b in
-      [ Real (V.Bool (general_compare t op va vb)) ]
-  | Q.Arith (op, a, b) -> (
-      let num e = match eval t env e with [] -> None | it :: _ -> to_number t it in
-      match (num a, num b) with
-      | Some x, Some y ->
-          let f =
-            match op with
-            | Q.Add -> x +. y
-            | Q.Sub -> x -. y
-            | Q.Mul -> x *. y
-            | Q.Div -> x /. y
-            | Q.Mod -> Float.rem x y
-          in
-          [ Real (V.Num f) ]
-      | _ -> [])
-  | Q.Neg e -> (
-      match eval t env e with
-      | [ it ] -> (
-          match to_number t it with
-          | Some f -> [ Real (V.Num (-.f)) ]
-          | None -> err "cannot negate a non-number")
-      | _ -> err "cannot negate a sequence")
-  | Q.Call (f, args) -> eval_call t env f (List.map (eval t env) args)
-  | Q.Element (name, attrs, content) ->
-      let attrs =
-        List.map
-          (fun (k, v) ->
-            match v with
-            | Q.Attr_literal s -> (k, s)
-            | Q.Attr_expr e ->
-                (k, String.concat " " (List.map (string_value t) (eval t env e))))
-          attrs
-      in
-      let children =
-        List.concat_map
-          (fun c ->
-            match c with
-            | Q.Content_text s -> [ Xml.Tree.Text s ]
-            | Q.Content_elem e | Q.Content_expr e ->
-                List.concat_map
-                  (fun it ->
-                    match materialize t it with
-                    | [ V.Node n ] -> [ n ]
-                    | other -> V.to_trees other)
-                  (eval t env e))
-          content
-      in
-      [ Real (V.Node (Xml.Tree.Element { name; attrs; children })) ]
-  | Q.Quantified (q, v, e, sat) ->
-      let seq = eval t env e in
-      let check it =
-        effective_bool t (eval t { env with vars = (v, [ it ]) :: env.vars } sat)
-      in
-      let r = match q with Q.Some_ -> List.exists check seq | Q.Every -> List.for_all check seq in
-      [ Real (V.Bool r) ]
-
-and apply_step t env base axis test preds =
-  let step_fn =
-    match axis with
-    | Q.Child -> child_step t test
-    | Q.Descendant -> descendant_step t test
-    | Q.Attribute -> attribute_step t test
-  in
-  List.concat_map
-    (fun it ->
-      let selected = step_fn it in
-      List.fold_left (fun acc p -> apply_predicate t env acc p) selected preds)
-    base
-
-and apply_predicate t env items p =
-  let n = List.length items in
-  List.filteri
-    (fun i it ->
-      let v =
-        eval t { env with context = Some it; position = i + 1; size = n } p
-      in
-      match v with
-      | [ Real (V.Num f) ] -> int_of_float f = i + 1
-      | _ -> effective_bool t v)
-    items
-
-and eval_flwor t env clauses where order ret =
-  let rec tuples env = function
-    | [] ->
-        let keep =
-          match where with None -> true | Some w -> effective_bool t (eval t env w)
+  (* A virtual element's text precedes its element children, as in
+     Render.to_tree; the document node has the wrapper as its only child
+     when the forest has several instances. *)
+  let children t ~text = function
+    | Doc -> (
+        match root_instances t with
+        | [ (tn, id) ] -> [ Virt (tn, id) ]
+        | _ -> [ Wrapper ])
+    | Wrapper -> List.map (fun (tn, id) -> Virt (tn, id)) (root_instances t)
+    | Virt (tn, id) ->
+        let kids =
+          List.concat_map
+            (fun (c, ids) -> Array.to_list (Array.map (fun i -> Virt (c, i)) ids))
+            (Nav.element_children t.nav tn id)
         in
-        if keep then [ env ] else []
-    | Q.For (v, e) :: rest ->
-        List.concat_map
-          (fun it -> tuples { env with vars = (v, [ it ]) :: env.vars } rest)
-          (eval t env e)
-    | Q.Let (v, e) :: rest ->
-        tuples { env with vars = (v, eval t env e) :: env.vars } rest
-  in
-  let envs = tuples env clauses in
-  let envs =
-    match order with
-    | [] -> envs
-    | specs ->
-        let key_of env =
-          List.map
-            (fun { Q.key; descending } ->
-              let v = eval t env key in
-              let s = match v with [] -> "" | it :: _ -> string_value t it in
-              let num = match v with it :: _ -> to_number t it | [] -> None in
-              (s, num, descending))
-            specs
-        in
-        let cmp_one (s1, n1, desc) (s2, n2, _) =
-          let c =
-            match (n1, n2) with Some x, Some y -> compare x y | _ -> compare s1 s2
-          in
-          if desc then -c else c
-        in
-        let rec cmp k1 k2 =
-          match (k1, k2) with
-          | [], [] -> 0
-          | a :: r1, b :: r2 ->
-              let c = cmp_one a b in
-              if c <> 0 then c else cmp r1 r2
-          | _ -> 0
-        in
-        List.stable_sort (fun (k1, _) (k2, _) -> cmp k1 k2)
-          (List.map (fun e -> (key_of e, e)) envs)
-        |> List.map snd
-  in
-  List.concat_map (fun env -> eval t env ret) envs
+        let value = if text then Nav.value t.nav tn id else "" in
+        if value = "" then kids else Text value :: kids
+    | Text _ -> []
+    | Tree n -> List.map (fun c -> Tree c) (Xml.Tree.children n)
 
-and general_compare t op va vb =
-  let cmp a b =
-    match op with
-    | Q.Eq -> item_equal t a b
-    | Q.Neq -> not (item_equal t a b)
-    | _ -> (
-        match (to_number t a, to_number t b) with
-        | Some x, Some y -> (
-            match op with
-            | Q.Lt -> x < y
-            | Q.Le -> x <= y
-            | Q.Gt -> x > y
-            | Q.Ge -> x >= y
-            | _ -> assert false)
-        | _ -> (
-            let sa = string_value t a and sb = string_value t b in
-            match op with
-            | Q.Lt -> sa < sb
-            | Q.Le -> sa <= sb
-            | Q.Gt -> sa > sb
-            | Q.Ge -> sa >= sb
-            | _ -> assert false))
-  in
-  List.exists (fun a -> List.exists (fun b -> cmp a b) vb) va
+  let text _ = function
+    | Text s | Tree (Xml.Tree.Text s) -> Some s
+    | Doc | Wrapper | Virt _ | Tree (Xml.Tree.Element _) -> None
 
-and eval_call t env fname args =
-  let arity n =
-    if List.length args <> n then
-      err "%s expects %d argument(s), got %d" fname n (List.length args)
-  in
-  let one () = arity 1; List.hd args in
-  let str_of seq = match seq with [] -> "" | it :: _ -> string_value t it in
-  match fname with
-  | "count" -> [ Real (V.Num (float_of_int (List.length (one ())))) ]
-  | "empty" -> [ Real (V.Bool (one () = [])) ]
-  | "exists" -> [ Real (V.Bool (one () <> [])) ]
-  | "not" -> [ Real (V.Bool (not (effective_bool t (one ())))) ]
-  | "string" -> [ Real (V.Str (str_of (one ()))) ]
-  | "number" -> (
-      match one () with
-      | it :: _ -> (
-          match to_number t it with
-          | Some f -> [ Real (V.Num f) ]
-          | None -> [ Real (V.Num Float.nan) ])
-      | [] -> [ Real (V.Num Float.nan) ])
-  | "data" -> List.map (fun it -> Real (V.Str (string_value t it))) (one ())
-  | "distinct-values" ->
-      let seen = Hashtbl.create 16 in
-      List.filter_map
-        (fun it ->
-          let s = string_value t it in
-          if Hashtbl.mem seen s then None
-          else begin
-            Hashtbl.add seen s ();
-            Some (Real (V.Str s))
-          end)
-        (one ())
-  | "concat" ->
-      [ Real
-          (V.Str
-             (String.concat ""
-                (List.map
-                   (fun seq -> String.concat "" (List.map (string_value t) seq))
-                   args))) ]
-  | "contains" ->
-      arity 2;
-      let s = str_of (List.nth args 0) and sub = str_of (List.nth args 1) in
-      [ Real (V.Bool (contains_sub s sub)) ]
-  | "starts-with" ->
-      arity 2;
-      let s = str_of (List.nth args 0) and p = str_of (List.nth args 1) in
-      [ Real
-          (V.Bool
-             (String.length p <= String.length s
-             && String.sub s 0 (String.length p) = p)) ]
-  | "string-length" -> [ Real (V.Num (float_of_int (String.length (str_of (one ()))))) ]
-  | "name" -> (
-      match one () with
-      | Wrapper :: _ -> [ Real (V.Str "result") ]
-      | Virt (tn, _) :: _ -> [ Real (V.Str (vname tn)) ]
-      | Real (V.Node n) :: _ -> [ Real (V.Str (Xml.Tree.name n)) ]
-      | Real (V.Attr (k, _)) :: _ -> [ Real (V.Str k) ]
-      | _ -> [ Real (V.Str "") ])
-  | "sum" ->
-      [ Real
-          (V.Num
-             (List.fold_left
-                (fun acc it ->
-                  match to_number t it with Some f -> acc +. f | None -> acc)
-                0.0 (one ()))) ]
-  | "avg" -> (
-      let nums = List.filter_map (to_number t) (one ()) in
-      match nums with
-      | [] -> []
-      | _ ->
-          [ Real
-              (V.Num
-                 (List.fold_left ( +. ) 0.0 nums /. float_of_int (List.length nums))) ])
-  | "min" | "max" -> (
-      let nums = List.filter_map (to_number t) (one ()) in
-      match nums with
-      | [] -> []
-      | x :: rest ->
-          let pick = if fname = "min" then min else max in
-          [ Real (V.Num (List.fold_left pick x rest)) ])
-  | "doc" -> [ Doc ]
-  | "position" -> arity 0; [ Real (V.Num (float_of_int env.position)) ]
-  | "last" -> arity 0; [ Real (V.Num (float_of_int env.size)) ]
-  | "true" -> arity 0; [ Real (V.Bool true) ]
-  | "false" -> arity 0; [ Real (V.Bool false) ]
-  | "boolean" -> [ Real (V.Bool (effective_bool t (one ()))) ]
-  | "string-join" ->
-      arity 2;
-      let sep = str_of (List.nth args 1) in
-      [ Real (V.Str (String.concat sep (List.map (string_value t) (List.nth args 0)))) ]
-  | "substring" -> (
-      if List.length args < 2 || List.length args > 3 then
-        err "substring expects 2 or 3 arguments";
-      let s = str_of (List.nth args 0) in
-      let fnum seq =
-        match seq with
-        | it :: _ -> Option.value ~default:Float.nan (to_number t it)
-        | [] -> Float.nan
-      in
-      let start = fnum (List.nth args 1) in
-      let len =
-        if List.length args = 3 then fnum (List.nth args 2)
-        else float_of_int (String.length s)
-      in
-      let n = String.length s in
-      let from = int_of_float (Float.round start) - 1 in
-      let upto = from + int_of_float (Float.round len) in
-      let from = max 0 from and upto = min n upto in
-      if upto <= from then [ Real (V.Str "") ]
-      else [ Real (V.Str (String.sub s from (upto - from))) ])
-  | "normalize-space" ->
-      let str = str_of (one ()) in
-      let words =
-        List.filter (fun w -> w <> "")
-          (String.split_on_char ' '
-             (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) str))
-      in
-      [ Real (V.Str (String.concat " " words)) ]
-  | "upper-case" -> [ Real (V.Str (String.uppercase_ascii (str_of (one ())))) ]
-  | "lower-case" -> [ Real (V.Str (String.lowercase_ascii (str_of (one ())))) ]
-  | "floor" | "ceiling" | "round" | "abs" -> (
-      match one () with
-      | [] -> []
-      | it :: _ -> (
-          match to_number t it with
-          | None -> [ Real (V.Num Float.nan) ]
-          | Some f ->
-              let g =
-                match fname with
-                | "floor" -> Float.floor f
-                | "ceiling" -> Float.ceil f
-                | "round" -> Float.round f
-                | _ -> Float.abs f
-              in
-              [ Real (V.Num g) ]))
-  | other -> err "unknown function %s() in the logical evaluator" other
+  let name _ = function
+    | Doc | Text _ -> ""
+    | Wrapper -> "result"
+    | Virt (tn, _) -> strip_at tn.Xmorph.Tshape.out_name
+    | Tree n -> Xml.Tree.name n
+
+  let attributes t = function
+    | Virt (tn, id) -> Nav.attributes t.nav tn id
+    | Tree (Xml.Tree.Element { attrs; _ }) -> attrs
+    | Doc | Wrapper | Text _ | Tree (Xml.Tree.Text _) -> []
+
+  let string_value t = function
+    | Doc | Wrapper ->
+        String.concat ""
+          (List.map (fun (tn, id) -> Nav.deep_text t.nav tn id) (root_instances t))
+    | Virt (tn, id) -> Nav.deep_text t.nav tn id
+    | Text s -> s
+    | Tree n -> Xml.Tree.deep_text n
+
+  let of_tree n = Tree n
+
+  let materialize t = function
+    | Doc | Wrapper ->
+        (* Materializing the whole virtual document = the physical render. *)
+        Xmorph.Interp.render t.store t.compiled
+    | Virt (tn, id) -> Nav.materialize t.nav tn id
+    | Text s -> Xml.Tree.Text s
+    | Tree n -> n
+end
+
+module Eval = Xquery.Eval.Make (Virtual)
 
 let query t src =
   Xmobs.Profile.op "logical.query" @@ fun () ->
-  let ast = Xquery.Qparse.parse src in
-  let items =
-    eval t { vars = []; context = None; position = 1; size = 1 } ast
-  in
-  List.concat_map (materialize t) items
+  Eval.materialize t (Eval.eval t (Xquery.Qparse.parse src))
 
 let query_to_xml t src = V.to_trees (query t src)

@@ -1,7 +1,7 @@
 (** Architecture 3 (Sec. VIII): logically transform the data in situ.
 
     The first two architectures physically produce the transformed document
-    before any query runs.  This evaluator instead runs XQuery-lite queries
+    before any query runs.  This module instead runs XQuery-lite queries
     against the {e virtual} transformed document: each navigation step
     performs one closest join for one instance ({!Xmorph.Render.Nav}), and a
     subtree is physically materialized only when the query returns it.  A
@@ -9,9 +9,12 @@
     paper's motivation for making this architecture "the focus of our
     near-term development".
 
-    Results are ordinary {!Xquery.Value} sequences, so guarded queries
-    produce identical answers whichever architecture evaluates them (the
-    test suite checks this equivalence). *)
+    It holds no query semantics of its own: it is a navigation module
+    ({!Xquery.Eval.NAV}) over the virtual document, given to the same
+    {!Xquery.Eval.Make} the physical evaluator uses.  Results are ordinary
+    {!Xquery.Value} sequences, so guarded queries produce identical answers
+    whichever architecture evaluates them (the test suite checks this
+    equivalence). *)
 
 type t
 

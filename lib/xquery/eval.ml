@@ -2,71 +2,19 @@ exception Error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-type env = {
-  root : Xml.Tree.t;
-      (* the virtual document node: an unnamed element wrapping the root, so
-         that [/data] selects the root element as in XPath *)
-  vars : (string * Value.t) list;
-  context : Value.item option;
-  position : int; (* 1-based position of the context item in its sequence *)
-  size : int; (* size of that sequence, for last() *)
-}
+module type NAV = sig
+  type t
+  type node
 
-let lookup env v =
-  match List.assoc_opt v env.vars with
-  | Some x -> x
-  | None -> err "unbound variable $%s" v
-
-let test_matches test (t : Xml.Tree.t) =
-  match (test, t) with
-  | Qast.Any, Xml.Tree.Element _ -> true
-  | Qast.Name n, Xml.Tree.Element { name; _ } -> n = name
-  | Qast.Text, Xml.Tree.Text _ -> true
-  | Qast.Text, Xml.Tree.Element _ -> false
-  | (Qast.Any | Qast.Name _), Xml.Tree.Text _ -> false
-
-let child_step test (it : Value.item) : Value.item list =
-  match it with
-  | Value.Node (Xml.Tree.Element { children; _ }) ->
-      List.filter_map
-        (fun c ->
-          if test_matches test c then
-            match c with
-            | Xml.Tree.Text s -> Some (Value.Str s)
-            | el -> Some (Value.Node el)
-          else None)
-        children
-  | _ -> []
-
-let descendant_step test (it : Value.item) : Value.item list =
-  match it with
-  | Value.Node root ->
-      let out = ref [] in
-      let rec go (t : Xml.Tree.t) =
-        List.iter
-          (fun c ->
-            (if test_matches test c then
-               match c with
-               | Xml.Tree.Text s -> out := Value.Str s :: !out
-               | el -> out := Value.Node el :: !out);
-            go c)
-          (Xml.Tree.children t)
-      in
-      go root;
-      List.rev !out
-  | _ -> []
-
-let attribute_step test (it : Value.item) : Value.item list =
-  match it with
-  | Value.Node (Xml.Tree.Element { attrs; _ }) ->
-      List.filter_map
-        (fun (k, v) ->
-          match test with
-          | Qast.Name n when n = k -> Some (Value.Attr (k, v))
-          | Qast.Any -> Some (Value.Attr (k, v))
-          | _ -> None)
-        attrs
-  | _ -> []
+  val document : t -> node
+  val children : t -> text:bool -> node -> node list
+  val text : t -> node -> string option
+  val name : t -> node -> string
+  val attributes : t -> node -> (string * string) list
+  val string_value : t -> node -> string
+  val of_tree : Xml.Tree.t -> node
+  val materialize : t -> node -> Xml.Tree.t
+end
 
 let axis_name = function
   | Qast.Child -> "child"
@@ -101,393 +49,497 @@ let expr_label (e : Qast.expr) =
   | Qast.Quantified (Qast.Some_, _, _, _) -> "some"
   | Qast.Quantified (Qast.Every, _, _, _) -> "every"
 
-(* Profiled wrapper over the expression dispatcher: off, it is one branch
-   and a tail call; on, each expression node gets a frame (repeat
-   evaluations inside FLWOR loops aggregate by call count). *)
-let rec eval_expr env (e : Qast.expr) : Value.t =
-  if not (Xmobs.Profile.profiling ()) then eval_expr_desc env e
-  else begin
-    let tok = Xmobs.Profile.enter (expr_label e) in
-    match eval_expr_desc env e with
-    | vs ->
-        Xmobs.Profile.exit ~out_count:(List.length vs) tok;
-        vs
-    | exception ex ->
-        Xmobs.Profile.exit tok;
-        raise ex
-  end
+module Make (N : NAV) = struct
+  type item = N.node Value.item_of
 
-and eval_expr_desc env (e : Qast.expr) : Value.t =
-  match e with
-  | Qast.Literal_string s -> [ Value.Str s ]
-  | Qast.Literal_number f -> [ Value.Num f ]
-  | Qast.Var v -> lookup env v
-  | Qast.Sequence es -> List.concat_map (eval_expr env) es
-  | Qast.Root -> [ Value.Node env.root ]
-  | Qast.Context_item -> (
-      match env.context with
-      | Some it -> [ it ]
-      | None -> [ Value.Node env.root ])
-  | Qast.Step (axis, test, preds) ->
-      let base =
-        match env.context with
-        | Some it -> [ it ]
-        | None -> [ Value.Node env.root ]
-      in
-      apply_step env base axis test preds
-  | Qast.Path (e, axis, test, preds) ->
-      let base = eval_expr env e in
-      apply_step env base axis test preds
-  | Qast.Flwor (clauses, where, order, ret) -> eval_flwor env clauses where order ret
-  | Qast.If (c, t, e) ->
-      if Value.effective_bool (eval_expr env c) then eval_expr env t
-      else eval_expr env e
-  | Qast.Or (a, b) ->
-      [ Value.Bool
-          (Value.effective_bool (eval_expr env a)
-          || Value.effective_bool (eval_expr env b)) ]
-  | Qast.And (a, b) ->
-      [ Value.Bool
-          (Value.effective_bool (eval_expr env a)
-          && Value.effective_bool (eval_expr env b)) ]
-  | Qast.Compare (op, a, b) ->
-      let va = eval_expr env a and vb = eval_expr env b in
-      [ Value.Bool (general_compare op va vb) ]
-  | Qast.Arith (op, a, b) ->
-      let to_num e =
-        match eval_expr env e with
-        | [] -> None
-        | it :: _ -> Value.to_number it
-      in
-      (match (to_num a, to_num b) with
-      | Some x, Some y ->
-          let f =
-            match op with
-            | Qast.Add -> x +. y
-            | Qast.Sub -> x -. y
-            | Qast.Mul -> x *. y
-            | Qast.Div -> x /. y
-            | Qast.Mod -> Float.rem x y
-          in
-          [ Value.Num f ]
-      | _ -> [])
-  | Qast.Neg e -> (
-      match eval_expr env e with
-      | [ it ] -> (
-          match Value.to_number it with
-          | Some f -> [ Value.Num (-.f) ]
-          | None -> err "cannot negate a non-number")
-      | _ -> err "cannot negate a sequence")
-  | Qast.Call (f, args) -> eval_call env f (List.map (eval_expr env) args)
-  | Qast.Element (name, attrs, content) ->
-      let attrs =
-        List.map
+  (* What stays fixed over one evaluation, apart from [env] so that the
+     per-item copies of [env] in predicates stay small. *)
+  type doc = {
+    nav : N.t;
+    text : N.node -> string; (* string value of a node *)
+    root : N.node; (* the document node, what [/] and [doc()] denote *)
+  }
+
+  type env = {
+    doc : doc;
+    vars : (string * item list) list;
+    context : item option;
+    position : int; (* 1-based position of the context item in its sequence *)
+    size : int; (* size of that sequence, for last() *)
+  }
+
+  let lookup env v =
+    match List.assoc_opt v env.vars with
+    | Some x -> x
+    | None -> err "unbound variable $%s" v
+
+  let context env =
+    match env.context with Some it -> it | None -> Value.Node env.doc.root
+
+  let string_value env it = Value.atomize env.doc.text it
+  let to_number env it = Value.number env.doc.text it
+  let item_equal env a b = Value.equal env.doc.text a b
+  let str_of env = function [] -> "" | it :: _ -> string_value env it
+
+  let materialize nav =
+    List.map (function
+      | Value.Node n -> Value.Node (N.materialize nav n)
+      | Value.Attr (k, v) -> Value.Attr (k, v)
+      | Value.Str s -> Value.Str s
+      | Value.Num f -> Value.Num f
+      | Value.Bool b -> Value.Bool b)
+
+  (* The node as an item if it passes the node test; text atomizes to a
+     string. *)
+  let select env test n =
+    match test with
+    | Qast.Name m -> if N.name env.doc.nav n = m then Some (Value.Node n) else None
+    | Qast.Any -> (
+        match N.text env.doc.nav n with
+        | None -> Some (Value.Node n)
+        | Some _ -> None)
+    | Qast.Text -> (
+        match N.text env.doc.nav n with
+        | Some s -> Some (Value.Str s)
+        | None -> None)
+
+  (* Only a text() test asks for text children, so an instance that stores
+     text apart from structure reads none for element steps. *)
+  let children env test n =
+    N.children env.doc.nav ~text:(match test with Qast.Text -> true | _ -> false) n
+
+  let child_step env test = function
+    | Value.Node n -> List.filter_map (select env test) (children env test n)
+    | _ -> []
+
+  (* Preorder, so that results come out in document order. *)
+  let descendant_step env test = function
+    | Value.Node n ->
+        let rec go acc = function
+          | [] -> acc
+          | c :: rest ->
+              let acc =
+                match select env test c with Some it -> it :: acc | None -> acc
+              in
+              go (go acc (children env test c)) rest
+        in
+        List.rev (go [] (children env test n))
+    | _ -> []
+
+  let attribute_step env test = function
+    | Value.Node n ->
+        List.filter_map
           (fun (k, v) ->
-            match v with
-            | Qast.Attr_literal s -> (k, s)
-            | Qast.Attr_expr e ->
-                let parts = List.map Value.string_value (eval_expr env e) in
-                (k, String.concat " " parts))
-          attrs
-      in
-      let children =
-        List.concat_map
-          (fun c ->
-            match c with
-            | Qast.Content_text s -> [ Xml.Tree.Text s ]
-            | Qast.Content_elem e -> Value.to_trees (eval_expr env e)
-            | Qast.Content_expr e -> Value.to_trees (eval_expr env e))
-          content
-      in
-      [ Value.Node (Xml.Tree.Element { name; attrs; children }) ]
-  | Qast.Quantified (q, v, e, sat) ->
-      let seq = eval_expr env e in
-      let check it =
-        Value.effective_bool
-          (eval_expr { env with vars = (v, [ it ]) :: env.vars } sat)
-      in
-      let result =
-        match q with
-        | Qast.Some_ -> List.exists check seq
-        | Qast.Every -> List.for_all check seq
-      in
-      [ Value.Bool result ]
+            match test with
+            | Qast.Name m when m = k -> Some (Value.Attr (k, v))
+            | Qast.Any -> Some (Value.Attr (k, v))
+            | _ -> None)
+          (N.attributes env.doc.nav n)
+    | _ -> []
 
-and apply_step env base axis test preds =
-  Xmobs.Profile.add_in (List.length base);
-  let step_fn =
-    match axis with
-    | Qast.Child -> child_step test
-    | Qast.Descendant -> descendant_step test
-    | Qast.Attribute -> attribute_step test
-  in
-  (* XPath semantics: predicates (and position()/last()) apply within each
-     context node's selection, before the per-node results are concatenated. *)
-  List.concat_map
-    (fun it ->
-      let selected = step_fn it in
-      List.fold_left (fun acc p -> apply_predicate env acc p) selected preds)
-    base
+  (* Profiled wrapper over the expression dispatcher: off, it is one branch
+     and a tail call; on, each expression node gets a frame (repeat
+     evaluations inside FLWOR loops aggregate by call count). *)
+  let rec eval_expr env (e : Qast.expr) : item list =
+    if not (Xmobs.Profile.profiling ()) then eval_expr_desc env e
+    else begin
+      let tok = Xmobs.Profile.enter (expr_label e) in
+      match eval_expr_desc env e with
+      | vs ->
+          Xmobs.Profile.exit ~out_count:(List.length vs) tok;
+          vs
+      | exception ex ->
+          Xmobs.Profile.exit tok;
+          raise ex
+    end
 
-and apply_predicate env items p =
-  let n = List.length items in
-  List.filteri
-    (fun i it ->
-      let v =
-        eval_expr { env with context = Some it; position = i + 1; size = n } p
-      in
-      match v with
-      | [ Value.Num f ] -> int_of_float f = i + 1
-      | _ -> Value.effective_bool v)
-    items
-
-and eval_flwor env clauses where order ret =
-  (* Expand the clauses into the stream of tuple environments, filtered by
-     the where clause. *)
-  let rec tuples env = function
-    | [] ->
-        let keep =
-          match where with
-          | None -> true
-          | Some w -> Value.effective_bool (eval_expr env w)
+  and eval_expr_desc env (e : Qast.expr) : item list =
+    match e with
+    | Qast.Literal_string s -> [ Value.Str s ]
+    | Qast.Literal_number f -> [ Value.Num f ]
+    | Qast.Var v -> lookup env v
+    | Qast.Sequence es -> List.concat_map (eval_expr env) es
+    | Qast.Root -> [ Value.Node env.doc.root ]
+    | Qast.Context_item -> [ context env ]
+    | Qast.Step (axis, test, preds) ->
+        apply_step env [ context env ] axis test preds
+    | Qast.Path (e, axis, test, preds) ->
+        let base = eval_expr env e in
+        apply_step env base axis test preds
+    | Qast.Flwor (clauses, where, order, ret) -> eval_flwor env clauses where order ret
+    | Qast.If (c, t, e) ->
+        if Value.effective_bool (eval_expr env c) then eval_expr env t
+        else eval_expr env e
+    | Qast.Or (a, b) ->
+        [ Value.Bool
+            (Value.effective_bool (eval_expr env a)
+            || Value.effective_bool (eval_expr env b)) ]
+    | Qast.And (a, b) ->
+        [ Value.Bool
+            (Value.effective_bool (eval_expr env a)
+            && Value.effective_bool (eval_expr env b)) ]
+    | Qast.Compare (op, a, b) ->
+        let va = eval_expr env a and vb = eval_expr env b in
+        [ Value.Bool (general_compare env op va vb) ]
+    | Qast.Arith (op, a, b) ->
+        let to_num e =
+          match eval_expr env e with
+          | [] -> None
+          | it :: _ -> to_number env it
         in
-        if keep then [ env ] else []
-    | Qast.For (v, e) :: rest ->
-        let seq = eval_expr env e in
-        List.concat_map
-          (fun it -> tuples { env with vars = (v, [ it ]) :: env.vars } rest)
-          seq
-    | Qast.Let (v, e) :: rest ->
-        let value = eval_expr env e in
-        tuples { env with vars = (v, value) :: env.vars } rest
-  in
-  let envs = tuples env clauses in
-  let envs =
-    match order with
-    | [] -> envs
-    | specs ->
-        (* Decorate with the key tuple, sort stably, undecorate.  Keys
-           compare numerically when both sides are numbers, else as
-           strings, per spec ordering for untyped data. *)
-        let key_of env =
+        (match (to_num a, to_num b) with
+        | Some x, Some y ->
+            let f =
+              match op with
+              | Qast.Add -> x +. y
+              | Qast.Sub -> x -. y
+              | Qast.Mul -> x *. y
+              | Qast.Div -> x /. y
+              | Qast.Mod -> Float.rem x y
+            in
+            [ Value.Num f ]
+        | _ -> [])
+    | Qast.Neg e -> (
+        match eval_expr env e with
+        | [ it ] -> (
+            match to_number env it with
+            | Some f -> [ Value.Num (-.f) ]
+            | None -> err "cannot negate a non-number")
+        | _ -> err "cannot negate a sequence")
+    | Qast.Call (f, args) -> eval_call env f (List.map (eval_expr env) args)
+    | Qast.Element (name, attrs, content) ->
+        let attrs =
           List.map
-            (fun { Qast.key; descending } ->
-              let v = eval_expr env key in
-              let s = match v with [] -> "" | it :: _ -> Value.string_value it in
-              let num = match v with it :: _ -> Value.to_number it | [] -> None in
-              (s, num, descending))
-            specs
+            (fun (k, v) ->
+              match v with
+              | Qast.Attr_literal s -> (k, s)
+              | Qast.Attr_expr e ->
+                  let parts = List.map (string_value env) (eval_expr env e) in
+                  (k, String.concat " " parts))
+            attrs
         in
-        let cmp_one (s1, n1, desc) (s2, n2, _) =
-          let c =
-            match (n1, n2) with
-            | Some x, Some y -> compare x y
-            | _ -> compare s1 s2
+        let children =
+          List.concat_map
+            (fun c ->
+              match c with
+              | Qast.Content_text s -> [ Xml.Tree.Text s ]
+              | Qast.Content_elem e | Qast.Content_expr e ->
+                  Value.to_trees (materialize env.doc.nav (eval_expr env e)))
+            content
+        in
+        [ Value.Node (N.of_tree (Xml.Tree.Element { name; attrs; children })) ]
+    | Qast.Quantified (q, v, e, sat) ->
+        let seq = eval_expr env e in
+        let check it =
+          Value.effective_bool
+            (eval_expr { env with vars = (v, [ it ]) :: env.vars } sat)
+        in
+        let result =
+          match q with
+          | Qast.Some_ -> List.exists check seq
+          | Qast.Every -> List.for_all check seq
+        in
+        [ Value.Bool result ]
+
+  and apply_step env base axis test preds =
+    Xmobs.Profile.add_in (List.length base);
+    let step_fn =
+      match axis with
+      | Qast.Child -> child_step env test
+      | Qast.Descendant -> descendant_step env test
+      | Qast.Attribute -> attribute_step env test
+    in
+    (* XPath semantics: predicates (and position()/last()) apply within each
+       context node's selection, before the per-node results are concatenated. *)
+    List.concat_map
+      (fun it ->
+        let selected = step_fn it in
+        List.fold_left (fun acc p -> apply_predicate env acc p) selected preds)
+      base
+
+  and apply_predicate env items p =
+    let n = List.length items in
+    List.filteri
+      (fun i it ->
+        let v =
+          eval_expr { env with context = Some it; position = i + 1; size = n } p
+        in
+        match v with
+        | [ Value.Num f ] -> int_of_float f = i + 1
+        | _ -> Value.effective_bool v)
+      items
+
+  and eval_flwor env clauses where order ret =
+    (* Expand the clauses into the stream of tuple environments, filtered by
+       the where clause. *)
+    let rec tuples env = function
+      | [] ->
+          let keep =
+            match where with
+            | None -> true
+            | Some w -> Value.effective_bool (eval_expr env w)
           in
-          if desc then -c else c
-        in
-        let rec cmp ks1 ks2 =
-          match (ks1, ks2) with
-          | [], [] -> 0
-          | k1 :: r1, k2 :: r2 ->
-              let c = cmp_one k1 k2 in
-              if c <> 0 then c else cmp r1 r2
-          | _ -> 0
-        in
-        List.stable_sort
-          (fun (k1, _) (k2, _) -> cmp k1 k2)
-          (List.map (fun e -> (key_of e, e)) envs)
-        |> List.map snd
-  in
-  List.concat_map (fun env -> eval_expr env ret) envs
+          if keep then [ env ] else []
+      | Qast.For (v, e) :: rest ->
+          let seq = eval_expr env e in
+          List.concat_map
+            (fun it -> tuples { env with vars = (v, [ it ]) :: env.vars } rest)
+            seq
+      | Qast.Let (v, e) :: rest ->
+          let value = eval_expr env e in
+          tuples { env with vars = (v, value) :: env.vars } rest
+    in
+    let envs = tuples env clauses in
+    let envs =
+      match order with
+      | [] -> envs
+      | specs ->
+          (* Decorate with the key tuple, sort stably, undecorate.  Keys
+             compare numerically when both sides are numbers, else as
+             strings, per spec ordering for untyped data. *)
+          let key_of env =
+            List.map
+              (fun { Qast.key; descending } ->
+                let v = eval_expr env key in
+                let s = match v with [] -> "" | it :: _ -> string_value env it in
+                let num = match v with it :: _ -> to_number env it | [] -> None in
+                (s, num, descending))
+              specs
+          in
+          let cmp_one (s1, n1, desc) (s2, n2, _) =
+            let c =
+              match (n1, n2) with
+              | Some x, Some y -> compare x y
+              | _ -> compare s1 s2
+            in
+            if desc then -c else c
+          in
+          let rec cmp ks1 ks2 =
+            match (ks1, ks2) with
+            | [], [] -> 0
+            | k1 :: r1, k2 :: r2 ->
+                let c = cmp_one k1 k2 in
+                if c <> 0 then c else cmp r1 r2
+            | _ -> 0
+          in
+          List.stable_sort
+            (fun (k1, _) (k2, _) -> cmp k1 k2)
+            (List.map (fun e -> (key_of e, e)) envs)
+          |> List.map snd
+    in
+    List.concat_map (fun env -> eval_expr env ret) envs
 
-and general_compare op va vb =
-  let cmp_items a b =
-    match op with
-    | Qast.Eq -> Value.item_equal a b
-    | Qast.Neq -> not (Value.item_equal a b)
-    | _ -> (
-        match (Value.to_number a, Value.to_number b) with
-        | Some x, Some y -> (
-            match op with
-            | Qast.Lt -> x < y
-            | Qast.Le -> x <= y
-            | Qast.Gt -> x > y
-            | Qast.Ge -> x >= y
-            | _ -> assert false)
-        | _ -> (
-            let sa = Value.string_value a and sb = Value.string_value b in
-            match op with
-            | Qast.Lt -> sa < sb
-            | Qast.Le -> sa <= sb
-            | Qast.Gt -> sa > sb
-            | Qast.Ge -> sa >= sb
-            | _ -> assert false))
-  in
-  List.exists (fun a -> List.exists (fun b -> cmp_items a b) vb) va
+  and general_compare env op va vb =
+    let cmp_items a b =
+      match op with
+      | Qast.Eq -> item_equal env a b
+      | Qast.Neq -> not (item_equal env a b)
+      | _ -> (
+          match (to_number env a, to_number env b) with
+          | Some x, Some y -> (
+              match op with
+              | Qast.Lt -> x < y
+              | Qast.Le -> x <= y
+              | Qast.Gt -> x > y
+              | Qast.Ge -> x >= y
+              | _ -> assert false)
+          | _ -> (
+              let sa = string_value env a and sb = string_value env b in
+              match op with
+              | Qast.Lt -> sa < sb
+              | Qast.Le -> sa <= sb
+              | Qast.Gt -> sa > sb
+              | Qast.Ge -> sa >= sb
+              | _ -> assert false))
+    in
+    List.exists (fun a -> List.exists (fun b -> cmp_items a b) vb) va
 
-and eval_call env fname args =
-  let arity n =
-    if List.length args <> n then
-      err "%s expects %d argument(s), got %d" fname n (List.length args)
-  in
-  let one () = arity 1; List.hd args in
-  match fname with
-  | "count" -> [ Value.Num (float_of_int (List.length (one ()))) ]
-  | "empty" -> [ Value.Bool (one () = []) ]
-  | "exists" -> [ Value.Bool (one () <> []) ]
-  | "not" -> [ Value.Bool (not (Value.effective_bool (one ()))) ]
-  | "string" -> (
-      match one () with
-      | [] -> [ Value.Str "" ]
-      | it :: _ -> [ Value.Str (Value.string_value it) ])
-  | "number" -> (
-      match one () with
-      | it :: _ -> (
-          match Value.to_number it with
-          | Some f -> [ Value.Num f ]
-          | None -> [ Value.Num Float.nan ])
-      | [] -> [ Value.Num Float.nan ])
-  | "data" -> List.map (fun it -> Value.Str (Value.string_value it)) (one ())
-  | "distinct-values" ->
-      let seen = Hashtbl.create 16 in
-      List.filter_map
-        (fun it ->
-          let s = Value.string_value it in
-          if Hashtbl.mem seen s then None
+  and eval_call env fname args =
+    let arity n =
+      if List.length args <> n then
+        err "%s expects %d argument(s), got %d" fname n (List.length args)
+    in
+    let one () = arity 1; List.hd args in
+    match fname with
+    | "count" -> [ Value.Num (float_of_int (List.length (one ()))) ]
+    | "empty" -> [ Value.Bool (one () = []) ]
+    | "exists" -> [ Value.Bool (one () <> []) ]
+    | "not" -> [ Value.Bool (not (Value.effective_bool (one ()))) ]
+    | "string" -> [ Value.Str (str_of env (one ())) ]
+    | "number" -> (
+        match one () with
+        | it :: _ -> (
+            match to_number env it with
+            | Some f -> [ Value.Num f ]
+            | None -> [ Value.Num Float.nan ])
+        | [] -> [ Value.Num Float.nan ])
+    | "data" -> List.map (fun it -> Value.Str (string_value env it)) (one ())
+    | "distinct-values" ->
+        let seen = Hashtbl.create 16 in
+        List.filter_map
+          (fun it ->
+            let s = string_value env it in
+            if Hashtbl.mem seen s then None
+            else begin
+              Hashtbl.add seen s ();
+              Some (Value.Str s)
+            end)
+          (one ())
+    | "concat" ->
+        [ Value.Str
+            (String.concat ""
+               (List.map
+                  (fun seq -> String.concat "" (List.map (string_value env) seq))
+                  args)) ]
+    | "contains" ->
+        arity 2;
+        let s = str_of env (List.nth args 0) and sub = str_of env (List.nth args 1) in
+        let found =
+          if sub = "" then true
           else begin
-            Hashtbl.add seen s ();
-            Some (Value.Str s)
-          end)
-        (one ())
-  | "concat" ->
-      [ Value.Str
-          (String.concat ""
-             (List.map
-                (fun seq ->
-                  String.concat "" (List.map Value.string_value seq))
-                args)) ]
-  | "contains" ->
-      arity 2;
-      let s = match List.nth args 0 with [] -> "" | it :: _ -> Value.string_value it in
-      let sub = match List.nth args 1 with [] -> "" | it :: _ -> Value.string_value it in
-      let found =
-        if sub = "" then true
-        else begin
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        end
-      in
-      [ Value.Bool found ]
-  | "starts-with" ->
-      arity 2;
-      let s = match List.nth args 0 with [] -> "" | it :: _ -> Value.string_value it in
-      let p = match List.nth args 1 with [] -> "" | it :: _ -> Value.string_value it in
-      [ Value.Bool
-          (String.length p <= String.length s
-          && String.sub s 0 (String.length p) = p) ]
-  | "string-length" -> (
-      match one () with
-      | [] -> [ Value.Num 0.0 ]
-      | it :: _ -> [ Value.Num (float_of_int (String.length (Value.string_value it))) ])
-  | "name" -> (
-      match one () with
-      | Value.Node n :: _ -> [ Value.Str (Xml.Tree.name n) ]
-      | Value.Attr (k, _) :: _ -> [ Value.Str k ]
-      | _ -> [ Value.Str "" ])
-  | "sum" ->
-      [ Value.Num
-          (List.fold_left
-             (fun acc it ->
-               match Value.to_number it with Some f -> acc +. f | None -> acc)
-             0.0 (one ())) ]
-  | "avg" -> (
-      match one () with
-      | [] -> []
-      | seq ->
-          let nums = List.filter_map Value.to_number seq in
-          if nums = [] then []
-          else
+            let n = String.length s and m = String.length sub in
+            let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+            go 0
+          end
+        in
+        [ Value.Bool found ]
+    | "starts-with" ->
+        arity 2;
+        let s = str_of env (List.nth args 0) and p = str_of env (List.nth args 1) in
+        [ Value.Bool
+            (String.length p <= String.length s
+            && String.sub s 0 (String.length p) = p) ]
+    | "string-length" ->
+        [ Value.Num (float_of_int (String.length (str_of env (one ())))) ]
+    | "name" -> (
+        match one () with
+        | Value.Node n :: _ -> [ Value.Str (N.name env.doc.nav n) ]
+        | Value.Attr (k, _) :: _ -> [ Value.Str k ]
+        | _ -> [ Value.Str "" ])
+    | "sum" ->
+        [ Value.Num
+            (List.fold_left
+               (fun acc it ->
+                 match to_number env it with Some f -> acc +. f | None -> acc)
+               0.0 (one ())) ]
+    | "avg" -> (
+        match List.filter_map (to_number env) (one ()) with
+        | [] -> []
+        | nums ->
             [ Value.Num
                 (List.fold_left ( +. ) 0.0 nums /. float_of_int (List.length nums)) ])
-  | "min" | "max" -> (
-      let nums = List.filter_map Value.to_number (one ()) in
-      match nums with
-      | [] -> []
-      | x :: rest ->
-          let pick = if fname = "min" then min else max in
-          [ Value.Num (List.fold_left pick x rest) ])
-  | "doc" -> [ Value.Node env.root ]
-  | "position" -> arity 0; [ Value.Num (float_of_int env.position) ]
-  | "last" -> arity 0; [ Value.Num (float_of_int env.size) ]
-  | "true" -> arity 0; [ Value.Bool true ]
-  | "false" -> arity 0; [ Value.Bool false ]
-  | "boolean" -> [ Value.Bool (Value.effective_bool (one ())) ]
-  | "substring" -> (
-      if List.length args < 2 || List.length args > 3 then
-        err "substring expects 2 or 3 arguments";
-      let s = match List.nth args 0 with [] -> "" | it :: _ -> Value.string_value it in
-      let fnum seq = match seq with it :: _ -> Option.value ~default:Float.nan (Value.to_number it) | [] -> Float.nan in
-      let start = fnum (List.nth args 1) in
-      let len =
-        if List.length args = 3 then fnum (List.nth args 2)
-        else float_of_int (String.length s)
-      in
-      (* XPath semantics: 1-based, rounding, clamped. *)
-      let n = String.length s in
-      let from = int_of_float (Float.round start) - 1 in
-      let upto = from + int_of_float (Float.round len) in
-      let from = max 0 from and upto = min n upto in
-      if upto <= from then [ Value.Str "" ]
-      else [ Value.Str (String.sub s from (upto - from)) ])
-  | "string-join" ->
-      arity 2;
-      let sep = match List.nth args 1 with [] -> "" | it :: _ -> Value.string_value it in
-      [ Value.Str
-          (String.concat sep (List.map Value.string_value (List.nth args 0))) ]
-  | "normalize-space" -> (
-      let s = match one () with [] -> "" | it :: _ -> Value.string_value it in
-      let words =
-        List.filter (fun w -> w <> "")
-          (String.split_on_char ' '
-             (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s))
-      in
-      [ Value.Str (String.concat " " words) ])
-  | "upper-case" -> (
-      match one () with
-      | [] -> [ Value.Str "" ]
-      | it :: _ -> [ Value.Str (String.uppercase_ascii (Value.string_value it)) ])
-  | "lower-case" -> (
-      match one () with
-      | [] -> [ Value.Str "" ]
-      | it :: _ -> [ Value.Str (String.lowercase_ascii (Value.string_value it)) ])
-  | "floor" | "ceiling" | "round" | "abs" -> (
-      match one () with
-      | [] -> []
-      | it :: _ -> (
-          match Value.to_number it with
-          | None -> [ Value.Num Float.nan ]
-          | Some f ->
-              let g =
-                match fname with
-                | "floor" -> Float.floor f
-                | "ceiling" -> Float.ceil f
-                | "round" -> Float.round f
-                | _ -> Float.abs f
-              in
-              [ Value.Num g ]))
-  | other -> err "unknown function %s()" other
+    | "min" | "max" -> (
+        let nums = List.filter_map (to_number env) (one ()) in
+        match nums with
+        | [] -> []
+        | x :: rest ->
+            let pick = if fname = "min" then min else max in
+            [ Value.Num (List.fold_left pick x rest) ])
+    | "doc" -> [ Value.Node env.doc.root ]
+    | "position" -> arity 0; [ Value.Num (float_of_int env.position) ]
+    | "last" -> arity 0; [ Value.Num (float_of_int env.size) ]
+    | "true" -> arity 0; [ Value.Bool true ]
+    | "false" -> arity 0; [ Value.Bool false ]
+    | "boolean" -> [ Value.Bool (Value.effective_bool (one ())) ]
+    | "substring" -> (
+        if List.length args < 2 || List.length args > 3 then
+          err "substring expects 2 or 3 arguments";
+        let s = str_of env (List.nth args 0) in
+        let fnum seq =
+          match seq with
+          | it :: _ -> Option.value ~default:Float.nan (to_number env it)
+          | [] -> Float.nan
+        in
+        let start = fnum (List.nth args 1) in
+        let len =
+          if List.length args = 3 then fnum (List.nth args 2)
+          else float_of_int (String.length s)
+        in
+        (* XPath semantics: 1-based, rounding, clamped. *)
+        let n = String.length s in
+        let from = int_of_float (Float.round start) - 1 in
+        let upto = from + int_of_float (Float.round len) in
+        let from = max 0 from and upto = min n upto in
+        if upto <= from then [ Value.Str "" ]
+        else [ Value.Str (String.sub s from (upto - from)) ])
+    | "string-join" ->
+        arity 2;
+        let sep = str_of env (List.nth args 1) in
+        [ Value.Str
+            (String.concat sep (List.map (string_value env) (List.nth args 0))) ]
+    | "normalize-space" ->
+        let words =
+          List.filter (fun w -> w <> "")
+            (String.split_on_char ' '
+               (String.map
+                  (function '\t' | '\n' | '\r' -> ' ' | c -> c)
+                  (str_of env (one ()))))
+        in
+        [ Value.Str (String.concat " " words) ]
+    | "upper-case" -> [ Value.Str (String.uppercase_ascii (str_of env (one ()))) ]
+    | "lower-case" -> [ Value.Str (String.lowercase_ascii (str_of env (one ()))) ]
+    | "floor" | "ceiling" | "round" | "abs" -> (
+        match one () with
+        | [] -> []
+        | it :: _ -> (
+            match to_number env it with
+            | None -> [ Value.Num Float.nan ]
+            | Some f ->
+                let g =
+                  match fname with
+                  | "floor" -> Float.floor f
+                  | "ceiling" -> Float.ceil f
+                  | "round" -> Float.round f
+                  | _ -> Float.abs f
+                in
+                [ Value.Num g ]))
+    | other -> err "unknown function %s()" other
+
+  let eval nav e =
+    let root = N.document nav in
+    let env =
+      { doc = { nav; text = N.string_value nav; root }; vars = [];
+        context = None; position = 1; size = 1 }
+    in
+    eval_expr env e
+end
+
+(* The physical instance: a plain tree, whose document node is an unnamed
+   element wrapping the root so that [/data] selects the root element as in
+   XPath. *)
+module Tree = struct
+  type t = Xml.Tree.t
+  type node = Xml.Tree.t
+
+  let document doc = doc
+
+  let children _ ~text:_ = function
+    | Xml.Tree.Element { children; _ } -> children
+    | Xml.Tree.Text _ -> []
+
+  let text _ = function
+    | Xml.Tree.Text s -> Some s
+    | Xml.Tree.Element _ -> None
+
+  let name _ = function
+    | Xml.Tree.Element { name; _ } -> name
+    | Xml.Tree.Text _ -> ""
+
+  let attributes _ = function
+    | Xml.Tree.Element { attrs; _ } -> attrs
+    | Xml.Tree.Text _ -> []
+
+  let string_value _ n = Xml.Tree.deep_text n
+  let of_tree n = n
+  let materialize _ n = n
+end
+
+module Physical = Make (Tree)
 
 let eval root e =
   Xmobs.Obs.phase "xquery.eval" @@ fun () ->
   Xmobs.Profile.op "xquery.eval" @@ fun () ->
-  let document_node =
-    Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }
-  in
-  eval_expr
-    { root = document_node; vars = []; context = None; position = 1; size = 1 }
-    e
+  Physical.eval (Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }) e
 
 let run root src = eval root (Qparse.parse src)
 

@@ -4,10 +4,54 @@
     leading [/] denote).  The function library covers the built-ins the
     paper's examples rely on — notably [distinct-values], whose behaviour on
     the {e target} shape rather than the source is one of the paper's
-    arguments for physically transforming values (Sec. II). *)
+    arguments for physically transforming values (Sec. II).
+
+    The query semantics (steps, predicates, FLWOR, comparison, element
+    construction and every built-in) are written once, in {!Make}, over a
+    navigation signature {!NAV}.  {!eval} instantiates it over a plain
+    {!Xml.Tree.t}; [Guarded.Logical] instantiates it over the virtual
+    transformed document of architecture 3. *)
 
 exception Error of string
 (** Runtime errors: unbound variables, unknown functions, bad arity. *)
+
+(** What the evaluator needs to know about a document's nodes. *)
+module type NAV = sig
+  type t
+  (** The navigation context: one document. *)
+
+  type node
+
+  val document : t -> node
+  (** The document node, parent of the root element ([/]). *)
+
+  val children : t -> text:bool -> node -> node list
+  (** Children in document order, text nodes included at least when
+      [text]. *)
+
+  val text : t -> node -> string option
+  (** The content of a text node; [None] for an element. *)
+
+  val name : t -> node -> string
+  (** Element name; [""] for the document node and text nodes. *)
+
+  val attributes : t -> node -> (string * string) list
+  val string_value : t -> node -> string
+
+  val of_tree : Xml.Tree.t -> node
+  (** A node built by an element constructor. *)
+
+  val materialize : t -> node -> Xml.Tree.t
+end
+
+module Make (N : NAV) : sig
+  val eval : N.t -> Qast.expr -> N.node Value.item_of list
+  (** [eval doc e] evaluates [e] in document [doc].  Each expression node is
+      a {!Xmobs.Profile} frame while profiling is on. *)
+
+  val materialize : N.t -> N.node Value.item_of list -> Value.t
+  (** Nodes materialized as trees, other items as they are. *)
+end
 
 val eval : Xml.Tree.t -> Qast.expr -> Value.t
 (** [eval doc e] evaluates [e] with [doc] as the context document. *)

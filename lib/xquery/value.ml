@@ -1,10 +1,11 @@
-type item =
-  | Node of Xml.Tree.t
+type 'n item_of =
+  | Node of 'n
   | Attr of string * string
   | Str of string
   | Num of float
   | Bool of bool
 
+type item = Xml.Tree.t item_of
 type t = item list
 
 let of_node n = [ Node n ]
@@ -14,12 +15,14 @@ let num_to_string f =
     string_of_int (int_of_float f)
   else string_of_float f
 
-let string_value = function
-  | Node n -> Xml.Tree.deep_text n
+let atomize node_text = function
+  | Node n -> node_text n
   | Attr (_, v) -> v
   | Str s -> s
   | Num f -> num_to_string f
   | Bool b -> if b then "true" else "false"
+
+let string_value = atomize Xml.Tree.deep_text
 
 let effective_bool = function
   | [] -> false
@@ -28,21 +31,26 @@ let effective_bool = function
   | [ Str s ] -> s <> ""
   | _ -> true (* at least one node *)
 
-let to_number it =
+let number node_text it =
   match it with
   | Num f -> Some f
   | Bool b -> Some (if b then 1.0 else 0.0)
-  | Node _ | Attr _ | Str _ -> float_of_string_opt (String.trim (string_value it))
+  | Node _ | Attr _ | Str _ ->
+      float_of_string_opt (String.trim (atomize node_text it))
 
-let item_equal a b =
+let to_number = number Xml.Tree.deep_text
+
+let equal node_text a b =
   match (a, b) with
   | Num x, Num y -> x = y
   | Bool x, Bool y -> x = y
   | (Num _, _ | _, Num _) -> (
-      match (to_number a, to_number b) with
+      match (number node_text a, number node_text b) with
       | Some x, Some y -> x = y
       | _ -> false)
-  | _ -> string_value a = string_value b
+  | _ -> atomize node_text a = atomize node_text b
+
+let item_equal = equal Xml.Tree.deep_text
 
 let to_trees seq =
   List.map

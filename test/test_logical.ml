@@ -32,7 +32,14 @@ let test_agrees_with_physical () =
       "count(//author[name = \"A\"])";
       "for $n in //name order by $n return $n/text()";
       "string(//author[1]/name)";
-    ]
+    ];
+  (* Descendants come out in document order, not level by level. *)
+  let nested = "<r><a><n>1</n><a><n>2</n></a></a><a><n>3</n></a></r>" in
+  check_same ~src:nested "MUTATE r" "//a/n/text()";
+  (* Untyped values compare as strings, not as numbers. *)
+  let untyped = "<r><e><v>1.0</v><w>1</w></e><e><v>x</v><w>01</w></e></r>" in
+  check_same ~src:untyped "MUTATE r" {|count(//e[w = "1"])|};
+  check_same ~src:untyped "MUTATE r" "//v = //w"
 
 let test_agrees_on_all_instances () =
   List.iter
@@ -92,12 +99,20 @@ let test_selective_query_reads_less () =
 
 let test_unknown_function_errors () =
   let _, lg = logical_of Workloads.Figures.instance_a "MORPH author [ name ]" in
-  match Logical.query lg "frobnicate(1)" with
-  | exception Xquery.Eval.Error _ -> ()
-  | _ -> Alcotest.fail "expected error"
+  let message f =
+    match f "frobnicate(1)" with
+    | exception Xquery.Eval.Error m -> m
+    | _ -> Alcotest.fail "expected error"
+  in
+  let physical = message (Xquery.Eval.run (Xml.Tree.element "r" [])) in
+  Alcotest.(check string) "physical message" "unknown function frobnicate()"
+    physical;
+  Alcotest.(check string) "same message from both" physical
+    (message (Logical.query lg))
 
-let prop_identity_guard_counts =
-  QCheck2.Test.make ~name:"logical count = physical count (identity MUTATE)"
+let prop_identity_guard_answers =
+  QCheck2.Test.make
+    ~name:"logical = physical on count, name, string (identity MUTATE)"
     ~count:50 Gen.gen_doc (fun doc ->
       let guide = Xml.Dataguide.of_doc doc in
       let root_label =
@@ -106,10 +121,16 @@ let prop_identity_guard_counts =
       let guard = "MUTATE " ^ root_label in
       let store = Store.Shredded.shred doc in
       let lg = Logical.create ~enforce:false store ~guard in
-      let logical = Xquery.Value.to_string (Logical.query lg "count(//*)") in
       let tree, _ = Xmorph.Interp.transform_doc ~enforce:false doc guard in
-      let physical = Xquery.Value.to_string (Xquery.Eval.run tree "count(//*)") in
-      logical = physical)
+      List.for_all
+        (fun q ->
+          Xquery.Value.to_string (Logical.query lg q)
+          = Xquery.Value.to_string (Xquery.Eval.run tree q))
+        [
+          "count(//*)";
+          "for $x in //* return name($x)";
+          "for $x in //* return string($x)";
+        ])
 
 let suite =
   [
@@ -124,5 +145,5 @@ let suite =
     Alcotest.test_case "selective query reads less (arch 3)" `Quick
       test_selective_query_reads_less;
     Alcotest.test_case "unknown function" `Quick test_unknown_function_errors;
-    QCheck_alcotest.to_alcotest prop_identity_guard_counts;
+    QCheck_alcotest.to_alcotest prop_identity_guard_answers;
   ]

@@ -126,14 +126,25 @@ let test_transform_profile () =
 
 let test_xquery_profile () =
   let root = Xml.Doc.to_tree doc in
+  let query = "for $r in /data/rec return $r/name" in
+  let logical =
+    Guarded.Logical.create ~enforce:false (Store.Shredded.shred doc)
+      ~guard:"MUTATE data"
+  in
   with_profile (fun () ->
-      ignore (Xquery.Eval.run root "for $r in /data/rec return $r/name");
-      let flwor = find_or_fail [ "xquery.eval"; "flwor" ] in
-      Alcotest.(check int) "one flwor evaluation" 1 flwor.Profile.calls;
-      (* The return clause runs once per binding: its step frame merges. *)
-      let step = find_or_fail [ "xquery.eval"; "flwor"; "step:child::name" ] in
-      Alcotest.(check int) "return step called per tuple" 2 step.Profile.calls;
-      Alcotest.(check int) "two names out in total" 2 step.Profile.out_count)
+      ignore (Xquery.Eval.run root query);
+      ignore (Guarded.Logical.query logical query);
+      (* Both architectures run the one evaluator, so both record the same
+         frames under their own top frame. *)
+      List.iter
+        (fun top ->
+          let flwor = find_or_fail [ top; "flwor" ] in
+          Alcotest.(check int) "one flwor evaluation" 1 flwor.Profile.calls;
+          (* The return clause runs once per binding: its step frame merges. *)
+          let step = find_or_fail [ top; "flwor"; "step:child::name" ] in
+          Alcotest.(check int) "return step called per tuple" 2 step.Profile.calls;
+          Alcotest.(check int) "two names out in total" 2 step.Profile.out_count)
+        [ "xquery.eval"; "logical.query" ])
 
 let test_disabled_records_nothing () =
   Profile.disable ();
