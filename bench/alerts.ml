@@ -1,10 +1,11 @@
 (* The alerting evaluator's overhead on the serving path: the Fig. 15
    DBLP reshaping guard executed with alerting off versus enabled with a
    realistic rule set that never fires (thresholds far above the
-   workload).  What rides the hot path is one [note_query] per execution
-   — three time-series bumps — plus a paced ticker thread judging rules
-   in the background; the acceptance bar is <1% on p50, same as the
-   flight recorder.  Reports p50/p95 for both paths and the relative p50
+   workload).  Both paths feed every execution into the query stream, as
+   the daemon does whether or not alerting is on; what enabling adds is a
+   paced ticker thread judging the rules against that stream in the
+   background.  The acceptance bar is <1% on p50, same as the flight
+   recorder.  Reports p50/p95 for both paths and the relative p50
    overhead, and writes the BENCH_alerts.json artifact (override the
    path with XMORPH_BENCH_ALERTS_OUT).  XMORPH_BENCH_FAST=1 shrinks the
    document and the repeat counts. *)
@@ -49,13 +50,15 @@ let run () =
     Workloads.Shapes.guard Workloads.Shapes.Dblp_data
       Workloads.Shapes.Bushy_large
   in
+  let stream = Xmobs.Alerts.stream idle_rules in
   let execute () =
     let t0 = Unix.gettimeofday () in
     let body =
       body_of (Xmserve.Exec.execute ~source:"bench" ~doc:"dblp" store guard)
     in
-    (* The serving path feeds every query into the evaluator. *)
-    Xmobs.Alerts.note_query ~ok:true ~wall_s:(Unix.gettimeofday () -. t0);
+    (* The serving path feeds every query into the stream. *)
+    Xmobs.Alerts.feed stream ~outcome:Xmobs.Qlog.Ok
+      ~wall_s:(Unix.gettimeofday () -. t0);
     body
   in
   let time_one () =
@@ -71,7 +74,7 @@ let run () =
   in
   Xmobs.Alerts.disable ();
   let off = sample "alerting off" in
-  Xmobs.Alerts.enable
+  Xmobs.Alerts.enable stream
     { Xmobs.Alerts.interval_s = 0.25; log = None; webhook = None;
       webhook_timeout_s = 2.0; webhook_retries = 2; rules = idle_rules };
   let on = sample "alerting enabled (idle rules)" in

@@ -57,8 +57,8 @@ let make_tests () =
                    "MORPH person [ person.name ] | TRANSLATE person -> human"))));
     (* The serve daemon records every request into rolling time-series on
        the hot path: one bump + one histogram record must stay cheap. *)
-    (let ts_req = Xmobs.Timeseries.create ~window:60 Counter "bench.requests" in
-     let ts_lat = Xmobs.Timeseries.create ~window:60 Histogram "bench.latency" in
+    (let ts_req = Xmobs.Timeseries.create ~window:60 Counter in
+     let ts_lat = Xmobs.Timeseries.create ~window:60 Histogram in
      Test.make ~name:"obs/timeseries-record"
        (Staged.stage (fun () ->
             Xmobs.Timeseries.bump ts_req;

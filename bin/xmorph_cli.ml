@@ -1118,12 +1118,6 @@ let serve_cmd =
     (match cache_mb with
     | Some mb when mb > 0 -> Xmcache.enable ~budget_bytes:(mb * 1024 * 1024)
     | Some _ | None -> ());
-    let slo =
-      { Xmserve.Slo.default with
-        p95_ms = slo_p95_ms;
-        max_error_rate = slo_error_rate;
-        window }
-    in
     let alerts =
       (* Same failure policy as a corrupt --stats-db warehouse: the daemon
          must come up even when an operator fat-fingers the rules file, so
@@ -1142,7 +1136,8 @@ let serve_cmd =
     let server =
       match
         Xmserve.Server.create ~addr ~port ~workers ?slow_ms ?slow_log ~window
-          ~slo ?incident_dir ~incident_keep ?alerts ~stores ()
+          ?slo_p95_ms ?slo_error_rate ?incident_dir ~incident_keep ?alerts
+          ~stores ()
       with
       | s -> s
       | exception Unix.Unix_error (e, fn, _) ->
@@ -1402,7 +1397,8 @@ let alerts_cmd =
     in
     let t0 = (List.hd entries).Xmobs.Qlog.ts in
     let now = ref t0 in
-    let eng = Xmobs.Alerts.engine ~clock:(fun () -> !now) cfg.rules in
+    let stream = Xmobs.Alerts.stream ~clock:(fun () -> !now) cfg.rules in
+    let eng = Xmobs.Alerts.engine stream cfg.rules in
     let transitions = ref [] in
     (* Advance the synthetic clock to [target], running one evaluation
        pass per elapsed second on the way — the offline stand-in for the
@@ -1418,18 +1414,14 @@ let alerts_cmd =
     List.iter
       (fun (e : Xmobs.Qlog.entry) ->
         step_to e.Xmobs.Qlog.ts;
-        Xmobs.Alerts.feed eng
-          ~ok:(e.Xmobs.Qlog.outcome = Xmobs.Qlog.Ok)
+        Xmobs.Alerts.feed stream ~outcome:e.Xmobs.Qlog.outcome
           ~wall_s:e.Xmobs.Qlog.wall_s)
       entries;
     (* Drain: keep ticking until every rule's window has slid past the
        last record, so breaches still in flight get their resolved edge. *)
     let tail_s =
       let rule_span (r : Xmobs.Alerts.rule) =
-        (match r.Xmobs.Alerts.cond with
-        | Xmobs.Alerts.Err_rate { window_s; _ }
-        | Xmobs.Alerts.P95_ms { window_s; _ } -> window_s
-        | Xmobs.Alerts.Burn_rate { slow_s; _ } -> slow_s)
+        Xmobs.Alerts.rule_window r
         + int_of_float (Float.ceil r.Xmobs.Alerts.for_s)
       in
       5 + List.fold_left (fun acc r -> max acc (rule_span r)) 0 cfg.rules

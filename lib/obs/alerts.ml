@@ -1,35 +1,31 @@
-(* Alerting: burn-rate and threshold rules over the time-series layer.
+(* Alerting: burn-rate and threshold rules over the query stream.
 
-   The engine owns three per-second series fed from the query path —
-   total volume, errors, and a latency histogram — and judges a
-   declarative rule set against them on each [tick]: simple thresholds
-   (error fraction, p95 milliseconds, each over its own trailing
-   window) and SRE-style multi-window burn-rate rules (the error budget
-   of an SLO objective burning more than [factor] times too fast over
-   both a fast and a slow window — the fast window reacts in minutes,
-   the slow window keeps a blip from paging).
+   The stream is the daemon's one record of executed queries — a latency
+   histogram whose count is the total, a non-ok counter and an
+   internal/parse-error counter — written once per query by [feed].
+   Engines only read it, so the rules file's engine, the SLO engine and
+   the dashboard share one set of rings.  Rules are simple thresholds
+   (error fraction, p95 milliseconds, each over its own trailing window)
+   and SRE-style multi-window burn rates (the error budget burning more
+   than [factor] times too fast over both a fast window, which reacts in
+   minutes, and a slow one, which keeps a blip from paging).
 
-   Each rule runs a small state machine: ok → pending (condition true
-   but younger than [for_s]) → firing → back to ok on recovery.  Only
-   the edges — firing, resolved — are events; they land in a bounded
-   transitions ring and are returned from [tick] so the caller can
-   deliver them to sinks *after* the engine lock is released.  That
-   ordering is load-bearing: the Flight sink snapshots alert state into
-   the incident bundle via the server's context provider, which calls
-   back into [to_json] — a sink invoked under the engine lock would
-   deadlock on itself.
+   Each rule runs a state machine: ok → pending (condition true but
+   younger than [for_s]) → firing → ok once the condition has been false
+   for the engine's [hold_s].  Ticks are serialized, so no caller steps a
+   machine with a stale judgment.  The edges land in a bounded ring and
+   go to [deliver] *after* the state lock is released: the Flight sink
+   snapshots alert state via the server's context provider, which calls
+   back into [to_json] and would deadlock under that lock.
 
    The process-global evaluator wraps one engine with a ticker thread
    and the sink fan-out: a JSONL alert log, an outbound webhook
    (injected by the serve layer so xmobs stays below serve; bounded
    retry, failures counted and dropped — never allowed to block or
    crash serving), a Flight.trigger per firing rule, and the metrics
-   families.  The standard Xmobs contract holds: [enabled] is one
-   atomic load and [note_query] allocates nothing when alerting is off.
-
-   Clocks are injectable so state-machine timing is unit-testable in
-   synthetic time and so the offline backtester (xmorph alerts) can
-   replay a qlog through this very evaluator. *)
+   families.  Injectable clocks make the timing unit-testable and let
+   the offline backtester (xmorph alerts) replay a qlog through this
+   very evaluator. *)
 
 module J = Xmutil.Json
 
@@ -167,17 +163,13 @@ let config_of_json j =
         | _ -> Error "missing \"rules\" list"
       in
       let* () =
-        let seen = Hashtbl.create 8 in
-        List.fold_left
-          (fun acc r ->
-            let* () = acc in
-            if Hashtbl.mem seen r.name then
+        let rec unique = function
+          | r :: rest when List.exists (fun r' -> r'.name = r.name) rest ->
               Error ("duplicate rule name \"" ^ r.name ^ "\"")
-            else begin
-              Hashtbl.add seen r.name ();
-              Ok ()
-            end)
-          (Ok ()) rules
+          | _ :: rest -> unique rest
+          | [] -> Ok ()
+        in
+        unique rules
       in
       Ok
         {
@@ -213,6 +205,39 @@ let load path =
           Error (Printf.sprintf "%s: parse error at %d: %s" path pos msg)
       | j -> config_of_json j)
 
+(* ---------- the query stream ---------- *)
+
+type stream = {
+  clock : unit -> float;
+  lat : Timeseries.t; (* wall seconds of every executed query; count = total *)
+  errs : Timeseries.t; (* outcomes other than ok *)
+  fails : Timeseries.t; (* internal and parse-error outcomes *)
+}
+
+let rule_window r =
+  match r.cond with
+  | Err_rate { window_s; _ } | P95_ms { window_s; _ } -> window_s
+  | Burn_rate { slow_s; _ } -> slow_s
+
+(* The +5 s: the newest slot must never evict a second a rule reads. *)
+let stream ?(clock = Unix.gettimeofday) ?(window = 1) rules =
+  let window =
+    List.fold_left (fun acc r -> max acc (rule_window r + 5)) window rules
+  in
+  let mk = Timeseries.create ~window ~clock in
+  { clock; lat = mk Timeseries.Histogram; errs = mk Timeseries.Counter;
+    fails = mk Timeseries.Counter }
+
+let latency st = st.lat
+
+let failures st = st.fails
+
+let feed st ~outcome ~wall_s =
+  Timeseries.record st.lat wall_s;
+  if outcome <> Qlog.Ok then Timeseries.bump st.errs;
+  if outcome = Qlog.Parse_error || outcome = Qlog.Internal then
+    Timeseries.bump st.fails
+
 (* ---------- the engine ---------- *)
 
 type rstate = Rs_ok | Rs_pending of float | Rs_firing
@@ -225,93 +250,82 @@ let rstate_to_string = function
 type rt = {
   rule : rule;
   mutable st : rstate;
+  mutable holds : bool; (* the condition at the last tick *)
+  mutable last_true : float; (* clock time of the last tick it held *)
   mutable last_value : float;
-  mutable last_reason : string;
+  mutable last_reason : string Lazy.t;
 }
 
 type engine = {
-  clock : unit -> float;
-  total : Timeseries.t;
-  errs : Timeseries.t;
-  lat : Timeseries.t;
+  src : stream;
+  hold_s : float;
   rts : rt array;
+  tick_lock : Mutex.t; (* serializes judge-step-deliver passes *)
   lock : Mutex.t; (* state machines + transitions ring *)
   ring : transition option array;
   mutable appended : int;
-  mutable firing_n : int;
 }
 
-let rule_window r =
-  match r.cond with
-  | Err_rate { window_s; _ } | P95_ms { window_s; _ } -> window_s
-  | Burn_rate { slow_s; _ } -> slow_s
-
-let engine ?clock ?(ring = 64) rules =
-  (* One ring sized to the largest window any rule needs, plus slack so
-     the newest slot never evicts a second a rule still reads. *)
-  let window =
-    clamp_w (List.fold_left (fun acc r -> max acc (rule_window r)) 10 rules + 5)
-  in
+let engine ?(ring = 64) ?(hold_s = 0.0) src rules =
   {
-    clock = (match clock with Some c -> c | None -> Unix.gettimeofday);
-    total = Timeseries.create ~window ?clock Timeseries.Counter "alert.total";
-    errs = Timeseries.create ~window ?clock Timeseries.Counter "alert.errs";
-    lat = Timeseries.create ~window ?clock Timeseries.Histogram "alert.lat";
+    src;
+    hold_s;
     rts =
       Array.of_list
         (List.map
-           (fun rule -> { rule; st = Rs_ok; last_value = 0.0; last_reason = "" })
+           (fun rule ->
+             { rule; st = Rs_ok; holds = false; last_true = neg_infinity;
+               last_value = 0.0; last_reason = lazy "" })
            rules);
+    tick_lock = Mutex.create ();
     lock = Mutex.create ();
     ring = Array.make (max 1 ring) None;
     appended = 0;
-    firing_n = 0;
   }
 
-let feed eng ~ok ~wall_s =
-  Timeseries.bump eng.total;
-  if not ok then Timeseries.bump eng.errs;
-  Timeseries.record eng.lat wall_s
+(* Judge one rule against the stream: (condition holds, observed value,
+   reason), or [unjudged] under the rule's traffic floor.  Reads take
+   only the per-series locks.  The reason is formatted lazily — the SLO
+   rules tick on every served query, where Printf would dominate — and
+   forced only under the state lock, so no two threads race on it. *)
+let unjudged = (false, 0.0, lazy "")
 
-(* Judge one rule against the series: (condition holds, observed value,
-   reason).  Reads take only the per-series locks, never the engine
-   lock. *)
-let judge eng r =
-  match r.cond with
-  | Err_rate { above; window_s } ->
-      let n = Timeseries.count_last eng.total window_s in
-      if n < r.min_count then (false, 0.0, "")
-      else
-        let e = Timeseries.count_last eng.errs window_s in
+let judge st r =
+  let floor_s =
+    match r.cond with Burn_rate { fast_s; _ } -> fast_s | _ -> rule_window r
+  in
+  let n = Timeseries.count_last st.lat floor_s in
+  if n < r.min_count then unjudged
+  else
+    match r.cond with
+    | Err_rate { above; window_s } ->
+        let e = Timeseries.count_last st.errs window_s in
         let v = float_of_int e /. float_of_int n in
         ( v > above,
           v,
-          Printf.sprintf "err_rate %.3f > %.3f over %ds" v above window_s )
-  | P95_ms { above; window_s } -> (
-      let n = Timeseries.count_last eng.total window_s in
-      if n < r.min_count then (false, 0.0, "")
-      else
-        match Timeseries.percentile_last eng.lat window_s 0.95 with
-        | None -> (false, 0.0, "")
+          lazy (Printf.sprintf "err_rate %.3f > %.3f over %ds" v above window_s)
+        )
+    | P95_ms { above; window_s } -> (
+        match Timeseries.percentile_last st.lat window_s 0.95 with
+        | None -> unjudged
         | Some p ->
             let v = p *. 1000.0 in
             ( v > above,
               v,
-              Printf.sprintf "p95 %.1fms > %.1fms over %ds" v above window_s ))
-  | Burn_rate { objective; factor; fast_s; slow_s } -> (
-      if Timeseries.count_last eng.total fast_s < r.min_count then
-        (false, 0.0, "")
-      else
+              lazy (Printf.sprintf "p95 %.1fms > %.1fms over %ds" v above window_s)
+            ))
+    | Burn_rate { objective; factor; fast_s; slow_s } -> (
         let burn w =
-          Timeseries.error_budget_burn ~objective ~window_s:w eng.errs eng.total
+          Timeseries.error_budget_burn ~objective ~window_s:w st.errs st.lat
         in
         match (burn fast_s, burn slow_s) with
         | Some bf, Some bs ->
             ( bf > factor && bs > factor,
               bf,
-              Printf.sprintf "burn %.1fx/%.1fx > %.1fx (objective %g)" bf bs
-                factor objective )
-        | _ -> (false, 0.0, ""))
+              lazy
+                (Printf.sprintf "burn %.1fx/%.1fx > %.1fx (objective %g)" bf bs
+                   factor objective) )
+        | _ -> unjudged)
 
 let ring_contents ring appended =
   let cap = Array.length ring in
@@ -324,48 +338,70 @@ let locked eng f =
   Mutex.lock eng.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock eng.lock) f
 
-let tick eng =
-  (* Judge outside the lock (series have their own), step inside it. *)
-  let judged = Array.map (fun rt -> judge eng rt.rule) eng.rts in
-  let now = eng.clock () in
+let tick ?(deliver = ignore) eng =
+  Mutex.lock eng.tick_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock eng.tick_lock) @@ fun () ->
+  (* Judge outside the state lock (series have their own), step inside
+     it, deliver after it. *)
+  let judged = Array.map (fun rt -> judge eng.src rt.rule) eng.rts in
+  let now = eng.src.clock () in
+  let trs =
+    locked eng (fun () ->
+        let out = ref [] in
+        let emit t =
+          eng.ring.(eng.appended mod Array.length eng.ring) <- Some t;
+          eng.appended <- eng.appended + 1;
+          out := t :: !out
+        in
+        Array.iteri
+          (fun i rt ->
+            let cond, value, reason = judged.(i) in
+            rt.holds <- cond;
+            if cond then rt.last_true <- now;
+            rt.last_value <- value;
+            if judged.(i) != unjudged then rt.last_reason <- reason;
+            let fire () =
+              rt.st <- Rs_firing;
+              emit { rule = rt.rule.name; at = now; edge = Firing; value;
+                     reason = Lazy.force reason }
+            in
+            match (rt.st, cond) with
+            | Rs_ok, true ->
+                if rt.rule.for_s <= 0.0 then fire ()
+                else rt.st <- Rs_pending now
+            | Rs_pending since, true ->
+                if now -. since >= rt.rule.for_s then fire ()
+            | Rs_pending _, false -> rt.st <- Rs_ok
+            | Rs_firing, false when now -. rt.last_true >= eng.hold_s ->
+                rt.st <- Rs_ok;
+                emit
+                  {
+                    rule = rt.rule.name;
+                    at = now;
+                    edge = Resolved;
+                    value;
+                    reason = "recovered";
+                  }
+            | Rs_ok, false | Rs_firing, _ -> ())
+          eng.rts;
+        List.rev !out)
+  in
+  deliver trs;
+  trs
+
+type held = { h_rule : rule; h_now : bool; h_value : float; h_quiet_s : float }
+
+let firing_rules eng =
+  let now = eng.src.clock () in
   locked eng (fun () ->
-      let out = ref [] in
-      let emit t =
-        eng.ring.(eng.appended mod Array.length eng.ring) <- Some t;
-        eng.appended <- eng.appended + 1;
-        out := t :: !out
-      in
-      Array.iteri
-        (fun i rt ->
-          let cond, value, reason = judged.(i) in
-          rt.last_value <- value;
-          if reason <> "" then rt.last_reason <- reason;
-          let fire () =
-            rt.st <- Rs_firing;
-            eng.firing_n <- eng.firing_n + 1;
-            emit { rule = rt.rule.name; at = now; edge = Firing; value; reason }
-          in
-          match (rt.st, cond) with
-          | Rs_ok, true ->
-              if rt.rule.for_s <= 0.0 then fire ()
-              else rt.st <- Rs_pending now
-          | Rs_pending since, true ->
-              if now -. since >= rt.rule.for_s then fire ()
-          | Rs_pending _, false -> rt.st <- Rs_ok
-          | Rs_firing, false ->
-              rt.st <- Rs_ok;
-              eng.firing_n <- eng.firing_n - 1;
-              emit
-                {
-                  rule = rt.rule.name;
-                  at = now;
-                  edge = Resolved;
-                  value;
-                  reason = "recovered";
-                }
-          | Rs_ok, false | Rs_firing, true -> ())
-        eng.rts;
-      List.rev !out)
+      Array.fold_right
+        (fun rt acc ->
+          if rt.st <> Rs_firing then acc
+          else
+            { h_rule = rt.rule; h_now = rt.holds; h_value = rt.last_value;
+              h_quiet_s = (if rt.holds then 0.0 else now -. rt.last_true) }
+            :: acc)
+        eng.rts [])
 
 let states eng =
   locked eng (fun () ->
@@ -374,7 +410,11 @@ let states eng =
 
 let recent eng = locked eng (fun () -> ring_contents eng.ring eng.appended)
 
-let engine_firing eng = locked eng (fun () -> eng.firing_n)
+(* Lock held. *)
+let firing_n eng =
+  Array.fold_left (fun n rt -> if rt.st = Rs_firing then n + 1 else n) 0 eng.rts
+
+let engine_firing eng = locked eng (fun () -> firing_n eng)
 
 let engine_to_json eng =
   locked eng (fun () ->
@@ -388,9 +428,9 @@ let engine_to_json eng =
                        [ ("name", J.String rt.rule.name);
                          ("state", J.String (rstate_to_string rt.st));
                          ("value", J.Float rt.last_value);
-                         ("reason", J.String rt.last_reason) ])
+                         ("reason", J.String (Lazy.force rt.last_reason)) ])
                    eng.rts)));
-          ("firing", J.Int eng.firing_n);
+          ("firing", J.Int (firing_n eng));
           ("transitions",
            J.List
              (List.map transition_to_json (ring_contents eng.ring eng.appended)))
@@ -403,7 +443,6 @@ type gstate = {
   eng : engine;
   stop : bool Atomic.t;
   mutable thread : Thread.t option;
-  tick_lock : Mutex.t; (* serializes evaluate-and-deliver passes *)
   mutable drops : int;
   mutable delivered : int;
 }
@@ -420,10 +459,6 @@ let sender : sender option ref = ref None
 let set_webhook_sender f = sender := Some f
 
 let enabled () = Atomic.get on
-
-let note_query ~ok ~wall_s =
-  if Atomic.get on then
-    match !gstate with None -> () | Some g -> feed g.eng ~ok ~wall_s
 
 let firing () = match !gstate with None -> 0 | Some g -> engine_firing g.eng
 
@@ -469,9 +504,10 @@ let post_webhook g url trs =
           attempt 0)
         trs
 
-(* Deliver a tick's transitions.  Runs with no engine lock held: the
-   Flight trigger re-enters alert state through the server's context
-   provider (the bundle snapshots [to_json]). *)
+(* Deliver a tick's transitions.  Runs under the engine's tick lock —
+   so batches reach the sinks in tick order — but not its state lock:
+   the Flight trigger re-enters alert state through the server's
+   context provider (the bundle snapshots [to_json]). *)
 let dispatch g trs =
   if trs <> [] then begin
     List.iter
@@ -494,11 +530,7 @@ let dispatch g trs =
   end;
   Metrics.set_gauge "xmorph_alerts_firing" (float_of_int (engine_firing g.eng))
 
-let run_tick g =
-  Mutex.lock g.tick_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock g.tick_lock)
-    (fun () -> dispatch g (tick g.eng))
+let run_tick g = ignore (tick ~deliver:(dispatch g) g.eng)
 
 let ticker g =
   (* Nap in short slices so [disable] joins promptly even with a slow
@@ -527,15 +559,14 @@ let disable () =
       g.thread <- None;
       gstate := None
 
-let enable cfg =
+let enable src cfg =
   disable ();
   let g =
     {
       cfg;
-      eng = engine cfg.rules;
+      eng = engine src cfg.rules;
       stop = Atomic.make false;
       thread = None;
-      tick_lock = Mutex.create ();
       drops = 0;
       delivered = 0;
     }
@@ -552,16 +583,12 @@ let to_json () =
   match !gstate with
   | None -> J.Obj [ ("enabled", J.Bool false) ]
   | Some g ->
-      let core =
-        match engine_to_json g.eng with J.Obj fs -> fs | _ -> []
-      in
+      let opt = function Some s -> J.String s | None -> J.Null in
       J.Obj
-        (( "enabled", J.Bool (Atomic.get on) )
-         :: ("interval_s", J.Float g.cfg.interval_s)
-         :: ("log",
-             match g.cfg.log with Some p -> J.String p | None -> J.Null)
-         :: ("webhook",
-             match g.cfg.webhook with Some u -> J.String u | None -> J.Null)
-         :: ("webhook_delivered", J.Int g.delivered)
-         :: ("webhook_drops", J.Int g.drops)
-         :: core)
+        ([ ("enabled", J.Bool (Atomic.get on));
+           ("interval_s", J.Float g.cfg.interval_s);
+           ("log", opt g.cfg.log);
+           ("webhook", opt g.cfg.webhook);
+           ("webhook_delivered", J.Int g.delivered);
+           ("webhook_drops", J.Int g.drops) ]
+        @ match engine_to_json g.eng with J.Obj fs -> fs | _ -> [])

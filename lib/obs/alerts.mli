@@ -1,26 +1,24 @@
-(** Alerting: declarative rules over the time-series layer, with
+(** Alerting: declarative rules over the served query stream, with
     pending→firing→resolved state machines and pluggable delivery.
 
     The serving stack is fully instrumented but pull-based — someone must
     already be watching [/metrics] or [xmorph top].  This module is the
-    push half: a rule {!engine} samples its own error/latency/volume
-    series (fed from the query path) on a paced timer, evaluates
-    threshold rules ([err_rate > X], [p95_ms > Y]) and SRE-style
-    multi-window burn-rate rules against an SLO error budget, and drives
-    one hysteresis state machine per rule.  Edge events — a rule starts
-    {e firing}, a firing rule {e resolves} — fan out to sinks: a JSONL
-    alert log, an outbound webhook (injected by the serve layer, with
-    bounded retry and a drop counter — delivery failure never blocks
-    serving), a {!Flight.trigger} so every firing alert lands an incident
-    bundle, and the metrics registry
-    ([xmorph_alerts_total{rule,state}], [xmorph_alerts_firing]).
+    push half: a rule {!engine} reads a query {!stream} (fed once per
+    executed query by the daemon), evaluates threshold rules
+    ([err_rate > X], [p95_ms > Y]) and SRE-style multi-window burn-rate
+    rules against an SLO error budget, and drives one hysteresis state
+    machine per rule.  Edge events — a rule starts {e firing}, a firing
+    rule {e resolves} — fan out to sinks: a JSONL alert log, an outbound
+    webhook (injected by the serve layer, with bounded retry and a drop
+    counter — delivery failure never blocks serving), a
+    {!Flight.trigger} so every firing alert lands an incident bundle, and
+    the metrics registry ([xmorph_alerts_total{rule,state}],
+    [xmorph_alerts_firing]).
 
-    The standard [Xmobs] contract: {!enabled} is one atomic load and
-    {!note_query} allocates nothing when alerting is off (pinned by the
-    Gc test).  Engines take injectable clocks so the state-machine
-    timing is unit-testable in synthetic time, and so the offline
-    backtester ([xmorph alerts RULES LOG.jsonl]) can replay a qlog
-    through the very same evaluator. *)
+    Streams take injectable clocks so the state-machine timing is
+    unit-testable in synthetic time, and so the offline backtester
+    ([xmorph alerts RULES LOG.jsonl]) can replay a qlog through the very
+    same evaluator. *)
 
 (** {2 Rules} *)
 
@@ -94,27 +92,56 @@ val load : string -> (config, string) result
     disabled (like a corrupt stats warehouse); the offline backtester
     treats it as a hard error. *)
 
-(** {2 The engine} — shared by the live evaluator and the backtester. *)
+(** {2 The query stream} *)
+
+type stream
+(** One windowed record of executed queries: a latency histogram (its
+    count is the query total), a non-ok counter, and an
+    internal/parse-error counter. *)
+
+val stream : ?clock:(unit -> float) -> ?window:int -> rule list -> stream
+(** A ring of [max window (longest rule window + 5)] seconds ([window]
+    defaults to 1).  [clock] (default [Unix.gettimeofday]) also drives
+    every engine reading the stream. *)
+
+val feed : stream -> outcome:Qlog.outcome -> wall_s:float -> unit
+(** Count one executed query: one latency write, plus the counters its
+    outcome belongs to.  Thread-safe; O(1). *)
+
+val latency : stream -> Timeseries.t
+val failures : stream -> Timeseries.t
+
+(** {2 The engine} — shared by the live evaluator, the serve daemon's
+    SLO health rules, and the backtester. *)
 
 type engine
 
-val engine : ?clock:(unit -> float) -> ?ring:int -> rule list -> engine
-(** A fresh evaluator: per-second error/latency/volume series sized to
-    the largest window any rule needs, one state machine per rule, and a
-    bounded ring ([ring], default 64) of recent transitions.  [clock]
-    defaults to [Unix.gettimeofday]. *)
+val rule_window : rule -> int
+(** The longest trailing window the rule reads. *)
 
-val feed : engine -> ok:bool -> wall_s:float -> unit
-(** Count one executed query at the engine clock's current second.
-    Thread-safe; O(1). *)
+val engine : ?ring:int -> ?hold_s:float -> stream -> rule list -> engine
+(** One state machine per rule over [stream], and a bounded ring
+    ([ring], default 64) of recent transitions.  A firing rule resolves
+    once [hold_s] (default 0) has passed since the last tick that found
+    its condition true. *)
 
-val tick : engine -> transition list
-(** Run one evaluation pass: judge every rule against the series, step
-    the state machines, and return the edges this pass produced (in rule
-    order).  Callers deliver the returned transitions to sinks {e after}
-    [tick] returns — no sink runs under an engine lock, so a sink that
-    re-enters (e.g. [Flight.trigger] snapshotting alert state for the
-    bundle) cannot deadlock. *)
+val tick : ?deliver:(transition list -> unit) -> engine -> transition list
+(** One evaluation pass: judge every rule, step the state machines, hand
+    this pass's edges (in rule order) to [deliver], and return them.
+    Passes are serialized per engine, so concurrent callers never step a
+    machine with a stale judgment; [deliver] runs outside the state
+    lock, so a sink that re-enters (e.g. [Flight.trigger] snapshotting
+    alert state) cannot deadlock — but it must not tick. *)
+
+type held = {
+  h_rule : rule;
+  h_now : bool;  (** the condition held at the last tick *)
+  h_value : float;  (** the value observed then *)
+  h_quiet_s : float;  (** seconds since it last held *)
+}
+
+val firing_rules : engine -> held list
+(** The firing rules, in rule order, read without ticking. *)
 
 val states : engine -> (string * string) list
 (** Per-rule live state, in rule order: [ok], [pending], or
@@ -129,21 +156,17 @@ val engine_to_json : engine -> Xmutil.Json.t
 
 (** {2 The process-global evaluator} *)
 
-val enable : config -> unit
-(** Build an engine from [config.rules] and start a ticker thread pacing
-    {!tick} every [config.interval_s] seconds, delivering transitions to
-    the configured sinks.  Idempotent ({!disable} first to
-    reconfigure). *)
+val enable : stream -> config -> unit
+(** Build an engine over [stream] from [config.rules] and start a ticker
+    thread pacing {!tick} every [config.interval_s] seconds, delivering
+    transitions to the configured sinks.  Idempotent ({!disable} first
+    to reconfigure). *)
 
 val disable : unit -> unit
 (** Stop the ticker (joins it) and drop the engine. *)
 
 val enabled : unit -> bool
 (** One atomic load. *)
-
-val note_query : ok:bool -> wall_s:float -> unit
-(** Feed one executed query into the global engine.  A no-op (zero
-    allocation) when alerting is off. *)
 
 val set_webhook_sender :
   (url:string -> timeout_s:float -> body:string -> (unit, string) result) ->

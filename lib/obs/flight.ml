@@ -30,6 +30,9 @@ let kind_to_string = function
   | Manual -> "manual"
   | Alert -> "alert"
 
+let kinds =
+  List.map kind_to_string [ Slo_breach; Error_rate; Signal; Manual; Alert ]
+
 type state = {
   dir : string;
   retention : int;

@@ -29,6 +29,10 @@ val kind_to_string : trigger_kind -> string
     of the bundle's [trigger.kind] field and of the [trigger] label on
     [xmorph_incidents_total]. *)
 
+val kinds : string list
+(** {!kind_to_string} of every trigger kind, in declaration order: the
+    one list bundle validation and dashboards enumerate. *)
+
 val enable :
   ?span_ring:int ->
   ?qlog_ring:int ->

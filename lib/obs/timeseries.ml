@@ -47,7 +47,6 @@ type slot = {
 }
 
 type t = {
-  name : string;
   kind : kind;
   window : int; (* seconds *)
   clock : unit -> float;
@@ -60,20 +59,13 @@ type t = {
   mutable lifetime : int; (* total count since creation, never expired *)
 }
 
-let default_window = 300
-
-let name t = t.name
-
-let kind t = t.kind
-
 let window t = t.window
 
-let create ?(window = default_window) ?clock kind name =
+let create ?(window = 300) ?clock kind =
   let window = if window < 1 then 1 else if window > 86400 then 86400 else window in
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
   let mk_hist () = if kind = Histogram then Array.make ts_buckets 0 else [||] in
   {
-    name;
     kind;
     window;
     clock;
@@ -153,10 +145,6 @@ let with_window t f =
   Mutex.unlock t.lock;
   x
 
-let count_in_window t = with_window t (fun _ -> t.agg_n)
-
-let sum_in_window t = with_window t (fun _ -> t.agg_sum)
-
 let lifetime t = with_window t (fun _ -> t.lifetime)
 
 let rate t =
@@ -182,62 +170,66 @@ let pct_of_hist hist n q =
     !found
   end
 
-(* Lock held. *)
-let pct_locked t q =
-  if t.kind <> Histogram then None else pct_of_hist t.agg_hist t.agg_n q
-
-let percentile t q = with_window t (fun _ -> pct_locked t q)
-
 (* ---------- sub-window reads ----------
 
-   The rolling aggregate covers the whole window; alert rules want the
-   last k <= window seconds.  These walk the k live slots directly — the
-   lock is held, expiry has run, so a slot counts iff its epoch matches
-   exactly. *)
+   Alert rules and the served-query stream's readers want the last
+   k <= window seconds.  A span covering the whole ring is the rolling
+   aggregate itself — O(1) apart from expiry; a shorter span walks its k
+   live slots directly (the lock is held and expiry has run, so a slot
+   counts iff its epoch matches exactly), summing a histogram only when
+   asked for one. *)
 
-let last_locked t now_s k f =
-  let k = if k < 1 then 1 else if k > t.window then t.window else k in
-  for off = 0 to k - 1 do
-    let e = now_s - off in
-    if e >= 0 then begin
-      let s = t.slots.(((e mod t.window) + t.window) mod t.window) in
-      if s.s_epoch = e then f s
-    end
-  done
+let last_locked t now_s k ~hist =
+  if k >= t.window then (t.agg_n, t.agg_sum, t.agg_hist)
+  else begin
+    let n = ref 0 and sum = ref 0.0 in
+    let h =
+      if hist && t.kind = Histogram then Array.make ts_buckets 0 else [||]
+    in
+    for off = 0 to max 1 k - 1 do
+      let e = now_s - off in
+      if e >= 0 then begin
+        let s = t.slots.(e mod t.window) in
+        if s.s_epoch = e then begin
+          n := !n + s.s_n;
+          sum := !sum +. s.s_sum;
+          if Array.length h > 0 then
+            Array.iteri (fun i c -> if c <> 0 then h.(i) <- h.(i) + c) s.s_hist
+        end
+      end
+    done;
+    (!n, !sum, h)
+  end
 
 let count_last t k =
   with_window t (fun now_s ->
-      let n = ref 0 in
-      last_locked t now_s k (fun s -> n := !n + s.s_n);
-      !n)
+      let n, _, _ = last_locked t now_s k ~hist:false in
+      n)
 
 let sum_last t k =
   with_window t (fun now_s ->
-      let v = ref 0.0 in
-      last_locked t now_s k (fun s -> v := !v +. s.s_sum);
-      !v)
+      let _, sum, _ = last_locked t now_s k ~hist:false in
+      sum)
 
 let percentile_last t k q =
   if t.kind <> Histogram then None
   else
     with_window t (fun now_s ->
-        let hist = Array.make ts_buckets 0 in
-        let n = ref 0 in
-        last_locked t now_s k (fun s ->
-            n := !n + s.s_n;
-            Array.iteri
-              (fun i c -> if c <> 0 then hist.(i) <- hist.(i) + c)
-              s.s_hist);
-        pct_of_hist hist !n q)
+        let n, _, h = last_locked t now_s k ~hist:true in
+        pct_of_hist h n q)
+
+let count_in_window t = count_last t t.window
+
+let sum_in_window t = sum_last t t.window
+
+let percentile t q = percentile_last t t.window q
 
 (* Two-series ratio, e.g. errors / requests.  Each series is read in its
    own lock scope, never both at once — holding two series locks in
    caller-chosen order is how deadlocks are born.  The reads are a few
    microseconds apart; for per-second slot math that skew is noise. *)
 let ratio ?last_s num den =
-  let count t =
-    match last_s with None -> count_in_window t | Some k -> count_last t k
-  in
+  let count t = count_last t (Option.value last_s ~default:t.window) in
   let d = count den in
   if d = 0 then None else Some (float_of_int (count num) /. float_of_int d)
 
@@ -250,29 +242,30 @@ let error_budget_burn ~objective ?window_s err total =
 
 (* ---------- JSON ---------- *)
 
-(* Per-second counts for the last [min window 60] seconds, oldest first:
+(* Per-second counts for the last [min span 60] seconds, oldest first:
    enough for a dashboard sparkline without dumping an hour-long ring. *)
-let seconds_locked t now_s =
-  let m = min t.window 60 in
+let seconds_locked t now_s span =
+  let m = min span 60 in
   List.init m (fun i ->
       let e = now_s - (m - 1 - i) in
       if e < 0 then Xmutil.Json.Int 0
       else
-        let s = t.slots.(((e mod t.window) + t.window) mod t.window) in
+        let s = t.slots.(e mod t.window) in
         Xmutil.Json.Int (if s.s_epoch = e then s.s_n else 0))
 
-let to_json t =
+let to_json ?last_s t =
+  let span = max 1 (min (Option.value last_s ~default:t.window) t.window) in
   with_window t (fun now_s ->
-      let pct q = match pct_locked t q with Some v -> v | None -> 0.0 in
+      let n, sum, hist = last_locked t now_s span ~hist:true in
+      let pct q = match pct_of_hist hist n q with Some v -> v | None -> 0.0 in
       Xmutil.Json.Obj
         ([ ("kind",
             Xmutil.Json.String
               (match t.kind with Counter -> "counter" | Histogram -> "histogram"));
-           ("window_s", Xmutil.Json.Int t.window);
-           ("count", Xmutil.Json.Int t.agg_n);
-           ("rate",
-            Xmutil.Json.Float (float_of_int t.agg_n /. float_of_int t.window));
-           ("sum", Xmutil.Json.Float t.agg_sum);
+           ("window_s", Xmutil.Json.Int span);
+           ("count", Xmutil.Json.Int n);
+           ("rate", Xmutil.Json.Float (float_of_int n /. float_of_int span));
+           ("sum", Xmutil.Json.Float sum);
            ("lifetime", Xmutil.Json.Int t.lifetime) ]
         @ (match t.kind with
           | Counter -> []
@@ -280,49 +273,4 @@ let to_json t =
               [ ("p50", Xmutil.Json.Float (pct 0.5));
                 ("p95", Xmutil.Json.Float (pct 0.95));
                 ("p99", Xmutil.Json.Float (pct 0.99)) ])
-        @ [ ("seconds", Xmutil.Json.List (seconds_locked t now_s)) ]))
-
-(* ---------- named registry, gated like Metrics ---------- *)
-
-let enabled = ref false
-
-let enable () = enabled := true
-
-let disable () = enabled := false
-
-let is_enabled () = !enabled
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let reg_lock = Mutex.create ()
-
-let series ?window ?clock kind name =
-  Mutex.lock reg_lock;
-  let t =
-    match Hashtbl.find_opt registry name with
-    | Some t -> t (* first creation wins; kind/window of later calls ignored *)
-    | None ->
-        let t = create ?window ?clock kind name in
-        Hashtbl.replace registry name t;
-        t
-  in
-  Mutex.unlock reg_lock;
-  t
-
-let all () =
-  Mutex.lock reg_lock;
-  let xs = Hashtbl.fold (fun _ t acc -> t :: acc) registry [] in
-  Mutex.unlock reg_lock;
-  List.sort (fun a b -> String.compare a.name b.name) xs
-
-let reset () =
-  Mutex.lock reg_lock;
-  Hashtbl.reset registry;
-  Mutex.unlock reg_lock
-
-let inc ?(by = 1) name = if !enabled then bump ~by (series Counter name)
-
-let observe name v = if !enabled then record (series Histogram name) v
-
-let to_json_all () =
-  Xmutil.Json.Obj (List.map (fun t -> (t.name, to_json t)) (all ()))
+        @ [ ("seconds", Xmutil.Json.List (seconds_locked t now_s span)) ]))

@@ -13,27 +13,17 @@
     and cheap enough to keep one array per live second.
 
     Clocks are injectable per series so window math can be unit-tested
-    against synthetic time.
-
-    Like {!Metrics}, the name-based entry points ({!inc}, {!observe}) are
-    gated on {!enable} and cost a single branch when disabled; hot call
-    sites intern a handle once with {!series} and use {!bump}/{!record},
-    which are ungated. *)
+    against synthetic time.  There is no registry: each owner (the serve
+    daemon, the alert engine's query stream) creates its own handles. *)
 
 type t
 
 type kind = Counter | Histogram
 
-val default_window : int
-(** 300 seconds. *)
+val create : ?window:int -> ?clock:(unit -> float) -> kind -> t
+(** A fresh series.  [window] is clamped to [1, 86400] seconds and
+    defaults to 300; [clock] defaults to [Unix.gettimeofday]. *)
 
-val create : ?window:int -> ?clock:(unit -> float) -> kind -> string -> t
-(** A standalone series (not registered).  [window] is clamped to
-    [1, 86400] seconds and defaults to {!default_window}; [clock]
-    defaults to [Unix.gettimeofday]. *)
-
-val name : t -> string
-val kind : t -> kind
 val window : t -> int
 
 val bump : ?by:int -> t -> unit
@@ -57,7 +47,8 @@ val percentile : t -> float -> float option
 
 val count_last : t -> int -> int
 (** [count_last t k]: events in the last [k] seconds ([k] clamped to
-    [1, window t]). *)
+    [1, window t]).  With [k >= window t] this and the other [_last]
+    reads answer from the rolling aggregate without walking slots. *)
 
 val sum_last : t -> int -> float
 (** Sum of values recorded in the last [k] seconds. *)
@@ -83,26 +74,9 @@ val error_budget_burn :
     slow window exceed a factor like 14.4.  [None] when [total] saw no
     traffic in the window or [objective <= 0]. *)
 
-val to_json : t -> Xmutil.Json.t
+val to_json : ?last_s:int -> t -> Xmutil.Json.t
 (** [{kind, window_s, count, rate, sum, lifetime, p50/p95/p99 (histogram
-    kind), seconds}] where [seconds] is the per-second count for the last
-    [min window 60] seconds, oldest first. *)
-
-(** {2 Named registry} — gated on {!enable} like {!Metrics}. *)
-
-val enable : unit -> unit
-val disable : unit -> unit
-val is_enabled : unit -> bool
-
-val series : ?window:int -> ?clock:(unit -> float) -> kind -> string -> t
-(** Intern a series in the global registry (first creation wins —
-    [kind]/[window] of later calls are ignored). *)
-
-val inc : ?by:int -> string -> unit
-(** No-op unless {!is_enabled}; the disabled path is a single branch. *)
-
-val observe : string -> float -> unit
-
-val all : unit -> t list
-val reset : unit -> unit
-val to_json_all : unit -> Xmutil.Json.t
+    kind), seconds}] over the last [last_s] seconds (default and maximum:
+    the whole window, which [window_s] then reports), where [seconds] is
+    the per-second count for the last [min window_s 60] seconds, oldest
+    first. *)

@@ -101,14 +101,12 @@ let load path =
 
 (* ---------- check ---------- *)
 
-let known_kinds = [ "slo-breach"; "error-rate"; "signal"; "manual"; "alert" ]
-
 let check path =
   match load path with
   | exception Sys_error m -> Error m
   | exception Failure m -> Error m
   | t ->
-      if not (List.mem t.kind known_kinds) then
+      if not (List.mem t.kind Xmobs.Flight.kinds) then
         Error (Printf.sprintf "unknown trigger kind %S" t.kind)
       else Ok t
 

@@ -28,17 +28,17 @@ type t = {
   slow_log : string option;
   slow_lock : Mutex.t; (* serializes slow-query captures: the profiler
                           is process-global, single-capture-at-a-time *)
-  (* rolling per-second windows behind GET /debug/timeseries; owned by
-     the server (not the global Timeseries registry) so concurrent
-     daemons — and tests — never share ring state *)
+  (* rolling per-second windows behind GET /debug/timeseries, reported
+     over [ts_window]; owned by the server so concurrent daemons — and
+     tests — never share ring state *)
   ts_window : int;
   ts_requests : Xmobs.Timeseries.t; (* all HTTP requests, wall seconds *)
   ts_errors : Xmobs.Timeseries.t; (* responses with status >= 400 *)
-  ts_queries : Xmobs.Timeseries.t; (* executed queries, wall seconds *)
   ts_blocks : Xmobs.Timeseries.t; (* store blocks touched (4 KiB units) *)
-  ts_failures : Xmobs.Timeseries.t;
-      (* internal/parse-error query outcomes — the flight recorder's
-         error-rate trigger judges this window *)
+  stream : Xmobs.Alerts.stream;
+      (* executed queries, fed once each: the dashboard's [queries] and
+         [failures] series, the error-rate trigger, the SLO rules and
+         the alert rules all read it *)
   slo : Slo.t option;
   alerts_on : bool; (* this daemon enabled the global alert evaluator *)
   mutable thread : Thread.t option;
@@ -54,6 +54,10 @@ let failure_trigger_min = 10
 let failure_trigger_frac = 0.5
 
 let outcome_names = [ "ok"; "parse-error"; "type-mismatch"; "internal" ]
+
+let json_ok j =
+  Http.response ~content_type:"application/json" 200
+    (Xmutil.Json.to_string j ^ "\n")
 
 let completed_summary (c : Xmobs.Ctx.completed) =
   Xmutil.Json.Obj
@@ -78,6 +82,34 @@ let completed_summary (c : Xmobs.Ctx.completed) =
       ("profile",
        Xmutil.Json.Bool (Option.is_some c.Xmobs.Ctx.c_profile)) ]
 
+let stores_json ?(types = false) t =
+  Xmutil.Json.List
+    (List.map
+       (fun (name, cell) ->
+         let store = Atomic.get cell in
+         Xmutil.Json.Obj
+           ([ ("name", Xmutil.Json.String name);
+              ("nodes", Xmutil.Json.Int (Store.Shredded.node_count store));
+              ("generation", Xmutil.Json.Int (Store.Shredded.generation store)) ]
+           @
+           if types then
+             [ ("types",
+                Xmutil.Json.Int (Xml.Type_table.count (Store.Shredded.types store)))
+             ]
+           else []))
+       t.stores)
+
+(* The dashboard's rolling windows.  The query stream's ring may be longer
+   than --window (alert rules can read further back); it is reported over
+   --window all the same. *)
+let series_json t =
+  [ ("requests", Xmobs.Timeseries.to_json t.ts_requests);
+    ("errors", Xmobs.Timeseries.to_json t.ts_errors);
+    ("queries",
+     Xmobs.Timeseries.to_json ~last_s:t.ts_window
+       (Xmobs.Alerts.latency t.stream));
+    ("blocks", Xmobs.Timeseries.to_json t.ts_blocks) ]
+
 (* The server-side half of an incident bundle: everything the recorder
    cannot see from inside lib/obs — store generations, cache
    introspection, the daemon's config, SLO state, the rolling windows,
@@ -97,17 +129,7 @@ let incident_context t =
              | None -> Xmutil.Json.Null
              | Some m -> Xmutil.Json.Float m) ]);
        ("uptime_s", Xmutil.Json.Float (now () -. t.started));
-       ("stores",
-        Xmutil.Json.List
-          (List.map
-             (fun (name, cell) ->
-               let store = Atomic.get cell in
-               Xmutil.Json.Obj
-                 [ ("name", Xmutil.Json.String name);
-                   ("nodes", Xmutil.Json.Int (Store.Shredded.node_count store));
-                   ("generation",
-                    Xmutil.Json.Int (Store.Shredded.generation store)) ])
-             t.stores));
+       ("stores", stores_json t);
        ("cache", Xmcache.to_json ());
        (* Alert-rule states at the moment of the trigger: for an
           alert-kind bundle this shows which rule fired; for any other
@@ -115,11 +137,10 @@ let incident_context t =
        ("alerts", Xmobs.Alerts.to_json ());
        ("series",
         Xmutil.Json.Obj
-          [ ("requests", Xmobs.Timeseries.to_json t.ts_requests);
-            ("errors", Xmobs.Timeseries.to_json t.ts_errors);
-            ("queries", Xmobs.Timeseries.to_json t.ts_queries);
-            ("blocks", Xmobs.Timeseries.to_json t.ts_blocks);
-            ("failures", Xmobs.Timeseries.to_json t.ts_failures) ]);
+          (series_json t
+          @ [ ("failures",
+               Xmobs.Timeseries.to_json ~last_s:t.ts_window
+                 (Xmobs.Alerts.failures t.stream)) ]));
        ("requests",
         Xmutil.Json.List
           (List.map completed_summary (Xmobs.Ctx.completed ()))) ]
@@ -128,7 +149,8 @@ let incident_context t =
       | Some s -> [ ("slo", Slo.snapshot_json s) ])
 
 let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
-    ?(window = 60) ?slo ?incident_dir ?(incident_keep = 16) ?alerts ~stores () =
+    ?(window = 60) ?slo_p95_ms ?slo_error_rate ?incident_dir
+    ?(incident_keep = 16) ?alerts ~stores () =
   if stores = [] then invalid_arg "Server.create: no stores";
   let workers = max 1 (min 64 workers) in
   let window = max 1 (min 3600 window) in
@@ -174,6 +196,20 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
       ("serve.query.seconds", "executed query wall time");
       ("serve.workers", "worker thread budget");
       ("serve.uptime_s", "seconds since the daemon started") ];
+  let stream =
+    Xmobs.Alerts.stream ~window
+      (match alerts with Some c -> c.Xmobs.Alerts.rules | None -> [])
+  in
+  (* --incident-dir subscribes the SLO healthy->degraded edge as a
+     flight-recorder trigger. *)
+  let on_breach =
+    Option.map
+      (fun _ reasons ->
+        ignore
+          (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Slo_breach
+             ~reason:(String.concat "; " reasons) ()))
+      incident_dir
+  in
   let t = {
     s_addr = addr;
     s_port = actual_port;
@@ -188,34 +224,24 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     slow_log;
     slow_lock = Mutex.create ();
     ts_window = window;
-    ts_requests = Xmobs.Timeseries.create ~window Histogram "requests";
-    ts_errors = Xmobs.Timeseries.create ~window Counter "errors";
-    ts_queries = Xmobs.Timeseries.create ~window Histogram "queries";
-    ts_blocks = Xmobs.Timeseries.create ~window Counter "blocks";
-    ts_failures = Xmobs.Timeseries.create ~window Counter "failures";
+    ts_requests = Xmobs.Timeseries.create ~window Histogram;
+    ts_errors = Xmobs.Timeseries.create ~window Counter;
+    ts_blocks = Xmobs.Timeseries.create ~window Counter;
+    stream;
     slo =
-      (match slo with
-      | Some cfg when Slo.enabled cfg -> Some (Slo.create cfg)
-      | Some _ | None -> None);
+      Slo.create ?p95_ms:slo_p95_ms ?error_rate:slo_error_rate ?on_breach
+        ~window stream;
     alerts_on = Option.is_some alerts;
     thread = None;
   }
   in
-  (* Flight recorder: --incident-dir turns it on, wires the server-side
-     context into its bundles, and subscribes the SLO healthy->degraded
-     edge as a trigger. *)
+  (* Flight recorder: --incident-dir turns it on and wires the
+     server-side context into its bundles. *)
   (match incident_dir with
   | None -> ()
   | Some dir ->
       Xmobs.Flight.enable ~retention:incident_keep ~dir ();
-      Xmobs.Flight.set_context_provider (fun () -> incident_context t);
-      (match t.slo with
-      | Some s ->
-          Slo.set_on_degrade s (fun reasons ->
-              ignore
-                (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Slo_breach
-                   ~reason:(String.concat "; " reasons) ()))
-      | None -> ()));
+      Xmobs.Flight.set_context_provider (fun () -> incident_context t));
   (* Alert evaluator: --alert-rules starts the rule engine after the
      flight recorder, so a firing rule's Flight.trigger finds the
      recorder already wired with this server's context.  The webhook
@@ -233,7 +259,7 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
           | Ok (status, _, _) when status >= 200 && status < 300 -> Ok ()
           | Ok (status, _, _) -> Error (Printf.sprintf "status %d" status)
           | Error e -> Error e);
-      Xmobs.Alerts.enable cfg);
+      Xmobs.Alerts.enable stream cfg);
   t
 
 let port t = t.s_port
@@ -266,20 +292,7 @@ let stats_json t =
     [ ("uptime_s", Xmutil.Json.Float (now () -. t.started));
       ("workers", Xmutil.Json.Int t.workers);
       ("requests", Xmutil.Json.Int (Xmobs.Metrics.counter_value "serve.requests"));
-      ("stores",
-       Xmutil.Json.List
-         (List.map
-            (fun (name, cell) ->
-              let store = Atomic.get cell in
-              Xmutil.Json.Obj
-                [ ("name", Xmutil.Json.String name);
-                  ("nodes", Xmutil.Json.Int (Store.Shredded.node_count store));
-                  ("generation",
-                   Xmutil.Json.Int (Store.Shredded.generation store));
-                  ("types",
-                   Xmutil.Json.Int
-                     (Xml.Type_table.count (Store.Shredded.types store))) ])
-            t.stores));
+      ("stores", stores_json ~types:true t);
       ("queries", Xmutil.Json.Obj queries);
       ("metrics", Xmobs.Metrics.to_json ()) ]
 
@@ -382,13 +395,13 @@ let handle_query t req =
               in
               let qwall = now () -. tq in
               Xmobs.Metrics.observe "serve.query.seconds" qwall;
-              let resp, name =
+              let resp, kind =
                 match outcome with
                 | Exec.Rendered { body; _ } | Exec.Query_result { body; _ }
                   ->
                     Xmobs.Metrics.inc "serve.queries.ok";
                     (Http.response ~content_type:"application/xml" 200 body,
-                     "ok")
+                     Xmobs.Qlog.Ok)
                 | Exec.Failed { kind; message } ->
                     let status =
                       match kind with
@@ -404,9 +417,9 @@ let handle_query t req =
                       then message
                       else message ^ "\n"
                     in
-                    (Http.response status message,
-                     Xmobs.Qlog.outcome_to_string kind)
+                    (Http.response status message, kind)
               in
+              let name = Xmobs.Qlog.outcome_to_string kind in
               (* Dimension-labeled views of the same execution: by doc
                  and outcome for capacity questions, by guard hash for
                  "which query is expensive" — bounded families, excess
@@ -417,31 +430,21 @@ let handle_query t req =
               Xmobs.Metrics.observe_labeled "xmorph_guard_seconds"
                 [ ("guard", guard_hash) ]
                 qwall;
-              Xmobs.Timeseries.record t.ts_queries qwall;
-              Xmobs.Alerts.note_query ~ok:(name = "ok") ~wall_s:qwall;
-              (match t.slo with
-              | Some s ->
-                  Slo.record s ~ok:(name = "ok") ~wall_s:qwall;
-                  (* With the flight recorder on, judge the objectives on
-                     the query stream itself rather than waiting for the
-                     next /healthz probe: a breach then captures its
-                     bundle at the moment of the breaching query.  The
-                     evaluation is edge-triggered inside Slo, so this
-                     adds no extra incidents, only timeliness. *)
-                  if Xmobs.Flight.enabled () then ignore (Slo.evaluate s)
-              | None -> ());
-              (* Error-rate trigger: a window where failures dominate is
-                 an incident even without an SLO configured. *)
-              (match name with
-              | "internal" | "parse-error" ->
-                  Xmobs.Timeseries.bump t.ts_failures;
-                  if Xmobs.Flight.enabled () then begin
-                    let failures =
-                      Xmobs.Timeseries.count_in_window t.ts_failures
-                    in
-                    let queries =
-                      Xmobs.Timeseries.count_in_window t.ts_queries
-                    in
+              Xmobs.Alerts.feed t.stream ~outcome:kind ~wall_s:qwall;
+              if Xmobs.Flight.enabled () then begin
+                (* Judge the SLO on the query stream itself rather than
+                   waiting for the next /healthz probe: a breach then
+                   captures its bundle at the moment of the breaching
+                   query.  The trigger is edge-triggered, so this adds no
+                   extra incidents, only timeliness. *)
+                Option.iter (fun s -> ignore (Slo.evaluate s)) t.slo;
+                (* Error-rate trigger: a window where failures dominate
+                   is an incident even without an SLO configured. *)
+                match kind with
+                | Xmobs.Qlog.Internal | Xmobs.Qlog.Parse_error ->
+                    let count ts = Xmobs.Timeseries.count_last ts t.ts_window in
+                    let failures = count (Xmobs.Alerts.failures t.stream) in
+                    let queries = count (Xmobs.Alerts.latency t.stream) in
                     if
                       failures >= failure_trigger_min
                       && float_of_int failures
@@ -455,8 +458,8 @@ let handle_query t req =
                                  queries (window %ds)"
                                 failures queries t.ts_window)
                            ())
-                  end
-              | _ -> ());
+                | Xmobs.Qlog.Ok | Xmobs.Qlog.Type_mismatch -> ()
+              end;
               (* Keep the on-disk log live for tail -f / xmorph stats
                  while the daemon runs; the Shutdown path covers the
                  final records. *)
@@ -532,32 +535,21 @@ let handle_update t req =
                 (Printf.sprintf "no node %d in %s\n" id doc_name)
           | Ok updated ->
               Xmobs.Metrics.inc "serve.updates";
-              Http.response ~content_type:"application/json" 200
-                (Xmutil.Json.to_string
-                   (Xmutil.Json.Obj
-                      [ ("doc", Xmutil.Json.String doc_name);
-                        ("node", Xmutil.Json.Int id);
-                        ("generation",
-                         Xmutil.Json.Int
-                           (Store.Shredded.generation updated)) ])
-                ^ "\n")))
+              json_ok
+                (Xmutil.Json.Obj
+                   [ ("doc", Xmutil.Json.String doc_name);
+                     ("node", Xmutil.Json.Int id);
+                     ("generation",
+                      Xmutil.Json.Int (Store.Shredded.generation updated)) ])))
 
 (* ---------- /debug endpoints ---------- *)
 
-let debug_cache () =
-  Http.response ~content_type:"application/json" 200
-    (Xmutil.Json.to_string ~pretty:true (Xmcache.to_json ()) ^ "\n")
-
 let debug_requests () =
-  let body =
-    Xmutil.Json.to_string
-      (Xmutil.Json.Obj
-         [ ("requests",
-            Xmutil.Json.List
-              (List.map completed_summary (Xmobs.Ctx.completed ()))) ])
-    ^ "\n"
-  in
-  Http.response ~content_type:"application/json" 200 body
+  json_ok
+    (Xmutil.Json.Obj
+       [ ("requests",
+          Xmutil.Json.List (List.map completed_summary (Xmobs.Ctx.completed ())))
+       ])
 
 let debug_trace trace_id =
   match Xmobs.Ctx.find_completed trace_id with
@@ -575,33 +567,28 @@ let debug_trace trace_id =
           | None -> []
           | Some p -> [ ("profile", p) ])
       in
-      Http.response ~content_type:"application/json" 200
-        (Xmutil.Json.to_string (Xmutil.Json.Obj fields) ^ "\n")
+      json_ok (Xmutil.Json.Obj fields)
 
 let trace_prefix = "/debug/trace/"
 
 (* ---------- incidents ---------- *)
 
 let debug_incidents () =
-  let body =
-    Xmutil.Json.to_string ~pretty:true
-      (Xmutil.Json.Obj
-         [ ("enabled", Xmutil.Json.Bool (Xmobs.Flight.enabled ()));
-           ("dir",
-            match Xmobs.Flight.dir () with
-            | None -> Xmutil.Json.Null
-            | Some d -> Xmutil.Json.String d);
-           ("incidents",
-            Xmutil.Json.List
-              (List.map
-                 (fun (name, size) ->
-                   Xmutil.Json.Obj
-                     [ ("name", Xmutil.Json.String name);
-                       ("size_bytes", Xmutil.Json.Int size) ])
-                 (Xmobs.Flight.incidents ()))) ])
-    ^ "\n"
-  in
-  Http.response ~content_type:"application/json" 200 body
+  json_ok
+    (Xmutil.Json.Obj
+       [ ("enabled", Xmutil.Json.Bool (Xmobs.Flight.enabled ()));
+         ("dir",
+          match Xmobs.Flight.dir () with
+          | None -> Xmutil.Json.Null
+          | Some d -> Xmutil.Json.String d);
+         ("incidents",
+          Xmutil.Json.List
+            (List.map
+               (fun (name, size) ->
+                 Xmutil.Json.Obj
+                   [ ("name", Xmutil.Json.String name);
+                     ("size_bytes", Xmutil.Json.Int size) ])
+               (Xmobs.Flight.incidents ()))) ])
 
 (* Only names the recorder itself produces are served — a path component
    or traversal in the request can never escape the incident dir. *)
@@ -643,64 +630,39 @@ let debug_incident_trigger (req : Http.request) =
       Xmobs.Flight.trigger ~force:true ~kind:Xmobs.Flight.Manual ~reason ()
     with
     | None -> Http.response 500 "incident bundle write failed\n"
-    | Some name ->
-        Http.response ~content_type:"application/json" 200
-          (Xmutil.Json.to_string
-             (Xmutil.Json.Obj [ ("incident", Xmutil.Json.String name) ])
-          ^ "\n")
+    | Some name -> json_ok (Xmutil.Json.Obj [ ("incident", Xmutil.Json.String name) ])
 
 (* Top guards by cumulative window-free time: the labeled family already
    aggregates per guard hash, so the dashboard ranking is a read. *)
 let top_guards_json ?(limit = 10) () =
-  let rows =
-    List.map
-      (fun (ls, (n, sum)) ->
-        let guard =
-          match List.assoc_opt "guard" ls with Some g -> g | None -> "?"
-        in
-        (guard, n, sum))
-      (Xmobs.Metrics.histogram_series "xmorph_guard_seconds")
-  in
-  let rows =
-    List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a) rows
-  in
-  let rows = List.filteri (fun i _ -> i < limit) rows in
-  Xmutil.Json.List
-    (List.map
-       (fun (g, n, s) ->
+  Xmobs.Metrics.histogram_series "xmorph_guard_seconds"
+  |> List.sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a)
+  |> List.filteri (fun i _ -> i < limit)
+  |> List.map (fun (ls, (n, s)) ->
          Xmutil.Json.Obj
-           [ ("guard", Xmutil.Json.String g);
+           [ ("guard",
+              Xmutil.Json.String
+                (Option.value ~default:"?" (List.assoc_opt "guard" ls)));
              ("calls", Xmutil.Json.Int n);
              ("total_s", Xmutil.Json.Float s) ])
-       rows)
+  |> fun rows -> Xmutil.Json.List rows
 
 let debug_timeseries t =
-  let body =
-    Xmutil.Json.to_string
-      (Xmutil.Json.Obj
-         ([ ("window_s", Xmutil.Json.Int t.ts_window);
-            ("uptime_s", Xmutil.Json.Float (now () -. t.started));
-            ("series",
-             Xmutil.Json.Obj
-               [ ("requests", Xmobs.Timeseries.to_json t.ts_requests);
-                 ("errors", Xmobs.Timeseries.to_json t.ts_errors);
-                 ("queries", Xmobs.Timeseries.to_json t.ts_queries);
-                 ("blocks", Xmobs.Timeseries.to_json t.ts_blocks) ]) ]
-         @ (match t.slo with
-           | None -> []
-           | Some s -> [ ("slo", Slo.to_json s) ])
-         @ [ ("top_guards", top_guards_json ()) ]))
-    ^ "\n"
-  in
-  Http.response ~content_type:"application/json" 200 body
+  json_ok
+    (Xmutil.Json.Obj
+       ([ ("window_s", Xmutil.Json.Int t.ts_window);
+          ("uptime_s", Xmutil.Json.Float (now () -. t.started));
+          ("series", Xmutil.Json.Obj (series_json t)) ]
+       @ (match t.slo with None -> [] | Some s -> [ ("slo", Slo.to_json s) ])
+       @ [ ("top_guards", top_guards_json ()) ]))
 
 let healthz t =
   match t.slo with
   | None -> Http.response 200 "ok\n"
   | Some s -> (
       match Slo.evaluate s with
-      | Slo.Healthy -> Http.response 200 "ok\n"
-      | Slo.Degraded reasons ->
+      | [] -> Http.response 200 "ok\n"
+      | reasons ->
           Http.response 503 ("degraded\n" ^ String.concat "\n" reasons ^ "\n"))
 
 (* The operator-statistics warehouse, live: what --stats-db has
@@ -720,22 +682,17 @@ let debug_opstats () =
             ("rows", Xmutil.Json.Int (Xmobs.Statdb.size db));
             ("db", Xmobs.Statdb.to_json db) ]
   in
-  Http.response ~content_type:"application/json" 200
-    (Xmutil.Json.to_string ~pretty:true body ^ "\n")
-
-(* Live alert-rule states plus the recent-transitions ring; a one-field
-   object when no --alert-rules file was given, so pollers need no
-   special case. *)
-let debug_alerts () =
-  Http.response ~content_type:"application/json" 200
-    (Xmutil.Json.to_string ~pretty:true (Xmobs.Alerts.to_json ()) ^ "\n")
+  json_ok body
 
 let route t (req : Http.request) =
   match (req.Http.meth, req.Http.path) with
   | "GET", "/healthz" -> healthz t
-  | "GET", "/debug/alerts" -> debug_alerts ()
+  (* Live alert-rule states plus the recent-transitions ring; a one-field
+     object when no --alert-rules file was given, so pollers need no
+     special case. *)
+  | "GET", "/debug/alerts" -> json_ok (Xmobs.Alerts.to_json ())
   | "GET", "/debug/opstats" -> debug_opstats ()
-  | "GET", "/debug/cache" -> debug_cache ()
+  | "GET", "/debug/cache" -> json_ok (Xmcache.to_json ())
   | "GET", "/debug/timeseries" -> debug_timeseries t
   | "GET", "/metrics" ->
       Xmobs.Metrics.set_gauge "serve.uptime_s" (now () -. t.started);
@@ -748,8 +705,7 @@ let route t (req : Http.request) =
                ("stores", String.concat "," (List.map fst t.stores)) ]
            ())
   | "GET", "/stats" ->
-      Http.response ~content_type:"application/json" 200
-        (Xmutil.Json.to_string (stats_json t) ^ "\n")
+      json_ok (stats_json t)
   | "GET", "/debug/requests" -> debug_requests ()
   | "GET", "/debug/incidents" -> debug_incidents ()
   | "GET", path when String.starts_with ~prefix:incidents_prefix path ->

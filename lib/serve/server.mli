@@ -3,10 +3,10 @@
 
     Endpoints:
     - [GET /healthz] — liveness, SLO-aware when objectives are
-      configured: [200 ok] while the rolling windows meet every
-      objective, [503] with a body naming each breached objective (and
-      by how much) otherwise; recovery is held back by {!Slo} hysteresis
-      so the health signal does not flap.
+      configured: ticks the {!Slo} rules, [200 ok] while the query
+      stream meets every objective, [503] with a body naming each
+      breached objective (and by how much) otherwise; a 2 s recovery
+      hold keeps the health signal from flapping.
     - [GET /metrics] — Prometheus text exposition rendered from the
       global {!Xmobs.Metrics} registry (the server enables metrics at
       startup), including per-request serve counters, latency
@@ -16,9 +16,9 @@
       [xmorph_guard_seconds{guard}] (per guard hash, bounded
       cardinality).
     - [GET /debug/timeseries] — JSON dump of the rolling per-second
-      windows: request/error/query/block-I/O series with rates and
-      windowed percentiles, SLO status when configured, and the top
-      guards by cumulative time.
+      windows over [window] seconds: request/error/query/block-I/O
+      series with rates and windowed percentiles, SLO status (ticked)
+      when configured, and the top guards by cumulative time.
     - [GET /stats] — a JSON snapshot: uptime, request/outcome counts,
       the loaded stores, and the full metrics dump.
     - [POST /query] — body is a guard; the response is the rendered XML,
@@ -58,11 +58,12 @@
     Flight recorder: [incident_dir] enables {!Xmobs.Flight}, injects the
     server's context (config, store generations, cache introspection,
     rolling windows, SLO state, the completed-request ring) into every
-    bundle, and wires the SLO healthy→degraded edge as a trigger.  A
-    window where internal/parse-error outcomes dominate
-    (≥ 10 failures and > 50% of windowed queries) fires an [error-rate]
-    bundle even without SLO objectives.  Bundles are also written when
-    the process dies on SIGTERM/SIGINT ({!Xmobs.Shutdown} hook) and on
+    bundle, and wires the SLO healthy→degraded edge as a trigger (the
+    SLO rules are then also ticked after each query).  A window where
+    internal/parse-error outcomes dominate (≥ 10 failures and > 50% of
+    windowed queries) fires an [error-rate] bundle even without SLO
+    objectives.  Bundles are also written when the process dies on
+    SIGTERM/SIGINT ({!Xmobs.Shutdown} hook) and on
     [POST /debug/incident]; [xmorph_incidents_total{trigger}] counts
     them.
 
@@ -89,7 +90,8 @@ val create :
   ?slow_ms:float ->
   ?slow_log:string ->
   ?window:int ->
-  ?slo:Slo.config ->
+  ?slo_p95_ms:float ->
+  ?slo_error_rate:float ->
   ?incident_dir:string ->
   ?incident_keep:int ->
   ?alerts:Xmobs.Alerts.config ->
@@ -102,13 +104,15 @@ val create :
     slow-query auto-capture at the given wall-time threshold in
     milliseconds (0 captures everything); [slow_log] names a directory
     for per-capture profile artifacts (created on first use).  [window]
-    (default 60, clamped to [1..3600] seconds) sizes the rolling
-    time-series rings behind [/debug/timeseries]; [slo] configures the
-    health objectives (ignored unless at least one objective is set).
+    (default 60, clamped to [1..3600] seconds) is the span of
+    [/debug/timeseries] and the {!Slo} rules; [slo_p95_ms] and
+    [slo_error_rate] are the health objectives.  Every executed query is
+    fed once into one {!Xmobs.Alerts.stream}, sized [max window (longest
+    alert-rule window + 5)], which all of these read.
     [incident_dir] enables the flight recorder with bundles written
     there (created if missing); [incident_keep] (default 16) bounds how
     many are retained.  [alerts] starts the {!Xmobs.Alerts} evaluator
-    over the query stream (rules, pacing, and sinks come from the
+    over the same query stream (rules, pacing, and sinks come from the
     config; the outbound-webhook primitive is injected here and each
     firing rule lands an [alert]-kind incident bundle when the recorder
     is on); {!stop} shuts the evaluator down.  [stores] must be

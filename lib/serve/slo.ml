@@ -1,163 +1,101 @@
-(* SLO evaluation for /healthz: rolling objectives over the query stream.
+(* SLO evaluation for /healthz: --slo-error-rate and --slo-p95-ms as two
+   threshold rules on an alert engine over the daemon's query stream, so
+   health is judged on the served workload, not on the probes watching
+   it.  Hysteresis is the engine's: a breach fires at once (given
+   [min_count] queries in the window, so one slow query cannot flap a
+   fresh daemon) and resolves only after [hold_s] clean — one 503 stretch
+   per incident, its body marked "recovering" during the hold.  The body
+   is worded here, not by the engine's [judge], so it stays /healthz's
+   own. *)
 
-   The daemon's health is judged on the workload it serves, not on the
-   monitoring traffic that watches it: every executed query feeds two
-   rolling time-series (latency histogram, error counter), and /healthz
-   evaluates the configured objectives over the window on each probe.
+module A = Xmobs.Alerts
+module J = Xmutil.Json
 
-   Hysteresis: a breach degrades immediately (subject to [min_samples], so
-   one slow query out of one cannot flap a fresh daemon), but recovery is
-   held back until the objectives have been continuously met for
-   [recovery_s].  A load balancer polling /healthz therefore sees one
-   clean 503 stretch per incident instead of a flicker at the breach
-   boundary.  While the hold is in force the body still names the cleared
-   breach, marked "recovering".
+let min_count = 5
 
-   The clock is injectable so the window math is unit-testable against
-   synthetic time. *)
-
-type config = {
-  p95_ms : float option; (* degrade when windowed p95 exceeds this *)
-  max_error_rate : float option; (* degrade when error fraction exceeds this *)
-  window : int; (* seconds of history the objectives are judged over *)
-  min_samples : int; (* below this many queries in window, never breach *)
-  recovery_s : float; (* healthy-hold before a degraded daemon recovers *)
-}
-
-let default =
-  { p95_ms = None; max_error_rate = None; window = 60; min_samples = 5;
-    recovery_s = 2.0 }
-
-let enabled cfg = cfg.p95_ms <> None || cfg.max_error_rate <> None
-
-type verdict = Healthy | Degraded of string list
+let hold_s = 2.0
 
 type t = {
-  cfg : config;
-  clock : unit -> float;
-  lat : Xmobs.Timeseries.t; (* query wall seconds, histogram kind *)
-  err : Xmobs.Timeseries.t; (* failed queries, counter kind *)
-  lock : Mutex.t;
-  mutable degraded : bool;
-  mutable last_breach : float; (* clock time of the last observed breach *)
-  mutable on_degrade : (string list -> unit) option;
-      (* fired on the healthy->degraded edge only *)
+  src : A.stream;
+  eng : A.engine;
+  window : int;
+  objectives : (string * J.t) list; (* for the JSON verdict *)
+  on_breach : (string list -> unit) option;
 }
 
-let create ?clock cfg =
-  let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
-  {
-    cfg;
-    clock;
-    lat = Xmobs.Timeseries.create ~window:cfg.window ~clock Histogram "slo.latency";
-    err = Xmobs.Timeseries.create ~window:cfg.window ~clock Counter "slo.errors";
-    lock = Mutex.create ();
-    degraded = false;
-    last_breach = neg_infinity;
-    on_degrade = None;
-  }
-
-let set_on_degrade t f = t.on_degrade <- Some f
-
-let record t ~ok ~wall_s =
-  Xmobs.Timeseries.record t.lat wall_s;
-  if not ok then Xmobs.Timeseries.bump t.err
-
-(* The objectives, judged over the current window.  Reasons quantify the
-   breach so the 503 body can say by how much. *)
-let breaches t =
-  let n = Xmobs.Timeseries.count_in_window t.lat in
-  if n < t.cfg.min_samples then []
+let create ?p95_ms ?error_rate ?on_breach ~window src =
+  let rule name cond = { A.name; cond; for_s = 0.0; min_count } in
+  let rules =
+    (match error_rate with
+    | Some above -> [ rule "slo-error-rate" (A.Err_rate { above; window_s = window }) ]
+    | None -> [])
+    @ match p95_ms with
+      | Some above -> [ rule "slo-p95-ms" (A.P95_ms { above; window_s = window }) ]
+      | None -> []
+  in
+  let objective name = Option.map (fun v -> (name, J.Float v)) in
+  if rules = [] then None
   else
-    let errs = Xmobs.Timeseries.count_in_window t.err in
-    let err_breach =
-      match t.cfg.max_error_rate with
-      | None -> None
-      | Some limit ->
-          let rate = float_of_int errs /. float_of_int n in
-          if rate > limit then
-            Some
-              (Printf.sprintf
-                 "error-rate %.2f > %.2f (window %ds, %d queries)" rate limit
-                 t.cfg.window n)
-          else None
-    in
-    let p95_breach =
-      match t.cfg.p95_ms with
-      | None -> None
-      | Some limit -> (
-          match Xmobs.Timeseries.percentile t.lat 0.95 with
-          | None -> None
-          | Some p95_s ->
-              let p95 = p95_s *. 1000.0 in
-              if p95 > limit then
-                Some
-                  (Printf.sprintf "p95 %.1fms > %.1fms (window %ds, %d queries)"
-                     p95 limit t.cfg.window n)
-              else None)
-    in
-    List.filter_map Fun.id [ err_breach; p95_breach ]
+    Some
+      { src; eng = A.engine ~hold_s src rules; window; on_breach;
+        objectives =
+          List.filter_map Fun.id
+            [ objective "p95_ms" p95_ms; objective "max_error_rate" error_rate ] }
+
+(* Each breach, quantified for the 503 body; or one "recovering" line
+   while every firing rule is clean but inside its hold. *)
+let reasons t =
+  let breach (h : A.held) =
+    let n = Xmobs.Timeseries.count_last (A.latency t.src) t.window in
+    match h.A.h_rule.A.cond with
+    | A.Err_rate { above; _ } ->
+        Printf.sprintf "error-rate %.2f > %.2f (window %ds, %d queries)"
+          h.A.h_value above t.window n
+    | A.P95_ms { above; _ } ->
+        Printf.sprintf "p95 %.1fms > %.1fms (window %ds, %d queries)"
+          h.A.h_value above t.window n
+    | A.Burn_rate _ -> h.A.h_rule.A.name (* not an SLO rule *)
+  in
+  let firing = A.firing_rules t.eng in
+  match List.filter (fun (h : A.held) -> h.A.h_now) firing with
+  | [] when firing <> [] ->
+      let quiet =
+        List.fold_left (fun q (h : A.held) -> Float.min q h.A.h_quiet_s)
+          infinity firing
+      in
+      [ Printf.sprintf "recovering (breach cleared %.1fs ago, holding %.1fs)"
+          quiet hold_s ]
+  | breached -> List.map breach breached
+
+(* The healthy->degraded edge: this tick took the engine from no rule
+   firing to some.  A rule makes at most one edge per tick, so the count
+   before the tick is the count after it less the edges. *)
+let deliver t f trs =
+  let edges e =
+    List.length (List.filter (fun (x : A.transition) -> x.A.edge = e) trs)
+  in
+  let up = edges A.Firing in
+  if up > 0 && List.length (A.firing_rules t.eng) = up - edges A.Resolved then
+    try f (reasons t) with _ -> ()
 
 let evaluate t =
-  let now = t.clock () in
-  Mutex.lock t.lock;
-  let was_degraded = t.degraded in
-  let verdict =
-    match breaches t with
-    | _ :: _ as reasons ->
-        t.degraded <- true;
-        t.last_breach <- now;
-        Degraded reasons
-    | [] ->
-        if t.degraded && now -. t.last_breach < t.cfg.recovery_s then
-          Degraded
-            [ Printf.sprintf
-                "recovering (breach cleared %.1fs ago, holding %.1fs)"
-                (now -. t.last_breach) t.cfg.recovery_s ]
-        else begin
-          t.degraded <- false;
-          Healthy
-        end
-  in
-  let fire = t.on_degrade in
-  Mutex.unlock t.lock;
-  (* Edge-triggered, outside the lock: the subscriber (the flight
-     recorder) only hears the healthy->degraded flip, never the repeated
-     probes of an ongoing incident or the recovery hold — the existing
-     hysteresis is exactly the flap suppression the recorder wants. *)
-  (match (verdict, was_degraded, fire) with
-  | Degraded reasons, false, Some f -> ( try f reasons with _ -> ())
-  | _ -> ());
-  verdict
+  ignore (A.tick ?deliver:(Option.map (deliver t) t.on_breach) t.eng);
+  reasons t
 
-let verdict_json t verdict =
-  let status, reasons =
-    match verdict with
-    | Healthy -> ("ok", [])
-    | Degraded rs -> ("degraded", rs)
-  in
-  Xmutil.Json.Obj
-    [ ("status", Xmutil.Json.String status);
-      ("reasons", Xmutil.Json.List (List.map (fun r -> Xmutil.Json.String r) reasons));
+let json t reasons =
+  J.Obj
+    [ ("status", J.String (if reasons = [] then "ok" else "degraded"));
+      ("reasons", J.List (List.map (fun r -> J.String r) reasons));
       ("objectives",
-       Xmutil.Json.Obj
-         ((match t.cfg.p95_ms with
-          | None -> []
-          | Some v -> [ ("p95_ms", Xmutil.Json.Float v) ])
-         @ (match t.cfg.max_error_rate with
-           | None -> []
-           | Some v -> [ ("max_error_rate", Xmutil.Json.Float v) ])
-         @ [ ("window_s", Xmutil.Json.Int t.cfg.window);
-             ("min_samples", Xmutil.Json.Int t.cfg.min_samples) ])) ]
+       J.Obj
+         (t.objectives
+         @ [ ("window_s", J.Int t.window); ("min_samples", J.Int min_count) ]))
+    ]
 
-let to_json t = verdict_json t (evaluate t)
+let to_json t = json t (evaluate t)
 
-(* Read-only view: the current degraded flag, without re-judging the
-   objectives — so it can never fire [on_degrade].  Incident bundles use
-   this (their context provider runs under the flight recorder's lock;
-   an evaluation that re-triggered would deadlock). *)
+(* Read-only: whether a rule is firing, without ticking — so it never
+   fires [on_breach].  Incident bundles use this (their context provider
+   runs under the flight recorder's lock). *)
 let snapshot_json t =
-  Mutex.lock t.lock;
-  let degraded = t.degraded in
-  Mutex.unlock t.lock;
-  verdict_json t (if degraded then Degraded [ "degraded" ] else Healthy)
+  json t (if A.firing_rules t.eng = [] then [] else [ "degraded" ])

@@ -1,56 +1,32 @@
-(** SLO-aware health: rolling objectives over the served query stream.
-
-    The daemon records every executed query's wall time and outcome into
-    rolling time-series; {!evaluate} judges the configured objectives
-    (windowed p95 latency, windowed error rate) on each /healthz probe.
-    Breaches degrade immediately once [min_samples] queries are in the
-    window; recovery is held back until the objectives have been met
-    continuously for [recovery_s] (hysteresis — one clean 503 stretch per
-    incident, no flapping at the breach boundary).
-
-    The clock is injectable so window math is unit-testable against
-    synthetic time. *)
-
-type config = {
-  p95_ms : float option;
-  max_error_rate : float option; (* fraction in [0,1] *)
-  window : int; (* seconds *)
-  min_samples : int;
-  recovery_s : float;
-}
-
-val default : config
-(** No objectives, window 60 s, min_samples 5, recovery 2 s. *)
-
-val enabled : config -> bool
-(** True when at least one objective is set. *)
-
-type verdict = Healthy | Degraded of string list
-(** [Degraded reasons] — each reason names the breached objective and by
-    how much, ready for the 503 body. *)
+(** SLO-aware health: [--slo-error-rate] and [--slo-p95-ms] as an
+    [Err_rate] and a [P95_ms] rule (in that order) over the last
+    [window] seconds of the query stream, with a 5-query floor, on an
+    {!Xmobs.Alerts.engine} whose firing rules resolve after a 2 s hold. *)
 
 type t
 
-val create : ?clock:(unit -> float) -> config -> t
+val create :
+  ?p95_ms:float ->
+  ?error_rate:float ->
+  ?on_breach:(string list -> unit) ->
+  window:int ->
+  Xmobs.Alerts.stream ->
+  t option
+(** [None] when no objective is set.  [on_breach] hears the
+    healthy→degraded edge — the tick that takes the engine from no rule
+    firing to some — once per incident, with the breach reasons; its
+    exceptions are swallowed.  The daemon wires it to the flight
+    recorder. *)
 
-val record : t -> ok:bool -> wall_s:float -> unit
-(** Feed one executed query into the rolling window. *)
-
-val set_on_degrade : t -> (string list -> unit) -> unit
-(** Subscribe to the healthy→degraded edge: the callback fires once per
-    incident, with the breach reasons, from whichever {!evaluate} call
-    observes the flip — never for the repeated probes of an ongoing
-    breach or during the recovery hold, so a flapping SLO cannot spam
-    the subscriber.  Called outside the internal lock; exceptions are
-    swallowed.  The serve daemon wires this to the flight recorder. *)
-
-val evaluate : t -> verdict
+val evaluate : t -> string list
+(** Tick the rules (serialized with any concurrent tick) and return the
+    verdict: [[]] when healthy, otherwise each breached objective and by
+    how much, or one ["recovering (…)"] line while the hold is in
+    force. *)
 
 val to_json : t -> Xmutil.Json.t
-(** [{status, reasons, objectives}] for /debug/timeseries.  Evaluates
-    (and therefore may fire {!set_on_degrade}). *)
+(** [{status, reasons, objectives}] for /debug/timeseries; evaluates. *)
 
 val snapshot_json : t -> Xmutil.Json.t
-(** Like {!to_json} but read-only: reports the current degraded flag
-    without re-judging the objectives, so it never fires the degrade
-    callback.  Incident bundles embed this. *)
+(** {!to_json} without ticking, so it never fires [on_breach]: whether a
+    rule is firing.  Incident bundles embed this. *)

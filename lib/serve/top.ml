@@ -202,8 +202,7 @@ let render s =
        [ "metrics"; "labeled_counters"; "xmorph_incidents_total";
          "{trigger=" ^ kind ^ "}" ]
    in
-   let kinds = [ "slo-breach"; "error-rate"; "signal"; "manual" ] in
-   let counts = List.map (fun k -> (k, trigger_count k)) kinds in
+   let counts = List.map (fun k -> (k, trigger_count k)) Xmobs.Flight.kinds in
    if List.exists (fun (_, c) -> c <> None) counts then begin
      let total =
        List.fold_left

@@ -138,8 +138,12 @@ let test_load_failure_modes () =
 
 let mk_engine ?ring rules =
   let now = ref 1000.0 in
-  let eng = Alerts.engine ~clock:(fun () -> !now) ?ring rules in
-  (now, eng)
+  let st = Alerts.stream ~clock:(fun () -> !now) rules in
+  (now, st, Alerts.engine ?ring st rules)
+
+let feed st ~ok ~wall_s =
+  Alerts.feed st ~outcome:(if ok then Xmobs.Qlog.Ok else Xmobs.Qlog.Internal)
+    ~wall_s
 
 let err_rule ?(above = 0.1) ?(window_s = 10) ?(for_s = 0.0) ?(min_count = 1)
     name =
@@ -148,11 +152,11 @@ let err_rule ?(above = 0.1) ?(window_s = 10) ?(for_s = 0.0) ?(min_count = 1)
 let edges ts = List.map (fun (t : Alerts.transition) -> t.Alerts.edge) ts
 
 let test_fire_and_resolve_once () =
-  let now, eng = mk_engine [ err_rule "errs" ] in
+  let now, st, eng = mk_engine [ err_rule "errs" ] in
   (* Breach: 5 errors, 5 oks — 50% over a 10s window. *)
   for _ = 1 to 5 do
-    Alerts.feed eng ~ok:false ~wall_s:0.001;
-    Alerts.feed eng ~ok:true ~wall_s:0.001
+    feed st ~ok:false ~wall_s:0.001;
+    feed st ~ok:true ~wall_s:0.001
   done;
   Alcotest.(check (list string)) "one firing edge"
     [ "firing" ]
@@ -161,12 +165,12 @@ let test_fire_and_resolve_once () =
     [ ("errs", "firing") ] (Alerts.states eng);
   (* Still breaching: no second edge. *)
   now := !now +. 1.0;
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  feed st ~ok:false ~wall_s:0.001;
   Alcotest.(check int) "no duplicate firing" 0 (List.length (Alerts.tick eng));
   (* Recover: clean traffic until the errors slide out of the window. *)
   for _ = 1 to 12 do
     now := !now +. 1.0;
-    Alerts.feed eng ~ok:true ~wall_s:0.001
+    feed st ~ok:true ~wall_s:0.001
   done;
   (match Alerts.tick eng with
   | [ t ] ->
@@ -180,8 +184,8 @@ let test_fire_and_resolve_once () =
     (List.length (Alerts.recent eng))
 
 let test_for_duration_hysteresis () =
-  let now, eng = mk_engine [ err_rule ~for_s:3.0 "errs" ] in
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  let now, st, eng = mk_engine [ err_rule ~for_s:3.0 "errs" ] in
+  feed st ~ok:false ~wall_s:0.001;
   (* Condition true but young: pending, no edge. *)
   Alcotest.(check int) "no early firing" 0 (List.length (Alerts.tick eng));
   Alcotest.(check (list (pair string string))) "pending"
@@ -190,7 +194,7 @@ let test_for_duration_hysteresis () =
      fires: 1 error against 30 oks is 3%. *)
   now := !now +. 1.0;
   for _ = 1 to 30 do
-    Alerts.feed eng ~ok:true ~wall_s:0.001
+    feed st ~ok:true ~wall_s:0.001
   done;
   ignore (Alerts.tick eng);
   Alcotest.(check (list (pair string string))) "blip subsided to ok"
@@ -200,41 +204,41 @@ let test_for_duration_hysteresis () =
   (* A sustained breach fires once for_s has elapsed.  (First clear the
      window of the blip's traffic.) *)
   now := !now +. 12.0;
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  feed st ~ok:false ~wall_s:0.001;
   ignore (Alerts.tick eng);
   now := !now +. 2.0;
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  feed st ~ok:false ~wall_s:0.001;
   Alcotest.(check int) "still pending at 2s" 0 (List.length (Alerts.tick eng));
   now := !now +. 1.5;
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  feed st ~ok:false ~wall_s:0.001;
   Alcotest.(check (list string)) "fires after for_s"
     [ "firing" ]
     (List.map Alerts.edge_to_string (edges (Alerts.tick eng)))
 
 let test_min_count_gate () =
-  let _now, eng = mk_engine [ err_rule ~min_count:10 "errs" ] in
+  let _now, st, eng = mk_engine [ err_rule ~min_count:10 "errs" ] in
   (* 100% errors but under the traffic floor: never judged. *)
   for _ = 1 to 9 do
-    Alerts.feed eng ~ok:false ~wall_s:0.001
+    feed st ~ok:false ~wall_s:0.001
   done;
   Alcotest.(check int) "under the floor" 0 (List.length (Alerts.tick eng));
-  Alerts.feed eng ~ok:false ~wall_s:0.001;
+  feed st ~ok:false ~wall_s:0.001;
   Alcotest.(check int) "at the floor" 1 (List.length (Alerts.tick eng))
 
 let test_p95_rule () =
-  let _now, eng =
+  let _now, st, eng =
     mk_engine
       [ { Alerts.name = "slow";
           cond = Alerts.P95_ms { above = 100.0; window_s = 10 };
           for_s = 0.0; min_count = 1 } ]
   in
   for _ = 1 to 20 do
-    Alerts.feed eng ~ok:true ~wall_s:0.005
+    feed st ~ok:true ~wall_s:0.005
   done;
   Alcotest.(check int) "fast traffic never fires" 0
     (List.length (Alerts.tick eng));
   for _ = 1 to 20 do
-    Alerts.feed eng ~ok:true ~wall_s:0.5
+    feed st ~ok:true ~wall_s:0.5
   done;
   match Alerts.tick eng with
   | [ t ] ->
@@ -243,7 +247,7 @@ let test_p95_rule () =
   | ts -> Alcotest.failf "expected one firing edge, got %d" (List.length ts)
 
 let test_burn_rate_needs_both_windows () =
-  let now, eng =
+  let now, st, eng =
     mk_engine
       [ { Alerts.name = "burn";
           cond =
@@ -255,12 +259,12 @@ let test_burn_rate_needs_both_windows () =
      breaches the fast window only, and must not fire. *)
   for _ = 1 to 55 do
     for _ = 1 to 20 do
-      Alerts.feed eng ~ok:true ~wall_s:0.001
+      feed st ~ok:true ~wall_s:0.001
     done;
     now := !now +. 1.0
   done;
   for _ = 1 to 10 do
-    Alerts.feed eng ~ok:false ~wall_s:0.001
+    feed st ~ok:false ~wall_s:0.001
   done;
   Alcotest.(check int) "fast-only breach keeps quiet" 0
     (List.length (Alerts.tick eng));
@@ -268,7 +272,7 @@ let test_burn_rate_needs_both_windows () =
   for _ = 1 to 59 do
     now := !now +. 1.0;
     for _ = 1 to 20 do
-      Alerts.feed eng ~ok:false ~wall_s:0.001
+      feed st ~ok:false ~wall_s:0.001
     done
   done;
   match Alerts.tick eng with
@@ -278,18 +282,18 @@ let test_burn_rate_needs_both_windows () =
   | ts -> Alcotest.failf "expected one firing edge, got %d" (List.length ts)
 
 let test_ring_bounded_and_json () =
-  let now, eng = mk_engine ~ring:4 [ err_rule "errs" ] in
+  let now, st, eng = mk_engine ~ring:4 [ err_rule "errs" ] in
   (* 5 breach/recover cycles = 10 edges through a 4-slot ring.  Each
      breach is 5 errors so the recovery traffic still in the window
      (10 oks) cannot dilute it below the 10% threshold. *)
   for _ = 1 to 5 do
     for _ = 1 to 5 do
-      Alerts.feed eng ~ok:false ~wall_s:0.001
+      feed st ~ok:false ~wall_s:0.001
     done;
     ignore (Alerts.tick eng);
     for _ = 1 to 12 do
       now := !now +. 1.0;
-      Alerts.feed eng ~ok:true ~wall_s:0.001
+      feed st ~ok:true ~wall_s:0.001
     done;
     ignore (Alerts.tick eng)
   done;
@@ -325,27 +329,28 @@ let base_cfg rules =
     webhook_retries = 2; rules }
 
 let with_alerts cfg f =
-  Alerts.enable cfg;
-  Fun.protect f ~finally:(fun () -> Alerts.disable ())
+  let st = Alerts.stream cfg.Alerts.rules in
+  Alerts.enable st cfg;
+  Fun.protect (fun () -> f st) ~finally:(fun () -> Alerts.disable ())
 
-let drive_breach_and_recovery () =
+let drive_breach_and_recovery st =
   (* The global engine runs on the wall clock; err_rate over a window
      counts epochs, so breach and recovery land in the same real second
      as far as the series are concerned — recovery instead rides on
-     note_query volume: impossible here.  Use the log-file sink test
+     feed volume: impossible here.  Use the log-file sink test
      with a breach only, and check the resolved edge in the qcheck
      property where the clock is synthetic. *)
   for _ = 1 to 10 do
-    Alerts.note_query ~ok:false ~wall_s:0.001
+    feed st ~ok:false ~wall_s:0.001
   done;
   Alerts.tick_now ()
 
 let test_global_log_sink () =
   let path = tmp_file ".jsonl" in
   let cfg = { (base_cfg [ err_rule "errs" ]) with log = Some path } in
-  with_alerts cfg (fun () ->
+  with_alerts cfg (fun st ->
       Alcotest.(check bool) "enabled" true (Alerts.enabled ());
-      drive_breach_and_recovery ();
+      drive_breach_and_recovery st;
       Alcotest.(check int) "one rule firing" 1 (Alerts.firing ());
       (match Alerts.to_json () with
       | J.Obj fs ->
@@ -384,8 +389,8 @@ let test_webhook_retry_and_drop () =
   let cfg =
     { (base_cfg [ err_rule "errs" ]) with webhook = Some "http://unreachable" }
   in
-  with_alerts cfg (fun () ->
-      drive_breach_and_recovery ();
+  with_alerts cfg (fun st ->
+      drive_breach_and_recovery st;
       (* 1 first attempt + 2 retries, then the delivery is dropped. *)
       Alcotest.(check int) "attempts" 3 !calls;
       Alcotest.(check int) "dropped once" 1 (Alerts.webhook_drops ()));
@@ -396,8 +401,8 @@ let test_webhook_retry_and_drop () =
       Alcotest.(check bool) "body is the transition json" true
         (match J.of_string body with J.Obj _ -> true | _ -> false);
       Ok ());
-  with_alerts cfg (fun () ->
-      drive_breach_and_recovery ();
+  with_alerts cfg (fun st ->
+      drive_breach_and_recovery st;
       Alcotest.(check int) "one delivery" 1 !ok_calls;
       Alcotest.(check int) "no drops" 0 (Alerts.webhook_drops ()))
 
@@ -416,18 +421,16 @@ let prop_concurrent_transitions_alternate =
         (fun jobs ->
           with_jobs jobs @@ fun () ->
           let clock = Atomic.make 1000.0 in
-          let eng =
-            Alerts.engine
-              ~clock:(fun () -> Atomic.get clock)
-              [ err_rule ~above:0.5 ~window_s:5 "errs" ]
-          in
+          let rules = [ err_rule ~above:0.5 ~window_s:5 "errs" ] in
+          let st = Alerts.stream ~clock:(fun () -> Atomic.get clock) rules in
+          let eng = Alerts.engine st rules in
           let log = ref [] in
           let feed_all ok =
             ignore
               (Xmutil.Pool.parallel
                  (List.init threads (fun _ () ->
                       for _ = 1 to 50 do
-                        Alerts.feed eng ~ok ~wall_s:0.001
+                        feed st ~ok ~wall_s:0.001
                       done)))
           in
           let tick () = log := !log @ Alerts.tick eng in

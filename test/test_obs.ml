@@ -435,7 +435,6 @@ let test_disabled_path_no_alloc () =
   Trace.disable ();
   Metrics.disable ();
   Xmobs.Profile.disable ();
-  Xmobs.Timeseries.disable ();
   Xmobs.Statdb.disable ();
   Xmobs.Flight.disable ();
   Xmobs.Alerts.disable ();
@@ -484,9 +483,6 @@ let test_disabled_path_no_alloc () =
     Xmobs.Ctx.charge_write 4096;
     Xmobs.Ctx.bump "x";
     Xmobs.Ctx.observe "x" 1.0;
-    (* The rolling time-series entry points share the same contract. *)
-    Xmobs.Timeseries.inc "x";
-    Xmobs.Timeseries.observe "x" 1.0;
     (* The statistics warehouse: a disabled submit is one atomic load. *)
     ignore (Sys.opaque_identity (Xmobs.Statdb.enabled ()));
     Xmobs.Statdb.submit ~guard_hash:"x" [];
@@ -509,10 +505,8 @@ let test_disabled_path_no_alloc () =
     ignore (Sys.opaque_identity (Xmobs.Flight.enabled ()));
     Xmobs.Flight.note_entry trace_entry;
     Xmobs.Flight.note_qlog qlog_entry;
-    (* The alerting evaluator: a disabled note_query is one atomic load
-       (the constant float argument is static data, not a boxing site). *)
-    ignore (Sys.opaque_identity (Xmobs.Alerts.enabled ()));
-    Xmobs.Alerts.note_query ~ok:true ~wall_s:0.001
+    (* The alerting evaluator's gate is one atomic load. *)
+    ignore (Sys.opaque_identity (Xmobs.Alerts.enabled ()))
   done;
   let w1 = Gc.minor_words () in
   let delta = w1 -. w0 in

@@ -275,10 +275,11 @@ let test_read_request_edge_cases () =
 
 (* ---------- the daemon, end to end ---------- *)
 
-let with_server ?slow_ms ?slow_log ?window ?slo f =
+let with_server ?slow_ms ?slow_log ?window ?slo_error_rate f =
   let store = make_store () in
   let server =
-    Xmserve.Server.create ~port:0 ~workers:2 ?slow_ms ?slow_log ?window ?slo
+    Xmserve.Server.create ~port:0 ~workers:2 ?slow_ms ?slow_log ?window
+      ?slo_error_rate
       ~stores:[ ("data.xml", store) ]
       ()
   in
@@ -500,21 +501,15 @@ let test_timeseries_endpoint () =
   | Some n when n >= 5.0 -> ()
   | _ -> Alcotest.fail "lifetime total must survive the window"
 
+(* As [--window 2 --slo-error-rate 0.2] would configure it: the SLO
+   rules need 5 queries in the window, and a 2 s window keeps a burst that
+   straddles a second boundary whole. *)
 let test_slo_flip_and_recovery () =
-  let slo =
-    {
-      Xmserve.Slo.default with
-      Xmserve.Slo.max_error_rate = Some 0.2;
-      window = 1;
-      min_samples = 2;
-      recovery_s = 0.2;
-    }
-  in
-  with_server ~slo @@ fun base _store ->
+  with_server ~window:2 ~slo_error_rate:0.2 @@ fun base _store ->
   let status, _, body = get ~meth:"GET" base "/healthz" in
   Alcotest.(check int) "healthy before traffic" 200 status;
   Alcotest.(check string) "ok body" "ok\n" body;
-  for _ = 1 to 3 do
+  for _ = 1 to 5 do
     ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base "/query")
   done;
   let status, _, body = get ~meth:"GET" base "/healthz" in

@@ -1,10 +1,11 @@
-(* Rolling time-series window math and the SLO evaluator, both against
+(* Rolling time-series window math and the SLO rules, both against
    synthetic clocks: rates decay as the window slides, the ring evicts on
    wrap-around, windowed percentiles track only live slots, and health
-   degrades/recovers with hysteresis at the exact instants the config
+   degrades/recovers with hysteresis at the exact instants the SLO
    promises. *)
 
 module Ts = Xmobs.Timeseries
+module Alerts = Xmobs.Alerts
 module Slo = Xmserve.Slo
 
 (* A series on a hand-cranked clock. *)
@@ -14,7 +15,7 @@ let fake () =
 
 let test_counter_rate_and_decay () =
   let now, clock = fake () in
-  let t = Ts.create ~window:10 ~clock Ts.Counter "req" in
+  let t = Ts.create ~window:10 ~clock Ts.Counter in
   Alcotest.(check int) "empty window" 0 (Ts.count_in_window t);
   Alcotest.(check (float 0.0)) "empty rate" 0.0 (Ts.rate t);
   for _ = 1 to 5 do
@@ -43,7 +44,7 @@ let test_counter_rate_and_decay () =
    the second write must evict the first, not add to it. *)
 let test_ring_wraparound_evicts () =
   let now, clock = fake () in
-  let t = Ts.create ~window:5 ~clock Ts.Counter "wrap" in
+  let t = Ts.create ~window:5 ~clock Ts.Counter in
   Ts.bump ~by:100 t;
   now := 5.0;
   (* same slot index (5 mod 5 = 0 mod 5), different epoch *)
@@ -53,7 +54,7 @@ let test_ring_wraparound_evicts () =
 
 let test_histogram_percentiles_over_window () =
   let now, clock = fake () in
-  let t = Ts.create ~window:10 ~clock Ts.Histogram "lat" in
+  let t = Ts.create ~window:10 ~clock Ts.Histogram in
   Alcotest.(check bool) "empty window has no percentile" true
     (Ts.percentile t 0.5 = None);
   (* 100 cheap observations now, one huge outlier... *)
@@ -95,7 +96,7 @@ let test_histogram_percentiles_over_window () =
    linger in the aggregate until the clock catches back up. *)
 let test_backward_clock_jump_evicts_future () =
   let now, clock = fake () in
-  let t = Ts.create ~window:30 ~clock Ts.Counter "jump" in
+  let t = Ts.create ~window:30 ~clock Ts.Counter in
   now := 50.0;
   Ts.bump ~by:7 t;
   Alcotest.(check int) "write visible at its own time" 7 (Ts.count_in_window t);
@@ -114,7 +115,7 @@ let test_backward_clock_jump_evicts_future () =
    so neither whole-window nor last-k reads may count it. *)
 let test_idle_wraparound_reads_clean () =
   let now, clock = fake () in
-  let t = Ts.create ~window:5 ~clock Ts.Counter "idle" in
+  let t = Ts.create ~window:5 ~clock Ts.Counter in
   Ts.bump ~by:100 t;
   (* 15 mod 5 = 0 mod 5: same slot index, three windows later. *)
   now := 15.0;
@@ -124,7 +125,7 @@ let test_idle_wraparound_reads_clean () =
 
 let test_sub_window_reads () =
   let now, clock = fake () in
-  let t = Ts.create ~window:60 ~clock Ts.Histogram "sub" in
+  let t = Ts.create ~window:60 ~clock Ts.Histogram in
   (* Old burst of slow queries, then a recent run of fast ones. *)
   for _ = 1 to 10 do
     Ts.record t 1.0
@@ -147,8 +148,20 @@ let test_sub_window_reads () =
   (match Ts.percentile t 0.95 with
   | Some v -> Alcotest.(check bool) "window p95 is slow" true (v > 0.5)
   | None -> Alcotest.fail "window p95 missing");
-  (* k larger than the window clamps instead of reading wild slots. *)
+  (* k larger than the window clamps instead of reading wild slots; k at
+     or past the window reads the rolling aggregate, and must agree with
+     the whole-window reads. *)
   Alcotest.(check int) "k clamps to the window" 20 (Ts.count_last t 1000);
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (Printf.sprintf "count_last %d = count_in_window" k)
+        (Ts.count_in_window t) (Ts.count_last t k);
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "percentile_last %d = percentile" k)
+        (Ts.percentile t 0.95)
+        (Ts.percentile_last t k 0.95))
+    [ 60; 61; 1000 ];
   (* Empty span: percentile over seconds with no data is None. *)
   now := 300.0;
   Alcotest.(check bool) "empty span has no percentile" true
@@ -156,8 +169,8 @@ let test_sub_window_reads () =
 
 let test_ratio_and_burn () =
   let now, clock = fake () in
-  let err = Ts.create ~window:60 ~clock Ts.Counter "err" in
-  let total = Ts.create ~window:60 ~clock Ts.Counter "total" in
+  let err = Ts.create ~window:60 ~clock Ts.Counter in
+  let total = Ts.create ~window:60 ~clock Ts.Counter in
   Alcotest.(check bool) "no traffic: ratio is None" true
     (Ts.ratio err total = None);
   Alcotest.(check bool) "no traffic: burn is None" true
@@ -182,16 +195,16 @@ let test_ratio_and_burn () =
 
 let test_counter_has_no_percentile () =
   let _, clock = fake () in
-  let t = Ts.create ~window:5 ~clock Ts.Counter "c" in
+  let t = Ts.create ~window:5 ~clock Ts.Counter in
   Ts.bump ~by:9 t;
   Alcotest.(check bool) "counter kind: percentile is None" true
     (Ts.percentile t 0.5 = None)
 
 let test_window_clamped () =
   let _, clock = fake () in
-  let t = Ts.create ~window:0 ~clock Ts.Counter "tiny" in
+  let t = Ts.create ~window:0 ~clock Ts.Counter in
   Alcotest.(check int) "window floor is one second" 1 (Ts.window t);
-  let t2 = Ts.create ~window:1_000_000 ~clock Ts.Counter "huge" in
+  let t2 = Ts.create ~window:1_000_000 ~clock Ts.Counter in
   Alcotest.(check int) "window ceiling is a day" 86400 (Ts.window t2)
 
 let field j name =
@@ -199,7 +212,7 @@ let field j name =
 
 let test_json_roundtrip () =
   let now, clock = fake () in
-  let t = Ts.create ~window:10 ~clock Ts.Histogram "lat" in
+  let t = Ts.create ~window:10 ~clock Ts.Histogram in
   Ts.record t 0.002;
   now := 1.0;
   Ts.record t 0.004;
@@ -237,71 +250,46 @@ let test_json_roundtrip () =
       | _ -> Alcotest.fail "seconds too short")
   | _ -> Alcotest.fail "seconds missing"
 
-let test_registry_gating () =
-  Ts.reset ();
-  Ts.disable ();
-  (* Disabled: name-based entry points are no-ops and intern nothing. *)
-  Ts.inc "ghost";
-  Ts.observe "ghost" 1.0;
-  Alcotest.(check int) "disabled registry stays empty" 0
-    (List.length (Ts.all ()));
-  Ts.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Ts.disable ();
-      Ts.reset ())
-    (fun () ->
-      Ts.inc ~by:2 "req";
-      Ts.inc "req";
-      Ts.observe "lat" 0.5;
-      let names = List.map Ts.name (Ts.all ()) in
-      Alcotest.(check bool) "both series interned" true
-        (List.mem "req" names && List.mem "lat" names);
-      let req = Ts.series Ts.Counter "req" in
-      Alcotest.(check int) "inc lands in the interned series" 3
-        (Ts.lifetime req);
-      (* First creation wins: re-interning with another kind is ignored. *)
-      let again = Ts.series Ts.Histogram "req" in
-      Alcotest.(check bool) "kind pinned by first creation" true
-        (Ts.kind again = Ts.Counter);
-      match Ts.to_json_all () with
-      | Xmutil.Json.Obj fs ->
-          Alcotest.(check bool) "to_json_all keys by name" true
-            (List.mem_assoc "req" fs && List.mem_assoc "lat" fs)
-      | _ -> Alcotest.fail "to_json_all is not an object")
+(* ---------- SLO rules on an alert engine ---------- *)
 
-(* ---------- SLO evaluator ---------- *)
+(* The SLO rules over a query stream on a hand-cranked clock, as the
+   daemon builds them from --window and --slo-*. *)
+let slo ?p95_ms ?error_rate ?(window = 10) () =
+  let now, clock = fake () in
+  let st = Alerts.stream ~clock ~window [] in
+  match Slo.create ?p95_ms ?error_rate ~window st with
+  | Some t -> (now, st, t)
+  | None -> Alcotest.fail "no objective configured"
 
-let slo_cfg ?(p95_ms = None) ?(max_error_rate = None) ?(window = 10)
-    ?(min_samples = 3) ?(recovery_s = 2.0) () =
-  { Slo.p95_ms; max_error_rate; window; min_samples; recovery_s }
+let feed st ~ok ~wall_s =
+  Alerts.feed st ~outcome:(if ok then Xmobs.Qlog.Ok else Xmobs.Qlog.Internal)
+    ~wall_s
+
+let has_prefix p r =
+  String.length r >= String.length p && String.sub r 0 (String.length p) = p
 
 let degraded_matching t needle =
-  match Slo.evaluate t with
-  | Slo.Degraded reasons ->
-      List.exists
-        (fun r ->
-          let rec find i =
-            i + String.length needle <= String.length r
-            && (String.sub r i (String.length needle) = needle || find (i + 1))
-          in
-          find 0)
-        reasons
-  | Slo.Healthy -> false
+  List.exists
+    (fun r ->
+      let rec find i =
+        i + String.length needle <= String.length r
+        && (String.sub r i (String.length needle) = needle || find (i + 1))
+      in
+      find 0)
+    (Slo.evaluate t)
 
 let test_slo_error_rate_breach_and_min_samples () =
-  let now, clock = fake () in
-  let t =
-    Slo.create ~clock (slo_cfg ~max_error_rate:(Some 0.2) ~min_samples:3 ())
-  in
-  Alcotest.(check bool) "no traffic: healthy" true (Slo.evaluate t = Slo.Healthy);
-  (* Two failures out of two — 100 % errors, but below min_samples. *)
-  Slo.record t ~ok:false ~wall_s:0.001;
-  Slo.record t ~ok:false ~wall_s:0.001;
-  Alcotest.(check bool) "under min_samples: still healthy" true
-    (Slo.evaluate t = Slo.Healthy);
-  Slo.record t ~ok:false ~wall_s:0.001;
-  Alcotest.(check bool) "third sample trips the objective" true
+  let now, st, t = slo ~error_rate:0.2 () in
+  Alcotest.(check (list string)) "no traffic: healthy" [] (Slo.evaluate t);
+  (* Four failures out of four — 100 % errors, but below the 5-query
+     floor. *)
+  for _ = 1 to 4 do
+    feed st ~ok:false ~wall_s:0.001
+  done;
+  Alcotest.(check (list string)) "under the floor: still healthy" []
+    (Slo.evaluate t);
+  feed st ~ok:false ~wall_s:0.001;
+  Alcotest.(check bool) "fifth sample trips the objective" true
     (degraded_matching t "error-rate");
   (* Observe the breach again just before the window slides clean: the
      recovery hold is measured from the last *observed* breach. *)
@@ -312,19 +300,17 @@ let test_slo_error_rate_breach_and_min_samples () =
   Alcotest.(check bool) "clean but inside recovery hold" true
     (degraded_matching t "recovering");
   now := 11.5;
-  Alcotest.(check bool) "recovered after the hold" true
-    (Slo.evaluate t = Slo.Healthy)
+  Alcotest.(check (list string)) "recovered after the hold" []
+    (Slo.evaluate t)
 
 let test_slo_p95_breach () =
-  let now, clock = fake () in
-  let t = Slo.create ~clock (slo_cfg ~p95_ms:(Some 50.0) ~min_samples:3 ()) in
+  let now, st, t = slo ~p95_ms:50.0 () in
   for _ = 1 to 10 do
-    Slo.record t ~ok:true ~wall_s:0.005
+    feed st ~ok:true ~wall_s:0.005
   done;
-  Alcotest.(check bool) "fast queries: healthy" true
-    (Slo.evaluate t = Slo.Healthy);
+  Alcotest.(check (list string)) "fast queries: healthy" [] (Slo.evaluate t);
   for _ = 1 to 10 do
-    Slo.record t ~ok:true ~wall_s:0.500
+    feed st ~ok:true ~wall_s:0.500
   done;
   Alcotest.(check bool) "slow tail trips p95" true (degraded_matching t "p95");
   (* All successes — the error-rate objective (unset) never fires. *)
@@ -333,36 +319,38 @@ let test_slo_p95_breach () =
   now := 60.0;
   ignore (Slo.evaluate t);
   now := 63.0;
-  Alcotest.(check bool) "window slides clean, health returns" true
-    (Slo.evaluate t = Slo.Healthy)
+  Alcotest.(check (list string)) "window slides clean, health returns" []
+    (Slo.evaluate t)
 
 let test_slo_both_objectives_listed () =
-  let _, clock = fake () in
-  let t =
-    Slo.create ~clock
-      (slo_cfg ~p95_ms:(Some 1.0) ~max_error_rate:(Some 0.1) ~min_samples:2 ())
-  in
+  let _, st, t = slo ~p95_ms:1.0 ~error_rate:0.1 () in
   for _ = 1 to 5 do
-    Slo.record t ~ok:false ~wall_s:0.5
+    feed st ~ok:false ~wall_s:0.5
   done;
   match Slo.evaluate t with
-  | Slo.Degraded reasons ->
-      Alcotest.(check int) "both breached objectives reported" 2
+  | [ first; second ] ->
+      Alcotest.(check bool) "error rate first" true
+        (has_prefix "error-rate " first);
+      Alcotest.(check bool) "then latency" true (has_prefix "p95 " second)
+  | reasons ->
+      Alcotest.failf "expected both objectives reported, got %d"
         (List.length reasons)
-  | Slo.Healthy -> Alcotest.fail "both objectives breached but healthy"
 
 let test_slo_json () =
-  let _, clock = fake () in
-  let t =
-    Slo.create ~clock (slo_cfg ~max_error_rate:(Some 0.2) ~min_samples:1 ())
-  in
-  Slo.record t ~ok:false ~wall_s:0.001;
+  let _, st, t = slo ~error_rate:0.2 () in
+  for _ = 1 to 5 do
+    feed st ~ok:false ~wall_s:0.001
+  done;
   let j = Xmutil.Json.of_string (Xmutil.Json.to_string (Slo.to_json t)) in
   Alcotest.(check bool) "status is degraded" true
     (field j "status" = Some (Xmutil.Json.String "degraded"));
-  match field j "reasons" with
+  (match field j "reasons" with
   | Some (Xmutil.Json.List (_ :: _)) -> ()
-  | _ -> Alcotest.fail "degraded status must carry reasons"
+  | _ -> Alcotest.fail "degraded status must carry reasons");
+  (* The read-only snapshot agrees without ticking. *)
+  Alcotest.(check bool) "snapshot is degraded" true
+    (field (Slo.snapshot_json t) "status"
+    = Some (Xmutil.Json.String "degraded"))
 
 let suite =
   [
@@ -385,7 +373,6 @@ let suite =
     Alcotest.test_case "window is clamped to sane bounds" `Quick
       test_window_clamped;
     Alcotest.test_case "json export round-trips" `Quick test_json_roundtrip;
-    Alcotest.test_case "registry gates on enable" `Quick test_registry_gating;
     Alcotest.test_case "slo error-rate breach and min_samples gate" `Quick
       test_slo_error_rate_breach_and_min_samples;
     Alcotest.test_case "slo p95 breach and recovery" `Quick test_slo_p95_breach;
