@@ -15,6 +15,12 @@ val add_int : Buffer.t -> int -> unit
 val add_string : Buffer.t -> string -> unit
 val add_int_array : Buffer.t -> int array -> unit
 
+(** Encoded sizes: the number of bytes the matching [add_*] appends. *)
+
+val uint_size : int -> int
+val int_size : int -> int
+val int_array_size : int array -> int
+
 type cursor = { data : string; mutable pos : int }
 
 val cursor : ?pos:int -> string -> cursor
