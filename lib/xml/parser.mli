@@ -12,7 +12,8 @@
     whitespace); whitespace adjacent to non-blank text is preserved. *)
 
 exception Error of { line : int; col : int; msg : string }
-(** Raised on malformed input with a 1-based source position. *)
+(** Raised on malformed input with a 1-based source position; an error at
+    end of input is placed one past the last character. *)
 
 val parse : string -> Tree.t
 (** Parse a complete document; the result is the root element.
