@@ -104,3 +104,8 @@ val load : string -> t
 (** Read a store back; both format versions load (a version-1 file has its
     Dewey columns rebuilt from the node blob).
     @raise Codec.Corrupt on malformed files. *)
+
+val is_store : string -> bool
+(** Whether the file starts with a store's magic (any format version): it
+    is meant for {!load}, not for the XML parser.
+    @raise Sys_error if the file cannot be opened. *)
