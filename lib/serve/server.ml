@@ -501,7 +501,7 @@ let handle_query t req =
 (* POST /update?doc=NAME&node=ID — body is the node's new text value.
    The serving half of mapping value updates onto a materialized
    transformation (Sec. VIII): build the updated store value (functional
-   [update_value]) and swap it into the cell.  The fresh generation
+   [update_values]) and swap it into the cell.  The fresh generation
    orphans every result-cache entry for the old value by key mismatch;
    compiled plans survive, since the shape is shared.  Serialized by
    [update_lock] — the swap is a read-modify-write — while queries keep
@@ -521,7 +521,7 @@ let handle_update t req =
           Mutex.lock t.update_lock;
           let result =
             match
-              Store.Shredded.update_value (Atomic.get cell) id req.Http.body
+              Store.Shredded.update_values (Atomic.get cell) [ (id, req.Http.body) ]
             with
             | updated ->
                 Atomic.set cell updated;

@@ -29,7 +29,7 @@
       one {!Xmobs.Qlog} record.
     - [POST /update] — body is a node's new text value;
       [?doc=NAME&node=ID] selects the target.  Applies
-      {!Store.Shredded.update_value} and atomically swaps the served
+      {!Store.Shredded.update_values} and atomically swaps the served
       store, so later queries see the new value and the old generation's
       {!Xmcache} result entries die by key mismatch.  Responds with the
       new store generation as JSON.

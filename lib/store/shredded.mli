@@ -23,6 +23,9 @@
     (format 2); files written by the previous format still load, with the
     columns rebuilt from the blob.
 
+    Value updates ({!update_values}) leave the blob alone: new values live
+    in an overlay until {!save} writes them out.
+
     [save]/[load] give the store a stable on-disk format built solely on
     {!Codec}.  The grouped-run cache is guarded by a mutex, so one store may
     be read from several domains at once (the renderer's domain-parallel
@@ -75,27 +78,43 @@ val grouped_sequence : t -> Xml.Type_table.id -> level:int -> (int * int) array
 val node_count : t -> int
 
 val data_bytes : t -> int
-(** Total size of the Nodes blob — the store's idea of "document size". *)
+(** Total size of the Nodes blob with every value update folded in — the
+    store's idea of "document size".  O(1): updates keep a running size. *)
 
 val generation : t -> int
 (** The identity of this store {e value}, unique across every store built
-    in the process (by {!shred}, {!load}, or {!update_value}).  Result
+    in the process (by {!shred}, {!load}, or {!update_values}).  Result
     caches key rendered bodies on it: an update produces a store with a
     fresh generation, so entries for the old value die by key mismatch
     with no invalidation scan. *)
 
+val update_values : t -> (int * string) list -> t
+(** [update_values t [(id, v); ...]] is a store identical to [t] except
+    each node [id]'s text value is [v]; when an id appears more than once
+    the last value wins.  This is the store half of mapping value updates
+    onto a materialized transformation (Sec. VIII), and the one path every
+    value write takes.
+
+    The update is functional and costs O(k log n) for k nodes plus a copy
+    of a one-bit-per-node bitmap: the record blob is not copied.  New
+    values go into a persistent id → value overlay shared with [t]; {!node}
+    consults it only for nodes whose bit is set, and {!save} folds it into
+    the written blob.  [t] keeps reading its own values.  Values do not
+    participate in the shape, so the adorned shape, sequences and Dewey
+    columns are shared unchanged; only the updated nodes' own types are
+    (conservatively) dropped from the grouped-run cache.
+
+    One call mints one {!generation}.  The returned store shares [t]'s I/O
+    accounting, and each rewritten record is charged as a write at its
+    encoded size.
+    @raise Invalid_argument, with no effect, if any id is out of range. *)
+
 val update_value : t -> int -> string -> t
-(** [update_value t id v] is a store identical to [t] except node [id]'s
-    text value is [v].  Values do not participate in the shape, so the
-    adorned shape, sequences, Dewey columns, and grouped-run caches are
-    shared unchanged — only the updated node's own type is (conservatively)
-    dropped from the grouped-run cache — this is the store half of mapping
-    value updates onto a materialized transformation (Sec. VIII).  The
-    returned store shares [t]'s I/O accounting; the rewritten record is
-    charged as a write. *)
+(** [update_value t id v] is [update_values t [ (id, v) ]]. *)
 
 val save : ?version:int -> t -> string -> unit
-(** Write the store to a file.  [version] is 2 (default: the current
+(** Write the store to a file, with the value overlay folded into the node
+    blob: the bytes are those of a store shredded with the current values.  [version] is 2 (default: the current
     format, with the columnar Dewey sidecar) or 1 (the legacy row-only
     format, kept so old readers — and the backward-compatibility tests —
     can be exercised).  @raise Invalid_argument on other versions. *)
