@@ -13,7 +13,7 @@
 
     - {b Tier 2 — result cache}: [(store generation, guard hash, query
       hash, compact, enforce)] → rendered body.  A byte-budgeted LRU; an
-      {!Store.Shredded.update_value} produces a store with a fresh
+      {!Store.Shredded.update_values} produces a store with a fresh
       generation, so entries for the old value die by key mismatch (no
       invalidation scan) and age out of the LRU under budget pressure.
 
