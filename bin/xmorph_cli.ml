@@ -1055,7 +1055,8 @@ let serve_cmd =
     Arg.(value & opt (some int) None
          & info [ "debug-ring" ] ~docv:"N"
              ~doc:"Capacity of the completed-request ring behind GET \
-                   /debug/requests (1..65536; default 256).")
+                   /debug/requests and the spans of incident bundles \
+                   (1..65536; default 256).")
   in
   let alert_rules =
     Arg.(value & opt (some string) None

@@ -262,8 +262,7 @@ type engine = {
   rts : rt array;
   tick_lock : Mutex.t; (* serializes judge-step-deliver passes *)
   lock : Mutex.t; (* state machines + transitions ring *)
-  ring : transition option array;
-  mutable appended : int;
+  ring : transition Xmutil.Ring.t;
 }
 
 let engine ?(ring = 64) ?(hold_s = 0.0) src rules =
@@ -279,8 +278,7 @@ let engine ?(ring = 64) ?(hold_s = 0.0) src rules =
            rules);
     tick_lock = Mutex.create ();
     lock = Mutex.create ();
-    ring = Array.make (max 1 ring) None;
-    appended = 0;
+    ring = Xmutil.Ring.create ring;
   }
 
 (* Judge one rule against the stream: (condition holds, observed value,
@@ -327,13 +325,6 @@ let judge st r =
                    factor objective) )
         | _ -> unjudged)
 
-let ring_contents ring appended =
-  let cap = Array.length ring in
-  let first = max 0 (appended - cap) in
-  List.filter_map
-    (fun k -> ring.((first + k) mod cap))
-    (List.init (appended - first) Fun.id)
-
 let locked eng f =
   Mutex.lock eng.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock eng.lock) f
@@ -349,8 +340,7 @@ let tick ?(deliver = ignore) eng =
     locked eng (fun () ->
         let out = ref [] in
         let emit t =
-          eng.ring.(eng.appended mod Array.length eng.ring) <- Some t;
-          eng.appended <- eng.appended + 1;
+          Xmutil.Ring.push eng.ring t;
           out := t :: !out
         in
         Array.iteri
@@ -408,7 +398,7 @@ let states eng =
       Array.to_list
         (Array.map (fun rt -> (rt.rule.name, rstate_to_string rt.st)) eng.rts))
 
-let recent eng = locked eng (fun () -> ring_contents eng.ring eng.appended)
+let recent eng = locked eng (fun () -> Xmutil.Ring.to_list eng.ring)
 
 (* Lock held. *)
 let firing_n eng =
@@ -433,7 +423,7 @@ let engine_to_json eng =
           ("firing", J.Int (firing_n eng));
           ("transitions",
            J.List
-             (List.map transition_to_json (ring_contents eng.ring eng.appended)))
+             (List.map transition_to_json (Xmutil.Ring.to_list eng.ring)))
         ])
 
 (* ---------- the process-global evaluator ---------- *)

@@ -114,12 +114,9 @@ type t = {
   span_id : string;  (* this hop's id, sent downstream in [traceparent] *)
   parent_span : string option;
   created : float;  (* Unix time; also the span-timestamp epoch *)
-  (* span buffer: mirrors Trace's ring, single-writer (the installing
-     thread — instrumentation runs on the request's own systhread) *)
-  ring : Trace.entry option array;
-  mutable appended : int;
-  mutable stack : Trace.span list;
-  mutable next_span : int;
+  (* written only by the installing thread — instrumentation runs on the
+     request's own systhread *)
+  spans : Trace.Recorder.t;
   (* per-request I/O deltas: atomics so adds commute like the global
      Io_stats counters they shadow *)
   c_bytes_read : int Atomic.t;
@@ -138,15 +135,13 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
   let trace_id =
     match trace_id with Some id -> id | None -> fresh_trace_id ()
   in
+  let created = Unix.gettimeofday () in
   {
     trace_id;
     span_id = fresh_span_id ();
     parent_span;
-    created = Unix.gettimeofday ();
-    ring = Array.make (max 1 capacity) None;
-    appended = 0;
-    stack = [];
-    next_span = 0;
+    created;
+    spans = Trace.Recorder.create ~capacity ~epoch:created;
     c_bytes_read = Atomic.make 0;
     c_bytes_written = Atomic.make 0;
     c_read_ops = Atomic.make 0;
@@ -210,50 +205,9 @@ let with_ctx t f =
 
 (* ---------- span recording ---------- *)
 
-let now_us t = (Unix.gettimeofday () -. t.created) *. 1e6
+let with_span ?attrs t = Trace.Recorder.with_span ?attrs t.spans
 
-let append t e =
-  let cap = Array.length t.ring in
-  t.ring.(t.appended mod cap) <- Some e;
-  t.appended <- t.appended + 1
-
-let with_span ?(attrs = []) t name f =
-  let s =
-    {
-      Trace.id = t.next_span;
-      parent = (match t.stack with [] -> -1 | s :: _ -> s.Trace.id);
-      name;
-      start_us = now_us t;
-      dur_us = 0.0;
-      attrs;
-    }
-  in
-  t.next_span <- t.next_span + 1;
-  t.stack <- s :: t.stack;
-  let finish () =
-    s.Trace.dur_us <- now_us t -. s.Trace.start_us;
-    (match t.stack with
-    | x :: rest when x == s -> t.stack <- rest
-    | _ -> t.stack <- List.filter (fun x -> x != s) t.stack);
-    append t (Trace.Span s)
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
-
-let add_attr t key v =
-  match t.stack with s :: _ -> s.Trace.attrs <- (key, v) :: s.Trace.attrs | [] -> ()
-
-let entries t =
-  let cap = Array.length t.ring in
-  let first = max 0 (t.appended - cap) in
-  List.filter_map
-    (fun k -> t.ring.((first + k) mod cap))
-    (List.init (t.appended - first) Fun.id)
+let entries t = Trace.Recorder.entries t.spans
 
 let span_count t =
   List.length
@@ -352,26 +306,28 @@ type completed = {
   c_ts : float;
   c_io : io;
   c_span_count : int;
-  c_trace : Xmutil.Json.t;
+  c_entries : Trace.entry list;
   c_metrics : Xmutil.Json.t;
   mutable c_profile : Xmutil.Json.t option;
 }
 
-let ring_capacity = ref 256
+let default_ring_capacity = 256
 
-let completed_ring : completed list ref = ref []
+let completed_ring : completed Xmutil.Ring.t ref =
+  ref (Xmutil.Ring.create default_ring_capacity)
 
 let ring_lock = Mutex.create ()
 
-let set_ring_capacity n =
+let locked f =
   Mutex.lock ring_lock;
-  ring_capacity := max 1 n;
-  Mutex.unlock ring_lock
+  Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) f
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
+(* A fresh ring keeps the newest entries that fit the new bound. *)
+let set_ring_capacity n =
+  locked (fun () ->
+      let r = Xmutil.Ring.create n in
+      List.iter (Xmutil.Ring.push r) (Xmutil.Ring.to_list !completed_ring);
+      completed_ring := r)
 
 let finish t ~label ~outcome ~status ~wall_s =
   let entry =
@@ -384,20 +340,15 @@ let finish t ~label ~outcome ~status ~wall_s =
       c_ts = t.created;
       c_io = io t;
       c_span_count = span_count t;
-      c_trace = trace_json t;
+      c_entries = entries t;
       c_metrics = metrics_json t;
       c_profile = None;
     }
   in
-  Mutex.lock ring_lock;
-  completed_ring := entry :: take (!ring_capacity - 1) !completed_ring;
-  Mutex.unlock ring_lock
+  locked (fun () -> Xmutil.Ring.push !completed_ring entry)
 
 let completed () =
-  Mutex.lock ring_lock;
-  let l = !completed_ring in
-  Mutex.unlock ring_lock;
-  l
+  List.rev (locked (fun () -> Xmutil.Ring.to_list !completed_ring))
 
 let find_completed id =
   List.find_opt (fun c -> String.equal c.c_trace_id id) (completed ())
@@ -409,7 +360,4 @@ let attach_profile ~trace_id json =
       true
   | None -> false
 
-let reset_completed () =
-  Mutex.lock ring_lock;
-  completed_ring := [];
-  Mutex.unlock ring_lock
+let reset_completed () = locked (fun () -> Xmutil.Ring.clear !completed_ring)

@@ -3,9 +3,10 @@
     The global {!Trace}/{!Metrics}/{!Profile} sinks are process-wide; once
     the serve daemon handles concurrent requests on worker threads their
     spans and I/O deltas interleave.  A [Ctx.t] is one request's private
-    telemetry: a trace id (W3C [traceparent]-compatible), a span buffer
-    with the same representation and Chrome [trace_event] exporter as the
-    global tracer, atomic per-request {!Store.Io_stats}-style byte/op
+    telemetry: a trace id (W3C [traceparent]-compatible), its own
+    {!Trace.Recorder} (the global tracer's recorder type and Chrome
+    [trace_event] exporter, timestamps counted from the context's
+    creation), atomic per-request {!Store.Io_stats}-style byte/op
     counters, and a table of per-request metric increments.
 
     A context is carried in a thread-keyed slot ({!install} /
@@ -23,16 +24,16 @@
 
     Completed requests land in a process-global bounded ring
     ({!finish} / {!completed}) that backs the serve daemon's
-    [GET /debug/requests] and [GET /debug/trace/<id>] endpoints; a
-    slow-query capture can attach a profiler JSON after the fact
-    ({!attach_profile}). *)
+    [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and the
+    flight recorder's incident bundles; a slow-query capture can attach
+    a profiler JSON after the fact ({!attach_profile}). *)
 
 type t
 
 val create : ?capacity:int -> ?trace_id:string -> ?parent_span:string ->
   unit -> t
-(** A fresh context.  [capacity] bounds the span ring (default 4096
-    entries); [trace_id] (32 lowercase hex chars) and [parent_span] come
+(** A fresh context.  [capacity] bounds its recorder's ring (default
+    4096 entries, allocated only as spans arrive); [trace_id] (32 lowercase hex chars) and [parent_span] come
     from an upstream [traceparent] header when honoring one — by default
     a fresh trace id is generated. *)
 
@@ -79,11 +80,8 @@ val active : unit -> bool
 
 val with_span :
   ?attrs:(string * Trace.value) list -> t -> string -> (unit -> 'a) -> 'a
-(** Record a span into [t]'s buffer; same nesting/commit semantics as
-    {!Trace.with_span}.  Call only from the installing thread. *)
-
-val add_attr : t -> string -> Trace.value -> unit
-(** Attach an attribute to [t]'s innermost open span, if any. *)
+(** {!Trace.Recorder.with_span} on [t]'s recorder.  Call only from the
+    installing thread. *)
 
 val charge_read : int -> unit
 (** [charge_read bytes] adds to the calling thread's installed context
@@ -119,7 +117,7 @@ val blocks_of : int -> int
     [Store.Io_stats.blocks_of]. *)
 
 val entries : t -> Trace.entry list
-(** The span buffer, oldest first. *)
+(** The recorder's ring, oldest first. *)
 
 val span_count : t -> int
 
@@ -142,14 +140,17 @@ type completed = {
   c_ts : float;  (** Unix time at context creation *)
   c_io : io;
   c_span_count : int;
-  c_trace : Xmutil.Json.t;  (** {!trace_json}, rendered at finish *)
+  c_entries : Trace.entry list;
+      (** {!entries} at finish, timestamped from [c_ts]; rendered with
+          {!Trace.json_of_entries} when read *)
   c_metrics : Xmutil.Json.t;
   mutable c_profile : Xmutil.Json.t option;
       (** attached by slow-query capture *)
 }
 
 val set_ring_capacity : int -> unit
-(** Bound the ring (default 256 completed requests). *)
+(** Bound the ring (default 256 completed requests), keeping the newest
+    entries that fit. *)
 
 val finish : t -> label:string -> outcome:string -> status:int ->
   wall_s:float -> unit

@@ -1,19 +1,20 @@
 (* The flight recorder: an always-on black box for incident forensics.
 
-   While enabled, it keeps bounded rings of recent telemetry — span
-   entries mirrored from [Trace], recent query-log records fed by
-   [Exec.execute], and periodic metric snapshots — and, on a trigger
+   While enabled, it keeps bounded rings of recent query-log records fed
+   by [Exec.execute] and of periodic metric snapshots, and, on a trigger
    (SLO breach, error-rate threshold, fatal signal, or a manual POST),
-   atomically writes everything as a versioned JSON incident bundle so
-   the evidence survives the moment of failure.
+   atomically writes them as a versioned JSON incident bundle so the
+   evidence survives the moment of failure.  The bundle's spans are not
+   kept here: they are read from the completed-request ring (Ctx), where
+   every served request already left its own.
 
    The standard Xmobs contract holds: [enabled] is one atomic load, and
    every entry point is a no-op that allocates nothing when the recorder
-   is off.  When on, ring writes take a single mutex held for an array
-   store — cheap enough to leave enabled in production (the bench section
+   is off.  When on, ring writes take a single mutex held for a ring
+   push — cheap enough to leave enabled in production (the bench section
    [bench/main.exe -- flight] pins the enabled-idle overhead).
 
-   Dependency direction: Flight sits above Trace/Qlog/Metrics inside
+   Dependency direction: Flight sits above Trace/Ctx/Qlog/Metrics inside
    xmobs and knows nothing about serve, the cache, or stores.  Context
    that only the server can provide (store generations, cache
    introspection, config, SLO state, the request ring) arrives through
@@ -37,17 +38,12 @@ type state = {
   dir : string;
   retention : int;
   cooldown_s : float;
-  span_ring : Trace.entry option array;
-  mutable span_appended : int;
-  qlog_ring : Qlog.entry option array;
-  mutable qlog_appended : int;
-  snap_ring : (float * Xmutil.Json.t) option array;
-  mutable snap_appended : int;
+  qlog_ring : Qlog.entry Xmutil.Ring.t;
+  snap_ring : (float * Xmutil.Json.t) Xmutil.Ring.t;
   mutable last_snap : float;
   snap_every_s : float;
   mutable last_fired : (trigger_kind * float) list; (* per-kind cooldown *)
   mutable seq : int; (* disambiguates bundles written in the same ms *)
-  mutable owns_tracer : bool;
   mutable context : (unit -> Xmutil.Json.t) option;
   lock : Mutex.t;
 }
@@ -60,7 +56,8 @@ let state : state option ref = ref None
 
 let enabled () = Atomic.get on
 
-let default_span_ring = 2048
+(* The most span entries a bundle carries. *)
+let bundle_spans = 2048
 
 let default_qlog_ring = 256
 
@@ -74,24 +71,12 @@ let locked st f =
 
 (* ---------- ring feeds (hot path when enabled) ---------- *)
 
-let note_entry e =
-  if Atomic.get on then
-    match !state with
-    | None -> ()
-    | Some st ->
-        locked st (fun () ->
-            let cap = Array.length st.span_ring in
-            st.span_ring.(st.span_appended mod cap) <- Some e;
-            st.span_appended <- st.span_appended + 1)
-
 (* Metric snapshots ride on the qlog feed: one per [snap_every_s] at
    most, taken while the lock is already held.  No sampling thread. *)
 let snapshot_unlocked st now =
   if now -. st.last_snap >= st.snap_every_s then begin
     st.last_snap <- now;
-    let cap = Array.length st.snap_ring in
-    st.snap_ring.(st.snap_appended mod cap) <- Some (now, Metrics.to_json ());
-    st.snap_appended <- st.snap_appended + 1
+    Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
   end
 
 let note_qlog e =
@@ -100,9 +85,7 @@ let note_qlog e =
     | None -> ()
     | Some st ->
         locked st (fun () ->
-            let cap = Array.length st.qlog_ring in
-            st.qlog_ring.(st.qlog_appended mod cap) <- Some e;
-            st.qlog_appended <- st.qlog_appended + 1;
+            Xmutil.Ring.push st.qlog_ring e;
             snapshot_unlocked st (Unix.gettimeofday ()))
 
 let set_context_provider f =
@@ -110,12 +93,34 @@ let set_context_provider f =
 
 (* ---------- bundle assembly ---------- *)
 
-let ring_contents ring appended =
-  let cap = Array.length ring in
-  let first = max 0 (appended - cap) in
-  List.filter_map
-    (fun k -> ring.((first + k) mod cap))
-    (List.init (appended - first) Fun.id)
+(* The newest completed requests' entries, at most [bundle_spans] of
+   them, newest kept.  Each request's timestamps count from its own
+   creation; shifting them by its [c_ts] puts every request on one clock,
+   microseconds since the earliest kept request began. *)
+let request_spans () =
+  let rec keep budget acc = function
+    | (c : Ctx.completed) :: older when budget > 0 ->
+        let es = c.Ctx.c_entries in
+        let n = List.length es in
+        let es =
+          if n <= budget then es
+          else List.filteri (fun i _ -> i >= n - budget) es
+        in
+        keep (budget - n) ((c.Ctx.c_ts, es) :: acc) older
+    | _ -> acc
+  in
+  let kept = keep bundle_spans [] (Ctx.completed ()) in
+  let epoch = List.fold_left (fun m (ts, _) -> Float.min m ts) infinity kept in
+  List.concat_map
+    (fun (ts, es) ->
+      let off = (ts -. epoch) *. 1e6 in
+      List.map
+        (function
+          | Trace.Span s -> Trace.Span { s with start_us = s.start_us +. off }
+          | Trace.Event e ->
+              Trace.Event { e with ev_ts_us = e.ev_ts_us +. off })
+        es)
+    kept
 
 let selfmetrics_json () =
   let opt_int name v rest =
@@ -133,7 +138,7 @@ let bundle_unlocked st ~kind ~reason ~now =
         Xmutil.Json.Obj
           [ ("ts_ms", Xmutil.Json.Int (int_of_float (Float.round (ts *. 1000.))));
             ("metrics", m) ])
-      (ring_contents st.snap_ring st.snap_appended)
+      (Xmutil.Ring.to_list st.snap_ring)
   in
   Xmutil.Json.Obj
     [ ("version", Xmutil.Json.Int version);
@@ -142,11 +147,10 @@ let bundle_unlocked st ~kind ~reason ~now =
          [ ("kind", Xmutil.Json.String (kind_to_string kind));
            ("reason", Xmutil.Json.String reason);
            ("ts_ms", Xmutil.Json.Int (int_of_float (Float.round (now *. 1000.)))) ]);
-      ("trace",
-       Trace.json_of_entries (ring_contents st.span_ring st.span_appended));
+      ("trace", Trace.json_of_entries (request_spans ()));
       ("qlog",
        Xmutil.Json.List
-         (List.map Qlog.entry_to_json (ring_contents st.qlog_ring st.qlog_appended)));
+         (List.map Qlog.entry_to_json (Xmutil.Ring.to_list st.qlog_ring)));
       ("metrics", Metrics.to_json ());
       ("snapshots", Xmutil.Json.List snaps);
       ("selfmetrics", selfmetrics_json ());
@@ -248,36 +252,28 @@ let trigger ?(force = false) ~kind ~reason () =
 
 let shutdown_registered = ref false
 
-let enable ?(span_ring = default_span_ring) ?(qlog_ring = default_qlog_ring)
+let enable ?(qlog_ring = default_qlog_ring)
     ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
     ?(snap_every_s = 1.0) ~dir () =
   (try Unix.mkdir dir 0o755 with
   | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   | Unix.Unix_error _ -> ());
-  let owns_tracer = not (Trace.tracing ()) in
-  if owns_tracer then Trace.enable ();
   let st =
     {
       dir;
       retention = max 1 retention;
       cooldown_s = Float.max 0.0 cooldown_s;
-      span_ring = Array.make (max 1 span_ring) None;
-      span_appended = 0;
-      qlog_ring = Array.make (max 1 qlog_ring) None;
-      qlog_appended = 0;
-      snap_ring = Array.make 32 None;
-      snap_appended = 0;
+      qlog_ring = Xmutil.Ring.create qlog_ring;
+      snap_ring = Xmutil.Ring.create 32;
       last_snap = 0.0;
       snap_every_s = Float.max 0.01 snap_every_s;
       last_fired = [];
       seq = 0;
-      owns_tracer;
       context = None;
       lock = Mutex.create ();
     }
   in
   state := Some st;
-  Trace.set_mirror (Some note_entry);
   Atomic.set on true;
   if not !shutdown_registered then begin
     shutdown_registered := true;
@@ -298,20 +294,7 @@ let enable ?(span_ring = default_span_ring) ?(qlog_ring = default_qlog_ring)
 
 let disable () =
   Atomic.set on false;
-  (match !state with
-  | Some st when st.owns_tracer -> Trace.disable ()
-  | _ -> ());
-  Trace.set_mirror None;
   state := None
 
-(* Test/introspection helpers: current ring occupancy (never exceeds the
-   configured capacity). *)
-let span_count () =
-  match !state with
-  | None -> 0
-  | Some st -> min st.span_appended (Array.length st.span_ring)
-
 let qlog_count () =
-  match !state with
-  | None -> 0
-  | Some st -> min st.qlog_appended (Array.length st.qlog_ring)
+  match !state with None -> 0 | Some st -> Xmutil.Ring.length st.qlog_ring

@@ -1,18 +1,19 @@
 (** The flight recorder: always-on black-box capture for incident
     forensics.
 
-    While enabled, bounded rings hold the most recent telemetry — span
-    entries mirrored from {!Trace} (the recorder turns the tracer on if
-    nothing else has), query-log records fed by the execution path, and
-    periodic metric snapshots.  A {!trigger} — SLO breach, error-rate
-    threshold, fatal signal, or a manual request — atomically writes the
-    rings plus injected server context as a versioned JSON incident
-    bundle under the configured directory, with bounded retention.
+    While enabled, bounded rings hold the most recent query-log records
+    fed by the execution path and periodic metric snapshots.  A
+    {!trigger} — SLO breach, error-rate threshold, fatal signal, or a
+    manual request — atomically writes them, the spans of the newest
+    completed requests ({!Ctx.completed}, at most 2048 entries, newest
+    kept) and injected server context as a versioned JSON incident
+    bundle under the configured directory, with bounded retention.  The
+    recorder keeps no spans of its own and leaves {!Trace} alone.
 
     The standard [Xmobs] contract: {!enabled} is a single atomic load
     and every entry point allocates nothing when the recorder is off
     (pinned by the Gc test); when on, ring writes cost one short
-    mutex-protected array store. *)
+    mutex-protected ring push. *)
 
 val version : int
 (** Bundle format version, written as the top-level ["version"] field. *)
@@ -34,7 +35,6 @@ val kinds : string list
     one list bundle validation and dashboards enumerate. *)
 
 val enable :
-  ?span_ring:int ->
   ?qlog_ring:int ->
   ?retention:int ->
   ?cooldown_s:float ->
@@ -43,13 +43,12 @@ val enable :
   unit ->
   unit
 (** Turn the recorder on, writing bundles under [dir] (created if
-    missing).  [span_ring] (default 2048) and [qlog_ring] (default 256)
-    bound the telemetry rings; [retention] (default 16) bounds how many
+    missing).  [qlog_ring] (default 256) bounds the query-log ring;
+    [retention] (default 16) bounds how many
     bundles are kept on disk — oldest deleted first; [cooldown_s]
     (default 30) suppresses repeat triggers of the same kind;
     [snap_every_s] (default 1) paces the metric snapshots taken on the
-    query feed.  Enables {!Trace} if it is not already on (and turns it
-    back off on {!disable}), and registers a {!Shutdown} hook that
+    query feed.  Registers a {!Shutdown} hook that
     writes a [signal] bundle when the process dies on a termination
     signal. *)
 
@@ -57,11 +56,6 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 (** One atomic load. *)
-
-val note_entry : Trace.entry -> unit
-(** Feed a span/event into the recorder's span ring.  Registered as the
-    {!Trace} mirror by {!enable}; a no-op (zero allocation) when the
-    recorder is off. *)
 
 val note_qlog : Qlog.entry -> unit
 (** Feed an executed-query record into the recorder's qlog ring (and
@@ -91,10 +85,6 @@ val incidents : unit -> (string * int) list
 
 val dir : unit -> string option
 (** The incident directory, when the recorder is enabled. *)
-
-val span_count : unit -> int
-(** Entries currently held in the span ring (never exceeds its
-    capacity).  For tests and introspection. *)
 
 val qlog_count : unit -> int
 (** Records currently held in the qlog ring. *)

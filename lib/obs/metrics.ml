@@ -15,8 +15,8 @@
    the renderer's data-parallel sections); interning and histogram updates
    take a lock; gauges stay a bare mutable float — a word-sized write that
    cannot tear, with last-write-wins semantics that are the right ones for
-   a level anyway.  Observer lists and the current-registry/enabled toggles
-   are main-domain state. *)
+   a level anyway.  The enabled gate is an atomic; observer lists and the
+   current registry are main-domain state. *)
 
 type counter = { count : int Atomic.t }
 
@@ -83,15 +83,15 @@ let current = ref global
 
 let current_registry () = !current
 
-let enabled = ref false
+let enabled = Atomic.make false
 
-let is_enabled () = !enabled
+let is_enabled () = Atomic.get enabled
 
 let enable ?registry () =
   (match registry with Some r -> current := r | None -> ());
-  enabled := true
+  Atomic.set enabled true
 
-let disable () = enabled := false
+let disable () = Atomic.set enabled false
 
 (* Run [f] with [r] as the current registry (metrics stay enabled/disabled
    as they were). *)
@@ -261,20 +261,20 @@ let notify ?r () =
    Gauges are levels, not increments — they have no per-request meaning
    and are not mirrored. *)
 let inc ?(by = 1) name =
-  if !enabled then begin
+  if Atomic.get enabled then begin
     counter_add (counter name) by;
     Ctx.bump ~by name;
     notify ()
   end
 
 let set_gauge name v =
-  if !enabled then begin
+  if Atomic.get enabled then begin
     gauge_set (gauge name) v;
     notify ()
   end
 
 let observe name v =
-  if !enabled then begin
+  if Atomic.get enabled then begin
     hist_add (histogram name) v;
     Ctx.observe name v;
     notify ()
@@ -286,13 +286,13 @@ let observe name v =
    disabled path must still pre-intern handles if they need zero
    allocation — building the label list itself allocates. *)
 let inc_labeled ?(by = 1) name labels =
-  if !enabled then begin
+  if Atomic.get enabled then begin
     counter_add (counter_labeled name labels) by;
     notify ()
   end
 
 let observe_labeled name labels v =
-  if !enabled then begin
+  if Atomic.get enabled then begin
     hist_add (histogram_labeled name labels) v;
     notify ()
   end

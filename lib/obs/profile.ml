@@ -13,7 +13,7 @@
    [set_io_source]) and charge the difference to the frame.
 
    The profiler is off by default.  Every entry point checks a single
-   [bool ref]; instrumented hot paths guard on [profiling ()] and use the
+   atomic flag; instrumented hot paths guard on [profiling ()] and use the
    allocation-free [enter]/[exit] pair, so the disabled path is one branch
    and no allocation.  Cold call sites can use the closure-based [op]. *)
 
@@ -37,18 +37,18 @@ type state = {
   mutable stack : token list; (* open activations, innermost first *)
 }
 
-let on = ref false
+let on = Atomic.make false
 
 (* Retained after [disable] so a run can be exported post mortem. *)
 let state : state option ref = ref None
 
-let profiling () = !on
+let profiling () = Atomic.get on
 
 let enable () =
   state := Some { tops = []; stack = [] };
-  on := true
+  Atomic.set on true
 
-let disable () = on := false
+let disable () = Atomic.set on false
 
 (* Discard collected frames without changing the enabled flag. *)
 let reset () =
@@ -73,7 +73,7 @@ let fresh name =
 let dummy = { fr = fresh ""; t0 = 0.0; r0 = 0; w0 = 0 }
 
 let enter name =
-  if not !on then dummy
+  if not (Atomic.get on) then dummy
   else
     match !state with
     | None -> dummy
@@ -119,25 +119,25 @@ let exit ?(in_count = 0) ?(out_count = 0) tok =
 
 (* Attribute counts to the innermost open operator. *)
 let add_in n =
-  if !on then
+  if Atomic.get on then
     match !state with
     | Some { stack = t :: _; _ } -> t.fr.in_count <- t.fr.in_count + n
     | _ -> ()
 
 let add_out n =
-  if !on then
+  if Atomic.get on then
     match !state with
     | Some { stack = t :: _; _ } -> t.fr.out_count <- t.fr.out_count + n
     | _ -> ()
 
 let add_pairs n =
-  if !on then
+  if Atomic.get on then
     match !state with
     | Some { stack = t :: _; _ } -> t.fr.pairs <- t.fr.pairs + n
     | _ -> ()
 
 let op name f =
-  if not !on then f ()
+  if not (Atomic.get on) then f ()
   else
     let tok = enter name in
     match f () with

@@ -1,7 +1,7 @@
 (** Per-operator query profiler — EXPLAIN ANALYZE for the operator tree.
 
     Off by default and zero-cost when off: every entry point is a single
-    branch on a [bool ref], and the disabled path performs no allocation
+    branch on an atomic flag, and the disabled path performs no allocation
     (instrumented hot paths guard on {!profiling} and use the
     allocation-free {!enter}/{!exit} pair; {!op} is for cold sites).
 

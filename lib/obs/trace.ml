@@ -8,7 +8,7 @@
    [trace_event] JSON (load the file at chrome://tracing or ui.perfetto.dev).
 
    The whole tracer is off by default.  Every entry point checks a single
-   [bool ref] and falls through to the traced function without allocating,
+   atomic flag and falls through to the traced function without allocating,
    so instrumented pipelines pay one branch when tracing is disabled. *)
 
 type value = Bool of bool | Int of int | Float of float | String of string
@@ -32,103 +32,94 @@ type event = {
 
 type entry = Span of span | Event of event
 
-type state = {
-  ring : entry option array;
-  mutable appended : int; (* total entries ever appended *)
-  mutable stack : span list; (* open spans, innermost first *)
-  mutable next_id : int;
-  epoch : float;
-}
+(* One span recorder: a bounded ring of committed entries, the stack of
+   open spans, and the epoch timestamps count from.  The global tracer is
+   one; every request context (Ctx) owns another.  Single-writer by
+   design; the global one tolerates racing pool domains because the ring
+   does. *)
+module Recorder = struct
+  type t = {
+    ring : entry Xmutil.Ring.t;
+    mutable stack : span list; (* open spans, innermost first *)
+    mutable next_id : int;
+    epoch : float;
+  }
 
-let on = ref false
+  let create ~capacity ~epoch =
+    { ring = Xmutil.Ring.create capacity; stack = []; next_id = 0; epoch }
+
+  let now_us r = (Unix.gettimeofday () -. r.epoch) *. 1e6
+
+  let current_parent r = match r.stack with [] -> -1 | s :: _ -> s.id
+
+  let with_span ?(attrs = []) r name f =
+    let s =
+      { id = r.next_id; parent = current_parent r; name; start_us = now_us r;
+        dur_us = 0.0; attrs }
+    in
+    r.next_id <- r.next_id + 1;
+    r.stack <- s :: r.stack;
+    let finish () =
+      s.dur_us <- now_us r -. s.start_us;
+      (match r.stack with
+      | x :: rest when x == s -> r.stack <- rest
+      | _ -> r.stack <- List.filter (fun x -> x != s) r.stack);
+      Xmutil.Ring.push r.ring (Span s)
+    in
+    match f () with
+    | v ->
+        finish ();
+        v
+    | exception e ->
+        finish ();
+        raise e
+
+  (* Attach an attribute to the innermost open span. *)
+  let add_attr r key v =
+    match r.stack with s :: _ -> s.attrs <- (key, v) :: s.attrs | [] -> ()
+
+  let event ~counter ~attrs r name =
+    Xmutil.Ring.push r.ring
+      (Event
+         { ev_name = name; ev_ts_us = now_us r; ev_parent = current_parent r;
+           ev_counter = counter; ev_attrs = attrs })
+
+  let entries r = Xmutil.Ring.to_list r.ring
+end
+
+let on = Atomic.make false
 
 (* Retained after [disable] so a run can be exported post mortem. *)
-let state : state option ref = ref None
+let state : Recorder.t option ref = ref None
 
 let default_capacity = 1 lsl 15
 
 let enable ?(capacity = default_capacity) () =
-  state :=
-    Some
-      {
-        ring = Array.make (max 1 capacity) None;
-        appended = 0;
-        stack = [];
-        next_id = 0;
-        epoch = Unix.gettimeofday ();
-      };
-  on := true
+  state := Some (Recorder.create ~capacity ~epoch:(Unix.gettimeofday ()));
+  Atomic.set on true
 
-let disable () = on := false
+let disable () = Atomic.set on false
 
-let tracing () = !on
+let tracing () = Atomic.get on
 
-let reset () = if !on || !state <> None then enable ()
+let reset () = if Atomic.get on || !state <> None then enable ()
 
-let now_us st = (Unix.gettimeofday () -. st.epoch) *. 1e6
-
-(* Mirror hook: every entry committed to the ring is also handed to this
-   callback.  The flight recorder (Flight) registers itself here to feed
-   its own bounded span ring — a ref-based hook rather than a direct call
-   keeps the dependency pointing from Flight to Trace, not back.  Only
-   consulted on the recording path, which already allocates, so the
-   disabled-tracer zero-allocation contract is untouched. *)
-let mirror : (entry -> unit) option ref = ref None
-
-let set_mirror f = mirror := f
-
-let append st e =
-  let cap = Array.length st.ring in
-  st.ring.(st.appended mod cap) <- Some e;
-  st.appended <- st.appended + 1;
-  match !mirror with Some f -> f e | None -> ()
-
-let current_parent st = match st.stack with [] -> -1 | s :: _ -> s.id
-
-let with_span ?(attrs = []) name f =
-  if not !on then f ()
+let with_span ?attrs name f =
+  if not (Atomic.get on) then f ()
   else
     match !state with
     | None -> f ()
-    | Some st ->
-        let s =
-          { id = st.next_id; parent = current_parent st; name;
-            start_us = now_us st; dur_us = 0.0; attrs }
-        in
-        st.next_id <- st.next_id + 1;
-        st.stack <- s :: st.stack;
-        let finish () =
-          s.dur_us <- now_us st -. s.start_us;
-          (match st.stack with
-          | x :: rest when x == s -> st.stack <- rest
-          | _ -> st.stack <- List.filter (fun x -> x != s) st.stack);
-          append st (Span s)
-        in
-        (match f () with
-        | v ->
-            finish ();
-            v
-        | exception e ->
-            finish ();
-            raise e)
+    | Some r -> Recorder.with_span ?attrs r name f
 
-(* Attach an attribute to the innermost open span. *)
 let add_attr key v =
-  if !on then
-    match !state with
-    | Some { stack = s :: _; _ } -> s.attrs <- (key, v) :: s.attrs
-    | _ -> ()
+  if Atomic.get on then
+    match !state with Some r -> Recorder.add_attr r key v | None -> ()
 
 let event ?(counter = false) ?(attrs = []) name =
-  if !on then
+  if Atomic.get on then
     match !state with
+    | Some r -> Recorder.event ~counter ~attrs r name
     | None -> ()
-    | Some st ->
-        append st
-          (Event
-             { ev_name = name; ev_ts_us = now_us st;
-               ev_parent = current_parent st; ev_counter = counter;
-               ev_attrs = attrs })
 
 let instant ?attrs name = event ?attrs name
 
@@ -137,14 +128,7 @@ let counter name attrs = event ~counter:true ~attrs name
 
 (* Ring contents, oldest first. *)
 let entries () =
-  match !state with
-  | None -> []
-  | Some st ->
-      let cap = Array.length st.ring in
-      let first = max 0 (st.appended - cap) in
-      List.filter_map
-        (fun k -> st.ring.((first + k) mod cap))
-        (List.init (st.appended - first) Fun.id)
+  match !state with None -> [] | Some r -> Recorder.entries r
 
 let spans () =
   let ss = List.filter_map (function Span s -> Some s | Event _ -> None) (entries ()) in
@@ -166,8 +150,8 @@ let args_of attrs =
 
 (* Chrome trace_event format: an object with a [traceEvents] list of complete
    ('X'), counter ('C') and instant ('i') events, timestamps in microseconds.
-   Factored over an explicit entry list so per-request contexts (Ctx) export
-   their own span buffers through the identical code path. *)
+   Factored over an explicit entry list so per-request spans (Ctx) and
+   incident bundles (Flight) export through the identical code path. *)
 let json_of_entries es =
   let common name ts =
     [ ("name", Xmutil.Json.String name); ("ts", Xmutil.Json.Float ts);

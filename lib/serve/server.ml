@@ -561,7 +561,7 @@ let debug_trace trace_id =
           ("outcome", Xmutil.Json.String c.Xmobs.Ctx.c_outcome);
           ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
           ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.));
-          ("trace", c.Xmobs.Ctx.c_trace);
+          ("trace", Xmobs.Trace.json_of_entries c.Xmobs.Ctx.c_entries);
           ("metrics", c.Xmobs.Ctx.c_metrics) ]
         @ (match c.Xmobs.Ctx.c_profile with
           | None -> []

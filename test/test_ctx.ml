@@ -148,6 +148,18 @@ let test_span_ring_bound () =
   Alcotest.(check (list string))
     "ring keeps the newest spans" [ "s6"; "s7"; "s8" ] (span_names ctx)
 
+(* A context allocates its span slots as spans arrive, not its bound up
+   front: creating one is cheap enough for every served request. *)
+let test_create_is_small () =
+  ignore (Sys.opaque_identity (Ctx.create ()));
+  let mi0, pr0, ma0 = Gc.counters () in
+  let ctx = Sys.opaque_identity (Ctx.create ()) in
+  let mi1, pr1, ma1 = Gc.counters () in
+  ignore ctx;
+  let words = mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0) in
+  if words >= 512.0 then
+    Alcotest.failf "Ctx.create allocated %.0f words" words
+
 let test_trace_json_parses () =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
@@ -346,6 +358,8 @@ let suite =
       `Quick test_spans_land_in_ctx;
     Alcotest.test_case "context span ring is bounded" `Quick
       test_span_ring_bound;
+    Alcotest.test_case "context creation allocates under 512 words" `Quick
+      test_create_is_small;
     Alcotest.test_case "context trace JSON parses" `Quick
       test_trace_json_parses;
     Alcotest.test_case "per-ctx I/O sums to the global delta" `Quick

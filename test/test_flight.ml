@@ -1,8 +1,8 @@
 (* The flight recorder: bounded ring occupancy, bundle write + offline
    round-trip through the incident viewer, retention, per-kind cooldown,
-   the disabled no-op contract, context-provider injection, and — the
-   concurrency property the recorder's span mirror rides on — Trace ring
-   eviction under concurrent writers never overflows capacity or leaves a
+   the disabled no-op contract, context-provider injection, the bundle's
+   spans read from the completed-request ring, and Trace ring eviction
+   under concurrent writers never overflowing capacity or leaving a
    malformed survivor. *)
 
 module Flight = Xmobs.Flight
@@ -27,22 +27,15 @@ let rm_rf dir =
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
 
-(* Every test leaves the recorder (and the tracer it may have turned on)
-   off, whatever happens inside. *)
-let with_flight ?span_ring ?qlog_ring ?retention ?cooldown_s ?snap_every_s f =
+(* Every test leaves the recorder off, whatever happens inside. *)
+let with_flight ?qlog_ring ?retention ?cooldown_s ?snap_every_s f =
   let dir = tmp_dir () in
-  Flight.enable ?span_ring ?qlog_ring ?retention ?cooldown_s ?snap_every_s
-    ~dir ();
+  Flight.enable ?qlog_ring ?retention ?cooldown_s ?snap_every_s ~dir ();
   Fun.protect
     ~finally:(fun () ->
       Flight.disable ();
       rm_rf dir)
     (fun () -> f dir)
-
-let mk_event name =
-  Xmobs.Trace.Event
-    { Xmobs.Trace.ev_name = name; ev_ts_us = 0.0; ev_parent = -1;
-      ev_counter = false; ev_attrs = [] }
 
 let mk_qlog id =
   { Xmobs.Qlog.ts = 1754000000.0; id; trace_id = None; source = "test";
@@ -52,12 +45,10 @@ let mk_qlog id =
     out_nodes = 1; io = None; jobs = 1; cached = false; generation = Some 3 }
 
 let test_rings_bounded () =
-  with_flight ~span_ring:8 ~qlog_ring:4 (fun _dir ->
+  with_flight ~qlog_ring:4 (fun _dir ->
       for i = 1 to 50 do
-        Flight.note_entry (mk_event (Printf.sprintf "e%d" i));
         Flight.note_qlog (mk_qlog i)
       done;
-      Alcotest.(check int) "span ring capped" 8 (Flight.span_count ());
       Alcotest.(check int) "qlog ring capped" 4 (Flight.qlog_count ()))
 
 let read_file path =
@@ -67,9 +58,8 @@ let read_file path =
   text
 
 let test_trigger_writes_roundtrippable_bundle () =
-  with_flight ~span_ring:16 ~qlog_ring:8 (fun dir ->
+  with_flight ~qlog_ring:8 (fun dir ->
       for i = 1 to 20 do
-        Flight.note_entry (mk_event (Printf.sprintf "e%d" i));
         Flight.note_qlog (mk_qlog i)
       done;
       match Flight.trigger ~kind:Flight.Manual ~reason:"unit test" () with
@@ -98,8 +88,6 @@ let test_trigger_writes_roundtrippable_bundle () =
                (fun (e : Xmobs.Qlog.entry) ->
                  e.Xmobs.Qlog.generation = Some 3)
                t.Xmserve.Incident.qlog);
-          Alcotest.(check int) "span ring captured (capacity bound)" 16
-            (List.length t.Xmserve.Incident.trace_events);
           (* And the renderer accepts it. *)
           Alcotest.(check bool) "report renders" true
             (String.length (Xmserve.Incident.to_text t) > 0))
@@ -136,9 +124,7 @@ let test_cooldown_and_force () =
 let test_disabled_is_noop () =
   Flight.disable ();
   Alcotest.(check bool) "disabled" false (Flight.enabled ());
-  Flight.note_entry (mk_event "e");
   Flight.note_qlog (mk_qlog 1);
-  Alcotest.(check int) "no span recorded" 0 (Flight.span_count ());
   Alcotest.(check int) "no qlog recorded" 0 (Flight.qlog_count ());
   Alcotest.(check bool) "trigger declines" true
     (Flight.trigger ~kind:Flight.Manual ~reason:"x" () = None);
@@ -172,22 +158,56 @@ let test_context_provider () =
                 (List.assoc_opt "context" fields = Some Xmutil.Json.Null)
           | _ -> Alcotest.fail "bundle is not an object"))
 
-(* Enabling the recorder turns the tracer on (when nothing else has) and
-   mirrors every committed entry into the span ring; disabling hands the
-   tracer back. *)
-let test_trace_mirror () =
-  Xmobs.Trace.disable ();
-  with_flight (fun _dir ->
-      Alcotest.(check bool) "recorder turned the tracer on" true
-        (Xmobs.Trace.tracing ());
-      Xmobs.Trace.with_span "mirrored" (fun () -> ());
-      Alcotest.(check bool) "span mirrored into the flight ring" true
-        (Flight.span_count () > 0));
-  Alcotest.(check bool) "recorder turned the tracer back off" false
-    (Xmobs.Trace.tracing ())
+let bundle_events dir name =
+  let t =
+    Xmserve.Incident.of_json
+      (Xmutil.Json.of_string (read_file (Filename.concat dir name)))
+  in
+  List.filter_map
+    (function
+      | Xmutil.Json.Obj f -> (
+          match (List.assoc_opt "name" f, List.assoc_opt "ts" f) with
+          | Some (Xmutil.Json.String n), Some (Xmutil.Json.Float ts) ->
+              Some (n, ts)
+          | Some (Xmutil.Json.String n), Some (Xmutil.Json.Int ts) ->
+              Some (n, float_of_int ts)
+          | _ -> None)
+      | _ -> None)
+    t.Xmserve.Incident.trace_events
 
-(* The concurrency property under the mirror: however many writers race
-   on the Trace ring, at every job count, the ring never exceeds its
+let finish_with_spans names =
+  let ctx = Xmobs.Ctx.create () in
+  List.iter (fun n -> Xmobs.Ctx.with_span ctx n (fun () -> ())) names;
+  Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001
+
+(* The bundle's spans are the finished requests' own: both requests', in
+   wall-clock order, capped at 2048 entries with the newest kept. *)
+let test_bundle_spans_from_requests () =
+  Xmobs.Ctx.reset_completed ();
+  Fun.protect ~finally:Xmobs.Ctx.reset_completed @@ fun () ->
+  with_flight ~cooldown_s:0.0 (fun dir ->
+      finish_with_spans [ "a1"; "a2" ];
+      Unix.sleepf 0.002;
+      finish_with_spans [ "b1"; "b2"; "b3" ];
+      (match Flight.trigger ~kind:Flight.Manual ~reason:"two" () with
+      | None -> Alcotest.fail "trigger returned no bundle"
+      | Some name ->
+          let evs = bundle_events dir name in
+          Alcotest.(check (list string)) "both requests' spans, oldest first"
+            [ "a1"; "a2"; "b1"; "b2"; "b3" ] (List.map fst evs);
+          let ts = List.map snd evs in
+          Alcotest.(check bool) "timestamps read in wall-clock order" true
+            (List.sort Float.compare ts = ts));
+      let big = List.init 3000 (Printf.sprintf "c%d") in
+      finish_with_spans big;
+      match Flight.trigger ~kind:Flight.Manual ~reason:"big" () with
+      | None -> Alcotest.fail "trigger returned no bundle"
+      | Some name ->
+          Alcotest.(check (list string)) "capped at 2048, newest kept"
+            (List.filteri (fun i _ -> i >= 3000 - 2048) big)
+            (List.map fst (bundle_events dir name)))
+
+(* However many writers race on the Trace ring, at every job count, the ring never exceeds its
    capacity and every surviving entry is whole and well-formed. *)
 let trace_ring_survives ~jobs ~capacity ~writers =
   with_jobs jobs @@ fun () ->
@@ -232,7 +252,7 @@ let suite =
       test_disabled_is_noop;
     Alcotest.test_case "context provider is embedded (null on raise)" `Quick
       test_context_provider;
-    Alcotest.test_case "trace mirror feeds the span ring" `Quick
-      test_trace_mirror;
+    Alcotest.test_case "bundle spans come from the request ring" `Quick
+      test_bundle_spans_from_requests;
     QCheck_alcotest.to_alcotest prop_trace_ring_concurrent;
   ]

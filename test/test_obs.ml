@@ -446,13 +446,8 @@ let test_disabled_path_no_alloc () =
     { Xmcache.body = "x"; is_query = false; classification = None;
       out_nodes = 0 }
   in
-  (* Pre-built telemetry records so the disabled flight-recorder mirror
-     calls below have nothing to construct. *)
-  let trace_entry =
-    Trace.Event
-      { Trace.ev_name = "x"; ev_ts_us = 0.0; ev_parent = -1;
-        ev_counter = false; ev_attrs = [] }
-  in
+  (* A pre-built query-log record so the disabled flight-recorder feed
+     below has nothing to construct. *)
   let qlog_entry =
     { Xmobs.Qlog.ts = 0.0; id = 0; trace_id = None; source = "test";
       doc = ""; guard = "x"; guard_hash = "x"; query_hash = None;
@@ -500,10 +495,9 @@ let test_disabled_path_no_alloc () =
       ~compact:false ~enforce:false res_entry;
     ignore (Sys.opaque_identity (Xmobs.Ctx.current ()));
     ignore (Sys.opaque_identity (Xmobs.Ctx.current_trace_id ()));
-    (* The flight recorder: each disabled mirror entry point is one
-       atomic load, never a ring write or an allocation. *)
+    (* The flight recorder: each disabled entry point is one atomic
+       load, never a ring write or an allocation. *)
     ignore (Sys.opaque_identity (Xmobs.Flight.enabled ()));
-    Xmobs.Flight.note_entry trace_entry;
     Xmobs.Flight.note_qlog qlog_entry;
     (* The alerting evaluator's gate is one atomic load. *)
     ignore (Sys.opaque_identity (Xmobs.Alerts.enabled ()))
