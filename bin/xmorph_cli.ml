@@ -1055,8 +1055,8 @@ let serve_cmd =
     Arg.(value & opt (some int) None
          & info [ "debug-ring" ] ~docv:"N"
              ~doc:"Capacity of the completed-request ring behind GET \
-                   /debug/requests and the spans of incident bundles \
-                   (1..65536; default 256).")
+                   /debug/requests and the spans and query records of \
+                   incident bundles (1..65536; default 256).")
   in
   let alert_rules =
     Arg.(value & opt (some string) None
@@ -1604,15 +1604,7 @@ let top_cmd =
   Cmd.v (Cmd.info "top" ~doc)
     Term.(const run $ obs_term $ url $ interval $ once $ json)
 
-let setup_logs () =
-  (* XMORPH_DEBUG=1 turns on per-phase debug timing on stderr. *)
-  if Sys.getenv_opt "XMORPH_DEBUG" <> None then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end
-
 let main =
-  setup_logs ();
   let doc = "shape-polymorphic XML transformations (XMorph 2.0)" in
   let info = Cmd.info "xmorph" ~version:"2.0" ~doc in
   Cmd.group info

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "xmorph" ~doc:"XMorph interpreter"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type t = {
   source : string;
   ast : Ast.t;
@@ -17,7 +13,6 @@ let compile ?(enforce = true) guide source =
   Xmobs.Obs.phase "compile" ~attrs:[ ("guard", Xmobs.Trace.String source) ]
   @@ fun () ->
   Xmobs.Profile.op "compile" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
   let ast =
     try Parse.guard source
     with e -> (
@@ -37,10 +32,6 @@ let compile ?(enforce = true) guide source =
     else Loss.analyze ~warnings:sem.warnings guide sem.shape
   in
   let loss = { loss with Report.warnings = sem.warnings @ loss.Report.warnings } in
-  Log.debug (fun m ->
-      m "compiled %S in %.1fms: %s" source
-        (1000. *. (Unix.gettimeofday () -. t0))
-        (Report.classification_to_string loss.Report.classification));
   { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss }
 
 (* The static half of predicted-vs-actual: walk the sourced edges of the
@@ -75,12 +66,7 @@ let predicted_joins guide (t : t) =
   List.iter walk t.shape.Tshape.roots;
   List.rev !out
 
-let render store t =
-  let t0 = Unix.gettimeofday () in
-  let tree = Render.to_tree store t.shape in
-  Log.debug (fun m ->
-      m "rendered %S in %.1fms" t.source (1000. *. (Unix.gettimeofday () -. t0)));
-  tree
+let render store t = Render.to_tree store t.shape
 
 let render_to_buffer store t buf = Render.to_buffer store t.shape buf
 

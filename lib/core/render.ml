@@ -438,6 +438,16 @@ let strip_at s =
   if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
   else s
 
+(* A leaf child with exactly one instance whose source type is an
+   attribute renders as an attribute of its parent; [emit], [stream] and
+   [Nav] all split children by this one test. *)
+let is_attr_child rctx (c : Tshape.node) insts =
+  Array.length insts = 1 && c.children = []
+  && (match c.source with
+     | Some cty ->
+         Xml.Type_table.is_attribute (Store_.Shredded.types rctx.store) cty
+     | None -> false)
+
 (* Instances of child [c] in the context of the key instance [key] (the
    parent's own instance, or — under a NEW parent — its anchor instance). *)
 let child_instances plan (c : Tshape.node) key =
@@ -463,15 +473,7 @@ let rec emit rctx plan (tn : Tshape.node) id : Xml.Tree.t =
       List.iter
         (fun (c : Tshape.node) ->
           let insts = child_instances plan c id in
-          let as_attribute =
-            Array.length insts = 1 && c.children = []
-            && (match c.source with
-               | Some cty ->
-                   Xml.Type_table.is_attribute
-                     (Store_.Shredded.types rctx.store) cty
-               | None -> false)
-          in
-          if as_attribute then begin
+          if is_attr_child rctx c insts then begin
             let arec = Store_.Shredded.node rctx.store insts.(0) in
             attrs := (strip_at c.out_name, arec.value) :: !attrs
           end
@@ -569,30 +571,6 @@ let stream store (shape : Tshape.t) sink =
     bytes := !bytes + String.length s;
     sink s
   in
-  let buf = Buffer.create 256 in
-  let out_escaped_text s =
-    Buffer.clear buf;
-    String.iter
-      (function
-        | '&' -> Buffer.add_string buf "&amp;"
-        | '<' -> Buffer.add_string buf "&lt;"
-        | '>' -> Buffer.add_string buf "&gt;"
-        | c -> Buffer.add_char buf c)
-      s;
-    out (Buffer.contents buf)
-  in
-  let out_escaped_attr s =
-    Buffer.clear buf;
-    String.iter
-      (function
-        | '&' -> Buffer.add_string buf "&amp;"
-        | '<' -> Buffer.add_string buf "&lt;"
-        | '>' -> Buffer.add_string buf "&gt;"
-        | '"' -> Buffer.add_string buf "&quot;"
-        | c -> Buffer.add_char buf c)
-      s;
-    out (Buffer.contents buf)
-  in
   let rec walk (tn : Tshape.node) id =
     incr elements;
     let value, attrs, elems =
@@ -605,15 +583,7 @@ let stream store (shape : Tshape.t) sink =
           List.iter
             (fun (c : Tshape.node) ->
               let insts = child_instances plan c id in
-              let as_attribute =
-                Array.length insts = 1 && c.children = []
-                && (match c.source with
-                   | Some cty ->
-                       Xml.Type_table.is_attribute
-                         (Store_.Shredded.types rctx.store) cty
-                   | None -> false)
-              in
-              if as_attribute then begin
+              if is_attr_child rctx c insts then begin
                 incr elements;
                 let arec = Store_.Shredded.node rctx.store insts.(0) in
                 attrs := (strip_at c.out_name, arec.value) :: !attrs
@@ -638,13 +608,13 @@ let stream store (shape : Tshape.t) sink =
         out " ";
         out k;
         out "=\"";
-        out_escaped_attr v;
+        out (Xml.Printer.escape_attr v);
         out "\"")
       attrs;
     if value = "" && elems = [] then out "/>"
     else begin
       out ">";
-      if value <> "" then out_escaped_text value;
+      if value <> "" then out (Xml.Printer.escape_text value);
       List.iter (fun (c, cid) -> walk c cid) elems;
       out "</";
       out name;
@@ -679,8 +649,6 @@ let stream store (shape : Tshape.t) sink =
     shape.roots;
   Store_.Io_stats.charge_write (Store_.Shredded.stats store) !bytes;
   { elements = !elements; bytes = !bytes }
-
-let to_channel store shape oc = stream store shape (output_string oc)
 
 let to_buffer store shape buf =
   let trees = to_trees store shape in
@@ -822,17 +790,10 @@ module Nav = struct
     | Some _ when id >= 0 -> (Store_.Shredded.node t.rctx.store id).value
     | _ -> ""
 
-  let is_attr_child t (c : Tshape.node) kids =
-    Array.length kids = 1 && c.children = []
-    && (match c.source with
-       | Some cty ->
-           Xml.Type_table.is_attribute (Store_.Shredded.types t.rctx.store) cty
-       | None -> false)
-
   let attributes t tn id =
     List.filter_map
       (fun ((c : Tshape.node), kids) ->
-        if is_attr_child t c kids then
+        if is_attr_child t.rctx c kids then
           Some
             (strip_at c.out_name,
              (Store_.Shredded.node t.rctx.store kids.(0)).value)
@@ -841,7 +802,7 @@ module Nav = struct
 
   let element_children t tn id =
     List.filter
-      (fun ((c : Tshape.node), kids) -> not (is_attr_child t c kids))
+      (fun ((c : Tshape.node), kids) -> not (is_attr_child t.rctx c kids))
       (children t tn id)
 
   let materialize t (tn : Tshape.node) id =

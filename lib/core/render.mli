@@ -48,9 +48,6 @@ val stream : Store.Shredded.t -> Tshape.t -> (string -> unit) -> stats
     VII).  Only the per-edge join maps are held in memory; output fragments
     go straight to the sink.  Writes are charged per fragment. *)
 
-val to_channel : Store.Shredded.t -> Tshape.t -> out_channel -> stats
-(** [stream] into a channel. *)
-
 type edge_explanation = {
   parent : string;  (** rendered parent name (qualified source type) *)
   child : string;

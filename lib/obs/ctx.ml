@@ -127,6 +127,8 @@ type t = {
   mlock : Mutex.t;
   m_counters : (string, int ref) Hashtbl.t;
   m_observations : (string, (int * float) ref) Hashtbl.t;
+  (* the request's executed-query record, set by the installing thread *)
+  mutable qlog : Qlog.entry option;
 }
 
 let default_capacity = 4096
@@ -149,6 +151,7 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
     mlock = Mutex.create ();
     m_counters = Hashtbl.create 16;
     m_observations = Hashtbl.create 16;
+    qlog = None;
   }
 
 let trace_id t = t.trace_id
@@ -195,9 +198,6 @@ let current () =
     Mutex.unlock slots_lock;
     c
   end
-
-let current_trace_id () =
-  match current () with Some c -> Some c.trace_id | None -> None
 
 let with_ctx t f =
   install t;
@@ -295,6 +295,11 @@ let metrics_json t =
     [ ("counters", Xmutil.Json.Obj counters);
       ("observations", Xmutil.Json.Obj observations) ]
 
+(* ---------- the request's query record ---------- *)
+
+let attach_qlog e =
+  match current () with Some c -> c.qlog <- Some e | None -> ()
+
 (* ---------- the completed-request ring ---------- *)
 
 type completed = {
@@ -308,6 +313,7 @@ type completed = {
   c_span_count : int;
   c_entries : Trace.entry list;
   c_metrics : Xmutil.Json.t;
+  c_qlog : Qlog.entry option;
   mutable c_profile : Xmutil.Json.t option;
 }
 
@@ -342,6 +348,7 @@ let finish t ~label ~outcome ~status ~wall_s =
       c_span_count = span_count t;
       c_entries = entries t;
       c_metrics = metrics_json t;
+      c_qlog = t.qlog;
       c_profile = None;
     }
   in

@@ -23,10 +23,13 @@
     per-request I/O is exact at jobs = 1 and a lower bound otherwise.
 
     Completed requests land in a process-global bounded ring
-    ({!finish} / {!completed}) that backs the serve daemon's
-    [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and the
-    flight recorder's incident bundles; a slow-query capture can attach
-    a profiler JSON after the fact ({!attach_profile}). *)
+    ({!finish} / {!completed}), each with its executed-query record
+    ({!attach_qlog}).  The ring backs the serve daemon's
+    [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and is
+    all the flight recorder's incident bundles read of recent requests:
+    their spans, their query records and their summaries.  A slow-query
+    capture can attach a profiler JSON after the fact
+    ({!attach_profile}). *)
 
 type t
 
@@ -69,8 +72,6 @@ val current : unit -> t option
 (** The context installed on the calling thread.  When no context is
     installed on any thread this is one atomic load, no lock, no
     allocation. *)
-
-val current_trace_id : unit -> string option
 
 val active : unit -> bool
 (** True when any thread has an installed context (the zero-alloc gate
@@ -129,6 +130,13 @@ val metrics_json : t -> Xmutil.Json.t
 (** Per-request metric increments:
     [{"counters": {...}, "observations": {name: {count, sum}}}]. *)
 
+(** {2 The request's query record} *)
+
+val attach_qlog : Qlog.entry -> unit
+(** Keep [e] as the calling thread's installed context's query record
+    (the last one wins); a no-op without a context.  Called by the
+    execution path beside [Qlog.submit]. *)
+
 (** {2 The completed-request ring} *)
 
 type completed = {
@@ -144,6 +152,9 @@ type completed = {
       (** {!entries} at finish, timestamped from [c_ts]; rendered with
           {!Trace.json_of_entries} when read *)
   c_metrics : Xmutil.Json.t;
+  c_qlog : Qlog.entry option;
+      (** the request's query record ({!attach_qlog}); [None] when the
+          request executed nothing *)
   mutable c_profile : Xmutil.Json.t option;
       (** attached by slow-query capture *)
 }

@@ -1,18 +1,18 @@
 (* The flight recorder: an always-on black box for incident forensics.
 
-   While enabled, it keeps bounded rings of recent query-log records fed
-   by [Exec.execute] and of periodic metric snapshots, and, on a trigger
-   (SLO breach, error-rate threshold, fatal signal, or a manual POST),
-   atomically writes them as a versioned JSON incident bundle so the
-   evidence survives the moment of failure.  The bundle's spans are not
-   kept here: they are read from the completed-request ring (Ctx), where
-   every served request already left its own.
+   While enabled, it keeps a bounded ring of periodic metric snapshots,
+   and, on a trigger (SLO breach, error-rate threshold, fatal signal, or a
+   manual POST), atomically writes a versioned JSON incident bundle so the
+   evidence survives the moment of failure.  The bundle's recent requests
+   are not kept here: their spans and query records are read from the
+   completed-request ring (Ctx), where every served request already left
+   its own.
 
    The standard Xmobs contract holds: [enabled] is one atomic load, and
    every entry point is a no-op that allocates nothing when the recorder
-   is off.  When on, ring writes take a single mutex held for a ring
-   push — cheap enough to leave enabled in production (the bench section
-   [bench/main.exe -- flight] pins the enabled-idle overhead).
+   is off.  When on, a snapshot feed takes a single mutex held for a clock
+   comparison — cheap enough to leave enabled in production (the bench
+   section [bench/main.exe -- flight] pins the enabled-idle overhead).
 
    Dependency direction: Flight sits above Trace/Ctx/Qlog/Metrics inside
    xmobs and knows nothing about serve, the cache, or stores.  Context
@@ -38,10 +38,8 @@ type state = {
   dir : string;
   retention : int;
   cooldown_s : float;
-  qlog_ring : Qlog.entry Xmutil.Ring.t;
   snap_ring : (float * Xmutil.Json.t) Xmutil.Ring.t;
   mutable last_snap : float;
-  snap_every_s : float;
   mutable last_fired : (trigger_kind * float) list; (* per-kind cooldown *)
   mutable seq : int; (* disambiguates bundles written in the same ms *)
   mutable context : (unit -> Xmutil.Json.t) option;
@@ -59,7 +57,8 @@ let enabled () = Atomic.get on
 (* The most span entries a bundle carries. *)
 let bundle_spans = 2048
 
-let default_qlog_ring = 256
+(* Metric snapshots are taken at most once per this many seconds. *)
+let snapshot_interval_s = 1.0
 
 let default_retention = 16
 
@@ -69,35 +68,32 @@ let locked st f =
   Mutex.lock st.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) f
 
-(* ---------- ring feeds (hot path when enabled) ---------- *)
+(* ---------- the snapshot feed (hot path when enabled) ---------- *)
 
-(* Metric snapshots ride on the qlog feed: one per [snap_every_s] at
-   most, taken while the lock is already held.  No sampling thread. *)
-let snapshot_unlocked st now =
-  if now -. st.last_snap >= st.snap_every_s then begin
-    st.last_snap <- now;
-    Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
-  end
-
-let note_qlog e =
+(* The server calls this after each query; no sampling thread. *)
+let snapshot () =
   if Atomic.get on then
     match !state with
     | None -> ()
     | Some st ->
+        let now = Unix.gettimeofday () in
         locked st (fun () ->
-            Xmutil.Ring.push st.qlog_ring e;
-            snapshot_unlocked st (Unix.gettimeofday ()))
+            if now -. st.last_snap >= snapshot_interval_s then begin
+              st.last_snap <- now;
+              Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
+            end)
 
 let set_context_provider f =
   match !state with None -> () | Some st -> st.context <- Some f
 
 (* ---------- bundle assembly ---------- *)
 
-(* The newest completed requests' entries, at most [bundle_spans] of
-   them, newest kept.  Each request's timestamps count from its own
-   creation; shifting them by its [c_ts] puts every request on one clock,
-   microseconds since the earliest kept request began. *)
-let request_spans () =
+(* The newest completed requests' entries ([requests] is newest first),
+   at most [bundle_spans] of them, newest kept.  Each request's
+   timestamps count from its own creation; shifting them by its [c_ts]
+   puts every request on one clock, microseconds since the earliest kept
+   request began. *)
+let request_spans requests =
   let rec keep budget acc = function
     | (c : Ctx.completed) :: older when budget > 0 ->
         let es = c.Ctx.c_entries in
@@ -109,7 +105,7 @@ let request_spans () =
         keep (budget - n) ((c.Ctx.c_ts, es) :: acc) older
     | _ -> acc
   in
-  let kept = keep bundle_spans [] (Ctx.completed ()) in
+  let kept = keep bundle_spans [] requests in
   let epoch = List.fold_left (fun m (ts, _) -> Float.min m ts) infinity kept in
   List.concat_map
     (fun (ts, es) ->
@@ -140,6 +136,8 @@ let bundle_unlocked st ~kind ~reason ~now =
             ("metrics", m) ])
       (Xmutil.Ring.to_list st.snap_ring)
   in
+  let requests = Ctx.completed () in
+  let qlog = List.rev (List.filter_map (fun c -> c.Ctx.c_qlog) requests) in
   Xmutil.Json.Obj
     [ ("version", Xmutil.Json.Int version);
       ("trigger",
@@ -147,10 +145,8 @@ let bundle_unlocked st ~kind ~reason ~now =
          [ ("kind", Xmutil.Json.String (kind_to_string kind));
            ("reason", Xmutil.Json.String reason);
            ("ts_ms", Xmutil.Json.Int (int_of_float (Float.round (now *. 1000.)))) ]);
-      ("trace", Trace.json_of_entries (request_spans ()));
-      ("qlog",
-       Xmutil.Json.List
-         (List.map Qlog.entry_to_json (Xmutil.Ring.to_list st.qlog_ring)));
+      ("trace", Trace.json_of_entries (request_spans requests));
+      ("qlog", Xmutil.Json.List (List.map Qlog.entry_to_json qlog));
       ("metrics", Metrics.to_json ());
       ("snapshots", Xmutil.Json.List snaps);
       ("selfmetrics", selfmetrics_json ());
@@ -252,9 +248,8 @@ let trigger ?(force = false) ~kind ~reason () =
 
 let shutdown_registered = ref false
 
-let enable ?(qlog_ring = default_qlog_ring)
-    ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
-    ?(snap_every_s = 1.0) ~dir () =
+let enable ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
+    ~dir () =
   (try Unix.mkdir dir 0o755 with
   | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   | Unix.Unix_error _ -> ());
@@ -263,10 +258,8 @@ let enable ?(qlog_ring = default_qlog_ring)
       dir;
       retention = max 1 retention;
       cooldown_s = Float.max 0.0 cooldown_s;
-      qlog_ring = Xmutil.Ring.create qlog_ring;
       snap_ring = Xmutil.Ring.create 32;
       last_snap = 0.0;
-      snap_every_s = Float.max 0.01 snap_every_s;
       last_fired = [];
       seq = 0;
       context = None;
@@ -295,6 +288,3 @@ let enable ?(qlog_ring = default_qlog_ring)
 let disable () =
   Atomic.set on false;
   state := None
-
-let qlog_count () =
-  match !state with None -> 0 | Some st -> Xmutil.Ring.length st.qlog_ring

@@ -1,19 +1,21 @@
 (** The flight recorder: always-on black-box capture for incident
     forensics.
 
-    While enabled, bounded rings hold the most recent query-log records
-    fed by the execution path and periodic metric snapshots.  A
+    While enabled, a bounded ring holds periodic metric snapshots.  A
     {!trigger} — SLO breach, error-rate threshold, fatal signal, or a
-    manual request — atomically writes them, the spans of the newest
-    completed requests ({!Ctx.completed}, at most 2048 entries, newest
-    kept) and injected server context as a versioned JSON incident
-    bundle under the configured directory, with bounded retention.  The
-    recorder keeps no spans of its own and leaves {!Trace} alone.
+    manual request — atomically writes them, a view of the
+    completed-request ring ({!Ctx.completed}) and injected server
+    context as a versioned JSON incident bundle under the configured
+    directory, with bounded retention.  The view is the requests' query
+    records ([qlog], oldest first) and their spans ([trace], at most 2048
+    entries, newest kept), so the bundle covers exactly the requests the
+    ring holds.  The recorder keeps no spans or query records of its own
+    and leaves {!Trace} alone.
 
     The standard [Xmobs] contract: {!enabled} is a single atomic load
     and every entry point allocates nothing when the recorder is off
-    (pinned by the Gc test); when on, ring writes cost one short
-    mutex-protected ring push. *)
+    (pinned by the Gc test); when on, a snapshot feed costs one short
+    mutex-protected clock comparison. *)
 
 val version : int
 (** Bundle format version, written as the top-level ["version"] field. *)
@@ -34,21 +36,11 @@ val kinds : string list
 (** {!kind_to_string} of every trigger kind, in declaration order: the
     one list bundle validation and dashboards enumerate. *)
 
-val enable :
-  ?qlog_ring:int ->
-  ?retention:int ->
-  ?cooldown_s:float ->
-  ?snap_every_s:float ->
-  dir:string ->
-  unit ->
-  unit
+val enable : ?retention:int -> ?cooldown_s:float -> dir:string -> unit -> unit
 (** Turn the recorder on, writing bundles under [dir] (created if
-    missing).  [qlog_ring] (default 256) bounds the query-log ring;
-    [retention] (default 16) bounds how many
-    bundles are kept on disk — oldest deleted first; [cooldown_s]
-    (default 30) suppresses repeat triggers of the same kind;
-    [snap_every_s] (default 1) paces the metric snapshots taken on the
-    query feed.  Registers a {!Shutdown} hook that
+    missing).  [retention] (default 16) bounds how many bundles are kept
+    on disk — oldest deleted first; [cooldown_s] (default 30) suppresses
+    repeat triggers of the same kind.  Registers a {!Shutdown} hook that
     writes a [signal] bundle when the process dies on a termination
     signal. *)
 
@@ -57,11 +49,10 @@ val disable : unit -> unit
 val enabled : unit -> bool
 (** One atomic load. *)
 
-val note_qlog : Qlog.entry -> unit
-(** Feed an executed-query record into the recorder's qlog ring (and
-    opportunistically take a metric snapshot).  Called by the execution
-    path alongside [Qlog.submit]; a no-op (zero allocation) when the
-    recorder is off. *)
+val snapshot : unit -> unit
+(** Take a metric snapshot when the last one is at least a second old.
+    The serve daemon calls it after each query; a no-op (zero
+    allocation) when the recorder is off. *)
 
 val set_context_provider : (unit -> Xmutil.Json.t) -> unit
 (** Install the callback whose result becomes the bundle's ["context"]
@@ -85,6 +76,3 @@ val incidents : unit -> (string * int) list
 
 val dir : unit -> string option
 (** The incident directory, when the recorder is enabled. *)
-
-val qlog_count : unit -> int
-(** Records currently held in the qlog ring. *)

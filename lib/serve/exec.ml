@@ -61,9 +61,78 @@ let io_of_ctx_delta (later : Xmobs.Ctx.io) (earlier : Xmobs.Ctx.io) :
     write_ops = later.Xmobs.Ctx.write_ops - earlier.Xmobs.Ctx.write_ops;
   }
 
+(* What a query-log record is measured from: the start time, the trace
+   id, and the I/O baseline — the installed request context's counters
+   when there is one (exact for this request under concurrency), the
+   store-wide snapshot otherwise. *)
+type meter = {
+  ts : float;
+  trace_id : string option;
+  ctx_io : (Xmobs.Ctx.t * Xmobs.Ctx.io) option;
+  io0 : Store.Io_stats.snapshot;
+}
+
+let start ?trace_id store =
+  let ctx = Xmobs.Ctx.current () in
+  {
+    ts = now ();
+    trace_id =
+      (match trace_id with
+      | Some _ -> trace_id
+      | None -> Option.map Xmobs.Ctx.trace_id ctx);
+    ctx_io = Option.map (fun c -> (c, Xmobs.Ctx.io c)) ctx;
+    io0 = Store.Io_stats.snapshot (Store.Shredded.stats store);
+  }
+
+(* One record, two sinks: the on-disk query log and the request context
+   installed on the calling thread, whose completed entry carries it to
+   /debug/requests and incident bundles.  The record is built once, only
+   when either sink can take it, so the path stays allocation-free when
+   both are off. *)
+let submit_entry m store ~source ~doc ~guard ~guard_hash ?query_hash
+    ?classification ?(eval_s = 0.0) ?(render_s = 0.0) ?(out_nodes = 0)
+    ?(cached = false) outcome error =
+  if Xmobs.Qlog.enabled () || Xmobs.Ctx.active () then begin
+    let io =
+      match m.ctx_io with
+      | Some (ctx, cio0) -> io_of_ctx_delta (Xmobs.Ctx.io ctx) cio0
+      | None ->
+          io_of_snapshot
+            (Store.Io_stats.diff
+               (Store.Io_stats.snapshot (Store.Shredded.stats store))
+               m.io0)
+    in
+    let e =
+      {
+        Xmobs.Qlog.ts = m.ts;
+        id = Xmobs.Qlog.next_id ();
+        trace_id = m.trace_id;
+        source;
+        doc;
+        guard;
+        guard_hash;
+        query_hash;
+        classification;
+        outcome;
+        error = Option.map first_line error;
+        wall_s = now () -. m.ts;
+        eval_s;
+        render_s;
+        in_nodes = Store.Shredded.node_count store;
+        out_nodes;
+        io = Some io;
+        jobs = Xmutil.Pool.jobs ();
+        cached;
+        generation = Some (Store.Shredded.generation store);
+      }
+    in
+    Xmobs.Qlog.submit e;
+    Xmobs.Ctx.attach_qlog e
+  end
+
 let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
     ?trace_id ?guard_hash ?query store guard =
-  let ts = now () in
+  let m = start ?trace_id store in
   (* Hash once per request: the same FNV-1a digest feeds the query-log
      record, the warehouse submit, and both cache tiers.  The server
      threads its own (label) hash in via [?guard_hash]. *)
@@ -73,62 +142,16 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
     | None -> Xmobs.Qlog.hash_text guard
   in
   let query_hash = Option.map Xmobs.Qlog.hash_text query in
-  let ctx0 = Xmobs.Ctx.current () in
-  let trace_id =
-    match trace_id with
-    | Some _ as t -> t
-    | None -> Xmobs.Ctx.current_trace_id ()
-  in
-  let io0 = Store.Io_stats.snapshot (Store.Shredded.stats store) in
-  let cio0 = Option.map Xmobs.Ctx.io ctx0 in
   let eval_s = ref 0.0 in
   let render_s = ref 0.0 in
   let classification = ref None in
   let out_nodes = ref 0 in
   let cached = ref false in
   let generation = Store.Shredded.generation store in
-  (* One record, two sinks: the on-disk query log and the flight
-     recorder's in-memory ring.  The entry is built once behind the
-     combined gate, so the path stays allocation-free when both are
-     off. *)
   let submit outcome error =
-    if Xmobs.Qlog.enabled () || Xmobs.Flight.enabled () then begin
-      let e =
-        {
-          Xmobs.Qlog.ts;
-          id = Xmobs.Qlog.next_id ();
-          trace_id;
-          source;
-          doc;
-          guard;
-          guard_hash;
-          query_hash;
-          classification = !classification;
-          outcome;
-          error = Option.map first_line error;
-          wall_s = now () -. ts;
-          eval_s = !eval_s;
-          render_s = !render_s;
-          in_nodes = Store.Shredded.node_count store;
-          out_nodes = !out_nodes;
-          io =
-            (match (ctx0, cio0) with
-            | Some ctx, Some cio0 ->
-                Some (io_of_ctx_delta (Xmobs.Ctx.io ctx) cio0)
-            | _ ->
-                Some
-                  (io_of_snapshot
-                     (Store.Io_stats.diff
-                        (Store.Io_stats.snapshot (Store.Shredded.stats store))
-                        io0)));
-          jobs = Xmutil.Pool.jobs ();
-          cached = !cached;
-          generation = Some generation;
-        }
-      in
-      Xmobs.Qlog.submit e;
-      Xmobs.Flight.note_qlog e
-    end
+    submit_entry m store ~source ~doc ~guard ~guard_hash ?query_hash
+      ?classification:!classification ~eval_s:!eval_s ~render_s:!render_s
+      ~out_nodes:!out_nodes ~cached:!cached outcome error
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
      while operator-statistics recording or profiling could observe this
@@ -302,45 +325,16 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
       Failed { kind; message }
 
 let record ~source ?(doc = "") ?(guard = "") ?query store f =
-  if not (Xmobs.Qlog.enabled () || Xmobs.Flight.enabled ()) then f ()
+  if not (Xmobs.Qlog.enabled () || Xmobs.Ctx.active ()) then f ()
   else begin
-    let ts = now () in
-    let io0 = Store.Io_stats.snapshot (Store.Shredded.stats store) in
-    let submit outcome error =
-      let e =
-        {
-          Xmobs.Qlog.ts;
-          id = Xmobs.Qlog.next_id ();
-          trace_id = Xmobs.Ctx.current_trace_id ();
-          source;
-          doc;
-          guard;
-          guard_hash = Xmobs.Qlog.hash_text guard;
-          query_hash = Option.map Xmobs.Qlog.hash_text query;
-          classification = None;
-          outcome;
-          error = Option.map first_line error;
-          wall_s = now () -. ts;
-          (* No breakdown is available here; charging the duration to
-             eval_s as well would double-count it and skew the analyzer's
-             eval percentiles, so only wall_s carries it. *)
-          eval_s = 0.0;
-          render_s = 0.0;
-          in_nodes = Store.Shredded.node_count store;
-          out_nodes = 0;
-          io =
-            Some
-              (io_of_snapshot
-                 (Store.Io_stats.diff
-                    (Store.Io_stats.snapshot (Store.Shredded.stats store))
-                    io0));
-          jobs = Xmutil.Pool.jobs ();
-          cached = false;
-          generation = Some (Store.Shredded.generation store);
-        }
-      in
-      Xmobs.Qlog.submit e;
-      Xmobs.Flight.note_qlog e
+    let m = start store in
+    (* No breakdown is available here; charging the duration to eval_s as
+       well would double-count it and skew the analyzer's eval
+       percentiles, so only wall_s carries it. *)
+    let submit =
+      submit_entry m store ~source ~doc ~guard
+        ~guard_hash:(Xmobs.Qlog.hash_text guard)
+        ?query_hash:(Option.map Xmobs.Qlog.hash_text query)
     in
     match f () with
     | v ->

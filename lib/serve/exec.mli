@@ -2,9 +2,15 @@
 
     This is the single execution path behind [POST /query], [xmorph run],
     [xmorph query], and the shell: every call produces exactly one
-    {!Xmobs.Qlog} record (when a sink is enabled) — on success {e and} on
-    every failure path — with the wall/eval/render breakdown, node counts,
+    {!Xmobs.Qlog} record — on success {e and} on every failure path —
+    with the wall/eval/render breakdown, node counts,
     {!Store.Io_stats} deltas, job count, and outcome classification.
+    The record is built only when the query log is on or a request
+    context is installed ({!Xmobs.Ctx.active}); it goes to
+    {!Xmobs.Qlog.submit} and, when the calling thread has a context, is
+    attached to it ({!Xmobs.Ctx.attach_qlog}), so the completed-request
+    ring carries each served request's record.  Executions outside a
+    context (slow-query re-runs, every CLI run) reach only the query log.
     Because the serve daemon and the one-shot CLI share it, the bytes
     returned for a guard are identical by construction. *)
 
@@ -66,7 +72,8 @@ val record :
 (** Coarse wrapper for execution paths that do not go through {!execute}
     (the in-situ logical evaluator, the profiler subcommand): times [f],
     classifies its outcome by exception, writes one query-log record, and
-    re-raises.  The eval/render breakdown is not available here — the
+    re-raises.  The record goes to the same two sinks as {!execute}'s.
+    The eval/render breakdown is not available here — the
     whole duration is charged to [wall_s] only, with [eval_s] and
     [render_s] reported as [0.0] so the analyzer's phase percentiles are
     not skewed by records that cannot attribute their time. *)

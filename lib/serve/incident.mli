@@ -13,7 +13,7 @@ type t = {
   ts_ms : int;  (** trigger time, Unix milliseconds *)
   trace_events : Xmutil.Json.t list;  (** Chrome trace_event records *)
   qlog : Xmobs.Qlog.entry list;  (** recent queries, oldest first *)
-  qlog_malformed : int;  (** qlog ring records that failed to parse *)
+  qlog_malformed : int;  (** [qlog] records that failed to parse *)
   json : Xmutil.Json.t;  (** the whole bundle, verbatim *)
 }
 

@@ -348,6 +348,35 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
         end)
   end
 
+(* The flight recorder's per-query work, run after the request is
+   finished so that a bundle it writes includes that request: a metric
+   snapshot, then the SLO judged on the query stream itself rather than
+   at the next /healthz probe (the trigger is edge-triggered, so this
+   adds no extra incidents, only timeliness), then the error-rate
+   trigger — a window where failures dominate is an incident even
+   without an SLO configured. *)
+let flight_after_query t kind =
+  Xmobs.Flight.snapshot ();
+  Option.iter (fun s -> ignore (Slo.evaluate s)) t.slo;
+  match kind with
+  | Xmobs.Qlog.Internal | Xmobs.Qlog.Parse_error ->
+      let count ts = Xmobs.Timeseries.count_last ts t.ts_window in
+      let failures = count (Xmobs.Alerts.failures t.stream) in
+      let queries = count (Xmobs.Alerts.latency t.stream) in
+      if
+        failures >= failure_trigger_min
+        && float_of_int failures
+           > failure_trigger_frac *. float_of_int queries
+      then
+        ignore
+          (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Error_rate
+             ~reason:
+               (Printf.sprintf
+                  "%d internal/parse-error outcomes of %d queries (window %ds)"
+                  failures queries t.ts_window)
+             ())
+  | Xmobs.Qlog.Ok | Xmobs.Qlog.Type_mismatch -> ()
+
 let handle_query t req =
   (* Honor an upstream W3C traceparent when well-formed; otherwise (or
      when absent) start a fresh trace.  Malformed values never fail the
@@ -365,9 +394,10 @@ let handle_query t req =
      reused for the guard-seconds label, the trace label, and (inside
      Exec) the query-log record, warehouse submit, and cache keys. *)
   let ghash = ref None in
-  (* [slow] carries what a slow-query capture needs to re-execute; None
-     when nothing was executed (unknown doc, empty guard). *)
-  let resp, outcome_name, slow =
+  (* [executed] carries the query's outcome and what a slow-query capture
+     needs to re-execute; None when nothing was executed (unknown doc,
+     empty guard). *)
+  let resp, outcome_name, executed =
     Xmobs.Ctx.with_ctx ctx (fun () ->
         match store_for t req with
         | None ->
@@ -431,40 +461,11 @@ let handle_query t req =
                 [ ("guard", guard_hash) ]
                 qwall;
               Xmobs.Alerts.feed t.stream ~outcome:kind ~wall_s:qwall;
-              if Xmobs.Flight.enabled () then begin
-                (* Judge the SLO on the query stream itself rather than
-                   waiting for the next /healthz probe: a breach then
-                   captures its bundle at the moment of the breaching
-                   query.  The trigger is edge-triggered, so this adds no
-                   extra incidents, only timeliness. *)
-                Option.iter (fun s -> ignore (Slo.evaluate s)) t.slo;
-                (* Error-rate trigger: a window where failures dominate
-                   is an incident even without an SLO configured. *)
-                match kind with
-                | Xmobs.Qlog.Internal | Xmobs.Qlog.Parse_error ->
-                    let count ts = Xmobs.Timeseries.count_last ts t.ts_window in
-                    let failures = count (Xmobs.Alerts.failures t.stream) in
-                    let queries = count (Xmobs.Alerts.latency t.stream) in
-                    if
-                      failures >= failure_trigger_min
-                      && float_of_int failures
-                         > failure_trigger_frac *. float_of_int queries
-                    then
-                      ignore
-                        (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Error_rate
-                           ~reason:
-                             (Printf.sprintf
-                                "%d internal/parse-error outcomes of %d \
-                                 queries (window %ds)"
-                                failures queries t.ts_window)
-                           ())
-                | Xmobs.Qlog.Ok | Xmobs.Qlog.Type_mismatch -> ()
-              end;
               (* Keep the on-disk log live for tail -f / xmorph stats
                  while the daemon runs; the Shutdown path covers the
                  final records. *)
               Xmobs.Qlog.flush_global ();
-              (resp, name, Some (doc_name, store, enforce, query))
+              (resp, name, Some (kind, (doc_name, store, enforce, query)))
             end)
   in
   let wall_s = now () -. t0 in
@@ -484,8 +485,11 @@ let handle_query t req =
      + Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_written
    in
    if blocks > 0 then Xmobs.Timeseries.bump ~by:blocks t.ts_blocks);
-  (match (t.slow_ms, slow) with
-  | Some threshold, Some (doc_name, store, enforce, query)
+  (match executed with
+  | Some (kind, _) when Xmobs.Flight.enabled () -> flight_after_query t kind
+  | _ -> ());
+  (match (t.slow_ms, executed) with
+  | Some threshold, Some (_, (doc_name, store, enforce, query))
     when wall_s *. 1000. >= threshold ->
       capture_slow t ~trace_id:(Xmobs.Ctx.trace_id ctx) ~doc_name ~enforce
         ?query store req.Http.body

@@ -62,7 +62,9 @@
     SLO rules are then also ticked after each query).  A window where
     internal/parse-error outcomes dominate (≥ 10 failures and > 50% of
     windowed queries) fires an [error-rate] bundle even without SLO
-    objectives.  Bundles are also written when the process dies on
+    objectives.  Both per-query checks run after the request is
+    finished into the completed-request ring, so a bundle they write
+    includes the request that tripped it.  Bundles are also written when the process dies on
     SIGTERM/SIGINT ({!Xmobs.Shutdown} hook) and on
     [POST /debug/incident]; [xmorph_incidents_total{trigger}] counts
     them.

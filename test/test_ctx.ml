@@ -102,7 +102,7 @@ let test_slot () =
         Alcotest.(check (option string))
           "current trace id"
           (Some (Ctx.trace_id ctx))
-          (Ctx.current_trace_id ());
+          (Option.map Ctx.trace_id (Ctx.current ()));
         Ctx.current ())
   in
   Alcotest.(check bool) "current inside" true (inner = Some ctx);

@@ -1,9 +1,10 @@
-(* The flight recorder: bounded ring occupancy, bundle write + offline
-   round-trip through the incident viewer, retention, per-kind cooldown,
-   the disabled no-op contract, context-provider injection, the bundle's
-   spans read from the completed-request ring, and Trace ring eviction
-   under concurrent writers never overflowing capacity or leaving a
-   malformed survivor. *)
+(* The flight recorder: bundles bounded by the completed-request ring,
+   bundle write + offline round-trip through the incident viewer,
+   retention, per-kind cooldown, the disabled no-op contract,
+   context-provider injection, the bundle's query records and spans read
+   from the completed-request ring, and Trace ring eviction under
+   concurrent writers never overflowing capacity or leaving a malformed
+   survivor. *)
 
 module Flight = Xmobs.Flight
 
@@ -28,9 +29,9 @@ let rm_rf dir =
   end
 
 (* Every test leaves the recorder off, whatever happens inside. *)
-let with_flight ?qlog_ring ?retention ?cooldown_s ?snap_every_s f =
+let with_flight ?retention ?cooldown_s f =
   let dir = tmp_dir () in
-  Flight.enable ?qlog_ring ?retention ?cooldown_s ?snap_every_s ~dir ();
+  Flight.enable ?retention ?cooldown_s ~dir ();
   Fun.protect
     ~finally:(fun () ->
       Flight.disable ();
@@ -44,12 +45,23 @@ let mk_qlog id =
     wall_s = 0.001; eval_s = 0.0; render_s = 0.0; in_nodes = 1;
     out_nodes = 1; io = None; jobs = 1; cached = false; generation = Some 3 }
 
-let test_rings_bounded () =
-  with_flight ~qlog_ring:4 (fun _dir ->
-      for i = 1 to 50 do
-        Flight.note_qlog (mk_qlog i)
-      done;
-      Alcotest.(check int) "qlog ring capped" 4 (Flight.qlog_count ()))
+(* An empty completed-request ring of [capacity], restored to the
+   default (256) and emptied afterwards. *)
+let with_ring capacity f =
+  Xmobs.Ctx.reset_completed ();
+  Xmobs.Ctx.set_ring_capacity capacity;
+  Fun.protect
+    ~finally:(fun () ->
+      Xmobs.Ctx.set_ring_capacity 256;
+      Xmobs.Ctx.reset_completed ())
+    f
+
+(* A finished request carrying query record [id], as a served query
+   leaves one. *)
+let finish_with_qlog id =
+  let ctx = Xmobs.Ctx.create () in
+  Xmobs.Ctx.with_ctx ctx (fun () -> Xmobs.Ctx.attach_qlog (mk_qlog id));
+  Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001
 
 let read_file path =
   let ic = open_in_bin path in
@@ -57,10 +69,32 @@ let read_file path =
   close_in ic;
   text
 
+let bundle dir name =
+  Xmserve.Incident.of_json
+    (Xmutil.Json.of_string (read_file (Filename.concat dir name)))
+
+let trigger_bundle dir reason =
+  match Flight.trigger ~kind:Flight.Manual ~reason () with
+  | None -> Alcotest.fail "trigger returned no bundle"
+  | Some name -> bundle dir name
+
+let test_rings_bounded () =
+  with_ring 4 @@ fun () ->
+  with_flight (fun dir ->
+      for i = 1 to 50 do
+        finish_with_qlog i
+      done;
+      let t = trigger_bundle dir "bounded" in
+      Alcotest.(check (list int)) "qlog bounded by the request ring"
+        [ 47; 48; 49; 50 ]
+        (List.map (fun (e : Xmobs.Qlog.entry) -> e.Xmobs.Qlog.id)
+           t.Xmserve.Incident.qlog))
+
 let test_trigger_writes_roundtrippable_bundle () =
-  with_flight ~qlog_ring:8 (fun dir ->
+  with_ring 8 @@ fun () ->
+  with_flight (fun dir ->
       for i = 1 to 20 do
-        Flight.note_qlog (mk_qlog i)
+        finish_with_qlog i
       done;
       match Flight.trigger ~kind:Flight.Manual ~reason:"unit test" () with
       | None -> Alcotest.fail "trigger returned no bundle"
@@ -79,7 +113,7 @@ let test_trigger_writes_roundtrippable_bundle () =
           Alcotest.(check string) "kind" "manual" t.Xmserve.Incident.kind;
           Alcotest.(check string) "reason" "unit test"
             t.Xmserve.Incident.reason;
-          Alcotest.(check int) "qlog ring captured (capacity bound)" 8
+          Alcotest.(check int) "qlog captured (request ring bound)" 8
             (List.length t.Xmserve.Incident.qlog);
           Alcotest.(check int) "no malformed qlog record" 0
             t.Xmserve.Incident.qlog_malformed;
@@ -124,8 +158,6 @@ let test_cooldown_and_force () =
 let test_disabled_is_noop () =
   Flight.disable ();
   Alcotest.(check bool) "disabled" false (Flight.enabled ());
-  Flight.note_qlog (mk_qlog 1);
-  Alcotest.(check int) "no qlog recorded" 0 (Flight.qlog_count ());
   Alcotest.(check bool) "trigger declines" true
     (Flight.trigger ~kind:Flight.Manual ~reason:"x" () = None);
   Alcotest.(check bool) "no incident dir" true (Flight.dir () = None)
@@ -159,10 +191,6 @@ let test_context_provider () =
           | _ -> Alcotest.fail "bundle is not an object"))
 
 let bundle_events dir name =
-  let t =
-    Xmserve.Incident.of_json
-      (Xmutil.Json.of_string (read_file (Filename.concat dir name)))
-  in
   List.filter_map
     (function
       | Xmutil.Json.Obj f -> (
@@ -173,7 +201,7 @@ let bundle_events dir name =
               Some (n, float_of_int ts)
           | _ -> None)
       | _ -> None)
-    t.Xmserve.Incident.trace_events
+    (bundle dir name).Xmserve.Incident.trace_events
 
 let finish_with_spans names =
   let ctx = Xmobs.Ctx.create () in
@@ -206,6 +234,50 @@ let test_bundle_spans_from_requests () =
           Alcotest.(check (list string)) "capped at 2048, newest kept"
             (List.filteri (fun i _ -> i >= 3000 - 2048) big)
             (List.map fst (bundle_events dir name)))
+
+(* A bundle's qlog is the completed requests' own records, one per
+   request that executed a query, oldest first: not the empty request's
+   (it executed nothing) nor a re-run outside any context (as slow-query
+   capture does it). *)
+let test_bundle_qlog_from_requests () =
+  with_ring 256 @@ fun () ->
+  with_flight ~cooldown_s:0.0 (fun dir ->
+      let store =
+        Store.Shredded.shred
+          (Xml.Doc.of_string
+             "<site><person><name>a</name></person><person><name>b</name>\
+              </person></site>")
+      in
+      let serve guard =
+        let ctx = Xmobs.Ctx.create () in
+        Xmobs.Ctx.with_ctx ctx (fun () ->
+            ignore (Xmserve.Exec.execute ~source:"serve" store guard));
+        Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200
+          ~wall_s:0.001;
+        Xmobs.Ctx.trace_id ctx
+      in
+      let a = serve "MUTATE site" in
+      Xmobs.Ctx.finish (Xmobs.Ctx.create ()) ~label:"/query"
+        ~outcome:"empty-guard" ~status:400 ~wall_s:0.0;
+      let b = serve "MORPH person [ name ]" in
+      ignore
+        (Xmserve.Exec.execute ~source:"slow-capture" ~trace_id:b store
+           "MORPH person [ name ]");
+      let records t =
+        List.map
+          (fun (e : Xmobs.Qlog.entry) ->
+            (e.Xmobs.Qlog.source, e.Xmobs.Qlog.trace_id))
+          t.Xmserve.Incident.qlog
+      in
+      Alcotest.(check (list (pair string (option string))))
+        "one record per executed request, oldest first"
+        [ ("serve", Some a); ("serve", Some b) ]
+        (records (trigger_bundle dir "three requests"));
+      Xmobs.Ctx.set_ring_capacity 1;
+      Alcotest.(check (list (pair string (option string))))
+        "bounded by the request ring"
+        [ ("serve", Some b) ]
+        (records (trigger_bundle dir "one request")))
 
 (* However many writers race on the Trace ring, at every job count, the ring never exceeds its
    capacity and every surviving entry is whole and well-formed. *)
@@ -254,5 +326,7 @@ let suite =
       test_context_provider;
     Alcotest.test_case "bundle spans come from the request ring" `Quick
       test_bundle_spans_from_requests;
+    Alcotest.test_case "bundle qlog comes from the request ring" `Quick
+      test_bundle_qlog_from_requests;
     QCheck_alcotest.to_alcotest prop_trace_ring_concurrent;
   ]

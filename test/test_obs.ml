@@ -446,16 +446,6 @@ let test_disabled_path_no_alloc () =
     { Xmcache.body = "x"; is_query = false; classification = None;
       out_nodes = 0 }
   in
-  (* A pre-built query-log record so the disabled flight-recorder feed
-     below has nothing to construct. *)
-  let qlog_entry =
-    { Xmobs.Qlog.ts = 0.0; id = 0; trace_id = None; source = "test";
-      doc = ""; guard = "x"; guard_hash = "x"; query_hash = None;
-      classification = None; outcome = Xmobs.Qlog.Ok; error = None;
-      wall_s = 0.0; eval_s = 0.0; render_s = 0.0; in_nodes = 0;
-      out_nodes = 0; io = None; jobs = 1; cached = false;
-      generation = None }
-  in
   (* Warm up so any one-time closure setup is done before measuring. *)
   ignore (Sys.opaque_identity (Trace.with_span "x" f));
   ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
@@ -494,11 +484,10 @@ let test_disabled_path_no_alloc () =
     Xmcache.add_result ~generation:0 ~guard_hash:"x" ~query_hash:""
       ~compact:false ~enforce:false res_entry;
     ignore (Sys.opaque_identity (Xmobs.Ctx.current ()));
-    ignore (Sys.opaque_identity (Xmobs.Ctx.current_trace_id ()));
     (* The flight recorder: each disabled entry point is one atomic
        load, never a ring write or an allocation. *)
     ignore (Sys.opaque_identity (Xmobs.Flight.enabled ()));
-    Xmobs.Flight.note_qlog qlog_entry;
+    Xmobs.Flight.snapshot ();
     (* The alerting evaluator's gate is one atomic load. *)
     ignore (Sys.opaque_identity (Xmobs.Alerts.enabled ()))
   done;
