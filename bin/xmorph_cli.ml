@@ -60,13 +60,18 @@ let write_file path contents =
 (* Profiling is single-domain: the frame stack and per-operator block
    attribution cannot be interleaved.  The render engine already falls back
    to sequential evaluation while the profiler is on; this makes the
-   fallback visible instead of silent. *)
+   fallback visible instead of silent.  Only a count given with --jobs
+   draws the warning, since that is the flag it names: a count taken from
+   XMORPH_JOBS is set aside quietly. *)
+let jobs_flag = ref false
+
 let serialize_for_profile () =
   if Xmutil.Pool.jobs () > 1 then begin
-    Printf.eprintf
-      "xmorph: profiling is single-domain; ignoring --jobs %d and running \
-       sequentially\n"
-      (Xmutil.Pool.jobs ());
+    if !jobs_flag then
+      Printf.eprintf
+        "xmorph: profiling is single-domain; ignoring --jobs %d and running \
+         sequentially\n"
+        (Xmutil.Pool.jobs ());
     Xmutil.Pool.set_jobs 1
   end
 
@@ -76,7 +81,11 @@ let serialize_for_profile () =
    [Xmobs.Shutdown.install] converts into an ordinary [exit].  A killed
    serve daemon therefore still leaves complete, valid telemetry files. *)
 let obs_setup trace metrics profile qlog qlog_max_mb stats_db jobs =
-  (match jobs with None -> () | Some j -> Xmutil.Pool.set_jobs j);
+  (match jobs with
+  | None -> ()
+  | Some j ->
+      jobs_flag := true;
+      Xmutil.Pool.set_jobs j);
   let stats_db =
     match stats_db with
     | Some _ as s -> s
