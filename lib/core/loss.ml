@@ -56,9 +56,13 @@ let node_qname guide (n : Tshape.node) =
 
    - source side: [src_prod.(ty).(d)] is the product of edge adornments on
      the path from depth [d] (exclusive) down to [ty]; Def. 6's
-     [pathCard(t, u)] is then [src_prod.(u).(lca_depth t u)];
+     [pathCard(t, u)] is then [src_prod.(u).(lca_depth t u)], where the LCA
+     depth is the common-prefix length of the two types' ancestor chains;
    - target side: the same cumulative products over predicted edge
-     cardinalities (Def. 7), per target node.
+     cardinalities (Def. 7), per target node, with its ancestor chain.
+
+   Both chains are int arrays, root first, so each pair costs two prefix
+   scans and no parent walks, hashing or allocation.
 
    This keeps the compile phase flat and tiny as the paper reports (the
    20 ms "compile" line of Fig. 10). *)
@@ -68,25 +72,29 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
   let nodes = Array.of_list (List.rev !nodes) in
   let tt = Xml.Dataguide.types guide in
   let n_types = Xml.Type_table.count tt in
-  (* Source cumulative products; type ids are interned parents-first. *)
-  let src_prod = Array.make n_types [||] in
+  (* Source cumulative products and ancestor chains; type ids are
+     interned parents-first. *)
+  let src_prod = Array.make n_types [||] and chains = Array.make n_types [||] in
   Xml.Type_table.iter tt (fun ty ->
       let k = Xml.Type_table.depth tt ty in
       let a = Array.make (k + 1) Card.one in
       (match Xml.Type_table.parent tt ty with
-      | None -> if k >= 1 then a.(0) <- Xml.Dataguide.card guide ty
+      | None ->
+          if k >= 1 then a.(0) <- Xml.Dataguide.card guide ty;
+          chains.(ty) <- [| ty |]
       | Some p ->
           let ap = src_prod.(p) in
           let c = Xml.Dataguide.card guide ty in
           for d = 0 to k - 1 do
             a.(d) <- Card.mul ap.(d) c
-          done);
+          done;
+          chains.(ty) <- Array.append chains.(p) [| ty |]);
       src_prod.(ty) <- a);
   let src_path_card t u =
     if t = u then Card.one
     else
-      let l = Xml.Type_table.lca_depth tt t u in
-      if l >= Xml.Type_table.depth tt u then Card.one else src_prod.(u).(l)
+      let l = Dewey.common_prefix_len chains.(t) chains.(u) in
+      if l >= Array.length chains.(u) then Card.one else src_prod.(u).(l)
   in
   (* Target side: per visible node, its ancestor chain (uids, root first)
      and cumulative predicted products. *)
@@ -102,19 +110,15 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
     List.iter (fun c -> build c anc_uids prods) n.children
   in
   List.iter (fun r -> build r [] []) shape.Tshape.roots;
-  let tgt_path_card (a : Tshape.node) (b : Tshape.node) =
-    if a == b then Card.one
-    else
-      let anc_a, _ = Hashtbl.find tgt_info a.uid in
-      let anc_b, prods_b = Hashtbl.find tgt_info b.uid in
-      if anc_a.(0) <> anc_b.(0) then Card.zero
-      else begin
-        (* Deepest common ancestor index. *)
-        let n = min (Array.length anc_a) (Array.length anc_b) in
-        let rec go i = if i < n && anc_a.(i) = anc_b.(i) then go (i + 1) else i in
-        let l = go 0 in
-        prods_b.(l - 1)
-      end
+  let tgt_nodes =
+    Array.map (fun (n : Tshape.node) -> Hashtbl.find tgt_info n.uid) nodes
+  in
+  (* Between distinct target nodes [i] and [j]; the deepest common ancestor
+     is the last entry of the chains' common prefix. *)
+  let tgt_path_card i j =
+    let anc_a, _ = tgt_nodes.(i) and anc_b, prods_b = tgt_nodes.(j) in
+    if anc_a.(0) <> anc_b.(0) then Card.zero
+    else prods_b.(Dewey.common_prefix_len anc_a anc_b - 1)
   in
   let violations = ref [] in
   let push kind a b src tgt =
@@ -131,7 +135,7 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
         match (a.source, b.source) with
         | Some sa, Some sb when sa <> sb ->
             let src = src_path_card sa sb in
-            let tgt = tgt_path_card a b in
+            let tgt = tgt_path_card i j in
             if Card.min_raised_from_zero ~src ~tgt then
               push Report.Min_raised a b src tgt;
             if Card.max_increased ~src ~tgt then

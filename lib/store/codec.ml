@@ -49,14 +49,15 @@ let read_byte c =
   c.pos <- c.pos + 1;
   v
 
-let read_uint c =
-  let rec go shift acc =
-    if shift >= Sys.int_size then raise (Corrupt "varint too long");
-    let byte = read_byte c in
-    let acc = acc lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* Top-level rather than local to [read_uint], so a read allocates no
+   closure. *)
+let rec read_varint c shift acc =
+  if shift >= Sys.int_size then raise (Corrupt "varint too long");
+  let byte = read_byte c in
+  let acc = acc lor ((byte land 0x7F) lsl shift) in
+  if byte land 0x80 = 0 then acc else read_varint c (shift + 7) acc
+
+let read_uint c = read_varint c 0 0
 
 let read_int c =
   let z = read_uint c in
@@ -68,6 +69,11 @@ let read_string c =
   let s = String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
+
+let skip_string c =
+  let n = read_uint c in
+  if c.pos + n > String.length c.data then raise (Corrupt "truncated string");
+  c.pos <- c.pos + n
 
 let read_int_array c =
   let n = read_uint c in

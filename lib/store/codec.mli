@@ -32,3 +32,6 @@ val read_uint : cursor -> int
 val read_int : cursor -> int
 val read_string : cursor -> string
 val read_int_array : cursor -> int array
+
+val skip_string : cursor -> unit
+(** Advance past a string without copying it out. *)

@@ -162,6 +162,26 @@ let node t i =
     rec_
   end
 
+(* [node]'s [value] field alone: the fields before it are skipped, not
+   decoded, but the read is charged at the record's full encoded size, as
+   [node] charges it. *)
+let value t i =
+  if is_patched t.patched i then (patched_node t i).value
+  else begin
+    let off = t.offsets.(i) in
+    let c = Codec.cursor ~pos:off t.blob in
+    for _ = 1 to Codec.read_uint c do
+      ignore (Codec.read_int c)
+    done;
+    c.pos <- c.pos + 1 (* kind *);
+    Codec.skip_string c (* name *);
+    ignore (Codec.read_uint c) (* type *);
+    ignore (Codec.read_int c) (* parent *);
+    let v = Codec.read_string c in
+    Io_stats.charge_read t.stats (c.pos - off);
+    v
+  end
+
 let dewey_column t ty =
   if ty < 0 || ty >= Array.length t.dewey_cols then [||]
   else begin

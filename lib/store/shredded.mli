@@ -58,6 +58,11 @@ val types : t -> Xml.Type_table.t
 val node : t -> int -> node
 (** Fetch and decode one node record, charging its size as a read. *)
 
+val value : t -> int -> string
+(** [(node t i).value] without decoding the rest of the record: the Dewey
+    number and name are skipped.  Charged exactly as {!node} is, at the
+    record's full encoded size. *)
+
 val sequence : t -> Xml.Type_table.id -> int array
 (** The TypeToSequence row for a type (document order), charging its
     serialized size as a read.  Empty for unknown types. *)

@@ -11,24 +11,26 @@ let child d i =
 
 let level = Array.length
 
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Stdlib.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Monomorphic int loops with every operand passed explicitly: no
+   [caml_compare] call and no closure per comparison.  The join kernel
+   runs these once per probe. *)
+let rec compare_from (a : t) (b : t) i =
+  if i >= Array.length a then if i >= Array.length b then 0 else -1
+  else if i >= Array.length b then 1
+  else
+    let x = a.(i) and y = b.(i) in
+    if x < y then -1 else if x > y then 1 else compare_from a b (i + 1)
+
+let compare a b = compare_from a b 0
 
 let equal a b = compare a b = 0
 
+let rec prefix_from (a : t) (b : t) n i =
+  if i < n && a.(i) = b.(i) then prefix_from a b n (i + 1) else i
+
 let common_prefix_len a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i = if i < n && a.(i) = b.(i) then go (i + 1) else i in
-  go 0
+  let la = Array.length a and lb = Array.length b in
+  prefix_from a b (if la < lb then la else lb) 0
 
 let is_prefix p d =
   Array.length p <= Array.length d && common_prefix_len p d = Array.length p
