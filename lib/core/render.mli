@@ -5,9 +5,11 @@
     join exploits Dewey numbers: two nodes are closest exactly when their
     common Dewey prefix has the maximal length achieved by any pair of their
     types (Def. 2), so one merge pass over the two document-ordered
-    TypeToSequence rows computes that length, and a second two-pointer pass
-    pairs the nodes — [O(n)] per edge, output in document order, exactly the
-    sort-merge pipelining the paper describes.
+    TypeToSequence rows computes that length, and a second forward pass
+    finds each parent's run of closest children in the GroupedSequence
+    table — output in document order, the pipelining the paper describes.
+    Each edge keeps its runs in flat offset arrays, not per-parent
+    copies.
 
     The "read" cost is linear in the source; the "write" cost can be
     quadratic because a source node closest to several parents is rendered
@@ -45,7 +47,7 @@ val stream : Store.Shredded.t -> Tshape.t -> (string -> unit) -> stats
 (** Stream the serialized output to a sink in document order without ever
     materializing a tree — the paper's pipelined mode: "a transformation can
     immediately produce output, and stream the output node by node" (Sec.
-    VII).  Only the per-edge join maps are held in memory; output fragments
+    VII).  Only the per-edge join results are held in memory; output fragments
     go straight to the sink.  Writes are charged per fragment. *)
 
 type edge_explanation = {

@@ -453,17 +453,24 @@ let test_updated_store_bytes_pinned () =
             (fun st (id, v) -> Store.Shredded.update_value st id v)
             store updates)
     in
-    let (), scan_io =
-      io_delta updated (fun () ->
-          for i = 0 to Store.Shredded.node_count updated - 1 do
-            ignore (Store.Shredded.node updated i)
-          done)
+    let count = Store.Shredded.node_count updated in
+    let records, scan_io =
+      io_delta updated (fun () -> List.init count (Store.Shredded.node updated))
+    in
+    (* The value-only read returns the record's value and charges the
+       whole record, overlaid nodes included. *)
+    let values, value_io =
+      io_delta updated (fun () -> List.init count (Store.Shredded.value updated))
     in
     Alcotest.(check string) (name ^ " digest") digest (saved_digest updated);
     Alcotest.(check int) (name ^ " data_bytes") data_bytes
       (Store.Shredded.data_bytes updated);
     Alcotest.(check (list int)) (name ^ " write charges") writes write_io;
-    Alcotest.(check (list int)) (name ^ " scan charges") scan scan_io
+    Alcotest.(check (list int)) (name ^ " scan charges") scan scan_io;
+    Alcotest.(check (list string)) (name ^ " values")
+      (List.map (fun (r : Store.Shredded.node) -> r.value) records)
+      values;
+    Alcotest.(check (list int)) (name ^ " value-scan charges") scan value_io
   in
   check "xmark"
     (ingest (Workloads.Xmark.generate ~seed:11 ~factor:0.002 ()))
