@@ -49,3 +49,8 @@ let gen_tree = QCheck2.Gen.(int_range 0 3 >>= gen_tree_sized)
 (* Documents with label collisions across levels, to exercise ambiguity,
    closest joins, and loss analysis. *)
 let gen_doc = QCheck2.Gen.map Xml.Doc.of_tree gen_tree
+
+(* Twenty generated trees from a fixed seed: pinned tests use these so the
+   fuzz shapes are reproducible byte for byte. *)
+let fixed_trees =
+  QCheck2.Gen.generate ~n:20 ~rand:(Random.State.make [| 2012 |]) gen_tree
