@@ -8,6 +8,9 @@ exception Bad_select of string
 
 type t = {
   tree : Xml.Tree.t; (* current source *)
+  doc : Xml.Doc.t;
+      (* [tree] indexed at [create] or the last [rebuild]: value writes
+         change no ids or names, so select paths resolve against it. *)
   store : Store.Shredded.t;
   compiled : Xmorph.Interp.t;
   output : Xml.Tree.t;
@@ -81,16 +84,16 @@ let update_tree tree steps ~(f : Xml.Tree.t -> Xml.Tree.t list) =
   in
   (!hits, result)
 
-(* The ids of the source nodes a select path names, via the indexed doc. *)
+(* The ids of the source nodes a select path names, via the indexed doc;
+   the first document's root is node 0. *)
 let select_ids doc steps =
   let rec go id steps =
     match steps with
     | [] -> [ id ]
     | { name; index } :: rest ->
-        let node = Xml.Doc.node doc id in
         let matches =
-          Array.to_list node.Xml.Doc.children
-          |> List.filter (fun ci -> (Xml.Doc.node doc ci).Xml.Doc.name = name)
+          List.init (Xml.Doc.child_count doc id) (Xml.Doc.child doc id)
+          |> List.filter (fun ci -> Xml.Doc.name doc ci = name)
         in
         let matches =
           match index with
@@ -100,8 +103,7 @@ let select_ids doc steps =
         List.concat_map (fun ci -> go ci rest) matches
   in
   match steps with
-  | { name; _ } :: rest when (Xml.Doc.root doc).Xml.Doc.name = name ->
-      go (Xml.Doc.root doc).Xml.Doc.id rest
+  | { name; _ } :: rest when Xml.Doc.name doc 0 = name -> go 0 rest
   | _ -> []
 
 (* ---------------- the view ---------------- *)
@@ -113,6 +115,7 @@ let create ?(enforce = true) doc ~guard =
   let compiled = Xmorph.Interp.compile ~enforce (Store.Shredded.guide store) guard in
   {
     tree = Xml.Doc.to_tree doc;
+    doc;
     store;
     compiled;
     output = render store compiled;
@@ -138,6 +141,7 @@ let rebuild t tree =
   {
     t with
     tree;
+    doc;
     store;
     compiled;
     output = render store compiled;
@@ -163,8 +167,7 @@ let apply t update =
       (* Fast path: one batched write of the selected values, then a
          re-render from the same store; the shape and the compiled guard
          are untouched. *)
-      let doc = Xml.Doc.of_tree t.tree in
-      let ids = select_ids doc steps in
+      let ids = select_ids t.doc steps in
       if ids = [] then raise (Bad_select (select ^ " matches nothing"));
       let store =
         Store.Shredded.update_values t.store (List.map (fun id -> (id, value)) ids)

@@ -19,9 +19,7 @@
     TypeToSequence rows.  The closest join only needs Dewey numbers, so the
     join side of the renderer reads {!dewey_column} (charged at the column's
     serialized size — a fraction of the full records) and defers record
-    decoding to emit time.  The sidecar is persisted in the store file
-    (format 2); files written by the previous format still load, with the
-    columns rebuilt from the blob.
+    decoding to emit time.  The sidecar is persisted in the store file.
 
     Value updates ({!update_values}) leave the blob alone: new values live
     in an overlay until {!save} writes them out.
@@ -117,17 +115,15 @@ val update_values : t -> (int * string) list -> t
 val update_value : t -> int -> string -> t
 (** [update_value t id v] is [update_values t [ (id, v) ]]. *)
 
-val save : ?version:int -> t -> string -> unit
-(** Write the store to a file, with the value overlay folded into the node
-    blob: the bytes are those of a store shredded with the current values.  [version] is 2 (default: the current
-    format, with the columnar Dewey sidecar) or 1 (the legacy row-only
-    format, kept so old readers — and the backward-compatibility tests —
-    can be exercised).  @raise Invalid_argument on other versions. *)
+val save : t -> string -> unit
+(** Write the store to a file (format 2, with the columnar Dewey sidecar),
+    with the value overlay folded into the node blob: the bytes are those
+    of a store shredded with the current values. *)
 
 val load : string -> t
-(** Read a store back; both format versions load (a version-1 file has its
-    Dewey columns rebuilt from the node blob).
-    @raise Codec.Corrupt on malformed files. *)
+(** Read a store back.
+    @raise Codec.Corrupt on malformed files, including files of the
+    retired format 1. *)
 
 val is_store : string -> bool
 (** Whether the file starts with a store's magic (any format version): it

@@ -27,12 +27,11 @@ let of_doc doc =
     Array.init n_types (fun ty -> Array.of_list (Type_table.children types ty))
   in
   for i = 0 to Doc.node_count doc - 1 do
-    let node = Doc.node doc i in
-    for j = 0 to Array.length node.children - 1 do
-      let cty = (Doc.node doc node.children.(j)).type_id in
+    for k = 0 to Doc.child_count doc i - 1 do
+      let cty = Doc.type_of doc (Doc.child doc i k) in
       tally.(cty) <- tally.(cty) + 1
     done;
-    let kids = kid_types.(node.type_id) in
+    let kids = kid_types.(Doc.type_of doc i) in
     for j = 0 to Array.length kids - 1 do
       let cty = kids.(j) in
       lo.(cty) <- Int.min lo.(cty) tally.(cty);
@@ -44,8 +43,7 @@ let of_doc doc =
     Array.mapi (fun ty h -> if h < 0 then Card.one else Card.v lo.(ty) h) hi
   in
   let roots =
-    List.sort_uniq compare
-      (List.map (fun (n : Doc.node) -> n.Doc.type_id) (Doc.roots doc))
+    List.filter (fun ty -> Type_table.parent types ty = None) (List.init n_types Fun.id)
   in
   List.iter (fun r -> cards.(r) <- Card.one) roots;
   { types; roots; cards; counts; uid = next_uid () }
