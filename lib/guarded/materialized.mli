@@ -27,7 +27,8 @@ type update =
       (** append a child to every selected element *)
   | Delete of { select : string }  (** remove the selected elements *)
   | Rename of { select : string; name : string }
-      (** change the selected elements' tag *)
+      (** change the selected elements' tag; a [name] beginning with ["@"]
+          raises [Invalid_argument] *)
 
 exception Bad_select of string
 (** The select path is malformed or matches nothing. *)
