@@ -39,36 +39,6 @@ let add_int_array b a =
     add_int b a.(i)
   done
 
-(* Writers into bytes sized beforehand: each writes at [pos] and returns
-   the position after what it wrote. *)
-let rec put_varint b pos n =
-  if n land lnot 0x7F = 0 then begin
-    Bytes.set b pos (Char.chr n);
-    pos + 1
-  end
-  else begin
-    Bytes.set b pos (Char.chr (0x80 lor (n land 0x7F)));
-    put_varint b (pos + 1) (n lsr 7)
-  end
-
-let put_uint b pos n =
-  assert (n >= 0);
-  put_varint b pos n
-
-let put_int b pos n = put_varint b pos (zigzag n)
-
-let put_string b pos s =
-  let pos = put_uint b pos (String.length s) in
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
-let put_int_array b pos a =
-  let pos = ref (put_uint b pos (Array.length a)) in
-  for i = 0 to Array.length a - 1 do
-    pos := put_int b !pos a.(i)
-  done;
-  !pos
-
 type cursor = { data : string; mutable pos : int }
 
 let cursor ?(pos = 0) data = { data; pos }
@@ -99,11 +69,6 @@ let read_string c =
   let s = String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
-
-let skip_string c =
-  let n = read_uint c in
-  if c.pos + n > String.length c.data then raise (Corrupt "truncated string");
-  c.pos <- c.pos + n
 
 let read_int_array c =
   let n = read_uint c in

@@ -15,15 +15,6 @@ val add_int : Buffer.t -> int -> unit
 val add_string : Buffer.t -> string -> unit
 val add_int_array : Buffer.t -> int array -> unit
 
-(** The same encodings written into bytes at a position, returning the
-    position just after; the caller sizes the bytes with the [*_size]
-    functions.  @raise Invalid_argument if the bytes are too short. *)
-
-val put_uint : Bytes.t -> int -> int -> int
-val put_int : Bytes.t -> int -> int -> int
-val put_string : Bytes.t -> int -> string -> int
-val put_int_array : Bytes.t -> int -> int array -> int
-
 (** Encoded sizes: the number of bytes the matching [add_*] appends. *)
 
 val uint_size : int -> int
@@ -41,6 +32,3 @@ val read_uint : cursor -> int
 val read_int : cursor -> int
 val read_string : cursor -> string
 val read_int_array : cursor -> int array
-
-val skip_string : cursor -> unit
-(** Advance past a string without copying it out. *)

@@ -126,6 +126,10 @@ let value t i = t.value.(i)
 let name t i = Type_table.label t.types t.type_id.(i)
 let kind t i = if Type_table.is_attribute t.types t.type_id.(i) then Attribute else Element
 
+let parent_column t = t.parent
+let type_column t = t.type_id
+let dewey_column t = t.dewey
+
 let child_count t i = t.kid_start.(i + 1) - t.kid_start.(i)
 let child t i k = t.kids.(t.kid_start.(i) + k)
 

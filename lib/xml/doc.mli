@@ -67,6 +67,14 @@ val child_count : t -> int -> int
 val child : t -> int -> int -> int
 (** [child t i k] is node [i]'s [k]th child (0-based, attributes first). *)
 
+(** Whole columns, indexed by node id: the table's own arrays, not copies.
+    A document is never written after indexing, so a consumer may keep
+    them as its own columns; it must not write to them. *)
+
+val parent_column : t -> int array
+val type_column : t -> Type_table.id array
+val dewey_column : t -> Xmutil.Dewey.t array
+
 val root : t -> node
 (** The first document's root. *)
 
