@@ -5,73 +5,94 @@
 
 open Xmorph
 
+(* The words a generated guard is made of: the labels its patterns name,
+   the literals of its value filters, and whether ORDER-BY appears. *)
+type vocab = {
+  label : string QCheck2.Gen.t;
+  literal : string QCheck2.Gen.t;
+  order_by : bool;
+}
+
 let gen_label =
   QCheck2.Gen.oneofl
     [ "author"; "name"; "book"; "title"; "publisher"; "data"; "x-1"; "book.author" ]
 
+let default_vocab =
+  { label = gen_label; literal = QCheck2.Gen.oneofl [ "A"; "B"; "x y" ]; order_by = false }
+
 let gen_new_label = QCheck2.Gen.oneofl [ "wrap"; "extra"; "scribe" ]
 
-let rec gen_pattern depth =
+let rec gen_pattern v depth =
   QCheck2.Gen.(
     let leaf =
-      let* l = gen_label in
+      let* l = v.label in
       let* bang = bool in
       return (Ast.Label { label = l; bang })
     in
     if depth = 0 then leaf
     else
       frequency
-        [
-          (4, leaf);
-          ( 3,
-            let* p = gen_pattern 0 in
-            let* n = int_range 1 3 in
-            let* items = list_size (return n) (gen_item (depth - 1)) in
-            return (Ast.Tree (p, items)) );
-          (1, map (fun p -> Ast.Children p) (gen_pattern 0));
-          (1, map (fun p -> Ast.Descendants p) (gen_pattern 0));
-          (1, map (fun p -> Ast.Clone p) (gen_pattern (depth - 1)));
-          (1, map (fun l -> Ast.New l) gen_new_label);
-          (1, map (fun p -> Ast.Restrict p) (gen_pattern (depth - 1)));
-          ( 1,
-            let* p = gen_pattern 0 in
-            let* v = oneofl [ "A"; "B"; "x y" ] in
-            return (Ast.Value_eq (p, v)) );
-        ])
+        ([
+           (4, leaf);
+           ( 3,
+             let* p = gen_pattern v 0 in
+             let* n = int_range 1 3 in
+             let* items = list_size (return n) (gen_item v (depth - 1)) in
+             return (Ast.Tree (p, items)) );
+           (1, map (fun p -> Ast.Children p) (gen_pattern v 0));
+           (1, map (fun p -> Ast.Descendants p) (gen_pattern v 0));
+           (1, map (fun p -> Ast.Clone p) (gen_pattern v (depth - 1)));
+           (1, map (fun l -> Ast.New l) gen_new_label);
+           (1, map (fun p -> Ast.Restrict p) (gen_pattern v (depth - 1)));
+           ( 1,
+             let* p = gen_pattern v 0 in
+             let* lit = v.literal in
+             return (Ast.Value_eq (p, lit)) );
+         ]
+        @
+        if v.order_by then
+          [
+            ( 1,
+              let* p = gen_pattern v (depth - 1) in
+              let* key = v.label in
+              let* desc = bool in
+              return (Ast.Order_by (p, if desc then key ^ " desc" else key)) );
+          ]
+        else []))
 
-and gen_item depth =
+and gen_item v depth =
   QCheck2.Gen.(
     frequency
-      [ (6, gen_pattern depth); (1, return Ast.Star); (1, return Ast.Dbl_star) ])
+      [ (6, gen_pattern v depth); (1, return Ast.Star); (1, return Ast.Dbl_star) ])
 
-let gen_mutate_pattern depth =
+let gen_mutate_pattern v depth =
   QCheck2.Gen.(
     frequency
-      [ (5, gen_pattern depth); (1, map (fun p -> Ast.Drop p) (gen_pattern 0)) ])
+      [ (5, gen_pattern v depth); (1, map (fun p -> Ast.Drop p) (gen_pattern v 0)) ])
 
-let gen_stage =
+let gen_stage v =
   QCheck2.Gen.(
     frequency
       [
         ( 4,
           let* n = int_range 1 2 in
-          let* ps = list_size (return n) (gen_pattern 2) in
+          let* ps = list_size (return n) (gen_pattern v 2) in
           return (Ast.Morph ps) );
         ( 3,
           let* n = int_range 1 2 in
-          let* ps = list_size (return n) (gen_mutate_pattern 2) in
+          let* ps = list_size (return n) (gen_mutate_pattern v 2) in
           return (Ast.Mutate ps) );
         ( 1,
-          let* a = gen_label in
+          let* a = v.label in
           let* b = gen_new_label in
           return (Ast.Translate [ (a, b) ]) );
       ])
 
-let gen_guard =
+let gen_guard_over v =
   QCheck2.Gen.(
     let* base =
       let* n = int_range 1 3 in
-      let* stages = list_size (return n) gen_stage in
+      let* stages = list_size (return n) (gen_stage v) in
       match List.map (fun s -> Ast.Stage s) stages with
       | [] -> assert false
       | first :: rest ->
@@ -85,6 +106,8 @@ let gen_guard =
         (1, return (Ast.Cast (Ast.Cast_widening, base)));
         (1, return (Ast.Type_fill base));
       ])
+
+let gen_guard = gen_guard_over default_vocab
 
 let prop_pp_parse_roundtrip =
   QCheck2.Test.make ~name:"pp/parse roundtrip for random guards" ~count:500

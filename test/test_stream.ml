@@ -88,6 +88,114 @@ let prop_stream_equals_materialized_random =
       ignore (Render.to_buffer store compiled.Interp.shape b2);
       Buffer.contents b1 = Buffer.contents b2)
 
+(* The three ways out of the renderer agree on any guard: [to_buffer], the
+   trees of [to_trees] printed with [Xml.Printer], and the concatenated
+   [stream] fragments give the same bytes, the same [Render.stats] and the
+   same [Io_stats] charges, on fresh stores at jobs 1 and 2.  The tree path
+   charges its printed bytes as one write, as [to_buffer] does.  Guards
+   are drawn over the document's own labels and values, so ORDER-BY,
+   value filters, RESTRICT, NEW nodes and attribute children take part;
+   each guard is rendered again after a value-update batch, so patched
+   values are read too.  On the same documents, [Render.join_level] is
+   the maximal common Dewey prefix over every instance pair. *)
+let with_jobs n f =
+  let saved = Xmutil.Pool.jobs () in
+  Xmutil.Pool.set_jobs n;
+  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
+
+let io store = Store.Io_stats.snapshot (Store.Shredded.stats store)
+
+let via_buffer store shape =
+  let b = Buffer.create 256 in
+  let st = Render.to_buffer store shape b in
+  (Buffer.contents b, st, io store)
+
+let via_trees store shape =
+  let trees = Render.to_trees store shape in
+  let b = Buffer.create 256 in
+  List.iter (Xml.Printer.to_buffer b) trees;
+  Store.Io_stats.charge_write (Store.Shredded.stats store) (Buffer.length b);
+  let elements = List.fold_left (fun n t -> n + Xml.Tree.count_nodes t) 0 trees in
+  (Buffer.contents b, { Render.elements; bytes = Buffer.length b }, io store)
+
+let via_stream store shape =
+  let b = Buffer.create 256 in
+  let st = Render.stream store shape (Buffer.add_string b) in
+  (Buffer.contents b, st, io store)
+
+let brute_join_level store t u =
+  let best = ref 0 in
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y -> best := max !best (Xmutil.Dewey.common_prefix_len x y))
+        (Store.Shredded.dewey_column store u))
+    (Store.Shredded.dewey_column store t);
+  !best
+
+let gen_case =
+  QCheck2.Gen.(
+    let* tree = Gen.gen_tree in
+    let doc = Xml.Doc.of_tree tree in
+    let tt = Xml.Doc.types doc in
+    let labels = ref [] in
+    Xml.Type_table.iter tt (fun ty ->
+        labels := Xml.Type_table.label tt ty :: Xml.Type_table.qname tt ty :: !labels);
+    let literals =
+      "A"
+      :: List.filter_map
+           (fun i ->
+             let v = Xml.Doc.value doc i in
+             if v = "" || String.contains v '"' then None else Some v)
+           (List.init (Xml.Doc.node_count doc) Fun.id)
+    in
+    let vocab =
+      { Test_guard_prop.label = oneofl !labels; literal = oneofl literals; order_by = true }
+    in
+    let* guard = Test_guard_prop.gen_guard_over vocab in
+    let* batch =
+      list_size (int_range 1 4)
+        (pair (int_range 0 (Xml.Doc.node_count doc - 1)) (oneofl literals))
+    in
+    return (tree, Ast.to_string guard, batch))
+
+let print_case (tree, guard, batch) =
+  Printf.sprintf "%s\n%s\n[%s]" (Xml.Printer.to_string tree) guard
+    (String.concat "; " (List.map (fun (i, v) -> Printf.sprintf "%d:%S" i v) batch))
+
+let prop_three_paths_agree =
+  QCheck2.Test.make ~name:"to_buffer = to_trees = stream, bytes, stats and I/O"
+    ~count:300 ~print:print_case gen_case (fun (tree, guard, batch) ->
+      let doc = Xml.Doc.of_tree tree in
+      let fresh batch =
+        let store = Store.Shredded.shred doc in
+        let store = if batch = [] then store else Store.Shredded.update_values store batch in
+        Store.Io_stats.reset (Store.Shredded.stats store);
+        store
+      in
+      let levels_ok =
+        let store = fresh [] in
+        let n = Xml.Type_table.count (Store.Shredded.types store) in
+        List.for_all
+          (fun t ->
+            List.for_all
+              (fun u -> Render.join_level store t u = brute_join_level store t u)
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      levels_ok
+      &&
+      match Interp.compile ~enforce:false (Store.Shredded.guide (fresh [])) guard with
+      | exception _ -> true
+      | compiled ->
+          let shape = compiled.Interp.shape in
+          List.for_all
+            (fun (jobs, batch) ->
+              with_jobs jobs @@ fun () ->
+              let b = via_buffer (fresh batch) shape in
+              b = via_trees (fresh batch) shape && b = via_stream (fresh batch) shape)
+            [ (1, []); (2, []); (1, batch); (2, batch) ])
+
 let suite =
   [
     Alcotest.test_case "stream = materialized (all constructs)" `Quick
@@ -97,4 +205,5 @@ let suite =
     Alcotest.test_case "incremental fragments" `Quick
       test_stream_fragments_arrive_incrementally;
     QCheck_alcotest.to_alcotest prop_stream_equals_materialized_random;
+    QCheck_alcotest.to_alcotest prop_three_paths_agree;
   ]
