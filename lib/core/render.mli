@@ -1,22 +1,32 @@
 (** Rendering a transformed shape (Sec. VII, Fig. 7).
 
-    The target shape is walked top-down; at every shape edge a {e closest
-    join} pairs the parent's instances with the child type's instances.  The
-    join exploits Dewey numbers: two nodes are closest exactly when their
-    common Dewey prefix has the maximal length achieved by any pair of their
-    types (Def. 2), so one merge pass over the two document-ordered
-    TypeToSequence rows computes that length, and a second forward pass
-    finds each parent's run of closest children in the GroupedSequence
-    table — output in document order, the pipelining the paper describes.
-    Each edge keeps its runs in flat offset arrays, not per-parent
-    copies.
+    Rendering plans, then walks.  The plan mirrors the target shape: at
+    every shape edge a {e closest join} pairs the parent's instances with
+    the child type's instances.  The join exploits Dewey numbers: two
+    nodes are closest exactly when their common Dewey prefix has the
+    maximal length achieved by any pair of their types (Def. 2).  When one
+    type is an ancestor-or-self of the other that length is the ancestor's
+    depth; otherwise one merge pass over the two document-ordered
+    TypeToSequence rows computes it.  A forward pass then finds each
+    parent's run of closest children in the GroupedSequence table,
+    galloping from the previous parent's answer.  Each edge keeps its runs
+    in flat offset arrays, not per-parent copies.
+
+    One walk over the plan then emits the output in document order — the
+    pipelining the paper describes — through four calls: open element,
+    attribute, text, close.  {!to_buffer} and {!stream} send them to an
+    {!Xml.Printer.Writer}, which escapes each value in place from the
+    store's packed text; {!to_trees}, {!to_tree} and {!Nav.materialize}
+    send them to an {!Xml.Tree.Builder}.  Every path reads the same nodes,
+    so the bytes, the {!stats} and the read charges agree.  The walk is
+    sequential; at more than one job the joins of the plan still fan out.
 
     The "read" cost is linear in the source; the "write" cost can be
     quadratic because a source node closest to several parents is rendered
     under each of them (the duplication the paper calls out).
 
-    All reads are charged to the store's {!Store.Io_stats}; [to_buffer] also
-    charges the serialized output as writes.
+    All reads are charged to the store's {!Store.Io_stats}; [to_buffer] and
+    [stream] also charge the serialized output as one write.
 
     Rendering conventions (DESIGN.md): a node with restrict children is
     emitted only when every restrict pattern has at least one closest,
@@ -28,7 +38,7 @@
 
 type stats = {
   elements : int;  (** element + attribute count of the output *)
-  bytes : int;  (** serialized size (only meaningful after [to_buffer]) *)
+  bytes : int;  (** serialized size *)
 }
 
 val to_trees : Store.Shredded.t -> Tshape.t -> Xml.Tree.t list
@@ -41,14 +51,17 @@ val to_tree : ?wrapper:string -> Store.Shredded.t -> Tshape.t -> Xml.Tree.t
     [wrapper] element (default ["result"]). *)
 
 val to_buffer : Store.Shredded.t -> Tshape.t -> Buffer.t -> stats
-(** Render and serialize, charging writes to the store's stats. *)
+(** Render straight into the buffer, one plan walk with no tree, and
+    charge the bytes written as one write to the store's stats. *)
 
 val stream : Store.Shredded.t -> Tshape.t -> (string -> unit) -> stats
 (** Stream the serialized output to a sink in document order without ever
     materializing a tree — the paper's pipelined mode: "a transformation can
     immediately produce output, and stream the output node by node" (Sec.
-    VII).  Only the per-edge join results are held in memory; output fragments
-    go straight to the sink.  Writes are charged per fragment. *)
+    VII).  The same walk as {!to_buffer}: the sink is handed the bytes
+    written so far each time an element closes, so only the per-edge join
+    results and one element's worth of bytes are held in memory.  The
+    bytes are charged as one write, once the walk is done. *)
 
 type edge_explanation = {
   parent : string;  (** rendered parent name (qualified source type) *)

@@ -1,30 +1,44 @@
-let add_escaped_text b s =
-  String.iter
-    (function
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | c -> Buffer.add_char b c)
-    s
+(* Escape [s] from [start] (up to [i] scanned) to [stop]: each run
+   between special characters goes in with one [add_substring].  ['"'] is
+   special only in attribute values. *)
+let rec add_escaped ~attr b s start i stop =
+  if i = stop then Buffer.add_substring b s start (stop - start)
+  else
+    let entity =
+      match String.unsafe_get s i with
+      | '&' -> "&amp;"
+      | '<' -> "&lt;"
+      | '>' -> "&gt;"
+      | '"' when attr -> "&quot;"
+      | _ -> ""
+    in
+    if String.length entity = 0 then add_escaped ~attr b s start (i + 1) stop
+    else begin
+      Buffer.add_substring b s start (i - start);
+      Buffer.add_string b entity;
+      add_escaped ~attr b s (i + 1) (i + 1) stop
+    end
 
-let add_escaped_attr b s =
-  String.iter
-    (function
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s
+let check_slice s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Xml.Printer: bad slice"
+
+let add_escaped_text b s pos len =
+  check_slice s pos len;
+  add_escaped ~attr:false b s pos pos (pos + len)
+
+let add_escaped_attr b s pos len =
+  check_slice s pos len;
+  add_escaped ~attr:true b s pos pos (pos + len)
 
 let escape_text s =
   let b = Buffer.create (String.length s + 8) in
-  add_escaped_text b s;
+  add_escaped_text b s 0 (String.length s);
   Buffer.contents b
 
 let escape_attr s =
   let b = Buffer.create (String.length s + 8) in
-  add_escaped_attr b s;
+  add_escaped_attr b s 0 (String.length s);
   Buffer.contents b
 
 let add_attrs b attrs =
@@ -33,13 +47,13 @@ let add_attrs b attrs =
       Buffer.add_char b ' ';
       Buffer.add_string b k;
       Buffer.add_string b "=\"";
-      add_escaped_attr b v;
+      add_escaped_attr b v 0 (String.length v);
       Buffer.add_char b '"')
     attrs
 
 let rec to_buffer b t =
   match t with
-  | Tree.Text s -> add_escaped_text b s
+  | Tree.Text s -> add_escaped_text b s 0 (String.length s)
   | Tree.Element { name; attrs; children } ->
       Buffer.add_char b '<';
       Buffer.add_string b name;
@@ -52,6 +66,54 @@ let rec to_buffer b t =
         Buffer.add_string b name;
         Buffer.add_char b '>'
       end
+
+module Writer = struct
+  type t = {
+    buf : Buffer.t;
+    mutable in_tag : bool; (* the last start tag still lacks its '>' or "/>" *)
+    mutable elements : int;
+    on_close : (Buffer.t -> unit) option;
+  }
+
+  let create ?on_close buf = { buf; in_tag = false; elements = 0; on_close }
+
+  let end_start_tag w =
+    if w.in_tag then begin
+      Buffer.add_char w.buf '>';
+      w.in_tag <- false
+    end
+
+  let open_element w name =
+    end_start_tag w;
+    Buffer.add_char w.buf '<';
+    Buffer.add_string w.buf name;
+    w.in_tag <- true;
+    w.elements <- w.elements + 1
+
+  let attribute w name s pos len =
+    Buffer.add_char w.buf ' ';
+    Buffer.add_string w.buf name;
+    Buffer.add_string w.buf "=\"";
+    add_escaped_attr w.buf s pos len;
+    Buffer.add_char w.buf '"';
+    w.elements <- w.elements + 1
+
+  let text w s pos len =
+    end_start_tag w;
+    add_escaped_text w.buf s pos len
+
+  let close_element w name =
+    if w.in_tag then Buffer.add_string w.buf "/>"
+    else begin
+      Buffer.add_string w.buf "</";
+      Buffer.add_string w.buf name;
+      Buffer.add_char w.buf '>'
+    end;
+    w.in_tag <- false;
+    match w.on_close with Some f -> f w.buf | None -> ()
+
+  let elements w = w.elements
+end
 
 let to_string t =
   let b = Buffer.create 1024 in
@@ -67,7 +129,7 @@ let to_string_indented t =
     match t with
     | Tree.Text s ->
         Buffer.add_string b indent;
-        add_escaped_text b s;
+        add_escaped_text b s 0 (String.length s);
         Buffer.add_char b '\n'
     | Tree.Element { name; attrs; children } ->
         Buffer.add_string b indent;
@@ -77,7 +139,9 @@ let to_string_indented t =
         if children = [] then Buffer.add_string b "/>\n"
         else if only_text children then begin
           Buffer.add_char b '>';
-          List.iter (function Tree.Text s -> add_escaped_text b s | _ -> ()) children;
+          List.iter
+            (function Tree.Text s -> add_escaped_text b s 0 (String.length s) | _ -> ())
+            children;
           Buffer.add_string b "</";
           Buffer.add_string b name;
           Buffer.add_string b ">\n"

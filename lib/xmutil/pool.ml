@@ -162,19 +162,3 @@ let chunks ~total ~parts =
     done;
     bounds
   end
-
-let map_chunked ?(min_chunk = 1) f a =
-  let n = Array.length a in
-  let j = jobs () in
-  if j <= 1 || n <= min_chunk then Array.map f a
-  else begin
-    let bounds = chunks ~total:n ~parts:j in
-    let pieces =
-      parallel
-        (Array.to_list
-           (Array.map
-              (fun (lo, hi) () -> Array.init (hi - lo) (fun k -> f a.(lo + k)))
-              bounds))
-    in
-    Array.concat pieces
-  end

@@ -38,8 +38,3 @@ val chunks : total:int -> parts:int -> (int * int) array
 (** Contiguous [[start, stop)] ranges covering [0 .. total), balanced to
     within one element, at most [parts] of them (fewer when [total] is
     small); empty when [total <= 0]. *)
-
-val map_chunked : ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [Array.map] with the input split into [jobs ()] contiguous chunks
-    evaluated in parallel; element order is preserved.  Runs sequentially
-    when [jobs () <= 1] or the array has at most [min_chunk] elements. *)

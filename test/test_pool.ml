@@ -93,15 +93,6 @@ let test_chunks () =
         (Some total) covered)
     [ (1, 1); (5, 2); (64, 7); (1000, 64) ]
 
-let test_map_chunked () =
-  with_jobs 4 @@ fun () ->
-  let a = Array.init 1000 (fun i -> i) in
-  Alcotest.(check (array int)) "matches Array.map"
-    (Array.map (fun x -> x * 3) a)
-    (Xmutil.Pool.map_chunked (fun x -> x * 3) a);
-  Alcotest.(check (array int)) "empty" [||]
-    (Xmutil.Pool.map_chunked (fun x -> x * 3) [||])
-
 let suite =
   [
     Alcotest.test_case "jobs=1 is sequential left-to-right" `Quick
@@ -115,5 +106,4 @@ let suite =
       test_exception_propagates;
     Alcotest.test_case "set_jobs clamps" `Quick test_set_jobs_clamps;
     Alcotest.test_case "chunks tile the range" `Quick test_chunks;
-    Alcotest.test_case "map_chunked preserves order" `Quick test_map_chunked;
   ]

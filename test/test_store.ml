@@ -699,3 +699,27 @@ let suite =
   suite
   @ [ Alcotest.test_case "load refuses records save would not write" `Quick
         test_load_refuses_bad_records ]
+
+(* A loaded store holds each Dewey number once: the sidecar column entry
+   and the node's record are one array, as in a shredded store. *)
+let test_load_shares_dewey () =
+  List.iter
+    (fun doc ->
+      let path = Filename.temp_file "xmorph" ".store" in
+      Store.Shredded.save (Store.Shredded.shred doc) path;
+      let s = Store.Shredded.load path in
+      Sys.remove path;
+      Xml.Type_table.iter (Store.Shredded.types s) (fun ty ->
+          let col = Store.Shredded.dewey_column s ty in
+          Array.iteri
+            (fun j id ->
+              if not (col.(j) == (Store.Shredded.node s id).Store.Shredded.dewey) then
+                Alcotest.failf "type %d: node %d's Dewey number is held twice" ty id)
+            (Store.Shredded.sequence s ty)))
+    [ Xml.Doc.of_string Workloads.Figures.instance_a;
+      Workloads.Xmark.to_doc ~seed:5 ~factor:0.002 () ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "load holds each Dewey number once" `Quick
+        test_load_shares_dewey ]

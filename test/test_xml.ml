@@ -303,3 +303,90 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parser_total_on_mutations;
       QCheck_alcotest.to_alcotest prop_parser_total_on_garbage;
     ]
+
+(* Escaping by runs against a character-by-character reference. *)
+let reference_escape ~attr s =
+  String.concat ""
+    (List.map
+       (function
+         | '&' -> "&amp;"
+         | '<' -> "&lt;"
+         | '>' -> "&gt;"
+         | '"' when attr -> "&quot;"
+         | c -> String.make 1 c)
+       (List.of_seq (String.to_seq s)))
+
+let escape_cases =
+  [ ""; "plain"; "&x"; "x&"; "&&"; "<x"; "x<"; "<<"; ">x"; "x>"; ">>"; "\"x"; "x\"";
+    "\"\""; "&<>\""; "a&b<c>d\"e"; "\"<&>\"" ]
+
+let test_escape_by_runs () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun attr ->
+          let want = reference_escape ~attr s in
+          let escape = if attr then Xml.Printer.escape_attr else Xml.Printer.escape_text in
+          Alcotest.(check string) (Printf.sprintf "%S" s) want (escape s);
+          (* A slice escapes as its copy does. *)
+          let add =
+            if attr then Xml.Printer.add_escaped_attr else Xml.Printer.add_escaped_text
+          in
+          let b = Buffer.create 16 in
+          add b ("<" ^ s ^ "&") 1 (String.length s);
+          Alcotest.(check string) (Printf.sprintf "slice of %S" s) want (Buffer.contents b);
+          let tree =
+            Xml.Tree.Element { name = "e"; attrs = [ ("k", s) ]; children = [ Text s ] }
+          in
+          Alcotest.(check int) (Printf.sprintf "size of %S" s)
+            (String.length (Xml.Printer.to_string tree))
+            (Xml.Printer.serialized_size tree))
+        [ false; true ])
+    escape_cases;
+  Alcotest.check_raises "a slice past the end" (Invalid_argument "Xml.Printer: bad slice")
+    (fun () -> Xml.Printer.add_escaped_text (Buffer.create 4) "ab" 1 2)
+
+(* The writer's bytes are those of [to_buffer] over the tree a builder
+   makes of the same calls, empty text and childless elements included. *)
+module type EVENTS = sig
+  type t
+
+  val open_element : t -> string -> unit
+  val attribute : t -> string -> string -> int -> int -> unit
+  val text : t -> string -> int -> int -> unit
+  val close_element : t -> string -> unit
+end
+
+let test_writer_matches_builder () =
+  let calls (type a) (module S : EVENTS with type t = a) (x : a) =
+    let src = "<v&\">" in
+    S.open_element x "r";
+    S.attribute x "k" src 1 3;
+    S.open_element x "empty";
+    S.close_element x "empty";
+    S.open_element x "t";
+    S.text x src 0 0;
+    S.close_element x "t";
+    S.text x src 0 (String.length src);
+    S.open_element x "a";
+    S.attribute x "x" src 0 1;
+    S.close_element x "a";
+    S.close_element x "r"
+  in
+  let b = Xml.Tree.Builder.create () in
+  calls (module Xml.Tree.Builder) b;
+  let buf = Buffer.create 64 in
+  let w = Xml.Printer.Writer.create buf in
+  calls (module Xml.Printer.Writer) w;
+  let want =
+    String.concat "" (List.map Xml.Printer.to_string (Xml.Tree.Builder.trees b))
+  in
+  Alcotest.(check string) "same bytes" want (Buffer.contents buf);
+  Alcotest.(check int) "elements and attributes" 6 (Xml.Printer.Writer.elements w)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "escaping by runs" `Quick test_escape_by_runs;
+      Alcotest.test_case "writer = builder + printer" `Quick test_writer_matches_builder;
+    ]
