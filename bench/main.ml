@@ -18,7 +18,6 @@ let sections =
     ("ablations", Ablations.run);
     ("architectures", Architectures.run);
     ("micro", Micro.run);
-    ("scaling", Scaling.run);
     ("serve", Serve_stats.run);
     ("cache", Cache.run);
     ("flight", Flight.run);

@@ -57,35 +57,12 @@ let write_file path contents =
     close_out oc
   end
 
-(* Profiling is single-domain: the frame stack and per-operator block
-   attribution cannot be interleaved.  The render engine already falls back
-   to sequential evaluation while the profiler is on; this makes the
-   fallback visible instead of silent.  Only a count given with --jobs
-   draws the warning, since that is the flag it names: a count taken from
-   XMORPH_JOBS is set aside quietly. *)
-let jobs_flag = ref false
-
-let serialize_for_profile () =
-  if Xmutil.Pool.jobs () > 1 then begin
-    if !jobs_flag then
-      Printf.eprintf
-        "xmorph: profiling is single-domain; ignoring --jobs %d and running \
-         sequentially\n"
-        (Xmutil.Pool.jobs ());
-    Xmutil.Pool.set_jobs 1
-  end
-
 (* Exports are registered on the shared shutdown path: they capture
    whatever ran on clean exits (including [exit_err] bailouts, like the
    old bare [at_exit] registration) and on SIGTERM/SIGINT, which
    [Xmobs.Shutdown.install] converts into an ordinary [exit].  A killed
    serve daemon therefore still leaves complete, valid telemetry files. *)
-let obs_setup trace metrics profile qlog qlog_max_mb stats_db jobs =
-  (match jobs with
-  | None -> ()
-  | Some j ->
-      jobs_flag := true;
-      Xmutil.Pool.set_jobs j);
+let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   let stats_db =
     match stats_db with
     | Some _ as s -> s
@@ -113,7 +90,6 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db jobs =
   (match profile with
   | None -> ()
   | Some path ->
-      serialize_for_profile ();
       Xmobs.Profile.enable ();
       Xmobs.Shutdown.on_exit (fun () ->
           write_file path (Xmutil.Json.to_string (Xmobs.Profile.to_json ()))));
@@ -187,15 +163,8 @@ let obs_term_gen ~stats_db_flag =
                      $(b,xmorph explain), $(b,xmorph stats --stats-db), or \
                      GET /debug/opstats on serve.")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Evaluate transformations with $(docv) domains (clamped to \
-                   1..64).  Defaults to the XMORPH_JOBS environment variable, \
-                   or 1.  Profiling always runs single-domain.")
-  in
   Term.(const obs_setup $ trace $ metrics $ profile $ qlog $ qlog_max_mb
-        $ stats_db $ jobs)
+        $ stats_db)
 
 let obs_term = obs_term_gen ~stats_db_flag:true
 
@@ -610,7 +579,6 @@ let profile_cmd =
     match load_store input with
     | Error m -> exit_err m
     | Ok store ->
-        serialize_for_profile ();
         Xmobs.Profile.enable ();
         (match
            Xmserve.Exec.record ~source:"profile" ~doc:input ~guard ?query store
@@ -1085,7 +1053,7 @@ let serve_cmd =
       slo_p95_ms slo_error_rate cache_mb incident_dir incident_keep
       debug_ring alert_rules =
     (* The daemon is multi-threaded, so an async [Sys.signal] handler can
-       be delivered to a worker or pool domain that never reaches a
+       be delivered to a worker thread that never reaches a
        safepoint while the accept loop sits in [accept].  Block the
        termination signals before any thread exists and consume them
        deterministically with sigwait; [exit] then runs the shared

@@ -21,12 +21,6 @@ let make_rctx store =
   { store; caches = Hashtbl.create 64; cache_lock = Mutex.create ();
     levels = Hashtbl.create 64; level_lock = Mutex.create () }
 
-(* How many domains this render may use.  Profiling forces sequential
-   evaluation: the profiler's frame stack and block-attribution counters
-   are single-domain structures, and per-operator timings would be
-   meaningless interleaved. *)
-let effective_jobs () = if Xmobs.Profile.profiling () then 1 else Pool.jobs ()
-
 let cache rctx ty =
   Mutex.lock rctx.cache_lock;
   let c =
@@ -139,9 +133,6 @@ let seek_run l deweys groups pd lo hi =
   if lo >= hi || compare_prefix l deweys.(fst groups.(lo)) pd 0 >= 0 then lo
   else gallop_run l deweys groups pd lo 1 hi
 
-(* Below this many parents a closest join is not worth fanning out. *)
-let parallel_parents = 128
-
 (* The closest join (CLOSE), the one kernel every join goes through.  The
    child side is the GroupedSequence table (Fig. 8): the child type's
    sequence grouped into runs of equal [l]-prefix, so a parent's closest
@@ -150,11 +141,7 @@ let parallel_parents = 128
    parent, the index of its run in the returned groups, or -1 when it has
    no closest child.  Both searches gallop forward from the previous
    parent's answer, so a batch is one forward pass over the parent row and
-   the runs.
-
-   Per-parent searches are independent, so large batches are split across
-   the domain pool: each chunk fills its own slice of the one result
-   array, and nothing is merged. *)
+   the runs. *)
 let closest_runs rctx ~pty ~parents ~cty =
   let l = join_level_ctx rctx pty cty in
   let pc = cache rctx pty and cc = cache rctx cty in
@@ -163,36 +150,25 @@ let closest_runs rctx ~pty ~parents ~cty =
   if Array.length cc.ids = 0 || l = 0 then (runs, [||])
   else begin
     let groups = Store_.Shredded.grouped_sequence rctx.store cty ~level:l in
-    let fill start stop =
-      let pos = ref 0 and g = ref 0 in
-      for k = start to stop - 1 do
-        (* The first parent has no previous answer to gallop from. *)
-        let first = k = start in
-        pos :=
-          (if first then bisect_id else seek_id)
-            pc.ids parents.(k) !pos (Array.length pc.ids);
-        if !pos < Array.length pc.ids && pc.ids.(!pos) = parents.(k) then begin
-          let pd = pc.deweys.(!pos) in
-          if Array.length pd >= l then begin
-            g :=
-              (if first then bisect_run else seek_run)
-                l cc.deweys groups pd !g (Array.length groups);
-            if !g < Array.length groups
-               && compare_prefix l cc.deweys.(fst groups.(!g)) pd 0 = 0
-            then runs.(k) <- !g
-          end
+    let pos = ref 0 and g = ref 0 in
+    for k = 0 to n - 1 do
+      (* The first parent has no previous answer to gallop from. *)
+      let first = k = 0 in
+      pos :=
+        (if first then bisect_id else seek_id)
+          pc.ids parents.(k) !pos (Array.length pc.ids);
+      if !pos < Array.length pc.ids && pc.ids.(!pos) = parents.(k) then begin
+        let pd = pc.deweys.(!pos) in
+        if Array.length pd >= l then begin
+          g :=
+            (if first then bisect_run else seek_run)
+              l cc.deweys groups pd !g (Array.length groups);
+          if !g < Array.length groups
+             && compare_prefix l cc.deweys.(fst groups.(!g)) pd 0 = 0
+          then runs.(k) <- !g
         end
-      done
-    in
-    let jobs = effective_jobs () in
-    if jobs <= 1 || n < parallel_parents then fill 0 n
-    else begin
-      let chunks = Pool.chunks ~total:n ~parts:jobs in
-      ignore
-        (Pool.parallel
-           (Array.to_list (Array.map (fun (s, e) () -> fill s e) chunks)));
-      Store_.Io_stats.republish (Store_.Shredded.stats rctx.store)
-    end;
+      end
+    done;
     (runs, groups)
   end
 
@@ -407,9 +383,8 @@ let sort_instances rctx (tn : Tshape.node) ids =
           Array.stable_sort cmp decorated;
           Array.map snd decorated)
 
-(* Sibling edges of the target shape are independent, so they are planned
-   concurrently when the pool has domains to spare.  With one job this is
-   [List.map]. *)
+(* Sibling edges are planned in shape order, so I/O charges and profiler
+   frames arrive in that order too. *)
 let rec plan_node rctx (tn : Tshape.node) ~aty ~ids =
   let plan_child (c : Tshape.node) =
     match c.source with
@@ -430,12 +405,7 @@ let rec plan_node rctx (tn : Tshape.node) ~aty ~ids =
                instance, deeper NEW nodes likewise. *)
             planned rctx c None (plan_node rctx c ~aty ~ids))
   in
-  match tn.children with
-  | [] -> []
-  | [ c ] -> [ plan_child c ]
-  | cs when effective_jobs () > 1 ->
-      Pool.parallel (List.map (fun c () -> plan_child c) cs)
-  | cs -> List.map plan_child cs
+  List.map plan_child tn.children
 
 (* Profiled wrapper: each target edge's pipelined join appears in the
    profile as a [closest(parent->child)] frame, nested to mirror the target
@@ -558,8 +528,7 @@ module Emit (S : SINK) = struct
         else
           Xmobs.Profile.op "emit" (fun () ->
               Array.iter (fun id -> walk store sink plan id) ids))
-      shape.roots;
-    Store_.Io_stats.republish (Store_.Shredded.stats store)
+      shape.roots
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)

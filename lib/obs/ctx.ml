@@ -19,12 +19,9 @@
 
    Threading model: serve handles each request on one systhread, so the
    slot key is the thread id and everything recorded between [install] and
-   [uninstall] on that thread belongs to the request.  Charges arriving
-   from {!Xmutil.Pool} worker *domains* (parallel render sections) carry a
-   different thread id and miss the slot: they stay global-only, exactly
-   like gauge publication in [Store.Io_stats].  Per-request I/O attribution
-   is therefore exact at jobs = 1 (which serve uses per request) and a
-   lower bound under data-parallel render. *)
+   [uninstall] on that thread belongs to the request.  The library starts
+   no domains: a render runs, and charges its I/O, on the thread that
+   called it, so per-request I/O attribution is exact. *)
 
 (* ---------- ids ---------- *)
 

@@ -17,10 +17,10 @@
     and allocates nothing, preserving the zero-cost contract of the rest
     of [xmobs].
 
-    Attribution boundary: spans and metric increments are recorded only
-    from the installing thread; I/O charges from {!Xmutil.Pool} worker
-    domains (parallel render) miss the slot and stay global-only, so
-    per-request I/O is exact at jobs = 1 and a lower bound otherwise.
+    Attribution boundary: spans, metric increments and I/O charges are
+    recorded only from the installing thread.  The library starts no
+    domains — a render runs on the thread that called it — so per-request
+    I/O is exact.
 
     Completed requests land in a process-global bounded ring
     ({!finish} / {!completed}), each with its executed-query record

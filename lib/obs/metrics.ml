@@ -12,10 +12,10 @@
    [Io_stats.set_observer] hook was removed.
 
    Domain-safety: counters are atomics (adds commute, totals exact under
-   the renderer's data-parallel sections); interning and histogram updates
-   take a lock; gauges stay a bare mutable float — a word-sized write that
-   cannot tear, with last-write-wins semantics that are the right ones for
-   a level anyway.  The enabled gate is an atomic; observer lists and the
+   concurrent updates); interning and histogram updates take a lock;
+   gauges stay a bare mutable float — a word-sized write that cannot
+   tear, with last-write-wins semantics that are the right ones for a
+   level anyway.  The enabled gate is an atomic; observer lists and the
    current registry are main-domain state. *)
 
 type counter = { count : int Atomic.t }

@@ -11,7 +11,7 @@
     the role vmstat played in the paper's Figs. 11–13.
 
     Handle updates are domain-safe: counter adds are atomic (totals are
-    exact under parallel evaluation), histogram observations take a
+    exact under concurrent updates), histogram observations take a
     per-histogram lock, and gauge writes are word-sized stores with
     last-write-wins semantics.  Interning a handle locks the registry.
     Observers, {!enable}/{!disable}, and registry switching remain

@@ -7,7 +7,7 @@
    Writer design: records are serialized to a single line immediately and
    appended to a bounded in-memory buffer under a mutex; when the buffer
    crosses [cap] bytes it spills to the file.  The mutex makes concurrent
-   [log] calls (worker domains of Xmutil.Pool, serve worker threads) emit
+   [log] calls (serve worker threads, any domain) emit
    whole lines — a reader can never see an interleaved or partial record
    short of the process being killed uncleanly mid-spill.  [flush] is
    cheap and idempotent; the global sink registers it on the Shutdown
@@ -55,7 +55,6 @@ type entry = {
   in_nodes : int;
   out_nodes : int;
   io : io option;
-  jobs : int;
   cached : bool;
   generation : int option;
 }
@@ -111,7 +110,6 @@ let entry_to_json (e : entry) =
         ("in_nodes", Xmutil.Json.Int e.in_nodes);
         ("out_nodes", Xmutil.Json.Int e.out_nodes) ]
     @ (match e.io with None -> [] | Some io -> [ ("io", io_to_json io) ])
-    @ [ ("jobs", Xmutil.Json.Int e.jobs) ]
     (* Written only when true, so records from cache-less builds and
        cache-less runs are byte-identical to the historical format. *)
     @ (if e.cached then [ ("cached", Xmutil.Json.Bool true) ] else [])
@@ -198,7 +196,6 @@ let entry_of_json j =
     in_nodes = get_int fields "in_nodes";
     out_nodes = get_int fields "out_nodes";
     io;
-    jobs = get_int fields "jobs";
     (* Absent in pre-cache logs: missing means uncached. *)
     cached =
       (match find fields "cached" with

@@ -8,9 +8,9 @@
     The writer is a size-capped ring-to-disk buffer: records accumulate in
     a bounded in-memory buffer and spill to the file (append mode) whenever
     the cap is reached; {!flush} forces the spill.  [log] is safe to call
-    from worker domains ({!Xmutil.Pool} parallelism) — a record is
-    serialized and enqueued under a mutex, so concurrent writers always
-    produce whole, non-interleaved lines.
+    from any thread or domain — a record is serialized and enqueued under
+    a mutex, so concurrent writers always produce whole, non-interleaved
+    lines.
 
     A process-global sink ({!enable} / {!submit}) mirrors the
     {!Trace}/{!Metrics} pattern: instrumented call sites are a single
@@ -65,7 +65,6 @@ type entry = {
   in_nodes : int;  (** store node count fed to the execution *)
   out_nodes : int;  (** nodes in the rendered/materialized result *)
   io : io option;
-  jobs : int;  (** {!Xmutil.Pool.jobs} at execution time *)
   cached : bool;
       (** the body was served from the result cache rather than rendered.
           Serialized only when [true]; records written before this field

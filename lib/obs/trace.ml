@@ -35,7 +35,7 @@ type entry = Span of span | Event of event
 (* One span recorder: a bounded ring of committed entries, the stack of
    open spans, and the epoch timestamps count from.  The global tracer is
    one; every request context (Ctx) owns another.  Single-writer by
-   design; the global one tolerates racing pool domains because the ring
+   design; the global one tolerates racing domains because the ring
    does. *)
 module Recorder = struct
   type t = {

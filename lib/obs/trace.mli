@@ -39,8 +39,8 @@ type entry = Span of span | Event of event
 
 (** A span recorder: a bounded ring of committed entries, the stack of
     open spans, the next span id, and the epoch that timestamps count
-    from.  Not synchronised; the global tracer tolerates racing pool
-    domains because a racing {!Xmutil.Ring.push} only loses entries. *)
+    from.  Not synchronised; the global tracer tolerates racing domains
+    because a racing {!Xmutil.Ring.push} only loses entries. *)
 module Recorder : sig
   type t
 

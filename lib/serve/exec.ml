@@ -121,7 +121,6 @@ let submit_entry m store ~source ~doc ~guard ~guard_hash ?query_hash
         in_nodes = Store.Shredded.node_count store;
         out_nodes;
         io = Some io;
-        jobs = Xmutil.Pool.jobs ();
         cached;
         generation = Some (Store.Shredded.generation store);
       }
@@ -268,9 +267,8 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
   (* Operator-statistics recording (--stats-db): run the execution under
      the global profiler and fold the frame tree, plus the compiled
      shape's predicted closest-join cardinalities, into the warehouse.
-     The profiler is a single global frame tree and forces sequential
-     render, so recorded executions are serialized on the shared
-     recording lock — counts are then identical at any --jobs setting.
+     The profiler is a single global frame tree, so recorded executions
+     are serialized on the shared recording lock.
      An execution that already runs under the profiler (operator
      --profile, slow-query capture) owns the frame tree; skip recording
      rather than clobber it. *)

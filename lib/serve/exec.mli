@@ -4,7 +4,7 @@
     [xmorph query], and the shell: every call produces exactly one
     {!Xmobs.Qlog} record — on success {e and} on every failure path —
     with the wall/eval/render breakdown, node counts,
-    {!Store.Io_stats} deltas, job count, and outcome classification.
+    {!Store.Io_stats} deltas, and outcome classification.
     The record is built only when the query log is on or a request
     context is installed ({!Xmobs.Ctx.active}); it goes to
     {!Xmobs.Qlog.submit} and, when the calling thread has a context, is

@@ -300,9 +300,9 @@ let stats_json t =
    under the per-operator profiler and attach the resulting JSON to the
    request's trace-ring entry (and, optionally, a --slow-log artifact).
    The profiler is process-global single-domain state, so captures are
-   serialized by [slow_lock] and force Pool jobs=1 for exact attribution.
-   When the operator already owns the profiler (--profile), skip — a
-   capture would clobber their frame tree.  Concurrent request traffic
+   serialized by [slow_lock].  When the operator already owns the
+   profiler (--profile), skip — a capture would clobber their frame
+   tree.  Concurrent request traffic
    during a capture only adds frames to the captured tree (systhreads
    cannot data-race the profiler); the capture is a diagnostic artifact,
    not an exact replay.  Runs synchronously before the triggering
@@ -320,13 +320,8 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
            tree would interleave their frames. *)
         Xmobs.Statdb.serialized @@ fun () ->
         if not (Xmobs.Profile.profiling ()) then begin
-          let saved_jobs = Xmutil.Pool.jobs () in
-          Xmutil.Pool.set_jobs 1;
           Xmobs.Profile.enable ();
-          Fun.protect
-            ~finally:(fun () ->
-              Xmobs.Profile.disable ();
-              Xmutil.Pool.set_jobs saved_jobs)
+          Fun.protect ~finally:Xmobs.Profile.disable
             (fun () ->
               ignore
                 (Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce

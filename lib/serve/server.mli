@@ -74,9 +74,9 @@
     header, generating a fresh trace id otherwise — and the response
     carries [traceparent] and [x-xmorph-trace-id] headers.  With
     [?slow_ms] set, a request whose wall time meets the threshold is
-    re-executed once under the per-operator profiler (serialized,
-    Pool jobs forced to 1) and the profile JSON is attached to its ring
-    entry (plus a [<trace-id>.json] artifact under [?slow_log]).
+    re-executed once under the per-operator profiler (serialized) and
+    the profile JSON is attached to its ring entry (plus a
+    [<trace-id>.json] artifact under [?slow_log]).
 
     Concurrency: requests are handled by detached threads, with
     admission bounded by a fixed worker budget — the accept loop blocks

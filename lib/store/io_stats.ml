@@ -19,11 +19,11 @@ type handles = {
   h_write_ops : Xmobs.Metrics.gauge;
 }
 
-(* The byte/op counters are atomics: the renderer charges reads from worker
-   domains during data-parallel sections, and atomic adds commute — the
-   cumulative totals are exactly the sequential totals regardless of the
-   job count.  Everything observational ([handles], [traced_blocks], gauge
-   publication) stays main-domain-only; see [publish]. *)
+(* The byte/op counters are atomics: a store may be charged from more than
+   one domain (the tests do), and atomic adds commute — the cumulative
+   totals are exact whatever the interleaving.  Everything observational
+   ([handles], [traced_blocks], gauge publication) stays main-domain-only;
+   see [publish]. *)
 type t = {
   c_bytes_read : int Atomic.t;
   c_bytes_written : int Atomic.t;
@@ -49,9 +49,9 @@ let blocks_of bytes = (bytes + block_size - 1) / block_size
    profiler runs so per-operator block deltas can be attributed by
    snapshotting around an operator's evaluation.  Per-instance block-delta
    computation keeps the page-rounding semantics of [blocks_of] even with
-   several live stores.  Plain refs are fine: profiling forces the renderer
-   sequential (see [Render.effective_jobs]), so these are only touched from
-   the main domain. *)
+   several live stores.  Plain refs are fine: the profiler's frame stack is
+   a single-domain structure, and every render runs on its caller's domain,
+   so these are only touched from the profiling domain. *)
 let g_blocks_read = ref 0
 let g_blocks_written = ref 0
 let global_blocks () = (!g_blocks_read, !g_blocks_written)
@@ -108,12 +108,10 @@ let publish_unguarded t =
    trace is being recorded and the cumulative block count moved, a counter
    sample on the active span's track.  Publication is a main-domain
    activity — observers, handle caching, and the trace span stack are all
-   single-domain structures — so charges arriving from worker domains only
-   bump the atomics; the renderer calls [republish] when a parallel section
-   joins to let the gauges catch up. *)
+   single-domain structures — so charges arriving from any other domain
+   only bump the atomics, and the gauges catch up at the next main-domain
+   charge. *)
 let publish t = if Domain.is_main_domain () then publish_unguarded t
-
-let republish t = publish t
 
 let reset (t : t) =
   Atomic.set t.c_bytes_read 0;
@@ -137,8 +135,8 @@ let snapshot (t : t) : snapshot =
 
 let charge_read (t : t) bytes =
   if Xmobs.Profile.profiling () then begin
-    (* Profiling implies sequential evaluation, so the read-modify-write
-       around the block attribution cannot race. *)
+    (* The profiler runs on one domain, so the read-modify-write around
+       the block attribution cannot race. *)
     let before = blocks_of (Atomic.get t.c_bytes_read) in
     ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
     let after = blocks_of (Atomic.get t.c_bytes_read) in
@@ -147,9 +145,8 @@ let charge_read (t : t) bytes =
   else ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
   ignore (Atomic.fetch_and_add t.c_read_ops 1);
   (* Mirror into the calling thread's request context (serve attributes
-     per-request I/O this way).  Charges from Pool worker domains miss the
-     thread-keyed slot and only land in the store-wide atomics — exact
-     attribution at jobs=1, a lower bound otherwise. *)
+     per-request I/O this way).  A render charges on the thread that called
+     it, so the attribution is exact. *)
   Xmobs.Ctx.charge_read bytes;
   publish t
 

@@ -16,13 +16,13 @@
     metrics are enabled), and a [store.blocks] counter track in the active
     {!Xmobs.Trace} span whenever the cumulative block count moves.
 
-    The byte/op counters are atomics, so charges may arrive from several
-    domains at once (the renderer's data-parallel sections) and the totals
-    are exactly the sequential totals — atomic adds commute.  Publication,
-    by contrast, is a main-domain activity: charges from worker domains
-    skip it (observers and the trace span stack are single-domain
-    structures), and the renderer calls {!republish} when a parallel
-    section joins so the gauges catch up. *)
+    The library renders on the caller's domain and starts no domains of
+    its own.  The byte/op counters are atomics, so a caller that charges
+    one store from several domains gets exact totals — atomic adds
+    commute.  Publication, by contrast, is a main-domain activity: charges
+    from any other domain skip it (observers and the trace span stack are
+    single-domain structures), and the gauges catch up at the next charge
+    made on the main domain. *)
 
 type t
 
@@ -45,17 +45,11 @@ val reset : t -> unit
 val charge_read : t -> int -> unit
 (** [charge_read t bytes] records a read of [bytes] bytes.  When the
     calling thread has an {!Xmobs.Ctx} request context installed, the
-    charge is also mirrored into it (per-request I/O attribution); charges
-    from {!Xmutil.Pool} worker domains miss the thread-keyed context and
-    only land in the store-wide counters. *)
+    charge is also mirrored into it (per-request I/O attribution).  A
+    render charges on the thread that called it, so the attribution is
+    exact. *)
 
 val charge_write : t -> int -> unit
-
-val republish : t -> unit
-(** Push the cumulative counters to the observability layer now (gauges,
-    observers, trace counter).  Charges made from worker domains do not
-    publish; callers that fan work out call this after joining.  No-op off
-    the main domain. *)
 
 val global_blocks : unit -> int * int
 (** Cumulative [(blocks_read, blocks_written)] summed over every store

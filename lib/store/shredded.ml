@@ -46,8 +46,9 @@ type t = {
       (* GroupedSequence cache: (type, level) -> runs of the sequence
          sharing a Dewey prefix of that length *)
   lock : Mutex.t;
-      (* guards [groups]: the renderer reads from domains, and every store
-         value derived by [update_values] shares the table *)
+      (* guards [groups]: the daemon's request threads read one store
+         concurrently, and every store value derived by [update_values]
+         shares the table *)
   generation : int;
       (* Identity of this store *value* for cache keying.  Drawn from a
          process-global counter, so any two store values in a process —

@@ -33,7 +33,8 @@
     live in an overlay until {!save} writes them out.
 
     The grouped-run cache is guarded by a mutex, so one store may be read
-    from several domains at once (the renderer's domain-parallel mode). *)
+    from several threads or domains at once (the serve daemon's request
+    threads share a store). *)
 
 type node = {
   id : int;

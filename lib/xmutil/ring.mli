@@ -8,7 +8,7 @@
 
     Not synchronised.  Racing pushes may lose values, but never overrun
     the bound or index out of the slot array: the tracer's global ring
-    relies on this when pool domains record concurrently. *)
+    relies on this when several domains record concurrently. *)
 
 type 'a t
 

@@ -9,11 +9,6 @@
 module Alerts = Xmobs.Alerts
 module J = Xmutil.Json
 
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-
 let tmp_file =
   let n = ref 0 in
   fun suffix ->
@@ -408,9 +403,9 @@ let test_webhook_retry_and_drop () =
 
 (* ---------- concurrency: feeders racing the evaluator ---------- *)
 
-(* N threads hammer [feed] while the clock steps through
-   breach/recover cycles with a [tick] at each phase boundary.  Whatever
-   the interleaving, the per-rule transition log must strictly alternate
+(* N feeders, spread over one, two or four domains, hammer [feed] while
+   the clock steps through breach/recover cycles with a [tick] at each
+   phase boundary.  Whatever the interleaving, the per-rule transition log must strictly alternate
    firing/resolved starting with firing, one pair per cycle — a lost or
    duplicated edge means the state machine raced its series reads. *)
 let prop_concurrent_transitions_alternate =
@@ -418,8 +413,7 @@ let prop_concurrent_transitions_alternate =
     QCheck2.Gen.(pair (int_range 1 4) (int_range 1 4))
     (fun (threads, cycles) ->
       List.for_all
-        (fun jobs ->
-          with_jobs jobs @@ fun () ->
+        (fun domains ->
           let clock = Atomic.make 1000.0 in
           let rules = [ err_rule ~above:0.5 ~window_s:5 "errs" ] in
           let st = Alerts.stream ~clock:(fun () -> Atomic.get clock) rules in
@@ -427,7 +421,7 @@ let prop_concurrent_transitions_alternate =
           let log = ref [] in
           let feed_all ok =
             ignore
-              (Xmutil.Pool.parallel
+              (Tutil.on_domains domains
                  (List.init threads (fun _ () ->
                       for _ = 1 to 50 do
                         feed st ~ok ~wall_s:0.001

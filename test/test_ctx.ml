@@ -6,11 +6,6 @@
 
 module Ctx = Xmobs.Ctx
 
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-
 let tid = "0af7651916cd43dd8448eb211c80319c"
 let sid = "b7ad6b7169203331"
 
@@ -180,11 +175,8 @@ let test_trace_json_parses () =
 
 (* Charges from concurrent request threads, each under its own context:
    per-context byte/op totals must sum exactly to the global Io_stats
-   delta over the same window (atomic adds commute).  Forced to jobs=1 so
-   a CI rerun with XMORPH_JOBS=2 cannot route charges through pool worker
-   domains, which legitimately miss the thread-keyed slot. *)
+   delta over the same window (atomic adds commute). *)
 let run_io_workers charge_lists =
-  with_jobs 1 @@ fun () ->
   let stats = Store.Io_stats.create () in
   let before = Store.Io_stats.snapshot stats in
   let ctxs =

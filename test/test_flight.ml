@@ -8,11 +8,6 @@
 
 module Flight = Xmobs.Flight
 
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-
 let tmp_dir =
   let n = ref 0 in
   fun () ->
@@ -43,7 +38,7 @@ let mk_qlog id =
     doc = "d"; guard = "MUTATE site"; guard_hash = "abc"; query_hash = None;
     classification = None; outcome = Xmobs.Qlog.Ok; error = None;
     wall_s = 0.001; eval_s = 0.0; render_s = 0.0; in_nodes = 1;
-    out_nodes = 1; io = None; jobs = 1; cached = false; generation = Some 3 }
+    out_nodes = 1; io = None; cached = false; generation = Some 3 }
 
 (* An empty completed-request ring of [capacity], restored to the
    default (256) and emptied afterwards. *)
@@ -279,14 +274,14 @@ let test_bundle_qlog_from_requests () =
         [ ("serve", Some b) ]
         (records (trigger_bundle dir "one request")))
 
-(* However many writers race on the Trace ring, at every job count, the ring never exceeds its
-   capacity and every surviving entry is whole and well-formed. *)
-let trace_ring_survives ~jobs ~capacity ~writers =
-  with_jobs jobs @@ fun () ->
+(* However many writers race on the Trace ring, on one domain or several,
+   the ring never exceeds its capacity and every surviving entry is whole
+   and well-formed. *)
+let trace_ring_survives ~domains ~capacity ~writers =
   Xmobs.Trace.enable ~capacity ();
   Fun.protect ~finally:Xmobs.Trace.disable @@ fun () ->
   ignore
-    (Xmutil.Pool.parallel
+    (Tutil.on_domains domains
        (List.init writers (fun i () ->
             Xmobs.Trace.with_span (Printf.sprintf "w%d" i) (fun () ->
                 Xmobs.Trace.instant (Printf.sprintf "i%d" i)))));
@@ -309,7 +304,7 @@ let prop_trace_ring_concurrent =
     QCheck2.Gen.(pair (int_range 1 16) (int_range 1 40))
     (fun (capacity, writers) ->
       List.for_all
-        (fun jobs -> trace_ring_survives ~jobs ~capacity ~writers)
+        (fun domains -> trace_ring_survives ~domains ~capacity ~writers)
         [ 1; 2; 4 ])
 
 let suite =

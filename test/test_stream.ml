@@ -91,18 +91,13 @@ let prop_stream_equals_materialized_random =
 (* The three ways out of the renderer agree on any guard: [to_buffer], the
    trees of [to_trees] printed with [Xml.Printer], and the concatenated
    [stream] fragments give the same bytes, the same [Render.stats] and the
-   same [Io_stats] charges, on fresh stores at jobs 1 and 2.  The tree path
+   same [Io_stats] charges, on fresh stores.  The tree path
    charges its printed bytes as one write, as [to_buffer] does.  Guards
    are drawn over the document's own labels and values, so ORDER-BY,
    value filters, RESTRICT, NEW nodes and attribute children take part;
    each guard is rendered again after a value-update batch, so patched
    values are read too.  On the same documents, [Render.join_level] is
    the maximal common Dewey prefix over every instance pair. *)
-let with_jobs n f =
-  let saved = Xmutil.Pool.jobs () in
-  Xmutil.Pool.set_jobs n;
-  Fun.protect f ~finally:(fun () -> Xmutil.Pool.set_jobs saved)
-
 let io store = Store.Io_stats.snapshot (Store.Shredded.stats store)
 
 let via_buffer store shape =
@@ -190,11 +185,10 @@ let prop_three_paths_agree =
       | compiled ->
           let shape = compiled.Interp.shape in
           List.for_all
-            (fun (jobs, batch) ->
-              with_jobs jobs @@ fun () ->
+            (fun batch ->
               let b = via_buffer (fresh batch) shape in
               b = via_trees (fresh batch) shape && b = via_stream (fresh batch) shape)
-            [ (1, []); (2, []); (1, batch); (2, batch) ])
+            [ []; batch ])
 
 let suite =
   [
