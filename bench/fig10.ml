@@ -50,7 +50,7 @@ let run () =
           Printf.sprintf "%.1f" (Exp_common.mb bytes);
           string_of_int types;
           Exp_common.fmt_s render_s;
-          Exp_common.fmt_s compile_s;
+          Printf.sprintf "%.2f" (compile_s *. 1000.);
           Printf.sprintf "%.4f" exist_s;
           Exp_common.fmt_s shred_s;
           Printf.sprintf "%.2f%%" (100.0 *. compile_s /. (compile_s +. render_s));
@@ -61,7 +61,7 @@ let run () =
     ~columns:
       [
         ("factor", `R); ("MB", `R); ("types", `R); ("xmorph render (s)", `R);
-        ("xmorph compile (s)", `R); ("eXist dump (s)", `R); ("shred (s)", `R);
+        ("xmorph compile (ms)", `R); ("eXist dump (s)", `R); ("shred (s)", `R);
         ("compile share", `R);
       ]
     rows;

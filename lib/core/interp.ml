@@ -28,8 +28,7 @@ let compile ?(enforce = true) guide source =
   in
   let cast = Algebra.cast_mode algebra in
   let loss =
-    if enforce then Loss.check ~cast guide sem.shape
-    else Loss.analyze ~warnings:sem.warnings guide sem.shape
+    if enforce then Loss.check ~cast guide sem.shape else Loss.analyze guide sem.shape
   in
   let loss = { loss with Report.warnings = sem.warnings @ loss.Report.warnings } in
   { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss }

@@ -4,7 +4,11 @@
     the source's adorned shape.  For every ordered pair of kept types the
     path cardinality (Def. 6) in the source is compared with the path
     cardinality in the predicted adorned shape (Def. 7 — each target edge
-    [(t, s)] is adorned with the source path cardinality from [t] to [s]):
+    [(t, s)] is adorned with the source path cardinality from [t] to [s]).
+    The comparison for a pair (a, b) depends only on [b] and the depths of
+    the two common ancestors, in the target and in the source, so it is
+    made once per such cell rather than once per pair; the members of a
+    cell, which name the violations, are listed only when it violates.
 
     - Theorem 1: if no minimum rises from zero to non-zero the
       transformation is {e inclusive} (loses no closest edges);
@@ -30,7 +34,13 @@ val target_path_card :
 
 val analyze :
   ?warnings:string list -> Xml.Dataguide.t -> Tshape.t -> Report.loss_report
-(** Run the full pairwise analysis and classify. *)
+(** Run the analysis over every ordered pair of kept types and classify.
+    Violations are ordered by the first node of the pair, then the second,
+    in preorder of the target shape, [Min_raised] before [Max_increased];
+    [warnings] come first among the report's warnings.  The work grows
+    with the cells, at most L (D + 1) for a node at target depth L whose
+    type has depth D, and with the violations listed, rather than with the
+    square of the number of kept types. *)
 
 val admissible : Ast.cast option -> Report.classification -> bool
 (** Which classifications a cast mode lets through: by default only

@@ -18,8 +18,8 @@
     {!Xml.Printer.Writer}, which escapes each value in place from the
     store's packed text; {!to_trees}, {!to_tree} and {!Nav.materialize}
     send them to an {!Xml.Tree.Builder}.  Every path reads the same nodes,
-    so the bytes, the {!stats} and the read charges agree.  The walk is
-    sequential; at more than one job the joins of the plan still fan out.
+    so the bytes, the {!stats} and the read charges agree.  The plan and
+    the walk run sequentially on the caller's domain.
 
     The "read" cost is linear in the source; the "write" cost can be
     quadratic because a source node closest to several parents is rendered

@@ -74,6 +74,38 @@ let test_quantify_scales () =
   let m = Xmorph.Quantify.measure store compiled.Xmorph.Interp.shape in
   Alcotest.(check bool) "reversible projection" true m.Xmorph.Quantify.reversible
 
+(* Hostile shapes for the loss analysis: its identity-MUTATE report on each
+   must equal the pair loop's. *)
+let check_identity_report doc root =
+  let guide = Xml.Dataguide.of_doc doc in
+  let guard = "MUTATE " ^ root in
+  let sem = Xmorph.Semantics.eval guide (Xmorph.Algebra.of_ast (Xmorph.Parse.guard guard)) in
+  Test_loss.check_agrees guard guide sem;
+  Xmorph.Loss.analyze guide sem.Xmorph.Semantics.shape
+
+let leaf name = Xml.Tree.Element { name; attrs = []; children = [ Xml.Tree.Text "t" ] }
+
+let test_loss_wide_siblings () =
+  (* About 3000 sibling element types under one root; every third appears
+     twice. *)
+  let kids =
+    List.concat
+      (List.init 3000 (fun i ->
+           let e = leaf (Printf.sprintf "e%d" i) in
+           if i mod 3 = 0 then [ e; e ] else [ e ]))
+  in
+  let doc = Xml.Doc.of_tree (Xml.Tree.Element { name = "r"; attrs = []; children = kids }) in
+  let r = check_identity_report doc "r" in
+  Alcotest.(check int) "every type kept" 0 (List.length r.Xmorph.Report.omitted_types)
+
+let test_loss_deep_chain () =
+  (* A chain of about 200 levels beside a copy of its first 100, so the
+     edge below level 101 is optional. *)
+  let node name children = Xml.Tree.Element { name; attrs = []; children } in
+  let rec chain n = if n = 0 then leaf "c" else node "c" [ chain (n - 1) ] in
+  let doc = Xml.Doc.of_tree (node "r" [ chain 200; chain 100 ]) in
+  ignore (check_identity_report doc "r")
+
 let suite =
   [
     Alcotest.test_case "xmark identity at scale" `Slow
@@ -81,4 +113,6 @@ let suite =
     Alcotest.test_case "dblp morph counts at scale" `Slow test_dblp_morph_counts;
     Alcotest.test_case "store roundtrip at scale" `Slow test_store_roundtrip_at_scale;
     Alcotest.test_case "quantify at scale" `Slow test_quantify_scales;
+    Alcotest.test_case "loss on 3000 sibling types" `Slow test_loss_wide_siblings;
+    Alcotest.test_case "loss on a 200-level chain" `Slow test_loss_deep_chain;
   ]
