@@ -364,45 +364,23 @@ let query_cmd =
   in
   let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let force = Arg.(value & flag & info [ "f"; "force" ] ~doc:"Skip type enforcement.") in
-  let logical =
-    Arg.(value & flag
-         & info [ "logical" ]
-             ~doc:"Architecture 3: evaluate in situ against the virtual shape instead of physically transforming first.")
-  in
-  let run () query input guard force logical =
+  let run () query input guard force =
     match load_store input with
     | Error m -> exit_err m
-    | Ok store ->
-        if logical then begin
-          match
-            Xmserve.Exec.record ~source:"query" ~doc:input ~guard ~query store
-              (fun () ->
-                let lg = Guarded.Logical.create ~enforce:(not force) store ~guard in
-                Guarded.Logical.query_to_xml lg query)
-          with
-          | exception Xmorph.Loss.Rejected r ->
-              Printf.eprintf "xmorph: guard rejected:\n%s" (Xmorph.Report.loss_to_string r);
-              exit 2
-          | exception Xmorph.Interp.Error m -> exit_err m
-          | exception Xquery.Eval.Error m -> exit_err m
-          | trees ->
-              List.iter (fun t -> print_endline (Xml.Printer.to_string t)) trees
-        end
-        else begin
-          match
-            Xmserve.Exec.execute ~source:"query" ~doc:input
-              ~enforce:(not force) ~query store guard
-          with
-          | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
-              Printf.eprintf "xmorph: guard rejected:\n%s" message;
-              exit 2
-          | Xmserve.Exec.Failed { message; _ } -> exit_err message
-          | Xmserve.Exec.Rendered { body; _ }
-          | Xmserve.Exec.Query_result { body; _ } ->
-              print_string body
-        end
+    | Ok store -> (
+        match
+          Xmserve.Exec.execute ~source:"query" ~doc:input ~enforce:(not force)
+            ~query store guard
+        with
+        | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
+            Printf.eprintf "xmorph: guard rejected:\n%s" message;
+            exit 2
+        | Xmserve.Exec.Failed { message; _ } -> exit_err message
+        | Xmserve.Exec.Rendered { body; _ }
+        | Xmserve.Exec.Query_result { body; _ } ->
+            print_string body)
   in
-  Cmd.v (Cmd.info "query" ~doc) Term.(const run $ obs_term $ query $ input $ guard $ force $ logical)
+  Cmd.v (Cmd.info "query" ~doc) Term.(const run $ obs_term $ query $ input $ guard $ force)
 
 (* ---------- explain ---------- *)
 
@@ -563,14 +541,14 @@ let profile_cmd =
   let doc =
     "EXPLAIN ANALYZE for a guard: evaluate it and print the per-operator \
      frame tree — calls, wall time (cumulative and self), input/output node \
-     counts, closest-pair counts, and block-I/O deltas per operator.  With \
-     --query, also profile the guarded XQuery query."
+     counts, closest-pair counts, and block-I/O deltas per operator.  It \
+     runs what xmorph run serves; with --query, what xmorph query serves."
   in
   let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let query =
     Arg.(value & opt (some string) None
          & info [ "query" ] ~docv:"QUERY"
-             ~doc:"Also run (and profile) this XQuery query on the transformed result.")
+             ~doc:"Profile this guarded XQuery query instead of the transformation.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON instead of the annotated tree.")
@@ -581,21 +559,11 @@ let profile_cmd =
     | Ok store ->
         Xmobs.Profile.enable ();
         (match
-           Xmserve.Exec.record ~source:"profile" ~doc:input ~guard ?query store
-             (fun () ->
-               let tree, _ = Xmorph.Interp.transform ~enforce:false store guard in
-               match query with
-               | None -> ()
-               | Some q -> ignore (Xquery.Eval.run tree q))
+           Xmserve.Exec.execute ~source:"profile" ~doc:input ~enforce:false
+             ?query store guard
          with
-        | () -> ()
-        | exception Xmorph.Interp.Error m -> exit_err m
-        | exception Xquery.Eval.Error m -> exit_err m
-        | exception (Xquery.Qparse.Error _ as e) ->
-            let q = Option.value ~default:"" query in
-            exit_err
-              (Option.value ~default:"query syntax error"
-                 (Xquery.Qparse.error_message q e)));
+        | Xmserve.Exec.Failed { message; _ } -> exit_err message
+        | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
         Xmobs.Profile.disable ();
         if json then
           print_endline (Xmutil.Json.to_string (Xmobs.Profile.to_json ()))
@@ -781,8 +749,7 @@ let shell_cmd =
             \  :explain [GUARD]  join diagnostics\n\
             \  :profile [GUARD]  per-operator profile of a transformation\n\
             \  :quantify [GUARD] measured information loss\n\
-            \  :query QUERY      guarded query (physical)\n\
-            \  :logical QUERY    guarded query (in-situ, architecture 3)\n\
+            \  :query QUERY      guarded query (in situ)\n\
             \  :quit             exit\n\
             \  GUARD             transform and print\n"
         in
@@ -828,11 +795,11 @@ let shell_cmd =
                     | Some rest -> (
                         Xmobs.Profile.enable ();
                         (match
-                           Xmorph.Interp.transform ~enforce:false store
-                             (arg_or_current rest)
+                           Xmserve.Exec.execute ~source:"shell" ~doc:input
+                             ~enforce:false store (arg_or_current rest)
                          with
-                        | _ -> ()
-                        | exception Xmorph.Interp.Error m -> print_endline m);
+                        | Xmserve.Exec.Failed { message; _ } -> print_endline message
+                        | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
                         Xmobs.Profile.disable ();
                         print_string (Xmobs.Profile.to_text ()))
                     | None -> (
@@ -868,44 +835,15 @@ let shell_cmd =
                                 | Xmserve.Exec.Failed { message; _ } ->
                                     print_endline message)
                             | None -> (
-                                match strip_prefix line ":logical" with
-                                | Some q -> (
-                                    match
-                                      Xmserve.Exec.record ~source:"shell"
-                                        ~doc:input ~guard:!current_guard ~query:q
-                                        store
-                                        (fun () ->
-                                          let lg =
-                                            Guarded.Logical.create ~enforce:false
-                                              store ~guard:!current_guard
-                                          in
-                                          Guarded.Logical.query_to_xml lg q)
-                                    with
-                                    | trees ->
-                                        List.iter
-                                          (fun t ->
-                                            print_endline
-                                              (Xml.Printer.to_string t))
-                                          trees
-                                    | exception Xmorph.Interp.Error m ->
-                                        print_endline m
-                                    | exception Xquery.Eval.Error m ->
-                                        print_endline m
-                                    | exception (Xquery.Qparse.Error _ as e) ->
-                                        print_endline
-                                          (Option.value
-                                             ~default:"query syntax error"
-                                             (Xquery.Qparse.error_message q e)))
-                                | None -> (
-                                    match
-                                      Xmserve.Exec.execute ~source:"shell"
-                                        ~doc:input ~enforce:false store line
-                                    with
-                                    | Xmserve.Exec.Rendered { body; _ }
-                                    | Xmserve.Exec.Query_result { body; _ } ->
-                                        print_string body
-                                    | Xmserve.Exec.Failed { message; _ } ->
-                                        print_endline message)))))))
+                                match
+                                  Xmserve.Exec.execute ~source:"shell"
+                                    ~doc:input ~enforce:false store line
+                                with
+                                | Xmserve.Exec.Rendered { body; _ }
+                                | Xmserve.Exec.Query_result { body; _ } ->
+                                    print_string body
+                                | Xmserve.Exec.Failed { message; _ } ->
+                                    print_endline message))))))
         in
         if interactive then
           print_endline "xmorph shell - :help for commands, :quit to exit";

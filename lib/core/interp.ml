@@ -67,7 +67,8 @@ let predicted_joins guide (t : t) =
 
 let render store t = Render.to_tree store t.shape
 
-let render_to_buffer store t buf = Render.to_buffer store t.shape buf
+let render_to_buffer ?indent store t buf =
+  Render.to_buffer ~wrapper:"result" ?indent store t.shape buf
 
 let transform ?enforce store source =
   let guide = Store.Shredded.guide store in

@@ -41,7 +41,13 @@ val render : Store.Shredded.t -> t -> Xml.Tree.t
 (** Render the compiled guard against a store (single root; a forest is
     wrapped in [<result>]). *)
 
-val render_to_buffer : Store.Shredded.t -> t -> Buffer.t -> Render.stats
+val render_to_buffer : ?indent:bool -> Store.Shredded.t -> t -> Buffer.t -> Render.stats
+(** [render] without the tree: the bytes appended to the buffer are
+    [Xml.Printer.to_string (render store t)], or with [~indent:true]
+    [Xml.Printer.to_string_indented (render store t)], written by one walk
+    ({!Render.to_buffer} with the [<result>] wrapper).  The stats' element
+    count is [Xml.Tree.count_nodes] of that tree.  This is what
+    [xmorph run] prints and [POST /query] serves. *)
 
 val transform : ?enforce:bool -> Store.Shredded.t -> string -> Xml.Tree.t * t
 (** [compile] against the store's shape, then [render]. *)

@@ -515,20 +515,32 @@ module Emit (S : SINK) = struct
     S.close_element sink p.name
 
   (* Plan each root of [shape] and walk its instances, one root at a
-     time. *)
-  let render store sink (shape : Tshape.t) =
+     time.  Each root instance is one tree of the output forest; with
+     [wrapper], a forest of other than one tree is written inside a
+     [wrapper] element, so the roots' instances are found before the
+     first call. *)
+  let render ?wrapper store sink (shape : Tshape.t) =
     Xmobs.Obs.phase "render" @@ fun () ->
     Xmobs.Profile.op "render" @@ fun () ->
     let rctx = make_rctx store in
+    let roots =
+      List.map (fun (root : Tshape.node) -> (root, root_instances rctx root)) shape.roots
+    in
+    let wrapper =
+      match wrapper with
+      | Some _ when List.fold_left (fun n (_, ids) -> n + Array.length ids) 0 roots = 1 -> None
+      | w -> w
+    in
+    Option.iter (S.open_element sink) wrapper;
     List.iter
-      (fun (root : Tshape.node) ->
-        let ids = root_instances rctx root in
+      (fun (root, ids) ->
         let plan = plan_root rctx root ids in
         if Array.length ids = 1 && ids.(0) = -1 then walk store sink plan (-1)
         else
           Xmobs.Profile.op "emit" (fun () ->
               Array.iter (fun id -> walk store sink plan id) ids))
-      shape.roots
+      roots;
+    Option.iter (S.close_element sink) wrapper
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -540,14 +552,14 @@ let to_trees store shape =
   Xml.Tree.Builder.trees b
 
 let to_tree ?(wrapper = "result") store shape =
-  match to_trees store shape with
-  | [ t ] -> t
-  | ts -> Xml.Tree.Element { name = wrapper; attrs = []; children = ts }
+  let b = Xml.Tree.Builder.create () in
+  Tree_emit.render ~wrapper store b shape;
+  List.hd (Xml.Tree.Builder.trees b)
 
 (* [flush], when given, is handed the buffer's bytes after each element
    closes, and the buffer is cleared.  The bytes are charged as one write
    once the walk is done. *)
-let write store shape ?flush buf =
+let write ?wrapper ?indent store shape ?flush buf =
   let start = Buffer.length buf and flushed = ref 0 in
   let on_close =
     Option.map
@@ -557,16 +569,16 @@ let write store shape ?flush buf =
         Buffer.clear b)
       flush
   in
-  let w = Xml.Printer.Writer.create ?on_close buf in
-  Bytes_emit.render store w shape;
+  let w = Xml.Printer.Writer.create ?indent ?on_close buf in
+  Bytes_emit.render ?wrapper store w shape;
   let bytes = !flushed + Buffer.length buf - start in
   Store_.Io_stats.charge_write (Store_.Shredded.stats store) bytes;
   { elements = Xml.Printer.Writer.elements w; bytes }
 
 let stream store shape sink = write store shape ~flush:sink (Buffer.create 1024)
 
-let to_buffer store shape buf =
-  let st = write store shape buf in
+let to_buffer ?wrapper ?indent store shape buf =
+  let st = write ?wrapper ?indent store shape buf in
   if Xmobs.Metrics.is_enabled () then begin
     Xmobs.Metrics.inc ~by:st.elements "render.elements";
     Xmobs.Metrics.inc ~by:st.bytes "render.bytes"

@@ -50,9 +50,15 @@ val to_tree : ?wrapper:string -> Store.Shredded.t -> Tshape.t -> Xml.Tree.t
     one tree it is returned as-is, otherwise the trees are wrapped in a
     [wrapper] element (default ["result"]). *)
 
-val to_buffer : Store.Shredded.t -> Tshape.t -> Buffer.t -> stats
+val to_buffer :
+  ?wrapper:string -> ?indent:bool -> Store.Shredded.t -> Tshape.t -> Buffer.t -> stats
 (** Render straight into the buffer, one plan walk with no tree, and
-    charge the bytes written as one write to the store's stats. *)
+    charge the bytes written as one write to the store's stats.  The
+    bytes are those of {!to_trees} printed one after another; with
+    [~wrapper] those of {!to_tree} [~wrapper], and with [~indent:true]
+    those of {!Xml.Printer.to_string_indented} (an indenting
+    {!Xml.Printer.Writer}).  [elements] counts the wrapper when one is
+    written. *)
 
 val stream : Store.Shredded.t -> Tshape.t -> (string -> unit) -> stats
 (** Stream the serialized output to a sink in document order without ever

@@ -9,7 +9,12 @@
     functions like [distinct-values] behave as the query author expects.
 
     The same (guard, query) pair can be applied unchanged to differently
-    shaped collections; that is the shape polymorphism the paper is about. *)
+    shaped collections; that is the shape polymorphism the paper is about.
+
+    This is architecture 1 (Sec. VIII): the whole transformed document is
+    built before the query runs.  Served and one-shot queries
+    ([Xmserve.Exec]) are answered in situ by {!Logical} instead, with the
+    same bytes; this module is the reference the tests hold them to. *)
 
 type t = { guard : string; query : string }
 

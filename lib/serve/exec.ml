@@ -1,12 +1,17 @@
-(* The shared execution path: compile + render (+ optional query), with
-   exactly one query-log record per call.
+(* The one execution path: compile, then render or query, with exactly
+   one query-log record per call.
 
    Byte-compatibility contract: [Rendered.body] is precisely what
-   [xmorph run] prints (Printer.to_string_indented, or to_string + "\n"
-   under ~compact), and [Query_result.body] is precisely what
-   [xmorph query] prints (one to_string line per result tree).  The serve
-   daemon returns these bodies verbatim, so served bytes equal one-shot
-   bytes for the same guard and document. *)
+   [xmorph run] prints, and [Query_result.body] is precisely what
+   [xmorph query] prints, because both commands print it.  A transform's
+   body is written by one emit walk ([Interp.render_to_buffer]), indented
+   or compact + "\n"; its bytes are those of the rendered tree printed by
+   [Printer.to_string_indented] or [Printer.to_string].  A query is
+   answered in situ by [Guarded.Logical] over the compiled guard, one
+   [Printer.to_string] line per result tree; its bytes are those of the
+   physical answer ([Guarded_query.run_on_store]).  The serve daemon
+   returns these bodies verbatim, so served bytes equal one-shot bytes
+   for the same guard and document. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -41,9 +46,6 @@ let classify = function
   | Query_error m -> (Xmobs.Qlog.Parse_error, m)
   | Xquery.Eval.Error m -> (Xmobs.Qlog.Parse_error, m)
   | Xquery.Qparse.Error _ as e -> (Xmobs.Qlog.Parse_error, Printexc.to_string e)
-  | Guarded.Guarded_query.Query_failed m -> (Xmobs.Qlog.Parse_error, m)
-  | Guarded.Guarded_query.Guard_rejected r ->
-      (Xmobs.Qlog.Type_mismatch, Xmorph.Report.loss_to_string r)
   | e -> (Xmobs.Qlog.Internal, Printexc.to_string e)
 
 (* Per-request I/O when a request context is installed (exact for this
@@ -89,9 +91,8 @@ let start ?trace_id store =
    /debug/requests and incident bundles.  The record is built once, only
    when either sink can take it, so the path stays allocation-free when
    both are off. *)
-let submit_entry m store ~source ~doc ~guard ~guard_hash ?query_hash
-    ?classification ?(eval_s = 0.0) ?(render_s = 0.0) ?(out_nodes = 0)
-    ?(cached = false) outcome error =
+let submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
+    ~classification ~eval_s ~render_s ~out_nodes ~cached outcome error =
   if Xmobs.Qlog.enabled () || Xmobs.Ctx.active () then begin
     let io =
       match m.ctx_io with
@@ -148,8 +149,8 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
   let cached = ref false in
   let generation = Store.Shredded.generation store in
   let submit outcome error =
-    submit_entry m store ~source ~doc ~guard ~guard_hash ?query_hash
-      ?classification:!classification ~eval_s:!eval_s ~render_s:!render_s
+    submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
+      ~classification:!classification ~eval_s:!eval_s ~render_s:!render_s
       ~out_nodes:!out_nodes ~cached:!cached outcome error
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
@@ -190,55 +191,50 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
         }
   in
   let run () =
-    let transform () =
-      let t0 = now () in
-      let compiled = compile_cached () in
-      eval_s := !eval_s +. (now () -. t0);
-      classification :=
-        Some
-          (Xmorph.Report.classification_to_string
-             compiled.Xmorph.Interp.loss.Xmorph.Report.classification);
-      let t1 = now () in
-      let tree = Xmorph.Interp.render store compiled in
-      render_s := !render_s +. (now () -. t1);
-      (tree, compiled)
-    in
+    let t0 = now () in
+    let compiled = compile_cached () in
+    eval_s := now () -. t0;
+    classification :=
+      Some
+        (Xmorph.Report.classification_to_string
+           compiled.Xmorph.Interp.loss.Xmorph.Report.classification);
+    let buf = Buffer.create 4096 in
     match query with
     | None ->
-        let tree, compiled = transform () in
-        out_nodes := Xml.Tree.count_nodes tree;
-        let body =
-          if compact then Xml.Printer.to_string tree ^ "\n"
-          else Xml.Printer.to_string_indented tree
+        let t1 = now () in
+        let st =
+          Xmorph.Interp.render_to_buffer ~indent:(not compact) store compiled buf
         in
+        if compact then Buffer.add_char buf '\n';
+        render_s := now () -. t1;
+        out_nodes := st.Xmorph.Render.elements;
+        let body = Buffer.contents buf in
         cache_result ~is_query:false body;
         Rendered { body; compiled }
     | Some q ->
-        (* Mirror Guarded.Guarded_query.run_on_store, split for timing:
-           same profiler frame, same error mapping, same materialization. *)
-        let tree, compiled =
-          Xmobs.Profile.op "guard.transform" transform
-        in
-        let t0 = now () in
-        let result =
-          try Xquery.Eval.run tree q with
+        let t1 = now () in
+        let trees =
+          try
+            Guarded.Logical.query_to_xml
+              (Guarded.Logical.of_compiled store compiled)
+              q
+          with
           | Xquery.Eval.Error msg -> raise (Query_error msg)
           | Xquery.Qparse.Error _ as e -> (
               match Xquery.Qparse.error_message q e with
               | Some msg -> raise (Query_error msg)
               | None -> raise e)
         in
-        let trees = Xquery.Value.to_trees result in
-        eval_s := !eval_s +. (now () -. t0);
-        out_nodes :=
-          List.fold_left (fun acc t -> acc + Xml.Tree.count_nodes t) 0 trees;
-        let b = Buffer.create 256 in
+        eval_s := !eval_s +. (now () -. t1);
+        let t2 = now () in
         List.iter
           (fun t ->
-            Buffer.add_string b (Xml.Printer.to_string t);
-            Buffer.add_char b '\n')
+            out_nodes := !out_nodes + Xml.Tree.count_nodes t;
+            Xml.Printer.to_buffer buf t;
+            Buffer.add_char buf '\n')
           trees;
-        let body = Buffer.contents b in
+        render_s := now () -. t2;
+        let body = Buffer.contents buf in
         cache_result ~is_query:true body;
         Query_result { body; compiled }
   in
@@ -321,25 +317,3 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
       | _ -> ());
       submit kind (Some message);
       Failed { kind; message }
-
-let record ~source ?(doc = "") ?(guard = "") ?query store f =
-  if not (Xmobs.Qlog.enabled () || Xmobs.Ctx.active ()) then f ()
-  else begin
-    let m = start store in
-    (* No breakdown is available here; charging the duration to eval_s as
-       well would double-count it and skew the analyzer's eval
-       percentiles, so only wall_s carries it. *)
-    let submit =
-      submit_entry m store ~source ~doc ~guard
-        ~guard_hash:(Xmobs.Qlog.hash_text guard)
-        ?query_hash:(Option.map Xmobs.Qlog.hash_text query)
-    in
-    match f () with
-    | v ->
-        submit Xmobs.Qlog.Ok None;
-        v
-    | exception e ->
-        let kind, message = classify e in
-        submit kind (Some message);
-        raise e
-  end

@@ -1,7 +1,8 @@
 (** One guard/query execution with full telemetry.
 
     This is the single execution path behind [POST /query], [xmorph run],
-    [xmorph query], and the shell: every call produces exactly one
+    [xmorph query], [xmorph profile] and the shell: every call produces
+    exactly one
     {!Xmobs.Qlog} record — on success {e and} on every failure path —
     with the wall/eval/render breakdown, node counts,
     {!Store.Io_stats} deltas, and outcome classification.
@@ -16,10 +17,12 @@
 
 type outcome =
   | Rendered of { body : string; compiled : Xmorph.Interp.t }
-      (** the transformed XML, serialized exactly as [xmorph run] prints
-          it (indented, or compact with [~compact:true]) *)
+      (** the transformed XML as [xmorph run] prints it, written by one
+          walk ({!Xmorph.Interp.render_to_buffer}): indented, or compact
+          and newline-terminated with [~compact:true] *)
   | Query_result of { body : string; compiled : Xmorph.Interp.t }
-      (** guarded-query result: one [Xml.Printer.to_string] line per
+      (** guarded-query result, answered in situ
+          ({!Guarded.Logical}): one [Xml.Printer.to_string] line per
           result tree, as [xmorph query] prints it *)
   | Failed of { kind : Xmobs.Qlog.outcome; message : string }
       (** [kind] is never [Ok]; [message] is the human-readable error —
@@ -37,10 +40,18 @@ val execute :
   string ->
   outcome
 (** [execute ~source store guard] compiles and renders [guard] against
-    [store]; with [?query] it then evaluates the XQuery query against the
-    transformed tree (the physical guarded-query architecture).  Never
-    raises: failures come back as [Failed].  [source] and [doc] are
+    [store]; with [?query] it instead evaluates the XQuery query against
+    the virtual transformed document ({!Guarded.Logical}, architecture 3),
+    reusing the compiled plan.  The answer is that of the physical
+    architecture ({!Guarded.Guarded_query.run_on_store}), byte for byte.
+    Never raises: failures come back as [Failed].  [source] and [doc] are
     recorded in the query log verbatim.
+
+    The record's [eval_s] is the compile, plus the in-situ evaluation for
+    a query (its closest joins and result materialization included);
+    [render_s] is the emit walk for a transform, and the printing of the
+    result trees for a query.  [out_nodes] is the element and attribute
+    count of the transformed document or of the result trees.
 
     When {!Xmcache} is enabled, the compiled plan and the rendered body
     are looked up there first and inserted on a miss; both tiers are
@@ -60,20 +71,3 @@ val execute :
     When a context is installed, the record's I/O delta comes from the
     context (exact for this request under concurrency) instead of the
     store-wide snapshot diff. *)
-
-val record :
-  source:string ->
-  ?doc:string ->
-  ?guard:string ->
-  ?query:string ->
-  Store.Shredded.t ->
-  (unit -> 'a) ->
-  'a
-(** Coarse wrapper for execution paths that do not go through {!execute}
-    (the in-situ logical evaluator, the profiler subcommand): times [f],
-    classifies its outcome by exception, writes one query-log record, and
-    re-raises.  The record goes to the same two sinks as {!execute}'s.
-    The eval/render breakdown is not available here — the
-    whole duration is charged to [wall_s] only, with [eval_s] and
-    [render_s] reported as [0.0] so the analyzer's phase percentiles are
-    not skewed by records that cannot attribute their time. *)

@@ -41,41 +41,36 @@ let escape_attr s =
   add_escaped_attr b s 0 (String.length s);
   Buffer.contents b
 
-let add_attrs b attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b k;
-      Buffer.add_string b "=\"";
-      add_escaped_attr b v 0 (String.length v);
-      Buffer.add_char b '"')
-    attrs
-
-let rec to_buffer b t =
-  match t with
-  | Tree.Text s -> add_escaped_text b s 0 (String.length s)
-  | Tree.Element { name; attrs; children } ->
-      Buffer.add_char b '<';
-      Buffer.add_string b name;
-      add_attrs b attrs;
-      if children = [] then Buffer.add_string b "/>"
-      else begin
-        Buffer.add_char b '>';
-        List.iter (to_buffer b) children;
-        Buffer.add_string b "</";
-        Buffer.add_string b name;
-        Buffer.add_char b '>'
-      end
-
 module Writer = struct
   type t = {
     buf : Buffer.t;
+    indent : bool;
     mutable in_tag : bool; (* the last start tag still lacks its '>' or "/>" *)
     mutable elements : int;
+    mutable depth : int; (* open elements *)
+    (* Indented mode: the innermost open element has an element child, so
+       its content goes one node per line.  Also true at the top level. *)
+    mutable lines : bool;
+    (* Indented mode, while [lines] is false: where each of the innermost
+       element's texts starts in [buf], so that an element child arriving
+       after them can move them onto their own lines. *)
+    mutable marks : int array;
+    mutable nmarks : int;
     on_close : (Buffer.t -> unit) option;
   }
 
-  let create ?on_close buf = { buf; in_tag = false; elements = 0; on_close }
+  let create ?(indent = false) ?on_close buf =
+    {
+      buf;
+      indent;
+      in_tag = false;
+      elements = 0;
+      depth = 0;
+      lines = true;
+      marks = [||];
+      nmarks = 0;
+      on_close;
+    }
 
   let end_start_tag w =
     if w.in_tag then begin
@@ -83,11 +78,45 @@ module Writer = struct
       w.in_tag <- false
     end
 
+  let add_indent w =
+    for _ = 1 to w.depth do
+      Buffer.add_string w.buf "  "
+    done
+
+  (* The innermost element gets its first element child: end its start
+     tag with a newline and put each text written so far on a line of its
+     own. *)
+  let break_lines w =
+    if w.in_tag then begin
+      Buffer.add_string w.buf ">\n";
+      w.in_tag <- false
+    end
+    else begin
+      let start = w.marks.(0) in
+      let texts = Buffer.sub w.buf start (Buffer.length w.buf - start) in
+      Buffer.truncate w.buf start;
+      Buffer.add_char w.buf '\n';
+      for i = 0 to w.nmarks - 1 do
+        let stop = if i + 1 < w.nmarks then w.marks.(i + 1) else start + String.length texts in
+        add_indent w;
+        Buffer.add_substring w.buf texts (w.marks.(i) - start) (stop - w.marks.(i));
+        Buffer.add_char w.buf '\n'
+      done
+    end;
+    w.lines <- true
+
   let open_element w name =
-    end_start_tag w;
+    if w.indent then begin
+      if not w.lines then break_lines w;
+      add_indent w;
+      w.lines <- false;
+      w.nmarks <- 0
+    end
+    else end_start_tag w;
     Buffer.add_char w.buf '<';
     Buffer.add_string w.buf name;
     w.in_tag <- true;
+    w.depth <- w.depth + 1;
     w.elements <- w.elements + 1
 
   let attribute w name s pos len =
@@ -98,16 +127,39 @@ module Writer = struct
     Buffer.add_char w.buf '"';
     w.elements <- w.elements + 1
 
+  let mark w =
+    if w.nmarks = Array.length w.marks then begin
+      let a = Array.make (max 4 (2 * w.nmarks)) 0 in
+      Array.blit w.marks 0 a 0 w.nmarks;
+      w.marks <- a
+    end;
+    w.marks.(w.nmarks) <- Buffer.length w.buf;
+    w.nmarks <- w.nmarks + 1
+
   let text w s pos len =
-    end_start_tag w;
-    add_escaped_text w.buf s pos len
+    if w.indent && w.lines then begin
+      add_indent w;
+      add_escaped_text w.buf s pos len;
+      Buffer.add_char w.buf '\n'
+    end
+    else begin
+      end_start_tag w;
+      if w.indent then mark w;
+      add_escaped_text w.buf s pos len
+    end
 
   let close_element w name =
+    w.depth <- w.depth - 1;
     if w.in_tag then Buffer.add_string w.buf "/>"
     else begin
+      if w.indent && w.lines then add_indent w;
       Buffer.add_string w.buf "</";
       Buffer.add_string w.buf name;
       Buffer.add_char w.buf '>'
+    end;
+    if w.indent then begin
+      Buffer.add_char w.buf '\n';
+      w.lines <- true
     end;
     w.in_tag <- false;
     match w.on_close with Some f -> f w.buf | None -> ()
@@ -115,47 +167,24 @@ module Writer = struct
   let elements w = w.elements
 end
 
+let rec replay w = function
+  | Tree.Text s -> Writer.text w s 0 (String.length s)
+  | Tree.Element { name; attrs; children } ->
+      Writer.open_element w name;
+      List.iter (fun (k, v) -> Writer.attribute w k v 0 (String.length v)) attrs;
+      List.iter (replay w) children;
+      Writer.close_element w name
+
+let to_buffer b t = replay (Writer.create b) t
+
 let to_string t =
   let b = Buffer.create 1024 in
   to_buffer b t;
   Buffer.contents b
 
-let only_text children =
-  List.for_all (function Tree.Text _ -> true | Tree.Element _ -> false) children
-
 let to_string_indented t =
   let b = Buffer.create 1024 in
-  let rec go indent t =
-    match t with
-    | Tree.Text s ->
-        Buffer.add_string b indent;
-        add_escaped_text b s 0 (String.length s);
-        Buffer.add_char b '\n'
-    | Tree.Element { name; attrs; children } ->
-        Buffer.add_string b indent;
-        Buffer.add_char b '<';
-        Buffer.add_string b name;
-        add_attrs b attrs;
-        if children = [] then Buffer.add_string b "/>\n"
-        else if only_text children then begin
-          Buffer.add_char b '>';
-          List.iter
-            (function Tree.Text s -> add_escaped_text b s 0 (String.length s) | _ -> ())
-            children;
-          Buffer.add_string b "</";
-          Buffer.add_string b name;
-          Buffer.add_string b ">\n"
-        end
-        else begin
-          Buffer.add_string b ">\n";
-          List.iter (go (indent ^ "  ")) children;
-          Buffer.add_string b indent;
-          Buffer.add_string b "</";
-          Buffer.add_string b name;
-          Buffer.add_string b ">\n"
-        end
-  in
-  go "" t;
+  replay (Writer.create ~indent:true b) t;
   Buffer.contents b
 
 let serialized_size t =

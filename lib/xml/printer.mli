@@ -1,9 +1,11 @@
 (** XML serialization.
 
-    Two renderings: [to_string] (compact, no inserted whitespace — safe to
-    re-parse into an equal tree) and [to_string_indented] (two-space
-    indentation for human eyes; elements with only text content stay on one
-    line).  All text and attribute values are escaped. *)
+    One serializer, {!Writer}, in two modes: compact (no inserted
+    whitespace — safe to re-parse into an equal tree) and indented
+    (two-space indentation for human eyes).  The renderer writes through it
+    one event at a time; {!to_buffer}, {!to_string} and
+    {!to_string_indented} replay a tree into it.  All text and attribute
+    values are escaped. *)
 
 val escape_text : string -> string
 (** Escape [& < >] for character data. *)
@@ -23,13 +25,23 @@ val add_escaped_attr : Buffer.t -> string -> int -> int -> unit
 
 (** Serialization one event at a time, in document order, without a tree:
     the calls {!Tree.Builder} accepts.  The bytes written are those of
-    {!to_buffer} over the tree a builder makes of the same calls. *)
+    {!to_buffer} (or, indented, {!to_string_indented}) over the tree a
+    builder makes of the same calls. *)
 module Writer : sig
   type t
 
-  val create : ?on_close:(Buffer.t -> unit) -> Buffer.t -> t
+  val create : ?indent:bool -> ?on_close:(Buffer.t -> unit) -> Buffer.t -> t
   (** A writer appending to the buffer.  [on_close], when given, is called
-      with the buffer after each element's end tag is written. *)
+      with the buffer after each element's end tag is written.
+
+      With [~indent:true] every node ends its line with a newline and
+      starts it with two spaces per enclosing element.  An element with no
+      content is written [<a/>]; one whose content is only text keeps it on
+      its line, [<a>text</a>]; once an element child arrives, each of the
+      element's texts and children goes on a line of its own, and the end
+      tag on a line at the start tag's indentation.  Texts written before
+      the first element child are moved onto their lines then, so the
+      writer holds back nothing. *)
 
   val open_element : t -> string -> unit
 
@@ -48,12 +60,14 @@ module Writer : sig
   (** Elements and attributes written so far. *)
 end
 
+val to_buffer : Buffer.t -> Tree.t -> unit
+(** The tree replayed into a compact {!Writer} on the buffer. *)
+
 val to_string : Tree.t -> string
+(** {!to_buffer} into a fresh buffer. *)
 
 val to_string_indented : Tree.t -> string
-
-val to_buffer : Buffer.t -> Tree.t -> unit
-(** Compact serialization appended to an existing buffer. *)
+(** The tree replayed into an indenting {!Writer}; ends with a newline. *)
 
 val serialized_size : Tree.t -> int
 (** Byte length of [to_string t] without building the string. *)

@@ -42,24 +42,30 @@ let gen_query =
          return (Printf.sprintf "%s[last()]" p));
       ])
 
+(* The architectures agree on every query: [Guarded.Logical] and the
+   physical run on the value they compute, and the served body
+   ([Exec.execute], in situ) on the printed answer or the failure message.
+   [Test_exec.queries] ride along, a syntax and an evaluation error among
+   them. *)
 let prop_logical_equals_physical_fuzz =
   QCheck2.Test.make ~name:"random queries: logical = physical" ~count:200
-    gen_query (fun query ->
+    QCheck2.Gen.(oneof [ gen_query; oneofl Test_exec.queries ]) (fun query ->
       let doc = Xml.Doc.of_string Workloads.Figures.instance_a in
       let guard = Workloads.Figures.example_guard in
-      let physical =
-        let outcome =
-          Guarded.Guarded_query.run ~enforce:false doc
+      let store = Store.Shredded.shred doc in
+      let physical = Test_exec.physical_answer store guard query in
+      let values_agree =
+        match
+          Guarded.Guarded_query.run_on_store ~enforce:false store
             { Guarded.Guarded_query.guard; query }
-        in
-        Xquery.Value.to_string outcome.Guarded.Guarded_query.result
+        with
+        | outcome ->
+            let lg = Guarded.Logical.create ~enforce:false store ~guard in
+            Xquery.Value.to_string outcome.Guarded.Guarded_query.result
+            = Xquery.Value.to_string (Guarded.Logical.query lg query)
+        | exception Guarded.Guarded_query.Query_failed _ -> Result.is_error physical
       in
-      let logical =
-        let store = Store.Shredded.shred doc in
-        let lg = Guarded.Logical.create ~enforce:false store ~guard in
-        Xquery.Value.to_string (Guarded.Logical.query lg query)
-      in
-      physical = logical)
+      values_agree && Test_exec.exec_answer store guard query = physical)
 
 (* --- saved stores survive arbitrary corruption without crashing --- *)
 

@@ -390,3 +390,145 @@ let suite =
       Alcotest.test_case "escaping by runs" `Quick test_escape_by_runs;
       Alcotest.test_case "writer = builder + printer" `Quick test_writer_matches_builder;
     ]
+
+(* The recursive printers that preceded the writer's replay, kept verbatim
+   as the reference the replay must reproduce byte for byte. *)
+module Reference = struct
+  open Xml.Printer
+
+  let add_attrs b attrs =
+    List.iter
+      (fun (k, v) ->
+        Buffer.add_char b ' ';
+        Buffer.add_string b k;
+        Buffer.add_string b "=\"";
+        add_escaped_attr b v 0 (String.length v);
+        Buffer.add_char b '"')
+      attrs
+
+  let rec to_buffer b t =
+    match t with
+    | Xml.Tree.Text s -> add_escaped_text b s 0 (String.length s)
+    | Xml.Tree.Element { name; attrs; children } ->
+        Buffer.add_char b '<';
+        Buffer.add_string b name;
+        add_attrs b attrs;
+        if children = [] then Buffer.add_string b "/>"
+        else begin
+          Buffer.add_char b '>';
+          List.iter (to_buffer b) children;
+          Buffer.add_string b "</";
+          Buffer.add_string b name;
+          Buffer.add_char b '>'
+        end
+
+  let only_text children =
+    List.for_all (function Xml.Tree.Text _ -> true | Xml.Tree.Element _ -> false) children
+
+  let to_string_indented t =
+    let b = Buffer.create 1024 in
+    let rec go indent t =
+      match t with
+      | Xml.Tree.Text s ->
+          Buffer.add_string b indent;
+          add_escaped_text b s 0 (String.length s);
+          Buffer.add_char b '\n'
+      | Xml.Tree.Element { name; attrs; children } ->
+          Buffer.add_string b indent;
+          Buffer.add_char b '<';
+          Buffer.add_string b name;
+          add_attrs b attrs;
+          if children = [] then Buffer.add_string b "/>\n"
+          else if only_text children then begin
+            Buffer.add_char b '>';
+            List.iter
+              (function Xml.Tree.Text s -> add_escaped_text b s 0 (String.length s) | _ -> ())
+              children;
+            Buffer.add_string b "</";
+            Buffer.add_string b name;
+            Buffer.add_string b ">\n"
+          end
+          else begin
+            Buffer.add_string b ">\n";
+            List.iter (go (indent ^ "  ")) children;
+            Buffer.add_string b indent;
+            Buffer.add_string b "</";
+            Buffer.add_string b name;
+            Buffer.add_string b ">\n"
+          end
+    in
+    go "" t;
+    Buffer.contents b
+
+  let to_string t =
+    let b = Buffer.create 1024 in
+    to_buffer b t;
+    Buffer.contents b
+end
+
+(* Trees the printers treat differently: mixed content, adjacent and
+   empty texts, attribute values with every escaped character, and
+   chains deep enough that indentation runs past a few levels. *)
+let gen_printer_tree =
+  let open QCheck2.Gen in
+  let text = oneofl [ ""; "t"; " "; "a & b"; "<x>"; "\"q\""; "line\nbreak"; "&<>\"" ] in
+  let attrs =
+    let* n = int_range 0 2 in
+    let+ vs = list_repeat n (oneofl [ ""; "v"; "&"; "<"; ">"; "\""; "a&b<c>d\"e" ]) in
+    List.mapi (fun i v -> (Printf.sprintf "k%d" i, v)) vs
+  in
+  let element =
+    fix (fun self depth ->
+        let* name = oneofl [ "a"; "b"; "n-s" ] in
+        let* attrs = attrs in
+        let* chain = if depth > 0 then bool else return false in
+        let+ children =
+          if depth = 0 then list_size (int_range 0 3) (map Xml.Tree.text text)
+          else if chain then
+            (* one element child between optional texts: nesting depth *)
+            let* before = opt (map Xml.Tree.text text) in
+            let* kid = self (depth - 1) in
+            let+ after = opt (map Xml.Tree.text text) in
+            Option.to_list before @ (kid :: Option.to_list after)
+          else
+            list_size (int_range 0 4)
+              (oneof [ self (depth - 1); map Xml.Tree.text text ])
+        in
+        Xml.Tree.Element { name; attrs; children })
+  in
+  oneof [ int_range 0 12 >>= element; map Xml.Tree.text text ]
+
+let prop_writer_replay_matches_reference =
+  QCheck2.Test.make ~name:"writer replay = recursive printers (compact, indented)"
+    ~count:500 ~print:Reference.to_string gen_printer_tree (fun t ->
+      Xml.Printer.to_string t = Reference.to_string t
+      && Xml.Printer.to_string_indented t = Reference.to_string_indented t
+      &&
+      let b = Buffer.create 16 in
+      Buffer.add_string b "prefix";
+      Xml.Printer.to_buffer b t;
+      Buffer.contents b = "prefix" ^ Reference.to_string t)
+
+let test_indented_cases () =
+  let e ?(attrs = []) name children = Xml.Tree.Element { name; attrs; children } in
+  let t s = Xml.Tree.Text s in
+  List.iter
+    (fun (label, tree, want) ->
+      Alcotest.(check string) label want (Xml.Printer.to_string_indented tree);
+      Alcotest.(check string) (label ^ " (reference)") want (Reference.to_string_indented tree))
+    [
+      ("empty element", e "a" [], "<a/>\n");
+      ("text only", e "a" [ t "x"; t "y" ], "<a>xy</a>\n");
+      ("empty text", e "a" [ t "" ], "<a></a>\n");
+      ( "mixed content",
+        e "a" [ t "x"; e "b" [ t "y" ]; t ""; e ~attrs:[ ("k", "&\"") ] "c" [] ],
+        "<a>\n  x\n  <b>y</b>\n  \n  <c k=\"&amp;&quot;\"/>\n</a>\n" );
+      ("top-level text", t "a<b", "a&lt;b\n");
+    ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_writer_replay_matches_reference;
+      Alcotest.test_case "indented writer cases" `Quick test_indented_cases;
+    ]
