@@ -50,6 +50,7 @@ lint:
 ci: lint
 	dune build @all
 	dune runtest
+	dune test perfbench --profile perfbench
 
 clean:
 	dune clean

@@ -270,39 +270,12 @@ let build_edge rctx ~pty ~parents ~cty ~select =
 (* parent closest children ("pipelined joins").                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The target shape with each node's edge planned. *)
-type planned = {
-  node : Tshape.node;
-  name : string; (* [node]'s output name, without an attribute's '@' *)
-  attr : bool;
-      (* a leaf whose source type is an attribute: it renders as an
-         attribute of a sourced parent instance it has exactly one instance
-         under, and as elements otherwise *)
-  edge : edge option; (* None: an anchorless NEW node, once per key *)
-  below : planned list; (* [node]'s children, in shape order *)
-}
-
 let strip_at s =
   if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
   else s
 
-let attr_shaped rctx (c : Tshape.node) =
-  c.children = []
-  && (match c.source with
-     | Some cty -> Xml.Type_table.is_attribute (Store_.Shredded.types rctx.store) cty
-     | None -> false)
-
-let planned rctx (node : Tshape.node) edge below =
-  { node; name = strip_at node.out_name; attr = attr_shaped rctx node; edge; below }
-
 let rec first_sourced (n : Tshape.node) =
   match n.source with Some ty -> Some ty | None -> List.find_map first_sourced n.children
-
-(* The anchor of a NEW node: its first directly sourced child.  A NEW node
-   with an anchor renders once per anchor instance ("wraps each author in a
-   scribe element"); its other children join by closeness to the anchor. *)
-let direct_anchor (n : Tshape.node) =
-  List.find_map (fun (c : Tshape.node) -> c.source) n.children
 
 (* Keep only instances passing a node's value filter (the value-based
    transformation extension): the record's direct text must equal the
@@ -383,34 +356,112 @@ let sort_instances rctx (tn : Tshape.node) ids =
           Array.stable_sort cmp decorated;
           Array.map snd decorated)
 
-(* Sibling edges are planned in shape order, so I/O charges and profiler
-   frames arrive in that order too. *)
-let rec plan_node rctx (tn : Tshape.node) ~aty ~ids =
-  let plan_child (c : Tshape.node) =
-    match c.source with
-    | Some cty -> plan_edge rctx c ~aty ~ids ~cty
-    | None -> (
-        match direct_anchor c with
-        | Some anchor_ty ->
-            (* One NEW element per closest anchor instance: the anchor
-               instances are the NEW node's own edge, and its children join
-               keyed on the anchor type (the anchor child itself resolves
-               by the identity self-join). *)
-            let e =
-              build_edge rctx ~pty:aty ~parents:ids ~cty:anchor_ty ~select:None
-            in
-            planned rctx c (Some e) (plan_node rctx c ~aty:anchor_ty ~ids:e.kids)
-        | None ->
-            (* No sourced child anywhere below: emitted once per parent
-               instance, deeper NEW nodes likewise. *)
-            planned rctx c None (plan_node rctx c ~aty ~ids))
+(* ------------------------------------------------------------------ *)
+(* The output rules, one definition each: a handle per target node.    *)
+(* The plan, the emit walk and Nav all read them from here.            *)
+(* ------------------------------------------------------------------ *)
+
+type handle = {
+  node : Tshape.node;
+  name : string; (* the output name, without an attribute's '@' *)
+  attr : bool;
+      (* an attribute-typed leaf under a sourced parent: it renders as an
+         attribute of a parent instance it has exactly one instance under,
+         and as elements otherwise *)
+  join : int option;
+      (* the type whose instances this node renders once per: its source
+         type; for a NEW node its direct anchor, its first directly sourced
+         child ("wraps each author in a scribe element"), or for a NEW root
+         its first sourced descendant.  None: a NEW node with no sourced
+         child, rendered once per parent instance. *)
+  aty : int;
+      (* the anchor type its children join on: [join], else the parent's
+         ([-1] in a purely NEW subtree, which joins nothing) *)
+  select : (int array -> int array) option;
+      (* what a sourced node keeps of a closest run, or of its type's row at
+         a root: the value filter, then the restricts, then ORDER-BY; None
+         keeps it whole *)
+  below : handle list; (* in shape order *)
+}
+
+let rec handle rctx ~parent_sourced ~aty ~join (n : Tshape.node) =
+  let aty = Option.value join ~default:aty in
+  let attr =
+    parent_sourced && n.children = []
+    && (match n.source with
+       | Some ty -> Xml.Type_table.is_attribute (Store_.Shredded.types rctx.store) ty
+       | None -> false)
   in
-  List.map plan_child tn.children
+  let select =
+    match n.source with
+    | Some ty when n.value_filter <> None || n.restrict_children <> [] || n.sort_key <> None ->
+        Some
+          (fun ids ->
+            sort_instances rctx n (filter_restrict rctx ~aty:ty n (filter_value rctx n ids)))
+    | _ -> None
+  in
+  let child (c : Tshape.node) =
+    let join =
+      match c.source with
+      | Some _ -> c.source
+      | None -> List.find_map (fun (d : Tshape.node) -> d.source) c.children
+    in
+    handle rctx ~parent_sourced:(Option.is_some n.source) ~aty ~join c
+  in
+  { node = n; name = strip_at n.out_name; attr; join; aty; select;
+    below = List.map child n.children }
+
+let handles rctx (shape : Tshape.t) =
+  List.map
+    (fun r -> handle rctx ~parent_sourced:false ~aty:(-1) ~join:(first_sourced r) r)
+    shape.roots
+
+let keep (h : handle) ids = match h.select with None -> ids | Some f -> f ids
+
+(* Attribute or element: one instance of an attribute-shaped child. *)
+let as_attribute (c : handle) n = c.attr && n = 1
+
+(* A forest of other than one tree is written inside a wrapper element. *)
+let wrap ?(wrapper = "result") roots =
+  if List.fold_left (fun n (_, ids) -> n + Array.length ids) 0 roots = 1 then None
+  else Some wrapper
+
+let root_instances rctx (h : handle) =
+  match h.join with
+  | Some ty -> keep h (cache rctx ty).ids
+  | None -> [| -1 |] (* a purely NEW subtree renders once, empty *)
+
+(* ------------------------------------------------------------------ *)
+(* Planning: one pass computing, for every target-shape edge, the per-  *)
+(* parent closest children ("pipelined joins").                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A handle with its edge planned. *)
+type planned = {
+  h : handle;
+  edge : edge option; (* None: an anchorless NEW node, once per key *)
+  below : planned list; (* [h]'s children, in shape order *)
+}
+
+(* Sibling edges are planned in shape order, so I/O charges and profiler
+   frames arrive in that order too.  A NEW node's anchor instances are its
+   own edge, and its children join keyed on the anchor type (the anchor
+   child itself resolves by the identity self-join). *)
+let rec plan_node rctx (p : handle) ~ids =
+  let plan_child (c : handle) =
+    match (c.join, c.node.source) with
+    | Some cty, Some _ -> plan_edge rctx c ~aty:p.aty ~ids ~cty
+    | Some cty, None ->
+        let e = build_edge rctx ~pty:p.aty ~parents:ids ~cty ~select:None in
+        { h = c; edge = Some e; below = plan_node rctx c ~ids:e.kids }
+    | None, _ -> { h = c; edge = None; below = plan_node rctx c ~ids }
+  in
+  List.map plan_child p.below
 
 (* Profiled wrapper: each target edge's pipelined join appears in the
    profile as a [closest(parent->child)] frame, nested to mirror the target
    shape, with parents in, closest pairs, and distinct children out. *)
-and plan_edge rctx (c : Tshape.node) ~aty ~ids ~cty =
+and plan_edge rctx (c : handle) ~aty ~ids ~cty =
   if not (Xmobs.Profile.profiling ()) then plan_edge_op rctx c ~aty ~ids ~cty
   else
     let tt = Store_.Shredded.types rctx.store in
@@ -421,16 +472,11 @@ and plan_edge rctx (c : Tshape.node) ~aty ~ids ~cty =
         Xmobs.Profile.add_in (Array.length ids);
         plan_edge_op rctx c ~aty ~ids ~cty)
 
-and plan_edge_op rctx (c : Tshape.node) ~aty ~ids ~cty =
+and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
   let select =
-    if c.value_filter = None && c.restrict_children = [] && c.sort_key = None
-    then None
-    else
-      Some
-        (fun gs ge ->
-          let kids = Array.sub (cache rctx cty).ids gs (ge - gs) in
-          let kids = filter_value rctx c kids in
-          sort_instances rctx c (filter_restrict rctx ~aty:cty c kids))
+    Option.map
+      (fun f gs ge -> f (Array.sub (cache rctx cty).ids gs (ge - gs)))
+      c.select
   in
   let e = build_edge rctx ~pty:aty ~parents:ids ~cty ~select in
   if Xmobs.Profile.profiling () then
@@ -439,25 +485,9 @@ and plan_edge_op rctx (c : Tshape.node) ~aty ~ids ~cty =
         if r >= 0 then Xmobs.Profile.add_pairs (e.offs.(r + 1) - e.offs.(r)))
       e.runs;
   Xmobs.Profile.add_out (Array.length e.kids);
-  planned rctx c (Some e) (plan_node rctx c ~aty:cty ~ids:e.kids)
+  { h = c; edge = Some e; below = plan_node rctx c ~ids:e.kids }
 
-let root_instances rctx (tn : Tshape.node) =
-  match tn.source with
-  | Some ty ->
-      let ids = filter_value rctx tn (cache rctx ty).ids in
-      sort_instances rctx tn (filter_restrict rctx ~aty:ty tn ids)
-  | None -> (
-      match first_sourced tn with
-      | Some aty -> (cache rctx aty).ids
-      | None -> [| -1 |] (* a purely NEW subtree renders once, empty *))
-
-(* For a NEW root anchored on a sourced descendant, joins must key on the
-   anchor type; plan_node already treats NEW nodes as transparent, so the
-   anchor instance ids flow down to the sourced children.  A purely NEW
-   subtree joins nothing, so its anchor type is never consulted. *)
-let plan_root rctx (tn : Tshape.node) ids =
-  let aty = match tn.source with Some ty -> Some ty | None -> first_sourced tn in
-  planned rctx tn None (plan_node rctx tn ~aty:(Option.value aty ~default:(-1)) ~ids)
+let plan rctx h ids = { h; edge = None; below = plan_node rctx h ~ids }
 
 (* ------------------------------------------------------------------ *)
 (* Emission: one walk over the plan, writing through a sink.           *)
@@ -482,17 +512,16 @@ module Emit (S : SINK) = struct
      instance of [p] itself.  Attributes come first, then the node's own
      text, then its element children in shape order. *)
   let rec walk store sink (p : planned) id =
-    S.open_element sink p.name;
-    let sourced = Option.is_some p.node.source in
-    if sourced then begin
+    S.open_element sink p.h.name;
+    if Option.is_some p.h.node.source then begin
       List.iter
         (fun (c : planned) ->
           match c.edge with
-          | Some e when c.attr ->
+          | Some e when c.h.attr ->
               let r = run_of e id in
-              if r >= 0 && e.offs.(r + 1) - e.offs.(r) = 1 then
+              if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
                 Store_.Shredded.value_slice store e.kids.(e.offs.(r))
-                  (fun sink s pos len -> S.attribute sink c.name s pos len)
+                  (fun sink s pos len -> S.attribute sink c.h.name s pos len)
                   sink
           | _ -> ())
         p.below;
@@ -506,13 +535,13 @@ module Emit (S : SINK) = struct
             let r = run_of e id in
             if r >= 0 then begin
               let lo = e.offs.(r) and hi = e.offs.(r + 1) in
-              if not (sourced && c.attr && hi - lo = 1) then
+              if not (as_attribute c.h (hi - lo)) then
                 for i = lo to hi - 1 do
                   walk store sink c e.kids.(i)
                 done
             end)
       p.below;
-    S.close_element sink p.name
+    S.close_element sink p.h.name
 
   (* Plan each root of [shape] and walk its instances, one root at a
      time.  Each root instance is one tree of the output forest; with
@@ -523,18 +552,12 @@ module Emit (S : SINK) = struct
     Xmobs.Obs.phase "render" @@ fun () ->
     Xmobs.Profile.op "render" @@ fun () ->
     let rctx = make_rctx store in
-    let roots =
-      List.map (fun (root : Tshape.node) -> (root, root_instances rctx root)) shape.roots
-    in
-    let wrapper =
-      match wrapper with
-      | Some _ when List.fold_left (fun n (_, ids) -> n + Array.length ids) 0 roots = 1 -> None
-      | w -> w
-    in
+    let roots = List.map (fun h -> (h, root_instances rctx h)) (handles rctx shape) in
+    let wrapper = Option.bind wrapper (fun wrapper -> wrap ~wrapper roots) in
     Option.iter (S.open_element sink) wrapper;
     List.iter
       (fun (root, ids) ->
-        let plan = plan_root rctx root ids in
+        let plan = plan rctx root ids in
         if Array.length ids = 1 && ids.(0) = -1 then walk store sink plan (-1)
         else
           Xmobs.Profile.op "emit" (fun () ->
@@ -606,8 +629,8 @@ let instances store (shape : Tshape.t) =
     ignore (Vec.push v inst)
   in
   let rec walk (p : planned) id dewey =
-    record p.node
-      { dewey; source = (match p.node.source with Some _ -> id | None -> -1) };
+    record p.h.node
+      { dewey; source = (match p.h.node.source with Some _ -> id | None -> -1) };
     let slot = ref 0 in
     let visit c cid =
       incr slot;
@@ -627,15 +650,15 @@ let instances store (shape : Tshape.t) =
   in
   let root_index = ref 0 in
   List.iter
-    (fun (root : Tshape.node) ->
-      let ids = root_instances rctx root in
-      let plan = plan_root rctx root ids in
+    (fun h ->
+      let ids = root_instances rctx h in
+      let plan = plan rctx h ids in
       Array.iter
         (fun id ->
           incr root_index;
           walk plan id [| !root_index |])
         ids)
-    shape.roots;
+    (handles rctx shape);
   let out = ref [] in
   Tshape.iter shape (fun tn ->
       let insts =
@@ -647,89 +670,57 @@ let instances store (shape : Tshape.t) =
   List.rev !out
 
 module Nav = struct
-  type nonrec t = {
-    rctx : rctx;
-    shape : Tshape.t;
-    anchor : (int, int option) Hashtbl.t; (* tnode uid -> anchor source type *)
-  }
+  type nonrec handle = handle
+  type nonrec t = { rctx : rctx; roots : handle list }
 
   let create store shape =
     let rctx = make_rctx store in
-    let anchor = Hashtbl.create 16 in
-    let rec assign (tn : Tshape.node) inherited =
-      let aty =
-        match tn.source with
-        | Some ty -> Some ty
-        | None -> (
-            match direct_anchor tn with Some a -> Some a | None -> inherited)
-      in
-      Hashtbl.replace anchor tn.uid aty;
-      List.iter (fun c -> assign c aty) tn.children
-    in
-    List.iter (fun r -> assign r (first_sourced r)) shape.Tshape.roots;
-    { rctx; shape; anchor }
+    { rctx; roots = handles rctx shape }
 
-  let anchor_of t (tn : Tshape.node) = Hashtbl.find t.anchor tn.uid
+  let node h = h.node
+  let name h = h.name
+  let roots t = List.map (fun h -> (h, root_instances t.rctx h)) t.roots
+  let wrapper roots = wrap roots
 
-  let roots t =
+  (* One level of the plan for one instance: each child's join, keyed on
+     this node's anchor type, and what the child keeps of its run. *)
+  let children t (h : handle) id =
     List.map
-      (fun (r : Tshape.node) -> (r, root_instances t.rctx r))
-      t.shape.Tshape.roots
+      (fun (c : handle) ->
+        match c.join with
+        | Some cty -> (c, keep c (join_one t.rctx ~pty:h.aty id ~cty))
+        | None -> (c, [| id |]))
+      h.below
 
-  let children t (tn : Tshape.node) id =
-    let aty = anchor_of t tn in
-    List.map
-      (fun (c : Tshape.node) ->
-        match (c.source, aty) with
-        | Some cty, Some aty when id >= 0 ->
-            let kids = join_one t.rctx ~pty:aty id ~cty in
-            let kids = filter_value t.rctx c kids in
-            let kids = filter_restrict t.rctx ~aty:cty c kids in
-            (c, sort_instances t.rctx c kids)
-        | Some _, _ -> (c, [||])
-        | None, _ -> (
-            match (direct_anchor c, aty) with
-            | Some a_ty, Some aty when id >= 0 ->
-                (c, join_one t.rctx ~pty:aty id ~cty:a_ty)
-            | _ -> (c, [| id |])))
-      tn.children
-
-  let value t (tn : Tshape.node) id =
-    match tn.source with
+  let value t (h : handle) id =
+    match h.node.source with
     | Some _ when id >= 0 -> Store_.Shredded.value t.rctx.store id
     | _ -> ""
 
-  let attributes t tn id =
+  let attributes t h id =
     List.filter_map
-      (fun ((c : Tshape.node), kids) ->
-        if Array.length kids = 1 && attr_shaped t.rctx c then
-          Some (strip_at c.out_name, Store_.Shredded.value t.rctx.store kids.(0))
+      (fun ((c : handle), kids) ->
+        if as_attribute c (Array.length kids) then
+          Some (c.name, Store_.Shredded.value t.rctx.store kids.(0))
         else None)
-      (children t tn id)
+      (children t h id)
 
-  let element_children t tn id =
+  let element_children t h id =
     List.filter
-      (fun ((c : Tshape.node), kids) ->
-        not (Array.length kids = 1 && attr_shaped t.rctx c))
-      (children t tn id)
+      (fun ((c : handle), kids) -> not (as_attribute c (Array.length kids)))
+      (children t h id)
 
-  (* A node without an anchor lies in a purely NEW subtree, which joins
-     nothing. *)
-  let materialize t (tn : Tshape.node) id =
-    let aty = Option.value (anchor_of t tn) ~default:(-1) in
+  let materialize t h id =
     let b = Xml.Tree.Builder.create () in
-    Tree_emit.walk t.rctx.store b
-      (planned t.rctx tn None (plan_node t.rctx tn ~aty ~ids:[| id |]))
-      id;
+    Tree_emit.walk t.rctx.store b (plan t.rctx h [| id |]) id;
     List.hd (Xml.Tree.Builder.trees b)
 
-  let rec deep_text t tn id =
+  let rec deep_text t h id =
     let b = Buffer.create 32 in
-    Buffer.add_string b (value t tn id);
+    Buffer.add_string b (value t h id);
     List.iter
-      (fun ((c : Tshape.node), kids) ->
-        Array.iter (fun k -> Buffer.add_string b (deep_text t c k)) kids)
-      (element_children t tn id);
+      (fun (c, kids) -> Array.iter (fun k -> Buffer.add_string b (deep_text t c k)) kids)
+      (element_children t h id);
     Buffer.contents b
 end
 

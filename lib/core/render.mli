@@ -31,10 +31,12 @@
     Rendering conventions (DESIGN.md): a node with restrict children is
     emitted only when every restrict pattern has at least one closest,
     recursively satisfying instance; a NEW node is emitted once per instance
-    of its anchor (its parent's instances, or its first sourced descendant's
-    when it is a root); an attribute-sourced child is emitted as an XML
+    of its anchor (its first directly sourced child, or its first sourced
+    descendant when it is a root; without one, once per parent instance); an
+    attribute-sourced child of a {e sourced} parent is emitted as an XML
     attribute when a parent instance has exactly one closest instance, and as
-    child elements otherwise. *)
+    child elements otherwise (under a NEW parent, always as elements).  Each
+    rule has one definition, which the plan, the walk and {!Nav} share. *)
 
 type stats = {
   elements : int;  (** element + attribute count of the output *)
@@ -105,35 +107,48 @@ val closest_pairs :
 (** Lazy navigation over the {e virtual} transformed document — the engine
     room of architecture 3 (Sec. VIII: "re-engineer an evaluation engine ...
     to logically transform the data in situ").  Nothing is transformed up
-    front; each navigation step runs one closest join for one instance, so a
-    query that touches a fraction of the data only pays for that fraction.
-    {!Guarded.Logical} instantiates [Xquery.Eval.Make] on top. *)
+    front: each step is one level of the render's plan for one instance —
+    one closest join per child edge, through the same output rules — so
+    navigation answers what rendering answers, and a query that touches a
+    fraction of the data only pays for that fraction.  {!Guarded.Logical}
+    instantiates [Xquery.Eval.Make] on top. *)
 module Nav : sig
   type t
 
-  val create : Store.Shredded.t -> Tshape.t -> t
+  type handle
+  (** A target node with its output rules: output name, attribute shape,
+      the anchor type its children join on, and its children's handles. *)
 
-  val roots : t -> (Tshape.node * int array) list
+  val create : Store.Shredded.t -> Tshape.t -> t
+  (** One handle per target node, built here once. *)
+
+  val node : handle -> Tshape.node
+  val name : handle -> string
+
+  val roots : t -> (handle * int array) list
   (** Target roots with their instance ids (restrict/value filters applied).
       A purely NEW root has the single pseudo-instance [-1]. *)
 
-  val children : t -> Tshape.node -> int -> (Tshape.node * int array) list
-  (** The child target nodes of an instance with their closest instances, in
+  val wrapper : (handle * int array) list -> string option
+  (** [Some "result"] when the roots make a forest of other than one tree. *)
+
+  val children : t -> handle -> int -> (handle * int array) list
+  (** The child handles of an instance with their closest instances, in
       shape order; computed on demand, one join per edge. *)
 
-  val value : t -> Tshape.node -> int -> string
+  val value : t -> handle -> int -> string
   (** The instance's direct text ([""] for NEW pseudo-instances). *)
 
-  val attributes : t -> Tshape.node -> int -> (string * string) list
-  (** The children that would render as XML attributes, with values. *)
+  val attributes : t -> handle -> int -> (string * string) list
+  (** The children that render as XML attributes, with values. *)
 
-  val element_children : t -> Tshape.node -> int -> (Tshape.node * int array) list
+  val element_children : t -> handle -> int -> (handle * int array) list
   (** {!children} minus {!attributes}. *)
 
-  val materialize : t -> Tshape.node -> int -> Xml.Tree.t
+  val materialize : t -> handle -> int -> Xml.Tree.t
   (** Physically render just this instance's subtree. *)
 
-  val deep_text : t -> Tshape.node -> int -> string
+  val deep_text : t -> handle -> int -> string
   (** The XPath string value of the virtual subtree. *)
 end
 

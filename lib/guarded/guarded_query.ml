@@ -11,20 +11,19 @@ exception Guard_rejected of Xmorph.Report.loss_report
 
 exception Query_failed of string
 
+let protect query f =
+  try f () with
+  | Xquery.Eval.Error msg -> raise (Query_failed msg)
+  | Xquery.Qparse.Error _ as e ->
+      raise (Query_failed (Option.get (Xquery.Qparse.error_message query e)))
+
 let run_on_store ?enforce store gq =
   let transformed, compiled =
     Xmobs.Profile.op "guard.transform" @@ fun () ->
     try Xmorph.Interp.transform ?enforce store gq.guard
     with Xmorph.Loss.Rejected r -> raise (Guard_rejected r)
   in
-  let result =
-    try Xquery.Eval.run transformed gq.query with
-    | Xquery.Eval.Error msg -> raise (Query_failed msg)
-    | Xquery.Qparse.Error _ as e -> (
-        match Xquery.Qparse.error_message gq.query e with
-        | Some msg -> raise (Query_failed msg)
-        | None -> raise e)
-  in
+  let result = protect gq.query (fun () -> Xquery.Eval.run transformed gq.query) in
   { transformed; result; result_xml = Xquery.Value.to_trees result; compiled }
 
 let run ?enforce doc gq = run_on_store ?enforce (Store.Shredded.shred doc) gq

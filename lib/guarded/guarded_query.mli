@@ -31,6 +31,11 @@ exception Guard_rejected of Xmorph.Report.loss_report
 
 exception Query_failed of string
 
+val protect : string -> (unit -> 'a) -> 'a
+(** [protect query f] runs [f], an evaluation of [query], and turns its
+    syntax and runtime errors into {!Query_failed} with the message
+    [xmorph query] prints.  Both architectures answer through it. *)
+
 val run : ?enforce:bool -> Xml.Doc.t -> t -> outcome
 (** Shred, guard-transform, then query.
     @raise Guard_rejected or {!Xmorph.Interp.Error} from the guard phase,

@@ -15,25 +15,18 @@ let create ?(enforce = true) store ~guard =
   of_compiled store compiled
 
 (* Nodes of the virtual document.  [Doc] is the virtual document node
-   (parent of the shape roots); [Virt] a virtual element instance; [Text]
-   its text; [Tree] a node built by the query itself. *)
+   (parent of the shape roots); [Wrapper] the element the render wraps a
+   forest in; [Virt] a virtual element instance; [Text] its text; [Tree] a
+   node built by the query itself. *)
 type node =
   | Doc
-  | Wrapper
-      (* the synthetic <result> element the physical renderer wraps a
-         multi-instance forest in; mirrored here so paths agree *)
-  | Virt of Xmorph.Tshape.node * int
+  | Wrapper of string
+  | Virt of Nav.handle * int
   | Text of string
   | Tree of Xml.Tree.t
 
-let strip_at s =
-  if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
-  else s
-
-let root_instances t =
-  List.concat_map
-    (fun (tn, ids) -> Array.to_list (Array.map (fun id -> (tn, id)) ids))
-    (Nav.roots t.nav)
+let virts kids =
+  List.concat_map (fun (h, ids) -> Array.to_list (Array.map (fun i -> Virt (h, i)) ids)) kids
 
 (* The navigation signature over the virtual document: each step into a
    virtual element's children runs its closest joins, one per target edge. *)
@@ -44,55 +37,52 @@ module Virtual = struct
   let document _ = Doc
 
   (* A virtual element's text precedes its element children, as in
-     Render.to_tree; the document node has the wrapper as its only child
-     when the forest has several instances. *)
+     Render.to_tree; the document node has the render's wrapper as its only
+     child when there is one. *)
   let children t ~text = function
     | Doc -> (
-        match root_instances t with
-        | [ (tn, id) ] -> [ Virt (tn, id) ]
-        | _ -> [ Wrapper ])
-    | Wrapper -> List.map (fun (tn, id) -> Virt (tn, id)) (root_instances t)
-    | Virt (tn, id) ->
-        let kids =
-          List.concat_map
-            (fun (c, ids) -> Array.to_list (Array.map (fun i -> Virt (c, i)) ids))
-            (Nav.element_children t.nav tn id)
-        in
-        let value = if text then Nav.value t.nav tn id else "" in
+        let roots = Nav.roots t.nav in
+        match Nav.wrapper roots with Some w -> [ Wrapper w ] | None -> virts roots)
+    | Wrapper _ -> virts (Nav.roots t.nav)
+    | Virt (h, id) ->
+        let kids = virts (Nav.element_children t.nav h id) in
+        let value = if text then Nav.value t.nav h id else "" in
         if value = "" then kids else Text value :: kids
     | Text _ -> []
     | Tree n -> List.map (fun c -> Tree c) (Xml.Tree.children n)
 
   let text _ = function
     | Text s | Tree (Xml.Tree.Text s) -> Some s
-    | Doc | Wrapper | Virt _ | Tree (Xml.Tree.Element _) -> None
+    | Doc | Wrapper _ | Virt _ | Tree (Xml.Tree.Element _) -> None
 
   let name _ = function
     | Doc | Text _ -> ""
-    | Wrapper -> "result"
-    | Virt (tn, _) -> strip_at tn.Xmorph.Tshape.out_name
+    | Wrapper w -> w
+    | Virt (h, _) -> Nav.name h
     | Tree n -> Xml.Tree.name n
 
   let attributes t = function
-    | Virt (tn, id) -> Nav.attributes t.nav tn id
+    | Virt (h, id) -> Nav.attributes t.nav h id
     | Tree (Xml.Tree.Element { attrs; _ }) -> attrs
-    | Doc | Wrapper | Text _ | Tree (Xml.Tree.Text _) -> []
+    | Doc | Wrapper _ | Text _ | Tree (Xml.Tree.Text _) -> []
 
   let string_value t = function
-    | Doc | Wrapper ->
+    | Doc | Wrapper _ ->
         String.concat ""
-          (List.map (fun (tn, id) -> Nav.deep_text t.nav tn id) (root_instances t))
-    | Virt (tn, id) -> Nav.deep_text t.nav tn id
+          (List.concat_map
+             (fun (h, ids) -> Array.to_list (Array.map (Nav.deep_text t.nav h) ids))
+             (Nav.roots t.nav))
+    | Virt (h, id) -> Nav.deep_text t.nav h id
     | Text s -> s
     | Tree n -> Xml.Tree.deep_text n
 
   let of_tree n = Tree n
 
   let materialize t = function
-    | Doc | Wrapper ->
+    | Doc | Wrapper _ ->
         (* Materializing the whole virtual document = the physical render. *)
         Xmorph.Interp.render t.store t.compiled
-    | Virt (tn, id) -> Nav.materialize t.nav tn id
+    | Virt (h, id) -> Nav.materialize t.nav h id
     | Text s -> Xml.Tree.Text s
     | Tree n -> n
 end

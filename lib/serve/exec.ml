@@ -35,17 +35,11 @@ let io_of_snapshot (s : Store.Io_stats.snapshot) : Xmobs.Qlog.io =
     write_ops = s.Store.Io_stats.write_ops;
   }
 
-(* Local exception so query-phase failures carry their rendered message
-   through the common classification below. *)
-exception Query_error of string
-
 let classify = function
   | Xmorph.Interp.Error m -> (Xmobs.Qlog.Parse_error, m)
   | Xmorph.Loss.Rejected r ->
       (Xmobs.Qlog.Type_mismatch, Xmorph.Report.loss_to_string r)
-  | Query_error m -> (Xmobs.Qlog.Parse_error, m)
-  | Xquery.Eval.Error m -> (Xmobs.Qlog.Parse_error, m)
-  | Xquery.Qparse.Error _ as e -> (Xmobs.Qlog.Parse_error, Printexc.to_string e)
+  | Guarded.Guarded_query.Query_failed m -> (Xmobs.Qlog.Parse_error, m)
   | e -> (Xmobs.Qlog.Internal, Printexc.to_string e)
 
 (* Per-request I/O when a request context is installed (exact for this
@@ -214,16 +208,8 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
     | Some q ->
         let t1 = now () in
         let trees =
-          try
-            Guarded.Logical.query_to_xml
-              (Guarded.Logical.of_compiled store compiled)
-              q
-          with
-          | Xquery.Eval.Error msg -> raise (Query_error msg)
-          | Xquery.Qparse.Error _ as e -> (
-              match Xquery.Qparse.error_message q e with
-              | Some msg -> raise (Query_error msg)
-              | None -> raise e)
+          Guarded.Guarded_query.protect q (fun () ->
+              Guarded.Logical.query_to_xml (Guarded.Logical.of_compiled store compiled) q)
         in
         eval_s := !eval_s +. (now () -. t1);
         let t2 = now () in

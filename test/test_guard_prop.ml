@@ -35,7 +35,9 @@ let rec gen_pattern v depth =
         ([
            (4, leaf);
            ( 3,
-             let* p = gen_pattern v 0 in
+             let* p =
+               frequency [ (5, gen_pattern v 0); (1, map (fun l -> Ast.New l) gen_new_label) ]
+             in
              let* n = int_range 1 3 in
              let* items = list_size (return n) (gen_item v (depth - 1)) in
              return (Ast.Tree (p, items)) );

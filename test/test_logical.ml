@@ -132,6 +132,87 @@ let prop_identity_guard_answers =
           "for $x in //* return string($x)";
         ])
 
+let test_new_parent_attribute () =
+  let src =
+    {|<lib><book year="1999"><title>A</title></book><book year="2001"><title>B</title></book></lib>|}
+  in
+  List.iter
+    (fun guard ->
+      List.iter (check_same ~src guard)
+        [ "//x/year"; "//x/@year"; "string(//x[1])"; "count(//x/year)" ])
+    [ "MORPH book [ (NEW x) [ @year ] ]"; "MORPH book [ (NEW x) [ @year title ] ]" ]
+
+(* Instances of a NEW parent with exactly one instance of an attribute-typed
+   leaf below: the render writes that child as an element. *)
+let rec new_parent_attributes tt nav h id =
+  List.fold_left
+    (fun n (c, kids) ->
+      let node = Xmorph.Render.Nav.node c in
+      let hit =
+        (Xmorph.Render.Nav.node h).Xmorph.Tshape.source = None
+        && Array.length kids = 1 && node.Xmorph.Tshape.children = []
+        && Option.fold ~none:false ~some:(Xml.Type_table.is_attribute tt) node.source
+      in
+      Array.fold_left
+        (fun n k -> n + new_parent_attributes tt nav c k)
+        (if hit then n + 1 else n)
+        kids)
+    0
+    (Xmorph.Render.Nav.children nav h id)
+
+let test_random_guard_answers () =
+  let compiled = ref 0 and new_attrs = ref 0 in
+  let gen =
+    QCheck2.Gen.(
+      let* doc = Gen.gen_doc in
+      let tt = Xml.Doc.types doc in
+      let labels = ref [] in
+      Xml.Type_table.iter tt (fun ty ->
+          labels := Xml.Type_table.label tt ty :: Xml.Type_table.qname tt ty :: !labels);
+      let vocab =
+        { Test_guard_prop.label = oneofl !labels; literal = oneofl [ "hello"; "1984" ];
+          order_by = true }
+      in
+      let* guard = Test_guard_prop.gen_guard_over vocab in
+      return (doc, Xmorph.Ast.to_string guard))
+  in
+  let prop (doc, guard) =
+    let store = Store.Shredded.shred doc in
+    match Logical.create ~enforce:false store ~guard with
+    | exception _ -> true
+    | lg ->
+        incr compiled;
+        let shape =
+          (Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store) guard)
+            .Xmorph.Interp.shape
+        in
+        let nav = Xmorph.Render.Nav.create store shape in
+        List.iter
+          (fun (h, ids) ->
+            Array.iter
+              (fun id ->
+                new_attrs := !new_attrs + new_parent_attributes (Xml.Doc.types doc) nav h id)
+              ids)
+          (Xmorph.Render.Nav.roots nav);
+        List.for_all
+          (fun query ->
+            let physical =
+              Guarded_query.run_on_store ~enforce:false store { Guarded_query.guard; query }
+            in
+            Xquery.Value.to_string (Logical.query lg query)
+            = Xquery.Value.to_string physical.Guarded_query.result)
+          [ "count(//*)"; "string(/*)"; "//*[1]"; "for $x in //* return name($x)";
+            "for $x in //* return string($x)" ]
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"logical = physical on random guards" ~count:300
+       ~print:(fun (doc, g) -> Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g)
+       gen prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d compiled cases, %d NEW-parent single-attribute instances" !compiled
+       !new_attrs)
+    true (!new_attrs > 0)
+
 let suite =
   [
     Alcotest.test_case "agrees with physical (query battery)" `Quick
@@ -146,4 +227,7 @@ let suite =
       test_selective_query_reads_less;
     Alcotest.test_case "unknown function" `Quick test_unknown_function_errors;
     QCheck_alcotest.to_alcotest prop_identity_guard_answers;
+    Alcotest.test_case "NEW parent over an attribute" `Quick test_new_parent_attribute;
+    Alcotest.test_case "logical = physical on random guards" `Quick
+      test_random_guard_answers;
   ]

@@ -12,7 +12,7 @@ let test_roots () =
   let _, _, nav = setup Workloads.Figures.example_guard in
   match Render.Nav.roots nav with
   | [ (tn, ids) ] ->
-      Alcotest.(check string) "root name" "author" tn.Tshape.out_name;
+      Alcotest.(check string) "root name" "author" (Render.Nav.node tn).Tshape.out_name;
       Alcotest.(check int) "three authors" 3 (Array.length ids)
   | _ -> Alcotest.fail "expected one root node"
 
@@ -22,7 +22,8 @@ let test_children_lazy () =
   let kids = Render.Nav.children nav tn ids.(0) in
   Alcotest.(check int) "two child nodes" 2 (List.length kids);
   List.iter
-    (fun ((c : Tshape.node), insts) ->
+    (fun (c, insts) ->
+      let c = Render.Nav.node c in
       Alcotest.(check int) (c.Tshape.out_name ^ " one instance") 1 (Array.length insts))
     kids
 
@@ -71,20 +72,13 @@ let test_new_nodes () =
       "MUTATE (NEW scribe) [ author ]"
   in
   let nav = Render.Nav.create store compiled.Interp.shape in
-  (* Find the scribe node in the shape and check per-anchor instances. *)
-  let scribe = ref None in
-  Tshape.iter compiled.Interp.shape (fun n ->
-      if n.Tshape.out_name = "scribe" then scribe := Some n);
-  let scribe = Option.get !scribe in
-  (* Its parent is book; take a book instance and ask for children. *)
-  let book = Option.get scribe.Tshape.parent in
-  let guide = Store.Shredded.guide store in
-  let book_ty = List.hd (Xml.Dataguide.match_label guide "book") in
-  let book_id = (Store.Shredded.sequence store book_ty).(0) in
-  let kids = Render.Nav.children nav book book_id in
-  let _, scribe_insts =
-    List.find (fun ((c : Tshape.node), _) -> c.Tshape.out_name = "scribe") kids
-  in
+  (* Book is the root's child; take the first book instance and ask for
+     its children. *)
+  let named name (c, _) = (Render.Nav.node c).Tshape.out_name = name in
+  let data, data_ids = List.hd (Render.Nav.roots nav) in
+  let book, book_ids = List.find (named "book") (Render.Nav.children nav data data_ids.(0)) in
+  let kids = Render.Nav.children nav book book_ids.(0) in
+  let _, scribe_insts = List.find (named "scribe") kids in
   (* Book 1 has two authors -> two scribes. *)
   Alcotest.(check int) "one scribe per author" 2 (Array.length scribe_insts)
 
