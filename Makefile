@@ -51,6 +51,7 @@ ci: lint
 	dune build @all
 	dune runtest
 	dune test perfbench --profile perfbench
+	$(MAKE) examples
 
 clean:
 	dune clean

@@ -27,60 +27,39 @@ module Pair_set = Set.Make (struct
 end)
 
 (* Closest pairs between two instance arrays of the output document, mapped
-   to source-node pairs.  Both arrays are in output document order; all
-   instances of a target node share its depth, so the closest level is the
-   maximal common Dewey prefix over cross pairs (as in the renderer). *)
+   to source-node pairs.  All instances of a target node share its depth,
+   so Def. 2 applies as in the renderer: the closest level of the two
+   Dewey sets, then each [a] instance's run of [b] instances sharing its
+   prefix of that length. *)
 let output_closest (a : Render.instance array) (b : Render.instance array) =
-  if Array.length a = 0 || Array.length b = 0 then Pair_set.empty
+  (* ORDER-BY may have permuted the arrays; the kernel needs Dewey order. *)
+  let sorted xs =
+    let xs = Array.copy xs in
+    Array.sort (fun (x : Render.instance) y -> Dewey.compare x.dewey y.dewey) xs;
+    xs
+  in
+  let a = sorted a and b = sorted b in
+  let db = Array.map (fun (y : Render.instance) -> y.dewey) b in
+  let l = Dewey.closest_level (Array.map (fun (x : Render.instance) -> x.dewey) a) db in
+  if l = 0 then Pair_set.empty
   else begin
-    (* ORDER-BY may have permuted the arrays; the merge needs Dewey order. *)
-    let a = Array.copy a and b = Array.copy b in
-    Array.sort (fun (x : Render.instance) y -> Dewey.compare x.dewey y.dewey) a;
-    Array.sort (fun (x : Render.instance) y -> Dewey.compare x.dewey y.dewey) b;
-    let best = ref 0 in
-    let consider (x : Render.instance) (y : Render.instance) =
-      let cp = Dewey.common_prefix_len x.dewey y.dewey in
-      if cp > !best then best := cp
-    in
-    let i = ref 0 and j = ref 0 in
-    while !i < Array.length a && !j < Array.length b do
-      consider a.(!i) b.(!j);
-      if Dewey.compare a.(!i).dewey b.(!j).dewey <= 0 then incr i else incr j
-    done;
-    if !i < Array.length a && !j > 0 then consider a.(!i) b.(!j - 1);
-    if !j < Array.length b && !i > 0 then consider a.(!i - 1) b.(!j);
-    let l = !best in
-    if l = 0 then Pair_set.empty
-    else begin
-      (* Group by l-prefix with two pointers over the sorted arrays. *)
-      let edges = ref Pair_set.empty in
-      let prefix (x : Render.instance) = Array.sub x.dewey 0 l in
-      let j = ref 0 in
-      Array.iter
-        (fun (x : Render.instance) ->
-          if Array.length x.dewey >= l then begin
-            let px = prefix x in
-            while
-              !j < Array.length b
-              && Array.length b.(!j).dewey >= l
-              && compare (prefix b.(!j)) px < 0
-            do
-              incr j
-            done;
-            let k = ref !j in
-            while
-              !k < Array.length b
-              && Array.length b.(!k).dewey >= l
-              && prefix b.(!k) = px
-            do
-              if x.source >= 0 && b.(!k).source >= 0 then
-                edges := Pair_set.add (x.source, b.(!k).source) !edges;
-              incr k
-            done
-          end)
-        a;
-      !edges
-    end
+    let runs = Dewey.runs ~level:l db in
+    let edges = ref Pair_set.empty and g = ref 0 in
+    Array.iteri
+      (fun i (x : Render.instance) ->
+        g :=
+          if i = 0 then Dewey.bisect_run ~level:l db runs x.dewey
+          else Dewey.seek_run ~level:l db runs x.dewey !g;
+        if !g < Array.length runs && Dewey.compare_prefix l db.(fst runs.(!g)) x.dewey = 0
+        then begin
+          let start, stop = runs.(!g) in
+          for k = start to stop - 1 do
+            if x.source >= 0 && b.(k).source >= 0 then
+              edges := Pair_set.add (x.source, b.(k).source) !edges
+          done
+        end)
+      a;
+    !edges
   end
 
 let source_closest store s1 s2 =

@@ -13,13 +13,9 @@ type rctx = {
   store : Store_.Shredded.t;
   caches : (int, type_cache) Hashtbl.t;
   cache_lock : Mutex.t; (* guards [caches]; entries are immutable once built *)
-  levels : (int * int, int) Hashtbl.t; (* normalized type pair -> join level *)
-  level_lock : Mutex.t; (* guards [levels]; may nest over [cache_lock] *)
 }
 
-let make_rctx store =
-  { store; caches = Hashtbl.create 64; cache_lock = Mutex.create ();
-    levels = Hashtbl.create 64; level_lock = Mutex.create () }
+let make_rctx store = { store; caches = Hashtbl.create 64; cache_lock = Mutex.create () }
 
 let cache rctx ty =
   Mutex.lock rctx.cache_lock;
@@ -40,98 +36,21 @@ let cache rctx ty =
   Mutex.unlock rctx.cache_lock;
   c
 
-(* The closest-join level of a type pair: the maximal common Dewey prefix
-   over all cross pairs of instances.  When one type is an ancestor-or-self
-   of the other and the descendant has instances, each of those shares its
-   ancestor's whole Dewey number, so the level is the ancestor's depth.
-   Otherwise one merge pass over the two document-ordered columns finds it:
-   adjacent pairs in the merged order suffice.  Both columns are read
-   either way, and the level is cached per type pair — the same edge type
-   recurs once per parent instance in navigation-style access. *)
-let join_level_ctx rctx t u =
-  let key = if t <= u then (t, u) else (u, t) in
-  Mutex.lock rctx.level_lock;
-  let l =
-    match Hashtbl.find_opt rctx.levels key with
-    | Some l -> l
-    | None ->
-        let a = (cache rctx t).deweys and b = (cache rctx u).deweys in
-        let tt = Store_.Shredded.types rctx.store in
-        (* [anc] is an ancestor-or-self of [desc], which has instances. *)
-        let above anc desc descs =
-          Array.length descs > 0 && anc >= 0 && anc < Xml.Type_table.count tt
-          && Xml.Type_table.lca_depth tt anc desc = Xml.Type_table.depth tt anc
-        in
-        let l =
-          if above t u b then Xml.Type_table.depth tt t
-          else if above u t a then Xml.Type_table.depth tt u
-          else begin
-            let best = ref 0 in
-            let consider x y =
-              let cp = Dewey.common_prefix_len x y in
-              if cp > !best then best := cp
-            in
-            let i = ref 0 and j = ref 0 in
-            while !i < Array.length a && !j < Array.length b do
-              consider a.(!i) b.(!j);
-              if Dewey.compare a.(!i) b.(!j) <= 0 then incr i else incr j
-            done;
-            if !i < Array.length a && !j > 0 then consider a.(!i) b.(!j - 1);
-            if !j < Array.length b && !i > 0 then consider a.(!i - 1) b.(!j);
-            !best
-          end
-        in
-        Hashtbl.replace rctx.levels key l;
-        l
-  in
-  Mutex.unlock rctx.level_lock;
-  l
-
-(* Lexicographic comparison of components [i .. l - 1]: a monomorphic
-   loop with no closure, run once per search probe. *)
-let rec compare_prefix l (da : Dewey.t) (db : Dewey.t) i =
-  if i >= l then 0
-  else
-    let x = da.(i) and y = db.(i) in
-    if x < y then -1 else if x > y then 1 else compare_prefix l da db (i + 1)
-
-(* Lower bounds over the two sorted tables the join searches: the first
-   index in [[lo, hi)] of an ascending id row holding at least [x], and
-   the first run whose [l]-prefix is at or after [pd]'s. *)
+(* The first index in [[lo, hi)] of an ascending id row holding at least
+   [x]: bisected, or galloped forward from [lo] as [Dewey.seek_run] does
+   over runs. *)
 let rec bisect_id (a : int array) x lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in
     if a.(mid) < x then bisect_id a x (mid + 1) hi else bisect_id a x lo mid
 
-let rec bisect_run l deweys (groups : (int * int) array) pd lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if compare_prefix l deweys.(fst groups.(mid)) pd 0 < 0 then
-      bisect_run l deweys groups pd (mid + 1) hi
-    else bisect_run l deweys groups pd lo mid
-
-(* The same lower bounds, galloping forward from [lo]: probes at [lo + 1],
-   [lo + 2], [lo + 4], ... until one is not below the target, then a
-   bisection of the last gap.  A forward pass over sorted targets costs
-   the logarithm of each step, not of the table. *)
 let rec gallop_id (a : int array) x prev step hi =
   let q = prev + step in
   if q < hi && a.(q) < x then gallop_id a x q (2 * step) hi
   else bisect_id a x (prev + 1) (Int.min hi (q + 1))
 
 let seek_id a x lo hi = if lo >= hi || a.(lo) >= x then lo else gallop_id a x lo 1 hi
-
-let rec gallop_run l deweys (groups : (int * int) array) pd prev step hi =
-  let q = prev + step in
-  if q < hi && compare_prefix l deweys.(fst groups.(q)) pd 0 < 0 then
-    gallop_run l deweys groups pd q (2 * step) hi
-  else bisect_run l deweys groups pd (prev + 1) (Int.min hi (q + 1))
-
-let seek_run l deweys groups pd lo hi =
-  if lo >= hi || compare_prefix l deweys.(fst groups.(lo)) pd 0 >= 0 then lo
-  else gallop_run l deweys groups pd lo 1 hi
 
 (* The closest join (CLOSE), the one kernel every join goes through.  The
    child side is the GroupedSequence table (Fig. 8): the child type's
@@ -143,8 +62,9 @@ let seek_run l deweys groups pd lo hi =
    parent's answer, so a batch is one forward pass over the parent row and
    the runs. *)
 let closest_runs rctx ~pty ~parents ~cty =
-  let l = join_level_ctx rctx pty cty in
-  let pc = cache rctx pty and cc = cache rctx cty in
+  let pc = cache rctx pty in
+  let cc = cache rctx cty in
+  let l = Store_.Shredded.join_level rctx.store pty cty in
   let n = Array.length parents in
   let runs = Array.make n (-1) in
   if Array.length cc.ids = 0 || l = 0 then (runs, [||])
@@ -161,10 +81,10 @@ let closest_runs rctx ~pty ~parents ~cty =
         let pd = pc.deweys.(!pos) in
         if Array.length pd >= l then begin
           g :=
-            (if first then bisect_run else seek_run)
-              l cc.deweys groups pd !g (Array.length groups);
+            if first then Dewey.bisect_run ~level:l cc.deweys groups pd
+            else Dewey.seek_run ~level:l cc.deweys groups pd !g;
           if !g < Array.length groups
-             && compare_prefix l cc.deweys.(fst groups.(!g)) pd 0 = 0
+             && Dewey.compare_prefix l cc.deweys.(fst groups.(!g)) pd = 0
           then runs.(k) <- !g
         end
       end
@@ -314,10 +234,9 @@ let filter_restrict rctx ~aty (tn : Tshape.node) ids =
            (fun id -> List.for_all (fun rn -> satisfies rctx ~aty id rn) rs)
            (Array.to_list ids))
 
-(* The sibling-ordering extension: sort an instance array by the deep text
-   of each instance's closest key-label instance.  The key label resolves to
-   the candidate type closest to the sorted node's source type, mirroring
-   guard label resolution. *)
+(* The sibling-ordering extension: an ORDER-BY key label resolves to the
+   candidate type closest to the sorted node's source type [sty],
+   mirroring guard label resolution. *)
 let resolve_sort_type rctx (sty : int) label =
   let guide = Store_.Shredded.guide rctx.store in
   match Xml.Dataguide.match_label guide label with
@@ -333,28 +252,23 @@ let resolve_sort_type rctx (sty : int) label =
              else best)
            (List.hd cands) (List.tl cands))
 
-let sort_instances rctx (tn : Tshape.node) ids =
-  match (tn.sort_key, tn.source) with
-  | None, _ | _, None -> ids
-  | Some (label, desc), Some sty -> (
-      match resolve_sort_type rctx sty label with
-      | None -> ids
-      | Some kty ->
-          let key id =
-            if kty = sty then Store_.Shredded.value rctx.store id
-            else
-              String.concat ""
-                (Array.to_list
-                   (Array.map (Store_.Shredded.value rctx.store)
-                      (join_one rctx ~pty:sty id ~cty:kty)))
-          in
-          let decorated = Array.map (fun id -> (key id, id)) ids in
-          let cmp (k1, _) (k2, _) =
-            let c = compare k1 k2 in
-            if desc then -c else c
-          in
-          Array.stable_sort cmp decorated;
-          Array.map snd decorated)
+(* Sort instances of [sty] by the deep text of each one's closest
+   instances of the key type [kty]. *)
+let sort_instances rctx ~sty ~kty ~desc ids =
+  let key id =
+    if kty = sty then Store_.Shredded.value rctx.store id
+    else
+      String.concat ""
+        (Array.to_list
+           (Array.map (Store_.Shredded.value rctx.store) (join_one rctx ~pty:sty id ~cty:kty)))
+  in
+  let decorated = Array.map (fun id -> (key id, id)) ids in
+  let cmp (k1, _) (k2, _) =
+    let c = compare k1 k2 in
+    if desc then -c else c
+  in
+  Array.stable_sort cmp decorated;
+  Array.map snd decorated
 
 (* ------------------------------------------------------------------ *)
 (* The output rules, one definition each: a handle per target node.    *)
@@ -395,9 +309,16 @@ let rec handle rctx ~parent_sourced ~aty ~join (n : Tshape.node) =
   let select =
     match n.source with
     | Some ty when n.value_filter <> None || n.restrict_children <> [] || n.sort_key <> None ->
-        Some
-          (fun ids ->
-            sort_instances rctx n (filter_restrict rctx ~aty:ty n (filter_value rctx n ids)))
+        (* The ORDER-BY key type is resolved here, once per node. *)
+        let sort =
+          match n.sort_key with
+          | Some (label, desc) -> (
+              match resolve_sort_type rctx ty label with
+              | Some kty -> sort_instances rctx ~sty:ty ~kty ~desc
+              | None -> Fun.id)
+          | None -> Fun.id
+        in
+        Some (fun ids -> sort (filter_restrict rctx ~aty:ty n (filter_value rctx n ids)))
     | _ -> None
   in
   let child (c : Tshape.node) =
@@ -750,8 +671,9 @@ let explain store (shape : Tshape.t) =
             match c.source with
             | None -> ()
             | Some cty ->
-                let l = join_level_ctx rctx pty cty in
-                let pc = cache rctx pty and cc = cache rctx cty in
+                let pc = cache rctx pty in
+                let cc = cache rctx cty in
+                let l = Store_.Shredded.join_level store pty cty in
                 let runs, groups = closest_runs rctx ~pty ~parents:pc.ids ~cty in
                 (* Runs are disjoint, and shared ones adjacent. *)
                 let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
@@ -802,8 +724,6 @@ let pp_explanation fmt entries =
            Printf.sprintf " (%d children have no closest parent)" e.orphans
          else ""))
     entries
-
-let join_level store t u = join_level_ctx (make_rctx store) t u
 
 let closest_pairs store t u =
   let rctx = make_rctx store in

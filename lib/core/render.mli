@@ -4,12 +4,11 @@
     every shape edge a {e closest join} pairs the parent's instances with
     the child type's instances.  The join exploits Dewey numbers: two
     nodes are closest exactly when their common Dewey prefix has the
-    maximal length achieved by any pair of their types (Def. 2).  When one
-    type is an ancestor-or-self of the other that length is the ancestor's
-    depth; otherwise one merge pass over the two document-ordered
-    TypeToSequence rows computes it.  A forward pass then finds each
-    parent's run of closest children in the GroupedSequence table,
-    galloping from the previous parent's answer.  Each edge keeps its runs
+    maximal length achieved by any pair of their types (Def. 2), which
+    the store computes once per type pair ({!Store.Shredded.join_level}).
+    A forward pass then finds each parent's run of closest children in
+    the GroupedSequence table, galloping from the previous parent's answer
+    ({!Xmutil.Dewey.seek_run}).  Each edge keeps its runs
     in flat offset arrays, not per-parent copies.
 
     One walk over the plan then emits the output in document order — the
@@ -94,10 +93,6 @@ val explain : Store.Shredded.t -> Tshape.t -> edge_explanation list
     CLI surfaces it as [xmorph explain]. *)
 
 val pp_explanation : Format.formatter -> edge_explanation list -> unit
-
-val join_level : Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> int
-(** Exposed for tests: the data-level closest-join level for a type pair —
-    the maximal common Dewey prefix length over all instance pairs. *)
 
 val closest_pairs :
   Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int * int) list

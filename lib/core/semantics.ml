@@ -56,11 +56,22 @@ let node_distance ctx (a : Tshape.node) (b : Tshape.node) =
   | Some sa, Some sb -> Xml.Dataguide.type_distance ctx.guide sa sb
   | _ -> max_int
 
+(* The same, for pairing a child under a parent in a MORPH, where both are
+   fresh copies: a non-clone child of its non-clone parent's own source
+   type would put the type in the target twice, which
+   [Tshape.check_forest] refuses, so it does not pair.  A child label that
+   also matches a nested type of that name (x1 under x1) pairs with the
+   nested one instead. *)
+let morph_distance ctx (x : Tshape.node) (r : Tshape.node) =
+  if (not x.clone) && (not r.clone) && Option.is_some x.source && x.source = r.source
+  then max_int
+  else node_distance ctx x r
+
 let in_shape (t : Tshape.t) n =
   List.exists (fun r -> r == Tshape.root_of n) t.roots
 
-(* Pick the closest parent among [xs] for child [r]. *)
-let closest_parent ctx xs r =
+(* Pick the closest parent among [xs] for child [r] by [dist]. *)
+let closest_parent ctx dist xs r =
   match xs with
   | [] -> err "a shape pattern produced no parent for %s" r.Tshape.out_name
   | [ x ] -> x
@@ -68,11 +79,11 @@ let closest_parent ctx xs r =
       let best, _d, tie =
         List.fold_left
           (fun (best, d, tie) x ->
-            let dx = node_distance ctx x r in
+            let dx = dist x r in
             if dx < d then (x, dx, false)
             else if dx = d && dx < max_int then (best, d, true)
             else (best, d, tie))
-          (x0, node_distance ctx x0 r, false)
+          (x0, dist x0 r, false)
           (List.tl xs)
       in
       if tie then
@@ -105,13 +116,11 @@ let parse_sort_key k =
    item resolved to, keep only those closest to some parent (Sec. VIII: "if
    some pairing ... is farther than some other pairing, then it is not
    used"). *)
-let keep_closest ctx xs rs =
+let keep_closest dist xs rs =
   match rs with
   | [] | [ _ ] -> rs
   | _ ->
-      let dist r =
-        List.fold_left (fun acc x -> min acc (node_distance ctx x r)) max_int xs
-      in
+      let dist r = List.fold_left (fun acc x -> min acc (dist x r)) max_int xs in
       let dmin = List.fold_left (fun acc r -> min acc (dist r)) max_int rs in
       if dmin = max_int then rs
       else List.filter (fun r -> dist r = dmin) rs
@@ -172,11 +181,11 @@ and eval_pattern_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.node list =
           | _ ->
               distance_items := true;
               let rs = eval_pattern ctx cur item in
-              let rs = keep_closest ctx xs rs in
+              let rs = keep_closest (morph_distance ctx) xs rs in
               Xmobs.Profile.add_pairs (List.length rs);
               List.iter
                 (fun r ->
-                  let x = closest_parent ctx xs r in
+                  let x = closest_parent ctx (morph_distance ctx) xs r in
                   Hashtbl.replace received x.Tshape.uid ();
                   Tshape.attach ~parent:x r)
                 rs)
@@ -353,11 +362,11 @@ and mutate_item ctx work xs (item : Algebra.t) =
         rs
   | _ ->
       let rs = resolve_mutate ctx work item in
-      let rs = keep_closest ctx xs rs in
+      let rs = keep_closest (node_distance ctx) xs rs in
       Xmobs.Profile.add_pairs (List.length rs);
       List.iter
         (fun (r : Tshape.node) ->
-          let x = closest_parent ctx xs r in
+          let x = closest_parent ctx (node_distance ctx) xs r in
           if not (in_shape work x) then begin
             (* Fresh parent (NEW/TYPE-FILL): insert it where the child
                currently lives, then move the child under it — this is how

@@ -45,10 +45,12 @@ type t = {
   groups : (int * int, (int * int) array) Hashtbl.t;
       (* GroupedSequence cache: (type, level) -> runs of the sequence
          sharing a Dewey prefix of that length *)
+  levels : (int * int, int) Hashtbl.t;
+      (* closest-join levels: (type, type), the smaller id first -> level *)
   lock : Mutex.t;
-      (* guards [groups]: the daemon's request threads read one store
-         concurrently, and every store value derived by [update_values]
-         shares the table *)
+      (* guards [groups] and [levels]: the daemon's request threads read
+         one store concurrently, and every store value derived by
+         [update_values] shares the tables *)
   generation : int;
       (* Identity of this store *value* for cache keying.  Drawn from a
          process-global counter, so any two store values in a process —
@@ -86,7 +88,8 @@ let make ~parent ~type_id ~dewey ~text ~text_start ~sizes ~data_bytes ~seqs ~seq
   { parent; type_id; dewey; text; text_start; sizes; values = Int_map.empty;
     patched = String.make ((Array.length sizes + 7) / 8) '\000'; data_bytes; seqs;
     seq_bytes; dewey_cols; dewey_col_bytes; guide; stats = Io_stats.create ();
-    groups = Hashtbl.create 16; lock = Mutex.create (); generation = next_generation () }
+    groups = Hashtbl.create 16; levels = Hashtbl.create 16; lock = Mutex.create ();
+    generation = next_generation () }
 
 let shred doc =
   let count = Xml.Doc.node_count doc in
@@ -192,14 +195,8 @@ let dewey_column t ty =
     t.dewey_cols.(ty)
   end
 
-(* Whether Dewey numbers [a] and [b] share their first [level] components:
-   an index loop, run once per adjacent pair of a column. *)
-let same_prefix level (a : Dewey.t) (b : Dewey.t) =
-  Array.length a >= level
-  && Array.length b >= level
-  &&
-  let rec go i = i >= level || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+(* A type's Dewey column, uncharged. *)
+let column t ty = if ty < 0 || ty >= Array.length t.dewey_cols then [||] else t.dewey_cols.(ty)
 
 let grouped_sequence t ty ~level =
   Mutex.lock t.lock;
@@ -208,25 +205,7 @@ let grouped_sequence t ty ~level =
       Mutex.unlock t.lock;
       g
   | None ->
-      let deweys =
-        if ty < 0 || ty >= Array.length t.dewey_cols then [||]
-        else t.dewey_cols.(ty)
-      in
-      let n = Array.length deweys in
-      (* One pass counts the runs, a second fills them in. *)
-      let count = ref (Int.min n 1) in
-      for i = 1 to n - 1 do
-        if not (same_prefix level deweys.(i - 1) deweys.(i)) then incr count
-      done;
-      let g = Array.make !count (0, 0) in
-      let start = ref 0 and r = ref 0 in
-      for i = 1 to n do
-        if i = n || not (same_prefix level deweys.(i - 1) deweys.(i)) then begin
-          g.(!r) <- (!start, i);
-          incr r;
-          start := i
-        end
-      done;
+      let g = Dewey.runs ~level (column t ty) in
       Hashtbl.replace t.groups (ty, level) g;
       Mutex.unlock t.lock;
       (* Building the row reads the type's Dewey column once (the columnar
@@ -234,6 +213,35 @@ let grouped_sequence t ty ~level =
       if ty >= 0 && ty < Array.length t.dewey_col_bytes then
         Io_stats.charge_read t.stats t.dewey_col_bytes.(ty);
       g
+
+(* When one type is an ancestor-or-self of the other and the descendant
+   has instances, each of those shares its ancestor's whole Dewey number,
+   so the level is the ancestor's depth; otherwise one merge pass over the
+   two columns finds it. *)
+let compute_level t a b =
+  let tt = types t and ca = column t a and cb = column t b in
+  (* [anc] is an ancestor-or-self of [desc], which has instances. *)
+  let above anc desc descs =
+    Array.length descs > 0 && anc >= 0 && anc < Xml.Type_table.count tt
+    && Xml.Type_table.lca_depth tt anc desc = Xml.Type_table.depth tt anc
+  in
+  if above a b cb then Xml.Type_table.depth tt a
+  else if above b a ca then Xml.Type_table.depth tt b
+  else Dewey.closest_level ca cb
+
+let join_level t a b =
+  let key = if a <= b then (a, b) else (b, a) in
+  Mutex.lock t.lock;
+  let l =
+    match Hashtbl.find_opt t.levels key with
+    | Some l -> l
+    | None ->
+        let l = compute_level t a b in
+        Hashtbl.replace t.levels key l;
+        l
+  in
+  Mutex.unlock t.lock;
+  l
 
 let sequence t ty =
   if ty < 0 || ty >= Array.length t.seqs then [||]
@@ -268,7 +276,8 @@ let update_values t updates =
       batch (t.values, t.data_bytes)
   in
   (* Values play no part in Dewey numbers, so the returned store shares
-     the sidecar and the grouped-run cache, lock included, with [t]. *)
+     the sidecar, the grouped-run cache and the join levels, lock
+     included, with [t]. *)
   { t with values; patched = Bytes.unsafe_to_string patched; data_bytes;
     generation = next_generation () }
 

@@ -32,9 +32,12 @@
     Value updates ({!update_values}) leave the columns alone: new values
     live in an overlay until {!save} writes them out.
 
-    The grouped-run cache is guarded by a mutex, so one store may be read
-    from several threads or domains at once (the serve daemon's request
-    threads share a store). *)
+    The structure-only join tables — the grouped runs and the closest-join
+    level of each type pair — are built on first use, cached with the
+    store, and shared by every store {!update_values} derives from it.
+    One mutex guards both, so one store may be read from several threads
+    or domains at once (the serve daemon's request threads share a
+    store). *)
 
 type node = {
   id : int;
@@ -85,10 +88,21 @@ val dewey_column : t -> Xml.Type_table.id -> Xmutil.Dewey.t array
 val grouped_sequence : t -> Xml.Type_table.id -> level:int -> (int * int) array
 (** The GroupedSequence table of Fig. 8: the TypeToSequence row for a type,
     grouped into runs [start, stop)] of nodes sharing a Dewey prefix of
-    length [level] (i.e. the same ancestor at that level).  Built lazily from
-    the type's Dewey column (charged as a read of it) and cached per (type,
-    level).  The closest join locates a parent's run by binary search over
-    these groups instead of scanning nodes. *)
+    length [level] (i.e. the same ancestor at that level), by
+    {!Xmutil.Dewey.runs}.  Built lazily from the type's Dewey column
+    (charged as a read of it) and cached per (type, level).  The closest
+    join locates a parent's run by a search over these groups
+    ({!Xmutil.Dewey.seek_run}) instead of scanning nodes. *)
+
+val join_level : t -> Xml.Type_table.id -> Xml.Type_table.id -> int
+(** The closest-join level of two types (Def. 2): the maximal common Dewey
+    prefix length over all pairs of their instances, [0] when either has
+    none, so their data-level typeDistance is
+    [depth a + depth b - 2 * join_level t a b].  When one type is an
+    ancestor-or-self of the other and the descendant has instances, it is
+    the ancestor's depth; otherwise {!Xmutil.Dewey.closest_level} over
+    the two Dewey columns.  Cached per unordered type pair and charged
+    nothing: the renderer reads both columns itself before it joins. *)
 
 val node_count : t -> int
 
@@ -117,8 +131,8 @@ val update_values : t -> (int * string) list -> t
     consult it only for nodes whose bit is set, and {!save} writes its
     values into the records.  [t] keeps reading its own values.  Values do
     not participate in the shape, so the adorned shape, sequences, Dewey
-    columns and grouped-run cache are shared unchanged: runs built through
-    either store serve both.
+    columns, grouped runs and join levels are shared unchanged: runs and
+    levels computed through either store serve both.
 
     One call mints one {!generation}.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its

@@ -27,7 +27,6 @@ type t = {
   kids : int array;
   by_type : int array array;
   roots : int list;
-  tdist_cache : (int * int, int) Hashtbl.t;
 }
 
 (* An element's value: its text children concatenated; a single text
@@ -110,8 +109,7 @@ let of_forest trees =
     counts.(ty) <- counts.(ty) - 1;
     by_type.(ty).(counts.(ty)) <- i
   done;
-  { types; parent; type_id; dewey; value; kid_start; kids; by_type; roots;
-    tdist_cache = Hashtbl.create 64 }
+  { types; parent; type_id; dewey; value; kid_start; kids; by_type; roots }
 
 let of_tree tree = of_forest [ tree ]
 
@@ -164,33 +162,3 @@ let to_tree t = subtree t (List.hd t.roots)
 let to_trees t = List.map (subtree t) t.roots
 
 let distance t a b = Dewey.distance t.dewey.(a) t.dewey.(b)
-
-(* Exact data-level typeDistance (Def. 2).  Both sequences are Dewey-sorted;
-   the maximum common-prefix length between any cross pair is achieved at
-   some pair adjacent in the merged Dewey order, so one merge pass finds it. *)
-let type_distance t t1 t2 =
-  let key = if t1 <= t2 then (t1, t2) else (t2, t1) in
-  match Hashtbl.find_opt t.tdist_cache key with
-  | Some d -> d
-  | None ->
-      let a = nodes_of_type t t1 and b = nodes_of_type t t2 in
-      if Array.length a = 0 || Array.length b = 0 then
-        invalid_arg "Doc.type_distance: type has no instances";
-      let da = Type_table.depth t.types t1 and db = Type_table.depth t.types t2 in
-      let dw = t.dewey in
-      let best = ref 0 in
-      let i = ref 0 and j = ref 0 in
-      let consider x y =
-        let cp = Dewey.common_prefix_len dw.(x) dw.(y) in
-        if cp > !best then best := cp
-      in
-      while !i < Array.length a && !j < Array.length b do
-        consider a.(!i) b.(!j);
-        if Dewey.compare dw.(a.(!i)) dw.(b.(!j)) <= 0 then incr i else incr j
-      done;
-      (* Tail elements against the last element of the other side. *)
-      if !i < Array.length a && !j > 0 then consider a.(!i) b.(!j - 1);
-      if !j < Array.length b && !i > 0 then consider a.(!i - 1) b.(!j);
-      let d = da + db - (2 * !best) in
-      Hashtbl.add t.tdist_cache key d;
-      d

@@ -9,7 +9,9 @@
     Nodes are stored in document (preorder) order and node ids coincide with
     preorder ranks, so the per-type sequences returned by {!nodes_of_type}
     are automatically sorted in both id order and Dewey order — the property
-    the sort-merge closest join relies on.
+    the closest join relies on.  The join itself, and with it the
+    data-level typeDistance of Def. 2, lives with the shredded store
+    ([Store.Shredded.join_level]); a document is only its node table.
 
     The document is a node table: one column per field, indexed by node id,
     with children in compressed-sparse-row form.  Hot loops read the columns
@@ -99,10 +101,3 @@ val to_trees : t -> Tree.t list
 
 val distance : t -> int -> int -> int
 (** Tree distance between two nodes, computed from Dewey numbers. *)
-
-val type_distance : t -> Type_table.id -> Type_table.id -> int
-(** The paper's data-level [typeDistance] (Def. 2): the minimum distance
-    between any pair of instance nodes with the given types.  Computed
-    exactly (and memoized) by scanning the two per-type sequences for the
-    deepest shared ancestor level.  Raises [Invalid_argument] if either type
-    has no instances. *)

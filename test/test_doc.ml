@@ -57,14 +57,23 @@ let test_subtree_roundtrip () =
   Alcotest.(check bool) "to_tree equals source" true
     (Xml.Tree.equal tree (Xml.Parser.parse Workloads.Figures.instance_a))
 
+(* The data-level typeDistance (Def. 2) of two types: the store's
+   closest-join level [l] over their instances gives
+   [depth t + depth u - 2l]. *)
+let type_distance store t u =
+  let tt = Store.Shredded.types store in
+  Xml.Type_table.depth tt t + Xml.Type_table.depth tt u
+  - (2 * Store.Shredded.join_level store t u)
+
 let test_type_distance_paper () =
   (* Sec. VII: typeDistance(publisher, title) = 2 in instance (a). *)
   let doc = fig_a () in
+  let store = Store.Shredded.shred doc in
   let publisher = find_type doc "publisher" and title = find_type doc "title" in
-  Alcotest.(check int) "publisher-title" 2 (Xml.Doc.type_distance doc publisher title);
+  Alcotest.(check int) "publisher-title" 2 (type_distance store publisher title);
   let author = find_type doc "author" in
-  Alcotest.(check int) "author-title" 2 (Xml.Doc.type_distance doc author title);
-  Alcotest.(check int) "self distance" 0 (Xml.Doc.type_distance doc title title)
+  Alcotest.(check int) "author-title" 2 (type_distance store author title);
+  Alcotest.(check int) "self distance" 0 (type_distance store title title)
 
 let test_type_distance_deeper_than_shape () =
   (* Shape-level distance can underestimate: here the only <x> under the
@@ -75,7 +84,7 @@ let test_type_distance_deeper_than_shape () =
   let x = List.hd (Xml.Dataguide.match_label guide "x") in
   let y = List.hd (Xml.Dataguide.match_label guide "y") in
   Alcotest.(check int) "shape distance" 2 (Xml.Dataguide.type_distance guide x y);
-  Alcotest.(check int) "data distance" 4 (Xml.Doc.type_distance doc x y)
+  Alcotest.(check int) "data distance" 4 (type_distance (Store.Shredded.shred doc) x y)
 
 (* Brute-force data-level type distance for the qcheck oracle. *)
 let brute_type_distance doc t1 t2 =
@@ -87,16 +96,21 @@ let brute_type_distance doc t1 t2 =
     a;
   !best
 
+(* Every type pair, through a store and through one derived from it by a
+   value update, which shares its join-level cache: asked first, the
+   derived store fills the cache the original then reads. *)
 let prop_type_distance_matches_bruteforce =
   QCheck2.Test.make ~name:"type_distance = brute force minimum" ~count:200
     Gen.gen_doc (fun doc ->
-      let guide = Xml.Dataguide.of_doc doc in
-      let types = Xml.Dataguide.all_types guide in
+      let store = Store.Shredded.shred doc in
+      let derived = Store.Shredded.update_values store [ (0, "updated") ] in
+      let types = Xml.Dataguide.all_types (Store.Shredded.guide store) in
       List.for_all
         (fun t1 ->
           List.for_all
             (fun t2 ->
-              Xml.Doc.type_distance doc t1 t2 = brute_type_distance doc t1 t2)
+              let d = brute_type_distance doc t1 t2 in
+              type_distance derived t1 t2 = d && type_distance store t1 t2 = d)
             types)
         types)
 

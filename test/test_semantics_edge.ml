@@ -127,6 +127,16 @@ let test_deep_dotted_disambiguation () =
   Alcotest.(check bool) "publisher names only" true (Tutil.contains s "<name>W</name>");
   Alcotest.(check bool) "author names excluded" false (Tutil.contains s "<name>A</name>")
 
+let test_child_label_skips_parent_type () =
+  (* Under a.x1 the label x1 names a.x1 itself and the nested a.x1.x1; a
+     child never pairs with its parent's own type, so the nested one is
+     attached, here and inside a RESTRICT pattern alike. *)
+  let src = "<a><x1><x1/></x1><x1/></a>" in
+  Alcotest.(check string) "nested x1 attached" "<result><x1><x1/></x1><x1/></result>"
+    (render_str ~src "MORPH a.x1 [ x1 ]");
+  Alcotest.(check string) "restrict needs a nested x1" "<a><x1/></a>"
+    (render_str ~src "MORPH a [ RESTRICT (a.x1 [ x1 ]) ]")
+
 let test_guard_reports_have_every_stage () =
   let _, compiled =
     transform "MORPH author [ name ] | TRANSLATE author -> writer | MUTATE (DROP name)"
@@ -153,6 +163,8 @@ let suite =
     Alcotest.test_case "closeness ties warn" `Quick test_tie_warning;
     Alcotest.test_case "empty filtered results" `Quick test_empty_result_types;
     Alcotest.test_case "deep dotted disambiguation" `Quick test_deep_dotted_disambiguation;
+    Alcotest.test_case "child label skips its parent's type" `Quick
+      test_child_label_skips_parent_type;
     Alcotest.test_case "reports across stages" `Quick test_guard_reports_have_every_stage;
   ]
 

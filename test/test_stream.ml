@@ -96,7 +96,7 @@ let prop_stream_equals_materialized_random =
    are drawn over the document's own labels and values, so ORDER-BY,
    value filters, RESTRICT, NEW nodes and attribute children take part;
    each guard is rendered again after a value-update batch, so patched
-   values are read too.  On the same documents, [Render.join_level] is
+   values are read too.  On the same documents, [Shredded.join_level] is
    the maximal common Dewey prefix over every instance pair. *)
 let io store = Store.Io_stats.snapshot (Store.Shredded.stats store)
 
@@ -174,7 +174,7 @@ let prop_three_paths_agree =
         List.for_all
           (fun t ->
             List.for_all
-              (fun u -> Render.join_level store t u = brute_join_level store t u)
+              (fun u -> Store.Shredded.join_level store t u = brute_join_level store t u)
               (List.init n Fun.id))
           (List.init n Fun.id)
       in
