@@ -52,6 +52,7 @@ ci: lint
 	dune runtest
 	dune test perfbench --profile perfbench
 	$(MAKE) examples
+	dune exec bench/main.exe -- architectures
 
 clean:
 	dune clean

@@ -16,7 +16,7 @@ and desc =
   | New_label of string
   | Restrict of t
   | Value_eq of t * string
-  | Order_by of t * string
+  | Order_by of t * string * bool
   | Cast of Ast.cast * t
   | Type_fill of t
 
@@ -35,7 +35,7 @@ let rec of_pattern (p : Ast.pattern) =
   | Ast.New l -> mk (New_label l)
   | Ast.Restrict p -> mk (Restrict (of_pattern p))
   | Ast.Value_eq (p, v) -> mk (Value_eq (of_pattern p, v))
-  | Ast.Order_by (p, k) -> mk (Order_by (of_pattern p, k))
+  | Ast.Order_by (p, k, desc) -> mk (Order_by (of_pattern p, k, desc))
 
 let rec of_ast (g : Ast.t) =
   match g with
@@ -68,7 +68,8 @@ let op_name n =
   | New_label l -> Printf.sprintf "new(%s)" l
   | Restrict _ -> "restrict"
   | Value_eq (_, v) -> Printf.sprintf "value(= %S)" v
-  | Order_by (_, k) -> Printf.sprintf "order-by(%s)" k
+  | Order_by (_, k, desc) ->
+      Printf.sprintf "order-by(%s%s)" k (if desc then " desc" else "")
   | Cast (Ast.Cast_weak, _) -> "cast"
   | Cast (Ast.Cast_narrowing, _) -> "cast-narrowing"
   | Cast (Ast.Cast_widening, _) -> "cast-widening"
@@ -83,7 +84,7 @@ let pp_annotated ~annot fmt t =
     | Morph items | Mutate items -> List.iter (go sub) items
     | Closest (p, items) -> go sub p; List.iter (go sub) items
     | Children_of p | Descendants_of p | Drop p | Clone p | Restrict p
-    | Value_eq (p, _) | Order_by (p, _) | Cast (_, p) | Type_fill p ->
+    | Value_eq (p, _) | Order_by (p, _, _) | Cast (_, p) | Type_fill p ->
         go sub p
     | Translate _ | Type_sel _ | Star_children | Star_descendants
     | New_label _ ->

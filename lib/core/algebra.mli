@@ -27,7 +27,8 @@ and desc =
   | New_label of string
   | Restrict of t
   | Value_eq of t * string  (** value filter (extension) *)
-  | Order_by of t * string  (** sibling ordering (extension) *)
+  | Order_by of t * string * bool
+      (** sibling ordering (extension): key label, descending *)
   | Cast of Ast.cast * t
   | Type_fill of t
 

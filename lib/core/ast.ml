@@ -10,7 +10,7 @@ type pattern =
   | New of string
   | Restrict of pattern
   | Value_eq of pattern * string
-  | Order_by of pattern * string
+  | Order_by of pattern * string * bool
 
 type stage =
   | Morph of pattern list
@@ -46,7 +46,8 @@ let rec pp_pattern fmt = function
   | New l -> Format.fprintf fmt "(NEW %s)" l
   | Restrict p -> Format.fprintf fmt "(RESTRICT %a)" pp_pattern p
   | Value_eq (p, v) -> Format.fprintf fmt "%a = \"%s\"" pp_pattern p v
-  | Order_by (p, k) -> Format.fprintf fmt "%a ORDER-BY %s" pp_pattern p k
+  | Order_by (p, k, desc) ->
+      Format.fprintf fmt "%a ORDER-BY %s%s" pp_pattern p k (if desc then " desc" else "")
 
 let pp_stage fmt = function
   | Morph ps ->

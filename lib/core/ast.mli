@@ -27,10 +27,10 @@ type pattern =
           literal.  An extension beyond the paper (its Sec. III notes
           value-based transformations as future work); inherently narrowing,
           and flagged as such by the loss analysis. *)
-  | Order_by of pattern * string
-      (** [p ORDER-BY label]: render [p]'s instances sorted by the text of
-          their closest [label] instance (ascending; a ["label desc"]
-          argument sorts descending).  An extension — Sec. III notes that
+  | Order_by of pattern * string * bool
+      (** [p ORDER-BY label] (ascending) or [p ORDER-BY label desc] (the
+          flag set): render [p]'s instances sorted by the text of their
+          closest [label] instances.  An extension — Sec. III notes that
           XMorph "cannot express an ordering among siblings" and leaves it
           to future work.  Purely presentational: the closest relation and
           the loss analysis are unaffected. *)

@@ -33,37 +33,17 @@ let compile ?(enforce = true) guide source =
   let loss = { loss with Report.warnings = sem.warnings @ loss.Report.warnings } in
   { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss }
 
-(* The static half of predicted-vs-actual: walk the sourced edges of the
-   compiled target shape and predict, per edge, how many closest pairs the
-   render will produce — path cardinality (Def. 6) per parent, scaled by
-   the parent's instance count.  Names match the render profiler's
-   closest(a->b) frames exactly, so the warehouse can line predictions up
-   with observations. *)
+(* Names match the render profiler's closest(a->b) frames exactly, so the
+   warehouse can line predictions up with observations. *)
 let predicted_joins guide (t : t) =
   let tt = Xml.Dataguide.types guide in
-  let out = ref [] in
-  let rec walk (tn : Tshape.node) =
-    (match tn.Tshape.source with
-    | None -> ()
-    | Some pty ->
-        List.iter
-          (fun (c : Tshape.node) ->
-            match c.Tshape.source with
-            | None -> ()
-            | Some cty ->
-                let name =
-                  Printf.sprintf "closest(%s->%s)"
-                    (Xml.Type_table.qname tt pty)
-                    (Xml.Type_table.qname tt cty)
-                in
-                let card = Xml.Dataguide.path_card guide pty cty in
-                let parents = Xml.Dataguide.instance_count guide pty in
-                out := (name, card, parents) :: !out)
-          tn.Tshape.children);
-    List.iter walk tn.Tshape.children
-  in
-  List.iter walk t.shape.Tshape.roots;
-  List.rev !out
+  List.map
+    (fun (pty, cty, card, parents) ->
+      ( Printf.sprintf "closest(%s->%s)" (Xml.Type_table.qname tt pty)
+          (Xml.Type_table.qname tt cty),
+        card,
+        parents ))
+    (Render.predicted_edges guide t.shape)
 
 let render store t = Render.to_tree store t.shape
 

@@ -59,11 +59,9 @@ let rec parse_item st =
   if peek st = Lexer.ORDER_BY then begin
     advance st;
     let key = ident st in
-    let key =
-      (* An optional 'desc' marker rides along in the key string. *)
-      if peek st = Lexer.IDENT "desc" then (advance st; key ^ " desc") else key
-    in
-    Ast.Order_by (item, key)
+    let desc = peek st = Lexer.IDENT "desc" in
+    if desc then advance st;
+    Ast.Order_by (item, key, desc)
   end
   else item
 

@@ -147,9 +147,9 @@ let run_of e key =
    may come in any order (an ORDER-BY upstream reorders them); they are
    sorted here, which costs one scan when they already are.  [select],
    when given, maps a run [[gs, ge)] of [cty]'s sequence to the instances
-   the target node keeps (value filter, restricts, ORDER-BY).  It runs once
-   per key, shared runs included: under the store's I/O model a parent
-   re-reading a node pays for the read again. *)
+   the target node keeps ([keep]).  It runs once per key, shared runs
+   included: under the store's I/O model a parent re-reading a node pays
+   for the read again. *)
 let build_edge rctx ~pty ~parents ~cty ~select =
   let keys = ascending parents in
   let runs, groups = closest_runs rctx ~pty ~parents:keys ~cty in
@@ -184,15 +184,6 @@ let build_edge rctx ~pty ~parents ~cty ~select =
       offs.(r + 1) <- offs.(r) + len)
     (List.rev !parts);
   { keys; runs; offs; kids; cur = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Planning: one pass computing, for every target-shape edge, the per-  *)
-(* parent closest children ("pipelined joins").                         *)
-(* ------------------------------------------------------------------ *)
-
-let strip_at s =
-  if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
-  else s
 
 let rec first_sourced (n : Tshape.node) =
   match n.source with Some ty -> Some ty | None -> List.find_map first_sourced n.children
@@ -234,26 +225,9 @@ let filter_restrict rctx ~aty (tn : Tshape.node) ids =
            (fun id -> List.for_all (fun rn -> satisfies rctx ~aty id rn) rs)
            (Array.to_list ids))
 
-(* The sibling-ordering extension: an ORDER-BY key label resolves to the
-   candidate type closest to the sorted node's source type [sty],
-   mirroring guard label resolution. *)
-let resolve_sort_type rctx (sty : int) label =
-  let guide = Store_.Shredded.guide rctx.store in
-  match Xml.Dataguide.match_label guide label with
-  | [] -> None
-  | cands ->
-      let tt = Store_.Shredded.types rctx.store in
-      Some
-        (List.fold_left
-           (fun best c ->
-             if Xml.Type_table.type_distance tt sty c
-                < Xml.Type_table.type_distance tt sty best
-             then c
-             else best)
-           (List.hd cands) (List.tl cands))
-
-(* Sort instances of [sty] by the deep text of each one's closest
-   instances of the key type [kty]. *)
+(* The sibling-ordering extension: sort instances of [sty] by the text of
+   each one's closest instances of the key type [kty], which the compiler
+   resolved from the ORDER-BY label. *)
 let sort_instances rctx ~sty ~kty ~desc ids =
   let key id =
     if kty = sty then Store_.Shredded.value rctx.store id
@@ -272,54 +246,24 @@ let sort_instances rctx ~sty ~kty ~desc ids =
 
 (* ------------------------------------------------------------------ *)
 (* The output rules, one definition each: a handle per target node.    *)
-(* The plan, the emit walk and Nav all read them from here.            *)
+(* The plan, the emit walk, Nav and the generated view read them here   *)
+(* (fields documented in render.mli).                                   *)
 (* ------------------------------------------------------------------ *)
 
 type handle = {
   node : Tshape.node;
-  name : string; (* the output name, without an attribute's '@' *)
+  name : string;
   attr : bool;
-      (* an attribute-typed leaf under a sourced parent: it renders as an
-         attribute of a parent instance it has exactly one instance under,
-         and as elements otherwise *)
   join : int option;
-      (* the type whose instances this node renders once per: its source
-         type; for a NEW node its direct anchor, its first directly sourced
-         child ("wraps each author in a scribe element"), or for a NEW root
-         its first sourced descendant.  None: a NEW node with no sourced
-         child, rendered once per parent instance. *)
   aty : int;
-      (* the anchor type its children join on: [join], else the parent's
-         ([-1] in a purely NEW subtree, which joins nothing) *)
-  select : (int array -> int array) option;
-      (* what a sourced node keeps of a closest run, or of its type's row at
-         a root: the value filter, then the restricts, then ORDER-BY; None
-         keeps it whole *)
-  below : handle list; (* in shape order *)
+  below : handle list;
 }
 
-let rec handle rctx ~parent_sourced ~aty ~join (n : Tshape.node) =
+let rec handle tt ~parent_sourced ~aty ~join (n : Tshape.node) =
   let aty = Option.value join ~default:aty in
   let attr =
     parent_sourced && n.children = []
-    && (match n.source with
-       | Some ty -> Xml.Type_table.is_attribute (Store_.Shredded.types rctx.store) ty
-       | None -> false)
-  in
-  let select =
-    match n.source with
-    | Some ty when n.value_filter <> None || n.restrict_children <> [] || n.sort_key <> None ->
-        (* The ORDER-BY key type is resolved here, once per node. *)
-        let sort =
-          match n.sort_key with
-          | Some (label, desc) -> (
-              match resolve_sort_type rctx ty label with
-              | Some kty -> sort_instances rctx ~sty:ty ~kty ~desc
-              | None -> Fun.id)
-          | None -> Fun.id
-        in
-        Some (fun ids -> sort (filter_restrict rctx ~aty:ty n (filter_value rctx n ids)))
-    | _ -> None
+    && Option.fold ~none:false ~some:(Xml.Type_table.is_attribute tt) n.source
   in
   let child (c : Tshape.node) =
     let join =
@@ -327,29 +271,46 @@ let rec handle rctx ~parent_sourced ~aty ~join (n : Tshape.node) =
       | Some _ -> c.source
       | None -> List.find_map (fun (d : Tshape.node) -> d.source) c.children
     in
-    handle rctx ~parent_sourced:(Option.is_some n.source) ~aty ~join c
+    handle tt ~parent_sourced:(Option.is_some n.source) ~aty ~join c
   in
-  { node = n; name = strip_at n.out_name; attr; join; aty; select;
+  { node = n; name = Xml.Label.strip_at n.out_name; attr; join; aty;
     below = List.map child n.children }
 
-let handles rctx (shape : Tshape.t) =
+let handles tt (shape : Tshape.t) =
   List.map
-    (fun r -> handle rctx ~parent_sourced:false ~aty:(-1) ~join:(first_sourced r) r)
+    (fun r -> handle tt ~parent_sourced:false ~aty:(-1) ~join:(first_sourced r) r)
     shape.roots
 
-let keep (h : handle) ids = match h.select with None -> ids | Some f -> f ids
+(* Does a sourced node keep less than a closest run, or than its type's
+   row at a root, or in another order? *)
+let selects (h : handle) =
+  let n = h.node in
+  Option.is_some n.source
+  && (n.value_filter <> None || n.restrict_children <> [] || n.sort_key <> None)
+
+(* What the node keeps: the value filter, then the restricts, then
+   ORDER-BY. *)
+let keep rctx (h : handle) ids =
+  match h.node.source with
+  | Some ty when selects h ->
+      let n = h.node in
+      let ids = filter_restrict rctx ~aty:ty n (filter_value rctx n ids) in
+      Option.fold ~none:ids
+        ~some:(fun (kty, desc) -> sort_instances rctx ~sty:ty ~kty ~desc ids)
+        n.sort_key
+  | _ -> ids
 
 (* Attribute or element: one instance of an attribute-shaped child. *)
 let as_attribute (c : handle) n = c.attr && n = 1
 
 (* A forest of other than one tree is written inside a wrapper element. *)
-let wrap ?(wrapper = "result") roots =
-  if List.fold_left (fun n (_, ids) -> n + Array.length ids) 0 roots = 1 then None
-  else Some wrapper
+let wrap ?(wrapper = "result") trees = if trees = 1 then None else Some wrapper
+
+let count_trees roots = List.fold_left (fun n (_, ids) -> n + Array.length ids) 0 roots
 
 let root_instances rctx (h : handle) =
   match h.join with
-  | Some ty -> keep h (cache rctx ty).ids
+  | Some ty -> keep rctx h (cache rctx ty).ids
   | None -> [| -1 |] (* a purely NEW subtree renders once, empty *)
 
 (* ------------------------------------------------------------------ *)
@@ -395,9 +356,9 @@ and plan_edge rctx (c : handle) ~aty ~ids ~cty =
 
 and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
   let select =
-    Option.map
-      (fun f gs ge -> f (Array.sub (cache rctx cty).ids gs (ge - gs)))
-      c.select
+    if selects c then
+      Some (fun gs ge -> keep rctx c (Array.sub (cache rctx cty).ids gs (ge - gs)))
+    else None
   in
   let e = build_edge rctx ~pty:aty ~parents:ids ~cty ~select in
   if Xmobs.Profile.profiling () then
@@ -473,8 +434,12 @@ module Emit (S : SINK) = struct
     Xmobs.Obs.phase "render" @@ fun () ->
     Xmobs.Profile.op "render" @@ fun () ->
     let rctx = make_rctx store in
-    let roots = List.map (fun h -> (h, root_instances rctx h)) (handles rctx shape) in
-    let wrapper = Option.bind wrapper (fun wrapper -> wrap ~wrapper roots) in
+    let roots =
+      List.map
+        (fun h -> (h, root_instances rctx h))
+        (handles (Store_.Shredded.types store) shape)
+    in
+    let wrapper = Option.bind wrapper (fun wrapper -> wrap ~wrapper (count_trees roots)) in
     Option.iter (S.open_element sink) wrapper;
     List.iter
       (fun (root, ids) ->
@@ -579,7 +544,7 @@ let instances store (shape : Tshape.t) =
           incr root_index;
           walk plan id [| !root_index |])
         ids)
-    (handles rctx shape);
+    (handles (Store_.Shredded.types store) shape);
   let out = ref [] in
   Tshape.iter shape (fun tn ->
       let insts =
@@ -595,13 +560,10 @@ module Nav = struct
   type nonrec t = { rctx : rctx; roots : handle list }
 
   let create store shape =
-    let rctx = make_rctx store in
-    { rctx; roots = handles rctx shape }
+    { rctx = make_rctx store; roots = handles (Store_.Shredded.types store) shape }
 
-  let node h = h.node
-  let name h = h.name
   let roots t = List.map (fun h -> (h, root_instances t.rctx h)) t.roots
-  let wrapper roots = wrap roots
+  let wrapper roots = wrap (count_trees roots)
 
   (* One level of the plan for one instance: each child's join, keyed on
      this node's anchor type, and what the child keeps of its run. *)
@@ -609,7 +571,7 @@ module Nav = struct
     List.map
       (fun (c : handle) ->
         match c.join with
-        | Some cty -> (c, keep c (join_one t.rctx ~pty:h.aty id ~cty))
+        | Some cty -> (c, keep t.rctx c (join_one t.rctx ~pty:h.aty id ~cty))
         | None -> (c, [| id |]))
       h.below
 
@@ -657,58 +619,59 @@ type edge_explanation = {
   predicted : Xmutil.Card.t;
 }
 
-let explain store (shape : Tshape.t) =
-  let rctx = make_rctx store in
-  let tt = Store_.Shredded.types store in
-  let guide = Store_.Shredded.guide store in
+(* Def. 6 per sourced edge, from the dataguide alone: the path cardinality
+   per parent and the parent type's instance count. *)
+let predicted_edges guide (shape : Tshape.t) =
   let out = ref [] in
   let rec walk (tn : Tshape.node) =
-    (match tn.source with
-    | None -> ()
-    | Some pty ->
+    Option.iter
+      (fun pty ->
         List.iter
           (fun (c : Tshape.node) ->
-            match c.source with
-            | None -> ()
-            | Some cty ->
-                let pc = cache rctx pty in
-                let cc = cache rctx cty in
-                let l = Store_.Shredded.join_level store pty cty in
-                let runs, groups = closest_runs rctx ~pty ~parents:pc.ids ~cty in
-                (* Runs are disjoint, and shared ones adjacent. *)
-                let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
-                Array.iter
-                  (fun g ->
-                    if g >= 0 then begin
-                      let gs, ge = groups.(g) in
-                      pairs := !pairs + (ge - gs);
-                      if g <> !last then matched := !matched + (ge - gs);
-                      last := g
-                    end)
-                  runs;
-                let dp = Xml.Type_table.depth tt pty
-                and dc = Xml.Type_table.depth tt cty in
-                out :=
-                  {
-                    parent = Xml.Type_table.qname tt pty;
-                    child = Xml.Type_table.qname tt cty;
-                    type_distance = dp + dc - (2 * l);
-                    join_level = l;
-                    parent_instances = Array.length pc.ids;
-                    child_instances = Array.length cc.ids;
-                    pairs = !pairs;
-                    orphans = Array.length cc.ids - !matched;
-                    predicted =
-                      Xmutil.Card.scale
-                        (Xml.Dataguide.path_card guide pty cty)
-                        (Array.length pc.ids);
-                  }
-                  :: !out)
-          tn.children);
+            Option.iter
+              (fun cty ->
+                let card = Xml.Dataguide.path_card guide pty cty in
+                out := (pty, cty, card, Xml.Dataguide.instance_count guide pty) :: !out)
+              c.source)
+          tn.children)
+      tn.source;
     List.iter walk tn.children
   in
   List.iter walk shape.roots;
   List.rev !out
+
+let explain store (shape : Tshape.t) =
+  let rctx = make_rctx store in
+  let tt = Store_.Shredded.types store in
+  List.map
+    (fun (pty, cty, card, parents) ->
+      let pc = cache rctx pty in
+      let cc = cache rctx cty in
+      let l = Store_.Shredded.join_level store pty cty in
+      let runs, groups = closest_runs rctx ~pty ~parents:pc.ids ~cty in
+      (* Runs are disjoint, and shared ones adjacent. *)
+      let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
+      Array.iter
+        (fun g ->
+          if g >= 0 then begin
+            let gs, ge = groups.(g) in
+            pairs := !pairs + (ge - gs);
+            if g <> !last then matched := !matched + (ge - gs);
+            last := g
+          end)
+        runs;
+      {
+        parent = Xml.Type_table.qname tt pty;
+        child = Xml.Type_table.qname tt cty;
+        type_distance = Xml.Type_table.depth tt pty + Xml.Type_table.depth tt cty - (2 * l);
+        join_level = l;
+        parent_instances = Array.length pc.ids;
+        child_instances = Array.length cc.ids;
+        pairs = !pairs;
+        orphans = Array.length cc.ids - !matched;
+        predicted = Xmutil.Card.scale card parents;
+      })
+    (predicted_edges (Store_.Shredded.guide store) shape)
 
 let pp_explanation fmt entries =
   List.iter
@@ -725,17 +688,20 @@ let pp_explanation fmt entries =
          else ""))
     entries
 
-let closest_pairs store t u =
+let iter_closest store t u f =
   let rctx = make_rctx store in
   let pc = cache rctx t in
   let runs, groups = closest_runs rctx ~pty:t ~parents:pc.ids ~cty:u in
   let kids = (cache rctx u).ids in
-  let out = ref [] in
   Array.iteri
     (fun k g ->
       if g >= 0 then
         for i = fst groups.(g) to snd groups.(g) - 1 do
-          out := (pc.ids.(k), kids.(i)) :: !out
+          f pc.ids.(k) kids.(i)
         done)
-    runs;
+    runs
+
+let closest_pairs store t u =
+  let out = ref [] in
+  iter_closest store t u (fun p c -> out := (p, c) :: !out);
   List.rev !out

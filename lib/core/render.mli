@@ -35,7 +35,27 @@
     attribute-sourced child of a {e sourced} parent is emitted as an XML
     attribute when a parent instance has exactly one closest instance, and as
     child elements otherwise (under a NEW parent, always as elements).  Each
-    rule has one definition, which the plan, the walk and {!Nav} share. *)
+    rule has one definition, a {!handle} per target node, which the plan,
+    the walk, {!Nav} and the generated XQuery view share.  Labels arrive
+    resolved: the compiler bound them, ORDER-BY keys included, to types. *)
+
+(** A target node with its output rules; what it keeps of its instances
+    (value filter, restricts, ORDER-BY) is read from [node]. *)
+type handle = private {
+  node : Tshape.node;
+  name : string;  (** the output name, without an attribute's ["@"] *)
+  attr : bool;  (** an attribute-typed leaf under a sourced parent *)
+  join : Xml.Type_table.id option;  (** the type it renders once per instance of *)
+  aty : Xml.Type_table.id;  (** the type its children join on *)
+  below : handle list;  (** in shape order *)
+}
+
+val handles : Xml.Type_table.t -> Tshape.t -> handle list
+(** One handle per target root, its subtree's below it. *)
+
+val wrap : ?wrapper:string -> int -> string option
+(** The element a forest of [n] output trees is written inside: [None] for
+    one tree, else [wrapper] (default ["result"]). *)
 
 type stats = {
   elements : int;  (** element + attribute count of the output *)
@@ -94,10 +114,22 @@ val explain : Store.Shredded.t -> Tshape.t -> edge_explanation list
 
 val pp_explanation : Format.formatter -> edge_explanation list -> unit
 
+val predicted_edges :
+  Xml.Dataguide.t ->
+  Tshape.t ->
+  (Xml.Type_table.id * Xml.Type_table.id * Xmutil.Card.t * int) list
+(** Per sourced edge, in {!explain}'s order, from the dataguide alone: the
+    parent and child types, the path cardinality (Def. 6) and the parent
+    type's instance count, whose product is [predicted]. *)
+
+val iter_closest :
+  Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int -> int -> unit) -> unit
+(** [f p c] for each pair of the closest relation between two types (the
+    CLOSE operator of Sec. VII), once, ordered by [p], then [c]. *)
+
 val closest_pairs :
   Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int * int) list
-(** Exposed for tests: the full closest relation between two types, as pairs
-    of node ids (the CLOSE operator of Sec. VII). *)
+(** {!iter_closest} as a list of pairs of node ids. *)
 
 (** Lazy navigation over the {e virtual} transformed document — the engine
     room of architecture 3 (Sec. VIII: "re-engineer an evaluation engine ...
@@ -110,15 +142,10 @@ val closest_pairs :
 module Nav : sig
   type t
 
-  type handle
-  (** A target node with its output rules: output name, attribute shape,
-      the anchor type its children join on, and its children's handles. *)
+  type nonrec handle = handle
 
   val create : Store.Shredded.t -> Tshape.t -> t
   (** One handle per target node, built here once. *)
-
-  val node : handle -> Tshape.node
-  val name : handle -> string
 
   val roots : t -> (handle * int array) list
   (** Target roots with their instance ids (restrict/value filters applied).

@@ -104,13 +104,26 @@ let restrict_node (r : Tshape.node) =
   r.restrict_children <- r.restrict_children @ r.children;
   r.children <- []
 
-
-(* "label" or "label desc" from an ORDER-BY argument. *)
-let parse_sort_key k =
-  match String.split_on_char ' ' (String.trim k) with
-  | [ l ] -> (l, false)
-  | [ l; "desc" ] -> (l, true)
-  | _ -> (String.trim k, false)
+(* The sibling-ordering extension: the ORDER-BY key names source types, and
+   each sorted node takes the one nearest its own source type (ties keep
+   the first), as a child label takes its closest parent.  A key that names
+   nothing is a type mismatch, or a warning under TYPE-FILL. *)
+let order_by ctx rs key desc =
+  (match Xml.Dataguide.match_label ctx.guide key with
+  | [] ->
+      if ctx.type_fill then warn ctx "ORDER-BY %s matched no type" key
+      else err "label %s does not match any type in the shape (a type mismatch)" key
+  | c0 :: cs ->
+      List.iter
+        (fun (r : Tshape.node) ->
+          Option.iter
+            (fun sty ->
+              let d = Xml.Dataguide.type_distance ctx.guide sty in
+              let kty = List.fold_left (fun b c -> if d c < d b then c else b) c0 cs in
+              r.sort_key <- Some (kty, desc))
+            r.source)
+        rs);
+  rs
 
 (* Type analysis for ambiguous child labels: among the candidate types an
    item resolved to, keep only those closest to some parent (Sec. VIII: "if
@@ -223,10 +236,7 @@ and eval_pattern_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.node list =
       let rs = eval_pattern ctx cur p in
       List.iter (fun (r : Tshape.node) -> r.value_filter <- Some v) rs;
       rs
-  | Algebra.Order_by (p, k) ->
-      let rs = eval_pattern ctx cur p in
-      List.iter (fun (r : Tshape.node) -> r.sort_key <- Some (parse_sort_key k)) rs;
-      rs
+  | Algebra.Order_by (p, k, desc) -> order_by ctx (eval_pattern ctx cur p) k desc
   | Algebra.Star_children | Algebra.Star_descendants ->
       err "* and ** are only allowed inside [ ] brackets"
   | Algebra.Drop _ -> err "DROP is only allowed inside a MUTATE"
@@ -334,10 +344,7 @@ and resolve_mutate_op ctx (work : Tshape.t) (g : Algebra.t) : Tshape.node list =
       let rs = resolve_mutate ctx work p in
       List.iter (fun (r : Tshape.node) -> r.value_filter <- Some v) rs;
       rs
-  | Algebra.Order_by (p, k) ->
-      let rs = resolve_mutate ctx work p in
-      List.iter (fun (r : Tshape.node) -> r.sort_key <- Some (parse_sort_key k)) rs;
-      rs
+  | Algebra.Order_by (p, k, desc) -> order_by ctx (resolve_mutate ctx work p) k desc
   | Algebra.Children_of p | Algebra.Descendants_of p ->
       (* In a MUTATE the children and descendants are already present. *)
       resolve_mutate ctx work p

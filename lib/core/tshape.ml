@@ -8,7 +8,7 @@ type node = {
   mutable children : node list;
   mutable restrict_children : node list;
   mutable value_filter : string option;
-  mutable sort_key : (string * bool) option;
+  mutable sort_key : (Xml.Type_table.id * bool) option;
   mutable origin : node option;
 }
 
@@ -132,34 +132,11 @@ let iter_all t f =
   in
   List.iter go t.roots
 
-let strip_at s =
-  if String.length s > 0 && s.[0] = '@' then String.sub s 1 (String.length s - 1)
-  else s
-
-let label_of n = String.lowercase_ascii (strip_at n.out_name)
-
 let match_label t lbl =
-  let parts =
-    List.map
-      (fun p -> String.lowercase_ascii (strip_at p))
-      (String.split_on_char '.' (String.trim lbl))
-  in
-  let matches n =
-    let rec check n = function
-      | [] -> true
-      | comp :: rest -> (
-          if label_of n <> comp then false
-          else
-            match (rest, n.parent) with
-            | [], _ -> true
-            | _, None -> false
-            | _, Some p -> check p rest)
-    in
-    check n (List.rev parts)
-  in
-  let acc = ref [] in
-  iter t (fun n -> if matches n then acc := n :: !acc);
-  List.rev !acc
+  let nodes = ref [] in
+  iter t (fun n -> nodes := n :: !nodes);
+  Xml.Label.resolve ~name:(fun n -> n.out_name) ~parent:(fun n -> n.parent) lbl
+    (List.rev !nodes)
 
 let find_source t ty =
   let found = ref None in

@@ -26,10 +26,11 @@ type node = {
   mutable value_filter : string option;
       (** keep only instances whose text value equals this literal — the
           value-based transformation extension *)
-  mutable sort_key : (string * bool) option;
+  mutable sort_key : (Xml.Type_table.id * bool) option;
       (** render instances ordered by the deep text of their closest
-          instance of this label (descending when the flag is set) — the
-          sibling-ordering extension *)
+          instances of this key type (descending when the flag is set) —
+          the sibling-ordering extension.  The compiler resolves the
+          ORDER-BY label to the type. *)
   mutable origin : node option;
       (** During a MORPH stage: the node of the {e previous} stage's shape
           this node was copied from — used by [*]/[**] to pull in that node's
@@ -88,8 +89,8 @@ val iter_all : t -> (node -> unit) -> unit
 
 val match_label : t -> string -> node list
 (** Resolve a (possibly dotted) label against the shape's visible output
-    names, case-insensitively, ignoring any [@] attribute marker.  Dotted
-    labels match a suffix of the ancestor chain. *)
+    names, in preorder, by {!Xml.Label.resolve}.  Dotted labels match a
+    suffix of the ancestor chain. *)
 
 val find_source : t -> Xml.Type_table.id -> node option
 (** The non-clone visible node backed by the given source type, if any. *)

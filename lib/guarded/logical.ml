@@ -58,7 +58,7 @@ module Virtual = struct
   let name _ = function
     | Doc | Text _ -> ""
     | Wrapper w -> w
-    | Virt (h, _) -> Nav.name h
+    | Virt (h, _) -> h.name
     | Tree n -> Xml.Tree.name n
 
   let attributes t = function

@@ -10,15 +10,14 @@
 
     The generated program makes the closest join explicit the only way plain
     XQuery can: it iterates instances of the {e least common ancestor} type
-    of each target edge and correlates parent and child within it.  Closest
-    pairs per Def. 2 coincide with LCA-correlation whenever some instance
-    pair realizes the shape-level distance (the overwhelmingly common case);
-    the generated view uses shape-level joins and is therefore documented as
-    shape-level, where {!Xmorph.Render} refines to the data-level join.
-
-    Supported target shapes: sourced nodes, [RESTRICT] children (compiled to
-    [where exists(...)]) and value filters (compiled to [where ... = "lit"]).
-    [NEW]/[TYPE-FILL] nodes and [CLONE]s raise {!Unsupported} — the paper's
+    of each target edge and correlates parent and child within it, which
+    finds the closest pairs (Def. 2) when the dataguide shows every instance
+    of that ancestor holds one of the two types.  Names and the
+    attribute-or-element choice are the render's ({!Xmorph.Render.handle}),
+    so the view answers with the render's bytes or raises {!Unsupported}:
+    for [NEW]/[TYPE-FILL] nodes, [CLONE]s, [ORDER-BY], [RESTRICT] patterns
+    other than a plain descendant type, and an attribute other than a
+    mandatory one of its parent's type, kept whole — the paper's
     architecture 1 (physical transformation) handles those. *)
 
 exception Unsupported of string
@@ -29,7 +28,11 @@ val generate : Xml.Dataguide.t -> Xmorph.Tshape.t -> string
 val generate_guard : ?enforce:bool -> Xml.Dataguide.t -> string -> string
 (** Compile a guard against a shape, then {!generate}. *)
 
+val eval : Xml.Tree.t -> string -> Xml.Tree.t
+(** Evaluate a generated view against the source document with
+    {!Xquery.Eval}, and wrap the resulting trees as the render wraps a
+    forest ({!Xmorph.Render.wrap}). *)
+
 val run_view : Xml.Doc.t -> string -> Xml.Tree.t
 (** Convenience: compile the guard against the document, generate the view,
-    evaluate it with {!Xquery.Eval}, and wrap the resulting sequence exactly
-    as {!Xmorph.Render.to_tree} would. *)
+    and {!eval} it. *)

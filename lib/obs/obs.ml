@@ -9,10 +9,6 @@
    it is two branches and a tail call — no allocation — so always-on
    instrumentation does not move Fig. 10's timings. *)
 
-let active () =
-  Trace.tracing () || Metrics.is_enabled () || Profile.profiling ()
-  || Ctx.active ()
-
 let phase ?attrs name f =
   if
     (not (Ctx.active ())) && (not (Trace.tracing ()))

@@ -7,8 +7,4 @@
     and into the global tracer otherwise.  With everything off it is two
     branches and a tail call. *)
 
-val active : unit -> bool
-(** True when tracing, metrics collection, profiling, or any request
-    context is on. *)
-
 val phase : ?attrs:(string * Trace.value) list -> string -> (unit -> 'a) -> 'a

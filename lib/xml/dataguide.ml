@@ -64,33 +64,9 @@ let card s ty = s.cards.(ty)
 
 let instance_count s ty = s.counts.(ty)
 
-let lowercase = String.lowercase_ascii
-
-let strip_at c =
-  if String.length c > 0 && c.[0] = '@' then String.sub c 1 (String.length c - 1)
-  else c
-
 let match_label s lbl =
-  let parts =
-    List.map
-      (fun p -> lowercase (strip_at p))
-      (String.split_on_char '.' (String.trim lbl))
-  in
-  let matches ty =
-    (* Compare the label's components against the tail of the type path. *)
-    let rec check ty = function
-      | [] -> true
-      | comp :: rest_rev -> (
-          if lowercase (Type_table.label s.types ty) <> comp then false
-          else
-            match (rest_rev, Type_table.parent s.types ty) with
-            | [], _ -> true
-            | _, None -> false
-            | _, Some p -> check p rest_rev)
-    in
-    check ty (List.rev parts)
-  in
-  List.filter matches (all_types s)
+  Label.resolve ~name:(Type_table.component s.types) ~parent:(Type_table.parent s.types)
+    lbl (all_types s)
 
 let type_distance s a b = Type_table.type_distance s.types a b
 

@@ -49,11 +49,8 @@ val instance_count : t -> Type_table.id -> int
 (** Number of instance nodes of the type in the source document. *)
 
 val match_label : t -> string -> Type_table.id list
-(** Resolve a guard label to the types it names.  A simple label matches any
-    type whose last component equals it; a dotted label like ["book.author"]
-    matches types whose path ends with those components.  Matching is
-    case-insensitive and ignores the ["@"] attribute marker, per the paper's
-    "guards are case- and whitespace-insensitive". *)
+(** The types a guard label names, in interned order ({!Label.resolve}):
+    ["author"] names every author type, ["book.author"] those under book. *)
 
 val path_card : t -> Type_table.id -> Type_table.id -> Xmutil.Card.t
 (** [path_card s t u] is Def. 6: the cardinality of the path from the least

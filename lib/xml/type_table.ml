@@ -42,14 +42,9 @@ let count t = Xmutil.Vec.length t.components
 
 let component t id = Xmutil.Vec.get t.components id
 
-let label t id =
-  let c = component t id in
-  if String.length c > 0 && c.[0] = '@' then String.sub c 1 (String.length c - 1)
-  else c
+let label t id = Label.strip_at (component t id)
 
-let is_attribute t id =
-  let c = component t id in
-  String.length c > 0 && c.[0] = '@'
+let is_attribute t id = Label.is_attribute (component t id)
 
 let parent t id =
   let p = Xmutil.Vec.get t.parents id in

@@ -48,10 +48,14 @@ let test_match_label () =
 
 let test_match_label_attribute () =
   let g = guide_of {|<r><e year="1994"/><year>2000</year></r>|} in
-  (* 'year' matches both the attribute and the element type. *)
-  Alcotest.(check int) "both kinds" 2 (List.length (Xml.Dataguide.match_label g "year"));
-  Alcotest.(check int) "@year spelled" 2
-    (List.length (Xml.Dataguide.match_label g "@year"))
+  let tt = Xml.Dataguide.types g in
+  let qnames label = List.map (Xml.Type_table.qname tt) (Xml.Dataguide.match_label g label) in
+  (* A bare label names elements; "@" names attributes; a bare label that
+     names no element falls back to the attribute. *)
+  Alcotest.(check (list string)) "bare: the element" [ "r.year" ] (qnames "year");
+  Alcotest.(check (list string)) "@year: the attribute" [ "r.e.@year" ] (qnames "@year");
+  Alcotest.(check (list string)) "no element e.year" [ "r.e.@year" ] (qnames "e.year");
+  Alcotest.(check (list string)) "no attribute r.@year" [] (qnames "r.@year")
 
 let test_path_card_table1 () =
   (* Path cardinalities on Fig. 1(a): the Table I computation. *)

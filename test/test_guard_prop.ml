@@ -58,7 +58,7 @@ let rec gen_pattern v depth =
               let* p = gen_pattern v (depth - 1) in
               let* key = v.label in
               let* desc = bool in
-              return (Ast.Order_by (p, if desc then key ^ " desc" else key)) );
+              return (Ast.Order_by (p, key, desc)) );
           ]
         else []))
 

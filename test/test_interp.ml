@@ -28,7 +28,7 @@ let test_compile_annotates_algebra () =
     | Algebra.Compose (x, y) -> walk x; walk y
     | Algebra.Cast (_, x) | Algebra.Type_fill x | Algebra.Children_of x
     | Algebra.Descendants_of x | Algebra.Drop x | Algebra.Clone x
-    | Algebra.Restrict x | Algebra.Value_eq (x, _) | Algebra.Order_by (x, _) ->
+    | Algebra.Restrict x | Algebra.Value_eq (x, _) | Algebra.Order_by (x, _, _) ->
         walk x
     | Algebra.Translate _ | Algebra.Type_sel _ | Algebra.New_label _
     | Algebra.Star_children | Algebra.Star_descendants ->

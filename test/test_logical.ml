@@ -147,9 +147,9 @@ let test_new_parent_attribute () =
 let rec new_parent_attributes tt nav h id =
   List.fold_left
     (fun n (c, kids) ->
-      let node = Xmorph.Render.Nav.node c in
+      let node = c.Xmorph.Render.node in
       let hit =
-        (Xmorph.Render.Nav.node h).Xmorph.Tshape.source = None
+        h.Xmorph.Render.node.Xmorph.Tshape.source = None
         && Array.length kids = 1 && node.Xmorph.Tshape.children = []
         && Option.fold ~none:false ~some:(Xml.Type_table.is_attribute tt) node.source
       in

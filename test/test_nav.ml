@@ -12,7 +12,7 @@ let test_roots () =
   let _, _, nav = setup Workloads.Figures.example_guard in
   match Render.Nav.roots nav with
   | [ (tn, ids) ] ->
-      Alcotest.(check string) "root name" "author" (Render.Nav.node tn).Tshape.out_name;
+      Alcotest.(check string) "root name" "author" tn.Render.node.Tshape.out_name;
       Alcotest.(check int) "three authors" 3 (Array.length ids)
   | _ -> Alcotest.fail "expected one root node"
 
@@ -23,7 +23,7 @@ let test_children_lazy () =
   Alcotest.(check int) "two child nodes" 2 (List.length kids);
   List.iter
     (fun (c, insts) ->
-      let c = Render.Nav.node c in
+      let c = c.Render.node in
       Alcotest.(check int) (c.Tshape.out_name ^ " one instance") 1 (Array.length insts))
     kids
 
@@ -74,7 +74,7 @@ let test_new_nodes () =
   let nav = Render.Nav.create store compiled.Interp.shape in
   (* Book is the root's child; take the first book instance and ask for
      its children. *)
-  let named name (c, _) = (Render.Nav.node c).Tshape.out_name = name in
+  let named name (c, _) = c.Render.node.Tshape.out_name = name in
   let data, data_ids = List.hd (Render.Nav.roots nav) in
   let book, book_ids = List.find (named "book") (Render.Nav.children nav data data_ids.(0)) in
   let kids = Render.Nav.children nav book book_ids.(0) in

@@ -8,7 +8,7 @@ let render_str ?(src = fig_a) guard =
 
 let test_parses () =
   match Parse.guard "MORPH author [ name ] ORDER-BY name" with
-  | Ast.Stage (Ast.Morph [ Ast.Order_by (Ast.Tree _, "name") ]) -> ()
+  | Ast.Stage (Ast.Morph [ Ast.Order_by (Ast.Tree _, "name", false) ]) -> ()
   | other -> Alcotest.failf "unexpected AST: %s" (Ast.to_string other)
 
 let test_pp_roundtrip () =
