@@ -1,6 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv examples doc clean reproduce lint ci
+.PHONY: all build test bench bench-csv examples doc clean reproduce lint ci \
+  trace-check trace-smoke
 
 all: build
 
@@ -46,6 +47,24 @@ lint:
 	  echo "tab characters in:"; echo "$$bad"; exit 1; fi
 	@echo "lint: ok"
 
+# A one-shot --trace names what ran, not only that it ran: the loss span
+# carries its classification and the render span the store bytes it read.
+TRACE ?= telemetry/trace.json
+trace-check:
+	@python3 -c 'import json, sys; \
+	ev = json.load(open(sys.argv[1]))["traceEvents"]; \
+	has = lambda n, k: any(e["name"] == n and k in e["args"] for e in ev); \
+	missing = [n + "." + k for n, k in [("loss", "classification"), ("render", "bytes_read")] if not has(n, k)]; \
+	sys.exit(sys.argv[1] + ": no span attribute " + ", ".join(missing) if missing else 0)' $(TRACE)
+	@echo "trace-check: ok ($(TRACE))"
+
+trace-smoke:
+	mkdir -p telemetry
+	dune exec bin/xmorph_cli.exe -- gen dblp --seed 7 -o telemetry/dblp.xml
+	dune exec bin/xmorph_cli.exe -- run --trace telemetry/trace.json \
+	  "MORPH author [ title ]" telemetry/dblp.xml > /dev/null
+	$(MAKE) trace-check TRACE=telemetry/trace.json
+
 # What CI runs (.github/workflows/ci.yml mirrors this target).
 ci: lint
 	dune build @all
@@ -53,6 +72,7 @@ ci: lint
 	dune test perfbench --profile perfbench
 	$(MAKE) examples
 	dune exec bench/main.exe -- architectures
+	$(MAKE) trace-smoke
 
 clean:
 	dune clean

@@ -78,9 +78,13 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   (match trace with
   | None -> ()
   | Some path ->
-      Xmobs.Trace.enable ();
+      (* One request context for the whole command, on the main thread:
+         its spans are the command's (a serve daemon's startup; each
+         served request keeps its own), bounded at 2^15. *)
+      let ctx = Xmobs.Ctx.create ~capacity:(1 lsl 15) () in
+      Xmobs.Ctx.install ctx;
       Xmobs.Shutdown.on_exit (fun () ->
-          write_file path (Xmutil.Json.to_string (Xmobs.Trace.to_json ()))));
+          write_file path (Xmutil.Json.to_string (Xmobs.Ctx.trace_json ctx))));
   (match metrics with
   | None -> ()
   | Some path ->

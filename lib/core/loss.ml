@@ -469,7 +469,7 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
 let analyze ?warnings guide shape =
   Xmobs.Obs.phase "loss" @@ fun () ->
   let report = analyze_impl ?warnings guide shape in
-  Xmobs.Trace.add_attr "classification"
+  Xmobs.Ctx.add_attr "classification"
     (Xmobs.Trace.String
        (Report.classification_to_string report.Report.classification));
   report

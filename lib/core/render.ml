@@ -9,32 +9,28 @@ type type_cache = {
   deweys : Dewey.t array; (* aligned with [ids] *)
 }
 
+(* One per render, [Nav.t], [explain] or [iter_closest] call, used by the
+   thread that made it: the cache needs no lock. *)
 type rctx = {
   store : Store_.Shredded.t;
   caches : (int, type_cache) Hashtbl.t;
-  cache_lock : Mutex.t; (* guards [caches]; entries are immutable once built *)
 }
 
-let make_rctx store = { store; caches = Hashtbl.create 64; cache_lock = Mutex.create () }
+let make_rctx store = { store; caches = Hashtbl.create 64 }
 
 let cache rctx ty =
-  Mutex.lock rctx.cache_lock;
-  let c =
-    match Hashtbl.find_opt rctx.caches ty with
-    | Some c -> c
-    | None ->
-        (* Join-side data only: the sequence row and the columnar Dewey
-           sidecar.  No node record is decoded here — emission reads the
-           values of the instances it actually outputs. *)
-        let c =
-          { ids = Store_.Shredded.sequence rctx.store ty;
-            deweys = Store_.Shredded.dewey_column rctx.store ty }
-        in
-        Hashtbl.replace rctx.caches ty c;
-        c
-  in
-  Mutex.unlock rctx.cache_lock;
-  c
+  match Hashtbl.find_opt rctx.caches ty with
+  | Some c -> c
+  | None ->
+      (* Join-side data only: the sequence row and the columnar Dewey
+         sidecar.  No node record is decoded here — emission reads the
+         values of the instances it actually outputs. *)
+      let c =
+        { ids = Store_.Shredded.sequence rctx.store ty;
+          deweys = Store_.Shredded.dewey_column rctx.store ty }
+      in
+      Hashtbl.replace rctx.caches ty c;
+      c
 
 (* The first index in [[lo, hi)] of an ascending id row holding at least
    [x]: bisected, or galloped forward from [lo] as [Dewey.seek_run] does

@@ -43,6 +43,12 @@ let parse_select s =
           | _ -> fail ()))
     parts
 
+(* The first step names the root, and the only position a root has is
+   1: any other index matches nothing. *)
+let names_root root { name; index } =
+  String.equal root name
+  && match index with None | Some 1 -> true | Some _ -> false
+
 (* Functional update of every selected node in a tree.  [f] maps the
    selected element to its replacement list (deletion = []). *)
 let update_tree tree steps ~(f : Xml.Tree.t -> Xml.Tree.t list) =
@@ -73,13 +79,12 @@ let update_tree tree steps ~(f : Xml.Tree.t -> Xml.Tree.t list) =
         [ Xml.Tree.Element { e with children } ]
     | _ -> [ node ]
   in
-  (* The first step names the root (with optional index 1). *)
   let result =
     match steps with
-    | [ { name; _ } ] when Xml.Tree.name tree = name ->
+    | [ root ] when names_root (Xml.Tree.name tree) root ->
         incr hits;
         f tree
-    | { name; _ } :: _ :: _ when Xml.Tree.name tree = name -> go tree steps
+    | root :: _ :: _ when names_root (Xml.Tree.name tree) root -> go tree steps
     | _ -> [ tree ]
   in
   (!hits, result)
@@ -103,7 +108,7 @@ let select_ids doc steps =
         List.concat_map (fun ci -> go ci rest) matches
   in
   match steps with
-  | { name; _ } :: rest when Xml.Doc.name doc 0 = name -> go 0 rest
+  | root :: rest when names_root (Xml.Doc.name doc 0) root -> go 0 rest
   | _ -> []
 
 (* ---------------- the view ---------------- *)

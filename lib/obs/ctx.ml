@@ -1,21 +1,21 @@
 (* Request-scoped telemetry context.
 
-   The process-global tracer/metrics/profiler are the right sinks for a
-   one-shot CLI run, but the serve daemon executes many guards at once on
-   worker threads: their spans and I/O deltas interleave in the global
-   state and cannot be attributed back to a request.  A [Ctx.t] is the
-   per-request counterpart — its own span buffer (same representation and
-   exporter as {!Trace}), its own atomic I/O counters, its own metric
-   increments — installed in a thread-keyed slot for the duration of one
-   request.  Instrumentation points consult {!current} and record into the
-   installed context when there is one, falling back to the global sinks
-   otherwise.
+   A [Ctx.t] is the one span sink: a span buffer (the {!Trace.Recorder}
+   type and exporter), atomic I/O counters and metric increments for one
+   unit of work, installed in a thread-keyed slot while it runs.  The
+   serve daemon installs one per request on the request's worker thread,
+   so concurrent requests get disjoint traces; the CLI's [--trace]
+   installs one on the main thread for the whole command.
+   Instrumentation points consult {!current} and record into the
+   installed context when there is one; without one, spans are not
+   recorded and I/O and metric increments reach only the global
+   counters.
 
    Zero-alloc contract: with no context installed anywhere, every probe
    ([current], [charge_read], [bump], ...) is a single [Atomic.get] of the
    installed-context count and an immediate fall-through — no lock, no
-   allocation — so plain [xmorph run] pays nothing for the serve daemon's
-   attribution machinery.
+   allocation — so plain [xmorph run] pays nothing for the attribution
+   machinery.
 
    Threading model: serve handles each request on one systhread, so the
    slot key is the thread id and everything recorded between [install] and
@@ -202,14 +202,32 @@ let with_ctx t f =
 
 (* ---------- span recording ---------- *)
 
-let with_span ?attrs t = Trace.Recorder.with_span ?attrs t.spans
+(* A span carries the store I/O charged to [t] while it was open, as
+   [bytes_read]/[bytes_written] attributes when non-zero. *)
+let with_span ?attrs t name f =
+  let r0 = Atomic.get t.c_bytes_read and w0 = Atomic.get t.c_bytes_written in
+  let add_io () =
+    let r = Atomic.get t.c_bytes_read - r0
+    and w = Atomic.get t.c_bytes_written - w0 in
+    if r <> 0 then Trace.Recorder.add_attr t.spans "bytes_read" (Trace.Int r);
+    if w <> 0 then
+      Trace.Recorder.add_attr t.spans "bytes_written" (Trace.Int w)
+  in
+  Trace.Recorder.with_span ?attrs t.spans name (fun () ->
+      match f () with
+      | v ->
+          add_io ();
+          v
+      | exception e ->
+          add_io ();
+          raise e)
+
+let add_attr key v =
+  match current () with
+  | Some c -> Trace.Recorder.add_attr c.spans key v
+  | None -> ()
 
 let entries t = Trace.Recorder.entries t.spans
-
-let span_count t =
-  List.length
-    (List.filter (function Trace.Span _ -> true | Trace.Event _ -> false)
-       (entries t))
 
 let trace_json t = Trace.json_of_entries (entries t)
 
@@ -308,7 +326,7 @@ type completed = {
   c_ts : float;
   c_io : io;
   c_span_count : int;
-  c_entries : Trace.entry list;
+  c_entries : Trace.span list;
   c_metrics : Xmutil.Json.t;
   c_qlog : Qlog.entry option;
   mutable c_profile : Xmutil.Json.t option;
@@ -333,6 +351,7 @@ let set_ring_capacity n =
       completed_ring := r)
 
 let finish t ~label ~outcome ~status ~wall_s =
+  let spans = entries t in
   let entry =
     {
       c_trace_id = t.trace_id;
@@ -342,8 +361,8 @@ let finish t ~label ~outcome ~status ~wall_s =
       c_wall_s = wall_s;
       c_ts = t.created;
       c_io = io t;
-      c_span_count = span_count t;
-      c_entries = entries t;
+      c_span_count = List.length spans;
+      c_entries = spans;
       c_metrics = metrics_json t;
       c_qlog = t.qlog;
       c_profile = None;

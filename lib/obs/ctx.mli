@@ -1,25 +1,26 @@
-(** Request-scoped telemetry context (trace-context propagation).
+(** Request-scoped telemetry context (trace-context propagation): the
+    one span sink.
 
-    The global {!Trace}/{!Metrics}/{!Profile} sinks are process-wide; once
-    the serve daemon handles concurrent requests on worker threads their
-    spans and I/O deltas interleave.  A [Ctx.t] is one request's private
-    telemetry: a trace id (W3C [traceparent]-compatible), its own
-    {!Trace.Recorder} (the global tracer's recorder type and Chrome
-    [trace_event] exporter, timestamps counted from the context's
-    creation), atomic per-request {!Store.Io_stats}-style byte/op
-    counters, and a table of per-request metric increments.
+    A [Ctx.t] is one unit of work's private telemetry: a trace id (W3C
+    [traceparent]-compatible), its own {!Trace.Recorder} (timestamps
+    counted from the context's creation, exported by
+    {!Trace.json_of_entries}), atomic per-context {!Store.Io_stats}-style
+    byte/op counters, and a table of per-context metric increments.  The
+    serve daemon creates one per request; the CLI's [--trace FILE]
+    creates one for the whole command and writes its {!trace_json} at
+    exit.
 
     A context is carried in a thread-keyed slot ({!install} /
-    {!with_ctx}): instrumentation points ({!Obs.phase}, the store's
-    charge paths, {!Metrics} name-based updates) consult {!current} and
-    record into the installed context, falling back to the global sinks
-    when none is installed.  The no-context path is a single atomic load
-    and allocates nothing, preserving the zero-cost contract of the rest
-    of [xmobs].
+    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr}, the
+    store's charge paths, {!Metrics} name-based updates) consult
+    {!current} and record into the installed context.  Without one, no
+    span is recorded, and I/O and metrics reach only the global
+    counters.  The no-context path is a single atomic load and allocates
+    nothing, preserving the zero-cost contract of the rest of [xmobs].
 
     Attribution boundary: spans, metric increments and I/O charges are
     recorded only from the installing thread.  The library starts no
-    domains — a render runs on the thread that called it — so per-request
+    domains — a render runs on the thread that called it — so per-context
     I/O is exact.
 
     Completed requests land in a process-global bounded ring
@@ -81,8 +82,14 @@ val active : unit -> bool
 
 val with_span :
   ?attrs:(string * Trace.value) list -> t -> string -> (unit -> 'a) -> 'a
-(** {!Trace.Recorder.with_span} on [t]'s recorder.  Call only from the
-    installing thread. *)
+(** {!Trace.Recorder.with_span} on [t]'s recorder.  When store I/O was
+    charged to [t] while the span was open, the span also carries it as
+    [bytes_read] / [bytes_written] integer attributes (only the non-zero
+    ones).  Call only from the installing thread. *)
+
+val add_attr : string -> Trace.value -> unit
+(** Attach an attribute to the innermost open span of the calling
+    thread's installed context; a gated no-op without one. *)
 
 val charge_read : int -> unit
 (** [charge_read bytes] adds to the calling thread's installed context
@@ -117,14 +124,12 @@ val blocks_of : int -> int
 (** Bytes to 4096-byte blocks, rounding up — the same page model as
     [Store.Io_stats.blocks_of]. *)
 
-val entries : t -> Trace.entry list
+val entries : t -> Trace.span list
 (** The recorder's ring, oldest first. *)
-
-val span_count : t -> int
 
 val trace_json : t -> Xmutil.Json.t
 (** Chrome [trace_event] JSON of the context's spans, via
-    {!Trace.json_of_entries} — the same exporter as [--trace]. *)
+    {!Trace.json_of_entries}. *)
 
 val metrics_json : t -> Xmutil.Json.t
 (** Per-request metric increments:
@@ -148,7 +153,7 @@ type completed = {
   c_ts : float;  (** Unix time at context creation *)
   c_io : io;
   c_span_count : int;
-  c_entries : Trace.entry list;
+  c_entries : Trace.span list;
       (** {!entries} at finish, timestamped from [c_ts]; rendered with
           {!Trace.json_of_entries} when read *)
   c_metrics : Xmutil.Json.t;

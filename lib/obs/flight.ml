@@ -88,7 +88,7 @@ let set_context_provider f =
 
 (* ---------- bundle assembly ---------- *)
 
-(* The newest completed requests' entries ([requests] is newest first),
+(* The newest completed requests' spans ([requests] is newest first),
    at most [bundle_spans] of them, newest kept.  Each request's
    timestamps count from its own creation; shifting them by its [c_ts]
    puts every request on one clock, microseconds since the earliest kept
@@ -111,10 +111,7 @@ let request_spans requests =
     (fun (ts, es) ->
       let off = (ts -. epoch) *. 1e6 in
       List.map
-        (function
-          | Trace.Span s -> Trace.Span { s with start_us = s.start_us +. off }
-          | Trace.Event e ->
-              Trace.Event { e with ev_ts_us = e.ev_ts_us +. off })
+        (fun (s : Trace.span) -> { s with start_us = s.start_us +. off })
         es)
     kept
 

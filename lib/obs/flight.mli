@@ -8,9 +8,9 @@
     context as a versioned JSON incident bundle under the configured
     directory, with bounded retention.  The view is the requests' query
     records ([qlog], oldest first) and their spans ([trace], at most 2048
-    entries, newest kept), so the bundle covers exactly the requests the
-    ring holds.  The recorder keeps no spans or query records of its own
-    and leaves {!Trace} alone.
+    spans, newest kept), so the bundle covers exactly the requests the
+    ring holds.  The recorder keeps no spans or query records of its
+    own.
 
     The standard [Xmobs] contract: {!enabled} is a single atomic load
     and every entry point allocates nothing when the recorder is off

@@ -22,15 +22,13 @@ type handles = {
 (* The byte/op counters are atomics: a store may be charged from more than
    one domain (the tests do), and atomic adds commute — the cumulative
    totals are exact whatever the interleaving.  Everything observational
-   ([handles], [traced_blocks], gauge publication) stays main-domain-only;
-   see [publish]. *)
+   ([handles], gauge publication) stays main-domain-only; see [publish]. *)
 type t = {
   c_bytes_read : int Atomic.t;
   c_bytes_written : int Atomic.t;
   c_read_ops : int Atomic.t;
   c_write_ops : int Atomic.t;
   mutable handles : handles option;
-  mutable traced_blocks : int;
 }
 
 let block_size = 4096
@@ -38,7 +36,7 @@ let block_size = 4096
 let create () : t =
   { c_bytes_read = Atomic.make 0; c_bytes_written = Atomic.make 0;
     c_read_ops = Atomic.make 0; c_write_ops = Atomic.make 0;
-    handles = None; traced_blocks = 0 }
+    handles = None }
 
 (* Blocks are derived from cumulative bytes, modelling the page locality of
    document-ordered scans: many small sequential record reads share a page,
@@ -75,8 +73,13 @@ let metric_handles t =
       t.handles <- Some h;
       h
 
-let publish_unguarded t =
-  if Xmobs.Metrics.is_enabled () then begin
+(* Publish the cumulative counters to the gauges of the current metrics
+   registry (observers fire once per charge).  Publication is a
+   main-domain activity — observers and handle caching are single-domain
+   structures — so charges arriving from any other domain only bump the
+   atomics, and the gauges catch up at the next main-domain charge. *)
+let publish t =
+  if Xmobs.Metrics.is_enabled () && Domain.is_main_domain () then begin
     let h = metric_handles t in
     let bytes_read = Atomic.get t.c_bytes_read in
     let bytes_written = Atomic.get t.c_bytes_written in
@@ -91,34 +94,13 @@ let publish_unguarded t =
     Xmobs.Metrics.gauge_set h.h_write_ops
       (float_of_int (Atomic.get t.c_write_ops));
     Xmobs.Metrics.notify ()
-  end;
-  if Xmobs.Trace.tracing () then begin
-    let br = blocks_of (Atomic.get t.c_bytes_read) in
-    let bw = blocks_of (Atomic.get t.c_bytes_written) in
-    let blocks = br + bw in
-    if blocks <> t.traced_blocks then begin
-      t.traced_blocks <- blocks;
-      Xmobs.Trace.counter "store.blocks"
-        [ ("read", Xmobs.Trace.Int br); ("written", Xmobs.Trace.Int bw) ]
-    end
   end
-
-(* Publish the cumulative counters to the observability layer: gauges in the
-   current metrics registry (observers fire once per charge) and, when a
-   trace is being recorded and the cumulative block count moved, a counter
-   sample on the active span's track.  Publication is a main-domain
-   activity — observers, handle caching, and the trace span stack are all
-   single-domain structures — so charges arriving from any other domain
-   only bump the atomics, and the gauges catch up at the next main-domain
-   charge. *)
-let publish t = if Domain.is_main_domain () then publish_unguarded t
 
 let reset (t : t) =
   Atomic.set t.c_bytes_read 0;
   Atomic.set t.c_bytes_written 0;
   Atomic.set t.c_read_ops 0;
   Atomic.set t.c_write_ops 0;
-  t.traced_blocks <- 0;
   publish t
 
 let snapshot (t : t) : snapshot =
@@ -144,9 +126,9 @@ let charge_read (t : t) bytes =
   end
   else ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
   ignore (Atomic.fetch_and_add t.c_read_ops 1);
-  (* Mirror into the calling thread's request context (serve attributes
-     per-request I/O this way).  A render charges on the thread that called
-     it, so the attribution is exact. *)
+  (* Mirror into the calling thread's request context, whose spans carry
+     the I/O charged under them.  A render charges on the thread that
+     called it, so the attribution is exact. *)
   Xmobs.Ctx.charge_read bytes;
   publish t
 

@@ -13,16 +13,16 @@
     observability layer: the [store.bytes_read] / [store.bytes_written] /
     [store.blocks_read] / [store.blocks_written] / [store.read_ops] /
     [store.write_ops] gauges of the current {!Xmobs.Metrics} registry (when
-    metrics are enabled), and a [store.blocks] counter track in the active
-    {!Xmobs.Trace} span whenever the cumulative block count moves.
+    metrics are enabled), and the calling thread's {!Xmobs.Ctx} request
+    context, whose spans carry the I/O charged under them.
 
     The library renders on the caller's domain and starts no domains of
     its own.  The byte/op counters are atomics, so a caller that charges
     one store from several domains gets exact totals — atomic adds
-    commute.  Publication, by contrast, is a main-domain activity: charges
-    from any other domain skip it (observers and the trace span stack are
-    single-domain structures), and the gauges catch up at the next charge
-    made on the main domain. *)
+    commute.  Gauge publication, by contrast, is a main-domain activity:
+    charges from any other domain skip it (observers are single-domain
+    structures), and the gauges catch up at the next charge made on the
+    main domain. *)
 
 type t
 

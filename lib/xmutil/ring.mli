@@ -7,8 +7,7 @@
     grows.
 
     Not synchronised.  Racing pushes may lose values, but never overrun
-    the bound or index out of the slot array: the tracer's global ring
-    relies on this when several domains record concurrently. *)
+    the bound or index out of the slot array. *)
 
 type 'a t
 

@@ -1,6 +1,6 @@
 (* Request-scoped telemetry contexts: W3C traceparent parsing, the
-   thread-keyed slot, span recording into the context instead of the
-   global tracer, per-request I/O attribution summing exactly to the
+   thread-keyed slot, span recording into the context (the only span
+   sink) with its I/O attributes, per-request I/O attribution summing exactly to the
    global Io_stats deltas under concurrency, metric mirroring, and the
    completed-request ring behind the serve daemon's /debug endpoints. *)
 
@@ -107,32 +107,61 @@ let test_slot () =
   Alcotest.(check bool) "uninstalled after raise" true (Ctx.current () = None)
 
 let span_names ctx =
-  List.filter_map
-    (function
-      | Xmobs.Trace.Span s -> Some s.Xmobs.Trace.name
-      | Xmobs.Trace.Event _ -> None)
-    (Ctx.entries ctx)
+  List.map (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name) (Ctx.entries ctx)
 
+(* Phase spans land in the installed context; without one the same call
+   sites record nothing and just run. *)
 let test_spans_land_in_ctx () =
-  Xmobs.Trace.enable ();
-  Fun.protect ~finally:Xmobs.Trace.disable @@ fun () ->
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
       Xmobs.Obs.phase "outer" (fun () ->
           Xmobs.Obs.phase "inner" (fun () -> ())));
   Alcotest.(check (list string))
     "spans recorded into the context" [ "inner"; "outer" ] (span_names ctx);
-  Alcotest.(check int) "span count" 2 (Ctx.span_count ctx);
+  Alcotest.(check int) "span count" 2 (List.length (Ctx.entries ctx));
+  Alcotest.(check int) "phase runs without a context" 7
+    (Xmobs.Obs.phase "nowhere" (fun () -> 7));
   Alcotest.(check (list string))
-    "global tracer untouched" []
-    (List.map (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name)
-       (Xmobs.Trace.spans ()));
-  (* And with no context the same call sites fall back to the tracer. *)
-  Xmobs.Obs.phase "global" (fun () -> ());
-  Alcotest.(check (list string))
-    "fallback to global tracer" [ "global" ]
-    (List.map (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name)
-       (Xmobs.Trace.spans ()))
+    "nothing recorded outside the context" [ "inner"; "outer" ]
+    (span_names ctx)
+
+(* A span carries the store I/O charged under it (inclusive of nested
+   spans, on a raise too) and the attributes [add_attr] attached to it;
+   a span that charged nothing carries neither I/O key. *)
+let test_span_attrs () =
+  let stats = Store.Io_stats.create () in
+  let ctx = Ctx.create () in
+  Ctx.with_ctx ctx (fun () ->
+      Xmobs.Obs.phase "render" (fun () ->
+          Store.Io_stats.charge_read stats 100;
+          Xmobs.Obs.phase "inner" (fun () ->
+              Store.Io_stats.charge_write stats 10);
+          Ctx.add_attr "classification" (Xmobs.Trace.String "narrowing"));
+      (try
+         Xmobs.Obs.phase "boom" (fun () ->
+             Store.Io_stats.charge_read stats 5;
+             failwith "x")
+       with Failure _ -> ());
+      Xmobs.Obs.phase "idle" (fun () -> ()));
+  Ctx.add_attr "outside" (Xmobs.Trace.Bool true);
+  let attrs name =
+    let s =
+      List.find (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name = name)
+        (Ctx.entries ctx)
+    in
+    List.sort compare s.Xmobs.Trace.attrs
+  in
+  let open Xmobs.Trace in
+  Alcotest.(check bool) "render: its own and its child's I/O, and the attr"
+    true
+    (attrs "render"
+    = [ ("bytes_read", Int 100); ("bytes_written", Int 10);
+        ("classification", String "narrowing") ]);
+  Alcotest.(check bool) "inner: only what it charged" true
+    (attrs "inner" = [ ("bytes_written", Int 10) ]);
+  Alcotest.(check bool) "a raising span keeps its I/O" true
+    (attrs "boom" = [ ("bytes_read", Int 5) ]);
+  Alcotest.(check bool) "no I/O, no attributes" true (attrs "idle" = [])
 
 let test_span_ring_bound () =
   let ctx = Ctx.create ~capacity:3 () in
@@ -346,8 +375,10 @@ let suite =
     Alcotest.test_case "context traceparent round-trips" `Quick
       test_traceparent_of_ctx;
     Alcotest.test_case "thread slot install/uninstall" `Quick test_slot;
-    Alcotest.test_case "phase spans land in the context, not the tracer"
+    Alcotest.test_case "phase spans land in the context, and nowhere without one"
       `Quick test_spans_land_in_ctx;
+    Alcotest.test_case "spans carry their I/O and added attributes" `Quick
+      test_span_attrs;
     Alcotest.test_case "context span ring is bounded" `Quick
       test_span_ring_bound;
     Alcotest.test_case "context creation allocates under 512 words" `Quick

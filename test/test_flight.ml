@@ -2,7 +2,7 @@
    bundle write + offline round-trip through the incident viewer,
    retention, per-kind cooldown, the disabled no-op contract,
    context-provider injection, the bundle's query records and spans read
-   from the completed-request ring, and Trace ring eviction under
+   from the completed-request ring, and that ring's eviction under
    concurrent writers never overflowing capacity or leaving a malformed
    survivor. *)
 
@@ -274,28 +274,31 @@ let test_bundle_qlog_from_requests () =
         [ ("serve", Some b) ]
         (records (trigger_bundle dir "one request")))
 
-(* However many writers race on the Trace ring, on one domain or several,
-   the ring never exceeds its capacity and every surviving entry is whole
-   and well-formed. *)
+(* However many writers race to finish their contexts into the
+   completed-request ring (the trace ring behind /debug/trace and the
+   bundles), on one domain or several, the ring never exceeds its
+   capacity and every surviving request is whole: exactly its own
+   well-formed span. *)
 let trace_ring_survives ~domains ~capacity ~writers =
-  Xmobs.Trace.enable ~capacity ();
-  Fun.protect ~finally:Xmobs.Trace.disable @@ fun () ->
+  with_ring capacity @@ fun () ->
   ignore
     (Tutil.on_domains domains
        (List.init writers (fun i () ->
-            Xmobs.Trace.with_span (Printf.sprintf "w%d" i) (fun () ->
-                Xmobs.Trace.instant (Printf.sprintf "i%d" i)))));
-  let entries = Xmobs.Trace.entries () in
-  let well_formed = function
-    | Xmobs.Trace.Span s ->
-        String.length s.Xmobs.Trace.name > 1
-        && s.Xmobs.Trace.name.[0] = 'w'
+            let ctx = Xmobs.Ctx.create () in
+            let name = Printf.sprintf "w%d" i in
+            Xmobs.Ctx.with_span ctx name (fun () -> ());
+            Xmobs.Ctx.finish ctx ~label:name ~outcome:"ok" ~status:200
+              ~wall_s:0.0)));
+  let completed = Xmobs.Ctx.completed () in
+  let whole (c : Xmobs.Ctx.completed) =
+    match c.Xmobs.Ctx.c_entries with
+    | [ s ] ->
+        String.equal s.Xmobs.Trace.name c.Xmobs.Ctx.c_label
         && s.Xmobs.Trace.dur_us >= 0.0
-    | Xmobs.Trace.Event e ->
-        String.length e.Xmobs.Trace.ev_name > 1
-        && e.Xmobs.Trace.ev_name.[0] = 'i'
+        && c.Xmobs.Ctx.c_span_count = 1
+    | _ -> false
   in
-  List.length entries <= capacity && List.for_all well_formed entries
+  List.length completed <= capacity && List.for_all whole completed
 
 let prop_trace_ring_concurrent =
   QCheck2.Test.make

@@ -637,7 +637,9 @@ let prop_cells_agree_on_random_guards =
   in
   QCheck2.Test.make ~name:"cells = pair loop on random documents and guards" ~count:500
     ~print:(fun (doc, g) -> Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g)
-    gen
+    (* unshrunk: shrinking a document and a guard together runs for
+       minutes, and the failing pair prints small enough *)
+    (QCheck2.Gen.no_shrink gen)
     (fun (doc, g) ->
       let guide = Xml.Dataguide.of_doc doc in
       match compiled guide g with
@@ -691,10 +693,12 @@ let gen_shaped_guard doc =
 let prop_cells_agree_on_reshaped_documents =
   QCheck2.Test.make ~name:"cells = pair loop on reshaped random documents" ~count:500
     ~print:(fun (doc, g) -> Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g)
+    (* unshrunk, as above *)
     QCheck2.Gen.(
-      let* doc = gen_shaped_doc in
-      let* guard = gen_shaped_guard doc in
-      return (doc, guard))
+      no_shrink
+        (let* doc = gen_shaped_doc in
+         let* guard = gen_shaped_guard doc in
+         return (doc, guard)))
     (fun (doc, g) ->
       let guide = Xml.Dataguide.of_doc doc in
       match compiled guide g with

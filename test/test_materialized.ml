@@ -118,6 +118,32 @@ let test_bad_select () =
   | exception Materialized.Bad_select _ -> ()
   | _ -> Alcotest.fail "expected Bad_select for out-of-range index"
 
+(* A position on the root step: the root is the only [data], so
+   [data[2]] and [data[3]] match nothing, while [data[1]] is the root. *)
+let test_root_index () =
+  let v =
+    Materialized.create ~enforce:false
+      (Xml.Doc.of_string
+         "<data><book><title>A</title></book><book><title>B</title></book></data>")
+      ~guard:"MORPH book [ title ]"
+  in
+  let refused update =
+    match Materialized.apply v update with
+    | exception Materialized.Bad_select _ -> ()
+    | v' ->
+        Alcotest.failf "expected Bad_select, got %s"
+          (Xml.Printer.to_string (Materialized.source v'))
+  in
+  refused (Materialized.Replace_value { select = "/data[2]/book/title"; value = "x" });
+  refused (Materialized.Delete { select = "/data[3]/book[1]" });
+  let v1 =
+    Materialized.apply v
+      (Materialized.Replace_value { select = "/data[1]/book[2]/title"; value = "x" })
+  in
+  Alcotest.(check string) "data[1] is the root"
+    "<data><book><title>A</title></book><book><title>x</title></book></data>"
+    (Xml.Printer.to_string (Materialized.source v1))
+
 let test_update_value_store_level () =
   let store = Store.Shredded.shred (Xml.Doc.of_string fig_a) in
   let guide = Store.Shredded.guide store in
@@ -183,6 +209,7 @@ let suite =
     Alcotest.test_case "rename breaks guard loudly" `Quick test_rename_breaks_guard_loudly;
     Alcotest.test_case "rename to @name refused" `Quick test_rename_to_attribute_name;
     Alcotest.test_case "bad selects" `Quick test_bad_select;
+    Alcotest.test_case "root index matches only 1" `Quick test_root_index;
     Alcotest.test_case "store-level value patch" `Quick test_update_value_store_level;
     Alcotest.test_case "sequence of updates" `Quick test_sequence_of_updates;
     Alcotest.test_case "value update: one batched write" `Quick

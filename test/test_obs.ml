@@ -1,14 +1,14 @@
-(* The observability layer: span nesting and ordering, ring-buffer bounds,
-   histogram percentiles against a known distribution, JSON export
-   round-trips through Xmutil.Json, and the zero-allocation guarantee of
-   the disabled path. *)
+(* The observability layer: span nesting, ordering and attributes in a
+   recorder, ring-buffer bounds, histogram percentiles against a known
+   distribution, JSON export round-trips through Xmutil.Json, and the
+   zero-allocation guarantee of the disabled path. *)
 
 module Trace = Xmobs.Trace
+module Recorder = Xmobs.Trace.Recorder
 module Metrics = Xmobs.Metrics
 
-let with_trace f =
-  Trace.enable ();
-  Fun.protect f ~finally:Trace.disable
+let recorder ?(capacity = 1 lsl 15) () =
+  Recorder.create ~capacity ~epoch:(Unix.gettimeofday ())
 
 let with_scoped_metrics f =
   let r = Metrics.create () in
@@ -19,68 +19,72 @@ let with_scoped_metrics f =
           Metrics.enable ();
           f r))
 
-let span_names () = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans ())
+(* Recorded spans in start order (ids are handed out as spans open). *)
+let spans r =
+  List.sort
+    (fun (a : Trace.span) (b : Trace.span) -> compare a.Trace.id b.Trace.id)
+    (Recorder.entries r)
+
+let span_names r = List.map (fun (s : Trace.span) -> s.Trace.name) (spans r)
 
 let test_span_nesting () =
-  with_trace (fun () ->
-      Trace.with_span "a" (fun () ->
-          Trace.with_span "b" (fun () -> ());
-          Trace.with_span "c" (fun () -> ()));
-      Trace.with_span "d" (fun () -> ());
-      let spans = Trace.spans () in
-      Alcotest.(check (list string)) "start order" [ "a"; "b"; "c"; "d" ]
-        (span_names ());
-      let find n = List.find (fun (s : Trace.span) -> s.Trace.name = n) spans in
-      let a = find "a" and b = find "b" and c = find "c" and d = find "d" in
-      Alcotest.(check int) "a is a root" (-1) a.Trace.parent;
-      Alcotest.(check int) "d is a root" (-1) d.Trace.parent;
-      Alcotest.(check int) "b nests under a" a.Trace.id b.Trace.parent;
-      Alcotest.(check int) "c nests under a" a.Trace.id c.Trace.parent;
-      Alcotest.(check bool) "children start after their parent" true
-        (b.Trace.start_us >= a.Trace.start_us
-        && c.Trace.start_us >= b.Trace.start_us);
-      Alcotest.(check bool) "parent spans its children" true
-        (a.Trace.dur_us >= b.Trace.dur_us +. c.Trace.dur_us))
+  let r = recorder () in
+  Recorder.with_span r "a" (fun () ->
+      Recorder.with_span r "b" (fun () -> ());
+      Recorder.with_span r "c" (fun () -> ()));
+  Recorder.with_span r "d" (fun () -> ());
+  let spans = spans r in
+  Alcotest.(check (list string)) "start order" [ "a"; "b"; "c"; "d" ]
+    (span_names r);
+  let find n = List.find (fun (s : Trace.span) -> s.Trace.name = n) spans in
+  let a = find "a" and b = find "b" and c = find "c" and d = find "d" in
+  Alcotest.(check int) "a is a root" (-1) a.Trace.parent;
+  Alcotest.(check int) "d is a root" (-1) d.Trace.parent;
+  Alcotest.(check int) "b nests under a" a.Trace.id b.Trace.parent;
+  Alcotest.(check int) "c nests under a" a.Trace.id c.Trace.parent;
+  Alcotest.(check bool) "children start after their parent" true
+    (b.Trace.start_us >= a.Trace.start_us
+    && c.Trace.start_us >= b.Trace.start_us);
+  Alcotest.(check bool) "parent spans its children" true
+    (a.Trace.dur_us >= b.Trace.dur_us +. c.Trace.dur_us)
 
 let test_span_exception () =
-  with_trace (fun () ->
-      (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Trace.with_span "after" (fun () -> ());
-      let spans = Trace.spans () in
-      Alcotest.(check (list string)) "raised span still recorded"
-        [ "boom"; "after" ] (span_names ());
-      let after = List.find (fun (s : Trace.span) -> s.Trace.name = "after") spans in
-      Alcotest.(check int) "stack unwound by the raise" (-1) after.Trace.parent)
+  let r = recorder () in
+  (try Recorder.with_span r "boom" (fun () -> failwith "x")
+   with Failure _ -> ());
+  Recorder.with_span r "after" (fun () -> ());
+  Alcotest.(check (list string)) "raised span still recorded"
+    [ "boom"; "after" ] (span_names r);
+  let after =
+    List.find (fun (s : Trace.span) -> s.Trace.name = "after") (spans r)
+  in
+  Alcotest.(check int) "stack unwound by the raise" (-1) after.Trace.parent
 
 let test_ring_bound () =
-  Trace.enable ~capacity:4 ();
-  Fun.protect ~finally:Trace.disable (fun () ->
-      for i = 1 to 10 do
-        Trace.with_span (string_of_int i) (fun () -> ())
-      done;
-      Alcotest.(check (list string)) "ring keeps the newest entries"
-        [ "7"; "8"; "9"; "10" ] (span_names ()))
+  let r = recorder ~capacity:4 () in
+  for i = 1 to 10 do
+    Recorder.with_span r (string_of_int i) (fun () -> ())
+  done;
+  Alcotest.(check (list string)) "ring keeps the newest entries"
+    [ "7"; "8"; "9"; "10" ] (span_names r)
 
-let test_attrs_and_events () =
-  with_trace (fun () ->
-      Trace.with_span "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
-          Trace.add_attr "extra" (Trace.String "v");
-          Trace.instant "tick";
-          Trace.counter "blocks" [ ("read", Trace.Int 3) ]);
-      let s = List.hd (Trace.spans ()) in
-      Alcotest.(check bool) "declared attr kept" true
-        (List.mem_assoc "k" s.Trace.attrs);
-      Alcotest.(check bool) "added attr kept" true
-        (List.mem_assoc "extra" s.Trace.attrs);
-      let evs = Trace.events () in
-      Alcotest.(check int) "two events" 2 (List.length evs);
-      List.iter
-        (fun (e : Trace.event) ->
-          Alcotest.(check int) "events attach to the open span" s.Trace.id
-            e.Trace.ev_parent)
-        evs;
-      Alcotest.(check bool) "counter flagged as counter" true
-        (List.exists (fun (e : Trace.event) -> e.Trace.ev_counter) evs))
+let test_span_attrs () =
+  let r = recorder () in
+  Recorder.with_span r "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
+      Recorder.with_span r "child" (fun () -> ());
+      Recorder.add_attr r "extra" (Trace.String "v"));
+  Recorder.add_attr r "orphan" (Trace.Bool true);
+  let s = List.hd (spans r) in
+  Alcotest.(check bool) "declared attr kept" true
+    (List.mem_assoc "k" s.Trace.attrs);
+  Alcotest.(check bool) "added attr lands on the innermost open span" true
+    (List.mem_assoc "extra" s.Trace.attrs);
+  Alcotest.(check bool) "no attr on a closed child" true
+    ((List.nth (spans r) 1).Trace.attrs = []);
+  Alcotest.(check bool) "no open span, no attr" false
+    (List.exists
+       (fun (s : Trace.span) -> List.mem_assoc "orphan" s.Trace.attrs)
+       (spans r))
 
 (* Percentiles of 100k uniform [0,100) draws.  The log-scale buckets
    quantize within ~5%, so check a 10% relative tolerance. *)
@@ -300,50 +304,58 @@ let test_counters_gauges_observers () =
 
 let test_phase_records_both () =
   with_scoped_metrics (fun r ->
-      with_trace (fun () ->
-          let v = Xmobs.Obs.phase "work" (fun () -> 21 * 2) in
-          Alcotest.(check int) "phase is transparent" 42 v;
-          Alcotest.(check (list string)) "span recorded" [ "work" ]
-            (span_names ());
-          Alcotest.(check int) "counter bumped" 1
-            (Metrics.counter_value ~r "phase.work.count");
-          Alcotest.(check bool) "latency observed" true
-            (Metrics.percentile ~r "phase.work.seconds" 0.5 <> None)))
+      let ctx = Xmobs.Ctx.create () in
+      let v =
+        Xmobs.Ctx.with_ctx ctx (fun () ->
+            Xmobs.Obs.phase "work" (fun () -> 21 * 2))
+      in
+      Alcotest.(check int) "phase is transparent" 42 v;
+      Alcotest.(check (list string)) "span recorded" [ "work" ]
+        (List.map (fun (s : Trace.span) -> s.Trace.name)
+           (Xmobs.Ctx.entries ctx));
+      Alcotest.(check int) "counter bumped" 1
+        (Metrics.counter_value ~r "phase.work.count");
+      Alcotest.(check bool) "latency observed" true
+        (Metrics.percentile ~r "phase.work.seconds" 0.5 <> None))
 
 let reserialized s = Xmutil.Json.to_string (Xmutil.Json.of_string s)
 
+let json_names evs =
+  List.filter_map
+    (function
+      | Xmutil.Json.Obj f -> (
+          match List.assoc_opt "name" f with
+          | Some (Xmutil.Json.String n) -> Some n
+          | _ -> None)
+      | _ -> None)
+    evs
+
+let export r =
+  Xmutil.Json.to_string (Trace.json_of_entries (Recorder.entries r))
+
 let test_trace_json_roundtrip () =
-  with_trace (fun () ->
-      Trace.with_span "outer"
-        ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
-        (fun () ->
-          Trace.counter "blocks" [ ("read", Trace.Int 1) ];
-          Trace.with_span "inner" ~attrs:[ ("ok", Trace.Bool true) ] (fun () -> ()));
-      let text = Xmutil.Json.to_string (Trace.to_json ()) in
-      Alcotest.(check string) "parse . print is the identity" text
-        (reserialized text);
-      (* And the parsed structure is navigable. *)
-      match Xmutil.Json.of_string text with
-      | Xmutil.Json.Obj fields -> (
-          match List.assoc "traceEvents" fields with
-          | Xmutil.Json.List evs ->
-              let names =
-                List.filter_map
-                  (function
-                    | Xmutil.Json.Obj f -> (
-                        match List.assoc_opt "name" f with
-                        | Some (Xmutil.Json.String n) -> Some n
-                        | _ -> None)
-                    | _ -> None)
-                  evs
-              in
-              List.iter
-                (fun n ->
-                  Alcotest.(check bool) (n ^ " exported") true
-                    (List.mem n names))
-                [ "outer"; "inner"; "blocks" ]
-          | _ -> Alcotest.fail "traceEvents is not a list")
-      | _ -> Alcotest.fail "trace export is not an object")
+  let r = recorder () in
+  Recorder.with_span r "outer"
+    ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
+    (fun () ->
+      Recorder.add_attr r "f" (Trace.Float 0.5);
+      Recorder.with_span r "inner" ~attrs:[ ("ok", Trace.Bool true) ]
+        (fun () -> ()));
+  let text = export r in
+  Alcotest.(check string) "parse . print is the identity" text
+    (reserialized text);
+  (* And the parsed structure is navigable. *)
+  match Xmutil.Json.of_string text with
+  | Xmutil.Json.Obj fields -> (
+      match List.assoc "traceEvents" fields with
+      | Xmutil.Json.List evs ->
+          let names = json_names evs in
+          List.iter
+            (fun n ->
+              Alcotest.(check bool) (n ^ " exported") true (List.mem n names))
+            [ "outer"; "inner" ]
+      | _ -> Alcotest.fail "traceEvents is not a list")
+  | _ -> Alcotest.fail "trace export is not an object"
 
 let test_metrics_json_roundtrip () =
   with_scoped_metrics (fun r ->
@@ -373,66 +385,52 @@ let test_metrics_json_roundtrip () =
    characters must survive the JSON exporter losslessly. *)
 let test_trace_json_escaping () =
   let nasty = "q\"uote\\back\x01\x02\ntab\tend" in
-  with_trace (fun () ->
-      Trace.with_span nasty
-        ~attrs:[ ("payload", Trace.String nasty) ]
-        (fun () -> ());
-      let text = Xmutil.Json.to_string (Trace.to_json ()) in
-      match Xmutil.Json.of_string text with
-      | exception _ -> Alcotest.fail "escaped trace JSON does not parse"
-      | Xmutil.Json.Obj fields -> (
-          match List.assoc "traceEvents" fields with
-          | Xmutil.Json.List (Xmutil.Json.Obj ev :: _) ->
-              Alcotest.(check bool) "span name round-trips" true
-                (List.assoc_opt "name" ev = Some (Xmutil.Json.String nasty));
-              (match List.assoc_opt "args" ev with
-              | Some (Xmutil.Json.Obj args) ->
-                  Alcotest.(check bool) "string attr round-trips" true
-                    (List.assoc_opt "payload" args
-                    = Some (Xmutil.Json.String nasty))
-              | _ -> Alcotest.fail "span args missing")
-          | _ -> Alcotest.fail "traceEvents is not a non-empty list")
-      | _ -> Alcotest.fail "trace export is not an object")
+  let r = recorder () in
+  Recorder.with_span r nasty ~attrs:[ ("payload", Trace.String nasty) ]
+    (fun () -> ());
+  match Xmutil.Json.of_string (export r) with
+  | exception _ -> Alcotest.fail "escaped trace JSON does not parse"
+  | Xmutil.Json.Obj fields -> (
+      match List.assoc "traceEvents" fields with
+      | Xmutil.Json.List (Xmutil.Json.Obj ev :: _) -> (
+          Alcotest.(check bool) "span name round-trips" true
+            (List.assoc_opt "name" ev = Some (Xmutil.Json.String nasty));
+          match List.assoc_opt "args" ev with
+          | Some (Xmutil.Json.Obj args) ->
+              Alcotest.(check bool) "string attr round-trips" true
+                (List.assoc_opt "payload" args
+                = Some (Xmutil.Json.String nasty))
+          | _ -> Alcotest.fail "span args missing")
+      | _ -> Alcotest.fail "traceEvents is not a non-empty list")
+  | _ -> Alcotest.fail "trace export is not an object"
 
 (* Writing past the ring's capacity drops the oldest entries and nothing
    else: the export stays well-formed and holds exactly the survivors. *)
 let test_ring_eviction_json () =
-  Trace.enable ~capacity:3 ();
-  Fun.protect ~finally:Trace.disable (fun () ->
-      for i = 1 to 8 do
-        Trace.with_span (Printf.sprintf "s%d" i) (fun () ->
-            if i mod 2 = 0 then Trace.instant (Printf.sprintf "i%d" i))
-      done;
-      let text = Xmutil.Json.to_string (Trace.to_json ()) in
-      match Xmutil.Json.of_string text with
-      | exception _ -> Alcotest.fail "post-eviction JSON does not parse"
-      | Xmutil.Json.Obj fields -> (
-          match List.assoc "traceEvents" fields with
-          | Xmutil.Json.List evs ->
-              Alcotest.(check int) "capacity bounds the export" 3
-                (List.length evs);
-              let names =
-                List.filter_map
-                  (function
-                    | Xmutil.Json.Obj f -> (
-                        match List.assoc_opt "name" f with
-                        | Some (Xmutil.Json.String n) -> Some n
-                        | _ -> None)
-                    | _ -> None)
-                  evs
-              in
-              (* Ring order: the instant of span 8 lands before span 7 and
-                 span 8 close (entries append at span end / instant time). *)
-              Alcotest.(check (list string)) "only the newest entries survive"
-                [ "s7"; "i8"; "s8" ] names
-          | _ -> Alcotest.fail "traceEvents is not a list")
-      | _ -> Alcotest.fail "trace export is not an object")
+  let r = recorder ~capacity:3 () in
+  for i = 1 to 8 do
+    Recorder.with_span r (Printf.sprintf "s%d" i) (fun () ->
+        if i mod 2 = 0 then
+          Recorder.with_span r (Printf.sprintf "c%d" i) (fun () -> ()))
+  done;
+  match Xmutil.Json.of_string (export r) with
+  | exception _ -> Alcotest.fail "post-eviction JSON does not parse"
+  | Xmutil.Json.Obj fields -> (
+      match List.assoc "traceEvents" fields with
+      | Xmutil.Json.List evs ->
+          Alcotest.(check int) "capacity bounds the export" 3
+            (List.length evs);
+          (* Ring order is closing order: span 8's child closes before
+             span 8 itself. *)
+          Alcotest.(check (list string)) "only the newest entries survive"
+            [ "s7"; "c8"; "s8" ] (json_names evs)
+      | _ -> Alcotest.fail "traceEvents is not a list")
+  | _ -> Alcotest.fail "trace export is not an object"
 
 (* The disabled path must not allocate: one branch, then the traced
    function.  Gc.minor_words itself boxes a float per call, so allow a
    small constant slack — far below one word per iteration. *)
 let test_disabled_path_no_alloc () =
-  Trace.disable ();
   Metrics.disable ();
   Xmobs.Profile.disable ();
   Xmobs.Statdb.disable ();
@@ -447,12 +445,10 @@ let test_disabled_path_no_alloc () =
       out_nodes = 0 }
   in
   (* Warm up so any one-time closure setup is done before measuring. *)
-  ignore (Sys.opaque_identity (Trace.with_span "x" f));
   ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
   ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Trace.with_span "x" f));
     Metrics.inc "x";
     Metrics.set_gauge "x" 1.0;
     Metrics.observe "x" 1.0;
@@ -502,7 +498,7 @@ let suite =
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
     Alcotest.test_case "spans survive exceptions" `Quick test_span_exception;
     Alcotest.test_case "ring buffer is bounded" `Quick test_ring_bound;
-    Alcotest.test_case "attrs and events" `Quick test_attrs_and_events;
+    Alcotest.test_case "span attributes" `Quick test_span_attrs;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
     Alcotest.test_case "selfmetrics rss degrades to None" `Quick

@@ -160,7 +160,10 @@ let print_case (tree, guard, batch) =
 
 let prop_three_paths_agree =
   QCheck2.Test.make ~name:"to_buffer = to_trees = stream, bytes, stats and I/O"
-    ~count:300 ~print:print_case gen_case (fun (tree, guard, batch) ->
+    ~count:300 ~print:print_case
+    (* unshrunk: shrinking a document, a guard and a batch together runs
+       for minutes, and the failing case prints small enough *)
+    (QCheck2.Gen.no_shrink gen_case) (fun (tree, guard, batch) ->
       let doc = Xml.Doc.of_tree tree in
       let fresh batch =
         let store = Store.Shredded.shred doc in
