@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench bench-csv examples doc clean reproduce lint ci \
-  trace-check trace-smoke
+  trace-check profile-check trace-smoke
 
 all: build
 
@@ -58,12 +58,29 @@ trace-check:
 	sys.exit(sys.argv[1] + ": no span attribute " + ", ".join(missing) if missing else 0)' $(TRACE)
 	@echo "trace-check: ok ($(TRACE))"
 
+# A --profile file holds the operator tree, not just its brackets: a
+# compile root, and a render root that read store blocks and ran a
+# closest join.
+PROFILE ?= telemetry/profile.json
+profile-check:
+	@python3 -c 'import json, sys; \
+	roots = json.load(open(sys.argv[1]))["profile"]; \
+	render = [f for f in roots if f["name"] == "render"]; \
+	checks = [("a compile root", any(f["name"] == "compile" for f in roots)), \
+	  ("a render frame with blocks_read > 0", any(f["blocks_read"] > 0 for f in render)), \
+	  ("a closest( child under render", any(c["name"].startswith("closest(") for f in render for c in f.get("children", [])))]; \
+	missing = [n for n, ok in checks if not ok]; \
+	sys.exit(sys.argv[1] + ": missing " + "; ".join(missing) if missing else 0)' $(PROFILE)
+	@echo "profile-check: ok ($(PROFILE))"
+
 trace-smoke:
 	mkdir -p telemetry
 	dune exec bin/xmorph_cli.exe -- gen dblp --seed 7 -o telemetry/dblp.xml
 	dune exec bin/xmorph_cli.exe -- run --trace telemetry/trace.json \
+	  --profile telemetry/profile.json \
 	  "MORPH author [ title ]" telemetry/dblp.xml > /dev/null
 	$(MAKE) trace-check TRACE=telemetry/trace.json
+	$(MAKE) profile-check PROFILE=telemetry/profile.json
 
 # What CI runs (.github/workflows/ci.yml mirrors this target).
 ci: lint

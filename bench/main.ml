@@ -25,15 +25,17 @@ let sections =
   ]
 
 let () =
-  (* XMORPH_BENCH_PROFILE=FILE profiles every operator evaluated across the
-     requested sections and writes the annotated frame tree on exit. *)
+  (* XMORPH_BENCH_PROFILE=FILE profiles every operator the requested
+     sections evaluate in the main thread's command-wide context (work
+     under a section's own request contexts keeps its own frames) and
+     writes the annotated frame tree on exit. *)
   (match Sys.getenv_opt "XMORPH_BENCH_PROFILE" with
   | None -> ()
   | Some path ->
-      Xmobs.Profile.enable ();
+      let frames = Xmobs.Ctx.keep_frames () in
       at_exit (fun () ->
           let oc = open_out_bin path in
-          output_string oc (Xmobs.Profile.to_text ());
+          output_string oc (Xmobs.Profile.to_text (Xmobs.Profile.roots frames));
           close_out oc));
   let requested =
     match Array.to_list Sys.argv with

@@ -94,9 +94,13 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   (match profile with
   | None -> ()
   | Some path ->
-      Xmobs.Profile.enable ();
+      (* The command-wide context keeps frames: --trace's when it made
+         one, else an untraced one that stamps no trace id. *)
+      let frames = Xmobs.Ctx.keep_frames () in
       Xmobs.Shutdown.on_exit (fun () ->
-          write_file path (Xmutil.Json.to_string (Xmobs.Profile.to_json ()))));
+          write_file path
+            (Xmutil.Json.to_string
+               (Xmobs.Profile.to_json (Xmobs.Profile.roots frames)))));
   match qlog with
   | None -> ()
   | Some path ->
@@ -162,8 +166,8 @@ let obs_term_gen ~stats_db_flag =
                      persistent warehouse at $(docv), merging with whatever \
                      history is already there.  Defaults to the \
                      XMORPH_STATS_DB environment variable.  Recorded \
-                     executions run under the profiler and are therefore \
-                     serialized and single-domain.  Inspect with \
+                     executions bypass the plan and result caches.  \
+                     Inspect with \
                      $(b,xmorph explain), $(b,xmorph stats --stats-db), or \
                      GET /debug/opstats on serve.")
   in
@@ -561,17 +565,17 @@ let profile_cmd =
     match load_store input with
     | Error m -> exit_err m
     | Ok store ->
-        Xmobs.Profile.enable ();
-        (match
-           Xmserve.Exec.execute ~source:"profile" ~doc:input ~enforce:false
-             ?query store guard
-         with
+        let outcome, frames =
+          Xmobs.Ctx.profiled (fun () ->
+              Xmserve.Exec.execute ~source:"profile" ~doc:input
+                ~enforce:false ?query store guard)
+        in
+        (match outcome with
         | Xmserve.Exec.Failed { message; _ } -> exit_err message
         | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
-        Xmobs.Profile.disable ();
         if json then
-          print_endline (Xmutil.Json.to_string (Xmobs.Profile.to_json ()))
-        else print_string (Xmobs.Profile.to_text ())
+          print_endline (Xmutil.Json.to_string (Xmobs.Profile.to_json frames))
+        else print_string (Xmobs.Profile.to_text frames)
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ obs_term $ guard_arg $ input $ query $ json)
@@ -797,15 +801,15 @@ let shell_cmd =
                 | None -> (
                     match strip_prefix line ":profile" with
                     | Some rest -> (
-                        Xmobs.Profile.enable ();
-                        (match
-                           Xmserve.Exec.execute ~source:"shell" ~doc:input
-                             ~enforce:false store (arg_or_current rest)
-                         with
+                        let outcome, frames =
+                          Xmobs.Ctx.profiled (fun () ->
+                              Xmserve.Exec.execute ~source:"shell" ~doc:input
+                                ~enforce:false store (arg_or_current rest))
+                        in
+                        (match outcome with
                         | Xmserve.Exec.Failed { message; _ } -> print_endline message
                         | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
-                        Xmobs.Profile.disable ();
-                        print_string (Xmobs.Profile.to_text ()))
+                        print_string (Xmobs.Profile.to_text frames))
                     | None -> (
                     match strip_prefix line ":explain" with
                     | Some rest -> (
@@ -909,7 +913,7 @@ let serve_cmd =
          & info [ "slow-ms" ] ~docv:"MS"
              ~doc:"Slow-query auto-capture: re-execute any POST /query whose \
                    wall time reaches $(docv) milliseconds once under the \
-                   per-operator profiler (serialized, single-domain) and \
+                   per-operator profiler, in a context of its own, and \
                    attach the profile JSON to its GET /debug/trace entry.  \
                    0 captures every query.  Defaults to the XMORPH_SLOW_MS \
                    environment variable when set.")

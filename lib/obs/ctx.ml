@@ -2,7 +2,8 @@
 
    A [Ctx.t] is the one span sink: a span buffer (the {!Trace.Recorder}
    type and exporter), atomic I/O counters and metric increments for one
-   unit of work, installed in a thread-keyed slot while it runs.  The
+   unit of work, and optionally a {!Frames.tree} of profiler frames,
+   installed in a thread-keyed slot while it runs.  The
    serve daemon installs one per request on the request's worker thread,
    so concurrent requests get disjoint traces; the CLI's [--trace]
    installs one on the main thread for the whole command.
@@ -15,7 +16,8 @@
    ([current], [charge_read], [bump], ...) is a single [Atomic.get] of the
    installed-context count and an immediate fall-through — no lock, no
    allocation — so plain [xmorph run] pays nothing for the attribution
-   machinery.
+   machinery.  The profiler's gate is a second count, of contexts that
+   keep frames.
 
    Threading model: serve handles each request on one systhread, so the
    slot key is the thread id and everything recorded between [install] and
@@ -108,6 +110,7 @@ type io = {
 
 type t = {
   trace_id : string;
+  traced : bool;  (* its id is stamped into query records *)
   span_id : string;  (* this hop's id, sent downstream in [traceparent] *)
   parent_span : string option;
   created : float;  (* Unix time; also the span-timestamp epoch *)
@@ -126,6 +129,8 @@ type t = {
   m_observations : (string, (int * float) ref) Hashtbl.t;
   (* the request's executed-query record, set by the installing thread *)
   mutable qlog : Qlog.entry option;
+  (* profiler frames, while someone asks; written by the installing thread *)
+  mutable frames : Frames.tree option;
 }
 
 let default_capacity = 4096
@@ -137,6 +142,7 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
   let created = Unix.gettimeofday () in
   {
     trace_id;
+    traced = true;
     span_id = fresh_span_id ();
     parent_span;
     created;
@@ -149,9 +155,16 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
     m_counters = Hashtbl.create 16;
     m_observations = Hashtbl.create 16;
     qlog = None;
+    frames = None;
   }
 
+(* A context made only to keep frames: no trace is exported from it, so
+   query records made under it carry no trace id. *)
+let untraced () = { (create ()) with traced = false }
+
 let trace_id t = t.trace_id
+
+let traced_id t = if t.traced then Some t.trace_id else None
 
 let traceparent t = Printf.sprintf "00-%s-%s-01" t.trace_id t.span_id
 
@@ -196,9 +209,51 @@ let current () =
     c
   end
 
+(* Restores the binding it replaced: a nested call keeps the outer one. *)
 let with_ctx t f =
+  let prev = current () in
   install t;
-  Fun.protect ~finally:uninstall f
+  Fun.protect f ~finally:(fun () ->
+      match prev with Some p -> install p | None -> uninstall ())
+
+(* ---------- profiler frames ---------- *)
+
+(* [keeping] counts contexts that keep frames: the profiler's gate. *)
+let keeping = Atomic.make 0
+
+let profiling () = Atomic.get keeping > 0
+
+let frames () =
+  if Atomic.get keeping = 0 then None
+  else match current () with Some c -> c.frames | None -> None
+
+(* The calling thread's context, or an untraced one to install. *)
+let current_or_untraced () =
+  match current () with Some c -> c | None -> untraced ()
+
+let keep_frames () =
+  let c = current_or_untraced () in
+  install c;
+  match c.frames with
+  | Some tr -> tr
+  | None ->
+      let tr = Frames.create () in
+      c.frames <- Some tr;
+      Atomic.incr keeping;
+      tr
+
+let profiled f =
+  let c = current_or_untraced () in
+  let tr = Frames.create () and prev = c.frames in
+  let v =
+    with_ctx c (fun () ->
+        c.frames <- Some tr;
+        if Option.is_none prev then Atomic.incr keeping;
+        Fun.protect f ~finally:(fun () ->
+            c.frames <- prev;
+            if Option.is_none prev then Atomic.decr keeping))
+  in
+  (v, Frames.roots tr)
 
 (* ---------- span recording ---------- *)
 
@@ -233,20 +288,35 @@ let trace_json t = Trace.json_of_entries (entries t)
 
 (* ---------- per-request I/O ---------- *)
 
-let charge_read bytes =
+(* Matches [Store.Io_stats.block_size]; duplicated so xmobs stays at the
+   bottom of the dependency stack. *)
+let blocks_of bytes = (bytes + 4095) / 4096
+
+(* The pages a charge crossed on a store counter that stood at [before]. *)
+let crossed ~before bytes = blocks_of (before + bytes) - blocks_of before
+
+let charge_read ~before bytes =
   if Atomic.get installed > 0 then
     match current () with
     | Some c ->
         ignore (Atomic.fetch_and_add c.c_bytes_read bytes);
-        ignore (Atomic.fetch_and_add c.c_read_ops 1)
+        ignore (Atomic.fetch_and_add c.c_read_ops 1);
+        (match c.frames with
+        | Some tr ->
+            tr.Frames.blocks_r <- tr.Frames.blocks_r + crossed ~before bytes
+        | None -> ())
     | None -> ()
 
-let charge_write bytes =
+let charge_write ~before bytes =
   if Atomic.get installed > 0 then
     match current () with
     | Some c ->
         ignore (Atomic.fetch_and_add c.c_bytes_written bytes);
-        ignore (Atomic.fetch_and_add c.c_write_ops 1)
+        ignore (Atomic.fetch_and_add c.c_write_ops 1);
+        (match c.frames with
+        | Some tr ->
+            tr.Frames.blocks_w <- tr.Frames.blocks_w + crossed ~before bytes
+        | None -> ())
     | None -> ()
 
 let io t =
@@ -256,10 +326,6 @@ let io t =
     read_ops = Atomic.get t.c_read_ops;
     write_ops = Atomic.get t.c_write_ops;
   }
-
-(* Matches [Store.Io_stats.block_size]; duplicated so xmobs stays at the
-   bottom of the dependency stack. *)
-let blocks_of bytes = (bytes + 4095) / 4096
 
 (* ---------- per-request metric increments ---------- *)
 
@@ -329,7 +395,7 @@ type completed = {
   c_entries : Trace.span list;
   c_metrics : Xmutil.Json.t;
   c_qlog : Qlog.entry option;
-  mutable c_profile : Xmutil.Json.t option;
+  c_profile : Frames.frame list option;
 }
 
 let default_ring_capacity = 256
@@ -350,7 +416,7 @@ let set_ring_capacity n =
       List.iter (Xmutil.Ring.push r) (Xmutil.Ring.to_list !completed_ring);
       completed_ring := r)
 
-let finish t ~label ~outcome ~status ~wall_s =
+let finish ?profile t ~label ~outcome ~status ~wall_s =
   let spans = entries t in
   let entry =
     {
@@ -365,7 +431,7 @@ let finish t ~label ~outcome ~status ~wall_s =
       c_entries = spans;
       c_metrics = metrics_json t;
       c_qlog = t.qlog;
-      c_profile = None;
+      c_profile = profile;
     }
   in
   locked (fun () -> Xmutil.Ring.push !completed_ring entry)
@@ -375,12 +441,5 @@ let completed () =
 
 let find_completed id =
   List.find_opt (fun c -> String.equal c.c_trace_id id) (completed ())
-
-let attach_profile ~trace_id json =
-  match find_completed trace_id with
-  | Some c ->
-      c.c_profile <- Some json;
-      true
-  | None -> false
 
 let reset_completed () = locked (fun () -> Xmutil.Ring.clear !completed_ring)

@@ -5,7 +5,8 @@
     [traceparent]-compatible), its own {!Trace.Recorder} (timestamps
     counted from the context's creation, exported by
     {!Trace.json_of_entries}), atomic per-context {!Store.Io_stats}-style
-    byte/op counters, and a table of per-context metric increments.  The
+    byte/op counters, a table of per-context metric increments, and —
+    while someone asks for it — a {!Frames.tree} of profiler frames.  The
     serve daemon creates one per request; the CLI's [--trace FILE]
     creates one for the whole command and writes its {!trace_json} at
     exit.
@@ -29,8 +30,7 @@
     [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and is
     all the flight recorder's incident bundles read of recent requests:
     their spans, their query records and their summaries.  A slow-query
-    capture can attach a profiler JSON after the fact
-    ({!attach_profile}). *)
+    capture's frames are sealed into the entry by {!finish}. *)
 
 type t
 
@@ -42,6 +42,11 @@ val create : ?capacity:int -> ?trace_id:string -> ?parent_span:string ->
     a fresh trace id is generated. *)
 
 val trace_id : t -> string
+
+val traced_id : t -> string option
+(** The trace id query records made under [t] carry: [None] for the
+    contexts {!profiled} and {!keep_frames} install when a thread has
+    none, whose spans nobody exports. *)
 
 val traceparent : t -> string
 (** The W3C header value for this hop:
@@ -67,7 +72,9 @@ val uninstall : unit -> unit
 (** Unbind the calling thread's context, if any. *)
 
 val with_ctx : t -> (unit -> 'a) -> 'a
-(** [install], run, [uninstall] (on exceptions too). *)
+(** [install], run, then restore the binding [install] replaced —
+    [uninstall] when there was none — on exceptions too.  Nested calls
+    therefore leave an outer context installed. *)
 
 val current : unit -> t option
 (** The context installed on the calling thread.  When no context is
@@ -77,6 +84,27 @@ val current : unit -> t option
 val active : unit -> bool
 (** True when any thread has an installed context (the zero-alloc gate
     instrumentation checks before doing per-request work). *)
+
+(** {2 Profiler frames} *)
+
+val profiling : unit -> bool
+(** True while any context keeps frames: one atomic load of their count,
+    the gate every {!Profile} entry point checks first. *)
+
+val frames : unit -> Frames.tree option
+(** The frame tree of the calling thread's installed context; [None]
+    without one, or when it keeps none. *)
+
+val profiled : (unit -> 'a) -> 'a * Frames.frame list
+(** [profiled f] gives the calling thread's context a fresh frame tree
+    (installing a temporary untraced context when there is none), runs
+    [f], restores what was there, and returns [f]'s result and root
+    frames — exactly [f]'s own, whatever other threads run.  An exception
+    from [f] propagates, dropping its frames. *)
+
+val keep_frames : unit -> Frames.tree
+(** Make the calling thread's context (an untraced one, installed, when
+    there is none) keep frames for good: the command-wide [--profile]. *)
 
 (** {2 Recording} *)
 
@@ -91,12 +119,14 @@ val add_attr : string -> Trace.value -> unit
 (** Attach an attribute to the innermost open span of the calling
     thread's installed context; a gated no-op without one. *)
 
-val charge_read : int -> unit
-(** [charge_read bytes] adds to the calling thread's installed context
-    (bytes + one op); a gated no-op without one.  Called by
-    [Store.Io_stats] alongside its global counters. *)
+val charge_read : before:int -> int -> unit
+(** [charge_read ~before bytes] adds to the calling thread's installed
+    context (bytes + one op); a gated no-op without one.  Called by
+    [Store.Io_stats] alongside its own counter, which stood at [before]
+    bytes; a context that keeps frames also counts the pages that counter
+    crossed. *)
 
-val charge_write : int -> unit
+val charge_write : before:int -> int -> unit
 
 val bump : ?by:int -> string -> unit
 (** Record a counter increment against the installed context; a gated
@@ -160,28 +190,25 @@ type completed = {
   c_qlog : Qlog.entry option;
       (** the request's query record ({!attach_qlog}); [None] when the
           request executed nothing *)
-  mutable c_profile : Xmutil.Json.t option;
-      (** attached by slow-query capture *)
+  c_profile : Frames.frame list option;
+      (** a slow-query capture's frames, passed to {!finish} *)
 }
 
 val set_ring_capacity : int -> unit
 (** Bound the ring (default 256 completed requests), keeping the newest
     entries that fit. *)
 
-val finish : t -> label:string -> outcome:string -> status:int ->
-  wall_s:float -> unit
-(** Seal the context into a {!completed} entry and push it onto the
-    ring, evicting the oldest entry beyond capacity. *)
+val finish : ?profile:Frames.frame list -> t -> label:string ->
+  outcome:string -> status:int -> wall_s:float -> unit
+(** Seal the context (and [profile], when given) into a {!completed}
+    entry and push it onto the ring, evicting the oldest entry beyond
+    capacity. *)
 
 val completed : unit -> completed list
 (** Ring contents, newest first. *)
 
 val find_completed : string -> completed option
 (** Look a completed request up by trace id. *)
-
-val attach_profile : trace_id:string -> Xmutil.Json.t -> bool
-(** Attach a profiler JSON to a ring entry; false when the trace id has
-    been evicted (or never finished). *)
 
 val reset_completed : unit -> unit
 (** Drop the ring (tests). *)

@@ -389,7 +389,6 @@ type sink = { db : t; sink_path : string; mutable dirty : bool }
 let installed = Atomic.make false
 let sink : sink option ref = ref None
 let sink_lock = Mutex.create ()
-let record_lock = Mutex.create ()
 let shutdown_registered = ref false
 
 let flush_global () =
@@ -442,7 +441,3 @@ let submit ~guard_hash ?predictions frames =
     | Some s ->
         record s.db ~guard_hash ?predictions frames;
         s.dirty <- true
-
-let serialized f =
-  Mutex.lock record_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock record_lock) f

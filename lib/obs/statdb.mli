@@ -14,8 +14,9 @@
     Off by default and zero-cost when off: {!enabled} is a single atomic
     load and the disabled {!submit} allocates nothing (enforced by the Gc
     test).  All mutation of a warehouse is serialized by an internal
-    mutex; {!serialized} additionally serializes whole profiled executions
-    so concurrent recorders never interleave frame collection. *)
+    mutex.  Recorded frames come from {!Ctx.profiled}, which keeps each
+    execution's frames in its own context, so concurrent recordings need
+    no lock around the execution. *)
 
 (** One summary row: everything recorded about one operator under one
     guard.  Counts are exact sums over recordings; times are cumulative
@@ -136,8 +137,3 @@ val submit :
 
 val flush_global : unit -> unit
 (** Save now if dirty (also runs on {!Shutdown}). *)
-
-val serialized : (unit -> 'a) -> 'a
-(** Run [f] holding the global recording lock.  The profiler is a single
-    global frame tree, so an execution that wants to be recorded must not
-    overlap another; {!Xmserve.Exec} wraps profiled executions here. *)

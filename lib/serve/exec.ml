@@ -75,7 +75,7 @@ let start ?trace_id store =
     trace_id =
       (match trace_id with
       | Some _ -> trace_id
-      | None -> Option.map Xmobs.Ctx.trace_id ctx);
+      | None -> Option.bind ctx Xmobs.Ctx.traced_id);
     ctx_io = Option.map (fun c -> (c, Xmobs.Ctx.io c)) ctx;
     io0 = Store.Io_stats.snapshot (Store.Shredded.stats store);
   }
@@ -148,14 +148,13 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
       ~out_nodes:!out_nodes ~cached:!cached outcome error
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
-     while operator-statistics recording or profiling could observe this
-     execution: a plan-cache hit skips the compile frames and a result
+     while operator-statistics recording is on or this thread's context
+     keeps frames: a plan-cache hit skips the compile frames and a result
      hit skips everything, which would write meaningless near-zero rows
      into the warehouse and profiles. *)
+  let keeps_frames = Option.is_some (Xmobs.Ctx.frames ()) in
   let use_cache =
-    Xmcache.enabled ()
-    && (not (Xmobs.Statdb.enabled ()))
-    && not (Xmobs.Profile.profiling ())
+    Xmcache.enabled () && (not (Xmobs.Statdb.enabled ())) && not keeps_frames
   in
   let guide = Store.Shredded.guide store in
   let guide_uid = Xml.Dataguide.uid guide in
@@ -246,47 +245,25 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
                Query_result { body = entry.Xmcache.body; compiled }
              else Rendered { body = entry.Xmcache.body; compiled })
   in
-  (* Operator-statistics recording (--stats-db): run the execution under
-     the global profiler and fold the frame tree, plus the compiled
-     shape's predicted closest-join cardinalities, into the warehouse.
-     The profiler is a single global frame tree, so recorded executions
-     are serialized on the shared recording lock.
-     An execution that already runs under the profiler (operator
-     --profile, slow-query capture) owns the frame tree; skip recording
-     rather than clobber it. *)
+  (* Operator-statistics recording (--stats-db): run the execution with
+     a fresh frame tree and fold the frames, plus the compiled shape's
+     predicted closest-join cardinalities, into the warehouse.  An
+     execution whose context already keeps frames (--profile, xmorph
+     profile, slow-query capture) is someone else's profile: not
+     recorded.  An aborted execution raises out of [Ctx.profiled],
+     dropping partial frames that would skew the history. *)
   let run_recorded () =
-    if (not (Xmobs.Statdb.enabled ())) || Xmobs.Profile.profiling () then
-      run ()
+    if (not (Xmobs.Statdb.enabled ())) || keeps_frames then run ()
     else
-      Xmobs.Statdb.serialized (fun () ->
-          (* Re-check under the lock: --profile may have grabbed the
-             frame tree between the gate and here. *)
-          if Xmobs.Profile.profiling () then run ()
-          else begin
-            Xmobs.Profile.enable ();
-            let harvest () =
-              let frames = Xmobs.Profile.roots () in
-              Xmobs.Profile.disable ();
-              frames
-            in
-            match run () with
-            | outcome ->
-                let frames = harvest () in
-                let predictions =
-                  match outcome with
-                  | Rendered { compiled; _ } | Query_result { compiled; _ } ->
-                      Xmorph.Interp.predicted_joins
-                        (Store.Shredded.guide store) compiled
-                  | Failed _ -> []
-                in
-                Xmobs.Statdb.submit ~guard_hash ~predictions frames;
-                outcome
-            | exception e ->
-                (* Partial frames from an aborted execution would skew
-                   the history; drop them. *)
-                ignore (harvest ());
-                raise e
-          end)
+      let outcome, frames = Xmobs.Ctx.profiled run in
+      let predictions =
+        match outcome with
+        | Rendered { compiled; _ } | Query_result { compiled; _ } ->
+            Xmorph.Interp.predicted_joins (Store.Shredded.guide store) compiled
+        | Failed _ -> []
+      in
+      Xmobs.Statdb.submit ~guard_hash ~predictions frames;
+      outcome
   in
   match (match serve_hit () with Some v -> v | None -> run_recorded ()) with
   | v ->

@@ -55,10 +55,11 @@ val execute :
 
     When {!Xmcache} is enabled, the compiled plan and the rendered body
     are looked up there first and inserted on a miss; both tiers are
-    bypassed entirely while {!Xmobs.Statdb} recording or
-    {!Xmobs.Profile} profiling is active, so warehouse history and
-    profiles always describe real executions.  A result-tier hit is
-    flagged in the query-log record's [cached] field.
+    bypassed entirely while {!Xmobs.Statdb} recording is on or the
+    calling thread's context keeps profiler frames, so warehouse history
+    and profiles always describe real executions; other threads' requests
+    keep their caches.  A result-tier hit is flagged in the query-log
+    record's [cached] field.
 
     [?guard_hash] is the precomputed {!Xmobs.Qlog.hash_text} of [guard];
     pass it when the caller already hashed the guard (the server does,

@@ -26,8 +26,6 @@ type t = {
   slots : Semaphore.Counting.t;
   slow_ms : float option;
   slow_log : string option;
-  slow_lock : Mutex.t; (* serializes slow-query captures: the profiler
-                          is process-global, single-capture-at-a-time *)
   (* rolling per-second windows behind GET /debug/timeseries, reported
      over [ts_window]; owned by the server so concurrent daemons — and
      tests — never share ring state *)
@@ -222,7 +220,6 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     slots = Semaphore.Counting.make workers;
     slow_ms;
     slow_log;
-    slow_lock = Mutex.create ();
     ts_window = window;
     ts_requests = Xmobs.Timeseries.create ~window Histogram;
     ts_errors = Xmobs.Timeseries.create ~window Counter;
@@ -297,51 +294,32 @@ let stats_json t =
       ("metrics", Xmobs.Metrics.to_json ()) ]
 
 (* Slow-query auto-capture: re-execute the over-threshold request once
-   under the per-operator profiler and attach the resulting JSON to the
-   request's trace-ring entry (and, optionally, a --slow-log artifact).
-   The profiler is process-global single-domain state, so captures are
-   serialized by [slow_lock].  When the operator already owns the
-   profiler (--profile), skip — a capture would clobber their frame
-   tree.  Concurrent request traffic
-   during a capture only adds frames to the captured tree (systhreads
-   cannot data-race the profiler); the capture is a diagnostic artifact,
-   not an exact replay.  Runs synchronously before the triggering
-   response returns, delaying it by roughly one more execution. *)
+   and return its frames for [finish] to seal into the request's ring
+   entry (and, optionally, a --slow-log artifact).  Called after the
+   request's context is uninstalled, so [Ctx.profiled] runs it in a
+   temporary context of its own: its spans and metric increments stay
+   out of the request's trace, and no other request adds frames.  Runs
+   before the response returns, delaying it by about one execution. *)
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
-  if not (Xmobs.Profile.profiling ()) then begin
-    Mutex.lock t.slow_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.slow_lock)
-      (fun () ->
-        (* Re-check under the lock: an operator --profile enabled between
-           the gate and here still owns the frame tree. *)
-        (* Also hold the statdb recording lock: --stats-db executions
-           enable the same global profiler, and two owners of the frame
-           tree would interleave their frames. *)
-        Xmobs.Statdb.serialized @@ fun () ->
-        if not (Xmobs.Profile.profiling ()) then begin
-          Xmobs.Profile.enable ();
-          Fun.protect ~finally:Xmobs.Profile.disable
-            (fun () ->
-              ignore
-                (Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce
-                   ~trace_id ?query store guard));
-          let profile = Xmobs.Profile.to_json () in
-          ignore (Xmobs.Ctx.attach_profile ~trace_id profile);
-          Xmobs.Metrics.inc "serve.slow_captures";
-          match t.slow_log with
-          | None -> ()
-          | Some dir -> (
-              try
-                if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-                let path = Filename.concat dir (trace_id ^ ".json") in
-                let oc = open_out path in
-                output_string oc (Xmutil.Json.to_string ~pretty:true profile);
-                output_char oc '\n';
-                close_out_noerr oc
-              with Sys_error _ | Unix.Unix_error _ -> ())
-        end)
-  end
+  let _, frames =
+    Xmobs.Ctx.profiled (fun () ->
+        Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce ~trace_id
+          ?query store guard)
+  in
+  Xmobs.Metrics.inc "serve.slow_captures";
+  (match t.slow_log with
+  | None -> ()
+  | Some dir -> (
+      try
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        let path = Filename.concat dir (trace_id ^ ".json") in
+        let oc = open_out path in
+        output_string oc
+          (Xmutil.Json.to_string ~pretty:true (Xmobs.Profile.to_json frames));
+        output_char oc '\n';
+        close_out_noerr oc
+      with Sys_error _ | Unix.Unix_error _ -> ()));
+  frames
 
 (* The flight recorder's per-query work, run after the request is
    finished so that a bundle it writes includes that request: a metric
@@ -472,7 +450,16 @@ let handle_query t req =
         if guard = "" then req.Http.path
         else Xmobs.Qlog.hash_text req.Http.body
   in
-  Xmobs.Ctx.finish ctx ~label ~outcome:outcome_name
+  let profile =
+    match (t.slow_ms, executed) with
+    | Some threshold, Some (_, (doc_name, store, enforce, query))
+      when wall_s *. 1000. >= threshold ->
+        Some
+          (capture_slow t ~trace_id:(Xmobs.Ctx.trace_id ctx) ~doc_name
+             ~enforce ?query store req.Http.body)
+    | _ -> None
+  in
+  Xmobs.Ctx.finish ?profile ctx ~label ~outcome:outcome_name
     ~status:resp.Http.status ~wall_s;
   (let io = Xmobs.Ctx.io ctx in
    let blocks =
@@ -482,12 +469,6 @@ let handle_query t req =
    if blocks > 0 then Xmobs.Timeseries.bump ~by:blocks t.ts_blocks);
   (match executed with
   | Some (kind, _) when Xmobs.Flight.enabled () -> flight_after_query t kind
-  | _ -> ());
-  (match (t.slow_ms, executed) with
-  | Some threshold, Some (_, (doc_name, store, enforce, query))
-    when wall_s *. 1000. >= threshold ->
-      capture_slow t ~trace_id:(Xmobs.Ctx.trace_id ctx) ~doc_name ~enforce
-        ?query store req.Http.body
   | _ -> ());
   {
     resp with
@@ -564,7 +545,7 @@ let debug_trace trace_id =
           ("metrics", c.Xmobs.Ctx.c_metrics) ]
         @ (match c.Xmobs.Ctx.c_profile with
           | None -> []
-          | Some p -> [ ("profile", p) ])
+          | Some frames -> [ ("profile", Xmobs.Profile.to_json frames) ])
       in
       json_ok (Xmutil.Json.Obj fields)
 

@@ -74,8 +74,9 @@
     header, generating a fresh trace id otherwise — and the response
     carries [traceparent] and [x-xmorph-trace-id] headers.  With
     [?slow_ms] set, a request whose wall time meets the threshold is
-    re-executed once under the per-operator profiler (serialized) and
-    the profile JSON is attached to its ring entry (plus a
+    re-executed once under the per-operator profiler, in a context of
+    its own (no lock: concurrent captures each get exactly their own
+    frames), and the frames are sealed into its ring entry (plus a
     [<trace-id>.json] artifact under [?slow_log]).
 
     Concurrency: requests are handled by detached threads, with

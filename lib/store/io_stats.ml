@@ -43,18 +43,6 @@ let create () : t =
    as they do under BerkeleyDB's page cache. *)
 let blocks_of bytes = (bytes + block_size - 1) / block_size
 
-(* Cumulative blocks across every store instance, maintained only while the
-   profiler runs so per-operator block deltas can be attributed by
-   snapshotting around an operator's evaluation.  Per-instance block-delta
-   computation keeps the page-rounding semantics of [blocks_of] even with
-   several live stores.  Plain refs are fine: the profiler's frame stack is
-   a single-domain structure, and every render runs on its caller's domain,
-   so these are only touched from the profiling domain. *)
-let g_blocks_read = ref 0
-let g_blocks_written = ref 0
-let global_blocks () = (!g_blocks_read, !g_blocks_written)
-let () = Xmobs.Profile.set_io_source global_blocks
-
 let metric_handles t =
   let reg = Xmobs.Metrics.current_registry () in
   match t.handles with
@@ -115,34 +103,19 @@ let snapshot (t : t) : snapshot =
     write_ops = Atomic.get t.c_write_ops;
   }
 
+(* Mirror each charge into the calling thread's request context (its
+   spans' I/O, and its frames' pages crossed from [before]).  A render
+   charges on the thread that called it, so the attribution is exact. *)
 let charge_read (t : t) bytes =
-  if Xmobs.Profile.profiling () then begin
-    (* The profiler runs on one domain, so the read-modify-write around
-       the block attribution cannot race. *)
-    let before = blocks_of (Atomic.get t.c_bytes_read) in
-    ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
-    let after = blocks_of (Atomic.get t.c_bytes_read) in
-    if after > before then g_blocks_read := !g_blocks_read + (after - before)
-  end
-  else ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
+  let before = Atomic.fetch_and_add t.c_bytes_read bytes in
   ignore (Atomic.fetch_and_add t.c_read_ops 1);
-  (* Mirror into the calling thread's request context, whose spans carry
-     the I/O charged under them.  A render charges on the thread that
-     called it, so the attribution is exact. *)
-  Xmobs.Ctx.charge_read bytes;
+  Xmobs.Ctx.charge_read ~before bytes;
   publish t
 
 let charge_write (t : t) bytes =
-  if Xmobs.Profile.profiling () then begin
-    let before = blocks_of (Atomic.get t.c_bytes_written) in
-    ignore (Atomic.fetch_and_add t.c_bytes_written bytes);
-    let after = blocks_of (Atomic.get t.c_bytes_written) in
-    if after > before then
-      g_blocks_written := !g_blocks_written + (after - before)
-  end
-  else ignore (Atomic.fetch_and_add t.c_bytes_written bytes);
+  let before = Atomic.fetch_and_add t.c_bytes_written bytes in
   ignore (Atomic.fetch_and_add t.c_write_ops 1);
-  Xmobs.Ctx.charge_write bytes;
+  Xmobs.Ctx.charge_write ~before bytes;
   publish t
 
 let diff (later : snapshot) (earlier : snapshot) : snapshot =

@@ -14,7 +14,8 @@
     [store.blocks_read] / [store.blocks_written] / [store.read_ops] /
     [store.write_ops] gauges of the current {!Xmobs.Metrics} registry (when
     metrics are enabled), and the calling thread's {!Xmobs.Ctx} request
-    context, whose spans carry the I/O charged under them.
+    context, whose spans (and profiler frames) carry the I/O charged
+    under them.
 
     The library renders on the caller's domain and starts no domains of
     its own.  The byte/op counters are atomics, so a caller that charges
@@ -45,18 +46,12 @@ val reset : t -> unit
 val charge_read : t -> int -> unit
 (** [charge_read t bytes] records a read of [bytes] bytes.  When the
     calling thread has an {!Xmobs.Ctx} request context installed, the
-    charge is also mirrored into it (per-request I/O attribution).  A
-    render charges on the thread that called it, so the attribution is
+    charge is also mirrored into it (per-request I/O attribution, and
+    the page crossings of this counter for its frames).  A render
+    charges on the thread that called it, so the attribution is
     exact. *)
 
 val charge_write : t -> int -> unit
-
-val global_blocks : unit -> int * int
-(** Cumulative [(blocks_read, blocks_written)] summed over every store
-    instance.  Maintained only while {!Xmobs.Profile.profiling} is on
-    (registered as the profiler's I/O source at module initialisation);
-    the profiler snapshots it around each operator evaluation to
-    attribute block-I/O deltas per operator. *)
 
 val snapshot : t -> snapshot
 

@@ -47,7 +47,8 @@ end
 module Make (N : NAV) : sig
   val eval : N.t -> Qast.expr -> N.node Value.item_of list
   (** [eval doc e] evaluates [e] in document [doc].  Each expression node is
-      a {!Xmobs.Profile} frame while profiling is on. *)
+      a {!Xmobs.Profile} frame while the calling thread's context keeps
+      frames. *)
 
   val materialize : N.t -> N.node Value.item_of list -> Value.t
   (** Nodes materialized as trees, other items as they are. *)

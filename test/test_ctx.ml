@@ -106,6 +106,25 @@ let test_slot () =
   (try Ctx.with_ctx ctx (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check bool) "uninstalled after raise" true (Ctx.current () = None)
 
+(* A nested [with_ctx] hands the thread back to the outer context, on a
+   raise too, and leaves the installed count exact. *)
+let test_slot_nested () =
+  let outer = Ctx.create () and inner = Ctx.create () in
+  let current_id () = Option.map Ctx.trace_id (Ctx.current ()) in
+  Ctx.with_ctx outer (fun () ->
+      Ctx.with_ctx inner (fun () ->
+          Alcotest.(check (option string))
+            "inner installed" (Some (Ctx.trace_id inner)) (current_id ()));
+      Alcotest.(check (option string))
+        "outer restored" (Some (Ctx.trace_id outer)) (current_id ());
+      (try Ctx.with_ctx inner (fun () -> failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check (option string))
+        "outer restored after raise" (Some (Ctx.trace_id outer))
+        (current_id ()));
+  Alcotest.(check bool) "uninstalled after" true (Ctx.current () = None);
+  Alcotest.(check bool) "installed count back to zero" false (Ctx.active ())
+
 let span_names ctx =
   List.map (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name) (Ctx.entries ctx)
 
@@ -336,18 +355,22 @@ let test_ring_basics () =
   Alcotest.(check bool)
     "unknown id" true
     (Ctx.find_completed "deadbeef" = None);
-  (* Attach a profile after the fact (the slow-query capture path). *)
-  let profile = Xmutil.Json.Obj [ ("op", Xmutil.Json.String "render") ] in
-  Alcotest.(check bool)
-    "attach to live entry" true
-    (Ctx.attach_profile ~trace_id:id1 profile);
   (match Ctx.find_completed id1 with
+  | Some c -> Alcotest.(check bool) "no profile unless given" true
+                (c.Ctx.c_profile = None)
+  | None -> Alcotest.fail "entry vanished");
+  (* [finish ~profile] seals frames into the entry (the slow-query
+     capture path). *)
+  let ctx = Ctx.create () in
+  let (), profile =
+    Ctx.with_ctx ctx (fun () ->
+        Ctx.profiled (fun () -> Xmobs.Profile.op "render" (fun () -> ())))
+  in
+  Ctx.finish ~profile ctx ~label:"c" ~outcome:"ok" ~status:200 ~wall_s:0.001;
+  match Ctx.find_completed (Ctx.trace_id ctx) with
   | Some c -> Alcotest.(check bool) "profile attached" true
                 (c.Ctx.c_profile = Some profile)
-  | None -> Alcotest.fail "entry vanished");
-  Alcotest.(check bool)
-    "attach to unknown id" false
-    (Ctx.attach_profile ~trace_id:"deadbeef" profile)
+  | None -> Alcotest.fail "entry vanished"
 
 let test_ring_eviction () =
   Ctx.reset_completed ();
@@ -375,6 +398,8 @@ let suite =
     Alcotest.test_case "context traceparent round-trips" `Quick
       test_traceparent_of_ctx;
     Alcotest.test_case "thread slot install/uninstall" `Quick test_slot;
+    Alcotest.test_case "nested with_ctx restores the outer context" `Quick
+      test_slot_nested;
     Alcotest.test_case "phase spans land in the context, and nowhere without one"
       `Quick test_spans_land_in_ctx;
     Alcotest.test_case "spans carry their I/O and added attributes" `Quick

@@ -432,7 +432,6 @@ let test_ring_eviction_json () =
    small constant slack — far below one word per iteration. *)
 let test_disabled_path_no_alloc () =
   Metrics.disable ();
-  Xmobs.Profile.disable ();
   Xmobs.Statdb.disable ();
   Xmobs.Flight.disable ();
   Xmobs.Alerts.disable ();
@@ -460,8 +459,8 @@ let test_disabled_path_no_alloc () =
     (* The per-request context paths: with no context installed anywhere
        these must stay a single atomic load each. *)
     ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
-    Xmobs.Ctx.charge_read 4096;
-    Xmobs.Ctx.charge_write 4096;
+    Xmobs.Ctx.charge_read ~before:0 4096;
+    Xmobs.Ctx.charge_write ~before:0 4096;
     Xmobs.Ctx.bump "x";
     Xmobs.Ctx.observe "x" 1.0;
     (* The statistics warehouse: a disabled submit is one atomic load. *)
@@ -491,7 +490,25 @@ let test_disabled_path_no_alloc () =
   let delta = w1 -. w0 in
   if delta > 100.0 then
     Alcotest.failf "disabled path allocated %.0f minor words over 1000 calls"
-      delta
+      delta;
+  (* The served case: a request context is installed but keeps no
+     frames, so the profiler's gate is still one atomic load. *)
+  Xmobs.Ctx.with_ctx (Xmobs.Ctx.create ()) (fun () ->
+      ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
+        let tok = Xmobs.Profile.enter "x" in
+        Xmobs.Profile.add_in 1;
+        Xmobs.Profile.add_pairs 1;
+        Xmobs.Profile.exit tok
+      done;
+      let delta = Gc.minor_words () -. w0 in
+      if delta > 100.0 then
+        Alcotest.failf
+          "profiler gate under a frameless context allocated %.0f minor \
+           words over 1000 calls"
+          delta)
 
 let suite =
   [

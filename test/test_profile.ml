@@ -1,20 +1,25 @@
 (* The per-operator profiler: frame aggregation by name, count
    accumulation, self-vs-cumulative time, JSON round-tripping through
-   Xmutil.Json, and end-to-end attribution when a guard (and a guarded
-   query) runs under the profiler. *)
+   Xmutil.Json, end-to-end attribution when a guard (and a guarded
+   query) runs under the profiler, and exact per-context frames when two
+   threads profile at once. *)
 
 module Profile = Xmobs.Profile
+module Ctx = Xmobs.Ctx
 
-let with_profile f =
-  Profile.enable ();
-  Fun.protect f ~finally:Profile.disable
+(* [with_profile f] runs [f] with a fresh frame tree in this thread's
+   context; [roots ()] reads that tree while [f] runs. *)
+let with_profile f = ignore (Ctx.profiled f)
+
+let roots () =
+  match Ctx.frames () with Some tree -> Profile.roots tree | None -> []
 
 let find_or_fail path =
-  match Profile.lookup path with
+  match Profile.lookup (roots ()) path with
   | Some fr -> fr
   | None ->
       Alcotest.failf "no frame at %s in:\n%s" (String.concat "/" path)
-        (Profile.to_text ())
+        (Profile.to_text (roots ()))
 
 let test_frame_merge () =
   with_profile (fun () ->
@@ -71,7 +76,7 @@ let test_json_roundtrip () =
   with_profile (fun () ->
       Profile.op "a" (fun () ->
           Profile.op "b \"quoted\"\n" (fun () -> Profile.add_in 7));
-      let text = Xmutil.Json.to_string (Profile.to_json ()) in
+      let text = Xmutil.Json.to_string (Profile.to_json (roots ())) in
       match Xmutil.Json.of_string text with
       | exception _ -> Alcotest.fail "profile JSON does not parse"
       | parsed ->
@@ -91,14 +96,19 @@ let test_json_roundtrip () =
               | _ -> Alcotest.fail "child frame missing")
           | _ -> Alcotest.fail "unexpected profile JSON shape"))
 
+(* A nested profile starts from a fresh tree and hands the outer one
+   back untouched. *)
 let test_reset_discards () =
   with_profile (fun () ->
       Profile.op "gone" (fun () -> ());
-      Profile.reset ();
-      Alcotest.(check int) "reset drops collected frames" 0
-        (List.length (Profile.roots ()));
-      Profile.op "kept" (fun () -> ());
-      ignore (find_or_fail [ "kept" ]))
+      with_profile (fun () ->
+          Alcotest.(check int) "reset drops collected frames" 0
+            (List.length (roots ()));
+          Profile.op "kept" (fun () -> ());
+          ignore (find_or_fail [ "kept" ]));
+      ignore (find_or_fail [ "gone" ]);
+      Alcotest.(check bool) "the nested frames stay nested" true
+        (Profile.lookup (roots ()) [ "kept" ] = None))
 
 let doc =
   Xml.Doc.of_string
@@ -146,14 +156,66 @@ let test_xquery_profile () =
           Alcotest.(check int) "two names out in total" 2 step.Profile.out_count)
         [ "xquery.eval"; "logical.query" ])
 
+(* With no frame-keeping context the gate is off; with one, a context
+   that keeps none (nested over it here) still records nothing. *)
 let test_disabled_records_nothing () =
-  Profile.disable ();
-  Profile.reset ();
-  Profile.op "invisible" (fun () -> ());
-  let tok = Profile.enter "also-invisible" in
-  Profile.exit tok;
+  let invisible () =
+    Profile.op "invisible" (fun () -> ());
+    let tok = Profile.enter "also-invisible" in
+    Profile.exit tok
+  in
+  invisible ();
+  let (), frames =
+    Ctx.profiled (fun () -> Ctx.with_ctx (Ctx.create ()) invisible)
+  in
   Alcotest.(check int) "nothing recorded while disabled" 0
-    (List.length (Profile.roots ()))
+    (List.length frames)
+
+(* Two systhreads profile different guards at once, each in its own
+   context; the barriers keep both frame trees live together.  Each tree
+   holds exactly its own render and closest joins. *)
+let test_concurrent_profiles_exact () =
+  let store = Store.Shredded.shred doc in
+  let barrier () =
+    let m = Mutex.create () and c = Condition.create () and n = ref 0 in
+    fun () ->
+      Mutex.lock m;
+      incr n;
+      if !n >= 2 then Condition.broadcast c
+      else while !n < 2 do Condition.wait c m done;
+      Mutex.unlock m
+  in
+  let both_in = barrier () and both_done = barrier () in
+  let profile guard =
+    Ctx.with_ctx (Ctx.create ()) (fun () ->
+        snd
+          (Ctx.profiled (fun () ->
+               both_in ();
+               ignore (Xmorph.Interp.transform ~enforce:false store guard);
+               both_done ())))
+  in
+  let guards = [| "MORPH author [ name ]"; "MORPH name [ author ]" |] in
+  let results = Array.make 2 [] in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create (fun i -> results.(i) <- profile guards.(i)) i)
+  in
+  List.iter Thread.join threads;
+  let joins frames =
+    match Profile.lookup frames [ "render" ] with
+    | None -> Alcotest.fail "no render frame"
+    | Some render ->
+        Alcotest.(check int) "one render per profile" 1 render.Profile.calls;
+        List.filter_map
+          (fun (f : Profile.frame) ->
+            if String.starts_with ~prefix:"closest(" f.name then Some f.name
+            else None)
+          (Profile.ordered_children render)
+  in
+  Alcotest.(check (list string)) "first thread's joins only"
+    [ "closest(data.rec.author->data.rec.name)" ] (joins results.(0));
+  Alcotest.(check (list string)) "second thread's joins only"
+    [ "closest(data.rec.name->data.rec.author)" ] (joins results.(1))
 
 let suite =
   [
@@ -168,4 +230,6 @@ let suite =
     Alcotest.test_case "xquery attribution" `Quick test_xquery_profile;
     Alcotest.test_case "disabled records nothing" `Quick
       test_disabled_records_nothing;
+    Alcotest.test_case "concurrent profiles are exact" `Quick
+      test_concurrent_profiles_exact;
   ]

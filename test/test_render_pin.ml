@@ -57,9 +57,10 @@ let instances_digest doc guard =
 let profile_digest doc guard =
   let store = Store.Shredded.shred doc in
   let shape = compile store guard in
-  Xmobs.Profile.enable ();
-  Fun.protect ~finally:Xmobs.Profile.disable (fun () ->
-      ignore (Render.to_buffer store shape (Buffer.create 4096)));
+  let (), frames =
+    Xmobs.Ctx.profiled (fun () ->
+        ignore (Render.to_buffer store shape (Buffer.create 4096)))
+  in
   let b = Buffer.create 1024 in
   let rec walk depth (f : Xmobs.Profile.frame) =
     if String.starts_with ~prefix:"closest(" f.name then
@@ -67,7 +68,7 @@ let profile_digest doc guard =
         f.in_count f.out_count f.pairs f.calls;
     List.iter (walk (depth + 1)) (Xmobs.Profile.ordered_children f)
   in
-  List.iter (walk 0) (Xmobs.Profile.roots ());
+  List.iter (walk 0) frames;
   hex (Buffer.contents b)
 
 let docs =

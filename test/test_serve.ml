@@ -270,8 +270,8 @@ let test_read_request_edge_cases () =
 
 (* ---------- the daemon, end to end ---------- *)
 
-let with_server ?slow_ms ?slow_log ?window ?slo_error_rate f =
-  let store = make_store () in
+let with_server ?(store = make_store ()) ?slow_ms ?slow_log ?window
+    ?slo_error_rate f =
   let server =
     Xmserve.Server.create ~port:0 ~workers:2 ?slow_ms ?slow_log ?window
       ?slo_error_rate
@@ -699,6 +699,95 @@ let test_slow_capture () =
   Sys.remove path;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* A capture's frames are its own request's even while another client
+   loops on a different guard, every one of its requests captured too:
+   one render, and only this guard's closest joins.  The document is
+   big enough that executions outlast the HTTP round trips, and a
+   metrics observer yields the thread at every store charge, so the two
+   clients' executions interleave while a capture's frame tree is
+   live. *)
+let test_slow_capture_exact_under_load () =
+  Xmobs.Ctx.reset_completed ();
+  let book i =
+    Printf.sprintf
+      "<book><title>T%d</title><author><name>A%d</name></author>\
+       <publisher><name>P%d</name></publisher></book>"
+      i i i
+  in
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string
+         ("<data>" ^ String.concat "" (List.init 2000 book) ^ "</data>"))
+  in
+  with_server ~store ~slow_ms:0.0 @@ fun base _store ->
+  let yielder = Xmobs.Metrics.subscribe Thread.yield in
+  let stop = Atomic.make false and served = Atomic.make 0 in
+  let other_guard = "MORPH publisher [ name ]" in
+  let other =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          ignore (get ~meth:"POST" ~body:other_guard base "/query");
+          Atomic.incr served
+        done)
+      ()
+  in
+  let tids =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Thread.join other;
+        Xmobs.Metrics.unsubscribe yielder)
+      (fun () ->
+        while Atomic.get served < 2 do Thread.yield () done;
+        List.init 8 (fun _ ->
+            let _, headers, _ =
+              get ~meth:"POST" ~body:paper_guard base "/query"
+            in
+            trace_id_of headers))
+  in
+  (* Every captured profile in the ring, either client's, holds exactly
+     one compile and one render, and only its own guard's joins. *)
+  let check_profile (c : Xmobs.Ctx.completed) frames =
+    let mine = c.Xmobs.Ctx.c_label = Xmobs.Qlog.hash_text other_guard in
+    let calls path =
+      match Xmobs.Profile.lookup frames path with
+      | Some f -> f.Xmobs.Profile.calls
+      | None -> 0
+    in
+    Alcotest.(check (list string))
+      "roots" [ "compile"; "render" ]
+      (List.map (fun (f : Xmobs.Profile.frame) -> f.name) frames);
+    Alcotest.(check int) "compile calls=1" 1 (calls [ "compile" ]);
+    Alcotest.(check int) "render calls=1" 1 (calls [ "render" ]);
+    let joins =
+      match Xmobs.Profile.lookup frames [ "render" ] with
+      | Some render ->
+          List.filter
+            (fun (f : Xmobs.Profile.frame) ->
+              String.starts_with ~prefix:"closest(" f.name)
+            (Xmobs.Profile.ordered_children render)
+      | None -> []
+    in
+    Alcotest.(check bool) "closest joins recorded" true (joins <> []);
+    List.iter
+      (fun (f : Xmobs.Profile.frame) ->
+        Alcotest.(check bool) (f.name ^ " is this guard's") mine
+          (contains f.name "publisher"))
+      joins
+  in
+  List.iter
+    (fun tid ->
+      match Xmobs.Ctx.find_completed tid with
+      | Some { Xmobs.Ctx.c_profile = Some _; _ } -> ()
+      | Some _ -> Alcotest.fail "no profile attached"
+      | None -> Alcotest.fail "request missing from the trace ring")
+    tids;
+  List.iter
+    (fun (c : Xmobs.Ctx.completed) ->
+      Option.iter (check_profile c) c.Xmobs.Ctx.c_profile)
+    (Xmobs.Ctx.completed ())
+
 (* Two concurrent requests: disjoint trace ids and span trees, each
    retrievable by id, with per-request I/O deltas summing exactly to the
    store's global counters. *)
@@ -1021,6 +1110,8 @@ let suite =
       test_debug_endpoints;
     Alcotest.test_case "slow-query auto-capture attaches a profile" `Quick
       test_slow_capture;
+    Alcotest.test_case "slow-query capture is exact under concurrent load"
+      `Quick test_slow_capture_exact_under_load;
     Alcotest.test_case "concurrent requests: disjoint traces, I/O sums"
       `Quick test_concurrent_requests_disjoint;
     Alcotest.test_case "stats analyzer aggregates" `Quick test_analyze;
