@@ -48,13 +48,14 @@ lint:
 	@echo "lint: ok"
 
 # A one-shot --trace names what ran, not only that it ran: the loss span
-# carries its classification and the render span the store bytes it read.
+# carries its classification and the render span the store bytes it read
+# and the output bytes it wrote.
 TRACE ?= telemetry/trace.json
 trace-check:
 	@python3 -c 'import json, sys; \
 	ev = json.load(open(sys.argv[1]))["traceEvents"]; \
 	has = lambda n, k: any(e["name"] == n and k in e["args"] for e in ev); \
-	missing = [n + "." + k for n, k in [("loss", "classification"), ("render", "bytes_read")] if not has(n, k)]; \
+	missing = [n + "." + k for n, k in [("loss", "classification"), ("render", "bytes_read"), ("render", "bytes_written")] if not has(n, k)]; \
 	sys.exit(sys.argv[1] + ": no span attribute " + ", ".join(missing) if missing else 0)' $(TRACE)
 	@echo "trace-check: ok ($(TRACE))"
 

@@ -10,7 +10,13 @@
    our near-term development".  All three must agree on every answer: the
    section fails when they do not.  Expectation: (3) wins increasingly as
    the query gets more selective, because its cost tracks what the query
-   touches, not the document size. *)
+   touches, not the document size.  That holds for a positional slice of
+   the roots: [author[1]] and [author[position() <= 50]] are static
+   bounds, so the in-situ step pulls 1 or 50 root instances from the
+   virtual document and joins only their children, and its time stays
+   flat as the entries double.  A descendant step ([//title]) or a
+   predicate that reads values still visits every instance it scans, so
+   the full scan costs about what (1) does. *)
 
 let guard = "MORPH author [title [year]]"
 

@@ -383,6 +383,8 @@ module type SINK = sig
   val close_element : t -> string -> unit
 end
 
+let in_render_span f = Xmobs.Obs.phase "render" @@ fun () -> Xmobs.Profile.op "render" f
+
 module Emit (S : SINK) = struct
   let text sink s pos len = if len > 0 then S.text sink s pos len
 
@@ -425,10 +427,9 @@ module Emit (S : SINK) = struct
      time.  Each root instance is one tree of the output forest; with
      [wrapper], a forest of other than one tree is written inside a
      [wrapper] element, so the roots' instances are found before the
-     first call. *)
-  let render ?wrapper store sink (shape : Tshape.t) =
-    Xmobs.Obs.phase "render" @@ fun () ->
-    Xmobs.Profile.op "render" @@ fun () ->
+     first call.  [emit] runs in the caller's span; [render] opens the
+     [render] span and frame around it. *)
+  let emit ?wrapper store sink (shape : Tshape.t) =
     let rctx = make_rctx store in
     let roots =
       List.map
@@ -446,6 +447,8 @@ module Emit (S : SINK) = struct
               Array.iter (fun id -> walk store sink plan id) ids))
       roots;
     Option.iter (S.close_element sink) wrapper
+
+  let render ?wrapper store sink shape = in_render_span (fun () -> emit ?wrapper store sink shape)
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -463,7 +466,8 @@ let to_tree ?(wrapper = "result") store shape =
 
 (* [flush], when given, is handed the buffer's bytes after each element
    closes, and the buffer is cleared.  The bytes are charged as one write
-   once the walk is done. *)
+   once the walk is done, inside the [render] span, which so carries them
+   as [bytes_written]. *)
 let write ?wrapper ?indent store shape ?flush buf =
   let start = Buffer.length buf and flushed = ref 0 in
   let on_close =
@@ -475,9 +479,13 @@ let write ?wrapper ?indent store shape ?flush buf =
       flush
   in
   let w = Xml.Printer.Writer.create ?indent ?on_close buf in
-  Bytes_emit.render ?wrapper store w shape;
-  let bytes = !flushed + Buffer.length buf - start in
-  Store_.Io_stats.charge_write (Store_.Shredded.stats store) bytes;
+  let bytes =
+    in_render_span @@ fun () ->
+    Bytes_emit.emit ?wrapper store w shape;
+    let bytes = !flushed + Buffer.length buf - start in
+    Store_.Io_stats.charge_write (Store_.Shredded.stats store) bytes;
+    bytes
+  in
   { elements = Xml.Printer.Writer.elements w; bytes }
 
 let stream store shape sink = write store shape ~flush:sink (Buffer.create 1024)

@@ -26,7 +26,9 @@ type node =
   | Tree of Xml.Tree.t
 
 let virts kids =
-  List.concat_map (fun (h, ids) -> Array.to_list (Array.map (fun i -> Virt (h, i)) ids)) kids
+  Seq.concat_map
+    (fun (h, ids) -> Seq.map (fun i -> Virt (h, i)) (Array.to_seq ids))
+    (List.to_seq kids)
 
 (* The navigation signature over the virtual document: each step into a
    virtual element's children runs its closest joins, one per target edge. *)
@@ -38,18 +40,20 @@ module Virtual = struct
 
   (* A virtual element's text precedes its element children, as in
      Render.to_tree; the document node has the render's wrapper as its only
-     child when there is one. *)
+     child when there is one.  Root instances stream from their id arrays,
+     so a bounded step over the roots makes nodes for the run it keeps; an
+     instance's children are its joins, computed at once. *)
   let children t ~text = function
     | Doc -> (
         let roots = Nav.roots t.nav in
-        match Nav.wrapper roots with Some w -> [ Wrapper w ] | None -> virts roots)
+        match Nav.wrapper roots with Some w -> Seq.return (Wrapper w) | None -> virts roots)
     | Wrapper _ -> virts (Nav.roots t.nav)
     | Virt (h, id) ->
         let kids = virts (Nav.element_children t.nav h id) in
         let value = if text then Nav.value t.nav h id else "" in
-        if value = "" then kids else Text value :: kids
-    | Text _ -> []
-    | Tree n -> List.map (fun c -> Tree c) (Xml.Tree.children n)
+        if value = "" then kids else Seq.cons (Text value) kids
+    | Text _ -> Seq.empty
+    | Tree n -> Seq.map (fun c -> Tree c) (List.to_seq (Xml.Tree.children n))
 
   let text _ = function
     | Text s | Tree (Xml.Tree.Text s) -> Some s

@@ -7,7 +7,7 @@ module type NAV = sig
   type node
 
   val document : t -> node
-  val children : t -> text:bool -> node -> node list
+  val children : t -> text:bool -> node -> node Seq.t
   val text : t -> node -> string option
   val name : t -> node -> string
   val attributes : t -> node -> (string * string) list
@@ -48,6 +48,47 @@ let expr_label (e : Qast.expr) =
   | Qast.Element (n, _, _) -> "element(" ^ n ^ ")"
   | Qast.Quantified (Qast.Some_, _, _, _) -> "some"
   | Qast.Quantified (Qast.Every, _, _, _) -> "every"
+
+(* An expression with one value for every item of a step: number literals,
+   variables and arithmetic over them.  It names no context item, relative
+   path, position() or last(). *)
+let rec static (e : Qast.expr) =
+  match e with
+  | Qast.Literal_number _ | Qast.Var _ -> true
+  | Qast.Arith (_, a, b) -> static a && static b
+  | Qast.Neg a -> static a
+  | _ -> false
+
+(* A predicate that keeps a run of positions fixed before any item is
+   seen: [[e]], [position() <= e], [position() < e], [position() = e] and
+   their mirrors, with [e] static.  [`Eq] keeps the position equal to the
+   value, [`Le] those at most it, [`Lt] those below it. *)
+let positional_bound (p : Qast.expr) =
+  let position = Qast.Call ("position", []) in
+  match p with
+  | e when static e -> Some (`Eq, e)
+  | Qast.Compare (op, l, e) when l = position && static e -> (
+      match op with
+      | Qast.Eq -> Some (`Eq, e)
+      | Qast.Le -> Some (`Le, e)
+      | Qast.Lt -> Some (`Lt, e)
+      | _ -> None)
+  | Qast.Compare (op, e, r) when r = position && static e -> (
+      match op with
+      | Qast.Eq -> Some (`Eq, e)
+      | Qast.Ge -> Some (`Le, e)
+      | Qast.Gt -> Some (`Lt, e)
+      | _ -> None)
+  | _ -> None
+
+(* The positions 1, 2, ... a bound with value [f] keeps, as the number of
+   items to skip and the number to take after them. *)
+let window kind f =
+  let upto g = if not (g >= 1.) then 0 else if g >= 0x1p62 then max_int else int_of_float g in
+  match kind with
+  | `Le -> (0, upto f)
+  | `Lt -> (0, upto (Float.ceil f -. 1.))
+  | `Eq -> if Float.is_integer f && f >= 1. && f < 0x1p62 then (int_of_float f - 1, 1) else (0, 0)
 
 module Make (N : NAV) = struct
   type item = N.node Value.item_of
@@ -108,20 +149,21 @@ module Make (N : NAV) = struct
   let children env test n =
     N.children env.doc.nav ~text:(match test with Qast.Text -> true | _ -> false) n
 
-  let child_step env test = function
-    | Value.Node n -> List.filter_map (select env test) (children env test n)
-    | _ -> []
+  let child_seq env test = function
+    | Value.Node n -> Seq.filter_map (select env test) (children env test n)
+    | _ -> Seq.empty
+
+  let child_step env test it = List.of_seq (child_seq env test it)
 
   (* Preorder, so that results come out in document order. *)
   let descendant_step env test = function
     | Value.Node n ->
-        let rec go acc = function
-          | [] -> acc
-          | c :: rest ->
-              let acc =
-                match select env test c with Some it -> it :: acc | None -> acc
-              in
-              go (go acc (children env test c)) rest
+        let rec go acc kids =
+          Seq.fold_left
+            (fun acc c ->
+              let acc = match select env test c with Some it -> it :: acc | None -> acc in
+              go acc (children env test c))
+            acc kids
         in
         List.rev (go [] (children env test n))
     | _ -> []
@@ -249,11 +291,39 @@ module Make (N : NAV) = struct
       | Qast.Descendant -> descendant_step env test
       | Qast.Attribute -> attribute_step env test
     in
+    (* A child step whose first predicate is a static positional bound
+       pulls only the run the bound keeps.  The bound is evaluated once,
+       for the first item; a value other than one number (or an error,
+       which the generic path raises only if some item is selected) falls
+       back to evaluating the predicate per item. *)
+    let bounded =
+      match (axis, preds) with
+      | Qast.Child, p :: rest -> (
+          match positional_bound p with
+          | Some (kind, e) ->
+              let value =
+                lazy
+                  (match eval_expr env e with
+                  | [ Value.Num f ] -> Some (window kind f)
+                  | _ | (exception Error _) -> None)
+              in
+              Some (value, rest)
+          | None -> None)
+      | _ -> None
+    in
     (* XPath semantics: predicates (and position()/last()) apply within each
        context node's selection, before the per-node results are concatenated. *)
     List.concat_map
       (fun it ->
-        let selected = step_fn it in
+        let selected, preds =
+          match bounded with
+          | Some (value, rest) -> (
+              match Lazy.force value with
+              | Some (skip, take) ->
+                  (List.of_seq (Seq.take take (Seq.drop skip (child_seq env test it))), rest)
+              | None -> (step_fn it, preds))
+          | None -> (step_fn it, preds)
+        in
         List.fold_left (fun acc p -> apply_predicate env acc p) selected preds)
       base
 
@@ -265,7 +335,7 @@ module Make (N : NAV) = struct
           eval_expr { env with context = Some it; position = i + 1; size = n } p
         in
         match v with
-        | [ Value.Num f ] -> int_of_float f = i + 1
+        | [ Value.Num f ] -> f = float_of_int (i + 1)
         | _ -> Value.effective_bool v)
       items
 
@@ -514,8 +584,8 @@ module Tree = struct
   let document doc = doc
 
   let children _ ~text:_ = function
-    | Xml.Tree.Element { children; _ } -> children
-    | Xml.Tree.Text _ -> []
+    | Xml.Tree.Element { children; _ } -> List.to_seq children
+    | Xml.Tree.Text _ -> Seq.empty
 
   let text _ = function
     | Xml.Tree.Text s -> Some s

@@ -25,9 +25,12 @@ module type NAV = sig
   val document : t -> node
   (** The document node, parent of the root element ([/]). *)
 
-  val children : t -> text:bool -> node -> node list
+  val children : t -> text:bool -> node -> node Seq.t
   (** Children in document order, text nodes included at least when
-      [text]. *)
+      [text].  The evaluator pulls only what it keeps: a child step whose
+      first predicate is a static positional bound ([[2]],
+      [position() <= $k], ...) forces no child past the bound's run, so
+      an instance that computes children on demand pays for those alone. *)
 
   val text : t -> node -> string option
   (** The content of a text node; [None] for an element. *)

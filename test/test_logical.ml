@@ -160,22 +160,24 @@ let rec new_parent_attributes tt nav h id =
     0
     (Xmorph.Render.Nav.children nav h id)
 
+(* A random document with a random guard over its own labels. *)
+let gen_guard_case =
+  QCheck2.Gen.(
+    let* doc = Gen.gen_doc in
+    let tt = Xml.Doc.types doc in
+    let labels = ref [] in
+    Xml.Type_table.iter tt (fun ty ->
+        labels := Xml.Type_table.label tt ty :: Xml.Type_table.qname tt ty :: !labels);
+    let vocab =
+      { Test_guard_prop.label = oneofl !labels; literal = oneofl [ "hello"; "1984" ];
+        order_by = true }
+    in
+    let* guard = Test_guard_prop.gen_guard_over vocab in
+    return (doc, Xmorph.Ast.to_string guard))
+
 let test_random_guard_answers () =
   let compiled = ref 0 and new_attrs = ref 0 in
-  let gen =
-    QCheck2.Gen.(
-      let* doc = Gen.gen_doc in
-      let tt = Xml.Doc.types doc in
-      let labels = ref [] in
-      Xml.Type_table.iter tt (fun ty ->
-          labels := Xml.Type_table.label tt ty :: Xml.Type_table.qname tt ty :: !labels);
-      let vocab =
-        { Test_guard_prop.label = oneofl !labels; literal = oneofl [ "hello"; "1984" ];
-          order_by = true }
-      in
-      let* guard = Test_guard_prop.gen_guard_over vocab in
-      return (doc, Xmorph.Ast.to_string guard))
-  in
+  let gen = gen_guard_case in
   let prop (doc, guard) =
     let store = Store.Shredded.shred doc in
     match Logical.create ~enforce:false store ~guard with
@@ -215,6 +217,45 @@ let test_random_guard_answers () =
        !new_attrs)
     true (!new_attrs > 0)
 
+(* The bounded child step agrees with the per-item predicate over the
+   virtual document too, the root run included. *)
+let test_bound_oracle () =
+  let pairs = ref 0 and nonempty = ref 0 in
+  let gen =
+    QCheck2.Gen.(
+      let* doc, guard = gen_guard_case in
+      let* pick = int_range 0 9 in
+      let* operand = oneofl Test_xquery.bound_operands in
+      return (doc, guard, pick, operand))
+  in
+  let prop (doc, guard, pick, operand) =
+    match Logical.create ~enforce:false (Store.Shredded.shred doc) ~guard with
+    | exception _ -> true
+    | lg ->
+        let run q = Logical.query lg q in
+        let n =
+          List.fold_left
+            (fun m it ->
+              match it with Xquery.Value.Num f -> max m (int_of_float f) | _ -> m)
+            0
+            (run "(count(/*), count(/*/*), for $x in //* return count($x/*))")
+        in
+        let value = List.nth (Test_xquery.bound_values n) pick in
+        Test_xquery.check_bound_pairs ~run ~pairs ~nonempty
+          (Test_xquery.bound_queries ~paths:[ "/*"; "/*/*"; "//*/*"; "//*/text()" ] ~operand
+             value);
+        true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"bounded step = per-item predicate (virtual)" ~count:300
+       ~print:(fun (doc, g, _, o) ->
+         Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g ^ "\noperand " ^ o)
+       (* unshrunk, as above *)
+       (QCheck2.Gen.no_shrink gen) prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d bounded answers non-empty" !nonempty !pairs)
+    true (!nonempty > 0)
+
 let suite =
   [
     Alcotest.test_case "agrees with physical (query battery)" `Quick
@@ -232,4 +273,6 @@ let suite =
     Alcotest.test_case "NEW parent over an attribute" `Quick test_new_parent_attribute;
     Alcotest.test_case "logical = physical on random guards" `Quick
       test_random_guard_answers;
+    Alcotest.test_case "bounded step = per-item predicate (virtual)" `Quick
+      test_bound_oracle;
   ]

@@ -209,3 +209,172 @@ let test_qast_pp_roundtrip () =
 
 let suite =
   suite @ [ Alcotest.test_case "Qast pp roundtrip" `Quick test_qast_pp_roundtrip ]
+
+(* --- positional bounds --- *)
+
+let numbered = Xml.Parser.parse "<r><a>1</a><a>2</a><a>3</a></r>"
+
+(* A numeric predicate keeps the item whose position equals it exactly,
+   whether the bound recognizes it ([2.5]) or it is evaluated per item
+   ([. + 0.5]). *)
+let test_numeric_predicate () =
+  let check msg src expected =
+    Alcotest.(check (list string)) msg expected
+      (List.map Xquery.Value.string_value (Xquery.Eval.run numbered src))
+  in
+  check "[2]" "/r/a[2]" [ "2" ];
+  check "[2.5]" "/r/a[2.5]" [];
+  check "[1.9]" "/r/a[1.9]" [];
+  check "[position() = 2.5]" "/r/a[position() = 2.5]" [];
+  check "[. + 0.5]" "/r/a[. + 0.5]" [];
+  check "[. * 1]" "/r/a[. * 1]" [ "1"; "2"; "3" ];
+  check "[position() < 2.5]" "/r/a[position() < 2.5]" [ "1"; "2" ];
+  check "[2.5 >= position()]" "/r/a[2.5 >= position()]" [ "1"; "2" ];
+  check "[$k]" "let $k := 3 return /r/a[$k]" [ "3" ];
+  check "[$k] bound to text" "let $k := \"x\" return /r/a[$k]" [ "1"; "2"; "3" ];
+  check "[position() <= 2][2]" "/r/a[position() <= 2][2]" [ "2" ];
+  check "[position() <= 2][last()]" "/r/a[position() <= 2][last()]" [ "2" ]
+
+(* Each bound form with operand [k], paired with a predicate the bound does
+   not recognize and that keeps the same positions, so the evaluator runs
+   it item by item. *)
+let bound_forms k =
+  let f = Printf.sprintf in
+  [ (f "[%s]" k, f "[%s + 0 * last()]" k);
+    (f "[position() <= %s]" k, f "[position() <= %s and true()]" k);
+    (f "[position() < %s]" k, f "[position() < %s and true()]" k);
+    (f "[position() = %s]" k, f "[position() = %s and true()]" k);
+    (f "[%s >= position()]" k, f "[%s >= position() and true()]" k);
+    (f "[%s > position()]" k, f "[%s > position() and true()]" k);
+    (f "[%s = position()]" k, f "[%s = position() and true()]" k);
+    (f "[%s][*]" k, f "[%s + 0 * last()][*]" k);
+    (f "[position() <= %s][last()]" k, f "[position() <= %s and true()][last()]" k) ]
+
+(* The bounds the oracle properties draw, around [n], the most children
+   one node has. *)
+let bound_values n =
+  [ "-1"; "0"; "0.5"; "1"; "1.5"; "2"; string_of_int (n - 1); string_of_int n;
+    string_of_int (n + 1); "1000000" ]
+
+(* The operand is the number itself, a variable bound to it, or
+   arithmetic over the variable. *)
+let bound_operands = [ "literal"; "$k"; "($k * 2 - $k)" ]
+
+(* Every (query, oracle) pair for one bound value over the given paths. *)
+let bound_queries ~paths ~operand value =
+  let k = if operand = "literal" then value else operand in
+  List.concat_map
+    (fun path ->
+      List.map
+        (fun (bounded, oracle) ->
+          let wrap p = Printf.sprintf "let $k := %s return %s%s" value path p in
+          (wrap bounded, wrap oracle))
+        (bound_forms k))
+    paths
+
+(* Compares each pair with [run]; counts the pairs and the non-empty
+   answers. *)
+let check_bound_pairs ~run ~pairs ~nonempty queries =
+  List.iter
+    (fun (q, oracle) ->
+      let a = Xquery.Value.to_string (run q) and b = Xquery.Value.to_string (run oracle) in
+      incr pairs;
+      if a <> "" then incr nonempty;
+      if a <> b then QCheck2.Test.fail_reportf "%s\n  bounded: %s\n  oracle:  %s" q a b)
+    queries
+
+(* Trees wider than [Gen.gen_tree]'s, so bounds near [n] cut real runs. *)
+let rec gen_wide depth =
+  QCheck2.Gen.(
+    let* name = oneofl [ "a"; "b" ] in
+    let* n = if depth = 0 then return 0 else int_range 0 7 in
+    let* children =
+      list_size (return n)
+        (oneof [ gen_wide (depth - 1); map (fun s -> Xml.Tree.Text s) (oneofl [ "x"; "2" ]) ])
+    in
+    return (Xml.Tree.Element { name; attrs = []; children }))
+
+let rec most_children = function
+  | Xml.Tree.Element { children; _ } ->
+      List.fold_left (fun m c -> max m (most_children c)) (List.length children) children
+  | Xml.Tree.Text _ -> 0
+
+let test_bound_oracle () =
+  let pairs = ref 0 and nonempty = ref 0 in
+  let gen =
+    QCheck2.Gen.(
+      let* tree = int_range 1 3 >>= gen_wide in
+      let* value = oneofl (bound_values (most_children tree)) in
+      let* operand = oneofl bound_operands in
+      return (tree, value, operand))
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"bounded step = per-item predicate (trees)" ~count:300
+       ~print:(fun (t, v, o) -> Xml.Printer.to_string t ^ "\nbound " ^ v ^ " as " ^ o)
+       (* unshrunk: the failing query is reported, and the tree prints small *)
+       (QCheck2.Gen.no_shrink gen)
+       (fun (tree, value, operand) ->
+         check_bound_pairs ~run:(Xquery.Eval.run tree) ~pairs ~nonempty
+           (bound_queries ~paths:[ "//*/*"; "//*/a"; "//*/text()"; "/*" ] ~operand value);
+         true));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d bounded answers non-empty" !nonempty !pairs)
+    true (!nonempty > 0)
+
+(* A navigation over Xml.Tree that counts the [a] children it hands out. *)
+let pulled = ref 0
+
+module Counting = struct
+  type t = Xml.Tree.t
+  type node = Xml.Tree.t
+
+  let document doc = doc
+
+  let children _ ~text:_ = function
+    | Xml.Tree.Element { children; _ } ->
+        Seq.map
+          (fun c ->
+            if Xml.Tree.name c = "a" then incr pulled;
+            c)
+          (List.to_seq children)
+    | Xml.Tree.Text _ -> Seq.empty
+
+  let text _ = function Xml.Tree.Text s -> Some s | Xml.Tree.Element _ -> None
+  let name _ n = Xml.Tree.name n
+  let attributes _ = function
+    | Xml.Tree.Element { attrs; _ } -> attrs
+    | Xml.Tree.Text _ -> []
+  let string_value _ n = Xml.Tree.deep_text n
+  let of_tree n = n
+  let materialize _ n = n
+end
+
+module Counting_eval = Xquery.Eval.Make (Counting)
+
+let test_bound_laziness () =
+  let wide =
+    Xml.Tree.element "r"
+      (List.init 10_000 (fun i -> Xml.Tree.element "a" [ Xml.Tree.Text (string_of_int (i + 1)) ]))
+  in
+  let doc = Xml.Tree.element "" [ wide ] in
+  let check src ~at_most expected =
+    pulled := 0;
+    let r = Counting_eval.eval doc (Xquery.Qparse.parse src) in
+    Alcotest.(check (list string)) src expected
+      (List.map Xquery.Value.string_value (Counting_eval.materialize doc r));
+    Alcotest.(check bool)
+      (Printf.sprintf "%s pulls %d a nodes (at most %d)" src !pulled at_most)
+      true (!pulled <= at_most)
+  in
+  check "/r/a[position() <= 3]" ~at_most:3 [ "1"; "2"; "3" ];
+  check "/r/a[2]" ~at_most:2 [ "2" ];
+  (* The unbounded step pulls them all. *)
+  pulled := 0;
+  ignore (Counting_eval.eval doc (Xquery.Qparse.parse "count(/r/a)"));
+  Alcotest.(check int) "count(/r/a) pulls every a" 10_000 !pulled
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "numeric predicates are exact" `Quick test_numeric_predicate;
+      Alcotest.test_case "bounded step = per-item predicate (trees)" `Quick test_bound_oracle;
+      Alcotest.test_case "bounded step pulls only its run" `Quick test_bound_laziness ]
