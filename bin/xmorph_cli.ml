@@ -999,11 +999,11 @@ let serve_cmd =
       slo_p95_ms slo_error_rate cache_mb incident_dir incident_keep
       debug_ring alert_rules =
     (* The daemon is multi-threaded, so an async [Sys.signal] handler can
-       be delivered to a worker thread that never reaches a
-       safepoint while the accept loop sits in [accept].  Block the
-       termination signals before any thread exists and consume them
-       deterministically with sigwait; [exit] then runs the shared
-       Shutdown flush chain (qlog, --metrics, --trace, ...). *)
+       be delivered to a thread that never reaches a safepoint while the
+       workers sit in [accept] and [run]'s thread in [Thread.join].
+       Block the termination signals before any thread exists and
+       consume them deterministically with sigwait; [exit] then runs the
+       shared Shutdown flush chain (qlog, --metrics, --trace, ...). *)
     ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
     ignore
       (Thread.create

@@ -561,12 +561,27 @@ let instances store (shape : Tshape.t) =
 
 module Nav = struct
   type nonrec handle = handle
-  type nonrec t = { rctx : rctx; roots : handle list }
+  type nonrec t = {
+    rctx : rctx;
+    handles : handle list;
+    roots : (handle * int array) list option Atomic.t;
+        (* selected on first use, once per [t]: two threads racing here
+           both select the same roots, where forcing one [Lazy.t] from two
+           threads would raise [Lazy.Undefined] *)
+  }
 
   let create store shape =
-    { rctx = make_rctx store; roots = handles (Store_.Shredded.types store) shape }
+    { rctx = make_rctx store;
+      handles = handles (Store_.Shredded.types store) shape;
+      roots = Atomic.make None }
 
-  let roots t = List.map (fun h -> (h, root_instances t.rctx h)) t.roots
+  let roots t =
+    match Atomic.get t.roots with
+    | Some r -> r
+    | None ->
+        let r = List.map (fun h -> (h, root_instances t.rctx h)) t.handles in
+        Atomic.set t.roots (Some r);
+        r
   let wrapper roots = wrap (count_trees roots)
 
   (* One level of the plan for one instance: each child's join, keyed on

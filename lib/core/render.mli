@@ -148,8 +148,10 @@ module Nav : sig
   (** One handle per target node, built here once. *)
 
   val roots : t -> (handle * int array) list
-  (** Target roots with their instance ids (restrict/value filters applied).
-      A purely NEW root has the single pseudo-instance [-1]. *)
+  (** Target roots with their instance ids (restrict/value filters applied,
+      ORDER-BY sorted).  A purely NEW root has the single pseudo-instance
+      [-1].  Selected on the first call; later calls return the same
+      arrays. *)
 
   val wrapper : (handle * int array) list -> string option
   (** [Some "result"] when the roots make a forest of other than one tree. *)

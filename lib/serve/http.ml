@@ -109,18 +109,20 @@ let read_some fd buf =
       true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
 
-(* Find "\r\n\r\n"; tolerate bare "\n\n" from hand-typed clients. *)
-let find_header_end s =
-  let n = String.length s in
+(* Find "\r\n\r\n" at or after [from] in the [n] bytes [get] reads;
+   tolerate bare "\n\n" from hand-typed clients. *)
+let header_end get n from =
   let rec go i =
-    if i + 3 < n && s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-       && s.[i + 3] = '\n'
+    if i + 3 < n && get i = '\r' && get (i + 1) = '\n' && get (i + 2) = '\r'
+       && get (i + 3) = '\n'
     then Some (i, 4)
-    else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2)
-    else if i + 3 < n then go (i + 1)
+    else if i + 1 < n && get i = '\n' && get (i + 1) = '\n' then Some (i, 2)
+    else if i + 1 < n then go (i + 1)
     else None
   in
-  go 0
+  go from
+
+let find_header_end s = header_end (String.get s) (String.length s) 0
 
 let trim = String.trim
 
@@ -152,22 +154,34 @@ let parse_head head =
       in
       (meth, target, headers)
 
+(* The server's read path: one 4 KiB chunk per connection, and the search
+   for the header end resumes where the previous one stopped (less the
+   three bytes a terminator split across reads may have left behind). *)
 let read_request ?(max_header = 16 * 1024) ?(max_body = 4 * 1024 * 1024) fd =
+  let chunk = Bytes.create 4096 in
   let buf = Buffer.create 1024 in
-  let rec fill_header () =
-    match find_header_end (Buffer.contents buf) with
+  let read () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> false
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  in
+  let rec fill_header from =
+    let n = Buffer.length buf in
+    match header_end (Buffer.nth buf) n from with
     | Some cut -> Some cut
     | None ->
-        if Buffer.length buf > max_header then fail "header too large"
-        else if read_some fd buf then fill_header ()
-        else if Buffer.length buf = 0 then None
+        if n > max_header then fail "header too large"
+        else if read () then fill_header (max 0 (n - 3))
+        else if n = 0 then None
         else fail "unexpected EOF in header"
   in
-  match fill_header () with
+  match fill_header 0 with
   | None -> None
   | Some (head_end, sep_len) ->
-      let all = Buffer.contents buf in
-      let head = String.sub all 0 head_end in
+      let head = Buffer.sub buf 0 head_end in
       let meth, target, headers = parse_head head in
       let content_length =
         match List.assoc_opt "content-length" headers with
@@ -181,27 +195,27 @@ let read_request ?(max_header = 16 * 1024) ?(max_body = 4 * 1024 * 1024) fd =
       let body_start = head_end + sep_len in
       let rec fill_body () =
         if Buffer.length buf - body_start < content_length then
-          if read_some fd buf then fill_body ()
-          else fail "unexpected EOF in body"
+          if read () then fill_body () else fail "unexpected EOF in body"
       in
       fill_body ();
       let body = Buffer.sub buf body_start content_length in
       let path, query = split_target target in
       Some { meth; target; path; query; headers; body }
 
+(* The status line and headers go out in one write and the body in a
+   second, straight from [r.body]: no buffer holds a copy of it.  Accepted
+   sockets set TCP_NODELAY, so the body's last segment is not held back
+   behind the unacknowledged header segment. *)
 let write_response fd (r : response) =
-  let b = Buffer.create (String.length r.body + 256) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status (status_reason r.status));
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    r.headers;
-  Buffer.add_string b
-    (Printf.sprintf "content-length: %d\r\nconnection: close\r\n\r\n"
-       (String.length r.body));
-  Buffer.add_string b r.body;
-  let s = Buffer.contents b in
-  try write_all fd s 0 (String.length s)
+  let b = Buffer.create 256 in
+  Printf.bprintf b "HTTP/1.1 %d %s\r\n" r.status (status_reason r.status);
+  List.iter (fun (k, v) -> Printf.bprintf b "%s: %s\r\n" k v) r.headers;
+  Printf.bprintf b "content-length: %d\r\nconnection: close\r\n\r\n"
+    (String.length r.body);
+  let head = Buffer.contents b in
+  try
+    write_all fd head 0 (String.length head);
+    write_all fd r.body 0 (String.length r.body)
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
 (* ---------- client ---------- *)

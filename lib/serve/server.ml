@@ -1,13 +1,17 @@
-(* The serve daemon: accept loop + bounded worker threads.
+(* The serve daemon: a fixed pool of long-lived worker threads.
 
-   One thread per in-flight request, admission gated by a counting
-   semaphore sized to the worker budget: when [workers] requests are in
-   flight the accept loop blocks, so overload backpressures at the TCP
-   accept queue instead of growing an unbounded thread herd.  Handlers
-   share the process-wide observability state — the global metrics
-   registry (counters/gauges are atomic or word-sized), the store's
-   mutex-guarded caches, and the mutex-guarded query-log writer — so no
-   extra synchronization is needed here beyond the semaphore. *)
+   Each of the [workers] threads loops on [Unix.accept] over the one
+   listening socket, serves the connection it got (read one request,
+   route it, write the response, close), and accepts again.  At most
+   [workers] requests are in flight; past that, clients wait in the
+   kernel's accept queue (backlog 64), so overload backpressures instead
+   of growing a thread herd.  Handlers share the process-wide
+   observability state — the global metrics registry (counters/gauges
+   are atomic or word-sized), the store's mutex-guarded caches, and the
+   mutex-guarded query-log writer — so no extra synchronization is needed
+   here.  A worker keeps its thread id across requests, and [Xmobs.Ctx]
+   keys request contexts by thread id, so no context may outlive its
+   connection. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -23,7 +27,10 @@ type t = {
   listen_fd : Unix.file_descr;
   started : float;
   stopping : bool Atomic.t;
-  slots : Semaphore.Counting.t;
+  reading : Unix.file_descr option array;
+      (* per worker: the connection whose request it is reading, which
+         [stop] shuts down so that an idle client cannot hold it *)
+  reading_lock : Mutex.t;
   slow_ms : float option;
   slow_log : string option;
   (* rolling per-second windows behind GET /debug/timeseries, reported
@@ -217,7 +224,8 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     listen_fd = fd;
     started = now ();
     stopping = Atomic.make false;
-    slots = Semaphore.Counting.make workers;
+    reading = Array.make workers None;
+    reading_lock = Mutex.create ();
     slow_ms;
     slow_log;
     ts_window = window;
@@ -740,9 +748,30 @@ let record_request t ~route ~status ~wall_s =
   Xmobs.Timeseries.record t.ts_requests wall_s;
   if status >= 400 then Xmobs.Timeseries.bump t.ts_errors
 
-let handle_conn t fd =
+let shutdown_receive fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
+
+(* Worker [w] waits for the request on [fd].  Registered under
+   [reading_lock], so [stop] either finds the connection here or, when it
+   got there first, the worker sees [stopping] and shuts it itself; the
+   entry is cleared before [fd] can be closed. *)
+let set_reading t w v =
+  Mutex.lock t.reading_lock;
+  t.reading.(w) <- v;
+  (match v with
+  | Some fd when Atomic.get t.stopping -> shutdown_receive fd
+  | _ -> ());
+  Mutex.unlock t.reading_lock
+
+let await_request t w fd =
+  set_reading t w (Some fd);
+  Fun.protect
+    ~finally:(fun () -> set_reading t w None)
+    (fun () -> Http.read_request fd)
+
+let handle_conn t w fd =
   let t0 = now () in
-  match Http.read_request fd with
+  match await_request t w fd with
   | None -> ()
   | Some req ->
       let resp =
@@ -758,30 +787,45 @@ let handle_conn t fd =
       Http.write_response fd (Http.response 400 (m ^ "\n"))
   | exception Unix.Unix_error _ -> ()
 
-let run t =
+(* One connection, start to close.  Nothing it raises may escape: the
+   worker serves the next connection whatever became of this one.  No
+   request context outlives the connection on the worker's thread, whose
+   id the next request's context is keyed by. *)
+let serve_conn t w fd =
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  (try handle_conn t w fd
+   with e ->
+     Printf.eprintf "xmorph serve: connection dropped: %s\n%!"
+       (Printexc.to_string e));
+  Xmobs.Ctx.uninstall ();
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Worker [w]: accept, serve, close, until [stop] shuts the listener.  A
+   failed accept other than the shutdown (EMFILE, say) backs off and
+   retries, so the pool never shrinks. *)
+let worker t w =
   let rec loop () =
-    if not (Atomic.get t.stopping) then begin
+    if not (Atomic.get t.stopping) then
       match Unix.accept t.listen_fd with
       | fd, _ ->
-          Semaphore.Counting.acquire t.slots;
-          ignore
-            (Thread.create
-               (fun fd ->
-                 Fun.protect
-                   ~finally:(fun () ->
-                     Semaphore.Counting.release t.slots;
-                     try Unix.close fd with Unix.Unix_error _ -> ())
-                   (fun () -> handle_conn t fd))
-               fd);
+          serve_conn t w fd;
           loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> loop ()
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+          loop ()
       | exception Unix.Unix_error _ ->
-          (* listening socket shut down (stop) or otherwise unusable *)
-          ()
-    end
+          if not (Atomic.get t.stopping) then begin
+            Thread.delay 0.01;
+            loop ()
+          end
   in
   loop ()
+
+(* The listener is closed only here, once no worker can call [accept]
+   on it: closed any earlier, its descriptor could be reused by a file
+   opened meanwhile. *)
+let run t =
+  List.init t.workers (Thread.create (worker t)) |> List.iter Thread.join;
+  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
 
 let start t =
   match t.thread with
@@ -789,14 +833,15 @@ let start t =
   | None -> t.thread <- Some (Thread.create run t)
 
 let stop t =
-  if not (Atomic.get t.stopping) then begin
-    Atomic.set t.stopping true;
+  if not (Atomic.exchange t.stopping true) then begin
     (* Join the alert ticker before tearing the listener down: a tick
        mid-shutdown would race the sinks against process exit. *)
     if t.alerts_on then Xmobs.Alerts.disable ();
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    Mutex.lock t.reading_lock;
+    Array.iter (Option.iter shutdown_receive) t.reading;
+    Mutex.unlock t.reading_lock;
     match t.thread with
     | Some th ->
         Thread.join th;

@@ -79,10 +79,12 @@
     frames), and the frames are sealed into its ring entry (plus a
     [<trace-id>.json] artifact under [?slow_log]).
 
-    Concurrency: requests are handled by detached threads, with
-    admission bounded by a fixed worker budget — the accept loop blocks
-    once [workers] requests are in flight, which backpressures clients
-    instead of queueing unboundedly. *)
+    Concurrency: [workers] long-lived threads, all on one domain, each
+    accepting on the shared listening socket and serving one connection
+    (one request) at a time.  At most [workers] requests are in flight;
+    further clients wait in the kernel's accept queue, which
+    backpressures them instead of queueing unboundedly.  An exception
+    escaping one connection closes that connection, never its worker. *)
 
 type t
 
@@ -127,11 +129,17 @@ val port : t -> int
 val addr : t -> string
 
 val run : t -> unit
-(** Serve until {!stop} (or process exit).  Blocks the calling thread. *)
+(** Serve until {!stop} (or process exit).  Blocks the calling thread:
+    starts the workers and, after {!stop}, joins them and closes the
+    listening socket.  Call it once. *)
 
 val start : t -> unit
 (** Spawn {!run} on a background thread (used by tests). *)
 
 val stop : t -> unit
-(** Close the listening socket; {!run} returns after the in-flight
-    requests finish. *)
+(** Shut the listening socket down, so no connection is accepted after
+    it, and stop reading from the connections whose request has not
+    arrived (a client that holds a connection open and sends nothing
+    cannot delay it).  Requests already read are answered.  When
+    {!start} spawned {!run}, returns after {!run} has; otherwise it does
+    not wait. *)

@@ -160,20 +160,36 @@ let rec new_parent_attributes tt nav h id =
     0
     (Xmorph.Render.Nav.children nav h id)
 
-(* A random document with a random guard over its own labels. *)
-let gen_guard_case =
+(* A random document with the guard vocabulary of its own labels. *)
+let gen_doc_vocab =
   QCheck2.Gen.(
     let* doc = Gen.gen_doc in
     let tt = Xml.Doc.types doc in
     let labels = ref [] in
     Xml.Type_table.iter tt (fun ty ->
         labels := Xml.Type_table.label tt ty :: Xml.Type_table.qname tt ty :: !labels);
-    let vocab =
-      { Test_guard_prop.label = oneofl !labels; literal = oneofl [ "hello"; "1984" ];
-        order_by = true }
-    in
+    return
+      ( doc,
+        { Test_guard_prop.label = oneofl !labels; literal = oneofl [ "hello"; "1984" ];
+          order_by = true } ))
+
+(* A random document with a random guard over its own labels. *)
+let gen_guard_case =
+  QCheck2.Gen.(
+    let* doc, vocab = gen_doc_vocab in
     let* guard = Test_guard_prop.gen_guard_over vocab in
     return (doc, Xmorph.Ast.to_string guard))
+
+(* A random document with a guard whose roots are sorted: the root run of
+   the virtual document is an ORDER-BY selection. *)
+let gen_sorted_root_case =
+  QCheck2.Gen.(
+    let* doc, vocab = gen_doc_vocab in
+    let* p = Test_guard_prop.gen_pattern vocab 2 in
+    let* key = vocab.Test_guard_prop.label in
+    let* desc = bool in
+    let root = Xmorph.Ast.Order_by (p, key, desc) in
+    return (doc, Xmorph.Ast.to_string (Xmorph.Ast.Stage (Xmorph.Ast.Morph [ root ]))))
 
 let test_random_guard_answers () =
   let compiled = ref 0 and new_attrs = ref 0 in
@@ -218,20 +234,25 @@ let test_random_guard_answers () =
     true (!new_attrs > 0)
 
 (* The bounded child step agrees with the per-item predicate over the
-   virtual document too, the root run included. *)
+   virtual document too, the root run included, sorted or not. *)
 let test_bound_oracle () =
-  let pairs = ref 0 and nonempty = ref 0 in
+  let pairs = ref 0 and nonempty = ref 0 and sorted = ref 0 in
   let gen =
     QCheck2.Gen.(
-      let* doc, guard = gen_guard_case in
+      let* is_sorted, (doc, guard) =
+        oneof
+          [ map (fun c -> (false, c)) gen_guard_case;
+            map (fun c -> (true, c)) gen_sorted_root_case ]
+      in
       let* pick = int_range 0 9 in
       let* operand = oneofl Test_xquery.bound_operands in
-      return (doc, guard, pick, operand))
+      return (is_sorted, doc, guard, pick, operand))
   in
-  let prop (doc, guard, pick, operand) =
+  let prop (is_sorted, doc, guard, pick, operand) =
     match Logical.create ~enforce:false (Store.Shredded.shred doc) ~guard with
     | exception _ -> true
     | lg ->
+        if is_sorted then incr sorted;
         let run q = Logical.query lg q in
         let n =
           List.fold_left
@@ -248,13 +269,16 @@ let test_bound_oracle () =
   in
   QCheck2.Test.check_exn
     (QCheck2.Test.make ~name:"bounded step = per-item predicate (virtual)" ~count:300
-       ~print:(fun (doc, g, _, o) ->
+       ~print:(fun (_, doc, g, _, o) ->
          Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g ^ "\noperand " ^ o)
        (* unshrunk, as above *)
        (QCheck2.Gen.no_shrink gen) prop);
   Alcotest.(check bool)
     (Printf.sprintf "%d of %d bounded answers non-empty" !nonempty !pairs)
-    true (!nonempty > 0)
+    true (!nonempty > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sorted-root guards compiled" !sorted)
+    true (!sorted > 0)
 
 let suite =
   [

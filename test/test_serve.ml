@@ -270,10 +270,10 @@ let test_read_request_edge_cases () =
 
 (* ---------- the daemon, end to end ---------- *)
 
-let with_server ?(store = make_store ()) ?slow_ms ?slow_log ?window
-    ?slo_error_rate f =
+let with_server ?(store = make_store ()) ?(workers = 2) ?slow_ms ?slow_log
+    ?window ?slo_error_rate f =
   let server =
-    Xmserve.Server.create ~port:0 ~workers:2 ?slow_ms ?slow_log ?window
+    Xmserve.Server.create ~port:0 ~workers ?slow_ms ?slow_log ?window
       ?slo_error_rate
       ~stores:[ ("data.xml", store) ]
       ()
@@ -863,6 +863,138 @@ let test_concurrent_requests_disjoint () =
     "write ops sum" delta.Store.Io_stats.write_ops
     (sum (fun io -> io.Xmobs.Ctx.write_ops))
 
+(* ---------- the worker pool ---------- *)
+
+let port_of base = int_of_string (List.nth (String.split_on_char ':' base) 2)
+
+(* A raw client socket whose every read and write times out after 5 s, so
+   a wedged worker fails the test instead of hanging it. *)
+let raw_connect ?rcvbuf base =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port_of base));
+  fd
+
+let send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Read to EOF; a timeout fails the test. *)
+let read_all fd =
+  let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Buffer.contents b
+    | n ->
+        Buffer.add_subbytes b chunk 0 n;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "read timed out"
+  in
+  go ()
+
+let big_store books =
+  let book i =
+    Printf.sprintf
+      "<book><title>T%d</title><author><name>A%d</name></author></book>" i i
+  in
+  Store.Shredded.shred
+    (Xml.Doc.of_string
+       ("<data>" ^ String.concat "" (List.init books book) ^ "</data>"))
+
+(* One worker, and each connection in turn fails in its own way; the
+   worker answers the next one all the same. *)
+let test_worker_survives_failures () =
+  with_server ~store:(big_store 3000) ~workers:1 @@ fun base _store ->
+  let guard = "MUTATE data" in
+  let request =
+    Printf.sprintf "POST /query HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+      (String.length guard) guard
+  in
+  let status_of response =
+    match String.split_on_char ' ' response with
+    | _ :: code :: _ -> int_of_string code
+    | _ -> Alcotest.failf "no status line in %S" response
+  in
+  let fd = raw_connect base in
+  send fd "garbage\r\n\r\n";
+  Alcotest.(check int) "malformed request -> 400" 400 (status_of (read_all fd));
+  Unix.close fd;
+  Unix.close (raw_connect base);
+  (* A small receive window keeps the body's write blocked until the
+     client resets the connection. *)
+  let fd = raw_connect ~rcvbuf:4096 base in
+  send fd request;
+  let head = Bytes.create 16 in
+  Alcotest.(check bool) "response started" true (Unix.read fd head 0 16 > 0);
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd;
+  let fd = raw_connect base in
+  send fd request;
+  let response = read_all fd in
+  Unix.close fd;
+  Alcotest.(check int) "a normal query still answers" 200 (status_of response);
+  Alcotest.(check bool) "body larger than 64 KiB" true
+    (String.length response > 64 * 1024)
+
+(* [stop] returns while a client holds a connection open and sends
+   nothing, and the client sees the connection closed. *)
+let test_stop_with_idle_client () =
+  let server =
+    Xmserve.Server.create ~port:0 ~workers:1
+      ~stores:[ ("data.xml", make_store ()) ]
+      ()
+  in
+  Xmserve.Server.start server;
+  let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
+  let idle = raw_connect base in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close idle;
+      Xmobs.Metrics.disable ();
+      Xmobs.Metrics.reset ())
+    (fun () ->
+      (* Let the one worker accept the idle connection. *)
+      Thread.delay 0.1;
+      let stopped = Atomic.make false in
+      let stopper =
+        Thread.create
+          (fun () ->
+            Xmserve.Server.stop server;
+            Atomic.set stopped true)
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "stop returned within 5 s" true (Atomic.get stopped);
+      Thread.join stopper;
+      Alcotest.(check string) "idle connection closed" "" (read_all idle))
+
+(* A worker keeps its thread id from one request to the next, and request
+   contexts are keyed by thread id: after a burst on two workers, slow-query
+   captures included, no context is left installed. *)
+let test_no_context_outlives_request () =
+  Alcotest.(check bool) "no context before" false (Xmobs.Ctx.active ());
+  with_server ~slow_ms:0.0 @@ fun base _store ->
+  let clients =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            for j = 1 to 5 do
+              let target =
+                if (i + j) mod 2 = 0 then "/query" else "/query?query=%2F%2Fname"
+              in
+              ignore (get ~meth:"POST" ~body:paper_guard base target);
+              ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base "/query");
+              ignore (get ~meth:"GET" base "/healthz")
+            done)
+          ())
+  in
+  List.iter Thread.join clients;
+  Alcotest.(check bool) "no context after" false (Xmobs.Ctx.active ())
+
 (* ---------- the stats analyzer ---------- *)
 
 let mk_entry ~id ~wall ?(outcome = Xmobs.Qlog.Ok) ?(source = "serve")
@@ -1114,6 +1246,12 @@ let suite =
       `Quick test_slow_capture_exact_under_load;
     Alcotest.test_case "concurrent requests: disjoint traces, I/O sums"
       `Quick test_concurrent_requests_disjoint;
+    Alcotest.test_case "a worker survives every failing connection" `Quick
+      test_worker_survives_failures;
+    Alcotest.test_case "stop returns with an idle client connected" `Quick
+      test_stop_with_idle_client;
+    Alcotest.test_case "no request context outlives its request" `Quick
+      test_no_context_outlives_request;
     Alcotest.test_case "stats analyzer aggregates" `Quick test_analyze;
     Alcotest.test_case "stats load merges rotated generations" `Quick
       test_load_merges_rotated;
