@@ -90,6 +90,7 @@ ci: lint
 	dune test perfbench --profile perfbench
 	$(MAKE) examples
 	dune exec bench/main.exe -- architectures
+	dune exec bench/main.exe -- fig11 fig13
 	$(MAKE) trace-smoke
 
 clean:

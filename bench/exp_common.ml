@@ -118,20 +118,38 @@ let heap_mb () =
   let s = Gc.quick_stat () in
   float_of_int (s.Gc.heap_words * (Sys.word_size / 8)) /. 1e6
 
-(* The benches sample run state through the public observability layer — an
-   observer on the global Xmobs.Metrics registry, fed by the same counters
-   users see via `xmorph --metrics` — rather than a bench-only store hook.
-   [sample] runs after every published metric update, playing the role the
-   periodic vmstat sampling played in the paper's Sec. IX. *)
-let with_metrics_observer sample f =
-  Xmobs.Metrics.enable ();
-  let id = Xmobs.Metrics.subscribe sample in
-  Fun.protect f ~finally:(fun () ->
-      Xmobs.Metrics.unsubscribe id;
-      Xmobs.Metrics.disable ())
+(* Sample [read ()] every 5 ms on a second domain while [f] runs on this
+   one, as vmstat sampled the paper's runs (Sec. IX).  The series holds
+   (elapsed s, value) pairs, oldest first: one taken before [f] starts,
+   one per tick while it runs and one after it returns, so even a run
+   shorter than a tick has two.  [read] must be safe from another domain,
+   as [Store.Io_stats.snapshot] (atomics) and [Gc.quick_stat] are. *)
+let sample_during read f =
+  let interval = 0.005 in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let sampler =
+    Domain.spawn (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let first = (0.0, read ()) in
+        Atomic.set started true;
+        let rec loop k acc =
+          let next = t0 +. (float_of_int (k + 1) *. interval) in
+          Unix.sleepf (Float.max 0.0 (next -. Unix.gettimeofday ()));
+          let stopped = Atomic.get stop in
+          let acc = (Unix.gettimeofday () -. t0, read ()) :: acc in
+          if stopped then List.rev acc else loop (k + 1) acc
+        in
+        loop 0 [ first ])
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  let r = Fun.protect f ~finally:(fun () -> Atomic.set stop true) in
+  (r, Domain.join sampler)
 
-(* Cumulative I/O blocks as currently published by the store's accounting. *)
-let io_blocks () =
-  int_of_float
-    (Xmobs.Metrics.gauge_value "store.blocks_read"
-    +. Xmobs.Metrics.gauge_value "store.blocks_written")
+(* A series without its readings before and after the run shows no slope. *)
+let require_samples ~factor series =
+  if List.length series < 2 then begin
+    Printf.eprintf "factor %.2f: %d sample(s), need at least two\n" factor
+      (List.length series);
+    false
+  end
+  else true

@@ -5,36 +5,38 @@
    gradually processing the disk tables and generating output as the
    experiment runs") with no sudden bursts.
 
-   We reproduce it by subscribing an observer to the metrics registry — the
-   store's I/O accounting publishes cumulative blocks there — and sampling
-   at fixed wall-clock intervals during the same MUTATE site
-   transformation. *)
+   We reproduce it by sampling the store's I/O accounting on a 5 ms timer
+   from a second domain during the same MUTATE site transformation.  The
+   section exits non-zero when a run was sampled fewer than twice or its
+   cumulative total ever fell. *)
 
 let samples_per_run = 10
 
 let run () =
   Exp_common.header "Fig. 11: cumulative block I/O during MUTATE site";
+  let ok = ref true in
   List.iter
     (fun (f, _tree, _bytes, store, _shred) ->
-      let series = ref [] in
+      let stats = Store.Shredded.stats store in
+      Store.Io_stats.reset stats;
       let t0 = Unix.gettimeofday () in
-      let next_sample = ref 0.0 in
-      let interval = 0.005 in
-      Exp_common.with_metrics_observer
-        (fun () ->
-          let t = Unix.gettimeofday () -. t0 in
-          if t >= !next_sample then begin
-            series := (t, Exp_common.io_blocks ()) :: !series;
-            next_sample := t +. interval
-          end)
-        (fun () ->
-          (* Reset inside the observed window so the zeroed counters are
-             published before the transformation starts charging. *)
-          Store.Io_stats.reset (Store.Shredded.stats store);
-          ignore (Exp_common.render_guard store "MUTATE site"));
+      let (), series =
+        Exp_common.sample_during
+          (fun () -> Store.Io_stats.blocks_total (Store.Io_stats.snapshot stats))
+          (fun () -> ignore (Exp_common.render_guard store "MUTATE site"))
+      in
       let total = Unix.gettimeofday () -. t0 in
+      ok := Exp_common.require_samples ~factor:f series && !ok;
+      ignore
+        (List.fold_left
+           (fun last (_, b) ->
+             if b < last then begin
+               Printf.eprintf "factor %.2f: cumulative blocks fell %d -> %d\n" f last b;
+               ok := false
+             end;
+             b)
+           0 series);
       (* Resample to a fixed number of points for a compact table. *)
-      let series = List.rev !series in
       let pick k =
         let target = total *. float_of_int k /. float_of_int samples_per_run in
         let rec go last = function
@@ -56,4 +58,5 @@ let run () =
     (Lazy.force Fig10.corpus);
   print_endline
     "expected shape: near-constant slope within each run (steady streaming I/O),\n\
-     with the final cumulative total growing linearly across factors."
+     with the final cumulative total growing linearly across factors.";
+  if not !ok then exit 1

@@ -4,8 +4,9 @@
    of an experiment" — available RAM drops early, then flattens.  The OCaml
    runtime grows its heap the same way (demand-driven), so we sample the
    major heap during the run and report "available memory" against the
-   paper's 3.5 GB machine.  Sampling piggybacks on the metrics registry's
-   update notifications (one per store I/O charge), as fig11 does. *)
+   paper's 3.5 GB machine, on a 5 ms timer from a second domain, as fig11
+   does.  The section exits non-zero when a run was sampled fewer than
+   twice. *)
 
 let machine_mb = 3584.0 (* the paper's 3.5 GB testbed *)
 
@@ -13,22 +14,17 @@ let samples_per_run = 8
 
 let run () =
   Exp_common.header "Fig. 13: available memory during MUTATE site";
+  let ok = ref true in
   List.iter
     (fun (f, _tree, _bytes, store, _shred) ->
       Gc.compact ();
-      let series = ref [] in
       let t0 = Unix.gettimeofday () in
-      let next_sample = ref 0.0 in
-      Exp_common.with_metrics_observer
-        (fun () ->
-          let t = Unix.gettimeofday () -. t0 in
-          if t >= !next_sample then begin
-            series := (t, Exp_common.heap_mb ()) :: !series;
-            next_sample := t +. 0.005
-          end)
-        (fun () -> ignore (Exp_common.render_guard store "MUTATE site"));
+      let (), series =
+        Exp_common.sample_during Exp_common.heap_mb (fun () ->
+            ignore (Exp_common.render_guard store "MUTATE site"))
+      in
       let total = Unix.gettimeofday () -. t0 in
-      let series = List.rev !series in
+      ok := Exp_common.require_samples ~factor:f series && !ok;
       let pick k =
         let target = total *. float_of_int k /. float_of_int samples_per_run in
         let rec go last = function
@@ -54,4 +50,5 @@ let run () =
     (Lazy.force Fig10.corpus);
   print_endline
     "expected shape: the heap grows early in the run and flattens — available\n\
-     memory falls fast then levels, as in the paper's JVM plot."
+     memory falls fast then levels, as in the paper's JVM plot.";
+  if not !ok then exit 1

@@ -21,10 +21,17 @@ let build_index tree =
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) index;
   index
 
+(* One operation: its charges also go to the calling thread's request
+   context, looked up once, and the store's gauges are set when it ends,
+   as for the shredded store. *)
+let operation stats f =
+  let ctx = Xmobs.Ctx.current () in
+  Fun.protect (fun () -> f ctx) ~finally:(fun () -> Store.Io_stats.publish stats)
+
 let store tree =
   let text = Xml.Printer.to_string tree in
   let stats = Store.Io_stats.create () in
-  Store.Io_stats.charge_write stats (String.length text);
+  operation stats (fun ctx -> Store.Io_stats.charge_write ?ctx stats (String.length text));
   { text; tree; index = build_index tree; stats }
 
 let of_doc doc = store (Xml.Doc.to_tree doc)
@@ -34,43 +41,47 @@ let stats t = t.stats
 let size_bytes t = String.length t.text
 
 let dump t buf =
-  Store.Io_stats.charge_read t.stats (String.length t.text);
+  operation t.stats @@ fun ctx ->
+  Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
   let start = Buffer.length buf in
   Buffer.add_string buf "<data>";
   Buffer.add_string buf t.text;
   Buffer.add_string buf "</data>";
   let written = Buffer.length buf - start in
-  Store.Io_stats.charge_write t.stats written;
+  Store.Io_stats.charge_write ?ctx t.stats written;
   written
 
 (* [//name] with no predicates hits the structural index. *)
-let indexed_lookup t src =
+let indexed_lookup ?ctx t src =
   match Xquery.Qparse.parse src with
   | Xquery.Qast.Path (Xquery.Qast.Root, Xquery.Qast.Descendant,
                       Xquery.Qast.Name n, []) ->
       let hits = Option.value ~default:[] (Hashtbl.find_opt t.index n) in
       List.iter
-        (fun h -> Store.Io_stats.charge_read t.stats (Xml.Printer.serialized_size h))
+        (fun h -> Store.Io_stats.charge_read ?ctx t.stats (Xml.Printer.serialized_size h))
         hits;
       Some (List.map (fun h -> Xquery.Value.Node h) hits)
   | _ -> None
   | exception _ -> None
 
-let query t src =
-  match indexed_lookup t src with
+let run ?ctx t src =
+  match indexed_lookup ?ctx t src with
   | Some result -> result
   | None ->
       (* Full scan: charge the sequential read and navigate the resident
          document. *)
-      Store.Io_stats.charge_read t.stats (String.length t.text);
+      Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
       Xquery.Eval.run t.tree src
 
+let query t src = operation t.stats (fun ctx -> run ?ctx t src)
+
 let query_to_buffer t src buf =
-  let result = query t src in
+  operation t.stats @@ fun ctx ->
+  let result = run ?ctx t src in
   let start = Buffer.length buf in
   List.iter
     (fun tree -> Xml.Printer.to_buffer buf tree)
     (Xquery.Value.to_trees result);
   let written = Buffer.length buf - start in
-  Store.Io_stats.charge_write t.stats written;
+  Store.Io_stats.charge_write ?ctx t.stats written;
   written

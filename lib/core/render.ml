@@ -10,13 +10,25 @@ type type_cache = {
 }
 
 (* One per render, [Nav.t], [explain] or [iter_closest] call, used by the
-   thread that made it: the cache needs no lock. *)
+   thread that made it: the cache needs no lock.  [ctx] is the request
+   context every store read of the operation is charged to, resolved
+   once here rather than looked up per charge. *)
 type rctx = {
   store : Store_.Shredded.t;
   caches : (int, type_cache) Hashtbl.t;
+  ctx : Xmobs.Ctx.t option;
 }
 
-let make_rctx store = { store; caches = Hashtbl.create 64 }
+let make_rctx store = { store; caches = Hashtbl.create 64; ctx = Xmobs.Ctx.current () }
+
+(* One operation over a fresh [rctx]: the store's gauges are published
+   when it ends, never per charge. *)
+let with_rctx store f =
+  Fun.protect
+    ~finally:(fun () -> Store_.Io_stats.publish (Store_.Shredded.stats store))
+    (fun () -> f (make_rctx store))
+
+let read_value rctx id = Store_.Shredded.value ?ctx:rctx.ctx rctx.store id
 
 let cache rctx ty =
   match Hashtbl.find_opt rctx.caches ty with
@@ -26,8 +38,8 @@ let cache rctx ty =
          sidecar.  No node record is decoded here — emission reads the
          values of the instances it actually outputs. *)
       let c =
-        { ids = Store_.Shredded.sequence rctx.store ty;
-          deweys = Store_.Shredded.dewey_column rctx.store ty }
+        { ids = Store_.Shredded.sequence ?ctx:rctx.ctx rctx.store ty;
+          deweys = Store_.Shredded.dewey_column ?ctx:rctx.ctx rctx.store ty }
       in
       Hashtbl.replace rctx.caches ty c;
       c
@@ -65,7 +77,7 @@ let closest_runs rctx ~pty ~parents ~cty =
   let runs = Array.make n (-1) in
   if Array.length cc.ids = 0 || l = 0 then (runs, [||])
   else begin
-    let groups = Store_.Shredded.grouped_sequence rctx.store cty ~level:l in
+    let groups = Store_.Shredded.grouped_sequence ?ctx:rctx.ctx rctx.store cty ~level:l in
     let pos = ref 0 and g = ref 0 in
     for k = 0 to n - 1 do
       (* The first parent has no previous answer to gallop from. *)
@@ -193,7 +205,7 @@ let filter_value rctx (tn : Tshape.node) ids =
   | Some v ->
       Array.of_list
         (List.filter
-           (fun id -> Store_.Shredded.value rctx.store id = v)
+           (fun id -> read_value rctx id = v)
            (Array.to_list ids))
 
 (* Does instance [id] (of the anchor type [aty]) satisfy the restrict
@@ -226,11 +238,10 @@ let filter_restrict rctx ~aty (tn : Tshape.node) ids =
    resolved from the ORDER-BY label. *)
 let sort_instances rctx ~sty ~kty ~desc ids =
   let key id =
-    if kty = sty then Store_.Shredded.value rctx.store id
+    if kty = sty then read_value rctx id
     else
       String.concat ""
-        (Array.to_list
-           (Array.map (Store_.Shredded.value rctx.store) (join_one rctx ~pty:sty id ~cty:kty)))
+        (Array.to_list (Array.map (read_value rctx) (join_one rctx ~pty:sty id ~cty:kty)))
   in
   let decorated = Array.map (fun id -> (key id, id)) ids in
   let cmp (k1, _) (k2, _) =
@@ -391,7 +402,7 @@ module Emit (S : SINK) = struct
   (* [id] is an instance of [p]'s anchor type; when [p] is sourced it is an
      instance of [p] itself.  Attributes come first, then the node's own
      text, then its element children in shape order. *)
-  let rec walk store sink (p : planned) id =
+  let rec walk rctx sink (p : planned) id =
     S.open_element sink p.h.name;
     if Option.is_some p.h.node.source then begin
       List.iter
@@ -400,24 +411,24 @@ module Emit (S : SINK) = struct
           | Some e when c.h.attr ->
               let r = run_of e id in
               if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
-                Store_.Shredded.value_slice store e.kids.(e.offs.(r))
+                Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
                   (fun sink s pos len -> S.attribute sink c.h.name s pos len)
                   sink
           | _ -> ())
         p.below;
-      Store_.Shredded.value_slice store id text sink
+      Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id text sink
     end;
     List.iter
       (fun (c : planned) ->
         match c.edge with
-        | None -> walk store sink c id (* anchorless NEW: once per key *)
+        | None -> walk rctx sink c id (* anchorless NEW: once per key *)
         | Some e ->
             let r = run_of e id in
             if r >= 0 then begin
               let lo = e.offs.(r) and hi = e.offs.(r + 1) in
               if not (as_attribute c.h (hi - lo)) then
                 for i = lo to hi - 1 do
-                  walk store sink c e.kids.(i)
+                  walk rctx sink c e.kids.(i)
                 done
             end)
       p.below;
@@ -429,26 +440,26 @@ module Emit (S : SINK) = struct
      [wrapper] element, so the roots' instances are found before the
      first call.  [emit] runs in the caller's span; [render] opens the
      [render] span and frame around it. *)
-  let emit ?wrapper store sink (shape : Tshape.t) =
-    let rctx = make_rctx store in
+  let emit ?wrapper rctx sink (shape : Tshape.t) =
     let roots =
       List.map
         (fun h -> (h, root_instances rctx h))
-        (handles (Store_.Shredded.types store) shape)
+        (handles (Store_.Shredded.types rctx.store) shape)
     in
     let wrapper = Option.bind wrapper (fun wrapper -> wrap ~wrapper (count_trees roots)) in
     Option.iter (S.open_element sink) wrapper;
     List.iter
       (fun (root, ids) ->
         let plan = plan rctx root ids in
-        if Array.length ids = 1 && ids.(0) = -1 then walk store sink plan (-1)
+        if Array.length ids = 1 && ids.(0) = -1 then walk rctx sink plan (-1)
         else
           Xmobs.Profile.op "emit" (fun () ->
-              Array.iter (fun id -> walk store sink plan id) ids))
+              Array.iter (fun id -> walk rctx sink plan id) ids))
       roots;
     Option.iter (S.close_element sink) wrapper
 
-  let render ?wrapper store sink shape = in_render_span (fun () -> emit ?wrapper store sink shape)
+  let render ?wrapper store sink shape =
+    with_rctx store (fun rctx -> in_render_span (fun () -> emit ?wrapper rctx sink shape))
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -480,10 +491,11 @@ let write ?wrapper ?indent store shape ?flush buf =
   in
   let w = Xml.Printer.Writer.create ?indent ?on_close buf in
   let bytes =
+    with_rctx store @@ fun rctx ->
     in_render_span @@ fun () ->
-    Bytes_emit.emit ?wrapper store w shape;
+    Bytes_emit.emit ?wrapper rctx w shape;
     let bytes = !flushed + Buffer.length buf - start in
-    Store_.Io_stats.charge_write (Store_.Shredded.stats store) bytes;
+    Store_.Io_stats.charge_write ?ctx:rctx.ctx (Store_.Shredded.stats store) bytes;
     bytes
   in
   { elements = Xml.Printer.Writer.elements w; bytes }
@@ -505,7 +517,7 @@ type instance = { dewey : Dewey.t; source : int }
    [Doc.of_tree]: every emitted child (attributes included) takes the next
    Dewey slot. *)
 let instances store (shape : Tshape.t) =
-  let rctx = make_rctx store in
+  with_rctx store @@ fun rctx ->
   let acc : (int, instance Vec.t) Hashtbl.t = Hashtbl.create 16 in
   let record (tn : Tshape.node) inst =
     let v =
@@ -570,10 +582,14 @@ module Nav = struct
            threads would raise [Lazy.Undefined] *)
   }
 
+  (* Charges nothing to a request context: [charging] gives a request
+     its own view. *)
   let create store shape =
-    { rctx = make_rctx store;
+    { rctx = { store; caches = Hashtbl.create 64; ctx = None };
       handles = handles (Store_.Shredded.types store) shape;
       roots = Atomic.make None }
+
+  let charging t ctx = { t with rctx = { t.rctx with ctx } }
 
   let roots t =
     match Atomic.get t.roots with
@@ -596,14 +612,14 @@ module Nav = struct
 
   let value t (h : handle) id =
     match h.node.source with
-    | Some _ when id >= 0 -> Store_.Shredded.value t.rctx.store id
+    | Some _ when id >= 0 -> read_value t.rctx id
     | _ -> ""
 
   let attributes t h id =
     List.filter_map
       (fun ((c : handle), kids) ->
         if as_attribute c (Array.length kids) then
-          Some (c.name, Store_.Shredded.value t.rctx.store kids.(0))
+          Some (c.name, read_value t.rctx kids.(0))
         else None)
       (children t h id)
 
@@ -614,7 +630,7 @@ module Nav = struct
 
   let materialize t h id =
     let b = Xml.Tree.Builder.create () in
-    Tree_emit.walk t.rctx.store b (plan t.rctx h [| id |]) id;
+    Tree_emit.walk t.rctx b (plan t.rctx h [| id |]) id;
     List.hd (Xml.Tree.Builder.trees b)
 
   let rec deep_text t h id =
@@ -660,7 +676,7 @@ let predicted_edges guide (shape : Tshape.t) =
   List.rev !out
 
 let explain store (shape : Tshape.t) =
-  let rctx = make_rctx store in
+  with_rctx store @@ fun rctx ->
   let tt = Store_.Shredded.types store in
   List.map
     (fun (pty, cty, card, parents) ->
@@ -708,7 +724,7 @@ let pp_explanation fmt entries =
     entries
 
 let iter_closest store t u f =
-  let rctx = make_rctx store in
+  with_rctx store @@ fun rctx ->
   let pc = cache rctx t in
   let runs, groups = closest_runs rctx ~pty:t ~parents:pc.ids ~cty:u in
   let kids = (cache rctx u).ids in

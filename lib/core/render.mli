@@ -24,8 +24,12 @@
     quadratic because a source node closest to several parents is rendered
     under each of them (the duplication the paper calls out).
 
-    All reads are charged to the store's {!Store.Io_stats}; [to_buffer] and
-    [stream] also charge the serialized output as one write.
+    All reads are charged to the store's {!Store.Io_stats}, and to the
+    calling thread's request context, which each call looks up once
+    when it begins ({!Nav.charging} for a [Nav.t]); [to_buffer] and
+    [stream] also charge the serialized output as one write.  Every
+    call outside {!Nav} ends by setting the store's [store.*] gauges
+    ({!Store.Io_stats.publish}).
 
     Rendering conventions (DESIGN.md): a node with restrict children is
     emitted only when every restrict pattern has at least one closest,
@@ -145,7 +149,13 @@ module Nav : sig
   type nonrec handle = handle
 
   val create : Store.Shredded.t -> Tshape.t -> t
-  (** One handle per target node, built here once. *)
+  (** One handle per target node, built here once.  Its store reads are
+      charged to the store alone: a [t] may serve many requests. *)
+
+  val charging : t -> Xmobs.Ctx.t option -> t
+  (** A view of [t] whose store reads are also charged to the given
+      request context, resolved once by the caller per operation.  It
+      shares [t]'s handles, join caches and roots. *)
 
   val roots : t -> (handle * int array) list
   (** Target roots with their instance ids (restrict/value filters applied,

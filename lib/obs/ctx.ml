@@ -9,11 +9,16 @@
    installs one on the main thread for the whole command.
    Instrumentation points consult {!current} and record into the
    installed context when there is one; without one, spans are not
-   recorded and I/O and metric increments reach only the global
-   counters.
+   recorded and metric increments reach only the global registry.
+
+   Store I/O is the exception: a charge is too frequent for a slot
+   lookup.  An operation over a store (a render, an in-situ query, a
+   value update) resolves {!current} once and hands the context it got
+   to every charge it makes, which then adds to the context's counters
+   directly ([charge_read], [charge_write]).
 
    Zero-alloc contract: with no context installed anywhere, every probe
-   ([current], [charge_read], [bump], ...) is a single [Atomic.get] of the
+   ([current], [bump], ...) is a single [Atomic.get] of the
    installed-context count and an immediate fall-through — no lock, no
    allocation — so plain [xmorph run] pays nothing for the attribution
    machinery.  The profiler's gate is a second count, of contexts that
@@ -117,7 +122,7 @@ type t = {
   (* written only by the installing thread — instrumentation runs on the
      request's own systhread *)
   spans : Trace.Recorder.t;
-  (* per-request I/O deltas: atomics so adds commute like the global
+  (* per-request I/O deltas: atomics so adds commute like the store's
      Io_stats counters they shadow *)
   c_bytes_read : int Atomic.t;
   c_bytes_written : int Atomic.t;
@@ -288,36 +293,30 @@ let trace_json t = Trace.json_of_entries (entries t)
 
 (* ---------- per-request I/O ---------- *)
 
-(* Matches [Store.Io_stats.block_size]; duplicated so xmobs stays at the
-   bottom of the dependency stack. *)
-let blocks_of bytes = (bytes + 4095) / 4096
+(* The page model of the store's I/O accounting: [Store.Io_stats] counts
+   blocks with these, and a context's frames count the pages a charge
+   crossed with them. *)
+let block_size = 4096
+
+let blocks_of bytes = (bytes + block_size - 1) / block_size
 
 (* The pages a charge crossed on a store counter that stood at [before]. *)
 let crossed ~before bytes = blocks_of (before + bytes) - blocks_of before
 
-let charge_read ~before bytes =
-  if Atomic.get installed > 0 then
-    match current () with
-    | Some c ->
-        ignore (Atomic.fetch_and_add c.c_bytes_read bytes);
-        ignore (Atomic.fetch_and_add c.c_read_ops 1);
-        (match c.frames with
-        | Some tr ->
-            tr.Frames.blocks_r <- tr.Frames.blocks_r + crossed ~before bytes
-        | None -> ())
-    | None -> ()
+(* [c] was resolved once by the operation charging it: no lookup here. *)
+let charge_read c ~before bytes =
+  ignore (Atomic.fetch_and_add c.c_bytes_read bytes);
+  Atomic.incr c.c_read_ops;
+  match c.frames with
+  | Some tr -> tr.Frames.blocks_r <- tr.Frames.blocks_r + crossed ~before bytes
+  | None -> ()
 
-let charge_write ~before bytes =
-  if Atomic.get installed > 0 then
-    match current () with
-    | Some c ->
-        ignore (Atomic.fetch_and_add c.c_bytes_written bytes);
-        ignore (Atomic.fetch_and_add c.c_write_ops 1);
-        (match c.frames with
-        | Some tr ->
-            tr.Frames.blocks_w <- tr.Frames.blocks_w + crossed ~before bytes
-        | None -> ())
-    | None -> ()
+let charge_write c ~before bytes =
+  ignore (Atomic.fetch_and_add c.c_bytes_written bytes);
+  Atomic.incr c.c_write_ops;
+  match c.frames with
+  | Some tr -> tr.Frames.blocks_w <- tr.Frames.blocks_w + crossed ~before bytes
+  | None -> ()
 
 let io t =
   {

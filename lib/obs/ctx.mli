@@ -12,12 +12,18 @@
     exit.
 
     A context is carried in a thread-keyed slot ({!install} /
-    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr}, the
-    store's charge paths, {!Metrics} name-based updates) consult
-    {!current} and record into the installed context.  Without one, no
-    span is recorded, and I/O and metrics reach only the global
-    counters.  The no-context path is a single atomic load and allocates
-    nothing, preserving the zero-cost contract of the rest of [xmobs].
+    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr},
+    {!Metrics} name-based updates) consult {!current} and record into the
+    installed context.  Without one, no span is recorded, and metrics
+    reach only the global registry.  The no-context path is a single
+    atomic load and allocates nothing, preserving the zero-cost contract
+    of the rest of [xmobs].
+
+    Store I/O does not consult the slot per charge.  An operation over a
+    store (a render, an in-situ query, a value update) resolves
+    {!current} once and passes the context to each of its charges
+    ({!charge_read}), which only adds to counters: no lock, no lookup,
+    no allocation.
 
     Attribution boundary: spans, metric increments and I/O charges are
     recorded only from the installing thread.  The library starts no
@@ -119,14 +125,14 @@ val add_attr : string -> Trace.value -> unit
 (** Attach an attribute to the innermost open span of the calling
     thread's installed context; a gated no-op without one. *)
 
-val charge_read : before:int -> int -> unit
-(** [charge_read ~before bytes] adds to the calling thread's installed
-    context (bytes + one op); a gated no-op without one.  Called by
-    [Store.Io_stats] alongside its own counter, which stood at [before]
-    bytes; a context that keeps frames also counts the pages that counter
-    crossed. *)
+val charge_read : t -> before:int -> int -> unit
+(** [charge_read t ~before bytes] adds [bytes] and one op to [t], the
+    context an operation resolved once; no lookup.  Called by
+    [Store.Io_stats] beside its own counter, which stood at [before]
+    bytes; when [t] keeps frames, the pages that counter crossed
+    ({!blocks_of}) go to the innermost frame. *)
 
-val charge_write : before:int -> int -> unit
+val charge_write : t -> before:int -> int -> unit
 
 val bump : ?by:int -> string -> unit
 (** Record a counter increment against the installed context; a gated
@@ -150,9 +156,12 @@ val io : t -> io
     concurrent contexts sum exactly to the global {!Store.Io_stats}
     deltas over the same window (atomic adds commute). *)
 
+val block_size : int
+(** 4096 bytes: the page of the store's I/O model, which
+    [Store.Io_stats] shares. *)
+
 val blocks_of : int -> int
-(** Bytes to 4096-byte blocks, rounding up — the same page model as
-    [Store.Io_stats.blocks_of]. *)
+(** Bytes to {!block_size} blocks, rounding up: the one page model. *)
 
 val entries : t -> Trace.span list
 (** The recorder's ring, oldest first. *)

@@ -6,17 +6,12 @@
    single branch.  Hot call sites can intern a handle once ([counter],
    [gauge], [histogram]) and mutate it directly — a field write, no lookup.
 
-   Observers subscribe to the current registry and run after every published
-   update; the experiment harness uses this to sample cumulative I/O during
-   a run — the only per-charge observation path since the bench-only
-   [Io_stats.set_observer] hook was removed.
-
    Domain-safety: counters are atomics (adds commute, totals exact under
    concurrent updates); interning and histogram updates take a lock;
    gauges stay a bare mutable float — a word-sized write that cannot
    tear, with last-write-wins semantics that are the right ones for a
-   level anyway.  The enabled gate is an atomic; observer lists and the
-   current registry are main-domain state. *)
+   level anyway.  The enabled gate is an atomic; the current registry is
+   main-domain state. *)
 
 type counter = { count : int Atomic.t }
 
@@ -60,8 +55,6 @@ type t = {
   lhistograms : (string, histogram family) Hashtbl.t;
   help : (string, string) Hashtbl.t;
   lock : Mutex.t; (* guards the intern tables *)
-  mutable observers : (int * (unit -> unit)) list;
-  mutable next_observer : int;
 }
 
 let create () : t =
@@ -73,8 +66,6 @@ let create () : t =
     lhistograms = Hashtbl.create 8;
     help = Hashtbl.create 16;
     lock = Mutex.create ();
-    observers = [];
-    next_observer = 0;
   }
 
 let global = create ()
@@ -234,25 +225,6 @@ let hist_add h v =
   h.buckets.(i) <- h.buckets.(i) + 1;
   Mutex.unlock h.hlock
 
-(* ---------- observers ---------- *)
-
-let subscribe ?r f =
-  let r = match r with Some r -> r | None -> !current in
-  let id = r.next_observer in
-  r.next_observer <- id + 1;
-  r.observers <- r.observers @ [ (id, f) ];
-  id
-
-let unsubscribe ?r id =
-  let r = match r with Some r -> r | None -> !current in
-  r.observers <- List.filter (fun (i, _) -> i <> id) r.observers
-
-let notify ?r () =
-  let r = match r with Some r -> r | None -> !current in
-  match r.observers with
-  | [] -> ()
-  | obs -> List.iter (fun (_, f) -> f ()) obs
-
 (* ---------- name-based updates (gated on [enable]) ---------- *)
 
 (* Counter increments and observations are additionally mirrored into the
@@ -263,21 +235,16 @@ let notify ?r () =
 let inc ?(by = 1) name =
   if Atomic.get enabled then begin
     counter_add (counter name) by;
-    Ctx.bump ~by name;
-    notify ()
+    Ctx.bump ~by name
   end
 
 let set_gauge name v =
-  if Atomic.get enabled then begin
-    gauge_set (gauge name) v;
-    notify ()
-  end
+  if Atomic.get enabled then gauge_set (gauge name) v
 
 let observe name v =
   if Atomic.get enabled then begin
     hist_add (histogram name) v;
-    Ctx.observe name v;
-    notify ()
+    Ctx.observe name v
   end
 
 (* Labeled variants are not mirrored into the request context: a request
@@ -286,16 +253,10 @@ let observe name v =
    disabled path must still pre-intern handles if they need zero
    allocation — building the label list itself allocates. *)
 let inc_labeled ?(by = 1) name labels =
-  if Atomic.get enabled then begin
-    counter_add (counter_labeled name labels) by;
-    notify ()
-  end
+  if Atomic.get enabled then counter_add (counter_labeled name labels) by
 
 let observe_labeled name labels v =
-  if Atomic.get enabled then begin
-    hist_add (histogram_labeled name labels) v;
-    notify ()
-  end
+  if Atomic.get enabled then hist_add (histogram_labeled name labels) v
 
 (* ---------- reads ---------- *)
 

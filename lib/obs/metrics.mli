@@ -6,16 +6,17 @@
     enabled, so the disabled path is a single branch; hot call sites intern
     a handle once and mutate it directly.
 
-    Observers run after every published update.  The experiment harness
-    subscribes one to sample cumulative I/O while a transformation runs —
-    the role vmstat played in the paper's Figs. 11–13.
+    A registry only records: nothing runs when a value changes.  Readers
+    poll it (the [/metrics] scrape, [--metrics FILE] at exit), and the
+    experiment harness samples the store's own counters on a timer, the
+    role vmstat played in the paper's Figs. 11–13.
 
     Handle updates are domain-safe: counter adds are atomic (totals are
     exact under concurrent updates), histogram observations take a
     per-histogram lock, and gauge writes are word-sized stores with
     last-write-wins semantics.  Interning a handle locks the registry.
-    Observers, {!enable}/{!disable}, and registry switching remain
-    main-domain operations. *)
+    {!enable}/{!disable} and registry switching remain main-domain
+    operations. *)
 
 type t
 (** A registry. *)
@@ -41,7 +42,7 @@ val with_registry : t -> (unit -> 'a) -> 'a
 (** Run [f] with [r] as the current registry, restoring the previous one. *)
 
 val reset : ?r:t -> unit -> unit
-(** Drop every metric in the registry (observers are kept). *)
+(** Drop every metric in the registry. *)
 
 (** {2 Handles} — intern once, then update without a name lookup. *)
 
@@ -71,16 +72,7 @@ val counter_labeled :
 val histogram_labeled :
   ?r:t -> ?max_series:int -> string -> (string * string) list -> histogram
 
-(** {2 Observers} *)
-
-val subscribe : ?r:t -> (unit -> unit) -> int
-val unsubscribe : ?r:t -> int -> unit
-
-val notify : ?r:t -> unit -> unit
-(** Run the registry's observers; handle-based updaters call this once per
-    batch of field writes. *)
-
-(** {2 Name-based updates} — no-ops unless {!is_enabled}; notify observers. *)
+(** {2 Name-based updates} — no-ops unless {!is_enabled}. *)
 
 val inc : ?by:int -> string -> unit
 val set_gauge : string -> float -> unit

@@ -94,11 +94,15 @@ let split_target target =
 
 (* ---------- socket I/O ---------- *)
 
+(* One write(2) per step, so EINTR means nothing was written (a signal
+   handler ran before any byte went out) and the step is retried;
+   [Unix.write_substring] loops itself and would lose the count of what
+   it wrote before an EINTR. *)
 let rec write_all fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
-  end
+  if len > 0 then
+    match Unix.single_write_substring fd s off len with
+    | n -> write_all fd s (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
 let read_some fd buf =
   let chunk = Bytes.create 4096 in

@@ -9,26 +9,31 @@
     latency so a wait-percentage can be derived.
 
     Counters are per-instance; a store owns one and shares it with the
-    renderer that reads from it.  Every charge is also published to the
-    observability layer: the [store.bytes_read] / [store.bytes_written] /
-    [store.blocks_read] / [store.blocks_written] / [store.read_ops] /
-    [store.write_ops] gauges of the current {!Xmobs.Metrics} registry (when
-    metrics are enabled), and the calling thread's {!Xmobs.Ctx} request
-    context, whose spans (and profiler frames) carry the I/O charged
-    under them.
+    renderer that reads from it.  A charge touches counters only: this
+    one's atomics and, when the charging operation passes one, the
+    {!Xmobs.Ctx} request context it resolved once when it began, whose
+    spans (and profiler frames) carry the I/O charged under them.  No
+    lock, lookup or allocation happens per charge.
+
+    The [store.bytes_read] / [store.bytes_written] / [store.blocks_read] /
+    [store.blocks_written] / [store.read_ops] / [store.write_ops] gauges of
+    the current {!Xmobs.Metrics} registry are set from these counters by
+    {!publish}, once per operation (a render, an in-situ query, a value
+    update, an operation of the eXist baseline, a {!reset}), never per
+    charge.
 
     The library renders on the caller's domain and starts no domains of
     its own.  The byte/op counters are atomics, so a caller that charges
     one store from several domains gets exact totals — atomic adds
-    commute.  Gauge publication, by contrast, is a main-domain activity:
-    charges from any other domain skip it (observers are single-domain
-    structures), and the gauges catch up at the next charge made on the
-    main domain. *)
+    commute — and {!snapshot} may be read from any domain while another
+    charges (the experiment harness samples it on a timer). *)
 
 type t
 
 val block_size : int
-(** 4096 bytes, matching the Linux block accounting the paper sampled. *)
+(** 4096 bytes, matching the Linux block accounting the paper sampled
+    ({!Xmobs.Ctx.block_size}: one page model for the store and the
+    request context). *)
 
 type snapshot = {
   bytes_read : int;
@@ -42,16 +47,20 @@ type snapshot = {
 
 val create : unit -> t
 val reset : t -> unit
+(** Zero the counters and {!publish} them. *)
 
-val charge_read : t -> int -> unit
-(** [charge_read t bytes] records a read of [bytes] bytes.  When the
-    calling thread has an {!Xmobs.Ctx} request context installed, the
-    charge is also mirrored into it (per-request I/O attribution, and
-    the page crossings of this counter for its frames).  A render
-    charges on the thread that called it, so the attribution is
-    exact. *)
+val charge_read : ?ctx:Xmobs.Ctx.t -> t -> int -> unit
+(** [charge_read ?ctx t bytes] records a read of [bytes] bytes, and adds
+    it to [ctx] when given ({!Xmobs.Ctx.charge_read}: per-request I/O
+    attribution, and the page crossings of this counter for its frames).
+    The caller resolves [ctx] once per operation, never per charge. *)
 
-val charge_write : t -> int -> unit
+val charge_write : ?ctx:Xmobs.Ctx.t -> t -> int -> unit
+
+val publish : t -> unit
+(** Set the [store.*] gauges of the current metrics registry from the
+    counters, when metrics are enabled.  Operations call it once, when
+    they end. *)
 
 val snapshot : t -> snapshot
 

@@ -155,27 +155,27 @@ let own_value t i =
 (* A written value, charged at its record's size once folded into the
    blob.  Kept out of line so the common path through [value] stays
    small. *)
-let[@inline never] patched_value t i =
+let[@inline never] patched_value ?ctx t i =
   let v, size = Int_map.find i t.values in
-  Io_stats.charge_read t.stats size;
+  Io_stats.charge_read ?ctx t.stats size;
   v
 
 (* A column read, charged at the size of the node's whole record, as the
    paper's record store would read it. *)
-let value t i =
-  if is_patched t.patched i then patched_value t i
+let value ?ctx t i =
+  if is_patched t.patched i then patched_value ?ctx t i
   else begin
-    Io_stats.charge_read t.stats t.sizes.(i);
+    Io_stats.charge_read ?ctx t.stats t.sizes.(i);
     own_value t i
   end
 
-let value_slice t i f x =
+let value_slice ?ctx t i f x =
   if is_patched t.patched i then begin
-    let v = patched_value t i in
+    let v = patched_value ?ctx t i in
     f x v 0 (String.length v)
   end
   else begin
-    Io_stats.charge_read t.stats t.sizes.(i);
+    Io_stats.charge_read ?ctx t.stats t.sizes.(i);
     let start = t.text_start.(i) in
     f x t.text start (t.text_start.(i + 1) - start)
   end
@@ -188,17 +188,17 @@ let node t i =
     name = Xml.Type_table.label types ty; type_id = ty; parent = t.parent.(i);
     value = value t i }
 
-let dewey_column t ty =
+let dewey_column ?ctx t ty =
   if ty < 0 || ty >= Array.length t.dewey_cols then [||]
   else begin
-    Io_stats.charge_read t.stats t.dewey_col_bytes.(ty);
+    Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty);
     t.dewey_cols.(ty)
   end
 
 (* A type's Dewey column, uncharged. *)
 let column t ty = if ty < 0 || ty >= Array.length t.dewey_cols then [||] else t.dewey_cols.(ty)
 
-let grouped_sequence t ty ~level =
+let grouped_sequence ?ctx t ty ~level =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.groups (ty, level) with
   | Some g ->
@@ -211,7 +211,7 @@ let grouped_sequence t ty ~level =
       (* Building the row reads the type's Dewey column once (the columnar
          sidecar; full records are no longer decoded here). *)
       if ty >= 0 && ty < Array.length t.dewey_col_bytes then
-        Io_stats.charge_read t.stats t.dewey_col_bytes.(ty);
+        Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty);
       g
 
 (* When one type is an ancestor-or-self of the other and the descendant
@@ -243,10 +243,10 @@ let join_level t a b =
   Mutex.unlock t.lock;
   l
 
-let sequence t ty =
+let sequence ?ctx t ty =
   if ty < 0 || ty >= Array.length t.seqs then [||]
   else begin
-    Io_stats.charge_read t.stats t.seq_bytes.(ty);
+    Io_stats.charge_read ?ctx t.stats t.seq_bytes.(ty);
     t.seqs.(ty)
   end
 
@@ -261,6 +261,7 @@ let update_values t updates =
       Int_map.empty updates
   in
   let patched = Bytes.of_string t.patched in
+  let ctx = Xmobs.Ctx.current () in
   let values, data_bytes =
     Int_map.fold
       (fun id value (values, data_bytes) ->
@@ -269,12 +270,13 @@ let update_values t updates =
         in
         let own_len = t.text_start.(id + 1) - t.text_start.(id) in
         let size = t.sizes.(id) - string_size own_len + string_size (String.length value) in
-        Io_stats.charge_write t.stats size;
+        Io_stats.charge_write ?ctx t.stats size;
         let byte = Char.code (Bytes.get patched (id lsr 3)) in
         Bytes.set patched (id lsr 3) (Char.chr (byte lor (1 lsl (id land 7))));
         (Int_map.add id (value, size) values, data_bytes + size - old_size))
       batch (t.values, t.data_bytes)
   in
+  Io_stats.publish t.stats;
   (* Values play no part in Dewey numbers, so the returned store shares
      the sidecar, the grouped-run cache and the join levels, lock
      included, with [t]. *)

@@ -20,7 +20,9 @@
     store's {!Io_stats} at the size the record or row has in the file, so
     the evaluation observes the I/O-driven cost the paper reports.
     Re-reading a node that the renderer duplicates costs I/O again, exactly
-    like a page read.
+    like a page read.  The reads the renderer makes take an optional
+    [?ctx], the request context its operation resolved once, and charge it
+    too ({!Io_stats.charge_read}).
 
     Alongside the Nodes table the store keeps a {e columnar Dewey sidecar}:
     per-type arrays of Dewey numbers aligned with the TypeToSequence rows.
@@ -65,27 +67,29 @@ val types : t -> Xml.Type_table.t
 
 val node : t -> int -> node
 (** One node's record, gathered from the columns, charging the record's
-    encoded size as a read. *)
+    encoded size as a read to the store alone: no request context. *)
 
-val value : t -> int -> string
+val value : ?ctx:Xmobs.Ctx.t -> t -> int -> string
 (** [(node t i).value] alone.  Charged exactly as {!node} is, at the
     record's full encoded size. *)
 
-val value_slice : t -> int -> ('a -> string -> int -> int -> unit) -> 'a -> unit
+val value_slice :
+  ?ctx:Xmobs.Ctx.t -> t -> int -> ('a -> string -> int -> int -> unit) -> 'a -> unit
 (** [value_slice t i f x] is [f x s pos len], where [s] from [pos] for
     [len] bytes holds {!value}[ t i] — a slice of the packed values, so
     nothing is copied.  Charged exactly as {!value} is. *)
 
-val sequence : t -> Xml.Type_table.id -> int array
+val sequence : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> int array
 (** The TypeToSequence row for a type (document order), charging its
     serialized size as a read.  Empty for unknown types. *)
 
-val dewey_column : t -> Xml.Type_table.id -> Xmutil.Dewey.t array
+val dewey_column : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> Xmutil.Dewey.t array
 (** The columnar Dewey sidecar for a type: Dewey numbers aligned with
     {!sequence}, charged at the column's serialized size — the decode-free
     access path of the closest join.  Empty for unknown types. *)
 
-val grouped_sequence : t -> Xml.Type_table.id -> level:int -> (int * int) array
+val grouped_sequence :
+  ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> level:int -> (int * int) array
 (** The GroupedSequence table of Fig. 8: the TypeToSequence row for a type,
     grouped into runs [start, stop)] of nodes sharing a Dewey prefix of
     length [level] (i.e. the same ancestor at that level), by
@@ -136,7 +140,8 @@ val update_values : t -> (int * string) list -> t
 
     One call mints one {!generation}.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its
-    encoded size.
+    encoded size, to the calling thread's {!Xmobs.Ctx} too (looked up
+    once per call); the call ends with {!Io_stats.publish}.
     @raise Invalid_argument, with no effect, if any id is out of range. *)
 
 val update_value : t -> int -> string -> t

@@ -152,13 +152,13 @@ let test_span_attrs () =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
       Xmobs.Obs.phase "render" (fun () ->
-          Store.Io_stats.charge_read stats 100;
+          Store.Io_stats.charge_read ~ctx stats 100;
           Xmobs.Obs.phase "inner" (fun () ->
-              Store.Io_stats.charge_write stats 10);
+              Store.Io_stats.charge_write ~ctx stats 10);
           Ctx.add_attr "classification" (Xmobs.Trace.String "narrowing"));
       (try
          Xmobs.Obs.phase "boom" (fun () ->
-             Store.Io_stats.charge_read stats 5;
+             Store.Io_stats.charge_read ~ctx stats 5;
              failwith "x")
        with Failure _ -> ());
       Xmobs.Obs.phase "idle" (fun () -> ()));
@@ -237,8 +237,8 @@ let run_io_workers charge_lists =
               Ctx.with_ctx ctx (fun () ->
                   List.iter
                     (fun bytes ->
-                      Store.Io_stats.charge_read stats bytes;
-                      Store.Io_stats.charge_write stats (bytes / 2))
+                      Store.Io_stats.charge_read ~ctx stats bytes;
+                      Store.Io_stats.charge_write ~ctx stats (bytes / 2))
                     charges))
             ()
         in

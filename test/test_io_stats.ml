@@ -1,8 +1,8 @@
 (* Direct coverage for the store's I/O accounting: block rounding at the
-   4096-byte boundary, per-charge observation through Metrics.subscribe,
-   reset semantics, the simulated-latency model, and publication into the
-   metrics registry (previously only exercised indirectly through
-   test_store.ml). *)
+   4096-byte boundary, reset semantics, the simulated-latency model, the
+   gauges an operation publishes into the metrics registry, and the
+   allocation a request context and metrics add to a render (previously
+   only exercised indirectly through test_store.ml). *)
 
 module Io = Store.Io_stats
 
@@ -36,44 +36,6 @@ let test_zero_byte_charge () =
   Alcotest.(check int) "zero bytes, zero blocks" 0 sn.Io.blocks_read;
   Alcotest.(check int) "the op still counts" 1 sn.Io.read_ops
 
-(* Per-charge observation goes through Metrics.subscribe: every charge
-   publishes the cumulative gauges and fires the registry's observers once
-   (the path the benches sample vmstat-style, Figs. 11-13). *)
-let test_observer_order () =
-  let s = Io.create () in
-  let r = Xmobs.Metrics.create () in
-  Fun.protect ~finally:(fun () -> Xmobs.Metrics.disable ()) (fun () ->
-      Xmobs.Metrics.with_registry r (fun () ->
-          Xmobs.Metrics.enable ();
-          let seen = ref [] in
-          let sample () =
-            seen :=
-              ( int_of_float (Xmobs.Metrics.gauge_value ~r "store.bytes_read"),
-                int_of_float
-                  (Xmobs.Metrics.gauge_value ~r "store.bytes_written") )
-              :: !seen
-          in
-          let id = Xmobs.Metrics.subscribe sample in
-          Io.charge_read s 10;
-          Io.charge_write s 20;
-          Io.charge_read s 30;
-          let seen_in_order = List.rev !seen in
-          Alcotest.(check int)
-            "one notification per charge" 3
-            (List.length seen_in_order);
-          (* Each notification sees the gauges with its own charge already
-             published. *)
-          Alcotest.(check (list int)) "cumulative bytes read, in charge order"
-            [ 10; 10; 40 ]
-            (List.map fst seen_in_order);
-          Alcotest.(check (list int))
-            "cumulative bytes written, in charge order" [ 0; 20; 20 ]
-            (List.map snd seen_in_order);
-          Xmobs.Metrics.unsubscribe id;
-          Io.charge_read s 5;
-          Alcotest.(check int) "unsubscribed observer is not called" 3
-            (List.length seen_in_order)))
-
 let test_reset () =
   let s = Io.create () in
   Io.charge_read s 5000;
@@ -83,19 +45,7 @@ let test_reset () =
   Alcotest.(check int) "bytes_read zeroed" 0 sn.Io.bytes_read;
   Alcotest.(check int) "bytes_written zeroed" 0 sn.Io.bytes_written;
   Alcotest.(check int) "blocks zeroed" 0 (Io.blocks_total sn);
-  Alcotest.(check int) "ops zeroed" 0 (sn.Io.read_ops + sn.Io.write_ops);
-  (* Resetting the counters does not detach metrics subscribers; the reset
-     itself publishes (one notification), as does the next charge. *)
-  let r = Xmobs.Metrics.create () in
-  Fun.protect ~finally:(fun () -> Xmobs.Metrics.disable ()) (fun () ->
-      Xmobs.Metrics.with_registry r (fun () ->
-          Xmobs.Metrics.enable ();
-          let calls = ref 0 in
-          let id = Xmobs.Metrics.subscribe (fun () -> incr calls) in
-          Io.reset s;
-          Io.charge_read s 1;
-          Alcotest.(check int) "subscriber survives reset" 2 !calls;
-          Xmobs.Metrics.unsubscribe id))
+  Alcotest.(check int) "ops zeroed" 0 (sn.Io.read_ops + sn.Io.write_ops)
 
 let test_simulated_io_monotone () =
   let s = Io.create () in
@@ -114,31 +64,93 @@ let test_simulated_io_monotone () =
     (float_of_int (Io.blocks_total sn) *. 4.0e-5)
     (Io.simulated_io_seconds sn)
 
-let test_metrics_publication () =
-  let s = Io.create () in
+let book i =
+  Printf.sprintf
+    "<book><title>T%d</title><author><name>A%d</name></author>\
+     <publisher><name>P%d</name></publisher></book>"
+    i i i
+
+let books n =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string ("<data>" ^ String.concat "" (List.init n book) ^ "</data>"))
+  in
+  let compiled =
+    Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store) "MUTATE data"
+  in
+  (store, compiled.Xmorph.Interp.shape)
+
+let with_metrics f =
   let r = Xmobs.Metrics.create () in
   Fun.protect ~finally:(fun () -> Xmobs.Metrics.disable ()) (fun () ->
       Xmobs.Metrics.with_registry r (fun () ->
           Xmobs.Metrics.enable ();
-          Io.charge_read s 8192;
-          Io.charge_write s 1;
-          Alcotest.(check (float 0.0)) "blocks_read gauge" 2.0
-            (Xmobs.Metrics.gauge_value ~r "store.blocks_read");
-          Alcotest.(check (float 0.0)) "blocks_written gauge" 1.0
-            (Xmobs.Metrics.gauge_value ~r "store.blocks_written");
-          Alcotest.(check (float 0.0)) "read_ops gauge" 1.0
-            (Xmobs.Metrics.gauge_value ~r "store.read_ops");
-          (* Reset publishes the zeroed counters immediately. *)
-          Io.reset s;
-          Alcotest.(check (float 0.0)) "reset publishes zeros" 0.0
-            (Xmobs.Metrics.gauge_value ~r "store.blocks_read")))
+          f r))
+
+(* An operation publishes the store's counters when it ends: after a
+   render with metrics on, every store.* gauge equals the snapshot. *)
+let test_metrics_publication () =
+  let store, shape = books 50 in
+  with_metrics (fun r ->
+      ignore (Xmorph.Render.to_buffer store shape (Buffer.create 4096));
+      let sn = snap (Store.Shredded.stats store) in
+      Alcotest.(check bool) "the render charged reads" true (sn.Io.read_ops > 0);
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check (float 0.0)) name (float_of_int v)
+            (Xmobs.Metrics.gauge_value ~r name))
+        [ ("store.bytes_read", sn.Io.bytes_read);
+          ("store.bytes_written", sn.Io.bytes_written);
+          ("store.blocks_read", sn.Io.blocks_read);
+          ("store.blocks_written", sn.Io.blocks_written);
+          ("store.read_ops", sn.Io.read_ops);
+          ("store.write_ops", sn.Io.write_ops) ];
+      (* Reset publishes the zeroed counters immediately. *)
+      Io.reset (Store.Shredded.stats store);
+      Alcotest.(check (float 0.0)) "reset publishes zeros" 0.0
+        (Xmobs.Metrics.gauge_value ~r "store.blocks_read"))
+
+(* Minor words of one [Render.to_buffer] of [shape]; the store's caches
+   are warm, so a render allocates the same on every call. *)
+let render_words store shape =
+  let buf = Buffer.create 4096 in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Xmorph.Render.to_buffer store shape buf));
+  Gc.minor_words () -. w0
+
+(* What a request context with metrics on adds to a render, over a bare
+   render of the same store: the context is resolved once per render and
+   the gauges set once, so the extra words do not grow with the
+   document. *)
+let extra_words n =
+  let store, shape = books n in
+  ignore (render_words store shape);
+  let bare = render_words store shape in
+  let traced =
+    with_metrics (fun _ ->
+        Xmobs.Ctx.with_ctx (Xmobs.Ctx.create ()) (fun () ->
+            ignore (render_words store shape);
+            render_words store shape))
+  in
+  (Io.snapshot (Store.Shredded.stats store)).Io.read_ops, traced -. bare
+
+let test_context_words_flat () =
+  let ops1, extra1 = extra_words 200 in
+  let ops2, extra2 = extra_words 400 in
+  Alcotest.(check bool) "the larger document makes more charges" true (ops2 > ops1);
+  if extra2 -. extra1 > 64.0 then
+    Alcotest.failf
+      "a context and metrics add %.0f words to a render of 200 books and \
+       %.0f to one of 400"
+      extra1 extra2
 
 let suite =
   [
     Alcotest.test_case "block rounding at 4096" `Quick test_block_rounding;
     Alcotest.test_case "zero-byte charge" `Quick test_zero_byte_charge;
-    Alcotest.test_case "observer invocation order" `Quick test_observer_order;
     Alcotest.test_case "reset semantics" `Quick test_reset;
     Alcotest.test_case "simulated io monotone" `Quick test_simulated_io_monotone;
     Alcotest.test_case "metrics publication" `Quick test_metrics_publication;
+    Alcotest.test_case "context words flat in document size" `Quick
+      test_context_words_flat;
   ]

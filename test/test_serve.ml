@@ -699,13 +699,26 @@ let test_slow_capture () =
   Sys.remove path;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* Run [f] while an interval timer makes a running server worker yield
+   every half millisecond, renders included.  The calling thread, and
+   the client threads [f] starts, block the signal, so only the workers
+   started before take it (their socket calls retry on EINTR). *)
+let with_yield_timer f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Thread.yield ())) in
+  let mask = Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ] in
+  let every s = { Unix.it_interval = s; it_value = s } in
+  ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0005));
+  Fun.protect f ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0));
+      ignore (Thread.sigmask Unix.SIG_SETMASK mask);
+      Sys.set_signal Sys.sigalrm old)
+
 (* A capture's frames are its own request's even while another client
    loops on a different guard, every one of its requests captured too:
    one render, and only this guard's closest joins.  The document is
-   big enough that executions outlast the HTTP round trips, and a
-   metrics observer yields the thread at every store charge, so the two
-   clients' executions interleave while a capture's frame tree is
-   live. *)
+   big enough that executions outlast the HTTP round trips, and a timer
+   yields the running thread every half millisecond, so the two clients'
+   executions interleave while a capture's frame tree is live. *)
 let test_slow_capture_exact_under_load () =
   Xmobs.Ctx.reset_completed ();
   let book i =
@@ -720,7 +733,7 @@ let test_slow_capture_exact_under_load () =
          ("<data>" ^ String.concat "" (List.init 2000 book) ^ "</data>"))
   in
   with_server ~store ~slow_ms:0.0 @@ fun base _store ->
-  let yielder = Xmobs.Metrics.subscribe Thread.yield in
+  with_yield_timer @@ fun () ->
   let stop = Atomic.make false and served = Atomic.make 0 in
   let other_guard = "MORPH publisher [ name ]" in
   let other =
@@ -736,11 +749,10 @@ let test_slow_capture_exact_under_load () =
     Fun.protect
       ~finally:(fun () ->
         Atomic.set stop true;
-        Thread.join other;
-        Xmobs.Metrics.unsubscribe yielder)
+        Thread.join other)
       (fun () ->
         while Atomic.get served < 2 do Thread.yield () done;
-        List.init 8 (fun _ ->
+        List.init 64 (fun _ ->
             let _, headers, _ =
               get ~meth:"POST" ~body:paper_guard base "/query"
             in
