@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench bench-csv examples doc clean reproduce lint ci \
-  trace-check profile-check trace-smoke
+  trace-check profile-check trace-smoke store-smoke
 
 all: build
 
@@ -83,6 +83,33 @@ trace-smoke:
 	$(MAKE) trace-check TRACE=telemetry/trace.json
 	$(MAKE) profile-check PROFILE=telemetry/profile.json
 
+# A saved and loaded store answers as the XML it was shredded from, on a
+# bench-sized document: identity MUTATE and the four Fig. 15 XMark guards
+# render the same bytes over both, and a quantified check prints the same
+# report.  This runs the store's save/load path and the closest join over
+# a loaded store, which the unit pins do not reach.
+XMORPH_EXE = _build/default/bin/xmorph_cli.exe
+STORE_SMOKE_GUARDS = \
+  "MUTATE site" \
+  "MORPH site [ people [ person [ address [ city ] ] ] ]" \
+  "MORPH site [ people [ person [ person.name [ emailaddress [ address [ street [ city [ country [ zipcode ] ] ] ] ] ] ] ] ]" \
+  "MORPH person [ person.name emailaddress city ]" \
+  "MORPH person [ person.name emailaddress street city country zipcode age gender business education ]"
+store-smoke:
+	dune build bin/xmorph_cli.exe
+	mkdir -p store-smoke
+	$(XMORPH_EXE) gen xmark --seed 3 -o store-smoke/xmark.xml
+	$(XMORPH_EXE) shred store-smoke/xmark.store store-smoke/xmark.xml > /dev/null
+	@for g in $(STORE_SMOKE_GUARDS); do \
+	  $(XMORPH_EXE) run "$$g" store-smoke/xmark.store > store-smoke/store.out || exit 1; \
+	  $(XMORPH_EXE) run "$$g" store-smoke/xmark.xml > store-smoke/xml.out || exit 1; \
+	  cmp store-smoke/store.out store-smoke/xml.out || { echo "store != XML: $$g"; exit 1; }; \
+	done
+	$(XMORPH_EXE) check --quantify "MUTATE site" store-smoke/xmark.store > store-smoke/store.out
+	$(XMORPH_EXE) check --quantify "MUTATE site" store-smoke/xmark.xml > store-smoke/xml.out
+	cmp store-smoke/store.out store-smoke/xml.out
+	@echo "store-smoke: ok"
+
 # What CI runs (.github/workflows/ci.yml mirrors this target).
 ci: lint
 	dune build @all
@@ -92,6 +119,7 @@ ci: lint
 	dune exec bench/main.exe -- architectures
 	dune exec bench/main.exe -- fig11 fig13
 	$(MAKE) trace-smoke
+	$(MAKE) store-smoke
 
 clean:
 	dune clean

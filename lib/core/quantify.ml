@@ -20,38 +20,34 @@ type t = {
   deltas : pair_delta list;
 }
 
-(* A target node's instances in Dewey order, with their Dewey numbers: ORDER-BY
-   may have permuted them, and the kernel needs document order. *)
-let in_dewey_order (xs : Render.instance array) =
+(* A target node's instances in document order, with their ids and their
+   depth: ORDER-BY may have permuted them, and the kernel needs document
+   order, which output ids, as preorder ranks, give. *)
+let in_document_order depth (xs : Render.instance array) =
   let xs = Array.copy xs in
-  Array.stable_sort (fun (x : Render.instance) y -> Dewey.compare x.dewey y.dewey) xs;
-  (xs, Array.map (fun (x : Render.instance) -> x.dewey) xs)
+  Array.stable_sort (fun (x : Render.instance) y -> Int.compare x.id y.id) xs;
+  (xs, Array.map (fun (x : Render.instance) -> x.id) xs, depth)
 
 (* Closest pairs between two instance arrays of the output document, mapped
    to source-node pairs and pushed to [codes]: a pair [(a, b)] as one int
    [a * n + b], where [n] exceeds every id, so sorted codes are sorted
-   pairs.  All instances of a target
-   node share its depth, so Def. 2 applies as in the renderer: the closest
-   level of the two Dewey sets, then each [a] instance's run of [b]
-   instances sharing its prefix of that length. *)
-let output_closest n codes (a, da) ((b : Render.instance array), db) =
-  let l = Dewey.closest_level da db in
+   pairs.  All instances of a target node share its depth, so Def. 2
+   applies as in the renderer, through the same kernel over the output's
+   parent column: the closest level of the two id rows, then each [a]
+   instance's run of [b] instances sharing its ancestor at that level. *)
+let output_closest ~parent n codes (a, ia, da) ((b : Render.instance array), ib, db) =
+  let l = Closest.level ~parent ia ~depth_a:da ib ~depth_b:db in
   if l > 0 then begin
-    let runs = Dewey.runs ~level:l db in
-    let g = ref 0 in
+    let runs = Closest.runs ~parent ~hops:(db - l) ib in
+    let found = Closest.find ~parent ~hops:(da - l) runs ia in
     Array.iteri
       (fun i (x : Render.instance) ->
-        g :=
-          if i = 0 then Dewey.bisect_run ~level:l db runs x.dewey
-          else Dewey.seek_run ~level:l db runs x.dewey !g;
-        if !g < Array.length runs && Dewey.compare_prefix l db.(fst runs.(!g)) x.dewey = 0
-        then begin
-          let start, stop = runs.(!g) in
-          for k = start to stop - 1 do
-            if x.source >= 0 && b.(k).source >= 0 then
+        let g = found.(i) in
+        if g >= 0 && x.source >= 0 then
+          for k = runs.offs.(g) to runs.offs.(g + 1) - 1 do
+            if b.(k).source >= 0 then
               ignore (Vec.push codes ((x.source * n) + b.(k).source))
-          done
-        end)
+          done)
       a
   end
 
@@ -89,6 +85,12 @@ let measure store (shape : Tshape.t) : t =
   let tt = Store.Shredded.types store in
   let n = Store.Shredded.node_count store in
   let insts = Render.instances store shape in
+  (* The output's parent column, by output id. *)
+  let total = List.fold_left (fun k (_, arr) -> k + Array.length arr) 0 insts in
+  let parent = Array.make total (-1) in
+  List.iter
+    (fun (_, arr) -> Array.iter (fun (x : Render.instance) -> parent.(x.id) <- x.parent) arr)
+    insts;
   (* Sourced target nodes only; group instance arrays by source type so a
      clone contributes to the same source pair. *)
   let by_source = Hashtbl.create 16 in
@@ -97,7 +99,7 @@ let measure store (shape : Tshape.t) : t =
       match tn.source with
       | Some s ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_source s) in
-          Hashtbl.replace by_source s (in_dewey_order arr :: prev)
+          Hashtbl.replace by_source s (in_document_order (Tshape.depth_in tn) arr :: prev)
       | None -> ())
     insts;
   let kept = List.of_seq (Hashtbl.to_seq_keys by_source) in
@@ -115,7 +117,8 @@ let measure store (shape : Tshape.t) : t =
             let src = Vec.to_array src in
             let out = Vec.create () in
             List.iter
-              (fun a1 -> List.iter (output_closest n out a1) (Hashtbl.find by_source s2))
+              (fun a1 ->
+                List.iter (output_closest ~parent n out a1) (Hashtbl.find by_source s2))
               (Hashtbl.find by_source s1);
             let out = sort_uniq out in
             let preserved = common src out in

@@ -4,18 +4,14 @@ type stats = { elements : int; bytes : int }
 
 module Store_ = Store (* the OCaml library, not a value *)
 
-type type_cache = {
-  ids : int array; (* TypeToSequence row: node ids in document order *)
-  deweys : Dewey.t array; (* aligned with [ids] *)
-}
-
 (* One per render, [Nav.t], [explain] or [iter_closest] call, used by the
    thread that made it: the cache needs no lock.  [ctx] is the request
    context every store read of the operation is charged to, resolved
    once here rather than looked up per charge. *)
 type rctx = {
   store : Store_.Shredded.t;
-  caches : (int, type_cache) Hashtbl.t;
+  caches : (int, int array) Hashtbl.t;
+      (* type -> its TypeToSequence row: node ids in document order *)
   ctx : Xmobs.Ctx.t option;
 }
 
@@ -34,70 +30,35 @@ let cache rctx ty =
   match Hashtbl.find_opt rctx.caches ty with
   | Some c -> c
   | None ->
-      (* Join-side data only: the sequence row and the columnar Dewey
-         sidecar.  No node record is decoded here — emission reads the
-         values of the instances it actually outputs. *)
-      let c =
-        { ids = Store_.Shredded.sequence ?ctx:rctx.ctx rctx.store ty;
-          deweys = Store_.Shredded.dewey_column ?ctx:rctx.ctx rctx.store ty }
-      in
+      (* Join-side data only: the sequence row, and a read of the type's
+         join column charged.  No node record is decoded here — emission
+         reads the values of the instances it actually outputs. *)
+      let c = Store_.Shredded.sequence ?ctx:rctx.ctx rctx.store ty in
+      Store_.Shredded.charge_join_column ?ctx:rctx.ctx rctx.store ty;
       Hashtbl.replace rctx.caches ty c;
       c
 
-(* The first index in [[lo, hi)] of an ascending id row holding at least
-   [x]: bisected, or galloped forward from [lo] as [Dewey.seek_run] does
-   over runs. *)
-let rec bisect_id (a : int array) x lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if a.(mid) < x then bisect_id a x (mid + 1) hi else bisect_id a x lo mid
-
-let rec gallop_id (a : int array) x prev step hi =
-  let q = prev + step in
-  if q < hi && a.(q) < x then gallop_id a x q (2 * step) hi
-  else bisect_id a x (prev + 1) (Int.min hi (q + 1))
-
-let seek_id a x lo hi = if lo >= hi || a.(lo) >= x then lo else gallop_id a x lo 1 hi
-
 (* The closest join (CLOSE), the one kernel every join goes through.  The
    child side is the GroupedSequence table (Fig. 8): the child type's
-   sequence grouped into runs of equal [l]-prefix, so a parent's closest
-   children are exactly the run sharing its [l]-prefix.  [parents] are
-   instances of [pty] in ascending (document) order; the result holds, per
-   parent, the index of its run in the returned groups, or -1 when it has
-   no closest child.  Both searches gallop forward from the previous
-   parent's answer, so a batch is one forward pass over the parent row and
-   the runs. *)
+   sequence grouped into runs sharing their ancestor at the join level
+   [l], so a parent's closest children are exactly the run keyed by the
+   parent's own ancestor at [l], [depth pty - l] parent hops up.
+   [parents] are instances of [pty] in ascending (document) order; the
+   result holds, per parent, the index of its run in the returned runs, or
+   -1 when it has no closest child ([Closest.find]: one forward pass over
+   the runs). *)
 let closest_runs rctx ~pty ~parents ~cty =
-  let pc = cache rctx pty in
+  (* The join reads both types' rows, which the I/O model charges. *)
+  ignore (cache rctx pty);
   let cc = cache rctx cty in
   let l = Store_.Shredded.join_level rctx.store pty cty in
-  let n = Array.length parents in
-  let runs = Array.make n (-1) in
-  if Array.length cc.ids = 0 || l = 0 then (runs, [||])
+  if Array.length cc = 0 || l = 0 then
+    (Array.make (Array.length parents) (-1), Closest.no_runs)
   else begin
     let groups = Store_.Shredded.grouped_sequence ?ctx:rctx.ctx rctx.store cty ~level:l in
-    let pos = ref 0 and g = ref 0 in
-    for k = 0 to n - 1 do
-      (* The first parent has no previous answer to gallop from. *)
-      let first = k = 0 in
-      pos :=
-        (if first then bisect_id else seek_id)
-          pc.ids parents.(k) !pos (Array.length pc.ids);
-      if !pos < Array.length pc.ids && pc.ids.(!pos) = parents.(k) then begin
-        let pd = pc.deweys.(!pos) in
-        if Array.length pd >= l then begin
-          g :=
-            if first then Dewey.bisect_run ~level:l cc.deweys groups pd
-            else Dewey.seek_run ~level:l cc.deweys groups pd !g;
-          if !g < Array.length groups
-             && Dewey.compare_prefix l cc.deweys.(fst groups.(!g)) pd = 0
-          then runs.(k) <- !g
-        end
-      end
-    done;
-    (runs, groups)
+    let hops = Xml.Type_table.depth (Store_.Shredded.types rctx.store) pty - l in
+    let parent = Store_.Shredded.parent_column rctx.store in
+    (Closest.find ~parent ~hops groups parents, groups)
   end
 
 (* One parent's closest children: the kernel on a single parent, for
@@ -105,8 +66,8 @@ let closest_runs rctx ~pty ~parents ~cty =
 let join_one rctx ~pty pid ~cty =
   match closest_runs rctx ~pty ~parents:[| pid |] ~cty with
   | [| g |], groups when g >= 0 ->
-      let gs, ge = groups.(g) in
-      Array.sub (cache rctx cty).ids gs (ge - gs)
+      let gs = groups.offs.(g) in
+      Array.sub (cache rctx cty) gs (groups.offs.(g + 1) - gs)
   | _ -> [||]
 
 let ascending ids =
@@ -143,7 +104,7 @@ let run_of e key =
   let k =
     if c < n && e.keys.(c) = key then c
     else if c + 1 < n && e.keys.(c + 1) = key then c + 1
-    else bisect_id e.keys key 0 n
+    else Closest.bisect e.keys key 0 n
   in
   if k < n && e.keys.(k) = key then begin
     e.cur <- k;
@@ -161,13 +122,13 @@ let run_of e key =
 let build_edge rctx ~pty ~parents ~cty ~select =
   let keys = ascending parents in
   let runs, groups = closest_runs rctx ~pty ~parents:keys ~cty in
-  let ids = (cache rctx cty).ids in
+  let ids = cache rctx cty in
   (* Runs are nondecreasing over ascending keys: equal ones are adjacent. *)
   let parts = ref [] and nruns = ref 0 and total = ref 0 and last = ref (-1) in
   Array.iteri
     (fun k g ->
       if g >= 0 then begin
-        let gs, ge = groups.(g) in
+        let gs = groups.Closest.offs.(g) and ge = groups.offs.(g + 1) in
         let part =
           match select with
           | None -> (ids, gs, ge - gs)
@@ -317,7 +278,7 @@ let count_trees roots = List.fold_left (fun n (_, ids) -> n + Array.length ids) 
 
 let root_instances rctx (h : handle) =
   match h.join with
-  | Some ty -> keep rctx h (cache rctx ty).ids
+  | Some ty -> keep rctx h (cache rctx ty)
   | None -> [| -1 |] (* a purely NEW subtree renders once, empty *)
 
 (* ------------------------------------------------------------------ *)
@@ -364,7 +325,7 @@ and plan_edge rctx (c : handle) ~aty ~ids ~cty =
 and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
   let select =
     if selects c then
-      Some (fun gs ge -> keep rctx c (Array.sub (cache rctx cty).ids gs (ge - gs)))
+      Some (fun gs ge -> keep rctx c (Array.sub (cache rctx cty) gs (ge - gs)))
     else None
   in
   let e = build_edge rctx ~pty:aty ~parents:ids ~cty ~select in
@@ -510,12 +471,13 @@ let to_buffer ?wrapper ?indent store shape buf =
   end;
   st
 
-type instance = { dewey : Dewey.t; source : int }
+type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
 
-(* Walk the plan in emission order, but record (dewey, source) per
-   target node instead of building trees.  Child slot numbering mirrors
-   [Doc.of_tree]: every emitted child (attributes included) takes the next
-   Dewey slot. *)
+(* Walk the plan in emission order, but record an instance per target
+   node instead of building trees: its output preorder rank, its output
+   parent's, its Dewey number and its source.  Child slot numbering
+   mirrors [Doc.of_tree]: every emitted child (attributes included) takes
+   the next Dewey slot. *)
 let instances store (shape : Tshape.t) =
   with_rctx store @@ fun rctx ->
   let acc : (int, instance Vec.t) Hashtbl.t = Hashtbl.create 16 in
@@ -530,13 +492,17 @@ let instances store (shape : Tshape.t) =
     in
     ignore (Vec.push v inst)
   in
-  let rec walk (p : planned) id dewey =
+  let next = ref 0 in
+  let rec walk (p : planned) id ~parent dewey =
+    let me = !next in
+    incr next;
     record p.h.node
-      { dewey; source = (match p.h.node.source with Some _ -> id | None -> -1) };
+      { id = me; parent; dewey;
+        source = (match p.h.node.source with Some _ -> id | None -> -1) };
     let slot = ref 0 in
     let visit c cid =
       incr slot;
-      walk c cid (Dewey.child dewey !slot)
+      walk c cid ~parent:me (Dewey.child dewey !slot)
     in
     List.iter
       (fun (c : planned) ->
@@ -558,7 +524,7 @@ let instances store (shape : Tshape.t) =
       Array.iter
         (fun id ->
           incr root_index;
-          walk plan id [| !root_index |])
+          walk plan id ~parent:(-1) [| !root_index |])
         ids)
     (handles (Store_.Shredded.types store) shape);
   let out = ref [] in
@@ -683,15 +649,15 @@ let explain store (shape : Tshape.t) =
       let pc = cache rctx pty in
       let cc = cache rctx cty in
       let l = Store_.Shredded.join_level store pty cty in
-      let runs, groups = closest_runs rctx ~pty ~parents:pc.ids ~cty in
+      let runs, groups = closest_runs rctx ~pty ~parents:pc ~cty in
       (* Runs are disjoint, and shared ones adjacent. *)
       let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
       Array.iter
         (fun g ->
           if g >= 0 then begin
-            let gs, ge = groups.(g) in
-            pairs := !pairs + (ge - gs);
-            if g <> !last then matched := !matched + (ge - gs);
+            let len = groups.Closest.offs.(g + 1) - groups.offs.(g) in
+            pairs := !pairs + len;
+            if g <> !last then matched := !matched + len;
             last := g
           end)
         runs;
@@ -700,10 +666,10 @@ let explain store (shape : Tshape.t) =
         child = Xml.Type_table.qname tt cty;
         type_distance = Xml.Type_table.depth tt pty + Xml.Type_table.depth tt cty - (2 * l);
         join_level = l;
-        parent_instances = Array.length pc.ids;
-        child_instances = Array.length cc.ids;
+        parent_instances = Array.length pc;
+        child_instances = Array.length cc;
         pairs = !pairs;
-        orphans = Array.length cc.ids - !matched;
+        orphans = Array.length cc - !matched;
         predicted = Xmutil.Card.scale card parents;
       })
     (predicted_edges (Store_.Shredded.guide store) shape)
@@ -726,13 +692,13 @@ let pp_explanation fmt entries =
 let iter_closest store t u f =
   with_rctx store @@ fun rctx ->
   let pc = cache rctx t in
-  let runs, groups = closest_runs rctx ~pty:t ~parents:pc.ids ~cty:u in
-  let kids = (cache rctx u).ids in
+  let runs, groups = closest_runs rctx ~pty:t ~parents:pc ~cty:u in
+  let kids = cache rctx u in
   Array.iteri
     (fun k g ->
       if g >= 0 then
-        for i = fst groups.(g) to snd groups.(g) - 1 do
-          f pc.ids.(k) kids.(i)
+        for i = groups.Closest.offs.(g) to groups.offs.(g + 1) - 1 do
+          f pc.(k) kids.(i)
         done)
     runs
 

@@ -2,14 +2,17 @@
 
     Rendering plans, then walks.  The plan mirrors the target shape: at
     every shape edge a {e closest join} pairs the parent's instances with
-    the child type's instances.  The join exploits Dewey numbers: two
-    nodes are closest exactly when their common Dewey prefix has the
-    maximal length achieved by any pair of their types (Def. 2), which
-    the store computes once per type pair ({!Store.Shredded.join_level}).
-    A forward pass then finds each parent's run of closest children in
-    the GroupedSequence table, galloping from the previous parent's answer
-    ({!Xmutil.Dewey.seek_run}).  Each edge keeps its runs
-    in flat offset arrays, not per-parent copies.
+    the child type's instances.  The join runs on node ids, which are
+    preorder ranks, and the store's parent column: two nodes are closest
+    exactly when their least common ancestor lies at the deepest level
+    any pair of their types reaches (Def. 2: the maximal common Dewey
+    prefix), which the store computes once per type pair
+    ({!Store.Shredded.join_level}).  A forward pass then finds each
+    parent's run of closest children in the GroupedSequence table, keyed
+    by ancestor ids: the parent's own ancestor at that level, a fixed
+    number of parent hops up, is galloped for from the previous parent's
+    answer ({!Xmutil.Closest.find}).  Each edge keeps its runs in flat
+    offset arrays, not per-parent copies.
 
     One walk over the plan then emits the output in document order — the
     pipelining the paper describes — through four calls: open element,
@@ -186,9 +189,13 @@ module Nav : sig
   (** The XPath string value of the virtual subtree. *)
 end
 
-type instance = { dewey : Xmutil.Dewey.t; source : int }
-(** One element of the {e output} document: its Dewey number in the output
-    tree and the source node it draws from ([-1] for NEW elements). *)
+type instance = {
+  id : int;  (** preorder rank in the output document *)
+  parent : int;  (** the output parent's [id]; [-1] for an output root *)
+  dewey : Xmutil.Dewey.t;  (** Dewey number in the output tree *)
+  source : int;  (** the source node it draws from ([-1] for NEW elements) *)
+}
+(** One element of the {e output} document. *)
 
 val instances :
   Store.Shredded.t -> Tshape.t -> (Tshape.node * instance array) list
@@ -196,5 +203,6 @@ val instances :
     target node, its rendered instances in output document order.  Each
     target node is a type of the output, and every instance of it sits at
     that node's depth, so the output's closest relation can be computed from
-    these arrays alone — which is what {!Quantify} does to measure actual
-    information loss. *)
+    these arrays alone, by the same id kernel as the source's
+    ({!Xmutil.Closest} over the output parent column) — which is what
+    {!Quantify} does to measure actual information loss. *)

@@ -256,6 +256,27 @@ let parse_status_line line =
       | None -> fail "malformed status line %S" line)
   | _ -> fail "malformed status line %S" line
 
+(* A signal that interrupts [connect(2)] does not stop the kernel
+   connecting: wait, within [timeout_s], for the socket to become writable,
+   then read the connection's outcome. *)
+let connect fd addr ~timeout_s =
+  match Unix.connect fd addr with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> (
+      let deadline = Unix.gettimeofday () +. timeout_s in
+      let rec wait () =
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""));
+        match Unix.select [] [ fd ] [] left with
+        | _, [], _ -> wait ()
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+      in
+      wait ();
+      match Unix.getsockopt_error fd with
+      | None -> ()
+      | Some e -> raise (Unix.Unix_error (e, "connect", "")))
+
 let request_url ?body ?(headers = []) ?(timeout_s = 30.0) ~meth url =
   match parse_url url with
   | Error m -> Error m
@@ -271,7 +292,7 @@ let request_url ?body ?(headers = []) ?(timeout_s = 30.0) ~meth url =
       try
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
         Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
-        Unix.connect fd (Unix.ADDR_INET (addr, port));
+        connect fd (Unix.ADDR_INET (addr, port)) ~timeout_s;
         let body = Option.value ~default:"" body in
         let extra =
           String.concat ""

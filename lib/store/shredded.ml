@@ -15,9 +15,11 @@ module Int_map = Map.Make (Int)
 type t = {
   parent : int array;
   type_id : Xml.Type_table.id array;
-  dewey : Dewey.t array;
+  rank : int array;
       (* The Nodes table's columns, by node id; [shred] shares the
-         document's own arrays, which nothing writes. *)
+         document's own arrays, which nothing writes.  A node's Dewey
+         number is derived from [parent] and [rank] where it is printed
+         or saved ([Dewey.of_ranks]); the join reads [parent] alone. *)
   text : string;
   text_start : int array;
       (* Every node's value, back to back in id order: node [i]'s runs from
@@ -36,15 +38,14 @@ type t = {
   data_bytes : int; (* size of the Nodes blob with the overlay folded in *)
   seqs : int array array; (* type id -> node ids, document order *)
   seq_bytes : int array; (* serialized size of each sequence row *)
-  dewey_cols : Dewey.t array array;
-      (* Columnar Dewey sidecar: type id -> Dewey numbers aligned with the
-         type's sequence row, so the join side reads one array per type. *)
-  dewey_col_bytes : int array; (* serialized size of each Dewey column *)
+  dewey_col_bytes : int array;
+      (* serialized size of each type's Dewey column, the sidecar [save]
+         writes: what a join-side read of the type is charged *)
   guide : Xml.Dataguide.t;
   stats : Io_stats.t;
-  groups : (int * int, (int * int) array) Hashtbl.t;
+  groups : (int * int, Closest.runs) Hashtbl.t;
       (* GroupedSequence cache: (type, level) -> runs of the sequence
-         sharing a Dewey prefix of that length *)
+         sharing their ancestor at that level *)
   levels : (int * int, int) Hashtbl.t;
       (* closest-join levels: (type, type), the smaller id first -> level *)
   lock : Mutex.t;
@@ -78,16 +79,11 @@ let type_fields types ty =
   Codec.add_uint b ty;
   Buffer.contents b
 
-(* Serialized size of a Dewey column, as [save] writes it. *)
-let column_bytes col =
-  Array.fold_left
-    (fun acc d -> acc + Codec.int_array_size d) (Codec.uint_size (Array.length col)) col
-
-let make ~parent ~type_id ~dewey ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_bytes
-    ~dewey_cols ~dewey_col_bytes ~guide =
-  { parent; type_id; dewey; text; text_start; sizes; values = Int_map.empty;
+let make ~parent ~type_id ~rank ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_bytes
+    ~dewey_col_bytes ~guide =
+  { parent; type_id; rank; text; text_start; sizes; values = Int_map.empty;
     patched = String.make ((Array.length sizes + 7) / 8) '\000'; data_bytes; seqs;
-    seq_bytes; dewey_cols; dewey_col_bytes; guide; stats = Io_stats.create ();
+    seq_bytes; dewey_col_bytes; guide; stats = Io_stats.create ();
     groups = Hashtbl.create 16; levels = Hashtbl.create 16; lock = Mutex.create ();
     generation = next_generation () }
 
@@ -96,11 +92,13 @@ let shred doc =
   Xmobs.Obs.phase "store.shred" ~attrs:[ ("nodes", Xmobs.Trace.Int count) ] @@ fun () ->
   let types = Xml.Doc.types doc in
   let seqs = Array.init (Xml.Type_table.count types) (Xml.Doc.nodes_of_type doc) in
+  (* The size of [type_fields], without building them. *)
   let type_bytes =
-    Array.init (Array.length seqs) (fun ty -> String.length (type_fields types ty))
+    Array.init (Array.length seqs) (fun ty ->
+        1 + string_size (String.length (Xml.Type_table.label types ty)) + Codec.uint_size ty)
   in
   let parent = Xml.Doc.parent_column doc and type_id = Xml.Doc.type_column doc in
-  let dewey = Xml.Doc.dewey_column doc in
+  let rank = Xml.Doc.rank_column doc in
   (* One pass sizes every record, sequence row and Dewey column and places
      every value in [text]; the values are then copied there once. *)
   let seq_bytes = Array.map (fun seq -> Codec.uint_size (Array.length seq)) seqs in
@@ -109,15 +107,14 @@ let shred doc =
   let data_bytes = ref 0 in
   (* Ids are preorder ranks, so a node's parent is the last node seen one
      level up: [prefix.(l)] is the size of the components of the Dewey
-     number of the last node seen at level [l], one addition per node. *)
-  let depth = ref 0 in
-  Xml.Type_table.iter types (fun ty -> depth := max !depth (Xml.Type_table.depth types ty));
-  let prefix = Array.make (!depth + 1) 0 in
+     number of the last node seen at level [l], one addition per node.
+     Every instance of a type sits at the type's depth. *)
+  let depths = Array.init (Array.length seqs) (Xml.Type_table.depth types) in
+  let prefix = Array.make (Array.fold_left max 0 depths + 1) 0 in
   for i = 0 to count - 1 do
     let ty = type_id.(i) and len = String.length (Xml.Doc.value doc i) in
-    let d = dewey.(i) in
-    let level = Array.length d in
-    prefix.(level) <- prefix.(level - 1) + Codec.int_size d.(level - 1);
+    let level = depths.(ty) in
+    prefix.(level) <- prefix.(level - 1) + Codec.int_size rank.(i);
     let dewey_size = Codec.uint_size level + prefix.(level) in
     seq_bytes.(ty) <- seq_bytes.(ty) + Codec.int_size i;
     dewey_col_bytes.(ty) <- dewey_col_bytes.(ty) + dewey_size;
@@ -132,9 +129,8 @@ let shred doc =
     (* A third of the nodes of the workload corpora have no text. *)
     if String.length v > 0 then Bytes.blit_string v 0 text text_start.(i) (String.length v)
   done;
-  make ~parent ~type_id ~dewey ~text:(Bytes.unsafe_to_string text) ~text_start ~sizes
-    ~data_bytes:!data_bytes ~seqs ~seq_bytes
-    ~dewey_cols:(Array.map (Array.map (Array.get dewey)) seqs) ~dewey_col_bytes
+  make ~parent ~type_id ~rank ~text:(Bytes.unsafe_to_string text) ~text_start ~sizes
+    ~data_bytes:!data_bytes ~seqs ~seq_bytes ~dewey_col_bytes
     ~guide:(Xml.Dataguide.of_doc doc)
 
 let stats t = t.stats
@@ -180,23 +176,25 @@ let value_slice ?ctx t i f x =
     f x t.text start (t.text_start.(i + 1) - start)
   end
 
+let dewey t i = Dewey.of_ranks ~parent:t.parent ~rank:t.rank i
+
 let node t i =
   let types = types t and ty = t.type_id.(i) in
-  { id = i; dewey = t.dewey.(i);
+  { id = i; dewey = dewey t i;
     kind =
       (if Xml.Type_table.is_attribute types ty then Xml.Doc.Attribute else Xml.Doc.Element);
     name = Xml.Type_table.label types ty; type_id = ty; parent = t.parent.(i);
     value = value t i }
 
-let dewey_column ?ctx t ty =
-  if ty < 0 || ty >= Array.length t.dewey_cols then [||]
-  else begin
-    Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty);
-    t.dewey_cols.(ty)
-  end
+let parent_column t = t.parent
 
-(* A type's Dewey column, uncharged. *)
-let column t ty = if ty < 0 || ty >= Array.length t.dewey_cols then [||] else t.dewey_cols.(ty)
+let known t ty = ty >= 0 && ty < Array.length t.seqs
+
+let charge_join_column ?ctx t ty =
+  if known t ty then Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty)
+
+(* A type's sequence row, uncharged. *)
+let row t ty = if known t ty then t.seqs.(ty) else [||]
 
 let grouped_sequence ?ctx t ty ~level =
   Mutex.lock t.lock;
@@ -205,29 +203,36 @@ let grouped_sequence ?ctx t ty ~level =
       Mutex.unlock t.lock;
       g
   | None ->
-      let g = Dewey.runs ~level (column t ty) in
+      let g =
+        if known t ty then
+          Closest.runs ~parent:t.parent
+            ~hops:(Xml.Type_table.depth (types t) ty - level) t.seqs.(ty)
+        else Closest.no_runs
+      in
       Hashtbl.replace t.groups (ty, level) g;
       Mutex.unlock t.lock;
-      (* Building the row reads the type's Dewey column once (the columnar
-         sidecar; full records are no longer decoded here). *)
-      if ty >= 0 && ty < Array.length t.dewey_col_bytes then
-        Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty);
+      (* Building the runs is charged as a read of the type's Dewey
+         column, the access path the paper's store would take. *)
+      charge_join_column ?ctx t ty;
       g
 
 (* When one type is an ancestor-or-self of the other and the descendant
-   has instances, each of those shares its ancestor's whole Dewey number,
-   so the level is the ancestor's depth; otherwise one merge pass over the
-   two columns finds it. *)
+   has instances, each of those has an instance of the ancestor among its
+   ancestors, so the level is the ancestor's depth; otherwise one merge
+   pass over the two rows finds it. *)
 let compute_level t a b =
-  let tt = types t and ca = column t a and cb = column t b in
+  let tt = types t and ra = row t a and rb = row t b in
   (* [anc] is an ancestor-or-self of [desc], which has instances. *)
   let above anc desc descs =
     Array.length descs > 0 && anc >= 0 && anc < Xml.Type_table.count tt
     && Xml.Type_table.lca_depth tt anc desc = Xml.Type_table.depth tt anc
   in
-  if above a b cb then Xml.Type_table.depth tt a
-  else if above b a ca then Xml.Type_table.depth tt b
-  else Dewey.closest_level ca cb
+  if above a b rb then Xml.Type_table.depth tt a
+  else if above b a ra then Xml.Type_table.depth tt b
+  else if Array.length ra = 0 || Array.length rb = 0 then 0
+  else
+    Closest.level ~parent:t.parent ra ~depth_a:(Xml.Type_table.depth tt a) rb
+      ~depth_b:(Xml.Type_table.depth tt b)
 
 let join_level t a b =
   let key = if a <= b then (a, b) else (b, a) in
@@ -277,9 +282,9 @@ let update_values t updates =
       batch (t.values, t.data_bytes)
   in
   Io_stats.publish t.stats;
-  (* Values play no part in Dewey numbers, so the returned store shares
-     the sidecar, the grouped-run cache and the join levels, lock
-     included, with [t]. *)
+  (* Values play no part in the structure, so the returned store shares
+     the parent and rank columns, the grouped-run cache and the join
+     levels, lock included, with [t]. *)
   { t with values; patched = Bytes.unsafe_to_string patched; data_bytes;
     generation = next_generation () }
 
@@ -313,12 +318,12 @@ let save t path =
       Codec.add_uint b (Xml.Dataguide.instance_count t.guide ty));
   (* Sequences. *)
   Array.iter (Codec.add_int_array b) t.seqs;
-  (* Columnar Dewey sidecar. *)
+  (* Columnar Dewey sidecar, derived from the rank and parent columns. *)
   Array.iter
-    (fun col ->
-      Codec.add_uint b (Array.length col);
-      Array.iter (Codec.add_int_array b) col)
-    t.dewey_cols;
+    (fun seq ->
+      Codec.add_uint b (Array.length seq);
+      Array.iter (fun id -> Codec.add_int_array b (dewey t id)) seq)
+    t.seqs;
   (* Nodes table: each record's offset, then the records back to back,
      written with the current values. *)
   let count = node_count t in
@@ -333,7 +338,7 @@ let save t path =
   let fields = Array.init (Xml.Type_table.count tt) (type_fields tt) in
   Codec.add_uint b t.data_bytes;
   for i = 0 to count - 1 do
-    Codec.add_int_array b t.dewey.(i);
+    Codec.add_int_array b (dewey t i);
     Buffer.add_string b fields.(t.type_id.(i));
     Codec.add_int b t.parent.(i);
     Codec.add_string b (match overlaid i with Some (v, _) -> v | None -> own_value t i)
@@ -365,28 +370,49 @@ let load path =
   done;
   let guide = Xml.Dataguide.make ~types:tt ~roots ~cards ~counts in
   let seqs = Array.init ntypes (fun _ -> Codec.read_int_array c) in
-  let dewey_cols =
-    Array.init ntypes (fun ty ->
-        let len = Codec.read_uint c in
-        if len <> Array.length seqs.(ty) then raise (Codec.Corrupt "dewey column size");
-        Array.init len (fun _ -> Codec.read_int_array c))
-  in
+  (* The Dewey sidecar is checked against the records once they are
+     decoded: here only its shape. *)
+  let sidecar = c.pos in
+  Array.iter
+    (fun seq ->
+      if Codec.read_uint c <> Array.length seq then
+        raise (Codec.Corrupt "dewey column size");
+      Array.iter (fun _ -> ignore (Codec.read_int_array c)) seq)
+    seqs;
   let nnodes = Codec.read_uint c in
   let offsets = Codec.read_int_array c in
   if Array.length offsets <> nnodes then raise (Codec.Corrupt "offset table size");
   let blob = Codec.read_string c in
   (* Every record is decoded into the columns once, and refused unless it
      is what [save] writes: at its offset, with its type's kind and name,
-     and with a type and parent that exist. *)
+     with a type and parent that exist, and in preorder: a node's parent
+     is the last node seen one level up, an instance of its type's parent
+     type.  Its rank is then the count of its earlier siblings, plus one,
+     and its Dewey number must be the one the parent and rank columns
+     give. *)
   let corrupt what = raise (Codec.Corrupt ("bad node " ^ what)) in
   let c = Codec.cursor blob in
+  let depths = Array.init ntypes (Xml.Type_table.depth tt) in
+  let max_depth = Array.fold_left max 0 depths in
+  (* [last.(l)]: the last node seen at level [l]; [next_rank.(l)]: the
+     rank the next node at level [l] takes. *)
+  let last = Array.make (max_depth + 1) (-1) and next_rank = Array.make (max_depth + 2) 1 in
   let parent = Array.make nnodes (-1) and type_id = Array.make nnodes 0 in
-  let dewey = Array.make nnodes Dewey.root and sizes = Array.make nnodes 0 in
+  let rank = Array.make nnodes 0 and sizes = Array.make nnodes 0 in
+  let is_derived (d : Dewey.t) i =
+    let rec from j k = k < 0 || (d.(k) = rank.(j) && from parent.(j) (k - 1)) in
+    Array.length d = depths.(type_id.(i)) && from i (Array.length d - 1)
+  in
+  (* Records whose Dewey number is not the derived one, kept to check the
+     sidecar against what the record holds. *)
+  let misnumbered = Hashtbl.create 0 in
+  let dewey_col_bytes = Array.map (fun seq -> Codec.uint_size (Array.length seq)) seqs in
   let text = Buffer.create (String.length blob) in
   let text_start = Array.make (nnodes + 1) 0 in
   for i = 0 to nnodes - 1 do
     if offsets.(i) <> c.pos then corrupt "offset";
-    dewey.(i) <- Codec.read_int_array c;
+    let d = Codec.read_int_array c in
+    let dewey_size = c.pos - offsets.(i) in
     let kind = if c.pos < String.length blob then blob.[c.pos] else '\000' in
     c.pos <- c.pos + 1;
     let name = Codec.read_string c in
@@ -395,8 +421,21 @@ let load path =
     if kind <> (if Xml.Type_table.is_attribute tt ty then 'A' else 'E') then corrupt "kind";
     if name <> Xml.Type_table.label tt ty then corrupt "name";
     type_id.(i) <- ty;
-    parent.(i) <- Codec.read_int c;
-    if parent.(i) < -1 || parent.(i) >= nnodes then corrupt "parent";
+    let p = Codec.read_int c in
+    if p < -1 || p >= nnodes then corrupt "parent";
+    let level = depths.(ty) in
+    if p <> last.(level - 1)
+       || (match Xml.Type_table.parent tt ty with
+           | None -> false
+           | Some pty -> p < 0 || type_id.(p) <> pty)
+    then corrupt "parent";
+    parent.(i) <- p;
+    last.(level) <- i;
+    rank.(i) <- next_rank.(level);
+    next_rank.(level) <- next_rank.(level) + 1;
+    next_rank.(level + 1) <- 1;
+    if not (is_derived d i) then Hashtbl.replace misnumbered i d;
+    dewey_col_bytes.(ty) <- dewey_col_bytes.(ty) + dewey_size;
     Buffer.add_string text (Codec.read_string c);
     text_start.(i + 1) <- Buffer.length text;
     sizes.(i) <- c.pos - offsets.(i)
@@ -404,21 +443,25 @@ let load path =
   if c.pos <> String.length blob then corrupt "offset";
   (* The TypeToSequence rows and the Dewey sidecar must agree with the
      records: the rows partition the nodes by type in id order, and each
-     column entry is its node's Dewey number.  The column then shares the
-     record's array, so each Dewey number is held once, as after [shred]. *)
+     sidecar entry is its node's Dewey number as the record holds it. *)
   let bad_sequence () = raise (Codec.Corrupt "bad sequence") in
   if Array.fold_left (fun n seq -> n + Array.length seq) 0 seqs <> nnodes then
     bad_sequence ();
+  let c = Codec.cursor ~pos:sidecar data in
   Array.iteri
     (fun ty seq ->
+      ignore (Codec.read_uint c);
       Array.iteri
         (fun j id ->
           if id < 0 || id >= nnodes || type_id.(id) <> ty || (j > 0 && id <= seq.(j - 1))
-             || not (Dewey.equal dewey.(id) dewey_cols.(ty).(j))
           then bad_sequence ();
-          dewey_cols.(ty).(j) <- dewey.(id))
+          let d = Codec.read_int_array c in
+          match Hashtbl.find_opt misnumbered id with
+          | Some held -> if not (Dewey.equal d held) then bad_sequence ()
+          | None -> if not (is_derived d id) then bad_sequence ())
         seq)
     seqs;
-  make ~parent ~type_id ~dewey ~text:(Buffer.contents text) ~text_start ~sizes
+  if Hashtbl.length misnumbered > 0 then corrupt "dewey";
+  make ~parent ~type_id ~rank ~text:(Buffer.contents text) ~text_start ~sizes
     ~data_bytes:(String.length blob) ~seqs ~seq_bytes:(Array.map Codec.int_array_size seqs)
-    ~dewey_cols ~dewey_col_bytes:(Array.map column_bytes dewey_cols) ~guide
+    ~dewey_col_bytes ~guide

@@ -8,12 +8,15 @@
     - {b TypeToSequence}: type id → document-ordered sequence of node ids;
     - {b AdornedShapes}: the document's adorned shape (tiny; kept decoded).
 
-    In memory the Nodes table is columns: the parent, type and Dewey
+    In memory the Nodes table is columns: the parent, type and rank
     columns of the {!Xml.Doc.t} it was shredded from (shared, not copied),
-    every node's value, and every record's encoded size.  The encoded
-    records exist only in the file format: {!save} writes them back to back
-    in one blob, varint-encoded with {!Codec}, and {!load} decodes each one
-    once into the columns.
+    every node's value, and every record's encoded size.  No Dewey number
+    is held: ids are preorder ranks, so a record's Dewey number is derived
+    from the parent and rank columns ({!Xmutil.Dewey.of_ranks}) where it is
+    read ({!node}) or written ({!save}).  The encoded records exist only in
+    the file format: {!save} writes them back to back in one blob,
+    varint-encoded with {!Codec}, and {!load} decodes each one once into
+    the columns.
 
     The original implementation used BerkeleyDB JE; the access paths are the
     same here.  Every node-record and sequence access is charged to the
@@ -24,12 +27,13 @@
     [?ctx], the request context its operation resolved once, and charge it
     too ({!Io_stats.charge_read}).
 
-    Alongside the Nodes table the store keeps a {e columnar Dewey sidecar}:
-    per-type arrays of Dewey numbers aligned with the TypeToSequence rows.
-    The closest join only needs Dewey numbers, so the join side of the
-    renderer reads {!dewey_column} (charged at the column's serialized
-    size — a fraction of the full records) and reads values only at emit
-    time.  The sidecar is persisted in the store file.
+    Alongside the Nodes table the file holds a {e columnar Dewey sidecar}:
+    per-type Dewey numbers aligned with the TypeToSequence rows, the
+    decode-free access path of the closest join.  In memory the join runs
+    on ids and the parent column ({!Xmutil.Closest}); a join-side read of
+    a type is charged at its sidecar column's serialized size
+    ({!charge_join_column}), a fraction of the full records, and values
+    are read only at emit time.
 
     Value updates ({!update_values}) leave the columns alone: new values
     live in an overlay until {!save} writes them out.
@@ -66,8 +70,9 @@ val guide : t -> Xml.Dataguide.t
 val types : t -> Xml.Type_table.t
 
 val node : t -> int -> node
-(** One node's record, gathered from the columns, charging the record's
-    encoded size as a read to the store alone: no request context. *)
+(** One node's record, gathered from the columns (its Dewey number derived
+    from the parent and rank columns), charging the record's encoded size
+    as a read to the store alone: no request context. *)
 
 val value : ?ctx:Xmobs.Ctx.t -> t -> int -> string
 (** [(node t i).value] alone.  Charged exactly as {!node} is, at the
@@ -83,30 +88,38 @@ val sequence : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> int array
 (** The TypeToSequence row for a type (document order), charging its
     serialized size as a read.  Empty for unknown types. *)
 
-val dewey_column : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> Xmutil.Dewey.t array
-(** The columnar Dewey sidecar for a type: Dewey numbers aligned with
-    {!sequence}, charged at the column's serialized size — the decode-free
-    access path of the closest join.  Empty for unknown types. *)
+val charge_join_column : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> unit
+(** Charge a join-side read of a type: its Dewey column as the file's
+    sidecar holds it, at its serialized size.  The join itself reads the
+    parent column ({!parent_column}); nothing is charged for unknown
+    types. *)
+
+val parent_column : t -> int array
+(** Each node's parent ([-1] at a root), by node id: the document's own
+    array, shared by every store derived from this one.  It must not be
+    written. *)
 
 val grouped_sequence :
-  ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> level:int -> (int * int) array
+  ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> level:int -> Xmutil.Closest.runs
 (** The GroupedSequence table of Fig. 8: the TypeToSequence row for a type,
-    grouped into runs [start, stop)] of nodes sharing a Dewey prefix of
-    length [level] (i.e. the same ancestor at that level), by
-    {!Xmutil.Dewey.runs}.  Built lazily from the type's Dewey column
-    (charged as a read of it) and cached per (type, level).  The closest
-    join locates a parent's run by a search over these groups
-    ({!Xmutil.Dewey.seek_run}) instead of scanning nodes. *)
+    grouped into runs of nodes sharing their ancestor at [level] (a Dewey
+    prefix of that length), by {!Xmutil.Closest.runs}.  Requires [level]
+    between 1 and the type's depth.  Built lazily, charged as a read of
+    the type's join column ({!charge_join_column}), and cached per (type,
+    level).  The closest join locates a parent's run by a search over the
+    runs' keys ({!Xmutil.Closest.find}) instead of scanning nodes.  No
+    runs for unknown types. *)
 
 val join_level : t -> Xml.Type_table.id -> Xml.Type_table.id -> int
-(** The closest-join level of two types (Def. 2): the maximal common Dewey
-    prefix length over all pairs of their instances, [0] when either has
-    none, so their data-level typeDistance is
-    [depth a + depth b - 2 * join_level t a b].  When one type is an
-    ancestor-or-self of the other and the descendant has instances, it is
-    the ancestor's depth; otherwise {!Xmutil.Dewey.closest_level} over
-    the two Dewey columns.  Cached per unordered type pair and charged
-    nothing: the renderer reads both columns itself before it joins. *)
+(** The closest-join level of two types (Def. 2): the level of the deepest
+    least common ancestor over all pairs of their instances (their maximal
+    common Dewey prefix length), [0] when either has none, so their
+    data-level typeDistance is [depth a + depth b - 2 * join_level t a b].
+    When one type is an ancestor-or-self of the other and the descendant
+    has instances, it is the ancestor's depth; otherwise
+    {!Xmutil.Closest.level} over the two sequence rows.  Cached per
+    unordered type pair and charged nothing: the renderer reads both
+    types' join columns itself before it joins. *)
 
 val node_count : t -> int
 
@@ -134,9 +147,9 @@ val update_values : t -> (int * string) list -> t
     a persistent id → (value, record size) overlay shared with [t]; reads
     consult it only for nodes whose bit is set, and {!save} writes its
     values into the records.  [t] keeps reading its own values.  Values do
-    not participate in the shape, so the adorned shape, sequences, Dewey
-    columns, grouped runs and join levels are shared unchanged: runs and
-    levels computed through either store serve both.
+    not participate in the shape, so the adorned shape, sequences, parent
+    and rank columns, grouped runs and join levels are shared unchanged:
+    runs and levels computed through either store serve both.
 
     One call mints one {!generation}.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its
@@ -149,8 +162,9 @@ val update_value : t -> int -> string -> t
 
 val save : t -> string -> unit
 (** Write the store to a file (format 2, with the columnar Dewey sidecar),
-    encoding the Nodes blob from the columns with the current values: the
-    bytes are those of a store shredded with those values. *)
+    encoding the Nodes blob from the columns with the current values and
+    each Dewey number derived from the parent and rank columns: the bytes
+    are those of a store shredded with those values. *)
 
 val load : string -> t
 (** Read a store back, decoding every record once into the columns.
@@ -158,8 +172,12 @@ val load : string -> t
     retired format 1, and on any record that is not what {!save} writes:
     one that does not start where the previous record ends (or, for the
     last, end where the blob ends), whose kind or name is not its type's,
-    or whose type or parent is out of range; and on TypeToSequence rows
-    or Dewey columns that disagree with the records. *)
+    whose type or parent is out of range, whose parent is not the last
+    node seen one level up of its type's parent type (ids are preorder
+    ranks), or whose Dewey number is not the one the parent column and
+    the sibling ranks give; and on TypeToSequence rows or Dewey columns
+    that disagree with the records.  A loaded store holds no Dewey
+    number: it keeps the rank and parent columns. *)
 
 val is_store : string -> bool
 (** Whether the file starts with a store's magic (any format version): it

@@ -1,28 +1,30 @@
 (** Indexed XML documents.
 
     [Doc.of_tree] turns a parsed {!Tree.t} into the vertex set of the paper's
-    data model (Def. 1): one node per element or attribute, each carrying a
-    Dewey number, a path type, its parent, its children, and its direct text
-    content ([value] in the paper).  Text is not a vertex; it is folded into
-    its parent's [value].
+    data model (Def. 1): one node per element or attribute, each with a
+    path type, its parent, its rank among its parent's children, its
+    children, and its direct text content ([value] in the paper).  Text is
+    not a vertex; it is folded into its parent's [value].
 
     Nodes are stored in document (preorder) order and node ids coincide with
     preorder ranks, so the per-type sequences returned by {!nodes_of_type}
-    are automatically sorted in both id order and Dewey order — the property
-    the closest join relies on.  The join itself, and with it the
-    data-level typeDistance of Def. 2, lives with the shredded store
+    are sorted in document order — the property the closest join relies
+    on.  A node's Dewey number (Sec. VII) is not stored: it is the ranks
+    of the node's ancestors-or-self, derived on demand by {!dewey}.  The
+    join itself, and with it the data-level typeDistance of Def. 2, runs on
+    ids and the parent column ({!Xmutil.Closest}) in the shredded store
     ([Store.Shredded.join_level]); a document is only its node table.
 
     The document is a node table: one column per field, indexed by node id,
     with children in compressed-sparse-row form.  Hot loops read the columns
-    through {!parent}, {!type_of}, {!dewey}, {!value}, {!child_count} and
+    through {!parent}, {!type_of}, {!rank}, {!value}, {!child_count} and
     {!child}; {!node} builds a record on demand. *)
 
 type kind = Element | Attribute
 
 type node = {
   id : int;
-  dewey : Xmutil.Dewey.t;
+  dewey : Xmutil.Dewey.t;  (** derived from the parent and rank columns *)
   kind : kind;
   name : string;  (** element or attribute name, without ["@"] *)
   type_id : Type_table.id;
@@ -58,7 +60,14 @@ val node : t -> int -> node
 
 val parent : t -> int -> int
 val type_of : t -> int -> Type_table.id
+val rank : t -> int -> int
+(** 1-based rank among the parent's children, attributes first; a root's
+    is its document's 1-based index. *)
+
 val dewey : t -> int -> Xmutil.Dewey.t
+(** Derived from the parent and rank columns ({!Xmutil.Dewey.of_ranks}): a
+    fresh array, as long as the node is deep. *)
+
 val value : t -> int -> string
 val name : t -> int -> string
 val kind : t -> int -> kind
@@ -75,7 +84,7 @@ val child : t -> int -> int -> int
 
 val parent_column : t -> int array
 val type_column : t -> Type_table.id array
-val dewey_column : t -> Xmutil.Dewey.t array
+val rank_column : t -> int array
 
 val root : t -> node
 (** The first document's root. *)
@@ -100,4 +109,4 @@ val to_trees : t -> Tree.t list
 (** Every document of the collection. *)
 
 val distance : t -> int -> int -> int
-(** Tree distance between two nodes, computed from Dewey numbers. *)
+(** Tree distance between two nodes, computed from their Dewey numbers. *)

@@ -1,13 +1,19 @@
 (** Dewey (prefix-based) node numbers.
 
-    Every node in an indexed XML document carries a Dewey number: the root is
+    Every node in an indexed XML document has a Dewey number: the root is
     [1], its i-th child is [1.i], and so on (Sec. VII of the paper).  Two
     facts make Dewey numbers the engine of the closest join:
 
     - comparing numbers lexicographically yields document order, and
     - the length of the longest common prefix of two numbers is the level of
       the nodes' least common ancestor, so
-      [distance v w = level v + level w - 2 * common_prefix_len v w]. *)
+      [distance v w = level v + level w - 2 * common_prefix_len v w].
+
+    No node table holds them.  Ids are preorder ranks, and each node keeps
+    its parent and its rank among its parent's children, so both facts have
+    integer answers over those columns ({!Closest}, which runs the join).
+    A Dewey number is derived from the columns ({!of_ranks}) only where one
+    is printed or persisted. *)
 
 type t = int array
 
@@ -37,37 +43,12 @@ val prefix : t -> int -> t
 val distance : t -> t -> int
 (** Number of edges on the tree path between the two nodes. *)
 
-(** {2 The closest join (Def. 2)}
-
-    Over arrays of Dewey numbers in document order, e.g. the instances of
-    one type. *)
-
-val closest_level : t array -> t array -> int
-(** The maximal common prefix length over every pair [(x, y)] with [x] in
-    the first array and [y] in the second — the level at which the two
-    node sets are closest; [0] when either is empty.  One merge pass:
-    the maximum is reached at a pair adjacent in the merged order. *)
-
-val runs : level:int -> t array -> (int * int) array
-(** The maximal runs [[start, stop)] of consecutive entries sharing their
-    first [level] components; an entry shorter than [level] is a run of its
-    own.  The runs cover the array in order. *)
-
-val compare_prefix : int -> t -> t -> int
-(** [compare_prefix l a b] compares the first [l] components of [a] and
-    [b] lexicographically.  Requires both to have at least [l]. *)
-
-val bisect_run : level:int -> t array -> (int * int) array -> t -> int
-(** [bisect_run ~level ds runs d], for [runs = runs ~level ds], is the
-    first run whose [level]-prefix is not below [d]'s ([Array.length runs]
-    when none is), by bisection.  Requires [d] and every entry of [ds] to
-    have at least [level] components. *)
-
-val seek_run : level:int -> t array -> (int * int) array -> t -> int -> int
-(** [seek_run ~level ds runs d lo] is {!bisect_run}'s answer when it is
-    at or after [lo], found by galloping forward from [lo]: over
-    document-ordered [d]s, each search starting from the previous answer
-    costs the logarithm of its step, not of the table. *)
+val of_ranks : parent:int array -> rank:int array -> int -> t
+(** [of_ranks ~parent ~rank i] is node [i]'s Dewey number in a node table
+    whose ids are preorder ranks: [parent.(j)] is node [j]'s parent ([-1]
+    at a root) and [rank.(j)] its 1-based rank among its parent's children
+    (a root's, its document's 1-based index).  The number is the ranks of
+    [i]'s ancestors-or-self, root first. *)
 
 val to_string : t -> string
 (** E.g. ["1.2.1"]. *)

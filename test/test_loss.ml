@@ -650,7 +650,7 @@ let prop_cells_agree_on_random_guards =
    cards vary, and guards that reshape them: two to eight of the
    document's types, each nested under an earlier one or starting a tree,
    some cloned or wrapped in a NEW node. *)
-let gen_shaped_doc =
+let gen_shaped_tree =
   QCheck2.Gen.(
     let rec tree depth =
       let* name = oneofl [ "a"; "b"; "c"; "d" ] in
@@ -661,7 +661,9 @@ let gen_shaped_doc =
       let attrs = if attr then [ ("y", "1") ] else [] in
       return (Xml.Tree.Element { name; attrs; children })
     in
-    map Xml.Doc.of_tree (int_range 2 5 >>= tree))
+    int_range 2 5 >>= tree)
+
+let gen_shaped_doc = QCheck2.Gen.map Xml.Doc.of_tree gen_shaped_tree
 
 let gen_shaped_guard doc =
   QCheck2.Gen.(

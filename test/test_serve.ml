@@ -713,6 +713,40 @@ let with_yield_timer f =
       ignore (Thread.sigmask Unix.SIG_SETMASK mask);
       Sys.set_signal Sys.sigalrm old)
 
+(* A client thread that takes a half-millisecond interval timer's signal
+   loses no request: a signal that interrupts connect(2) leaves the kernel
+   connecting, and the client waits the connection out.  Every other
+   thread, the server's workers included, blocks the signal. *)
+let test_client_survives_signals () =
+  let every s = { Unix.it_interval = s; it_value = s } in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle ignore) in
+  let mask = Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ] in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0));
+      ignore (Thread.sigmask Unix.SIG_SETMASK mask);
+      Sys.set_signal Sys.sigalrm old)
+  @@ fun () ->
+  with_server @@ fun base _store ->
+  let outcomes = ref [] in
+  let client =
+    Thread.create
+      (fun () ->
+        ignore (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigalrm ]);
+        outcomes :=
+          List.init 200 (fun _ ->
+              match
+                Xmserve.Http.request_url ~timeout_s:10.0 ~meth:"GET" (base ^ "/healthz")
+              with
+              | Ok (status, _, _) -> string_of_int status
+              | Error m -> m))
+      ()
+  in
+  ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0005));
+  Thread.join client;
+  Alcotest.(check (list string)) "every request answered" (List.init 200 (fun _ -> "200"))
+    !outcomes
+
 (* A capture's frames are its own request's even while another client
    loops on a different guard, every one of its requests captured too:
    one render, and only this guard's closest joins.  The document is
@@ -1256,6 +1290,8 @@ let suite =
       test_slow_capture;
     Alcotest.test_case "slow-query capture is exact under concurrent load"
       `Quick test_slow_capture_exact_under_load;
+    Alcotest.test_case "a client's requests survive signals" `Quick
+      test_client_survives_signals;
     Alcotest.test_case "concurrent requests: disjoint traces, I/O sums"
       `Quick test_concurrent_requests_disjoint;
     Alcotest.test_case "a worker survives every failing connection" `Quick

@@ -119,13 +119,16 @@ let via_stream store shape =
   (Buffer.contents b, st, io store)
 
 let brute_join_level store t u =
+  let deweys ty =
+    Array.map
+      (fun id -> (Store.Shredded.node store id).Store.Shredded.dewey)
+      (Store.Shredded.sequence store ty)
+  in
   let best = ref 0 in
   Array.iter
     (fun x ->
-      Array.iter
-        (fun y -> best := max !best (Xmutil.Dewey.common_prefix_len x y))
-        (Store.Shredded.dewey_column store u))
-    (Store.Shredded.dewey_column store t);
+      Array.iter (fun y -> best := max !best (Xmutil.Dewey.common_prefix_len x y)) (deweys u))
+    (deweys t);
   !best
 
 let gen_case =
