@@ -51,8 +51,9 @@ let run () =
           body_of
             (Xmserve.Exec.execute ~source:"bench" ~doc:"dblp" store guard))
     in
-    Xmobs.Ctx.finish ctx ~label:"bench" ~outcome:"ok" ~status:200
-      ~wall_s:(Unix.gettimeofday () -. t0);
+    ignore
+      (Xmobs.Ctx.finish ctx ~label:"bench" ~outcome:"ok" ~status:200
+         ~wall_s:(Unix.gettimeofday () -. t0));
     Xmobs.Flight.snapshot ();
     body
   in

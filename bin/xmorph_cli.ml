@@ -894,7 +894,9 @@ let serve_cmd =
   in
   let addr =
     Arg.(value & opt string "127.0.0.1"
-         & info [ "addr" ] ~docv:"ADDR" ~doc:"Address to bind.")
+         & info [ "addr" ] ~docv:"ADDR"
+             ~doc:"Address to bind: a numeric IPv4 address, or $(b,localhost) \
+                   (loopback).")
   in
   let workers =
     Arg.(value & opt int 4

@@ -1,7 +1,7 @@
 (* Request-scoped telemetry context.
 
    A [Ctx.t] is the one span sink: a span buffer (the {!Trace.Recorder}
-   type and exporter), atomic I/O counters and metric increments for one
+   type and exporter), atomic I/O counters and the query record for one
    unit of work, and optionally a {!Frames.tree} of profiler frames,
    installed in a thread-keyed slot while it runs.  The
    serve daemon installs one per request on the request's worker thread,
@@ -9,7 +9,7 @@
    installs one on the main thread for the whole command.
    Instrumentation points consult {!current} and record into the
    installed context when there is one; without one, spans are not
-   recorded and metric increments reach only the global registry.
+   recorded.
 
    Store I/O is the exception: a charge is too frequent for a slot
    lookup.  An operation over a store (a render, an in-situ query, a
@@ -18,7 +18,7 @@
    directly ([charge_read], [charge_write]).
 
    Zero-alloc contract: with no context installed anywhere, every probe
-   ([current], [bump], ...) is a single [Atomic.get] of the
+   ([current], [add_attr], ...) is a single [Atomic.get] of the
    installed-context count and an immediate fall-through — no lock, no
    allocation — so plain [xmorph run] pays nothing for the attribution
    machinery.  The profiler's gate is a second count, of contexts that
@@ -128,10 +128,6 @@ type t = {
   c_bytes_written : int Atomic.t;
   c_read_ops : int Atomic.t;
   c_write_ops : int Atomic.t;
-  (* per-request metric increments, keyed by metric name *)
-  mlock : Mutex.t;
-  m_counters : (string, int ref) Hashtbl.t;
-  m_observations : (string, (int * float) ref) Hashtbl.t;
   (* the request's executed-query record, set by the installing thread *)
   mutable qlog : Qlog.entry option;
   (* profiler frames, while someone asks; written by the installing thread *)
@@ -156,9 +152,6 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
     c_bytes_written = Atomic.make 0;
     c_read_ops = Atomic.make 0;
     c_write_ops = Atomic.make 0;
-    mlock = Mutex.create ();
-    m_counters = Hashtbl.create 16;
-    m_observations = Hashtbl.create 16;
     qlog = None;
     frames = None;
   }
@@ -326,55 +319,6 @@ let io t =
     write_ops = Atomic.get t.c_write_ops;
   }
 
-(* ---------- per-request metric increments ---------- *)
-
-let bump ?(by = 1) name =
-  if Atomic.get installed > 0 then
-    match current () with
-    | Some c ->
-        Mutex.lock c.mlock;
-        (match Hashtbl.find_opt c.m_counters name with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.replace c.m_counters name (ref by));
-        Mutex.unlock c.mlock
-    | None -> ()
-
-let observe name v =
-  if Atomic.get installed > 0 then
-    match current () with
-    | Some c ->
-        Mutex.lock c.mlock;
-        (match Hashtbl.find_opt c.m_observations name with
-        | Some r ->
-            let n, sum = !r in
-            r := (n + 1, sum +. v)
-        | None -> Hashtbl.replace c.m_observations name (ref (1, v)));
-        Mutex.unlock c.mlock
-    | None -> ()
-
-let sorted_keys tbl =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-
-let metrics_json t =
-  Mutex.lock t.mlock;
-  let counters =
-    List.map
-      (fun k -> (k, Xmutil.Json.Int !(Hashtbl.find t.m_counters k)))
-      (sorted_keys t.m_counters)
-  in
-  let observations =
-    List.map
-      (fun k ->
-        let n, sum = !(Hashtbl.find t.m_observations k) in
-        (k, Xmutil.Json.Obj
-              [ ("count", Xmutil.Json.Int n); ("sum", Xmutil.Json.Float sum) ]))
-      (sorted_keys t.m_observations)
-  in
-  Mutex.unlock t.mlock;
-  Xmutil.Json.Obj
-    [ ("counters", Xmutil.Json.Obj counters);
-      ("observations", Xmutil.Json.Obj observations) ]
-
 (* ---------- the request's query record ---------- *)
 
 let attach_qlog e =
@@ -392,7 +336,6 @@ type completed = {
   c_io : io;
   c_span_count : int;
   c_entries : Trace.span list;
-  c_metrics : Xmutil.Json.t;
   c_qlog : Qlog.entry option;
   c_profile : Frames.frame list option;
 }
@@ -415,25 +358,34 @@ let set_ring_capacity n =
       List.iter (Xmutil.Ring.push r) (Xmutil.Ring.to_list !completed_ring);
       completed_ring := r)
 
-let finish ?profile t ~label ~outcome ~status ~wall_s =
+(* A context holding a query record is named by it: its guard hash and
+   outcome, unless the caller names the request itself. *)
+let finish ?profile ?label ?outcome t ~status ~wall_s =
   let spans = entries t in
+  let named field given =
+    match (given, t.qlog) with
+    | Some v, _ -> v
+    | None, Some q -> field q
+    | None, None -> ""
+  in
   let entry =
     {
       c_trace_id = t.trace_id;
-      c_label = label;
-      c_outcome = outcome;
+      c_label = named (fun q -> q.Qlog.guard_hash) label;
+      c_outcome =
+        named (fun q -> Qlog.outcome_to_string q.Qlog.outcome) outcome;
       c_status = status;
       c_wall_s = wall_s;
       c_ts = t.created;
       c_io = io t;
       c_span_count = List.length spans;
       c_entries = spans;
-      c_metrics = metrics_json t;
       c_qlog = t.qlog;
       c_profile = profile;
     }
   in
-  locked (fun () -> Xmutil.Ring.push !completed_ring entry)
+  locked (fun () -> Xmutil.Ring.push !completed_ring entry);
+  entry
 
 let completed () =
   List.rev (locked (fun () -> Xmutil.Ring.to_list !completed_ring))

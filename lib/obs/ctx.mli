@@ -5,17 +5,16 @@
     [traceparent]-compatible), its own {!Trace.Recorder} (timestamps
     counted from the context's creation, exported by
     {!Trace.json_of_entries}), atomic per-context {!Store.Io_stats}-style
-    byte/op counters, a table of per-context metric increments, and —
+    byte/op counters, the request's query record ({!attach_qlog}), and —
     while someone asks for it — a {!Frames.tree} of profiler frames.  The
     serve daemon creates one per request; the CLI's [--trace FILE]
     creates one for the whole command and writes its {!trace_json} at
     exit.
 
     A context is carried in a thread-keyed slot ({!install} /
-    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr},
-    {!Metrics} name-based updates) consult {!current} and record into the
-    installed context.  Without one, no span is recorded, and metrics
-    reach only the global registry.  The no-context path is a single
+    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr})
+    consult {!current} and record into the installed context.  Without
+    one, no span is recorded.  The no-context path is a single
     atomic load and allocates nothing, preserving the zero-cost contract
     of the rest of [xmobs].
 
@@ -25,14 +24,15 @@
     ({!charge_read}), which only adds to counters: no lock, no lookup,
     no allocation.
 
-    Attribution boundary: spans, metric increments and I/O charges are
-    recorded only from the installing thread.  The library starts no
-    domains — a render runs on the thread that called it — so per-context
-    I/O is exact.
+    Attribution boundary: spans and I/O charges are recorded only from
+    the installing thread.  The library starts no domains — a render
+    runs on the thread that called it — so per-context I/O is exact.
 
     Completed requests land in a process-global bounded ring
     ({!finish} / {!completed}), each with its executed-query record
-    ({!attach_qlog}).  The ring backs the serve daemon's
+    ({!attach_qlog}).  The entry {!finish} returns is the request's one
+    record: the serve daemon folds it into its metric families and
+    windows.  The ring backs the serve daemon's
     [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and is
     all the flight recorder's incident bundles read of recent requests:
     their spans, their query records and their summaries.  A slow-query
@@ -134,14 +134,6 @@ val charge_read : t -> before:int -> int -> unit
 
 val charge_write : t -> before:int -> int -> unit
 
-val bump : ?by:int -> string -> unit
-(** Record a counter increment against the installed context; a gated
-    no-op without one.  Called by {!Metrics.inc}. *)
-
-val observe : string -> float -> unit
-(** Record a histogram observation (count + sum) against the installed
-    context; called by {!Metrics.observe}. *)
-
 (** {2 Reads and export} *)
 
 type io = {
@@ -170,10 +162,6 @@ val trace_json : t -> Xmutil.Json.t
 (** Chrome [trace_event] JSON of the context's spans, via
     {!Trace.json_of_entries}. *)
 
-val metrics_json : t -> Xmutil.Json.t
-(** Per-request metric increments:
-    [{"counters": {...}, "observations": {name: {count, sum}}}]. *)
-
 (** {2 The request's query record} *)
 
 val attach_qlog : Qlog.entry -> unit
@@ -195,7 +183,6 @@ type completed = {
   c_entries : Trace.span list;
       (** {!entries} at finish, timestamped from [c_ts]; rendered with
           {!Trace.json_of_entries} when read *)
-  c_metrics : Xmutil.Json.t;
   c_qlog : Qlog.entry option;
       (** the request's query record ({!attach_qlog}); [None] when the
           request executed nothing *)
@@ -207,11 +194,13 @@ val set_ring_capacity : int -> unit
 (** Bound the ring (default 256 completed requests), keeping the newest
     entries that fit. *)
 
-val finish : ?profile:Frames.frame list -> t -> label:string ->
-  outcome:string -> status:int -> wall_s:float -> unit
+val finish : ?profile:Frames.frame list -> ?label:string -> ?outcome:string ->
+  t -> status:int -> wall_s:float -> completed
 (** Seal the context (and [profile], when given) into a {!completed}
-    entry and push it onto the ring, evicting the oldest entry beyond
-    capacity. *)
+    entry, push it onto the ring, evicting the oldest entry beyond
+    capacity, and return it.  [label] and [outcome] name the request;
+    each defaults to the query record's guard hash and outcome when the
+    context holds one, and to [""] otherwise. *)
 
 val completed : unit -> completed list
 (** Ring contents, newest first. *)

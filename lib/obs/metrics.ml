@@ -227,31 +227,17 @@ let hist_add h v =
 
 (* ---------- name-based updates (gated on [enable]) ---------- *)
 
-(* Counter increments and observations are additionally mirrored into the
-   calling thread's request context when one is installed (Ctx gates on a
-   single atomic load, so the common no-context case costs one load).
-   Gauges are levels, not increments — they have no per-request meaning
-   and are not mirrored. *)
 let inc ?(by = 1) name =
-  if Atomic.get enabled then begin
-    counter_add (counter name) by;
-    Ctx.bump ~by name
-  end
+  if Atomic.get enabled then counter_add (counter name) by
 
 let set_gauge name v =
   if Atomic.get enabled then gauge_set (gauge name) v
 
 let observe name v =
-  if Atomic.get enabled then begin
-    hist_add (histogram name) v;
-    Ctx.observe name v
-  end
+  if Atomic.get enabled then hist_add (histogram name) v
 
-(* Labeled variants are not mirrored into the request context: a request
-   already knows its own route/doc/outcome, so per-request label fan-out
-   would only duplicate what the unlabeled mirror records.  Callers on the
-   disabled path must still pre-intern handles if they need zero
-   allocation — building the label list itself allocates. *)
+(* Building the label list allocates: callers on the disabled path must
+   pre-intern handles if they need zero allocation. *)
 let inc_labeled ?(by = 1) name labels =
   if Atomic.get enabled then counter_add (counter_labeled name labels) by
 

@@ -6,7 +6,9 @@
     enabled, so the disabled path is a single branch; hot call sites intern
     a handle once and mutate it directly.
 
-    A registry only records: nothing runs when a value changes.  Readers
+    A registry only records: nothing runs when a value changes, and no
+    per-request copy is kept (a request's own record is its {!Ctx}
+    entry: its spans and its query record).  Readers
     poll it (the [/metrics] scrape, [--metrics FILE] at exit), and the
     experiment harness samples the store's own counters on a timer, the
     role vmstat played in the paper's Figs. 11–13.
@@ -79,9 +81,9 @@ val set_gauge : string -> float -> unit
 val observe : string -> float -> unit
 
 val inc_labeled : ?by:int -> string -> (string * string) list -> unit
-(** Like {!inc} into a labeled family series.  Not mirrored into the
-    request context; building the label list allocates, so zero-alloc
-    call sites must pre-intern a handle instead. *)
+(** Like {!inc} into a labeled family series.  Building the label list
+    allocates, so zero-alloc call sites must pre-intern a handle
+    instead. *)
 
 val observe_labeled : string -> (string * string) list -> float -> unit
 

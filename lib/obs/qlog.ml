@@ -252,15 +252,17 @@ let spill_unlocked t =
     Stdlib.flush t.oc
   end
 
-(* Size-based rotation, checked at record boundaries only (never from
-   [flush]/[close], so shutdown cannot leave the primary log empty): once
-   the file reaches [max_bytes] it is renamed to [path.1] — replacing any
-   previous rotation — and a fresh file takes its place.  The lock is
-   held, so no concurrent writer can land a record in the closed channel.
-   The file can exceed the threshold by at most one buffered spill. *)
+(* Size-based rotation, checked after every record (never from
+   [flush]/[close], so shutdown cannot leave the primary log empty),
+   against the bytes written plus the bytes buffered: a writer flushed
+   after each record, as the serve daemon's is, never fills its buffer.
+   Once the file would reach [max_bytes] the buffer is spilled, the file
+   renamed to [path.1] — replacing any previous rotation — and a fresh
+   file takes its place.  The lock is held, so no concurrent writer can
+   land a record in the closed channel. *)
 let maybe_rotate_unlocked t =
   match t.max_bytes with
-  | Some m when t.owns_oc && t.written >= m -> (
+  | Some m when t.owns_oc && t.written + Buffer.length t.buf >= m -> (
       spill_unlocked t;
       close_out_noerr t.oc;
       (try Sys.rename t.w_path (t.w_path ^ ".1") with Sys_error _ -> ());
@@ -276,10 +278,8 @@ let log t e =
   if not t.closed then begin
     Buffer.add_string t.buf line;
     Buffer.add_char t.buf '\n';
-    if Buffer.length t.buf >= t.cap then begin
-      spill_unlocked t;
-      maybe_rotate_unlocked t
-    end
+    if Buffer.length t.buf >= t.cap then spill_unlocked t;
+    maybe_rotate_unlocked t
   end;
   Mutex.unlock t.lock
 

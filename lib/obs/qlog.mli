@@ -101,8 +101,9 @@ val create : ?cap:int -> ?max_bytes:int -> string -> t
     size-based rotation: when the file reaches the threshold (counting
     pre-existing content — append mode survives restarts) it is renamed
     to [path.1], replacing any previous rotation, and a fresh file is
-    opened; checked at record boundaries under the writer mutex, so the
-    file may exceed the threshold by at most one buffered spill.  Path
+    opened; checked after every record under the writer mutex, against
+    the bytes written plus the bytes buffered, so a rotated file exceeds
+    the threshold by less than one record however often {!flush} runs.  Path
     ["-"] streams to stdout instead (the channel is flushed on {!close},
     never closed; rotation does not apply). *)
 

@@ -125,16 +125,12 @@ let submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
   end
 
 let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
-    ?trace_id ?guard_hash ?query store guard =
+    ?trace_id ?query store guard =
   let m = start ?trace_id store in
   (* Hash once per request: the same FNV-1a digest feeds the query-log
-     record, the warehouse submit, and both cache tiers.  The server
-     threads its own (label) hash in via [?guard_hash]. *)
-  let guard_hash =
-    match guard_hash with
-    | Some h -> h
-    | None -> Xmobs.Qlog.hash_text guard
-  in
+     record (whose guard hash labels the served request's metrics and
+     trace), the warehouse submit, and both cache tiers. *)
+  let guard_hash = Xmobs.Qlog.hash_text guard in
   let query_hash = Option.map Xmobs.Qlog.hash_text query in
   let eval_s = ref 0.0 in
   let render_s = ref 0.0 in

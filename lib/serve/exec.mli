@@ -34,7 +34,6 @@ val execute :
   ?enforce:bool ->
   ?compact:bool ->
   ?trace_id:string ->
-  ?guard_hash:string ->
   ?query:string ->
   Store.Shredded.t ->
   string ->
@@ -60,10 +59,6 @@ val execute :
     and profiles always describe real executions; other threads' requests
     keep their caches.  A result-tier hit is flagged in the query-log
     record's [cached] field.
-
-    [?guard_hash] is the precomputed {!Xmobs.Qlog.hash_text} of [guard];
-    pass it when the caller already hashed the guard (the server does,
-    for metric labels) so the digest is computed once per request.
 
     The query-log record's [trace_id] defaults to the calling thread's
     installed {!Xmobs.Ctx} (if any); [?trace_id] overrides it — the serve

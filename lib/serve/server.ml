@@ -160,13 +160,20 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
   let workers = max 1 (min 64 workers) in
   let window = max 1 (min 3600 window) in
   let inet =
-    try Unix.inet_addr_of_string addr
-    with Failure _ -> Unix.inet_addr_loopback
+    if String.equal addr "localhost" then Unix.inet_addr_loopback
+    else
+      try Unix.inet_addr_of_string addr
+      with Failure _ ->
+        raise (Unix.Unix_error (Unix.EINVAL, "inet_addr_of_string", addr))
   in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (inet, port));
-  Unix.listen fd 64;
+  (try
+     Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     Unix.bind fd (Unix.ADDR_INET (inet, port));
+     Unix.listen fd 64
+   with e ->
+     Unix.close fd;
+     raise e);
   let actual_port =
     match Unix.getsockname fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -195,10 +202,7 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
        "alert webhook deliveries dropped after exhausting retries");
       ("xmorph_open_fds", "open file descriptors, from /proc/self/fd");
       ("xmorph_threads_total", "threads in the process, from /proc/self/stat");
-      ("serve.requests", "HTTP requests handled since start");
-      ("serve.updates", "store value updates applied via POST /update");
       ("serve.request.seconds", "HTTP request wall time");
-      ("serve.query.seconds", "executed query wall time");
       ("serve.workers", "worker thread budget");
       ("serve.uptime_s", "seconds since the daemon started") ];
   let stream =
@@ -296,7 +300,12 @@ let stats_json t =
   Xmutil.Json.Obj
     [ ("uptime_s", Xmutil.Json.Float (now () -. t.started));
       ("workers", Xmutil.Json.Int t.workers);
-      ("requests", Xmutil.Json.Int (Xmobs.Metrics.counter_value "serve.requests"));
+      (* exact past the family's cardinality cap: the "_other" series
+         counts what it absorbed *)
+      ("requests",
+       Xmutil.Json.Int
+         (List.fold_left (fun n (_, v) -> n + v) 0
+            (Xmobs.Metrics.counter_series "xmorph_requests_total")));
       ("stores", stores_json ~types:true t);
       ("queries", Xmutil.Json.Obj queries);
       ("metrics", Xmobs.Metrics.to_json ()) ]
@@ -305,8 +314,8 @@ let stats_json t =
    and return its frames for [finish] to seal into the request's ring
    entry (and, optionally, a --slow-log artifact).  Called after the
    request's context is uninstalled, so [Ctx.profiled] runs it in a
-   temporary context of its own: its spans and metric increments stay
-   out of the request's trace, and no other request adds frames.  Runs
+   temporary context of its own: its spans and query record stay out of
+   the request's entry, and no other request adds frames.  Runs
    before the response returns, delaying it by about one execution. *)
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
   let _, frames =
@@ -314,7 +323,6 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
         Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce ~trace_id
           ?query store guard)
   in
-  Xmobs.Metrics.inc "serve.slow_captures";
   (match t.slow_log with
   | None -> ()
   | Some dir -> (
@@ -358,6 +366,16 @@ let flight_after_query t kind =
              ())
   | Xmobs.Qlog.Ok | Xmobs.Qlog.Type_mismatch -> ()
 
+(* The trace label of a request that executed nothing. *)
+let refused_label (req : Http.request) =
+  if String.trim req.Http.body = "" then req.Http.path
+  else Xmobs.Qlog.hash_text req.Http.body
+
+(* Route one POST /query under a fresh context and return the response
+   with the context's completed entry, the request's one record, which
+   [observe] folds into every per-request sink.  An executed query is
+   named by its query record; a refused one (no such store, empty guard)
+   by [refused_label] and the outcome given here. *)
 let handle_query t req =
   (* Honor an upstream W3C traceparent when well-formed; otherwise (or
      when absent) start a fresh trace.  Malformed values never fail the
@@ -371,14 +389,9 @@ let handle_query t req =
     | None -> Xmobs.Ctx.create ()
   in
   let t0 = now () in
-  (* One FNV-1a digest per request: computed when a guard is executed,
-     reused for the guard-seconds label, the trace label, and (inside
-     Exec) the query-log record, warehouse submit, and cache keys. *)
-  let ghash = ref None in
-  (* [executed] carries the query's outcome and what a slow-query capture
-     needs to re-execute; None when nothing was executed (unknown doc,
-     empty guard). *)
-  let resp, outcome_name, executed =
+  (* [rerun] is what a slow-query capture needs to re-execute; None when
+     the request was refused. *)
+  let resp, refused, rerun =
     Xmobs.Ctx.with_ctx ctx (fun () ->
         match store_for t req with
         | None ->
@@ -386,33 +399,24 @@ let handle_query t req =
                 (Printf.sprintf "unknown doc %S\n"
                    (Option.value ~default:""
                       (List.assoc_opt "doc" req.Http.query))),
-              "no-store",
+              Some "no-store",
               None )
         | Some (doc_name, store) ->
             let guard = req.Http.body in
             if String.trim guard = "" then
-              (Http.response 400 "empty guard body\n", "empty-guard", None)
+              (Http.response 400 "empty guard body\n", Some "empty-guard", None)
             else begin
               let query = List.assoc_opt "query" req.Http.query in
               let enforce =
                 not (truthy (List.assoc_opt "force" req.Http.query))
               in
-              let guard_hash = Xmobs.Qlog.hash_text guard in
-              ghash := Some guard_hash;
-              let tq = now () in
-              let outcome =
-                Exec.execute ~source:"serve" ~doc:doc_name ~enforce
-                  ~guard_hash ?query store guard
-              in
-              let qwall = now () -. tq in
-              Xmobs.Metrics.observe "serve.query.seconds" qwall;
-              let resp, kind =
-                match outcome with
-                | Exec.Rendered { body; _ } | Exec.Query_result { body; _ }
-                  ->
-                    Xmobs.Metrics.inc "serve.queries.ok";
-                    (Http.response ~content_type:"application/xml" 200 body,
-                     Xmobs.Qlog.Ok)
+              let resp =
+                match
+                  Exec.execute ~source:"serve" ~doc:doc_name ~enforce ?query
+                    store guard
+                with
+                | Exec.Rendered { body; _ } | Exec.Query_result { body; _ } ->
+                    Http.response ~content_type:"application/xml" 200 body
                 | Exec.Failed { kind; message } ->
                     let status =
                       match kind with
@@ -420,71 +424,44 @@ let handle_query t req =
                       | Xmobs.Qlog.Type_mismatch -> 422
                       | Xmobs.Qlog.Internal | Xmobs.Qlog.Ok -> 500
                     in
-                    Xmobs.Metrics.inc
-                      ("serve.queries." ^ Xmobs.Qlog.outcome_to_string kind);
                     let message =
                       if String.length message > 0
                          && message.[String.length message - 1] = '\n'
                       then message
                       else message ^ "\n"
                     in
-                    (Http.response status message, kind)
+                    Http.response status message
               in
-              let name = Xmobs.Qlog.outcome_to_string kind in
-              (* Dimension-labeled views of the same execution: by doc
-                 and outcome for capacity questions, by guard hash for
-                 "which query is expensive" — bounded families, excess
-                 guards collapse into the "_other" series. *)
-              Xmobs.Metrics.observe_labeled "xmorph_query_seconds"
-                [ ("doc", doc_name); ("outcome", name) ]
-                qwall;
-              Xmobs.Metrics.observe_labeled "xmorph_guard_seconds"
-                [ ("guard", guard_hash) ]
-                qwall;
-              Xmobs.Alerts.feed t.stream ~outcome:kind ~wall_s:qwall;
               (* Keep the on-disk log live for tail -f / xmorph stats
                  while the daemon runs; the Shutdown path covers the
                  final records. *)
               Xmobs.Qlog.flush_global ();
-              (resp, name, Some (kind, (doc_name, store, enforce, query)))
+              (resp, None, Some (doc_name, store, enforce, query))
             end)
   in
   let wall_s = now () -. t0 in
-  let label =
-    match !ghash with
-    | Some h -> h
-    | None ->
-        let guard = String.trim req.Http.body in
-        if guard = "" then req.Http.path
-        else Xmobs.Qlog.hash_text req.Http.body
-  in
   let profile =
-    match (t.slow_ms, executed) with
-    | Some threshold, Some (_, (doc_name, store, enforce, query))
+    match (t.slow_ms, rerun) with
+    | Some threshold, Some (doc_name, store, enforce, query)
       when wall_s *. 1000. >= threshold ->
         Some
           (capture_slow t ~trace_id:(Xmobs.Ctx.trace_id ctx) ~doc_name
              ~enforce ?query store req.Http.body)
     | _ -> None
   in
-  Xmobs.Ctx.finish ?profile ctx ~label ~outcome:outcome_name
-    ~status:resp.Http.status ~wall_s;
-  (let io = Xmobs.Ctx.io ctx in
-   let blocks =
-     Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_read
-     + Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_written
-   in
-   if blocks > 0 then Xmobs.Timeseries.bump ~by:blocks t.ts_blocks);
-  (match executed with
-  | Some (kind, _) when Xmobs.Flight.enabled () -> flight_after_query t kind
-  | _ -> ());
-  {
-    resp with
-    Http.headers =
-      resp.Http.headers
-      @ [ ("traceparent", Xmobs.Ctx.traceparent ctx);
-          ("x-xmorph-trace-id", Xmobs.Ctx.trace_id ctx) ];
-  }
+  let completed =
+    Xmobs.Ctx.finish ?profile
+      ?label:(Option.map (fun _ -> refused_label req) refused)
+      ?outcome:refused ctx ~status:resp.Http.status ~wall_s
+  in
+  ( {
+      resp with
+      Http.headers =
+        resp.Http.headers
+        @ [ ("traceparent", Xmobs.Ctx.traceparent ctx);
+            ("x-xmorph-trace-id", Xmobs.Ctx.trace_id ctx) ];
+    },
+    Some completed )
 
 (* POST /update?doc=NAME&node=ID — body is the node's new text value.
    The serving half of mapping value updates onto a materialized
@@ -522,7 +499,6 @@ let handle_update t req =
               Http.response 400
                 (Printf.sprintf "no node %d in %s\n" id doc_name)
           | Ok updated ->
-              Xmobs.Metrics.inc "serve.updates";
               json_ok
                 (Xmutil.Json.Obj
                    [ ("doc", Xmutil.Json.String doc_name);
@@ -550,7 +526,10 @@ let debug_trace trace_id =
           ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
           ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.));
           ("trace", Xmobs.Trace.json_of_entries c.Xmobs.Ctx.c_entries);
-          ("metrics", c.Xmobs.Ctx.c_metrics) ]
+          ("query",
+           match c.Xmobs.Ctx.c_qlog with
+           | None -> Xmutil.Json.Null
+           | Some e -> Xmobs.Qlog.entry_to_json e) ]
         @ (match c.Xmobs.Ctx.c_profile with
           | None -> []
           | Some frames -> [ ("profile", Xmobs.Profile.to_json frames) ])
@@ -705,18 +684,11 @@ let route t (req : Http.request) =
       debug_trace
         (String.sub path (String.length trace_prefix)
            (String.length path - String.length trace_prefix))
-  | "POST", "/query" -> handle_query t req
   | "POST", "/update" -> handle_update t req
   | "POST", "/debug/incident" -> debug_incident_trigger req
   | ("GET" | "POST" | "HEAD" | "PUT" | "DELETE"), _ ->
       Http.response 404 (Printf.sprintf "no route %s %s\n" req.Http.meth req.Http.path)
   | m, _ -> Http.response 405 (Printf.sprintf "method %s not allowed\n" m)
-
-let status_class status =
-  if status < 300 then "2xx"
-  else if status < 400 then "3xx"
-  else if status < 500 then "4xx"
-  else "5xx"
 
 (* Normalized route label for the request family: known routes keep their
    path, per-id trace lookups collapse to one series, everything else —
@@ -736,17 +708,43 @@ let route_label (req : Http.request) =
   | "POST", "/debug/incident" -> "/debug/incident"
   | _ -> "other"
 
-(* Every response — queries and monitoring scrapes alike — lands in the
-   cumulative counters, the labeled route/status family, and the rolling
-   request/error windows; the serving layer is visible to itself. *)
-let record_request t ~route ~status ~wall_s =
-  Xmobs.Metrics.inc "serve.requests";
-  Xmobs.Metrics.inc ("serve.responses." ^ status_class status);
+(* The one fold point: every per-request registry and window write
+   happens here, once per request.  Every response — queries and
+   monitoring scrapes alike — lands in the request family and the
+   request/error windows; a /query's completed entry feeds the block
+   window from its I/O, the capture counter from its profile, and its
+   query record, when it ran one, the query families, the alert stream
+   and the flight recorder. *)
+let observe t ~route ~status ~wall_s completed =
   Xmobs.Metrics.observe "serve.request.seconds" wall_s;
   Xmobs.Metrics.inc_labeled "xmorph_requests_total"
     [ ("route", route); ("status", string_of_int status) ];
   Xmobs.Timeseries.record t.ts_requests wall_s;
-  if status >= 400 then Xmobs.Timeseries.bump t.ts_errors
+  if status >= 400 then Xmobs.Timeseries.bump t.ts_errors;
+  match completed with
+  | None -> ()
+  | Some { Xmobs.Ctx.c_io = io; c_qlog; c_profile; _ } -> (
+      let blocks =
+        Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_read
+        + Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_written
+      in
+      if blocks > 0 then Xmobs.Timeseries.bump ~by:blocks t.ts_blocks;
+      if Option.is_some c_profile then Xmobs.Metrics.inc "serve.slow_captures";
+      match c_qlog with
+      | None -> ()
+      | Some { Xmobs.Qlog.doc; outcome; guard_hash; wall_s = qwall; _ } ->
+          let name = Xmobs.Qlog.outcome_to_string outcome in
+          Xmobs.Metrics.inc ("serve.queries." ^ name);
+          (* Dimension-labeled views of the same execution: by doc and
+             outcome for capacity questions, by guard hash for "which
+             query is expensive" — bounded families, excess guards
+             collapse into the "_other" series. *)
+          Xmobs.Metrics.observe_labeled "xmorph_query_seconds"
+            [ ("doc", doc); ("outcome", name) ] qwall;
+          Xmobs.Metrics.observe_labeled "xmorph_guard_seconds"
+            [ ("guard", guard_hash) ] qwall;
+          Xmobs.Alerts.feed t.stream ~outcome ~wall_s:qwall;
+          if Xmobs.Flight.enabled () then flight_after_query t outcome)
 
 let shutdown_receive fd =
   try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
@@ -774,16 +772,21 @@ let handle_conn t w fd =
   match await_request t w fd with
   | None -> ()
   | Some req ->
-      let resp =
-        try route t req
+      let resp, completed =
+        try
+          match (req.Http.meth, req.Http.path) with
+          | "POST", "/query" -> handle_query t req
+          | _ -> (route t req, None)
         with e ->
-          Http.response 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
+          ( Http.response 500
+              ("internal error: " ^ Printexc.to_string e ^ "\n"),
+            None )
       in
-      record_request t ~route:(route_label req) ~status:resp.Http.status
-        ~wall_s:(now () -. t0);
+      observe t ~route:(route_label req) ~status:resp.Http.status
+        ~wall_s:(now () -. t0) completed;
       Http.write_response fd resp
   | exception Http.Parse_error m ->
-      record_request t ~route:"malformed" ~status:400 ~wall_s:(now () -. t0);
+      observe t ~route:"malformed" ~status:400 ~wall_s:(now () -. t0) None;
       Http.write_response fd (Http.response 400 (m ^ "\n"))
   | exception Unix.Unix_error _ -> ()
 

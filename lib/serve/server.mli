@@ -19,8 +19,9 @@
       windows over [window] seconds: request/error/query/block-I/O
       series with rates and windowed percentiles, SLO status (ticked)
       when configured, and the top guards by cumulative time.
-    - [GET /stats] — a JSON snapshot: uptime, request/outcome counts,
-      the loaded stores, and the full metrics dump.
+    - [GET /stats] — a JSON snapshot: uptime, request/outcome counts
+      (requests summed over [xmorph_requests_total]), the loaded stores,
+      and the full metrics dump.
     - [POST /query] — body is a guard; the response is the rendered XML,
       byte-identical to [xmorph run] for the same guard and document.
       [?doc=NAME] selects a store by name when several are served;
@@ -40,8 +41,8 @@
       [POST /query] requests, newest first ({!Xmobs.Ctx} ring).
     - [GET /debug/trace/<trace-id>] — one completed request's full span
       tree as Chrome [trace_event] JSON (the same exporter as [--trace]),
-      its per-request metric increments, and the slow-query profile when
-      one was captured.
+      its query record as [query] ([null] when it executed nothing), and
+      the slow-query profile when one was captured.
     - [GET /debug/incidents] — the flight recorder's retained incident
       bundles (name and size), plus the incident directory.
     - [GET /debug/incidents/<name>] — fetch one bundle verbatim (names
@@ -68,6 +69,12 @@
     SIGTERM/SIGINT ({!Xmobs.Shutdown} hook) and on
     [POST /debug/incident]; [xmorph_incidents_total{trigger}] counts
     them.
+
+    One record per request: every per-request metric family and window
+    is written once, from the request's status and wall time and, for a
+    [POST /query], from the completed {!Xmobs.Ctx} entry its context was
+    sealed into (its I/O, and its query record's doc, outcome, guard
+    hash and wall time).
 
     Per-request telemetry: every [POST /query] runs under a fresh
     {!Xmobs.Ctx} — honoring a well-formed W3C [traceparent] request
@@ -103,7 +110,8 @@ val create :
   stores:(string * Store.Shredded.t) list ->
   unit ->
   t
-(** Bind and listen.  [addr] defaults to [127.0.0.1]; [port] 0 (the
+(** Bind and listen.  [addr] is a numeric IPv4 address or [localhost]
+    (loopback), and defaults to [127.0.0.1]; [port] 0 (the
     default) picks an ephemeral port (read it back with {!port});
     [workers] defaults to 4 (clamped to [1..64]).  [slow_ms] enables
     slow-query auto-capture at the given wall-time threshold in
@@ -123,7 +131,8 @@ val create :
     is on); {!stop} shuts the evaluator down.  [stores] must be
     non-empty; the first store is the default [?doc=] target.
     @raise Invalid_argument on an empty store list
-    @raise Unix.Unix_error when the address cannot be bound. *)
+    @raise Unix.Unix_error when [addr] is neither, or the address cannot
+    be bound; the socket is closed first. *)
 
 val port : t -> int
 val addr : t -> string

@@ -1,8 +1,8 @@
 (* Request-scoped telemetry contexts: W3C traceparent parsing, the
    thread-keyed slot, span recording into the context (the only span
    sink) with its I/O attributes, per-request I/O attribution summing exactly to the
-   global Io_stats deltas under concurrency, metric mirroring, and the
-   completed-request ring behind the serve daemon's /debug endpoints. *)
+   global Io_stats deltas under concurrency, and the completed-request
+   ring behind the serve daemon's /debug endpoints. *)
 
 module Ctx = Xmobs.Ctx
 
@@ -287,52 +287,12 @@ let test_blocks_of () =
   Alcotest.(check int) "one page" 1 (Ctx.blocks_of 4096);
   Alcotest.(check int) "one page + 1" 2 (Ctx.blocks_of 4097)
 
-(* ---------- metric mirroring ---------- *)
-
-let test_metrics_mirrored () =
-  let r = Xmobs.Metrics.create () in
-  Xmobs.Metrics.with_registry r (fun () ->
-      Xmobs.Metrics.enable ();
-      Fun.protect ~finally:Xmobs.Metrics.disable @@ fun () ->
-      let ctx = Ctx.create () in
-      Ctx.with_ctx ctx (fun () ->
-          Xmobs.Metrics.inc ~by:3 "hits";
-          Xmobs.Metrics.inc "hits";
-          Xmobs.Metrics.observe "lat" 2.0;
-          Xmobs.Metrics.observe "lat" 3.0);
-      (* The global registry still sees everything... *)
-      Alcotest.(check int)
-        "global counter" 4
-        (Xmobs.Metrics.counter_value ~r "hits");
-      (* ...and the context mirrored its own increments. *)
-      match Ctx.metrics_json ctx with
-      | Xmutil.Json.Obj fields ->
-          (match List.assoc_opt "counters" fields with
-          | Some (Xmutil.Json.Obj cs) ->
-              Alcotest.(check bool)
-                "ctx counter" true
-                (List.assoc_opt "hits" cs = Some (Xmutil.Json.Int 4))
-          | _ -> Alcotest.fail "counters missing");
-          (match List.assoc_opt "observations" fields with
-          | Some (Xmutil.Json.Obj os) -> (
-              match List.assoc_opt "lat" os with
-              | Some (Xmutil.Json.Obj lat) ->
-                  Alcotest.(check bool)
-                    "observation count" true
-                    (List.assoc_opt "count" lat = Some (Xmutil.Json.Int 2));
-                  Alcotest.(check bool)
-                    "observation sum" true
-                    (List.assoc_opt "sum" lat = Some (Xmutil.Json.Float 5.0))
-              | _ -> Alcotest.fail "lat missing")
-          | _ -> Alcotest.fail "observations missing")
-      | _ -> Alcotest.fail "metrics_json is not an object")
-
 (* ---------- the completed-request ring ---------- *)
 
 let finish_one ?(outcome = "ok") ?(status = 200) label =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () -> Ctx.with_span ctx "work" (fun () -> ()));
-  Ctx.finish ctx ~label ~outcome ~status ~wall_s:0.001;
+  ignore (Ctx.finish ctx ~label ~outcome ~status ~wall_s:0.001);
   Ctx.trace_id ctx
 
 let test_ring_basics () =
@@ -366,11 +326,51 @@ let test_ring_basics () =
     Ctx.with_ctx ctx (fun () ->
         Ctx.profiled (fun () -> Xmobs.Profile.op "render" (fun () -> ())))
   in
-  Ctx.finish ~profile ctx ~label:"c" ~outcome:"ok" ~status:200 ~wall_s:0.001;
+  ignore
+    (Ctx.finish ~profile ctx ~label:"c" ~outcome:"ok" ~status:200
+       ~wall_s:0.001);
   match Ctx.find_completed (Ctx.trace_id ctx) with
   | Some c -> Alcotest.(check bool) "profile attached" true
                 (c.Ctx.c_profile = Some profile)
   | None -> Alcotest.fail "entry vanished"
+
+(* [finish] returns the entry it pushed: the request's one record.  A
+   context holding a query record is named by it unless the caller names
+   the request; one without is named by the caller alone. *)
+let test_finish_returns_record () =
+  Ctx.reset_completed ();
+  Fun.protect ~finally:Ctx.reset_completed @@ fun () ->
+  let q =
+    { Xmobs.Qlog.ts = 0.0; id = 0; trace_id = None; source = "test";
+      doc = "d"; guard = "MUTATE site"; guard_hash = "abc";
+      query_hash = None; classification = None;
+      outcome = Xmobs.Qlog.Type_mismatch; error = None; wall_s = 0.002;
+      eval_s = 0.0; render_s = 0.0; in_nodes = 1; out_nodes = 0; io = None;
+      cached = false; generation = None }
+  in
+  let ctx = Ctx.create () in
+  Ctx.with_ctx ctx (fun () -> Ctx.attach_qlog q);
+  let c = Ctx.finish ctx ~status:422 ~wall_s:0.003 in
+  Alcotest.(check string) "label is the record's guard hash" "abc"
+    c.Ctx.c_label;
+  Alcotest.(check string) "outcome is the record's" "type-mismatch"
+    c.Ctx.c_outcome;
+  Alcotest.(check bool) "the record rides along" true (c.Ctx.c_qlog = Some q);
+  (match Ctx.find_completed (Ctx.trace_id ctx) with
+  | Some pushed ->
+      Alcotest.(check bool) "returned = pushed" true (pushed == c)
+  | None -> Alcotest.fail "returned entry not in the ring");
+  let ctx = Ctx.create () in
+  Ctx.with_ctx ctx (fun () -> Ctx.attach_qlog q);
+  let c = Ctx.finish ~label:"/query" ~outcome:"x" ctx ~status:400 ~wall_s:0.0 in
+  Alcotest.(check (pair string string)) "the caller's names win"
+    ("/query", "x") (c.Ctx.c_label, c.Ctx.c_outcome);
+  let c =
+    Ctx.finish ~label:"/query" ~outcome:"empty-guard" (Ctx.create ())
+      ~status:400 ~wall_s:0.0
+  in
+  Alcotest.(check bool) "no record, none attached" true (c.Ctx.c_qlog = None);
+  Alcotest.(check string) "refused outcome kept" "empty-guard" c.Ctx.c_outcome
 
 let test_ring_eviction () =
   Ctx.reset_completed ();
@@ -414,9 +414,9 @@ let suite =
       test_io_sums_to_global;
     QCheck_alcotest.to_alcotest prop_io_sum;
     Alcotest.test_case "blocks_of page rounding" `Quick test_blocks_of;
-    Alcotest.test_case "metric increments mirror into the context" `Quick
-      test_metrics_mirrored;
     Alcotest.test_case "completed ring: find, attach, outcomes" `Quick
       test_ring_basics;
+    Alcotest.test_case "finish returns its entry, named by the query record"
+      `Quick test_finish_returns_record;
     Alcotest.test_case "completed ring eviction" `Quick test_ring_eviction;
   ]

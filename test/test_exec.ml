@@ -16,7 +16,8 @@ let execute ?query ~compact store guard =
     Xmobs.Ctx.with_ctx ctx (fun () ->
         Xmserve.Exec.execute ~source:"test" ~enforce:false ~compact ?query store guard)
   in
-  Xmobs.Ctx.finish ctx ~label:"test" ~outcome:"ok" ~status:200 ~wall_s:0.;
+  ignore
+    (Xmobs.Ctx.finish ctx ~label:"test" ~outcome:"ok" ~status:200 ~wall_s:0.);
   match Xmobs.Ctx.find_completed (Xmobs.Ctx.trace_id ctx) with
   | Some { Xmobs.Ctx.c_qlog = Some e; _ } -> (outcome, e)
   | _ -> Alcotest.fail "no query record"

@@ -56,7 +56,8 @@ let with_ring capacity f =
 let finish_with_qlog id =
   let ctx = Xmobs.Ctx.create () in
   Xmobs.Ctx.with_ctx ctx (fun () -> Xmobs.Ctx.attach_qlog (mk_qlog id));
-  Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001
+  ignore
+    (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -201,7 +202,8 @@ let bundle_events dir name =
 let finish_with_spans names =
   let ctx = Xmobs.Ctx.create () in
   List.iter (fun n -> Xmobs.Ctx.with_span ctx n (fun () -> ())) names;
-  Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001
+  ignore
+    (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
 (* The bundle's spans are the finished requests' own: both requests', in
    wall-clock order, capped at 2048 entries with the newest kept. *)
@@ -247,13 +249,15 @@ let test_bundle_qlog_from_requests () =
         let ctx = Xmobs.Ctx.create () in
         Xmobs.Ctx.with_ctx ctx (fun () ->
             ignore (Xmserve.Exec.execute ~source:"serve" store guard));
-        Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200
-          ~wall_s:0.001;
+        ignore
+          (Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200
+             ~wall_s:0.001);
         Xmobs.Ctx.trace_id ctx
       in
       let a = serve "MUTATE site" in
-      Xmobs.Ctx.finish (Xmobs.Ctx.create ()) ~label:"/query"
-        ~outcome:"empty-guard" ~status:400 ~wall_s:0.0;
+      ignore
+        (Xmobs.Ctx.finish (Xmobs.Ctx.create ()) ~label:"/query"
+           ~outcome:"empty-guard" ~status:400 ~wall_s:0.0);
       let b = serve "MORPH person [ name ]" in
       ignore
         (Xmserve.Exec.execute ~source:"slow-capture" ~trace_id:b store

@@ -456,8 +456,6 @@ let test_disabled_path_no_alloc () =
     ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
     Store.Io_stats.charge_read io 4096;
     Store.Io_stats.charge_write io 4096;
-    Xmobs.Ctx.bump "x";
-    Xmobs.Ctx.observe "x" 1.0;
     (* The statistics warehouse: a disabled submit is one atomic load. *)
     ignore (Sys.opaque_identity (Xmobs.Statdb.enabled ()));
     Xmobs.Statdb.submit ~guard_hash:"x" [];

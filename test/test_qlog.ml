@@ -278,6 +278,29 @@ let test_writer_rotation_survives_reopen () =
   Sys.remove (path ^ ".1");
   if Sys.file_exists path then Sys.remove path
 
+(* The serve daemon flushes after every record, so its buffer (default
+   cap) never fills: rotation must still happen at the threshold. *)
+let test_writer_rotates_when_flushed_per_record () =
+  let path = tmp_path () in
+  let line_len =
+    String.length (Xmobs.Qlog.entry_to_line (sample_entry ~id:999 ())) + 1
+  in
+  let max_bytes = 4096 in
+  let w = Xmobs.Qlog.create ~max_bytes path in
+  for i = 0 to 999 do
+    Xmobs.Qlog.log w (sample_entry ~id:i ());
+    Xmobs.Qlog.flush w
+  done;
+  Xmobs.Qlog.close w;
+  let size p = (Unix.stat p).Unix.st_size in
+  Alcotest.(check bool) "rotated file exists" true (Sys.file_exists (path ^ ".1"));
+  Alcotest.(check bool) "rotated file within one record of the threshold" true
+    (size (path ^ ".1") < max_bytes + line_len);
+  Alcotest.(check bool) "primary stays under the threshold" true
+    (size path < max_bytes);
+  Sys.remove path;
+  Sys.remove (path ^ ".1")
+
 (* The serve daemon logs from concurrent request threads, and a caller may
    log from several domains; every line must still be whole. *)
 let concurrent_writers ~domains ~n =
@@ -351,6 +374,8 @@ let suite =
       test_writer_no_rotation_by_default;
     Alcotest.test_case "rotation threshold survives reopen" `Quick
       test_writer_rotation_survives_reopen;
+    Alcotest.test_case "writer flushed per record still rotates" `Quick
+      test_writer_rotates_when_flushed_per_record;
     Alcotest.test_case "global sink writes and uninstalls" `Quick
       test_global_sink;
     QCheck_alcotest.to_alcotest prop_concurrent_lines;

@@ -317,7 +317,7 @@ let test_metrics_endpoint () =
   in
   Alcotest.(check bool) "info line" true (has "xmorph_info{version=\"2.0\"");
   Alcotest.(check bool) "request counter" true
-    (has "# TYPE serve_requests counter");
+    (has "# TYPE xmorph_requests_total counter");
   Alcotest.(check bool) "latency histogram" true
     (has "# TYPE serve_request_seconds histogram")
 
@@ -532,6 +532,122 @@ let test_slo_flip_and_recovery () =
     end
   in
   await ()
+
+(* ---------- one record per request ---------- *)
+
+let series_count name labels =
+  List.fold_left
+    (fun n (ls, (c, _)) -> if ls = labels then n + c else n)
+    0
+    (Xmobs.Metrics.histogram_series name)
+
+(* One executed /query moves each per-request sink by exactly one, and
+   the unlabeled series that only restated a labeled family are gone
+   from the exposition. *)
+let test_one_query_one_record () =
+  with_server @@ fun base _store ->
+  let windows () =
+    let _, _, body = get ~meth:"GET" base "/debug/timeseries" in
+    let j = Xmutil.Json.of_string body in
+    let num series =
+      match ts_num j [ "series"; series; "lifetime" ] with
+      | Some n -> int_of_float n
+      | None -> Alcotest.failf "series.%s.lifetime missing" series
+    in
+    (num "queries", num "requests")
+  in
+  let requests () =
+    Xmobs.Metrics.counter_value_labeled "xmorph_requests_total"
+      [ ("route", "/query"); ("status", "200") ]
+  in
+  let guard = [ ("guard", Xmobs.Qlog.hash_text paper_guard) ] in
+  let query = [ ("doc", "data.xml"); ("outcome", "ok") ] in
+  let q0, r0 = windows () in
+  let req0 = requests () in
+  let qs0 = series_count "xmorph_query_seconds" query in
+  let gs0 = series_count "xmorph_guard_seconds" guard in
+  let status, _, _ = get ~meth:"POST" ~body:paper_guard base "/query" in
+  Alcotest.(check int) "200" 200 status;
+  let q1, r1 = windows () in
+  Alcotest.(check int) "xmorph_requests_total{route=/query}" 1
+    (requests () - req0);
+  Alcotest.(check int) "xmorph_query_seconds count" 1
+    (series_count "xmorph_query_seconds" query - qs0);
+  Alcotest.(check int) "xmorph_guard_seconds count" 1
+    (series_count "xmorph_guard_seconds" guard - gs0);
+  Alcotest.(check int) "queries window lifetime" 1 (q1 - q0);
+  (* the query, and the first /debug/timeseries read, recorded once its
+     response was built *)
+  Alcotest.(check int) "requests window lifetime" 2 (r1 - r0);
+  let _, _, body = get ~meth:"GET" base "/metrics" in
+  let lines = String.split_on_char '\n' body in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) (prefix ^ " not exposed") false
+        (List.exists (String.starts_with ~prefix) lines))
+    [ "serve_requests"; "# TYPE serve_requests "; "serve_responses_";
+      "# TYPE serve_responses_"; "serve_query_seconds";
+      "# TYPE serve_query_seconds "; "serve_updates"; "# TYPE serve_updates " ]
+
+(* A two-store daemon is sent each kind of /query outcome; /stats counts
+   exactly what it was sent. *)
+let test_stats_count_what_was_sent () =
+  Xmobs.Metrics.reset ();
+  let server =
+    Xmserve.Server.create ~port:0 ~workers:2
+      ~stores:[ ("a.xml", make_store ()); ("b.xml", make_store ()) ]
+      ()
+  in
+  Xmserve.Server.start server;
+  let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Xmserve.Server.stop server;
+      Xmobs.Metrics.disable ();
+      Xmobs.Metrics.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (target, body, want) ->
+      let status, _, _ = get ~meth:"POST" ~body base target in
+      Alcotest.(check int) (target ^ " " ^ body) want status)
+    [ ("/query", paper_guard, 200);
+      ("/query?doc=b.xml", paper_guard, 200);
+      ("/query", "MUTATE nosuch", 400);
+      ("/query?doc=b.xml", widening_guard, 422);
+      ("/query?doc=c.xml", paper_guard, 404);
+      ("/query", "  ", 400) ];
+  let _, _, body = get ~meth:"GET" base "/stats" in
+  let j = Xmutil.Json.of_string body in
+  Alcotest.(check (option (float 0.0))) "requests" (Some 6.0)
+    (ts_num j [ "requests" ]);
+  List.iter
+    (fun (outcome, n) ->
+      Alcotest.(check (option (float 0.0))) ("queries." ^ outcome)
+        (Some n) (ts_num j [ "queries"; outcome ]))
+    [ ("ok", 2.0); ("parse-error", 1.0); ("type-mismatch", 1.0);
+      ("internal", 0.0) ]
+
+(* Binding a port already in use fails without leaking the socket. *)
+let test_failed_create_closes_socket () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "no port"
+  in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    match
+      Xmserve.Server.create ~port ~stores:[ ("data.xml", make_store ()) ] ()
+    with
+    | _ -> Alcotest.fail "bound a port already in use"
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
 (* ---------- per-request telemetry ---------- *)
 
@@ -1282,6 +1398,12 @@ let suite =
       test_timeseries_endpoint;
     Alcotest.test_case "slo breach flips healthz, then recovers" `Quick
       test_slo_flip_and_recovery;
+    Alcotest.test_case "one /query moves each per-request sink by one"
+      `Quick test_one_query_one_record;
+    Alcotest.test_case "stats count what a two-store daemon was sent"
+      `Quick test_stats_count_what_was_sent;
+    Alcotest.test_case "a failed create closes its socket" `Quick
+      test_failed_create_closes_socket;
     Alcotest.test_case "traceparent propagation and fallback" `Quick
       test_traceparent_propagation;
     Alcotest.test_case "GET /debug/requests and /debug/trace/<id>" `Quick
