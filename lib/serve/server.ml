@@ -15,6 +15,10 @@
 
 let now () = Unix.gettimeofday ()
 
+(* Where a server is in its life: [run] moves it from [Idle] to
+   [Running], [stop] from either to [Stopped]. *)
+type life = Idle | Running | Stopped
+
 type t = {
   s_addr : string;
   s_port : int;
@@ -26,7 +30,7 @@ type t = {
   update_lock : Mutex.t; (* serializes updates: swap = read-modify-write *)
   listen_fd : Unix.file_descr;
   started : float;
-  stopping : bool Atomic.t;
+  life : life Atomic.t;
   reading : Unix.file_descr option array;
       (* per worker: the connection whose request it is reading, which
          [stop] shuts down so that an idle client cannot hold it *)
@@ -227,7 +231,7 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     update_lock = Mutex.create ();
     listen_fd = fd;
     started = now ();
-    stopping = Atomic.make false;
+    life = Atomic.make Idle;
     reading = Array.make workers None;
     reading_lock = Mutex.create ();
     slow_ms;
@@ -751,13 +755,13 @@ let shutdown_receive fd =
 
 (* Worker [w] waits for the request on [fd].  Registered under
    [reading_lock], so [stop] either finds the connection here or, when it
-   got there first, the worker sees [stopping] and shuts it itself; the
+   got there first, the worker sees [Stopped] and shuts it itself; the
    entry is cleared before [fd] can be closed. *)
 let set_reading t w v =
   Mutex.lock t.reading_lock;
   t.reading.(w) <- v;
   (match v with
-  | Some fd when Atomic.get t.stopping -> shutdown_receive fd
+  | Some fd when Atomic.get t.life = Stopped -> shutdown_receive fd
   | _ -> ());
   Mutex.unlock t.reading_lock
 
@@ -808,7 +812,7 @@ let serve_conn t w fd =
    retries, so the pool never shrinks. *)
 let worker t w =
   let rec loop () =
-    if not (Atomic.get t.stopping) then
+    if Atomic.get t.life <> Stopped then
       match Unix.accept t.listen_fd with
       | fd, _ ->
           serve_conn t w fd;
@@ -816,19 +820,22 @@ let worker t w =
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
           loop ()
       | exception Unix.Unix_error _ ->
-          if not (Atomic.get t.stopping) then begin
+          if Atomic.get t.life <> Stopped then begin
             Thread.delay 0.01;
             loop ()
           end
   in
   loop ()
 
-(* The listener is closed only here, once no worker can call [accept]
-   on it: closed any earlier, its descriptor could be reused by a file
-   opened meanwhile. *)
+(* The listener of a server that ran is closed only here, once no worker
+   can call [accept] on it: closed any earlier, its descriptor could be
+   reused by a file opened meanwhile.  A server stopped before it ran
+   does not run; [stop] closed its listener. *)
 let run t =
-  List.init t.workers (Thread.create (worker t)) |> List.iter Thread.join;
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  if Atomic.compare_and_set t.life Idle Running then begin
+    List.init t.workers (Thread.create (worker t)) |> List.iter Thread.join;
+    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  end
 
 let start t =
   match t.thread with
@@ -836,18 +843,24 @@ let start t =
   | None -> t.thread <- Some (Thread.create run t)
 
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (* Join the alert ticker before tearing the listener down: a tick
-       mid-shutdown would race the sinks against process exit. *)
-    if t.alerts_on then Xmobs.Alerts.disable ();
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    Mutex.lock t.reading_lock;
-    Array.iter (Option.iter shutdown_receive) t.reading;
-    Mutex.unlock t.reading_lock;
-    match t.thread with
-    | Some th ->
-        Thread.join th;
-        t.thread <- None
-    | None -> ()
-  end
+  match Atomic.exchange t.life Stopped with
+  | Stopped -> ()
+  | was -> (
+      (* Join the alert ticker before tearing the listener down: a tick
+         mid-shutdown would race the sinks against process exit. *)
+      if t.alerts_on then Xmobs.Alerts.disable ();
+      (* A server that never ran has no worker on its listener, and [run]
+         no longer starts one, so the listener is closed here. *)
+      if was = Idle then (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+      else begin
+        (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
+         with Unix.Unix_error _ -> ());
+        Mutex.lock t.reading_lock;
+        Array.iter (Option.iter shutdown_receive) t.reading;
+        Mutex.unlock t.reading_lock
+      end;
+      match t.thread with
+      | Some th ->
+          Thread.join th;
+          t.thread <- None
+      | None -> ())

@@ -140,7 +140,8 @@ val addr : t -> string
 val run : t -> unit
 (** Serve until {!stop} (or process exit).  Blocks the calling thread:
     starts the workers and, after {!stop}, joins them and closes the
-    listening socket.  Call it once. *)
+    listening socket.  Call it once; on a server already stopped it
+    returns at once. *)
 
 val start : t -> unit
 (** Spawn {!run} on a background thread (used by tests). *)
@@ -151,4 +152,5 @@ val stop : t -> unit
     arrived (a client that holds a connection open and sends nothing
     cannot delay it).  Requests already read are answered.  When
     {!start} spawned {!run}, returns after {!run} has; otherwise it does
-    not wait. *)
+    not wait.  On a server that never ran it closes the listening socket
+    itself. *)

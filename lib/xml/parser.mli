@@ -16,7 +16,10 @@ exception Error of { line : int; col : int; msg : string }
     end of input is placed one past the last character. *)
 
 val parse : string -> Tree.t
-(** Parse a complete document; the result is the root element.
+(** Parse a complete document; the result is the root element.  Equal
+    element and attribute names within one parse are physically the same
+    string; callers must not rely on that across parses, which share
+    nothing.
     @raise Error on malformed input. *)
 
 val parse_file : string -> Tree.t

@@ -649,6 +649,21 @@ let test_failed_create_closes_socket () =
   done;
   Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
+(* A server stopped before it ran closes its listening socket. *)
+let test_stop_unrun_closes_socket () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  Fun.protect
+    ~finally:(fun () ->
+      Xmobs.Metrics.disable ();
+      Xmobs.Metrics.reset ())
+  @@ fun () ->
+  let before = open_fds () in
+  for _ = 1 to 10 do
+    Xmserve.Server.stop
+      (Xmserve.Server.create ~port:0 ~stores:[ ("data.xml", make_store ()) ] ())
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+
 (* ---------- per-request telemetry ---------- *)
 
 let hex32 s =
@@ -1404,6 +1419,8 @@ let suite =
       `Quick test_stats_count_what_was_sent;
     Alcotest.test_case "a failed create closes its socket" `Quick
       test_failed_create_closes_socket;
+    Alcotest.test_case "stopping a server that never ran closes its socket"
+      `Quick test_stop_unrun_closes_socket;
     Alcotest.test_case "traceparent propagation and fallback" `Quick
       test_traceparent_propagation;
     Alcotest.test_case "GET /debug/requests and /debug/trace/<id>" `Quick
