@@ -4,18 +4,27 @@ type stats = { elements : int; bytes : int }
 
 module Store_ = Store (* the OCaml library, not a value *)
 
-(* One per render, [Nav.t], [explain] or [iter_closest] call, used by the
-   thread that made it: the cache needs no lock.  [ctx] is the request
+(* One per render, [Nav.t], [explain] or [iter_closest] call, used by
+   one thread at a time: the caches need no lock.  [ctx] is the request
    context every store read of the operation is charged to, resolved
    once here rather than looked up per charge. *)
 type rctx = {
   store : Store_.Shredded.t;
   caches : (int, int array) Hashtbl.t;
       (* type -> its TypeToSequence row: node ids in document order *)
+  edges : (int, joined) Hashtbl.t;
+      (* [(pty lsl 32) lor cty] -> that edge resolved (type ids are far
+         below 2^31) *)
   ctx : Xmobs.Ctx.t option;
 }
 
-let make_rctx store = { store; caches = Hashtbl.create 64; ctx = Xmobs.Ctx.current () }
+(* A target edge resolved once: the child type's row, grouped into runs
+   at the edge's join level, and the parent hops up to a run's key. *)
+and joined = { row : int array; groups : Closest.runs; hops : int }
+
+let make_rctx store =
+  { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16;
+    ctx = Xmobs.Ctx.current () }
 
 (* One operation over a fresh [rctx]: the store's gauges are published
    when it ends, never per charge. *)
@@ -42,33 +51,53 @@ let cache rctx ty =
    child side is the GroupedSequence table (Fig. 8): the child type's
    sequence grouped into runs sharing their ancestor at the join level
    [l], so a parent's closest children are exactly the run keyed by the
-   parent's own ancestor at [l], [depth pty - l] parent hops up.
-   [parents] are instances of [pty] in ascending (document) order; the
+   parent's own ancestor at [l], [depth pty - l] parent hops up.  The
+   edge is resolved on its first join in [rctx]; the reads charged then
+   (both types' rows, and the runs when the store builds them) are all a
+   join charges. *)
+let joined rctx ~pty ~cty =
+  let key = (pty lsl 32) lor cty in
+  match Hashtbl.find_opt rctx.edges key with
+  | Some j -> j
+  | None ->
+      ignore (cache rctx pty);
+      let row = cache rctx cty in
+      let l = Store_.Shredded.join_level rctx.store pty cty in
+      let j =
+        if Array.length row = 0 || l = 0 then { row; groups = Closest.no_runs; hops = 0 }
+        else
+          { row;
+            groups = Store_.Shredded.grouped_sequence ?ctx:rctx.ctx rctx.store cty ~level:l;
+            hops = Xml.Type_table.depth (Store_.Shredded.types rctx.store) pty - l }
+      in
+      Hashtbl.replace rctx.edges key j;
+      j
+
+(* [parents] are instances of [pty] in ascending (document) order; the
    result holds, per parent, the index of its run in the returned runs, or
    -1 when it has no closest child ([Closest.find]: one forward pass over
    the runs). *)
 let closest_runs rctx ~pty ~parents ~cty =
-  (* The join reads both types' rows, which the I/O model charges. *)
-  ignore (cache rctx pty);
-  let cc = cache rctx cty in
-  let l = Store_.Shredded.join_level rctx.store pty cty in
-  if Array.length cc = 0 || l = 0 then
-    (Array.make (Array.length parents) (-1), Closest.no_runs)
-  else begin
-    let groups = Store_.Shredded.grouped_sequence ?ctx:rctx.ctx rctx.store cty ~level:l in
-    let hops = Xml.Type_table.depth (Store_.Shredded.types rctx.store) pty - l in
-    let parent = Store_.Shredded.parent_column rctx.store in
-    (Closest.find ~parent ~hops groups parents, groups)
-  end
+  let j = joined rctx ~pty ~cty in
+  let parent = Store_.Shredded.parent_column rctx.store in
+  (Closest.find ~parent ~hops:j.hops j.groups parents, j.groups)
 
-(* One parent's closest children: the kernel on a single parent, for
-   navigation-style access. *)
+(* One parent's closest children, for navigation-style access: one
+   ancestor hop and one bisection of the runs' keys. *)
 let join_one rctx ~pty pid ~cty =
-  match closest_runs rctx ~pty ~parents:[| pid |] ~cty with
-  | [| g |], groups when g >= 0 ->
-      let gs = groups.offs.(g) in
-      Array.sub (cache rctx cty) gs (groups.offs.(g + 1) - gs)
-  | _ -> [||]
+  let j = joined rctx ~pty ~cty in
+  let keys = j.groups.keys in
+  let n = Array.length keys in
+  if n = 0 then [||]
+  else begin
+    let a = Closest.ancestor (Store_.Shredded.parent_column rctx.store) pid ~hops:j.hops in
+    let g = Closest.bisect keys a 0 n in
+    if g < n && keys.(g) = a then begin
+      let gs = j.groups.offs.(g) in
+      Array.sub j.row gs (j.groups.offs.(g + 1) - gs)
+    end
+    else [||]
+  end
 
 let ascending ids =
   let rec sorted i =
@@ -542,69 +571,75 @@ module Nav = struct
   type nonrec t = {
     rctx : rctx;
     handles : handle list;
-    roots : (handle * int array) list option Atomic.t;
-        (* selected on first use, once per [t]: two threads racing here
-           both select the same roots, where forcing one [Lazy.t] from two
-           threads would raise [Lazy.Undefined] *)
+    roots : (handle * int array) list option ref;
+        (* selected on first use, once per [t] and its [charging] views *)
   }
 
   (* Charges nothing to a request context: [charging] gives a request
      its own view. *)
   let create store shape =
-    { rctx = { store; caches = Hashtbl.create 64; ctx = None };
+    { rctx = { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16; ctx = None };
       handles = handles (Store_.Shredded.types store) shape;
-      roots = Atomic.make None }
+      roots = ref None }
 
   let charging t ctx = { t with rctx = { t.rctx with ctx } }
 
   let roots t =
-    match Atomic.get t.roots with
+    match !(t.roots) with
     | Some r -> r
     | None ->
         let r = List.map (fun h -> (h, root_instances t.rctx h)) t.handles in
-        Atomic.set t.roots (Some r);
+        t.roots := Some r;
         r
   let wrapper roots = wrap (count_trees roots)
 
-  (* One level of the plan for one instance: each child's join, keyed on
+  (* One edge of the plan for one instance: the child's join, keyed on
      this node's anchor type, and what the child keeps of its run. *)
-  let children t (h : handle) id =
-    List.map
-      (fun (c : handle) ->
-        match c.join with
-        | Some cty -> (c, keep t.rctx c (join_one t.rctx ~pty:h.aty id ~cty))
-        | None -> (c, [| id |]))
-      h.below
+  let edge t (h : handle) id (c : handle) =
+    match c.join with
+    | Some cty -> keep t.rctx c (join_one t.rctx ~pty:h.aty id ~cty)
+    | None -> [| id |]
+
+  let children t (h : handle) id = List.map (fun c -> (c, edge t h id c)) h.below
 
   let value t (h : handle) id =
     match h.node.source with
     | Some _ when id >= 0 -> read_value t.rctx id
     | _ -> ""
 
-  let attributes t h id =
+  let attributes t (h : handle) id =
     List.filter_map
-      (fun ((c : handle), kids) ->
-        if as_attribute c (Array.length kids) then
-          Some (c.name, read_value t.rctx kids.(0))
-        else None)
-      (children t h id)
+      (fun (c : handle) ->
+        if not c.attr then None
+        else
+          let kids = edge t h id c in
+          if as_attribute c (Array.length kids) then Some (c.name, read_value t.rctx kids.(0))
+          else None)
+      h.below
 
-  let element_children t h id =
-    List.filter
-      (fun ((c : handle), kids) -> not (as_attribute c (Array.length kids)))
-      (children t h id)
+  let element_children t ?name (h : handle) id =
+    List.filter_map
+      (fun (c : handle) ->
+        match name with
+        | Some m when m <> c.name -> None
+        | _ ->
+            let kids = edge t h id c in
+            if as_attribute c (Array.length kids) then None else Some (c, kids))
+      h.below
 
   let materialize t h id =
     let b = Xml.Tree.Builder.create () in
     Tree_emit.walk t.rctx b (plan t.rctx h [| id |]) id;
     List.hd (Xml.Tree.Builder.trees b)
 
-  let rec deep_text t h id =
+  let deep_text t h id =
     let b = Buffer.create 32 in
-    Buffer.add_string b (value t h id);
-    List.iter
-      (fun (c, kids) -> Array.iter (fun k -> Buffer.add_string b (deep_text t c k)) kids)
-      (element_children t h id);
+    let rec add (h : handle) id =
+      if Option.is_some h.node.source && id >= 0 then
+        Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id Buffer.add_substring b;
+      List.iter (fun (c, kids) -> Array.iter (add c) kids) (element_children t h id)
+    in
+    add h id;
     Buffer.contents b
 end
 

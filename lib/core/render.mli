@@ -148,6 +148,11 @@ val closest_pairs :
     instantiates [Xquery.Eval.Make] on top. *)
 module Nav : sig
   type t
+  (** Not to be shared between threads: a [t] and every view {!charging}
+      makes of it share unsynchronized caches (each type's row, each
+      target edge resolved, the roots selected), so they are used by one
+      thread at a time.  Operations run one after another may share one
+      [t], and so find its edges already resolved. *)
 
   type nonrec handle = handle
 
@@ -158,7 +163,7 @@ module Nav : sig
   val charging : t -> Xmobs.Ctx.t option -> t
   (** A view of [t] whose store reads are also charged to the given
       request context, resolved once by the caller per operation.  It
-      shares [t]'s handles, join caches and roots. *)
+      shares [t]'s handles, caches and roots. *)
 
   val roots : t -> (handle * int array) list
   (** Target roots with their instance ids (restrict/value filters applied,
@@ -171,22 +176,28 @@ module Nav : sig
 
   val children : t -> handle -> int -> (handle * int array) list
   (** The child handles of an instance with their closest instances, in
-      shape order; computed on demand, one join per edge. *)
+      shape order; computed on demand, one join per edge.  A target edge
+      is resolved (rows read, runs grouped) on its first join in [t];
+      each later join is one ancestor hop and one bisection of the edge's
+      run keys. *)
 
   val value : t -> handle -> int -> string
   (** The instance's direct text ([""] for NEW pseudo-instances). *)
 
   val attributes : t -> handle -> int -> (string * string) list
-  (** The children that render as XML attributes, with values. *)
+  (** The children that render as XML attributes, with values; only the
+      edges of attribute-typed children are joined. *)
 
-  val element_children : t -> handle -> int -> (handle * int array) list
-  (** {!children} minus {!attributes}. *)
+  val element_children : t -> ?name:string -> handle -> int -> (handle * int array) list
+  (** {!children} minus {!attributes}.  With [~name], only the children of
+      that output name, and only their edges are joined. *)
 
   val materialize : t -> handle -> int -> Xml.Tree.t
   (** Physically render just this instance's subtree. *)
 
   val deep_text : t -> handle -> int -> string
-  (** The XPath string value of the virtual subtree. *)
+  (** The XPath string value of the virtual subtree, written into one
+      buffer. *)
 end
 
 type instance = {

@@ -41,17 +41,21 @@ module Virtual = struct
   (* A virtual element's text precedes its element children, as in
      Render.to_tree; the document node has the render's wrapper as its only
      child when there is one.  Root instances stream from their id arrays,
-     so a bounded step over the roots makes nodes for the run it keeps; an
-     instance's children are its joins, computed at once. *)
-  let children t ~text = function
+     so a bounded step over the roots makes nodes for the run it keeps.  An
+     instance's children are the joins its test names, computed at once:
+     a name joins the edges of the children of that name, [*] every edge
+     and text() none. *)
+  let children t ~test = function
     | Doc -> (
         let roots = Nav.roots t.nav in
         match Nav.wrapper roots with Some w -> Seq.return (Wrapper w) | None -> virts roots)
     | Wrapper _ -> virts (Nav.roots t.nav)
-    | Virt (h, id) ->
-        let kids = virts (Nav.element_children t.nav h id) in
-        let value = if text then Nav.value t.nav h id else "" in
-        if value = "" then kids else Seq.cons (Text value) kids
+    | Virt (h, id) -> (
+        match test with
+        | Xquery.Qast.Name name -> virts (Nav.element_children t.nav ~name h id)
+        | Xquery.Qast.Any -> virts (Nav.element_children t.nav h id)
+        | Xquery.Qast.Text -> (
+            match Nav.value t.nav h id with "" -> Seq.empty | value -> Seq.return (Text value)))
     | Text _ -> Seq.empty
     | Tree n -> Seq.map (fun c -> Tree c) (List.to_seq (Xml.Tree.children n))
 

@@ -3,8 +3,9 @@
     The first two architectures physically produce the transformed document
     before any query runs.  This module instead runs XQuery-lite queries
     against the {e virtual} transformed document: each navigation step
-    performs one closest join for one instance ({!Xmorph.Render.Nav}), and a
-    subtree is physically materialized only when the query returns it.  A
+    performs one closest join for one instance ({!Xmorph.Render.Nav}), on
+    the edges its node test names, and a subtree is physically
+    materialized only when the query returns it.  A
     query that touches a fraction of the data pays for that fraction — the
     paper's motivation for making this architecture "the focus of our
     near-term development".
@@ -17,6 +18,8 @@
     equivalence). *)
 
 type t
+(** A compiled guard with its navigation ({!Xmorph.Render.Nav.t}), whose
+    caches fill as queries run: use a [t] from one thread at a time. *)
 
 val of_compiled : Store.Shredded.t -> Xmorph.Interp.t -> t
 (** Wrap an already-compiled guard. *)

@@ -7,7 +7,7 @@ module type NAV = sig
   type node
 
   val document : t -> node
-  val children : t -> text:bool -> node -> node Seq.t
+  val children : t -> test:Qast.node_test -> node -> node Seq.t
   val text : t -> node -> string option
   val name : t -> node -> string
   val attributes : t -> node -> (string * string) list
@@ -144,28 +144,39 @@ module Make (N : NAV) = struct
         | Some s -> Some (Value.Str s)
         | None -> None)
 
-  (* Only a text() test asks for text children, so an instance that stores
-     text apart from structure reads none for element steps. *)
-  let children env test n =
-    N.children env.doc.nav ~text:(match test with Qast.Text -> true | _ -> false) n
-
+  (* The step's node test goes down with it, so an instance that joins
+     its children on demand joins only the edges the test names. *)
   let child_seq env test = function
-    | Value.Node n -> Seq.filter_map (select env test) (children env test n)
+    | Value.Node n -> Seq.filter_map (select env test) (N.children env.doc.nav ~test n)
     | _ -> Seq.empty
 
   let child_step env test it = List.of_seq (child_seq env test it)
 
-  (* Preorder, so that results come out in document order. *)
+  (* Preorder, so that results come out in document order.  The walk
+     reaches every element below, whatever the test: it asks for every
+     element child ([*]).  A text() walk asks for the text children, and
+     for the element children as well unless those came with them (a tree
+     hands out every child for any test). *)
   let descendant_step env test = function
     | Value.Node n ->
+        let nav = env.doc.nav in
+        let element c = Option.is_none (N.text nav c) in
+        let below n =
+          match test with
+          | Qast.Text ->
+              let kids = N.children nav ~test n in
+              if Seq.exists element kids then kids
+              else Seq.append kids (Seq.filter element (N.children nav ~test:Qast.Any n))
+          | Qast.Name _ | Qast.Any -> N.children nav ~test:Qast.Any n
+        in
         let rec go acc kids =
           Seq.fold_left
             (fun acc c ->
               let acc = match select env test c with Some it -> it :: acc | None -> acc in
-              go acc (children env test c))
+              go acc (below c))
             acc kids
         in
-        List.rev (go [] (children env test n))
+        List.rev (go [] (below n))
     | _ -> []
 
   let attribute_step env test = function
@@ -583,7 +594,7 @@ module Tree = struct
 
   let document doc = doc
 
-  let children _ ~text:_ = function
+  let children _ ~test:_ = function
     | Xml.Tree.Element { children; _ } -> List.to_seq children
     | Xml.Tree.Text _ -> Seq.empty
 

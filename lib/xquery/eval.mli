@@ -25,10 +25,14 @@ module type NAV = sig
   val document : t -> node
   (** The document node, parent of the root element ([/]). *)
 
-  val children : t -> text:bool -> node -> node Seq.t
-  (** Children in document order, text nodes included at least when
-      [text].  The evaluator pulls only what it keeps: a child step whose
-      first predicate is a static positional bound ([[2]],
+  val children : t -> test:Qast.node_test -> node -> node Seq.t
+  (** Children in document order: at least those [test] selects — the
+      elements of a name, every element for [*], every text child for
+      [text()].  A navigation may hand out other children too, which the
+      evaluator drops.  A child step passes its own test; a descendant
+      step asks for every element ([*]) and, for [text()], for the text
+      children as well.  The evaluator pulls only what it keeps: a child
+      step whose first predicate is a static positional bound ([[2]],
       [position() <= $k], ...) forces no child past the bound's run, so
       an instance that computes children on demand pays for those alone. *)
 

@@ -280,6 +280,108 @@ let test_bound_oracle () =
     (Printf.sprintf "%d sorted-root guards compiled" !sorted)
     true (!sorted > 0)
 
+(* A path over [names]: child and descendant steps naming one of them,
+   [*], or a name no target node has, some with a predicate, ending in
+   an element step, text() or an attribute; bare, counted or joined. *)
+let gen_path_query names =
+  QCheck2.Gen.(
+    let name = frequency [ (6, oneofl names); (1, return "nosuch") ] in
+    let step =
+      let* axis = oneofl [ "/"; "//" ] in
+      let* test = frequency [ (5, name); (2, return "*") ] in
+      let* pred =
+        frequency
+          [ (6, return "");
+            (1, map (fun n -> "[" ^ n ^ "]") name);
+            (1, map (fun n -> Printf.sprintf {|[%s = "hello"]|} n) name);
+            (1, return "[1]") ]
+      in
+      return (axis ^ test ^ pred)
+    in
+    let* steps = list_size (int_range 1 3) step in
+    let* last =
+      frequency
+        [ (4, return ""); (1, return "/text()"); (1, return "//text()");
+          (2, map (fun n -> "/@" ^ n) name) ]
+    in
+    let path = String.concat "" steps ^ last in
+    oneofl
+      [ path; "count(" ^ path ^ ")"; Printf.sprintf {|string-join(%s, "|")|} path;
+        "for $x in " ^ path ^ " return string($x)" ])
+
+(* The output names a guard over [doc] can give: the document's labels,
+   attributes without their [@], and the generated NEW names. *)
+let output_names doc =
+  let tt = Xml.Doc.types doc in
+  let names = ref [ "wrap"; "extra"; "scribe" ] in
+  Xml.Type_table.iter tt (fun ty ->
+      let n = Xml.Label.strip_at (Xml.Type_table.label tt ty) in
+      if not (List.mem n !names) then names := n :: !names);
+  !names
+
+let test_random_query_answers () =
+  let compiled = ref 0 and queries = ref 0 and nonempty = ref 0 in
+  let gen =
+    QCheck2.Gen.(
+      let* doc, guard = gen_guard_case in
+      let* qs = list_size (return 6) (gen_path_query (output_names doc)) in
+      return (doc, guard, qs))
+  in
+  let answer f =
+    match f () with
+    | v -> Ok (Xquery.Value.to_string v)
+    | exception Guarded_query.Query_failed m -> Error m
+    | exception Xquery.Eval.Error m -> Error m
+  in
+  let prop (doc, guard, qs) =
+    let store = Store.Shredded.shred doc in
+    match Logical.create ~enforce:false store ~guard with
+    | exception _ -> true
+    | lg ->
+        incr compiled;
+        List.for_all
+          (fun query ->
+            incr queries;
+            let physical () =
+              (Guarded_query.run_on_store ~enforce:false store { Guarded_query.guard; query })
+                .Guarded_query.result
+            in
+            let a = answer (fun () -> Logical.query lg query) in
+            if a <> Ok "" then incr nonempty;
+            answer physical = a)
+          qs
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"logical = physical on generated queries" ~count:500
+       ~print:(fun (doc, g, qs) ->
+         Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g ^ "\n" ^ String.concat "\n" qs)
+       (* unshrunk, as above *)
+       (QCheck2.Gen.no_shrink gen) prop);
+  Printf.printf "%d compiled cases, %d queries, %d answers non-empty\n" !compiled !queries
+    !nonempty;
+  Alcotest.(check bool) "some cases compile" true (!compiled > 0);
+  Alcotest.(check bool) "some answers are non-empty" true (!nonempty > 0)
+
+(* Bytes a fresh store and navigation read answering [query] in situ. *)
+let in_situ_reads doc guard query =
+  let store = Store.Shredded.shred doc in
+  let lg = Logical.create ~enforce:false store ~guard in
+  Store.Io_stats.reset (Store.Shredded.stats store);
+  ignore (Logical.query lg query);
+  (Store.Io_stats.snapshot (Store.Shredded.stats store)).Store.Io_stats.bytes_read
+
+(* A child step joins only the edge it names: the sibling edges of a bushy
+   guard cost it nothing, and a name no target node has joins nothing. *)
+let test_step_reads_named_edge () =
+  let doc = Workloads.Dblp.to_doc ~entries:300 () in
+  let bushy = "MORPH article [ title year pages ]" in
+  Alcotest.(check int) "/result/article[1]/pages reads no title or year row"
+    (in_situ_reads doc "MORPH article [ pages ]" "/result/article[1]/pages")
+    (in_situ_reads doc bushy "/result/article[1]/pages");
+  Alcotest.(check int) "/result/article/nosuch reads no child row"
+    (in_situ_reads doc bushy "count(/result/article)")
+    (in_situ_reads doc bushy "/result/article/nosuch")
+
 let suite =
   [
     Alcotest.test_case "agrees with physical (query battery)" `Quick
@@ -299,4 +401,8 @@ let suite =
       test_random_guard_answers;
     Alcotest.test_case "bounded step = per-item predicate (virtual)" `Quick
       test_bound_oracle;
+    Alcotest.test_case "logical = physical on generated queries" `Quick
+      test_random_query_answers;
+    Alcotest.test_case "a child step reads only the edge it names" `Quick
+      test_step_reads_named_edge;
   ]

@@ -330,7 +330,7 @@ module Counting = struct
 
   let document doc = doc
 
-  let children _ ~text:_ = function
+  let children _ ~test:_ = function
     | Xml.Tree.Element { children; _ } ->
         Seq.map
           (fun c ->
