@@ -16,7 +16,11 @@
    virtual document and joins only their children, and its time stays
    flat as the entries double.  A descendant step ([//title]) or a
    predicate that reads values still visits every instance it scans, so
-   the full scan costs about what (1) does.
+   the full scan costs about what (1) does.  Two more rows, on a smaller
+   document, check what (3) builds rather than counts: 50 authors'
+   titles returned as subtrees (each materialized from the edges it
+   resolved), and a value predicate that atomizes every author's leaf
+   years.
 
    A second, bushy guard gives each kind of in-situ step a query of its
    own: a child step naming one of three sibling edges, [*], text(), a
@@ -34,6 +38,10 @@ let cases =
       [ ("selective (1 author)", "/result/author[1]/title/text()");
         ("medium (50 authors)", "count(/result/author[position() <= 50]/title)");
         ("full scan", "count(//title)") ] );
+    ( "MORPH author [title [year]]",
+      [ 2_000 ],
+      [ ("returned subtrees", "/result/author[position() <= 50]/title");
+        ("value predicate", "count(/result/author[title/year >= 2000])") ] );
     ( "MORPH article [ title year pages ]",
       [ 2_000 ],
       [ ("named child", "/result/article[position() <= 50]/pages");

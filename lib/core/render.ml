@@ -57,9 +57,9 @@ let cache rctx ty =
    join charges. *)
 let joined rctx ~pty ~cty =
   let key = (pty lsl 32) lor cty in
-  match Hashtbl.find_opt rctx.edges key with
-  | Some j -> j
-  | None ->
+  match Hashtbl.find rctx.edges key with
+  | j -> j
+  | exception Not_found ->
       ignore (cache rctx pty);
       let row = cache rctx cty in
       let l = Store_.Shredded.join_level rctx.store pty cty in
@@ -600,7 +600,13 @@ module Nav = struct
     | Some cty -> keep t.rctx c (join_one t.rctx ~pty:h.aty id ~cty)
     | None -> [| id |]
 
-  let children t (h : handle) id = List.map (fun c -> (c, edge t h id c)) h.below
+  let[@tail_mod_cons] rec child_runs t (h : handle) id = function
+    | [] -> []
+    | c :: cs ->
+        let kids = edge t h id c in
+        (c, kids) :: child_runs t h id cs
+
+  let children t (h : handle) id = child_runs t h id h.below
 
   let value t (h : handle) id =
     match h.node.source with
@@ -617,30 +623,70 @@ module Nav = struct
           else None)
       h.below
 
-  let element_children t ?name (h : handle) id =
-    List.filter_map
-      (fun (c : handle) ->
+  (* The element-shaped runs among [cs], [h]'s child handles; with
+     [name], only the handles of that name are joined. *)
+  let[@tail_mod_cons] rec element_runs t name (h : handle) id = function
+    | [] -> []
+    | (c : handle) :: cs -> (
         match name with
-        | Some m when m <> c.name -> None
+        | Some m when m <> c.name -> element_runs t name h id cs
         | _ ->
             let kids = edge t h id c in
-            if as_attribute c (Array.length kids) then None else Some (c, kids))
-      h.below
+            if as_attribute c (Array.length kids) then element_runs t name h id cs
+            else (c, kids) :: element_runs t name h id cs)
 
-  let materialize t h id =
-    let b = Xml.Tree.Builder.create () in
-    Tree_emit.walk t.rctx b (plan t.rctx h [| id |]) id;
-    List.hd (Xml.Tree.Builder.trees b)
+  let element_children t ?name (h : handle) id = element_runs t name h id h.below
 
-  let deep_text t h id =
-    let b = Buffer.create 32 in
-    let rec add (h : handle) id =
-      if Option.is_some h.node.source && id >= 0 then
-        Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id Buffer.add_substring b;
-      List.iter (fun (c, kids) -> Array.iter (add c) kids) (element_children t h id)
-    in
-    add h id;
-    Buffer.contents b
+  (* The attribute-shaped children among an instance's [children], with
+     their values. *)
+  let[@tail_mod_cons] rec attribute_values t = function
+    | [] -> []
+    | ((c : handle), ids) :: rest ->
+        if as_attribute c (Array.length ids) then
+          let v = read_value t.rctx ids.(0) in
+          (c.name, v) :: attribute_values t rest
+        else attribute_values t rest
+
+  (* One instance's subtree, built from the edges [t] has resolved: each
+     child edge is joined once per instance ([children]), and the element
+     holds what the emit walk writes for the instance, in its order: the
+     attribute-shaped children, its own text, its element children. *)
+  let rec materialize t (h : handle) id =
+    let kids = children t h id in
+    let sourced = Option.is_some h.node.source in
+    let attrs = if sourced then attribute_values t kids else [] in
+    let text = if sourced then read_value t.rctx id else "" in
+    let elements = elements t kids in
+    Xml.Tree.Element
+      { name = h.name; attrs; children = (if text = "" then elements else Text text :: elements) }
+
+  (* The element children of [kids], in shape order, each built as it is
+     reached. *)
+  and[@tail_mod_cons] elements t = function
+    | [] -> []
+    | ((c : handle), ids) :: rest ->
+        if as_attribute c (Array.length ids) then elements t rest else run t c ids 0 rest
+
+  and[@tail_mod_cons] run t c ids i rest =
+    if i = Array.length ids then elements t rest
+    else
+      let e = materialize t c ids.(i) in
+      e :: run t c ids (i + 1) rest
+
+  (* A node with no child handles is a leaf: its string value is its own
+     value, read once. *)
+  let deep_text t (h : handle) id =
+    match h.below with
+    | [] -> value t h id
+    | _ ->
+        let b = Buffer.create 32 in
+        let rec add (h : handle) id =
+          if Option.is_some h.node.source && id >= 0 then
+            Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id Buffer.add_substring b;
+          List.iter (fun (c, kids) -> Array.iter (add c) kids) (element_children t h id)
+        in
+        add h id;
+        Buffer.contents b
 end
 
 type edge_explanation = {

@@ -193,11 +193,14 @@ module Nav : sig
       that output name, and only their edges are joined. *)
 
   val materialize : t -> handle -> int -> Xml.Tree.t
-  (** Physically render just this instance's subtree. *)
+  (** This instance's subtree as the physical render writes it, reading
+      the values the render reads for it.  Built from the edges [t]
+      resolves, each child edge joined once per instance ({!children});
+      no plan is made per instance. *)
 
   val deep_text : t -> handle -> int -> string
   (** The XPath string value of the virtual subtree, written into one
-      buffer. *)
+      buffer; a node with no child handles is its own value, read once. *)
 end
 
 type instance = {

@@ -25,10 +25,15 @@ type node =
   | Text of string
   | Tree of Xml.Tree.t
 
-let virts kids =
-  Seq.concat_map
-    (fun (h, ids) -> Seq.map (fun i -> Virt (h, i)) (Array.to_seq ids))
-    (List.to_seq kids)
+(* The instances of [(handle, ids)] runs, from the [i]th of the first
+   run on, as one sequence: each item costs its [Virt], one [Seq] cell
+   and the closure that resumes after it. *)
+let rec virts kids i () =
+  match kids with
+  | [] -> Seq.Nil
+  | (h, ids) :: rest ->
+      if i < Array.length ids then Seq.Cons (Virt (h, ids.(i)), fun () -> virts kids (i + 1) ())
+      else virts rest 0 ()
 
 (* The navigation signature over the virtual document: each step into a
    virtual element's children runs its closest joins, one per target edge. *)
@@ -48,12 +53,12 @@ module Virtual = struct
   let children t ~test = function
     | Doc -> (
         let roots = Nav.roots t.nav in
-        match Nav.wrapper roots with Some w -> Seq.return (Wrapper w) | None -> virts roots)
-    | Wrapper _ -> virts (Nav.roots t.nav)
+        match Nav.wrapper roots with Some w -> Seq.return (Wrapper w) | None -> virts roots 0)
+    | Wrapper _ -> virts (Nav.roots t.nav) 0
     | Virt (h, id) -> (
         match test with
-        | Xquery.Qast.Name name -> virts (Nav.element_children t.nav ~name h id)
-        | Xquery.Qast.Any -> virts (Nav.element_children t.nav h id)
+        | Xquery.Qast.Name name -> virts (Nav.element_children t.nav ~name h id) 0
+        | Xquery.Qast.Any -> virts (Nav.element_children t.nav h id) 0
         | Xquery.Qast.Text -> (
             match Nav.value t.nav h id with "" -> Seq.empty | value -> Seq.return (Text value)))
     | Text _ -> Seq.empty

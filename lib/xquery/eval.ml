@@ -90,6 +90,23 @@ let window kind f =
   | `Lt -> (0, upto (Float.ceil f -. 1.))
   | `Eq -> if Float.is_integer f && f >= 1. && f < 0x1p62 then (int_of_float f - 1, 1) else (0, 0)
 
+(* XPath's round(): the nearest integer, a half toward positive
+   infinity (round(-1.5) is -1); NaN and the infinities stay as they
+   are, and so does the sign of a zero result. *)
+let xpath_round f =
+  if Float.is_integer f || not (Float.is_finite f) then f
+  else
+    let down = Float.floor f in
+    Float.copy_sign (if f >= down +. 0.5 then down +. 1. else down) f
+
+(* Does [sub] occur in [s] at byte offset [i]?  Compared in place. *)
+let occurs_at s i sub =
+  let m = String.length sub in
+  i + m <= String.length s
+  &&
+  let rec from j = j = m || (String.unsafe_get s (i + j) = String.unsafe_get sub j && from (j + 1)) in
+  from 0
+
 module Make (N : NAV) = struct
   type item = N.node Value.item_of
 
@@ -144,13 +161,27 @@ module Make (N : NAV) = struct
         | Some s -> Some (Value.Str s)
         | None -> None)
 
-  (* The step's node test goes down with it, so an instance that joins
-     its children on demand joins only the edges the test names. *)
-  let child_seq env test = function
-    | Value.Node n -> Seq.filter_map (select env test) (N.children env.doc.nav ~test n)
-    | _ -> Seq.empty
+  (* The items the children [s] give a step, in one pass: the node test
+     applies inline, the first [skip] items it keeps are dropped, and no
+     child is pulled after the [take]th kept. *)
+  let[@tail_mod_cons] rec kept env test ~skip ~take s =
+    if take = 0 then []
+    else
+      match s () with
+      | Seq.Nil -> []
+      | Seq.Cons (c, s) -> (
+          match select env test c with
+          | None -> kept env test ~skip ~take s
+          | Some it ->
+              if skip > 0 then kept env test ~skip:(skip - 1) ~take s
+              else it :: kept env test ~skip ~take:(take - 1) s)
 
-  let child_step env test it = List.of_seq (child_seq env test it)
+  (* One context item's child step.  The test goes down with it, so an
+     instance that joins its children on demand joins only the edges the
+     test names. *)
+  let child_step env test ~skip ~take = function
+    | Value.Node n -> kept env test ~skip ~take (N.children env.doc.nav ~test n)
+    | _ -> []
 
   (* Preorder, so that results come out in document order.  The walk
      reaches every element below, whatever the test: it asks for every
@@ -296,12 +327,6 @@ module Make (N : NAV) = struct
 
   and apply_step env base axis test preds =
     Xmobs.Profile.add_in (List.length base);
-    let step_fn =
-      match axis with
-      | Qast.Child -> child_step env test
-      | Qast.Descendant -> descendant_step env test
-      | Qast.Attribute -> attribute_step env test
-    in
     (* A child step whose first predicate is a static positional bound
        pulls only the run the bound keeps.  The bound is evaluated once,
        for the first item; a value other than one number (or an error,
@@ -324,19 +349,22 @@ module Make (N : NAV) = struct
     in
     (* XPath semantics: predicates (and position()/last()) apply within each
        context node's selection, before the per-node results are concatenated. *)
-    List.concat_map
-      (fun it ->
-        let selected, preds =
-          match bounded with
-          | Some (value, rest) -> (
-              match Lazy.force value with
-              | Some (skip, take) ->
-                  (List.of_seq (Seq.take take (Seq.drop skip (child_seq env test it))), rest)
-              | None -> (step_fn it, preds))
-          | None -> (step_fn it, preds)
-        in
-        List.fold_left (fun acc p -> apply_predicate env acc p) selected preds)
-      base
+    let select it =
+      let (skip, take), preds =
+        match bounded with
+        | Some (value, rest) -> (
+            match Lazy.force value with Some w -> (w, rest) | None -> ((0, max_int), preds))
+        | None -> ((0, max_int), preds)
+      in
+      let selected =
+        match axis with
+        | Qast.Child -> child_step env test ~skip ~take it
+        | Qast.Descendant -> descendant_step env test it
+        | Qast.Attribute -> attribute_step env test it
+      in
+      List.fold_left (fun acc p -> apply_predicate env acc p) selected preds
+    in
+    match base with [ it ] -> select it | _ -> List.concat_map select base
 
   and apply_predicate env items p =
     let n = List.length items in
@@ -475,21 +503,12 @@ module Make (N : NAV) = struct
     | "contains" ->
         arity 2;
         let s = str_of env (List.nth args 0) and sub = str_of env (List.nth args 1) in
-        let found =
-          if sub = "" then true
-          else begin
-            let n = String.length s and m = String.length sub in
-            let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-            go 0
-          end
-        in
-        [ Value.Bool found ]
+        let rec go i = occurs_at s i sub || (i + String.length sub < String.length s && go (i + 1)) in
+        [ Value.Bool (go 0) ]
     | "starts-with" ->
         arity 2;
         let s = str_of env (List.nth args 0) and p = str_of env (List.nth args 1) in
-        [ Value.Bool
-            (String.length p <= String.length s
-            && String.sub s 0 (String.length p) = p) ]
+        [ Value.Bool (occurs_at s 0 p) ]
     | "string-length" ->
         [ Value.Num (float_of_int (String.length (str_of env (one ())))) ]
     | "name" -> (
@@ -532,17 +551,20 @@ module Make (N : NAV) = struct
           | [] -> Float.nan
         in
         let start = fnum (List.nth args 1) in
-        let len =
-          if List.length args = 3 then fnum (List.nth args 2)
-          else float_of_int (String.length s)
+        (* XPath 1.0: the characters at 1-based positions p with
+           round(start) <= p < round(start) + round(len), or from
+           round(start) on without a length, so a NaN bound keeps none and
+           an infinite one sets no limit on its side. *)
+        let first = xpath_round start and past_end = float_of_int (String.length s + 1) in
+        let from = Float.max 1. first
+        and upto =
+          if List.length args = 3 then Float.min past_end (first +. xpath_round (fnum (List.nth args 2)))
+          else past_end
         in
-        (* XPath semantics: 1-based, rounding, clamped. *)
-        let n = String.length s in
-        let from = int_of_float (Float.round start) - 1 in
-        let upto = from + int_of_float (Float.round len) in
-        let from = max 0 from and upto = min n upto in
-        if upto <= from then [ Value.Str "" ]
-        else [ Value.Str (String.sub s from (upto - from)) ])
+        if not (from < upto) then [ Value.Str "" ]
+        else
+          let from = int_of_float from in
+          [ Value.Str (String.sub s (from - 1) (int_of_float upto - from)) ])
     | "string-join" ->
         arity 2;
         let sep = str_of env (List.nth args 1) in
@@ -570,7 +592,7 @@ module Make (N : NAV) = struct
                   match fname with
                   | "floor" -> Float.floor f
                   | "ceiling" -> Float.ceil f
-                  | "round" -> Float.round f
+                  | "round" -> xpath_round f
                   | _ -> Float.abs f
                 in
                 [ Value.Num g ]))

@@ -10,9 +10,13 @@ type t = item list
 
 let of_node n = [ Node n ]
 
+(* The xs:double spellings of NaN and the infinities, whatever the sign
+   bit of a NaN. *)
 let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    string_of_int (int_of_float f)
+  if Float.is_nan f then "NaN"
+  else if f = Float.infinity then "INF"
+  else if f = Float.neg_infinity then "-INF"
+  else if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
   else string_of_float f
 
 let atomize node_text = function

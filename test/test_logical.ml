@@ -406,3 +406,47 @@ let suite =
     Alcotest.test_case "a child step reads only the edge it names" `Quick
       test_step_reads_named_edge;
   ]
+
+(* Minor words an in-situ answer allocates per item, counts that code
+   placement cannot move.  DBLP 300 entries under MORPH author [ title
+   [ year ] ], every query run once first so its edges are resolved;
+   each figure is the difference of two queries, so parsing and the
+   query's own scaffolding cancel: the root stream against a bound that
+   keeps nothing, a [/title] step against the stream alone, and returning
+   the (non-leaf) titles against counting them.  On 64-bit OCaml 5 they
+   read 57.2, 132.1 and 189.6 while the step stacked [Seq] adapters and
+   [List.of_seq] and a returned node planned its subtree afresh; they now
+   read 19.0, 44.1 and 46.6 (docs/PERFORMANCE.md).  [Gc.minor_words]
+   boxes a float per call, a constant the differences cancel. *)
+let test_words_per_item () =
+  let store = Store.Shredded.shred (Workloads.Dblp.to_doc ~entries:300 ()) in
+  let lg = Logical.create ~enforce:false store ~guard:"MORPH author [ title [ year ] ]" in
+  let words q =
+    ignore (Logical.query lg q);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Logical.query lg q));
+    Gc.minor_words () -. before
+  in
+  let count q =
+    match Logical.query lg q with
+    | [ Xquery.Value.Num n ] -> n
+    | _ -> Alcotest.fail ("not a count: " ^ q)
+  in
+  let authors = count "count(/result/author)" and titles = count "count(/result/author/title)" in
+  let all = "/result/author[position() <= 100000]" in
+  let root = (words ("count(" ^ all ^ ")") -. words "count(/result/author[position() <= 0])") /. authors in
+  let step = (words ("count(" ^ all ^ "/title)") -. words ("count(" ^ all ^ ")")) /. authors in
+  let returned = (words (all ^ "/title") -. words ("count(" ^ all ^ "/title)")) /. titles in
+  Printf.printf
+    "%.0f authors, %.0f titles; minor words: root stream %.1f per author, /title step %.1f \
+     per author, returned title %.1f per title\n"
+    authors titles root step returned;
+  let over =
+    List.filter_map
+      (fun (what, v, limit) ->
+        if v > limit then Some (Printf.sprintf "%s %.1f (bound %.0f)" what v limit) else None)
+      [ ("root stream", root, 24.); ("/title step", step, 55.); ("returned title", returned, 60.) ]
+  in
+  if over <> [] then Alcotest.failf "minor words per item: %s" (String.concat ", " over)
+
+let suite = suite @ [ Alcotest.test_case "minor words per in-situ item bounded" `Quick test_words_per_item ]

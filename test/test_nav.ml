@@ -82,6 +82,62 @@ let test_new_nodes () =
   (* Book 1 has two authors -> two scribes. *)
   Alcotest.(check int) "one scribe per author" 2 (Array.length scribe_insts)
 
+(* Does every root instance, and every child reached through
+   [element_children], materialize to the matching subtree of the
+   physical render, attribute order and text included?  [subtrees]
+   counts the subtrees compared. *)
+let materializes_as_rendered ~subtrees store (shape : Tshape.t) =
+  let nav = Render.Nav.create store shape in
+  let instances runs =
+    List.concat_map (fun (h, ids) -> List.map (fun id -> (h, id)) (Array.to_list ids)) runs
+  in
+  let rec same (h, id) tree =
+    incr subtrees;
+    let elements =
+      List.filter
+        (function Xml.Tree.Element _ -> true | Xml.Tree.Text _ -> false)
+        (Xml.Tree.children tree)
+    in
+    let kids = instances (Render.Nav.element_children nav h id) in
+    Render.Nav.materialize nav h id = tree
+    && List.length kids = List.length elements
+    && List.for_all2 same kids elements
+  in
+  let roots = instances (Render.Nav.roots nav) and physical = Render.to_trees store shape in
+  List.length roots = List.length physical && List.for_all2 same roots physical
+
+(* Over random documents and guards with attributes, NEW nodes, value
+   filters, RESTRICT and ORDER-BY; and over attribute-typed leaves with
+   none, one or two instances under a parent that is or is not their
+   owner, which render as attributes only when there is one. *)
+let test_materialize_random_guards () =
+  let compiled = ref 0 and subtrees = ref 0 in
+  let prop (doc, guard) =
+    let store = Store.Shredded.shred doc in
+    match Interp.compile ~enforce:false (Store.Shredded.guide store) guard with
+    | exception _ -> true
+    | c ->
+        incr compiled;
+        materializes_as_rendered ~subtrees store c.Interp.shape
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"materialize = physical subtree on random guards" ~count:500
+       ~print:(fun (doc, g) -> Xml.Printer.to_string (Xml.Doc.to_tree doc) ^ "\n" ^ g)
+       (* unshrunk, as in test_logical *)
+       (QCheck2.Gen.no_shrink Test_logical.gen_guard_case) prop);
+  Printf.printf "%d compiled cases, %d subtrees compared\n" !compiled !subtrees;
+  Alcotest.(check bool) "some cases compile" true (!compiled > 0);
+  let src =
+    {|<r><e year="1999" id="a"><v>one</v></e><e year="2000"><v>two</v><v>2</v></e><e/></r>|}
+  in
+  let store = Store.Shredded.shred (Xml.Doc.of_string src) in
+  List.iter
+    (fun guard ->
+      let c = Interp.compile ~enforce:false (Store.Shredded.guide store) guard in
+      Alcotest.(check bool) guard true (materializes_as_rendered ~subtrees store c.Interp.shape))
+    [ "MORPH e [ @year @id v ]"; "MORPH r [ @year v ]"; "MORPH v [ @year @id ]";
+      "MORPH (RESTRICT e [ v ]) [ @id @year ]"; "MORPH e [ (NEW x) [ @year v ] ]" ]
+
 let suite =
   [
     Alcotest.test_case "roots" `Quick test_roots;
@@ -92,4 +148,6 @@ let suite =
       test_materialize_agrees_with_full_render;
     Alcotest.test_case "virtual attributes" `Quick test_attributes;
     Alcotest.test_case "NEW nodes per anchor" `Quick test_new_nodes;
+    Alcotest.test_case "materialize = physical subtree on random guards" `Quick
+      test_materialize_random_guards;
   ]

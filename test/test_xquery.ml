@@ -378,3 +378,43 @@ let suite =
   @ [ Alcotest.test_case "numeric predicates are exact" `Quick test_numeric_predicate;
       Alcotest.test_case "bounded step = per-item predicate (trees)" `Quick test_bound_oracle;
       Alcotest.test_case "bounded step pulls only its run" `Quick test_bound_laziness ]
+
+(* XPath 1.0 numbers at their edges: the substring() examples of §4.2,
+   round() halves toward positive infinity, NaN and the infinities
+   spelled as xs:double spells them whatever their sign bit, and the
+   in-place string matches. *)
+let test_xpath_number_edges () =
+  List.iter
+    (fun (src, expected) -> check_strings src src [ expected ])
+    [ ({|substring("12345", 2, 3)|}, "234");
+      ({|substring("12345", 2)|}, "2345");
+      ({|substring("12345", 1.5, 2.6)|}, "234");
+      ({|substring("12345", 0, 3)|}, "12");
+      ({|substring("12345", 0 div 0, 3)|}, "");
+      ({|substring("12345", 1, 0 div 0)|}, "");
+      ({|substring("12345", -42, 1 div 0)|}, "12345");
+      ({|substring("12345", -1 div 0, 1 div 0)|}, "");
+      ({|substring("abcdef", 1 div 0)|}, "");
+      ({|substring("abcdef", -1 div 0)|}, "abcdef");
+      ({|substring("abcdef", 7)|}, "");
+      ("round(-1.5)", "-1");
+      ("round(-2.5)", "-2");
+      ("round(2.5)", "3");
+      ("round(-2.7)", "-3");
+      ("round(0.49999999999999994)", "0");
+      ("round(0 div 0)", "NaN");
+      ("round(1 div 0)", "INF");
+      ("string(0 div 0)", "NaN");
+      ({|string(number("x"))|}, "NaN");
+      ("string(1 div 0)", "INF");
+      ("string(-1 div 0)", "-INF");
+      ({|contains("aab", "ab")|}, "true");
+      ({|contains("abc", "")|}, "true");
+      ({|contains("abc", "abcd")|}, "false");
+      ({|contains("abc", "c")|}, "true");
+      ({|starts-with("abc", "ab")|}, "true");
+      ({|starts-with("ab", "abc")|}, "false");
+      ({|starts-with("abc", "b")|}, "false") ]
+
+let suite =
+  suite @ [ Alcotest.test_case "XPath number edges" `Quick test_xpath_number_edges ]
