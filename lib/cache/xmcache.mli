@@ -11,11 +11,17 @@
       value does — value updates share the shape, so plans survive them.
       Mutex-sharded and FIFO-bounded per shard; safe from worker domains.
 
-    - {b Tier 2 — result cache}: [(store generation, guard hash, query
-      hash, compact, enforce)] → rendered body.  A byte-budgeted LRU; an
-      {!Store.Shredded.update_values} produces a store with a fresh
-      generation, so entries for the old value die by key mismatch (no
-      invalidation scan) and age out of the LRU under budget pressure.
+    - {b Tier 2 — result cache}: [(generation, guard hash, query hash,
+      compact, enforce)] → rendered body.  A byte-budgeted LRU.  The
+      caller passes as [generation] the store's
+      {!Store.Shredded.generation_of} over the types the compiled guard
+      reads ([Xmorph.Interp.t.reads]).  An
+      {!Store.Shredded.update_values} stamps a fresh generation on the
+      types it writes, so the entries of guards that read one of them die
+      by key mismatch (no invalidation scan) and age out of the LRU under
+      budget pressure, while the entries of every other guard stay live.
+      The key holds no document name: a generation is never shared by
+      two documents' stores.
 
     Process-global sink in the style of {!Xmobs.Qlog}/{!Xmobs.Statdb}:
     {!enable} installs the cache, {!enabled} is one atomic load, and
@@ -66,7 +72,9 @@ type result_entry = {
 val find_result :
   generation:int -> guard_hash:string -> query_hash:string ->
   compact:bool -> enforce:bool -> result_entry option
-(** [query_hash] is [""] for plain guard executions.  A hit refreshes
+(** [generation] is the store's {!Store.Shredded.generation_of} over the
+    types the body reads; [query_hash] is [""] for plain guard
+    executions.  A hit refreshes
     the entry's LRU position.  [None] when disabled (counting nothing)
     or on a miss (counted). *)
 

@@ -5,9 +5,20 @@ type t = {
   shape : Tshape.t;
   labels : Report.label_report;
   loss : Report.loss_report;
+  reads : Xml.Type_table.id array;
 }
 
 exception Error of string
+
+(* The types whose values an output of [shape] reads: the source of every
+   node, RESTRICT patterns included (value filters sit on those nodes),
+   and every ORDER-BY key type. *)
+let reads (shape : Tshape.t) =
+  let acc = ref [] in
+  Tshape.iter_all shape (fun n ->
+      Option.iter (fun ty -> acc := ty :: !acc) n.source;
+      Option.iter (fun (ty, _) -> acc := ty :: !acc) n.sort_key);
+  Array.of_list (List.sort_uniq Int.compare !acc)
 
 let compile ?(enforce = true) guide source =
   Xmobs.Obs.phase "compile" ~attrs:[ ("guard", Xmobs.Trace.String source) ]
@@ -31,7 +42,8 @@ let compile ?(enforce = true) guide source =
     if enforce then Loss.check ~cast guide sem.shape else Loss.analyze guide sem.shape
   in
   let loss = { loss with Report.warnings = sem.warnings @ loss.Report.warnings } in
-  { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss }
+  { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss;
+    reads = reads sem.shape }
 
 (* Names match the render profiler's closest(a->b) frames exactly, so the
    warehouse can line predictions up with observations. *)

@@ -19,6 +19,13 @@ type t = {
   shape : Tshape.t;  (** the target shape the guard denotes *)
   labels : Report.label_report;
   loss : Report.loss_report;
+  reads : Xml.Type_table.id array;
+      (** the types whose values a render or an in-situ answer reads,
+          ascending: the source of every target-shape node, RESTRICT
+          patterns included, and every ORDER-BY key type.  Value filters
+          sit on those nodes.  Everything else an output depends on is
+          structure, which value updates share, so a result cache keys
+          bodies on {!Store.Shredded.generation_of} over these types. *)
 }
 
 exception Error of string

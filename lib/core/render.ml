@@ -148,7 +148,7 @@ let run_of e key =
    the target node keeps ([keep]).  It runs once per key, shared runs
    included: under the store's I/O model a parent re-reading a node pays
    for the read again. *)
-let build_edge rctx ~pty ~parents ~cty ~select =
+let join_edge rctx ~pty ~parents ~cty ~select =
   let keys = ascending parents in
   let runs, groups = closest_runs rctx ~pty ~parents:keys ~cty in
   let ids = cache rctx cty in
@@ -182,6 +182,13 @@ let build_edge rctx ~pty ~parents ~cty ~select =
       offs.(r + 1) <- offs.(r) + len)
     (List.rev !parts);
   { keys; runs; offs; kids; cur = 0 }
+
+(* Without parents the edge is empty and nothing is resolved or charged,
+   so a node that keeps no instance joins nothing below it. *)
+let build_edge rctx ~pty ~parents ~cty ~select =
+  if Array.length parents = 0 then
+    { keys = [||]; runs = [||]; offs = [| 0 |]; kids = [||]; cur = 0 }
+  else join_edge rctx ~pty ~parents ~cty ~select
 
 let rec first_sourced (n : Tshape.node) =
   match n.source with Some ty -> Some ty | None -> List.find_map first_sourced n.children

@@ -137,7 +137,6 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
   let classification = ref None in
   let out_nodes = ref 0 in
   let cached = ref false in
-  let generation = Store.Shredded.generation store in
   let submit outcome error =
     submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
       ~classification:!classification ~eval_s:!eval_s ~render_s:!render_s
@@ -168,10 +167,16 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
           compiled
     else Xmorph.Interp.compile ~enforce guide guard
   in
-  let cache_result ~is_query body =
+  (* Tier-2 key: a body reads the structure, which value updates share,
+     and the values of [compiled.reads] alone, so it stays valid until
+     one of those types is written. *)
+  let generation (compiled : Xmorph.Interp.t) =
+    Store.Shredded.generation_of store compiled.reads
+  in
+  let cache_result compiled ~is_query body =
     if use_cache then
-      Xmcache.add_result ~generation ~guard_hash ~query_hash:qh ~compact
-        ~enforce
+      Xmcache.add_result ~generation:(generation compiled) ~guard_hash
+        ~query_hash:qh ~compact ~enforce
         {
           Xmcache.body;
           is_query;
@@ -179,7 +184,7 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
           out_nodes = !out_nodes;
         }
   in
-  let run () =
+  let compile () =
     let t0 = now () in
     let compiled = compile_cached () in
     eval_s := now () -. t0;
@@ -187,6 +192,9 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
       Some
         (Xmorph.Report.classification_to_string
            compiled.Xmorph.Interp.loss.Xmorph.Report.classification);
+    compiled
+  in
+  let evaluate compiled =
     let buf = Buffer.create 4096 in
     match query with
     | None ->
@@ -198,7 +206,7 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
         render_s := now () -. t1;
         out_nodes := st.Xmorph.Render.elements;
         let body = Buffer.contents buf in
-        cache_result ~is_query:false body;
+        cache_result compiled ~is_query:false body;
         Rendered { body; compiled }
     | Some q ->
         let t1 = now () in
@@ -216,31 +224,30 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
           trees;
         render_s := now () -. t2;
         let body = Buffer.contents buf in
-        cache_result ~is_query:true body;
+        cache_result compiled ~is_query:true body;
         Query_result { body; compiled }
   in
-  (* Tier-2 consult: a hit serves the stored body verbatim (the
-     byte-identity contract makes it equal to a cold render of this
-     generation) and only touches the plan tier to rebuild the
-     [compiled] the outcome carries. *)
-  let serve_hit () =
-    if not use_cache then None
-    else
-      match
-        Xmcache.find_result ~generation ~guard_hash ~query_hash:qh ~compact
-          ~enforce
-      with
-      | None -> None
-      | Some entry ->
-          cached := true;
-          classification := entry.Xmcache.classification;
-          out_nodes := entry.Xmcache.out_nodes;
-          let compiled = compile_cached () in
-          Some
-            (if entry.Xmcache.is_query then
-               Query_result { body = entry.Xmcache.body; compiled }
-             else Rendered { body = entry.Xmcache.body; compiled })
+  (* With the cache on, the plan tier answers first: the compiled guard
+     names the types its body reads, which key the result tier.  A hit
+     serves the stored body verbatim (the byte-identity contract makes
+     it equal to a cold execution against this store). *)
+  let run_cached () =
+    let compiled = compile () in
+    match
+      Xmcache.find_result ~generation:(generation compiled) ~guard_hash
+        ~query_hash:qh ~compact ~enforce
+    with
+    | None -> evaluate compiled
+    | Some entry ->
+        cached := true;
+        eval_s := 0.0;
+        classification := entry.Xmcache.classification;
+        out_nodes := entry.Xmcache.out_nodes;
+        if entry.Xmcache.is_query then
+          Query_result { body = entry.Xmcache.body; compiled }
+        else Rendered { body = entry.Xmcache.body; compiled }
   in
+  let run () = evaluate (compile ()) in
   (* Operator-statistics recording (--stats-db): run the execution with
      a fresh frame tree and fold the frames, plus the compiled shape's
      predicted closest-join cardinalities, into the warehouse.  An
@@ -261,7 +268,7 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
       Xmobs.Statdb.submit ~guard_hash ~predictions frames;
       outcome
   in
-  match (match serve_hit () with Some v -> v | None -> run_recorded ()) with
+  match if use_cache then run_cached () else run_recorded () with
   | v ->
       submit Xmobs.Qlog.Ok None;
       v

@@ -52,8 +52,11 @@ val execute :
     result trees for a query.  [out_nodes] is the element and attribute
     count of the transformed document or of the result trees.
 
-    When {!Xmcache} is enabled, the compiled plan and the rendered body
-    are looked up there first and inserted on a miss; both tiers are
+    When {!Xmcache} is enabled, the compiled plan is looked up there
+    first, then the body, keyed on {!Store.Shredded.generation_of} over
+    the types the plan reads ([Interp.t.reads]), and each is inserted on
+    a miss: a write to a type the guard does not read leaves its cached
+    bodies live.  Both tiers are
     bypassed entirely while {!Xmobs.Statdb} recording is on or the
     calling thread's context keeps profiler frames, so warehouse history
     and profiles always describe real executions; other threads' requests

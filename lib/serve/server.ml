@@ -470,9 +470,11 @@ let handle_query t req =
 (* POST /update?doc=NAME&node=ID — body is the node's new text value.
    The serving half of mapping value updates onto a materialized
    transformation (Sec. VIII): build the updated store value (functional
-   [update_values]) and swap it into the cell.  The fresh generation
-   orphans every result-cache entry for the old value by key mismatch;
-   compiled plans survive, since the shape is shared.  Serialized by
+   [update_values]) and swap it into the cell.  The call stamps a fresh
+   generation on the written node's type alone, which orphans by key
+   mismatch the result-cache entries of the guards that read that type;
+   every other entry, and every compiled plan (the shape is shared),
+   survives.  Serialized by
    [update_lock] — the swap is a read-modify-write — while queries keep
    reading whichever value their [Atomic.get] saw. *)
 let handle_update t req =

@@ -31,9 +31,10 @@
     - [POST /update] — body is a node's new text value;
       [?doc=NAME&node=ID] selects the target.  Applies
       {!Store.Shredded.update_values} and atomically swaps the served
-      store, so later queries see the new value and the old generation's
-      {!Xmcache} result entries die by key mismatch.  Responds with the
-      new store generation as JSON.
+      store, so later queries see the new value; the {!Xmcache} result
+      entries of guards that read the written node's type die by key
+      mismatch, and the others stay live.  Responds with the new store
+      generation as JSON.
     - [GET /debug/cache] — the {!Xmcache} introspection document:
       per-tier entries, hits/misses/evictions and hit rate, byte budget
       and resident bytes; [{"enabled": false}] when serving uncached.

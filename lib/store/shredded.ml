@@ -53,10 +53,17 @@ type t = {
          one store concurrently, and every store value derived by
          [update_values] shares the tables *)
   generation : int;
-      (* Identity of this store *value* for cache keying.  Drawn from a
-         process-global counter, so any two store values in a process —
-         including the two sides of an [update_values] — always compare
-         unequal.  Caches key on it instead of scanning for staleness. *)
+      (* Identity of this store *value*.  Drawn from a process-global
+         counter, so any two store values in a process — including the
+         two sides of an [update_values] — always compare unequal. *)
+  origin : int;
+      (* The generation [shred] or [load] minted, inherited unchanged by
+         every store value derived from it. *)
+  stamps : string;
+      (* type id -> the generation of the last call that wrote a value of
+         the type, [origin] until one does: eight bytes per type ([stamp]),
+         so a write copies them in one block.  Copied on each write, never
+         mutated. *)
 }
 
 (* Process-global, so generations are unique across every store in the
@@ -65,6 +72,9 @@ type t = {
 let generations = Atomic.make 0
 
 let next_generation () = Atomic.fetch_and_add generations 1
+
+let stamp stamps ty = Int64.to_int (String.get_int64_ne stamps (8 * ty))
+let set_stamp stamps ty g = Bytes.set_int64_ne stamps (8 * ty) (Int64.of_int g)
 
 (* Encoded size of a string field of [n] bytes, as [Codec.add_string]
    writes it. *)
@@ -81,11 +91,14 @@ let type_fields types ty =
 
 let make ~parent ~type_id ~rank ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_bytes
     ~dewey_col_bytes ~guide =
+  let generation = next_generation () in
+  let stamps = Bytes.create (8 * Array.length seqs) in
+  Array.iteri (fun ty _ -> set_stamp stamps ty generation) seqs;
   { parent; type_id; rank; text; text_start; sizes; values = Int_map.empty;
     patched = String.make ((Array.length sizes + 7) / 8) '\000'; data_bytes; seqs;
     seq_bytes; dewey_col_bytes; guide; stats = Io_stats.create ();
     groups = Hashtbl.create 16; levels = Hashtbl.create 16; lock = Mutex.create ();
-    generation = next_generation () }
+    generation; origin = generation; stamps = Bytes.unsafe_to_string stamps }
 
 let shred doc =
   let count = Xml.Doc.node_count doc in
@@ -190,6 +203,11 @@ let parent_column t = t.parent
 
 let known t ty = ty >= 0 && ty < Array.length t.seqs
 
+let generation_of t types =
+  Array.fold_left
+    (fun g ty -> if known t ty then Int.max g (stamp t.stamps ty) else g)
+    t.origin types
+
 let charge_join_column ?ctx t ty =
   if known t ty then Io_stats.charge_read ?ctx t.stats t.dewey_col_bytes.(ty)
 
@@ -266,6 +284,7 @@ let update_values t updates =
       Int_map.empty updates
   in
   let patched = Bytes.of_string t.patched in
+  let generation = next_generation () and stamps = Bytes.of_string t.stamps in
   let ctx = Xmobs.Ctx.current () in
   let values, data_bytes =
     Int_map.fold
@@ -278,6 +297,7 @@ let update_values t updates =
         Io_stats.charge_write ?ctx t.stats size;
         let byte = Char.code (Bytes.get patched (id lsr 3)) in
         Bytes.set patched (id lsr 3) (Char.chr (byte lor (1 lsl (id land 7))));
+        set_stamp stamps t.type_id.(id) generation;
         (Int_map.add id (value, size) values, data_bytes + size - old_size))
       batch (t.values, t.data_bytes)
   in
@@ -285,8 +305,8 @@ let update_values t updates =
   (* Values play no part in the structure, so the returned store shares
      the parent and rank columns, the grouped-run cache and the join
      levels, lock included, with [t]. *)
-  { t with values; patched = Bytes.unsafe_to_string patched; data_bytes;
-    generation = next_generation () }
+  { t with values; patched = Bytes.unsafe_to_string patched; data_bytes; generation;
+    stamps = Bytes.unsafe_to_string stamps }
 
 let update_value t id value = update_values t [ (id, value) ]
 

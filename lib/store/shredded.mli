@@ -36,7 +36,10 @@
     are read only at emit time.
 
     Value updates ({!update_values}) leave the columns alone: new values
-    live in an overlay until {!save} writes them out.
+    live in an overlay until {!save} writes them out.  Each store value
+    keeps, per type, the generation of the last call that wrote a value
+    of the type ({!generation_of}), so a cache can tell which writes a
+    body it read could have seen.
 
     The structure-only join tables — the grouped runs and the closest-join
     level of each type pair — are built on first use, cached with the
@@ -130,10 +133,25 @@ val data_bytes : t -> int
 
 val generation : t -> int
 (** The identity of this store {e value}, unique across every store built
-    in the process (by {!shred}, {!load}, or {!update_values}).  Result
-    caches key rendered bodies on it: an update produces a store with a
-    fresh generation, so entries for the old value die by key mismatch
-    with no invalidation scan. *)
+    in the process (by {!shred}, {!load}, or {!update_values}): what the
+    query log, [POST /update] and [/stats] report.  Result caches key on
+    {!generation_of} instead. *)
+
+val generation_of : t -> Xml.Type_table.id array -> int
+(** [generation_of t types] is the largest generation stamped on any of
+    [types]: {!shred} and {!load} stamp every type with the generation
+    they mint, and {!update_values} stamps each type it writes with the
+    one it mints.  The fold starts from the generation {!shred} or
+    {!load} minted, so stores of two documents never share a value, even
+    for [[||]]; unknown type ids are ignored.
+
+    Two stores share [generation_of t types] only if both descend from
+    the store value that minted it, with no later write to any of
+    [types], so their values of [types] are equal.  Values play no part
+    in the structure, so any output that reads the structure and the
+    values of [types] alone is byte-equal on both: a result cache keys
+    such a body on this number, and a write to another type leaves the
+    entry live. *)
 
 val update_values : t -> (int * string) list -> t
 (** [update_values t [(id, v); ...]] is a store identical to [t] except
@@ -151,7 +169,9 @@ val update_values : t -> (int * string) list -> t
     and rank columns, grouped runs and join levels are shared unchanged:
     runs and levels computed through either store serve both.
 
-    One call mints one {!generation}.  The returned store shares [t]'s I/O
+    One call mints one {!generation}, and stamps it on each type it
+    writes a value of ({!generation_of}) and on no other; an empty batch
+    stamps nothing.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its
     encoded size, to the calling thread's {!Xmobs.Ctx} too (looked up
     once per call); the call ends with {!Io_stats.publish}.

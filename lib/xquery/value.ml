@@ -35,12 +35,33 @@ let effective_bool = function
   | [ Str s ] -> s <> ""
   | _ -> true (* at least one node *)
 
+let rec skip_space s i =
+  if i < String.length s && (match s.[i] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
+  then skip_space s (i + 1)
+  else i
+
+let rec skip_digits s i =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then skip_digits s (i + 1) else i
+
+(* XPath 1.0 Number, between optional whitespace:
+   S? '-'? (Digits ('.' Digits?)? | '.' Digits) S?.  Checked in place;
+   the digits are then converted by [float_of_string], which reads that
+   syntax the same way, on a copy only when whitespace surrounds them. *)
+let parse_number s =
+  let n = String.length s in
+  let start = skip_space s 0 in
+  let first = if start < n && s.[start] = '-' then start + 1 else start in
+  let point = skip_digits s first in
+  let stop = if point < n && s.[point] = '.' then skip_digits s (point + 1) else point in
+  if (point = first && stop <= point + 1) || skip_space s stop <> n then None
+  else if start = 0 && stop = n then Some (float_of_string s)
+  else Some (float_of_string (String.sub s start (stop - start)))
+
 let number node_text it =
   match it with
   | Num f -> Some f
   | Bool b -> Some (if b then 1.0 else 0.0)
-  | Node _ | Attr _ | Str _ ->
-      float_of_string_opt (String.trim (atomize node_text it))
+  | Node _ | Attr _ | Str _ -> parse_number (atomize node_text it)
 
 let to_number = number Xml.Tree.deep_text
 

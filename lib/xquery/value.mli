@@ -38,7 +38,10 @@ val effective_bool : 'n item_of list -> bool
 
 val number : ('n -> string) -> 'n item_of -> float option
 (** Numeric value; untyped items (nodes, attributes, strings) parse their
-    string value. *)
+    string value as XPath 1.0 [number()] does: an optional minus sign,
+    then digits with an optional fraction or a fraction alone, between
+    optional whitespace (space, tab, CR, LF).  Any other string (["inf"],
+    ["0x10"], ["1_000"], ["1e3"], [""]) is NaN, given as [None]. *)
 
 val to_number : item -> float option
 

@@ -252,6 +252,272 @@ let prop_cached_equals_cold =
       Xmcache.disable ();
       cold = cached && hit)
 
+(* ---------- per-type generations ---------- *)
+
+let type_of store label =
+  List.hd (Xml.Dataguide.match_label (Store.Shredded.guide store) label)
+
+let first_of store label = (Store.Shredded.sequence store (type_of store label)).(0)
+
+(* Stamps move only on the types a call writes; siblings of one store
+   share the stamps of the types neither wrote, and a loaded store shares
+   none with the store it was saved from. *)
+let test_generation_of () =
+  let store = shred () in
+  let title = type_of store "title" and name = type_of store "name" in
+  let g = Store.Shredded.generation_of store in
+  Alcotest.(check int) "no types: the shred's generation"
+    (Store.Shredded.generation store) (g [||]);
+  Alcotest.(check int) "every type stamped by the shred" (g [||]) (g [| title; name |]);
+  Alcotest.(check int) "unknown types ignored" (g [||]) (g [| -1; 1000 |]);
+  let a = Store.Shredded.update_value store (first_of store "title") "A" in
+  let b = Store.Shredded.update_value store (first_of store "title") "B" in
+  let ga = Store.Shredded.generation_of a and gb = Store.Shredded.generation_of b in
+  Alcotest.(check int) "the write stamps its own generation"
+    (Store.Shredded.generation a) (ga [| title |]);
+  Alcotest.(check bool) "siblings differ on the written type" true
+    (ga [| title |] <> gb [| title |]);
+  Alcotest.(check int) "siblings share an unwritten type" (gb [| name |]) (ga [| name |]);
+  Alcotest.(check int) "and the parent's stamp on it" (g [| name |]) (ga [| name |]);
+  Alcotest.(check bool) "a set holding the written type moves" true
+    (ga [| name; title |] <> g [| name; title |]);
+  let same = Store.Shredded.update_values a [] in
+  Alcotest.(check bool) "an empty batch mints a generation" true
+    (Store.Shredded.generation same <> Store.Shredded.generation a);
+  Alcotest.(check int) "and stamps nothing" (ga [| name; title |])
+    (Store.Shredded.generation_of same [| name; title |]);
+  let path = Filename.temp_file "xmorph_gen" ".store" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Store.Shredded.save a path;
+  let loaded = Store.Shredded.load path in
+  let gl = Store.Shredded.generation_of loaded in
+  Alcotest.(check int) "load stamps every type with its generation"
+    (Store.Shredded.generation loaded) (gl [| name; title |]);
+  List.iter
+    (fun (what, other) ->
+      Alcotest.(check bool) ("loaded store shares nothing with " ^ what) true
+        (List.for_all (fun tys -> gl tys <> other tys) [ [||]; [| name |]; [| title |] ]))
+    [ ("its source", ga); ("the shredded store", g) ]
+
+let exec_forced store guard =
+  match Xmserve.Exec.execute ~source:"test" ~enforce:false store guard with
+  | Xmserve.Exec.Rendered { body; _ } | Xmserve.Exec.Query_result { body; _ } -> body
+  | Xmserve.Exec.Failed { message; _ } -> Alcotest.failf "execution failed: %s" message
+
+let cold_body store guard =
+  Xmcache.disable ();
+  let body = exec_forced store guard in
+  Xmcache.enable ~budget_bytes:(1 lsl 20);
+  body
+
+(* Warm [guard] on a fresh store, write [value] to the first instance of
+   [label], execute again: whether that was a result hit, and whether its
+   body is the cold body of the written store. *)
+let after_write guard label value =
+  Xmobs.Statdb.disable ();
+  with_cache (1 lsl 20) @@ fun () ->
+  let store = shred () in
+  ignore (exec_forced store guard);
+  let hits () = (cache_stats ()).Xmcache.result_hits in
+  let h0 = hits () in
+  ignore (exec_forced store guard);
+  Alcotest.(check int) (guard ^ ": warm hit") (h0 + 1) (hits ());
+  let written = Store.Shredded.update_value store (first_of store label) value in
+  let body = exec_forced written guard in
+  let hit = hits () = h0 + 2 in
+  let cold = cold_body written guard in
+  (hit, body = cold, body <> cold_body store guard)
+
+let test_unread_write_keeps_hit () =
+  let hit, same, _ = after_write "MORPH title" "name" "Zed" in
+  Alcotest.(check bool) "a write to an unread type keeps the hit" true hit;
+  Alcotest.(check bool) "and the body is the written store's" true same
+
+(* Types a body reads without emitting them: a write to each still
+   misses, and the next body is the cold one (for the value filter and
+   the ORDER-BY key, a different one). *)
+let test_hidden_reads_miss () =
+  List.iter
+    (fun (what, guard, label, value, changes) ->
+      let hit, same, changed = after_write guard label value in
+      Alcotest.(check bool) (what ^ ": miss") false hit;
+      Alcotest.(check bool) (what ^ ": cold body") true same;
+      if changes then Alcotest.(check bool) (what ^ ": body changed") true changed)
+    [ ("RESTRICT pattern", "MORPH (RESTRICT book [ author ]) [ title ]", "author", "x", false);
+      ( "value filter", {|MORPH (RESTRICT book [ name = "Ann" ]) [ title ]|}, "name", "Zed",
+        true );
+      ("ORDER-BY key", "MORPH book [ title ] ORDER-BY name", "name", "A", true) ]
+
+(* ---------- property: cached == cold under random guards and writes ---------- *)
+
+(* A request is a guard with or without a query; a step runs one, or
+   writes a value to a node. *)
+type step = Write of int * string | Run of int
+
+let queries = [ "count(//*)"; "/*/*[1]"; {|//*[. = "hello"]|}; "string(/*)" ]
+let values = [ "hello"; "1984"; "A"; "x < y"; "" ]
+
+(* Guards that read a type without emitting it: an ORDER-BY key, a
+   value filter in a RESTRICT pattern.  Random guards seldom do.  The
+   sorted or filtered type is one with several instances, and the other
+   two are among its descendant types, so that a write to either can
+   change what the guard keeps or its order. *)
+let gen_hidden_read doc =
+  QCheck2.Gen.(
+    let tt = Xml.Doc.types doc in
+    let types = List.init (Xml.Type_table.count tt) Fun.id in
+    let rec below anc ty =
+      match Xml.Type_table.parent tt ty with
+      | Some p -> p = anc || below anc p
+      | None -> false
+    in
+    let many = List.filter (fun ty -> Array.length (Xml.Doc.nodes_of_type doc ty) > 1) types in
+    let* ta = oneofl (if many = [] then types else many) in
+    let under = match List.filter (below ta) types with [] -> types | l -> l in
+    let name ty = Xml.Type_table.qname tt ty in
+    let* a = return (name ta) and* b = map name (oneofl under)
+    and* c = map name (oneofl under) and* v = oneofl values in
+    oneofl
+      [ Printf.sprintf "MORPH %s [ %s ] ORDER-BY %s" a b c;
+        Printf.sprintf "MORPH %s [ %s ] ORDER-BY %s desc" a b c;
+        Printf.sprintf "MORPH (RESTRICT %s [ %s = %S ]) [ %s ]" a b v c;
+        Printf.sprintf "MORPH %s [ %s = %S ]" a b v ])
+
+(* Records: two to six [e] elements under one root, each with one to
+   three fields of three names, so that ORDER-BY has siblings to sort
+   and value filters have instances to tell apart. *)
+let gen_records_doc =
+  QCheck2.Gen.(
+    let field =
+      let* name = oneofl [ "k"; "v"; "w" ] and* text = oneofl values in
+      return (Xml.Tree.Element { name; attrs = []; children = [ Xml.Tree.Text text ] })
+    in
+    let record =
+      map
+        (fun children -> Xml.Tree.Element { name = "e"; attrs = []; children })
+        (list_size (int_range 1 3) field)
+    in
+    map
+      (fun children -> Xml.Doc.of_tree (Xml.Tree.Element { name = "r"; attrs = []; children }))
+      (list_size (int_range 2 6) record))
+
+(* A generated document (one of [Gen]'s, a deeper one whose types
+   repeat, or records); two to four requests,
+   each a guard over the document's labels (a random one, or one that
+   reads a type it does not emit), half of them with a query; and a
+   sequence of runs and of writes.  A write goes to an instance of a
+   type some guard reads, of a type none reads, or to any node. *)
+let gen_case =
+  QCheck2.Gen.(
+    let* doc = oneof [ Gen.gen_doc; Test_loss.gen_shaped_doc; gen_records_doc ] in
+    let tt = Xml.Doc.types doc in
+    let labels = ref [] and qnames = ref [] in
+    Xml.Type_table.iter tt (fun ty ->
+        labels := Xml.Type_table.label tt ty :: !labels;
+        qnames := Xml.Type_table.qname tt ty :: !qnames);
+    let vocab =
+      { Test_guard_prop.label = oneofl (!labels @ !qnames); literal = oneofl values;
+        order_by = true }
+    in
+    let guard =
+      frequency
+        [ (1, map Xmorph.Ast.to_string (Test_guard_prop.gen_guard_over vocab));
+          (2, gen_hidden_read doc) ]
+    in
+    let* requests =
+      array_size (int_range 2 4)
+        (pair guard (frequency [ (1, return None); (1, map Option.some (oneofl queries)) ]))
+    in
+    let guide = Xml.Dataguide.of_doc doc in
+    let read =
+      Array.concat
+        (List.map
+           (fun (g, _) ->
+             try (Xmorph.Interp.compile ~enforce:false guide g).Xmorph.Interp.reads
+             with _ -> [||])
+           (Array.to_list requests))
+    in
+    let instances keep =
+      Array.concat
+        (List.init (Xml.Type_table.count tt) (fun ty ->
+             if keep (Array.mem ty read) then Xml.Doc.nodes_of_type doc ty else [||]))
+    in
+    let target =
+      frequency
+        (List.filter_map
+           (fun (w, ids) -> if Array.length ids = 0 then None else Some (w, oneofa ids))
+           [ (2, instances Fun.id); (1, instances not);
+             (1, Array.init (Xml.Doc.node_count doc) Fun.id) ])
+    in
+    let n = Array.length requests in
+    let* steps =
+      list_size (int_range 1 30)
+        (frequency
+           [ (3, map (fun r -> Run r) (int_bound (n - 1)));
+             (2, map2 (fun i v -> Write (i, v)) target (oneofl values)) ])
+    in
+    (* Each request twice more at the end: a would-be hit per request. *)
+    return (doc, requests, steps @ List.concat (List.init n (fun r -> [ Run r; Run r ]))))
+
+let print_case (doc, requests, steps) =
+  String.concat "\n"
+    ((Xml.Printer.to_string (Xml.Doc.to_tree doc)
+     :: Array.to_list
+          (Array.map (fun (g, q) -> g ^ " ? " ^ Option.value q ~default:"-") requests))
+    @ List.map
+        (function
+          | Write (i, v) -> Printf.sprintf "write %d %S" i v
+          | Run r -> Printf.sprintf "run %d" r)
+        steps)
+
+let result_hits () =
+  match Xmcache.stats () with Some s -> s.Xmcache.result_hits | None -> 0
+
+(* Every served body, failures included, in order.  [survived] counts the
+   result hits served after a write since the same request last ran:
+   the hits a key on the whole store's generation would have missed. *)
+let replay_case ?(survived = ref 0) (doc, requests, steps) =
+  let store = ref (Store.Shredded.shred doc) in
+  let writes = ref 0 and last_run = Array.make (Array.length requests) (-1) in
+  List.filter_map
+    (function
+      | Write (i, v) ->
+          store := Store.Shredded.update_value !store i v;
+          incr writes;
+          None
+      | Run r ->
+          let guard, query = requests.(r) and h0 = result_hits () in
+          let body =
+            match Xmserve.Exec.execute ~source:"test" ~enforce:false ?query !store guard with
+            | Xmserve.Exec.Rendered { body; _ } | Xmserve.Exec.Query_result { body; _ } -> body
+            | Xmserve.Exec.Failed { message; _ } -> "failed: " ^ message
+          in
+          if result_hits () > h0 && last_run.(r) <> !writes then incr survived;
+          last_run.(r) <- !writes;
+          Some body)
+    steps
+
+let test_cached_equals_cold_random () =
+  Xmobs.Statdb.disable ();
+  let hits = ref 0 and survived = ref 0 and runs = ref 0 in
+  let prop case =
+    Fun.protect ~finally:Xmcache.disable @@ fun () ->
+    Xmcache.disable ();
+    let cold = replay_case case in
+    Xmcache.enable ~budget_bytes:(1 lsl 20);
+    let cached = replay_case ~survived case in
+    hits := !hits + result_hits ();
+    runs := !runs + List.length cached;
+    cold = cached
+  in
+  QCheck2.Test.check_exn ~rand:(QCheck_base_runner.random_state ())
+    (QCheck2.Test.make ~count:300 ~name:"cached bodies = cold execution under random writes"
+       ~print:print_case (QCheck2.Gen.no_shrink gen_case) prop);
+  Printf.printf "result-tier hits: %d of %d executions, %d of them after a write\n" !hits
+    !runs !survived;
+  Alcotest.(check bool) "some executions were served from the cache" true (!hits > 0);
+  Alcotest.(check bool) "some hits outlived a write" true (!survived > 0)
+
 let suite =
   [
     Alcotest.test_case "disabled sink is inert" `Quick test_disabled_is_inert;
@@ -266,4 +532,11 @@ let suite =
     Alcotest.test_case "value update invalidates by generation" `Quick
       test_update_invalidates_results;
     QCheck_alcotest.to_alcotest prop_cached_equals_cold;
+    Alcotest.test_case "generation_of over siblings, empty batch, load" `Quick
+      test_generation_of;
+    Alcotest.test_case "a write to an unread type keeps the hit" `Quick
+      test_unread_write_keeps_hit;
+    Alcotest.test_case "writes to read, unemitted types miss" `Quick test_hidden_reads_miss;
+    Alcotest.test_case "cached = cold under random guards and writes" `Quick
+      test_cached_equals_cold_random;
   ]

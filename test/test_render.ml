@@ -267,3 +267,25 @@ let test_explain () =
   Alcotest.(check int) "orphaned c" 1 e2.Render.orphans
 
 let suite = suite @ [ Alcotest.test_case "explain (join diagnostics)" `Quick test_explain ]
+
+(* A node that keeps no instance joins nothing below it: the render of a
+   root whose value filter matches nothing reads what the bare filter
+   reads, however many edges hang below it. *)
+let test_empty_node_joins_nothing () =
+  let doc = Workloads.Dblp.to_doc ~seed:5 ~entries:300 () in
+  let bytes_read guard =
+    let store = Store.Shredded.shred doc in
+    let compiled = Interp.compile ~enforce:false (Store.Shredded.guide store) guard in
+    let buf = Buffer.create 64 in
+    ignore (Interp.render_to_buffer store compiled buf);
+    (Store.Io_stats.snapshot (Store.Shredded.stats store)).Store.Io_stats.bytes_read
+  in
+  let bare = bytes_read {|MORPH author = "nobody"|} in
+  Alcotest.(check bool) "the filter reads its type" true (bare > 0);
+  Alcotest.(check int) "edges below an empty root read nothing" bare
+    (bytes_read {|MORPH author = "nobody" [ title [ year ] ]|})
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "a node keeping no instance joins nothing" `Quick
+        test_empty_node_joins_nothing ]

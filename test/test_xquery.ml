@@ -406,6 +406,21 @@ let test_xpath_number_edges () =
       ("round(1 div 0)", "INF");
       ("string(0 div 0)", "NaN");
       ({|string(number("x"))|}, "NaN");
+      (* number() reads XPath 1.0 Number only: no OCaml float syntax. *)
+      ({|string(number("inf"))|}, "NaN");
+      ({|string(number("0x10"))|}, "NaN");
+      ({|string(number("1_000"))|}, "NaN");
+      ({|string(number("1e3"))|}, "NaN");
+      ({|"0x10" = 16|}, "false");
+      ({|"1e3" = 1000|}, "false");
+      ({|string(number(" -1.5 "))|}, "-1.5");
+      ({|string(number("1."))|}, "1");
+      ({|string(number(".5"))|}, "0.5");
+      ({|string(number("-.5"))|}, "-0.5");
+      ({|string(number("."))|}, "NaN");
+      ({|string(number("-"))|}, "NaN");
+      ({|string(number("- 1"))|}, "NaN");
+      ({|string(number(""))|}, "NaN");
       ("string(1 div 0)", "INF");
       ("string(-1 div 0)", "-INF");
       ({|contains("aab", "ab")|}, "true");
