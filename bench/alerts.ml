@@ -72,23 +72,24 @@ let run () =
     ignore (Sys.opaque_identity (execute ()));
     List.init repeats (fun _ -> time_one ())
   in
-  Xmobs.Alerts.disable ();
   let off = sample "alerting off" in
-  Xmobs.Alerts.enable stream
-    { Xmobs.Alerts.interval_s = 0.25; log = None; webhook = None;
-      webhook_timeout_s = 2.0; webhook_retries = 2; rules = idle_rules };
+  let evaluator =
+    Xmobs.Alerts.start stream
+      { Xmobs.Alerts.interval_s = 0.25; log = None; webhook = None;
+        webhook_timeout_s = 2.0; webhook_retries = 2; rules = idle_rules }
+  in
   let on = sample "alerting enabled (idle rules)" in
-  Xmobs.Alerts.tick_now ();
-  let firing = Xmobs.Alerts.firing () in
+  Xmobs.Alerts.tick_now evaluator;
+  let firing = Xmobs.Alerts.firing evaluator in
   let seen =
-    match Xmobs.Alerts.to_json () with
+    match Xmobs.Alerts.to_json evaluator with
     | Xmutil.Json.Obj fs -> (
         match List.assoc_opt "rules" fs with
         | Some (Xmutil.Json.List rs) -> List.length rs
         | _ -> 0)
     | _ -> 0
   in
-  Xmobs.Alerts.disable ();
+  Xmobs.Alerts.stop evaluator;
   (* The evaluator must actually have been judging while we timed it. *)
   if seen <> List.length idle_rules then
     failwith "enabled phase was not evaluating the rule set";

@@ -43,7 +43,7 @@ let run () =
     Workloads.Shapes.guard Workloads.Shapes.Dblp_data
       Workloads.Shapes.Bushy_large
   in
-  let execute () =
+  let execute recorder =
     let ctx = Xmobs.Ctx.create () in
     let t0 = Unix.gettimeofday () in
     let body =
@@ -54,34 +54,36 @@ let run () =
     ignore
       (Xmobs.Ctx.finish ctx ~label:"bench" ~outcome:"ok" ~status:200
          ~wall_s:(Unix.gettimeofday () -. t0));
-    Xmobs.Flight.snapshot ();
+    Option.iter Xmobs.Flight.snapshot recorder;
     body
   in
-  let time_one () =
+  let time_one recorder =
     let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (execute ()));
+    ignore (Sys.opaque_identity (execute recorder));
     Unix.gettimeofday () -. t0
   in
-  let sample label =
+  let sample label recorder =
     Exp_common.sub label;
     (* One warmup execution outside the timed window. *)
-    ignore (Sys.opaque_identity (execute ()));
-    List.init repeats (fun _ -> time_one ())
+    ignore (Sys.opaque_identity (execute recorder));
+    List.init repeats (fun _ -> time_one recorder)
   in
-  Xmobs.Flight.disable ();
-  let off = sample "recorder off" in
+  let off = sample "recorder off" None in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xmorph_bench_flight_%d" (Unix.getpid ()))
   in
-  Xmobs.Flight.enable ~dir ();
+  let recorder =
+    match Xmobs.Flight.create ~dir () with
+    | Ok f -> f
+    | Error m -> failwith ("bench flight: " ^ m)
+  in
   Xmobs.Ctx.reset_completed ();
-  let on = sample "recorder enabled (idle)" in
+  let on = sample "recorder enabled (idle)" (Some recorder) in
   let captured =
     List.length
       (List.filter_map (fun c -> c.Xmobs.Ctx.c_qlog) (Xmobs.Ctx.completed ()))
   in
-  Xmobs.Flight.disable ();
   rm_rf dir;
   (* The requests must actually have carried their records while we
      timed them. *)

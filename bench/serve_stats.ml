@@ -35,15 +35,18 @@ let run () =
   let store = Store.Shredded.shred (Xml.Doc.of_tree tree) in
   let log_path = Filename.temp_file "xmorph_bench_serve" ".jsonl" in
   Sys.remove log_path;
-  Xmobs.Qlog.enable log_path;
+  let qlog = Xmobs.Qlog.create log_path in
+  let sinks = { Xmobs.Obs.no_sinks with qlog = Some qlog } in
   List.iter
     (fun (label, guard, query) ->
       Exp_common.sub (Printf.sprintf "%s (%s)" label guard);
       for _ = 1 to repeats do
-        ignore (Xmserve.Exec.execute ~source:"bench" ~doc:label ?query store guard)
+        ignore
+          (Xmserve.Exec.execute ~sinks ~source:"bench" ~doc:label ?query store
+             guard)
       done)
     guards;
-  Xmobs.Qlog.disable ();
+  Xmobs.Qlog.close qlog;
   let entries, malformed = Xmserve.Stats.load log_path in
   let summary =
     Xmserve.Stats.analyze ~top:3 ~log_path:out_path ~malformed entries

@@ -57,11 +57,13 @@ let write_file path contents =
     close_out oc
   end
 
-(* Exports are registered on the shared shutdown path: they capture
-   whatever ran on clean exits (including [exit_err] bailouts, like the
-   old bare [at_exit] registration) and on SIGTERM/SIGINT, which
-   [Xmobs.Shutdown.install] converts into an ordinary [exit].  A killed
-   serve daemon therefore still leaves complete, valid telemetry files. *)
+(* Exports are registered on the shared shutdown path, here and nowhere
+   else: they capture whatever ran on clean exits (including [exit_err]
+   bailouts) and on SIGTERM/SIGINT, which [Xmobs.Shutdown.install]
+   converts into an ordinary [exit].  A killed serve daemon therefore
+   still leaves complete, valid telemetry files.  The query log and the
+   warehouse come back as the command's sinks, which it hands to every
+   execution. *)
 let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   let stats_db =
     match stats_db with
@@ -74,7 +76,6 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   if trace <> None || metrics <> None || profile <> None || qlog <> None
      || stats_db <> None
   then Xmobs.Shutdown.install ();
-  (match stats_db with None -> () | Some path -> Xmobs.Statdb.enable path);
   (match trace with
   | None -> ()
   | Some path ->
@@ -101,13 +102,26 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
           write_file path
             (Xmutil.Json.to_string
                (Xmobs.Profile.to_json (Xmobs.Profile.roots frames)))));
-  match qlog with
-  | None -> ()
-  | Some path ->
-      let max_bytes =
-        Option.map (fun mb -> max 1 mb * 1024 * 1024) qlog_max_mb
-      in
-      Xmobs.Qlog.enable ?max_bytes path
+  let qlog =
+    Option.map
+      (fun path ->
+        let max_bytes =
+          Option.map (fun mb -> max 1 mb * 1024 * 1024) qlog_max_mb
+        in
+        let q = Xmobs.Qlog.create ?max_bytes path in
+        Xmobs.Shutdown.on_exit (fun () -> Xmobs.Qlog.close q);
+        q)
+      qlog
+  in
+  let statdb =
+    Option.map
+      (fun path ->
+        let db = Xmobs.Statdb.load path in
+        Xmobs.Shutdown.on_exit (fun () -> Xmobs.Statdb.flush db);
+        db)
+      stats_db
+  in
+  { Xmobs.Obs.qlog; statdb }
 
 (* [stats_db_flag] lets offline analyzers (stats, incident) drop the
    global --stats-db recording flag from their term: they take their own
@@ -206,7 +220,7 @@ let shred_cmd =
   let output =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Output store path.")
   in
-  let run () output inputs =
+  let run _ output inputs =
     let trees =
       List.map
         (fun path ->
@@ -236,7 +250,7 @@ let shred_cmd =
 let shape_cmd =
   let doc = "Print the adorned shape (DataGuide with cardinalities) of a document or store." in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
-  let run () input =
+  let run _ input =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> print_string (Xml.Dataguide.to_string (Store.Shredded.guide store))
@@ -253,7 +267,7 @@ let shape_diff_cmd =
   in
   let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc:"Old document or store.") in
   let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc:"New document or store.") in
-  let run () a b =
+  let run _ a b =
     let guide input =
       match load_store input with
       | Error m -> exit_err m
@@ -285,7 +299,7 @@ let check_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the reports as JSON.")
   in
-  let run () guard input quantify json =
+  let run _ guard input quantify json =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> (
@@ -337,13 +351,13 @@ let run_cmd =
     Arg.(value & flag & info [ "f"; "force" ] ~doc:"Transform even when type enforcement rejects the guard.")
   in
   let compact = Arg.(value & flag & info [ "compact" ] ~doc:"No indentation.") in
-  let run () guard input force compact =
+  let run sinks guard input force compact =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> (
         match
-          Xmserve.Exec.execute ~source:"run" ~doc:input ~enforce:(not force)
-            ~compact store guard
+          Xmserve.Exec.execute ~sinks ~source:"run" ~doc:input
+            ~enforce:(not force) ~compact store guard
         with
         | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
             Printf.eprintf
@@ -372,13 +386,13 @@ let query_cmd =
   in
   let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let force = Arg.(value & flag & info [ "f"; "force" ] ~doc:"Skip type enforcement.") in
-  let run () query input guard force =
+  let run sinks query input guard force =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> (
         match
-          Xmserve.Exec.execute ~source:"query" ~doc:input ~enforce:(not force)
-            ~query store guard
+          Xmserve.Exec.execute ~sinks ~source:"query" ~doc:input
+            ~enforce:(not force) ~query store guard
         with
         | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
             Printf.eprintf "xmorph: guard rejected:\n%s" message;
@@ -421,7 +435,7 @@ let explain_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the explanation as JSON.")
   in
-  let run () guard input json_out =
+  let run sinks guard input json_out =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> (
@@ -430,7 +444,7 @@ let explain_cmd =
         | exception Xmorph.Interp.Error m -> exit_err m
         | compiled ->
             let ghash = Xmobs.Qlog.hash_text guard in
-            let db = Xmobs.Statdb.db () in
+            let db = sinks.Xmobs.Obs.statdb in
             let hist op =
               Option.bind db (fun db ->
                   Xmobs.Statdb.find db ~guard_hash:ghash ~op)
@@ -535,7 +549,7 @@ let explain_cmd =
               Format.printf "%a@?" Xmorph.Render.pp_explanation edges;
               if history <> [] then begin
                 Printf.printf "== history (%s) ==\n"
-                  (Option.value ~default:"" (Xmobs.Statdb.path ()));
+                  (Option.value ~default:"" (Option.bind db Xmobs.Statdb.path));
                 List.iter (fun s -> print_endline ("  " ^ op_history_line s)) history
               end
             end)
@@ -561,13 +575,13 @@ let profile_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON instead of the annotated tree.")
   in
-  let run () guard input query json =
+  let run sinks guard input query json =
     match load_store input with
     | Error m -> exit_err m
     | Ok store ->
         let outcome, frames =
           Xmobs.Ctx.profiled (fun () ->
-              Xmserve.Exec.execute ~source:"profile" ~doc:input
+              Xmserve.Exec.execute ~sinks ~source:"profile" ~doc:input
                 ~enforce:false ?query store guard)
         in
         (match outcome with
@@ -592,7 +606,7 @@ let view_cmd =
   let eval_flag =
     Arg.(value & flag & info [ "eval" ] ~doc:"Also evaluate the generated view and print the result.")
   in
-  let run () guard input eval_flag =
+  let run _ guard input eval_flag =
     match load_store input with
     | Error m -> exit_err m
     | Ok store -> (
@@ -628,7 +642,7 @@ let infer_cmd =
   let input =
     Arg.(value & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"Optional XML document or store to check the guard against.")
   in
-  let run () query input =
+  let run _ query input =
     match Guarded.Infer.guard_of_query query with
     | exception Failure m -> exit_err m
     | exception (Xquery.Qparse.Error _ as e) ->
@@ -665,7 +679,7 @@ let gen_cmd =
   in
   let seed = Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.") in
   let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output path (stdout by default).") in
-  let run () kind scale seed output =
+  let run _ kind scale seed output =
     let tree =
       match kind with
       | `Xmark -> Workloads.Xmark.generate ?seed ~factor:scale ()
@@ -687,7 +701,7 @@ let gen_cmd =
 
 let fmt_cmd =
   let doc = "Parse a guard and print its canonical form." in
-  let run () guard =
+  let run _ guard =
     match Xmorph.Parse.guard guard with
     | ast -> print_endline (Xmorph.Ast.to_string ast)
     | exception e -> (
@@ -707,7 +721,7 @@ let equiv_cmd =
   in
   let a = Arg.(required & pos 1 (some file) None & info [] ~docv:"A" ~doc:"First document.") in
   let b = Arg.(required & pos 2 (some file) None & info [] ~docv:"B" ~doc:"Second document.") in
-  let run () guard a b =
+  let run _ guard a b =
     let transform input =
       match load_store input with
       | Error m -> exit_err m
@@ -736,7 +750,7 @@ let shell_cmd =
      or :commands for reports and guarded queries."
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
-  let run () input =
+  let run sinks input =
     match load_store input with
     | Error m -> exit_err m
     | Ok store ->
@@ -803,8 +817,9 @@ let shell_cmd =
                     | Some rest -> (
                         let outcome, frames =
                           Xmobs.Ctx.profiled (fun () ->
-                              Xmserve.Exec.execute ~source:"shell" ~doc:input
-                                ~enforce:false store (arg_or_current rest))
+                              Xmserve.Exec.execute ~sinks ~source:"shell"
+                                ~doc:input ~enforce:false store
+                                (arg_or_current rest))
                         in
                         (match outcome with
                         | Xmserve.Exec.Failed { message; _ } -> print_endline message
@@ -834,8 +849,9 @@ let shell_cmd =
                             match strip_prefix line ":query" with
                             | Some q -> (
                                 match
-                                  Xmserve.Exec.execute ~source:"shell" ~doc:input
-                                    ~enforce:false ~query:q store !current_guard
+                                  Xmserve.Exec.execute ~sinks ~source:"shell"
+                                    ~doc:input ~enforce:false ~query:q store
+                                    !current_guard
                                 with
                                 | Xmserve.Exec.Rendered { body; _ }
                                 | Xmserve.Exec.Query_result { body; _ } ->
@@ -844,7 +860,7 @@ let shell_cmd =
                                     print_endline message)
                             | None -> (
                                 match
-                                  Xmserve.Exec.execute ~source:"shell"
+                                  Xmserve.Exec.execute ~sinks ~source:"shell"
                                     ~doc:input ~enforce:false store line
                                 with
                                 | Xmserve.Exec.Rendered { body; _ }
@@ -997,7 +1013,7 @@ let serve_cmd =
                    and disables alerting; the daemon still serves.  Replay \
                    rules offline with $(b,xmorph alerts).")
   in
-  let run () inputs port addr workers port_file slow_ms slow_log window
+  let run sinks inputs port addr workers port_file slow_ms slow_log window
       slo_p95_ms slo_error_rate cache_mb incident_dir incident_keep
       debug_ring alert_rules =
     (* The daemon is multi-threaded, so an async [Sys.signal] handler can
@@ -1007,13 +1023,16 @@ let serve_cmd =
        consume them deterministically with sigwait; [exit] then runs the
        shared Shutdown flush chain (qlog, --metrics, --trace, ...). *)
     ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
+    let serving = Atomic.make None in
     ignore
       (Thread.create
          (fun () ->
            let n = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
-           (* Let Shutdown hooks (the flight recorder's signal bundle)
-              see which signal is killing us before [exit] runs them. *)
-           Xmobs.Shutdown.note_signal n;
+           (* Dying on a signal is an incident: the server's bundle is
+              written before [exit] runs the flushes. *)
+           Option.iter
+             (fun server -> Xmserve.Server.on_signal server n)
+             (Atomic.get serving);
            Stdlib.exit (Xmobs.Shutdown.signal_exit_code n))
          ());
     (match incident_keep with
@@ -1065,15 +1084,17 @@ let serve_cmd =
     in
     let server =
       match
-        Xmserve.Server.create ~addr ~port ~workers ?slow_ms ?slow_log ~window
-          ?slo_p95_ms ?slo_error_rate ?incident_dir ~incident_keep ?alerts
-          ~stores ()
+        Xmserve.Server.create ~sinks ~addr ~port ~workers ?slow_ms ?slow_log
+          ~window ?slo_p95_ms ?slo_error_rate ?incident_dir ~incident_keep
+          ?alerts ~stores ()
       with
       | s -> s
       | exception Unix.Unix_error (e, fn, _) ->
           exit_err (Printf.sprintf "cannot listen on %s:%d: %s: %s" addr port
                       fn (Unix.error_message e))
+      | exception Sys_error m -> exit_err ("serve: " ^ m)
     in
+    Atomic.set serving (Some server);
     (match port_file with
     | None -> ()
     | Some f -> write_file f (string_of_int (Xmserve.Server.port server) ^ "\n"));
@@ -1144,7 +1165,7 @@ let stats_cmd =
             warehouse's per-operator calls, self time, and \
             cardinality q-error."
   in
-  let run () log json top compare_file out tolerance check_json db_file =
+  let run _ log json top compare_file out tolerance check_json db_file =
     List.iter
       (fun path ->
         match Xmutil.Json.of_string (read_file path) with
@@ -1257,7 +1278,7 @@ let incident_cmd =
             operator-statistics warehouse (written by serve \
             --stats-db), as $(b,xmorph stats --stats-db) does for logs."
   in
-  let run () bundle json check db_file =
+  let run _ bundle json check db_file =
     match Xmserve.Incident.check bundle with
     | Error m -> exit_err (Printf.sprintf "%s: %s" bundle m)
     | Ok t ->
@@ -1269,15 +1290,11 @@ let incident_cmd =
           match db_file with
           | None -> ()
           | Some db_path ->
-              let db =
-                match Xmobs.Statdb.load db_path with
-                | db -> db
-                | exception Sys_error m -> exit_err m
-                | exception Failure m -> exit_err m
-              in
               print_string
-                (Xmserve.Incident.cross_reference_to_text
-                   (Xmserve.Incident.cross_reference ~db t))
+                (Xmserve.Stats.cross_reference_to_text
+                   (Xmserve.Stats.cross_reference
+                      ~db:(Xmobs.Statdb.load db_path)
+                      t.Xmserve.Incident.qlog))
         end
   in
   Cmd.v (Cmd.info "incident" ~doc)
@@ -1310,7 +1327,7 @@ let alerts_cmd =
              ~doc:"Machine-readable report: transitions, per-rule final \
                    states, and replay counts as one JSON object.")
   in
-  let run () rules_file log_file json_out =
+  let run _ rules_file log_file json_out =
     let cfg =
       match Xmobs.Alerts.load rules_file with
       | Ok cfg -> cfg
@@ -1450,7 +1467,7 @@ let http_cmd =
     Arg.(value & flag
          & info [ "i"; "include" ] ~doc:"Also print the status and headers.")
   in
-  let run () meth url data show_head =
+  let run _ meth url data show_head =
     match Xmserve.Http.request_url ?body:data ~meth url with
     | Error m -> exit_err m
     | Ok (status, headers, body) ->
@@ -1496,7 +1513,7 @@ let top_cmd =
              ~doc:"With --once: print the raw snapshot (timeseries + stats) \
                    as JSON instead of the rendered dashboard.")
   in
-  let run () url interval once json =
+  let run _ url interval once json =
     let interval = Float.max 0.1 (Float.min 3600.0 interval) in
     if json && not once then
       exit_err "xmorph top: --json requires --once";

@@ -23,7 +23,7 @@
       The key holds no document name: a generation is never shared by
       two documents' stores.
 
-    Process-global sink in the style of {!Xmobs.Qlog}/{!Xmobs.Statdb}:
+    A process-global sink, as {!Xmobs.Metrics}' registry is:
     {!enable} installs the cache, {!enabled} is one atomic load, and
     every entry point is a no-op returning immediately — allocating
     nothing — while disabled.  Lookups and insertions bump the

@@ -14,18 +14,18 @@
    younger than [for_s]) → firing → ok once the condition has been false
    for the engine's [hold_s].  Ticks are serialized, so no caller steps a
    machine with a stale judgment.  The edges land in a bounded ring and
-   go to [deliver] *after* the state lock is released: the Flight sink
-   snapshots alert state via the server's context provider, which calls
-   back into [to_json] and would deadlock under that lock.
+   go to [deliver] *after* the state lock is released: the serve
+   daemon's firing callback writes an incident bundle whose context
+   calls back into [to_json], and would deadlock under that lock.
 
-   The process-global evaluator wraps one engine with a ticker thread
-   and the sink fan-out: a JSONL alert log, an outbound webhook
-   (injected by the serve layer so xmobs stays below serve; bounded
-   retry, failures counted and dropped — never allowed to block or
-   crash serving), a Flight.trigger per firing rule, and the metrics
-   families.  Injectable clocks make the timing unit-testable and let
-   the offline backtester (xmorph alerts) replay a qlog through this
-   very evaluator. *)
+   A started evaluator ([start]) is a value its owner holds and stops:
+   one engine with a ticker thread and the sink fan-out — a JSONL alert
+   log, an outbound webhook (the sender is an argument, so xmobs stays
+   below serve; bounded retry, failures counted and dropped — never
+   allowed to block or crash serving), the owner's firing callback, and
+   the metrics families.  Injectable clocks make the timing unit-testable
+   and let the offline backtester (xmorph alerts) replay a qlog through
+   this very evaluator. *)
 
 module J = Xmutil.Json
 
@@ -426,33 +426,25 @@ let engine_to_json eng =
              (List.map transition_to_json (Xmutil.Ring.to_list eng.ring)))
         ])
 
-(* ---------- the process-global evaluator ---------- *)
+(* ---------- the started evaluator ---------- *)
 
-type gstate = {
+type sender =
+  url:string -> timeout_s:float -> body:string -> (unit, string) result
+
+type t = {
   cfg : config;
   eng : engine;
-  stop : bool Atomic.t;
+  send : sender option;
+  on_firing : transition -> unit;
+  stopped : bool Atomic.t;
   mutable thread : Thread.t option;
   mutable drops : int;
   mutable delivered : int;
 }
 
-let on = Atomic.make false
+let firing g = engine_firing g.eng
 
-let gstate : gstate option ref = ref None
-
-type sender =
-  url:string -> timeout_s:float -> body:string -> (unit, string) result
-
-let sender : sender option ref = ref None
-
-let set_webhook_sender f = sender := Some f
-
-let enabled () = Atomic.get on
-
-let firing () = match !gstate with None -> 0 | Some g -> engine_firing g.eng
-
-let webhook_drops () = match !gstate with None -> 0 | Some g -> g.drops
+let webhook_drops g = g.drops
 
 (* Append the batch to the JSONL alert log.  One line per transition;
    open/append/close per batch — edges are rare.  A failed write (full
@@ -473,31 +465,28 @@ let log_transitions path trs =
           trs)
   with Sys_error _ -> ()
 
-let post_webhook g url trs =
-  match !sender with
-  | None -> ()
-  | Some send ->
-      List.iter
-        (fun t ->
-          let body = J.to_string ~pretty:false (transition_to_json t) in
-          let rec attempt k =
-            match
-              try send ~url ~timeout_s:g.cfg.webhook_timeout_s ~body
-              with _ -> Error "sender raised"
-            with
-            | Ok () -> g.delivered <- g.delivered + 1
-            | Error _ when k < g.cfg.webhook_retries -> attempt (k + 1)
-            | Error _ ->
-                g.drops <- g.drops + 1;
-                Metrics.inc "xmorph_alert_webhook_drops_total"
-          in
-          attempt 0)
-        trs
+let post_webhook g send url trs =
+  List.iter
+    (fun t ->
+      let body = J.to_string ~pretty:false (transition_to_json t) in
+      let rec attempt k =
+        match
+          try send ~url ~timeout_s:g.cfg.webhook_timeout_s ~body
+          with _ -> Error "sender raised"
+        with
+        | Ok () -> g.delivered <- g.delivered + 1
+        | Error _ when k < g.cfg.webhook_retries -> attempt (k + 1)
+        | Error _ ->
+            g.drops <- g.drops + 1;
+            Metrics.inc "xmorph_alert_webhook_drops_total"
+      in
+      attempt 0)
+    trs
 
 (* Deliver a tick's transitions.  Runs under the engine's tick lock —
    so batches reach the sinks in tick order — but not its state lock:
-   the Flight trigger re-enters alert state through the server's
-   context provider (the bundle snapshots [to_json]). *)
+   the firing callback may re-enter alert state (the serve daemon's
+   incident bundle snapshots [to_json]). *)
 let dispatch g trs =
   if trs <> [] then begin
     List.iter
@@ -507,78 +496,64 @@ let dispatch g trs =
       trs;
     (match g.cfg.log with Some path -> log_transitions path trs | None -> ());
     List.iter
-      (fun (t : transition) ->
-        if t.edge = Firing then
-          ignore
-            (Flight.trigger ~kind:Flight.Alert
-               ~reason:(Printf.sprintf "alert %s: %s" t.rule t.reason)
-               ()))
+      (fun (t : transition) -> if t.edge = Firing then g.on_firing t)
       trs;
-    match g.cfg.webhook with
-    | Some url -> post_webhook g url trs
-    | None -> ()
+    match (g.cfg.webhook, g.send) with
+    | Some url, Some send -> post_webhook g send url trs
+    | _ -> ()
   end;
   Metrics.set_gauge "xmorph_alerts_firing" (float_of_int (engine_firing g.eng))
 
-let run_tick g = ignore (tick ~deliver:(dispatch g) g.eng)
+let tick_now g = ignore (tick ~deliver:(dispatch g) g.eng)
 
 let ticker g =
-  (* Nap in short slices so [disable] joins promptly even with a slow
+  (* Nap in short slices so [stop] joins promptly even with a slow
      evaluation interval. *)
   let nap () =
     let left = ref g.cfg.interval_s in
-    while !left > 0.0 && not (Atomic.get g.stop) do
+    while !left > 0.0 && not (Atomic.get g.stopped) do
       let d = Float.min 0.05 !left in
       Thread.delay d;
       left := !left -. d
     done
   in
-  while not (Atomic.get g.stop) do
+  while not (Atomic.get g.stopped) do
     nap ();
-    if not (Atomic.get g.stop) then
-      try run_tick g with _ -> () (* the evaluator must outlive any sink *)
+    if not (Atomic.get g.stopped) then
+      try tick_now g with _ -> () (* the evaluator must outlive any sink *)
   done
 
-let disable () =
-  Atomic.set on false;
-  match !gstate with
-  | None -> ()
-  | Some g ->
-      Atomic.set g.stop true;
-      (match g.thread with Some t -> (try Thread.join t with _ -> ()) | None -> ());
-      g.thread <- None;
-      gstate := None
-
-let enable src cfg =
-  disable ();
+let start ?send ?(on_firing = ignore) src cfg =
   let g =
     {
       cfg;
       eng = engine src cfg.rules;
-      stop = Atomic.make false;
+      send;
+      on_firing;
+      stopped = Atomic.make false;
       thread = None;
       drops = 0;
       delivered = 0;
     }
   in
-  gstate := Some g;
-  Atomic.set on true;
-  g.thread <- Some (Thread.create ticker g)
+  g.thread <- Some (Thread.create ticker g);
+  g
 
-let tick_now () =
-  if Atomic.get on then
-    match !gstate with None -> () | Some g -> run_tick g
+let stop g =
+  Atomic.set g.stopped true;
+  match g.thread with
+  | Some t ->
+      (try Thread.join t with _ -> ());
+      g.thread <- None
+  | None -> ()
 
-let to_json () =
-  match !gstate with
-  | None -> J.Obj [ ("enabled", J.Bool false) ]
-  | Some g ->
-      let opt = function Some s -> J.String s | None -> J.Null in
-      J.Obj
-        ([ ("enabled", J.Bool (Atomic.get on));
-           ("interval_s", J.Float g.cfg.interval_s);
-           ("log", opt g.cfg.log);
-           ("webhook", opt g.cfg.webhook);
-           ("webhook_delivered", J.Int g.delivered);
-           ("webhook_drops", J.Int g.drops) ]
-        @ match engine_to_json g.eng with J.Obj fs -> fs | _ -> [])
+let to_json g =
+  let opt = function Some s -> J.String s | None -> J.Null in
+  J.Obj
+    ([ ("enabled", J.Bool (not (Atomic.get g.stopped)));
+       ("interval_s", J.Float g.cfg.interval_s);
+       ("log", opt g.cfg.log);
+       ("webhook", opt g.cfg.webhook);
+       ("webhook_delivered", J.Int g.delivered);
+       ("webhook_drops", J.Int g.drops) ]
+    @ match engine_to_json g.eng with J.Obj fs -> fs | _ -> [])

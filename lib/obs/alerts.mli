@@ -10,10 +10,12 @@
     machine per rule.  Edge events — a rule starts {e firing}, a firing
     rule {e resolves} — fan out to sinks: a JSONL alert log, an outbound
     webhook (injected by the serve layer, with bounded retry and a drop
-    counter — delivery failure never blocks serving), a
-    {!Flight.trigger} so every firing alert lands an incident bundle, and
-    the metrics registry ([xmorph_alerts_total{rule,state}],
-    [xmorph_alerts_firing]).
+    counter — delivery failure never blocks serving), the owner's firing
+    callback (the serve daemon lands an incident bundle per firing
+    alert), and the metrics registry ([xmorph_alerts_total{rule,state}],
+    [xmorph_alerts_firing]).  A started evaluator ({!start}) is a value
+    its owner holds and {!stop}s; two servers in one process each run
+    their own.
 
     Streams take injectable clocks so the state-machine timing is
     unit-testable in synthetic time, and so the offline backtester
@@ -154,40 +156,38 @@ val engine_to_json : engine -> Xmutil.Json.t
 (** [{rules: [{name, state, value, reason}], transitions: [...]}] —
     the core of [GET /debug/alerts]. *)
 
-(** {2 The process-global evaluator} *)
+(** {2 The started evaluator} *)
 
-val enable : stream -> config -> unit
-(** Build an engine over [stream] from [config.rules] and start a ticker
-    thread pacing {!tick} every [config.interval_s] seconds, delivering
-    transitions to the configured sinks.  Idempotent ({!disable} first
-    to reconfigure). *)
+type t
 
-val disable : unit -> unit
-(** Stop the ticker (joins it) and drop the engine. *)
-
-val enabled : unit -> bool
-(** One atomic load. *)
-
-val set_webhook_sender :
-  (url:string -> timeout_s:float -> body:string -> (unit, string) result) ->
-  unit
-(** Install the outbound-POST primitive.  The serve layer injects one
-    built on its own HTTP client — keeping [xmobs] below [serve] in the
-    dependency stack.  The sender makes {e one} attempt; the evaluator
-    handles bounded retry and counts exhausted deliveries in
+type sender =
+  url:string -> timeout_s:float -> body:string -> (unit, string) result
+(** One outbound POST attempt.  The serve layer builds one on its own
+    HTTP client — keeping [xmobs] below [serve] in the dependency stack.
+    The evaluator owns bounded retry and counts exhausted deliveries in
     {!webhook_drops} (and [xmorph_alert_webhook_drops_total]). *)
 
-val tick_now : unit -> unit
-(** Force one evaluation-and-delivery pass outside the timer.  For
-    tests; a no-op when disabled. *)
+val start :
+  ?send:sender -> ?on_firing:(transition -> unit) -> stream -> config -> t
+(** Build an engine over [stream] from [config.rules] and start a ticker
+    thread pacing {!tick} every [config.interval_s] seconds, delivering
+    transitions to the configured sinks: the alert log, the webhook
+    through [send] (no webhook without one), and [on_firing] for each
+    rule that starts firing. *)
 
-val firing : unit -> int
+val stop : t -> unit
+(** Stop the ticker (joins it).  Idempotent. *)
+
+val tick_now : t -> unit
+(** Force one evaluation-and-delivery pass outside the timer. *)
+
+val firing : t -> int
 (** Rules currently in the firing state (the [xmorph_alerts_firing]
     gauge). *)
 
-val webhook_drops : unit -> int
+val webhook_drops : t -> int
 (** Webhook deliveries dropped after exhausting retries. *)
 
-val to_json : unit -> Xmutil.Json.t
+val to_json : t -> Xmutil.Json.t
 (** {!engine_to_json} plus sink state (log path, webhook URL, drop
-    counter).  [{"enabled": false}] when off. *)
+    counter), and ["enabled"]: [true] until {!stop}. *)

@@ -167,7 +167,7 @@ val trace_json : t -> Xmutil.Json.t
 val attach_qlog : Qlog.entry -> unit
 (** Keep [e] as the calling thread's installed context's query record
     (the last one wins); a no-op without a context.  Called by the
-    execution path beside [Qlog.submit]. *)
+    execution path beside its query-log write. *)
 
 (** {2 The completed-request ring} *)
 

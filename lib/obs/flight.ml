@@ -8,17 +8,17 @@
    completed-request ring (Ctx), where every served request already left
    its own.
 
-   The standard Xmobs contract holds: [enabled] is one atomic load, and
-   every entry point is a no-op that allocates nothing when the recorder
-   is off.  When on, a snapshot feed takes a single mutex held for a clock
-   comparison — cheap enough to leave enabled in production (the bench
-   section [bench/main.exe -- flight] pins the enabled-idle overhead).
+   A recorder is a value its owner holds (the serve daemon, one per
+   server); a daemon without one has no recorder to consult.  A snapshot
+   feed takes a single mutex held for a clock comparison — cheap enough
+   to leave on in production (the bench section
+   [bench/main.exe -- flight] pins the enabled-idle overhead).
 
    Dependency direction: Flight sits above Trace/Ctx/Qlog/Metrics inside
    xmobs and knows nothing about serve, the cache, or stores.  Context
    that only the server can provide (store generations, cache
    introspection, config, SLO state, the request ring) arrives through
-   an injected provider callback ([set_context_provider]). *)
+   the [context] callback given to [create]. *)
 
 let version = 1
 
@@ -34,7 +34,7 @@ let kind_to_string = function
 let kinds =
   List.map kind_to_string [ Slo_breach; Error_rate; Signal; Manual; Alert ]
 
-type state = {
+type t = {
   dir : string;
   retention : int;
   cooldown_s : float;
@@ -42,17 +42,9 @@ type state = {
   mutable last_snap : float;
   mutable last_fired : (trigger_kind * float) list; (* per-kind cooldown *)
   mutable seq : int; (* disambiguates bundles written in the same ms *)
-  mutable context : (unit -> Xmutil.Json.t) option;
+  context : unit -> Xmutil.Json.t;
   lock : Mutex.t;
 }
-
-(* One atomic load gates every entry point; the state ref is only read
-   behind it. *)
-let on = Atomic.make false
-
-let state : state option ref = ref None
-
-let enabled () = Atomic.get on
 
 (* The most span entries a bundle carries. *)
 let bundle_spans = 2048
@@ -71,20 +63,13 @@ let locked st f =
 (* ---------- the snapshot feed (hot path when enabled) ---------- *)
 
 (* The server calls this after each query; no sampling thread. *)
-let snapshot () =
-  if Atomic.get on then
-    match !state with
-    | None -> ()
-    | Some st ->
-        let now = Unix.gettimeofday () in
-        locked st (fun () ->
-            if now -. st.last_snap >= snapshot_interval_s then begin
-              st.last_snap <- now;
-              Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
-            end)
-
-let set_context_provider f =
-  match !state with None -> () | Some st -> st.context <- Some f
+let snapshot st =
+  let now = Unix.gettimeofday () in
+  locked st (fun () ->
+      if now -. st.last_snap >= snapshot_interval_s then begin
+        st.last_snap <- now;
+        Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
+      end)
 
 (* ---------- bundle assembly ---------- *)
 
@@ -147,10 +132,7 @@ let bundle_unlocked st ~kind ~reason ~now =
       ("metrics", Metrics.to_json ());
       ("snapshots", Xmutil.Json.List snaps);
       ("selfmetrics", selfmetrics_json ());
-      ("context",
-       match st.context with
-       | Some f -> (try f () with _ -> Xmutil.Json.Null)
-       | None -> Xmutil.Json.Null) ]
+      ("context", try st.context () with _ -> Xmutil.Json.Null) ]
 
 (* ---------- incident files ---------- *)
 
@@ -168,20 +150,17 @@ let incident_files dir =
          sequence number, so lexicographic order is chronological. *)
       List.sort compare l
 
-let incidents () =
-  match !state with
-  | None -> []
-  | Some st ->
-      List.map
-        (fun n ->
-          let size =
-            try (Unix.stat (Filename.concat st.dir n)).Unix.st_size
-            with Unix.Unix_error _ -> 0
-          in
-          (n, size))
-        (incident_files st.dir)
+let incidents st =
+  List.map
+    (fun n ->
+      let size =
+        try (Unix.stat (Filename.concat st.dir n)).Unix.st_size
+        with Unix.Unix_error _ -> 0
+      in
+      (n, size))
+    (incident_files st.dir)
 
-let dir () = match !state with None -> None | Some st -> Some st.dir
+let dir st = st.dir
 
 let enforce_retention_unlocked st =
   let files = incident_files st.dir in
@@ -204,84 +183,70 @@ let write_bundle_unlocked st ~name json =
   close_out oc;
   Sys.rename tmp path
 
-let trigger ?(force = false) ~kind ~reason () =
-  if not (Atomic.get on) then None
-  else
-    match !state with
-    | None -> None
-    | Some st ->
-        locked st (fun () ->
-            let now = Unix.gettimeofday () in
-            let cooled =
-              force
-              || match List.assoc_opt kind st.last_fired with
-                 | Some t -> now -. t >= st.cooldown_s
-                 | None -> true
-            in
-            if not cooled then None
-            else begin
-              st.last_fired <-
-                (kind, now) :: List.remove_assoc kind st.last_fired;
-              st.seq <- st.seq + 1;
-              let name =
-                Printf.sprintf "incident-%013.0f-%03d-%s.json" (now *. 1000.)
-                  st.seq (kind_to_string kind)
-              in
-              match
-                let json = bundle_unlocked st ~kind ~reason ~now in
-                write_bundle_unlocked st ~name json;
-                enforce_retention_unlocked st
-              with
-              | () ->
-                  Metrics.inc_labeled "xmorph_incidents_total"
-                    [ ("trigger", kind_to_string kind) ];
-                  Some name
-              (* A full disk or a removed directory must not take the
-                 serving path down with it. *)
-              | exception (Sys_error _ | Unix.Unix_error _) -> None
-            end)
+let trigger st ?(force = false) ~kind ~reason () =
+  locked st (fun () ->
+      let now = Unix.gettimeofday () in
+      let cooled =
+        force
+        || match List.assoc_opt kind st.last_fired with
+           | Some t -> now -. t >= st.cooldown_s
+           | None -> true
+      in
+      if not cooled then None
+      else begin
+        st.last_fired <- (kind, now) :: List.remove_assoc kind st.last_fired;
+        st.seq <- st.seq + 1;
+        let name =
+          Printf.sprintf "incident-%013.0f-%03d-%s.json" (now *. 1000.) st.seq
+            (kind_to_string kind)
+        in
+        match
+          let json = bundle_unlocked st ~kind ~reason ~now in
+          write_bundle_unlocked st ~name json;
+          enforce_retention_unlocked st
+        with
+        | () ->
+            Metrics.inc_labeled "xmorph_incidents_total"
+              [ ("trigger", kind_to_string kind) ];
+            Some name
+        (* A full disk or a removed directory must not take the serving
+           path down with it. *)
+        | exception (Sys_error _ | Unix.Unix_error _) -> None
+      end)
 
 (* ---------- lifecycle ---------- *)
 
-let shutdown_registered = ref false
-
-let enable ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
-    ~dir () =
-  (try Unix.mkdir dir 0o755 with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  | Unix.Unix_error _ -> ());
-  let st =
-    {
-      dir;
-      retention = max 1 retention;
-      cooldown_s = Float.max 0.0 cooldown_s;
-      snap_ring = Xmutil.Ring.create 32;
-      last_snap = 0.0;
-      last_fired = [];
-      seq = 0;
-      context = None;
-      lock = Mutex.create ();
-    }
+(* The directory is made here, once, so that a recorder that cannot
+   write its bundles is refused at startup instead of dropping every
+   bundle later without a word. *)
+let create ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
+    ?(context = fun () -> Xmutil.Json.Null) ~dir () =
+  let is_dir () = try Sys.is_directory dir with Sys_error _ -> false in
+  let made =
+    match Unix.mkdir dir 0o755 with
+    | () -> Ok ()
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) when is_dir () -> Ok ()
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Error "not a directory"
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
-  state := Some st;
-  Atomic.set on true;
-  if not !shutdown_registered then begin
-    shutdown_registered := true;
-    (* Dying on SIGTERM/SIGINT is itself an incident: the bundle captures
-       what the process was doing when it was killed.  Clean exits write
-       nothing.  [force] bypasses the cooldown — a just-fired SLO breach
-       must not suppress the crash bundle. *)
-    Shutdown.on_exit (fun () ->
-        match Shutdown.last_signal () with
-        | None -> ()
-        | Some n ->
-            ignore
-              (trigger ~force:true ~kind:Signal
-                 ~reason:(Printf.sprintf "terminated by signal (exit %d)"
-                            (Shutdown.signal_exit_code n))
-                 ()))
-  end
-
-let disable () =
-  Atomic.set on false;
-  state := None
+  let writable () =
+    match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  in
+  match Result.bind made writable with
+  | Error m ->
+      Error (Printf.sprintf "cannot create incident directory %s: %s" dir m)
+  | Ok () ->
+      Ok
+        {
+          dir;
+          retention = max 1 retention;
+          cooldown_s = Float.max 0.0 cooldown_s;
+          snap_ring = Xmutil.Ring.create 32;
+          last_snap = 0.0;
+          last_fired = [];
+          seq = 0;
+          context;
+          lock = Mutex.create ();
+        }

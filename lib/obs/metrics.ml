@@ -388,7 +388,7 @@ let to_json ?r () =
 
 (* ---------- Prometheus text exposition ---------- *)
 
-(* Metric names here are dotted ([phase.render.seconds]); Prometheus names
+(* Metric names here are dotted ([serve.request.seconds]); Prometheus names
    admit [a-zA-Z0-9_:] with a non-digit first character, so everything
    else maps to '_'. *)
 let prometheus_name name =

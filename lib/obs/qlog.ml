@@ -10,8 +10,9 @@
    [log] calls (serve worker threads, any domain) emit
    whole lines — a reader can never see an interleaved or partial record
    short of the process being killed uncleanly mid-spill.  [flush] is
-   cheap and idempotent; the global sink registers it on the Shutdown
-   path so SIGTERM/SIGINT leave a complete, valid log behind. *)
+   cheap and idempotent.  The writer's owner (the CLI, for --qlog)
+   registers its close on the Shutdown path, so SIGTERM/SIGINT leave a
+   complete, valid log behind. *)
 
 type outcome = Ok | Parse_error | Type_mismatch | Internal
 
@@ -303,27 +304,3 @@ let close t =
     else (try Stdlib.flush t.oc with Sys_error _ -> ())
   end;
   Mutex.unlock t.lock
-
-(* ---------- the global sink ---------- *)
-
-let sink : t option ref = ref None
-
-let shutdown_registered = ref false
-
-let enable ?cap ?max_bytes p =
-  (match !sink with Some t -> close t | None -> ());
-  sink := Some (create ?cap ?max_bytes p);
-  if not !shutdown_registered then begin
-    shutdown_registered := true;
-    Shutdown.on_exit (fun () -> match !sink with Some t -> close t | None -> ())
-  end
-
-let disable () =
-  (match !sink with Some t -> close t | None -> ());
-  sink := None
-
-let enabled () = !sink <> None
-
-let submit e = match !sink with Some t -> log t e | None -> ()
-
-let flush_global () = match !sink with Some t -> flush t | None -> ()

@@ -12,11 +12,12 @@
     a mutex, so concurrent writers always produce whole, non-interleaved
     lines.
 
-    A process-global sink ({!enable} / {!submit}) mirrors the
-    {!Trace}/{!Metrics} pattern: instrumented call sites are a single
-    branch when no sink is installed.  Enabling registers a flush with
-    {!Shutdown}, so records survive SIGTERM/SIGINT as well as clean
-    exits once {!Shutdown.install} has run. *)
+    A writer is a plain value its owner holds: the CLI opens one for
+    [--qlog] and hands it to each execution ([Xmserve.Exec.execute
+    ?sinks]); an execution without one writes no record to disk.  The
+    owner registers {!close} on {!Shutdown}, so records survive
+    SIGTERM/SIGINT as well as clean exits once {!Shutdown.install} has
+    run. *)
 
 type outcome =
   | Ok  (** the execution completed and produced a result *)
@@ -114,19 +115,3 @@ val pending : t -> int
 
 val flush : t -> unit
 val close : t -> unit
-
-(** {2 Global sink} *)
-
-val enable : ?cap:int -> ?max_bytes:int -> string -> unit
-(** Install [path] as the process-global sink (closing any previous one)
-    and register its flush on the {!Shutdown} path. *)
-
-val disable : unit -> unit
-(** Flush, close, and uninstall the global sink. *)
-
-val enabled : unit -> bool
-
-val submit : entry -> unit
-(** Append to the global sink; a no-op when none is installed. *)
-
-val flush_global : unit -> unit

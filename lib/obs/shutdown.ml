@@ -1,7 +1,7 @@
 (* A common flush path for telemetry sinks.
 
-   The CLI's --trace/--metrics/--profile/--qlog writers and the serve
-   daemon's query log all want the same guarantee: whatever has been
+   The CLI's --trace/--metrics/--profile/--qlog/--stats-db writers all
+   want the same guarantee: whatever has been
    collected reaches disk on *any* orderly end of the process — clean
    exit, SIGTERM, or SIGINT.  [on_exit] registers a callback; [install]
    converts the two termination signals into [Stdlib.exit (128 + signum)],
@@ -38,26 +38,12 @@ let signal_exit_code n =
   else if n = Sys.sigint then 128 + 2
   else 128 + abs n
 
-(* Which termination signal (if any) started the exit.  Consumers that
-   want to behave differently when dying on a signal — the flight
-   recorder writes a "signal" incident bundle — check this from their
-   [on_exit] callback.  A plain ref: it is set once, on the single
-   signal-consuming path, before [exit] runs the callbacks. *)
-let last = ref None
-
-let note_signal n = last := Some n
-
-let last_signal () = !last
-
 let installed = ref false
 
 let install () =
   if not !installed then begin
     installed := true;
-    let handle n =
-      note_signal n;
-      Stdlib.exit (signal_exit_code n)
-    in
+    let handle n = Stdlib.exit (signal_exit_code n) in
     List.iter
       (fun s ->
         (* Keep an explicit Signal_ignore (or a handler someone else set

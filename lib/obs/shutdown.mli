@@ -1,7 +1,9 @@
 (** Graceful-shutdown flush path shared by every telemetry sink.
 
-    Telemetry exporters (trace, metrics, profile, query log) register a
-    flush with {!on_exit}; {!install} converts SIGTERM and SIGINT into
+    The owner of each telemetry sink registers its flush with {!on_exit}:
+    the CLI registers [--trace], [--metrics], [--profile], the query log
+    and the statistics warehouse in one place, and no sink registers
+    itself.  {!install} converts SIGTERM and SIGINT into
     [Stdlib.exit (128 + signum)], so the ordinary [at_exit] chain — and
     with it every registered flush — runs on signals too.  Callbacks run
     once, in registration order; exceptions in one callback do not stop
@@ -21,19 +23,3 @@ val signal_exit_code : int -> int
     {e system} signal number): 143 for [Sys.sigterm], 130 for
     [Sys.sigint].  OCaml's [Sys] signal constants are negative portable
     encodings, so [128 + Sys.sigterm] would be wrong. *)
-
-val run_all : unit -> unit
-(** Run the registered callbacks now (once; later calls and the exit-time
-    run become no-ops).  For callers that flush explicitly before a
-    non-[exit] termination path. *)
-
-val note_signal : int -> unit
-(** Record that the process is exiting because of termination signal [n]
-    (OCaml's [Sys] encoding).  {!install}'s handler calls this; paths
-    that consume signals themselves (e.g. a [Thread.wait_signal] loop)
-    should call it before [exit] so {!last_signal} is visible to
-    {!on_exit} callbacks. *)
-
-val last_signal : unit -> int option
-(** The signal noted by {!note_signal}, if any — [None] on a clean
-    exit. *)

@@ -34,6 +34,8 @@ type summary = {
 type t = {
   tbl : (string * string, summary) Hashtbl.t;
   lock : Mutex.t;
+  file : string option; (* the file [load] read, which [flush] rewrites *)
+  mutable dirty : bool; (* recorded into since the last flush *)
 }
 
 (* ---------- latency buckets ----------
@@ -57,7 +59,10 @@ let bucket_of_us us =
 let bucket_value_us i =
   Float.exp2 (float_of_int (i - bucket_mid) /. bucket_scale)
 
-let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+let make file =
+  { tbl = Hashtbl.create 64; lock = Mutex.create (); file; dirty = false }
+
+let create () = make None
 
 let fresh guard op =
   {
@@ -168,6 +173,7 @@ let record t ~guard_hash ?(predictions = []) frames =
   let flat = flatten frames in
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+  t.dirty <- true;
   Hashtbl.iter
     (fun op f ->
       let s = find_row_unlocked t guard_hash op in
@@ -195,6 +201,7 @@ let merge ~into src =
   Mutex.unlock src.lock;
   Mutex.lock into.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock into.lock) @@ fun () ->
+  into.dirty <- true;
   List.iter
     (fun (s : summary) ->
       let d = find_row_unlocked into s.s_guard s.s_op in
@@ -328,14 +335,14 @@ let summary_of_json = function
       s
   | _ -> failwith "statdb: record is not an object"
 
-let of_json = function
+let of_json_file file = function
   | Xmutil.Json.Obj fields ->
       (match field fields "xmorph_statdb" with
       | Some (Xmutil.Json.Int v) when v = version -> ()
       | Some (Xmutil.Json.Int v) ->
           failwith (Printf.sprintf "statdb: unsupported version %d" v)
       | _ -> failwith "statdb: not a stats-db file");
-      let t = create () in
+      let t = make file in
       (match req fields "records" with
       | Xmutil.Json.List l ->
           List.iter
@@ -347,17 +354,19 @@ let of_json = function
       t
   | _ -> failwith "statdb: not a JSON object"
 
+let of_json = of_json_file None
+
 (* ---------- persistence ---------- *)
 
 let load p =
-  if not (Sys.file_exists p) then create ()
+  if not (Sys.file_exists p) then make (Some p)
   else
     match
       let ic = open_in_bin p in
       let n = in_channel_length ic in
       let text = really_input_string ic n in
       close_in ic;
-      of_json (Xmutil.Json.of_string text)
+      of_json_file (Some p) (Xmutil.Json.of_string text)
     with
     | t -> t
     | exception e ->
@@ -372,7 +381,7 @@ let load p =
         Printf.eprintf
           "xmorph: warning: stats db %s unreadable (%s); starting empty\n%!" p
           why;
-        create ()
+        make (Some p)
 
 let save t p =
   let tmp = p ^ ".tmp" in
@@ -382,62 +391,20 @@ let save t p =
   close_out oc;
   Sys.rename tmp p
 
-(* ---------- the global sink ---------- *)
+let path t = t.file
 
-type sink = { db : t; sink_path : string; mutable dirty : bool }
-
-let installed = Atomic.make false
-let sink : sink option ref = ref None
-let sink_lock = Mutex.create ()
-let shutdown_registered = ref false
-
-let flush_global () =
-  Mutex.lock sink_lock;
-  let job =
-    match !sink with
-    | Some s when s.dirty ->
-        s.dirty <- false;
-        Some s
-    | Some _ | None -> None
-  in
-  Mutex.unlock sink_lock;
-  match job with
+(* Save to the file [load] read, when anything was recorded since the
+   last flush.  A failed write warns and keeps the rows in memory: the
+   warehouse is telemetry, and the query path must not go down with it. *)
+let flush t =
+  match t.file with
   | None -> ()
-  | Some s -> (
-      try save s.db s.sink_path
-      with Sys_error m ->
-        Printf.eprintf "xmorph: warning: cannot save stats db: %s\n%!" m)
-
-let enable p =
-  flush_global ();
-  Mutex.lock sink_lock;
-  sink := Some { db = load p; sink_path = p; dirty = false };
-  Atomic.set installed true;
-  if not !shutdown_registered then begin
-    shutdown_registered := true;
-    Shutdown.on_exit (fun () -> flush_global ())
-  end;
-  Mutex.unlock sink_lock
-
-let disable () =
-  flush_global ();
-  Mutex.lock sink_lock;
-  sink := None;
-  Atomic.set installed false;
-  Mutex.unlock sink_lock
-
-let enabled () = Atomic.get installed
-
-let db () =
-  match !sink with Some s -> Some s.db | None -> None
-
-let path () =
-  match !sink with Some s -> Some s.sink_path | None -> None
-
-let submit ~guard_hash ?predictions frames =
-  if Atomic.get installed then
-    match !sink with
-    | None -> ()
-    | Some s ->
-        record s.db ~guard_hash ?predictions frames;
-        s.dirty <- true
+  | Some p -> (
+      Mutex.lock t.lock;
+      let dirty = t.dirty in
+      t.dirty <- false;
+      Mutex.unlock t.lock;
+      if dirty then
+        try save t p
+        with Sys_error m ->
+          Printf.eprintf "xmorph: warning: cannot save stats db: %s\n%!" m)

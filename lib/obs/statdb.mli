@@ -11,12 +11,13 @@
     [xmorph_operator_seconds{op}] / [xmorph_card_qerror{op}] export the
     live stream.
 
-    Off by default and zero-cost when off: {!enabled} is a single atomic
-    load and the disabled {!submit} allocates nothing (enforced by the Gc
-    test).  All mutation of a warehouse is serialized by an internal
-    mutex.  Recorded frames come from {!Ctx.profiled}, which keeps each
-    execution's frames in its own context, so concurrent recordings need
-    no lock around the execution. *)
+    A warehouse is a plain value.  The CLI opens the [--stats-db] file
+    with {!load}, hands it to each execution ([Xmserve.Exec.execute
+    ?sinks]), and registers {!flush} on {!Shutdown}; an execution without
+    one records nothing.  All mutation of a warehouse is serialized by an
+    internal mutex.  Recorded frames come from {!Ctx.profiled}, which
+    keeps each execution's frames in its own context, so concurrent
+    recordings need no lock around the execution. *)
 
 (** One summary row: everything recorded about one operator under one
     guard.  Counts are exact sums over recordings; times are cumulative
@@ -62,6 +63,7 @@ val bucket_value_us : int -> float
 (** {2 Warehouses} *)
 
 val create : unit -> t
+(** An empty warehouse held in memory only: {!flush} writes nothing. *)
 
 val record :
   t ->
@@ -100,7 +102,8 @@ val of_json : Xmutil.Json.t -> t
 (** {2 Persistence} *)
 
 val load : string -> t
-(** Read a warehouse file.  A missing file is an empty warehouse; a
+(** Open the warehouse file at a path: its rows, backed by that file,
+    which {!flush} rewrites.  A missing file is an empty warehouse; a
     truncated, corrupt, or wrong-version file is an empty warehouse plus
     one warning line on stderr — never a raise (the warehouse is
     telemetry; losing it must not take the query path down). *)
@@ -111,29 +114,10 @@ val save : t -> string -> unit
     re-read the file, so two processes sharing a path last-write-wins
     rather than double-count. *)
 
-(** {2 The global sink} — mirrors {!Qlog}'s. *)
+val path : t -> string option
+(** The file {!load} read; [None] for a warehouse made by {!create} or
+    {!of_json}. *)
 
-val enable : string -> unit
-(** Open the warehouse at a path: load-and-merge whatever is already
-    there, then register a save-on-exit flush with {!Shutdown}.  The CLI
-    wires [--stats-db FILE] / [XMORPH_STATS_DB] here. *)
-
-val disable : unit -> unit
-(** Flush and forget the global warehouse. *)
-
-val enabled : unit -> bool
-(** Single atomic load; the zero-allocation gate for recording sites. *)
-
-val db : unit -> t option
-val path : unit -> string option
-
-val submit :
-  guard_hash:string ->
-  ?predictions:(string * Xmutil.Card.t * int) list ->
-  Profile.frame list ->
-  unit
-(** {!record} into the global warehouse and mark it dirty; no-op (and
-    allocation-free) when disabled. *)
-
-val flush_global : unit -> unit
-(** Save now if dirty (also runs on {!Shutdown}). *)
+val flush : t -> unit
+(** Save to {!path} when anything was recorded or merged since the last
+    flush.  A failed write warns on stderr and never raises. *)

@@ -80,14 +80,14 @@ let start ?trace_id store =
     io0 = Store.Io_stats.snapshot (Store.Shredded.stats store);
   }
 
-(* One record, two sinks: the on-disk query log and the request context
+(* One record, two sinks: the caller's query log and the request context
    installed on the calling thread, whose completed entry carries it to
    /debug/requests and incident bundles.  The record is built once, only
    when either sink can take it, so the path stays allocation-free when
    both are off. *)
-let submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
+let submit_entry qlog m store ~source ~doc ~guard ~guard_hash ~query_hash
     ~classification ~eval_s ~render_s ~out_nodes ~cached outcome error =
-  if Xmobs.Qlog.enabled () || Xmobs.Ctx.active () then begin
+  if Option.is_some qlog || Xmobs.Ctx.active () then begin
     let io =
       match m.ctx_io with
       | Some (ctx, cio0) -> io_of_ctx_delta (Xmobs.Ctx.io ctx) cio0
@@ -120,12 +120,12 @@ let submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
         generation = Some (Store.Shredded.generation store);
       }
     in
-    Xmobs.Qlog.submit e;
+    Option.iter (fun q -> Xmobs.Qlog.log q e) qlog;
     Xmobs.Ctx.attach_qlog e
   end
 
-let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
-    ?trace_id ?query store guard =
+let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
+    ?(enforce = true) ?(compact = false) ?trace_id ?query store guard =
   let m = start ?trace_id store in
   (* Hash once per request: the same FNV-1a digest feeds the query-log
      record (whose guard hash labels the served request's metrics and
@@ -138,9 +138,9 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
   let out_nodes = ref 0 in
   let cached = ref false in
   let submit outcome error =
-    submit_entry m store ~source ~doc ~guard ~guard_hash ~query_hash
-      ~classification:!classification ~eval_s:!eval_s ~render_s:!render_s
-      ~out_nodes:!out_nodes ~cached:!cached outcome error
+    submit_entry sinks.Xmobs.Obs.qlog m store ~source ~doc ~guard ~guard_hash
+      ~query_hash ~classification:!classification ~eval_s:!eval_s
+      ~render_s:!render_s ~out_nodes:!out_nodes ~cached:!cached outcome error
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
      while operator-statistics recording is on or this thread's context
@@ -149,7 +149,7 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
      into the warehouse and profiles. *)
   let keeps_frames = Option.is_some (Xmobs.Ctx.frames ()) in
   let use_cache =
-    Xmcache.enabled () && (not (Xmobs.Statdb.enabled ())) && not keeps_frames
+    Xmcache.enabled () && Option.is_none sinks.statdb && not keeps_frames
   in
   let guide = Store.Shredded.guide store in
   let guide_uid = Xml.Dataguide.uid guide in
@@ -256,17 +256,19 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
      recorded.  An aborted execution raises out of [Ctx.profiled],
      dropping partial frames that would skew the history. *)
   let run_recorded () =
-    if (not (Xmobs.Statdb.enabled ())) || keeps_frames then run ()
-    else
-      let outcome, frames = Xmobs.Ctx.profiled run in
-      let predictions =
-        match outcome with
-        | Rendered { compiled; _ } | Query_result { compiled; _ } ->
-            Xmorph.Interp.predicted_joins (Store.Shredded.guide store) compiled
-        | Failed _ -> []
-      in
-      Xmobs.Statdb.submit ~guard_hash ~predictions frames;
-      outcome
+    match sinks.Xmobs.Obs.statdb with
+    | Some db when not keeps_frames ->
+        let outcome, frames = Xmobs.Ctx.profiled run in
+        let predictions =
+          match outcome with
+          | Rendered { compiled; _ } | Query_result { compiled; _ } ->
+              Xmorph.Interp.predicted_joins (Store.Shredded.guide store)
+                compiled
+          | Failed _ -> []
+        in
+        Xmobs.Statdb.record db ~guard_hash ~predictions frames;
+        outcome
+    | Some _ | None -> run ()
   in
   match if use_cache then run_cached () else run_recorded () with
   | v ->

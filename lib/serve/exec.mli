@@ -1,19 +1,14 @@
 (** One guard/query execution with full telemetry.
 
-    This is the single execution path behind [POST /query], [xmorph run],
-    [xmorph query], [xmorph profile] and the shell: every call produces
-    exactly one
-    {!Xmobs.Qlog} record — on success {e and} on every failure path —
-    with the wall/eval/render breakdown, node counts,
-    {!Store.Io_stats} deltas, and outcome classification.
-    The record is built only when the query log is on or a request
-    context is installed ({!Xmobs.Ctx.active}); it goes to
-    {!Xmobs.Qlog.submit} and, when the calling thread has a context, is
-    attached to it ({!Xmobs.Ctx.attach_qlog}), so the completed-request
-    ring carries each served request's record.  Executions outside a
-    context (slow-query re-runs, every CLI run) reach only the query log.
-    Because the serve daemon and the one-shot CLI share it, the bytes
-    returned for a guard are identical by construction. *)
+    The single execution path behind [POST /query], [xmorph run],
+    [xmorph query], [xmorph profile] and the shell, so the bytes returned
+    for a guard are identical on each by construction.  Every call builds
+    one {!Xmobs.Qlog} record — on success {e and} on every failure path —
+    with the wall/eval/render breakdown, node counts, {!Store.Io_stats}
+    deltas, and outcome classification, when the caller's sinks hold a
+    query log or a request context is installed ({!Xmobs.Ctx.active}).
+    It goes to the query log and to the calling thread's context
+    ({!Xmobs.Ctx.attach_qlog}), whose completed entry carries it. *)
 
 type outcome =
   | Rendered of { body : string; compiled : Xmorph.Interp.t }
@@ -29,6 +24,7 @@ type outcome =
           for [Type_mismatch] it is the loss report *)
 
 val execute :
+  ?sinks:Xmobs.Obs.sinks ->
   source:string ->
   ?doc:string ->
   ?enforce:bool ->
@@ -44,7 +40,7 @@ val execute :
     reusing the compiled plan.  The answer is that of the physical
     architecture ({!Guarded.Guarded_query.run_on_store}), byte for byte.
     Never raises: failures come back as [Failed].  [source] and [doc] are
-    recorded in the query log verbatim.
+    recorded in the query log verbatim.  [sinks] defaults to none.
 
     The record's [eval_s] is the compile, plus the in-situ evaluation for
     a query (its closest joins and result materialization included);
@@ -56,12 +52,10 @@ val execute :
     first, then the body, keyed on {!Store.Shredded.generation_of} over
     the types the plan reads ([Interp.t.reads]), and each is inserted on
     a miss: a write to a type the guard does not read leaves its cached
-    bodies live.  Both tiers are
-    bypassed entirely while {!Xmobs.Statdb} recording is on or the
-    calling thread's context keeps profiler frames, so warehouse history
-    and profiles always describe real executions; other threads' requests
-    keep their caches.  A result-tier hit is flagged in the query-log
-    record's [cached] field.
+    bodies live.  Both tiers are bypassed while [sinks] holds a
+    warehouse or the calling thread's context keeps profiler frames, so
+    warehouse history and profiles always describe real executions.  A
+    result-tier hit is flagged in the query-log record's [cached] field.
 
     The query-log record's [trace_id] defaults to the calling thread's
     installed {!Xmobs.Ctx} (if any); [?trace_id] overrides it — the serve

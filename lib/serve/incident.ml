@@ -219,10 +219,3 @@ let to_text t =
     (List.filter
        (fun s -> s <> "")
        [ header; context_summary t; qlog_table t; timeline t ])
-
-(* ---------- warehouse cross-reference ---------- *)
-
-let cross_reference ~db t = Stats.cross_reference ~db t.qlog
-
-let cross_reference_to_text ?top_ops gs =
-  Stats.cross_reference_to_text ?top_ops gs

@@ -5,13 +5,12 @@
    route it, write the response, close), and accepts again.  At most
    [workers] requests are in flight; past that, clients wait in the
    kernel's accept queue (backlog 64), so overload backpressures instead
-   of growing a thread herd.  Handlers share the process-wide
-   observability state — the global metrics registry (counters/gauges
-   are atomic or word-sized), the store's mutex-guarded caches, and the
-   mutex-guarded query-log writer — so no extra synchronization is needed
-   here.  A worker keeps its thread id across requests, and [Xmobs.Ctx]
-   keys request contexts by thread id, so no context may outlive its
-   connection. *)
+   of growing a thread herd.  Handlers share the global metrics registry
+   (counters/gauges are atomic or word-sized), the store's mutex-guarded
+   caches, and the server's own mutex-guarded sinks, so no extra
+   synchronization is needed here.  A worker keeps its thread id across
+   requests, and [Xmobs.Ctx] keys request contexts by thread id, so no
+   context may outlive its connection. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -49,7 +48,9 @@ type t = {
          [failures] series, the error-rate trigger, the SLO rules and
          the alert rules all read it *)
   slo : Slo.t option;
-  alerts_on : bool; (* this daemon enabled the global alert evaluator *)
+  sinks : Xmobs.Obs.sinks; (* the query log and warehouse each request writes *)
+  flight : Xmobs.Flight.t option; (* --incident-dir *)
+  alerts : Xmobs.Alerts.t option; (* --alert-rules, stopped by [stop] *)
   mutable thread : Thread.t option;
 }
 
@@ -68,28 +69,38 @@ let json_ok j =
   Http.response ~content_type:"application/json" 200
     (Xmutil.Json.to_string j ^ "\n")
 
+let disabled_json = Xmutil.Json.Obj [ ("enabled", Xmutil.Json.Bool false) ]
+
+let alerts_json t =
+  match t.alerts with Some a -> Xmobs.Alerts.to_json a | None -> disabled_json
+
+(* The fields that name a completed request, in /debug/requests and
+   /debug/trace/<id> alike. *)
+let request_fields (c : Xmobs.Ctx.completed) =
+  [ ("trace_id", Xmutil.Json.String c.Xmobs.Ctx.c_trace_id);
+    ("label", Xmutil.Json.String c.Xmobs.Ctx.c_label);
+    ("outcome", Xmutil.Json.String c.Xmobs.Ctx.c_outcome);
+    ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
+    ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.)) ]
+
 let completed_summary (c : Xmobs.Ctx.completed) =
   Xmutil.Json.Obj
-    [ ("trace_id", Xmutil.Json.String c.Xmobs.Ctx.c_trace_id);
-      ("label", Xmutil.Json.String c.Xmobs.Ctx.c_label);
-      ("outcome", Xmutil.Json.String c.Xmobs.Ctx.c_outcome);
-      ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
-      ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.));
-      ("ts_ms",
-       Xmutil.Json.Int
-         (int_of_float (Float.round (c.Xmobs.Ctx.c_ts *. 1000.))));
-      ("bytes_read", Xmutil.Json.Int c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_read);
-      ("bytes_written",
-       Xmutil.Json.Int c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_written);
-      ("blocks_read",
-       Xmutil.Json.Int
-         (Xmobs.Ctx.blocks_of c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_read));
-      ("blocks_written",
-       Xmutil.Json.Int
-         (Xmobs.Ctx.blocks_of c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_written));
-      ("spans", Xmutil.Json.Int c.Xmobs.Ctx.c_span_count);
-      ("profile",
-       Xmutil.Json.Bool (Option.is_some c.Xmobs.Ctx.c_profile)) ]
+    (request_fields c
+    @ [ ("ts_ms",
+         Xmutil.Json.Int
+           (int_of_float (Float.round (c.Xmobs.Ctx.c_ts *. 1000.))));
+        ("bytes_read", Xmutil.Json.Int c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_read);
+        ("bytes_written",
+         Xmutil.Json.Int c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_written);
+        ("blocks_read",
+         Xmutil.Json.Int
+           (Xmobs.Ctx.blocks_of c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_read));
+        ("blocks_written",
+         Xmutil.Json.Int
+           (Xmobs.Ctx.blocks_of c.Xmobs.Ctx.c_io.Xmobs.Ctx.bytes_written));
+        ("spans", Xmutil.Json.Int c.Xmobs.Ctx.c_span_count);
+        ("profile",
+         Xmutil.Json.Bool (Option.is_some c.Xmobs.Ctx.c_profile)) ])
 
 let stores_json ?(types = false) t =
   Xmutil.Json.List
@@ -122,9 +133,9 @@ let series_json t =
 (* The server-side half of an incident bundle: everything the recorder
    cannot see from inside lib/obs — store generations, cache
    introspection, the daemon's config, SLO state, the rolling windows,
-   and the recently-completed request ring.  Injected into Flight as the
-   context provider; called with the recorder's lock held, so it only
-   reads. *)
+   and the recently-completed request ring.  Given to the server's
+   recorder as its context; called with the recorder's lock held, so it
+   only reads. *)
 let incident_context t =
   Xmutil.Json.Obj
     ([ ("config",
@@ -143,7 +154,7 @@ let incident_context t =
        (* Alert-rule states at the moment of the trigger: for an
           alert-kind bundle this shows which rule fired; for any other
           kind it shows whether alerting agreed something was wrong. *)
-       ("alerts", Xmobs.Alerts.to_json ());
+       ("alerts", alerts_json t);
        ("series",
         Xmutil.Json.Obj
           (series_json t
@@ -157,9 +168,27 @@ let incident_context t =
       | None -> []
       | Some s -> [ ("slo", Slo.snapshot_json s) ])
 
-let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
-    ?(window = 60) ?slo_p95_ms ?slo_error_rate ?incident_dir
-    ?(incident_keep = 16) ?alerts ~stores () =
+(* One alert-webhook attempt over the daemon's own HTTP client; the
+   evaluator owns retry and the drop counter. *)
+let send_webhook ~url ~timeout_s ~body =
+  match
+    Http.request_url ~body
+      ~headers:[ ("content-type", "application/json") ]
+      ~timeout_s ~meth:"POST" url
+  with
+  | Ok (status, _, _) when status >= 200 && status < 300 -> Ok ()
+  | Ok (status, _, _) -> Error (Printf.sprintf "status %d" status)
+  | Error e -> Error e
+
+(* A bundle in the server's recorder, when it has one. *)
+let trigger ?force flight ~kind reason =
+  Option.iter
+    (fun f -> ignore (Xmobs.Flight.trigger f ?force ~kind ~reason ()))
+    flight
+
+let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
+    ?(workers = 4) ?slow_ms ?slow_log ?(window = 60) ?slo_p95_ms
+    ?slo_error_rate ?incident_dir ?(incident_keep = 16) ?alerts ~stores () =
   if stores = [] then invalid_arg "Server.create: no stores";
   let workers = max 1 (min 64 workers) in
   let window = max 1 (min 3600 window) in
@@ -182,6 +211,23 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     match Unix.getsockname fd with
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
+  in
+  (* The recorder's context reads the server, which holds the recorder:
+     [context] is pointed at the server once it exists. *)
+  let context = ref (fun () -> Xmutil.Json.Null) in
+  let flight =
+    Option.map
+      (fun dir ->
+        match
+          Xmobs.Flight.create ~retention:incident_keep
+            ~context:(fun () -> !context ())
+            ~dir ()
+        with
+        | Ok f -> f
+        | Error m ->
+            Unix.close fd;
+            raise (Sys_error m))
+      incident_dir
   in
   (* The daemon always collects metrics: /metrics is only useful live. *)
   Xmobs.Metrics.enable ();
@@ -218,10 +264,23 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
   let on_breach =
     Option.map
       (fun _ reasons ->
-        ignore
-          (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Slo_breach
-             ~reason:(String.concat "; " reasons) ()))
-      incident_dir
+        trigger flight ~kind:Xmobs.Flight.Slo_breach
+          (String.concat "; " reasons))
+      flight
+  in
+  (* Alert evaluator: --alert-rules starts the rule engine over the
+     query stream; each rule that starts firing lands an alert-kind
+     bundle in this server's recorder. *)
+  let alerts =
+    Option.map
+      (fun cfg ->
+        Xmobs.Alerts.start ~send:send_webhook
+          ~on_firing:(fun (tr : Xmobs.Alerts.transition) ->
+            trigger flight ~kind:Xmobs.Flight.Alert
+              (Printf.sprintf "alert %s: %s" tr.Xmobs.Alerts.rule
+                 tr.Xmobs.Alerts.reason))
+          stream cfg)
+      alerts
   in
   let t = {
     s_addr = addr;
@@ -244,35 +303,13 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     slo =
       Slo.create ?p95_ms:slo_p95_ms ?error_rate:slo_error_rate ?on_breach
         ~window stream;
-    alerts_on = Option.is_some alerts;
+    sinks;
+    flight;
+    alerts;
     thread = None;
   }
   in
-  (* Flight recorder: --incident-dir turns it on and wires the
-     server-side context into its bundles. *)
-  (match incident_dir with
-  | None -> ()
-  | Some dir ->
-      Xmobs.Flight.enable ~retention:incident_keep ~dir ();
-      Xmobs.Flight.set_context_provider (fun () -> incident_context t));
-  (* Alert evaluator: --alert-rules starts the rule engine after the
-     flight recorder, so a firing rule's Flight.trigger finds the
-     recorder already wired with this server's context.  The webhook
-     primitive is injected here — xmobs stays below serve — and makes
-     one attempt; the evaluator owns retry and the drop counter. *)
-  (match alerts with
-  | None -> ()
-  | Some cfg ->
-      Xmobs.Alerts.set_webhook_sender (fun ~url ~timeout_s ~body ->
-          match
-            Http.request_url ~body
-              ~headers:[ ("content-type", "application/json") ]
-              ~timeout_s ~meth:"POST" url
-          with
-          | Ok (status, _, _) when status >= 200 && status < 300 -> Ok ()
-          | Ok (status, _, _) -> Error (Printf.sprintf "status %d" status)
-          | Error e -> Error e);
-      Xmobs.Alerts.enable stream cfg);
+  context := (fun () -> incident_context t);
   t
 
 let port t = t.s_port
@@ -324,8 +361,8 @@ let stats_json t =
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
   let _, frames =
     Xmobs.Ctx.profiled (fun () ->
-        Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce ~trace_id
-          ?query store guard)
+        Exec.execute ~sinks:t.sinks ~source:"slow-capture" ~doc:doc_name
+          ~enforce ~trace_id ?query store guard)
   in
   (match t.slow_log with
   | None -> ()
@@ -348,8 +385,8 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
    adds no extra incidents, only timeliness), then the error-rate
    trigger — a window where failures dominate is an incident even
    without an SLO configured. *)
-let flight_after_query t kind =
-  Xmobs.Flight.snapshot ();
+let flight_after_query t flight kind =
+  Xmobs.Flight.snapshot flight;
   Option.iter (fun s -> ignore (Slo.evaluate s)) t.slo;
   match kind with
   | Xmobs.Qlog.Internal | Xmobs.Qlog.Parse_error ->
@@ -362,7 +399,7 @@ let flight_after_query t kind =
            > failure_trigger_frac *. float_of_int queries
       then
         ignore
-          (Xmobs.Flight.trigger ~kind:Xmobs.Flight.Error_rate
+          (Xmobs.Flight.trigger flight ~kind:Xmobs.Flight.Error_rate
              ~reason:
                (Printf.sprintf
                   "%d internal/parse-error outcomes of %d queries (window %ds)"
@@ -416,8 +453,8 @@ let handle_query t req =
               in
               let resp =
                 match
-                  Exec.execute ~source:"serve" ~doc:doc_name ~enforce ?query
-                    store guard
+                  Exec.execute ~sinks:t.sinks ~source:"serve" ~doc:doc_name
+                    ~enforce ?query store guard
                 with
                 | Exec.Rendered { body; _ } | Exec.Query_result { body; _ } ->
                     Http.response ~content_type:"application/xml" 200 body
@@ -439,7 +476,7 @@ let handle_query t req =
               (* Keep the on-disk log live for tail -f / xmorph stats
                  while the daemon runs; the Shutdown path covers the
                  final records. *)
-              Xmobs.Qlog.flush_global ();
+              Option.iter Xmobs.Qlog.flush t.sinks.Xmobs.Obs.qlog;
               (resp, None, Some (doc_name, store, enforce, query))
             end)
   in
@@ -526,16 +563,12 @@ let debug_trace trace_id =
   | None -> Http.response 404 (Printf.sprintf "no trace %S\n" trace_id)
   | Some c ->
       let fields =
-        [ ("trace_id", Xmutil.Json.String c.Xmobs.Ctx.c_trace_id);
-          ("label", Xmutil.Json.String c.Xmobs.Ctx.c_label);
-          ("outcome", Xmutil.Json.String c.Xmobs.Ctx.c_outcome);
-          ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
-          ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.));
-          ("trace", Xmobs.Trace.json_of_entries c.Xmobs.Ctx.c_entries);
-          ("query",
-           match c.Xmobs.Ctx.c_qlog with
-           | None -> Xmutil.Json.Null
-           | Some e -> Xmobs.Qlog.entry_to_json e) ]
+        request_fields c
+        @ [ ("trace", Xmobs.Trace.json_of_entries c.Xmobs.Ctx.c_entries);
+            ("query",
+             match c.Xmobs.Ctx.c_qlog with
+             | None -> Xmutil.Json.Null
+             | Some e -> Xmobs.Qlog.entry_to_json e) ]
         @ (match c.Xmobs.Ctx.c_profile with
           | None -> []
           | Some frames -> [ ("profile", Xmobs.Profile.to_json frames) ])
@@ -546,14 +579,14 @@ let trace_prefix = "/debug/trace/"
 
 (* ---------- incidents ---------- *)
 
-let debug_incidents () =
+let debug_incidents t =
   json_ok
     (Xmutil.Json.Obj
-       [ ("enabled", Xmutil.Json.Bool (Xmobs.Flight.enabled ()));
+       [ ("enabled", Xmutil.Json.Bool (Option.is_some t.flight));
          ("dir",
-          match Xmobs.Flight.dir () with
+          match t.flight with
           | None -> Xmutil.Json.Null
-          | Some d -> Xmutil.Json.String d);
+          | Some f -> Xmutil.Json.String (Xmobs.Flight.dir f));
          ("incidents",
           Xmutil.Json.List
             (List.map
@@ -561,7 +594,8 @@ let debug_incidents () =
                  Xmutil.Json.Obj
                    [ ("name", Xmutil.Json.String name);
                      ("size_bytes", Xmutil.Json.Int size) ])
-               (Xmobs.Flight.incidents ()))) ])
+               (Option.fold ~none:[] ~some:Xmobs.Flight.incidents t.flight)))
+       ])
 
 (* Only names the recorder itself produces are served — a path component
    or traversal in the request can never escape the incident dir. *)
@@ -574,14 +608,14 @@ let safe_bundle_name n =
 
 let incidents_prefix = "/debug/incidents/"
 
-let debug_incident_fetch name =
+let debug_incident_fetch t name =
   if not (safe_bundle_name name) then
     Http.response 404 (Printf.sprintf "no incident %S\n" name)
   else
-    match Xmobs.Flight.dir () with
+    match t.flight with
     | None -> Http.response 503 "flight recorder disabled\n"
-    | Some dir -> (
-        let path = Filename.concat dir name in
+    | Some f -> (
+        let path = Filename.concat (Xmobs.Flight.dir f) name in
         match open_in_bin path with
         | exception Sys_error _ ->
             Http.response 404 (Printf.sprintf "no incident %S\n" name)
@@ -591,19 +625,20 @@ let debug_incident_fetch name =
             close_in_noerr ic;
             Http.response ~content_type:"application/json" 200 body)
 
-let debug_incident_trigger (req : Http.request) =
-  if not (Xmobs.Flight.enabled ()) then
-    Http.response 503 "flight recorder disabled\n"
-  else
-    let reason =
-      let b = String.trim req.Http.body in
-      if b = "" then "manual trigger" else b
-    in
-    match
-      Xmobs.Flight.trigger ~force:true ~kind:Xmobs.Flight.Manual ~reason ()
-    with
-    | None -> Http.response 500 "incident bundle write failed\n"
-    | Some name -> json_ok (Xmutil.Json.Obj [ ("incident", Xmutil.Json.String name) ])
+let debug_incident_trigger t (req : Http.request) =
+  match t.flight with
+  | None -> Http.response 503 "flight recorder disabled\n"
+  | Some f -> (
+      let reason =
+        let b = String.trim req.Http.body in
+        if b = "" then "manual trigger" else b
+      in
+      match
+        Xmobs.Flight.trigger f ~force:true ~kind:Xmobs.Flight.Manual ~reason ()
+      with
+      | None -> Http.response 500 "incident bundle write failed\n"
+      | Some name ->
+          json_ok (Xmutil.Json.Obj [ ("incident", Xmutil.Json.String name) ]))
 
 (* Top guards by cumulative window-free time: the labeled family already
    aggregates per guard hash, so the dashboard ranking is a read. *)
@@ -638,20 +673,18 @@ let healthz t =
       | reasons ->
           Http.response 503 ("degraded\n" ^ String.concat "\n" reasons ^ "\n"))
 
-(* The operator-statistics warehouse, live: what --stats-db has
-   accumulated so far this process (including whatever it merged from
-   disk at startup).  Off → a one-field JSON so pollers need no special
-   case. *)
-let debug_opstats () =
+(* The --stats-db warehouse, live: what it loaded at startup plus what
+   this process recorded since.  Off → a one-field JSON. *)
+let debug_opstats t =
   let body =
-    match Xmobs.Statdb.db () with
-    | None -> Xmutil.Json.Obj [ ("enabled", Xmutil.Json.Bool false) ]
+    match t.sinks.Xmobs.Obs.statdb with
+    | None -> disabled_json
     | Some db ->
         Xmutil.Json.Obj
           [ ("enabled", Xmutil.Json.Bool true);
             ("path",
              Xmutil.Json.String
-               (Option.value ~default:"" (Xmobs.Statdb.path ())));
+               (Option.value ~default:"" (Xmobs.Statdb.path db)));
             ("rows", Xmutil.Json.Int (Xmobs.Statdb.size db));
             ("db", Xmobs.Statdb.to_json db) ]
   in
@@ -663,8 +696,8 @@ let route t (req : Http.request) =
   (* Live alert-rule states plus the recent-transitions ring; a one-field
      object when no --alert-rules file was given, so pollers need no
      special case. *)
-  | "GET", "/debug/alerts" -> json_ok (Xmobs.Alerts.to_json ())
-  | "GET", "/debug/opstats" -> debug_opstats ()
+  | "GET", "/debug/alerts" -> json_ok (alerts_json t)
+  | "GET", "/debug/opstats" -> debug_opstats t
   | "GET", "/debug/cache" -> json_ok (Xmcache.to_json ())
   | "GET", "/debug/timeseries" -> debug_timeseries t
   | "GET", "/metrics" ->
@@ -680,9 +713,9 @@ let route t (req : Http.request) =
   | "GET", "/stats" ->
       json_ok (stats_json t)
   | "GET", "/debug/requests" -> debug_requests ()
-  | "GET", "/debug/incidents" -> debug_incidents ()
+  | "GET", "/debug/incidents" -> debug_incidents t
   | "GET", path when String.starts_with ~prefix:incidents_prefix path ->
-      debug_incident_fetch
+      debug_incident_fetch t
         (String.sub path
            (String.length incidents_prefix)
            (String.length path - String.length incidents_prefix))
@@ -691,7 +724,7 @@ let route t (req : Http.request) =
         (String.sub path (String.length trace_prefix)
            (String.length path - String.length trace_prefix))
   | "POST", "/update" -> handle_update t req
-  | "POST", "/debug/incident" -> debug_incident_trigger req
+  | "POST", "/debug/incident" -> debug_incident_trigger t req
   | ("GET" | "POST" | "HEAD" | "PUT" | "DELETE"), _ ->
       Http.response 404 (Printf.sprintf "no route %s %s\n" req.Http.meth req.Http.path)
   | m, _ -> Http.response 405 (Printf.sprintf "method %s not allowed\n" m)
@@ -750,7 +783,7 @@ let observe t ~route ~status ~wall_s completed =
           Xmobs.Metrics.observe_labeled "xmorph_guard_seconds"
             [ ("guard", guard_hash) ] qwall;
           Xmobs.Alerts.feed t.stream ~outcome ~wall_s:qwall;
-          if Xmobs.Flight.enabled () then flight_after_query t outcome)
+          Option.iter (fun f -> flight_after_query t f outcome) t.flight)
 
 let shutdown_receive fd =
   try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
@@ -850,7 +883,7 @@ let stop t =
   | was -> (
       (* Join the alert ticker before tearing the listener down: a tick
          mid-shutdown would race the sinks against process exit. *)
-      if t.alerts_on then Xmobs.Alerts.disable ();
+      Option.iter Xmobs.Alerts.stop t.alerts;
       (* A server that never ran has no worker on its listener, and [run]
          no longer starts one, so the listener is closed here. *)
       if was = Idle then (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
@@ -866,3 +899,10 @@ let stop t =
           Thread.join th;
           t.thread <- None
       | None -> ())
+
+(* Dying on a termination signal is itself an incident; [force] keeps a
+   just-fired SLO breach from suppressing it. *)
+let on_signal t n =
+  trigger ~force:true t.flight ~kind:Xmobs.Flight.Signal
+    (Printf.sprintf "terminated by signal (exit %d)"
+       (Xmobs.Shutdown.signal_exit_code n))

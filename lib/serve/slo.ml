@@ -95,7 +95,7 @@ let json t reasons =
 let to_json t = json t (evaluate t)
 
 (* Read-only: whether a rule is firing, without ticking — so it never
-   fires [on_breach].  Incident bundles use this (their context provider
-   runs under the flight recorder's lock). *)
+   fires [on_breach].  Incident bundles use this (their context runs
+   under the flight recorder's lock). *)
 let snapshot_json t =
   json t (if A.firing_rules t.eng = [] then [] else [ "degraded" ])

@@ -51,10 +51,15 @@ let is_name_char c =
 
 let is_digit = function '0' .. '9' -> true | _ -> false
 
+(* A QName has at most one colon, so a name ends before [::], which
+   separates an axis from its node test. *)
 let name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in
-  while st.pos < st.len && is_name_char (peek st) do
+  while
+    st.pos < st.len && is_name_char (peek st)
+    && not (peek st = ':' && peek_at st 1 = ':')
+  do
     st.pos <- st.pos + 1
   done;
   String.sub st.src start (st.pos - start)
@@ -284,15 +289,37 @@ and parse_step st : Qast.axis * Qast.node_test * Qast.expr list =
     if eat st "@" then (Qast.Attribute, Qast.Name (name st))
     else if eat st "*" then (Qast.Child, Qast.Any)
     else begin
+      let at = st.pos in
       let n = name st in
-      if n = "text" && (skip_ws st; looking_at st "()") then begin
-        expect st "()";
-        (Qast.Child, Qast.Text)
+      if (skip_ws st; eat st "::") then begin
+        skip_ws st;
+        match n with
+        | "child" ->
+            if eat st "*" then (Qast.Child, Qast.Any)
+            else (Qast.Child, name_test st (name st))
+        | "attribute" -> (Qast.Attribute, Qast.Name (name st))
+        (* A descendant step's positional predicate counts each context
+           node's descendants in document order, as the XPath axis does. *)
+        | "descendant" ->
+            if eat st "*" then (Qast.Descendant, Qast.Any)
+            else (Qast.Descendant, name_test st (name st))
+        | _ ->
+            raise
+              (Error
+                 { pos = at; msg = Printf.sprintf "unsupported axis %s::" n })
       end
-      else (Qast.Child, Qast.Name n)
+      else (Qast.Child, name_test st n)
     end
   in
   (axis, test, parse_predicates st)
+
+(* The node test a child step names: [text()] or an element name. *)
+and name_test st n =
+  if n = "text" && (skip_ws st; looking_at st "()") then begin
+    expect st "()";
+    Qast.Text
+  end
+  else Qast.Name n
 
 and parse_predicates st =
   let preds = ref [] in

@@ -1,7 +1,7 @@
 (* The alerting engine: rule-file parsing and validation, the per-rule
    state machine in synthetic time (hysteresis, exactly-one edge per
    breach, burn-rate dual-window gating, traffic floors), sink behavior
-   of the global evaluator (alert log, webhook retry/drop accounting),
+   of the started evaluator (alert log, webhook retry/drop accounting),
    and — the property the live evaluator rides on — concurrent feeders
    racing the ticker never corrupt the transition log: edges strictly
    alternate firing/resolved per rule. *)
@@ -316,20 +316,20 @@ let test_ring_bounded_and_json () =
       | _ -> Alcotest.fail "transitions shape")
   | _ -> Alcotest.fail "engine_to_json is not an object"
 
-(* ---------- the global evaluator and its sinks ---------- *)
+(* ---------- the started evaluator and its sinks ---------- *)
 
 let base_cfg rules =
   { Alerts.interval_s = 3600.0; (* paced ticks out of the picture *)
     log = None; webhook = None; webhook_timeout_s = 0.05;
     webhook_retries = 2; rules }
 
-let with_alerts cfg f =
+let with_alerts ?send cfg f =
   let st = Alerts.stream cfg.Alerts.rules in
-  Alerts.enable st cfg;
-  Fun.protect (fun () -> f st) ~finally:(fun () -> Alerts.disable ())
+  let a = Alerts.start ?send st cfg in
+  Fun.protect (fun () -> f a st) ~finally:(fun () -> Alerts.stop a)
 
-let drive_breach_and_recovery st =
-  (* The global engine runs on the wall clock; err_rate over a window
+let drive_breach_and_recovery a st =
+  (* The evaluator runs on the wall clock; err_rate over a window
      counts epochs, so breach and recovery land in the same real second
      as far as the series are concerned — recovery instead rides on
      feed volume: impossible here.  Use the log-file sink test
@@ -338,28 +338,32 @@ let drive_breach_and_recovery st =
   for _ = 1 to 10 do
     feed st ~ok:false ~wall_s:0.001
   done;
-  Alerts.tick_now ()
+  Alerts.tick_now a
 
-let test_global_log_sink () =
+let test_log_sink () =
   let path = tmp_file ".jsonl" in
   let cfg = { (base_cfg [ err_rule "errs" ]) with log = Some path } in
-  with_alerts cfg (fun st ->
-      Alcotest.(check bool) "enabled" true (Alerts.enabled ());
-      drive_breach_and_recovery st;
-      Alcotest.(check int) "one rule firing" 1 (Alerts.firing ());
-      (match Alerts.to_json () with
-      | J.Obj fs ->
-          (match List.assoc_opt "enabled" fs with
-          | Some (J.Bool true) -> ()
-          | _ -> Alcotest.fail "to_json enabled flag");
-          (match List.assoc_opt "log" fs with
-          | Some (J.String p) -> Alcotest.(check string) "log path" path p
-          | _ -> Alcotest.fail "to_json log path")
-      | _ -> Alcotest.fail "to_json shape"));
-  Alcotest.(check bool) "disabled after" false (Alerts.enabled ());
-  (match Alerts.to_json () with
-  | J.Obj [ ("enabled", J.Bool false) ] -> ()
-  | _ -> Alcotest.fail "disabled to_json shape");
+  let stopped =
+    with_alerts cfg (fun a st ->
+        drive_breach_and_recovery a st;
+        Alcotest.(check int) "one rule firing" 1 (Alerts.firing a);
+        (match Alerts.to_json a with
+        | J.Obj fs ->
+            (match List.assoc_opt "enabled" fs with
+            | Some (J.Bool true) -> ()
+            | _ -> Alcotest.fail "to_json enabled flag");
+            (match List.assoc_opt "log" fs with
+            | Some (J.String p) -> Alcotest.(check string) "log path" path p
+            | _ -> Alcotest.fail "to_json log path")
+        | _ -> Alcotest.fail "to_json shape");
+        a)
+  in
+  (match Alerts.to_json stopped with
+  | J.Obj fs -> (
+      match List.assoc_opt "enabled" fs with
+      | Some (J.Bool false) -> ()
+      | _ -> Alcotest.fail "stopped to_json enabled flag")
+  | _ -> Alcotest.fail "stopped to_json shape");
   let ic = open_in path in
   let line = input_line ic in
   close_in ic;
@@ -378,28 +382,30 @@ let test_global_log_sink () =
 
 let test_webhook_retry_and_drop () =
   let calls = ref 0 in
-  Alerts.set_webhook_sender (fun ~url:_ ~timeout_s:_ ~body:_ ->
-      incr calls;
-      Error "refused");
+  let refuse ~url:_ ~timeout_s:_ ~body:_ =
+    incr calls;
+    Error "refused"
+  in
   let cfg =
     { (base_cfg [ err_rule "errs" ]) with webhook = Some "http://unreachable" }
   in
-  with_alerts cfg (fun st ->
-      drive_breach_and_recovery st;
+  with_alerts ~send:refuse cfg (fun a st ->
+      drive_breach_and_recovery a st;
       (* 1 first attempt + 2 retries, then the delivery is dropped. *)
       Alcotest.(check int) "attempts" 3 !calls;
-      Alcotest.(check int) "dropped once" 1 (Alerts.webhook_drops ()));
+      Alcotest.(check int) "dropped once" 1 (Alerts.webhook_drops a));
   (* A succeeding sender delivers on the first attempt. *)
   let ok_calls = ref 0 in
-  Alerts.set_webhook_sender (fun ~url:_ ~timeout_s:_ ~body ->
-      incr ok_calls;
-      Alcotest.(check bool) "body is the transition json" true
-        (match J.of_string body with J.Obj _ -> true | _ -> false);
-      Ok ());
-  with_alerts cfg (fun st ->
-      drive_breach_and_recovery st;
+  let accept ~url:_ ~timeout_s:_ ~body =
+    incr ok_calls;
+    Alcotest.(check bool) "body is the transition json" true
+      (match J.of_string body with J.Obj _ -> true | _ -> false);
+    Ok ()
+  in
+  with_alerts ~send:accept cfg (fun a st ->
+      drive_breach_and_recovery a st;
       Alcotest.(check int) "one delivery" 1 !ok_calls;
-      Alcotest.(check int) "no drops" 0 (Alerts.webhook_drops ()))
+      Alcotest.(check int) "no drops" 0 (Alerts.webhook_drops a))
 
 (* ---------- concurrency: feeders racing the evaluator ---------- *)
 
@@ -471,8 +477,8 @@ let suite =
       test_burn_rate_needs_both_windows;
     Alcotest.test_case "transitions ring is bounded" `Quick
       test_ring_bounded_and_json;
-    Alcotest.test_case "global evaluator logs transitions" `Quick
-      test_global_log_sink;
+    Alcotest.test_case "evaluator logs transitions" `Quick
+      test_log_sink;
     Alcotest.test_case "webhook retry and drop accounting" `Quick
       test_webhook_retry_and_drop;
     QCheck_alcotest.to_alcotest prop_concurrent_transitions_alternate;

@@ -171,7 +171,6 @@ let test_eviction_under_budget () =
 (* ---------- end to end through Exec ---------- *)
 
 let test_update_invalidates_results () =
-  Xmobs.Statdb.disable ();
   with_cache (1 lsl 20) @@ fun () ->
   let store = shred () in
   let guard = "MORPH title" in
@@ -240,7 +239,6 @@ let replay ops =
 let prop_cached_equals_cold =
   QCheck2.Test.make ~name:"cached bodies = cold render of current generation"
     ~count:60 gen_ops (fun ops ->
-      Xmobs.Statdb.disable ();
       (* Guarantee at least one would-be hit per sequence. *)
       let ops = ops @ [ Exec 0; Exec 0 ] in
       Fun.protect ~finally:Xmcache.disable @@ fun () ->
@@ -314,7 +312,6 @@ let cold_body store guard =
    [label], execute again: whether that was a result hit, and whether its
    body is the cold body of the written store. *)
 let after_write guard label value =
-  Xmobs.Statdb.disable ();
   with_cache (1 lsl 20) @@ fun () ->
   let store = shred () in
   ignore (exec_forced store guard);
@@ -498,7 +495,6 @@ let replay_case ?(survived = ref 0) (doc, requests, steps) =
     steps
 
 let test_cached_equals_cold_random () =
-  Xmobs.Statdb.disable ();
   let hits = ref 0 and survived = ref 0 and runs = ref 0 in
   let prop case =
     Fun.protect ~finally:Xmcache.disable @@ fun () ->

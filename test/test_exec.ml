@@ -164,6 +164,40 @@ let test_query_failures () =
   Alcotest.(check string) "eval error" "unknown function frobnicate()" (failed "frobnicate()");
   Alcotest.(check bool) "syntax error" true (String.length (failed "for $x in") > 0)
 
+(* An explicit axis answers as its abbreviated step, in situ and on the
+   physical architecture alike; a descendant step's position counts in
+   the reshaped document's order, as XPath's descendant axis does. *)
+let test_explicit_axes () =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string
+         "<data><record id=\"1\"><name>a</name><sub><name>a2</name></sub>\
+          <name>a3</name></record><record id=\"2\"><name>b</name></record>\
+          <record id=\"3\"><sub><name>c1</name></sub><name>c2</name></record>\
+          </data>")
+  in
+  let guard = "MUTATE data" in
+  let answer q =
+    let physical = physical_answer store guard q in
+    Alcotest.check answer_testable q physical (exec_answer store guard q);
+    match physical with Ok (body, _) -> body | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (explicit, abbreviated) ->
+      Alcotest.(check string) explicit (answer abbreviated) (answer explicit))
+    [ ("//record/child::name", "//record/name");
+      ("/child::data/child::record/child::*", "/data/record/*");
+      ("//record/child::name/child::text()", "//record/name/text()");
+      ("//record/attribute::id", "//record/@id");
+      ("count(//record[child::sub])", "count(//record[sub])");
+      ("//record/descendant::name", "//record//name") ];
+  Alcotest.(check string) "descendant positions in document order"
+    "<name>a2</name>\n"
+    (answer "/data/descendant::name[3]");
+  Alcotest.(check string) "a descendant position per context node"
+    "<name>a</name>\n<name>b</name>\n<name>c2</name>\n"
+    (answer "//record/descendant::name[1]")
+
 let suite =
   [
     Alcotest.test_case "Figure-1 instances" `Quick test_figure_instances;
@@ -174,4 +208,6 @@ let suite =
     Alcotest.test_case "text and element children" `Quick test_mixed_content;
     Alcotest.test_case "query bodies = run_on_store" `Quick test_queries;
     Alcotest.test_case "query failures" `Quick test_query_failures;
+    Alcotest.test_case "explicit axes answer as abbreviated steps" `Quick
+      test_explicit_axes;
   ]

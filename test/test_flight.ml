@@ -1,7 +1,7 @@
 (* The flight recorder: bundles bounded by the completed-request ring,
    bundle write + offline round-trip through the incident viewer,
-   retention, per-kind cooldown, the disabled no-op contract,
-   context-provider injection, the bundle's query records and spans read
+   retention, per-kind cooldown, refusing a directory it cannot write,
+   context injection, the bundle's query records and spans read
    from the completed-request ring, and that ring's eviction under
    concurrent writers never overflowing capacity or leaving a malformed
    survivor. *)
@@ -23,15 +23,16 @@ let rm_rf dir =
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
 
-(* Every test leaves the recorder off, whatever happens inside. *)
-let with_flight ?retention ?cooldown_s f =
+(* A recorder over a fresh directory, removed afterwards whatever
+   happens inside. *)
+let with_flight ?retention ?cooldown_s ?context f =
   let dir = tmp_dir () in
-  Flight.enable ?retention ?cooldown_s ~dir ();
-  Fun.protect
-    ~finally:(fun () ->
-      Flight.disable ();
-      rm_rf dir)
-    (fun () -> f dir)
+  let fl =
+    match Flight.create ?retention ?cooldown_s ?context ~dir () with
+    | Ok fl -> fl
+    | Error m -> Alcotest.fail m
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f fl dir)
 
 let mk_qlog id =
   { Xmobs.Qlog.ts = 1754000000.0; id; trace_id = None; source = "test";
@@ -69,18 +70,18 @@ let bundle dir name =
   Xmserve.Incident.of_json
     (Xmutil.Json.of_string (read_file (Filename.concat dir name)))
 
-let trigger_bundle dir reason =
-  match Flight.trigger ~kind:Flight.Manual ~reason () with
+let trigger_bundle fl dir reason =
+  match Flight.trigger fl ~kind:Flight.Manual ~reason () with
   | None -> Alcotest.fail "trigger returned no bundle"
   | Some name -> bundle dir name
 
 let test_rings_bounded () =
   with_ring 4 @@ fun () ->
-  with_flight (fun dir ->
+  with_flight (fun fl dir ->
       for i = 1 to 50 do
         finish_with_qlog i
       done;
-      let t = trigger_bundle dir "bounded" in
+      let t = trigger_bundle fl dir "bounded" in
       Alcotest.(check (list int)) "qlog bounded by the request ring"
         [ 47; 48; 49; 50 ]
         (List.map (fun (e : Xmobs.Qlog.entry) -> e.Xmobs.Qlog.id)
@@ -88,18 +89,18 @@ let test_rings_bounded () =
 
 let test_trigger_writes_roundtrippable_bundle () =
   with_ring 8 @@ fun () ->
-  with_flight (fun dir ->
+  with_flight (fun fl dir ->
       for i = 1 to 20 do
         finish_with_qlog i
       done;
-      match Flight.trigger ~kind:Flight.Manual ~reason:"unit test" () with
+      match Flight.trigger fl ~kind:Flight.Manual ~reason:"unit test" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name ->
           let path = Filename.concat dir name in
           Alcotest.(check bool) "bundle file exists" true
             (Sys.file_exists path);
           Alcotest.(check bool) "incidents lists it" true
-            (List.mem_assoc name (Flight.incidents ()));
+            (List.mem_assoc name (Flight.incidents fl));
           (* The acceptance contract: the bundle round-trips the repo's
              own JSON parser and the offline viewer's validator. *)
           let json = Xmutil.Json.of_string (read_file path) in
@@ -123,16 +124,16 @@ let test_trigger_writes_roundtrippable_bundle () =
             (String.length (Xmserve.Incident.to_text t) > 0))
 
 let test_retention () =
-  with_flight ~retention:3 ~cooldown_s:0.0 (fun _dir ->
+  with_flight ~retention:3 ~cooldown_s:0.0 (fun fl _dir ->
       let names =
         List.filter_map
           (fun i ->
-            Flight.trigger ~kind:Flight.Manual
+            Flight.trigger fl ~kind:Flight.Manual
               ~reason:(Printf.sprintf "r%d" i) ())
           (List.init 6 Fun.id)
       in
       Alcotest.(check int) "all six triggers fired" 6 (List.length names);
-      let kept = List.map fst (Flight.incidents ()) in
+      let kept = List.map fst (Flight.incidents fl) in
       Alcotest.(check int) "retention bounds the directory" 3
         (List.length kept);
       (* Oldest deleted first: the survivors are the last three written. *)
@@ -140,29 +141,40 @@ let test_retention () =
       Alcotest.(check (list string)) "newest bundles survive" expected kept)
 
 let test_cooldown_and_force () =
-  with_flight ~cooldown_s:3600.0 (fun _dir ->
+  with_flight ~cooldown_s:3600.0 (fun fl _dir ->
       Alcotest.(check bool) "first trigger fires" true
-        (Flight.trigger ~kind:Flight.Slo_breach ~reason:"a" () <> None);
+        (Flight.trigger fl ~kind:Flight.Slo_breach ~reason:"a" () <> None);
       Alcotest.(check bool) "same kind within cooldown is suppressed" true
-        (Flight.trigger ~kind:Flight.Slo_breach ~reason:"b" () = None);
+        (Flight.trigger fl ~kind:Flight.Slo_breach ~reason:"b" () = None);
       Alcotest.(check bool) "a different kind is independent" true
-        (Flight.trigger ~kind:Flight.Error_rate ~reason:"c" () <> None);
+        (Flight.trigger fl ~kind:Flight.Error_rate ~reason:"c" () <> None);
       Alcotest.(check bool) "force bypasses the cooldown" true
-        (Flight.trigger ~force:true ~kind:Flight.Slo_breach ~reason:"d" ()
+        (Flight.trigger fl ~force:true ~kind:Flight.Slo_breach ~reason:"d" ()
         <> None))
 
-let test_disabled_is_noop () =
-  Flight.disable ();
-  Alcotest.(check bool) "disabled" false (Flight.enabled ());
-  Alcotest.(check bool) "trigger declines" true
-    (Flight.trigger ~kind:Flight.Manual ~reason:"x" () = None);
-  Alcotest.(check bool) "no incident dir" true (Flight.dir () = None)
+(* A directory the recorder cannot write is refused at creation, with
+   its name, instead of dropping every bundle later. *)
+let test_unusable_dir_refused () =
+  let missing_parent = Filename.concat (tmp_dir ()) "a" in
+  let file = Filename.temp_file "xmorph_flight" ".file" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  List.iter
+    (fun dir ->
+      match Flight.create ~dir () with
+      | Ok _ -> Alcotest.failf "created a recorder over %s" dir
+      | Error m ->
+          Alcotest.(check bool) ("error names " ^ dir) true
+            (String.starts_with
+               ~prefix:("cannot create incident directory " ^ dir ^ ": ")
+               m))
+    [ missing_parent; file ];
+  Alcotest.(check bool) "no parent directory made" false
+    (Sys.file_exists (Filename.dirname missing_parent))
 
 let test_context_provider () =
-  with_flight (fun dir ->
-      Flight.set_context_provider (fun () ->
-          Xmutil.Json.Obj [ ("marker", Xmutil.Json.String "ctx") ]);
-      (match Flight.trigger ~kind:Flight.Manual ~reason:"ctx" () with
+  let context () = Xmutil.Json.Obj [ ("marker", Xmutil.Json.String "ctx") ] in
+  with_flight ~context (fun fl dir ->
+      match Flight.trigger fl ~kind:Flight.Manual ~reason:"ctx" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name -> (
           match Xmutil.Json.of_string (read_file (Filename.concat dir name)) with
@@ -174,9 +186,9 @@ let test_context_provider () =
                     = Some (Xmutil.Json.String "ctx"))
               | _ -> Alcotest.fail "context is not the provider's object")
           | _ -> Alcotest.fail "bundle is not an object"));
-      (* A provider that raises must yield null, not a lost bundle. *)
-      Flight.set_context_provider (fun () -> failwith "boom");
-      match Flight.trigger ~force:true ~kind:Flight.Manual ~reason:"boom" ()
+  (* A provider that raises must yield null, not a lost bundle. *)
+  with_flight ~context:(fun () -> failwith "boom") (fun fl dir ->
+      match Flight.trigger fl ~force:true ~kind:Flight.Manual ~reason:"boom" ()
       with
       | None -> Alcotest.fail "raising provider lost the bundle"
       | Some name -> (
@@ -210,11 +222,11 @@ let finish_with_spans names =
 let test_bundle_spans_from_requests () =
   Xmobs.Ctx.reset_completed ();
   Fun.protect ~finally:Xmobs.Ctx.reset_completed @@ fun () ->
-  with_flight ~cooldown_s:0.0 (fun dir ->
+  with_flight ~cooldown_s:0.0 (fun fl dir ->
       finish_with_spans [ "a1"; "a2" ];
       Unix.sleepf 0.002;
       finish_with_spans [ "b1"; "b2"; "b3" ];
-      (match Flight.trigger ~kind:Flight.Manual ~reason:"two" () with
+      (match Flight.trigger fl ~kind:Flight.Manual ~reason:"two" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name ->
           let evs = bundle_events dir name in
@@ -225,7 +237,7 @@ let test_bundle_spans_from_requests () =
             (List.sort Float.compare ts = ts));
       let big = List.init 3000 (Printf.sprintf "c%d") in
       finish_with_spans big;
-      match Flight.trigger ~kind:Flight.Manual ~reason:"big" () with
+      match Flight.trigger fl ~kind:Flight.Manual ~reason:"big" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name ->
           Alcotest.(check (list string)) "capped at 2048, newest kept"
@@ -238,7 +250,7 @@ let test_bundle_spans_from_requests () =
    capture does it). *)
 let test_bundle_qlog_from_requests () =
   with_ring 256 @@ fun () ->
-  with_flight ~cooldown_s:0.0 (fun dir ->
+  with_flight ~cooldown_s:0.0 (fun fl dir ->
       let store =
         Store.Shredded.shred
           (Xml.Doc.of_string
@@ -271,12 +283,12 @@ let test_bundle_qlog_from_requests () =
       Alcotest.(check (list (pair string (option string))))
         "one record per executed request, oldest first"
         [ ("serve", Some a); ("serve", Some b) ]
-        (records (trigger_bundle dir "three requests"));
+        (records (trigger_bundle fl dir "three requests"));
       Xmobs.Ctx.set_ring_capacity 1;
       Alcotest.(check (list (pair string (option string))))
         "bounded by the request ring"
         [ ("serve", Some b) ]
-        (records (trigger_bundle dir "one request")))
+        (records (trigger_bundle fl dir "one request")))
 
 (* However many writers race to finish their contexts into the
    completed-request ring (the trace ring behind /debug/trace and the
@@ -322,8 +334,8 @@ let suite =
     Alcotest.test_case "retention deletes oldest first" `Quick test_retention;
     Alcotest.test_case "per-kind cooldown, force bypass" `Quick
       test_cooldown_and_force;
-    Alcotest.test_case "disabled recorder is a no-op" `Quick
-      test_disabled_is_noop;
+    Alcotest.test_case "an unusable directory is refused" `Quick
+      test_unusable_dir_refused;
     Alcotest.test_case "context provider is embedded (null on raise)" `Quick
       test_context_provider;
     Alcotest.test_case "bundle spans come from the request ring" `Quick

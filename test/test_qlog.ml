@@ -329,19 +329,6 @@ let prop_concurrent_lines =
     (fun n ->
       List.for_all (fun domains -> concurrent_writers ~domains ~n) [ 1; 2; 4 ])
 
-let test_global_sink () =
-  let path = tmp_path () in
-  Xmobs.Qlog.enable ~cap:64 path;
-  Alcotest.(check bool) "enabled" true (Xmobs.Qlog.enabled ());
-  Xmobs.Qlog.submit (sample_entry ());
-  Xmobs.Qlog.submit (sample_entry ~id:8 ());
-  Xmobs.Qlog.disable ();
-  Alcotest.(check bool) "disabled" false (Xmobs.Qlog.enabled ());
-  (* no sink: submit must be a silent no-op *)
-  Xmobs.Qlog.submit (sample_entry ~id:9 ());
-  Alcotest.(check int) "two records flushed" 2 (List.length (read_lines path));
-  Sys.remove path
-
 let suite =
   [
     Alcotest.test_case "entry JSON round-trip (all outcomes)" `Quick
@@ -376,7 +363,5 @@ let suite =
       test_writer_rotation_survives_reopen;
     Alcotest.test_case "writer flushed per record still rotates" `Quick
       test_writer_rotates_when_flushed_per_record;
-    Alcotest.test_case "global sink writes and uninstalls" `Quick
-      test_global_sink;
     QCheck_alcotest.to_alcotest prop_concurrent_lines;
   ]

@@ -664,6 +664,105 @@ let test_stop_unrun_closes_socket () =
   done;
   Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
+(* Two servers in one process hold their own sinks: each writes bundles
+   to its own incident directory with its own context, and its alerts
+   land in its own recorder; stopping one leaves the other's evaluator
+   enabled and ticking. *)
+let test_two_servers_own_sinks () =
+  let tmp name =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xmorph_two_%s_%d" name (Unix.getpid ()))
+  in
+  let bundles dir =
+    List.filter
+      (fun n -> Filename.check_suffix n ".json")
+      (Array.to_list (Sys.readdir dir))
+  in
+  let rm_rf dir =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir
+    end
+  in
+  let rules =
+    [ { Xmobs.Alerts.name = "errs";
+        cond = Xmobs.Alerts.Err_rate { above = 0.5; window_s = 60 };
+        for_s = 0.0; min_count = 1 } ]
+  in
+  let alerts =
+    { Xmobs.Alerts.interval_s = 0.05; log = None; webhook = None;
+      webhook_timeout_s = 0.05; webhook_retries = 0; rules }
+  in
+  let serve dir =
+    let s =
+      Xmserve.Server.create ~port:0 ~workers:1 ~incident_dir:dir ~alerts
+        ~stores:[ ("data.xml", make_store ()) ]
+        ()
+    in
+    Xmserve.Server.start s;
+    (s, Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port s))
+  in
+  let dir_a = tmp "a" and dir_b = tmp "b" in
+  let a, base_a = serve dir_a in
+  let b, base_b = serve dir_b in
+  Fun.protect
+    ~finally:(fun () ->
+      Xmserve.Server.stop a;
+      Xmserve.Server.stop b;
+      rm_rf dir_a;
+      rm_rf dir_b;
+      Xmobs.Metrics.disable ();
+      Xmobs.Metrics.reset ())
+  @@ fun () ->
+  let bundle_port dir name =
+    let ic = open_in_bin (Filename.concat dir name) in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    ts_num (Xmutil.Json.of_string text) [ "context"; "config"; "port" ]
+  in
+  List.iter
+    (fun (s, base, dir) ->
+      let status, _, _ =
+        get ~meth:"POST" ~body:"drill" base "/debug/incident"
+      in
+      Alcotest.(check int) "manual bundle" 200 status;
+      match bundles dir with
+      | [ name ] ->
+          Alcotest.(check (option (float 0.0)))
+            "the bundle holds its own server's context"
+            (Some (float_of_int (Xmserve.Server.port s)))
+            (bundle_port dir name)
+      | l -> Alcotest.failf "%s holds %d bundles, not 1" dir (List.length l))
+    [ (a, base_a, dir_a); (b, base_b, dir_b) ];
+  Xmserve.Server.stop a;
+  let alerts_state () =
+    let _, _, body = get ~meth:"GET" base_b "/debug/alerts" in
+    match Xmutil.Json.of_string body with
+    | Xmutil.Json.Obj fs ->
+        (List.assoc_opt "enabled" fs, ts_num (Xmutil.Json.Obj fs) [ "firing" ])
+    | _ -> Alcotest.fail "/debug/alerts is not an object"
+  in
+  Alcotest.(check bool) "the other evaluator is still enabled" true
+    (fst (alerts_state ()) = Some (Xmutil.Json.Bool true));
+  (* Failing queries after the stop: only a ticking evaluator fires. *)
+  for _ = 1 to 3 do
+    ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base_b "/query")
+  done;
+  let alert_bundles () =
+    List.filter (fun n -> Filename.check_suffix n "-alert.json") (bundles dir_b)
+  in
+  let rec await n =
+    (snd (alerts_state ()) = Some 1.0 && alert_bundles () <> [])
+    || (n > 0 && (Thread.delay 0.05; await (n - 1)))
+  in
+  Alcotest.(check bool)
+    "the other evaluator ticks, fires, and bundles in its own directory" true
+    (await 100);
+  Alcotest.(check int) "the stopped server's directory is untouched" 1
+    (List.length (bundles dir_a))
+
 (* ---------- per-request telemetry ---------- *)
 
 let hex32 s =
@@ -1421,6 +1520,8 @@ let suite =
       test_failed_create_closes_socket;
     Alcotest.test_case "stopping a server that never ran closes its socket"
       `Quick test_stop_unrun_closes_socket;
+    Alcotest.test_case "two servers in one process keep their own sinks"
+      `Quick test_two_servers_own_sinks;
     Alcotest.test_case "traceparent propagation and fallback" `Quick
       test_traceparent_propagation;
     Alcotest.test_case "GET /debug/requests and /debug/trace/<id>" `Quick

@@ -132,32 +132,31 @@ let test_corrupt_files_load_empty () =
   let db = Xmobs.Statdb.load (tmp_path "never-written.json") in
   Alcotest.(check int) "missing file loads empty" 0 (Xmobs.Statdb.size db)
 
-let test_global_sink () =
+(* A warehouse opened on a file writes it back on [flush], only when
+   something was recorded, and reopening it accumulates instead of
+   resetting. *)
+let test_file_accumulates () =
   let p = tmp_path "sink.json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Xmobs.Statdb.disable ();
-      if Sys.file_exists p then Sys.remove p)
+  Fun.protect ~finally:(fun () -> if Sys.file_exists p then Sys.remove p)
   @@ fun () ->
-  Alcotest.(check bool) "disabled by default" false (Xmobs.Statdb.enabled ());
-  Xmobs.Statdb.submit ~guard_hash:"g1" (sample_frames ());
-  Xmobs.Statdb.enable p;
-  Alcotest.(check bool) "enabled" true (Xmobs.Statdb.enabled ());
-  Alcotest.(check int) "dropped submit did not land" 0
-    (match Xmobs.Statdb.db () with Some db -> Xmobs.Statdb.size db | None -> -1);
-  Xmobs.Statdb.submit ~guard_hash:"g1" (sample_frames ());
-  Xmobs.Statdb.flush_global ();
-  (* merge-on-load: enable again over the saved file, submit again, and
-     the history accumulates instead of resetting *)
-  Xmobs.Statdb.disable ();
-  Xmobs.Statdb.enable p;
-  Xmobs.Statdb.submit ~guard_hash:"g1" (sample_frames ());
-  Xmobs.Statdb.flush_global ();
+  Alcotest.(check (option string)) "an in-memory warehouse has no file" None
+    (Xmobs.Statdb.path (Xmobs.Statdb.create ()));
+  let db = Xmobs.Statdb.load p in
+  Alcotest.(check (option string)) "backed by its file" (Some p)
+    (Xmobs.Statdb.path db);
+  Xmobs.Statdb.flush db;
+  Alcotest.(check bool) "a clean flush writes nothing" false
+    (Sys.file_exists p);
+  Xmobs.Statdb.record db ~guard_hash:"g1" (sample_frames ());
+  Xmobs.Statdb.flush db;
+  let db = Xmobs.Statdb.load p in
+  Xmobs.Statdb.record db ~guard_hash:"g1" (sample_frames ());
+  Xmobs.Statdb.flush db;
   let final = Xmobs.Statdb.load p in
   let c =
     match Xmobs.Statdb.find final ~guard_hash:"g1" ~op:"closest(a->b)" with
     | Some s -> s
-    | None -> Alcotest.fail "row lost across enable cycles"
+    | None -> Alcotest.fail "row lost across opens"
   in
   Alcotest.(check int) "two recordings accumulated" 6 c.Xmobs.Statdb.calls
 
@@ -231,8 +230,8 @@ let suite =
     Alcotest.test_case "save / load / merge" `Quick test_save_load_merge;
     Alcotest.test_case "corrupt files load empty, never raise" `Quick
       test_corrupt_files_load_empty;
-    Alcotest.test_case "global sink accumulates across enables" `Quick
-      test_global_sink;
+    Alcotest.test_case "warehouse file accumulates across opens" `Quick
+      test_file_accumulates;
     Alcotest.test_case "latency bucket scale" `Quick test_latency_buckets;
     QCheck_alcotest.to_alcotest prop_concurrent_counts;
   ]
