@@ -27,6 +27,12 @@ let make_tests () =
                    ignore (Sys.opaque_identity (Xml.Dataguide.path_card fig_c_guide t u)))
                  types)
              types));
+    (* The two ingest passes on their own, outside perfbench's traced
+       spans: the node-table indexer and the dataguide's cardinalities. *)
+    Test.make ~name:"ingest/index"
+      (Staged.stage (fun () -> ignore (Sys.opaque_identity (Xml.Doc.of_tree xmark_tree))));
+    Test.make ~name:"ingest/dataguide"
+      (Staged.stage (fun () -> ignore (Sys.opaque_identity (Xml.Dataguide.of_doc xmark))));
     Test.make ~name:"fig10/xmorph-render"
       (Staged.stage (fun () ->
            ignore (Sys.opaque_identity (Exp_common.render_guard xmark_store "MUTATE site"))));

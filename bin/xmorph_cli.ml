@@ -406,22 +406,6 @@ let query_cmd =
 
 (* ---------- explain ---------- *)
 
-(* One warehouse row rendered for humans: exact counts, per-call derived
-   values, q-error when predictions were folded.  Shared by the explain
-   history section and [stats --stats-db]-adjacent output. *)
-let op_history_line (s : Xmobs.Statdb.summary) =
-  let per_call v = v /. float_of_int (max 1 s.Xmobs.Statdb.calls) in
-  Printf.sprintf "%s: calls=%d self/call=%.3fms out/call=%.0f pairs/call=%.0f%s"
-    s.Xmobs.Statdb.s_op s.Xmobs.Statdb.calls
-    (per_call s.Xmobs.Statdb.self_us /. 1000.0)
-    (per_call (float_of_int s.Xmobs.Statdb.out_nodes))
-    (per_call (float_of_int s.Xmobs.Statdb.pairs))
-    (if s.Xmobs.Statdb.qerr_n = 0 then ""
-     else
-       Printf.sprintf " q-err mean=%.2f max=%.2f"
-         (s.Xmobs.Statdb.qerr_sum /. float_of_int s.Xmobs.Statdb.qerr_n)
-         s.Xmobs.Statdb.qerr_max)
-
 let explain_cmd =
   let doc =
     "Explain a guard against this data: the algebra plan annotated with \
@@ -550,7 +534,7 @@ let explain_cmd =
               if history <> [] then begin
                 Printf.printf "== history (%s) ==\n"
                   (Option.value ~default:"" (Option.bind db Xmobs.Statdb.path));
-                List.iter (fun s -> print_endline ("  " ^ op_history_line s)) history
+                List.iter (fun s -> print_endline ("  " ^ Xmserve.Stats.op_line s)) history
               end
             end)
   in

@@ -329,8 +329,7 @@ let cross_reference ~db entries =
 
 let op_line (s : Xmobs.Statdb.summary) =
   let per_call v = v /. float_of_int (max 1 s.Xmobs.Statdb.calls) in
-  Printf.sprintf
-    "    %s: calls=%d self/call=%.3fms out/call=%.0f pairs/call=%.0f%s"
+  Printf.sprintf "%s: calls=%d self/call=%.3fms out/call=%.0f pairs/call=%.0f%s"
     s.Xmobs.Statdb.s_op s.Xmobs.Statdb.calls
     (per_call s.Xmobs.Statdb.self_us /. 1000.0)
     (per_call (float_of_int s.Xmobs.Statdb.out_nodes))
@@ -354,7 +353,7 @@ let cross_reference_to_text ?(top_ops = 5) gs =
            g.g_mean_wall_ms
            (if g.g_ops = [] then " (no warehouse history)" else ""));
       List.iteri
-        (fun i s -> if i < top_ops then Buffer.add_string b (op_line s ^ "\n"))
+        (fun i s -> if i < top_ops then Buffer.add_string b ("    " ^ op_line s ^ "\n"))
         g.g_ops)
     gs;
   Buffer.contents b

@@ -79,6 +79,11 @@ val cross_reference :
   db:Xmobs.Statdb.t -> Xmobs.Qlog.entry list -> guard_stats list
 (** Sorted by descending query count. *)
 
+val op_line : Xmobs.Statdb.summary -> string
+(** One warehouse row on one line, unindented: exact counts, per-call
+    derived values, and the q-error when predictions were folded.  The
+    cross-reference and [xmorph explain]'s history both print it. *)
+
 val cross_reference_to_text : ?top_ops:int -> guard_stats list -> string
 (** [top_ops] bounds the operator lines per guard (default 5). *)
 

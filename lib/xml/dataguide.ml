@@ -14,38 +14,44 @@ let uids = Atomic.make 0
 
 let next_uid () = Atomic.fetch_and_add uids 1
 
+(* The adornment of the edge into a type (Def. 3) from its instances [ids],
+   in document order: the children of one parent instance form one run of
+   [ids] (every instance lies one level below its parent's type, so no
+   other one falls inside a sibling's subtree).  The runs' lengths are the
+   child counts of the [parents] instances that have any; when there are
+   fewer runs than instances, some instance has none. *)
+let card_of_runs parent ids parents =
+  let lo = ref max_int and hi = ref 0 and runs = ref 0 in
+  let start = ref 0 and run_parent = ref (-2) in
+  for i = 0 to Array.length ids - 1 do
+    let p = parent.(ids.(i)) in
+    if p <> !run_parent then begin
+      if i > 0 then begin
+        lo := Int.min !lo (i - !start);
+        hi := Int.max !hi (i - !start)
+      end;
+      incr runs;
+      start := i;
+      run_parent := p
+    end
+  done;
+  let last = Array.length ids - !start in
+  Card.v (if !runs < parents then 0 else Int.min !lo last) (Int.max !hi last)
+
 let of_doc doc =
   let types = Doc.types doc in
   let n_types = Type_table.count types in
   let counts = Array.init n_types (Doc.type_count doc) in
-  (* Observed range of child counts per type; [hi] = -1 until observed. *)
-  let lo = Array.make n_types max_int and hi = Array.make n_types (-1) in
-  (* Children per type under the current node; every child type is a child
-     of the node's type, so reading along those resets the tally. *)
-  let tally = Array.make n_types 0 in
-  let kid_types =
-    Array.init n_types (fun ty -> Array.of_list (Type_table.children types ty))
-  in
-  for i = 0 to Doc.node_count doc - 1 do
-    for k = 0 to Doc.child_count doc i - 1 do
-      let cty = Doc.type_of doc (Doc.child doc i k) in
-      tally.(cty) <- tally.(cty) + 1
-    done;
-    let kids = kid_types.(Doc.type_of doc i) in
-    for j = 0 to Array.length kids - 1 do
-      let cty = kids.(j) in
-      lo.(cty) <- Int.min lo.(cty) tally.(cty);
-      hi.(cty) <- Int.max hi.(cty) tally.(cty);
-      tally.(cty) <- 0
-    done
-  done;
+  let parent = Doc.parent_column doc in
   let cards =
-    Array.mapi (fun ty h -> if h < 0 then Card.one else Card.v lo.(ty) h) hi
+    Array.init n_types (fun ty ->
+        match Type_table.parent types ty with
+        | None -> Card.one
+        | Some p -> card_of_runs parent (Doc.nodes_of_type doc ty) counts.(p))
   in
   let roots =
     List.filter (fun ty -> Type_table.parent types ty = None) (List.init n_types Fun.id)
   in
-  List.iter (fun r -> cards.(r) <- Card.one) roots;
   { types; roots; cards; counts; uid = next_uid () }
 
 let make ~types ~roots ~cards ~counts =

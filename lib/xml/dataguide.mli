@@ -8,7 +8,14 @@
 
     The shape is the sole input of the static information-loss analysis
     (Sec. V-B): path cardinalities (Def. 6) computed here feed the predicted
-    adorned shape (Def. 7) and Theorems 1–2. *)
+    adorned shape (Def. 7) and Theorems 1–2.
+
+    {!of_doc} reads each edge's cardinality off the run lengths of the
+    child type's document-ordered sequence ({!Doc.nodes_of_type}) through
+    the parent column: the children one parent instance has of a type are
+    one run, so [m] is the longest run, and [n] the shortest, or 0 when
+    there are fewer runs than parent instances.  It visits each node once,
+    not each node's children per child type. *)
 
 type t
 

@@ -14,7 +14,8 @@ type node = {
 }
 
 (* A node table: one row per node id, held as columns allocated once at the
-   document's exact size.  Node [i]'s children are
+   document's exact size (counted in a pass over the trees before the
+   walk).  Node [i]'s children are
    [kids.(kid_start.(i)) .. kids.(kid_start.(i + 1) - 1)]; a node's name
    and kind follow from its type. *)
 type t = {
@@ -32,93 +33,114 @@ type t = {
   roots : int list;
 }
 
-(* An element's value: its text children concatenated; a single text
-   child's string is shared, not copied. *)
-let rec text_value = function
-  | [] -> ""
-  | Tree.Element _ :: rest -> text_value rest
-  | Tree.Text s :: rest -> ( match text_value rest with "" -> s | more -> s ^ more)
+(* The indexer: one preorder walk over the trees fills the row columns,
+   then counting passes over the parent and type columns give the children
+   in CSR form and the per-type sequences. *)
+module Index = struct
+  (* As no element name begins with "@", a name missing from its parent
+     type's children is a new type.  Types are interned in first-visit
+     order, so ids keep it. *)
+  let child_type types ~parent ~attr name =
+    match Type_table.find_child types ~parent ~attr name with
+    | -1 ->
+        if (not attr) && String.starts_with ~prefix:"@" name then
+          invalid_arg ("Doc.of_forest: element name begins with @: " ^ name);
+        Type_table.add_child types ~parent ~attr name
+    | c -> c
+
+  (* The row columns while they are filled: rows [0 .. n - 1] are written.
+     An element's [value] stays [""] until its children are walked. *)
+  type rows = {
+    types : Type_table.t;
+    mutable n : int;
+    parent : int array;
+    type_id : int array;
+    rank : int array;
+    value : string array;
+  }
+
+  let create types total =
+    { types; n = 0; parent = Array.make total (-1); type_id = Array.make total 0;
+      rank = Array.make total 0; value = Array.make total "" }
+
+  let add r p ty k =
+    let id = r.n in
+    r.parent.(id) <- p;
+    r.type_id.(id) <- ty;
+    r.rank.(id) <- k;
+    r.n <- id + 1;
+    id
+
+  (* Ids are preorder ranks: an element's row, its attributes' rows, then
+     its children's subtrees.  Its value, its text children concatenated,
+     is gathered in the one walk that indexes its element children; a
+     single text child's string is shared, not copied. *)
+  let rec element r p pty k = function
+    | Tree.Text _ -> assert false
+    | Tree.Element { name; attrs; children } ->
+        let ty = child_type r.types ~parent:pty ~attr:false name in
+        let id = add r p ty k in
+        let v = children_of r id ty (attributes r id ty 1 attrs) "" children in
+        if String.length v > 0 then r.value.(id) <- v
+
+  (* Attributes take ranks [k], [k + 1], ...; returns the next rank. *)
+  and attributes r id ty k = function
+    | [] -> k
+    | (name, v) :: rest ->
+        let a = add r id (child_type r.types ~parent:ty ~attr:true name) k in
+        r.value.(a) <- v;
+        attributes r id ty (k + 1) rest
+
+  and children_of r id ty k text = function
+    | [] -> text
+    | Tree.Text s :: rest ->
+        let text =
+          if String.length text = 0 then s else if String.length s = 0 then text else text ^ s
+        in
+        children_of r id ty k text rest
+    | (Tree.Element _ as child) :: rest ->
+        element r id ty k child;
+        children_of r id ty (k + 1) text rest
+end
 
 let of_forest trees =
   Xmobs.Obs.phase "xml.index" @@ fun () ->
   let types = Type_table.create () in
   let total = List.fold_left (fun n t -> n + Tree.count_nodes t) 0 trees in
-  let parent = Array.make total (-1) and type_id = Array.make total 0 in
-  let rank = Array.make total 0 and value = Array.make total "" in
-  let kid_start = Array.make (total + 1) 0 and kids = Array.make (total - List.length trees) 0 in
-  (* Child types by raw name, two tables per parent type, one of its
-     element children and one of its attributes: [Type_table.intern] runs
-     once per new type, so ids keep their first-visit order.  As no element
-     name begins with "@", a name missing from its table is a new type.  A
-     table is made at its type's first child of its kind: until then the
-     type shares the empty [no_children] (most types are leaves, and a
-     table takes 22 words however few it holds). *)
-  let no_children = Hashtbl.create 1 and root_types = Hashtbl.create 2 in
-  let elements = Vec.create () and attributes = Vec.create () in
-  let intern tables parent name ~attr =
-    let tbl = if parent < 0 then root_types else Vec.get tables parent in
-    match Hashtbl.find tbl name with
-    | ty -> ty
-    | exception Not_found ->
-        if (not attr) && String.starts_with ~prefix:"@" name then
-          invalid_arg ("Doc.of_forest: element name begins with @: " ^ name);
-        let ty =
-          Type_table.intern types
-            ~parent:(if parent < 0 then None else Some parent)
-            (if attr then "@" ^ name else name)
-        in
-        ignore (Vec.push elements no_children);
-        ignore (Vec.push attributes no_children);
-        let tbl =
-          if tbl != no_children then tbl
-          else begin
-            let t = Hashtbl.create 8 in
-            Vec.set tables parent t;
-            t
-          end
-        in
-        Hashtbl.add tbl name ty;
-        ty
+  let r = Index.create types total in
+  let roots =
+    List.mapi
+      (fun i tree ->
+        let id = r.n in
+        Index.element r (-1) (-1) (i + 1) tree;
+        id)
+      trees
   in
-  (* Ids are preorder ranks.  A node's run of [kids] is reserved when it is
-     numbered, so runs lie in id order. *)
-  let next_id = ref 0 and next_kid = ref 0 in
-  let add p ty r v =
-    let id = !next_id in
-    next_id := id + 1;
-    parent.(id) <- p; type_id.(id) <- ty; rank.(id) <- r; value.(id) <- v;
-    kid_start.(id) <- !next_kid;
-    id
-  in
-  (* The loops over attributes and children are functions of this one
-     recursive group, not per-element closures. *)
-  let rec index_element parent_id parent_ty r el =
-    match el with
-    | Tree.Text _ -> assert false
-    | Tree.Element { name; attrs; children } ->
-        let ty = intern elements parent_ty name ~attr:false in
-        let id = add parent_id ty r (text_value children) in
-        let start = !next_kid in
-        next_kid :=
-          List.fold_left (fun n -> function Tree.Element _ -> n + 1 | Tree.Text _ -> n)
-            (start + List.length attrs) children;
-        let k = index_attrs id ty start 0 attrs in
-        index_children id ty start k children;
-        id
-  and index_attrs id ty start k = function
-    | [] -> k
-    | (name, v) :: rest ->
-        kids.(start + k) <- add id (intern attributes ty name ~attr:true) (k + 1) v;
-        index_attrs id ty start (k + 1) rest
-  and index_children id ty start k = function
-    | [] -> ()
-    | Tree.Text _ :: rest -> index_children id ty start k rest
-    | (Tree.Element _ as child) :: rest ->
-        kids.(start + k) <- index_element id ty (k + 1) child;
-        index_children id ty start (k + 1) rest
-  in
-  let roots = List.mapi (fun i -> index_element (-1) (-1) (i + 1)) trees in
-  kid_start.(total) <- !next_kid;
+  let { Index.parent; type_id; rank; value; _ } = r in
+  (* Children in CSR form, from the parent column: a node's children are
+     the later ids naming it as their parent, in id order, so attributes
+     first.  [kid_start.(i + 1)] counts node [i]'s children, then holds the
+     start of their run, then serves as its cursor, which ends at the start
+     of node [i + 1]'s run. *)
+  let kid_start = Array.make (total + 1) 0 in
+  for i = 0 to total - 1 do
+    let p = parent.(i) in
+    if p >= 0 then kid_start.(p + 1) <- kid_start.(p + 1) + 1
+  done;
+  let start = ref 0 in
+  for i = 1 to total do
+    let c = kid_start.(i) in
+    kid_start.(i) <- !start;
+    start := !start + c
+  done;
+  let kids = Array.make (total - List.length trees) 0 in
+  for i = 0 to total - 1 do
+    let p = parent.(i) in
+    if p >= 0 then begin
+      kids.(kid_start.(p + 1)) <- i;
+      kid_start.(p + 1) <- kid_start.(p + 1) + 1
+    end
+  done;
   let counts = Array.make (Type_table.count types) 0 in
   Array.iter (fun ty -> counts.(ty) <- counts.(ty) + 1) type_id;
   let by_type = Array.map (fun c -> Array.make c 0) counts in

@@ -18,7 +18,17 @@
     The document is a node table: one column per field, indexed by node id,
     with children in compressed-sparse-row form.  Hot loops read the columns
     through {!parent}, {!type_of}, {!rank}, {!value}, {!child_count} and
-    {!child}; {!node} builds a record on demand. *)
+    {!child}; {!node} builds a record on demand.
+
+    Indexing is one preorder walk that writes each node's row, after a
+    pass that counts the nodes so that every column is allocated once at
+    its exact size.  A node's type is its parent type's child of that name
+    ({!Type_table.find_child}: a scan comparing names physically first,
+    as the parser shares a name within a parse, with a hash table only
+    for a type of many child types).  An element's value and its element
+    children come from one walk of its child list.  The CSR children are
+    then counted out of the parent column, and the per-type sequences out
+    of the type column. *)
 
 type kind = Element | Attribute
 

@@ -25,6 +25,24 @@ val intern : t -> parent:id option -> string -> id
 val find : t -> parent:id option -> string -> id option
 (** Like {!intern} but without creating. *)
 
+(** {2 Child types by name}
+
+    The indexer's entry points: a type's element children and its
+    attribute children are found by their name without the ["@"], with
+    [parent] [-1] for a root type.  A type's children of one kind are a
+    chain in first-interned order, scanned comparing names physically
+    first and by content second; past 16 of them a hash table holds the
+    chain, so lookups stay constant-time on a type with thousands of
+    child types. *)
+
+val find_child : t -> parent:int -> attr:bool -> string -> id
+(** The child type of [parent] named [name] of the given kind, or [-1]. *)
+
+val add_child : t -> parent:int -> attr:bool -> string -> id
+(** Intern a child type that {!find_child} does not find (its component
+    is ["@" ^ name] when [attr]).
+    @raise Invalid_argument if [parent] is neither [-1] nor a type. *)
+
 val count : t -> int
 
 val component : t -> id -> string
