@@ -74,7 +74,7 @@ let run () =
   in
   let off = sample "alerting off" in
   let evaluator =
-    Xmobs.Alerts.start stream
+    Xmobs.Alerts.start ~metrics:(Xmobs.Metrics.create ()) stream
       { Xmobs.Alerts.interval_s = 0.25; log = None; webhook = None;
         webhook_timeout_s = 2.0; webhook_retries = 2; rules = idle_rules }
   in

@@ -2,8 +2,8 @@
    the Fig. 15 DBLP reshaping guard executed with the recorder off versus
    enabled-idle (snapshots taken, no trigger ever fired).  As in the serve
    daemon, each execution runs inside a request context that is finished
-   afterwards, so its query record lands in the completed-request ring
-   the recorder's bundles read.  The acceptance
+   afterwards into a request ring, so its query record lands where the
+   recorder's bundles read it.  The acceptance
    bar is <1% on p50 — the recorder must be cheap enough to leave on in
    production, where it only earns its keep at the moment of an incident.
    Reports p50/p95 for both paths and the relative p50 overhead, and
@@ -43,7 +43,7 @@ let run () =
     Workloads.Shapes.guard Workloads.Shapes.Dblp_data
       Workloads.Shapes.Bushy_large
   in
-  let execute recorder =
+  let execute ring recorder =
     let ctx = Xmobs.Ctx.create () in
     let t0 = Unix.gettimeofday () in
     let body =
@@ -51,38 +51,42 @@ let run () =
           body_of
             (Xmserve.Exec.execute ~source:"bench" ~doc:"dblp" store guard))
     in
-    ignore
+    Xmutil.Ring.push ring
       (Xmobs.Ctx.finish ctx ~label:"bench" ~outcome:"ok" ~status:200
          ~wall_s:(Unix.gettimeofday () -. t0));
     Option.iter Xmobs.Flight.snapshot recorder;
     body
   in
-  let time_one recorder =
+  let time_one ring recorder =
     let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (execute recorder));
+    ignore (Sys.opaque_identity (execute ring recorder));
     Unix.gettimeofday () -. t0
   in
-  let sample label recorder =
+  let sample label ring recorder =
     Exp_common.sub label;
     (* One warmup execution outside the timed window. *)
-    ignore (Sys.opaque_identity (execute recorder));
-    List.init repeats (fun _ -> time_one recorder)
+    ignore (Sys.opaque_identity (execute ring recorder));
+    List.init repeats (fun _ -> time_one ring recorder)
   in
-  let off = sample "recorder off" None in
+  let off = sample "recorder off" (Xmutil.Ring.create 256) None in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xmorph_bench_flight_%d" (Unix.getpid ()))
   in
+  let ring = Xmutil.Ring.create 256 in
   let recorder =
-    match Xmobs.Flight.create ~dir () with
+    match
+      Xmobs.Flight.create
+        ~requests:(fun () -> List.rev (Xmutil.Ring.to_list ring))
+        ~metrics:(Xmobs.Metrics.create ()) ~dir ()
+    with
     | Ok f -> f
     | Error m -> failwith ("bench flight: " ^ m)
   in
-  Xmobs.Ctx.reset_completed ();
-  let on = sample "recorder enabled (idle)" (Some recorder) in
+  let on = sample "recorder enabled (idle)" ring (Some recorder) in
   let captured =
     List.length
-      (List.filter_map (fun c -> c.Xmobs.Ctx.c_qlog) (Xmobs.Ctx.completed ()))
+      (List.filter_map (fun c -> c.Xmobs.Ctx.c_qlog) (Xmutil.Ring.to_list ring))
   in
   rm_rf dir;
   (* The requests must actually have carried their records while we

@@ -61,9 +61,9 @@ let write_file path contents =
    else: they capture whatever ran on clean exits (including [exit_err]
    bailouts) and on SIGTERM/SIGINT, which [Xmobs.Shutdown.install]
    converts into an ordinary [exit].  A killed serve daemon therefore
-   still leaves complete, valid telemetry files.  The query log and the
-   warehouse come back as the command's sinks, which it hands to every
-   execution. *)
+   still leaves complete, valid telemetry files.  The query log, the
+   warehouse and the --metrics registry come back as the command's
+   sinks, which it hands to every execution (and serve to its server). *)
 let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   let stats_db =
     match stats_db with
@@ -86,12 +86,16 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
       Xmobs.Ctx.install ctx;
       Xmobs.Shutdown.on_exit (fun () ->
           write_file path (Xmutil.Json.to_string (Xmobs.Ctx.trace_json ctx))));
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      Xmobs.Metrics.enable ();
-      Xmobs.Shutdown.on_exit (fun () ->
-          write_file path (Xmutil.Json.to_string (Xmobs.Metrics.to_json ()))));
+  let metrics =
+    Option.map
+      (fun path ->
+        let r = Xmobs.Metrics.create () in
+        Xmobs.Shutdown.on_exit (fun () ->
+            write_file path
+              (Xmutil.Json.to_string (Xmobs.Metrics.to_json ~r ())));
+        r)
+      metrics
+  in
   (match profile with
   | None -> ()
   | Some path ->
@@ -121,7 +125,7 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
         db)
       stats_db
   in
-  { Xmobs.Obs.qlog; statdb }
+  { Xmobs.Obs.qlog; statdb; metrics }
 
 (* [stats_db_flag] lets offline analyzers (stats, incident) drop the
    global --stats-db recording flag from their term: they take their own
@@ -1026,8 +1030,7 @@ let serve_cmd =
     (match debug_ring with
     | Some n when n < 1 || n > 65536 ->
         exit_err "serve: --debug-ring must be in 1..65536"
-    | Some n -> Xmobs.Ctx.set_ring_capacity n
-    | None -> ());
+    | Some _ | None -> ());
     let stores =
       List.map
         (fun input ->
@@ -1048,9 +1051,11 @@ let serve_cmd =
       | None ->
           Option.bind (Sys.getenv_opt "XMORPH_CACHE_MB") int_of_string_opt
     in
-    (match cache_mb with
-    | Some mb when mb > 0 -> Xmcache.enable ~budget_bytes:(mb * 1024 * 1024)
-    | Some _ | None -> ());
+    let cache_bytes =
+      match cache_mb with
+      | Some mb when mb > 0 -> Some (mb * 1024 * 1024)
+      | Some _ | None -> None
+    in
     let alerts =
       (* Same failure policy as a corrupt --stats-db warehouse: the daemon
          must come up even when an operator fat-fingers the rules file, so
@@ -1070,7 +1075,7 @@ let serve_cmd =
       match
         Xmserve.Server.create ~sinks ~addr ~port ~workers ?slow_ms ?slow_log
           ~window ?slo_p95_ms ?slo_error_rate ?incident_dir ~incident_keep
-          ?alerts ~stores ()
+          ?alerts ?debug_ring ?cache_bytes ~stores ()
       with
       | s -> s
       | exception Unix.Unix_error (e, fn, _) ->

@@ -21,17 +21,10 @@ let build_index tree =
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) index;
   index
 
-(* One operation: its charges also go to the calling thread's request
-   context, looked up once, and the store's gauges are set when it ends,
-   as for the shredded store. *)
-let operation stats f =
-  let ctx = Xmobs.Ctx.current () in
-  Fun.protect (fun () -> f ctx) ~finally:(fun () -> Store.Io_stats.publish stats)
-
 let store tree =
   let text = Xml.Printer.to_string tree in
   let stats = Store.Io_stats.create () in
-  operation stats (fun ctx -> Store.Io_stats.charge_write ?ctx stats (String.length text));
+  Store.Io_stats.charge_write ?ctx:(Xmobs.Ctx.current ()) stats (String.length text);
   { text; tree; index = build_index tree; stats }
 
 let of_doc doc = store (Xml.Doc.to_tree doc)
@@ -40,8 +33,10 @@ let stats t = t.stats
 
 let size_bytes t = String.length t.text
 
+(* Each operation's charges also go to the calling thread's request
+   context, looked up once when it begins. *)
 let dump t buf =
-  operation t.stats @@ fun ctx ->
+  let ctx = Xmobs.Ctx.current () in
   Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
   let start = Buffer.length buf in
   Buffer.add_string buf "<data>";
@@ -73,10 +68,10 @@ let run ?ctx t src =
       Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
       Xquery.Eval.run t.tree src
 
-let query t src = operation t.stats (fun ctx -> run ?ctx t src)
+let query t src = run ?ctx:(Xmobs.Ctx.current ()) t src
 
 let query_to_buffer t src buf =
-  operation t.stats @@ fun ctx ->
+  let ctx = Xmobs.Ctx.current () in
   let result = run ?ctx t src in
   let start = Buffer.length buf in
   List.iter

@@ -13,8 +13,8 @@
    copy nothing.
 
    All counters are plain Atomics mirrored into metric handles; the
-   handles are interned at [enable] time so the hot path never builds a
-   label list. *)
+   handles are interned when the cache is installed, so the hot path
+   never builds a label list. *)
 
 type result_entry = {
   body : string;
@@ -93,9 +93,11 @@ let misses_family = "xmorph_cache_misses_total"
 let evictions_family = "xmorph_cache_evictions_total"
 let bytes_gauge = "xmorph_cache_bytes"
 
-let enable ~budget_bytes =
+let enable_into r ~budget_bytes =
   if budget_bytes < 0 then invalid_arg "Xmcache.enable: negative budget";
-  let labeled tier family = Xmobs.Metrics.counter_labeled family [ ("tier", tier) ] in
+  let labeled tier family =
+    Xmobs.Metrics.counter_labeled ~r family [ ("tier", tier) ]
+  in
   let t =
     {
       budget = budget_bytes;
@@ -121,11 +123,13 @@ let enable ~budget_bytes =
       m_result_hits = labeled "result" hits_family;
       m_result_misses = labeled "result" misses_family;
       m_result_evictions = labeled "result" evictions_family;
-      m_bytes = Xmobs.Metrics.gauge bytes_gauge;
+      m_bytes = Xmobs.Metrics.gauge ~r bytes_gauge;
     }
   in
   Xmobs.Metrics.gauge_set t.m_bytes 0.0;
   Atomic.set state (Some t)
+
+let enable ~budget_bytes = enable_into (Xmobs.Metrics.create ()) ~budget_bytes
 
 let disable () = Atomic.set state None
 

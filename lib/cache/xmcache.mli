@@ -23,20 +23,25 @@
       The key holds no document name: a generation is never shared by
       two documents' stores.
 
-    A process-global sink, as {!Xmobs.Metrics}' registry is:
-    {!enable} installs the cache, {!enabled} is one atomic load, and
-    every entry point is a no-op returning immediately — allocating
-    nothing — while disabled.  Lookups and insertions bump the
+    A process-global sink: {!enable} installs the cache, {!enabled} is
+    one atomic load, and every entry point is a no-op returning
+    immediately — allocating nothing — while disabled.  Lookups and
+    insertions bump the
     [xmorph_cache_hits_total]/[xmorph_cache_misses_total]/
     [xmorph_cache_evictions_total] labeled families ([tier="plan"] /
     [tier="result"]) and the [xmorph_cache_bytes] resident gauge,
-    interned into the metrics registry current at {!enable} time. *)
+    interned when the cache is installed into the registry
+    {!enable_into} is given (the serve daemon's own). *)
+
+val enable_into : Xmobs.Metrics.t -> budget_bytes:int -> unit
+(** Install a fresh cache (replacing any previous one), its families in
+    the registry given.  [budget_bytes] bounds the result tier's
+    resident body bytes; the plan tier is bounded by entry count.
+    @raise Invalid_argument when [budget_bytes < 0]. *)
 
 val enable : budget_bytes:int -> unit
-(** Install a fresh cache (replacing any previous one).  [budget_bytes]
-    bounds the result tier's resident body bytes; the plan tier is
-    bounded by entry count.  @raise Invalid_argument when
-    [budget_bytes < 0]. *)
+(** {!enable_into} a registry of the cache's own, which nobody reads:
+    for callers that read {!stats} only. *)
 
 val disable : unit -> unit
 (** Drop the cache and all entries. *)

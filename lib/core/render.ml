@@ -26,13 +26,6 @@ let make_rctx store =
   { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16;
     ctx = Xmobs.Ctx.current () }
 
-(* One operation over a fresh [rctx]: the store's gauges are published
-   when it ends, never per charge. *)
-let with_rctx store f =
-  Fun.protect
-    ~finally:(fun () -> Store_.Io_stats.publish (Store_.Shredded.stats store))
-    (fun () -> f (make_rctx store))
-
 let read_value rctx id = Store_.Shredded.value ?ctx:rctx.ctx rctx.store id
 
 let cache rctx ty =
@@ -456,7 +449,8 @@ module Emit (S : SINK) = struct
     Option.iter (S.close_element sink) wrapper
 
   let render ?wrapper store sink shape =
-    with_rctx store (fun rctx -> in_render_span (fun () -> emit ?wrapper rctx sink shape))
+    let rctx = make_rctx store in
+    in_render_span (fun () -> emit ?wrapper rctx sink shape)
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -488,7 +482,7 @@ let write ?wrapper ?indent store shape ?flush buf =
   in
   let w = Xml.Printer.Writer.create ?indent ?on_close buf in
   let bytes =
-    with_rctx store @@ fun rctx ->
+    let rctx = make_rctx store in
     in_render_span @@ fun () ->
     Bytes_emit.emit ?wrapper rctx w shape;
     let bytes = !flushed + Buffer.length buf - start in
@@ -500,12 +494,7 @@ let write ?wrapper ?indent store shape ?flush buf =
 let stream store shape sink = write store shape ~flush:sink (Buffer.create 1024)
 
 let to_buffer ?wrapper ?indent store shape buf =
-  let st = write ?wrapper ?indent store shape buf in
-  if Xmobs.Metrics.is_enabled () then begin
-    Xmobs.Metrics.inc ~by:st.elements "render.elements";
-    Xmobs.Metrics.inc ~by:st.bytes "render.bytes"
-  end;
-  st
+  write ?wrapper ?indent store shape buf
 
 type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
 
@@ -515,7 +504,7 @@ type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
    mirrors [Doc.of_tree]: every emitted child (attributes included) takes
    the next Dewey slot. *)
 let instances store (shape : Tshape.t) =
-  with_rctx store @@ fun rctx ->
+  let rctx = make_rctx store in
   let acc : (int, instance Vec.t) Hashtbl.t = Hashtbl.create 16 in
   let record (tn : Tshape.node) inst =
     let v =
@@ -730,7 +719,7 @@ let predicted_edges guide (shape : Tshape.t) =
   List.rev !out
 
 let explain store (shape : Tshape.t) =
-  with_rctx store @@ fun rctx ->
+  let rctx = make_rctx store in
   let tt = Store_.Shredded.types store in
   List.map
     (fun (pty, cty, card, parents) ->
@@ -778,7 +767,7 @@ let pp_explanation fmt entries =
     entries
 
 let iter_closest store t u f =
-  with_rctx store @@ fun rctx ->
+  let rctx = make_rctx store in
   let pc = cache rctx t in
   let runs, groups = closest_runs rctx ~pty:t ~parents:pc ~cty:u in
   let kids = cache rctx u in

@@ -30,9 +30,10 @@
     All reads are charged to the store's {!Store.Io_stats}, and to the
     calling thread's request context, which each call looks up once
     when it begins ({!Nav.charging} for a [Nav.t]); [to_buffer] and
-    [stream] also charge the serialized output as one write.  Every
-    call outside {!Nav} ends by setting the store's [store.*] gauges
-    ({!Store.Io_stats.publish}).
+    [stream] also charge the serialized output as one write.  A render
+    writes no metrics registry: the execution path that ran it
+    ([Xmserve.Exec]) writes the [render.*] counters from the returned
+    {!stats}, and the [store.*] gauges from the store's counters.
 
     Rendering conventions (DESIGN.md): a node with restrict children is
     emitted only when every restrict pattern has at least one closest,

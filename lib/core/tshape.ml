@@ -21,7 +21,6 @@ let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 let counter = ref 0
 
 let fresh ?source ?(clone = false) ?(filled = false) ?origin out_name =
-  Xmobs.Metrics.inc "tshape.nodes";
   incr counter;
   { uid = !counter; source; out_name; clone; filled; parent = None;
     children = []; restrict_children = []; value_filter = None;

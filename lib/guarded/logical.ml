@@ -103,13 +103,10 @@ end
 module Eval = Xquery.Eval.Make (Virtual)
 
 (* One query is one operation: its reads are charged to the calling
-   thread's request context, looked up here once, and the store's gauges
-   are published when it ends. *)
+   thread's request context, looked up here once. *)
 let query t src =
   Xmobs.Profile.op "logical.query" @@ fun () ->
   let t = { t with nav = Nav.charging t.nav (Xmobs.Ctx.current ()) } in
-  Fun.protect
-    ~finally:(fun () -> Store.Io_stats.publish (Store.Shredded.stats t.store))
-    (fun () -> Eval.materialize t (Eval.eval t (Xquery.Qparse.parse src)))
+  Eval.materialize t (Eval.eval t (Xquery.Qparse.parse src))
 
 let query_to_xml t src = V.to_trees (query t src)

@@ -436,6 +436,7 @@ type t = {
   eng : engine;
   send : sender option;
   on_firing : transition -> unit;
+  metrics : Metrics.t;
   stopped : bool Atomic.t;
   mutable thread : Thread.t option;
   mutable drops : int;
@@ -478,7 +479,7 @@ let post_webhook g send url trs =
         | Error _ when k < g.cfg.webhook_retries -> attempt (k + 1)
         | Error _ ->
             g.drops <- g.drops + 1;
-            Metrics.inc "xmorph_alert_webhook_drops_total"
+            Metrics.inc ~r:g.metrics "xmorph_alert_webhook_drops_total"
       in
       attempt 0)
     trs
@@ -491,7 +492,7 @@ let dispatch g trs =
   if trs <> [] then begin
     List.iter
       (fun (t : transition) ->
-        Metrics.inc_labeled "xmorph_alerts_total"
+        Metrics.inc_labeled ~r:g.metrics "xmorph_alerts_total"
           [ ("rule", t.rule); ("state", edge_to_string t.edge) ])
       trs;
     (match g.cfg.log with Some path -> log_transitions path trs | None -> ());
@@ -502,7 +503,8 @@ let dispatch g trs =
     | Some url, Some send -> post_webhook g send url trs
     | _ -> ()
   end;
-  Metrics.set_gauge "xmorph_alerts_firing" (float_of_int (engine_firing g.eng))
+  Metrics.set_gauge ~r:g.metrics "xmorph_alerts_firing"
+    (float_of_int (engine_firing g.eng))
 
 let tick_now g = ignore (tick ~deliver:(dispatch g) g.eng)
 
@@ -523,13 +525,14 @@ let ticker g =
       try tick_now g with _ -> () (* the evaluator must outlive any sink *)
   done
 
-let start ?send ?(on_firing = ignore) src cfg =
+let start ?send ?(on_firing = ignore) ~metrics src cfg =
   let g =
     {
       cfg;
       eng = engine src cfg.rules;
       send;
       on_firing;
+      metrics;
       stopped = Atomic.make false;
       thread = None;
       drops = 0;

@@ -12,10 +12,10 @@
     webhook (injected by the serve layer, with bounded retry and a drop
     counter — delivery failure never blocks serving), the owner's firing
     callback (the serve daemon lands an incident bundle per firing
-    alert), and the metrics registry ([xmorph_alerts_total{rule,state}],
-    [xmorph_alerts_firing]).  A started evaluator ({!start}) is a value
-    its owner holds and {!stop}s; two servers in one process each run
-    their own.
+    alert), and the owner's metrics registry
+    ([xmorph_alerts_total{rule,state}], [xmorph_alerts_firing]).  A
+    started evaluator ({!start}) is a value its owner holds and
+    {!stop}s; two servers in one process each run their own.
 
     Streams take injectable clocks so the state-machine timing is
     unit-testable in synthetic time, and so the offline backtester
@@ -168,12 +168,13 @@ type sender =
     {!webhook_drops} (and [xmorph_alert_webhook_drops_total]). *)
 
 val start :
-  ?send:sender -> ?on_firing:(transition -> unit) -> stream -> config -> t
+  ?send:sender -> ?on_firing:(transition -> unit) -> metrics:Metrics.t ->
+  stream -> config -> t
 (** Build an engine over [stream] from [config.rules] and start a ticker
     thread pacing {!tick} every [config.interval_s] seconds, delivering
     transitions to the configured sinks: the alert log, the webhook
-    through [send] (no webhook without one), and [on_firing] for each
-    rule that starts firing. *)
+    through [send] (no webhook without one), [on_firing] for each rule
+    that starts firing, and the [metrics] registry. *)
 
 val stop : t -> unit
 (** Stop the ticker (joins it).  Idempotent. *)

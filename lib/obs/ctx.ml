@@ -324,9 +324,9 @@ let io t =
 let attach_qlog e =
   match current () with Some c -> c.qlog <- Some e | None -> ()
 
-(* ---------- the completed-request ring ---------- *)
+(* ---------- the finished request ---------- *)
 
-type completed = {
+type finished = {
   c_trace_id : string;
   c_label : string;
   c_outcome : string;
@@ -340,24 +340,6 @@ type completed = {
   c_profile : Frames.frame list option;
 }
 
-let default_ring_capacity = 256
-
-let completed_ring : completed Xmutil.Ring.t ref =
-  ref (Xmutil.Ring.create default_ring_capacity)
-
-let ring_lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock ring_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) f
-
-(* A fresh ring keeps the newest entries that fit the new bound. *)
-let set_ring_capacity n =
-  locked (fun () ->
-      let r = Xmutil.Ring.create n in
-      List.iter (Xmutil.Ring.push r) (Xmutil.Ring.to_list !completed_ring);
-      completed_ring := r)
-
 (* A context holding a query record is named by it: its guard hash and
    outcome, unless the caller names the request itself. *)
 let finish ?profile ?label ?outcome t ~status ~wall_s =
@@ -368,29 +350,16 @@ let finish ?profile ?label ?outcome t ~status ~wall_s =
     | None, Some q -> field q
     | None, None -> ""
   in
-  let entry =
-    {
-      c_trace_id = t.trace_id;
-      c_label = named (fun q -> q.Qlog.guard_hash) label;
-      c_outcome =
-        named (fun q -> Qlog.outcome_to_string q.Qlog.outcome) outcome;
-      c_status = status;
-      c_wall_s = wall_s;
-      c_ts = t.created;
-      c_io = io t;
-      c_span_count = List.length spans;
-      c_entries = spans;
-      c_qlog = t.qlog;
-      c_profile = profile;
-    }
-  in
-  locked (fun () -> Xmutil.Ring.push !completed_ring entry);
-  entry
-
-let completed () =
-  List.rev (locked (fun () -> Xmutil.Ring.to_list !completed_ring))
-
-let find_completed id =
-  List.find_opt (fun c -> String.equal c.c_trace_id id) (completed ())
-
-let reset_completed () = locked (fun () -> Xmutil.Ring.clear !completed_ring)
+  {
+    c_trace_id = t.trace_id;
+    c_label = named (fun q -> q.Qlog.guard_hash) label;
+    c_outcome = named (fun q -> Qlog.outcome_to_string q.Qlog.outcome) outcome;
+    c_status = status;
+    c_wall_s = wall_s;
+    c_ts = t.created;
+    c_io = io t;
+    c_span_count = List.length spans;
+    c_entries = spans;
+    c_qlog = t.qlog;
+    c_profile = profile;
+  }

@@ -28,15 +28,13 @@
     the installing thread.  The library starts no domains — a render
     runs on the thread that called it — so per-context I/O is exact.
 
-    Completed requests land in a process-global bounded ring
-    ({!finish} / {!completed}), each with its executed-query record
-    ({!attach_qlog}).  The entry {!finish} returns is the request's one
-    record: the serve daemon folds it into its metric families and
-    windows.  The ring backs the serve daemon's
-    [GET /debug/requests] and [GET /debug/trace/<id>] endpoints and is
-    all the flight recorder's incident bundles read of recent requests:
-    their spans, their query records and their summaries.  A slow-query
-    capture's frames are sealed into the entry by {!finish}. *)
+    A finished request is sealed by {!finish} into one record, with its
+    executed-query record ({!attach_qlog}): the serve daemon folds it
+    into its metric families and windows and keeps it in its own
+    bounded request ring, behind [GET /debug/requests],
+    [GET /debug/trace/<id>] and its flight recorder's incident bundles.
+    A slow-query capture's frames are sealed into the record by
+    {!finish}.  [Ctx] itself keeps no finished requests. *)
 
 type t
 
@@ -169,9 +167,9 @@ val attach_qlog : Qlog.entry -> unit
     (the last one wins); a no-op without a context.  Called by the
     execution path beside its query-log write. *)
 
-(** {2 The completed-request ring} *)
+(** {2 The finished request} *)
 
-type completed = {
+type finished = {
   c_trace_id : string;
   c_label : string;  (** guard hash for queries, path otherwise *)
   c_outcome : string;
@@ -190,23 +188,10 @@ type completed = {
       (** a slow-query capture's frames, passed to {!finish} *)
 }
 
-val set_ring_capacity : int -> unit
-(** Bound the ring (default 256 completed requests), keeping the newest
-    entries that fit. *)
-
 val finish : ?profile:Frames.frame list -> ?label:string -> ?outcome:string ->
-  t -> status:int -> wall_s:float -> completed
-(** Seal the context (and [profile], when given) into a {!completed}
-    entry, push it onto the ring, evicting the oldest entry beyond
-    capacity, and return it.  [label] and [outcome] name the request;
-    each defaults to the query record's guard hash and outcome when the
-    context holds one, and to [""] otherwise. *)
-
-val completed : unit -> completed list
-(** Ring contents, newest first. *)
-
-val find_completed : string -> completed option
-(** Look a completed request up by trace id. *)
-
-val reset_completed : unit -> unit
-(** Drop the ring (tests). *)
+  t -> status:int -> wall_s:float -> finished
+(** Seal the context (and [profile], when given) into a {!finished}
+    record and return it; whoever keeps finished requests keeps it.
+    [label] and [outcome] name the request; each defaults to the query
+    record's guard hash and outcome when the context holds one, and to
+    [""] otherwise. *)

@@ -1,12 +1,13 @@
 (* The flight recorder: an always-on black box for incident forensics.
 
-   While enabled, it keeps a bounded ring of periodic metric snapshots,
-   and, on a trigger (SLO breach, error-rate threshold, fatal signal, or a
-   manual POST), atomically writes a versioned JSON incident bundle so the
-   evidence survives the moment of failure.  The bundle's recent requests
-   are not kept here: their spans and query records are read from the
-   completed-request ring (Ctx), where every served request already left
-   its own.
+   While enabled, it keeps a bounded ring of periodic snapshots of its
+   owner's metrics registry, and, on a trigger (SLO breach, error-rate
+   threshold, fatal signal, or a manual POST), atomically writes a
+   versioned JSON incident bundle so the evidence survives the moment of
+   failure.  The bundle's recent requests are not kept here: their spans
+   and query records are read through the owner's [requests] callback,
+   from the request ring where every served request already left its
+   own.
 
    A recorder is a value its owner holds (the serve daemon, one per
    server); a daemon without one has no recorder to consult.  A snapshot
@@ -15,10 +16,11 @@
    [bench/main.exe -- flight] pins the enabled-idle overhead).
 
    Dependency direction: Flight sits above Trace/Ctx/Qlog/Metrics inside
-   xmobs and knows nothing about serve, the cache, or stores.  Context
-   that only the server can provide (store generations, cache
-   introspection, config, SLO state, the request ring) arrives through
-   the [context] callback given to [create]. *)
+   xmobs and knows nothing about serve, the cache, or stores.  What only
+   the server can provide arrives through [create]: its registry, its
+   finished requests ([requests]), and the rest of its state (store
+   generations, cache introspection, config, SLO state) through the
+   [context] callback. *)
 
 let version = 1
 
@@ -43,6 +45,8 @@ type t = {
   mutable last_fired : (trigger_kind * float) list; (* per-kind cooldown *)
   mutable seq : int; (* disambiguates bundles written in the same ms *)
   context : unit -> Xmutil.Json.t;
+  metrics : Metrics.t;
+  requests : unit -> Ctx.finished list; (* newest first *)
   lock : Mutex.t;
 }
 
@@ -68,7 +72,7 @@ let snapshot st =
   locked st (fun () ->
       if now -. st.last_snap >= snapshot_interval_s then begin
         st.last_snap <- now;
-        Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ())
+        Xmutil.Ring.push st.snap_ring (now, Metrics.to_json ~r:st.metrics ())
       end)
 
 (* ---------- bundle assembly ---------- *)
@@ -80,7 +84,7 @@ let snapshot st =
    request began. *)
 let request_spans requests =
   let rec keep budget acc = function
-    | (c : Ctx.completed) :: older when budget > 0 ->
+    | (c : Ctx.finished) :: older when budget > 0 ->
         let es = c.Ctx.c_entries in
         let n = List.length es in
         let es =
@@ -118,7 +122,7 @@ let bundle_unlocked st ~kind ~reason ~now =
             ("metrics", m) ])
       (Xmutil.Ring.to_list st.snap_ring)
   in
-  let requests = Ctx.completed () in
+  let requests = st.requests () in
   let qlog = List.rev (List.filter_map (fun c -> c.Ctx.c_qlog) requests) in
   Xmutil.Json.Obj
     [ ("version", Xmutil.Json.Int version);
@@ -129,7 +133,7 @@ let bundle_unlocked st ~kind ~reason ~now =
            ("ts_ms", Xmutil.Json.Int (int_of_float (Float.round (now *. 1000.)))) ]);
       ("trace", Trace.json_of_entries (request_spans requests));
       ("qlog", Xmutil.Json.List (List.map Qlog.entry_to_json qlog));
-      ("metrics", Metrics.to_json ());
+      ("metrics", Metrics.to_json ~r:st.metrics ());
       ("snapshots", Xmutil.Json.List snaps);
       ("selfmetrics", selfmetrics_json ());
       ("context", try st.context () with _ -> Xmutil.Json.Null) ]
@@ -206,7 +210,7 @@ let trigger st ?(force = false) ~kind ~reason () =
           enforce_retention_unlocked st
         with
         | () ->
-            Metrics.inc_labeled "xmorph_incidents_total"
+            Metrics.inc_labeled ~r:st.metrics "xmorph_incidents_total"
               [ ("trigger", kind_to_string kind) ];
             Some name
         (* A full disk or a removed directory must not take the serving
@@ -220,7 +224,7 @@ let trigger st ?(force = false) ~kind ~reason () =
    write its bundles is refused at startup instead of dropping every
    bundle later without a word. *)
 let create ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
-    ?(context = fun () -> Xmutil.Json.Null) ~dir () =
+    ?(context = fun () -> Xmutil.Json.Null) ~requests ~metrics ~dir () =
   let is_dir () = try Sys.is_directory dir with Sys_error _ -> false in
   let made =
     match Unix.mkdir dir 0o755 with
@@ -248,5 +252,7 @@ let create ?(retention = default_retention) ?(cooldown_s = default_cooldown_s)
           last_fired = [];
           seq = 0;
           context;
+          metrics;
+          requests;
           lock = Mutex.create ();
         }

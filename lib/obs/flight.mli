@@ -2,16 +2,17 @@
     forensics.
 
     A recorder is a value its owner holds: the serve daemon creates one
-    per server for [--incident-dir], and a daemon without one has no
-    recorder.  A bounded ring holds periodic metric snapshots.  A
+    per server for [--incident-dir], over the server's own metrics
+    registry and request ring, and a daemon without one has no recorder.
+    A bounded ring holds periodic snapshots of the registry.  A
     {!trigger} — SLO breach, error-rate threshold, fatal signal, or a
-    manual request — atomically writes them, a view of the
-    completed-request ring ({!Ctx.completed}) and the owner's context as
-    a versioned JSON incident bundle under the recorder's directory,
-    with bounded retention.  The view is the requests' query
+    manual request — atomically writes them, a view of the owner's
+    finished requests ({!Ctx.finished}) and the owner's context as a
+    versioned JSON incident bundle under the recorder's directory, with
+    bounded retention.  The view is the requests' query
     records ([qlog], oldest first) and their spans ([trace], at most 2048
     spans, newest kept), so the bundle covers exactly the requests the
-    ring holds.  The recorder keeps no spans or query records of its
+    owner's ring holds.  The recorder keeps no spans or query records of its
     own.  A snapshot feed costs one short mutex-protected clock
     comparison. *)
 
@@ -40,6 +41,8 @@ val create :
   ?retention:int ->
   ?cooldown_s:float ->
   ?context:(unit -> Xmutil.Json.t) ->
+  requests:(unit -> Ctx.finished list) ->
+  metrics:Metrics.t ->
   dir:string ->
   unit ->
   (t, string) result
@@ -51,11 +54,14 @@ val create :
     kind.  [context]'s result becomes each bundle's ["context"] field
     (default [null]; a callback that raises yields [null]): the serve
     daemon injects store generations, cache introspection, config, SLO
-    state, and the request ring here, keeping [xmobs] below [serve] in
-    the dependency stack. *)
+    state, and the request summaries here, keeping [xmobs] below [serve]
+    in the dependency stack.  [requests] gives the owner's finished
+    requests, newest first: each bundle's [qlog] and [trace].  [metrics] is the registry snapshotted, bundled, and bumped
+    on each bundle. *)
 
 val snapshot : t -> unit
-(** Take a metric snapshot when the last one is at least a second old.
+(** Snapshot the registry when the last snapshot is at least a second
+    old.
     The serve daemon calls it after each query. *)
 
 val trigger :

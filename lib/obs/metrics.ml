@@ -1,17 +1,17 @@
 (* A metrics registry: named counters, gauges, and log-scale histograms.
 
-   There is one [global] registry plus per-run scoped registries ([create] /
-   [with_registry]); the *current* registry receives all name-based updates.
-   Updates only happen while metrics are enabled, so the disabled path is a
-   single branch.  Hot call sites can intern a handle once ([counter],
-   [gauge], [histogram]) and mutate it directly — a field write, no lookup.
+   A registry is a value its owner holds (the serve daemon, one per
+   server; the CLI's [--metrics]); every update and every read names the
+   registry it touches, so there is no global one, no current one, and no
+   enable gate.  Hot call sites can intern a handle once ([counter],
+   [gauge], [histogram]) and mutate it directly — a field write, no
+   lookup.
 
    Domain-safety: counters are atomics (adds commute, totals exact under
    concurrent updates); interning and histogram updates take a lock;
    gauges stay a bare mutable float — a word-sized write that cannot
    tear, with last-write-wins semantics that are the right ones for a
-   level anyway.  The enabled gate is an atomic; the current registry is
-   main-domain state. *)
+   level anyway. *)
 
 type counter = { count : int Atomic.t }
 
@@ -68,40 +68,6 @@ let create () : t =
     lock = Mutex.create ();
   }
 
-let global = create ()
-
-let current = ref global
-
-let current_registry () = !current
-
-let enabled = Atomic.make false
-
-let is_enabled () = Atomic.get enabled
-
-let enable ?registry () =
-  (match registry with Some r -> current := r | None -> ());
-  Atomic.set enabled true
-
-let disable () = Atomic.set enabled false
-
-(* Run [f] with [r] as the current registry (metrics stay enabled/disabled
-   as they were). *)
-let with_registry r f =
-  let prev = !current in
-  current := r;
-  Fun.protect f ~finally:(fun () -> current := prev)
-
-let reset ?r () =
-  let r = match r with Some r -> r | None -> !current in
-  Mutex.lock r.lock;
-  Hashtbl.reset r.counters;
-  Hashtbl.reset r.gauges;
-  Hashtbl.reset r.histograms;
-  Hashtbl.reset r.lcounters;
-  Hashtbl.reset r.lhistograms;
-  Hashtbl.reset r.help;
-  Mutex.unlock r.lock
-
 (* ---------- handles ---------- *)
 
 (* Interning takes the registry lock: two domains racing to intern the same
@@ -120,16 +86,13 @@ let intern lock tbl name make =
   Mutex.unlock lock;
   x
 
-let counter ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let counter ~r name =
   intern r.lock r.counters name (fun () -> { count = Atomic.make 0 })
 
-let gauge ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let gauge ~r name =
   intern r.lock r.gauges name (fun () -> { level = 0.0 })
 
-let histogram ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let histogram ~r name =
   intern r.lock r.histograms name (fun () ->
       { n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity;
         buckets = Array.make hist_buckets 0; hlock = Mutex.create () })
@@ -176,13 +139,11 @@ let mk_family max_series () =
   { fam_max = (match max_series with Some m -> max 1 m | None -> default_max_series);
     fam_series = Hashtbl.create 8 }
 
-let counter_labeled ?r ?max_series name labels =
-  let r = match r with Some r -> r | None -> !current in
+let counter_labeled ~r ?max_series name labels =
   let fam = intern r.lock r.lcounters name (mk_family max_series) in
   family_series r.lock fam labels (fun () -> { count = Atomic.make 0 })
 
-let histogram_labeled ?r ?max_series name labels =
-  let r = match r with Some r -> r | None -> !current in
+let histogram_labeled ~r ?max_series name labels =
   let fam = intern r.lock r.lhistograms name (mk_family max_series) in
   family_series r.lock fam labels (fun () ->
       { n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity;
@@ -190,8 +151,7 @@ let histogram_labeled ?r ?max_series name labels =
 
 (* ---------- help text ---------- *)
 
-let set_help ?r name text =
-  let r = match r with Some r -> r | None -> !current in
+let set_help ~r name text =
   Mutex.lock r.lock;
   Hashtbl.replace r.help name text;
   Mutex.unlock r.lock
@@ -225,35 +185,30 @@ let hist_add h v =
   h.buckets.(i) <- h.buckets.(i) + 1;
   Mutex.unlock h.hlock
 
-(* ---------- name-based updates (gated on [enable]) ---------- *)
+(* ---------- name-based updates ---------- *)
 
-let inc ?(by = 1) name =
-  if Atomic.get enabled then counter_add (counter name) by
+let inc ~r ?(by = 1) name = counter_add (counter ~r name) by
 
-let set_gauge name v =
-  if Atomic.get enabled then gauge_set (gauge name) v
+let set_gauge ~r name v = gauge_set (gauge ~r name) v
 
-let observe name v =
-  if Atomic.get enabled then hist_add (histogram name) v
+let observe ~r name v = hist_add (histogram ~r name) v
 
-(* Building the label list allocates: callers on the disabled path must
-   pre-intern handles if they need zero allocation. *)
-let inc_labeled ?(by = 1) name labels =
-  if Atomic.get enabled then counter_add (counter_labeled name labels) by
+(* Building the label list allocates: zero-alloc call sites pre-intern a
+   handle instead. *)
+let inc_labeled ~r ?(by = 1) name labels =
+  counter_add (counter_labeled ~r name labels) by
 
-let observe_labeled name labels v =
-  if Atomic.get enabled then hist_add (histogram_labeled name labels) v
+let observe_labeled ~r name labels v =
+  hist_add (histogram_labeled ~r name labels) v
 
 (* ---------- reads ---------- *)
 
-let counter_value ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let counter_value ~r name =
   match Hashtbl.find_opt r.counters name with
   | Some c -> Atomic.get c.count
   | None -> 0
 
-let gauge_value ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let gauge_value ~r name =
   match Hashtbl.find_opt r.gauges name with Some g -> g.level | None -> 0.0
 
 let family_bindings fam =
@@ -261,8 +216,7 @@ let family_bindings fam =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k (ls, x) acc -> (k, (ls, x)) :: acc) fam.fam_series [])
 
-let counter_value_labeled ?r name labels =
-  let r = match r with Some r -> r | None -> !current in
+let counter_value_labeled ~r name labels =
   match Hashtbl.find_opt r.lcounters name with
   | None -> 0
   | Some fam -> (
@@ -270,15 +224,13 @@ let counter_value_labeled ?r name labels =
       | Some (_, c) -> Atomic.get c.count
       | None -> 0)
 
-let counter_series ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let counter_series ~r name =
   match Hashtbl.find_opt r.lcounters name with
   | None -> []
   | Some fam ->
       List.map (fun (_, (ls, c)) -> (ls, Atomic.get c.count)) (family_bindings fam)
 
-let histogram_series ?r name =
-  let r = match r with Some r -> r | None -> !current in
+let histogram_series ~r name =
   match Hashtbl.find_opt r.lhistograms name with
   | None -> []
   | Some fam ->
@@ -310,8 +262,7 @@ let hist_percentile h q =
     | Some i -> Some (Float.min h.maxv (Float.max h.minv (bucket_value i)))
   end
 
-let percentile ?r name q =
-  let r = match r with Some r -> r | None -> !current in
+let percentile ~r name q =
   match Hashtbl.find_opt r.histograms name with
   | None -> None
   | Some h -> hist_percentile h q
@@ -338,8 +289,7 @@ let hist_to_json h =
 let labels_to_suffix ls =
   "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls) ^ "}"
 
-let to_json ?r () =
-  let r = match r with Some r -> r | None -> !current in
+let to_json ~r () =
   let base =
     [ ("counters",
        Xmutil.Json.Obj
@@ -479,8 +429,7 @@ let hist_samples b name lbl h =
   Buffer.add_string b (Printf.sprintf "%s_sum%s %s\n" name plain (prom_float sum));
   Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" name plain n)
 
-let to_prometheus ?r ?(info = []) () =
-  let r = match r with Some r -> r | None -> !current in
+let to_prometheus ~r ?(info = []) () =
   let b = Buffer.create 1024 in
   (match info with
   | [] -> ()
@@ -530,46 +479,6 @@ let to_prometheus ?r ?(info = []) () =
       let name = prometheus_name k in
       List.iter
         (fun (_, (ls, h)) -> hist_samples b name (labels_body ls) h)
-        (family_bindings fam))
-    (sorted_bindings r.lhistograms);
-  Buffer.contents b
-
-let to_string ?r () =
-  let r = match r with Some r -> r | None -> !current in
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (k, c) ->
-      Buffer.add_string b (Printf.sprintf "%-40s %d\n" k (Atomic.get c.count)))
-    (sorted_bindings r.counters);
-  List.iter
-    (fun (k, g) -> Buffer.add_string b (Printf.sprintf "%-40s %g\n" k g.level))
-    (sorted_bindings r.gauges);
-  List.iter
-    (fun (k, h) ->
-      let pct q = match hist_percentile h q with Some v -> v | None -> 0.0 in
-      Buffer.add_string b
-        (Printf.sprintf "%-40s n=%d sum=%g p50=%g p95=%g p99=%g\n" k h.n h.sum
-           (pct 0.5) (pct 0.95) (pct 0.99)))
-    (sorted_bindings r.histograms);
-  List.iter
-    (fun (k, fam) ->
-      List.iter
-        (fun (_, (ls, c)) ->
-          Buffer.add_string b
-            (Printf.sprintf "%-40s %d\n"
-               (k ^ labels_to_suffix ls)
-               (Atomic.get c.count)))
-        (family_bindings fam))
-    (sorted_bindings r.lcounters);
-  List.iter
-    (fun (k, fam) ->
-      List.iter
-        (fun (_, (ls, h)) ->
-          let pct q = match hist_percentile h q with Some v -> v | None -> 0.0 in
-          Buffer.add_string b
-            (Printf.sprintf "%-40s n=%d sum=%g p50=%g p95=%g p99=%g\n"
-               (k ^ labels_to_suffix ls)
-               h.n h.sum (pct 0.5) (pct 0.95) (pct 0.99)))
         (family_bindings fam))
     (sorted_bindings r.lhistograms);
   Buffer.contents b

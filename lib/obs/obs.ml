@@ -1,5 +1,5 @@
-(* The pipeline's one-liner for a layer span, and the on-disk sinks a
-   command or daemon owns.
+(* The pipeline's one-liner for a layer span, and the sinks a command or
+   daemon owns.
 
    [phase name f] opens a span [name] around [f] in the calling thread's
    request context (Ctx) when one is installed — so concurrent serve
@@ -15,6 +15,10 @@ let phase ?attrs name f =
     | Some ctx -> Ctx.with_span ?attrs ctx name f
     | None -> f ()
 
-type sinks = { qlog : Qlog.t option; statdb : Statdb.t option }
+type sinks = {
+  qlog : Qlog.t option;
+  statdb : Statdb.t option;
+  metrics : Metrics.t option;
+}
 
-let no_sinks = { qlog = None; statdb = None }
+let no_sinks = { qlog = None; statdb = None; metrics = None }

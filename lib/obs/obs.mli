@@ -1,4 +1,4 @@
-(** The pipeline's layer spans, and the on-disk sinks their owner holds.
+(** The pipeline's layer spans, and the sinks their owner holds.
 
     [phase name f] is a span around [f] in the calling thread's installed
     request context ({!Ctx}), if any; the span carries the store I/O
@@ -12,9 +12,13 @@ type sinks = {
   qlog : Qlog.t option;  (** [--qlog]: one record per execution *)
   statdb : Statdb.t option;
       (** [--stats-db]: each execution's operator frames are recorded *)
+  metrics : Metrics.t option;
+      (** [--metrics]: the registry executions write their render and
+          store series to *)
 }
-(** The on-disk sinks an execution writes, [None] for a sink that is off.
-    The CLI builds one record per command and registers its flushes on
-    {!Shutdown}; the serve daemon hands its own to every request. *)
+(** The sinks an execution writes, [None] for a sink that is off.  The
+    CLI builds one record per command and registers its flushes on
+    {!Shutdown}; the serve daemon hands its own to every request, with
+    its registry in [metrics]. *)
 
 val no_sinks : sinks

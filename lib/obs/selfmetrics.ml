@@ -94,26 +94,24 @@ let threads_total ?(stat = stat_path) () =
 
 let started = Unix.gettimeofday ()
 
-let sample ?uptime_s ?statm ?fd_dir ?stat () =
-  if Metrics.is_enabled () then begin
-    let uptime =
-      match uptime_s with
-      | Some u -> u
-      | None -> Unix.gettimeofday () -. started
-    in
-    Metrics.set_gauge "xmorph_uptime_seconds" uptime;
-    (match rss_bytes ?path:statm () with
-    | Some rss -> Metrics.set_gauge "xmorph_rss_bytes" (float_of_int rss)
-    | None -> ());
-    (match open_fds ?fd_dir () with
-    | Some fds -> Metrics.set_gauge "xmorph_open_fds" (float_of_int fds)
-    | None -> ());
-    (match threads_total ?stat () with
-    | Some t -> Metrics.set_gauge "xmorph_threads_total" (float_of_int t)
-    | None -> ());
-    let s = Gc.quick_stat () in
-    Metrics.set_gauge "gc_major_collections"
-      (float_of_int s.Gc.major_collections);
-    Metrics.set_gauge "gc_heap_words" (float_of_int s.Gc.heap_words);
-    Metrics.set_gauge "gc_minor_allocated_words" s.Gc.minor_words
-  end
+let sample ~r ?uptime_s ?statm ?fd_dir ?stat () =
+  let uptime =
+    match uptime_s with
+    | Some u -> u
+    | None -> Unix.gettimeofday () -. started
+  in
+  Metrics.set_gauge ~r "xmorph_uptime_seconds" uptime;
+  (match rss_bytes ?path:statm () with
+  | Some rss -> Metrics.set_gauge ~r "xmorph_rss_bytes" (float_of_int rss)
+  | None -> ());
+  (match open_fds ?fd_dir () with
+  | Some fds -> Metrics.set_gauge ~r "xmorph_open_fds" (float_of_int fds)
+  | None -> ());
+  (match threads_total ?stat () with
+  | Some t -> Metrics.set_gauge ~r "xmorph_threads_total" (float_of_int t)
+  | None -> ());
+  let s = Gc.quick_stat () in
+  Metrics.set_gauge ~r "gc_major_collections"
+    (float_of_int s.Gc.major_collections);
+  Metrics.set_gauge ~r "gc_heap_words" (float_of_int s.Gc.heap_words);
+  Metrics.set_gauge ~r "gc_minor_allocated_words" s.Gc.minor_words

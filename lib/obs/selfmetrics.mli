@@ -1,13 +1,14 @@
 (** Process self-metrics: uptime, resident set size, GC gauges.
 
-    {!sample} sets up to five gauges in the current {!Metrics} registry —
-    [xmorph_uptime_seconds], [xmorph_rss_bytes] (from
+    {!sample} sets up to seven gauges in the {!Metrics} registry it is
+    given — [xmorph_uptime_seconds], [xmorph_rss_bytes] (from
     [/proc/self/statm]; left unset when procfs is absent or the file is
     malformed — degradation never raises), [gc_major_collections],
-    [gc_heap_words], and [gc_minor_allocated_words] — and is a no-op
-    while metrics are disabled.  The serve daemon calls it at every
-    [/metrics] scrape and [/stats] snapshot, so the exported values are
-    read-fresh without a sampling thread. *)
+    [gc_heap_words], and [gc_minor_allocated_words], plus the
+    [xmorph_open_fds] and [xmorph_threads_total] procfs probes.  The
+    serve daemon calls it on its own registry at every [/metrics] scrape
+    and [/stats] snapshot, so the exported values are read-fresh without
+    a sampling thread. *)
 
 val page_size : unit -> int
 (** The system page size in bytes, probed once via [getconf PAGESIZE]
@@ -31,11 +32,11 @@ val threads_total : ?stat:string -> unit -> int option
     missing, truncated, or malformed. *)
 
 val sample :
-  ?uptime_s:float -> ?statm:string -> ?fd_dir:string -> ?stat:string ->
-  unit -> unit
+  r:Metrics.t -> ?uptime_s:float -> ?statm:string -> ?fd_dir:string ->
+  ?stat:string -> unit -> unit
 (** Set the self-metric gauges ([xmorph_uptime_seconds],
     [xmorph_rss_bytes], [xmorph_open_fds], [xmorph_threads_total], and
-    the GC gauges) in the current registry; procfs-backed gauges are left
+    the GC gauges) in [r]; procfs-backed gauges are left
     unset when their source is unreadable.  [uptime_s] overrides the
     process-start-based uptime (the serve daemon passes its own listener
     uptime); [statm]/[fd_dir]/[stat] override the procfs paths

@@ -169,7 +169,7 @@ let fold_prediction s total observed =
   s.qerr_n <- s.qerr_n + 1;
   q
 
-let record t ~guard_hash ?(predictions = []) frames =
+let record t ~guard_hash ?(predictions = []) ?metrics frames =
   let flat = flatten frames in
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
@@ -180,9 +180,11 @@ let record t ~guard_hash ?(predictions = []) frames =
       add_frame_totals s ~calls:f.f_calls ~wall:f.f_wall ~self:f.f_self
         ~in_nodes:f.f_in ~out_nodes:f.f_out ~pairs:f.f_pairs ~br:f.f_br
         ~bw:f.f_bw;
-      if Metrics.is_enabled () then
-        Metrics.observe_labeled "xmorph_operator_seconds" [ ("op", op) ]
-          (f.f_self *. 1e-6))
+      Option.iter
+        (fun r ->
+          Metrics.observe_labeled ~r "xmorph_operator_seconds" [ ("op", op) ]
+            (f.f_self *. 1e-6))
+        metrics)
     flat;
   List.iter
     (fun (op, card, parents) ->
@@ -191,8 +193,10 @@ let record t ~guard_hash ?(predictions = []) frames =
       | Some f ->
           let s = find_row_unlocked t guard_hash op in
           let q = fold_prediction s (Xmutil.Card.scale card parents) f.f_pairs in
-          if Metrics.is_enabled () then
-            Metrics.observe_labeled "xmorph_card_qerror" [ ("op", op) ] q)
+          Option.iter
+            (fun r ->
+              Metrics.observe_labeled ~r "xmorph_card_qerror" [ ("op", op) ] q)
+            metrics)
     predictions
 
 let merge ~into src =

@@ -69,6 +69,7 @@ val record :
   t ->
   guard_hash:string ->
   ?predictions:(string * Xmutil.Card.t * int) list ->
+  ?metrics:Metrics.t ->
   Profile.frame list ->
   unit
 (** Flatten a profile tree (frames merged by name, as {!Profile} already
@@ -76,8 +77,8 @@ val record :
     [guard_hash].  [predictions] pairs operator names with the per-parent
     predicted cardinality and the parent instance count; operators that
     did not run this execution are skipped.  Feeds the
-    [xmorph_operator_seconds] / [xmorph_card_qerror] metric families when
-    metrics are enabled.  Thread-safe. *)
+    [xmorph_operator_seconds] / [xmorph_card_qerror] metric families of
+    [metrics], when given.  Thread-safe. *)
 
 val merge : into:t -> t -> unit
 (** Add every row of the second warehouse into the first (summaries with

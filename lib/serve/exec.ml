@@ -35,6 +35,18 @@ let io_of_snapshot (s : Store.Io_stats.snapshot) : Xmobs.Qlog.io =
     write_ops = s.Store.Io_stats.write_ops;
   }
 
+(* The store's I/O counters as the [store.*] gauges of [r]: six name
+   lookups, once per execution or write, never per charge. *)
+let store_gauges r store =
+  let s = Store.Io_stats.snapshot (Store.Shredded.stats store) in
+  let set name v = Xmobs.Metrics.set_gauge ~r name (float_of_int v) in
+  set "store.bytes_read" s.Store.Io_stats.bytes_read;
+  set "store.bytes_written" s.Store.Io_stats.bytes_written;
+  set "store.blocks_read" s.Store.Io_stats.blocks_read;
+  set "store.blocks_written" s.Store.Io_stats.blocks_written;
+  set "store.read_ops" s.Store.Io_stats.read_ops;
+  set "store.write_ops" s.Store.Io_stats.write_ops
+
 let classify = function
   | Xmorph.Interp.Error m -> (Xmobs.Qlog.Parse_error, m)
   | Xmorph.Loss.Rejected r ->
@@ -81,7 +93,7 @@ let start ?trace_id store =
   }
 
 (* One record, two sinks: the caller's query log and the request context
-   installed on the calling thread, whose completed entry carries it to
+   installed on the calling thread, whose finished record carries it to
    /debug/requests and incident bundles.  The record is built once, only
    when either sink can take it, so the path stays allocation-free when
    both are off. *)
@@ -137,7 +149,10 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
   let classification = ref None in
   let out_nodes = ref 0 in
   let cached = ref false in
+  (* Called once, when the execution ends either way: the store gauges
+     and the query-log record. *)
   let submit outcome error =
+    Option.iter (fun r -> store_gauges r store) sinks.Xmobs.Obs.metrics;
     submit_entry sinks.Xmobs.Obs.qlog m store ~source ~doc ~guard ~guard_hash
       ~query_hash ~classification:!classification ~eval_s:!eval_s
       ~render_s:!render_s ~out_nodes:!out_nodes ~cached:!cached outcome error
@@ -205,6 +220,11 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
         if compact then Buffer.add_char buf '\n';
         render_s := now () -. t1;
         out_nodes := st.Xmorph.Render.elements;
+        Option.iter
+          (fun r ->
+            Xmobs.Metrics.inc ~r ~by:st.Xmorph.Render.elements "render.elements";
+            Xmobs.Metrics.inc ~r ~by:st.Xmorph.Render.bytes "render.bytes")
+          sinks.Xmobs.Obs.metrics;
         let body = Buffer.contents buf in
         cache_result compiled ~is_query:false body;
         Rendered { body; compiled }
@@ -266,7 +286,8 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
                 compiled
           | Failed _ -> []
         in
-        Xmobs.Statdb.record db ~guard_hash ~predictions frames;
+        Xmobs.Statdb.record db ~guard_hash ~predictions
+          ?metrics:sinks.Xmobs.Obs.metrics frames;
         outcome
     | Some _ | None -> run ()
   in

@@ -8,7 +8,15 @@
     deltas, and outcome classification, when the caller's sinks hold a
     query log or a request context is installed ({!Xmobs.Ctx.active}).
     It goes to the query log and to the calling thread's context
-    ({!Xmobs.Ctx.attach_qlog}), whose completed entry carries it. *)
+    ({!Xmobs.Ctx.attach_qlog}), whose finished record carries it.
+
+    This is where the pipeline's series reach a metrics registry: when
+    the caller's sinks hold one, each execution adds its render's
+    element and byte counts to the [render.elements] / [render.bytes]
+    counters (a cached body renders nothing) and sets the [store.*]
+    gauges from the store's I/O counters ({!store_gauges}), once, when
+    it ends.  No pipeline layer below it (render, store, in-situ
+    query) writes a registry. *)
 
 type outcome =
   | Rendered of { body : string; compiled : Xmorph.Interp.t }
@@ -22,6 +30,13 @@ type outcome =
   | Failed of { kind : Xmobs.Qlog.outcome; message : string }
       (** [kind] is never [Ok]; [message] is the human-readable error —
           for [Type_mismatch] it is the loss report *)
+
+val store_gauges : Xmobs.Metrics.t -> Store.Shredded.t -> unit
+(** Set the [store.bytes_read], [store.bytes_written],
+    [store.blocks_read], [store.blocks_written], [store.read_ops] and
+    [store.write_ops] gauges of the registry from the store's
+    {!Store.Io_stats.snapshot}: after an execution, and after the serve
+    daemon's writes. *)
 
 val execute :
   ?sinks:Xmobs.Obs.sinks ->
@@ -40,7 +55,10 @@ val execute :
     reusing the compiled plan.  The answer is that of the physical
     architecture ({!Guarded.Guarded_query.run_on_store}), byte for byte.
     Never raises: failures come back as [Failed].  [source] and [doc] are
-    recorded in the query log verbatim.  [sinks] defaults to none.
+    recorded in the query log verbatim.  [sinks] defaults to none; its
+    warehouse records the execution's operator frames, into the
+    [xmorph_operator_seconds] and [xmorph_card_qerror] families of its
+    registry too.
 
     The record's [eval_s] is the compile, plus the in-situ evaluation for
     a query (its closest joins and result materialization included);

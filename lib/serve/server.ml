@@ -5,12 +5,13 @@
    route it, write the response, close), and accepts again.  At most
    [workers] requests are in flight; past that, clients wait in the
    kernel's accept queue (backlog 64), so overload backpressures instead
-   of growing a thread herd.  Handlers share the global metrics registry
-   (counters/gauges are atomic or word-sized), the store's mutex-guarded
-   caches, and the server's own mutex-guarded sinks, so no extra
-   synchronization is needed here.  A worker keeps its thread id across
-   requests, and [Xmobs.Ctx] keys request contexts by thread id, so no
-   context may outlive its connection. *)
+   of growing a thread herd.  Handlers share the server's own metrics
+   registry (counters/gauges are atomic or word-sized), its request ring
+   (under its lock), the store's mutex-guarded caches, and the server's
+   other mutex-guarded sinks, so no extra synchronization is needed
+   here.  A worker keeps its thread id across requests, and [Xmobs.Ctx]
+   keys request contexts by thread id, so no context may outlive its
+   connection. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -48,7 +49,13 @@ type t = {
          [failures] series, the error-rate trigger, the SLO rules and
          the alert rules all read it *)
   slo : Slo.t option;
-  sinks : Xmobs.Obs.sinks; (* the query log and warehouse each request writes *)
+  sinks : Xmobs.Obs.sinks;
+      (* the query log, warehouse and registry each request writes *)
+  metrics : Xmobs.Metrics.t; (* the registry in [sinks]: /metrics, /stats *)
+  requests : Xmobs.Ctx.finished Xmutil.Ring.t;
+      (* finished /query requests: /debug/requests, /debug/trace/<id>,
+         incident bundles *)
+  requests_lock : Mutex.t;
   flight : Xmobs.Flight.t option; (* --incident-dir *)
   alerts : Xmobs.Alerts.t option; (* --alert-rules, stopped by [stop] *)
   mutable thread : Thread.t option;
@@ -76,14 +83,14 @@ let alerts_json t =
 
 (* The fields that name a completed request, in /debug/requests and
    /debug/trace/<id> alike. *)
-let request_fields (c : Xmobs.Ctx.completed) =
+let request_fields (c : Xmobs.Ctx.finished) =
   [ ("trace_id", Xmutil.Json.String c.Xmobs.Ctx.c_trace_id);
     ("label", Xmutil.Json.String c.Xmobs.Ctx.c_label);
     ("outcome", Xmutil.Json.String c.Xmobs.Ctx.c_outcome);
     ("status", Xmutil.Json.Int c.Xmobs.Ctx.c_status);
     ("wall_ms", Xmutil.Json.Float (c.Xmobs.Ctx.c_wall_s *. 1000.)) ]
 
-let completed_summary (c : Xmobs.Ctx.completed) =
+let completed_summary (c : Xmobs.Ctx.finished) =
   Xmutil.Json.Obj
     (request_fields c
     @ [ ("ts_ms",
@@ -101,6 +108,15 @@ let completed_summary (c : Xmobs.Ctx.completed) =
         ("spans", Xmutil.Json.Int c.Xmobs.Ctx.c_span_count);
         ("profile",
          Xmutil.Json.Bool (Option.is_some c.Xmobs.Ctx.c_profile)) ])
+
+(* The ring's requests, newest first. *)
+let newest_first lock ring =
+  Mutex.lock lock;
+  let l = Xmutil.Ring.to_list ring in
+  Mutex.unlock lock;
+  List.rev l
+
+let requests t = newest_first t.requests_lock t.requests
 
 let stores_json ?(types = false) t =
   Xmutil.Json.List
@@ -161,9 +177,8 @@ let incident_context t =
           @ [ ("failures",
                Xmobs.Timeseries.to_json ~last_s:t.ts_window
                  (Xmobs.Alerts.failures t.stream)) ]));
-       ("requests",
-        Xmutil.Json.List
-          (List.map completed_summary (Xmobs.Ctx.completed ()))) ]
+       ("requests", Xmutil.Json.List (List.map completed_summary (requests t)))
+     ]
     @ match t.slo with
       | None -> []
       | Some s -> [ ("slo", Slo.snapshot_json s) ])
@@ -188,7 +203,8 @@ let trigger ?force flight ~kind reason =
 
 let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
     ?(workers = 4) ?slow_ms ?slow_log ?(window = 60) ?slo_p95_ms
-    ?slo_error_rate ?incident_dir ?(incident_keep = 16) ?alerts ~stores () =
+    ?slo_error_rate ?incident_dir ?(incident_keep = 16) ?alerts
+    ?(debug_ring = 256) ?cache_bytes ~stores () =
   if stores = [] then invalid_arg "Server.create: no stores";
   let workers = max 1 (min 64 workers) in
   let window = max 1 (min 3600 window) in
@@ -212,6 +228,14 @@ let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
+  (* The server's own registry, in the sinks every request writes. *)
+  let metrics =
+    match sinks.Xmobs.Obs.metrics with
+    | Some r -> r
+    | None -> Xmobs.Metrics.create ()
+  in
+  let requests = Xmutil.Ring.create debug_ring
+  and requests_lock = Mutex.create () in
   (* The recorder's context reads the server, which holds the recorder:
      [context] is pointed at the server once it exists. *)
   let context = ref (fun () -> Xmutil.Json.Null) in
@@ -221,7 +245,8 @@ let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
         match
           Xmobs.Flight.create ~retention:incident_keep
             ~context:(fun () -> !context ())
-            ~dir ()
+            ~requests:(fun () -> newest_first requests_lock requests)
+            ~metrics ~dir ()
         with
         | Ok f -> f
         | Error m ->
@@ -229,11 +254,12 @@ let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
             raise (Sys_error m))
       incident_dir
   in
-  (* The daemon always collects metrics: /metrics is only useful live. *)
-  Xmobs.Metrics.enable ();
-  Xmobs.Metrics.set_gauge "serve.workers" (float_of_int workers);
+  Option.iter
+    (fun budget_bytes -> Xmcache.enable_into metrics ~budget_bytes)
+    cache_bytes;
+  Xmobs.Metrics.set_gauge ~r:metrics "serve.workers" (float_of_int workers);
   List.iter
-    (fun (name, text) -> Xmobs.Metrics.set_help name text)
+    (fun (name, text) -> Xmobs.Metrics.set_help ~r:metrics name text)
     [ ("xmorph_requests_total", "HTTP requests by route and status");
       ("xmorph_query_seconds", "query wall time by document and outcome");
       ("xmorph_guard_seconds", "query wall time by guard hash");
@@ -274,7 +300,7 @@ let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
   let alerts =
     Option.map
       (fun cfg ->
-        Xmobs.Alerts.start ~send:send_webhook
+        Xmobs.Alerts.start ~send:send_webhook ~metrics
           ~on_firing:(fun (tr : Xmobs.Alerts.transition) ->
             trigger flight ~kind:Xmobs.Flight.Alert
               (Printf.sprintf "alert %s: %s" tr.Xmobs.Alerts.rule
@@ -303,7 +329,10 @@ let create ?(sinks = Xmobs.Obs.no_sinks) ?(addr = "127.0.0.1") ?(port = 0)
     slo =
       Slo.create ?p95_ms:slo_p95_ms ?error_rate:slo_error_rate ?on_breach
         ~window stream;
-    sinks;
+    sinks = { sinks with Xmobs.Obs.metrics = Some metrics };
+    metrics;
+    requests;
+    requests_lock;
     flight;
     alerts;
     thread = None;
@@ -332,10 +361,13 @@ let truthy = function
 let stats_json t =
   (* Refresh process gauges (RSS, GC, uptime) so a /stats poller — the
      xmorph top dashboard — sees them without also scraping /metrics. *)
-  Xmobs.Selfmetrics.sample ~uptime_s:(now () -. t.started) ();
+  Xmobs.Selfmetrics.sample ~r:t.metrics ~uptime_s:(now () -. t.started) ();
   let queries =
     List.map
-      (fun o -> (o, Xmutil.Json.Int (Xmobs.Metrics.counter_value ("serve.queries." ^ o))))
+      (fun o ->
+        ( o,
+          Xmutil.Json.Int
+            (Xmobs.Metrics.counter_value ~r:t.metrics ("serve.queries." ^ o)) ))
       outcome_names
   in
   Xmutil.Json.Obj
@@ -346,10 +378,10 @@ let stats_json t =
       ("requests",
        Xmutil.Json.Int
          (List.fold_left (fun n (_, v) -> n + v) 0
-            (Xmobs.Metrics.counter_series "xmorph_requests_total")));
+            (Xmobs.Metrics.counter_series ~r:t.metrics "xmorph_requests_total")));
       ("stores", stores_json ~types:true t);
       ("queries", Xmutil.Json.Obj queries);
-      ("metrics", Xmobs.Metrics.to_json ()) ]
+      ("metrics", Xmobs.Metrics.to_json ~r:t.metrics ()) ]
 
 (* Slow-query auto-capture: re-execute the over-threshold request once
    and return its frames for [finish] to seal into the request's ring
@@ -413,8 +445,9 @@ let refused_label (req : Http.request) =
   else Xmobs.Qlog.hash_text req.Http.body
 
 (* Route one POST /query under a fresh context and return the response
-   with the context's completed entry, the request's one record, which
-   [observe] folds into every per-request sink.  An executed query is
+   with the context's finished record, the request's one record: kept in
+   the server's request ring here, and folded by [observe] into every
+   per-request sink.  An executed query is
    named by its query record; a refused one (no such store, empty guard)
    by [refused_label] and the outcome given here. *)
 let handle_query t req =
@@ -495,6 +528,9 @@ let handle_query t req =
       ?label:(Option.map (fun _ -> refused_label req) refused)
       ?outcome:refused ctx ~status:resp.Http.status ~wall_s
   in
+  Mutex.lock t.requests_lock;
+  Xmutil.Ring.push t.requests completed;
+  Mutex.unlock t.requests_lock;
   ( {
       resp with
       Http.headers =
@@ -542,6 +578,7 @@ let handle_update t req =
               Http.response 400
                 (Printf.sprintf "no node %d in %s\n" id doc_name)
           | Ok updated ->
+              Exec.store_gauges t.metrics updated;
               json_ok
                 (Xmutil.Json.Obj
                    [ ("doc", Xmutil.Json.String doc_name);
@@ -551,15 +588,18 @@ let handle_update t req =
 
 (* ---------- /debug endpoints ---------- *)
 
-let debug_requests () =
+let debug_requests t =
   json_ok
     (Xmutil.Json.Obj
-       [ ("requests",
-          Xmutil.Json.List (List.map completed_summary (Xmobs.Ctx.completed ())))
+       [ ("requests", Xmutil.Json.List (List.map completed_summary (requests t)))
        ])
 
-let debug_trace trace_id =
-  match Xmobs.Ctx.find_completed trace_id with
+let debug_trace t trace_id =
+  match
+    List.find_opt
+      (fun c -> String.equal c.Xmobs.Ctx.c_trace_id trace_id)
+      (requests t)
+  with
   | None -> Http.response 404 (Printf.sprintf "no trace %S\n" trace_id)
   | Some c ->
       let fields =
@@ -642,8 +682,8 @@ let debug_incident_trigger t (req : Http.request) =
 
 (* Top guards by cumulative window-free time: the labeled family already
    aggregates per guard hash, so the dashboard ranking is a read. *)
-let top_guards_json ?(limit = 10) () =
-  Xmobs.Metrics.histogram_series "xmorph_guard_seconds"
+let top_guards_json ?(limit = 10) t =
+  Xmobs.Metrics.histogram_series ~r:t.metrics "xmorph_guard_seconds"
   |> List.sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a)
   |> List.filteri (fun i _ -> i < limit)
   |> List.map (fun (ls, (n, s)) ->
@@ -662,7 +702,7 @@ let debug_timeseries t =
           ("uptime_s", Xmutil.Json.Float (now () -. t.started));
           ("series", Xmutil.Json.Obj (series_json t)) ]
        @ (match t.slo with None -> [] | Some s -> [ ("slo", Slo.to_json s) ])
-       @ [ ("top_guards", top_guards_json ()) ]))
+       @ [ ("top_guards", top_guards_json t) ]))
 
 let healthz t =
   match t.slo with
@@ -701,18 +741,18 @@ let route t (req : Http.request) =
   | "GET", "/debug/cache" -> json_ok (Xmcache.to_json ())
   | "GET", "/debug/timeseries" -> debug_timeseries t
   | "GET", "/metrics" ->
-      Xmobs.Metrics.set_gauge "serve.uptime_s" (now () -. t.started);
-      Xmobs.Selfmetrics.sample ~uptime_s:(now () -. t.started) ();
+      Xmobs.Metrics.set_gauge ~r:t.metrics "serve.uptime_s" (now () -. t.started);
+      Xmobs.Selfmetrics.sample ~r:t.metrics ~uptime_s:(now () -. t.started) ();
       Http.response ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         200
-        (Xmobs.Metrics.to_prometheus
+        (Xmobs.Metrics.to_prometheus ~r:t.metrics
            ~info:
              [ ("version", "2.0");
                ("stores", String.concat "," (List.map fst t.stores)) ]
            ())
   | "GET", "/stats" ->
       json_ok (stats_json t)
-  | "GET", "/debug/requests" -> debug_requests ()
+  | "GET", "/debug/requests" -> debug_requests t
   | "GET", "/debug/incidents" -> debug_incidents t
   | "GET", path when String.starts_with ~prefix:incidents_prefix path ->
       debug_incident_fetch t
@@ -720,7 +760,7 @@ let route t (req : Http.request) =
            (String.length incidents_prefix)
            (String.length path - String.length incidents_prefix))
   | "GET", path when String.starts_with ~prefix:trace_prefix path ->
-      debug_trace
+      debug_trace t
         (String.sub path (String.length trace_prefix)
            (String.length path - String.length trace_prefix))
   | "POST", "/update" -> handle_update t req
@@ -750,13 +790,14 @@ let route_label (req : Http.request) =
 (* The one fold point: every per-request registry and window write
    happens here, once per request.  Every response — queries and
    monitoring scrapes alike — lands in the request family and the
-   request/error windows; a /query's completed entry feeds the block
+   request/error windows; a /query's finished record feeds the block
    window from its I/O, the capture counter from its profile, and its
    query record, when it ran one, the query families, the alert stream
    and the flight recorder. *)
 let observe t ~route ~status ~wall_s completed =
-  Xmobs.Metrics.observe "serve.request.seconds" wall_s;
-  Xmobs.Metrics.inc_labeled "xmorph_requests_total"
+  let r = t.metrics in
+  Xmobs.Metrics.observe ~r "serve.request.seconds" wall_s;
+  Xmobs.Metrics.inc_labeled ~r "xmorph_requests_total"
     [ ("route", route); ("status", string_of_int status) ];
   Xmobs.Timeseries.record t.ts_requests wall_s;
   if status >= 400 then Xmobs.Timeseries.bump t.ts_errors;
@@ -768,19 +809,19 @@ let observe t ~route ~status ~wall_s completed =
         + Xmobs.Ctx.blocks_of io.Xmobs.Ctx.bytes_written
       in
       if blocks > 0 then Xmobs.Timeseries.bump ~by:blocks t.ts_blocks;
-      if Option.is_some c_profile then Xmobs.Metrics.inc "serve.slow_captures";
+      if Option.is_some c_profile then Xmobs.Metrics.inc ~r "serve.slow_captures";
       match c_qlog with
       | None -> ()
       | Some { Xmobs.Qlog.doc; outcome; guard_hash; wall_s = qwall; _ } ->
           let name = Xmobs.Qlog.outcome_to_string outcome in
-          Xmobs.Metrics.inc ("serve.queries." ^ name);
+          Xmobs.Metrics.inc ~r ("serve.queries." ^ name);
           (* Dimension-labeled views of the same execution: by doc and
              outcome for capacity questions, by guard hash for "which
              query is expensive" — bounded families, excess guards
              collapse into the "_other" series. *)
-          Xmobs.Metrics.observe_labeled "xmorph_query_seconds"
+          Xmobs.Metrics.observe_labeled ~r "xmorph_query_seconds"
             [ ("doc", doc); ("outcome", name) ] qwall;
-          Xmobs.Metrics.observe_labeled "xmorph_guard_seconds"
+          Xmobs.Metrics.observe_labeled ~r "xmorph_guard_seconds"
             [ ("guard", guard_hash) ] qwall;
           Xmobs.Alerts.feed t.stream ~outcome ~wall_s:qwall;
           Option.iter (fun f -> flight_after_query t f outcome) t.flight)

@@ -5,8 +5,8 @@
     - [GET /healthz] — [200 ok]; with SLO objectives it ticks the {!Slo}
       rules and answers [503] naming each breached objective, with a 2 s
       recovery hold against flapping.
-    - [GET /metrics] — Prometheus text from the global {!Xmobs.Metrics}
-      registry (enabled at startup), including the labeled families
+    - [GET /metrics] — Prometheus text from the server's own
+      {!Xmobs.Metrics} registry, including the labeled families
       [xmorph_requests_total{route,status}] (every route),
       [xmorph_query_seconds{doc,outcome}] and [xmorph_guard_seconds{guard}]
       (bounded cardinality).
@@ -26,7 +26,8 @@
       the new generation as JSON.
     - [GET /debug/cache] — the {!Xmcache} introspection document.
     - [GET /debug/requests], [GET /debug/trace/<trace-id>] — recently
-      completed [POST /query] requests ({!Xmobs.Ctx} ring), newest first;
+      finished [POST /query] requests (the server's request ring, see
+      {!requests}), newest first;
       one request's span tree as Chrome [trace_event] JSON, its query
       record, and its slow-query profile when one was captured.
     - [GET /debug/incidents], [GET /debug/incidents/<name>],
@@ -39,31 +40,35 @@
       warehouse.  Each is [{"enabled": false}] when off.
 
     Sinks: a server holds its own.  Every request writes one
-    {!Xmobs.Qlog} record to [sinks]'s query log and its frames to its
-    warehouse; the flight recorder ([incident_dir]) and the alert
-    evaluator ([alerts]) are created with the server and stopped with
-    it.  Two servers in one process share none of them.
+    {!Xmobs.Qlog} record to [sinks]'s query log, its frames to its
+    warehouse, and its series to its metrics registry — [sinks]'s, or
+    one the server makes when [sinks] holds none; the request ring, the
+    flight recorder ([incident_dir]) and the alert evaluator ([alerts])
+    are created with the server and stopped with it.  Two servers in
+    one process share none of them.  Only the {!Xmcache} is
+    process-wide: [cache_bytes] installs it, its families in this
+    server's registry.
 
     Flight recorder: every bundle carries the server's context (config,
     store generations, cache introspection, rolling windows, SLO and
-    alert state, the completed-request ring).  Bundles are written on
+    alert state, the request ring).  Bundles are written on
     the SLO healthy→degraded edge (the SLO rules are then also ticked
     after each query), on a window where internal/parse-error outcomes
     dominate (≥ 10 failures and > 50% of windowed queries), on a firing
     alert rule, on [POST /debug/incident], and when the process dies on
     SIGTERM/SIGINT ({!on_signal}).  The per-query checks run after the
-    request is finished into the completed-request ring, so a bundle
-    they write includes the request that tripped it.
+    request is finished into the request ring, so a bundle they write
+    includes the request that tripped it.
 
     One record per request: every per-request metric family and window
     is written once, from the request's status and wall time and, for a
-    [POST /query], from the completed {!Xmobs.Ctx} entry its context was
+    [POST /query], from the finished {!Xmobs.Ctx} record its context was
     sealed into.  Every [POST /query] runs under a fresh {!Xmobs.Ctx},
     honoring a well-formed W3C [traceparent] header, and the response
     carries [traceparent] and [x-xmorph-trace-id].  With [slow_ms] set,
     a request whose wall time meets the threshold is re-executed once
     under the per-operator profiler, in a context of its own, and the
-    frames are sealed into its ring entry (plus a [<trace-id>.json]
+    frames are sealed into its record (plus a [<trace-id>.json]
     artifact under [slow_log]).
 
     Concurrency: [workers] long-lived threads, all on one domain, each
@@ -87,6 +92,8 @@ val create :
   ?incident_dir:string ->
   ?incident_keep:int ->
   ?alerts:Xmobs.Alerts.config ->
+  ?debug_ring:int ->
+  ?cache_bytes:int ->
   stores:(string * Store.Shredded.t) list ->
   unit ->
   t
@@ -106,7 +113,10 @@ val create :
     [incident_dir] gives the server a flight recorder writing there
     (created if missing); [incident_keep] (default 16) bounds the
     bundles retained.  [alerts] starts an {!Xmobs.Alerts} evaluator over
-    the same stream, posting its webhook with {!Http}.  [stores] must be
+    the same stream, posting its webhook with {!Http}.  [debug_ring]
+    (default 256) bounds the request ring.  [cache_bytes] installs the
+    process-wide {!Xmcache} with that result budget, its families in
+    this server's registry.  [stores] must be
     non-empty; the first store is the default [?doc=] target.
     @raise Invalid_argument on an empty store list
     @raise Unix.Unix_error when [addr] is neither, or the address cannot
@@ -116,6 +126,10 @@ val create :
 
 val port : t -> int
 val addr : t -> string
+
+val requests : t -> Xmobs.Ctx.finished list
+(** The request ring: the last [debug_ring] finished [POST /query]
+    requests, newest first. *)
 
 val run : t -> unit
 (** Serve until {!stop} (or process exit).  Blocks the calling thread:

@@ -40,25 +40,11 @@ let snapshot (t : t) : snapshot =
     write_ops = Atomic.get t.c_write_ops;
   }
 
-(* Six name-based gauge writes: once per operation, never per charge. *)
-let publish t =
-  if Xmobs.Metrics.is_enabled () then begin
-    let s = snapshot t in
-    let set name v = Xmobs.Metrics.set_gauge name (float_of_int v) in
-    set "store.bytes_read" s.bytes_read;
-    set "store.bytes_written" s.bytes_written;
-    set "store.blocks_read" s.blocks_read;
-    set "store.blocks_written" s.blocks_written;
-    set "store.read_ops" s.read_ops;
-    set "store.write_ops" s.write_ops
-  end
-
 let reset (t : t) =
   Atomic.set t.c_bytes_read 0;
   Atomic.set t.c_bytes_written 0;
   Atomic.set t.c_read_ops 0;
-  Atomic.set t.c_write_ops 0;
-  publish t
+  Atomic.set t.c_write_ops 0
 
 let charge_read ?ctx (t : t) bytes =
   let before = Atomic.fetch_and_add t.c_bytes_read bytes in

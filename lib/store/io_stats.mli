@@ -15,12 +15,11 @@
     spans (and profiler frames) carry the I/O charged under them.  No
     lock, lookup or allocation happens per charge.
 
-    The [store.bytes_read] / [store.bytes_written] / [store.blocks_read] /
-    [store.blocks_written] / [store.read_ops] / [store.write_ops] gauges of
-    the current {!Xmobs.Metrics} registry are set from these counters by
-    {!publish}, once per operation (a render, an in-situ query, a value
-    update, an operation of the eXist baseline, a {!reset}), never per
-    charge.
+    A store's counters are read, never pushed: {!snapshot} is what the
+    experiment harness samples on a timer (the paper's Figs. 11–13), and
+    what the execution path ([Xmserve.Exec]) and the serve daemon's
+    update route set the [store.*] gauges of their owner's metrics
+    registry from, once per execution or write.
 
     The library renders on the caller's domain and starts no domains of
     its own.  The byte/op counters are atomics, so a caller that charges
@@ -47,7 +46,7 @@ type snapshot = {
 
 val create : unit -> t
 val reset : t -> unit
-(** Zero the counters and {!publish} them. *)
+(** Zero the counters. *)
 
 val charge_read : ?ctx:Xmobs.Ctx.t -> t -> int -> unit
 (** [charge_read ?ctx t bytes] records a read of [bytes] bytes, and adds
@@ -56,11 +55,6 @@ val charge_read : ?ctx:Xmobs.Ctx.t -> t -> int -> unit
     The caller resolves [ctx] once per operation, never per charge. *)
 
 val charge_write : ?ctx:Xmobs.Ctx.t -> t -> int -> unit
-
-val publish : t -> unit
-(** Set the [store.*] gauges of the current metrics registry from the
-    counters, when metrics are enabled.  Operations call it once, when
-    they end. *)
 
 val snapshot : t -> snapshot
 

@@ -301,7 +301,6 @@ let update_values t updates =
         (Int_map.add id (value, size) values, data_bytes + size - old_size))
       batch (t.values, t.data_bytes)
   in
-  Io_stats.publish t.stats;
   (* Values play no part in the structure, so the returned store shares
      the parent and rank columns, the grouped-run cache and the join
      levels, lock included, with [t]. *)

@@ -174,7 +174,7 @@ val update_values : t -> (int * string) list -> t
     stamps nothing.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its
     encoded size, to the calling thread's {!Xmobs.Ctx} too (looked up
-    once per call); the call ends with {!Io_stats.publish}.
+    once per call).
     @raise Invalid_argument, with no effect, if any id is out of range. *)
 
 val update_value : t -> int -> string -> t

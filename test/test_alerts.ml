@@ -325,7 +325,7 @@ let base_cfg rules =
 
 let with_alerts ?send cfg f =
   let st = Alerts.stream cfg.Alerts.rules in
-  let a = Alerts.start ?send st cfg in
+  let a = Alerts.start ?send ~metrics:(Xmobs.Metrics.create ()) st cfg in
   Fun.protect (fun () -> f a st) ~finally:(fun () -> Alerts.stop a)
 
 let drive_breach_and_recovery a st =

@@ -1,8 +1,8 @@
 (* Request-scoped telemetry contexts: W3C traceparent parsing, the
    thread-keyed slot, span recording into the context (the only span
    sink) with its I/O attributes, per-request I/O attribution summing exactly to the
-   global Io_stats deltas under concurrency, and the completed-request
-   ring behind the serve daemon's /debug endpoints. *)
+   global Io_stats deltas under concurrency, and the finished-request
+   record behind the serve daemon's /debug endpoints. *)
 
 module Ctx = Xmobs.Ctx
 
@@ -287,59 +287,35 @@ let test_blocks_of () =
   Alcotest.(check int) "one page" 1 (Ctx.blocks_of 4096);
   Alcotest.(check int) "one page + 1" 2 (Ctx.blocks_of 4097)
 
-(* ---------- the completed-request ring ---------- *)
+(* ---------- the finished request ---------- *)
 
-let finish_one ?(outcome = "ok") ?(status = 200) label =
+let finish_one ?profile ?(outcome = "ok") ?(status = 200) label =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () -> Ctx.with_span ctx "work" (fun () -> ()));
-  ignore (Ctx.finish ctx ~label ~outcome ~status ~wall_s:0.001);
-  Ctx.trace_id ctx
+  (ctx, Ctx.finish ?profile ctx ~label ~outcome ~status ~wall_s:0.001)
 
-let test_ring_basics () =
-  Ctx.reset_completed ();
-  Fun.protect ~finally:Ctx.reset_completed @@ fun () ->
-  let id1 = finish_one "a" in
-  let id2 = finish_one ~outcome:"parse-error" ~status:400 "b" in
-  (match Ctx.completed () with
-  | [ c2; c1 ] ->
-      Alcotest.(check string) "newest first" id2 c2.Ctx.c_trace_id;
-      Alcotest.(check string) "oldest last" id1 c1.Ctx.c_trace_id;
-      Alcotest.(check string) "label kept" "b" c2.Ctx.c_label;
-      Alcotest.(check string) "outcome kept" "parse-error" c2.Ctx.c_outcome;
-      Alcotest.(check int) "status kept" 400 c2.Ctx.c_status;
-      Alcotest.(check int) "span count kept" 1 c2.Ctx.c_span_count
-  | l -> Alcotest.failf "expected 2 completed entries, got %d" (List.length l));
-  (match Ctx.find_completed id1 with
-  | Some c -> Alcotest.(check string) "find by id" "a" c.Ctx.c_label
-  | None -> Alcotest.fail "finished request not findable");
-  Alcotest.(check bool)
-    "unknown id" true
-    (Ctx.find_completed "deadbeef" = None);
-  (match Ctx.find_completed id1 with
-  | Some c -> Alcotest.(check bool) "no profile unless given" true
-                (c.Ctx.c_profile = None)
-  | None -> Alcotest.fail "entry vanished");
-  (* [finish ~profile] seals frames into the entry (the slow-query
+let test_finish_seals () =
+  let ctx, c = finish_one ~outcome:"parse-error" ~status:400 "b" in
+  Alcotest.(check string) "trace id kept" (Ctx.trace_id ctx) c.Ctx.c_trace_id;
+  Alcotest.(check string) "label kept" "b" c.Ctx.c_label;
+  Alcotest.(check string) "outcome kept" "parse-error" c.Ctx.c_outcome;
+  Alcotest.(check int) "status kept" 400 c.Ctx.c_status;
+  Alcotest.(check int) "span count kept" 1 c.Ctx.c_span_count;
+  Alcotest.(check bool) "no profile unless given" true (c.Ctx.c_profile = None);
+  (* [finish ~profile] seals frames into the record (the slow-query
      capture path). *)
   let ctx = Ctx.create () in
   let (), profile =
     Ctx.with_ctx ctx (fun () ->
         Ctx.profiled (fun () -> Xmobs.Profile.op "render" (fun () -> ())))
   in
-  ignore
-    (Ctx.finish ~profile ctx ~label:"c" ~outcome:"ok" ~status:200
-       ~wall_s:0.001);
-  match Ctx.find_completed (Ctx.trace_id ctx) with
-  | Some c -> Alcotest.(check bool) "profile attached" true
-                (c.Ctx.c_profile = Some profile)
-  | None -> Alcotest.fail "entry vanished"
+  let _, c = finish_one ~profile "c" in
+  Alcotest.(check bool) "profile attached" true (c.Ctx.c_profile = Some profile)
 
-(* [finish] returns the entry it pushed: the request's one record.  A
-   context holding a query record is named by it unless the caller names
-   the request; one without is named by the caller alone. *)
+(* [finish] returns the request's one record.  A context holding a query
+   record is named by it unless the caller names the request; one
+   without is named by the caller alone. *)
 let test_finish_returns_record () =
-  Ctx.reset_completed ();
-  Fun.protect ~finally:Ctx.reset_completed @@ fun () ->
   let q =
     { Xmobs.Qlog.ts = 0.0; id = 0; trace_id = None; source = "test";
       doc = "d"; guard = "MUTATE site"; guard_hash = "abc";
@@ -356,10 +332,6 @@ let test_finish_returns_record () =
   Alcotest.(check string) "outcome is the record's" "type-mismatch"
     c.Ctx.c_outcome;
   Alcotest.(check bool) "the record rides along" true (c.Ctx.c_qlog = Some q);
-  (match Ctx.find_completed (Ctx.trace_id ctx) with
-  | Some pushed ->
-      Alcotest.(check bool) "returned = pushed" true (pushed == c)
-  | None -> Alcotest.fail "returned entry not in the ring");
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () -> Ctx.attach_qlog q);
   let c = Ctx.finish ~label:"/query" ~outcome:"x" ctx ~status:400 ~wall_s:0.0 in
@@ -371,21 +343,6 @@ let test_finish_returns_record () =
   in
   Alcotest.(check bool) "no record, none attached" true (c.Ctx.c_qlog = None);
   Alcotest.(check string) "refused outcome kept" "empty-guard" c.Ctx.c_outcome
-
-let test_ring_eviction () =
-  Ctx.reset_completed ();
-  Ctx.set_ring_capacity 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Ctx.set_ring_capacity 256;
-      Ctx.reset_completed ())
-  @@ fun () ->
-  let id1 = finish_one "a" in
-  let _id2 = finish_one "b" in
-  let _id3 = finish_one "c" in
-  Alcotest.(check int) "capacity bounds the ring" 2
-    (List.length (Ctx.completed ()));
-  Alcotest.(check bool) "oldest evicted" true (Ctx.find_completed id1 = None)
 
 let suite =
   [
@@ -414,9 +371,8 @@ let suite =
       test_io_sums_to_global;
     QCheck_alcotest.to_alcotest prop_io_sum;
     Alcotest.test_case "blocks_of page rounding" `Quick test_blocks_of;
-    Alcotest.test_case "completed ring: find, attach, outcomes" `Quick
-      test_ring_basics;
+    Alcotest.test_case "finish seals names, status, spans and profile" `Quick
+      test_finish_seals;
     Alcotest.test_case "finish returns its entry, named by the query record"
       `Quick test_finish_returns_record;
-    Alcotest.test_case "completed ring eviction" `Quick test_ring_eviction;
   ]

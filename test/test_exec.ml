@@ -8,7 +8,7 @@
 
 let fig_a = Workloads.Figures.instance_a
 
-(* One execution inside a request context, whose completed entry keeps
+(* One execution inside a request context, whose finished record keeps
    the execution's query-log record. *)
 let execute ?query ~compact store guard =
   let ctx = Xmobs.Ctx.create () in
@@ -16,10 +16,8 @@ let execute ?query ~compact store guard =
     Xmobs.Ctx.with_ctx ctx (fun () ->
         Xmserve.Exec.execute ~source:"test" ~enforce:false ~compact ?query store guard)
   in
-  ignore
-    (Xmobs.Ctx.finish ctx ~label:"test" ~outcome:"ok" ~status:200 ~wall_s:0.);
-  match Xmobs.Ctx.find_completed (Xmobs.Ctx.trace_id ctx) with
-  | Some { Xmobs.Ctx.c_qlog = Some e; _ } -> (outcome, e)
+  match Xmobs.Ctx.finish ctx ~label:"test" ~outcome:"ok" ~status:200 ~wall_s:0. with
+  | { Xmobs.Ctx.c_qlog = Some e; _ } -> (outcome, e)
   | _ -> Alcotest.fail "no query record"
 
 (* The transform's bodies and out_nodes in both modes; returns the

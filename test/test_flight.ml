@@ -1,10 +1,8 @@
-(* The flight recorder: bundles bounded by the completed-request ring,
+(* The flight recorder: bundles bounded by its owner's request ring,
    bundle write + offline round-trip through the incident viewer,
    retention, per-kind cooldown, refusing a directory it cannot write,
-   context injection, the bundle's query records and spans read
-   from the completed-request ring, and that ring's eviction under
-   concurrent writers never overflowing capacity or leaving a malformed
-   survivor. *)
+   context injection, and the bundle's query records and spans read
+   from the request ring. *)
 
 module Flight = Xmobs.Flight
 
@@ -24,11 +22,17 @@ let rm_rf dir =
   end
 
 (* A recorder over a fresh directory, removed afterwards whatever
-   happens inside. *)
-let with_flight ?retention ?cooldown_s ?context f =
+   happens inside, reading the requests finished into [ring] as a
+   server's recorder reads its request ring. *)
+let with_flight ?retention ?cooldown_s ?context ?(ring = Xmutil.Ring.create 256)
+    f =
   let dir = tmp_dir () in
   let fl =
-    match Flight.create ?retention ?cooldown_s ?context ~dir () with
+    match
+      Flight.create ?retention ?cooldown_s ?context
+        ~requests:(fun () -> List.rev (Xmutil.Ring.to_list ring))
+        ~metrics:(Xmobs.Metrics.create ()) ~dir ()
+    with
     | Ok fl -> fl
     | Error m -> Alcotest.fail m
   in
@@ -41,23 +45,12 @@ let mk_qlog id =
     wall_s = 0.001; eval_s = 0.0; render_s = 0.0; in_nodes = 1;
     out_nodes = 1; io = None; cached = false; generation = Some 3 }
 
-(* An empty completed-request ring of [capacity], restored to the
-   default (256) and emptied afterwards. *)
-let with_ring capacity f =
-  Xmobs.Ctx.reset_completed ();
-  Xmobs.Ctx.set_ring_capacity capacity;
-  Fun.protect
-    ~finally:(fun () ->
-      Xmobs.Ctx.set_ring_capacity 256;
-      Xmobs.Ctx.reset_completed ())
-    f
-
 (* A finished request carrying query record [id], as a served query
-   leaves one. *)
-let finish_with_qlog id =
+   leaves one in its server's request ring. *)
+let finish_with_qlog ring id =
   let ctx = Xmobs.Ctx.create () in
   Xmobs.Ctx.with_ctx ctx (fun () -> Xmobs.Ctx.attach_qlog (mk_qlog id));
-  ignore
+  Xmutil.Ring.push ring
     (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
 let read_file path =
@@ -76,10 +69,10 @@ let trigger_bundle fl dir reason =
   | Some name -> bundle dir name
 
 let test_rings_bounded () =
-  with_ring 4 @@ fun () ->
-  with_flight (fun fl dir ->
+  let ring = Xmutil.Ring.create 4 in
+  with_flight ~ring (fun fl dir ->
       for i = 1 to 50 do
-        finish_with_qlog i
+        finish_with_qlog ring i
       done;
       let t = trigger_bundle fl dir "bounded" in
       Alcotest.(check (list int)) "qlog bounded by the request ring"
@@ -88,10 +81,10 @@ let test_rings_bounded () =
            t.Xmserve.Incident.qlog))
 
 let test_trigger_writes_roundtrippable_bundle () =
-  with_ring 8 @@ fun () ->
-  with_flight (fun fl dir ->
+  let ring = Xmutil.Ring.create 8 in
+  with_flight ~ring (fun fl dir ->
       for i = 1 to 20 do
-        finish_with_qlog i
+        finish_with_qlog ring i
       done;
       match Flight.trigger fl ~kind:Flight.Manual ~reason:"unit test" () with
       | None -> Alcotest.fail "trigger returned no bundle"
@@ -160,7 +153,10 @@ let test_unusable_dir_refused () =
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   List.iter
     (fun dir ->
-      match Flight.create ~dir () with
+      match
+        Flight.create ~requests:(fun () -> [])
+          ~metrics:(Xmobs.Metrics.create ()) ~dir ()
+      with
       | Ok _ -> Alcotest.failf "created a recorder over %s" dir
       | Error m ->
           Alcotest.(check bool) ("error names " ^ dir) true
@@ -211,21 +207,20 @@ let bundle_events dir name =
       | _ -> None)
     (bundle dir name).Xmserve.Incident.trace_events
 
-let finish_with_spans names =
+let finish_with_spans ring names =
   let ctx = Xmobs.Ctx.create () in
   List.iter (fun n -> Xmobs.Ctx.with_span ctx n (fun () -> ())) names;
-  ignore
+  Xmutil.Ring.push ring
     (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
 (* The bundle's spans are the finished requests' own: both requests', in
    wall-clock order, capped at 2048 entries with the newest kept. *)
 let test_bundle_spans_from_requests () =
-  Xmobs.Ctx.reset_completed ();
-  Fun.protect ~finally:Xmobs.Ctx.reset_completed @@ fun () ->
-  with_flight ~cooldown_s:0.0 (fun fl dir ->
-      finish_with_spans [ "a1"; "a2" ];
+  let ring = Xmutil.Ring.create 256 in
+  with_flight ~ring ~cooldown_s:0.0 (fun fl dir ->
+      finish_with_spans ring [ "a1"; "a2" ];
       Unix.sleepf 0.002;
-      finish_with_spans [ "b1"; "b2"; "b3" ];
+      finish_with_spans ring [ "b1"; "b2"; "b3" ];
       (match Flight.trigger fl ~kind:Flight.Manual ~reason:"two" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name ->
@@ -236,7 +231,7 @@ let test_bundle_spans_from_requests () =
           Alcotest.(check bool) "timestamps read in wall-clock order" true
             (List.sort Float.compare ts = ts));
       let big = List.init 3000 (Printf.sprintf "c%d") in
-      finish_with_spans big;
+      finish_with_spans ring big;
       match Flight.trigger fl ~kind:Flight.Manual ~reason:"big" () with
       | None -> Alcotest.fail "trigger returned no bundle"
       | Some name ->
@@ -244,87 +239,50 @@ let test_bundle_spans_from_requests () =
             (List.filteri (fun i _ -> i >= 3000 - 2048) big)
             (List.map fst (bundle_events dir name)))
 
-(* A bundle's qlog is the completed requests' own records, one per
+(* A bundle's qlog is the finished requests' own records, one per
    request that executed a query, oldest first: not the empty request's
    (it executed nothing) nor a re-run outside any context (as slow-query
-   capture does it). *)
+   capture does it), and only those the request ring still holds. *)
 let test_bundle_qlog_from_requests () =
-  with_ring 256 @@ fun () ->
-  with_flight ~cooldown_s:0.0 (fun fl dir ->
-      let store =
-        Store.Shredded.shred
-          (Xml.Doc.of_string
-             "<site><person><name>a</name></person><person><name>b</name>\
-              </person></site>")
-      in
-      let serve guard =
-        let ctx = Xmobs.Ctx.create () in
-        Xmobs.Ctx.with_ctx ctx (fun () ->
-            ignore (Xmserve.Exec.execute ~source:"serve" store guard));
-        ignore
-          (Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200
-             ~wall_s:0.001);
-        Xmobs.Ctx.trace_id ctx
-      in
-      let a = serve "MUTATE site" in
-      ignore
-        (Xmobs.Ctx.finish (Xmobs.Ctx.create ()) ~label:"/query"
-           ~outcome:"empty-guard" ~status:400 ~wall_s:0.0);
-      let b = serve "MORPH person [ name ]" in
-      ignore
-        (Xmserve.Exec.execute ~source:"slow-capture" ~trace_id:b store
-           "MORPH person [ name ]");
-      let records t =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string
+         "<site><person><name>a</name></person><person><name>b</name>\
+          </person></site>")
+  in
+  let serve guard =
+    let ctx = Xmobs.Ctx.create () in
+    Xmobs.Ctx.with_ctx ctx (fun () ->
+        ignore (Xmserve.Exec.execute ~source:"serve" store guard));
+    Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200 ~wall_s:0.001
+  in
+  let a = serve "MUTATE site" in
+  let empty =
+    Xmobs.Ctx.finish (Xmobs.Ctx.create ()) ~label:"/query"
+      ~outcome:"empty-guard" ~status:400 ~wall_s:0.0
+  in
+  let b = serve "MORPH person [ name ]" in
+  ignore
+    (Xmserve.Exec.execute ~source:"slow-capture"
+       ~trace_id:b.Xmobs.Ctx.c_trace_id store "MORPH person [ name ]");
+  let records capacity =
+    let ring = Xmutil.Ring.create capacity in
+    List.iter (Xmutil.Ring.push ring) [ a; empty; b ];
+    with_flight ~ring ~cooldown_s:0.0 (fun fl dir ->
         List.map
           (fun (e : Xmobs.Qlog.entry) ->
             (e.Xmobs.Qlog.source, e.Xmobs.Qlog.trace_id))
-          t.Xmserve.Incident.qlog
-      in
-      Alcotest.(check (list (pair string (option string))))
-        "one record per executed request, oldest first"
-        [ ("serve", Some a); ("serve", Some b) ]
-        (records (trigger_bundle fl dir "three requests"));
-      Xmobs.Ctx.set_ring_capacity 1;
-      Alcotest.(check (list (pair string (option string))))
-        "bounded by the request ring"
-        [ ("serve", Some b) ]
-        (records (trigger_bundle fl dir "one request")))
-
-(* However many writers race to finish their contexts into the
-   completed-request ring (the trace ring behind /debug/trace and the
-   bundles), on one domain or several, the ring never exceeds its
-   capacity and every surviving request is whole: exactly its own
-   well-formed span. *)
-let trace_ring_survives ~domains ~capacity ~writers =
-  with_ring capacity @@ fun () ->
-  ignore
-    (Tutil.on_domains domains
-       (List.init writers (fun i () ->
-            let ctx = Xmobs.Ctx.create () in
-            let name = Printf.sprintf "w%d" i in
-            Xmobs.Ctx.with_span ctx name (fun () -> ());
-            Xmobs.Ctx.finish ctx ~label:name ~outcome:"ok" ~status:200
-              ~wall_s:0.0)));
-  let completed = Xmobs.Ctx.completed () in
-  let whole (c : Xmobs.Ctx.completed) =
-    match c.Xmobs.Ctx.c_entries with
-    | [ s ] ->
-        String.equal s.Xmobs.Trace.name c.Xmobs.Ctx.c_label
-        && s.Xmobs.Trace.dur_us >= 0.0
-        && c.Xmobs.Ctx.c_span_count = 1
-    | _ -> false
+          (trigger_bundle fl dir "requests").Xmserve.Incident.qlog)
   in
-  List.length completed <= capacity && List.for_all whole completed
-
-let prop_trace_ring_concurrent =
-  QCheck2.Test.make
-    ~name:"trace ring eviction under concurrent writers stays bounded"
-    ~count:20
-    QCheck2.Gen.(pair (int_range 1 16) (int_range 1 40))
-    (fun (capacity, writers) ->
-      List.for_all
-        (fun domains -> trace_ring_survives ~domains ~capacity ~writers)
-        [ 1; 2; 4 ])
+  let id (c : Xmobs.Ctx.finished) = Some c.Xmobs.Ctx.c_trace_id in
+  Alcotest.(check (list (pair string (option string))))
+    "one record per executed request, oldest first"
+    [ ("serve", id a); ("serve", id b) ]
+    (records 256);
+  Alcotest.(check (list (pair string (option string))))
+    "bounded by the request ring"
+    [ ("serve", id b) ]
+    (records 1)
 
 let suite =
   [
@@ -342,5 +300,4 @@ let suite =
       test_bundle_spans_from_requests;
     Alcotest.test_case "bundle qlog comes from the request ring" `Quick
       test_bundle_qlog_from_requests;
-    QCheck_alcotest.to_alcotest prop_trace_ring_concurrent;
   ]

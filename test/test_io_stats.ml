@@ -1,8 +1,8 @@
 (* Direct coverage for the store's I/O accounting: block rounding at the
    4096-byte boundary, reset semantics, the simulated-latency model, the
-   gauges an operation publishes into the metrics registry, and the
-   allocation a request context and metrics add to a render (previously
-   only exercised indirectly through test_store.ml). *)
+   store.* gauges an execution sets from these counters, and the
+   allocation a request context adds to a render (previously only
+   exercised indirectly through test_store.ml). *)
 
 module Io = Store.Io_stats
 
@@ -80,21 +80,20 @@ let books n =
   in
   (store, compiled.Xmorph.Interp.shape)
 
-let with_metrics f =
-  let r = Xmobs.Metrics.create () in
-  Fun.protect ~finally:(fun () -> Xmobs.Metrics.disable ()) (fun () ->
-      Xmobs.Metrics.with_registry r (fun () ->
-          Xmobs.Metrics.enable ();
-          f r))
-
-(* An operation publishes the store's counters when it ends: after a
-   render with metrics on, every store.* gauge equals the snapshot. *)
+(* An execution with a registry in its sinks sets the store's counters
+   as the store.* gauges when it ends: after a render, and after an
+   in-situ query, every gauge equals the snapshot. *)
 let test_metrics_publication () =
-  let store, shape = books 50 in
-  with_metrics (fun r ->
-      ignore (Xmorph.Render.to_buffer store shape (Buffer.create 4096));
+  let store, _ = books 50 in
+  let r = Xmobs.Metrics.create () in
+  let sinks = { Xmobs.Obs.no_sinks with metrics = Some r } in
+  List.iter
+    (fun query ->
+      ignore
+        (Xmserve.Exec.execute ~sinks ~source:"test" ~enforce:false ?query store
+           "MUTATE data");
       let sn = snap (Store.Shredded.stats store) in
-      Alcotest.(check bool) "the render charged reads" true (sn.Io.read_ops > 0);
+      Alcotest.(check bool) "the execution charged reads" true (sn.Io.read_ops > 0);
       List.iter
         (fun (name, v) ->
           Alcotest.(check (float 0.0)) name (float_of_int v)
@@ -104,11 +103,8 @@ let test_metrics_publication () =
           ("store.blocks_read", sn.Io.blocks_read);
           ("store.blocks_written", sn.Io.blocks_written);
           ("store.read_ops", sn.Io.read_ops);
-          ("store.write_ops", sn.Io.write_ops) ];
-      (* Reset publishes the zeroed counters immediately. *)
-      Io.reset (Store.Shredded.stats store);
-      Alcotest.(check (float 0.0)) "reset publishes zeros" 0.0
-        (Xmobs.Metrics.gauge_value ~r "store.blocks_read"))
+          ("store.write_ops", sn.Io.write_ops) ])
+    [ None; Some "//title" ]
 
 (* Minor words of one [Render.to_buffer] of [shape]; the store's caches
    are warm, so a render allocates the same on every call. *)
@@ -118,19 +114,17 @@ let render_words store shape =
   ignore (Sys.opaque_identity (Xmorph.Render.to_buffer store shape buf));
   Gc.minor_words () -. w0
 
-(* What a request context with metrics on adds to a render, over a bare
-   render of the same store: the context is resolved once per render and
-   the gauges set once, so the extra words do not grow with the
-   document. *)
+(* What a request context adds to a render, over a bare render of the
+   same store: the context is resolved once per render, so the extra
+   words do not grow with the document. *)
 let extra_words n =
   let store, shape = books n in
   ignore (render_words store shape);
   let bare = render_words store shape in
   let traced =
-    with_metrics (fun _ ->
-        Xmobs.Ctx.with_ctx (Xmobs.Ctx.create ()) (fun () ->
-            ignore (render_words store shape);
-            render_words store shape))
+    Xmobs.Ctx.with_ctx (Xmobs.Ctx.create ()) (fun () ->
+        ignore (render_words store shape);
+        render_words store shape)
   in
   (Io.snapshot (Store.Shredded.stats store)).Io.read_ops, traced -. bare
 
@@ -140,8 +134,8 @@ let test_context_words_flat () =
   Alcotest.(check bool) "the larger document makes more charges" true (ops2 > ops1);
   if extra2 -. extra1 > 64.0 then
     Alcotest.failf
-      "a context and metrics add %.0f words to a render of 200 books and \
-       %.0f to one of 400"
+      "a context adds %.0f words to a render of 200 books and %.0f to one \
+       of 400"
       extra1 extra2
 
 let suite =

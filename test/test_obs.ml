@@ -10,14 +10,7 @@ module Metrics = Xmobs.Metrics
 let recorder ?(capacity = 1 lsl 15) () =
   Recorder.create ~capacity ~epoch:(Unix.gettimeofday ())
 
-let with_scoped_metrics f =
-  let r = Metrics.create () in
-  Fun.protect
-    ~finally:(fun () -> Metrics.disable ())
-    (fun () ->
-      Metrics.with_registry r (fun () ->
-          Metrics.enable ();
-          f r))
+let with_scoped_metrics f = f (Metrics.create ())
 
 (* Recorded spans in start order (ids are handed out as spans open). *)
 let spans r =
@@ -92,7 +85,7 @@ let test_histogram_percentiles () =
   with_scoped_metrics (fun r ->
       let rng = Xmutil.Prng.create 42 in
       for _ = 1 to 100_000 do
-        Metrics.observe "lat" (Xmutil.Prng.float rng 100.0)
+        Metrics.observe ~r "lat" (Xmutil.Prng.float rng 100.0)
       done;
       let pct q =
         match Metrics.percentile ~r "lat" q with
@@ -121,7 +114,7 @@ let test_percentile_edges () =
       (* Single bucket: every observation identical — the min/max clamp
          collapses every percentile to the one value. *)
       for _ = 1 to 50 do
-        Metrics.observe "flat" 3.25
+        Metrics.observe ~r "flat" 3.25
       done;
       List.iter
         (fun q ->
@@ -133,13 +126,13 @@ let test_percentile_edges () =
       (* All overflow: values past the top bucket clamp to the recorded
          max, never to a synthetic bucket boundary. *)
       for _ = 1 to 10 do
-        Metrics.observe "huge" 1e300
+        Metrics.observe ~r "huge" 1e300
       done;
       Alcotest.(check (float 0.0)) "overflow clamps to max" 1e300
         (Option.get (Metrics.percentile ~r "huge" 0.99));
       (* Negative values land in the zero bucket and clamp to min. *)
       for _ = 1 to 10 do
-        Metrics.observe "neg" (-2.0)
+        Metrics.observe ~r "neg" (-2.0)
       done;
       Alcotest.(check (float 0.0)) "negatives clamp to min" (-2.0)
         (Option.get (Metrics.percentile ~r "neg" 0.5)))
@@ -236,7 +229,7 @@ let test_selfmetrics_fds_threads_degrade () =
 let test_selfmetrics_sample_sets_fd_thread_gauges () =
   with_scoped_metrics (fun r ->
       (* Degraded sources: both gauges stay unset in the export. *)
-      Xmobs.Selfmetrics.sample ~statm:"/nonexistent/statm"
+      Xmobs.Selfmetrics.sample ~r ~statm:"/nonexistent/statm"
         ~fd_dir:"/nonexistent/fd" ~stat:"/nonexistent/stat" ();
       (match Metrics.to_json ~r () with
       | Xmutil.Json.Obj fields -> (
@@ -251,7 +244,7 @@ let test_selfmetrics_sample_sets_fd_thread_gauges () =
       (* Healthy sources set both. *)
       if Sys.file_exists "/proc/self/fd" && Sys.file_exists "/proc/self/stat"
       then begin
-        Xmobs.Selfmetrics.sample ~statm:"/nonexistent/statm" ();
+        Xmobs.Selfmetrics.sample ~r ~statm:"/nonexistent/statm" ();
         Alcotest.(check bool) "fd gauge set from procfs" true
           (Metrics.gauge_value ~r "xmorph_open_fds" > 0.0);
         Alcotest.(check bool) "threads gauge set from procfs" true
@@ -269,7 +262,7 @@ let test_selfmetrics_page_size () =
 
 let test_selfmetrics_sample_without_statm () =
   with_scoped_metrics (fun r ->
-      Xmobs.Selfmetrics.sample ~uptime_s:12.5 ~statm:"/nonexistent/statm" ();
+      Xmobs.Selfmetrics.sample ~r ~uptime_s:12.5 ~statm:"/nonexistent/statm" ();
       Alcotest.(check (float 0.0)) "uptime gauge set" 12.5
         (Metrics.gauge_value ~r "xmorph_uptime_seconds");
       (* gauge_value reads 0.0 for unset — distinguish via the export. *)
@@ -286,9 +279,9 @@ let test_selfmetrics_sample_without_statm () =
 
 let test_counters_gauges () =
   with_scoped_metrics (fun r ->
-      Metrics.inc "hits";
-      Metrics.inc ~by:4 "hits";
-      Metrics.set_gauge "level" 2.5;
+      Metrics.inc ~r "hits";
+      Metrics.inc ~r ~by:4 "hits";
+      Metrics.set_gauge ~r "level" 2.5;
       Alcotest.(check int) "counter accumulates" 5
         (Metrics.counter_value ~r "hits");
       Alcotest.(check (float 0.0)) "gauge holds last value" 2.5
@@ -355,9 +348,9 @@ let test_trace_json_roundtrip () =
 
 let test_metrics_json_roundtrip () =
   with_scoped_metrics (fun r ->
-      Metrics.inc ~by:7 "c";
-      Metrics.set_gauge "g" 1.25;
-      Metrics.observe "h" 3.0;
+      Metrics.inc ~r ~by:7 "c";
+      Metrics.set_gauge ~r "g" 1.25;
+      Metrics.observe ~r "h" 3.0;
       let text = Xmutil.Json.to_string (Metrics.to_json ~r ()) in
       Alcotest.(check string) "parse . print is the identity" text
         (reserialized text);
@@ -427,7 +420,6 @@ let test_ring_eviction_json () =
    function.  Gc.minor_words itself boxes a float per call, so allow a
    small constant slack — far below one word per iteration. *)
 let test_disabled_path_no_alloc () =
-  Metrics.disable ();
   Xmcache.disable ();
   let f () = 0 in
   (* A pre-built result entry so the disabled add_result call below has
@@ -442,9 +434,6 @@ let test_disabled_path_no_alloc () =
   ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
-    Metrics.inc "x";
-    Metrics.set_gauge "x" 1.0;
-    Metrics.observe "x" 1.0;
     ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
     let tok = Xmobs.Profile.enter "x" in
     Xmobs.Profile.add_in 1;

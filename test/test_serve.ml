@@ -270,22 +270,22 @@ let test_read_request_edge_cases () =
 
 (* ---------- the daemon, end to end ---------- *)
 
+(* A started server over [store], stopped afterwards; [metrics], when
+   given, is the registry it writes (its own otherwise). *)
 let with_server ?(store = make_store ()) ?(workers = 2) ?slow_ms ?slow_log
-    ?window ?slo_error_rate f =
+    ?window ?slo_error_rate ?metrics f =
   let server =
-    Xmserve.Server.create ~port:0 ~workers ?slow_ms ?slow_log ?window
-      ?slo_error_rate
+    Xmserve.Server.create
+      ~sinks:{ Xmobs.Obs.no_sinks with metrics }
+      ~port:0 ~workers ?slow_ms ?slow_log ?window ?slo_error_rate
       ~stores:[ ("data.xml", store) ]
       ()
   in
   Xmserve.Server.start server;
   let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
   Fun.protect
-    ~finally:(fun () ->
-      Xmserve.Server.stop server;
-      Xmobs.Metrics.disable ();
-      Xmobs.Metrics.reset ())
-    (fun () -> f base store)
+    ~finally:(fun () -> Xmserve.Server.stop server)
+    (fun () -> f server base store)
 
 let get ?body ?headers ~meth base target =
   match
@@ -296,13 +296,13 @@ let get ?body ?headers ~meth base target =
   | Error m -> Alcotest.fail ("request " ^ target ^ ": " ^ m)
 
 let test_healthz () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   let status, _, body = get ~meth:"GET" base "/healthz" in
   Alcotest.(check int) "200" 200 status;
   Alcotest.(check string) "ok body" "ok\n" body
 
 let test_metrics_endpoint () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   ignore (get ~meth:"GET" base "/healthz");
   let status, headers, body = get ~meth:"GET" base "/metrics" in
   Alcotest.(check int) "200" 200 status;
@@ -322,7 +322,7 @@ let test_metrics_endpoint () =
     (has "# TYPE serve_request_seconds histogram")
 
 let test_query_byte_identity () =
-  with_server @@ fun base store ->
+  with_server @@ fun _ base store ->
   let status, headers, body = get ~meth:"POST" ~body:paper_guard base "/query" in
   Alcotest.(check int) "200" 200 status;
   Alcotest.(check (option string))
@@ -335,7 +335,7 @@ let test_query_byte_identity () =
     body
 
 let test_query_guarded_xquery () =
-  with_server @@ fun base store ->
+  with_server @@ fun _ base store ->
   let status, _, body =
     get ~meth:"POST" ~body:paper_guard base "/query?query=%2F%2Fname"
   in
@@ -353,7 +353,7 @@ let test_query_guarded_xquery () =
   Alcotest.(check string) "bytes identical to xmorph query" expected body
 
 let test_query_errors () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   let status, _, _ = get ~meth:"POST" ~body:"MUTATE nosuch" base "/query" in
   Alcotest.(check int) "unknown label -> 400" 400 status;
   let status, _, body = get ~meth:"POST" ~body:widening_guard base "/query" in
@@ -373,7 +373,7 @@ let test_query_errors () =
   Alcotest.(check int) "unknown method -> 405" 405 status
 
 let test_stats_endpoint () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   ignore (get ~meth:"POST" ~body:paper_guard base "/query");
   ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base "/query");
   let status, headers, body = get ~meth:"GET" base "/stats" in
@@ -411,7 +411,7 @@ let contains body s =
    request family; executed queries land in the doc/outcome and guard
    families. *)
 let test_labeled_request_metrics () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   ignore (get ~meth:"GET" base "/healthz");
   ignore (get ~meth:"GET" base "/stats");
   ignore (get ~meth:"GET" base "/debug/timeseries");
@@ -458,7 +458,7 @@ let ts_num json path_parts =
 
 let test_timeseries_endpoint () =
   (* A one-second window so the decay is observable within a test run. *)
-  with_server ~window:1 @@ fun base _store ->
+  with_server ~window:1 @@ fun _ base _store ->
   for _ = 1 to 5 do
     ignore (get ~meth:"POST" ~body:paper_guard base "/query")
   done;
@@ -500,7 +500,7 @@ let test_timeseries_endpoint () =
    rules need 5 queries in the window, and a 2 s window keeps a burst that
    straddles a second boundary whole. *)
 let test_slo_flip_and_recovery () =
-  with_server ~window:2 ~slo_error_rate:0.2 @@ fun base _store ->
+  with_server ~window:2 ~slo_error_rate:0.2 @@ fun _ base _store ->
   let status, _, body = get ~meth:"GET" base "/healthz" in
   Alcotest.(check int) "healthy before traffic" 200 status;
   Alcotest.(check string) "ok body" "ok\n" body;
@@ -535,17 +535,18 @@ let test_slo_flip_and_recovery () =
 
 (* ---------- one record per request ---------- *)
 
-let series_count name labels =
+let series_count r name labels =
   List.fold_left
     (fun n (ls, (c, _)) -> if ls = labels then n + c else n)
     0
-    (Xmobs.Metrics.histogram_series name)
+    (Xmobs.Metrics.histogram_series ~r name)
 
 (* One executed /query moves each per-request sink by exactly one, and
    the unlabeled series that only restated a labeled family are gone
    from the exposition. *)
 let test_one_query_one_record () =
-  with_server @@ fun base _store ->
+  let r = Xmobs.Metrics.create () in
+  with_server ~metrics:r @@ fun _ base _store ->
   let windows () =
     let _, _, body = get ~meth:"GET" base "/debug/timeseries" in
     let j = Xmutil.Json.of_string body in
@@ -557,24 +558,24 @@ let test_one_query_one_record () =
     (num "queries", num "requests")
   in
   let requests () =
-    Xmobs.Metrics.counter_value_labeled "xmorph_requests_total"
+    Xmobs.Metrics.counter_value_labeled ~r "xmorph_requests_total"
       [ ("route", "/query"); ("status", "200") ]
   in
   let guard = [ ("guard", Xmobs.Qlog.hash_text paper_guard) ] in
   let query = [ ("doc", "data.xml"); ("outcome", "ok") ] in
   let q0, r0 = windows () in
   let req0 = requests () in
-  let qs0 = series_count "xmorph_query_seconds" query in
-  let gs0 = series_count "xmorph_guard_seconds" guard in
+  let qs0 = series_count r "xmorph_query_seconds" query in
+  let gs0 = series_count r "xmorph_guard_seconds" guard in
   let status, _, _ = get ~meth:"POST" ~body:paper_guard base "/query" in
   Alcotest.(check int) "200" 200 status;
   let q1, r1 = windows () in
   Alcotest.(check int) "xmorph_requests_total{route=/query}" 1
     (requests () - req0);
   Alcotest.(check int) "xmorph_query_seconds count" 1
-    (series_count "xmorph_query_seconds" query - qs0);
+    (series_count r "xmorph_query_seconds" query - qs0);
   Alcotest.(check int) "xmorph_guard_seconds count" 1
-    (series_count "xmorph_guard_seconds" guard - gs0);
+    (series_count r "xmorph_guard_seconds" guard - gs0);
   Alcotest.(check int) "queries window lifetime" 1 (q1 - q0);
   (* the query, and the first /debug/timeseries read, recorded once its
      response was built *)
@@ -592,7 +593,6 @@ let test_one_query_one_record () =
 (* A two-store daemon is sent each kind of /query outcome; /stats counts
    exactly what it was sent. *)
 let test_stats_count_what_was_sent () =
-  Xmobs.Metrics.reset ();
   let server =
     Xmserve.Server.create ~port:0 ~workers:2
       ~stores:[ ("a.xml", make_store ()); ("b.xml", make_store ()) ]
@@ -600,12 +600,7 @@ let test_stats_count_what_was_sent () =
   in
   Xmserve.Server.start server;
   let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
-  Fun.protect
-    ~finally:(fun () ->
-      Xmserve.Server.stop server;
-      Xmobs.Metrics.disable ();
-      Xmobs.Metrics.reset ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Xmserve.Server.stop server) @@ fun () ->
   List.iter
     (fun (target, body, want) ->
       let status, _, _ = get ~meth:"POST" ~body base target in
@@ -652,11 +647,6 @@ let test_failed_create_closes_socket () =
 (* A server stopped before it ran closes its listening socket. *)
 let test_stop_unrun_closes_socket () =
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
-  Fun.protect
-    ~finally:(fun () ->
-      Xmobs.Metrics.disable ();
-      Xmobs.Metrics.reset ())
-  @@ fun () ->
   let before = open_fds () in
   for _ = 1 to 10 do
     Xmserve.Server.stop
@@ -712,9 +702,7 @@ let test_two_servers_own_sinks () =
       Xmserve.Server.stop a;
       Xmserve.Server.stop b;
       rm_rf dir_a;
-      rm_rf dir_b;
-      Xmobs.Metrics.disable ();
-      Xmobs.Metrics.reset ())
+      rm_rf dir_b)
   @@ fun () ->
   let bundle_port dir name =
     let ic = open_in_bin (Filename.concat dir name) in
@@ -774,8 +762,128 @@ let trace_id_of headers =
   | Some id -> id
   | None -> Alcotest.fail "no x-xmorph-trace-id response header"
 
+(* A request in the server's ring, by trace id. *)
+let find_request server tid =
+  List.find_opt
+    (fun c -> String.equal c.Xmobs.Ctx.c_trace_id tid)
+    (Xmserve.Server.requests server)
+
+(* Two servers in one process keep their own registries and request
+   rings: queries sent to A alone leave B's /stats, /metrics and
+   /debug/requests holding B's own requests only, and each server
+   exports its own worker budget. *)
+let test_two_servers_own_registries () =
+  let serve workers =
+    let s =
+      Xmserve.Server.create ~port:0 ~workers
+        ~stores:[ ("data.xml", make_store ()) ]
+        ()
+    in
+    Xmserve.Server.start s;
+    (s, Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port s))
+  in
+  let a, base_a = serve 1 in
+  let b, base_b = serve 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Xmserve.Server.stop a;
+      Xmserve.Server.stop b)
+  @@ fun () ->
+  let a_ids =
+    List.init 3 (fun _ ->
+        let status, headers, _ =
+          get ~meth:"POST" ~body:paper_guard base_a "/query"
+        in
+        Alcotest.(check int) "A answers" 200 status;
+        trace_id_of headers)
+  in
+  ignore (get ~meth:"GET" base_b "/healthz");
+  let _, _, body = get ~meth:"GET" base_b "/stats" in
+  let j = Xmutil.Json.of_string body in
+  Alcotest.(check (option (float 0.0))) "B's requests are its own" (Some 1.0)
+    (ts_num j [ "requests" ]);
+  Alcotest.(check (option (float 0.0))) "B ran no query" (Some 0.0)
+    (ts_num j [ "queries"; "ok" ]);
+  let metrics base =
+    let _, _, body = get ~meth:"GET" base "/metrics" in
+    String.split_on_char '\n' body
+  in
+  let lines_b = metrics base_b in
+  Alcotest.(check bool) "no query series on B" false
+    (List.exists (String.starts_with ~prefix:"xmorph_query_seconds") lines_b);
+  Alcotest.(check bool) "B's worker budget" true
+    (List.mem "serve_workers 2" lines_b);
+  Alcotest.(check bool) "A's worker budget" true
+    (List.mem "serve_workers 1" (metrics base_a));
+  let _, _, body = get ~meth:"GET" base_b "/debug/requests" in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " not in B's ring") false (contains body id);
+      let status, _, _ = get ~meth:"GET" base_b ("/debug/trace/" ^ id) in
+      Alcotest.(check int) "A's trace is not B's" 404 status)
+    a_ids
+
+(* A server with four workers and a request ring of [debug_ring] 3, and
+   a [query] that posts one guard and returns its trace id. *)
+let with_ring_server f =
+  let server =
+    Xmserve.Server.create ~port:0 ~workers:4 ~debug_ring:3
+      ~stores:[ ("data.xml", make_store ()) ]
+      ()
+  in
+  Xmserve.Server.start server;
+  let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
+  Fun.protect ~finally:(fun () -> Xmserve.Server.stop server) @@ fun () ->
+  let query () =
+    let _, headers, _ = get ~meth:"POST" ~body:paper_guard base "/query" in
+    trace_id_of headers
+  in
+  f server base query
+
+(* The request ring is the server's, bounded by [debug_ring]: the oldest
+   request is evicted, the newest kept. *)
+let test_request_ring_bounded () =
+  with_ring_server @@ fun server base query ->
+  let first = query () in
+  let later = List.init 3 (fun _ -> query ()) in
+  let status, _, _ = get ~meth:"GET" base ("/debug/trace/" ^ first) in
+  Alcotest.(check int) "the oldest request is evicted" 404 status;
+  Alcotest.(check (list string)) "the newest kept, newest first"
+    (List.rev later)
+    (List.map
+       (fun c -> c.Xmobs.Ctx.c_trace_id)
+       (Xmserve.Server.requests server))
+
+(* Requests finished by concurrent workers leave at most [debug_ring]
+   whole records in the ring, and [/debug/requests] lists exactly those. *)
+let test_request_ring_concurrent () =
+  with_ring_server @@ fun server base query ->
+  let clients =
+    List.init 4 (fun _ ->
+        Thread.create (fun () -> for _ = 1 to 5 do ignore (query ()) done) ())
+  in
+  List.iter Thread.join clients;
+  let ring = Xmserve.Server.requests server in
+  Alcotest.(check int) "bounded under concurrent workers" 3 (List.length ring);
+  List.iter
+    (fun (c : Xmobs.Ctx.finished) ->
+      Alcotest.(check bool) "each record is whole" true
+        (c.Xmobs.Ctx.c_span_count = List.length c.Xmobs.Ctx.c_entries
+        && c.Xmobs.Ctx.c_entries <> []
+        && c.Xmobs.Ctx.c_qlog <> None))
+    ring;
+  let _, _, body = get ~meth:"GET" base "/debug/requests" in
+  match Xmutil.Json.of_string body with
+  | Xmutil.Json.Obj fs -> (
+      match List.assoc_opt "requests" fs with
+      | Some (Xmutil.Json.List l) ->
+          Alcotest.(check int) "/debug/requests lists the ring" 3
+            (List.length l)
+      | _ -> Alcotest.fail "no requests list")
+  | _ -> Alcotest.fail "/debug/requests is not an object"
+
 let test_traceparent_propagation () =
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   (* No header: a fresh, valid trace id is minted and echoed both ways. *)
   let _, headers, _ = get ~meth:"POST" ~body:paper_guard base "/query" in
   let tid = trace_id_of headers in
@@ -814,8 +922,7 @@ let test_traceparent_propagation () =
       "00-" ^ String.make 32 '0' ^ "-00f067aa0ba902b7-01" ]
 
 let test_debug_endpoints () =
-  Xmobs.Ctx.reset_completed ();
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   ignore (get ~meth:"POST" ~body:paper_guard base "/query");
   ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base "/query");
   let status, headers, body = get ~meth:"GET" base "/debug/requests" in
@@ -889,17 +996,16 @@ let test_debug_endpoints () =
   Alcotest.(check int) "unknown trace id -> 404" 404 status
 
 let test_slow_capture () =
-  Xmobs.Ctx.reset_completed ();
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xmorph_slowlog_%d" (Unix.getpid ()))
   in
-  with_server ~slow_ms:0.0 ~slow_log:dir @@ fun base _store ->
+  with_server ~slow_ms:0.0 ~slow_log:dir @@ fun server base _store ->
   let _, headers, _ = get ~meth:"POST" ~body:paper_guard base "/query" in
   let tid = trace_id_of headers in
   (* The capture runs before the response returns, so the profile is
      already attached to the ring entry... *)
-  (match Xmobs.Ctx.find_completed tid with
+  (match find_request server tid with
   | Some c ->
       Alcotest.(check bool)
         "profile attached to the ring entry" true
@@ -957,7 +1063,7 @@ let test_client_survives_signals () =
       ignore (Thread.sigmask Unix.SIG_SETMASK mask);
       Sys.set_signal Sys.sigalrm old)
   @@ fun () ->
-  with_server @@ fun base _store ->
+  with_server @@ fun _ base _store ->
   let outcomes = ref [] in
   let client =
     Thread.create
@@ -984,7 +1090,6 @@ let test_client_survives_signals () =
    yields the running thread every half millisecond, so the two clients'
    executions interleave while a capture's frame tree is live. *)
 let test_slow_capture_exact_under_load () =
-  Xmobs.Ctx.reset_completed ();
   let book i =
     Printf.sprintf
       "<book><title>T%d</title><author><name>A%d</name></author>\
@@ -996,7 +1101,7 @@ let test_slow_capture_exact_under_load () =
       (Xml.Doc.of_string
          ("<data>" ^ String.concat "" (List.init 2000 book) ^ "</data>"))
   in
-  with_server ~store ~slow_ms:0.0 @@ fun base _store ->
+  with_server ~store ~slow_ms:0.0 @@ fun server base _store ->
   with_yield_timer @@ fun () ->
   let stop = Atomic.make false and served = Atomic.make 0 in
   let other_guard = "MORPH publisher [ name ]" in
@@ -1024,7 +1129,7 @@ let test_slow_capture_exact_under_load () =
   in
   (* Every captured profile in the ring, either client's, holds exactly
      one compile and one render, and only its own guard's joins. *)
-  let check_profile (c : Xmobs.Ctx.completed) frames =
+  let check_profile (c : Xmobs.Ctx.finished) frames =
     let mine = c.Xmobs.Ctx.c_label = Xmobs.Qlog.hash_text other_guard in
     let calls path =
       match Xmobs.Profile.lookup frames path with
@@ -1054,22 +1159,21 @@ let test_slow_capture_exact_under_load () =
   in
   List.iter
     (fun tid ->
-      match Xmobs.Ctx.find_completed tid with
+      match find_request server tid with
       | Some { Xmobs.Ctx.c_profile = Some _; _ } -> ()
       | Some _ -> Alcotest.fail "no profile attached"
       | None -> Alcotest.fail "request missing from the trace ring")
     tids;
   List.iter
-    (fun (c : Xmobs.Ctx.completed) ->
+    (fun (c : Xmobs.Ctx.finished) ->
       Option.iter (check_profile c) c.Xmobs.Ctx.c_profile)
-    (Xmobs.Ctx.completed ())
+    (Xmserve.Server.requests server)
 
 (* Two concurrent requests: disjoint trace ids and span trees, each
    retrievable by id, with per-request I/O deltas summing exactly to the
    store's global counters. *)
 let test_concurrent_requests_disjoint () =
-  Xmobs.Ctx.reset_completed ();
-  with_server @@ fun base store ->
+  with_server @@ fun server base store ->
   let io0 = Store.Io_stats.snapshot (Store.Shredded.stats store) in
   let results = Array.make 2 None in
   let threads =
@@ -1121,7 +1225,7 @@ let test_concurrent_requests_disjoint () =
   let sum f =
     List.fold_left
       (fun acc tid ->
-        match Xmobs.Ctx.find_completed tid with
+        match find_request server tid with
         | Some c -> acc + f c.Xmobs.Ctx.c_io
         | None -> Alcotest.fail "trace missing from ring")
       0 tids
@@ -1181,7 +1285,7 @@ let big_store books =
 (* One worker, and each connection in turn fails in its own way; the
    worker answers the next one all the same. *)
 let test_worker_survives_failures () =
-  with_server ~store:(big_store 3000) ~workers:1 @@ fun base _store ->
+  with_server ~store:(big_store 3000) ~workers:1 @@ fun _ base _store ->
   let guard = "MUTATE data" in
   let request =
     Printf.sprintf "POST /query HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
@@ -1225,10 +1329,7 @@ let test_stop_with_idle_client () =
   let base = Printf.sprintf "http://127.0.0.1:%d" (Xmserve.Server.port server) in
   let idle = raw_connect base in
   Fun.protect
-    ~finally:(fun () ->
-      Unix.close idle;
-      Xmobs.Metrics.disable ();
-      Xmobs.Metrics.reset ())
+    ~finally:(fun () -> Unix.close idle)
     (fun () ->
       (* Let the one worker accept the idle connection. *)
       Thread.delay 0.1;
@@ -1253,7 +1354,7 @@ let test_stop_with_idle_client () =
    captures included, no context is left installed. *)
 let test_no_context_outlives_request () =
   Alcotest.(check bool) "no context before" false (Xmobs.Ctx.active ());
-  with_server ~slow_ms:0.0 @@ fun base _store ->
+  with_server ~slow_ms:0.0 @@ fun _ base _store ->
   let clients =
     List.init 4 (fun i ->
         Thread.create
@@ -1522,6 +1623,12 @@ let suite =
       `Quick test_stop_unrun_closes_socket;
     Alcotest.test_case "two servers in one process keep their own sinks"
       `Quick test_two_servers_own_sinks;
+    Alcotest.test_case "two servers keep their own registries and rings"
+      `Quick test_two_servers_own_registries;
+    Alcotest.test_case "the request ring is bounded by debug_ring" `Quick
+      test_request_ring_bounded;
+    Alcotest.test_case "concurrent workers keep the request ring bounded"
+      `Quick test_request_ring_concurrent;
     Alcotest.test_case "traceparent propagation and fallback" `Quick
       test_traceparent_propagation;
     Alcotest.test_case "GET /debug/requests and /debug/trace/<id>" `Quick
