@@ -140,41 +140,73 @@ let run_of e key =
    when given, maps a run [[gs, ge)] of [cty]'s sequence to the instances
    the target node keeps ([keep]).  It runs once per key, shared runs
    included: under the store's I/O model a parent re-reading a node pays
-   for the read again. *)
+   for the read again.  Without [select], an edge whose keys reach every
+   run of the grouped sequence is that sequence: [offs] and [kids] are the
+   store's own arrays, not copies, and nothing may write to them.  [runs],
+   fresh from [Closest.find], is rewritten in place. *)
 let join_edge rctx ~pty ~parents ~cty ~select =
   let keys = ascending parents in
   let runs, groups = closest_runs rctx ~pty ~parents:keys ~cty in
   let ids = cache rctx cty in
-  (* Runs are nondecreasing over ascending keys: equal ones are adjacent. *)
-  let parts = ref [] and nruns = ref 0 and total = ref 0 and last = ref (-1) in
-  Array.iteri
-    (fun k g ->
-      if g >= 0 then begin
-        let gs = groups.Closest.offs.(g) and ge = groups.offs.(g + 1) in
-        let part =
-          match select with
-          | None -> (ids, gs, ge - gs)
-          | Some f ->
-              let sel = f gs ge in
-              (sel, 0, Array.length sel)
-        in
-        if g <> !last then begin
-          let _, _, len = part in
-          parts := part :: !parts;
-          total := !total + len;
-          incr nruns;
-          last := g
-        end;
-        runs.(k) <- !nruns - 1
-      end)
-    runs;
-  let offs = Array.make (!nruns + 1) 0 and kids = Array.make !total 0 in
-  List.iteri
-    (fun r (src, start, len) ->
-      Array.blit src start kids offs.(r) len;
-      offs.(r + 1) <- offs.(r) + len)
-    (List.rev !parts);
-  { keys; runs; offs; kids; cur = 0 }
+  (* Runs are nondecreasing over ascending keys: equal ones are adjacent,
+     so one pass counts the distinct ones and their entries. *)
+  let nkeys = Array.length runs in
+  let nruns = ref 0 and entries = ref 0 and last = ref (-1) in
+  for k = 0 to nkeys - 1 do
+    let g = runs.(k) in
+    if g >= 0 && g <> !last then begin
+      incr nruns;
+      entries := !entries + groups.Closest.offs.(g + 1) - groups.offs.(g);
+      last := g
+    end
+  done;
+  let nruns = !nruns in
+  match select with
+  | None when nruns > 0 && nruns = Array.length groups.keys ->
+      (* Every run is used, in order: key [k]'s run is already its index
+         among the distinct runs. *)
+      { keys; runs; offs = groups.offs; kids = ids; cur = 0 }
+  | None ->
+      let offs = Array.make (nruns + 1) 0 and kids = Array.make !entries 0 in
+      let r = ref (-1) and last = ref (-1) in
+      for k = 0 to nkeys - 1 do
+        let g = runs.(k) in
+        if g >= 0 then begin
+          if g <> !last then begin
+            incr r;
+            let gs = groups.offs.(g) in
+            let len = groups.offs.(g + 1) - gs in
+            Array.blit ids gs kids offs.(!r) len;
+            offs.(!r + 1) <- offs.(!r) + len;
+            last := g
+          end;
+          runs.(k) <- !r
+        end
+      done;
+      { keys; runs; offs; kids; cur = 0 }
+  | Some f ->
+      let sels = Array.make nruns [||] and total = ref 0 in
+      let r = ref (-1) and last = ref (-1) in
+      for k = 0 to nkeys - 1 do
+        let g = runs.(k) in
+        if g >= 0 then begin
+          let sel = f groups.offs.(g) groups.offs.(g + 1) in
+          if g <> !last then begin
+            incr r;
+            sels.(!r) <- sel;
+            total := !total + Array.length sel;
+            last := g
+          end;
+          runs.(k) <- !r
+        end
+      done;
+      let offs = Array.make (nruns + 1) 0 and kids = Array.make !total 0 in
+      for r = 0 to nruns - 1 do
+        let len = Array.length sels.(r) in
+        Array.blit sels.(r) 0 kids offs.(r) len;
+        offs.(r + 1) <- offs.(r) + len
+      done;
+      { keys; runs; offs; kids; cur = 0 }
 
 (* Without parents the edge is empty and nothing is resolved or charged,
    so a node that keeps no instance joins nothing below it. *)
@@ -387,30 +419,38 @@ end
 let in_render_span f = Xmobs.Obs.phase "render" @@ fun () -> Xmobs.Profile.op "render" f
 
 module Emit (S : SINK) = struct
-  let text sink s pos len = if len > 0 then S.text sink s pos len
+  let text sink () s pos len = if len > 0 then S.text sink s pos len
 
   (* [id] is an instance of [p]'s anchor type; when [p] is sourced it is an
      instance of [p] itself.  Attributes come first, then the node's own
-     text, then its element children in shape order. *)
+     text, then its element children in shape order.  The walk over
+     [p.below] is two recursive functions, not closures, so that an
+     element allocates nothing the sink does not keep. *)
   let rec walk rctx sink (p : planned) id =
     S.open_element sink p.h.name;
     if Option.is_some p.h.node.source then begin
-      List.iter
-        (fun (c : planned) ->
-          match c.edge with
-          | Some e when c.h.attr ->
-              let r = run_of e id in
-              if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
-                Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
-                  (fun sink s pos len -> S.attribute sink c.h.name s pos len)
-                  sink
-          | _ -> ())
-        p.below;
-      Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id text sink
+      attributes rctx sink id p.below;
+      Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id text sink ()
     end;
-    List.iter
-      (fun (c : planned) ->
-        match c.edge with
+    elements rctx sink id p.below;
+    S.close_element sink p.h.name
+
+  and attributes rctx sink id = function
+    | [] -> ()
+    | (c : planned) :: cs ->
+        (match c.edge with
+        | Some e when c.h.attr ->
+            let r = run_of e id in
+            if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
+              Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
+                S.attribute sink c.h.name
+        | _ -> ());
+        attributes rctx sink id cs
+
+  and elements rctx sink id = function
+    | [] -> ()
+    | (c : planned) :: cs ->
+        (match c.edge with
         | None -> walk rctx sink c id (* anchorless NEW: once per key *)
         | Some e ->
             let r = run_of e id in
@@ -420,9 +460,8 @@ module Emit (S : SINK) = struct
                 for i = lo to hi - 1 do
                   walk rctx sink c e.kids.(i)
                 done
-            end)
-      p.below;
-    S.close_element sink p.h.name
+            end);
+        elements rctx sink id cs
 
   (* Plan each root of [shape] and walk its instances, one root at a
      time.  Each root instance is one tree of the output forest; with
@@ -676,9 +715,10 @@ module Nav = struct
     | [] -> value t h id
     | _ ->
         let b = Buffer.create 32 in
+        let add_slice b () s pos len = Buffer.add_substring b s pos len in
         let rec add (h : handle) id =
           if Option.is_some h.node.source && id >= 0 then
-            Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id Buffer.add_substring b;
+            Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id add_slice b ();
           List.iter (fun (c, kids) -> Array.iter (add c) kids) (element_children t h id)
         in
         add h id;

@@ -12,11 +12,15 @@
     by ancestor ids: the parent's own ancestor at that level, a fixed
     number of parent hops up, is galloped for from the previous parent's
     answer ({!Xmutil.Closest.find}).  Each edge keeps its runs in flat
-    offset arrays, not per-parent copies.
+    offset arrays, not per-parent copies; an edge whose parents take
+    every run whole is the grouped row itself, the store's arrays shared
+    rather than copied.
 
     One walk over the plan then emits the output in document order — the
     pipelining the paper describes — through four calls: open element,
-    attribute, text, close.  {!to_buffer} and {!stream} send them to an
+    attribute, text, close.  The walk allocates nothing of its own per
+    element: what a render allocates is its plan and its output.
+    {!to_buffer} and {!stream} send the calls to an
     {!Xml.Printer.Writer}, which escapes each value in place from the
     store's packed text; {!to_trees}, {!to_tree} and {!Nav.materialize}
     send them to an {!Xml.Tree.Builder}.  Every path reads the same nodes,

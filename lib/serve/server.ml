@@ -388,12 +388,16 @@ let stats_json t =
    entry (and, optionally, a --slow-log artifact).  Called after the
    request's context is uninstalled, so [Ctx.profiled] runs it in a
    temporary context of its own: its spans and query record stay out of
-   the request's entry, and no other request adds frames.  Runs
-   before the response returns, delaying it by about one execution. *)
+   the request's entry, and no other request adds frames.  It writes no
+   metrics registry: the request's own execution already counted its
+   render and set the store gauges.  Runs before the response returns,
+   delaying it by about one execution. *)
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
   let _, frames =
     Xmobs.Ctx.profiled (fun () ->
-        Exec.execute ~sinks:t.sinks ~source:"slow-capture" ~doc:doc_name
+        Exec.execute
+          ~sinks:{ t.sinks with Xmobs.Obs.metrics = None }
+          ~source:"slow-capture" ~doc:doc_name
           ~enforce ~trace_id ?query store guard)
   in
   (match t.slow_log with

@@ -178,15 +178,15 @@ let value ?ctx t i =
     own_value t i
   end
 
-let value_slice ?ctx t i f x =
+let value_slice ?ctx t i f x y =
   if is_patched t.patched i then begin
     let v = patched_value ?ctx t i in
-    f x v 0 (String.length v)
+    f x y v 0 (String.length v)
   end
   else begin
     Io_stats.charge_read ?ctx t.stats t.sizes.(i);
     let start = t.text_start.(i) in
-    f x t.text start (t.text_start.(i + 1) - start)
+    f x y t.text start (t.text_start.(i + 1) - start)
   end
 
 let dewey t i = Dewey.of_ranks ~parent:t.parent ~rank:t.rank i

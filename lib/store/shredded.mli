@@ -82,10 +82,18 @@ val value : ?ctx:Xmobs.Ctx.t -> t -> int -> string
     record's full encoded size. *)
 
 val value_slice :
-  ?ctx:Xmobs.Ctx.t -> t -> int -> ('a -> string -> int -> int -> unit) -> 'a -> unit
-(** [value_slice t i f x] is [f x s pos len], where [s] from [pos] for
-    [len] bytes holds {!value}[ t i] — a slice of the packed values, so
-    nothing is copied.  Charged exactly as {!value} is. *)
+  ?ctx:Xmobs.Ctx.t ->
+  t ->
+  int ->
+  ('a -> 'b -> string -> int -> int -> unit) ->
+  'a ->
+  'b ->
+  unit
+(** [value_slice t i f x y] is [f x y s pos len], where [s] from [pos]
+    for [len] bytes holds {!value}[ t i] — a slice of the packed values,
+    so nothing is copied.  [x] and [y] are passed through, so that a
+    caller with two arguments to hand on (a sink and an attribute's name)
+    needs no closure for them.  Charged exactly as {!value} is. *)
 
 val sequence : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> int array
 (** The TypeToSequence row for a type (document order), charging its

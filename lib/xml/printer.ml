@@ -1,23 +1,35 @@
-(* Escape [s] from [start] (up to [i] scanned) to [stop]: each run
-   between special characters goes in with one [add_substring].  ['"'] is
-   special only in attribute values. *)
-let rec add_escaped ~attr b s start i stop =
-  if i = stop then Buffer.add_substring b s start (stop - start)
-  else
-    let entity =
-      match String.unsafe_get s i with
-      | '&' -> "&amp;"
-      | '<' -> "&lt;"
-      | '>' -> "&gt;"
-      | '"' when attr -> "&quot;"
-      | _ -> ""
-    in
-    if String.length entity = 0 then add_escaped ~attr b s start (i + 1) stop
-    else begin
-      Buffer.add_substring b s start (i - start);
-      Buffer.add_string b entity;
-      add_escaped ~attr b s (i + 1) (i + 1) stop
-    end
+(* Each byte's entity, as an index into [entities]: ['\000'] for a byte
+   written as it is.  ['"'] is special only in attribute values. *)
+let entities = [| ""; "&amp;"; "&lt;"; "&gt;"; "&quot;" |]
+
+let table ~attr =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | '&' -> '\001'
+      | '<' -> '\002'
+      | '>' -> '\003'
+      | '"' when attr -> '\004'
+      | _ -> '\000')
+
+let text_table = table ~attr:false
+let attr_table = table ~attr:true
+
+(* The first index in [[i, stop)] whose byte [table] escapes, or [stop]. *)
+let rec clean_until table s i stop =
+  if i < stop && String.unsafe_get table (Char.code (String.unsafe_get s i)) = '\000' then
+    clean_until table s (i + 1) stop
+  else i
+
+(* Escape [s] from [i] to [stop]: each clean run goes in with one
+   [add_substring], each special byte as its entity. *)
+let rec add_escaped table b s i stop =
+  let j = clean_until table s i stop in
+  if j > i then Buffer.add_substring b s i (j - i);
+  if j < stop then begin
+    let e = String.unsafe_get table (Char.code (String.unsafe_get s j)) in
+    Buffer.add_string b (Array.unsafe_get entities (Char.code e));
+    add_escaped table b s (j + 1) stop
+  end
 
 let check_slice s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
@@ -25,11 +37,11 @@ let check_slice s pos len =
 
 let add_escaped_text b s pos len =
   check_slice s pos len;
-  add_escaped ~attr:false b s pos pos (pos + len)
+  add_escaped text_table b s pos (pos + len)
 
 let add_escaped_attr b s pos len =
   check_slice s pos len;
-  add_escaped ~attr:true b s pos pos (pos + len)
+  add_escaped attr_table b s pos (pos + len)
 
 let escape_text s =
   let b = Buffer.create (String.length s + 8) in
@@ -187,29 +199,18 @@ let to_string_indented t =
   replay (Writer.create ~indent:true b) t;
   Buffer.contents b
 
+(* The length of [s] escaped by [table]. *)
+let escaped_length table s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let e = String.unsafe_get table (Char.code (String.unsafe_get s i)) in
+    n := !n + if e = '\000' then 1 else String.length entities.(Char.code e)
+  done;
+  !n
+
 let serialized_size t =
   (* Count without materializing: mirror [to_buffer]. *)
-  let text_len s =
-    let n = ref 0 in
-    String.iter
-      (function
-        | '&' -> n := !n + 5
-        | '<' | '>' -> n := !n + 4
-        | _ -> incr n)
-      s;
-    !n
-  in
-  let attr_text_len s =
-    let n = ref 0 in
-    String.iter
-      (function
-        | '&' -> n := !n + 5
-        | '"' -> n := !n + 6
-        | '<' | '>' -> n := !n + 4
-        | _ -> incr n)
-      s;
-    !n
-  in
+  let text_len = escaped_length text_table and attr_text_len = escaped_length attr_table in
   let attr_len (k, v) = 4 + String.length k + attr_text_len v in
   let rec go t =
     match t with

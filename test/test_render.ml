@@ -289,3 +289,57 @@ let suite =
   suite
   @ [ Alcotest.test_case "a node keeping no instance joins nothing" `Quick
         test_empty_node_joins_nothing ]
+
+(* The plan's edge cases.  A fresh store per render, so that every read
+   of the render is charged to it. *)
+let render_and_frames doc guard =
+  let store = Store.Shredded.shred doc in
+  let shape = (Interp.compile ~enforce:false (Store.Shredded.guide store) guard).Interp.shape in
+  let buf = Buffer.create 256 in
+  let st, frames = Xmobs.Ctx.profiled (fun () -> Render.to_buffer store shape buf) in
+  let io = Store.Io_stats.snapshot (Store.Shredded.stats store) in
+  let rec closest (f : Xmobs.Profile.frame) =
+    (if String.starts_with ~prefix:"closest(" f.name then
+       [ Printf.sprintf "%s in=%d out=%d" f.name f.in_count f.out_count ]
+     else [])
+    @ List.concat_map closest (Xmobs.Profile.ordered_children f)
+  in
+  ( Printf.sprintf "%s elems=%d read=%d/%d" (Buffer.contents buf) st.Render.elements
+      io.Store.Io_stats.bytes_read io.Store.Io_stats.read_ops,
+    List.concat_map closest frames )
+
+(* An edge with no runs — the child type lies in the other tree of a
+   two-tree forest, so no pair of instances is closest — gives its
+   parents no children, and the edge below it no parents to join. *)
+let test_edge_without_runs () =
+  let doc =
+    Xml.Doc.of_forest
+      [ Xml.Parser.parse "<a><x>1</x></a>";
+        Xml.Parser.parse "<b><y><z>2</z><z>3</z></y></b>" ]
+  in
+  let out, frames = render_and_frames doc "MORPH a [ y [ z ] ]" in
+  Alcotest.(check string) "render" "<a/> elems=1 read=19/5" out;
+  Alcotest.(check (list string)) "closest frames"
+    [ "closest(a->b.y) in=1 out=0"; "closest(b.y->b.y.z) in=0 out=0" ]
+    frames
+
+(* Edges whose parents use some of the child's runs and not others: a
+   RESTRICTed parent and a value-filtered one.  Their bytes and read
+   charges were recorded from the plan that copied every edge's runs. *)
+let test_edge_with_unused_runs () =
+  List.iter
+    (fun (guard, want) ->
+      let out, _ = render_and_frames (Xml.Doc.of_string fig_a) guard in
+      Alcotest.(check string) guard want out)
+    [ ({|MORPH (RESTRICT book [ title = "X" ]) [ author [ name ] ]|},
+       "<book><author><name>A</name></author><author><name>B</name></author></book> \
+        elems=5 read=199/18");
+      ({|MORPH title = "Y" [ author [ name ] ]|},
+       "<title>Y<author><name>A</name></author></title> elems=3 read=153/13") ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "an edge without runs plans no children" `Quick
+        test_edge_without_runs;
+      Alcotest.test_case "an edge with unused runs renders as before" `Quick
+        test_edge_with_unused_runs ]

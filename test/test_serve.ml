@@ -1035,6 +1035,30 @@ let test_slow_capture () =
   Sys.remove path;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* A slow-query capture re-executes the request to profile it, but the
+   request's render is counted once: after one captured POST /query,
+   render_elements on /metrics is the response's element count. *)
+let test_slow_capture_counts_once () =
+  with_server ~slow_ms:0.0 @@ fun _ base _store ->
+  let status, _, body = get ~meth:"POST" ~body:paper_guard base "/query" in
+  Alcotest.(check int) "200" 200 status;
+  let rec count = function
+    | Xml.Tree.Text _ -> 0
+    | Xml.Tree.Element { attrs; children; _ } ->
+        List.fold_left (fun n c -> n + count c) (1 + List.length attrs) children
+  in
+  let elements = count (Xml.Parser.parse body) in
+  Alcotest.(check bool) "the response has elements" true (elements > 0);
+  let _, _, metrics = get ~meth:"GET" base "/metrics" in
+  let prefix = "render_elements " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' metrics)
+  with
+  | Some line ->
+      let v = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+      Alcotest.(check int) "render_elements" elements (int_of_string (String.trim v))
+  | None -> Alcotest.fail "render_elements not exposed"
+
 (* Run [f] while an interval timer makes a running server worker yield
    every half millisecond, renders included.  The calling thread, and
    the client threads [f] starts, block the signal, so only the workers
@@ -1635,6 +1659,8 @@ let suite =
       test_debug_endpoints;
     Alcotest.test_case "slow-query auto-capture attaches a profile" `Quick
       test_slow_capture;
+    Alcotest.test_case "slow-query capture counts its render once" `Quick
+      test_slow_capture_counts_once;
     Alcotest.test_case "slow-query capture is exact under concurrent load"
       `Quick test_slow_capture_exact_under_load;
     Alcotest.test_case "a client's requests survive signals" `Quick
