@@ -1,8 +1,8 @@
 (* Minimal HTTP/1.1 over Unix sockets: exactly the subset the serve
-   daemon and its smoke tests need.  Requests are read with a growing
-   buffer until the blank line, then a Content-Length body; responses are
-   written with Content-Length and Connection: close.  No chunked
-   encoding, no keep-alive, no TLS — by design. *)
+   daemon and its smoke tests need.  Both ends read a head into one small
+   buffer until the blank line, then a Content-Length body straight into
+   its string; responses are written with Content-Length and Connection:
+   close.  No chunked encoding, no keep-alive, no TLS — by design. *)
 
 exception Parse_error of string
 
@@ -104,31 +104,102 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
-let read_some fd buf =
-  let chunk = Bytes.create 4096 in
-  match Unix.read fd chunk 0 4096 with
-  | 0 -> false
-  | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+(* One read(2) into [b]; 0 is the peer's EOF. *)
+let rec read_into fd b off len =
+  match Unix.read fd b off len with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_into fd b off len
 
-(* Find "\r\n\r\n" at or after [from] in the [n] bytes [get] reads;
-   tolerate bare "\n\n" from hand-typed clients. *)
-let header_end get n from =
+(* Find "\r\n\r\n" at or after [from] in the first [n] bytes of [b];
+   tolerate bare "\n\n" from hand-typed peers.  Both ends scan their read
+   buffer with it in place. *)
+let header_end b n from =
   let rec go i =
-    if i + 3 < n && get i = '\r' && get (i + 1) = '\n' && get (i + 2) = '\r'
-       && get (i + 3) = '\n'
-    then Some (i, 4)
-    else if i + 1 < n && get i = '\n' && get (i + 1) = '\n' then Some (i, 2)
-    else if i + 1 < n then go (i + 1)
-    else None
+    if i + 1 >= n then None
+    else
+      match Bytes.unsafe_get b i with
+      | '\n' when Bytes.unsafe_get b (i + 1) = '\n' -> Some (i, 2)
+      | '\r'
+        when i + 3 < n
+             && Bytes.unsafe_get b (i + 1) = '\n'
+             && Bytes.unsafe_get b (i + 2) = '\r'
+             && Bytes.unsafe_get b (i + 3) = '\n' ->
+          Some (i, 4)
+      | _ -> go (i + 1)
   in
   go from
 
-let find_header_end s = header_end (String.get s) (String.length s) 0
+(* What one connection has read and not yet taken: the first [len] bytes
+   of [buf]. *)
+type reader = { fd : Unix.file_descr; mutable buf : Bytes.t; mutable len : int }
+
+(* One read into the free end of [r.buf], doubling it first when it is
+   full; false at EOF. *)
+let fill r =
+  if r.len = Bytes.length r.buf then begin
+    let b = Bytes.create (2 * r.len) in
+    Bytes.blit r.buf 0 b 0 r.len;
+    r.buf <- b
+  end;
+  let n = read_into r.fd r.buf r.len (Bytes.length r.buf - r.len) in
+  r.len <- r.len + n;
+  n > 0
+
+(* Read until the head's end is in [r.buf]: [Some (head_end, sep_len)],
+   or [None] at EOF before it.  A head longer than [max_header] bytes is
+   an error however the reads cut it.  Each search resumes where the
+   previous one stopped, less the three bytes a terminator split across
+   reads may have left behind. *)
+let read_head r ~max_header =
+  let rec go from =
+    match header_end r.buf r.len from with
+    | Some (head_end, _) when head_end > max_header -> fail "header too large"
+    | Some cut -> Some cut
+    | None ->
+        let n = r.len in
+        (* a terminator after at most [max_header] bytes ends within 4 more *)
+        if n >= max_header + 4 then fail "header too large"
+        else if fill r then go (max 0 (n - 3))
+        else None
+  in
+  go 0
+
+(* Fill [body] with the body that starts at [start] in [r.buf]: the part
+   the head's reads took is copied once, and the rest is read straight
+   into [body]. *)
+let read_body r ~start body =
+  let length = Bytes.length body in
+  let have = min length (r.len - start) in
+  Bytes.blit r.buf start body 0 have;
+  let rec go off =
+    if off < length then
+      match read_into r.fd body off (length - off) with
+      | 0 -> fail "unexpected EOF in body"
+      | n -> go (off + n)
+  in
+  go have;
+  Bytes.unsafe_to_string body
 
 let trim = String.trim
+
+(* ["Name: value"] as [("name", "value")]; [None] without a colon. *)
+let header_field line =
+  match String.index_opt line ':' with
+  | None -> None
+  | Some i ->
+      Some
+        ( String.lowercase_ascii (trim (String.sub line 0 i)),
+          trim (String.sub line (i + 1) (String.length line - i - 1)) )
+
+(* The Content-Length header's value, [None] when it is absent.
+   @raise Parse_error when it is not a non-negative integer. *)
+let content_length headers =
+  Option.map
+    (fun v ->
+      match int_of_string_opt (trim v) with
+      | Some n when n >= 0 -> n
+      | _ -> fail "malformed Content-Length %S" v)
+    (List.assoc_opt "content-length" headers)
 
 let parse_head head =
   match String.split_on_char '\n' head with
@@ -146,63 +217,29 @@ let parse_head head =
             let line = trim line in
             if line = "" then None
             else
-              match String.index_opt line ':' with
+              match header_field line with
               | None -> fail "malformed header line %S" line
-              | Some i ->
-                  Some
-                    ( String.lowercase_ascii (trim (String.sub line 0 i)),
-                      trim
-                        (String.sub line (i + 1) (String.length line - i - 1))
-                    ))
+              | field -> field)
           header_lines
       in
       (meth, target, headers)
 
-(* The server's read path: one 4 KiB chunk per connection, and the search
-   for the header end resumes where the previous one stopped (less the
-   three bytes a terminator split across reads may have left behind). *)
-let read_request ?(max_header = 16 * 1024) ?(max_body = 4 * 1024 * 1024) fd =
-  let chunk = Bytes.create 4096 in
-  let buf = Buffer.create 1024 in
-  let read () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> false
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-  in
-  let rec fill_header from =
-    let n = Buffer.length buf in
-    match header_end (Buffer.nth buf) n from with
-    | Some cut -> Some cut
-    | None ->
-        if n > max_header then fail "header too large"
-        else if read () then fill_header (max 0 (n - 3))
-        else if n = 0 then None
-        else fail "unexpected EOF in header"
-  in
-  match fill_header 0 with
-  | None -> None
+(* A request is read into a chunk small enough to be allocated young
+   (255 words), which grows only for a head longer than it; the body is
+   read into a string of its Content-Length. *)
+let request_chunk = 2032
+
+let default_max_header = 16 * 1024
+
+let read_request ?(max_header = default_max_header) ?(max_body = 4 * 1024 * 1024) fd =
+  let r = { fd; buf = Bytes.create request_chunk; len = 0 } in
+  match read_head r ~max_header with
+  | None -> if r.len = 0 then None else fail "unexpected EOF in header"
   | Some (head_end, sep_len) ->
-      let head = Buffer.sub buf 0 head_end in
-      let meth, target, headers = parse_head head in
-      let content_length =
-        match List.assoc_opt "content-length" headers with
-        | None -> 0
-        | Some v -> (
-            match int_of_string_opt (trim v) with
-            | Some n when n >= 0 -> n
-            | _ -> fail "malformed Content-Length %S" v)
-      in
-      if content_length > max_body then fail "body too large";
-      let body_start = head_end + sep_len in
-      let rec fill_body () =
-        if Buffer.length buf - body_start < content_length then
-          if read () then fill_body () else fail "unexpected EOF in body"
-      in
-      fill_body ();
-      let body = Buffer.sub buf body_start content_length in
+      let meth, target, headers = parse_head (Bytes.sub_string r.buf 0 head_end) in
+      let length = Option.value ~default:0 (content_length headers) in
+      if length > max_body then fail "body too large";
+      let body = read_body r ~start:(head_end + sep_len) (Bytes.create length) in
       let path, query = split_target target in
       Some { meth; target; path; query; headers; body }
 
@@ -212,10 +249,21 @@ let read_request ?(max_header = 16 * 1024) ?(max_body = 4 * 1024 * 1024) fd =
    behind the unacknowledged header segment. *)
 let write_response fd (r : response) =
   let b = Buffer.create 256 in
-  Printf.bprintf b "HTTP/1.1 %d %s\r\n" r.status (status_reason r.status);
-  List.iter (fun (k, v) -> Printf.bprintf b "%s: %s\r\n" k v) r.headers;
-  Printf.bprintf b "content-length: %d\r\nconnection: close\r\n\r\n"
-    (String.length r.body);
+  let line k v =
+    Buffer.add_string b k;
+    Buffer.add_string b ": ";
+    Buffer.add_string b v;
+    Buffer.add_string b "\r\n"
+  in
+  Buffer.add_string b "HTTP/1.1 ";
+  Buffer.add_string b (string_of_int r.status);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (status_reason r.status);
+  Buffer.add_string b "\r\n";
+  List.iter (fun (k, v) -> line k v) r.headers;
+  line "content-length" (string_of_int (String.length r.body));
+  line "connection" "close";
+  Buffer.add_string b "\r\n";
   let head = Buffer.contents b in
   try
     write_all fd head 0 (String.length head);
@@ -277,6 +325,53 @@ let connect fd addr ~timeout_s =
       | None -> ()
       | Some e -> raise (Unix.Unix_error (e, "connect", "")))
 
+(* Reads past the body (to the server's close), where a reset counts as
+   the close. *)
+let until_close f =
+  try f () with Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
+
+(* A response of up to 4 KiB, head and body, arrives in the first read. *)
+let response_chunk = 4096
+
+(* Read one response: the head, scanned in place, then a body of its
+   Content-Length read straight into one string, then on to the server's
+   close, so that the server, which closes first, keeps the TIME_WAIT and
+   not the client.  Without Content-Length the body is everything up to
+   the close. *)
+let read_response fd =
+  let r = { fd; buf = Bytes.create response_chunk; len = 0 } in
+  match read_head r ~max_header:default_max_header with
+  | None -> fail "malformed HTTP response (no header terminator)"
+  | Some (head_end, sep_len) ->
+      let status, headers =
+        match String.split_on_char '\n' (Bytes.sub_string r.buf 0 head_end) with
+        | [] -> fail "empty HTTP response"
+        | status_line :: header_lines ->
+            ( parse_status_line status_line,
+              List.filter_map (fun line -> header_field (trim line)) header_lines )
+      in
+      let start = head_end + sep_len in
+      let body =
+        match content_length headers with
+        | Some length ->
+            let body =
+              match Bytes.create length with
+              | b -> read_body r ~start b
+              | exception (Out_of_memory | Invalid_argument _) ->
+                  fail "Content-Length %d too large" length
+            in
+            let rec drain () =
+              if read_into fd r.buf 0 (Bytes.length r.buf) > 0 then drain ()
+            in
+            until_close drain;
+            body
+        | None ->
+            let rec to_close () = if fill r then to_close () in
+            until_close to_close;
+            Bytes.sub_string r.buf start (r.len - start)
+      in
+      (status, headers, body)
+
 let request_url ?body ?(headers = []) ?(timeout_s = 30.0) ~meth url =
   match parse_url url with
   | Error m -> Error m
@@ -288,8 +383,7 @@ let request_url ?body ?(headers = []) ?(timeout_s = 30.0) ~meth url =
           with Failure _ -> Unix.inet_addr_loopback)
       in
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-      try
+      let exchange () =
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
         Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
         connect fd (Unix.ADDR_INET (addr, port)) ~timeout_s;
@@ -306,46 +400,13 @@ let request_url ?body ?(headers = []) ?(timeout_s = 30.0) ~meth url =
             target host port (String.length body) extra body
         in
         write_all fd req 0 (String.length req);
-        let buf = Buffer.create 1024 in
-        let rec drain () = if read_some fd buf then drain () in
-        (* The server closes after one response, so read to EOF. *)
-        (try drain ()
-         with Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ());
-        finally ();
-        let all = Buffer.contents buf in
-        match find_header_end all with
-        | None -> Error "malformed HTTP response (no header terminator)"
-        | Some (head_end, sep_len) -> (
-            let head = String.sub all 0 head_end in
-            match String.split_on_char '\n' head with
-            | [] -> Error "empty HTTP response"
-            | status_line :: header_lines ->
-                let status = parse_status_line status_line in
-                let headers =
-                  List.filter_map
-                    (fun line ->
-                      let line = trim line in
-                      match String.index_opt line ':' with
-                      | None -> None
-                      | Some i ->
-                          Some
-                            ( String.lowercase_ascii
-                                (trim (String.sub line 0 i)),
-                              trim
-                                (String.sub line (i + 1)
-                                   (String.length line - i - 1)) ))
-                    header_lines
-                in
-                let body_start = head_end + sep_len in
-                Ok
-                  ( status,
-                    headers,
-                    String.sub all body_start (String.length all - body_start)
-                  ))
+        read_response fd
+      in
+      match
+        Fun.protect exchange ~finally:(fun () ->
+            try Unix.close fd with Unix.Unix_error _ -> ())
       with
-      | Parse_error m ->
-          finally ();
-          Error m
-      | Unix.Unix_error (e, fn, _) ->
-          finally ();
+      | resp -> Ok resp
+      | exception Parse_error m -> Error m
+      | exception Unix.Unix_error (e, fn, _) ->
           Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))

@@ -7,7 +7,15 @@
     tests do not depend on [curl].
 
     Connections are one-request-per-connection: every response carries
-    [Connection: close] and the server closes the socket after writing. *)
+    [Connection: close] and the server closes the socket after writing.
+
+    Each body is copied once on each side of the wire.  Both ends find the
+    end of the head in place, in the buffer they read it into, and read
+    the body straight into one string of its [Content-Length].  The client
+    reads a response the same way; without [Content-Length] it reads the
+    body up to the close.  After the body it still reads until the server
+    closes, so the server, which closes first, keeps the TIME_WAIT and
+    the client's ephemeral ports are not used up. *)
 
 type request = {
   meth : string;  (** uppercased: [GET], [POST], ... *)
@@ -48,7 +56,8 @@ exception Parse_error of string
 val read_request :
   ?max_header:int -> ?max_body:int -> Unix.file_descr -> request option
 (** Read one request from the socket.  [None] on a clean EOF before any
-    bytes.  Defaults: 16 KiB of header, 4 MiB of body.
+    bytes.  Defaults: 16 KiB of header, 4 MiB of body; a head longer than
+    [max_header] is refused however the reads cut it.
     @raise Parse_error on a malformed or oversized request. *)
 
 val write_response : Unix.file_descr -> response -> unit
@@ -70,4 +79,8 @@ val request_url :
   (int * (string * string) list * string, string) result
 (** One blocking HTTP/1.1 request to an [http://] URL; returns
     [(status, headers, body)].  [headers] adds extra request header lines
-    (e.g. [traceparent]). *)
+    (e.g. [traceparent]).  The body is the response's [Content-Length]
+    bytes; a connection closed before them is
+    [Error "unexpected EOF in body"], and bytes after them are not read
+    into it.  A head over 16 KiB or a malformed [Content-Length] is an
+    [Error]. *)

@@ -7,63 +7,87 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let add_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+let hex = "0123456789abcdef"
+
+(* Escape [s] from [start] (up to [i] scanned): each run between bytes
+   that need an escape goes in with one [add_substring]. *)
+let rec add_escaped_from b s start i =
+  if i = String.length s then Buffer.add_substring b s start (i - start)
+  else
+    let c = String.unsafe_get s i in
+    if c >= ' ' && c <> '"' && c <> '\\' then add_escaped_from b s start (i + 1)
+    else begin
+      Buffer.add_substring b s start (i - start);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex.[Char.code c lsr 4];
+          Buffer.add_char b hex.[Char.code c land 15]);
+      add_escaped_from b s (i + 1) (i + 1)
+    end
+
+let add_escaped b s =
+  Buffer.add_char b '"';
+  add_escaped_from b s 0 0;
   Buffer.add_char b '"'
 
+(* The formatter [Printf]'s [%g] calls, without [Printf] interpreting the
+   format each time: [%g] is [%.6g]. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_buffer ?(pretty = true) b t =
-  let rec go indent t =
-    let nl deeper =
-      if pretty then begin
-        Buffer.add_char b '\n';
-        Buffer.add_string b (String.make deeper ' ')
-      end
-    in
-    match t with
+  let nl indent =
+    if pretty then begin
+      Buffer.add_char b '\n';
+      for _ = 1 to indent do
+        Buffer.add_char b ' '
+      done
+    end
+  in
+  let rec go indent = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
     | Int i -> Buffer.add_string b (string_of_int i)
     | Float f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string b (Printf.sprintf "%.0f" f)
-        else Buffer.add_string b (Printf.sprintf "%g" f)
+        Buffer.add_string b
+          (if Float.is_integer f && Float.abs f < 1e15 then
+             (* what [%.0f] prints: the integer, and [-0] for negative zero *)
+             if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+           else format_float "%.6g" f)
     | String s -> add_escaped b s
     | List [] -> Buffer.add_string b "[]"
-    | List items ->
+    | List l ->
         Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            nl (indent + 2);
-            go (indent + 2) item)
-          items;
+        items (indent + 2) false l;
         nl indent;
         Buffer.add_char b ']'
     | Obj [] -> Buffer.add_string b "{}"
-    | Obj fields ->
+    | Obj l ->
         Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            nl (indent + 2);
-            add_escaped b k;
-            Buffer.add_string b (if pretty then ": " else ":");
-            go (indent + 2) v)
-          fields;
+        fields (indent + 2) false l;
         nl indent;
         Buffer.add_char b '}'
+  and items indent sep = function
+    | [] -> ()
+    | item :: rest ->
+        if sep then Buffer.add_char b ',';
+        nl indent;
+        go indent item;
+        items indent true rest
+  and fields indent sep = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        if sep then Buffer.add_char b ',';
+        nl indent;
+        add_escaped b k;
+        Buffer.add_string b (if pretty then ": " else ":");
+        go indent v;
+        fields indent true rest
   in
   go 0 t
 

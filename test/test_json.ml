@@ -80,6 +80,65 @@ let test_parse_errors () =
   List.iter rejects
     [ ""; "{"; "[1,]"; {|{"a" 1}|}; "tru"; {|"unterminated|}; "1 2"; "nan" ]
 
+(* The writer against the one it replaced ([Json_oracle]): random values,
+   compact and pretty, print the same bytes.  Strings are weighted towards
+   the bytes the escaper rewrites, and floats towards the edges of the
+   integral branch (negative zero, 1e15) and the ones [%g] prints. *)
+let gen_string =
+  QCheck2.Gen.(
+    let piece =
+      frequency
+        [ (3, oneofl [ "\""; "\\"; "\n"; "\r"; "\t" ]);
+          (3, map (String.make 1) (char_range '\000' '\031'));
+          (4, map (String.make 1) (char_range ' ' '~'));
+          (1, string_size ~gen:(char_range 'a' 'z') (int_range 1 40));
+          (1, oneofl [ "\x7f"; "\xc3\xa9"; "\xe2\x82\xac"; "\xff" ]) ]
+    in
+    map (String.concat "") (list_size (int_range 0 12) piece))
+
+let gen_float =
+  QCheck2.Gen.(
+    frequency
+      [ (3, oneofl [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; 1. -. 1e15; 1e16; nan; infinity;
+                     neg_infinity; 0.5; -2.5; 1e-7; max_float; min_float ]);
+        (3, map float_of_int (int_range (-1_000_000) 1_000_000));
+        (2, map Float.of_int int);
+        (3, float) ])
+
+let gen_json =
+  QCheck2.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self n ->
+           let scalar =
+             frequency
+               [ (1, pure Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (2, map (fun i -> Json.Int i) int);
+                 (3, map (fun f -> Json.Float f) gen_float);
+                 (3, map (fun s -> Json.String s) gen_string) ]
+           in
+           if n = 0 then scalar
+           else
+             frequency
+               [ (2, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (int_range 0 5) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 5) (pair gen_string (self (n - 1)))) ) ]))
+
+let prop_writer_oracle =
+  QCheck2.Test.make ~name:"writer = the replaced writer on random values" ~count:2000
+    ~print:(fun v -> Json_oracle.to_string ~pretty:false v)
+    gen_json
+    (fun v ->
+      List.for_all
+        (fun pretty ->
+          let want = Json_oracle.to_string ~pretty v and got = Json.to_string ~pretty v in
+          want = got
+          || QCheck2.Test.fail_reportf "pretty=%b: want %S, got %S" pretty want got)
+        [ false; true ])
+
 let suite =
   [
     Alcotest.test_case "scalars" `Quick test_scalars;
@@ -90,4 +149,5 @@ let suite =
     Alcotest.test_case "parse scalars" `Quick test_parse_scalars;
     Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    QCheck_alcotest.to_alcotest prop_writer_oracle;
   ]
