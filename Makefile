@@ -78,37 +78,50 @@ lint:
 
 # A one-shot --trace names what ran, not only that it ran: the loss span
 # carries its classification and the render span the store bytes it read
-# and the output bytes it wrote.
+# and the output bytes it wrote; each closest join and the emit under the
+# render are spans too.
 TRACE ?= telemetry/trace.json
 trace-check:
 	@python3 -c 'import json, sys; \
 	ev = json.load(open(sys.argv[1]))["traceEvents"]; \
 	has = lambda n, k: any(e["name"] == n and k in e["args"] for e in ev); \
-	missing = [n + "." + k for n, k in [("loss", "classification"), ("render", "bytes_read"), ("render", "bytes_written")] if not has(n, k)]; \
-	sys.exit(sys.argv[1] + ": no span attribute " + ", ".join(missing) if missing else 0)' $(TRACE)
+	missing = ["attribute " + n + "." + k for n, k in [("loss", "classification"), ("render", "bytes_read"), ("render", "bytes_written")] if not has(n, k)]; \
+	missing += ["a span named " + n + "..." for n in ["closest(", "emit"] if not any(e["name"].startswith(n) for e in ev)]; \
+	sys.exit(sys.argv[1] + ": missing " + ", ".join(missing) if missing else 0)' $(TRACE)
 	@echo "trace-check: ok ($(TRACE))"
 
-# A --profile file holds the operator tree, not just its brackets: a
-# compile root, and a render root that read store blocks and ran a
-# closest join.
+# A --profile file holds the operator tree, not just its brackets: an
+# xml.parse root, a compile root with the loss analysis under it, and a
+# render root that read store blocks and ran a closest join.
 PROFILE ?= telemetry/profile.json
 profile-check:
 	@python3 -c 'import json, sys; \
 	roots = json.load(open(sys.argv[1]))["profile"]; \
-	render = [f for f in roots if f["name"] == "render"]; \
-	checks = [("a compile root", any(f["name"] == "compile" for f in roots)), \
+	named = lambda n: [f for f in roots if f["name"] == n]; \
+	render = named("render"); \
+	checks = [("an xml.parse root", named("xml.parse") != []), \
+	  ("a compile root", named("compile") != []), \
+	  ("a loss frame under compile", any(c["name"] == "loss" for f in named("compile") for c in f.get("children", []))), \
 	  ("a render frame with blocks_read > 0", any(f["blocks_read"] > 0 for f in render)), \
 	  ("a closest( child under render", any(c["name"].startswith("closest(") for f in render for c in f.get("children", [])))]; \
 	missing = [n for n, ok in checks if not ok]; \
 	sys.exit(sys.argv[1] + ": missing " + "; ".join(missing) if missing else 0)' $(PROFILE)
 	@echo "profile-check: ok ($(PROFILE))"
 
+# One-shot telemetry end to end, as CI runs it: a traced, profiled run
+# with metrics on DBLP seed 7, the profile subcommand, then the content
+# checks above.
 trace-smoke:
 	mkdir -p telemetry
 	dune exec bin/xmorph_cli.exe -- gen dblp --seed 7 -o telemetry/dblp.xml
 	dune exec bin/xmorph_cli.exe -- run --trace telemetry/trace.json \
-	  --profile telemetry/profile.json \
+	  --metrics telemetry/metrics.json --profile telemetry/profile.json \
 	  "MORPH author [ title ]" telemetry/dblp.xml > /dev/null
+	dune exec bin/xmorph_cli.exe -- profile "MORPH author [ title ]" \
+	  telemetry/dblp.xml
+	@for f in trace metrics profile; do \
+	  test -s "telemetry/$$f.json" || { echo "missing telemetry/$$f.json"; exit 1; }; \
+	done
 	$(MAKE) trace-check TRACE=telemetry/trace.json
 	$(MAKE) profile-check PROFILE=telemetry/profile.json
 

@@ -35,7 +35,7 @@ let () =
       let frames = Xmobs.Ctx.keep_frames () in
       at_exit (fun () ->
           let oc = open_out_bin path in
-          output_string oc (Xmobs.Profile.to_text (Xmobs.Profile.roots frames));
+          output_string oc (Xmobs.Frames.to_text (Xmobs.Frames.roots frames));
           close_out oc));
   let requested =
     match Array.to_list Sys.argv with

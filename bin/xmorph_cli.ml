@@ -105,7 +105,7 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
       Xmobs.Shutdown.on_exit (fun () ->
           write_file path
             (Xmutil.Json.to_string
-               (Xmobs.Profile.to_json (Xmobs.Profile.roots frames)))));
+               (Xmobs.Frames.to_json (Xmobs.Frames.roots frames)))));
   let qlog =
     Option.map
       (fun path ->
@@ -138,9 +138,10 @@ let obs_term_gen ~stats_db_flag =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Trace pipeline phases (parse, shred, infer, loss, render, \
-                   ...) and write the spans to $(docv) as Chrome trace_event \
-                   JSON (open at chrome://tracing or ui.perfetto.dev).  \
+             ~doc:"Trace pipeline layers (parse, shred, compile, loss, \
+                   render, each closest join, ...) and write the spans to \
+                   $(docv) as Chrome trace_event JSON (open at \
+                   chrome://tracing or ui.perfetto.dev).  \
                    $(docv) - streams to stdout at exit.")
   in
   let metrics =
@@ -576,8 +577,8 @@ let profile_cmd =
         | Xmserve.Exec.Failed { message; _ } -> exit_err message
         | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
         if json then
-          print_endline (Xmutil.Json.to_string (Xmobs.Profile.to_json frames))
-        else print_string (Xmobs.Profile.to_text frames)
+          print_endline (Xmutil.Json.to_string (Xmobs.Frames.to_json frames))
+        else print_string (Xmobs.Frames.to_text frames)
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ obs_term $ guard_arg $ input $ query $ json)
@@ -812,7 +813,7 @@ let shell_cmd =
                         (match outcome with
                         | Xmserve.Exec.Failed { message; _ } -> print_endline message
                         | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
-                        print_string (Xmobs.Profile.to_text frames))
+                        print_string (Xmobs.Frames.to_text frames))
                     | None -> (
                     match strip_prefix line ":explain" with
                     | Some rest -> (

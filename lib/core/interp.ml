@@ -21,9 +21,8 @@ let reads (shape : Tshape.t) =
   Array.of_list (List.sort_uniq Int.compare !acc)
 
 let compile ?(enforce = true) guide source =
-  Xmobs.Obs.phase "compile" ~attrs:[ ("guard", Xmobs.Trace.String source) ]
+  Xmobs.Ctx.region "compile" ~attrs:[ ("guard", Xmobs.Trace.String source) ]
   @@ fun () ->
-  Xmobs.Profile.op "compile" @@ fun () ->
   let ast =
     try Parse.guard source
     with e -> (
@@ -33,7 +32,6 @@ let compile ?(enforce = true) guide source =
   in
   let algebra = Algebra.of_ast ast in
   let sem =
-    Xmobs.Obs.phase "infer" @@ fun () ->
     try Semantics.eval guide algebra
     with Tshape.Error msg -> raise (Error msg)
   in
@@ -45,16 +43,12 @@ let compile ?(enforce = true) guide source =
   { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss;
     reads = reads sem.shape }
 
-(* Names match the render profiler's closest(a->b) frames exactly, so the
-   warehouse can line predictions up with observations. *)
+(* Named by [Render.join_name], as the render's closest(a->b) regions
+   are, so the warehouse can line predictions up with observations. *)
 let predicted_joins guide (t : t) =
   let tt = Xml.Dataguide.types guide in
   List.map
-    (fun (pty, cty, card, parents) ->
-      ( Printf.sprintf "closest(%s->%s)" (Xml.Type_table.qname tt pty)
-          (Xml.Type_table.qname tt cty),
-        card,
-        parents ))
+    (fun (pty, cty, card, parents) -> (Render.join_name tt pty cty, card, parents))
     (Render.predicted_edges guide t.shape)
 
 let render store t = Render.to_tree store t.shape

@@ -55,7 +55,7 @@ let is_word_char = function
   | _ -> false
 
 let tokenize src =
-  Xmobs.Obs.phase "lex" @@ fun () ->
+  Xmobs.Ctx.region "lex" @@ fun () ->
   let n = String.length src in
   let out = ref [] in
   let emit tok pos = out := (tok, pos) :: !out in

@@ -467,7 +467,7 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
     warnings = warnings @ List.rev !filters }
 
 let analyze ?warnings guide shape =
-  Xmobs.Obs.phase "loss" @@ fun () ->
+  Xmobs.Ctx.region "loss" @@ fun () ->
   let report = analyze_impl ?warnings guide shape in
   Xmobs.Ctx.add_attr "classification"
     (Xmobs.Trace.String

@@ -176,7 +176,7 @@ and parse_unit st =
            (Lexer.token_to_string other))
 
 let guard src =
-  Xmobs.Obs.phase "parse" @@ fun () ->
+  Xmobs.Ctx.region "parse" @@ fun () ->
   let toks = Array.of_list (Lexer.tokenize src) in
   let st = { toks; cur = 0 } in
   let g = parse_guard st in

@@ -26,6 +26,12 @@ let make_rctx store =
   { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16;
     ctx = Xmobs.Ctx.current () }
 
+(* The region name of the [pty -> cty] closest join.  The warehouse lines
+   a render's recorded joins up with [Interp.predicted_joins] by it. *)
+let join_name tt pty cty =
+  Printf.sprintf "closest(%s->%s)" (Xml.Type_table.qname tt pty)
+    (Xml.Type_table.qname tt cty)
+
 let read_value rctx id = Store_.Shredded.value ?ctx:rctx.ctx rctx.store id
 
 let cache rctx ty =
@@ -369,18 +375,16 @@ let rec plan_node rctx (p : handle) ~ids =
   in
   List.map plan_child p.below
 
-(* Profiled wrapper: each target edge's pipelined join appears in the
-   profile as a [closest(parent->child)] frame, nested to mirror the target
-   shape, with parents in, closest pairs, and distinct children out. *)
+(* Each target edge's pipelined join is a [closest(parent->child)]
+   region, nested to mirror the target shape, with parents in, closest
+   pairs, and distinct children out. *)
 and plan_edge rctx (c : handle) ~aty ~ids ~cty =
-  if not (Xmobs.Profile.profiling ()) then plan_edge_op rctx c ~aty ~ids ~cty
+  if not (Xmobs.Ctx.recording rctx.ctx) then plan_edge_op rctx c ~aty ~ids ~cty
   else
-    let tt = Store_.Shredded.types rctx.store in
-    Xmobs.Profile.op
-      (Printf.sprintf "closest(%s->%s)" (Xml.Type_table.qname tt aty)
-         (Xml.Type_table.qname tt cty))
+    Xmobs.Ctx.region_in rctx.ctx
+      (join_name (Store_.Shredded.types rctx.store) aty cty)
       (fun () ->
-        Xmobs.Profile.add_in (Array.length ids);
+        Xmobs.Ctx.add_in rctx.ctx (Array.length ids);
         plan_edge_op rctx c ~aty ~ids ~cty)
 
 and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
@@ -390,12 +394,13 @@ and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
     else None
   in
   let e = build_edge rctx ~pty:aty ~parents:ids ~cty ~select in
-  if Xmobs.Profile.profiling () then
+  if Xmobs.Ctx.keeps_frames rctx.ctx then begin
     Array.iter
       (fun r ->
-        if r >= 0 then Xmobs.Profile.add_pairs (e.offs.(r + 1) - e.offs.(r)))
+        if r >= 0 then Xmobs.Ctx.add_pairs rctx.ctx (e.offs.(r + 1) - e.offs.(r)))
       e.runs;
-  Xmobs.Profile.add_out (Array.length e.kids);
+    Xmobs.Ctx.add_out rctx.ctx (Array.length e.kids)
+  end;
   { h = c; edge = Some e; below = plan_node rctx c ~ids:e.kids }
 
 let plan rctx h ids = { h; edge = None; below = plan_node rctx h ~ids }
@@ -415,8 +420,6 @@ module type SINK = sig
   val text : t -> string -> int -> int -> unit
   val close_element : t -> string -> unit
 end
-
-let in_render_span f = Xmobs.Obs.phase "render" @@ fun () -> Xmobs.Profile.op "render" f
 
 module Emit (S : SINK) = struct
   let text sink () s pos len = if len > 0 then S.text sink s pos len
@@ -467,8 +470,8 @@ module Emit (S : SINK) = struct
      time.  Each root instance is one tree of the output forest; with
      [wrapper], a forest of other than one tree is written inside a
      [wrapper] element, so the roots' instances are found before the
-     first call.  [emit] runs in the caller's span; [render] opens the
-     [render] span and frame around it. *)
+     first call.  [emit] runs in the caller's region; [render] opens the
+     [render] region around it. *)
   let emit ?wrapper rctx sink (shape : Tshape.t) =
     let roots =
       List.map
@@ -482,14 +485,14 @@ module Emit (S : SINK) = struct
         let plan = plan rctx root ids in
         if Array.length ids = 1 && ids.(0) = -1 then walk rctx sink plan (-1)
         else
-          Xmobs.Profile.op "emit" (fun () ->
+          Xmobs.Ctx.region_in rctx.ctx "emit" (fun () ->
               Array.iter (fun id -> walk rctx sink plan id) ids))
       roots;
     Option.iter (S.close_element sink) wrapper
 
   let render ?wrapper store sink shape =
     let rctx = make_rctx store in
-    in_render_span (fun () -> emit ?wrapper rctx sink shape)
+    Xmobs.Ctx.region_in rctx.ctx "render" (fun () -> emit ?wrapper rctx sink shape)
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -507,7 +510,7 @@ let to_tree ?(wrapper = "result") store shape =
 
 (* [flush], when given, is handed the buffer's bytes after each element
    closes, and the buffer is cleared.  The bytes are charged as one write
-   once the walk is done, inside the [render] span, which so carries them
+   once the walk is done, inside the [render] region, whose span so carries them
    as [bytes_written]. *)
 let write ?wrapper ?indent store shape ?flush buf =
   let start = Buffer.length buf and flushed = ref 0 in
@@ -522,7 +525,7 @@ let write ?wrapper ?indent store shape ?flush buf =
   let w = Xml.Printer.Writer.create ?indent ?on_close buf in
   let bytes =
     let rctx = make_rctx store in
-    in_render_span @@ fun () ->
+    Xmobs.Ctx.region_in rctx.ctx "render" @@ fun () ->
     Bytes_emit.emit ?wrapper rctx w shape;
     let bytes = !flushed + Buffer.length buf - start in
     Store_.Io_stats.charge_write ?ctx:rctx.ctx (Store_.Shredded.stats store) bytes;

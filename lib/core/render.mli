@@ -126,6 +126,11 @@ val explain : Store.Shredded.t -> Tshape.t -> edge_explanation list
 
 val pp_explanation : Format.formatter -> edge_explanation list -> unit
 
+val join_name : Xml.Type_table.t -> Xml.Type_table.id -> Xml.Type_table.id -> string
+(** [closest(parent->child)] by qualified type names: the region a render
+    records for that edge's join, and the name {!Interp.predicted_joins}
+    gives its prediction, so the warehouse can match the two. *)
+
 val predicted_edges :
   Xml.Dataguide.t ->
   Tshape.t ->

@@ -14,6 +14,9 @@ type ctx = {
   mutable type_fill : bool;
   star_uids : (int, unit) Hashtbl.t;
       (* nodes added by [*]/[**] expansion; deduplicated silently *)
+  obs : Xmobs.Ctx.t option;
+      (* the request context the operator regions record into, resolved
+         once per evaluation *)
 }
 
 let err fmt = Format.kasprintf (fun s -> raise (Tshape.Error s)) fmt
@@ -143,20 +146,21 @@ let keep_closest dist xs rs =
 (* ------------------------------------------------------------------ *)
 
 (* Each recursive evaluator is split into a profiled wrapper and an [_op]
-   body: when the profiler is off the wrapper is one branch and a tail
-   call (no closure, no allocation); when on, it opens a frame named after
-   the operator so the profile tree mirrors the Fig. 9 plan. *)
+   body: when the evaluation's context keeps no frames the wrapper is one
+   branch and a tail call (no closure, no allocation); when it does, it
+   opens an operator region named after the operator so the profile tree
+   mirrors the Fig. 9 plan. *)
 
 let rec eval_pattern ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.node list =
-  if not (Xmobs.Profile.profiling ()) then eval_pattern_op ctx cur g
+  if not (Xmobs.Ctx.keeps_frames ctx.obs) then eval_pattern_op ctx cur g
   else begin
-    let tok = Xmobs.Profile.enter (Algebra.op_name g) in
+    let op = Xmobs.Ctx.enter ctx.obs (Algebra.op_name g) in
     match eval_pattern_op ctx cur g with
     | rs ->
-        Xmobs.Profile.exit ~out_count:(List.length rs) tok;
+        Xmobs.Ctx.exit ~out_count:(List.length rs) ctx.obs op;
         rs
     | exception e ->
-        Xmobs.Profile.exit tok;
+        Xmobs.Ctx.exit ctx.obs op;
         raise e
   end
 
@@ -180,7 +184,8 @@ and eval_pattern_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.node list =
           copies)
   | Algebra.Closest (p0, items) ->
       let xs = eval_pattern ctx cur p0 in
-      Xmobs.Profile.add_in (List.length xs);
+      if Xmobs.Ctx.keeps_frames ctx.obs then
+        Xmobs.Ctx.add_in ctx.obs (List.length xs);
       let received = Hashtbl.create 4 in
       let distance_items = ref false in
       List.iter
@@ -195,7 +200,8 @@ and eval_pattern_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.node list =
               distance_items := true;
               let rs = eval_pattern ctx cur item in
               let rs = keep_closest (morph_distance ctx) xs rs in
-              Xmobs.Profile.add_pairs (List.length rs);
+              if Xmobs.Ctx.keeps_frames ctx.obs then
+                Xmobs.Ctx.add_pairs ctx.obs (List.length rs);
               List.iter
                 (fun r ->
                   let x = closest_parent ctx (morph_distance ctx) xs r in
@@ -295,15 +301,15 @@ let dedup_stars ctx (t : Tshape.t) =
 (* ------------------------------------------------------------------ *)
 
 let rec resolve_mutate ctx (work : Tshape.t) (g : Algebra.t) : Tshape.node list =
-  if not (Xmobs.Profile.profiling ()) then resolve_mutate_op ctx work g
+  if not (Xmobs.Ctx.keeps_frames ctx.obs) then resolve_mutate_op ctx work g
   else begin
-    let tok = Xmobs.Profile.enter (Algebra.op_name g) in
+    let op = Xmobs.Ctx.enter ctx.obs (Algebra.op_name g) in
     match resolve_mutate_op ctx work g with
     | rs ->
-        Xmobs.Profile.exit ~out_count:(List.length rs) tok;
+        Xmobs.Ctx.exit ~out_count:(List.length rs) ctx.obs op;
         rs
     | exception e ->
-        Xmobs.Profile.exit tok;
+        Xmobs.Ctx.exit ctx.obs op;
         raise e
   end
 
@@ -326,7 +332,8 @@ and resolve_mutate_op ctx (work : Tshape.t) (g : Algebra.t) : Tshape.node list =
           nodes)
   | Algebra.Closest (p0, items) ->
       let xs = resolve_mutate ctx work p0 in
-      Xmobs.Profile.add_in (List.length xs);
+      if Xmobs.Ctx.keeps_frames ctx.obs then
+        Xmobs.Ctx.add_in ctx.obs (List.length xs);
       List.iter (fun item -> mutate_item ctx work xs item) items;
       g.inferred <- List.filter_map (fun (x : Tshape.node) -> x.source) xs;
       xs
@@ -370,7 +377,8 @@ and mutate_item ctx work xs (item : Algebra.t) =
   | _ ->
       let rs = resolve_mutate ctx work item in
       let rs = keep_closest (node_distance ctx) xs rs in
-      Xmobs.Profile.add_pairs (List.length rs);
+      if Xmobs.Ctx.keeps_frames ctx.obs then
+        Xmobs.Ctx.add_pairs ctx.obs (List.length rs);
       List.iter
         (fun (r : Tshape.node) ->
           let x = closest_parent ctx (node_distance ctx) xs r in
@@ -427,16 +435,16 @@ let shape_size (t : Tshape.t) =
   !n
 
 let rec eval_guard ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.t =
-  if not (Xmobs.Profile.profiling ()) then eval_guard_op ctx cur g
+  if not (Xmobs.Ctx.keeps_frames ctx.obs) then eval_guard_op ctx cur g
   else begin
-    let tok = Xmobs.Profile.enter (Algebra.op_name g) in
-    Xmobs.Profile.add_in (shape_size cur);
+    let op = Xmobs.Ctx.enter ctx.obs (Algebra.op_name g) in
+    Xmobs.Ctx.add_in ctx.obs (shape_size cur);
     match eval_guard_op ctx cur g with
     | r ->
-        Xmobs.Profile.exit ~out_count:(shape_size r) tok;
+        Xmobs.Ctx.exit ~out_count:(shape_size r) ctx.obs op;
         r
     | exception e ->
-        Xmobs.Profile.exit tok;
+        Xmobs.Ctx.exit ctx.obs op;
         raise e
   end
 
@@ -487,7 +495,7 @@ and eval_guard_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.t =
 let eval guide g =
   let ctx =
     { guide; labels = []; pending = []; warnings = []; type_fill = false;
-      star_uids = Hashtbl.create 16 }
+      star_uids = Hashtbl.create 16; obs = Xmobs.Ctx.current () }
   in
   let initial = Tshape.of_guide guide in
   (* The initial shape is its own origin so that a first-stage [*] works. *)

@@ -19,7 +19,7 @@ let protect query f =
 
 let run_on_store ?enforce store gq =
   let transformed, compiled =
-    Xmobs.Profile.op "guard.transform" @@ fun () ->
+    Xmobs.Ctx.region "guard.transform" @@ fun () ->
     try Xmorph.Interp.transform ?enforce store gq.guard
     with Xmorph.Loss.Rejected r -> raise (Guard_rejected r)
   in

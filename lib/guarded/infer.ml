@@ -123,7 +123,7 @@ let infer e =
   List.map pattern_of_node acc.roots
 
 let guard_of_query src =
-  Xmobs.Obs.phase "guard.infer" @@ fun () ->
+  Xmobs.Ctx.region "guard.infer" @@ fun () ->
   let patterns = infer (Xquery.Qparse.parse src) in
   if patterns = [] then
     failwith "cannot infer a guard: the query never navigates the document";

@@ -105,8 +105,9 @@ module Eval = Xquery.Eval.Make (Virtual)
 (* One query is one operation: its reads are charged to the calling
    thread's request context, looked up here once. *)
 let query t src =
-  Xmobs.Profile.op "logical.query" @@ fun () ->
-  let t = { t with nav = Nav.charging t.nav (Xmobs.Ctx.current ()) } in
+  let ctx = Xmobs.Ctx.current () in
+  Xmobs.Ctx.region_in ctx "logical.query" @@ fun () ->
+  let t = { t with nav = Nav.charging t.nav ctx } in
   Eval.materialize t (Eval.eval t (Xquery.Qparse.parse src))
 
 let query_to_xml t src = V.to_trees (query t src)

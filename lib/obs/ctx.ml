@@ -1,28 +1,30 @@
 (* Request-scoped telemetry context.
 
-   A [Ctx.t] is the one span sink: a span buffer (the {!Trace.Recorder}
-   type and exporter), atomic I/O counters and the query record for one
-   unit of work, and optionally a {!Frames.tree} of profiler frames,
-   installed in a thread-keyed slot while it runs.  The
-   serve daemon installs one per request on the request's worker thread,
-   so concurrent requests get disjoint traces; the CLI's [--trace]
-   installs one on the main thread for the whole command.
-   Instrumentation points consult {!current} and record into the
-   installed context when there is one; without one, spans are not
-   recorded.
+   A [Ctx.t] is the one region instrument: a stack of open regions, a
+   bounded ring of spans (exported by {!Trace.json_of_entries}), atomic
+   I/O counters and the query record for one unit of work, and
+   optionally a {!Frames.tree} of profiler frames, installed in a
+   thread-keyed slot while it runs.  The serve daemon installs one per
+   request on the request's worker thread, so concurrent requests get
+   disjoint traces; the CLI's [--trace] installs one on the main thread
+   for the whole command.
 
-   Store I/O is the exception: a charge is too frequent for a slot
-   lookup.  An operation over a store (a render, an in-situ query, a
-   value update) resolves {!current} once and hands the context it got
-   to every charge it makes, which then adds to the context's counters
-   directly ([charge_read], [charge_write]).
+   A region is a timed stretch of work on the context's one stack.  At
+   close it is appended as a span when the context traces, and folded
+   into the frame tree when the context keeps frames, both from one pair
+   of clock reads.  Its grain is fixed by its name: a layer ([region],
+   [region_in]: the pipeline's named stages) is kept in both forms; an
+   operator ([enter]/[exit]: an algebra operator or an XQuery expression,
+   repeated per item) only as a frame.
 
-   Zero-alloc contract: with no context installed anywhere, every probe
-   ([current], [add_attr], ...) is a single [Atomic.get] of the
-   installed-context count and an immediate fall-through — no lock, no
-   allocation — so plain [xmorph run] pays nothing for the attribution
-   machinery.  The profiler's gate is a second count, of contexts that
-   keep frames.
+   [region] resolves the calling thread's context; with none installed
+   anywhere it is one [Atomic.get] of the installed-context count, the
+   one gate, and a tail call.  Hot paths do not consult the slot: an
+   operation (a render, a type analysis, an XQuery evaluation, a value
+   update) resolves {!current} once and hands the context it got to its
+   operator regions, counts and store charges, which then read the
+   context's fields directly: no gate, no lock, no allocation unless
+   something is recorded.
 
    Threading model: serve handles each request on one systhread, so the
    slot key is the thread id and everything recorded between [install] and
@@ -121,7 +123,9 @@ type t = {
   created : float;  (* Unix time; also the span-timestamp epoch *)
   (* written only by the installing thread — instrumentation runs on the
      request's own systhread *)
-  spans : Trace.Recorder.t;
+  spans : Trace.span Xmutil.Ring.t;
+  mutable next_span : int;
+  mutable regions : region list; (* open regions, innermost first *)
   (* per-request I/O deltas: atomics so adds commute like the store's
      Io_stats counters they shadow *)
   c_bytes_read : int Atomic.t;
@@ -132,6 +136,25 @@ type t = {
   mutable qlog : Qlog.entry option;
   (* profiler frames, while someone asks; written by the installing thread *)
   mutable frames : Frames.tree option;
+}
+
+(* An open region.  [span] is its span's id, or -1 when it records none
+   (an operator, or any region of an untraced context); [up] is the id
+   of the span it opened inside, or -1.  [frame] is its frame in [tree],
+   the context's frame tree when it opened, or [no_frame] in [no_tree]
+   when the context kept none. *)
+and region = {
+  name : string;
+  t0 : float;
+  span : int;
+  up : int;
+  tree : Frames.tree;
+  frame : Frames.frame;
+  read0 : int; (* the context's byte counters at open *)
+  written0 : int;
+  blocks_r0 : int; (* [tree]'s page crossings at open *)
+  blocks_w0 : int;
+  mutable attrs : (string * Trace.value) list;
 }
 
 let default_capacity = 4096
@@ -147,7 +170,9 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
     span_id = fresh_span_id ();
     parent_span;
     created;
-    spans = Trace.Recorder.create ~capacity ~epoch:created;
+    spans = Xmutil.Ring.create capacity;
+    next_span = 0;
+    regions = [];
     c_bytes_read = Atomic.make 0;
     c_bytes_written = Atomic.make 0;
     c_read_ops = Atomic.make 0;
@@ -168,8 +193,8 @@ let traceparent t = Printf.sprintf "00-%s-%s-01" t.trace_id t.span_id
 
 (* ---------- the thread-keyed slot ---------- *)
 
-(* [installed] counts live slots; it is the zero-alloc gate every probe
-   checks first.  The slot table itself is cold (touched once per request
+(* [installed] counts live slots; it is the zero-alloc gate, the only
+   one, that every slot probe checks first.  The slot table itself is cold (touched once per request
    plus once per probe while any request is in flight). *)
 let installed = Atomic.make 0
 
@@ -216,14 +241,7 @@ let with_ctx t f =
 
 (* ---------- profiler frames ---------- *)
 
-(* [keeping] counts contexts that keep frames: the profiler's gate. *)
-let keeping = Atomic.make 0
-
-let profiling () = Atomic.get keeping > 0
-
-let frames () =
-  if Atomic.get keeping = 0 then None
-  else match current () with Some c -> c.frames | None -> None
+let frames () = match current () with Some c -> c.frames | None -> None
 
 (* The calling thread's context, or an untraced one to install. *)
 let current_or_untraced () =
@@ -237,7 +255,6 @@ let keep_frames () =
   | None ->
       let tr = Frames.create () in
       c.frames <- Some tr;
-      Atomic.incr keeping;
       tr
 
 let profiled f =
@@ -246,41 +263,138 @@ let profiled f =
   let v =
     with_ctx c (fun () ->
         c.frames <- Some tr;
-        if Option.is_none prev then Atomic.incr keeping;
-        Fun.protect f ~finally:(fun () ->
-            c.frames <- prev;
-            if Option.is_none prev then Atomic.decr keeping))
+        Fun.protect f ~finally:(fun () -> c.frames <- prev))
   in
   (v, Frames.roots tr)
 
-(* ---------- span recording ---------- *)
+(* ---------- regions ---------- *)
 
-(* A span carries the store I/O charged to [t] while it was open, as
-   [bytes_read]/[bytes_written] attributes when non-zero. *)
-let with_span ?attrs t name f =
-  let r0 = Atomic.get t.c_bytes_read and w0 = Atomic.get t.c_bytes_written in
-  let add_io () =
-    let r = Atomic.get t.c_bytes_read - r0
-    and w = Atomic.get t.c_bytes_written - w0 in
-    if r <> 0 then Trace.Recorder.add_attr t.spans "bytes_read" (Trace.Int r);
-    if w <> 0 then
-      Trace.Recorder.add_attr t.spans "bytes_written" (Trace.Int w)
+let no_tree = Frames.create ()
+
+let no_frame = Frames.fresh ""
+
+(* What [enter] returns when nothing is recorded. *)
+let none =
+  { name = ""; t0 = 0.0; span = -1; up = -1; tree = no_tree;
+    frame = no_frame; read0 = 0; written0 = 0; blocks_r0 = 0; blocks_w0 = 0;
+    attrs = [] }
+
+let push t ~spanned ?(attrs = []) name =
+  let up =
+    match t.regions with
+    | [] -> -1
+    | r :: _ -> if r.span >= 0 then r.span else r.up
   in
-  Trace.Recorder.with_span ?attrs t.spans name (fun () ->
+  let span = if spanned then t.next_span else -1 in
+  if spanned then t.next_span <- span + 1;
+  let tree, frame =
+    match t.frames with
+    | None -> (no_tree, no_frame)
+    | Some tree ->
+        let parent =
+          match t.regions with
+          | r :: _ when r.tree == tree -> Some r.frame
+          | _ -> None
+        in
+        (tree, Frames.child tree parent name)
+  in
+  let r =
+    { name; t0 = Unix.gettimeofday (); span; up; tree; frame;
+      read0 = Atomic.get t.c_bytes_read;
+      written0 = Atomic.get t.c_bytes_written; blocks_r0 = tree.blocks_r;
+      blocks_w0 = tree.blocks_w; attrs }
+  in
+  t.regions <- r :: t.regions;
+  r
+
+(* Close [r]: one clock read gives both its span's duration and its
+   frame's time.  A span carries the store I/O charged to [t] while it
+   was open, as [bytes_read]/[bytes_written] attributes when non-zero. *)
+let pop ?(in_count = 0) ?(out_count = 0) t r =
+  let us = (Unix.gettimeofday () -. r.t0) *. 1e6 in
+  t.regions <-
+    (match t.regions with
+    | x :: rest when x == r -> rest
+    | rs -> List.filter (fun x -> x != r) rs);
+  if r.tree != no_tree then begin
+    let fr = r.frame in
+    fr.calls <- fr.calls + 1;
+    fr.total_us <- fr.total_us +. us;
+    fr.in_count <- fr.in_count + in_count;
+    fr.out_count <- fr.out_count + out_count;
+    fr.blocks_read <- fr.blocks_read + (r.tree.blocks_r - r.blocks_r0);
+    fr.blocks_written <- fr.blocks_written + (r.tree.blocks_w - r.blocks_w0);
+    match t.regions with
+    | p :: _ when p.tree == r.tree -> p.frame.child_us <- p.frame.child_us +. us
+    | _ -> ()
+  end;
+  if r.span >= 0 then begin
+    let io key c0 c attrs =
+      let d = Atomic.get c - c0 in
+      if d <> 0 then (key, Trace.Int d) :: attrs else attrs
+    in
+    Xmutil.Ring.push t.spans
+      { Trace.id = r.span; parent = r.up; name = r.name;
+        start_us = (r.t0 -. t.created) *. 1e6; dur_us = us;
+        attrs =
+          io "bytes_written" r.written0 t.c_bytes_written
+            (io "bytes_read" r.read0 t.c_bytes_read r.attrs) }
+  end
+
+let recording = function
+  | Some t -> t.traced || Option.is_some t.frames
+  | None -> false
+
+let keeps_frames = function Some { frames = Some _; _ } -> true | _ -> false
+
+let region_in ?attrs ctx name f =
+  match ctx with
+  | Some t when recording ctx -> (
+      let r = push t ~spanned:t.traced ?attrs name in
       match f () with
       | v ->
-          add_io ();
+          pop t r;
           v
       | exception e ->
-          add_io ();
+          pop t r;
           raise e)
+  | _ -> f ()
+
+let region ?attrs name f =
+  if Atomic.get installed = 0 then f () else region_in ?attrs (current ()) name f
+
+let enter ctx name =
+  match ctx with
+  | Some ({ frames = Some _; _ } as t) -> push t ~spanned:false name
+  | _ -> none
+
+let exit ?in_count ?out_count ctx r =
+  match ctx with
+  | Some t when r != none -> pop ?in_count ?out_count t r
+  | _ -> ()
+
+(* Counts go to the innermost open region's frame. *)
+let count ctx n add =
+  match ctx with
+  | Some { frames = Some tree; regions = r :: _; _ } when r.tree == tree ->
+      add r.frame n
+  | _ -> ()
+
+let add_in ctx n = count ctx n (fun fr n -> fr.in_count <- fr.in_count + n)
+
+let add_out ctx n = count ctx n (fun fr n -> fr.out_count <- fr.out_count + n)
+
+let add_pairs ctx n = count ctx n (fun fr n -> fr.pairs <- fr.pairs + n)
 
 let add_attr key v =
   match current () with
-  | Some c -> Trace.Recorder.add_attr c.spans key v
+  | Some c -> (
+      match List.find_opt (fun r -> r.span >= 0) c.regions with
+      | Some r -> r.attrs <- (key, v) :: r.attrs
+      | None -> ())
   | None -> ()
 
-let entries t = Trace.Recorder.entries t.spans
+let entries t = Xmutil.Ring.to_list t.spans
 
 let trace_json t = Trace.json_of_entries (entries t)
 

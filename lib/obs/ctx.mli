@@ -1,30 +1,39 @@
 (** Request-scoped telemetry context (trace-context propagation): the
-    one span sink.
+    one region instrument.
 
     A [Ctx.t] is one unit of work's private telemetry: a trace id (W3C
-    [traceparent]-compatible), its own {!Trace.Recorder} (timestamps
-    counted from the context's creation, exported by
-    {!Trace.json_of_entries}), atomic per-context {!Store.Io_stats}-style
-    byte/op counters, the request's query record ({!attach_qlog}), and —
-    while someone asks for it — a {!Frames.tree} of profiler frames.  The
-    serve daemon creates one per request; the CLI's [--trace FILE]
-    creates one for the whole command and writes its {!trace_json} at
-    exit.
+    [traceparent]-compatible), one stack of open regions, a bounded ring
+    of spans (timestamps counted from the context's creation, exported
+    by {!Trace.json_of_entries}), atomic per-context
+    {!Store.Io_stats}-style byte/op counters, the request's query record
+    ({!attach_qlog}), and — while someone asks for it — a {!Frames.tree}
+    of profiler frames.  The serve daemon creates one per request; the
+    CLI's [--trace FILE] creates one for the whole command and writes
+    its {!trace_json} at exit.
+
+    A region is a timed stretch of work.  Closing it appends a span when
+    the context traces and folds it into the frame tree when the context
+    keeps frames, both timed by one pair of clock reads.  Its grain is
+    fixed by its name and so by its call site:
+    - a {e layer} ({!region}, {!region_in}: parse, index, shred, lex,
+      compile, loss, render, each [closest(a->b)] join, emit, the XQuery
+      and logical query entry points) is kept in both forms;
+    - an {e operator} ({!enter}/{!exit}: a [Semantics] algebra operator
+      or an XQuery expression, repeated per item and meaningful only in
+      aggregate) is kept only as a frame.
 
     A context is carried in a thread-keyed slot ({!install} /
-    {!with_ctx}): instrumentation points ({!Obs.phase}, {!add_attr})
-    consult {!current} and record into the installed context.  Without
-    one, no span is recorded.  The no-context path is a single
-    atomic load and allocates nothing, preserving the zero-cost contract
-    of the rest of [xmobs].
+    {!with_ctx}).  {!region} consults {!current}; with no context
+    installed anywhere it is a single atomic load of the
+    installed-context count (the one gate) and allocates nothing.  Hot
+    paths do not consult the slot per call: an operation (a render, a
+    type analysis, an XQuery evaluation, a value update) resolves
+    {!current} once and passes the context to its operator regions,
+    counts ({!add_in}, ...) and store charges ({!charge_read}), which
+    read its fields directly: no lock, no lookup, and no allocation
+    unless something is recorded.
 
-    Store I/O does not consult the slot per charge.  An operation over a
-    store (a render, an in-situ query, a value update) resolves
-    {!current} once and passes the context to each of its charges
-    ({!charge_read}), which only adds to counters: no lock, no lookup,
-    no allocation.
-
-    Attribution boundary: spans and I/O charges are recorded only from
+    Attribution boundary: regions and I/O charges are recorded only from
     the installing thread.  The library starts no domains — a render
     runs on the thread that called it — so per-context I/O is exact.
 
@@ -40,8 +49,8 @@ type t
 
 val create : ?capacity:int -> ?trace_id:string -> ?parent_span:string ->
   unit -> t
-(** A fresh context.  [capacity] bounds its recorder's ring (default
-    4096 entries, allocated only as spans arrive); [trace_id] (32 lowercase hex chars) and [parent_span] come
+(** A fresh context.  [capacity] bounds its span ring (default
+    4096 spans, allocated only as spans arrive); [trace_id] (32 lowercase hex chars) and [parent_span] come
     from an upstream [traceparent] header when honoring one — by default
     a fresh trace id is generated. *)
 
@@ -86,14 +95,10 @@ val current : unit -> t option
     allocation. *)
 
 val active : unit -> bool
-(** True when any thread has an installed context (the zero-alloc gate
-    instrumentation checks before doing per-request work). *)
+(** True when any thread has an installed context: one atomic load of
+    the installed-context count, the one gate. *)
 
 (** {2 Profiler frames} *)
-
-val profiling : unit -> bool
-(** True while any context keeps frames: one atomic load of their count,
-    the gate every {!Profile} entry point checks first. *)
 
 val frames : unit -> Frames.tree option
 (** The frame tree of the calling thread's installed context; [None]
@@ -110,14 +115,51 @@ val keep_frames : unit -> Frames.tree
 (** Make the calling thread's context (an untraced one, installed, when
     there is none) keep frames for good: the command-wide [--profile]. *)
 
-(** {2 Recording} *)
+(** {2 Regions} *)
 
-val with_span :
-  ?attrs:(string * Trace.value) list -> t -> string -> (unit -> 'a) -> 'a
-(** {!Trace.Recorder.with_span} on [t]'s recorder.  When store I/O was
-    charged to [t] while the span was open, the span also carries it as
-    [bytes_read] / [bytes_written] integer attributes (only the non-zero
-    ones).  Call only from the installing thread. *)
+val region :
+  ?attrs:(string * Trace.value) list -> string -> (unit -> 'a) -> 'a
+(** [region name f] runs [f] inside a layer region of the calling
+    thread's installed context, closed when [f] returns or raises.  The
+    span starts with [attrs] and carries the store I/O charged to the
+    context while it was open as [bytes_read] / [bytes_written] (only
+    the non-zero ones).  Without an installed context, or in one that
+    neither traces nor keeps frames, it just runs [f]. *)
+
+val region_in :
+  ?attrs:(string * Trace.value) list -> t option -> string ->
+  (unit -> 'a) -> 'a
+(** {!region} in a context the operation already resolved. *)
+
+val recording : t option -> bool
+(** The context traces or keeps frames: a region in it records
+    something.  For call sites that build a region's name. *)
+
+val keeps_frames : t option -> bool
+(** The context keeps frames: an operator region in it records. *)
+
+type region
+(** An open operator region, or a placeholder when nothing is
+    recorded. *)
+
+val enter : t option -> string -> region
+(** Open an operator region: a frame under the innermost open region,
+    when the context keeps frames; a placeholder otherwise, and then
+    [enter] and {!exit} allocate nothing. *)
+
+val exit : ?in_count:int -> ?out_count:int -> t option -> region -> unit
+(** Close the region {!enter} returned for the same context: charge its
+    elapsed time and block delta, bump the call count, and add the given
+    node counts. *)
+
+(** Attribute input/output node counts or closest-pair counts to the
+    innermost open region's frame, when the context keeps frames (for
+    loops that accumulate mid-region).  A caller whose count costs a
+    walk takes it only when {!keeps_frames}. *)
+val add_in : t option -> int -> unit
+
+val add_out : t option -> int -> unit
+val add_pairs : t option -> int -> unit
 
 val add_attr : string -> Trace.value -> unit
 (** Attach an attribute to the innermost open span of the calling
@@ -154,7 +196,7 @@ val blocks_of : int -> int
 (** Bytes to {!block_size} blocks, rounding up: the one page model. *)
 
 val entries : t -> Trace.span list
-(** The recorder's ring, oldest first. *)
+(** The context's spans, oldest first (in order of closing). *)
 
 val trace_json : t -> Xmutil.Json.t
 (** Chrome [trace_event] JSON of the context's spans, via

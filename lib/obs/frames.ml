@@ -3,10 +3,10 @@
    A frame aggregates every evaluation of one operator at one position in
    the tree, merging by name under its parent: an XQuery subexpression
    evaluated 10,000 times inside a FLWOR loop shows up once with
-   calls=10000.  A [tree] is what one request context keeps: its roots,
-   its open activations, and the cumulative pages its store charges
-   crossed, which [push]/[pop] difference into each frame.  A tree is
-   written only by the thread whose context holds it. *)
+   calls=10000.  A [tree] is what one request context keeps: its roots
+   and the cumulative pages its store charges crossed, which the
+   context's regions difference into each frame.  A tree is written only
+   by the thread whose context holds it. *)
 
 type frame = {
   name : string;
@@ -23,58 +23,28 @@ type frame = {
 
 type tree = {
   mutable tops : frame list; (* root frames, newest first *)
-  mutable stack : token list; (* open activations, innermost first *)
   mutable blocks_r : int; (* cumulative page crossings charged *)
   mutable blocks_w : int;
 }
 
-and token = { fr : frame; t0 : float; r0 : int; w0 : int; tree : tree }
-
-let create () = { tops = []; stack = []; blocks_r = 0; blocks_w = 0 }
+let create () = { tops = []; blocks_r = 0; blocks_w = 0 }
 
 let fresh name =
   { name; calls = 0; total_us = 0.0; child_us = 0.0; in_count = 0;
     out_count = 0; pairs = 0; blocks_read = 0; blocks_written = 0;
     children = [] }
 
-(* Find or create [name] under the innermost open frame, and open it. *)
-let push tree name =
-  let siblings =
-    match tree.stack with [] -> tree.tops | t :: _ -> t.fr.children
-  in
-  let fr =
-    match List.find_opt (fun f -> f.name = name) siblings with
-    | Some f -> f
-    | None ->
-        let f = fresh name in
-        (match tree.stack with
-        | [] -> tree.tops <- f :: tree.tops
-        | t :: _ -> t.fr.children <- f :: t.fr.children);
-        f
-  in
-  let tok =
-    { fr; t0 = Unix.gettimeofday (); r0 = tree.blocks_r; w0 = tree.blocks_w;
-      tree }
-  in
-  tree.stack <- tok :: tree.stack;
-  tok
-
-let pop ?(in_count = 0) ?(out_count = 0) tok =
-  let tree = tok.tree in
-  let elapsed = (Unix.gettimeofday () -. tok.t0) *. 1e6 in
-  let fr = tok.fr in
-  fr.calls <- fr.calls + 1;
-  fr.total_us <- fr.total_us +. elapsed;
-  fr.in_count <- fr.in_count + in_count;
-  fr.out_count <- fr.out_count + out_count;
-  fr.blocks_read <- fr.blocks_read + (tree.blocks_r - tok.r0);
-  fr.blocks_written <- fr.blocks_written + (tree.blocks_w - tok.w0);
-  (match tree.stack with
-  | t :: rest when t == tok -> tree.stack <- rest
-  | _ -> tree.stack <- List.filter (fun t -> t != tok) tree.stack);
-  match tree.stack with
-  | parent :: _ -> parent.fr.child_us <- parent.fr.child_us +. elapsed
-  | [] -> ()
+(* Find or create [name] under [parent], or among the roots. *)
+let child tree parent name =
+  let siblings = match parent with None -> tree.tops | Some p -> p.children in
+  match List.find_opt (fun f -> f.name = name) siblings with
+  | Some f -> f
+  | None ->
+      let f = fresh name in
+      (match parent with
+      | None -> tree.tops <- f :: tree.tops
+      | Some p -> p.children <- f :: p.children);
+      f
 
 (* ---------- reads ---------- *)
 

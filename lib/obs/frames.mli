@@ -1,9 +1,10 @@
 (** Operator frame trees — the data behind EXPLAIN ANALYZE.
 
     A request context ({!Ctx}) that keeps frames owns one {!tree}, which
-    {!Profile} records into.  Each operator evaluation is charged to a
-    {!frame} found (or created) by name under the innermost open frame,
-    so the frame tree mirrors the operator tree. *)
+    its regions ({!Ctx.region}, {!Ctx.enter}) record into.  Each region
+    is charged to a {!frame} found (or created) by name under the
+    innermost open region's frame, so the frame tree mirrors the
+    operator tree. *)
 
 type frame = {
   name : string;
@@ -18,27 +19,23 @@ type frame = {
   mutable children : frame list;  (** newest first; see {!ordered_children} *)
 }
 
-(** One context's frames: the roots, the open activations, and the
-    pages its store charges crossed ({!Ctx.charge_read}). *)
+(** One context's frames: the roots, and the pages its store charges
+    crossed ({!Ctx.charge_read}). *)
 type tree = {
   mutable tops : frame list;  (** root frames, newest first *)
-  mutable stack : token list;  (** open activations, innermost first *)
   mutable blocks_r : int;
   mutable blocks_w : int;
 }
 
-(** An open activation; it carries its tree, so closing needs no lookup. *)
-and token = { fr : frame; t0 : float; r0 : int; w0 : int; tree : tree }
-
 val create : unit -> tree
 
-val push : tree -> string -> token
-(** [push tree name] opens an activation of [name] under the innermost
-    open frame, aggregating into an existing frame of that name. *)
+val fresh : string -> frame
+(** A frame with no calls, in no tree. *)
 
-val pop : ?in_count:int -> ?out_count:int -> token -> unit
-(** Close the activation: charge elapsed time and the block delta, bump
-    the call count, and add the given node counts. *)
+val child : tree -> frame option -> string -> frame
+(** [child tree parent name] is the frame named [name] under [parent]
+    ([None]: among the roots), created when there is none, so repeated
+    evaluations aggregate into one frame. *)
 
 val roots : tree -> frame list
 (** Root frames, oldest first. *)

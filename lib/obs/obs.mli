@@ -1,12 +1,6 @@
-(** The pipeline's layer spans, and the sinks their owner holds.
-
-    [phase name f] is a span around [f] in the calling thread's installed
-    request context ({!Ctx}), if any; the span carries the store I/O
-    charged under it ({!Ctx.with_span}).  It consults nothing else: a
-    layer's latency is its span's duration.  With no context installed
-    anywhere it is one atomic load and a tail call. *)
-
-val phase : ?attrs:(string * Trace.value) list -> string -> (unit -> 'a) -> 'a
+(** The sinks a command or daemon owns.  A layer's latency is its
+    region's span ({!Ctx.region}); the sinks below hold what is kept
+    across executions. *)
 
 type sinks = {
   qlog : Qlog.t option;  (** [--qlog]: one record per execution *)

@@ -1,7 +1,7 @@
 (* The operator-statistics warehouse.
 
    Layout: a hash table keyed by (guard_hash, op_name) holding mutable
-   summary rows.  Recording flattens a Profile tree — frames merged by
+   summary rows.  Recording flattens a frame tree — frames merged by
    name, so a render with fifty activations of closest(a->b) lands in one
    row with calls=50 — and folds predicted closest-join cardinalities
    against the pairs the frames actually produced.
@@ -127,32 +127,32 @@ type flat = {
   mutable f_bw : int;
 }
 
-(* Collapse a frame tree to per-name totals; Profile already merges
+(* Collapse a frame tree to per-name totals; Frames already merges
    same-name siblings, this additionally merges across tree positions
    (e.g. type(author) under two different closests). *)
 let flatten frames =
   let tbl = Hashtbl.create 32 in
-  let rec go (fr : Profile.frame) =
+  let rec go (fr : Frames.frame) =
     let f =
-      match Hashtbl.find_opt tbl fr.Profile.name with
+      match Hashtbl.find_opt tbl fr.Frames.name with
       | Some f -> f
       | None ->
           let f =
             { f_calls = 0; f_wall = 0.0; f_self = 0.0; f_in = 0; f_out = 0;
               f_pairs = 0; f_br = 0; f_bw = 0 }
           in
-          Hashtbl.add tbl fr.Profile.name f;
+          Hashtbl.add tbl fr.Frames.name f;
           f
     in
-    f.f_calls <- f.f_calls + fr.Profile.calls;
-    f.f_wall <- f.f_wall +. fr.Profile.total_us;
-    f.f_self <- f.f_self +. Profile.self_us fr;
-    f.f_in <- f.f_in + fr.Profile.in_count;
-    f.f_out <- f.f_out + fr.Profile.out_count;
-    f.f_pairs <- f.f_pairs + fr.Profile.pairs;
-    f.f_br <- f.f_br + fr.Profile.blocks_read;
-    f.f_bw <- f.f_bw + fr.Profile.blocks_written;
-    List.iter go fr.Profile.children
+    f.f_calls <- f.f_calls + fr.Frames.calls;
+    f.f_wall <- f.f_wall +. fr.Frames.total_us;
+    f.f_self <- f.f_self +. Frames.self_us fr;
+    f.f_in <- f.f_in + fr.Frames.in_count;
+    f.f_out <- f.f_out + fr.Frames.out_count;
+    f.f_pairs <- f.f_pairs + fr.Frames.pairs;
+    f.f_br <- f.f_br + fr.Frames.blocks_read;
+    f.f_bw <- f.f_bw + fr.Frames.blocks_written;
+    List.iter go fr.Frames.children
   in
   List.iter go frames;
   tbl

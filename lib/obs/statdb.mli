@@ -1,6 +1,6 @@
 (** Persistent operator-statistics warehouse.
 
-    {!Profile} frames die with the process; this module aggregates them
+    Profiler frames ({!Frames}) die with the process; this module aggregates them
     online into compact per-(guard-hash, operator-name) summaries — calls,
     wall/self time, a log-scale latency histogram, in/out node counts,
     closest-join pairs, block-I/O deltas — plus predicted-vs-observed
@@ -70,9 +70,9 @@ val record :
   guard_hash:string ->
   ?predictions:(string * Xmutil.Card.t * int) list ->
   ?metrics:Metrics.t ->
-  Profile.frame list ->
+  Frames.frame list ->
   unit
-(** Flatten a profile tree (frames merged by name, as {!Profile} already
+(** Flatten a profile tree (frames merged by name, as {!Frames} already
     merges repeats under one parent) into the warehouse under
     [guard_hash].  [predictions] pairs operator names with the per-parent
     predicted cardinality and the parent instance count; operators that

@@ -408,7 +408,7 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
         let path = Filename.concat dir (trace_id ^ ".json") in
         let oc = open_out path in
         output_string oc
-          (Xmutil.Json.to_string ~pretty:true (Xmobs.Profile.to_json frames));
+          (Xmutil.Json.to_string ~pretty:true (Xmobs.Frames.to_json frames));
         output_char oc '\n';
         close_out_noerr oc
       with Sys_error _ | Unix.Unix_error _ -> ()));
@@ -615,7 +615,7 @@ let debug_trace t trace_id =
              | Some e -> Xmobs.Qlog.entry_to_json e) ]
         @ (match c.Xmobs.Ctx.c_profile with
           | None -> []
-          | Some frames -> [ ("profile", Xmobs.Profile.to_json frames) ])
+          | Some frames -> [ ("profile", Xmobs.Frames.to_json frames) ])
       in
       json_ok (Xmutil.Json.Obj fields)
 

@@ -102,7 +102,7 @@ let make ~parent ~type_id ~rank ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_
 
 let shred doc =
   let count = Xml.Doc.node_count doc in
-  Xmobs.Obs.phase "store.shred" ~attrs:[ ("nodes", Xmobs.Trace.Int count) ] @@ fun () ->
+  Xmobs.Ctx.region "store.shred" ~attrs:[ ("nodes", Xmobs.Trace.Int count) ] @@ fun () ->
   let types = Xml.Doc.types doc in
   let seqs = Array.init (Xml.Type_table.count types) (Xml.Doc.nodes_of_type doc) in
   (* The size of [type_fields], without building them. *)
@@ -319,7 +319,7 @@ let is_store path =
       In_channel.really_input_string ic (String.length magic_prefix) = Some magic_prefix)
 
 let save t path =
-  Xmobs.Obs.phase "store.save" @@ fun () ->
+  Xmobs.Ctx.region "store.save" @@ fun () ->
   let b = Buffer.create (t.data_bytes + 1024) in
   Buffer.add_string b magic;
   (* Type table, in id order so re-interning reproduces the ids. *)
@@ -367,7 +367,7 @@ let save t path =
   close_out oc
 
 let load path =
-  Xmobs.Obs.phase "store.load" @@ fun () ->
+  Xmobs.Ctx.region "store.load" @@ fun () ->
   let data = In_channel.with_open_bin path In_channel.input_all in
   if not (String.starts_with ~prefix:magic data) then raise (Codec.Corrupt "bad magic");
   let c = Codec.cursor ~pos:(String.length magic) data in

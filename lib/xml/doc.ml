@@ -104,7 +104,7 @@ module Index = struct
 end
 
 let of_forest trees =
-  Xmobs.Obs.phase "xml.index" @@ fun () ->
+  Xmobs.Ctx.region "xml.index" @@ fun () ->
   let types = Type_table.create () in
   let total = List.fold_left (fun n t -> n + Tree.count_nodes t) 0 trees in
   let r = Index.create types total in

@@ -425,7 +425,7 @@ let parse_document src =
   root
 
 let parse src =
-  Xmobs.Obs.phase "xml.parse"
+  Xmobs.Ctx.region "xml.parse"
     ~attrs:[ ("bytes", Xmobs.Trace.Int (String.length src)) ]
     (fun () -> parse_document src)
 

@@ -116,6 +116,7 @@ module Make (N : NAV) = struct
     nav : N.t;
     text : N.node -> string; (* string value of a node *)
     root : N.node; (* the document node, what [/] and [doc()] denote *)
+    ctx : Xmobs.Ctx.t option; (* the request context its frames go to *)
   }
 
   type env = {
@@ -221,19 +222,21 @@ module Make (N : NAV) = struct
           (N.attributes env.doc.nav n)
     | _ -> []
 
-  (* Profiled wrapper over the expression dispatcher: off, it is one branch
-     and a tail call; on, each expression node gets a frame (repeat
-     evaluations inside FLWOR loops aggregate by call count). *)
+  (* Profiled wrapper over the expression dispatcher: when the
+     evaluation's context keeps no frames it is one branch and a tail
+     call; when it does, each expression node is an operator region
+     (repeat evaluations inside FLWOR loops aggregate by call count). *)
   let rec eval_expr env (e : Qast.expr) : item list =
-    if not (Xmobs.Profile.profiling ()) then eval_expr_desc env e
+    let ctx = env.doc.ctx in
+    if not (Xmobs.Ctx.keeps_frames ctx) then eval_expr_desc env e
     else begin
-      let tok = Xmobs.Profile.enter (expr_label e) in
+      let op = Xmobs.Ctx.enter ctx (expr_label e) in
       match eval_expr_desc env e with
       | vs ->
-          Xmobs.Profile.exit ~out_count:(List.length vs) tok;
+          Xmobs.Ctx.exit ~out_count:(List.length vs) ctx op;
           vs
       | exception ex ->
-          Xmobs.Profile.exit tok;
+          Xmobs.Ctx.exit ctx op;
           raise ex
     end
 
@@ -326,7 +329,8 @@ module Make (N : NAV) = struct
         [ Value.Bool result ]
 
   and apply_step env base axis test preds =
-    Xmobs.Profile.add_in (List.length base);
+    if Xmobs.Ctx.keeps_frames env.doc.ctx then
+      Xmobs.Ctx.add_in env.doc.ctx (List.length base);
     (* A child step whose first predicate is a static positional bound
        pulls only the run the bound keeps.  The bound is evaluated once,
        for the first item; a value other than one number (or an error,
@@ -601,7 +605,9 @@ module Make (N : NAV) = struct
   let eval nav e =
     let root = N.document nav in
     let env =
-      { doc = { nav; text = N.string_value nav; root }; vars = [];
+      { doc =
+          { nav; text = N.string_value nav; root; ctx = Xmobs.Ctx.current () };
+        vars = [];
         context = None; position = 1; size = 1 }
     in
     eval_expr env e
@@ -640,8 +646,7 @@ end
 module Physical = Make (Tree)
 
 let eval root e =
-  Xmobs.Obs.phase "xquery.eval" @@ fun () ->
-  Xmobs.Profile.op "xquery.eval" @@ fun () ->
+  Xmobs.Ctx.region "xquery.eval" @@ fun () ->
   Physical.eval (Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }) e
 
 let run root src = eval root (Qparse.parse src)

@@ -53,9 +53,9 @@ end
 
 module Make (N : NAV) : sig
   val eval : N.t -> Qast.expr -> N.node Value.item_of list
-  (** [eval doc e] evaluates [e] in document [doc].  Each expression node is
-      a {!Xmobs.Profile} frame while the calling thread's context keeps
-      frames. *)
+  (** [eval doc e] evaluates [e] in document [doc].  It resolves the
+      calling thread's context once; while that context keeps frames,
+      each expression node is an operator region ({!Xmobs.Ctx.enter}). *)
 
   val materialize : N.t -> N.node Value.item_of list -> Value.t
   (** Nodes materialized as trees, other items as they are. *)

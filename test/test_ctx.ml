@@ -133,13 +133,13 @@ let span_names ctx =
 let test_spans_land_in_ctx () =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
-      Xmobs.Obs.phase "outer" (fun () ->
-          Xmobs.Obs.phase "inner" (fun () -> ())));
+      Ctx.region "outer" (fun () ->
+          Ctx.region "inner" (fun () -> ())));
   Alcotest.(check (list string))
     "spans recorded into the context" [ "inner"; "outer" ] (span_names ctx);
   Alcotest.(check int) "span count" 2 (List.length (Ctx.entries ctx));
   Alcotest.(check int) "phase runs without a context" 7
-    (Xmobs.Obs.phase "nowhere" (fun () -> 7));
+    (Ctx.region "nowhere" (fun () -> 7));
   Alcotest.(check (list string))
     "nothing recorded outside the context" [ "inner"; "outer" ]
     (span_names ctx)
@@ -151,17 +151,17 @@ let test_span_attrs () =
   let stats = Store.Io_stats.create () in
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
-      Xmobs.Obs.phase "render" (fun () ->
+      Ctx.region "render" (fun () ->
           Store.Io_stats.charge_read ~ctx stats 100;
-          Xmobs.Obs.phase "inner" (fun () ->
+          Ctx.region "inner" (fun () ->
               Store.Io_stats.charge_write ~ctx stats 10);
           Ctx.add_attr "classification" (Xmobs.Trace.String "narrowing"));
       (try
-         Xmobs.Obs.phase "boom" (fun () ->
+         Ctx.region "boom" (fun () ->
              Store.Io_stats.charge_read ~ctx stats 5;
              failwith "x")
        with Failure _ -> ());
-      Xmobs.Obs.phase "idle" (fun () -> ()));
+      Ctx.region "idle" (fun () -> ()));
   Ctx.add_attr "outside" (Xmobs.Trace.Bool true);
   let attrs name =
     let s =
@@ -186,7 +186,7 @@ let test_span_ring_bound () =
   let ctx = Ctx.create ~capacity:3 () in
   Ctx.with_ctx ctx (fun () ->
       for i = 1 to 8 do
-        Ctx.with_span ctx (Printf.sprintf "s%d" i) (fun () -> ())
+        Ctx.region_in (Some ctx) (Printf.sprintf "s%d" i) (fun () -> ())
       done);
   Alcotest.(check (list string))
     "ring keeps the newest spans" [ "s6"; "s7"; "s8" ] (span_names ctx)
@@ -206,8 +206,8 @@ let test_create_is_small () =
 let test_trace_json_parses () =
   let ctx = Ctx.create () in
   Ctx.with_ctx ctx (fun () ->
-      Ctx.with_span ctx "a" ~attrs:[ ("k", Xmobs.Trace.Int 1) ] (fun () ->
-          Ctx.with_span ctx "b" (fun () -> ())));
+      Ctx.region_in (Some ctx) "a" ~attrs:[ ("k", Xmobs.Trace.Int 1) ] (fun () ->
+          Ctx.region_in (Some ctx) "b" (fun () -> ())));
   let text = Xmutil.Json.to_string (Ctx.trace_json ctx) in
   match Xmutil.Json.of_string text with
   | Xmutil.Json.Obj fields -> (
@@ -218,6 +218,70 @@ let test_trace_json_parses () =
   | _ -> Alcotest.fail "trace export is not an object"
   | exception Xmutil.Json.Parse_error _ ->
       Alcotest.fail "trace export does not parse"
+
+(* ---------- one region, two forms ---------- *)
+
+(* A layer region in a context that traces and keeps frames is one span
+   and one frame, timed by one pair of clock reads. *)
+let test_region_span_and_frame () =
+  let ctx = Ctx.create () in
+  let (), frames =
+    Ctx.with_ctx ctx (fun () ->
+        Ctx.profiled (fun () -> Ctx.region "compile" (fun () -> ())))
+  in
+  match (Ctx.entries ctx, frames) with
+  | [ s ], [ f ] ->
+      Alcotest.(check (pair string string)) "one name" ("compile", "compile")
+        (s.Xmobs.Trace.name, f.Xmobs.Frames.name);
+      Alcotest.(check (float 0.0)) "span duration = frame total"
+        f.Xmobs.Frames.total_us s.Xmobs.Trace.dur_us
+  | spans, frames ->
+      Alcotest.failf "%d spans and %d frames, not one of each"
+        (List.length spans) (List.length frames)
+
+(* [profiled] with no context installed runs in an untraced one, whose
+   spans nobody would export: its regions are frames only. *)
+let test_profiled_untraced_no_spans () =
+  let seen = ref None in
+  let (), frames =
+    Ctx.profiled (fun () ->
+        Ctx.region "parse" (fun () -> seen := Ctx.current ()))
+  in
+  Alcotest.(check (list string)) "the frame is kept" [ "parse" ]
+    (List.map (fun (f : Xmobs.Frames.frame) -> f.name) frames);
+  match !seen with
+  | Some c -> Alcotest.(check (list string)) "no span" [] (span_names c)
+  | None -> Alcotest.fail "profiled installed no context"
+
+(* A traced context without frames sees a render's layers, each closest
+   join and the emit among them, and none of the per-item operators of
+   the type analysis or an XQuery evaluation. *)
+let test_render_layers_only () =
+  let doc =
+    Xml.Doc.of_string
+      "<data><rec><author>a1</author><name>n1</name></rec></data>"
+  in
+  let store = Store.Shredded.shred doc in
+  let ctx = Ctx.create () in
+  Ctx.with_ctx ctx (fun () ->
+      let t =
+        Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store)
+          "MORPH author [ name ]"
+      in
+      ignore (Xmorph.Interp.render store t);
+      ignore
+        (Xquery.Eval.run (Xml.Doc.to_tree doc) "for $r in /data/rec return $r/name"));
+  let names = span_names ctx in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " span recorded") true (List.mem n names))
+    [ "closest(data.rec.author->data.rec.name)"; "emit"; "render"; "compile";
+      "xquery.eval" ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " is no span") false (List.mem n names))
+    [ "morph"; "closest"; "type(author)"; "type(name)"; "flwor";
+      "step:child::name" ]
 
 (* ---------- I/O attribution ---------- *)
 
@@ -291,7 +355,7 @@ let test_blocks_of () =
 
 let finish_one ?profile ?(outcome = "ok") ?(status = 200) label =
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () -> Ctx.with_span ctx "work" (fun () -> ()));
+  Ctx.with_ctx ctx (fun () -> Ctx.region_in (Some ctx) "work" (fun () -> ()));
   (ctx, Ctx.finish ?profile ctx ~label ~outcome ~status ~wall_s:0.001)
 
 let test_finish_seals () =
@@ -307,7 +371,7 @@ let test_finish_seals () =
   let ctx = Ctx.create () in
   let (), profile =
     Ctx.with_ctx ctx (fun () ->
-        Ctx.profiled (fun () -> Xmobs.Profile.op "render" (fun () -> ())))
+        Ctx.profiled (fun () -> Ctx.region "render" (fun () -> ())))
   in
   let _, c = finish_one ~profile "c" in
   Alcotest.(check bool) "profile attached" true (c.Ctx.c_profile = Some profile)
@@ -367,6 +431,12 @@ let suite =
       test_create_is_small;
     Alcotest.test_case "context trace JSON parses" `Quick
       test_trace_json_parses;
+    Alcotest.test_case "a layer region is one span and one frame" `Quick
+      test_region_span_and_frame;
+    Alcotest.test_case "profiled without a context records no span" `Quick
+      test_profiled_untraced_no_spans;
+    Alcotest.test_case "a frameless trace holds layers, not operators" `Quick
+      test_render_layers_only;
     Alcotest.test_case "per-ctx I/O sums to the global delta" `Quick
       test_io_sums_to_global;
     QCheck_alcotest.to_alcotest prop_io_sum;

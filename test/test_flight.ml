@@ -209,7 +209,7 @@ let bundle_events dir name =
 
 let finish_with_spans ring names =
   let ctx = Xmobs.Ctx.create () in
-  List.iter (fun n -> Xmobs.Ctx.with_span ctx n (fun () -> ())) names;
+  List.iter (fun n -> Xmobs.Ctx.region_in (Some ctx) n (fun () -> ())) names;
   Xmutil.Ring.push ring
     (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 

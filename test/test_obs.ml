@@ -1,14 +1,15 @@
-(* The observability layer: span nesting, ordering and attributes in a
-   recorder, ring-buffer bounds, histogram percentiles against a known
-   distribution, JSON export round-trips through Xmutil.Json, and the
-   zero-allocation guarantee of the disabled path. *)
+(* The observability layer: span nesting, ordering and attributes of a
+   context's regions, ring-buffer bounds, histogram percentiles against a
+   known distribution, JSON export round-trips through Xmutil.Json, and
+   the zero-allocation guarantee of the disabled path. *)
 
 module Trace = Xmobs.Trace
-module Recorder = Xmobs.Trace.Recorder
+module Ctx = Xmobs.Ctx
 module Metrics = Xmobs.Metrics
 
-let recorder ?(capacity = 1 lsl 15) () =
-  Recorder.create ~capacity ~epoch:(Unix.gettimeofday ())
+(* A traced context: its layer regions record spans while it is
+   installed ([Ctx.with_ctx]). *)
+let recorder ?(capacity = 1 lsl 15) () = Ctx.create ~capacity ()
 
 let with_scoped_metrics f = f (Metrics.create ())
 
@@ -16,16 +17,17 @@ let with_scoped_metrics f = f (Metrics.create ())
 let spans r =
   List.sort
     (fun (a : Trace.span) (b : Trace.span) -> compare a.Trace.id b.Trace.id)
-    (Recorder.entries r)
+    (Ctx.entries r)
 
 let span_names r = List.map (fun (s : Trace.span) -> s.Trace.name) (spans r)
 
 let test_span_nesting () =
   let r = recorder () in
-  Recorder.with_span r "a" (fun () ->
-      Recorder.with_span r "b" (fun () -> ());
-      Recorder.with_span r "c" (fun () -> ()));
-  Recorder.with_span r "d" (fun () -> ());
+  Ctx.with_ctx r (fun () ->
+      Ctx.region "a" (fun () ->
+          Ctx.region "b" (fun () -> ());
+          Ctx.region "c" (fun () -> ()));
+      Ctx.region "d" (fun () -> ()));
   let spans = spans r in
   Alcotest.(check (list string)) "start order" [ "a"; "b"; "c"; "d" ]
     (span_names r);
@@ -43,9 +45,9 @@ let test_span_nesting () =
 
 let test_span_exception () =
   let r = recorder () in
-  (try Recorder.with_span r "boom" (fun () -> failwith "x")
-   with Failure _ -> ());
-  Recorder.with_span r "after" (fun () -> ());
+  Ctx.with_ctx r (fun () ->
+      (try Ctx.region "boom" (fun () -> failwith "x") with Failure _ -> ());
+      Ctx.region "after" (fun () -> ()));
   Alcotest.(check (list string)) "raised span still recorded"
     [ "boom"; "after" ] (span_names r);
   let after =
@@ -55,18 +57,20 @@ let test_span_exception () =
 
 let test_ring_bound () =
   let r = recorder ~capacity:4 () in
-  for i = 1 to 10 do
-    Recorder.with_span r (string_of_int i) (fun () -> ())
-  done;
+  Ctx.with_ctx r (fun () ->
+      for i = 1 to 10 do
+        Ctx.region (string_of_int i) (fun () -> ())
+      done);
   Alcotest.(check (list string)) "ring keeps the newest entries"
     [ "7"; "8"; "9"; "10" ] (span_names r)
 
 let test_span_attrs () =
   let r = recorder () in
-  Recorder.with_span r "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
-      Recorder.with_span r "child" (fun () -> ());
-      Recorder.add_attr r "extra" (Trace.String "v"));
-  Recorder.add_attr r "orphan" (Trace.Bool true);
+  Ctx.with_ctx r (fun () ->
+      Ctx.region "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
+          Ctx.region "child" (fun () -> ());
+          Ctx.add_attr "extra" (Trace.String "v"));
+      Ctx.add_attr "orphan" (Trace.Bool true));
   let s = List.hd (spans r) in
   Alcotest.(check bool) "declared attr kept" true
     (List.mem_assoc "k" s.Trace.attrs);
@@ -296,7 +300,7 @@ let test_phase_records_span_only () =
       let ctx = Xmobs.Ctx.create () in
       let v =
         Xmobs.Ctx.with_ctx ctx (fun () ->
-            Xmobs.Obs.phase "work" (fun () -> 21 * 2))
+            Xmobs.Ctx.region "work" (fun () -> 21 * 2))
       in
       Alcotest.(check int) "phase is transparent" 42 v;
       Alcotest.(check (list string)) "span recorded" [ "work" ]
@@ -320,16 +324,16 @@ let json_names evs =
     evs
 
 let export r =
-  Xmutil.Json.to_string (Trace.json_of_entries (Recorder.entries r))
+  Xmutil.Json.to_string (Trace.json_of_entries (Ctx.entries r))
 
 let test_trace_json_roundtrip () =
   let r = recorder () in
-  Recorder.with_span r "outer"
-    ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
-    (fun () ->
-      Recorder.add_attr r "f" (Trace.Float 0.5);
-      Recorder.with_span r "inner" ~attrs:[ ("ok", Trace.Bool true) ]
-        (fun () -> ()));
+  Ctx.with_ctx r (fun () ->
+      Ctx.region "outer"
+        ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
+        (fun () ->
+          Ctx.add_attr "f" (Trace.Float 0.5);
+          Ctx.region "inner" ~attrs:[ ("ok", Trace.Bool true) ] (fun () -> ())));
   let text = export r in
   Alcotest.(check string) "parse . print is the identity" text
     (reserialized text);
@@ -375,8 +379,8 @@ let test_metrics_json_roundtrip () =
 let test_trace_json_escaping () =
   let nasty = "q\"uote\\back\x01\x02\ntab\tend" in
   let r = recorder () in
-  Recorder.with_span r nasty ~attrs:[ ("payload", Trace.String nasty) ]
-    (fun () -> ());
+  Ctx.with_ctx r (fun () ->
+      Ctx.region nasty ~attrs:[ ("payload", Trace.String nasty) ] (fun () -> ()));
   match Xmutil.Json.of_string (export r) with
   | exception _ -> Alcotest.fail "escaped trace JSON does not parse"
   | Xmutil.Json.Obj fields -> (
@@ -397,11 +401,11 @@ let test_trace_json_escaping () =
    else: the export stays well-formed and holds exactly the survivors. *)
 let test_ring_eviction_json () =
   let r = recorder ~capacity:3 () in
-  for i = 1 to 8 do
-    Recorder.with_span r (Printf.sprintf "s%d" i) (fun () ->
-        if i mod 2 = 0 then
-          Recorder.with_span r (Printf.sprintf "c%d" i) (fun () -> ()))
-  done;
+  Ctx.with_ctx r (fun () ->
+      for i = 1 to 8 do
+        Ctx.region (Printf.sprintf "s%d" i) (fun () ->
+            if i mod 2 = 0 then Ctx.region (Printf.sprintf "c%d" i) (fun () -> ()))
+      done);
   match Xmutil.Json.of_string (export r) with
   | exception _ -> Alcotest.fail "post-eviction JSON does not parse"
   | Xmutil.Json.Obj fields -> (
@@ -429,19 +433,20 @@ let test_disabled_path_no_alloc () =
       out_nodes = 0 }
   in
   let io = Store.Io_stats.create () in
+  (* What an operation resolves with no context installed. *)
+  let none = Xmobs.Ctx.current () in
   (* Warm up so any one-time closure setup is done before measuring. *)
-  ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
-  ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
+  ignore (Sys.opaque_identity (Xmobs.Ctx.region "x" f));
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
-    let tok = Xmobs.Profile.enter "x" in
-    Xmobs.Profile.add_in 1;
-    Xmobs.Profile.add_pairs 1;
-    Xmobs.Profile.exit tok;
     (* The per-request context paths: with no context installed anywhere
-       these must stay a single atomic load each. *)
-    ignore (Sys.opaque_identity (Xmobs.Obs.phase "x" f));
+       a layer region is a single atomic load, and an operator region
+       and its counts a match on the operation's [None]. *)
+    ignore (Sys.opaque_identity (Xmobs.Ctx.region "x" f));
+    let tok = Xmobs.Ctx.enter none "x" in
+    Xmobs.Ctx.add_in none 1;
+    Xmobs.Ctx.add_pairs none 1;
+    Xmobs.Ctx.exit none tok;
     Store.Io_stats.charge_read io 4096;
     Store.Io_stats.charge_write io 4096;
     (* The serve cache shares the sink contract: every entry point is one
@@ -464,26 +469,24 @@ let test_disabled_path_no_alloc () =
     Alcotest.failf "disabled path allocated %.0f minor words over 1000 calls"
       delta;
   (* The served case: a request context is installed but keeps no
-     frames, so the profiler's gate is still one atomic load, and a store
-     charge handed the context adds to counters only. *)
+     frames, so an operator region handed the context reads one field,
+     and a store charge handed it adds to counters only. *)
   let c = Xmobs.Ctx.create () in
   let ctx = Some c in
   Xmobs.Ctx.with_ctx c (fun () ->
-      ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
       let w0 = Gc.minor_words () in
       for _ = 1 to 1000 do
-        ignore (Sys.opaque_identity (Xmobs.Profile.op "x" f));
-        let tok = Xmobs.Profile.enter "x" in
-        Xmobs.Profile.add_in 1;
-        Xmobs.Profile.add_pairs 1;
-        Xmobs.Profile.exit tok;
+        let tok = Xmobs.Ctx.enter ctx "x" in
+        Xmobs.Ctx.add_in ctx 1;
+        Xmobs.Ctx.add_pairs ctx 1;
+        Xmobs.Ctx.exit ctx tok;
         Store.Io_stats.charge_read ?ctx io 4096;
         Store.Io_stats.charge_write ?ctx io 4096
       done;
       let delta = Gc.minor_words () -. w0 in
       if delta > 100.0 then
         Alcotest.failf
-          "profiler gate and context charges under a frameless context \
+          "operator regions and context charges under a frameless context \
            allocated %.0f minor words over 1000 calls"
           delta)
 

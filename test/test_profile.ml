@@ -4,7 +4,7 @@
    query) runs under the profiler, and exact per-context frames when two
    threads profile at once. *)
 
-module Profile = Xmobs.Profile
+module Frames = Xmobs.Frames
 module Ctx = Xmobs.Ctx
 
 (* [with_profile f] runs [f] with a fresh frame tree in this thread's
@@ -12,71 +12,71 @@ module Ctx = Xmobs.Ctx
 let with_profile f = ignore (Ctx.profiled f)
 
 let roots () =
-  match Ctx.frames () with Some tree -> Profile.roots tree | None -> []
+  match Ctx.frames () with Some tree -> Frames.roots tree | None -> []
 
 let find_or_fail path =
-  match Profile.lookup (roots ()) path with
+  match Frames.lookup (roots ()) path with
   | Some fr -> fr
   | None ->
       Alcotest.failf "no frame at %s in:\n%s" (String.concat "/" path)
-        (Profile.to_text (roots ()))
+        (Frames.to_text (roots ()))
 
 let test_frame_merge () =
   with_profile (fun () ->
-      Profile.op "loop" (fun () ->
+      Ctx.region "loop" (fun () ->
           for _ = 1 to 3 do
-            Profile.op "leaf" (fun () -> Profile.add_pairs 2)
+            Ctx.region "leaf" (fun () -> Ctx.add_pairs (Ctx.current ()) 2)
           done);
       let loop = find_or_fail [ "loop" ] in
-      Alcotest.(check int) "one loop frame" 1 loop.Profile.calls;
+      Alcotest.(check int) "one loop frame" 1 loop.Frames.calls;
       Alcotest.(check int) "one aggregated child" 1
-        (List.length (Profile.ordered_children loop));
+        (List.length (Frames.ordered_children loop));
       let leaf = find_or_fail [ "loop"; "leaf" ] in
       Alcotest.(check int) "three calls merged into one frame" 3
-        leaf.Profile.calls;
-      Alcotest.(check int) "pairs accumulate across calls" 6 leaf.Profile.pairs)
+        leaf.Frames.calls;
+      Alcotest.(check int) "pairs accumulate across calls" 6 leaf.Frames.pairs)
 
 let test_counts_accumulate () =
   with_profile (fun () ->
-      let tok = Profile.enter "op" in
-      Profile.add_in 4;
-      Profile.add_out 2;
-      Profile.exit ~in_count:1 ~out_count:3 tok;
+      let tok = Ctx.enter (Ctx.current ()) "op" in
+      Ctx.add_in (Ctx.current ()) 4;
+      Ctx.add_out (Ctx.current ()) 2;
+      Ctx.exit ~in_count:1 ~out_count:3 (Ctx.current ()) tok;
       let fr = find_or_fail [ "op" ] in
-      Alcotest.(check int) "in = add_in + exit" 5 fr.Profile.in_count;
-      Alcotest.(check int) "out = add_out + exit" 5 fr.Profile.out_count)
+      Alcotest.(check int) "in = add_in + exit" 5 fr.Frames.in_count;
+      Alcotest.(check int) "out = add_out + exit" 5 fr.Frames.out_count)
 
 let test_self_within_total () =
   with_profile (fun () ->
-      Profile.op "parent" (fun () ->
-          Profile.op "child" (fun () -> Sys.opaque_identity (ref 0)))
+      Ctx.region "parent" (fun () ->
+          Ctx.region "child" (fun () -> Sys.opaque_identity (ref 0)))
       |> ignore;
       let parent = find_or_fail [ "parent" ] in
       let child = find_or_fail [ "parent"; "child" ] in
       Alcotest.(check bool) "self <= total" true
-        (Profile.self_us parent <= parent.Profile.total_us);
+        (Frames.self_us parent <= parent.Frames.total_us);
       Alcotest.(check bool) "child time within parent" true
-        (child.Profile.total_us <= parent.Profile.total_us);
+        (child.Frames.total_us <= parent.Frames.total_us);
       Alcotest.(check bool) "parent self excludes child" true
-        (Profile.self_us parent
-        <= parent.Profile.total_us -. child.Profile.total_us +. 1e-6))
+        (Frames.self_us parent
+        <= parent.Frames.total_us -. child.Frames.total_us +. 1e-6))
 
 let test_exception_unwinds () =
   with_profile (fun () ->
-      (try Profile.op "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Profile.op "after" (fun () -> ());
+      (try Ctx.region "boom" (fun () -> failwith "x") with Failure _ -> ());
+      Ctx.region "after" (fun () -> ());
       let boom = find_or_fail [ "boom" ] in
-      Alcotest.(check int) "raised frame still counted" 1 boom.Profile.calls;
+      Alcotest.(check int) "raised frame still counted" 1 boom.Frames.calls;
       (* [after] must be a root, not a child of the raised frame. *)
       ignore (find_or_fail [ "after" ]);
       Alcotest.(check int) "stack unwound by the raise" 0
-        (List.length (Profile.ordered_children boom)))
+        (List.length (Frames.ordered_children boom)))
 
 let test_json_roundtrip () =
   with_profile (fun () ->
-      Profile.op "a" (fun () ->
-          Profile.op "b \"quoted\"\n" (fun () -> Profile.add_in 7));
-      let text = Xmutil.Json.to_string (Profile.to_json (roots ())) in
+      Ctx.region "a" (fun () ->
+          Ctx.region "b \"quoted\"\n" (fun () -> Ctx.add_in (Ctx.current ()) 7));
+      let text = Xmutil.Json.to_string (Frames.to_json (roots ())) in
       match Xmutil.Json.of_string text with
       | exception _ -> Alcotest.fail "profile JSON does not parse"
       | parsed ->
@@ -100,15 +100,15 @@ let test_json_roundtrip () =
    back untouched. *)
 let test_reset_discards () =
   with_profile (fun () ->
-      Profile.op "gone" (fun () -> ());
+      Ctx.region "gone" (fun () -> ());
       with_profile (fun () ->
           Alcotest.(check int) "reset drops collected frames" 0
             (List.length (roots ()));
-          Profile.op "kept" (fun () -> ());
+          Ctx.region "kept" (fun () -> ());
           ignore (find_or_fail [ "kept" ]));
       ignore (find_or_fail [ "gone" ]);
       Alcotest.(check bool) "the nested frames stay nested" true
-        (Profile.lookup (roots ()) [ "kept" ] = None))
+        (Frames.lookup (roots ()) [ "kept" ] = None))
 
 let doc =
   Xml.Doc.of_string
@@ -123,16 +123,16 @@ let test_transform_profile () =
          the guard's two type selections as children. *)
       let closest = find_or_fail [ "compile"; "morph"; "closest" ] in
       Alcotest.(check bool) "closest recorded its pairs" true
-        (closest.Profile.pairs > 0);
+        (closest.Frames.pairs > 0);
       ignore (find_or_fail [ "compile"; "morph"; "closest"; "type(author)" ]);
       ignore (find_or_fail [ "compile"; "morph"; "closest"; "type(name)" ]);
       (* Rendering reads the store: the render subtree owns block I/O. *)
       let render = find_or_fail [ "render" ] in
       Alcotest.(check bool) "render charged block reads" true
-        (render.Profile.blocks_read > 0);
+        (render.Frames.blocks_read > 0);
       let edge = find_or_fail [ "render"; "closest(data.rec.author->data.rec.name)" ] in
-      Alcotest.(check int) "join saw both parents" 2 edge.Profile.in_count;
-      Alcotest.(check int) "join matched both names" 2 edge.Profile.pairs)
+      Alcotest.(check int) "join saw both parents" 2 edge.Frames.in_count;
+      Alcotest.(check int) "join matched both names" 2 edge.Frames.pairs)
 
 let test_xquery_profile () =
   let root = Xml.Doc.to_tree doc in
@@ -149,20 +149,20 @@ let test_xquery_profile () =
       List.iter
         (fun top ->
           let flwor = find_or_fail [ top; "flwor" ] in
-          Alcotest.(check int) "one flwor evaluation" 1 flwor.Profile.calls;
+          Alcotest.(check int) "one flwor evaluation" 1 flwor.Frames.calls;
           (* The return clause runs once per binding: its step frame merges. *)
           let step = find_or_fail [ top; "flwor"; "step:child::name" ] in
-          Alcotest.(check int) "return step called per tuple" 2 step.Profile.calls;
-          Alcotest.(check int) "two names out in total" 2 step.Profile.out_count)
+          Alcotest.(check int) "return step called per tuple" 2 step.Frames.calls;
+          Alcotest.(check int) "two names out in total" 2 step.Frames.out_count)
         [ "xquery.eval"; "logical.query" ])
 
 (* With no frame-keeping context the gate is off; with one, a context
    that keeps none (nested over it here) still records nothing. *)
 let test_disabled_records_nothing () =
   let invisible () =
-    Profile.op "invisible" (fun () -> ());
-    let tok = Profile.enter "also-invisible" in
-    Profile.exit tok
+    Ctx.region "invisible" (fun () -> ());
+    let tok = Ctx.enter (Ctx.current ()) "also-invisible" in
+    Ctx.exit (Ctx.current ()) tok
   in
   invisible ();
   let (), frames =
@@ -202,15 +202,15 @@ let test_concurrent_profiles_exact () =
   in
   List.iter Thread.join threads;
   let joins frames =
-    match Profile.lookup frames [ "render" ] with
+    match Frames.lookup frames [ "render" ] with
     | None -> Alcotest.fail "no render frame"
     | Some render ->
-        Alcotest.(check int) "one render per profile" 1 render.Profile.calls;
+        Alcotest.(check int) "one render per profile" 1 render.Frames.calls;
         List.filter_map
-          (fun (f : Profile.frame) ->
+          (fun (f : Frames.frame) ->
             if String.starts_with ~prefix:"closest(" f.name then Some f.name
             else None)
-          (Profile.ordered_children render)
+          (Frames.ordered_children render)
   in
   Alcotest.(check (list string)) "first thread's joins only"
     [ "closest(data.rec.author->data.rec.name)" ] (joins results.(0));

@@ -298,11 +298,11 @@ let render_and_frames doc guard =
   let buf = Buffer.create 256 in
   let st, frames = Xmobs.Ctx.profiled (fun () -> Render.to_buffer store shape buf) in
   let io = Store.Io_stats.snapshot (Store.Shredded.stats store) in
-  let rec closest (f : Xmobs.Profile.frame) =
+  let rec closest (f : Xmobs.Frames.frame) =
     (if String.starts_with ~prefix:"closest(" f.name then
        [ Printf.sprintf "%s in=%d out=%d" f.name f.in_count f.out_count ]
      else [])
-    @ List.concat_map closest (Xmobs.Profile.ordered_children f)
+    @ List.concat_map closest (Xmobs.Frames.ordered_children f)
   in
   ( Printf.sprintf "%s elems=%d read=%d/%d" (Buffer.contents buf) st.Render.elements
       io.Store.Io_stats.bytes_read io.Store.Io_stats.read_ops,

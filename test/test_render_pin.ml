@@ -62,11 +62,11 @@ let profile_digest doc guard =
         ignore (Render.to_buffer store shape (Buffer.create 4096)))
   in
   let b = Buffer.create 1024 in
-  let rec walk depth (f : Xmobs.Profile.frame) =
+  let rec walk depth (f : Xmobs.Frames.frame) =
     if String.starts_with ~prefix:"closest(" f.name then
       Printf.bprintf b "%d %s in=%d out=%d pairs=%d calls=%d\n" depth f.name
         f.in_count f.out_count f.pairs f.calls;
-    List.iter (walk (depth + 1)) (Xmobs.Profile.ordered_children f)
+    List.iter (walk (depth + 1)) (Xmobs.Frames.ordered_children f)
   in
   List.iter (walk 0) frames;
   hex (Buffer.contents b)

@@ -1405,27 +1405,27 @@ let test_slow_capture_exact_under_load () =
   let check_profile (c : Xmobs.Ctx.finished) frames =
     let mine = c.Xmobs.Ctx.c_label = Xmobs.Qlog.hash_text other_guard in
     let calls path =
-      match Xmobs.Profile.lookup frames path with
-      | Some f -> f.Xmobs.Profile.calls
+      match Xmobs.Frames.lookup frames path with
+      | Some f -> f.Xmobs.Frames.calls
       | None -> 0
     in
     Alcotest.(check (list string))
       "roots" [ "compile"; "render" ]
-      (List.map (fun (f : Xmobs.Profile.frame) -> f.name) frames);
+      (List.map (fun (f : Xmobs.Frames.frame) -> f.name) frames);
     Alcotest.(check int) "compile calls=1" 1 (calls [ "compile" ]);
     Alcotest.(check int) "render calls=1" 1 (calls [ "render" ]);
     let joins =
-      match Xmobs.Profile.lookup frames [ "render" ] with
+      match Xmobs.Frames.lookup frames [ "render" ] with
       | Some render ->
           List.filter
-            (fun (f : Xmobs.Profile.frame) ->
+            (fun (f : Xmobs.Frames.frame) ->
               String.starts_with ~prefix:"closest(" f.name)
-            (Xmobs.Profile.ordered_children render)
+            (Xmobs.Frames.ordered_children render)
       | None -> []
     in
     Alcotest.(check bool) "closest joins recorded" true (joins <> []);
     List.iter
-      (fun (f : Xmobs.Profile.frame) ->
+      (fun (f : Xmobs.Frames.frame) ->
         Alcotest.(check bool) (f.name ^ " is this guard's") mine
           (contains f.name "publisher"))
       joins
@@ -1783,7 +1783,7 @@ let test_cross_reference () =
   Xmobs.Statdb.record db ~guard_hash:(Xmobs.Qlog.hash_text "g")
     [
       {
-        Xmobs.Profile.name = "closest(a->b)";
+        Xmobs.Frames.name = "closest(a->b)";
         calls = 2;
         total_us = 100.0;
         child_us = 0.0;

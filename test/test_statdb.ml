@@ -14,7 +14,7 @@ let write_file p text =
 let frame ?(children = []) ?(pairs = 0) ?(in_count = 0) ?(out_count = 0)
     ?(total_us = 10.0) ?(child_us = 0.0) ?(calls = 1) name =
   {
-    Xmobs.Profile.name;
+    Xmobs.Frames.name;
     calls;
     total_us;
     child_us;
