@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build build-quiet test bench bench-csv bench-gates examples doc clean \
-  reproduce lint ci trace-check profile-check trace-smoke store-smoke
+  reproduce lint ci trace-check profile-check trace-smoke store-smoke serve-smoke
 
 all: build
 
@@ -152,6 +152,124 @@ store-smoke:
 	cmp store-smoke/store.out store-smoke/xml.out
 	@echo "store-smoke: ok"
 
+# The serve daemon end to end, on two workers under concurrent clients.
+# A 158,609-byte body for MORPH author [ title ] on DBLP seed 7 at scale
+# 0.5: more than 64 KiB, so every client reads it in many pieces.
+#  - Served bytes = one-shot bytes, for a transform and for a query
+#    (//author[position() <= 3]/title, URL-encoded).
+#  - 16 curls and 16 `xmorph http` clients at once on `--workers 2`:
+#    curl, a client independent of ours, reads every response (head and
+#    body written apart), and every body either client read is the
+#    one-shot bytes.
+#  - One record per request under concurrent workers: each of the 34
+#    /query POSTs (32 of them concurrent) is counted once.
+#  - The daemon's own registry holds its worker budget and the render and
+#    store series its executions wrote.
+#  - Metrics lint (METRICS_LINT): every exposed family is well-named, has
+#    HELP and TYPE lines, and label values are properly quoted/escaped.
+#  - The daemon exits within 5 s of SIGTERM (status 0 or 143), or is
+#    killed.
+# The built binary runs directly: a backgrounded `dune exec` would absorb
+# the SIGTERM meant for the daemon.  A port file left by an earlier run
+# would be read as this daemon's before it has published one, so it goes
+# first; the daemon is killed on any failed check.
+define METRICS_LINT
+/^#/ {
+  if ($$1 == "#" && ($$2 == "HELP" || $$2 == "TYPE")) meta[$$3] = 1
+  next
+}
+/^[^ ]/ {
+  name = $$1
+  sub(/\{.*/, "", name)
+  if (name !~ /^[a-z_][a-z0-9_]*$$/) {
+    print "bad family name: " name; bad = 1
+  }
+  fam = name
+  sub(/_(bucket|sum|count)$$/, "", fam)
+  if (!(name in meta) && !(fam in meta)) {
+    print "no HELP/TYPE for: " name; bad = 1
+  }
+  if ($$0 ~ /\{/) {
+    labels = $$0
+    sub(/^[^{]*\{/, "", labels)
+    sub(/\}.*$$/, "", labels)
+    if (labels !~ /^[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\\\|\\"|\\n)*"(,[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\\\|\\"|\\n)*")*$$/) {
+      print "bad label set: " $$0; bad = 1
+    }
+  }
+}
+END { exit bad }
+endef
+export METRICS_LINT
+SERVE_SMOKE_QUERY = %2F%2Fauthor%5Bposition%28%29%20%3C%3D%203%5D%2Ftitle
+serve-smoke:
+	dune build bin/xmorph_cli.exe
+	mkdir -p serve-smoke
+	rm -f serve-smoke/port.txt
+	$(XMORPH_EXE) gen dblp --seed 7 --scale 0.5 -o serve-smoke/dblp.xml
+	$(XMORPH_EXE) shred serve-smoke/dblp.store serve-smoke/dblp.xml > /dev/null
+	$(XMORPH_EXE) run 'MORPH author [ title ]' serve-smoke/dblp.store \
+	  > serve-smoke/oneshot.xml
+	$(XMORPH_EXE) query -g 'MORPH author [ title ]' '//author[position() <= 3]/title' \
+	  serve-smoke/dblp.store > serve-smoke/oneshot-query.xml
+	test -s serve-smoke/oneshot-query.xml
+	@set -e; \
+	$(XMORPH_EXE) serve serve-smoke/dblp.store --port 0 --workers 2 \
+	  --port-file serve-smoke/port.txt \
+	  --qlog serve-smoke/q.jsonl --metrics serve-smoke/m.json \
+	  --stats-db serve-smoke/stats.db \
+	  > serve-smoke/serve.out 2>&1 & \
+	SRV=$$!; \
+	trap 'kill $$SRV 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 100); do [ -s serve-smoke/port.txt ] && break; sleep 0.1; done; \
+	test -s serve-smoke/port.txt || { echo "serve never published its port"; \
+	  cat serve-smoke/serve.out; exit 1; }; \
+	BASE="http://127.0.0.1:$$(cat serve-smoke/port.txt)"; \
+	curl -fsS -d 'MORPH author [ title ]' "$$BASE/query?doc=dblp.store" \
+	  > serve-smoke/served.xml; \
+	cmp serve-smoke/served.xml serve-smoke/oneshot.xml; \
+	PIDS=""; \
+	for i in $$(seq 1 16); do \
+	  curl -fsS -d 'MORPH author [ title ]' "$$BASE/query?doc=dblp.store" \
+	    -o serve-smoke/concurrent-$$i.xml & \
+	  PIDS="$$PIDS $$!"; \
+	  $(XMORPH_EXE) http POST "$$BASE/query?doc=dblp.store" \
+	    --data 'MORPH author [ title ]' > serve-smoke/http-$$i.xml & \
+	  PIDS="$$PIDS $$!"; \
+	done; \
+	for p in $$PIDS; do wait "$$p"; done; \
+	for i in $$(seq 1 16); do \
+	  cmp serve-smoke/concurrent-$$i.xml serve-smoke/oneshot.xml; \
+	  cmp serve-smoke/http-$$i.xml serve-smoke/oneshot.xml; \
+	done; \
+	curl -fsS -d 'MORPH author [ title ]' \
+	  "$$BASE/query?doc=dblp.store&query=$(SERVE_SMOKE_QUERY)" \
+	  > serve-smoke/served-query.xml; \
+	cmp serve-smoke/served-query.xml serve-smoke/oneshot-query.xml; \
+	curl -fsS "$$BASE/metrics" > serve-smoke/metrics.txt; \
+	for want in \
+	  'xmorph_query_seconds_count{doc="dblp.store",outcome="ok"} 34' \
+	  'xmorph_requests_total{route="/query",status="200"} 34' \
+	  'serve_workers 2'; do \
+	  grep -qxF "$$want" serve-smoke/metrics.txt || { \
+	    echo "metrics.txt lacks: $$want"; exit 1; }; \
+	done; \
+	for series in render_elements store_bytes_read; do \
+	  awk -v s="$$series" '$$1 == s && $$2 > 0 { ok = 1 } END { exit !ok }' \
+	    serve-smoke/metrics.txt || { \
+	    echo "metrics.txt: $$series missing or zero"; exit 1; }; \
+	done; \
+	awk "$$METRICS_LINT" serve-smoke/metrics.txt; \
+	kill -TERM "$$SRV"; \
+	( sleep 5; kill -KILL "$$SRV" 2>/dev/null ) & \
+	KILLER=$$!; \
+	RC=0; \
+	wait "$$SRV" || RC=$$?; \
+	kill "$$KILLER" 2>/dev/null || true; \
+	test "$$RC" -eq 0 -o "$$RC" -eq 143 || { \
+	  echo "serve did not exit within 5 s of SIGTERM (status $$RC)"; exit 1; }
+	@echo "serve-smoke: ok"
+
 # What CI runs (.github/workflows/ci.yml mirrors this target).
 ci: lint
 	$(MAKE) build-quiet
@@ -164,6 +282,9 @@ ci: lint
 	$(MAKE) bench-gates
 	$(MAKE) trace-smoke
 	$(MAKE) store-smoke
+	$(MAKE) serve-smoke
+	XMORPH_BENCH_FAST=1 dune exec bench/main.exe -- serve
+	test -s BENCH_serve.json
 
 clean:
 	dune clean

@@ -1,7 +1,7 @@
 (* The flight recorder's overhead, measured on the serving path it rides:
    the Fig. 15 DBLP reshaping guard executed with the recorder off versus
    enabled-idle (snapshots taken, no trigger ever fired).  As in the serve
-   daemon, each execution runs inside a request context that is finished
+   daemon, each execution is handed a request context that is finished
    afterwards into a request ring, so its query record lands where the
    recorder's bundles read it.  The acceptance
    bar is <1% on p50 — the recorder must be cheap enough to leave on in
@@ -47,9 +47,7 @@ let run () =
     let ctx = Xmobs.Ctx.create () in
     let t0 = Unix.gettimeofday () in
     let body =
-      Xmobs.Ctx.with_ctx ctx (fun () ->
-          body_of
-            (Xmserve.Exec.execute ~source:"bench" ~doc:"dblp" store guard))
+      body_of (Xmserve.Exec.execute ~ctx ~source:"bench" ~doc:"dblp" store guard)
     in
     Xmutil.Ring.push ring
       (Xmobs.Ctx.finish ctx ~label:"bench" ~outcome:"ok" ~status:200

@@ -25,18 +25,6 @@ let sections =
   ]
 
 let () =
-  (* XMORPH_BENCH_PROFILE=FILE profiles every operator the requested
-     sections evaluate in the main thread's command-wide context (work
-     under a section's own request contexts keeps its own frames) and
-     writes the annotated frame tree on exit. *)
-  (match Sys.getenv_opt "XMORPH_BENCH_PROFILE" with
-  | None -> ()
-  | Some path ->
-      let frames = Xmobs.Ctx.keep_frames () in
-      at_exit (fun () ->
-          let oc = open_out_bin path in
-          output_string oc (Xmobs.Frames.to_text (Xmobs.Frames.roots frames));
-          close_out oc));
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names

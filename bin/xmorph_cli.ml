@@ -15,21 +15,21 @@ let read_file path =
   close_in ic;
   s
 
-let load_doc path =
-  try Ok (Xml.Doc.of_string (read_file path)) with
+let load_doc ?ctx path =
+  try Ok (Xml.Doc.of_string ?ctx (read_file path)) with
   | Sys_error m -> Error m
   | Xml.Parser.Error _ as e ->
       Error (Option.get (Xml.Parser.error_message e))
 
-let load_store input =
+let load_store ?ctx input =
   (* Accept either a saved store (made by [xmorph shred]) or raw XML.  A
      store is known by its magic, so a damaged one says why it does not
      load instead of being parsed as XML. *)
   match Store.Shredded.is_store input with
   | exception Sys_error m -> Error m
-  | false -> Result.map Store.Shredded.shred (load_doc input)
+  | false -> Result.map (Store.Shredded.shred ?ctx) (load_doc ?ctx input)
   | true -> (
-      match Store.Shredded.load input with
+      match Store.Shredded.load ?ctx input with
       | store -> Ok store
       | exception (Store.Codec.Corrupt m | Invalid_argument m | Failure m) ->
           Error (Printf.sprintf "damaged store %s: %s" input m))
@@ -57,13 +57,16 @@ let write_file path contents =
     close_out oc
   end
 
+(* What a subcommand is given: the sinks it hands to every execution
+   (and serve to its server), and the command context that --trace and
+   --profile ask for, which it hands to every load and execution. *)
+type obs = { sinks : Xmobs.Obs.sinks; ctx : Xmobs.Ctx.t option }
+
 (* Exports are registered on the shared shutdown path, here and nowhere
    else: they capture whatever ran on clean exits (including [exit_err]
    bailouts) and on SIGTERM/SIGINT, which [Xmobs.Shutdown.install]
    converts into an ordinary [exit].  A killed serve daemon therefore
-   still leaves complete, valid telemetry files.  The query log, the
-   warehouse and the --metrics registry come back as the command's
-   sinks, which it hands to every execution (and serve to its server). *)
+   still leaves complete, valid telemetry files. *)
 let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   let stats_db =
     match stats_db with
@@ -76,16 +79,25 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   if trace <> None || metrics <> None || profile <> None || qlog <> None
      || stats_db <> None
   then Xmobs.Shutdown.install ();
-  (match trace with
-  | None -> ()
-  | Some path ->
-      (* One request context for the whole command, on the main thread:
-         its spans are the command's (a serve daemon's startup; each
-         served request keeps its own), bounded at 2^15. *)
-      let ctx = Xmobs.Ctx.create ~capacity:(1 lsl 15) () in
-      Xmobs.Ctx.install ctx;
-      Xmobs.Shutdown.on_exit (fun () ->
-          write_file path (Xmutil.Json.to_string (Xmobs.Ctx.trace_json ctx))));
+  (* One context for the whole command: its spans are the command's (a
+     serve daemon's startup; each served request keeps its own), bounded
+     at 2^15.  It traces only with --trace, and keeps frames only with
+     --profile; an untraced one stamps no trace id. *)
+  let ctx =
+    if trace = None && profile = None then None
+    else
+      Some
+        (Xmobs.Ctx.create ~capacity:(1 lsl 15) ~traced:(trace <> None)
+           ~frames:(profile <> None) ())
+  in
+  let export path contents =
+    Option.iter
+      (fun ctx ->
+        Xmobs.Shutdown.on_exit (fun () ->
+            write_file path (Xmutil.Json.to_string (contents ctx))))
+      ctx
+  in
+  Option.iter (fun path -> export path Xmobs.Ctx.trace_json) trace;
   let metrics =
     Option.map
       (fun path ->
@@ -96,16 +108,10 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
         r)
       metrics
   in
-  (match profile with
-  | None -> ()
-  | Some path ->
-      (* The command-wide context keeps frames: --trace's when it made
-         one, else an untraced one that stamps no trace id. *)
-      let frames = Xmobs.Ctx.keep_frames () in
-      Xmobs.Shutdown.on_exit (fun () ->
-          write_file path
-            (Xmutil.Json.to_string
-               (Xmobs.Frames.to_json (Xmobs.Frames.roots frames)))));
+  Option.iter
+    (fun path ->
+      export path (fun ctx -> Xmobs.Frames.to_json (Xmobs.Ctx.frame_roots ctx)))
+    profile;
   let qlog =
     Option.map
       (fun path ->
@@ -125,7 +131,7 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
         db)
       stats_db
   in
-  { Xmobs.Obs.qlog; statdb; metrics }
+  { sinks = { Xmobs.Obs.qlog; statdb; metrics }; ctx }
 
 (* [stats_db_flag] lets offline analyzers (stats, incident) drop the
    global --stats-db recording flag from their term: they take their own
@@ -225,22 +231,22 @@ let shred_cmd =
   let output =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Output store path.")
   in
-  let run _ output inputs =
+  let run { ctx; _ } output inputs =
     let trees =
       List.map
         (fun path ->
           match read_file path with
           | exception Sys_error m -> exit_err m
           | text -> (
-              match Xml.Parser.parse text with
+              match Xml.Parser.parse ?ctx text with
               | tree -> tree
               | exception (Xml.Parser.Error _ as e) ->
                   exit_err (path ^ ": " ^ Option.get (Xml.Parser.error_message e))))
         inputs
     in
     let t0 = Unix.gettimeofday () in
-    let store = Store.Shredded.shred (Xml.Doc.of_forest trees) in
-    Store.Shredded.save store output;
+    let store = Store.Shredded.shred ?ctx (Xml.Doc.of_forest ?ctx trees) in
+    Store.Shredded.save ?ctx store output;
     Printf.printf "shredded %d document(s): %d nodes (%d types, %d KiB) in %.3fs\n"
       (List.length inputs)
       (Store.Shredded.node_count store)
@@ -255,8 +261,8 @@ let shred_cmd =
 let shape_cmd =
   let doc = "Print the adorned shape (DataGuide with cardinalities) of a document or store." in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
-  let run _ input =
-    match load_store input with
+  let run { ctx; _ } input =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> print_string (Xml.Dataguide.to_string (Store.Shredded.guide store))
   in
@@ -272,9 +278,9 @@ let shape_diff_cmd =
   in
   let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc:"Old document or store.") in
   let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc:"New document or store.") in
-  let run _ a b =
+  let run { ctx; _ } a b =
     let guide input =
-      match load_store input with
+      match load_store ?ctx input with
       | Error m -> exit_err m
       | Ok store -> Store.Shredded.guide store
     in
@@ -304,12 +310,12 @@ let check_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the reports as JSON.")
   in
-  let run _ guard input quantify json =
-    match load_store input with
+  let run { ctx; _ } guard input quantify json =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> (
         let guide = Store.Shredded.guide store in
-        match Xmorph.Interp.compile ~enforce:false guide guard with
+        match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
         | exception Xmorph.Interp.Error m -> exit_err m
         | compiled ->
             if json then begin
@@ -356,12 +362,12 @@ let run_cmd =
     Arg.(value & flag & info [ "f"; "force" ] ~doc:"Transform even when type enforcement rejects the guard.")
   in
   let compact = Arg.(value & flag & info [ "compact" ] ~doc:"No indentation.") in
-  let run sinks guard input force compact =
-    match load_store input with
+  let run { sinks; ctx } guard input force compact =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> (
         match
-          Xmserve.Exec.execute ~sinks ~source:"run" ~doc:input
+          Xmserve.Exec.execute ?ctx ~sinks ~source:"run" ~doc:input
             ~enforce:(not force) ~compact store guard
         with
         | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
@@ -391,12 +397,12 @@ let query_cmd =
   in
   let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let force = Arg.(value & flag & info [ "f"; "force" ] ~doc:"Skip type enforcement.") in
-  let run sinks query input guard force =
-    match load_store input with
+  let run { sinks; ctx } query input guard force =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> (
         match
-          Xmserve.Exec.execute ~sinks ~source:"query" ~doc:input
+          Xmserve.Exec.execute ?ctx ~sinks ~source:"query" ~doc:input
             ~enforce:(not force) ~query store guard
         with
         | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
@@ -424,12 +430,12 @@ let explain_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the explanation as JSON.")
   in
-  let run sinks guard input json_out =
-    match load_store input with
+  let run { sinks; ctx } guard input json_out =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> (
         let guide = Store.Shredded.guide store in
-        match Xmorph.Interp.compile ~enforce:false guide guard with
+        match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
         | exception Xmorph.Interp.Error m -> exit_err m
         | compiled ->
             let ghash = Xmobs.Qlog.hash_text guard in
@@ -564,13 +570,13 @@ let profile_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON instead of the annotated tree.")
   in
-  let run sinks guard input query json =
-    match load_store input with
+  let run { sinks; ctx } guard input query json =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store ->
         let outcome, frames =
-          Xmobs.Ctx.profiled (fun () ->
-              Xmserve.Exec.execute ~sinks ~source:"profile" ~doc:input
+          Xmobs.Ctx.profiled ?ctx (fun ctx ->
+              Xmserve.Exec.execute ~ctx ~sinks ~source:"profile" ~doc:input
                 ~enforce:false ?query store guard)
         in
         (match outcome with
@@ -595,25 +601,25 @@ let view_cmd =
   let eval_flag =
     Arg.(value & flag & info [ "eval" ] ~doc:"Also evaluate the generated view and print the result.")
   in
-  let run _ guard input eval_flag =
-    match load_store input with
+  let run { ctx; _ } guard input eval_flag =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store -> (
         let guide = Store.Shredded.guide store in
-        match Guarded.View_gen.generate_guard guide guard with
+        match Guarded.View_gen.generate_guard ?ctx guide guard with
         | exception Guarded.View_gen.Unsupported m ->
             exit_err ("cannot render this guard as an XQuery view: " ^ m)
         | exception Xmorph.Interp.Error m -> exit_err m
         | view ->
             print_endline view;
             if eval_flag then begin
-              match load_doc input with
+              match load_doc ?ctx input with
               | Error m -> exit_err m
               | Ok doc ->
                   print_endline "";
                   print_string
                     (Xml.Printer.to_string_indented
-                       (Guarded.View_gen.run_view doc guard))
+                       (Guarded.View_gen.run_view ?ctx doc guard))
             end)
   in
   Cmd.v (Cmd.info "view" ~doc) Term.(const run $ obs_term $ guard_arg $ input $ eval_flag)
@@ -631,8 +637,8 @@ let infer_cmd =
   let input =
     Arg.(value & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"Optional XML document or store to check the guard against.")
   in
-  let run _ query input =
-    match Guarded.Infer.guard_of_query query with
+  let run { ctx; _ } query input =
+    match Guarded.Infer.guard_of_query ?ctx query with
     | exception Failure m -> exit_err m
     | exception (Xquery.Qparse.Error _ as e) ->
         exit_err (Option.get (Xquery.Qparse.error_message query e))
@@ -641,11 +647,11 @@ let infer_cmd =
         match input with
         | None -> ()
         | Some input -> (
-            match load_store input with
+            match load_store ?ctx input with
             | Error m -> exit_err m
             | Ok store -> (
                 let guide = Store.Shredded.guide store in
-                match Xmorph.Interp.compile ~enforce:false guide guard with
+                match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
                 | exception Xmorph.Interp.Error m -> exit_err m
                 | compiled ->
                     print_string
@@ -690,8 +696,8 @@ let gen_cmd =
 
 let fmt_cmd =
   let doc = "Parse a guard and print its canonical form." in
-  let run _ guard =
-    match Xmorph.Parse.guard guard with
+  let run { ctx; _ } guard =
+    match Xmorph.Parse.guard ?ctx guard with
     | ast -> print_endline (Xmorph.Ast.to_string ast)
     | exception e -> (
         match Xmorph.Parse.error_message guard e with
@@ -710,12 +716,12 @@ let equiv_cmd =
   in
   let a = Arg.(required & pos 1 (some file) None & info [] ~docv:"A" ~doc:"First document.") in
   let b = Arg.(required & pos 2 (some file) None & info [] ~docv:"B" ~doc:"Second document.") in
-  let run _ guard a b =
+  let run { ctx; _ } guard a b =
     let transform input =
-      match load_store input with
+      match load_store ?ctx input with
       | Error m -> exit_err m
       | Ok store -> (
-          match Xmorph.Interp.transform ~enforce:false store guard with
+          match Xmorph.Interp.transform ?ctx ~enforce:false store guard with
           | exception Xmorph.Interp.Error m -> exit_err (input ^ ": " ^ m)
           | tree, _ -> tree)
     in
@@ -739,8 +745,8 @@ let shell_cmd =
      or :commands for reports and guarded queries."
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
-  let run sinks input =
-    match load_store input with
+  let run { sinks; ctx } input =
+    match load_store ?ctx input with
     | Error m -> exit_err m
     | Ok store ->
         let guide = Store.Shredded.guide store in
@@ -765,7 +771,7 @@ let shell_cmd =
             \  GUARD             transform and print\n"
         in
         let compile_or_report g =
-          match Xmorph.Interp.compile ~enforce:false guide g with
+          match Xmorph.Interp.compile ?ctx ~enforce:false guide g with
           | compiled -> Some compiled
           | exception Xmorph.Interp.Error m ->
               print_endline m;
@@ -805,8 +811,8 @@ let shell_cmd =
                     match strip_prefix line ":profile" with
                     | Some rest -> (
                         let outcome, frames =
-                          Xmobs.Ctx.profiled (fun () ->
-                              Xmserve.Exec.execute ~sinks ~source:"shell"
+                          Xmobs.Ctx.profiled ?ctx (fun ctx ->
+                              Xmserve.Exec.execute ~ctx ~sinks ~source:"shell"
                                 ~doc:input ~enforce:false store
                                 (arg_or_current rest))
                         in
@@ -838,7 +844,7 @@ let shell_cmd =
                             match strip_prefix line ":query" with
                             | Some q -> (
                                 match
-                                  Xmserve.Exec.execute ~sinks ~source:"shell"
+                                  Xmserve.Exec.execute ?ctx ~sinks ~source:"shell"
                                     ~doc:input ~enforce:false ~query:q store
                                     !current_guard
                                 with
@@ -849,7 +855,7 @@ let shell_cmd =
                                     print_endline message)
                             | None -> (
                                 match
-                                  Xmserve.Exec.execute ~sinks ~source:"shell"
+                                  Xmserve.Exec.execute ?ctx ~sinks ~source:"shell"
                                     ~doc:input ~enforce:false store line
                                 with
                                 | Xmserve.Exec.Rendered { body; _ }
@@ -1002,9 +1008,10 @@ let serve_cmd =
                    and disables alerting; the daemon still serves.  Replay \
                    rules offline with $(b,xmorph alerts).")
   in
-  let run sinks inputs port addr workers port_file slow_ms slow_log window
+  let run obs inputs port addr workers port_file slow_ms slow_log window
       slo_p95_ms slo_error_rate cache_mb incident_dir incident_keep
       debug_ring alert_rules =
+    let { sinks; ctx } = obs in
     (* The daemon is multi-threaded, so an async [Sys.signal] handler can
        be delivered to a thread that never reaches a safepoint while the
        workers sit in [accept] and [run]'s thread in [Thread.join].
@@ -1035,7 +1042,7 @@ let serve_cmd =
     let stores =
       List.map
         (fun input ->
-          match load_store input with
+          match load_store ?ctx input with
           | Error m -> exit_err m
           | Ok store -> (Filename.basename input, store))
         inputs

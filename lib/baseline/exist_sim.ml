@@ -21,10 +21,10 @@ let build_index tree =
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) index;
   index
 
-let store tree =
+let store ?ctx tree =
   let text = Xml.Printer.to_string tree in
   let stats = Store.Io_stats.create () in
-  Store.Io_stats.charge_write ?ctx:(Xmobs.Ctx.current ()) stats (String.length text);
+  Store.Io_stats.charge_write ?ctx stats (String.length text);
   { text; tree; index = build_index tree; stats }
 
 let of_doc doc = store (Xml.Doc.to_tree doc)
@@ -33,10 +33,9 @@ let stats t = t.stats
 
 let size_bytes t = String.length t.text
 
-(* Each operation's charges also go to the calling thread's request
-   context, looked up once when it begins. *)
-let dump t buf =
-  let ctx = Xmobs.Ctx.current () in
+(* Each operation's charges also go to the request context handed to
+   it. *)
+let dump ?ctx t buf =
   Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
   let start = Buffer.length buf in
   Buffer.add_string buf "<data>";
@@ -66,12 +65,11 @@ let run ?ctx t src =
       (* Full scan: charge the sequential read and navigate the resident
          document. *)
       Store.Io_stats.charge_read ?ctx t.stats (String.length t.text);
-      Xquery.Eval.run t.tree src
+      Xquery.Eval.run ?ctx t.tree src
 
-let query t src = run ?ctx:(Xmobs.Ctx.current ()) t src
+let query = run
 
-let query_to_buffer t src buf =
-  let ctx = Xmobs.Ctx.current () in
+let query_to_buffer ?ctx t src buf =
   let result = run ?ctx t src in
   let start = Buffer.length buf in
   List.iter

@@ -20,11 +20,11 @@ let reads (shape : Tshape.t) =
       Option.iter (fun (ty, _) -> acc := ty :: !acc) n.sort_key);
   Array.of_list (List.sort_uniq Int.compare !acc)
 
-let compile ?(enforce = true) guide source =
-  Xmobs.Ctx.region "compile" ~attrs:[ ("guard", Xmobs.Trace.String source) ]
+let compile ?ctx ?(enforce = true) guide source =
+  Xmobs.Ctx.region ctx Xmobs.Layer.compile ~attrs:[ ("guard", Xmobs.Trace.String source) ]
   @@ fun () ->
   let ast =
-    try Parse.guard source
+    try Parse.guard ?ctx source
     with e -> (
       match Parse.error_message source e with
       | Some msg -> raise (Error msg)
@@ -32,12 +32,12 @@ let compile ?(enforce = true) guide source =
   in
   let algebra = Algebra.of_ast ast in
   let sem =
-    try Semantics.eval guide algebra
+    try Semantics.eval ?ctx guide algebra
     with Tshape.Error msg -> raise (Error msg)
   in
   let cast = Algebra.cast_mode algebra in
   let loss =
-    if enforce then Loss.check ~cast guide sem.shape else Loss.analyze guide sem.shape
+    if enforce then Loss.check ?ctx ~cast guide sem.shape else Loss.analyze ?ctx guide sem.shape
   in
   let loss = { loss with Report.warnings = sem.warnings @ loss.Report.warnings } in
   { source; ast; algebra; shape = sem.shape; labels = sem.labels; loss;
@@ -51,15 +51,15 @@ let predicted_joins guide (t : t) =
     (fun (pty, cty, card, parents) -> (Render.join_name tt pty cty, card, parents))
     (Render.predicted_edges guide t.shape)
 
-let render store t = Render.to_tree store t.shape
+let render ?ctx store t = Render.to_tree ?ctx store t.shape
 
-let render_to_buffer ?indent store t buf =
-  Render.to_buffer ~wrapper:"result" ?indent store t.shape buf
+let render_to_buffer ?ctx ?indent store t buf =
+  Render.to_buffer ?ctx ~wrapper:"result" ?indent store t.shape buf
 
-let transform ?enforce store source =
+let transform ?ctx ?enforce store source =
   let guide = Store.Shredded.guide store in
-  let t = compile ?enforce guide source in
-  (render store t, t)
+  let t = compile ?ctx ?enforce guide source in
+  (render ?ctx store t, t)
 
 let transform_doc ?enforce doc source =
   let store = Store.Shredded.shred doc in

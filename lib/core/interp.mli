@@ -31,8 +31,10 @@ type t = {
 exception Error of string
 (** Parse and semantic errors, rendered human-readably. *)
 
-val compile : ?enforce:bool -> Xml.Dataguide.t -> string -> t
-(** @raise Error on parse or semantic failure.
+val compile : ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> Xml.Dataguide.t -> string -> t
+(** Compile in a [compile] region of [ctx], handing [ctx] on to the lex,
+    parse, type analysis and loss analysis it runs.
+    @raise Error on parse or semantic failure.
     @raise Loss.Rejected when enforcement rejects the classification. *)
 
 val predicted_joins :
@@ -44,11 +46,12 @@ val predicted_joins :
     of the edge is the cardinality scaled by the count; the warehouse
     ({!Xmobs.Statdb}) folds these against observed pairs into q-errors. *)
 
-val render : Store.Shredded.t -> t -> Xml.Tree.t
+val render : ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> t -> Xml.Tree.t
 (** Render the compiled guard against a store (single root; a forest is
     wrapped in [<result>]). *)
 
-val render_to_buffer : ?indent:bool -> Store.Shredded.t -> t -> Buffer.t -> Render.stats
+val render_to_buffer :
+  ?ctx:Xmobs.Ctx.t -> ?indent:bool -> Store.Shredded.t -> t -> Buffer.t -> Render.stats
 (** [render] without the tree: the bytes appended to the buffer are
     [Xml.Printer.to_string (render store t)], or with [~indent:true]
     [Xml.Printer.to_string_indented (render store t)], written by one walk
@@ -56,7 +59,8 @@ val render_to_buffer : ?indent:bool -> Store.Shredded.t -> t -> Buffer.t -> Rend
     count is [Xml.Tree.count_nodes] of that tree.  This is what
     [xmorph run] prints and [POST /query] serves. *)
 
-val transform : ?enforce:bool -> Store.Shredded.t -> string -> Xml.Tree.t * t
+val transform :
+  ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> Store.Shredded.t -> string -> Xml.Tree.t * t
 (** [compile] against the store's shape, then [render]. *)
 
 val transform_doc : ?enforce:bool -> Xml.Doc.t -> string -> Xml.Tree.t * t

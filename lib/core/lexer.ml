@@ -54,8 +54,8 @@ let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '@' | ':' | '-' -> true
   | _ -> false
 
-let tokenize src =
-  Xmobs.Ctx.region "lex" @@ fun () ->
+let tokenize ?ctx src =
+  Xmobs.Ctx.region ctx Xmobs.Layer.lex @@ fun () ->
   let n = String.length src in
   let out = ref [] in
   let emit tok pos = out := (tok, pos) :: !out in

@@ -39,8 +39,9 @@ type token =
 exception Error of { pos : int; msg : string }
 (** Lexical error at a 0-based byte offset. *)
 
-val tokenize : string -> (token * int) list
-(** All tokens with their start offsets, ending with [EOF].
+val tokenize : ?ctx:Xmobs.Ctx.t -> string -> (token * int) list
+(** All tokens with their start offsets, ending with [EOF], lexed in a
+    [lex] region of [ctx].
     @raise Error on an unexpected character. *)
 
 val token_to_string : token -> string

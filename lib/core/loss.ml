@@ -466,10 +466,10 @@ let analyze_impl ?(warnings = []) guide (shape : Tshape.t) : Report.loss_report 
   { classification; violations; omitted_types = !omitted;
     warnings = warnings @ List.rev !filters }
 
-let analyze ?warnings guide shape =
-  Xmobs.Ctx.region "loss" @@ fun () ->
+let analyze ?ctx ?warnings guide shape =
+  Xmobs.Ctx.region ctx Xmobs.Layer.loss @@ fun () ->
   let report = analyze_impl ?warnings guide shape in
-  Xmobs.Ctx.add_attr "classification"
+  Xmobs.Ctx.add_attr ctx "classification"
     (Xmobs.Trace.String
        (Report.classification_to_string report.Report.classification));
   report
@@ -484,6 +484,6 @@ let admissible cast (c : Report.classification) =
 
 exception Rejected of Report.loss_report
 
-let check ?(cast = None) guide shape =
-  let report = analyze guide shape in
+let check ?ctx ?(cast = None) guide shape =
+  let report = analyze ?ctx guide shape in
   if admissible cast report.classification then report else raise (Rejected report)

@@ -33,8 +33,10 @@ val target_path_card :
     trees of the target forest. *)
 
 val analyze :
-  ?warnings:string list -> Xml.Dataguide.t -> Tshape.t -> Report.loss_report
-(** Run the analysis over every ordered pair of kept types and classify.
+  ?ctx:Xmobs.Ctx.t -> ?warnings:string list -> Xml.Dataguide.t -> Tshape.t ->
+  Report.loss_report
+(** Run the analysis over every ordered pair of kept types and classify,
+    in a [loss] region of [ctx] whose span carries the classification.
     Violations are ordered by the first node of the pair, then the second,
     in preorder of the target shape, [Min_raised] before [Max_increased];
     [warnings] come first among the report's warnings.  The work grows
@@ -50,6 +52,8 @@ val admissible : Ast.cast option -> Report.classification -> bool
 exception Rejected of Report.loss_report
 (** Raised by {!check} when the classification is not admissible. *)
 
-val check : ?cast:Ast.cast option -> Xml.Dataguide.t -> Tshape.t -> Report.loss_report
+val check :
+  ?ctx:Xmobs.Ctx.t -> ?cast:Ast.cast option -> Xml.Dataguide.t -> Tshape.t ->
+  Report.loss_report
 (** [analyze] then enforce [admissible]; returns the report on success.
     @raise Rejected when the guard must not run. *)

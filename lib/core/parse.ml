@@ -175,9 +175,9 @@ and parse_unit st =
         (Printf.sprintf "expected MORPH, MUTATE, TRANSLATE, COMPOSE or a cast but found %s"
            (Lexer.token_to_string other))
 
-let guard src =
-  Xmobs.Ctx.region "parse" @@ fun () ->
-  let toks = Array.of_list (Lexer.tokenize src) in
+let guard ?ctx src =
+  Xmobs.Ctx.region ctx Xmobs.Layer.parse @@ fun () ->
+  let toks = Array.of_list (Lexer.tokenize ?ctx src) in
   let st = { toks; cur = 0 } in
   let g = parse_guard st in
   (match peek st with

@@ -22,8 +22,9 @@
 exception Error of { pos : int; msg : string }
 (** Syntax error at a 0-based byte offset into the guard text. *)
 
-val guard : string -> Ast.t
-(** Parse a complete guard.  @raise Error on malformed input. *)
+val guard : ?ctx:Xmobs.Ctx.t -> string -> Ast.t
+(** Parse a complete guard, in a [parse] region of [ctx] (its [lex]
+    region nested).  @raise Error on malformed input. *)
 
 val error_message : string -> exn -> string option
 (** [error_message src exn] renders a {!Error} or {!Lexer.Error} against the

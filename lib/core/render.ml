@@ -6,8 +6,8 @@ module Store_ = Store (* the OCaml library, not a value *)
 
 (* One per render, [Nav.t], [explain] or [iter_closest] call, used by
    one thread at a time: the caches need no lock.  [ctx] is the request
-   context every store read of the operation is charged to, resolved
-   once here rather than looked up per charge. *)
+   context every store read of the operation is charged to, the one
+   handed to the operation. *)
 type rctx = {
   store : Store_.Shredded.t;
   caches : (int, int array) Hashtbl.t;
@@ -22,9 +22,8 @@ type rctx = {
    at the edge's join level, and the parent hops up to a run's key. *)
 and joined = { row : int array; groups : Closest.runs; hops : int }
 
-let make_rctx store =
-  { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16;
-    ctx = Xmobs.Ctx.current () }
+let make_rctx ?ctx store =
+  { store; caches = Hashtbl.create 64; edges = Hashtbl.create 16; ctx }
 
 (* The region name of the [pty -> cty] closest join.  The warehouse lines
    a render's recorded joins up with [Interp.predicted_joins] by it. *)
@@ -381,7 +380,7 @@ let rec plan_node rctx (p : handle) ~ids =
 and plan_edge rctx (c : handle) ~aty ~ids ~cty =
   if not (Xmobs.Ctx.recording rctx.ctx) then plan_edge_op rctx c ~aty ~ids ~cty
   else
-    Xmobs.Ctx.region_in rctx.ctx
+    Xmobs.Ctx.region rctx.ctx
       (join_name (Store_.Shredded.types rctx.store) aty cty)
       (fun () ->
         Xmobs.Ctx.add_in rctx.ctx (Array.length ids);
@@ -485,14 +484,14 @@ module Emit (S : SINK) = struct
         let plan = plan rctx root ids in
         if Array.length ids = 1 && ids.(0) = -1 then walk rctx sink plan (-1)
         else
-          Xmobs.Ctx.region_in rctx.ctx "emit" (fun () ->
+          Xmobs.Ctx.region rctx.ctx Xmobs.Layer.emit (fun () ->
               Array.iter (fun id -> walk rctx sink plan id) ids))
       roots;
     Option.iter (S.close_element sink) wrapper
 
-  let render ?wrapper store sink shape =
-    let rctx = make_rctx store in
-    Xmobs.Ctx.region_in rctx.ctx "render" (fun () -> emit ?wrapper rctx sink shape)
+  let render ?ctx ?wrapper store sink shape =
+    let rctx = make_rctx ?ctx store in
+    Xmobs.Ctx.region ctx Xmobs.Layer.render (fun () -> emit ?wrapper rctx sink shape)
 end
 
 module Tree_emit = Emit (Xml.Tree.Builder)
@@ -503,16 +502,16 @@ let to_trees store shape =
   Tree_emit.render store b shape;
   Xml.Tree.Builder.trees b
 
-let to_tree ?(wrapper = "result") store shape =
+let to_tree ?ctx ?(wrapper = "result") store shape =
   let b = Xml.Tree.Builder.create () in
-  Tree_emit.render ~wrapper store b shape;
+  Tree_emit.render ?ctx ~wrapper store b shape;
   List.hd (Xml.Tree.Builder.trees b)
 
 (* [flush], when given, is handed the buffer's bytes after each element
    closes, and the buffer is cleared.  The bytes are charged as one write
    once the walk is done, inside the [render] region, whose span so carries them
    as [bytes_written]. *)
-let write ?wrapper ?indent store shape ?flush buf =
+let write ?ctx ?wrapper ?indent store shape ?flush buf =
   let start = Buffer.length buf and flushed = ref 0 in
   let on_close =
     Option.map
@@ -524,19 +523,19 @@ let write ?wrapper ?indent store shape ?flush buf =
   in
   let w = Xml.Printer.Writer.create ?indent ?on_close buf in
   let bytes =
-    let rctx = make_rctx store in
-    Xmobs.Ctx.region_in rctx.ctx "render" @@ fun () ->
+    let rctx = make_rctx ?ctx store in
+    Xmobs.Ctx.region ctx Xmobs.Layer.render @@ fun () ->
     Bytes_emit.emit ?wrapper rctx w shape;
     let bytes = !flushed + Buffer.length buf - start in
-    Store_.Io_stats.charge_write ?ctx:rctx.ctx (Store_.Shredded.stats store) bytes;
+    Store_.Io_stats.charge_write ?ctx (Store_.Shredded.stats store) bytes;
     bytes
   in
   { elements = Xml.Printer.Writer.elements w; bytes }
 
 let stream store shape sink = write store shape ~flush:sink (Buffer.create 1024)
 
-let to_buffer ?wrapper ?indent store shape buf =
-  write ?wrapper ?indent store shape buf
+let to_buffer ?ctx ?wrapper ?indent store shape buf =
+  write ?ctx ?wrapper ?indent store shape buf
 
 type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
 
@@ -621,6 +620,8 @@ module Nav = struct
       roots = ref None }
 
   let charging t ctx = { t with rctx = { t.rctx with ctx } }
+
+  let ctx t = t.rctx.ctx
 
   let roots t =
     match !(t.roots) with

@@ -32,8 +32,8 @@
     under each of them (the duplication the paper calls out).
 
     All reads are charged to the store's {!Store.Io_stats}, and to the
-    calling thread's request context, which each call looks up once
-    when it begins ({!Nav.charging} for a [Nav.t]); [to_buffer] and
+    request context handed to the call ([?ctx]; {!Nav.charging} for a
+    [Nav.t]); [to_buffer] and
     [stream] also charge the serialized output as one write.  A render
     writes no metrics registry: the execution path that ran it
     ([Xmserve.Exec]) writes the [render.*] counters from the returned
@@ -78,13 +78,18 @@ val to_trees : Store.Shredded.t -> Tshape.t -> Xml.Tree.t list
 (** Render each root of the target shape; a root type with [k] instances in
     the source contributes [k] trees. *)
 
-val to_tree : ?wrapper:string -> Store.Shredded.t -> Tshape.t -> Xml.Tree.t
+val to_tree :
+  ?ctx:Xmobs.Ctx.t -> ?wrapper:string -> Store.Shredded.t -> Tshape.t -> Xml.Tree.t
 (** Like {!to_trees} but guarantees a single root: if the forest has exactly
     one tree it is returned as-is, otherwise the trees are wrapped in a
-    [wrapper] element (default ["result"]). *)
+    [wrapper] element (default ["result"]).  The render runs in a
+    [render] region of [ctx], each closest join and the emit walk nested
+    in it, and charges its store reads to [ctx] too; so does
+    {!to_buffer}'s. *)
 
 val to_buffer :
-  ?wrapper:string -> ?indent:bool -> Store.Shredded.t -> Tshape.t -> Buffer.t -> stats
+  ?ctx:Xmobs.Ctx.t -> ?wrapper:string -> ?indent:bool -> Store.Shredded.t -> Tshape.t ->
+  Buffer.t -> stats
 (** Render straight into the buffer, one plan walk with no tree, and
     charge the bytes written as one write to the store's stats.  The
     bytes are those of {!to_trees} printed one after another; with
@@ -172,8 +177,11 @@ module Nav : sig
 
   val charging : t -> Xmobs.Ctx.t option -> t
   (** A view of [t] whose store reads are also charged to the given
-      request context, resolved once by the caller per operation.  It
+      request context, the one handed to the caller's operation.  It
       shares [t]'s handles, caches and roots. *)
+
+  val ctx : t -> Xmobs.Ctx.t option
+  (** The request context [t]'s reads are charged to ({!charging}). *)
 
   val roots : t -> (handle * int array) list
   (** Target roots with their instance ids (restrict/value filters applied,

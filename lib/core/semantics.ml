@@ -15,8 +15,8 @@ type ctx = {
   star_uids : (int, unit) Hashtbl.t;
       (* nodes added by [*]/[**] expansion; deduplicated silently *)
   obs : Xmobs.Ctx.t option;
-      (* the request context the operator regions record into, resolved
-         once per evaluation *)
+      (* the request context the operator regions record into, handed to
+         the evaluation *)
 }
 
 let err fmt = Format.kasprintf (fun s -> raise (Tshape.Error s)) fmt
@@ -492,10 +492,10 @@ and eval_guard_op ctx (cur : Tshape.t) (g : Algebra.t) : Tshape.t =
   | Algebra.Value_eq _ | Algebra.Order_by _ ->
       err "expected MORPH, MUTATE or TRANSLATE at the top of a guard"
 
-let eval guide g =
+let eval ?ctx:obs guide g =
   let ctx =
     { guide; labels = []; pending = []; warnings = []; type_fill = false;
-      star_uids = Hashtbl.create 16; obs = Xmobs.Ctx.current () }
+      star_uids = Hashtbl.create 16; obs }
   in
   let initial = Tshape.of_guide guide in
   (* The initial shape is its own origin so that a first-stage [*] works. *)

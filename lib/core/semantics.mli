@@ -20,9 +20,10 @@ type result = {
   warnings : string list;
 }
 
-val eval : Xml.Dataguide.t -> Algebra.t -> result
+val eval : ?ctx:Xmobs.Ctx.t -> Xml.Dataguide.t -> Algebra.t -> result
 (** Evaluate a guard against a source shape.  As a side effect the algebra's
-    [inferred] annotations are filled in (the type analysis).
+    [inferred] annotations are filled in (the type analysis).  While [ctx]
+    keeps frames, each algebra operator is an operator region of it.
 
     @raise Tshape.Error on semantic errors: a label that matches no type
     (when no TYPE-FILL is in force), a duplicated non-clone type, DROP

@@ -17,15 +17,15 @@ let protect query f =
   | Xquery.Qparse.Error _ as e ->
       raise (Query_failed (Option.get (Xquery.Qparse.error_message query e)))
 
-let run_on_store ?enforce store gq =
+let run_on_store ?ctx ?enforce store gq =
   let transformed, compiled =
-    Xmobs.Ctx.region "guard.transform" @@ fun () ->
-    try Xmorph.Interp.transform ?enforce store gq.guard
+    Xmobs.Ctx.region ctx Xmobs.Layer.guard_transform @@ fun () ->
+    try Xmorph.Interp.transform ?ctx ?enforce store gq.guard
     with Xmorph.Loss.Rejected r -> raise (Guard_rejected r)
   in
-  let result = protect gq.query (fun () -> Xquery.Eval.run transformed gq.query) in
+  let result = protect gq.query (fun () -> Xquery.Eval.run ?ctx transformed gq.query) in
   { transformed; result; result_xml = Xquery.Value.to_trees result; compiled }
 
-let run ?enforce doc gq = run_on_store ?enforce (Store.Shredded.shred doc) gq
+let run ?ctx ?enforce doc gq = run_on_store ?ctx ?enforce (Store.Shredded.shred ?ctx doc) gq
 
 let query_unguarded doc query = Xquery.Eval.run (Xml.Doc.to_tree doc) query

@@ -36,12 +36,12 @@ val protect : string -> (unit -> 'a) -> 'a
     syntax and runtime errors into {!Query_failed} with the message
     [xmorph query] prints.  Both architectures answer through it. *)
 
-val run : ?enforce:bool -> Xml.Doc.t -> t -> outcome
-(** Shred, guard-transform, then query.
+val run : ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> Xml.Doc.t -> t -> outcome
+(** Shred, guard-transform, then query, each layer a region of [ctx].
     @raise Guard_rejected or {!Xmorph.Interp.Error} from the guard phase,
     {!Query_failed} from the query phase. *)
 
-val run_on_store : ?enforce:bool -> Store.Shredded.t -> t -> outcome
+val run_on_store : ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> Store.Shredded.t -> t -> outcome
 (** Same, reusing an existing shredded store (shred once, query many). *)
 
 val query_unguarded : Xml.Doc.t -> string -> Xquery.Value.t

@@ -122,19 +122,19 @@ let infer e =
   ignore (walk acc [] Root_pos e);
   List.map pattern_of_node acc.roots
 
-let guard_of_query src =
-  Xmobs.Ctx.region "guard.infer" @@ fun () ->
+let guard_of_query ?ctx src =
+  Xmobs.Ctx.region ctx Xmobs.Layer.guard_infer @@ fun () ->
   let patterns = infer (Xquery.Qparse.parse src) in
   if patterns = [] then
     failwith "cannot infer a guard: the query never navigates the document";
   Xmorph.Ast.to_string (Xmorph.Ast.Stage (Xmorph.Ast.Morph patterns))
 
-let run_inferred ?enforce ?(cast = true) doc query =
-  let guard = guard_of_query query in
+let run_inferred ?ctx ?enforce ?(cast = true) doc query =
+  let guard = guard_of_query ?ctx query in
   (* An inferred guard reflects what the query navigates, not a shape the
      user vouched for: reshaping (a) book collection under its authors
      rightly duplicates shared books, which strict enforcement would reject.
      By default wrap the guard in a CAST — the loss report is still computed
      and returned for inspection. *)
   let guard = if cast then "CAST (" ^ guard ^ ")" else guard in
-  Guarded_query.run ?enforce doc { Guarded_query.guard; query }
+  Guarded_query.run ?ctx ?enforce doc { Guarded_query.guard; query }

@@ -19,14 +19,16 @@
 val infer : Xquery.Qast.expr -> Xmorph.Ast.pattern list
 (** The inferred shape forest. *)
 
-val guard_of_query : string -> string
-(** Parse a query and render its inferred guard as XMorph text.
+val guard_of_query : ?ctx:Xmobs.Ctx.t -> string -> string
+(** Parse a query and render its inferred guard as XMorph text, in a
+    [guard.infer] region of [ctx].
     @raise Xquery.Qparse.Error on malformed queries.
     @raise Failure if the query never touches the document (no shape to
     infer). *)
 
 val run_inferred :
-  ?enforce:bool -> ?cast:bool -> Xml.Doc.t -> string -> Guarded_query.outcome
+  ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> ?cast:bool -> Xml.Doc.t -> string ->
+  Guarded_query.outcome
 (** Infer the guard, then run the guarded query (see {!Guarded_query.run}).
     Because an inferred guard only reflects what the query navigates — not a
     shape the user vouched for — it is wrapped in a [CAST] by default

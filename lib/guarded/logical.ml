@@ -93,8 +93,9 @@ module Virtual = struct
 
   let materialize t = function
     | Doc | Wrapper _ ->
-        (* Materializing the whole virtual document = the physical render. *)
-        Xmorph.Interp.render t.store t.compiled
+        (* Materializing the whole virtual document = the physical render,
+           in the query's context. *)
+        Xmorph.Interp.render ?ctx:(Nav.ctx t.nav) t.store t.compiled
     | Virt (h, id) -> Nav.materialize t.nav h id
     | Text s -> Xml.Tree.Text s
     | Tree n -> n
@@ -102,12 +103,11 @@ end
 
 module Eval = Xquery.Eval.Make (Virtual)
 
-(* One query is one operation: its reads are charged to the calling
-   thread's request context, looked up here once. *)
-let query t src =
-  let ctx = Xmobs.Ctx.current () in
-  Xmobs.Ctx.region_in ctx "logical.query" @@ fun () ->
+(* One query is one operation: its reads are charged to the context
+   handed to it. *)
+let query ?ctx t src =
+  Xmobs.Ctx.region ctx Xmobs.Layer.logical_query @@ fun () ->
   let t = { t with nav = Nav.charging t.nav ctx } in
-  Eval.materialize t (Eval.eval t (Xquery.Qparse.parse src))
+  Eval.materialize t (Eval.eval ?ctx t (Xquery.Qparse.parse src))
 
-let query_to_xml t src = V.to_trees (query t src)
+let query_to_xml ?ctx t src = V.to_trees (query ?ctx t src)

@@ -28,10 +28,12 @@ val create : ?enforce:bool -> Store.Shredded.t -> guard:string -> t
 (** Compile the guard against the store's shape; nothing is transformed.
     @raise Xmorph.Interp.Error / Xmorph.Loss.Rejected as usual. *)
 
-val query : t -> string -> Xquery.Value.t
-(** Evaluate a query against the virtual transformed document.
+val query : ?ctx:Xmobs.Ctx.t -> t -> string -> Xquery.Value.t
+(** Evaluate a query against the virtual transformed document, in a
+    [logical.query] region of [ctx], to which its store reads are
+    charged.
     @raise Xquery.Qparse.Error on syntax errors, {!Xquery.Eval.Error} on
     runtime errors. *)
 
-val query_to_xml : t -> string -> Xml.Tree.t list
+val query_to_xml : ?ctx:Xmobs.Ctx.t -> t -> string -> Xml.Tree.t list
 (** [query] materialized as XML content. *)

@@ -183,15 +183,15 @@ let generate guide (shape : Tshape.t) =
   | [ r ] -> root_query r
   | rs -> "(" ^ String.concat ", " (List.map root_query rs) ^ ")"
 
-let generate_guard ?(enforce = false) guide guard =
-  let compiled = Xmorph.Interp.compile ~enforce guide guard in
+let generate_guard ?ctx ?(enforce = false) guide guard =
+  let compiled = Xmorph.Interp.compile ?ctx ~enforce guide guard in
   generate guide compiled.Xmorph.Interp.shape
 
-let eval tree view =
-  let trees = Xquery.Value.to_trees (Xquery.Eval.run tree view) in
+let eval ?ctx tree view =
+  let trees = Xquery.Value.to_trees (Xquery.Eval.run ?ctx tree view) in
   match Render.wrap (List.length trees) with
   | None -> List.hd trees
   | Some name -> Xml.Tree.Element { name; attrs = []; children = trees }
 
-let run_view doc guard =
-  eval (Xml.Doc.to_tree doc) (generate_guard (Xml.Dataguide.of_doc doc) guard)
+let run_view ?ctx doc guard =
+  eval ?ctx (Xml.Doc.to_tree doc) (generate_guard ?ctx (Xml.Dataguide.of_doc doc) guard)

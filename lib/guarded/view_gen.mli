@@ -25,14 +25,15 @@ exception Unsupported of string
 val generate : Xml.Dataguide.t -> Xmorph.Tshape.t -> string
 (** The XQuery-lite text of the view.  @raise Unsupported as described. *)
 
-val generate_guard : ?enforce:bool -> Xml.Dataguide.t -> string -> string
+val generate_guard :
+  ?ctx:Xmobs.Ctx.t -> ?enforce:bool -> Xml.Dataguide.t -> string -> string
 (** Compile a guard against a shape, then {!generate}. *)
 
-val eval : Xml.Tree.t -> string -> Xml.Tree.t
+val eval : ?ctx:Xmobs.Ctx.t -> Xml.Tree.t -> string -> Xml.Tree.t
 (** Evaluate a generated view against the source document with
     {!Xquery.Eval}, and wrap the resulting trees as the render wraps a
     forest ({!Xmorph.Render.wrap}). *)
 
-val run_view : Xml.Doc.t -> string -> Xml.Tree.t
+val run_view : ?ctx:Xmobs.Ctx.t -> Xml.Doc.t -> string -> Xml.Tree.t
 (** Convenience: compile the guard against the document, generate the view,
     and {!eval} it. *)

@@ -3,34 +3,28 @@
    A [Ctx.t] is the one region instrument: a stack of open regions, a
    bounded ring of spans (exported by {!Trace.json_of_entries}), atomic
    I/O counters and the query record for one unit of work, and
-   optionally a {!Frames.tree} of profiler frames, installed in a
-   thread-keyed slot while it runs.  The serve daemon installs one per
-   request on the request's worker thread, so concurrent requests get
-   disjoint traces; the CLI's [--trace] installs one on the main thread
-   for the whole command.
+   optionally a {!Frames.tree} of profiler frames.  It is handed, never
+   looked up: every operation that opens a region or charges I/O takes
+   the context as an argument ([?ctx]) and passes it on to the layers it
+   calls.  The serve daemon creates one per request and hands it to the
+   request's execution; the CLI creates one for the whole command when
+   [--trace] or [--profile] asks for it.
 
    A region is a timed stretch of work on the context's one stack.  At
    close it is appended as a span when the context traces, and folded
    into the frame tree when the context keeps frames, both from one pair
-   of clock reads.  Its grain is fixed by its name: a layer ([region],
-   [region_in]: the pipeline's named stages) is kept in both forms; an
-   operator ([enter]/[exit]: an algebra operator or an XQuery expression,
-   repeated per item) only as a frame.
+   of clock reads.  Its grain is fixed by its name: a layer ([region]:
+   the pipeline's named stages, {!Layer}) is kept in both forms; an
+   operator ([enter]/[exit]: an algebra operator or an XQuery
+   expression, repeated per item) only as a frame.  With no context, or
+   one that records nothing, a region is a match and a tail call: no
+   gate, no lock, no allocation.
 
-   [region] resolves the calling thread's context; with none installed
-   anywhere it is one [Atomic.get] of the installed-context count, the
-   one gate, and a tail call.  Hot paths do not consult the slot: an
-   operation (a render, a type analysis, an XQuery evaluation, a value
-   update) resolves {!current} once and hands the context it got to its
-   operator regions, counts and store charges, which then read the
-   context's fields directly: no gate, no lock, no allocation unless
-   something is recorded.
-
-   Threading model: serve handles each request on one systhread, so the
-   slot key is the thread id and everything recorded between [install] and
-   [uninstall] on that thread belongs to the request.  The library starts
+   Threading model: a context serves one operation at a time, on
+   whichever thread runs it; what it records is what was handed it, so
+   per-request attribution holds by construction.  The library starts
    no domains: a render runs, and charges its I/O, on the thread that
-   called it, so per-request I/O attribution is exact. *)
+   called it. *)
 
 (* ---------- ids ---------- *)
 
@@ -121,8 +115,7 @@ type t = {
   span_id : string;  (* this hop's id, sent downstream in [traceparent] *)
   parent_span : string option;
   created : float;  (* Unix time; also the span-timestamp epoch *)
-  (* written only by the installing thread — instrumentation runs on the
-     request's own systhread *)
+  (* written only by the operation the context is handed to *)
   spans : Trace.span Xmutil.Ring.t;
   mutable next_span : int;
   mutable regions : region list; (* open regions, innermost first *)
@@ -132,9 +125,9 @@ type t = {
   c_bytes_written : int Atomic.t;
   c_read_ops : int Atomic.t;
   c_write_ops : int Atomic.t;
-  (* the request's executed-query record, set by the installing thread *)
+  (* the request's executed-query record *)
   mutable qlog : Qlog.entry option;
-  (* profiler frames, while someone asks; written by the installing thread *)
+  (* profiler frames, while someone asks *)
   mutable frames : Frames.tree option;
 }
 
@@ -159,14 +152,15 @@ and region = {
 
 let default_capacity = 4096
 
-let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
+let create ?(capacity = default_capacity) ?trace_id ?parent_span
+    ?(traced = true) ?(frames = false) () =
   let trace_id =
     match trace_id with Some id -> id | None -> fresh_trace_id ()
   in
   let created = Unix.gettimeofday () in
   {
     trace_id;
-    traced = true;
+    traced;
     span_id = fresh_span_id ();
     parent_span;
     created;
@@ -178,12 +172,8 @@ let create ?(capacity = default_capacity) ?trace_id ?parent_span () =
     c_read_ops = Atomic.make 0;
     c_write_ops = Atomic.make 0;
     qlog = None;
-    frames = None;
+    frames = (if frames then Some (Frames.create ()) else None);
   }
-
-(* A context made only to keep frames: no trace is exported from it, so
-   query records made under it carry no trace id. *)
-let untraced () = { (create ()) with traced = false }
 
 let trace_id t = t.trace_id
 
@@ -191,80 +181,15 @@ let traced_id t = if t.traced then Some t.trace_id else None
 
 let traceparent t = Printf.sprintf "00-%s-%s-01" t.trace_id t.span_id
 
-(* ---------- the thread-keyed slot ---------- *)
-
-(* [installed] counts live slots; it is the zero-alloc gate, the only
-   one, that every slot probe checks first.  The slot table itself is cold (touched once per request
-   plus once per probe while any request is in flight). *)
-let installed = Atomic.make 0
-
-let active () = Atomic.get installed > 0
-
-let slots : (int, t) Hashtbl.t = Hashtbl.create 16
-
-let slots_lock = Mutex.create ()
-
-let self_key () = Thread.id (Thread.self ())
-
-let install t =
-  let k = self_key () in
-  Mutex.lock slots_lock;
-  if not (Hashtbl.mem slots k) then Atomic.incr installed;
-  Hashtbl.replace slots k t;
-  Mutex.unlock slots_lock
-
-let uninstall () =
-  let k = self_key () in
-  Mutex.lock slots_lock;
-  if Hashtbl.mem slots k then begin
-    Hashtbl.remove slots k;
-    Atomic.decr installed
-  end;
-  Mutex.unlock slots_lock
-
-let current () =
-  if Atomic.get installed = 0 then None
-  else begin
-    let k = self_key () in
-    Mutex.lock slots_lock;
-    let c = Hashtbl.find_opt slots k in
-    Mutex.unlock slots_lock;
-    c
-  end
-
-(* Restores the binding it replaced: a nested call keeps the outer one. *)
-let with_ctx t f =
-  let prev = current () in
-  install t;
-  Fun.protect f ~finally:(fun () ->
-      match prev with Some p -> install p | None -> uninstall ())
-
 (* ---------- profiler frames ---------- *)
 
-let frames () = match current () with Some c -> c.frames | None -> None
+let frame_roots t = match t.frames with Some tr -> Frames.roots tr | None -> []
 
-(* The calling thread's context, or an untraced one to install. *)
-let current_or_untraced () =
-  match current () with Some c -> c | None -> untraced ()
-
-let keep_frames () =
-  let c = current_or_untraced () in
-  install c;
-  match c.frames with
-  | Some tr -> tr
-  | None ->
-      let tr = Frames.create () in
-      c.frames <- Some tr;
-      tr
-
-let profiled f =
-  let c = current_or_untraced () in
+let profiled ?ctx f =
+  let c = match ctx with Some c -> c | None -> create ~traced:false () in
   let tr = Frames.create () and prev = c.frames in
-  let v =
-    with_ctx c (fun () ->
-        c.frames <- Some tr;
-        Fun.protect f ~finally:(fun () -> c.frames <- prev))
-  in
+  c.frames <- Some tr;
+  let v = Fun.protect (fun () -> f c) ~finally:(fun () -> c.frames <- prev) in
   (v, Frames.roots tr)
 
 (* ---------- regions ---------- *)
@@ -347,7 +272,7 @@ let recording = function
 
 let keeps_frames = function Some { frames = Some _; _ } -> true | _ -> false
 
-let region_in ?attrs ctx name f =
+let region ?attrs ctx name f =
   match ctx with
   | Some t when recording ctx -> (
       let r = push t ~spanned:t.traced ?attrs name in
@@ -359,9 +284,6 @@ let region_in ?attrs ctx name f =
           pop t r;
           raise e)
   | _ -> f ()
-
-let region ?attrs name f =
-  if Atomic.get installed = 0 then f () else region_in ?attrs (current ()) name f
 
 let enter ctx name =
   match ctx with
@@ -386,8 +308,8 @@ let add_out ctx n = count ctx n (fun fr n -> fr.out_count <- fr.out_count + n)
 
 let add_pairs ctx n = count ctx n (fun fr n -> fr.pairs <- fr.pairs + n)
 
-let add_attr key v =
-  match current () with
+let add_attr ctx key v =
+  match ctx with
   | Some c -> (
       match List.find_opt (fun r -> r.span >= 0) c.regions with
       | Some r -> r.attrs <- (key, v) :: r.attrs
@@ -410,7 +332,7 @@ let blocks_of bytes = (bytes + block_size - 1) / block_size
 (* The pages a charge crossed on a store counter that stood at [before]. *)
 let crossed ~before bytes = blocks_of (before + bytes) - blocks_of before
 
-(* [c] was resolved once by the operation charging it: no lookup here. *)
+(* [c] is the context handed to the operation charging it. *)
 let charge_read c ~before bytes =
   ignore (Atomic.fetch_and_add c.c_bytes_read bytes);
   Atomic.incr c.c_read_ops;
@@ -435,8 +357,7 @@ let io t =
 
 (* ---------- the request's query record ---------- *)
 
-let attach_qlog e =
-  match current () with Some c -> c.qlog <- Some e | None -> ()
+let attach_qlog t e = t.qlog <- Some e
 
 (* ---------- the finished request ---------- *)
 

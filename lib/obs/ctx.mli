@@ -8,34 +8,34 @@
     {!Store.Io_stats}-style byte/op counters, the request's query record
     ({!attach_qlog}), and — while someone asks for it — a {!Frames.tree}
     of profiler frames.  The serve daemon creates one per request; the
-    CLI's [--trace FILE] creates one for the whole command and writes
-    its {!trace_json} at exit.
+    CLI's [--trace] and [--profile] create one for the whole command,
+    which writes its {!trace_json} and {!frame_roots} at exit.
 
     A region is a timed stretch of work.  Closing it appends a span when
     the context traces and folds it into the frame tree when the context
     keeps frames, both timed by one pair of clock reads.  Its grain is
     fixed by its name and so by its call site:
-    - a {e layer} ({!region}, {!region_in}: parse, index, shred, lex,
-      compile, loss, render, each [closest(a->b)] join, emit, the XQuery
-      and logical query entry points) is kept in both forms;
+    - a {e layer} ({!region}: parse, index, shred, lex, compile, loss,
+      render, each [closest(a->b)] join, emit, the XQuery and logical
+      query entry points; the static names are {!Layer}'s) is kept in
+      both forms;
     - an {e operator} ({!enter}/{!exit}: a [Semantics] algebra operator
       or an XQuery expression, repeated per item and meaningful only in
       aggregate) is kept only as a frame.
 
-    A context is carried in a thread-keyed slot ({!install} /
-    {!with_ctx}).  {!region} consults {!current}; with no context
-    installed anywhere it is a single atomic load of the
-    installed-context count (the one gate) and allocates nothing.  Hot
-    paths do not consult the slot per call: an operation (a render, a
-    type analysis, an XQuery evaluation, a value update) resolves
-    {!current} once and passes the context to its operator regions,
-    counts ({!add_in}, ...) and store charges ({!charge_read}), which
-    read its fields directly: no lock, no lookup, and no allocation
-    unless something is recorded.
+    A context is handed, never looked up: every operation that opens a
+    region or charges store I/O takes it as [?ctx] and passes it on to
+    the layers it calls, down to its operator regions, counts
+    ({!add_in}, ...) and store charges ({!charge_read}), which read its
+    fields directly.  With no context, or one that neither traces nor
+    keeps frames, a region is a match and a call of [f]: no gate, no
+    lock, no allocation.  [Ctx] holds no global state besides its id
+    counter.
 
-    Attribution boundary: regions and I/O charges are recorded only from
-    the installing thread.  The library starts no domains — a render
-    runs on the thread that called it — so per-context I/O is exact.
+    A context serves one operation at a time, on whichever thread runs
+    it, and records exactly what was handed it.  The library starts no
+    domains — a render runs on the thread that called it — so
+    per-context I/O is exact.
 
     A finished request is sealed by {!finish} into one record, with its
     executed-query record ({!attach_qlog}): the serve daemon folds it
@@ -48,18 +48,21 @@
 type t
 
 val create : ?capacity:int -> ?trace_id:string -> ?parent_span:string ->
-  unit -> t
+  ?traced:bool -> ?frames:bool -> unit -> t
 (** A fresh context.  [capacity] bounds its span ring (default
     4096 spans, allocated only as spans arrive); [trace_id] (32 lowercase hex chars) and [parent_span] come
     from an upstream [traceparent] header when honoring one — by default
-    a fresh trace id is generated. *)
+    a fresh trace id is generated.  [traced] (default [true]) makes its
+    layer regions spans and stamps its trace id into query records;
+    [frames] (default [false]) makes it keep a frame tree from the
+    start, as the CLI's [--profile] does. *)
 
 val trace_id : t -> string
 
 val traced_id : t -> string option
-(** The trace id query records made under [t] carry: [None] for the
-    contexts {!profiled} and {!keep_frames} install when a thread has
-    none, whose spans nobody exports. *)
+(** The trace id query records made under [t] carry: [None] for an
+    untraced context ([~traced:false], or the one {!profiled} makes),
+    whose spans nobody exports. *)
 
 val traceparent : t -> string
 (** The W3C header value for this hop:
@@ -76,60 +79,30 @@ val fresh_trace_id : unit -> string
 val fresh_span_id : unit -> string
 (** 16 lowercase hex chars. *)
 
-(** {2 The thread-keyed slot} *)
-
-val install : t -> unit
-(** Bind [t] to the calling thread (replacing any previous binding). *)
-
-val uninstall : unit -> unit
-(** Unbind the calling thread's context, if any. *)
-
-val with_ctx : t -> (unit -> 'a) -> 'a
-(** [install], run, then restore the binding [install] replaced —
-    [uninstall] when there was none — on exceptions too.  Nested calls
-    therefore leave an outer context installed. *)
-
-val current : unit -> t option
-(** The context installed on the calling thread.  When no context is
-    installed on any thread this is one atomic load, no lock, no
-    allocation. *)
-
-val active : unit -> bool
-(** True when any thread has an installed context: one atomic load of
-    the installed-context count, the one gate. *)
-
 (** {2 Profiler frames} *)
 
-val frames : unit -> Frames.tree option
-(** The frame tree of the calling thread's installed context; [None]
-    without one, or when it keeps none. *)
+val frame_roots : t -> Frames.frame list
+(** The root frames of [t]'s frame tree, oldest first; [[]] when it
+    keeps none. *)
 
-val profiled : (unit -> 'a) -> 'a * Frames.frame list
-(** [profiled f] gives the calling thread's context a fresh frame tree
-    (installing a temporary untraced context when there is none), runs
-    [f], restores what was there, and returns [f]'s result and root
-    frames — exactly [f]'s own, whatever other threads run.  An exception
-    from [f] propagates, dropping its frames. *)
-
-val keep_frames : unit -> Frames.tree
-(** Make the calling thread's context (an untraced one, installed, when
-    there is none) keep frames for good: the command-wide [--profile]. *)
+val profiled : ?ctx:t -> (t -> 'a) -> 'a * Frames.frame list
+(** [profiled ?ctx f] gives [ctx] a fresh frame tree (a fresh untraced
+    context when there is none), hands it to [f], restores the tree it
+    had, and returns [f]'s result and root frames — exactly what [f]
+    recorded into the context it was handed.  An exception from [f]
+    propagates, dropping its frames. *)
 
 (** {2 Regions} *)
 
 val region :
-  ?attrs:(string * Trace.value) list -> string -> (unit -> 'a) -> 'a
-(** [region name f] runs [f] inside a layer region of the calling
-    thread's installed context, closed when [f] returns or raises.  The
-    span starts with [attrs] and carries the store I/O charged to the
-    context while it was open as [bytes_read] / [bytes_written] (only
-    the non-zero ones).  Without an installed context, or in one that
-    neither traces nor keeps frames, it just runs [f]. *)
-
-val region_in :
   ?attrs:(string * Trace.value) list -> t option -> string ->
   (unit -> 'a) -> 'a
-(** {!region} in a context the operation already resolved. *)
+(** [region ctx name f] runs [f] inside a layer region of [ctx], closed
+    when [f] returns or raises.  The span starts with [attrs] and
+    carries the store I/O charged to the context while it was open as
+    [bytes_read] / [bytes_written] (only the non-zero ones).  Without a
+    context, or in one that neither traces nor keeps frames, it just
+    runs [f]. *)
 
 val recording : t option -> bool
 (** The context traces or keeps frames: a region in it records
@@ -161,13 +134,13 @@ val add_in : t option -> int -> unit
 val add_out : t option -> int -> unit
 val add_pairs : t option -> int -> unit
 
-val add_attr : string -> Trace.value -> unit
-(** Attach an attribute to the innermost open span of the calling
-    thread's installed context; a gated no-op without one. *)
+val add_attr : t option -> string -> Trace.value -> unit
+(** Attach an attribute to the innermost open span of the context; a
+    no-op without one, or with no span open. *)
 
 val charge_read : t -> before:int -> int -> unit
 (** [charge_read t ~before bytes] adds [bytes] and one op to [t], the
-    context an operation resolved once; no lookup.  Called by
+    context handed to the operation charging it.  Called by
     [Store.Io_stats] beside its own counter, which stood at [before]
     bytes; when [t] keeps frames, the pages that counter crossed
     ({!blocks_of}) go to the innermost frame. *)
@@ -204,10 +177,9 @@ val trace_json : t -> Xmutil.Json.t
 
 (** {2 The request's query record} *)
 
-val attach_qlog : Qlog.entry -> unit
-(** Keep [e] as the calling thread's installed context's query record
-    (the last one wins); a no-op without a context.  Called by the
-    execution path beside its query-log write. *)
+val attach_qlog : t -> Qlog.entry -> unit
+(** [attach_qlog t e] keeps [e] as [t]'s query record (the last one
+    wins).  Called by the execution path beside its query-log write. *)
 
 (** {2 The finished request} *)
 

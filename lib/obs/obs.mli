@@ -13,6 +13,8 @@ type sinks = {
 (** The sinks an execution writes, [None] for a sink that is off.  The
     CLI builds one record per command and registers its flushes on
     {!Shutdown}; the serve daemon hands its own to every request, with
-    its registry in [metrics]. *)
+    its registry in [metrics].  A request context ({!Ctx}) is no sink:
+    a daemon's sinks are shared by all its workers, while a context
+    belongs to one request and is handed to its execution apart. *)
 
 val no_sinks : sinks

@@ -4,7 +4,7 @@
     its start, duration, the parent span open when it started, and
     key/value attributes.  The context is the only span sink and keeps
     its spans in a bounded ring ({!Xmutil.Ring}): the CLI's [--trace]
-    installs one for the whole command, the serve daemon one per
+    creates one for the whole command, the serve daemon one per
     request.  {!json_of_entries} renders spans as Chrome [trace_event]
     JSON (load at [chrome://tracing] or ui.perfetto.dev). *)
 

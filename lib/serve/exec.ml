@@ -54,8 +54,9 @@ let classify = function
   | Guarded.Guarded_query.Query_failed m -> (Xmobs.Qlog.Parse_error, m)
   | e -> (Xmobs.Qlog.Internal, Printexc.to_string e)
 
-(* Per-request I/O when a request context is installed (exact for this
-   request, not polluted by concurrent ones), snapshot-diff otherwise. *)
+(* Per-request I/O when the execution was handed a request context
+   (exact for this request, not polluted by concurrent ones),
+   snapshot-diff otherwise. *)
 let io_of_ctx_delta (later : Xmobs.Ctx.io) (earlier : Xmobs.Ctx.io) :
     Xmobs.Qlog.io =
   let br = later.Xmobs.Ctx.bytes_read - earlier.Xmobs.Ctx.bytes_read in
@@ -70,7 +71,7 @@ let io_of_ctx_delta (later : Xmobs.Ctx.io) (earlier : Xmobs.Ctx.io) :
   }
 
 (* What a query-log record is measured from: the start time, the trace
-   id, and the I/O baseline — the installed request context's counters
+   id, and the I/O baseline — the handed request context's counters
    when there is one (exact for this request under concurrency), the
    store-wide snapshot otherwise. *)
 type meter = {
@@ -80,8 +81,7 @@ type meter = {
   io0 : Store.Io_stats.snapshot;
 }
 
-let start ?trace_id store =
-  let ctx = Xmobs.Ctx.current () in
+let start ?ctx ?trace_id store =
   {
     ts = now ();
     trace_id =
@@ -93,13 +93,13 @@ let start ?trace_id store =
   }
 
 (* One record, two sinks: the caller's query log and the request context
-   installed on the calling thread, whose finished record carries it to
+   handed to the execution, whose finished record carries it to
    /debug/requests and incident bundles.  The record is built once, only
    when either sink can take it, so the path stays allocation-free when
    both are off. *)
-let submit_entry qlog m store ~source ~doc ~guard ~guard_hash ~query_hash
+let submit_entry ?ctx qlog m store ~source ~doc ~guard ~guard_hash ~query_hash
     ~classification ~eval_s ~render_s ~out_nodes ~cached outcome error =
-  if Option.is_some qlog || Xmobs.Ctx.active () then begin
+  if Option.is_some qlog || Option.is_some ctx then begin
     let io =
       match m.ctx_io with
       | Some (ctx, cio0) -> io_of_ctx_delta (Xmobs.Ctx.io ctx) cio0
@@ -133,12 +133,12 @@ let submit_entry qlog m store ~source ~doc ~guard ~guard_hash ~query_hash
       }
     in
     Option.iter (fun q -> Xmobs.Qlog.log q e) qlog;
-    Xmobs.Ctx.attach_qlog e
+    Option.iter (fun c -> Xmobs.Ctx.attach_qlog c e) ctx
   end
 
-let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
+let execute ?ctx ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
     ?(enforce = true) ?(compact = false) ?trace_id ?query store guard =
-  let m = start ?trace_id store in
+  let m = start ?ctx ?trace_id store in
   (* Hash once per request: the same FNV-1a digest feeds the query-log
      record (whose guard hash labels the served request's metrics and
      trace), the warehouse submit, and both cache tiers. *)
@@ -153,16 +153,16 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
      and the query-log record. *)
   let submit outcome error =
     Option.iter (fun r -> store_gauges r store) sinks.Xmobs.Obs.metrics;
-    submit_entry sinks.Xmobs.Obs.qlog m store ~source ~doc ~guard ~guard_hash
+    submit_entry ?ctx sinks.Xmobs.Obs.qlog m store ~source ~doc ~guard ~guard_hash
       ~query_hash ~classification:!classification ~eval_s:!eval_s
       ~render_s:!render_s ~out_nodes:!out_nodes ~cached:!cached outcome error
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
-     while operator-statistics recording is on or this thread's context
+     while operator-statistics recording is on or the handed context
      keeps frames: a plan-cache hit skips the compile frames and a result
      hit skips everything, which would write meaningless near-zero rows
      into the warehouse and profiles. *)
-  let keeps_frames = Option.is_some (Xmobs.Ctx.frames ()) in
+  let keeps_frames = Xmobs.Ctx.keeps_frames ctx in
   let use_cache =
     Xmcache.enabled () && Option.is_none sinks.statdb && not keeps_frames
   in
@@ -172,15 +172,15 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
   (* Tier-1 consult: compiled plans depend only on the shape (the
      paper's data-independence claim), so they are shared across value
      updates and looked up even when the result tier misses. *)
-  let compile_cached () =
+  let compile_cached ctx =
     if use_cache then
       match Xmcache.find_plan ~guide_uid ~guard_hash ~enforce with
       | Some compiled -> compiled
       | None ->
-          let compiled = Xmorph.Interp.compile ~enforce guide guard in
+          let compiled = Xmorph.Interp.compile ?ctx ~enforce guide guard in
           Xmcache.add_plan ~guide_uid ~guard_hash ~enforce compiled;
           compiled
-    else Xmorph.Interp.compile ~enforce guide guard
+    else Xmorph.Interp.compile ?ctx ~enforce guide guard
   in
   (* Tier-2 key: a body reads the structure, which value updates share,
      and the values of [compiled.reads] alone, so it stays valid until
@@ -199,9 +199,9 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
           out_nodes = !out_nodes;
         }
   in
-  let compile () =
+  let compile ctx =
     let t0 = now () in
-    let compiled = compile_cached () in
+    let compiled = compile_cached ctx in
     eval_s := now () -. t0;
     classification :=
       Some
@@ -209,13 +209,13 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
            compiled.Xmorph.Interp.loss.Xmorph.Report.classification);
     compiled
   in
-  let evaluate compiled =
+  let evaluate ctx compiled =
     let buf = Buffer.create 4096 in
     match query with
     | None ->
         let t1 = now () in
         let st =
-          Xmorph.Interp.render_to_buffer ~indent:(not compact) store compiled buf
+          Xmorph.Interp.render_to_buffer ?ctx ~indent:(not compact) store compiled buf
         in
         if compact then Buffer.add_char buf '\n';
         render_s := now () -. t1;
@@ -232,7 +232,7 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
         let t1 = now () in
         let trees =
           Guarded.Guarded_query.protect q (fun () ->
-              Guarded.Logical.query_to_xml (Guarded.Logical.of_compiled store compiled) q)
+              Guarded.Logical.query_to_xml ?ctx (Guarded.Logical.of_compiled store compiled) q)
         in
         eval_s := !eval_s +. (now () -. t1);
         let t2 = now () in
@@ -252,12 +252,12 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
      serves the stored body verbatim (the byte-identity contract makes
      it equal to a cold execution against this store). *)
   let run_cached () =
-    let compiled = compile () in
+    let compiled = compile ctx in
     match
       Xmcache.find_result ~generation:(generation compiled) ~guard_hash
         ~query_hash:qh ~compact ~enforce
     with
-    | None -> evaluate compiled
+    | None -> evaluate ctx compiled
     | Some entry ->
         cached := true;
         eval_s := 0.0;
@@ -267,7 +267,7 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
           Query_result { body = entry.Xmcache.body; compiled }
         else Rendered { body = entry.Xmcache.body; compiled }
   in
-  let run () = evaluate (compile ()) in
+  let run ctx = evaluate ctx (compile ctx) in
   (* Operator-statistics recording (--stats-db): run the execution with
      a fresh frame tree and fold the frames, plus the compiled shape's
      predicted closest-join cardinalities, into the warehouse.  An
@@ -278,7 +278,7 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
   let run_recorded () =
     match sinks.Xmobs.Obs.statdb with
     | Some db when not keeps_frames ->
-        let outcome, frames = Xmobs.Ctx.profiled run in
+        let outcome, frames = Xmobs.Ctx.profiled ?ctx (fun c -> run (Some c)) in
         let predictions =
           match outcome with
           | Rendered { compiled; _ } | Query_result { compiled; _ } ->
@@ -289,7 +289,7 @@ let execute ?(sinks = Xmobs.Obs.no_sinks) ~source ?(doc = "")
         Xmobs.Statdb.record db ~guard_hash ~predictions
           ?metrics:sinks.Xmobs.Obs.metrics frames;
         outcome
-    | Some _ | None -> run ()
+    | Some _ | None -> run ctx
   in
   match if use_cache then run_cached () else run_recorded () with
   | v ->

@@ -6,9 +6,9 @@
     one {!Xmobs.Qlog} record — on success {e and} on every failure path —
     with the wall/eval/render breakdown, node counts, {!Store.Io_stats}
     deltas, and outcome classification, when the caller's sinks hold a
-    query log or a request context is installed ({!Xmobs.Ctx.active}).
-    It goes to the query log and to the calling thread's context
-    ({!Xmobs.Ctx.attach_qlog}), whose finished record carries it.
+    query log or the call is handed a request context ([?ctx]).  It goes
+    to the query log and to that context ({!Xmobs.Ctx.attach_qlog}),
+    whose finished record carries it.
 
     This is where the pipeline's series reach a metrics registry: when
     the caller's sinks hold one, each execution adds its render's
@@ -39,6 +39,7 @@ val store_gauges : Xmobs.Metrics.t -> Store.Shredded.t -> unit
     daemon's writes. *)
 
 val execute :
+  ?ctx:Xmobs.Ctx.t ->
   ?sinks:Xmobs.Obs.sinks ->
   source:string ->
   ?doc:string ->
@@ -71,14 +72,15 @@ val execute :
     the types the plan reads ([Interp.t.reads]), and each is inserted on
     a miss: a write to a type the guard does not read leaves its cached
     bodies live.  Both tiers are bypassed while [sinks] holds a
-    warehouse or the calling thread's context keeps profiler frames, so
+    warehouse or [ctx] keeps profiler frames, so
     warehouse history and profiles always describe real executions.  A
     result-tier hit is flagged in the query-log record's [cached] field.
 
-    The query-log record's [trace_id] defaults to the calling thread's
-    installed {!Xmobs.Ctx} (if any); [?trace_id] overrides it — the serve
-    daemon's slow-query re-execution passes the original request's id this
-    way, since the capture runs after that request's context is gone.
-    When a context is installed, the record's I/O delta comes from the
-    context (exact for this request under concurrency) instead of the
-    store-wide snapshot diff. *)
+    Every layer the execution runs (compile, render, in-situ query) is a
+    region of [ctx], and every store read is charged to it.  The
+    query-log record's [trace_id] defaults to [ctx]'s when it traces;
+    [?trace_id] overrides it — the serve daemon's slow-query
+    re-execution passes the original request's id this way, since the
+    capture runs in a context of its own.  With a context, the record's
+    I/O delta comes from the context (exact for this request under
+    concurrency) instead of the store-wide snapshot diff. *)

@@ -385,17 +385,17 @@ let stats_json t =
 
 (* Slow-query auto-capture: re-execute the over-threshold request once
    and return its frames for [finish] to seal into the request's ring
-   entry (and, optionally, a --slow-log artifact).  Called after the
-   request's context is uninstalled, so [Ctx.profiled] runs it in a
-   temporary context of its own: its spans and query record stay out of
-   the request's entry, and no other request adds frames.  It writes no
+   entry (and, optionally, a --slow-log artifact).  [Ctx.profiled] hands
+   the re-execution a temporary context of its own: its spans and query
+   record stay out of the request's entry, and no other request adds
+   frames.  It writes no
    metrics registry: the request's own execution already counted its
    render and set the store gauges.  Runs before the response returns,
    delaying it by about one execution. *)
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
   let _, frames =
-    Xmobs.Ctx.profiled (fun () ->
-        Exec.execute
+    Xmobs.Ctx.profiled (fun ctx ->
+        Exec.execute ~ctx
           ~sinks:{ t.sinks with Xmobs.Obs.metrics = None }
           ~source:"slow-capture" ~doc:doc_name
           ~enforce ~trace_id ?query store guard)
@@ -470,52 +470,51 @@ let handle_query t req =
   (* [rerun] is what a slow-query capture needs to re-execute; None when
      the request was refused. *)
   let resp, refused, rerun =
-    Xmobs.Ctx.with_ctx ctx (fun () ->
-        match store_for t req with
-        | None ->
-            ( Http.response 404
-                (Printf.sprintf "unknown doc %S\n"
-                   (Option.value ~default:""
-                      (List.assoc_opt "doc" req.Http.query))),
-              Some "no-store",
-              None )
-        | Some (doc_name, store) ->
-            let guard = req.Http.body in
-            if String.trim guard = "" then
-              (Http.response 400 "empty guard body\n", Some "empty-guard", None)
-            else begin
-              let query = List.assoc_opt "query" req.Http.query in
-              let enforce =
-                not (truthy (List.assoc_opt "force" req.Http.query))
-              in
-              let resp =
-                match
-                  Exec.execute ~sinks:t.sinks ~source:"serve" ~doc:doc_name
-                    ~enforce ?query store guard
-                with
-                | Exec.Rendered { body; _ } | Exec.Query_result { body; _ } ->
-                    Http.response ~content_type:"application/xml" 200 body
-                | Exec.Failed { kind; message } ->
-                    let status =
-                      match kind with
-                      | Xmobs.Qlog.Parse_error -> 400
-                      | Xmobs.Qlog.Type_mismatch -> 422
-                      | Xmobs.Qlog.Internal | Xmobs.Qlog.Ok -> 500
-                    in
-                    let message =
-                      if String.length message > 0
-                         && message.[String.length message - 1] = '\n'
-                      then message
-                      else message ^ "\n"
-                    in
-                    Http.response status message
-              in
-              (* Keep the on-disk log live for tail -f / xmorph stats
-                 while the daemon runs; the Shutdown path covers the
-                 final records. *)
-              Option.iter Xmobs.Qlog.flush t.sinks.Xmobs.Obs.qlog;
-              (resp, None, Some (doc_name, store, enforce, query))
-            end)
+    match store_for t req with
+    | None ->
+        ( Http.response 404
+            (Printf.sprintf "unknown doc %S\n"
+               (Option.value ~default:""
+                  (List.assoc_opt "doc" req.Http.query))),
+          Some "no-store",
+          None )
+    | Some (doc_name, store) ->
+        let guard = req.Http.body in
+        if String.trim guard = "" then
+          (Http.response 400 "empty guard body\n", Some "empty-guard", None)
+        else begin
+          let query = List.assoc_opt "query" req.Http.query in
+          let enforce =
+            not (truthy (List.assoc_opt "force" req.Http.query))
+          in
+          let resp =
+            match
+              Exec.execute ~ctx ~sinks:t.sinks ~source:"serve" ~doc:doc_name
+                ~enforce ?query store guard
+            with
+            | Exec.Rendered { body; _ } | Exec.Query_result { body; _ } ->
+                Http.response ~content_type:"application/xml" 200 body
+            | Exec.Failed { kind; message } ->
+                let status =
+                  match kind with
+                  | Xmobs.Qlog.Parse_error -> 400
+                  | Xmobs.Qlog.Type_mismatch -> 422
+                  | Xmobs.Qlog.Internal | Xmobs.Qlog.Ok -> 500
+                in
+                let message =
+                  if String.length message > 0
+                     && message.[String.length message - 1] = '\n'
+                  then message
+                  else message ^ "\n"
+                in
+                Http.response status message
+          in
+          (* Keep the on-disk log live for tail -f / xmorph stats
+             while the daemon runs; the Shutdown path covers the
+             final records. *)
+          Option.iter Xmobs.Qlog.flush t.sinks.Xmobs.Obs.qlog;
+          (resp, None, Some (doc_name, store, enforce, query))
+        end
   in
   let wall_s = now () -. t0 in
   let profile =
@@ -875,16 +874,13 @@ let handle_conn t w fd =
   | exception Unix.Unix_error _ -> ()
 
 (* One connection, start to close.  Nothing it raises may escape: the
-   worker serves the next connection whatever became of this one.  No
-   request context outlives the connection on the worker's thread, whose
-   id the next request's context is keyed by. *)
+   worker serves the next connection whatever became of this one. *)
 let serve_conn t w fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   (try handle_conn t w fd
    with e ->
      Printf.eprintf "xmorph serve: connection dropped: %s\n%!"
        (Printexc.to_string e));
-  Xmobs.Ctx.uninstall ();
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Worker [w]: accept, serve, close, until [stop] shuts the listener.  A

@@ -11,7 +11,7 @@
     Counters are per-instance; a store owns one and shares it with the
     renderer that reads from it.  A charge touches counters only: this
     one's atomics and, when the charging operation passes one, the
-    {!Xmobs.Ctx} request context it resolved once when it began, whose
+    {!Xmobs.Ctx} request context handed to that operation, whose
     spans (and profiler frames) carry the I/O charged under them.  No
     lock, lookup or allocation happens per charge.
 

@@ -100,9 +100,10 @@ let make ~parent ~type_id ~rank ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_
     groups = Hashtbl.create 16; levels = Hashtbl.create 16; lock = Mutex.create ();
     generation; origin = generation; stamps = Bytes.unsafe_to_string stamps }
 
-let shred doc =
+let shred ?ctx doc =
   let count = Xml.Doc.node_count doc in
-  Xmobs.Ctx.region "store.shred" ~attrs:[ ("nodes", Xmobs.Trace.Int count) ] @@ fun () ->
+  Xmobs.Ctx.region ctx Xmobs.Layer.store_shred ~attrs:[ ("nodes", Xmobs.Trace.Int count) ]
+  @@ fun () ->
   let types = Xml.Doc.types doc in
   let seqs = Array.init (Xml.Type_table.count types) (Xml.Doc.nodes_of_type doc) in
   (* The size of [type_fields], without building them. *)
@@ -273,7 +274,7 @@ let sequence ?ctx t ty =
     t.seqs.(ty)
   end
 
-let update_values t updates =
+let update_values ?ctx t updates =
   let count = node_count t in
   (* Every id is checked before any effect; the last write to an id wins. *)
   let batch =
@@ -285,7 +286,6 @@ let update_values t updates =
   in
   let patched = Bytes.of_string t.patched in
   let generation = next_generation () and stamps = Bytes.of_string t.stamps in
-  let ctx = Xmobs.Ctx.current () in
   let values, data_bytes =
     Int_map.fold
       (fun id value (values, data_bytes) ->
@@ -318,8 +318,8 @@ let is_store path =
   In_channel.with_open_bin path (fun ic ->
       In_channel.really_input_string ic (String.length magic_prefix) = Some magic_prefix)
 
-let save t path =
-  Xmobs.Ctx.region "store.save" @@ fun () ->
+let save ?ctx t path =
+  Xmobs.Ctx.region ctx Xmobs.Layer.store_save @@ fun () ->
   let b = Buffer.create (t.data_bytes + 1024) in
   Buffer.add_string b magic;
   (* Type table, in id order so re-interning reproduces the ids. *)
@@ -366,8 +366,8 @@ let save t path =
   Buffer.output_buffer oc b;
   close_out oc
 
-let load path =
-  Xmobs.Ctx.region "store.load" @@ fun () ->
+let load ?ctx path =
+  Xmobs.Ctx.region ctx Xmobs.Layer.store_load @@ fun () ->
   let data = In_channel.with_open_bin path In_channel.input_all in
   if not (String.starts_with ~prefix:magic data) then raise (Codec.Corrupt "bad magic");
   let c = Codec.cursor ~pos:(String.length magic) data in

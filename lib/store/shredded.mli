@@ -24,7 +24,7 @@
     the evaluation observes the I/O-driven cost the paper reports.
     Re-reading a node that the renderer duplicates costs I/O again, exactly
     like a page read.  The reads the renderer makes take an optional
-    [?ctx], the request context its operation resolved once, and charge it
+    [?ctx], the request context handed to their operation, and charge it
     too ({!Io_stats.charge_read}).
 
     Alongside the Nodes table the file holds a {e columnar Dewey sidecar}:
@@ -60,8 +60,9 @@ type node = {
 
 type t
 
-val shred : Xml.Doc.t -> t
-(** Build the tables from an indexed document. *)
+val shred : ?ctx:Xmobs.Ctx.t -> Xml.Doc.t -> t
+(** Build the tables from an indexed document, in a [store.shred]
+    region of [ctx]. *)
 
 val stats : t -> Io_stats.t
 (** The store's I/O accounting; shared with whoever reads from the store. *)
@@ -161,7 +162,7 @@ val generation_of : t -> Xml.Type_table.id array -> int
     such a body on this number, and a write to another type leaves the
     entry live. *)
 
-val update_values : t -> (int * string) list -> t
+val update_values : ?ctx:Xmobs.Ctx.t -> t -> (int * string) list -> t
 (** [update_values t [(id, v); ...]] is a store identical to [t] except
     each node [id]'s text value is [v]; when an id appears more than once
     the last value wins.  This is the store half of mapping value updates
@@ -181,20 +182,19 @@ val update_values : t -> (int * string) list -> t
     writes a value of ({!generation_of}) and on no other; an empty batch
     stamps nothing.  The returned store shares [t]'s I/O
     accounting, and each rewritten record is charged as a write at its
-    encoded size, to the calling thread's {!Xmobs.Ctx} too (looked up
-    once per call).
+    encoded size, to [ctx] too.
     @raise Invalid_argument, with no effect, if any id is out of range. *)
 
 val update_value : t -> int -> string -> t
 (** [update_value t id v] is [update_values t [ (id, v) ]]. *)
 
-val save : t -> string -> unit
+val save : ?ctx:Xmobs.Ctx.t -> t -> string -> unit
 (** Write the store to a file (format 2, with the columnar Dewey sidecar),
     encoding the Nodes blob from the columns with the current values and
     each Dewey number derived from the parent and rank columns: the bytes
     are those of a store shredded with those values. *)
 
-val load : string -> t
+val load : ?ctx:Xmobs.Ctx.t -> string -> t
 (** Read a store back, decoding every record once into the columns.
     @raise Codec.Corrupt on malformed files, including files of the
     retired format 1, and on any record that is not what {!save} writes:

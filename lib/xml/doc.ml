@@ -103,8 +103,8 @@ module Index = struct
         children_of r id ty (k + 1) text rest
 end
 
-let of_forest trees =
-  Xmobs.Ctx.region "xml.index" @@ fun () ->
+let of_forest ?ctx trees =
+  Xmobs.Ctx.region ctx Xmobs.Layer.xml_index @@ fun () ->
   let types = Type_table.create () in
   let total = List.fold_left (fun n t -> n + Tree.count_nodes t) 0 trees in
   let r = Index.create types total in
@@ -152,9 +152,9 @@ let of_forest trees =
   done;
   { types; parent; type_id; rank; value; kid_start; kids; by_type; roots }
 
-let of_tree tree = of_forest [ tree ]
+let of_tree ?ctx tree = of_forest ?ctx [ tree ]
 
-let of_string s = of_tree (Parser.parse s)
+let of_string ?ctx s = of_tree ?ctx (Parser.parse ?ctx s)
 
 let types t = t.types
 let node_count t = Array.length t.type_id

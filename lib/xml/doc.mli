@@ -45,18 +45,19 @@ type node = {
 
 type t
 
-val of_tree : Tree.t -> t
-(** @raise Invalid_argument if an element's name begins with ["@"], the
+val of_tree : ?ctx:Xmobs.Ctx.t -> Tree.t -> t
+(** Index a document, in an [xml.index] region of [ctx].
+    @raise Invalid_argument if an element's name begins with ["@"], the
     attribute marker of path types. *)
 
-val of_forest : Tree.t list -> t
+val of_forest : ?ctx:Xmobs.Ctx.t -> Tree.t list -> t
 (** Index a {e collection} of documents (the paper's data model is an "XML
     data collection D").  Document [i] is rooted at Dewey number [i+1], so
     nodes of different documents share no Dewey prefix: no path connects
     them, and the closest relation never crosses documents.
     @raise Invalid_argument as {!of_tree}. *)
 
-val of_string : string -> t
+val of_string : ?ctx:Xmobs.Ctx.t -> string -> t
 (** Parse then index.  @raise Parser.Error on malformed input. *)
 
 val types : t -> Type_table.t

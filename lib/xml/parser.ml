@@ -424,8 +424,8 @@ let parse_document src =
   trail ();
   root
 
-let parse src =
-  Xmobs.Ctx.region "xml.parse"
+let parse ?ctx src =
+  Xmobs.Ctx.region ctx Xmobs.Layer.xml_parse
     ~attrs:[ ("bytes", Xmobs.Trace.Int (String.length src)) ]
     (fun () -> parse_document src)
 

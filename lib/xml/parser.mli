@@ -15,8 +15,9 @@ exception Error of { line : int; col : int; msg : string }
 (** Raised on malformed input with a 1-based source position; an error at
     end of input is placed one past the last character. *)
 
-val parse : string -> Tree.t
-(** Parse a complete document; the result is the root element.  Equal
+val parse : ?ctx:Xmobs.Ctx.t -> string -> Tree.t
+(** Parse a complete document; the result is the root element, parsed
+    in an [xml.parse] region of [ctx].  Equal
     element and attribute names within one parse are physically the same
     string; callers must not rely on that across parses, which share
     nothing.

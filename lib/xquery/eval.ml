@@ -602,11 +602,10 @@ module Make (N : NAV) = struct
                 [ Value.Num g ]))
     | other -> err "unknown function %s()" other
 
-  let eval nav e =
+  let eval ?ctx nav e =
     let root = N.document nav in
     let env =
-      { doc =
-          { nav; text = N.string_value nav; root; ctx = Xmobs.Ctx.current () };
+      { doc = { nav; text = N.string_value nav; root; ctx };
         vars = [];
         context = None; position = 1; size = 1 }
     in
@@ -645,10 +644,10 @@ end
 
 module Physical = Make (Tree)
 
-let eval root e =
-  Xmobs.Ctx.region "xquery.eval" @@ fun () ->
-  Physical.eval (Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }) e
+let eval ?ctx root e =
+  Xmobs.Ctx.region ctx Xmobs.Layer.xquery_eval @@ fun () ->
+  Physical.eval ?ctx (Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }) e
 
-let run root src = eval root (Qparse.parse src)
+let run ?ctx root src = eval ?ctx root (Qparse.parse src)
 
 let run_to_xml root src = Value.to_trees (run root src)

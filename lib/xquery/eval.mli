@@ -52,19 +52,20 @@ module type NAV = sig
 end
 
 module Make (N : NAV) : sig
-  val eval : N.t -> Qast.expr -> N.node Value.item_of list
-  (** [eval doc e] evaluates [e] in document [doc].  It resolves the
-      calling thread's context once; while that context keeps frames,
-      each expression node is an operator region ({!Xmobs.Ctx.enter}). *)
+  val eval : ?ctx:Xmobs.Ctx.t -> N.t -> Qast.expr -> N.node Value.item_of list
+  (** [eval doc e] evaluates [e] in document [doc].  While [ctx] keeps
+      frames, each expression node is an operator region of it
+      ({!Xmobs.Ctx.enter}). *)
 
   val materialize : N.t -> N.node Value.item_of list -> Value.t
   (** Nodes materialized as trees, other items as they are. *)
 end
 
-val eval : Xml.Tree.t -> Qast.expr -> Value.t
-(** [eval doc e] evaluates [e] with [doc] as the context document. *)
+val eval : ?ctx:Xmobs.Ctx.t -> Xml.Tree.t -> Qast.expr -> Value.t
+(** [eval doc e] evaluates [e] with [doc] as the context document, in an
+    [xquery.eval] region of [ctx]. *)
 
-val run : Xml.Tree.t -> string -> Value.t
+val run : ?ctx:Xmobs.Ctx.t -> Xml.Tree.t -> string -> Value.t
 (** Parse and evaluate.
     @raise Qparse.Error on syntax errors, {!Error} on runtime errors. *)
 

@@ -43,7 +43,7 @@ let test_query_to_buffer () =
   Alcotest.(check string) "serialized" "<title>X</title><title>Y</title>"
     (Buffer.contents buf)
 
-(* A dump and a query each charge the calling thread's request context.
+(* A dump and a query each charge the request context handed to them.
    The store.* gauges are the execution path's to set, as for the
    physical store the baseline is compared with: after an execution with
    a registry in its sinks, they equal that store's counters. *)
@@ -52,11 +52,10 @@ let test_operations_publish () =
   let stats = Baseline.Exist_sim.stats ex in
   let s0 = Store.Io_stats.snapshot stats in
   let ctx = Xmobs.Ctx.create () in
-  Xmobs.Ctx.with_ctx ctx (fun () ->
-      ignore (Baseline.Exist_sim.dump ex (Buffer.create 256));
-      ignore
-        (Baseline.Exist_sim.query_to_buffer ex "/data/book/title"
-           (Buffer.create 64)));
+  ignore (Baseline.Exist_sim.dump ~ctx ex (Buffer.create 256));
+  ignore
+    (Baseline.Exist_sim.query_to_buffer ~ctx ex "/data/book/title"
+       (Buffer.create 64));
   let s1 = Store.Io_stats.snapshot stats in
   let io = Xmobs.Ctx.io ctx in
   Alcotest.(check (list int)) "the context got the operations' I/O"

@@ -1,6 +1,7 @@
-(* Request-scoped telemetry contexts: W3C traceparent parsing, the
-   thread-keyed slot, span recording into the context (the only span
-   sink) with its I/O attributes, per-request I/O attribution summing exactly to the
+(* Request-scoped telemetry contexts: W3C traceparent parsing, span
+   recording into the context handed to a region (the only span sink)
+   with its I/O attributes, a handed context recording wherever its
+   operation runs, per-request I/O attribution summing exactly to the
    global Io_stats deltas under concurrency, and the finished-request
    record behind the serve daemon's /debug endpoints. *)
 
@@ -85,61 +86,20 @@ let test_traceparent_of_ctx () =
     "fresh header parses" true
     (Ctx.parse_traceparent (Ctx.traceparent fresh) <> None)
 
-(* ---------- the slot ---------- *)
-
-let test_slot () =
-  Alcotest.(check bool) "no context outside" true (Ctx.current () = None);
-  Alcotest.(check bool) "inactive outside" false (Ctx.active ());
-  let ctx = Ctx.create () in
-  let inner =
-    Ctx.with_ctx ctx (fun () ->
-        Alcotest.(check bool) "active inside" true (Ctx.active ());
-        Alcotest.(check (option string))
-          "current trace id"
-          (Some (Ctx.trace_id ctx))
-          (Option.map Ctx.trace_id (Ctx.current ()));
-        Ctx.current ())
-  in
-  Alcotest.(check bool) "current inside" true (inner = Some ctx);
-  Alcotest.(check bool) "uninstalled after" true (Ctx.current () = None);
-  (* Uninstall survives exceptions. *)
-  (try Ctx.with_ctx ctx (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "uninstalled after raise" true (Ctx.current () = None)
-
-(* A nested [with_ctx] hands the thread back to the outer context, on a
-   raise too, and leaves the installed count exact. *)
-let test_slot_nested () =
-  let outer = Ctx.create () and inner = Ctx.create () in
-  let current_id () = Option.map Ctx.trace_id (Ctx.current ()) in
-  Ctx.with_ctx outer (fun () ->
-      Ctx.with_ctx inner (fun () ->
-          Alcotest.(check (option string))
-            "inner installed" (Some (Ctx.trace_id inner)) (current_id ()));
-      Alcotest.(check (option string))
-        "outer restored" (Some (Ctx.trace_id outer)) (current_id ());
-      (try Ctx.with_ctx inner (fun () -> failwith "boom")
-       with Failure _ -> ());
-      Alcotest.(check (option string))
-        "outer restored after raise" (Some (Ctx.trace_id outer))
-        (current_id ()));
-  Alcotest.(check bool) "uninstalled after" true (Ctx.current () = None);
-  Alcotest.(check bool) "installed count back to zero" false (Ctx.active ())
-
 let span_names ctx =
   List.map (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name) (Ctx.entries ctx)
 
-(* Phase spans land in the installed context; without one the same call
-   sites record nothing and just run. *)
+(* Phase spans land in the context handed to them; without one the same
+   call sites record nothing and just run. *)
 let test_spans_land_in_ctx () =
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () ->
-      Ctx.region "outer" (fun () ->
-          Ctx.region "inner" (fun () -> ())));
+  let c = Some ctx in
+  Ctx.region c "outer" (fun () -> Ctx.region c "inner" (fun () -> ()));
   Alcotest.(check (list string))
     "spans recorded into the context" [ "inner"; "outer" ] (span_names ctx);
   Alcotest.(check int) "span count" 2 (List.length (Ctx.entries ctx));
   Alcotest.(check int) "phase runs without a context" 7
-    (Ctx.region "nowhere" (fun () -> 7));
+    (Ctx.region None "nowhere" (fun () -> 7));
   Alcotest.(check (list string))
     "nothing recorded outside the context" [ "inner"; "outer" ]
     (span_names ctx)
@@ -150,19 +110,18 @@ let test_spans_land_in_ctx () =
 let test_span_attrs () =
   let stats = Store.Io_stats.create () in
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () ->
-      Ctx.region "render" (fun () ->
-          Store.Io_stats.charge_read ~ctx stats 100;
-          Ctx.region "inner" (fun () ->
-              Store.Io_stats.charge_write ~ctx stats 10);
-          Ctx.add_attr "classification" (Xmobs.Trace.String "narrowing"));
-      (try
-         Ctx.region "boom" (fun () ->
-             Store.Io_stats.charge_read ~ctx stats 5;
-             failwith "x")
-       with Failure _ -> ());
-      Ctx.region "idle" (fun () -> ()));
-  Ctx.add_attr "outside" (Xmobs.Trace.Bool true);
+  let c = Some ctx in
+  Ctx.region c "render" (fun () ->
+      Store.Io_stats.charge_read ~ctx stats 100;
+      Ctx.region c "inner" (fun () -> Store.Io_stats.charge_write ~ctx stats 10);
+      Ctx.add_attr c "classification" (Xmobs.Trace.String "narrowing"));
+  (try
+     Ctx.region c "boom" (fun () ->
+         Store.Io_stats.charge_read ~ctx stats 5;
+         failwith "x")
+   with Failure _ -> ());
+  Ctx.region c "idle" (fun () -> ());
+  Ctx.add_attr c "outside" (Xmobs.Trace.Bool true);
   let attrs name =
     let s =
       List.find (fun (s : Xmobs.Trace.span) -> s.Xmobs.Trace.name = name)
@@ -184,10 +143,9 @@ let test_span_attrs () =
 
 let test_span_ring_bound () =
   let ctx = Ctx.create ~capacity:3 () in
-  Ctx.with_ctx ctx (fun () ->
-      for i = 1 to 8 do
-        Ctx.region_in (Some ctx) (Printf.sprintf "s%d" i) (fun () -> ())
-      done);
+  for i = 1 to 8 do
+    Ctx.region (Some ctx) (Printf.sprintf "s%d" i) (fun () -> ())
+  done;
   Alcotest.(check (list string))
     "ring keeps the newest spans" [ "s6"; "s7"; "s8" ] (span_names ctx)
 
@@ -205,9 +163,8 @@ let test_create_is_small () =
 
 let test_trace_json_parses () =
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () ->
-      Ctx.region_in (Some ctx) "a" ~attrs:[ ("k", Xmobs.Trace.Int 1) ] (fun () ->
-          Ctx.region_in (Some ctx) "b" (fun () -> ())));
+  Ctx.region (Some ctx) "a" ~attrs:[ ("k", Xmobs.Trace.Int 1) ] (fun () ->
+      Ctx.region (Some ctx) "b" (fun () -> ()));
   let text = Xmutil.Json.to_string (Ctx.trace_json ctx) in
   match Xmutil.Json.of_string text with
   | Xmutil.Json.Obj fields -> (
@@ -226,8 +183,7 @@ let test_trace_json_parses () =
 let test_region_span_and_frame () =
   let ctx = Ctx.create () in
   let (), frames =
-    Ctx.with_ctx ctx (fun () ->
-        Ctx.profiled (fun () -> Ctx.region "compile" (fun () -> ())))
+    Ctx.profiled ~ctx (fun ctx -> Ctx.region (Some ctx) "compile" (fun () -> ()))
   in
   match (Ctx.entries ctx, frames) with
   | [ s ], [ f ] ->
@@ -239,19 +195,18 @@ let test_region_span_and_frame () =
       Alcotest.failf "%d spans and %d frames, not one of each"
         (List.length spans) (List.length frames)
 
-(* [profiled] with no context installed runs in an untraced one, whose
-   spans nobody would export: its regions are frames only. *)
+(* [profiled] with no context hands [f] an untraced one, whose spans
+   nobody would export: its regions are frames only. *)
 let test_profiled_untraced_no_spans () =
   let seen = ref None in
   let (), frames =
-    Ctx.profiled (fun () ->
-        Ctx.region "parse" (fun () -> seen := Ctx.current ()))
+    Ctx.profiled (fun c -> Ctx.region (Some c) "parse" (fun () -> seen := Some c))
   in
   Alcotest.(check (list string)) "the frame is kept" [ "parse" ]
     (List.map (fun (f : Xmobs.Frames.frame) -> f.name) frames);
   match !seen with
   | Some c -> Alcotest.(check (list string)) "no span" [] (span_names c)
-  | None -> Alcotest.fail "profiled installed no context"
+  | None -> Alcotest.fail "profiled handed no context"
 
 (* A traced context without frames sees a render's layers, each closest
    join and the emit among them, and none of the per-item operators of
@@ -263,14 +218,13 @@ let test_render_layers_only () =
   in
   let store = Store.Shredded.shred doc in
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () ->
-      let t =
-        Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store)
-          "MORPH author [ name ]"
-      in
-      ignore (Xmorph.Interp.render store t);
-      ignore
-        (Xquery.Eval.run (Xml.Doc.to_tree doc) "for $r in /data/rec return $r/name"));
+  let t =
+    Xmorph.Interp.compile ~ctx ~enforce:false (Store.Shredded.guide store)
+      "MORPH author [ name ]"
+  in
+  ignore (Xmorph.Interp.render ~ctx store t);
+  ignore
+    (Xquery.Eval.run ~ctx (Xml.Doc.to_tree doc) "for $r in /data/rec return $r/name");
   let names = span_names ctx in
   List.iter
     (fun n ->
@@ -283,9 +237,37 @@ let test_render_layers_only () =
     [ "morph"; "closest"; "type(author)"; "type(name)"; "flwor";
       "step:child::name" ]
 
+(* An in-situ query that returns the render's wrapper (two authors make
+   a forest) renders the whole virtual document in the query's own
+   context: a [render] span nested in the [logical.query] one, its reads
+   charged there. *)
+let test_logical_document_render () =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string
+         "<data><rec><author>a1</author><name>n1</name></rec>\
+          <rec><author>a2</author><name>n2</name></rec></data>")
+  in
+  let t =
+    Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store)
+      "MORPH author [ name ]"
+  in
+  let ctx = Ctx.create () in
+  ignore (Guarded.Logical.query ~ctx (Guarded.Logical.of_compiled store t) "/result");
+  let spans = Ctx.entries ctx in
+  let span_named name =
+    match List.find_opt (fun (s : Xmobs.Trace.span) -> s.name = name) spans with
+    | Some s -> s
+    | None -> Alcotest.failf "no %s span in [%s]" name (String.concat "; " (span_names ctx))
+  in
+  let q = span_named "logical.query" and r = span_named "render" in
+  Alcotest.(check int) "render nested in logical.query" q.id r.parent;
+  Alcotest.(check bool) "render reads charged to the context" true
+    (List.mem_assoc "bytes_read" r.attrs)
+
 (* ---------- I/O attribution ---------- *)
 
-(* Charges from concurrent request threads, each under its own context:
+(* Charges from concurrent request threads, each handed its own context:
    per-context byte/op totals must sum exactly to the global Io_stats
    delta over the same window (atomic adds commute). *)
 let run_io_workers charge_lists =
@@ -298,12 +280,11 @@ let run_io_workers charge_lists =
         let th =
           Thread.create
             (fun () ->
-              Ctx.with_ctx ctx (fun () ->
-                  List.iter
-                    (fun bytes ->
-                      Store.Io_stats.charge_read ~ctx stats bytes;
-                      Store.Io_stats.charge_write ~ctx stats (bytes / 2))
-                    charges))
+              List.iter
+                (fun bytes ->
+                  Store.Io_stats.charge_read ~ctx stats bytes;
+                  Store.Io_stats.charge_write ~ctx stats (bytes / 2))
+                charges)
             ()
         in
         (ctx, th))
@@ -345,6 +326,81 @@ let prop_io_sum =
       && delta.Store.Io_stats.read_ops = sum (fun io -> io.Ctx.read_ops)
       && delta.Store.Io_stats.write_ops = sum (fun io -> io.Ctx.write_ops))
 
+(* ---------- a handed context ---------- *)
+
+(* A two-party barrier: the second caller releases the first. *)
+let barrier () =
+  let m = Mutex.create () and c = Condition.create () and n = ref 0 in
+  fun () ->
+    Mutex.lock m;
+    incr n;
+    if !n >= 2 then Condition.broadcast c
+    else while !n < 2 do Condition.wait c m done;
+    Mutex.unlock m
+
+(* A context records what it is handed, wherever that runs.  Two
+   systhreads, each handed its own context, compile, render and query one
+   shared store at once (barriers keep both contexts live together), for
+   20 rounds: each context holds the span names and I/O of a lone run,
+   no more and no less.  A context made on this thread and handed to an
+   operation on another records that operation. *)
+let test_handed_ctx_records_anywhere () =
+  let store =
+    Store.Shredded.shred
+      (Xml.Doc.of_string
+         "<data><rec><author>a1</author><name>n1</name></rec>\
+          <rec><author>a2</author><name>n2</name></rec></data>")
+  in
+  let work ctx =
+    let compiled =
+      Xmorph.Interp.compile ~ctx ~enforce:false (Store.Shredded.guide store)
+        "MORPH author [ name ]"
+    in
+    ignore (Xmorph.Interp.render_to_buffer ~ctx store compiled (Buffer.create 256));
+    ignore
+      (Guarded.Logical.query ~ctx (Guarded.Logical.of_compiled store compiled)
+         "//name")
+  in
+  let recorded ctx =
+    let io = Ctx.io ctx in
+    ( List.sort compare (span_names ctx),
+      [ io.Ctx.bytes_read; io.bytes_written; io.read_ops; io.write_ops ] )
+  in
+  let check what want ctx =
+    let names, io = recorded ctx in
+    Alcotest.(check (list string)) (what ^ ": span names") (fst want) names;
+    Alcotest.(check (list int)) (what ^ ": I/O") (snd want) io
+  in
+  let lone () =
+    let ctx = Ctx.create () in
+    work ctx;
+    recorded ctx
+  in
+  (* The first run builds the store's shared join runs, charged once. *)
+  ignore (lone ());
+  let want = lone () in
+  Alcotest.(check bool) "a lone run records its layers and reads" true
+    (List.mem "logical.query" (fst want) && List.hd (snd want) > 0);
+  for round = 1 to 20 do
+    let both_in = barrier () and both_done = barrier () in
+    let ctxs = [| Ctx.create (); Ctx.create () |] in
+    let threads =
+      Array.map
+        (Thread.create (fun ctx ->
+             both_in ();
+             work ctx;
+             both_done ()))
+        ctxs
+    in
+    Array.iter Thread.join threads;
+    Array.iteri
+      (fun i ctx -> check (Printf.sprintf "round %d, thread %d" round i) want ctx)
+      ctxs
+  done;
+  let ctx = Ctx.create () in
+  Thread.join (Thread.create work ctx);
+  check "made here, run on another thread" want ctx
+
 let test_blocks_of () =
   Alcotest.(check int) "0 bytes" 0 (Ctx.blocks_of 0);
   Alcotest.(check int) "1 byte" 1 (Ctx.blocks_of 1);
@@ -355,7 +411,7 @@ let test_blocks_of () =
 
 let finish_one ?profile ?(outcome = "ok") ?(status = 200) label =
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () -> Ctx.region_in (Some ctx) "work" (fun () -> ()));
+  Ctx.region (Some ctx) "work" (fun () -> ());
   (ctx, Ctx.finish ?profile ctx ~label ~outcome ~status ~wall_s:0.001)
 
 let test_finish_seals () =
@@ -370,8 +426,7 @@ let test_finish_seals () =
      capture path). *)
   let ctx = Ctx.create () in
   let (), profile =
-    Ctx.with_ctx ctx (fun () ->
-        Ctx.profiled (fun () -> Ctx.region "render" (fun () -> ())))
+    Ctx.profiled ~ctx (fun ctx -> Ctx.region (Some ctx) "render" (fun () -> ()))
   in
   let _, c = finish_one ~profile "c" in
   Alcotest.(check bool) "profile attached" true (c.Ctx.c_profile = Some profile)
@@ -389,7 +444,7 @@ let test_finish_returns_record () =
       cached = false; generation = None }
   in
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () -> Ctx.attach_qlog q);
+  Ctx.attach_qlog ctx q;
   let c = Ctx.finish ctx ~status:422 ~wall_s:0.003 in
   Alcotest.(check string) "label is the record's guard hash" "abc"
     c.Ctx.c_label;
@@ -397,7 +452,7 @@ let test_finish_returns_record () =
     c.Ctx.c_outcome;
   Alcotest.(check bool) "the record rides along" true (c.Ctx.c_qlog = Some q);
   let ctx = Ctx.create () in
-  Ctx.with_ctx ctx (fun () -> Ctx.attach_qlog q);
+  Ctx.attach_qlog ctx q;
   let c = Ctx.finish ~label:"/query" ~outcome:"x" ctx ~status:400 ~wall_s:0.0 in
   Alcotest.(check (pair string string)) "the caller's names win"
     ("/query", "x") (c.Ctx.c_label, c.Ctx.c_outcome);
@@ -418,9 +473,6 @@ let suite =
       test_fresh_ids;
     Alcotest.test_case "context traceparent round-trips" `Quick
       test_traceparent_of_ctx;
-    Alcotest.test_case "thread slot install/uninstall" `Quick test_slot;
-    Alcotest.test_case "nested with_ctx restores the outer context" `Quick
-      test_slot_nested;
     Alcotest.test_case "phase spans land in the context, and nowhere without one"
       `Quick test_spans_land_in_ctx;
     Alcotest.test_case "spans carry their I/O and added attributes" `Quick
@@ -437,6 +489,10 @@ let suite =
       test_profiled_untraced_no_spans;
     Alcotest.test_case "a frameless trace holds layers, not operators" `Quick
       test_render_layers_only;
+    Alcotest.test_case "a document-wide logical query renders in its context"
+      `Quick test_logical_document_render;
+    Alcotest.test_case "a handed context records wherever it runs" `Quick
+      test_handed_ctx_records_anywhere;
     Alcotest.test_case "per-ctx I/O sums to the global delta" `Quick
       test_io_sums_to_global;
     QCheck_alcotest.to_alcotest prop_io_sum;

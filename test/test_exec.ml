@@ -8,13 +8,12 @@
 
 let fig_a = Workloads.Figures.instance_a
 
-(* One execution inside a request context, whose finished record keeps
+(* One execution handed a request context, whose finished record keeps
    the execution's query-log record. *)
 let execute ?query ~compact store guard =
   let ctx = Xmobs.Ctx.create () in
   let outcome =
-    Xmobs.Ctx.with_ctx ctx (fun () ->
-        Xmserve.Exec.execute ~source:"test" ~enforce:false ~compact ?query store guard)
+    Xmserve.Exec.execute ~ctx ~source:"test" ~enforce:false ~compact ?query store guard
   in
   match Xmobs.Ctx.finish ctx ~label:"test" ~outcome:"ok" ~status:200 ~wall_s:0. with
   | { Xmobs.Ctx.c_qlog = Some e; _ } -> (outcome, e)

@@ -49,7 +49,7 @@ let mk_qlog id =
    leaves one in its server's request ring. *)
 let finish_with_qlog ring id =
   let ctx = Xmobs.Ctx.create () in
-  Xmobs.Ctx.with_ctx ctx (fun () -> Xmobs.Ctx.attach_qlog (mk_qlog id));
+  Xmobs.Ctx.attach_qlog ctx (mk_qlog id);
   Xmutil.Ring.push ring
     (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
@@ -209,7 +209,7 @@ let bundle_events dir name =
 
 let finish_with_spans ring names =
   let ctx = Xmobs.Ctx.create () in
-  List.iter (fun n -> Xmobs.Ctx.region_in (Some ctx) n (fun () -> ())) names;
+  List.iter (fun n -> Xmobs.Ctx.region (Some ctx) n (fun () -> ())) names;
   Xmutil.Ring.push ring
     (Xmobs.Ctx.finish ctx ~label:"l" ~outcome:"ok" ~status:200 ~wall_s:0.001)
 
@@ -252,8 +252,7 @@ let test_bundle_qlog_from_requests () =
   in
   let serve guard =
     let ctx = Xmobs.Ctx.create () in
-    Xmobs.Ctx.with_ctx ctx (fun () ->
-        ignore (Xmserve.Exec.execute ~source:"serve" store guard));
+    ignore (Xmserve.Exec.execute ~ctx ~source:"serve" store guard);
     Xmobs.Ctx.finish ctx ~label:"q" ~outcome:"ok" ~status:200 ~wall_s:0.001
   in
   let a = serve "MUTATE site" in

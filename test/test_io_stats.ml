@@ -109,23 +109,23 @@ let test_metrics_publication () =
 
 (* Minor words of one [Render.to_buffer] of [shape]; the store's caches
    are warm, so a render allocates the same on every call. *)
-let render_words store shape =
+let render_words ?ctx store shape =
   let buf = Buffer.create 4096 in
   let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Xmorph.Render.to_buffer store shape buf));
+  ignore (Sys.opaque_identity (Xmorph.Render.to_buffer ?ctx store shape buf));
   Gc.minor_words () -. w0
 
 (* What a request context adds to a render, over a bare render of the
-   same store: the context is resolved once per render, so the extra
+   same store: the context is handed to the render once, so the extra
    words do not grow with the document. *)
 let extra_words n =
   let store, shape = books n in
   ignore (render_words store shape);
   let bare = render_words store shape in
   let traced =
-    Xmobs.Ctx.with_ctx (Xmobs.Ctx.create ()) (fun () ->
-        ignore (render_words store shape);
-        render_words store shape)
+    let ctx = Xmobs.Ctx.create () in
+    ignore (render_words ~ctx store shape);
+    render_words ~ctx store shape
   in
   (Io.snapshot (Store.Shredded.stats store)).Io.read_ops, traced -. bare
 

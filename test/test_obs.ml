@@ -7,8 +7,7 @@ module Trace = Xmobs.Trace
 module Ctx = Xmobs.Ctx
 module Metrics = Xmobs.Metrics
 
-(* A traced context: its layer regions record spans while it is
-   installed ([Ctx.with_ctx]). *)
+(* A traced context: the layer regions handed it record spans. *)
 let recorder ?(capacity = 1 lsl 15) () = Ctx.create ~capacity ()
 
 let with_scoped_metrics f = f (Metrics.create ())
@@ -23,11 +22,11 @@ let span_names r = List.map (fun (s : Trace.span) -> s.Trace.name) (spans r)
 
 let test_span_nesting () =
   let r = recorder () in
-  Ctx.with_ctx r (fun () ->
-      Ctx.region "a" (fun () ->
-          Ctx.region "b" (fun () -> ());
-          Ctx.region "c" (fun () -> ()));
-      Ctx.region "d" (fun () -> ()));
+  let c = Some r in
+  Ctx.region c "a" (fun () ->
+      Ctx.region c "b" (fun () -> ());
+      Ctx.region c "c" (fun () -> ()));
+  Ctx.region c "d" (fun () -> ());
   let spans = spans r in
   Alcotest.(check (list string)) "start order" [ "a"; "b"; "c"; "d" ]
     (span_names r);
@@ -45,9 +44,9 @@ let test_span_nesting () =
 
 let test_span_exception () =
   let r = recorder () in
-  Ctx.with_ctx r (fun () ->
-      (try Ctx.region "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Ctx.region "after" (fun () -> ()));
+  let c = Some r in
+  (try Ctx.region c "boom" (fun () -> failwith "x") with Failure _ -> ());
+  Ctx.region c "after" (fun () -> ());
   Alcotest.(check (list string)) "raised span still recorded"
     [ "boom"; "after" ] (span_names r);
   let after =
@@ -57,20 +56,19 @@ let test_span_exception () =
 
 let test_ring_bound () =
   let r = recorder ~capacity:4 () in
-  Ctx.with_ctx r (fun () ->
-      for i = 1 to 10 do
-        Ctx.region (string_of_int i) (fun () -> ())
-      done);
+  for i = 1 to 10 do
+    Ctx.region (Some r) (string_of_int i) (fun () -> ())
+  done;
   Alcotest.(check (list string)) "ring keeps the newest entries"
     [ "7"; "8"; "9"; "10" ] (span_names r)
 
 let test_span_attrs () =
   let r = recorder () in
-  Ctx.with_ctx r (fun () ->
-      Ctx.region "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
-          Ctx.region "child" (fun () -> ());
-          Ctx.add_attr "extra" (Trace.String "v"));
-      Ctx.add_attr "orphan" (Trace.Bool true));
+  let c = Some r in
+  Ctx.region c "s" ~attrs:[ ("k", Trace.Int 1) ] (fun () ->
+      Ctx.region c "child" (fun () -> ());
+      Ctx.add_attr c "extra" (Trace.String "v"));
+  Ctx.add_attr c "orphan" (Trace.Bool true);
   let s = List.hd (spans r) in
   Alcotest.(check bool) "declared attr kept" true
     (List.mem_assoc "k" s.Trace.attrs);
@@ -298,10 +296,7 @@ let test_counters_gauges () =
 let test_phase_records_span_only () =
   with_scoped_metrics (fun r ->
       let ctx = Xmobs.Ctx.create () in
-      let v =
-        Xmobs.Ctx.with_ctx ctx (fun () ->
-            Xmobs.Ctx.region "work" (fun () -> 21 * 2))
-      in
+      let v = Xmobs.Ctx.region (Some ctx) "work" (fun () -> 21 * 2) in
       Alcotest.(check int) "phase is transparent" 42 v;
       Alcotest.(check (list string)) "span recorded" [ "work" ]
         (List.map (fun (s : Trace.span) -> s.Trace.name)
@@ -328,12 +323,12 @@ let export r =
 
 let test_trace_json_roundtrip () =
   let r = recorder () in
-  Ctx.with_ctx r (fun () ->
-      Ctx.region "outer"
-        ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
-        (fun () ->
-          Ctx.add_attr "f" (Trace.Float 0.5);
-          Ctx.region "inner" ~attrs:[ ("ok", Trace.Bool true) ] (fun () -> ())));
+  let c = Some r in
+  Ctx.region c "outer"
+    ~attrs:[ ("file", Trace.String "a \"b\"\nc"); ("n", Trace.Int 3) ]
+    (fun () ->
+      Ctx.add_attr c "f" (Trace.Float 0.5);
+      Ctx.region c "inner" ~attrs:[ ("ok", Trace.Bool true) ] (fun () -> ()));
   let text = export r in
   Alcotest.(check string) "parse . print is the identity" text
     (reserialized text);
@@ -379,8 +374,7 @@ let test_metrics_json_roundtrip () =
 let test_trace_json_escaping () =
   let nasty = "q\"uote\\back\x01\x02\ntab\tend" in
   let r = recorder () in
-  Ctx.with_ctx r (fun () ->
-      Ctx.region nasty ~attrs:[ ("payload", Trace.String nasty) ] (fun () -> ()));
+  Ctx.region (Some r) nasty ~attrs:[ ("payload", Trace.String nasty) ] (fun () -> ());
   match Xmutil.Json.of_string (export r) with
   | exception _ -> Alcotest.fail "escaped trace JSON does not parse"
   | Xmutil.Json.Obj fields -> (
@@ -401,11 +395,11 @@ let test_trace_json_escaping () =
    else: the export stays well-formed and holds exactly the survivors. *)
 let test_ring_eviction_json () =
   let r = recorder ~capacity:3 () in
-  Ctx.with_ctx r (fun () ->
-      for i = 1 to 8 do
-        Ctx.region (Printf.sprintf "s%d" i) (fun () ->
-            if i mod 2 = 0 then Ctx.region (Printf.sprintf "c%d" i) (fun () -> ()))
-      done);
+  let c = Some r in
+  for i = 1 to 8 do
+    Ctx.region c (Printf.sprintf "s%d" i) (fun () ->
+        if i mod 2 = 0 then Ctx.region c (Printf.sprintf "c%d" i) (fun () -> ()))
+  done;
   match Xmutil.Json.of_string (export r) with
   | exception _ -> Alcotest.fail "post-eviction JSON does not parse"
   | Xmutil.Json.Obj fields -> (
@@ -433,16 +427,16 @@ let test_disabled_path_no_alloc () =
       out_nodes = 0 }
   in
   let io = Store.Io_stats.create () in
-  (* What an operation resolves with no context installed. *)
-  let none = Xmobs.Ctx.current () in
+  (* What an operation is handed with no context. *)
+  let none : Xmobs.Ctx.t option = None in
   (* Warm up so any one-time closure setup is done before measuring. *)
-  ignore (Sys.opaque_identity (Xmobs.Ctx.region "x" f));
+  ignore (Sys.opaque_identity (Xmobs.Ctx.region none "x" f));
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
-    (* The per-request context paths: with no context installed anywhere
-       a layer region is a single atomic load, and an operator region
-       and its counts a match on the operation's [None]. *)
-    ignore (Sys.opaque_identity (Xmobs.Ctx.region "x" f));
+    (* The per-request context paths: with no context a layer region, an
+       operator region and its counts are each a match on the
+       operation's [None]. *)
+    ignore (Sys.opaque_identity (Xmobs.Ctx.region none "x" f));
     let tok = Xmobs.Ctx.enter none "x" in
     Xmobs.Ctx.add_in none 1;
     Xmobs.Ctx.add_pairs none 1;
@@ -460,35 +454,32 @@ let test_disabled_path_no_alloc () =
          (Xmcache.find_result ~generation:0 ~guard_hash:"x" ~query_hash:""
             ~compact:false ~enforce:false));
     Xmcache.add_result ~generation:0 ~guard_hash:"x" ~query_hash:""
-      ~compact:false ~enforce:false res_entry;
-    ignore (Sys.opaque_identity (Xmobs.Ctx.current ()))
+      ~compact:false ~enforce:false res_entry
   done;
   let w1 = Gc.minor_words () in
   let delta = w1 -. w0 in
   if delta > 100.0 then
     Alcotest.failf "disabled path allocated %.0f minor words over 1000 calls"
       delta;
-  (* The served case: a request context is installed but keeps no
-     frames, so an operator region handed the context reads one field,
-     and a store charge handed it adds to counters only. *)
-  let c = Xmobs.Ctx.create () in
-  let ctx = Some c in
-  Xmobs.Ctx.with_ctx c (fun () ->
-      let w0 = Gc.minor_words () in
-      for _ = 1 to 1000 do
-        let tok = Xmobs.Ctx.enter ctx "x" in
-        Xmobs.Ctx.add_in ctx 1;
-        Xmobs.Ctx.add_pairs ctx 1;
-        Xmobs.Ctx.exit ctx tok;
-        Store.Io_stats.charge_read ?ctx io 4096;
-        Store.Io_stats.charge_write ?ctx io 4096
-      done;
-      let delta = Gc.minor_words () -. w0 in
-      if delta > 100.0 then
-        Alcotest.failf
-          "operator regions and context charges under a frameless context \
-           allocated %.0f minor words over 1000 calls"
-          delta)
+  (* The served case: a request context that keeps no frames, so an
+     operator region handed the context reads one field, and a store
+     charge handed it adds to counters only. *)
+  let ctx = Some (Xmobs.Ctx.create ()) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    let tok = Xmobs.Ctx.enter ctx "x" in
+    Xmobs.Ctx.add_in ctx 1;
+    Xmobs.Ctx.add_pairs ctx 1;
+    Xmobs.Ctx.exit ctx tok;
+    Store.Io_stats.charge_read ?ctx io 4096;
+    Store.Io_stats.charge_write ?ctx io 4096
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  if delta > 100.0 then
+    Alcotest.failf
+      "operator regions and context charges under a frameless context \
+       allocated %.0f minor words over 1000 calls"
+      delta
 
 let suite =
   [

@@ -7,26 +7,27 @@
 module Frames = Xmobs.Frames
 module Ctx = Xmobs.Ctx
 
-(* [with_profile f] runs [f] with a fresh frame tree in this thread's
-   context; [roots ()] reads that tree while [f] runs. *)
-let with_profile f = ignore (Ctx.profiled f)
+(* [with_profile f] hands [f] a context with a fresh frame tree ([ctx]'s,
+   when given); [roots c] reads that tree while [f] runs. *)
+let with_profile ?ctx f = ignore (Ctx.profiled ?ctx f)
 
-let roots () =
-  match Ctx.frames () with Some tree -> Frames.roots tree | None -> []
+let roots = Ctx.frame_roots
 
-let find_or_fail path =
-  match Frames.lookup (roots ()) path with
+let find_or_fail c path =
+  match Frames.lookup (roots c) path with
   | Some fr -> fr
   | None ->
       Alcotest.failf "no frame at %s in:\n%s" (String.concat "/" path)
-        (Frames.to_text (roots ()))
+        (Frames.to_text (roots c))
 
 let test_frame_merge () =
-  with_profile (fun () ->
-      Ctx.region "loop" (fun () ->
+  with_profile (fun c ->
+      let ctx = Some c in
+      Ctx.region ctx "loop" (fun () ->
           for _ = 1 to 3 do
-            Ctx.region "leaf" (fun () -> Ctx.add_pairs (Ctx.current ()) 2)
+            Ctx.region ctx "leaf" (fun () -> Ctx.add_pairs ctx 2)
           done);
+      let find_or_fail = find_or_fail c in
       let loop = find_or_fail [ "loop" ] in
       Alcotest.(check int) "one loop frame" 1 loop.Frames.calls;
       Alcotest.(check int) "one aggregated child" 1
@@ -37,22 +38,24 @@ let test_frame_merge () =
       Alcotest.(check int) "pairs accumulate across calls" 6 leaf.Frames.pairs)
 
 let test_counts_accumulate () =
-  with_profile (fun () ->
-      let tok = Ctx.enter (Ctx.current ()) "op" in
-      Ctx.add_in (Ctx.current ()) 4;
-      Ctx.add_out (Ctx.current ()) 2;
-      Ctx.exit ~in_count:1 ~out_count:3 (Ctx.current ()) tok;
-      let fr = find_or_fail [ "op" ] in
+  with_profile (fun c ->
+      let ctx = Some c in
+      let tok = Ctx.enter ctx "op" in
+      Ctx.add_in ctx 4;
+      Ctx.add_out ctx 2;
+      Ctx.exit ~in_count:1 ~out_count:3 ctx tok;
+      let fr = find_or_fail c [ "op" ] in
       Alcotest.(check int) "in = add_in + exit" 5 fr.Frames.in_count;
       Alcotest.(check int) "out = add_out + exit" 5 fr.Frames.out_count)
 
 let test_self_within_total () =
-  with_profile (fun () ->
-      Ctx.region "parent" (fun () ->
-          Ctx.region "child" (fun () -> Sys.opaque_identity (ref 0)))
+  with_profile (fun c ->
+      let ctx = Some c in
+      Ctx.region ctx "parent" (fun () ->
+          Ctx.region ctx "child" (fun () -> Sys.opaque_identity (ref 0)))
       |> ignore;
-      let parent = find_or_fail [ "parent" ] in
-      let child = find_or_fail [ "parent"; "child" ] in
+      let parent = find_or_fail c [ "parent" ] in
+      let child = find_or_fail c [ "parent"; "child" ] in
       Alcotest.(check bool) "self <= total" true
         (Frames.self_us parent <= parent.Frames.total_us);
       Alcotest.(check bool) "child time within parent" true
@@ -62,21 +65,23 @@ let test_self_within_total () =
         <= parent.Frames.total_us -. child.Frames.total_us +. 1e-6))
 
 let test_exception_unwinds () =
-  with_profile (fun () ->
-      (try Ctx.region "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Ctx.region "after" (fun () -> ());
-      let boom = find_or_fail [ "boom" ] in
+  with_profile (fun c ->
+      let ctx = Some c in
+      (try Ctx.region ctx "boom" (fun () -> failwith "x") with Failure _ -> ());
+      Ctx.region ctx "after" (fun () -> ());
+      let boom = find_or_fail c [ "boom" ] in
       Alcotest.(check int) "raised frame still counted" 1 boom.Frames.calls;
       (* [after] must be a root, not a child of the raised frame. *)
-      ignore (find_or_fail [ "after" ]);
+      ignore (find_or_fail c [ "after" ]);
       Alcotest.(check int) "stack unwound by the raise" 0
         (List.length (Frames.ordered_children boom)))
 
 let test_json_roundtrip () =
-  with_profile (fun () ->
-      Ctx.region "a" (fun () ->
-          Ctx.region "b \"quoted\"\n" (fun () -> Ctx.add_in (Ctx.current ()) 7));
-      let text = Xmutil.Json.to_string (Frames.to_json (roots ())) in
+  with_profile (fun c ->
+      let ctx = Some c in
+      Ctx.region ctx "a" (fun () ->
+          Ctx.region ctx "b \"quoted\"\n" (fun () -> Ctx.add_in ctx 7));
+      let text = Xmutil.Json.to_string (Frames.to_json (roots c)) in
       match Xmutil.Json.of_string text with
       | exception _ -> Alcotest.fail "profile JSON does not parse"
       | parsed ->
@@ -99,16 +104,16 @@ let test_json_roundtrip () =
 (* A nested profile starts from a fresh tree and hands the outer one
    back untouched. *)
 let test_reset_discards () =
-  with_profile (fun () ->
-      Ctx.region "gone" (fun () -> ());
-      with_profile (fun () ->
+  with_profile (fun c ->
+      Ctx.region (Some c) "gone" (fun () -> ());
+      with_profile ~ctx:c (fun c ->
           Alcotest.(check int) "reset drops collected frames" 0
-            (List.length (roots ()));
-          Ctx.region "kept" (fun () -> ());
-          ignore (find_or_fail [ "kept" ]));
-      ignore (find_or_fail [ "gone" ]);
+            (List.length (roots c));
+          Ctx.region (Some c) "kept" (fun () -> ());
+          ignore (find_or_fail c [ "kept" ]));
+      ignore (find_or_fail c [ "gone" ]);
       Alcotest.(check bool) "the nested frames stay nested" true
-        (Frames.lookup (roots ()) [ "kept" ] = None))
+        (Frames.lookup (roots c) [ "kept" ] = None))
 
 let doc =
   Xml.Doc.of_string
@@ -117,8 +122,9 @@ let doc =
 
 let test_transform_profile () =
   let store = Store.Shredded.shred doc in
-  with_profile (fun () ->
-      ignore (Xmorph.Interp.transform ~enforce:false store "MORPH author [ name ]");
+  with_profile (fun c ->
+      ignore (Xmorph.Interp.transform ~ctx:c ~enforce:false store "MORPH author [ name ]");
+      let find_or_fail = find_or_fail c in
       (* The profile mirrors the pipeline: compile > morph > closest with
          the guard's two type selections as children. *)
       let closest = find_or_fail [ "compile"; "morph"; "closest" ] in
@@ -141,9 +147,10 @@ let test_xquery_profile () =
     Guarded.Logical.create ~enforce:false (Store.Shredded.shred doc)
       ~guard:"MUTATE data"
   in
-  with_profile (fun () ->
-      ignore (Xquery.Eval.run root query);
-      ignore (Guarded.Logical.query logical query);
+  with_profile (fun c ->
+      ignore (Xquery.Eval.run ~ctx:c root query);
+      ignore (Guarded.Logical.query ~ctx:c logical query);
+      let find_or_fail = find_or_fail c in
       (* Both architectures run the one evaluator, so both record the same
          frames under their own top frame. *)
       List.iter
@@ -156,22 +163,22 @@ let test_xquery_profile () =
           Alcotest.(check int) "two names out in total" 2 step.Frames.out_count)
         [ "xquery.eval"; "logical.query" ])
 
-(* With no frame-keeping context the gate is off; with one, a context
-   that keeps none (nested over it here) still records nothing. *)
+(* With no context nothing records; inside a profile, work handed a
+   context that keeps no frames still records nothing there. *)
 let test_disabled_records_nothing () =
-  let invisible () =
-    Ctx.region "invisible" (fun () -> ());
-    let tok = Ctx.enter (Ctx.current ()) "also-invisible" in
-    Ctx.exit (Ctx.current ()) tok
+  let invisible ctx =
+    Ctx.region ctx "invisible" (fun () -> ());
+    let tok = Ctx.enter ctx "also-invisible" in
+    Ctx.exit ctx tok
   in
-  invisible ();
+  invisible None;
   let (), frames =
-    Ctx.profiled (fun () -> Ctx.with_ctx (Ctx.create ()) invisible)
+    Ctx.profiled (fun _ -> invisible (Some (Ctx.create ())))
   in
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length frames)
 
-(* Two systhreads profile different guards at once, each in its own
+(* Two systhreads profile different guards at once, each handed its own
    context; the barriers keep both frame trees live together.  Each tree
    holds exactly its own render and closest joins. *)
 let test_concurrent_profiles_exact () =
@@ -187,12 +194,11 @@ let test_concurrent_profiles_exact () =
   in
   let both_in = barrier () and both_done = barrier () in
   let profile guard =
-    Ctx.with_ctx (Ctx.create ()) (fun () ->
-        snd
-          (Ctx.profiled (fun () ->
-               both_in ();
-               ignore (Xmorph.Interp.transform ~enforce:false store guard);
-               both_done ())))
+    snd
+      (Ctx.profiled ~ctx:(Ctx.create ()) (fun ctx ->
+           both_in ();
+           ignore (Xmorph.Interp.transform ~ctx ~enforce:false store guard);
+           both_done ()))
   in
   let guards = [| "MORPH author [ name ]"; "MORPH name [ author ]" |] in
   let results = Array.make 2 [] in

@@ -296,7 +296,7 @@ let render_and_frames doc guard =
   let store = Store.Shredded.shred doc in
   let shape = (Interp.compile ~enforce:false (Store.Shredded.guide store) guard).Interp.shape in
   let buf = Buffer.create 256 in
-  let st, frames = Xmobs.Ctx.profiled (fun () -> Render.to_buffer store shape buf) in
+  let st, frames = Xmobs.Ctx.profiled (fun ctx -> Render.to_buffer ~ctx store shape buf) in
   let io = Store.Io_stats.snapshot (Store.Shredded.stats store) in
   let rec closest (f : Xmobs.Frames.frame) =
     (if String.starts_with ~prefix:"closest(" f.name then

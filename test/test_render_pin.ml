@@ -58,8 +58,8 @@ let profile_digest doc guard =
   let store = Store.Shredded.shred doc in
   let shape = compile store guard in
   let (), frames =
-    Xmobs.Ctx.profiled (fun () ->
-        ignore (Render.to_buffer store shape (Buffer.create 4096)))
+    Xmobs.Ctx.profiled (fun ctx ->
+        ignore (Render.to_buffer ~ctx store shape (Buffer.create 4096)))
   in
   let b = Buffer.create 1024 in
   let rec walk depth (f : Xmobs.Frames.frame) =

@@ -1622,29 +1622,6 @@ let test_stop_with_idle_client () =
       Thread.join stopper;
       Alcotest.(check string) "idle connection closed" "" (read_all idle))
 
-(* A worker keeps its thread id from one request to the next, and request
-   contexts are keyed by thread id: after a burst on two workers, slow-query
-   captures included, no context is left installed. *)
-let test_no_context_outlives_request () =
-  Alcotest.(check bool) "no context before" false (Xmobs.Ctx.active ());
-  with_server ~slow_ms:0.0 @@ fun _ base _store ->
-  let clients =
-    List.init 4 (fun i ->
-        Thread.create
-          (fun () ->
-            for j = 1 to 5 do
-              let target =
-                if (i + j) mod 2 = 0 then "/query" else "/query?query=%2F%2Fname"
-              in
-              ignore (get ~meth:"POST" ~body:paper_guard base target);
-              ignore (get ~meth:"POST" ~body:"MUTATE nosuch" base "/query");
-              ignore (get ~meth:"GET" base "/healthz")
-            done)
-          ())
-  in
-  List.iter Thread.join clients;
-  Alcotest.(check bool) "no context after" false (Xmobs.Ctx.active ())
-
 (* ---------- the stats analyzer ---------- *)
 
 let mk_entry ~id ~wall ?(outcome = Xmobs.Qlog.Ok) ?(source = "serve")
@@ -1928,8 +1905,6 @@ let suite =
       test_worker_survives_failures;
     Alcotest.test_case "stop returns with an idle client connected" `Quick
       test_stop_with_idle_client;
-    Alcotest.test_case "no request context outlives its request" `Quick
-      test_no_context_outlives_request;
     Alcotest.test_case "stats analyzer aggregates" `Quick test_analyze;
     Alcotest.test_case "stats load merges rotated generations" `Quick
       test_load_merges_rotated;
