@@ -329,7 +329,7 @@ let check_cmd =
                 if quantify then
                   [ ("measured",
                      Xmorph.Quantify.to_json
-                       (Xmorph.Quantify.measure store compiled.Xmorph.Interp.shape)) ]
+                       (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape)) ]
                 else []
               in
               print_endline (Xmutil.Json.to_string (Xmutil.Json.Obj fields))
@@ -347,7 +347,7 @@ let check_cmd =
                 print_endline "== measured information loss ==";
                 print_string
                   (Xmorph.Quantify.to_string
-                     (Xmorph.Quantify.measure store compiled.Xmorph.Interp.shape))
+                     (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape))
               end
             end)
   in
@@ -476,7 +476,7 @@ let explain_cmd =
               | [] -> ""
               | parts -> "  [" ^ String.concat "; " parts ^ "]"
             in
-            let edges = Xmorph.Render.explain store compiled.Xmorph.Interp.shape in
+            let edges = Xmorph.Render.explain ?ctx store compiled.Xmorph.Interp.shape in
             let history =
               match db with
               | None -> []
@@ -518,24 +518,8 @@ let explain_cmd =
                                   ])
                               edges));
                         ("history",
-                         Xmutil.Json.List
-                           (List.map
-                              (fun (s : Xmobs.Statdb.summary) ->
-                                Xmutil.Json.Obj
-                                  [ ("op", Xmutil.Json.String s.Xmobs.Statdb.s_op);
-                                    ("calls", Xmutil.Json.Int s.Xmobs.Statdb.calls);
-                                    ("self_us",
-                                     Xmutil.Json.Float s.Xmobs.Statdb.self_us);
-                                    ("out_nodes",
-                                     Xmutil.Json.Int s.Xmobs.Statdb.out_nodes);
-                                    ("pairs", Xmutil.Json.Int s.Xmobs.Statdb.pairs);
-                                    ("qerr_n", Xmutil.Json.Int s.Xmobs.Statdb.qerr_n);
-                                    ("qerr_sum",
-                                     Xmutil.Json.Float s.Xmobs.Statdb.qerr_sum);
-                                    ("qerr_max",
-                                     Xmutil.Json.Float s.Xmobs.Statdb.qerr_max)
-                                  ])
-                              history)) ]))
+                         Xmutil.Json.List (List.map Xmserve.Stats.op_json history))
+                      ]))
             else begin
               print_endline "== plan ==";
               Format.printf "%a@?" (Xmorph.Algebra.pp_annotated ~annot)
@@ -805,7 +789,7 @@ let shell_cmd =
                     | Some compiled ->
                         print_string
                           (Xmorph.Quantify.to_string
-                             (Xmorph.Quantify.measure store compiled.Xmorph.Interp.shape))
+                             (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape))
                     | None -> ())
                 | None -> (
                     match strip_prefix line ":profile" with
@@ -826,7 +810,7 @@ let shell_cmd =
                         match compile_or_report (arg_or_current rest) with
                         | Some compiled ->
                             Format.printf "%a@?" Xmorph.Render.pp_explanation
-                              (Xmorph.Render.explain store compiled.Xmorph.Interp.shape)
+                              (Xmorph.Render.explain ?ctx store compiled.Xmorph.Interp.shape)
                         | None -> ())
                     | None -> (
                         match strip_prefix line ":check" with
@@ -1165,11 +1149,11 @@ let stats_cmd =
   let run _ log json top compare_file out tolerance check_json db_file =
     List.iter
       (fun path ->
-        match Xmutil.Json.of_string (read_file path) with
+        match Xmutil.Json.read_file path with
         | _ -> Printf.printf "%s: valid JSON\n" path
         | exception Sys_error m -> exit_err m
         | exception Xmutil.Json.Parse_error { pos; msg } ->
-            exit_err (Printf.sprintf "%s: invalid JSON at %d: %s" path pos msg))
+            exit_err (path ^ ": " ^ Xmutil.Json.error_message ~pos ~msg))
       check_json;
     match log with
     | None ->

@@ -81,10 +81,11 @@ let common x y =
   in
   go 0 0 0
 
-let measure store (shape : Tshape.t) : t =
+let measure ?ctx store (shape : Tshape.t) : t =
+  Xmobs.Ctx.region ctx Xmobs.Layer.quantify @@ fun () ->
   let tt = Store.Shredded.types store in
   let n = Store.Shredded.node_count store in
-  let insts = Render.instances store shape in
+  let insts = Render.instances ?ctx store shape in
   (* The output's parent column, by output id. *)
   let total = List.fold_left (fun k (_, arr) -> k + Array.length arr) 0 insts in
   let parent = Array.make total (-1) in
@@ -113,7 +114,8 @@ let measure store (shape : Tshape.t) : t =
           if s1 < s2 then begin
             (* The source's pairs arrive ascending and distinct. *)
             let src = Vec.create () in
-            Render.iter_closest store s1 s2 (fun p c -> ignore (Vec.push src ((p * n) + c)));
+            Render.iter_closest ?ctx store s1 s2 (fun p c ->
+                ignore (Vec.push src ((p * n) + c)));
             let src = Vec.to_array src in
             let out = Vec.create () in
             List.iter

@@ -41,7 +41,10 @@ type t = {
   deltas : pair_delta list;  (** only the pairs where something changed *)
 }
 
-val measure : Store.Shredded.t -> Tshape.t -> t
+val measure : ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> Tshape.t -> t
+(** Runs in a [quantify] region of [ctx]; the instance graph's joins are
+    [closest(a->b)] regions under it, and every store read, the source
+    pairs' included, is charged to [ctx]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

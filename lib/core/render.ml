@@ -544,8 +544,8 @@ type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
    parent's, its Dewey number and its source.  Child slot numbering
    mirrors [Doc.of_tree]: every emitted child (attributes included) takes
    the next Dewey slot. *)
-let instances store (shape : Tshape.t) =
-  let rctx = make_rctx store in
+let instances ?ctx store (shape : Tshape.t) =
+  let rctx = make_rctx ?ctx store in
   let acc : (int, instance Vec.t) Hashtbl.t = Hashtbl.create 16 in
   let record (tn : Tshape.node) inst =
     let v =
@@ -762,37 +762,47 @@ let predicted_edges guide (shape : Tshape.t) =
   List.iter walk shape.roots;
   List.rev !out
 
-let explain store (shape : Tshape.t) =
-  let rctx = make_rctx store in
+(* Each edge is a [closest(parent->child)] region, as a render's join of
+   the edge is, with the parents in, the pairs and the matched children
+   out. *)
+let explain ?ctx store (shape : Tshape.t) =
+  let rctx = make_rctx ?ctx store in
   let tt = Store_.Shredded.types store in
+  let explain_edge (pty, cty, card, parents) =
+    let pc = cache rctx pty in
+    let cc = cache rctx cty in
+    let l = Store_.Shredded.join_level store pty cty in
+    let runs, groups = closest_runs rctx ~pty ~parents:pc ~cty in
+    (* Runs are disjoint, and shared ones adjacent. *)
+    let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
+    Array.iter
+      (fun g ->
+        if g >= 0 then begin
+          let len = groups.Closest.offs.(g + 1) - groups.offs.(g) in
+          pairs := !pairs + len;
+          if g <> !last then matched := !matched + len;
+          last := g
+        end)
+      runs;
+    Xmobs.Ctx.add_in ctx (Array.length pc);
+    Xmobs.Ctx.add_pairs ctx !pairs;
+    Xmobs.Ctx.add_out ctx !matched;
+    {
+      parent = Xml.Type_table.qname tt pty;
+      child = Xml.Type_table.qname tt cty;
+      type_distance = Xml.Type_table.depth tt pty + Xml.Type_table.depth tt cty - (2 * l);
+      join_level = l;
+      parent_instances = Array.length pc;
+      child_instances = Array.length cc;
+      pairs = !pairs;
+      orphans = Array.length cc - !matched;
+      predicted = Xmutil.Card.scale card parents;
+    }
+  in
   List.map
-    (fun (pty, cty, card, parents) ->
-      let pc = cache rctx pty in
-      let cc = cache rctx cty in
-      let l = Store_.Shredded.join_level store pty cty in
-      let runs, groups = closest_runs rctx ~pty ~parents:pc ~cty in
-      (* Runs are disjoint, and shared ones adjacent. *)
-      let pairs = ref 0 and matched = ref 0 and last = ref (-1) in
-      Array.iter
-        (fun g ->
-          if g >= 0 then begin
-            let len = groups.Closest.offs.(g + 1) - groups.offs.(g) in
-            pairs := !pairs + len;
-            if g <> !last then matched := !matched + len;
-            last := g
-          end)
-        runs;
-      {
-        parent = Xml.Type_table.qname tt pty;
-        child = Xml.Type_table.qname tt cty;
-        type_distance = Xml.Type_table.depth tt pty + Xml.Type_table.depth tt cty - (2 * l);
-        join_level = l;
-        parent_instances = Array.length pc;
-        child_instances = Array.length cc;
-        pairs = !pairs;
-        orphans = Array.length cc - !matched;
-        predicted = Xmutil.Card.scale card parents;
-      })
+    (fun ((pty, cty, _, _) as e) ->
+      if not (Xmobs.Ctx.recording ctx) then explain_edge e
+      else Xmobs.Ctx.region ctx (join_name tt pty cty) (fun () -> explain_edge e))
     (predicted_edges (Store_.Shredded.guide store) shape)
 
 let pp_explanation fmt entries =
@@ -810,8 +820,8 @@ let pp_explanation fmt entries =
          else ""))
     entries
 
-let iter_closest store t u f =
-  let rctx = make_rctx store in
+let iter_closest ?ctx store t u f =
+  let rctx = make_rctx ?ctx store in
   let pc = cache rctx t in
   let runs, groups = closest_runs rctx ~pty:t ~parents:pc ~cty:u in
   let kids = cache rctx u in

@@ -123,11 +123,12 @@ type edge_explanation = {
           [pairs] ([Xmutil.Card.qerror]) to judge estimate accuracy. *)
 }
 
-val explain : Store.Shredded.t -> Tshape.t -> edge_explanation list
+val explain : ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> Tshape.t -> edge_explanation list
 (** One entry per sourced edge of the target shape, in shape order: how each
     closest join will behave on this data.  The paper's Sec. VII reasoning
     (type distances, LCA levels, the CLOSE operator) made inspectable; the
-    CLI surfaces it as [xmorph explain]. *)
+    CLI surfaces it as [xmorph explain].  Each edge is a {!join_name}
+    region of [ctx], which its store reads are charged to. *)
 
 val pp_explanation : Format.formatter -> edge_explanation list -> unit
 
@@ -145,9 +146,11 @@ val predicted_edges :
     type's instance count, whose product is [predicted]. *)
 
 val iter_closest :
+  ?ctx:Xmobs.Ctx.t ->
   Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int -> int -> unit) -> unit
 (** [f p c] for each pair of the closest relation between two types (the
-    CLOSE operator of Sec. VII), once, ordered by [p], then [c]. *)
+    CLOSE operator of Sec. VII), once, ordered by [p], then [c].  Its
+    store reads are charged to [ctx]; it opens no region. *)
 
 val closest_pairs :
   Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int * int) list
@@ -230,7 +233,7 @@ type instance = {
 (** One element of the {e output} document. *)
 
 val instances :
-  Store.Shredded.t -> Tshape.t -> (Tshape.node * instance array) list
+  ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> Tshape.t -> (Tshape.node * instance array) list
 (** The output document as a graph, without materializing any XML: for every
     target node, its rendered instances in output document order.  Each
     target node is a type of the output, and every instance of it sits at

@@ -78,30 +78,21 @@ type config = {
 
 let ( let* ) = Result.bind
 
-let field fs n = List.assoc_opt n fs
-
-let num = function
-  | Some (J.Int i) -> Some (float_of_int i)
-  | Some (J.Float f) -> Some f
-  | _ -> None
-
-let str fs n = match field fs n with Some (J.String s) -> Some s | _ -> None
-
 let clamp_w w = if w < 1 then 1 else if w > 3600 then 3600 else w
 
 let parse_rule j =
   match j with
-  | J.Obj fs -> (
-      let numf n = num (field fs n) in
+  | J.Obj _ -> (
+      let numf n = J.number_at j [ n ] in
       let inum n = Option.map (fun f -> int_of_float (Float.round f)) (numf n) in
       let* name =
-        match str fs "name" with
+        match J.string_at j [ "name" ] with
         | Some s when s <> "" -> Ok s
         | _ -> Error "rule missing a non-empty \"name\""
       in
       let window () = clamp_w (Option.value ~default:60 (inum "window_s")) in
       let* cond =
-        match str fs "signal" with
+        match J.string_at j [ "signal" ] with
         | Some "err_rate" -> (
             match numf "above" with
             | Some a when a >= 0.0 && a < 1.0 ->
@@ -139,9 +130,9 @@ let parse_rule j =
 
 let config_of_json j =
   match j with
-  | J.Obj fs ->
+  | J.Obj _ ->
       let* () =
-        match field fs "xmorph_alerts" with
+        match J.path j [ "xmorph_alerts" ] with
         | Some (J.Int v) when v = version -> Ok ()
         | Some _ ->
             Error
@@ -150,7 +141,7 @@ let config_of_json j =
         | None -> Error "missing \"xmorph_alerts\" version field"
       in
       let* rules =
-        match field fs "rules" with
+        match J.path j [ "rules" ] with
         | Some (J.List (_ :: _ as l)) ->
             List.fold_left
               (fun acc j ->
@@ -171,39 +162,25 @@ let config_of_json j =
         in
         unique rules
       in
+      let num n ~default = Option.value ~default (J.number_at j [ n ]) in
       Ok
         {
-          interval_s =
-            Float.max 0.01 (Option.value ~default:1.0 (num (field fs "interval_s")));
-          log = str fs "log";
-          webhook = str fs "webhook";
-          webhook_timeout_s =
-            Float.max 0.01
-              (Option.value ~default:2.0 (num (field fs "webhook_timeout_s")));
+          interval_s = Float.max 0.01 (num "interval_s" ~default:1.0);
+          log = J.string_at j [ "log" ];
+          webhook = J.string_at j [ "webhook" ];
+          webhook_timeout_s = Float.max 0.01 (num "webhook_timeout_s" ~default:2.0);
           webhook_retries =
-            max 0
-              (Option.value ~default:2
-                 (Option.map
-                    (fun f -> int_of_float (Float.round f))
-                    (num (field fs "webhook_retries"))));
+            max 0 (int_of_float (Float.round (num "webhook_retries" ~default:2.0)));
           rules;
         }
   | _ -> Error "rules file is not a JSON object"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load path =
-  match read_file path with
+  match J.read_file path with
   | exception Sys_error e -> Error e
-  | text -> (
-      match J.of_string text with
-      | exception J.Parse_error { pos; msg } ->
-          Error (Printf.sprintf "%s: parse error at %d: %s" path pos msg)
-      | j -> config_of_json j)
+  | exception J.Parse_error { pos; msg } ->
+      Error (path ^ ": " ^ J.error_message ~pos ~msg)
+  | j -> config_of_json j
 
 (* ---------- the query stream ---------- *)
 

@@ -2,9 +2,9 @@
 
    While enabled, it keeps a bounded ring of periodic snapshots of its
    owner's metrics registry, and, on a trigger (SLO breach, error-rate
-   threshold, fatal signal, or a manual POST), atomically writes a
-   versioned JSON incident bundle so the evidence survives the moment of
-   failure.  The bundle's recent requests are not kept here: their spans
+   threshold, fatal signal, or a manual POST), atomically writes
+   ([Xmutil.Json.write_file]) a versioned JSON incident bundle so the
+   evidence survives the moment of failure.  The bundle's recent requests are not kept here: their spans
    and query records are read through the owner's [requests] callback,
    from the request ring where every served request already left its
    own.
@@ -176,17 +176,6 @@ let enforce_retention_unlocked st =
           try Sys.remove (Filename.concat st.dir n) with Sys_error _ -> ())
       files
 
-(* Temp-file + rename in the same directory: a reader (the /debug route,
-   the offline viewer, a cram test) never sees a half-written bundle. *)
-let write_bundle_unlocked st ~name json =
-  let path = Filename.concat st.dir name in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Xmutil.Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
-
 let trigger st ?(force = false) ~kind ~reason () =
   locked st (fun () ->
       let now = Unix.gettimeofday () in
@@ -206,7 +195,7 @@ let trigger st ?(force = false) ~kind ~reason () =
         in
         match
           let json = bundle_unlocked st ~kind ~reason ~now in
-          write_bundle_unlocked st ~name json;
+          Xmutil.Json.write_file (Filename.concat st.dir name) json;
           enforce_retention_unlocked st
         with
         | () ->

@@ -38,6 +38,10 @@ val render : string
 val emit : string
 (** ["emit"]: the render's output walk. *)
 
+val quantify : string
+(** ["quantify"]: a compiled shape's information loss measured exactly
+    on a store. *)
+
 val xquery_eval : string
 (** ["xquery.eval"]: an XQuery evaluation over a physical tree. *)
 

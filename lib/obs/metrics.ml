@@ -17,14 +17,9 @@ type counter = { count : int Atomic.t }
 
 type gauge = { mutable level : float }
 
-(* Log-scale buckets: [scale] buckets per octave around bucket [mid] at 1.0,
-   i.e. bucket i holds values near 2^((i - mid) / scale).  With scale = 8 the
-   relative quantization error is under 5 % across ~2^-32 .. 2^32. *)
-let hist_buckets = 512
-
-let hist_mid = 256
-
-let hist_scale = 8.0
+(* Log-scale buckets, 8 per octave: the relative quantization error is
+   under 5 % across ~2^-32 .. 2^32. *)
+let scale = Xmutil.Logscale.make ~per_octave:8 ~mid:256 ~count:512
 
 type histogram = {
   mutable n : int;
@@ -95,7 +90,7 @@ let gauge ~r name =
 let histogram ~r name =
   intern r.lock r.histograms name (fun () ->
       { n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity;
-        buckets = Array.make hist_buckets 0; hlock = Mutex.create () })
+        buckets = Array.make scale.count 0; hlock = Mutex.create () })
 
 (* ---------- labeled families ---------- *)
 
@@ -147,7 +142,7 @@ let histogram_labeled ~r ?max_series name labels =
   let fam = intern r.lock r.lhistograms name (mk_family max_series) in
   family_series r.lock fam labels (fun () ->
       { n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity;
-        buckets = Array.make hist_buckets 0; hlock = Mutex.create () })
+        buckets = Array.make scale.count 0; hlock = Mutex.create () })
 
 (* ---------- help text ---------- *)
 
@@ -167,21 +162,13 @@ let counter_add c by = ignore (Atomic.fetch_and_add c.count by)
 
 let gauge_set g v = g.level <- v
 
-let bucket_of v =
-  if v <= 0.0 then 0
-  else
-    let i = hist_mid + int_of_float (Float.round (hist_scale *. Float.log2 v)) in
-    if i < 0 then 0 else if i >= hist_buckets then hist_buckets - 1 else i
-
-let bucket_value i = Float.pow 2.0 (float_of_int (i - hist_mid) /. hist_scale)
-
 let hist_add h v =
   Mutex.lock h.hlock;
   h.n <- h.n + 1;
   h.sum <- h.sum +. v;
   if v < h.minv then h.minv <- v;
   if v > h.maxv then h.maxv <- v;
-  let i = bucket_of v in
+  let i = Xmutil.Logscale.index scale v in
   h.buckets.(i) <- h.buckets.(i) + 1;
   Mutex.unlock h.hlock
 
@@ -244,23 +231,11 @@ let histogram_series ~r name =
 
 let hist_percentile h q =
   if h.n = 0 then None
-  else begin
-    let rank = q *. float_of_int (h.n - 1) in
-    let cum = ref 0 in
-    let found = ref None in
-    (try
-       for i = 0 to hist_buckets - 1 do
-         cum := !cum + h.buckets.(i);
-         if float_of_int !cum > rank then begin
-           found := Some i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    match !found with
+  else
+    match Xmutil.Logscale.rank h.buckets h.n q with
     | None -> Some h.maxv
-    | Some i -> Some (Float.min h.maxv (Float.max h.minv (bucket_value i)))
-  end
+    | Some i ->
+        Some (Float.min h.maxv (Float.max h.minv (Xmutil.Logscale.value scale i)))
 
 let percentile ~r name q =
   match Hashtbl.find_opt r.histograms name with
@@ -377,7 +352,7 @@ let prom_float v =
 (* The upper edge of log-scale bucket [i]: observations are rounded to the
    nearest bucket, so the boundary sits half a bucket step up. *)
 let bucket_upper_edge i =
-  Float.pow 2.0 ((float_of_int (i - hist_mid) +. 0.5) /. hist_scale)
+  Float.pow 2.0 ((float_of_int (i - scale.mid) +. 0.5) /. scale.per_octave)
 
 (* HELP text escapes only backslash and newline (no quoting). *)
 let prometheus_escape_help v =
@@ -416,7 +391,7 @@ let hist_samples b name lbl h =
   let le_pre = if lbl = "" then "" else lbl ^ "," in
   let plain = if lbl = "" then "" else "{" ^ lbl ^ "}" in
   let cum = ref 0 in
-  for i = 0 to hist_buckets - 1 do
+  for i = 0 to scale.count - 1 do
     if buckets.(i) > 0 then begin
       cum := !cum + buckets.(i);
       Buffer.add_string b

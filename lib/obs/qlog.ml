@@ -125,88 +125,51 @@ let entry_to_line e = Xmutil.Json.to_string ~pretty:false (entry_to_json e)
 
 (* ---------- reading back ---------- *)
 
-let fail fmt = Printf.ksprintf failwith fmt
-
-let obj_fields = function
-  | Xmutil.Json.Obj fields -> fields
-  | _ -> fail "qlog entry: not a JSON object"
-
-let find fields name = List.assoc_opt name fields
-
-let get_string fields name =
-  match find fields name with
-  | Some (Xmutil.Json.String s) -> s
-  | Some _ -> fail "qlog entry: field %S is not a string" name
-  | None -> fail "qlog entry: missing field %S" name
-
-let get_string_opt fields name =
-  match find fields name with
-  | Some (Xmutil.Json.String s) -> Some s
-  | _ -> None
-
-let get_int fields name =
-  match find fields name with
-  | Some (Xmutil.Json.Int i) -> i
-  | Some (Xmutil.Json.Float f) -> int_of_float f
-  | Some _ -> fail "qlog entry: field %S is not a number" name
-  | None -> fail "qlog entry: missing field %S" name
-
-let get_float fields name =
-  match find fields name with
-  | Some (Xmutil.Json.Float f) -> f
-  | Some (Xmutil.Json.Int i) -> float_of_int i
-  | Some _ -> fail "qlog entry: field %S is not a number" name
-  | None -> fail "qlog entry: missing field %S" name
-
 let entry_of_json j =
-  let fields = obj_fields j in
+  let module J = Xmutil.Json in
+  let f = J.fields ~what:"qlog entry" j in
   let io =
-    match find fields "io" with
-    | Some (Xmutil.Json.Obj _ as o) ->
-        let f = obj_fields o in
+    match J.path j [ "io" ] with
+    | Some (J.Obj _ as o) ->
+        let f = J.fields ~what:"qlog entry" o in
         Some
-          { bytes_read = get_int f "bytes_read";
-            bytes_written = get_int f "bytes_written";
-            blocks_read = get_int f "blocks_read";
-            blocks_written = get_int f "blocks_written";
-            read_ops = get_int f "read_ops";
-            write_ops = get_int f "write_ops" }
+          { bytes_read = J.int_field f "bytes_read";
+            bytes_written = J.int_field f "bytes_written";
+            blocks_read = J.int_field f "blocks_read";
+            blocks_written = J.int_field f "blocks_written";
+            read_ops = J.int_field f "read_ops";
+            write_ops = J.int_field f "write_ops" }
     | _ -> None
   in
   let outcome =
-    let s = get_string fields "outcome" in
+    let s = J.string_field f "outcome" in
     match outcome_of_string s with
     | Some o -> o
-    | None -> fail "qlog entry: unknown outcome %S" s
+    | None -> failwith (Printf.sprintf "qlog entry: unknown outcome %S" s)
   in
   {
-    ts = float_of_int (get_int fields "ts_ms") /. 1000.0;
-    id = get_int fields "id";
-    trace_id = get_string_opt fields "trace_id";
-    source = get_string fields "source";
-    doc = (match get_string_opt fields "doc" with Some d -> d | None -> "");
-    guard = get_string fields "guard";
-    guard_hash = get_string fields "guard_hash";
-    query_hash = get_string_opt fields "query_hash";
-    classification = get_string_opt fields "classification";
+    ts = float_of_int (J.int_field f "ts_ms") /. 1000.0;
+    id = J.int_field f "id";
+    trace_id = J.string_at j [ "trace_id" ];
+    source = J.string_field f "source";
+    doc = Option.value ~default:"" (J.string_at j [ "doc" ]);
+    guard = J.string_field f "guard";
+    guard_hash = J.string_field f "guard_hash";
+    query_hash = J.string_at j [ "query_hash" ];
+    classification = J.string_at j [ "classification" ];
     outcome;
-    error = get_string_opt fields "error";
-    wall_s = get_float fields "wall_s";
-    eval_s = get_float fields "eval_s";
-    render_s = get_float fields "render_s";
-    in_nodes = get_int fields "in_nodes";
-    out_nodes = get_int fields "out_nodes";
+    error = J.string_at j [ "error" ];
+    wall_s = J.float_field f "wall_s";
+    eval_s = J.float_field f "eval_s";
+    render_s = J.float_field f "render_s";
+    in_nodes = J.int_field f "in_nodes";
+    out_nodes = J.int_field f "out_nodes";
     io;
     (* Absent in pre-cache logs: missing means uncached. *)
-    cached =
-      (match find fields "cached" with
-      | Some (Xmutil.Json.Bool b) -> b
-      | _ -> false);
+    cached = J.path j [ "cached" ] = Some (J.Bool true);
     (* Absent in pre-flight-recorder logs: missing means unknown. *)
     generation =
-      (match find fields "generation" with
-      | Some (Xmutil.Json.Int g) -> Some g
-      | _ -> None);
+      (match J.path j [ "generation" ] with Some (J.Int g) -> Some g | _ -> None);
   }
 
 (* ---------- the ring-to-disk writer ---------- *)

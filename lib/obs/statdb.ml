@@ -7,7 +7,7 @@
    against the pairs the frames actually produced.
 
    Persistence is deliberately boring: one pretty-printed JSON document,
-   written atomically (temp + rename) and re-merged on load.  Corruption
+   written atomically by [Xmutil.Json.write_file] and re-merged on load.  Corruption
    of a telemetry file must never take the query path down, so every load
    failure degrades to an empty warehouse with a warning. *)
 
@@ -40,24 +40,14 @@ type t = {
 
 (* ---------- latency buckets ----------
 
-   Quarter-octave log scale over per-call self microseconds: bucket
-   [mid + 4*log2 us], clamped.  mid=32 spans ~2^-8 us .. ~2^24 us, i.e.
-   nanoseconds to ~16 s — wider than any operator self time we record. *)
+   Quarter-octave log scale over per-call self microseconds, mid 32:
+   about 2^-8 us .. 2^24 us, i.e. nanoseconds to ~14 s — wider than any
+   operator self time we record. *)
 
-let buckets = 128
-let bucket_mid = 32
-let bucket_scale = 4.0
-
-let bucket_of_us us =
-  if us <= 0.0 then 0
-  else
-    let i =
-      bucket_mid + int_of_float (Float.round (bucket_scale *. Float.log2 us))
-    in
-    if i < 0 then 0 else if i >= buckets then buckets - 1 else i
-
-let bucket_value_us i =
-  Float.exp2 (float_of_int (i - bucket_mid) /. bucket_scale)
+let scale = Xmutil.Logscale.make ~per_octave:4 ~mid:32 ~count:128
+let buckets = scale.count
+let bucket_of_us us = Xmutil.Logscale.index scale us
+let bucket_value_us i = Xmutil.Logscale.value scale i
 
 let make file =
   { tbl = Hashtbl.create 64; lock = Mutex.create (); file; dirty = false }
@@ -290,73 +280,46 @@ let to_json t =
     [ ("xmorph_statdb", Xmutil.Json.Int version);
       ("records", Xmutil.Json.List (List.map summary_to_json (rows t))) ]
 
-let jint = function
-  | Xmutil.Json.Int i -> i
-  | Xmutil.Json.Float f -> int_of_float f
-  | _ -> failwith "statdb: expected number"
+module J = Xmutil.Json
 
-let jfloat = function
-  | Xmutil.Json.Float f -> f
-  | Xmutil.Json.Int i -> float_of_int i
-  | _ -> failwith "statdb: expected number"
+let summary_of_json j =
+  let f = J.fields ~what:"statdb" j in
+  let s = fresh (J.string_field f "guard") (J.string_field f "op") in
+  s.calls <- J.int_field f "calls";
+  s.wall_us <- J.float_field f "wall_us";
+  s.self_us <- J.float_field f "self_us";
+  s.in_nodes <- J.int_field f "in_nodes";
+  s.out_nodes <- J.int_field f "out_nodes";
+  s.pairs <- J.int_field f "pairs";
+  s.blocks_read <- J.int_field f "blocks_read";
+  s.blocks_written <- J.int_field f "blocks_written";
+  List.iter
+    (fun b ->
+      match List.map (fun x -> J.int_at x []) (J.list_at b []) with
+      | [ Some i; Some c ] -> add_latency s i c
+      | _ -> failwith "statdb: bad latency bucket")
+    (J.list_field f "latency");
+  s.pred_lo <- J.int_field f "pred_lo";
+  s.pred_hi <- J.int_field f "pred_hi";
+  s.observed <- J.int_field f "observed";
+  s.qerr_sum <- J.float_field f "qerr_sum";
+  s.qerr_max <- J.float_field f "qerr_max";
+  s.qerr_n <- J.int_field f "qerr_n";
+  s
 
-let jstring = function
-  | Xmutil.Json.String s -> s
-  | _ -> failwith "statdb: expected string"
-
-let field fields name = List.assoc_opt name fields
-
-let req fields name =
-  match field fields name with
-  | Some v -> v
-  | None -> failwith ("statdb: missing field " ^ name)
-
-let summary_of_json = function
-  | Xmutil.Json.Obj fields ->
-      let s = fresh (jstring (req fields "guard")) (jstring (req fields "op")) in
-      s.calls <- jint (req fields "calls");
-      s.wall_us <- jfloat (req fields "wall_us");
-      s.self_us <- jfloat (req fields "self_us");
-      s.in_nodes <- jint (req fields "in_nodes");
-      s.out_nodes <- jint (req fields "out_nodes");
-      s.pairs <- jint (req fields "pairs");
-      s.blocks_read <- jint (req fields "blocks_read");
-      s.blocks_written <- jint (req fields "blocks_written");
-      (match req fields "latency" with
-      | Xmutil.Json.List l ->
-          List.iter
-            (function
-              | Xmutil.Json.List [ i; c ] -> add_latency s (jint i) (jint c)
-              | _ -> failwith "statdb: bad latency bucket")
-            l
-      | _ -> failwith "statdb: bad latency list");
-      s.pred_lo <- jint (req fields "pred_lo");
-      s.pred_hi <- jint (req fields "pred_hi");
-      s.observed <- jint (req fields "observed");
-      s.qerr_sum <- jfloat (req fields "qerr_sum");
-      s.qerr_max <- jfloat (req fields "qerr_max");
-      s.qerr_n <- jint (req fields "qerr_n");
-      s
-  | _ -> failwith "statdb: record is not an object"
-
-let of_json_file file = function
-  | Xmutil.Json.Obj fields ->
-      (match field fields "xmorph_statdb" with
-      | Some (Xmutil.Json.Int v) when v = version -> ()
-      | Some (Xmutil.Json.Int v) ->
-          failwith (Printf.sprintf "statdb: unsupported version %d" v)
-      | _ -> failwith "statdb: not a stats-db file");
-      let t = make file in
-      (match req fields "records" with
-      | Xmutil.Json.List l ->
-          List.iter
-            (fun j ->
-              let s = summary_of_json j in
-              Hashtbl.replace t.tbl (s.s_guard, s.s_op) s)
-            l
-      | _ -> failwith "statdb: bad records list");
-      t
-  | _ -> failwith "statdb: not a JSON object"
+let of_json_file file j =
+  let f = J.fields ~what:"statdb" j in
+  (match J.path j [ "xmorph_statdb" ] with
+  | Some (J.Int v) when v = version -> ()
+  | Some (J.Int v) -> failwith (Printf.sprintf "statdb: unsupported version %d" v)
+  | _ -> failwith "statdb: not a stats-db file");
+  let t = make file in
+  List.iter
+    (fun j ->
+      let s = summary_of_json j in
+      Hashtbl.replace t.tbl (s.s_guard, s.s_op) s)
+    (J.list_field f "records");
+  t
 
 let of_json = of_json_file None
 
@@ -365,21 +328,13 @@ let of_json = of_json_file None
 let load p =
   if not (Sys.file_exists p) then make (Some p)
   else
-    match
-      let ic = open_in_bin p in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      of_json_file (Some p) (Xmutil.Json.of_string text)
-    with
+    match of_json_file (Some p) (J.read_file p) with
     | t -> t
     | exception e ->
         let why =
           match e with
-          | Xmutil.Json.Parse_error { pos; msg } ->
-              Printf.sprintf "JSON error at %d: %s" pos msg
-          | Failure m -> m
-          | Sys_error m -> m
+          | J.Parse_error { pos; msg } -> J.error_message ~pos ~msg
+          | Failure m | Sys_error m -> m
           | e -> Printexc.to_string e
         in
         Printf.eprintf
@@ -387,13 +342,7 @@ let load p =
           why;
         make (Some p)
 
-let save t p =
-  let tmp = p ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Xmutil.Json.to_string ~pretty:true (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp p
+let save t p = J.write_file p (to_json t)
 
 let path t = t.file
 

@@ -51,14 +51,14 @@ type t
 
 (** {2 Latency buckets}
 
-    Per-call self time in microseconds lands in bucket
-    [floor(mid + scale * log2 us)] clamped to [0 .. buckets-1] — quarter
-    octaves from sub-microsecond to ~3.5 s. *)
+    Per-call self time in microseconds, on a {!Xmutil.Logscale} of 4
+    buckets per octave, mid 32, 128 buckets: quarter octaves from a few
+    nanoseconds to about 14 s. *)
 
 val buckets : int
 val bucket_of_us : float -> int
 val bucket_value_us : int -> float
-(** Upper edge of a bucket, in microseconds. *)
+(** The value a bucket stands for, in microseconds. *)
 
 (** {2 Warehouses} *)
 
@@ -110,7 +110,8 @@ val load : string -> t
     telemetry; losing it must not take the query path down). *)
 
 val save : t -> string -> unit
-(** Atomic write (temp file + rename) of the in-memory state.  The merge
+(** Atomic write ({!Xmutil.Json.write_file}: temp file + rename) of the
+    in-memory state.  The merge
     with any previous contents happened at {!load} time — saving does not
     re-read the file, so two processes sharing a path last-write-wins
     rather than double-count. *)

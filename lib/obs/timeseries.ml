@@ -25,19 +25,7 @@
 
 type kind = Counter | Histogram
 
-let ts_buckets = 192
-
-let ts_mid = 96
-
-let ts_scale = 4.0
-
-let bucket_of v =
-  if v <= 0.0 then 0
-  else
-    let i = ts_mid + int_of_float (Float.round (ts_scale *. Float.log2 v)) in
-    if i < 0 then 0 else if i >= ts_buckets then ts_buckets - 1 else i
-
-let bucket_value i = Float.pow 2.0 (float_of_int (i - ts_mid) /. ts_scale)
+let scale = Xmutil.Logscale.make ~per_octave:4 ~mid:96 ~count:192
 
 type slot = {
   mutable s_epoch : int; (* the second this slot holds; -1 when empty *)
@@ -64,7 +52,7 @@ let window t = t.window
 let create ?(window = 300) ?clock kind =
   let window = if window < 1 then 1 else if window > 86400 then 86400 else window in
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
-  let mk_hist () = if kind = Histogram then Array.make ts_buckets 0 else [||] in
+  let mk_hist () = if kind = Histogram then Array.make scale.count 0 else [||] in
   {
     kind;
     window;
@@ -92,7 +80,7 @@ let clear_slot t s =
     s.s_epoch <- -1;
     s.s_n <- 0;
     s.s_sum <- 0.0;
-    if t.kind = Histogram then Array.fill s.s_hist 0 ts_buckets 0
+    if t.kind = Histogram then Array.fill s.s_hist 0 scale.count 0
   end
 
 (* A slot is stale when it fell off the back of the window — or when it
@@ -124,7 +112,7 @@ let add t n v hist_one =
   t.agg_n <- t.agg_n + n;
   t.agg_sum <- t.agg_sum +. v;
   if hist_one && t.kind = Histogram then begin
-    let i = bucket_of v in
+    let i = Xmutil.Logscale.index scale v in
     s.s_hist.(i) <- s.s_hist.(i) + 1;
     t.agg_hist.(i) <- t.agg_hist.(i) + 1
   end;
@@ -151,24 +139,9 @@ let rate t =
   with_window t (fun _ -> float_of_int t.agg_n /. float_of_int t.window)
 
 (* When n > 0 the cumulative count always crosses the rank before the
-   loop ends, so the scan cannot come back empty. *)
+   scan ends, so it cannot come back empty. *)
 let pct_of_hist hist n q =
-  if n = 0 then None
-  else begin
-    let rank = q *. float_of_int (n - 1) in
-    let cum = ref 0 in
-    let found = ref None in
-    (try
-       for i = 0 to ts_buckets - 1 do
-         cum := !cum + hist.(i);
-         if float_of_int !cum > rank then begin
-           found := Some (bucket_value i);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !found
-  end
+  Option.map (Xmutil.Logscale.value scale) (Xmutil.Logscale.rank hist n q)
 
 (* ---------- sub-window reads ----------
 
@@ -184,7 +157,7 @@ let last_locked t now_s k ~hist =
   else begin
     let n = ref 0 and sum = ref 0.0 in
     let h =
-      if hist && t.kind = Histogram then Array.make ts_buckets 0 else [||]
+      if hist && t.kind = Histogram then Array.make scale.count 0 else [||]
     in
     for off = 0 to max 1 k - 1 do
       let e = now_s - off in

@@ -19,69 +19,32 @@ type t = {
   json : Xmutil.Json.t; (* the whole bundle, for --json passthrough *)
 }
 
-let fail fmt = Printf.ksprintf failwith fmt
-
-let obj_fields name = function
-  | Xmutil.Json.Obj fields -> fields
-  | _ -> fail "incident bundle: %s is not a JSON object" name
-
-let find fields name = List.assoc_opt name fields
-
-let get_int fields name =
-  match find fields name with
-  | Some (Xmutil.Json.Int i) -> i
-  | Some (Xmutil.Json.Float f) -> int_of_float f
-  | Some _ -> fail "incident bundle: field %S is not a number" name
-  | None -> fail "incident bundle: missing field %S" name
-
-let get_string fields name =
-  match find fields name with
-  | Some (Xmutil.Json.String s) -> s
-  | Some _ -> fail "incident bundle: field %S is not a string" name
-  | None -> fail "incident bundle: missing field %S" name
+module J = Xmutil.Json
 
 let of_json json =
-  let fields = obj_fields "bundle" json in
-  let version = get_int fields "version" in
+  let f = J.fields ~what:"incident bundle" json in
+  let version = J.int_field f "version" in
   if version <> Xmobs.Flight.version then
-    fail "incident bundle: unsupported version %d (expected %d)" version
-      Xmobs.Flight.version;
-  let trigger = obj_fields "trigger" (
-    match find fields "trigger" with
-    | Some t -> t
-    | None -> fail "incident bundle: missing field \"trigger\"")
-  in
-  let trace_events =
-    match find fields "trace" with
-    | None -> fail "incident bundle: missing field \"trace\""
-    | Some t -> (
-        match find (obj_fields "trace" t) "traceEvents" with
-        | Some (Xmutil.Json.List es) -> es
-        | Some _ -> fail "incident bundle: traceEvents is not a list"
-        | None -> fail "incident bundle: trace has no traceEvents")
-  in
+    failwith
+      (Printf.sprintf "incident bundle: unsupported version %d (expected %d)"
+         version Xmobs.Flight.version);
+  let trigger = J.object_field f "trigger" in
+  let trace_events = J.list_field (J.object_field f "trace") "traceEvents" in
   let qlog, qlog_malformed =
-    match find fields "qlog" with
-    | None -> fail "incident bundle: missing field \"qlog\""
-    | Some (Xmutil.Json.List rs) ->
-        List.fold_left
-          (fun (ok, bad) r ->
-            match Xmobs.Qlog.entry_of_json r with
-            | e -> (e :: ok, bad)
-            | exception Failure _ -> (ok, bad + 1))
-          ([], 0) rs
-        |> fun (ok, bad) -> (List.rev ok, bad)
-    | Some _ -> fail "incident bundle: qlog is not a list"
+    List.fold_left
+      (fun (ok, bad) r ->
+        match Xmobs.Qlog.entry_of_json r with
+        | e -> (e :: ok, bad)
+        | exception Failure _ -> (ok, bad + 1))
+      ([], 0) (J.list_field f "qlog")
+    |> fun (ok, bad) -> (List.rev ok, bad)
   in
-  (match find fields "metrics" with
-  | Some (Xmutil.Json.Obj _) -> ()
-  | Some _ -> fail "incident bundle: metrics is not an object"
-  | None -> fail "incident bundle: missing field \"metrics\"");
+  ignore (J.object_field f "metrics");
   {
     version;
-    kind = get_string trigger "kind";
-    reason = get_string trigger "reason";
-    ts_ms = get_int trigger "ts_ms";
+    kind = J.string_field trigger "kind";
+    reason = J.string_field trigger "reason";
+    ts_ms = J.int_field trigger "ts_ms";
     trace_events;
     qlog;
     qlog_malformed;
@@ -89,15 +52,10 @@ let of_json json =
   }
 
 let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in_noerr ic;
-  match Xmutil.Json.of_string text with
+  match J.read_file path with
   | json -> of_json json
-  | exception Xmutil.Json.Parse_error { pos; msg } ->
-      failwith
-        (Printf.sprintf "incident bundle: invalid JSON at byte %d: %s" pos msg)
+  | exception J.Parse_error { pos; msg } ->
+      failwith ("incident bundle: " ^ J.error_message ~pos ~msg)
 
 (* ---------- check ---------- *)
 
@@ -113,20 +71,10 @@ let check path =
 (* ---------- rendering ---------- *)
 
 let span_row e =
-  match e with
-  | Xmutil.Json.Obj f -> (
-      let num name =
-        match find f name with
-        | Some (Xmutil.Json.Float v) -> v
-        | Some (Xmutil.Json.Int v) -> float_of_int v
-        | _ -> 0.0
-      in
-      match (find f "name", find f "ph") with
-      | Some (Xmutil.Json.String name), Some (Xmutil.Json.String "X") ->
-          Some (num "ts", name, Some (num "dur"))
-      | Some (Xmutil.Json.String name), Some (Xmutil.Json.String _) ->
-          Some (num "ts", name, None)
-      | _ -> None)
+  let num name = Option.value ~default:0.0 (J.number_at e [ name ]) in
+  match (J.string_at e [ "name" ], J.string_at e [ "ph" ]) with
+  | Some name, Some "X" -> Some (num "ts", name, Some (num "dur"))
+  | Some name, Some _ -> Some (num "ts", name, None)
   | _ -> None
 
 let timeline ?(limit = 40) t =
@@ -176,36 +124,24 @@ let qlog_table t =
   Buffer.contents b
 
 let context_summary t =
-  let fields = obj_fields "bundle" t.json in
-  match find fields "context" with
-  | None | Some Xmutil.Json.Null -> ""
-  | Some ctx -> (
-      match ctx with
-      | Xmutil.Json.Obj cf ->
-          let b = Buffer.create 256 in
-          (match find cf "stores" with
-          | Some (Xmutil.Json.List stores) ->
-              List.iter
-                (fun s ->
-                  match s with
-                  | Xmutil.Json.Obj sf ->
-                      Buffer.add_string b
-                        (Printf.sprintf "  store %s: %d nodes, generation %d\n"
-                           (try get_string sf "name" with Failure _ -> "?")
-                           (try get_int sf "nodes" with Failure _ -> 0)
-                           (try get_int sf "generation" with Failure _ -> 0))
-                  | _ -> ())
-                stores
-          | _ -> ());
-          (match find cf "slo" with
-          | Some (Xmutil.Json.Obj sf) ->
-              Buffer.add_string b
-                (Printf.sprintf "  slo: %s\n"
-                   (try get_string sf "status" with Failure _ -> "?"))
-          | _ -> ());
-          if Buffer.length b = 0 then ""
-          else "context:\n" ^ Buffer.contents b
-      | _ -> "")
+  let b = Buffer.create 256 in
+  List.iter
+    (function
+      | J.Obj _ as s ->
+          Buffer.add_string b
+            (Printf.sprintf "  store %s: %d nodes, generation %d\n"
+               (Option.value ~default:"?" (J.string_at s [ "name" ]))
+               (Option.value ~default:0 (J.int_at s [ "nodes" ]))
+               (Option.value ~default:0 (J.int_at s [ "generation" ])))
+      | _ -> ())
+    (J.list_at t.json [ "context"; "stores" ]);
+  (match J.path t.json [ "context"; "slo" ] with
+  | Some (J.Obj _ as slo) ->
+      Buffer.add_string b
+        (Printf.sprintf "  slo: %s\n"
+           (Option.value ~default:"?" (J.string_at slo [ "status" ])))
+  | _ -> ());
+  if Buffer.length b = 0 then "" else "context:\n" ^ Buffer.contents b
 
 let to_text t =
   let header =

@@ -9,9 +9,10 @@
    registry (counters/gauges are atomic or word-sized), its request ring
    (under its lock), the store's mutex-guarded caches, and the server's
    other mutex-guarded sinks, so no extra synchronization is needed
-   here.  A worker keeps its thread id across requests, and [Xmobs.Ctx]
-   keys request contexts by thread id, so no context may outlive its
-   connection. *)
+   here.  Each request gets a context of its own ([Xmobs.Ctx.create]),
+   which the handler hands to every operation it runs and then finishes
+   into the request ring; no context is looked up by thread, so none is
+   shared between requests. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -405,12 +406,9 @@ let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
   | Some dir -> (
       try
         if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        let path = Filename.concat dir (trace_id ^ ".json") in
-        let oc = open_out path in
-        output_string oc
-          (Xmutil.Json.to_string ~pretty:true (Xmobs.Frames.to_json frames));
-        output_char oc '\n';
-        close_out_noerr oc
+        Xmutil.Json.write_file
+          (Filename.concat dir (trace_id ^ ".json"))
+          (Xmobs.Frames.to_json frames)
       with Sys_error _ | Unix.Unix_error _ -> ()));
   frames
 

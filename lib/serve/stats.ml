@@ -340,6 +340,17 @@ let op_line (s : Xmobs.Statdb.summary) =
          (s.Xmobs.Statdb.qerr_sum /. float_of_int s.Xmobs.Statdb.qerr_n)
          s.Xmobs.Statdb.qerr_max)
 
+let op_json (s : Xmobs.Statdb.summary) =
+  Xmutil.Json.Obj
+    [ ("op", Xmutil.Json.String s.Xmobs.Statdb.s_op);
+      ("calls", Xmutil.Json.Int s.Xmobs.Statdb.calls);
+      ("self_us", Xmutil.Json.Float s.Xmobs.Statdb.self_us);
+      ("out_nodes", Xmutil.Json.Int s.Xmobs.Statdb.out_nodes);
+      ("pairs", Xmutil.Json.Int s.Xmobs.Statdb.pairs);
+      ("qerr_n", Xmutil.Json.Int s.Xmobs.Statdb.qerr_n);
+      ("qerr_sum", Xmutil.Json.Float s.Xmobs.Statdb.qerr_sum);
+      ("qerr_max", Xmutil.Json.Float s.Xmobs.Statdb.qerr_max) ]
+
 let cross_reference_to_text ?(top_ops = 5) gs =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -367,21 +378,7 @@ let cross_reference_to_json gs =
              ("guard", Xmutil.Json.String g.g_guard);
              ("queries", Xmutil.Json.Int g.g_count);
              ("mean_wall_ms", Xmutil.Json.Float g.g_mean_wall_ms);
-             ("ops",
-              Xmutil.Json.List
-                (List.map
-                   (fun (s : Xmobs.Statdb.summary) ->
-                     Xmutil.Json.Obj
-                       [ ("op", Xmutil.Json.String s.Xmobs.Statdb.s_op);
-                         ("calls", Xmutil.Json.Int s.Xmobs.Statdb.calls);
-                         ("self_us", Xmutil.Json.Float s.Xmobs.Statdb.self_us);
-                         ("out_nodes", Xmutil.Json.Int s.Xmobs.Statdb.out_nodes);
-                         ("pairs", Xmutil.Json.Int s.Xmobs.Statdb.pairs);
-                         ("qerr_n", Xmutil.Json.Int s.Xmobs.Statdb.qerr_n);
-                         ("qerr_sum", Xmutil.Json.Float s.Xmobs.Statdb.qerr_sum);
-                         ("qerr_max", Xmutil.Json.Float s.Xmobs.Statdb.qerr_max)
-                       ])
-                   g.g_ops)) ])
+             ("ops", Xmutil.Json.List (List.map op_json g.g_ops)) ])
        gs)
 
 type comparison = {
@@ -394,30 +391,12 @@ type comparison = {
 }
 
 let compare_baseline ?(tolerance = 0.25) ~baseline_path s =
-  match
-    let ic = open_in_bin baseline_path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    Xmutil.Json.of_string text
-  with
+  match Xmutil.Json.read_file baseline_path with
   | exception Sys_error m -> Error m
   | exception Xmutil.Json.Parse_error { pos; msg } ->
-      Error (Printf.sprintf "%s: JSON error at %d: %s" baseline_path pos msg)
+      Error (baseline_path ^ ": " ^ Xmutil.Json.error_message ~pos ~msg)
   | json -> (
-      let p95 =
-        match json with
-        | Xmutil.Json.Obj fields -> (
-            match List.assoc_opt "wall_ms" fields with
-            | Some (Xmutil.Json.Obj wall) -> (
-                match List.assoc_opt "p95" wall with
-                | Some (Xmutil.Json.Float f) -> Some f
-                | Some (Xmutil.Json.Int i) -> Some (float_of_int i)
-                | _ -> None)
-            | _ -> None)
-        | _ -> None
-      in
-      match p95 with
+      match Xmutil.Json.number_at json [ "wall_ms"; "p95" ] with
       | None ->
           Error (baseline_path ^ ": missing wall_ms.p95 (not a stats artifact?)")
       | Some baseline_p95_ms ->

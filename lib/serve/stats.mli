@@ -84,6 +84,10 @@ val op_line : Xmobs.Statdb.summary -> string
     derived values, and the q-error when predictions were folded.  The
     cross-reference and [xmorph explain]'s history both print it. *)
 
+val op_json : Xmobs.Statdb.summary -> Xmutil.Json.t
+(** {!op_line}'s row as JSON: the cross-reference's [ops] and
+    [xmorph explain --json]'s [history] both write it. *)
+
 val cross_reference_to_text : ?top_ops:int -> guard_stats list -> string
 (** [top_ops] bounds the operator lines per guard (default 5). *)
 

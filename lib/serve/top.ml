@@ -14,33 +14,7 @@ type snapshot = {
   stats : Xmutil.Json.t;
 }
 
-(* ---------- tolerant JSON navigation ---------- *)
-
-let field j name =
-  match j with Xmutil.Json.Obj fs -> List.assoc_opt name fs | _ -> None
-
-let rec path j = function
-  | [] -> Some j
-  | name :: rest -> (
-      match field j name with None -> None | Some j' -> path j' rest)
-
-let num j p =
-  match path j p with
-  | Some (Xmutil.Json.Float f) -> Some f
-  | Some (Xmutil.Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let int_at j p =
-  match path j p with
-  | Some (Xmutil.Json.Int i) -> Some i
-  | Some (Xmutil.Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let str_at j p =
-  match path j p with Some (Xmutil.Json.String s) -> Some s | _ -> None
-
-let list_at j p =
-  match path j p with Some (Xmutil.Json.List l) -> l | _ -> []
+module J = Xmutil.Json
 
 (* ---------- fetch ---------- *)
 
@@ -48,11 +22,10 @@ let get_json ?timeout_s base target =
   match Http.request_url ?timeout_s ~meth:"GET" (base ^ target) with
   | Error m -> Error (Printf.sprintf "%s%s: %s" base target m)
   | Ok (status, _, body) when status = 200 -> (
-      match Xmutil.Json.of_string body with
+      match J.of_string body with
       | j -> Ok j
-      | exception Xmutil.Json.Parse_error { pos; msg } ->
-          Error
-            (Printf.sprintf "%s%s: bad JSON at %d: %s" base target pos msg))
+      | exception J.Parse_error { pos; msg } ->
+          Error (base ^ target ^ ": " ^ J.error_message ~pos ~msg))
   | Ok (status, _, _) ->
       Error (Printf.sprintf "%s%s: HTTP %d" base target status)
 
@@ -71,8 +44,8 @@ let fetch ?timeout_s base =
       | Ok stats -> Ok { base; timeseries; stats })
 
 let to_json s =
-  Xmutil.Json.Obj
-    [ ("base", Xmutil.Json.String s.base);
+  J.Obj
+    [ ("base", J.String s.base);
       ("timeseries", s.timeseries);
       ("stats", s.stats) ]
 
@@ -122,42 +95,42 @@ let sparkline counts =
 
 let seconds_of s series =
   List.filter_map
-    (function Xmutil.Json.Int i -> Some i | _ -> None)
-    (list_at s.timeseries [ "series"; series; "seconds" ])
+    (function J.Int i -> Some i | _ -> None)
+    (J.list_at s.timeseries [ "series"; series; "seconds" ])
 
 let render s =
   let ts = s.timeseries and st = s.stats in
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   let slo_status =
-    match str_at ts [ "slo"; "status" ] with
+    match J.string_at ts [ "slo"; "status" ] with
     | Some st -> st
     | None -> "off"
   in
   line "xmorph top - %s  up %s  workers %s  slo %s" s.base
-    (fmt_uptime (num ts [ "uptime_s" ]))
-    (match int_at st [ "workers" ] with Some w -> string_of_int w | None -> dash)
+    (fmt_uptime (J.number_at ts [ "uptime_s" ]))
+    (match J.int_at st [ "workers" ] with Some w -> string_of_int w | None -> dash)
     slo_status;
-  let req_rate = num ts [ "series"; "requests"; "rate" ] in
-  let err_rate = num ts [ "series"; "errors"; "rate" ] in
+  let req_rate = J.number_at ts [ "series"; "requests"; "rate" ] in
+  let err_rate = J.number_at ts [ "series"; "errors"; "rate" ] in
   let err_pct =
     match (req_rate, err_rate) with
     | Some r, Some e when r > 0.0 -> Printf.sprintf "%.1f%%" (100.0 *. e /. r)
     | _ -> dash
   in
   line "window %ss  req/s %s  err/s %s (%s)  blocks/s %s  rss %s"
-    (match int_at ts [ "window_s" ] with Some w -> string_of_int w | None -> dash)
+    (match J.int_at ts [ "window_s" ] with Some w -> string_of_int w | None -> dash)
     (fmt_num req_rate) (fmt_num err_rate) err_pct
-    (fmt_num (num ts [ "series"; "blocks"; "rate" ]))
-    (fmt_bytes (num st [ "metrics"; "gauges"; "xmorph_rss_bytes" ]));
+    (fmt_num (J.number_at ts [ "series"; "blocks"; "rate" ]))
+    (fmt_bytes (J.number_at st [ "metrics"; "gauges"; "xmorph_rss_bytes" ]));
   line "query latency  p50 %s  p95 %s  p99 %s  (%s in window, %s lifetime)"
-    (fmt_ms (num ts [ "series"; "queries"; "p50" ]))
-    (fmt_ms (num ts [ "series"; "queries"; "p95" ]))
-    (fmt_ms (num ts [ "series"; "queries"; "p99" ]))
-    (match int_at ts [ "series"; "queries"; "count" ] with
+    (fmt_ms (J.number_at ts [ "series"; "queries"; "p50" ]))
+    (fmt_ms (J.number_at ts [ "series"; "queries"; "p95" ]))
+    (fmt_ms (J.number_at ts [ "series"; "queries"; "p99" ]))
+    (match J.int_at ts [ "series"; "queries"; "count" ] with
     | Some n -> string_of_int n
     | None -> dash)
-    (match int_at ts [ "series"; "queries"; "lifetime" ] with
+    (match J.int_at ts [ "series"; "queries"; "lifetime" ] with
     | Some n -> string_of_int n
     | None -> dash);
   (* Serve-cache health, read from the /stats metrics dump (the labeled
@@ -165,7 +138,7 @@ let render s =
      without a cache simply have no such series, and the line is
      omitted — same tolerance as every other field. *)
   (let tier_counter family tier =
-     int_at st
+     J.int_at st
        [ "metrics"; "labeled_counters"; family; "{tier=" ^ tier ^ "}" ]
    in
    let rate tier =
@@ -192,13 +165,13 @@ let render s =
          | Some (r, h, m) -> Printf.sprintf "%s %s (%d/%d)" name r h (h + m)
        in
        line "cache  %s  %s  bytes %s" (part "result" result) (part "plan" plan)
-         (fmt_bytes (num st [ "metrics"; "gauges"; "xmorph_cache_bytes" ])));
+         (fmt_bytes (J.number_at st [ "metrics"; "gauges"; "xmorph_cache_bytes" ])));
   (* Incident bundles written by the flight recorder, from the labeled
      counter family in the /stats metrics dump; daemons running without
      --incident-dir (or with no incidents yet) have no series and the
      line is omitted. *)
   (let trigger_count kind =
-     int_at st
+     J.int_at st
        [ "metrics"; "labeled_counters"; "xmorph_incidents_total";
          "{trigger=" ^ kind ^ "}" ]
    in
@@ -222,16 +195,16 @@ let render s =
      transition family ([{rule=...,state=...}], labels alphabetical);
      daemons running without --alert-rules export neither and the line
      is omitted. *)
-  (let firing = num st [ "metrics"; "gauges"; "xmorph_alerts_firing" ] in
+  (let firing = J.number_at st [ "metrics"; "gauges"; "xmorph_alerts_firing" ] in
    let per_state state =
      match
-       path st [ "metrics"; "labeled_counters"; "xmorph_alerts_total" ]
+       J.path st [ "metrics"; "labeled_counters"; "xmorph_alerts_total" ]
      with
-     | Some (Xmutil.Json.Obj fs) ->
+     | Some (J.Obj fs) ->
          List.fold_left
            (fun acc (k, v) ->
              match v with
-             | Xmutil.Json.Int n
+             | J.Int n
                when String.ends_with ~suffix:("state=" ^ state ^ "}") k ->
                  acc + n
              | _ -> acc)
@@ -247,45 +220,45 @@ let render s =
   (match
      List.filter_map
        (function
-         | Xmutil.Json.String r -> Some r
+         | J.String r -> Some r
          | _ -> None)
-       (list_at ts [ "slo"; "reasons" ])
+       (J.list_at ts [ "slo"; "reasons" ])
    with
   | [] -> ()
   | reasons -> List.iter (fun r -> line "slo: %s" r) reasons);
   let outcomes =
-    match path st [ "queries" ] with
-    | Some (Xmutil.Json.Obj fs) ->
+    match J.path st [ "queries" ] with
+    | Some (J.Obj fs) ->
         List.map
           (fun (k, v) ->
             Printf.sprintf "%s %s" k
-              (match v with Xmutil.Json.Int i -> string_of_int i | _ -> dash))
+              (match v with J.Int i -> string_of_int i | _ -> dash))
           fs
     | _ -> []
   in
   if outcomes <> [] then line "queries: %s" (String.concat "  " outcomes);
-  (match list_at ts [ "top_guards" ] with
+  (match J.list_at ts [ "top_guards" ] with
   | [] -> ()
   | guards ->
       line "top guards by time:";
       List.iter
         (fun g ->
-          let name = Option.value ~default:dash (str_at g [ "guard" ]) in
+          let name = Option.value ~default:dash (J.string_at g [ "guard" ]) in
           let calls =
-            match int_at g [ "calls" ] with
+            match J.int_at g [ "calls" ] with
             | Some c -> string_of_int c
             | None -> dash
           in
-          let total = num g [ "total_s" ] in
+          let total = J.number_at g [ "total_s" ] in
           let mean =
-            match (total, int_at g [ "calls" ]) with
+            match (total, J.int_at g [ "calls" ]) with
             | Some t, Some c when c > 0 -> fmt_ms (Some (t /. float_of_int c))
             | _ -> dash
           in
           line "  %s  calls %-6s total %ss  mean %s" name calls
             (fmt_num total) mean)
         guards);
-  (match list_at st [ "stores" ] with
+  (match J.list_at st [ "stores" ] with
   | [] -> ()
   | stores ->
       line "stores: %s"
@@ -293,8 +266,8 @@ let render s =
            (List.map
               (fun st_j ->
                 Printf.sprintf "%s (%s nodes)"
-                  (Option.value ~default:dash (str_at st_j [ "name" ]))
-                  (match int_at st_j [ "nodes" ] with
+                  (Option.value ~default:dash (J.string_at st_j [ "name" ]))
+                  (match J.int_at st_j [ "nodes" ] with
                   | Some n -> string_of_int n
                   | None -> dash))
               stores)));

@@ -272,3 +272,95 @@ let of_string s =
   skip_ws c;
   if c.pos <> String.length s then perr c "trailing content after JSON value";
   v
+
+let error_message ~pos ~msg = Printf.sprintf "invalid JSON at byte %d: %s" pos msg
+
+(* ---------- files ---------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  of_string
+    (Fun.protect
+       ~finally:(fun () -> close_in_noerr ic)
+       (fun () -> really_input_string ic (in_channel_length ic)))
+
+(* Temp file + rename in the same directory: a reader (another process,
+   a /debug route, the offline viewer) never sees a half-written file. *)
+let write_file path v =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_string v);
+      output_char oc '\n';
+      close_out oc);
+  Sys.rename tmp path
+
+(* ---------- tolerant reads ---------- *)
+
+let rec path j = function
+  | [] -> Some j
+  | name :: rest -> (
+      match j with
+      | Obj fs -> (
+          match List.assoc_opt name fs with Some j -> path j rest | None -> None)
+      | _ -> None)
+
+let number_at j p =
+  match path j p with
+  | Some (Float f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None
+
+let int_at j p =
+  match path j p with
+  | Some (Int i) -> Some i
+  | Some (Float f) -> Some (int_of_float f)
+  | _ -> None
+
+let string_at j p = match path j p with Some (String s) -> Some s | _ -> None
+
+let list_at j p = match path j p with Some (List l) -> l | _ -> []
+
+(* ---------- strict reads ---------- *)
+
+type fields = { what : string; members : (string * t) list }
+
+let fail f fmt = Printf.ksprintf (fun m -> failwith (f.what ^ ": " ^ m)) fmt
+
+let fields ~what = function
+  | Obj members -> { what; members }
+  | _ -> failwith (what ^ ": not a JSON object")
+
+let field f name =
+  match List.assoc_opt name f.members with
+  | Some v -> v
+  | None -> fail f "missing field %S" name
+
+let int_field f name =
+  match field f name with
+  | Int i -> i
+  | Float x -> int_of_float x
+  | _ -> fail f "field %S is not a number" name
+
+let float_field f name =
+  match field f name with
+  | Float x -> x
+  | Int i -> float_of_int i
+  | _ -> fail f "field %S is not a number" name
+
+let string_field f name =
+  match field f name with
+  | String s -> s
+  | _ -> fail f "field %S is not a string" name
+
+let list_field f name =
+  match field f name with
+  | List l -> l
+  | _ -> fail f "field %S is not a list" name
+
+let object_field f name =
+  match field f name with
+  | Obj members -> { f with members }
+  | _ -> fail f "field %S is not an object" name

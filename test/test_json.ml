@@ -139,6 +139,92 @@ let prop_writer_oracle =
           || QCheck2.Test.fail_reportf "pretty=%b: want %S, got %S" pretty want got)
         [ false; true ])
 
+
+(* ---------- the codec's readers and files ---------- *)
+
+let doc =
+  Json.of_string
+    {|{"i": 3, "f": 2.5, "s": "x", "l": [1, 2], "o": {"n": {"v": 7.0}}, "z": null}|}
+
+let test_path_readers () =
+  let opt_f = Alcotest.(option (float 0.)) and opt_i = Alcotest.(option int) in
+  let opt_s = Alcotest.(option string) in
+  Alcotest.(check opt_f) "number_at Int" (Some 3.) (Json.number_at doc [ "i" ]);
+  Alcotest.(check opt_f) "number_at Float" (Some 2.5) (Json.number_at doc [ "f" ]);
+  Alcotest.(check opt_f) "number_at String" None (Json.number_at doc [ "s" ]);
+  Alcotest.(check opt_i) "int_at Int" (Some 3) (Json.int_at doc [ "i" ]);
+  Alcotest.(check opt_i) "int_at Float truncates" (Some 2) (Json.int_at doc [ "f" ]);
+  Alcotest.(check opt_i) "int_at String" None (Json.int_at doc [ "s" ]);
+  Alcotest.(check opt_s) "string_at String" (Some "x") (Json.string_at doc [ "s" ]);
+  Alcotest.(check opt_s) "string_at Int" None (Json.string_at doc [ "i" ]);
+  Alcotest.(check int) "list_at List" 2 (List.length (Json.list_at doc [ "l" ]));
+  Alcotest.(check int) "list_at Obj" 0 (List.length (Json.list_at doc [ "o" ]));
+  Alcotest.(check opt_i) "nested path" (Some 7) (Json.int_at doc [ "o"; "n"; "v" ]);
+  Alcotest.(check opt_i) "missing member" None (Json.int_at doc [ "nope" ]);
+  Alcotest.(check opt_i) "missing nested member" None (Json.int_at doc [ "o"; "x"; "v" ]);
+  Alcotest.(check opt_i) "through a non-object" None (Json.int_at doc [ "i"; "v" ]);
+  Alcotest.(check opt_i) "null" None (Json.int_at doc [ "z" ]);
+  Alcotest.(check opt_i) "empty path" (Some 4) (Json.int_at (Json.Int 4) []);
+  Alcotest.(check int) "list_at on a non-object" 0 (List.length (Json.list_at (Json.Int 1) [ "l" ]))
+
+let fails want f =
+  match f () with
+  | _ -> Alcotest.failf "expected Failure %S" want
+  | exception Failure got -> Alcotest.(check string) want want got
+
+let test_field_readers () =
+  let f = Json.fields ~what:"doc" doc in
+  Alcotest.(check int) "int_field Int" 3 (Json.int_field f "i");
+  Alcotest.(check int) "int_field Float" 2 (Json.int_field f "f");
+  Alcotest.(check (float 0.)) "float_field Float" 2.5 (Json.float_field f "f");
+  Alcotest.(check (float 0.)) "float_field Int" 3. (Json.float_field f "i");
+  Alcotest.(check string) "string_field" "x" (Json.string_field f "s");
+  Alcotest.(check int) "list_field" 2 (List.length (Json.list_field f "l"));
+  let n = Json.object_field (Json.object_field f "o") "n" in
+  Alcotest.(check (float 0.)) "nested object_field" 7. (Json.float_field n "v");
+  fails {|doc: missing field "x"|} (fun () -> Json.int_field f "x");
+  fails {|doc: missing field "x"|} (fun () -> Json.string_field n "x");
+  fails {|doc: field "s" is not a number|} (fun () -> Json.int_field f "s");
+  fails {|doc: field "s" is not a number|} (fun () -> Json.float_field f "s");
+  fails {|doc: field "i" is not a string|} (fun () -> Json.string_field f "i");
+  fails {|doc: field "o" is not a list|} (fun () -> Json.list_field f "o");
+  fails {|doc: field "l" is not an object|} (fun () -> Json.object_field f "l");
+  fails {|doc: field "z" is not a number|} (fun () -> Json.int_field f "z");
+  fails "doc: not a JSON object" (fun () -> Json.fields ~what:"doc" (Json.List []))
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "xmorph_json" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_files () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "v.json" in
+  Json.write_file path doc;
+  Alcotest.(check string) "round trip" (js doc) (js (Json.read_file path));
+  Alcotest.(check (list string)) "no .tmp left" [ "v.json" ]
+    (Array.to_list (Sys.readdir dir));
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "pretty JSON and a newline" (Json.to_string doc ^ "\n") text;
+  Json.write_file path (Json.Int 1);
+  Alcotest.(check string) "replaces the file" "1" (js (Json.read_file path));
+  let bad = Filename.concat dir "bad.json" in
+  Out_channel.with_open_bin bad (fun oc -> output_string oc "{\"a\": }");
+  (match Json.read_file bad with
+  | _ -> Alcotest.fail "accepted a malformed file"
+  | exception Json.Parse_error { pos; msg } ->
+      Alcotest.(check string) "the one wording"
+        "invalid JSON at byte 6: expected a JSON value"
+        (Json.error_message ~pos ~msg));
+  match Json.read_file (Filename.concat dir "missing.json") with
+  | _ -> Alcotest.fail "read a missing file"
+  | exception Sys_error _ -> ()
+
 let suite =
   [
     Alcotest.test_case "scalars" `Quick test_scalars;
@@ -149,5 +235,8 @@ let suite =
     Alcotest.test_case "parse scalars" `Quick test_parse_scalars;
     Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "path readers" `Quick test_path_readers;
+    Alcotest.test_case "field readers and their failures" `Quick test_field_readers;
+    Alcotest.test_case "write_file and read_file" `Quick test_files;
     QCheck_alcotest.to_alcotest prop_writer_oracle;
   ]
