@@ -85,7 +85,7 @@ let measure ?ctx store (shape : Tshape.t) : t =
   Xmobs.Ctx.region ctx Xmobs.Layer.quantify @@ fun () ->
   let tt = Store.Shredded.types store in
   let n = Store.Shredded.node_count store in
-  let insts = Render.instances ?ctx store shape in
+  let insts, iter_closest = Render.instances_with_closest ?ctx store shape in
   (* The output's parent column, by output id. *)
   let total = List.fold_left (fun k (_, arr) -> k + Array.length arr) 0 insts in
   let parent = Array.make total (-1) in
@@ -114,7 +114,7 @@ let measure ?ctx store (shape : Tshape.t) : t =
           if s1 < s2 then begin
             (* The source's pairs arrive ascending and distinct. *)
             let src = Vec.create () in
-            Render.iter_closest ?ctx store s1 s2 (fun p c ->
+            iter_closest s1 s2 (fun p c ->
                 ignore (Vec.push src ((p * n) + c)));
             let src = Vec.to_array src in
             let out = Vec.create () in

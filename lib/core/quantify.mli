@@ -44,7 +44,9 @@ type t = {
 val measure : ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> Tshape.t -> t
 (** Runs in a [quantify] region of [ctx]; the instance graph's joins are
     [closest(a->b)] regions under it, and every store read, the source
-    pairs' included, is charged to [ctx]. *)
+    pairs' included, is charged to [ctx].  One render context serves the
+    instance graph and every pair
+    ({!Render.instances_with_closest}), so each type's row is read once. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

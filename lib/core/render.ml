@@ -4,8 +4,9 @@ type stats = { elements : int; bytes : int }
 
 module Store_ = Store (* the OCaml library, not a value *)
 
-(* One per render, [Nav.t], [explain] or [iter_closest] call, used by
-   one thread at a time: the caches need no lock.  [ctx] is the request
+(* One per render, [Nav.t], [explain], [instances],
+   [instances_with_closest] or [closest_pairs] call, used by one thread
+   at a time: the caches need no lock.  [ctx] is the request
    context every store read of the operation is charged to, the one
    handed to the operation. *)
 type rctx = {
@@ -405,107 +406,157 @@ and plan_edge_op rctx (c : handle) ~aty ~ids ~cty =
 let plan rctx h ids = { h; edge = None; below = plan_node rctx h ~ids }
 
 (* ------------------------------------------------------------------ *)
-(* Emission: one walk over the plan, writing through a sink.           *)
+(* Emission: one walk over the plan per output form.  Both read, per    *)
+(* instance, its attribute-shaped children, then its own value, then    *)
+(* its element children in shape order, so they charge the same reads.  *)
 (* ------------------------------------------------------------------ *)
 
-(* What the walk writes to: the calls [Xml.Printer.Writer] and
-   [Xml.Tree.Builder] both accept.  Values are slices of the store's
-   packed text, so the byte writer escapes them in place. *)
-module type SINK = sig
-  type t
+(* Each root's plan with its instances, planned one root at a time, and
+   the wrapper a forest of other than one tree goes inside, when
+   [wrapper] is given. *)
+let roots_of ?wrapper rctx (shape : Tshape.t) =
+  let roots =
+    List.map
+      (fun h -> (h, root_instances rctx h))
+      (handles (Store_.Shredded.types rctx.store) shape)
+  in
+  (roots, Option.bind wrapper (fun wrapper -> wrap ~wrapper (count_trees roots)))
 
-  val open_element : t -> string -> unit
-  val attribute : t -> string -> string -> int -> int -> unit
-  val text : t -> string -> int -> int -> unit
-  val close_element : t -> string -> unit
-end
+(* [f plan ids] on one root's plan and instances: a purely NEW root's
+   one pseudo-instance outside the [emit] region, other roots' instances
+   inside it. *)
+let walk_root rctx f (root, ids) =
+  let plan = plan rctx root ids in
+  if Array.length ids = 1 && ids.(0) = -1 then f plan ids
+  else Xmobs.Ctx.region rctx.ctx Xmobs.Layer.emit (fun () -> f plan ids)
 
-module Emit (S : SINK) = struct
-  let text sink () s pos len = if len > 0 then S.text sink s pos len
+(* Trees: [tree] returns instance [id]'s element, its lists built in
+   order by tail-modulo-cons calls, so the walk allocates the tree and
+   nothing else.  [id] is an instance of [p]'s anchor type; when [p] is
+   sourced it is an instance of [p] itself. *)
+let rec tree rctx (p : planned) id =
+  let sourced = Option.is_some p.h.node.source in
+  let attrs = if sourced then tree_attributes rctx id p.below else [] in
+  let value = if sourced then read_value rctx id else "" in
+  let elements = tree_elements rctx id p.below in
+  Xml.Tree.Element
+    { name = p.h.name; attrs;
+      children = (if value = "" then elements else Text value :: elements) }
 
-  (* [id] is an instance of [p]'s anchor type; when [p] is sourced it is an
-     instance of [p] itself.  Attributes come first, then the node's own
-     text, then its element children in shape order.  The walk over
-     [p.below] is two recursive functions, not closures, so that an
-     element allocates nothing the sink does not keep. *)
-  let rec walk rctx sink (p : planned) id =
-    S.open_element sink p.h.name;
-    if Option.is_some p.h.node.source then begin
-      attributes rctx sink id p.below;
-      Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id text sink ()
-    end;
-    elements rctx sink id p.below;
-    S.close_element sink p.h.name
+and[@tail_mod_cons] tree_attributes rctx id = function
+  | [] -> []
+  | (c : planned) :: cs -> (
+      match c.edge with
+      | Some e when c.h.attr ->
+          let r = run_of e id in
+          if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
+            let v = read_value rctx e.kids.(e.offs.(r)) in
+            (c.h.name, v) :: tree_attributes rctx id cs
+          else tree_attributes rctx id cs
+      | _ -> tree_attributes rctx id cs)
 
-  and attributes rctx sink id = function
-    | [] -> ()
-    | (c : planned) :: cs ->
-        (match c.edge with
-        | Some e when c.h.attr ->
-            let r = run_of e id in
-            if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
-              Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
-                S.attribute sink c.h.name
-        | _ -> ());
-        attributes rctx sink id cs
+and[@tail_mod_cons] tree_elements rctx id = function
+  | [] -> []
+  | (c : planned) :: cs -> (
+      match c.edge with
+      | None ->
+          (* anchorless NEW: once per key *)
+          let t = tree rctx c id in
+          t :: tree_elements rctx id cs
+      | Some e ->
+          let r = run_of e id in
+          if r < 0 then tree_elements rctx id cs
+          else
+            let lo = e.offs.(r) and hi = e.offs.(r + 1) in
+            if as_attribute c.h (hi - lo) then tree_elements rctx id cs
+            else tree_run rctx id c e lo hi cs)
 
-  and elements rctx sink id = function
-    | [] -> ()
-    | (c : planned) :: cs ->
-        (match c.edge with
-        | None -> walk rctx sink c id (* anchorless NEW: once per key *)
-        | Some e ->
-            let r = run_of e id in
-            if r >= 0 then begin
-              let lo = e.offs.(r) and hi = e.offs.(r + 1) in
-              if not (as_attribute c.h (hi - lo)) then
-                for i = lo to hi - 1 do
-                  walk rctx sink c e.kids.(i)
-                done
-            end);
-        elements rctx sink id cs
+(* The elements of [c]'s run [[i, hi)] of [e.kids], then those of [id]'s
+   remaining children [cs]. *)
+and[@tail_mod_cons] tree_run rctx id c e i hi cs =
+  if i = hi then tree_elements rctx id cs
+  else
+    let t = tree rctx c e.kids.(i) in
+    t :: tree_run rctx id c e (i + 1) hi cs
 
-  (* Plan each root of [shape] and walk its instances, one root at a
-     time.  Each root instance is one tree of the output forest; with
-     [wrapper], a forest of other than one tree is written inside a
-     [wrapper] element, so the roots' instances are found before the
-     first call.  [emit] runs in the caller's region; [render] opens the
-     [render] region around it. *)
-  let emit ?wrapper rctx sink (shape : Tshape.t) =
-    let roots =
-      List.map
-        (fun h -> (h, root_instances rctx h))
-        (handles (Store_.Shredded.types rctx.store) shape)
-    in
-    let wrapper = Option.bind wrapper (fun wrapper -> wrap ~wrapper (count_trees roots)) in
-    Option.iter (S.open_element sink) wrapper;
-    List.iter
-      (fun (root, ids) ->
-        let plan = plan rctx root ids in
-        if Array.length ids = 1 && ids.(0) = -1 then walk rctx sink plan (-1)
-        else
-          Xmobs.Ctx.region rctx.ctx Xmobs.Layer.emit (fun () ->
-              Array.iter (fun id -> walk rctx sink plan id) ids))
-      roots;
-    Option.iter (S.close_element sink) wrapper
+let[@tail_mod_cons] rec forest rctx plan ids i =
+  if i = Array.length ids then []
+  else
+    let t = tree rctx plan ids.(i) in
+    t :: forest rctx plan ids (i + 1)
 
-  let render ?ctx ?wrapper store sink shape =
-    let rctx = make_rctx ?ctx store in
-    Xmobs.Ctx.region ctx Xmobs.Layer.render (fun () -> emit ?wrapper rctx sink shape)
-end
+(* The roots' trees in order; only a root before the last is copied. *)
+let rec root_trees rctx = function
+  | [] -> []
+  | r :: roots -> (
+      let ts = walk_root rctx (fun plan ids -> forest rctx plan ids 0) r in
+      match roots with [] -> ts | _ -> ts @ root_trees rctx roots)
 
-module Tree_emit = Emit (Xml.Tree.Builder)
-module Bytes_emit = Emit (Xml.Printer.Writer)
+let trees ?wrapper rctx shape =
+  let roots, wrapper = roots_of ?wrapper rctx shape in
+  let trees = root_trees rctx roots in
+  match wrapper with
+  | None -> trees
+  | Some name -> [ Xml.Tree.Element { name; attrs = []; children = trees } ]
 
-let to_trees store shape =
-  let b = Xml.Tree.Builder.create () in
-  Tree_emit.render store b shape;
-  Xml.Tree.Builder.trees b
+let to_trees store shape = trees (make_rctx store) shape
 
 let to_tree ?ctx ?(wrapper = "result") store shape =
-  let b = Xml.Tree.Builder.create () in
-  Tree_emit.render ?ctx ~wrapper store b shape;
-  List.hd (Xml.Tree.Builder.trees b)
+  let rctx = make_rctx ?ctx store in
+  Xmobs.Ctx.region ctx Xmobs.Layer.render (fun () -> List.hd (trees ~wrapper rctx shape))
+
+(* Bytes: the same walk, writing to an [Xml.Printer.Writer], which
+   escapes each value in place from the store's packed text.  The walk
+   over [p.below] is two recursive functions, not closures, so that an
+   element allocates nothing. *)
+module W = Xml.Printer.Writer
+
+let write_text w () s pos len = if len > 0 then W.text w s pos len
+
+let rec write_element rctx w (p : planned) id =
+  W.open_element w p.h.name;
+  if Option.is_some p.h.node.source then begin
+    write_attributes rctx w id p.below;
+    Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id write_text w ()
+  end;
+  write_elements rctx w id p.below;
+  W.close_element w p.h.name
+
+and write_attributes rctx w id = function
+  | [] -> ()
+  | (c : planned) :: cs ->
+      (match c.edge with
+      | Some e when c.h.attr ->
+          let r = run_of e id in
+          if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
+            Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
+              W.attribute w c.h.name
+      | _ -> ());
+      write_attributes rctx w id cs
+
+and write_elements rctx w id = function
+  | [] -> ()
+  | (c : planned) :: cs ->
+      (match c.edge with
+      | None -> write_element rctx w c id (* anchorless NEW: once per key *)
+      | Some e ->
+          let r = run_of e id in
+          if r >= 0 then begin
+            let lo = e.offs.(r) and hi = e.offs.(r + 1) in
+            if not (as_attribute c.h (hi - lo)) then
+              for i = lo to hi - 1 do
+                write_element rctx w c e.kids.(i)
+              done
+          end);
+      write_elements rctx w id cs
+
+let emit ?wrapper rctx w shape =
+  let roots, wrapper = roots_of ?wrapper rctx shape in
+  Option.iter (W.open_element w) wrapper;
+  List.iter
+    (walk_root rctx (fun plan ids -> Array.iter (fun id -> write_element rctx w plan id) ids))
+    roots;
+  Option.iter (W.close_element w) wrapper
 
 (* [flush], when given, is handed the buffer's bytes after each element
    closes, and the buffer is cleared.  The bytes are charged as one write
@@ -521,16 +572,16 @@ let write ?ctx ?wrapper ?indent store shape ?flush buf =
         Buffer.clear b)
       flush
   in
-  let w = Xml.Printer.Writer.create ?indent ?on_close buf in
+  let w = W.create ?indent ?on_close buf in
   let bytes =
     let rctx = make_rctx ?ctx store in
     Xmobs.Ctx.region ctx Xmobs.Layer.render @@ fun () ->
-    Bytes_emit.emit ?wrapper rctx w shape;
+    emit ?wrapper rctx w shape;
     let bytes = !flushed + Buffer.length buf - start in
     Store_.Io_stats.charge_write ?ctx (Store_.Shredded.stats store) bytes;
     bytes
   in
-  { elements = Xml.Printer.Writer.elements w; bytes }
+  { elements = W.elements w; bytes }
 
 let stream store shape sink = write store shape ~flush:sink (Buffer.create 1024)
 
@@ -544,8 +595,7 @@ type instance = { id : int; parent : int; dewey : Dewey.t; source : int }
    parent's, its Dewey number and its source.  Child slot numbering
    mirrors [Doc.of_tree]: every emitted child (attributes included) takes
    the next Dewey slot. *)
-let instances ?ctx store (shape : Tshape.t) =
-  let rctx = make_rctx ?ctx store in
+let instances_in rctx (shape : Tshape.t) =
   let acc : (int, instance Vec.t) Hashtbl.t = Hashtbl.create 16 in
   let record (tn : Tshape.node) inst =
     let v =
@@ -592,7 +642,7 @@ let instances ?ctx store (shape : Tshape.t) =
           incr root_index;
           walk plan id ~parent:(-1) [| !root_index |])
         ids)
-    (handles (Store_.Shredded.types store) shape);
+    (handles (Store_.Shredded.types rctx.store) shape);
   let out = ref [] in
   Tshape.iter shape (fun tn ->
       let insts =
@@ -602,6 +652,8 @@ let instances ?ctx store (shape : Tshape.t) =
       in
       out := (tn, insts) :: !out);
   List.rev !out
+
+let instances store shape = instances_in (make_rctx store) shape
 
 module Nav = struct
   type nonrec handle = handle
@@ -820,8 +872,7 @@ let pp_explanation fmt entries =
          else ""))
     entries
 
-let iter_closest ?ctx store t u f =
-  let rctx = make_rctx ?ctx store in
+let iter_closest rctx t u f =
   let pc = cache rctx t in
   let runs, groups = closest_runs rctx ~pty:t ~parents:pc ~cty:u in
   let kids = cache rctx u in
@@ -833,7 +884,11 @@ let iter_closest ?ctx store t u f =
         done)
     runs
 
+let instances_with_closest ?ctx store shape =
+  let rctx = make_rctx ?ctx store in
+  (instances_in rctx shape, iter_closest rctx)
+
 let closest_pairs store t u =
   let out = ref [] in
-  iter_closest store t u (fun p c -> out := (p, c) :: !out);
+  iter_closest (make_rctx store) t u (fun p c -> out := (p, c) :: !out);
   List.rev !out

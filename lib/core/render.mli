@@ -17,15 +17,19 @@
     rather than copied.
 
     One walk over the plan then emits the output in document order — the
-    pipelining the paper describes — through four calls: open element,
-    attribute, text, close.  The walk allocates nothing of its own per
-    element: what a render allocates is its plan and its output.
-    {!to_buffer} and {!stream} send the calls to an
+    pipelining the paper describes.  Per instance it reads the
+    attribute-shaped children, then the instance's own value, then the
+    element children in shape order.  The walk comes in two forms that
+    read the same nodes in the same order, so the bytes, the {!stats}
+    and the read charges agree.  {!to_buffer} and {!stream} write to an
     {!Xml.Printer.Writer}, which escapes each value in place from the
-    store's packed text; {!to_trees}, {!to_tree} and {!Nav.materialize}
-    send them to an {!Xml.Tree.Builder}.  Every path reads the same nodes,
-    so the bytes, the {!stats} and the read charges agree.  The plan and
-    the walk run sequentially on the caller's domain.
+    store's packed text: that walk allocates nothing per element, and
+    what a bytes render allocates is its plan and its output.
+    {!to_trees} and {!to_tree} return each instance's element from the
+    walk, its attribute and child lists built in order: that walk
+    allocates only the tree.  {!Nav.materialize} builds the same
+    elements one instance at a time, without a plan.  The plan and the
+    walk run sequentially on the caller's domain.
 
     The "read" cost is linear in the source; the "write" cost can be
     quadratic because a source node closest to several parents is rendered
@@ -145,16 +149,11 @@ val predicted_edges :
     parent and child types, the path cardinality (Def. 6) and the parent
     type's instance count, whose product is [predicted]. *)
 
-val iter_closest :
-  ?ctx:Xmobs.Ctx.t ->
-  Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int -> int -> unit) -> unit
-(** [f p c] for each pair of the closest relation between two types (the
-    CLOSE operator of Sec. VII), once, ordered by [p], then [c].  Its
-    store reads are charged to [ctx]; it opens no region. *)
-
 val closest_pairs :
   Store.Shredded.t -> Xml.Type_table.id -> Xml.Type_table.id -> (int * int) list
-(** {!iter_closest} as a list of pairs of node ids. *)
+(** The closest relation between two types (the CLOSE operator of Sec.
+    VII) as pairs of node ids, each once, ordered by parent, then
+    child. *)
 
 (** Lazy navigation over the {e virtual} transformed document — the engine
     room of architecture 3 (Sec. VIII: "re-engineer an evaluation engine ...
@@ -232,8 +231,7 @@ type instance = {
 }
 (** One element of the {e output} document. *)
 
-val instances :
-  ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> Tshape.t -> (Tshape.node * instance array) list
+val instances : Store.Shredded.t -> Tshape.t -> (Tshape.node * instance array) list
 (** The output document as a graph, without materializing any XML: for every
     target node, its rendered instances in output document order.  Each
     target node is a type of the output, and every instance of it sits at
@@ -241,3 +239,18 @@ val instances :
     these arrays alone, by the same id kernel as the source's
     ({!Xmutil.Closest} over the output parent column) — which is what
     {!Quantify} does to measure actual information loss. *)
+
+val instances_with_closest :
+  ?ctx:Xmobs.Ctx.t ->
+  Store.Shredded.t ->
+  Tshape.t ->
+  (Tshape.node * instance array) list
+  * (Xml.Type_table.id -> Xml.Type_table.id -> (int -> int -> unit) -> unit)
+(** {!instances}, and an iterator over the closest relation of any two
+    types, [t] and [u]: [f p c] for each pair, once, ordered by [p], then
+    [c] (the pairs of {!closest_pairs}).  Both read through one render
+    context, so each type's row and each edge's runs are read once, and
+    charged once to the store and to [ctx], however many pairs are
+    iterated.  The instance graph's joins are [closest(a->b)] regions of
+    [ctx], as a render's are; the iterator opens none.
+    {!Quantify.measure} reads through it. *)

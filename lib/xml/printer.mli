@@ -23,10 +23,11 @@ val add_escaped_text : Buffer.t -> string -> int -> int -> unit
 val add_escaped_attr : Buffer.t -> string -> int -> int -> unit
 (** {!add_escaped_text} for attribute values, as {!escape_attr} escapes. *)
 
-(** Serialization one event at a time, in document order, without a tree:
-    the calls {!Tree.Builder} accepts.  The bytes written are those of
-    {!to_buffer} (or, indented, {!to_string_indented}) over the tree a
-    builder makes of the same calls. *)
+(** Serialization one event at a time, in document order, without a tree.
+    The bytes written are those of {!to_buffer} (or, indented,
+    {!to_string_indented}) over the tree the same calls describe: an
+    element per open/close pair, its attributes in order, and a text
+    node per [text] call. *)
 module Writer : sig
   type t
 

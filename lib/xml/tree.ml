@@ -83,38 +83,3 @@ let rec canonical t =
       Element { name; attrs = List.sort compare attrs; children }
 
 let equal_unordered a b = canonical a = canonical b
-
-module Builder = struct
-  type tree = t
-
-  type frame = {
-    name : string;
-    mutable attrs : (string * string) list; (* last first *)
-    mutable children : tree list; (* last first *)
-  }
-
-  type t = { mutable open_ : frame list; mutable trees : tree list }
-
-  let create () = { open_ = []; trees = [] }
-  let open_element b name = b.open_ <- { name; attrs = []; children = [] } :: b.open_
-
-  let attribute b name s pos len =
-    let f = List.hd b.open_ in
-    f.attrs <- (name, String.sub s pos len) :: f.attrs
-
-  let text b s pos len =
-    let f = List.hd b.open_ in
-    f.children <- Text (String.sub s pos len) :: f.children
-
-  let close_element b _ =
-    let f = List.hd b.open_ in
-    let e =
-      Element { name = f.name; attrs = List.rev f.attrs; children = List.rev f.children }
-    in
-    b.open_ <- List.tl b.open_;
-    match b.open_ with
-    | up :: _ -> up.children <- e :: up.children
-    | [] -> b.trees <- e :: b.trees
-
-  let trees b = List.rev b.trees
-end

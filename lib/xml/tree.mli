@@ -41,22 +41,3 @@ val equal_unordered : t -> t -> bool
 (** Like {!equal} but sibling order is also ignored (children compared as
     multisets).  XMorph shapes are unordered (Sec. III), so a rendered
     transformation matches its source only up to sibling order. *)
-
-(** A tree built one event at a time, in document order: [open_element],
-    then the element's attributes, then its content, then
-    [close_element].  Values come as slices [s pos len] of a larger
-    string, so {!Printer.Writer} and a builder accept the same calls;
-    the builder copies each slice. *)
-module Builder : sig
-  type tree = t
-  type t
-
-  val create : unit -> t
-  val open_element : t -> string -> unit
-  val attribute : t -> string -> string -> int -> int -> unit
-  val text : t -> string -> int -> int -> unit
-  val close_element : t -> string -> unit
-
-  val trees : t -> tree list
-  (** The elements closed at the top level so far, in order. *)
-end

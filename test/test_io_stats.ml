@@ -154,6 +154,28 @@ let test_emit_words_per_element () =
     Alcotest.failf "the render allocated %.2f minor words per element (%d elements)" per
       st.Xmorph.Render.elements
 
+(* A tree render allocates the tree and little else: a warm [Interp.render]
+   of the same document allocates at most 18 minor words per element or
+   attribute of its tree (24.65 when each element went through a builder
+   frame and had its child and attribute lists reversed; docs/PERFORMANCE.md). *)
+let test_tree_words_per_element () =
+  let text = Xml.Printer.to_string (Workloads.Xmark.generate ~seed:3 ~factor:0.01 ()) in
+  let store = Store.Shredded.shred (Xml.Doc.of_tree (Xml.Parser.parse text)) in
+  let compiled = Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store) "MUTATE site" in
+  ignore (Xmorph.Interp.render store compiled);
+  let w0 = Gc.minor_words () in
+  let tree = Xmorph.Interp.render store compiled in
+  let words = Gc.minor_words () -. w0 in
+  let buf = Buffer.create (2 * String.length text) in
+  ignore (Xmorph.Interp.render_to_buffer store compiled buf);
+  Alcotest.(check string) "the tree prints as the bytes render" (Buffer.contents buf)
+    (Xml.Printer.to_string tree);
+  let nodes = Xml.Tree.count_nodes tree in
+  let per = words /. float_of_int nodes in
+  if per > 18.0 then
+    Alcotest.failf "the tree render allocated %.2f minor words per element (%d elements)" per
+      nodes
+
 let test_context_words_flat () =
   let ops1, extra1 = extra_words 200 in
   let ops2, extra2 = extra_words 400 in
@@ -175,4 +197,6 @@ let suite =
       test_context_words_flat;
     Alcotest.test_case "emit allocates at most 6 words per element" `Quick
       test_emit_words_per_element;
+    Alcotest.test_case "tree render allocates at most 18 words per element" `Quick
+      test_tree_words_per_element;
   ]
