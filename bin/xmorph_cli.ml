@@ -4,7 +4,11 @@
    [shape] prints a document's adorned shape, [check] runs the data-free
    compilation (type analysis + information-loss report), [run] transforms,
    [query] runs a guarded XQuery query, and [gen] emits the synthetic
-   workload documents used by the benchmarks. *)
+   workload documents used by the benchmarks.
+
+   Every subcommand loads its input through [load_input], compiles a
+   guard through [compile] and prints an execution through
+   [print_outcome]; the shell's commands call the same functions. *)
 
 open Cmdliner
 
@@ -15,30 +19,75 @@ let read_file path =
   close_in ic;
   s
 
-let load_doc ?ctx path =
-  try Ok (Xml.Doc.of_string ?ctx (read_file path)) with
-  | Sys_error m -> Error m
-  | Xml.Parser.Error _ as e ->
-      Error (Option.get (Xml.Parser.error_message e))
-
-let load_store ?ctx input =
-  (* Accept either a saved store (made by [xmorph shred]) or raw XML.  A
-     store is known by its magic, so a damaged one says why it does not
-     load instead of being parsed as XML. *)
-  match Store.Shredded.is_store input with
-  | exception Sys_error m -> Error m
-  | false -> Result.map (Store.Shredded.shred ?ctx) (load_doc ?ctx input)
-  | true -> (
-      match Store.Shredded.load ?ctx input with
-      | store -> Ok store
-      | exception (Store.Codec.Corrupt m | Invalid_argument m | Failure m) ->
-          Error (Printf.sprintf "damaged store %s: %s" input m))
-
 let exit_err m =
   Printf.eprintf "xmorph: %s\n" m;
   exit 1
 
-(* ---------- observability flags (common to every subcommand) ---------- *)
+let load_doc ?ctx path =
+  try Xml.Doc.of_string ?ctx (read_file path) with
+  | Sys_error m -> exit_err m
+  | Xml.Parser.Error _ as e -> exit_err (Option.get (Xml.Parser.error_message e))
+
+(* Every subcommand reads its input here: a saved store (made by [xmorph
+   shred]) or raw XML, with the document it was shredded from when it was
+   XML.  A store is known by its magic, so a damaged one says why it does
+   not load instead of being parsed as XML.  Exits 1 when the input does
+   not load. *)
+let load_input ?ctx input =
+  match Store.Shredded.is_store input with
+  | exception Sys_error m -> exit_err m
+  | false ->
+      let doc = load_doc ?ctx input in
+      (Store.Shredded.shred ?ctx doc, Some doc)
+  | true -> (
+      match Store.Shredded.load ?ctx input with
+      | store -> (store, None)
+      | exception (Store.Codec.Corrupt m | Invalid_argument m | Failure m) ->
+          exit_err (Printf.sprintf "damaged store %s: %s" input m))
+
+let load ?ctx input = fst (load_input ?ctx input)
+
+(* Compile a guard against the store's shape without type enforcement, as
+   the reports do; a guard that does not compile hands the compiler's
+   message to [fail], which exits 1 by default. *)
+let compile ?ctx ?(fail = exit_err) store guard =
+  match Xmorph.Interp.compile ?ctx ~enforce:false (Store.Shredded.guide store) guard with
+  | compiled -> compiled
+  | exception Xmorph.Interp.Error m -> fail m
+
+(* Print an execution's body, and its loss warnings on stderr with
+   [~warnings:true].  A failure hands its message to [fail] (exit 1 by
+   default), but a type-enforcement refusal, when [refused] words it,
+   prints the loss report under that wording and exits 2. *)
+let print_outcome ?(fail = exit_err) ?refused ?(warnings = false) outcome =
+  match (outcome, refused) with
+  | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message }, Some why ->
+      Printf.eprintf "xmorph: %s:\n%s" why message;
+      exit 2
+  | Xmserve.Exec.Failed { message; _ }, _ -> fail message
+  | ( ( Xmserve.Exec.Rendered { body; compiled }
+      | Xmserve.Exec.Query_result { body; compiled } ),
+      _ ) ->
+      if warnings then
+        List.iter
+          (fun w -> Printf.eprintf "warning: %s\n" w)
+          compiled.Xmorph.Interp.loss.Xmorph.Report.warnings;
+      print_string body
+
+(* Execute a guard (or a guarded query) unenforced under the per-operator
+   profiler and return its frames; a failure first hands its message to
+   [fail]. *)
+let profile_frames ?ctx ?(fail = exit_err) ~sinks ~source ~doc ?query store guard =
+  let outcome, frames =
+    Xmobs.Ctx.profiled ?ctx (fun ctx ->
+        Xmserve.Exec.execute ~ctx ~sinks ~source ~doc ~enforce:false ?query store guard)
+  in
+  (match outcome with
+  | Xmserve.Exec.Failed { message; _ } -> fail message
+  | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
+  frames
+
+(* ---------- observability flags ---------- *)
 
 (* Path "-" streams to stdout (pipelines; containerized deployments):
    the Shutdown-path telemetry exports run from at_exit, after the
@@ -133,14 +182,9 @@ let obs_setup trace metrics profile qlog qlog_max_mb stats_db =
   in
   { sinks = { Xmobs.Obs.qlog; statdb; metrics }; ctx }
 
-(* [stats_db_flag] lets offline analyzers (stats, incident) drop the
-   global --stats-db recording flag from their term: they take their own
-   --stats-db meaning "the warehouse file to cross-reference", and
-   cmdliner rejects a command whose term defines the same option name
-   twice.  (PR 9 shipped those subcommands with --db to dodge the
-   collision; the collision itself is fixed here and --db survives as a
-   hidden alias.) *)
-let obs_term_gen ~stats_db_flag =
+(* Taken by the subcommands that load, compile, execute or serve; the
+   offline analyzers and the clients take none of them. *)
+let obs_term =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -181,31 +225,24 @@ let obs_term_gen ~stats_db_flag =
                    daemons keep at most ~2x$(docv) MiB of log on disk.")
   in
   let stats_db =
-    if not stats_db_flag then Term.const None
-    else
-      Arg.(value & opt (some string) None
-           & info [ "stats-db" ] ~docv:"FILE"
-               ~doc:"Record per-operator statistics (calls, wall/self time, \
-                     node counts, closest pairs, block I/O, \
-                     predicted-vs-actual cardinality q-error) into the \
-                     persistent warehouse at $(docv), merging with whatever \
-                     history is already there.  Defaults to the \
-                     XMORPH_STATS_DB environment variable.  Recorded \
-                     executions bypass the plan and result caches.  \
-                     Inspect with \
-                     $(b,xmorph explain), $(b,xmorph stats --stats-db), or \
-                     GET /debug/opstats on serve.")
+    Arg.(value & opt (some string) None
+         & info [ "stats-db" ] ~docv:"FILE"
+             ~doc:"Record per-operator statistics (calls, wall/self time, \
+                   node counts, closest pairs, block I/O, \
+                   predicted-vs-actual cardinality q-error) into the \
+                   persistent warehouse at $(docv), merging with whatever \
+                   history is already there.  Defaults to the \
+                   XMORPH_STATS_DB environment variable.  Recorded \
+                   executions bypass the plan and result caches.  \
+                   Inspect with \
+                   $(b,xmorph explain), $(b,xmorph stats --stats-db), or \
+                   GET /debug/opstats on serve.")
   in
   Term.(const obs_setup $ trace $ metrics $ profile $ qlog $ qlog_max_mb
         $ stats_db)
 
-let obs_term = obs_term_gen ~stats_db_flag:true
-
-(* For subcommands whose own --stats-db names a warehouse to *read*. *)
-let obs_term_no_stats_db = obs_term_gen ~stats_db_flag:false
-
-(* A warehouse-to-read argument: --stats-db is the documented name,
-   --db stays accepted as a hidden alias (what PR 9 shipped). *)
+(* A warehouse-to-read argument: --stats-db is the documented name, and
+   --db, its first spelling, stays accepted as a hidden alias. *)
 let warehouse_arg ~doc =
   let named =
     Arg.(value & opt (some file) None
@@ -218,6 +255,13 @@ let warehouse_arg ~doc =
   in
   Term.(const (fun a b -> match a with Some _ -> a | None -> b)
         $ named $ alias)
+
+let guard_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"GUARD" ~doc:"XMorph guard text.")
+
+(* The document or store a subcommand reads, at position [n]. *)
+let input_arg n =
+  Arg.(required & pos n (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.")
 
 (* ---------- shred ---------- *)
 
@@ -260,13 +304,10 @@ let shred_cmd =
 
 let shape_cmd =
   let doc = "Print the adorned shape (DataGuide with cardinalities) of a document or store." in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let run { ctx; _ } input =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> print_string (Xml.Dataguide.to_string (Store.Shredded.guide store))
+    print_string (Xml.Dataguide.to_string (Store.Shredded.guide (load ?ctx input)))
   in
-  Cmd.v (Cmd.info "shape" ~doc) Term.(const run $ obs_term $ input)
+  Cmd.v (Cmd.info "shape" ~doc) Term.(const run $ obs_term $ input_arg 0)
 
 (* ---------- shape-diff ---------- *)
 
@@ -279,11 +320,7 @@ let shape_diff_cmd =
   let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc:"Old document or store.") in
   let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc:"New document or store.") in
   let run { ctx; _ } a b =
-    let guide input =
-      match load_store ?ctx input with
-      | Error m -> exit_err m
-      | Ok store -> Store.Shredded.guide store
-    in
+    let guide input = Store.Shredded.guide (load ?ctx input) in
     let d = Xml.Shape_diff.diff (guide a) (guide b) in
     print_string (Xml.Shape_diff.to_string d);
     if not (Xml.Shape_diff.is_empty d) then exit 4
@@ -292,8 +329,8 @@ let shape_diff_cmd =
 
 (* ---------- check ---------- *)
 
-let guard_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"GUARD" ~doc:"XMorph guard text.")
+(* One titled section of a text report (check, explain). *)
+let section heading text = Printf.printf "== %s ==\n%s" heading text
 
 let check_cmd =
   let doc =
@@ -301,7 +338,6 @@ let check_cmd =
      label-to-type report, the target shape, and the information-loss report \
      (no data is transformed unless --quantify is given)."
   in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let quantify =
     Arg.(value & flag
          & info [ "q"; "quantify" ]
@@ -311,79 +347,46 @@ let check_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the reports as JSON.")
   in
   let run { ctx; _ } guard input quantify json =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> (
-        let guide = Store.Shredded.guide store in
-        match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
-        | exception Xmorph.Interp.Error m -> exit_err m
-        | compiled ->
-            if json then begin
-              let fields =
-                [
-                  ("guard", Xmutil.Json.String guard);
-                  ("labels", Xmorph.Report.label_to_json compiled.Xmorph.Interp.labels);
-                  ("loss", Xmorph.Report.loss_to_json compiled.Xmorph.Interp.loss);
-                ]
-                @
-                if quantify then
-                  [ ("measured",
-                     Xmorph.Quantify.to_json
-                       (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape)) ]
-                else []
-              in
-              print_endline (Xmutil.Json.to_string (Xmutil.Json.Obj fields))
-            end
-            else begin
-              print_endline "== algebra ==";
-              print_string (Xmorph.Algebra.to_string compiled.Xmorph.Interp.algebra);
-              print_endline "== label-to-type report ==";
-              print_string (Xmorph.Report.label_to_string compiled.Xmorph.Interp.labels);
-              print_endline "== target shape ==";
-              print_string (Xmorph.Tshape.to_string compiled.Xmorph.Interp.shape);
-              print_endline "== information loss report (static, Thms. 1-2) ==";
-              print_string (Xmorph.Report.loss_to_string compiled.Xmorph.Interp.loss);
-              if quantify then begin
-                print_endline "== measured information loss ==";
-                print_string
-                  (Xmorph.Quantify.to_string
-                     (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape))
-              end
-            end)
+    let store = load ?ctx input in
+    let c = compile ?ctx store guard in
+    let measured () = Xmorph.Quantify.measure ?ctx store c.Xmorph.Interp.shape in
+    if json then
+      print_endline
+        (Xmutil.Json.to_string
+           (Xmutil.Json.Obj
+              ([ ("guard", Xmutil.Json.String guard);
+                 ("labels", Xmorph.Report.label_to_json c.Xmorph.Interp.labels);
+                 ("loss", Xmorph.Report.loss_to_json c.Xmorph.Interp.loss) ]
+              @
+              if quantify then [ ("measured", Xmorph.Quantify.to_json (measured ())) ]
+              else [])))
+    else begin
+      section "algebra" (Xmorph.Algebra.to_string c.Xmorph.Interp.algebra);
+      section "label-to-type report" (Xmorph.Report.label_to_string c.Xmorph.Interp.labels);
+      section "target shape" (Xmorph.Tshape.to_string c.Xmorph.Interp.shape);
+      section "information loss report (static, Thms. 1-2)"
+        (Xmorph.Report.loss_to_string c.Xmorph.Interp.loss);
+      if quantify then
+        section "measured information loss" (Xmorph.Quantify.to_string (measured ()))
+    end
   in
-  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ obs_term $ guard_arg $ input $ quantify $ json)
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ quantify $ json)
 
 (* ---------- run ---------- *)
 
 let run_cmd =
   let doc = "Evaluate a guard: transform the data to the guard's shape and print the XML." in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let force =
     Arg.(value & flag & info [ "f"; "force" ] ~doc:"Transform even when type enforcement rejects the guard.")
   in
   let compact = Arg.(value & flag & info [ "compact" ] ~doc:"No indentation.") in
   let run { sinks; ctx } guard input force compact =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> (
-        match
-          Xmserve.Exec.execute ?ctx ~sinks ~source:"run" ~doc:input
-            ~enforce:(not force) ~compact store guard
-        with
-        | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
-            Printf.eprintf
-              "xmorph: guard rejected by type enforcement (use --force or a CAST):\n%s"
-              message;
-            exit 2
-        | Xmserve.Exec.Failed { message; _ } -> exit_err message
-        | Xmserve.Exec.Rendered { body; compiled }
-        | Xmserve.Exec.Query_result { body; compiled } ->
-            List.iter
-              (fun w -> Printf.eprintf "warning: %s\n" w)
-              compiled.Xmorph.Interp.loss.Xmorph.Report.warnings;
-            print_string body)
+    print_outcome ~warnings:true
+      ~refused:"guard rejected by type enforcement (use --force or a CAST)"
+      (Xmserve.Exec.execute ?ctx ~sinks ~source:"run" ~doc:input
+         ~enforce:(not force) ~compact (load ?ctx input) guard)
   in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ obs_term $ guard_arg $ input $ force $ compact)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ force $ compact)
 
 (* ---------- query ---------- *)
 
@@ -395,25 +398,13 @@ let query_cmd =
   let query =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"XQuery text.")
   in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let force = Arg.(value & flag & info [ "f"; "force" ] ~doc:"Skip type enforcement.") in
   let run { sinks; ctx } query input guard force =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> (
-        match
-          Xmserve.Exec.execute ?ctx ~sinks ~source:"query" ~doc:input
-            ~enforce:(not force) ~query store guard
-        with
-        | Xmserve.Exec.Failed { kind = Xmobs.Qlog.Type_mismatch; message } ->
-            Printf.eprintf "xmorph: guard rejected:\n%s" message;
-            exit 2
-        | Xmserve.Exec.Failed { message; _ } -> exit_err message
-        | Xmserve.Exec.Rendered { body; _ }
-        | Xmserve.Exec.Query_result { body; _ } ->
-            print_string body)
+    print_outcome ~refused:"guard rejected"
+      (Xmserve.Exec.execute ?ctx ~sinks ~source:"query" ~doc:input
+         ~enforce:(not force) ~query (load ?ctx input) guard)
   in
-  Cmd.v (Cmd.info "query" ~doc) Term.(const run $ obs_term $ query $ input $ guard $ force)
+  Cmd.v (Cmd.info "query" ~doc) Term.(const run $ obs_term $ query $ input_arg 1 $ guard $ force)
 
 (* ---------- explain ---------- *)
 
@@ -425,116 +416,99 @@ let explain_cmd =
      distance, join level, instance counts, and predicted-vs-actual pair \
      count with q-error, and the guard's recorded operator history."
   in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let json =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the explanation as JSON.")
   in
   let run { sinks; ctx } guard input json_out =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> (
-        let guide = Store.Shredded.guide store in
-        match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
-        | exception Xmorph.Interp.Error m -> exit_err m
-        | compiled ->
-            let ghash = Xmobs.Qlog.hash_text guard in
-            let db = sinks.Xmobs.Obs.statdb in
-            let hist op =
-              Option.bind db (fun db ->
-                  Xmobs.Statdb.find db ~guard_hash:ghash ~op)
-            in
-            (* Predicted output cardinality of an operator: the instance
-               counts of the source types the analysis resolved it to. *)
-            let pred_nodes (n : Xmorph.Algebra.t) =
-              match n.Xmorph.Algebra.inferred with
-              | [] -> None
-              | tys ->
-                  Some
-                    (List.fold_left
-                       (fun acc ty -> acc + Xml.Dataguide.instance_count guide ty)
-                       0 tys)
-            in
-            let annot n =
-              let pred =
-                match pred_nodes n with
-                | None -> []
-                | Some k -> [ Printf.sprintf "pred=%d nodes" k ]
-              in
-              let actual =
-                match hist (Xmorph.Algebra.op_name n) with
-                | None -> []
-                | Some s ->
-                    let calls = max 1 s.Xmobs.Statdb.calls in
-                    [ Printf.sprintf "hist calls=%d out/call=%.0f self/call=%.3fms"
-                        s.Xmobs.Statdb.calls
-                        (float_of_int s.Xmobs.Statdb.out_nodes
-                         /. float_of_int calls)
-                        (s.Xmobs.Statdb.self_us /. float_of_int calls /. 1000.0) ]
-              in
-              match pred @ actual with
-              | [] -> ""
-              | parts -> "  [" ^ String.concat "; " parts ^ "]"
-            in
-            let edges = Xmorph.Render.explain ?ctx store compiled.Xmorph.Interp.shape in
-            let history =
-              match db with
-              | None -> []
-              | Some db -> Xmobs.Statdb.guard_ops db ~guard_hash:ghash
-            in
-            if json_out then
-              let plan_text =
-                Format.asprintf "%a" (Xmorph.Algebra.pp_annotated ~annot)
-                  compiled.Xmorph.Interp.algebra
-              in
-              print_endline
-                (Xmutil.Json.to_string ~pretty:true
-                   (Xmutil.Json.Obj
-                      [ ("guard", Xmutil.Json.String guard);
-                        ("guard_hash", Xmutil.Json.String ghash);
-                        ("plan", Xmutil.Json.String plan_text);
-                        ("joins",
-                         Xmutil.Json.List
-                           (List.map
-                              (fun (e : Xmorph.Render.edge_explanation) ->
-                                Xmutil.Json.Obj
-                                  [ ("parent", Xmutil.Json.String e.parent);
-                                    ("child", Xmutil.Json.String e.child);
-                                    ("type_distance",
-                                     Xmutil.Json.Int e.type_distance);
-                                    ("join_level", Xmutil.Json.Int e.join_level);
-                                    ("parents",
-                                     Xmutil.Json.Int e.parent_instances);
-                                    ("children",
-                                     Xmutil.Json.Int e.child_instances);
-                                    ("pairs", Xmutil.Json.Int e.pairs);
-                                    ("orphans", Xmutil.Json.Int e.orphans);
-                                    ("predicted",
-                                     Xmutil.Json.String
-                                       (Xmutil.Card.to_string e.predicted));
-                                    ("qerror",
-                                     Xmutil.Json.Float
-                                       (Xmutil.Card.qerror e.predicted e.pairs))
-                                  ])
-                              edges));
-                        ("history",
-                         Xmutil.Json.List (List.map Xmserve.Stats.op_json history))
-                      ]))
-            else begin
-              print_endline "== plan ==";
-              Format.printf "%a@?" (Xmorph.Algebra.pp_annotated ~annot)
-                compiled.Xmorph.Interp.algebra;
-              print_endline "== closest joins ==";
-              Format.printf "%a@?" Xmorph.Render.pp_explanation edges;
-              if history <> [] then begin
-                Printf.printf "== history (%s) ==\n"
-                  (Option.value ~default:"" (Option.bind db Xmobs.Statdb.path));
-                List.iter (fun s -> print_endline ("  " ^ Xmserve.Stats.op_line s)) history
-              end
-            end)
+    let store = load ?ctx input in
+    let guide = Store.Shredded.guide store in
+    let compiled = compile ?ctx store guard in
+    let ghash = Xmobs.Qlog.hash_text guard in
+    let db = sinks.Xmobs.Obs.statdb in
+    let hist op =
+      Option.bind db (fun db -> Xmobs.Statdb.find db ~guard_hash:ghash ~op)
+    in
+    (* Predicted output cardinality of an operator: the instance counts of
+       the source types the analysis resolved it to. *)
+    let pred_nodes (n : Xmorph.Algebra.t) =
+      match n.Xmorph.Algebra.inferred with
+      | [] -> None
+      | tys ->
+          Some
+            (List.fold_left
+               (fun acc ty -> acc + Xml.Dataguide.instance_count guide ty)
+               0 tys)
+    in
+    let annot n =
+      let pred =
+        match pred_nodes n with
+        | None -> []
+        | Some k -> [ Printf.sprintf "pred=%d nodes" k ]
+      in
+      let actual =
+        match hist (Xmorph.Algebra.op_name n) with
+        | None -> []
+        | Some s ->
+            let calls = max 1 s.Xmobs.Statdb.calls in
+            [ Printf.sprintf "hist calls=%d out/call=%.0f self/call=%.3fms"
+                s.Xmobs.Statdb.calls
+                (float_of_int s.Xmobs.Statdb.out_nodes /. float_of_int calls)
+                (s.Xmobs.Statdb.self_us /. float_of_int calls /. 1000.0) ]
+      in
+      match pred @ actual with
+      | [] -> ""
+      | parts -> "  [" ^ String.concat "; " parts ^ "]"
+    in
+    let edges = Xmorph.Render.explain ?ctx store compiled.Xmorph.Interp.shape in
+    let history =
+      match db with
+      | None -> []
+      | Some db -> Xmobs.Statdb.guard_ops db ~guard_hash:ghash
+    in
+    let plan =
+      Format.asprintf "%a" (Xmorph.Algebra.pp_annotated ~annot)
+        compiled.Xmorph.Interp.algebra
+    in
+    if json_out then
+      print_endline
+        (Xmutil.Json.to_string ~pretty:true
+           (Xmutil.Json.Obj
+              [ ("guard", Xmutil.Json.String guard);
+                ("guard_hash", Xmutil.Json.String ghash);
+                ("plan", Xmutil.Json.String plan);
+                ("joins",
+                 Xmutil.Json.List
+                   (List.map
+                      (fun (e : Xmorph.Render.edge_explanation) ->
+                        Xmutil.Json.Obj
+                          [ ("parent", Xmutil.Json.String e.parent);
+                            ("child", Xmutil.Json.String e.child);
+                            ("type_distance", Xmutil.Json.Int e.type_distance);
+                            ("join_level", Xmutil.Json.Int e.join_level);
+                            ("parents", Xmutil.Json.Int e.parent_instances);
+                            ("children", Xmutil.Json.Int e.child_instances);
+                            ("pairs", Xmutil.Json.Int e.pairs);
+                            ("orphans", Xmutil.Json.Int e.orphans);
+                            ("predicted",
+                             Xmutil.Json.String (Xmutil.Card.to_string e.predicted));
+                            ("qerror",
+                             Xmutil.Json.Float (Xmutil.Card.qerror e.predicted e.pairs)) ])
+                      edges));
+                ("history", Xmutil.Json.List (List.map Xmserve.Stats.op_json history))
+              ]))
+    else begin
+      section "plan" plan;
+      section "closest joins" (Format.asprintf "%a" Xmorph.Render.pp_explanation edges);
+      if history <> [] then
+        section
+          (Printf.sprintf "history (%s)"
+             (Option.value ~default:"" (Option.bind db Xmobs.Statdb.path)))
+          (String.concat "" (List.map (fun s -> "  " ^ Xmserve.Stats.op_line s ^ "\n") history))
+    end
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ obs_term $ guard_arg $ input $ json)
+    Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ json)
 
 (* ---------- profile ---------- *)
 
@@ -545,7 +519,6 @@ let profile_cmd =
      counts, closest-pair counts, and block-I/O deltas per operator.  It \
      runs what xmorph run serves; with --query, what xmorph query serves."
   in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let query =
     Arg.(value & opt (some string) None
          & info [ "query" ] ~docv:"QUERY"
@@ -555,23 +528,14 @@ let profile_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON instead of the annotated tree.")
   in
   let run { sinks; ctx } guard input query json =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store ->
-        let outcome, frames =
-          Xmobs.Ctx.profiled ?ctx (fun ctx ->
-              Xmserve.Exec.execute ~ctx ~sinks ~source:"profile" ~doc:input
-                ~enforce:false ?query store guard)
-        in
-        (match outcome with
-        | Xmserve.Exec.Failed { message; _ } -> exit_err message
-        | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
-        if json then
-          print_endline (Xmutil.Json.to_string (Xmobs.Frames.to_json frames))
-        else print_string (Xmobs.Frames.to_text frames)
+    let frames =
+      profile_frames ?ctx ~sinks ~source:"profile" ~doc:input ?query (load ?ctx input) guard
+    in
+    if json then print_endline (Xmutil.Json.to_string (Xmobs.Frames.to_json frames))
+    else print_string (Xmobs.Frames.to_text frames)
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ obs_term $ guard_arg $ input $ query $ json)
+    Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ query $ json)
 
 (* ---------- view ---------- *)
 
@@ -581,32 +545,29 @@ let view_cmd =
      paper): the printed query, evaluated against the source document, \
      produces the transformed XML."
   in
-  let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let eval_flag =
     Arg.(value & flag & info [ "eval" ] ~doc:"Also evaluate the generated view and print the result.")
   in
   let run { ctx; _ } guard input eval_flag =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store -> (
-        let guide = Store.Shredded.guide store in
-        match Guarded.View_gen.generate_guard ?ctx guide guard with
-        | exception Guarded.View_gen.Unsupported m ->
-            exit_err ("cannot render this guard as an XQuery view: " ^ m)
-        | exception Xmorph.Interp.Error m -> exit_err m
-        | view ->
-            print_endline view;
-            if eval_flag then begin
-              match load_doc ?ctx input with
-              | Error m -> exit_err m
-              | Ok doc ->
-                  print_endline "";
-                  print_string
-                    (Xml.Printer.to_string_indented
-                       (Guarded.View_gen.run_view ?ctx doc guard))
-            end)
+    let store, doc = load_input ?ctx input in
+    let compiled = compile ?ctx store guard in
+    let view =
+      try Guarded.View_gen.generate (Store.Shredded.guide store) compiled.Xmorph.Interp.shape
+      with Guarded.View_gen.Unsupported m ->
+        exit_err ("cannot render this guard as an XQuery view: " ^ m)
+    in
+    print_endline view;
+    if eval_flag then begin
+      (* A saved store holds no document to evaluate against: read as
+         XML, it says why not. *)
+      let doc = match doc with Some doc -> doc | None -> load_doc ?ctx input in
+      print_endline "";
+      print_string
+        (Xml.Printer.to_string_indented
+           (Guarded.View_gen.eval ?ctx (Xml.Doc.to_tree doc) view))
+    end
   in
-  Cmd.v (Cmd.info "view" ~doc) Term.(const run $ obs_term $ guard_arg $ input $ eval_flag)
+  Cmd.v (Cmd.info "view" ~doc) Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ eval_flag)
 
 (* ---------- infer ---------- *)
 
@@ -626,20 +587,13 @@ let infer_cmd =
     | exception Failure m -> exit_err m
     | exception (Xquery.Qparse.Error _ as e) ->
         exit_err (Option.get (Xquery.Qparse.error_message query e))
-    | guard -> (
+    | guard ->
         print_endline guard;
-        match input with
-        | None -> ()
-        | Some input -> (
-            match load_store ?ctx input with
-            | Error m -> exit_err m
-            | Ok store -> (
-                let guide = Store.Shredded.guide store in
-                match Xmorph.Interp.compile ?ctx ~enforce:false guide guard with
-                | exception Xmorph.Interp.Error m -> exit_err m
-                | compiled ->
-                    print_string
-                      (Xmorph.Report.loss_to_string compiled.Xmorph.Interp.loss))))
+        Option.iter
+          (fun input ->
+            let compiled = compile ?ctx (load ?ctx input) guard in
+            print_string (Xmorph.Report.loss_to_string compiled.Xmorph.Interp.loss))
+          input
   in
   Cmd.v (Cmd.info "infer" ~doc) Term.(const run $ obs_term $ query $ input)
 
@@ -658,7 +612,7 @@ let gen_cmd =
   in
   let seed = Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.") in
   let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output path (stdout by default).") in
-  let run _ kind scale seed output =
+  let run kind scale seed output =
     let tree =
       match kind with
       | `Xmark -> Workloads.Xmark.generate ?seed ~factor:scale ()
@@ -674,7 +628,7 @@ let gen_cmd =
         close_out oc;
         Printf.printf "wrote %d bytes to %s\n" (String.length text) path
   in
-  Cmd.v (Cmd.info "gen" ~doc) Term.(const run $ obs_term $ kind $ scale $ seed $ output)
+  Cmd.v (Cmd.info "gen" ~doc) Term.(const run $ kind $ scale $ seed $ output)
 
 (* ---------- fmt ---------- *)
 
@@ -702,12 +656,9 @@ let equiv_cmd =
   let b = Arg.(required & pos 2 (some file) None & info [] ~docv:"B" ~doc:"Second document.") in
   let run { ctx; _ } guard a b =
     let transform input =
-      match load_store ?ctx input with
-      | Error m -> exit_err m
-      | Ok store -> (
-          match Xmorph.Interp.transform ?ctx ~enforce:false store guard with
-          | exception Xmorph.Interp.Error m -> exit_err (input ^ ": " ^ m)
-          | tree, _ -> tree)
+      let store = load ?ctx input in
+      Xmorph.Interp.render ?ctx store
+        (compile ?ctx ~fail:(fun m -> exit_err (input ^ ": " ^ m)) store guard)
     in
     let ta = transform a and tb = transform b in
     if Xml.Tree.equal_unordered ta tb then begin
@@ -728,20 +679,58 @@ let shell_cmd =
     "Interactive shell over a document or store: type a guard to transform, \
      or :commands for reports and guarded queries."
   in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"XML document or store.") in
   let run { sinks; ctx } input =
-    match load_store ?ctx input with
-    | Error m -> exit_err m
-    | Ok store ->
-        let guide = Store.Shredded.guide store in
-        let current_guard = ref "" in
+    let store = load ?ctx input in
+    let guide = Store.Shredded.guide store in
+    let current =
+      ref
         (match Xml.Dataguide.roots guide with
-        | root :: _ ->
-            current_guard :=
-              "MUTATE " ^ Xml.Type_table.label (Store.Shredded.types store) root
-        | [] -> ());
-        let interactive = Unix.isatty Unix.stdin in
-        let help () =
+        | root :: _ -> "MUTATE " ^ Xml.Type_table.label (Store.Shredded.types store) root
+        | [] -> "")
+    in
+    let guard g = if g = "" then !current else g in
+    (* A failure is printed on stdout and the shell reads on; a guard that
+       does not compile ends its command there. *)
+    let exception Skip in
+    let compiled g =
+      compile ?ctx store (guard g) ~fail:(fun m ->
+          print_endline m;
+          raise Skip)
+    in
+    let execute ?query g =
+      print_outcome ~fail:print_endline
+        (Xmserve.Exec.execute ?ctx ~sinks ~source:"shell" ~doc:input ~enforce:false
+           ?query store g)
+    in
+    (* Each command prints what its subcommand prints for that section. *)
+    let commands =
+      [ (":guard", fun g ->
+          ignore (compiled g);
+          current := guard g;
+          Printf.printf "guard set: %s\n" !current);
+        (":check", fun g ->
+          let c = compiled g in
+          print_string (Xmorph.Report.label_to_string c.Xmorph.Interp.labels);
+          print_string (Xmorph.Report.loss_to_string c.Xmorph.Interp.loss));
+        (":explain", fun g ->
+          Format.printf "%a@?" Xmorph.Render.pp_explanation
+            (Xmorph.Render.explain ?ctx store (compiled g).Xmorph.Interp.shape));
+        (":profile", fun g ->
+          print_string
+            (Xmobs.Frames.to_text
+               (profile_frames ?ctx ~fail:print_endline ~sinks ~source:"shell" ~doc:input
+                  store (guard g))));
+        (":quantify", fun g ->
+          print_string
+            (Xmorph.Quantify.to_string
+               (Xmorph.Quantify.measure ?ctx store (compiled g).Xmorph.Interp.shape)));
+        (":query", fun q -> execute ~query:q !current) ]
+    in
+    let handle line =
+      match String.trim line with
+      | "" -> ()
+      | ":quit" | ":q" -> raise Exit
+      | ":help" | ":h" ->
           print_string
             "commands:\n\
             \  :shape            print the adorned shape\n\
@@ -753,113 +742,26 @@ let shell_cmd =
             \  :query QUERY      guarded query (in situ)\n\
             \  :quit             exit\n\
             \  GUARD             transform and print\n"
-        in
-        let compile_or_report g =
-          match Xmorph.Interp.compile ?ctx ~enforce:false guide g with
-          | compiled -> Some compiled
-          | exception Xmorph.Interp.Error m ->
-              print_endline m;
-              None
-        in
-        let strip_prefix line p =
-          let n = String.length p in
-          if String.length line >= n && String.sub line 0 n = p then
-            Some (String.trim (String.sub line n (String.length line - n)))
-          else None
-        in
-        let arg_or_current rest = if rest = "" then !current_guard else rest in
-        let handle line =
-          let line = String.trim line in
-          if line = "" then ()
-          else if line = ":quit" || line = ":q" then raise Exit
-          else if line = ":help" || line = ":h" then help ()
-          else if line = ":shape" then print_string (Xml.Dataguide.to_string guide)
-          else
-            match strip_prefix line ":guard" with
-            | Some g when g <> "" -> (
-                match compile_or_report g with
-                | Some _ ->
-                    current_guard := g;
-                    Printf.printf "guard set: %s\n" g
-                | None -> ())
-            | _ -> (
-                match strip_prefix line ":quantify" with
-                | Some rest -> (
-                    match compile_or_report (arg_or_current rest) with
-                    | Some compiled ->
-                        print_string
-                          (Xmorph.Quantify.to_string
-                             (Xmorph.Quantify.measure ?ctx store compiled.Xmorph.Interp.shape))
-                    | None -> ())
-                | None -> (
-                    match strip_prefix line ":profile" with
-                    | Some rest -> (
-                        let outcome, frames =
-                          Xmobs.Ctx.profiled ?ctx (fun ctx ->
-                              Xmserve.Exec.execute ~ctx ~sinks ~source:"shell"
-                                ~doc:input ~enforce:false store
-                                (arg_or_current rest))
-                        in
-                        (match outcome with
-                        | Xmserve.Exec.Failed { message; _ } -> print_endline message
-                        | Xmserve.Exec.Rendered _ | Xmserve.Exec.Query_result _ -> ());
-                        print_string (Xmobs.Frames.to_text frames))
-                    | None -> (
-                    match strip_prefix line ":explain" with
-                    | Some rest -> (
-                        match compile_or_report (arg_or_current rest) with
-                        | Some compiled ->
-                            Format.printf "%a@?" Xmorph.Render.pp_explanation
-                              (Xmorph.Render.explain ?ctx store compiled.Xmorph.Interp.shape)
-                        | None -> ())
-                    | None -> (
-                        match strip_prefix line ":check" with
-                        | Some rest -> (
-                            match compile_or_report (arg_or_current rest) with
-                            | Some compiled ->
-                                print_string
-                                  (Xmorph.Report.label_to_string
-                                     compiled.Xmorph.Interp.labels);
-                                print_string
-                                  (Xmorph.Report.loss_to_string
-                                     compiled.Xmorph.Interp.loss)
-                            | None -> ())
-                        | None -> (
-                            match strip_prefix line ":query" with
-                            | Some q -> (
-                                match
-                                  Xmserve.Exec.execute ?ctx ~sinks ~source:"shell"
-                                    ~doc:input ~enforce:false ~query:q store
-                                    !current_guard
-                                with
-                                | Xmserve.Exec.Rendered { body; _ }
-                                | Xmserve.Exec.Query_result { body; _ } ->
-                                    print_string body
-                                | Xmserve.Exec.Failed { message; _ } ->
-                                    print_endline message)
-                            | None -> (
-                                match
-                                  Xmserve.Exec.execute ?ctx ~sinks ~source:"shell"
-                                    ~doc:input ~enforce:false store line
-                                with
-                                | Xmserve.Exec.Rendered { body; _ }
-                                | Xmserve.Exec.Query_result { body; _ } ->
-                                    print_string body
-                                | Xmserve.Exec.Failed { message; _ } ->
-                                    print_endline message))))))
-        in
-        if interactive then
-          print_endline "xmorph shell - :help for commands, :quit to exit";
-        (try
-           while true do
-             if interactive then (print_string "xmorph> "; flush stdout);
-             match input_line stdin with
-             | line -> handle line
-             | exception End_of_file -> raise Exit
-           done
-         with Exit -> ())
+      | ":shape" -> print_string (Xml.Dataguide.to_string guide)
+      | line -> (
+          match List.find_opt (fun (c, _) -> String.starts_with ~prefix:c line) commands with
+          | Some (c, run) ->
+              let n = String.length c in
+              run (String.trim (String.sub line n (String.length line - n)))
+          | None -> execute line)
+    in
+    let interactive = Unix.isatty Unix.stdin in
+    if interactive then print_endline "xmorph shell - :help for commands, :quit to exit";
+    try
+      while true do
+        if interactive then (print_string "xmorph> "; flush stdout);
+        match input_line stdin with
+        | line -> ( try handle line with Skip -> ())
+        | exception End_of_file -> raise Exit
+      done
+    with Exit -> ()
   in
-  Cmd.v (Cmd.info "shell" ~doc) Term.(const run $ obs_term $ input)
+  Cmd.v (Cmd.info "shell" ~doc) Term.(const run $ obs_term $ input_arg 0)
 
 (* ---------- serve ---------- *)
 
@@ -1023,14 +925,7 @@ let serve_cmd =
     | Some n when n < 1 || n > 65536 ->
         exit_err "serve: --debug-ring must be in 1..65536"
     | Some _ | None -> ());
-    let stores =
-      List.map
-        (fun input ->
-          match load_store ?ctx input with
-          | Error m -> exit_err m
-          | Ok store -> (Filename.basename input, store))
-        inputs
-    in
+    let stores = List.map (fun input -> (Filename.basename input, load ?ctx input)) inputs in
     let slow_ms =
       match slow_ms with
       | Some _ as v -> v
@@ -1146,7 +1041,7 @@ let stats_cmd =
             warehouse's per-operator calls, self time, and \
             cardinality q-error."
   in
-  let run _ log json top compare_file out tolerance check_json db_file =
+  let run log json top compare_file out tolerance check_json db_file =
     List.iter
       (fun path ->
         match Xmutil.Json.read_file path with
@@ -1225,8 +1120,8 @@ let stats_cmd =
         | _ -> ()
   in
   Cmd.v (Cmd.info "stats" ~doc)
-    Term.(const run $ obs_term_no_stats_db $ log $ json $ top $ compare_file
-          $ out $ tolerance $ check_json $ db_file)
+    Term.(const run $ log $ json $ top $ compare_file $ out $ tolerance
+          $ check_json $ db_file)
 
 (* ---------- incident ---------- *)
 
@@ -1259,7 +1154,7 @@ let incident_cmd =
             operator-statistics warehouse (written by serve \
             --stats-db), as $(b,xmorph stats --stats-db) does for logs."
   in
-  let run _ bundle json check db_file =
+  let run bundle json check db_file =
     match Xmserve.Incident.check bundle with
     | Error m -> exit_err (Printf.sprintf "%s: %s" bundle m)
     | Ok t ->
@@ -1279,7 +1174,7 @@ let incident_cmd =
         end
   in
   Cmd.v (Cmd.info "incident" ~doc)
-    Term.(const run $ obs_term_no_stats_db $ bundle $ json $ check $ db_file)
+    Term.(const run $ bundle $ json $ check $ db_file)
 
 (* ---------- alerts (offline backtester) ---------- *)
 
@@ -1308,7 +1203,7 @@ let alerts_cmd =
              ~doc:"Machine-readable report: transitions, per-rule final \
                    states, and replay counts as one JSON object.")
   in
-  let run _ rules_file log_file json_out =
+  let run rules_file log_file json_out =
     let cfg =
       match Xmobs.Alerts.load rules_file with
       | Ok cfg -> cfg
@@ -1422,7 +1317,7 @@ let alerts_cmd =
     end
   in
   Cmd.v (Cmd.info "alerts" ~doc)
-    Term.(const run $ obs_term $ rules_file $ log_file $ json)
+    Term.(const run $ rules_file $ log_file $ json)
 
 (* ---------- http ---------- *)
 
@@ -1448,7 +1343,7 @@ let http_cmd =
     Arg.(value & flag
          & info [ "i"; "include" ] ~doc:"Also print the status and headers.")
   in
-  let run _ meth url data show_head =
+  let run meth url data show_head =
     match Xmserve.Http.request_url ?body:data ~meth url with
     | Error m -> exit_err m
     | Ok (status, headers, body) ->
@@ -1462,7 +1357,7 @@ let http_cmd =
         if status >= 400 then exit 22
   in
   Cmd.v (Cmd.info "http" ~doc)
-    Term.(const run $ obs_term $ meth $ url $ data $ show_head)
+    Term.(const run $ meth $ url $ data $ show_head)
 
 (* ---------- top ---------- *)
 
@@ -1494,7 +1389,7 @@ let top_cmd =
              ~doc:"With --once: print the raw snapshot (timeseries + stats) \
                    as JSON instead of the rendered dashboard.")
   in
-  let run _ url interval once json =
+  let run url interval once json =
     let interval = Float.max 0.1 (Float.min 3600.0 interval) in
     if json && not once then
       exit_err "xmorph top: --json requires --once";
@@ -1525,7 +1420,7 @@ let top_cmd =
     end
   in
   Cmd.v (Cmd.info "top" ~doc)
-    Term.(const run $ obs_term $ url $ interval $ once $ json)
+    Term.(const run $ url $ interval $ once $ json)
 
 let main =
   let doc = "shape-polymorphic XML transformations (XMorph 2.0)" in
