@@ -93,8 +93,5 @@ let run () =
         ("warm_p95_ms", Xmutil.Json.Float warm_p.Xmserve.Stats.p95);
         ("speedup_p50", Xmutil.Json.Float speedup) ]
   in
-  let oc = open_out_bin out_path in
-  output_string oc (Xmutil.Json.to_string ~pretty:true json);
-  output_string oc "\n";
-  close_out oc;
+  Xmutil.Json.write_file out_path json;
   Printf.printf "wrote %s\n%!" out_path

@@ -127,8 +127,5 @@ let run () =
         ("on_p95_ms", Xmutil.Json.Float on_p.Xmserve.Stats.p95);
         ("overhead_p50_pct", Xmutil.Json.Float overhead_pct) ]
   in
-  let oc = open_out_bin out_path in
-  output_string oc (Xmutil.Json.to_string ~pretty:true json);
-  output_string oc "\n";
-  close_out oc;
+  Xmutil.Json.write_file out_path json;
   Printf.printf "wrote %s\n%!" out_path

@@ -72,9 +72,5 @@ let run () =
       row "blocks" summary.Xmserve.Stats.blocks ]
   in
   Exp_common.print_table ~columns rows;
-  let oc = open_out_bin out_path in
-  output_string oc
-    (Xmutil.Json.to_string ~pretty:true (Xmserve.Stats.to_json summary));
-  output_string oc "\n";
-  close_out oc;
+  Xmutil.Json.write_file out_path (Xmserve.Stats.to_json summary);
   Printf.printf "wrote %s\n%!" out_path

@@ -137,12 +137,6 @@ let match_label t lbl =
   Xml.Label.resolve ~name:(fun n -> n.out_name) ~parent:(fun n -> n.parent) lbl
     (List.rev !nodes)
 
-let find_source t ty =
-  let found = ref None in
-  iter t (fun n ->
-      if !found = None && (not n.clone) && n.source = Some ty then found := Some n);
-  !found
-
 let check_forest t =
   let seen = Hashtbl.create 16 in
   iter t (fun n ->

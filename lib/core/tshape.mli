@@ -92,9 +92,6 @@ val match_label : t -> string -> node list
     names, in preorder, by {!Xml.Label.resolve}.  Dotted labels match a
     suffix of the ancestor chain. *)
 
-val find_source : t -> Xml.Type_table.id -> node option
-(** The non-clone visible node backed by the given source type, if any. *)
-
 val check_forest : t -> unit
 (** @raise Error if two non-clone visible nodes share a source type. *)
 

@@ -131,7 +131,6 @@ let create ?(enforce = true) doc ~guard =
 
 let output t = t.output
 let source t = t.tree
-let guard_text t = t.guard
 let full_refreshes t = t.refreshes
 let store t = t.store
 

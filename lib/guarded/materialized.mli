@@ -43,8 +43,6 @@ val output : t -> Xml.Tree.t
 val source : t -> Xml.Tree.t
 (** The current source document. *)
 
-val guard_text : t -> string
-
 val query : t -> string -> Xquery.Value.t
 (** Run an XQuery-lite query against the materialized output. *)
 

@@ -22,12 +22,9 @@ let outcome_to_string = function
   | Type_mismatch -> "type-mismatch"
   | Internal -> "internal"
 
-let outcome_of_string = function
-  | "ok" -> Some Ok
-  | "parse-error" -> Some Parse_error
-  | "type-mismatch" -> Some Type_mismatch
-  | "internal" -> Some Internal
-  | _ -> None
+let outcomes = [ Ok; Parse_error; Type_mismatch; Internal ]
+
+let outcome_of_string s = List.find_opt (fun o -> outcome_to_string o = s) outcomes
 
 type io = {
   bytes_read : int;

@@ -28,6 +28,10 @@ type outcome =
 val outcome_to_string : outcome -> string
 (** [ok], [parse-error], [type-mismatch], [internal]. *)
 
+val outcomes : outcome list
+(** Every outcome, in the order the query counts of [/stats] and
+    [xmorph stats] list them. *)
+
 val outcome_of_string : string -> outcome option
 
 (** Store I/O charged while the query ran ({!Store.Io_stats} snapshot

@@ -71,8 +71,6 @@ let failure_trigger_min = 10
 
 let failure_trigger_frac = 0.5
 
-let outcome_names = [ "ok"; "parse-error"; "type-mismatch"; "internal" ]
-
 let json_ok j =
   Http.response ~content_type:"application/json" 200
     (Xmutil.Json.to_string j ^ "\n")
@@ -366,10 +364,11 @@ let stats_json t =
   let queries =
     List.map
       (fun o ->
+        let o = Xmobs.Qlog.outcome_to_string o in
         ( o,
           Xmutil.Json.Int
             (Xmobs.Metrics.counter_value ~r:t.metrics ("serve.queries." ^ o)) ))
-      outcome_names
+      Xmobs.Qlog.outcomes
   in
   Xmutil.Json.Obj
     [ ("uptime_s", Xmutil.Json.Float (now () -. t.started));

@@ -89,8 +89,6 @@ let load path =
     in
     (merged, malformed + old_malformed)
 
-let outcome_names = [ "ok"; "parse-error"; "type-mismatch"; "internal" ]
-
 let entry_blocks (e : Xmobs.Qlog.entry) =
   match e.Xmobs.Qlog.io with
   | None -> 0
@@ -101,11 +99,10 @@ let analyze ?(top = 5) ~log_path ~malformed entries =
   let count p = List.length (List.filter p entries) in
   let by_outcome =
     List.map
-      (fun name ->
-        ( name,
-          count (fun (e : Xmobs.Qlog.entry) ->
-              Xmobs.Qlog.outcome_to_string e.Xmobs.Qlog.outcome = name) ))
-      outcome_names
+      (fun o ->
+        ( Xmobs.Qlog.outcome_to_string o,
+          count (fun (e : Xmobs.Qlog.entry) -> e.Xmobs.Qlog.outcome = o) ))
+      Xmobs.Qlog.outcomes
   in
   let by_source =
     let tbl = Hashtbl.create 8 in

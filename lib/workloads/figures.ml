@@ -16,7 +16,6 @@ let instance_c =
   <author><name>B</name><book><title>X</title><publisher><name>W</name></publisher></book></author>
 </data>|}
 
-let doc_a () = Xml.Doc.of_string instance_a
 let doc_b () = Xml.Doc.of_string instance_b
 let doc_c () = Xml.Doc.of_string instance_c
 

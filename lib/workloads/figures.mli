@@ -18,7 +18,6 @@ val instance_b : string
 val instance_c : string
 (** Fig. 1(c), normalized: [data/(author/(name, book/title), publisher/name)]. *)
 
-val doc_a : unit -> Xml.Doc.t
 val doc_b : unit -> Xml.Doc.t
 val doc_c : unit -> Xml.Doc.t
 

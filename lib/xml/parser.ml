@@ -429,9 +429,6 @@ let parse ?ctx src =
     ~attrs:[ ("bytes", Xmobs.Trace.Int (String.length src)) ]
     (fun () -> parse_document src)
 
-let parse_file path =
-  parse (In_channel.with_open_bin path In_channel.input_all)
-
 let error_message = function
   | Error { line; col; msg } ->
       Some (Printf.sprintf "XML parse error at line %d, column %d: %s" line col msg)

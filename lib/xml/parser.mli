@@ -23,9 +23,5 @@ val parse : ?ctx:Xmobs.Ctx.t -> string -> Tree.t
     nothing.
     @raise Error on malformed input. *)
 
-val parse_file : string -> Tree.t
-(** [parse (file contents)].
-    @raise Sys_error if the file cannot be read. *)
-
 val error_message : exn -> string option
 (** Human-readable rendering of an {!Error}; [None] for other exceptions. *)

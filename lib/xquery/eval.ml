@@ -649,5 +649,3 @@ let eval ?ctx root e =
   Physical.eval ?ctx (Xml.Tree.Element { name = ""; attrs = []; children = [ root ] }) e
 
 let run ?ctx root src = eval ?ctx root (Qparse.parse src)
-
-let run_to_xml root src = Value.to_trees (run root src)

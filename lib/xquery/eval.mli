@@ -68,6 +68,3 @@ val eval : ?ctx:Xmobs.Ctx.t -> Xml.Tree.t -> Qast.expr -> Value.t
 val run : ?ctx:Xmobs.Ctx.t -> Xml.Tree.t -> string -> Value.t
 (** Parse and evaluate.
     @raise Qparse.Error on syntax errors, {!Error} on runtime errors. *)
-
-val run_to_xml : Xml.Tree.t -> string -> Xml.Tree.t list
-(** [run] then materialize the result sequence as XML content. *)

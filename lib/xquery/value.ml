@@ -8,8 +8,6 @@ type 'n item_of =
 type item = Xml.Tree.t item_of
 type t = item list
 
-let of_node n = [ Node n ]
-
 (* The xs:double spellings of NaN and the infinities, whatever the sign
    bit of a NaN. *)
 let num_to_string f =

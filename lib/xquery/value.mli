@@ -23,8 +23,6 @@ type item = Xml.Tree.t item_of
 type t = item list
 (** A sequence.  The empty sequence doubles as "absent". *)
 
-val of_node : Xml.Tree.t -> t
-
 val atomize : ('n -> string) -> 'n item_of -> string
 (** XPath string value, given that of a node: the value for attributes,
     canonical rendering for atomics. *)
