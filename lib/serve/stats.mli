@@ -23,7 +23,7 @@ type summary = {
   log_path : string;
   total : int;  (** well-formed records *)
   malformed : int;  (** lines that failed to parse *)
-  by_outcome : (string * int) list;  (** all four outcomes, fixed order *)
+  by_outcome : (string * int) list;  (** every outcome, in {!Xmobs.Qlog.outcomes} order *)
   by_source : (string * int) list;  (** sorted by name *)
   error_rate : float;  (** non-[ok] records / total *)
   wall_ms : pct;
