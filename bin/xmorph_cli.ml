@@ -539,6 +539,31 @@ let profile_cmd =
 
 (* ---------- view ---------- *)
 
+(* The document a saved store was shredded from, rebuilt from its records
+   as [Xml.Doc.to_tree] builds it.  Ids are preorder ranks, so a node's
+   children are the later ids naming it as their parent, in id order,
+   attributes first: a walk down the ids meets every child before its
+   parent.  A view is evaluated against one document, so a store of
+   several is refused. *)
+let store_tree path store =
+  let n = Store.Shredded.node_count store in
+  let attrs = Array.make n [] and kids = Array.make n [] and roots = ref [] in
+  for i = n - 1 downto 0 do
+    let r = Store.Shredded.node store i in
+    match r.kind with
+    | Xml.Doc.Attribute -> attrs.(r.parent) <- (r.name, r.value) :: attrs.(r.parent)
+    | Xml.Doc.Element ->
+        let children = if r.value = "" then kids.(i) else Xml.Tree.Text r.value :: kids.(i) in
+        let e = Xml.Tree.Element { name = r.name; attrs = attrs.(i); children } in
+        if r.parent >= 0 then kids.(r.parent) <- e :: kids.(r.parent) else roots := e :: !roots
+  done;
+  match !roots with
+  | [ root ] -> root
+  | roots ->
+      exit_err
+        (Printf.sprintf "%s holds %d documents; a view is evaluated against one" path
+           (List.length roots))
+
 let view_cmd =
   let doc =
     "Render a guard as an equivalent XQuery program (architecture 2 of the \
@@ -558,13 +583,9 @@ let view_cmd =
     in
     print_endline view;
     if eval_flag then begin
-      (* A saved store holds no document to evaluate against: read as
-         XML, it says why not. *)
-      let doc = match doc with Some doc -> doc | None -> load_doc ?ctx input in
+      let tree = match doc with Some doc -> Xml.Doc.to_tree doc | None -> store_tree input store in
       print_endline "";
-      print_string
-        (Xml.Printer.to_string_indented
-           (Guarded.View_gen.eval ?ctx (Xml.Doc.to_tree doc) view))
+      print_string (Xml.Printer.to_string_indented (Guarded.View_gen.eval ?ctx tree view))
     end
   in
   Cmd.v (Cmd.info "view" ~doc) Term.(const run $ obs_term $ guard_arg $ input_arg 1 $ eval_flag)
@@ -1103,7 +1124,9 @@ let stats_cmd =
         in
         (match out_path with
         | None -> ()
-        | Some f -> write_file f (Xmutil.Json.to_string ~pretty:true artifact));
+        | Some "-" -> write_file "-" (Xmutil.Json.to_string artifact)
+        | Some f -> (
+            try Xmutil.Json.write_file f artifact with Sys_error m -> exit_err m));
         if json then print_endline (Xmutil.Json.to_string ~pretty:true artifact)
         else begin
           print_string (Xmserve.Stats.to_text summary);
