@@ -14,8 +14,11 @@ type rctx = {
   caches : (int, int array) Hashtbl.t;
       (* type -> its TypeToSequence row: node ids in document order *)
   edges : (int, joined) Hashtbl.t;
-      (* [(pty lsl 32) lor cty] -> that edge resolved (type ids are far
-         below 2^31) *)
+      (* [pty * ntypes + cty] -> that edge resolved, for the store's
+         [ntypes] types.  An int key, which [Hashtbl.hash] spreads: it
+         folds an int's high half into its low half, so a key of
+         [(pty lsl 32) lor cty] put every pair with one [pty lxor cty] in
+         one bucket. *)
   ctx : Xmobs.Ctx.t option;
 }
 
@@ -55,7 +58,7 @@ let cache rctx ty =
    (both types' rows, and the runs when the store builds them) are all a
    join charges. *)
 let joined rctx ~pty ~cty =
-  let key = (pty lsl 32) lor cty in
+  let key = (pty * Xml.Type_table.count (Store_.Shredded.types rctx.store)) + cty in
   match Hashtbl.find rctx.edges key with
   | j -> j
   | exception Not_found ->
@@ -506,18 +509,17 @@ let to_tree ?ctx ?(wrapper = "result") store shape =
   Xmobs.Ctx.region ctx Xmobs.Layer.render (fun () -> List.hd (trees ~wrapper rctx shape))
 
 (* Bytes: the same walk, writing to an [Xml.Printer.Writer], which
-   escapes each value in place from the store's packed text.  The walk
+   escapes each value in place from the store's own string.  The walk
    over [p.below] is two recursive functions, not closures, so that an
    element allocates nothing. *)
 module W = Xml.Printer.Writer
-
-let write_text w () s pos len = if len > 0 then W.text w s pos len
 
 let rec write_element rctx w (p : planned) id =
   W.open_element w p.h.name;
   if Option.is_some p.h.node.source then begin
     write_attributes rctx w id p.below;
-    Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store id write_text w ()
+    let v = read_value rctx id in
+    if String.length v > 0 then W.text w v 0 (String.length v)
   end;
   write_elements rctx w id p.below;
   W.close_element w p.h.name
@@ -528,9 +530,10 @@ and write_attributes rctx w id = function
       (match c.edge with
       | Some e when c.h.attr ->
           let r = run_of e id in
-          if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
-            Store_.Shredded.value_slice ?ctx:rctx.ctx rctx.store e.kids.(e.offs.(r))
-              W.attribute w c.h.name
+          if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then begin
+            let v = read_value rctx e.kids.(e.offs.(r)) in
+            W.attribute w c.h.name v 0 (String.length v)
+          end
       | _ -> ());
       write_attributes rctx w id cs
 
@@ -771,10 +774,9 @@ module Nav = struct
     | [] -> value t h id
     | _ ->
         let b = Buffer.create 32 in
-        let add_slice b () s pos len = Buffer.add_substring b s pos len in
         let rec add (h : handle) id =
           if Option.is_some h.node.source && id >= 0 then
-            Store_.Shredded.value_slice ?ctx:t.rctx.ctx t.rctx.store id add_slice b ();
+            Buffer.add_string b (read_value t.rctx id);
           List.iter (fun (c, kids) -> Array.iter (add c) kids) (element_children t h id)
         in
         add h id;

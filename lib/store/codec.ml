@@ -63,10 +63,12 @@ let read_int c =
   let z = read_uint c in
   (z lsr 1) lxor (-(z land 1))
 
+(* Every empty string read is the one [""]: a third of the nodes of the
+   workload corpora have no text. *)
 let read_string c =
   let n = read_uint c in
   if c.pos + n > String.length c.data then raise (Corrupt "truncated string");
-  let s = String.sub c.data c.pos n in
+  let s = if n = 0 then "" else String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
 

@@ -31,4 +31,7 @@ exception Corrupt of string
 val read_uint : cursor -> int
 val read_int : cursor -> int
 val read_string : cursor -> string
+(** A fresh copy of the string's bytes; every empty string read is one
+    shared [""]. *)
+
 val read_int_array : cursor -> int array

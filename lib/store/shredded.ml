@@ -16,14 +16,12 @@ type t = {
   parent : int array;
   type_id : Xml.Type_table.id array;
   rank : int array;
+  own : string array;
       (* The Nodes table's columns, by node id; [shred] shares the
-         document's own arrays, which nothing writes.  A node's Dewey
-         number is derived from [parent] and [rank] where it is printed
-         or saved ([Dewey.of_ranks]); the join reads [parent] alone. *)
-  text : string;
-  text_start : int array;
-      (* Every node's value, back to back in id order: node [i]'s runs from
-         [text_start.(i)] to [text_start.(i + 1)]. *)
+         document's own arrays, which nothing writes.  [own] holds the
+         values the store was built with.  A node's Dewey number is
+         derived from [parent] and [rank] where it is printed or saved
+         ([Dewey.of_ranks]); the join reads [parent] alone. *)
   sizes : int array;
       (* node id -> encoded size of the node's record in the Nodes blob
          [save] writes: a read of the record is charged this much. *)
@@ -89,12 +87,12 @@ let type_fields types ty =
   Codec.add_uint b ty;
   Buffer.contents b
 
-let make ~parent ~type_id ~rank ~text ~text_start ~sizes ~data_bytes ~seqs ~seq_bytes
-    ~dewey_col_bytes ~guide =
+let make ~parent ~type_id ~rank ~own ~sizes ~data_bytes ~seqs ~seq_bytes ~dewey_col_bytes
+    ~guide =
   let generation = next_generation () in
   let stamps = Bytes.create (8 * Array.length seqs) in
   Array.iteri (fun ty _ -> set_stamp stamps ty generation) seqs;
-  { parent; type_id; rank; text; text_start; sizes; values = Int_map.empty;
+  { parent; type_id; rank; own; sizes; values = Int_map.empty;
     patched = String.make ((Array.length sizes + 7) / 8) '\000'; data_bytes; seqs;
     seq_bytes; dewey_col_bytes; guide; stats = Io_stats.create ();
     groups = Hashtbl.create 16; levels = Hashtbl.create 16; lock = Mutex.create ();
@@ -112,12 +110,11 @@ let shred ?ctx doc =
         1 + string_size (String.length (Xml.Type_table.label types ty)) + Codec.uint_size ty)
   in
   let parent = Xml.Doc.parent_column doc and type_id = Xml.Doc.type_column doc in
-  let rank = Xml.Doc.rank_column doc in
-  (* One pass sizes every record, sequence row and Dewey column and places
-     every value in [text]; the values are then copied there once. *)
+  let rank = Xml.Doc.rank_column doc and own = Xml.Doc.value_column doc in
+  (* One pass sizes every record, sequence row and Dewey column. *)
   let seq_bytes = Array.map (fun seq -> Codec.uint_size (Array.length seq)) seqs in
   let dewey_col_bytes = Array.copy seq_bytes in
-  let sizes = Array.make count 0 and text_start = Array.make (count + 1) 0 in
+  let sizes = Array.make count 0 in
   let data_bytes = ref 0 in
   (* Ids are preorder ranks, so a node's parent is the last node seen one
      level up: [prefix.(l)] is the size of the components of the Dewey
@@ -126,7 +123,7 @@ let shred ?ctx doc =
   let depths = Array.init (Array.length seqs) (Xml.Type_table.depth types) in
   let prefix = Array.make (Array.fold_left max 0 depths + 1) 0 in
   for i = 0 to count - 1 do
-    let ty = type_id.(i) and len = String.length (Xml.Doc.value doc i) in
+    let ty = type_id.(i) and len = String.length own.(i) in
     let level = depths.(ty) in
     prefix.(level) <- prefix.(level - 1) + Codec.int_size rank.(i);
     let dewey_size = Codec.uint_size level + prefix.(level) in
@@ -134,18 +131,10 @@ let shred ?ctx doc =
     dewey_col_bytes.(ty) <- dewey_col_bytes.(ty) + dewey_size;
     let size = dewey_size + type_bytes.(ty) + Codec.int_size parent.(i) + string_size len in
     sizes.(i) <- size;
-    data_bytes := !data_bytes + size;
-    text_start.(i + 1) <- text_start.(i) + len
+    data_bytes := !data_bytes + size
   done;
-  let text = Bytes.create text_start.(count) in
-  for i = 0 to count - 1 do
-    let v = Xml.Doc.value doc i in
-    (* A third of the nodes of the workload corpora have no text. *)
-    if String.length v > 0 then Bytes.blit_string v 0 text text_start.(i) (String.length v)
-  done;
-  make ~parent ~type_id ~rank ~text:(Bytes.unsafe_to_string text) ~text_start ~sizes
-    ~data_bytes:!data_bytes ~seqs ~seq_bytes ~dewey_col_bytes
-    ~guide:(Xml.Dataguide.of_doc doc)
+  make ~parent ~type_id ~rank ~own ~sizes ~data_bytes:!data_bytes ~seqs ~seq_bytes
+    ~dewey_col_bytes ~guide:(Xml.Dataguide.of_doc doc)
 
 let stats t = t.stats
 let generation t = t.generation
@@ -156,11 +145,6 @@ let data_bytes t = t.data_bytes
 
 let is_patched patched i =
   Char.code patched.[i lsr 3] land (1 lsl (i land 7)) <> 0
-
-(* The value the store was built with: no overlay, no charge. *)
-let own_value t i =
-  let start = t.text_start.(i) and stop = t.text_start.(i + 1) in
-  if start = stop then "" else String.sub t.text start (stop - start)
 
 (* A written value, charged at its record's size once folded into the
    blob.  Kept out of line so the common path through [value] stays
@@ -176,18 +160,7 @@ let value ?ctx t i =
   if is_patched t.patched i then patched_value ?ctx t i
   else begin
     Io_stats.charge_read ?ctx t.stats t.sizes.(i);
-    own_value t i
-  end
-
-let value_slice ?ctx t i f x y =
-  if is_patched t.patched i then begin
-    let v = patched_value ?ctx t i in
-    f x y v 0 (String.length v)
-  end
-  else begin
-    Io_stats.charge_read ?ctx t.stats t.sizes.(i);
-    let start = t.text_start.(i) in
-    f x y t.text start (t.text_start.(i + 1) - start)
+    t.own.(i)
   end
 
 let dewey t i = Dewey.of_ranks ~parent:t.parent ~rank:t.rank i
@@ -292,8 +265,10 @@ let update_values ?ctx t updates =
         let old_size =
           match Int_map.find_opt id t.values with Some (_, s) -> s | None -> t.sizes.(id)
         in
-        let own_len = t.text_start.(id + 1) - t.text_start.(id) in
-        let size = t.sizes.(id) - string_size own_len + string_size (String.length value) in
+        let size =
+          t.sizes.(id) - string_size (String.length t.own.(id))
+          + string_size (String.length value)
+        in
         Io_stats.charge_write ?ctx t.stats size;
         let byte = Char.code (Bytes.get patched (id lsr 3)) in
         Bytes.set patched (id lsr 3) (Char.chr (byte lor (1 lsl (id land 7))));
@@ -360,7 +335,7 @@ let save ?ctx t path =
     Codec.add_int_array b (dewey t i);
     Buffer.add_string b fields.(t.type_id.(i));
     Codec.add_int b t.parent.(i);
-    Codec.add_string b (match overlaid i with Some (v, _) -> v | None -> own_value t i)
+    Codec.add_string b (match overlaid i with Some (v, _) -> v | None -> t.own.(i))
   done;
   let oc = open_out_bin path in
   Buffer.output_buffer oc b;
@@ -426,8 +401,7 @@ let load ?ctx path =
      sidecar against what the record holds. *)
   let misnumbered = Hashtbl.create 0 in
   let dewey_col_bytes = Array.map (fun seq -> Codec.uint_size (Array.length seq)) seqs in
-  let text = Buffer.create (String.length blob) in
-  let text_start = Array.make (nnodes + 1) 0 in
+  let own = Array.make nnodes "" in
   for i = 0 to nnodes - 1 do
     if offsets.(i) <> c.pos then corrupt "offset";
     let d = Codec.read_int_array c in
@@ -455,8 +429,7 @@ let load ?ctx path =
     next_rank.(level + 1) <- 1;
     if not (is_derived d i) then Hashtbl.replace misnumbered i d;
     dewey_col_bytes.(ty) <- dewey_col_bytes.(ty) + dewey_size;
-    Buffer.add_string text (Codec.read_string c);
-    text_start.(i + 1) <- Buffer.length text;
+    own.(i) <- Codec.read_string c;
     sizes.(i) <- c.pos - offsets.(i)
   done;
   if c.pos <> String.length blob then corrupt "offset";
@@ -481,6 +454,6 @@ let load ?ctx path =
         seq)
     seqs;
   if Hashtbl.length misnumbered > 0 then corrupt "dewey";
-  make ~parent ~type_id ~rank ~text:(Buffer.contents text) ~text_start ~sizes
+  make ~parent ~type_id ~rank ~own ~sizes
     ~data_bytes:(String.length blob) ~seqs ~seq_bytes:(Array.map Codec.int_array_size seqs)
     ~dewey_col_bytes ~guide

@@ -8,9 +8,9 @@
     - {b TypeToSequence}: type id → document-ordered sequence of node ids;
     - {b AdornedShapes}: the document's adorned shape (tiny; kept decoded).
 
-    In memory the Nodes table is columns: the parent, type and rank
-    columns of the {!Xml.Doc.t} it was shredded from (shared, not copied),
-    every node's value, and every record's encoded size.  No Dewey number
+    In memory the Nodes table is columns: the parent, type, rank and
+    value columns of the {!Xml.Doc.t} it was shredded from (shared, not
+    copied), and every record's encoded size.  No Dewey number
     is held: ids are preorder ranks, so a record's Dewey number is derived
     from the parent and rank columns ({!Xmutil.Dewey.of_ranks}) where it is
     read ({!node}) or written ({!save}).  The encoded records exist only in
@@ -80,21 +80,10 @@ val node : t -> int -> node
 
 val value : ?ctx:Xmobs.Ctx.t -> t -> int -> string
 (** [(node t i).value] alone.  Charged exactly as {!node} is, at the
-    record's full encoded size. *)
-
-val value_slice :
-  ?ctx:Xmobs.Ctx.t ->
-  t ->
-  int ->
-  ('a -> 'b -> string -> int -> int -> unit) ->
-  'a ->
-  'b ->
-  unit
-(** [value_slice t i f x y] is [f x y s pos len], where [s] from [pos]
-    for [len] bytes holds {!value}[ t i] — a slice of the packed values,
-    so nothing is copied.  [x] and [y] are passed through, so that a
-    caller with two arguments to hand on (a sink and an attribute's name)
-    needs no closure for them.  Charged exactly as {!value} is. *)
+    record's full encoded size.  Nothing is copied: the string is the
+    value column's own (for a shredded store, the document's own string;
+    for a loaded one, the string {!load} decoded), or, for a node
+    {!update_values} wrote, the string it was handed. *)
 
 val sequence : ?ctx:Xmobs.Ctx.t -> t -> Xml.Type_table.id -> int array
 (** The TypeToSequence row for a type (document order), charging its

@@ -169,6 +169,7 @@ let kind t i = if Type_table.is_attribute t.types t.type_id.(i) then Attribute e
 let parent_column t = t.parent
 let type_column t = t.type_id
 let rank_column t = t.rank
+let value_column t = t.value
 
 let child_count t i = t.kid_start.(i + 1) - t.kid_start.(i)
 let child t i k = t.kids.(t.kid_start.(i) + k)

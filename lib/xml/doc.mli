@@ -96,6 +96,7 @@ val child : t -> int -> int -> int
 val parent_column : t -> int array
 val type_column : t -> Type_table.id array
 val rank_column : t -> int array
+val value_column : t -> string array
 
 val root : t -> node
 (** The first document's root. *)

@@ -649,10 +649,12 @@ let suite =
         test_fuzz_store_bytes_pinned ]
 
 (* Ingest allocates a bounded number of words per node: indexing and
-   shredding a fixed XMark document measured 20.6 words per node on 64-bit
-   OCaml 5 with the store kept as columns (21.9 when shredding encoded a
-   record blob; 36.6 with the per-node records and children arrays of an
-   earlier index); the bound leaves headroom for runtime differences. *)
+   shredding a fixed XMark document measured 9.6 words per node on 64-bit
+   OCaml 5 with the store's value column the document's own strings (11.8
+   when shredding packed every value into one string; 21.9 when it
+   encoded a record blob; 36.6 with the per-node records and children
+   arrays of an earlier index); the bound leaves headroom for runtime
+   differences. *)
 let test_ingest_allocation () =
   let tree = Xml.Parser.parse (Xml.Printer.to_string (Workloads.Xmark.generate ~seed:11 ~factor:0.01 ())) in
   let words_per_node () =
@@ -835,6 +837,39 @@ let test_load_holds_no_dewey () =
 let suite =
   suite
   @ [ Alcotest.test_case "load holds no Dewey number" `Quick test_load_holds_no_dewey ]
+
+(* The value column is the document's own strings: a read of a node
+   nobody wrote returns the string the document holds, uncopied, and
+   allocates nothing.  A loaded store's empty values are one string. *)
+let test_value_column_shared () =
+  let doc = Workloads.Xmark.to_doc ~seed:5 ~factor:0.002 () in
+  let store = Store.Shredded.shred doc in
+  let n = Store.Shredded.node_count store in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Store.Shredded.value store i))
+  done;
+  Alcotest.(check (float 0.)) "minor words of every node's read" 0. (Gc.minor_words () -. w0);
+  for i = 0 to n - 1 do
+    if Store.Shredded.value store i != Xml.Doc.value doc i then
+      Alcotest.failf "node %d: the store's value is not the document's string" i
+  done;
+  let path = Filename.temp_file "xmorph" ".store" in
+  Store.Shredded.save store path;
+  let loaded = Store.Shredded.load path in
+  Sys.remove path;
+  let empties =
+    List.filter (fun v -> v = "") (List.init n (Store.Shredded.value loaded))
+  in
+  Alcotest.(check bool) "the document has several empty values" true
+    (List.length empties > 1);
+  List.iter
+    (fun v -> if v != List.hd empties then Alcotest.fail "load allocated an empty value")
+    empties
+
+let suite =
+  suite @ [ Alcotest.test_case "value column is the document's strings" `Quick
+              test_value_column_shared ]
 
 (* Store values are immutable: two domains read every node of an old
    generation while a third keeps writing newer ones. *)

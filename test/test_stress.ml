@@ -145,6 +145,43 @@ let test_index_wide_types () =
     Alcotest.failf "indexing 3000 sibling types took %.1f times a narrow document (bound 30)"
       ratio
 
+(* [Quantify.measure] of the identity over a root with [n] distinct
+   one-node child types joins every pair of them once, so the work grows
+   with the n^2 pairs: 16 times from 250 types to 1000.  Each join is
+   keyed by its type pair in the render's edge table, and a key that
+   hashes pairs into few buckets makes each lookup scan a bucket that
+   grows with [n]: with [(pty lsl 32) lor cty] as the key, which
+   [Hashtbl.hash] folds to [pty lxor cty], this test read a ratio of 104
+   (0.12 s and 12.5 s) on a 2-vCPU Xeon container.  With a key that
+   spreads it read 21 to 35 there, above the pair count because the
+   tables of 500,000 joins outgrow the caches; the ratio is bounded at 50
+   (the best of two runs each). *)
+let test_quantify_wide_types () =
+  let time n =
+    let kids = List.init n (fun i -> leaf (Printf.sprintf "e%d" i)) in
+    let store =
+      Store.Shredded.shred
+        (Xml.Doc.of_tree (Xml.Tree.Element { name = "r"; attrs = []; children = kids }))
+    in
+    let compiled =
+      Xmorph.Interp.compile ~enforce:false (Store.Shredded.guide store) "MUTATE r"
+    in
+    let once () =
+      let t0 = Unix.gettimeofday () in
+      let m = Xmorph.Quantify.measure store compiled.Xmorph.Interp.shape in
+      let t = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "identity is reversible" true m.Xmorph.Quantify.reversible;
+      t
+    in
+    Float.min (once ()) (once ())
+  in
+  let narrow = time 250 and wide = time 1000 in
+  let ratio = wide /. narrow in
+  Printf.printf "quantify: 250 types %.1f ms, 1000 types %.1f ms, ratio %.1f\n"
+    (narrow *. 1e3) (wide *. 1e3) ratio;
+  if ratio > 50. then
+    Alcotest.failf "quantify over 1000 child types took %.1f times 250 (bound 50)" ratio
+
 let suite =
   [
     Alcotest.test_case "xmark identity at scale" `Slow
@@ -155,4 +192,5 @@ let suite =
     Alcotest.test_case "loss on 3000 sibling types" `Slow test_loss_wide_siblings;
     Alcotest.test_case "loss on a 200-level chain" `Slow test_loss_deep_chain;
     Alcotest.test_case "index on 3000 sibling types" `Slow test_index_wide_types;
+    Alcotest.test_case "quantify on 1000 sibling types" `Slow test_quantify_wide_types;
   ]
