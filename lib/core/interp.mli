@@ -48,7 +48,11 @@ val predicted_joins :
 
 val render : ?ctx:Xmobs.Ctx.t -> Store.Shredded.t -> t -> Xml.Tree.t
 (** Render the compiled guard against a store (single root; a forest is
-    wrapped in [<result>]). *)
+    wrapped in [<result>]).  A source node closest to several parents is
+    written under each of them as one shared subtree ({!Render.to_tree}),
+    so physical identity is coarser than XPath node identity: the tree
+    is a value, to be read, printed and queried, not compared with
+    [==]. *)
 
 val render_to_buffer :
   ?ctx:Xmobs.Ctx.t -> ?indent:bool -> Store.Shredded.t -> t -> Buffer.t -> Render.stats

@@ -118,13 +118,17 @@ let ascending ids =
    closest run share one copy of it, so [kids] — the edge's distinct runs
    concatenated — is also its child set, in document order unless an
    ORDER-BY has sorted each run.  [cur] is the index of the key last
-   looked up. *)
+   looked up.  [shared] is set when two keys share a run; a tree walk
+   then keeps each kid's subtree in [trees], indexed like [kids] and
+   allocated on the walk's first visit to the edge. *)
 type edge = {
   keys : int array;
   runs : int array;
   offs : int array;
   kids : int array;
+  shared : bool;
   mutable cur : int;
+  mutable trees : Xml.Tree.t array;
 }
 
 (* [key]'s run in [e], or -1.  A walk meets an edge's keys in ascending
@@ -158,23 +162,27 @@ let join_edge rctx ~pty ~parents ~cty ~select =
   let runs, groups = closest_runs rctx ~pty ~parents:keys ~cty in
   let ids = cache rctx cty in
   (* Runs are nondecreasing over ascending keys: equal ones are adjacent,
-     so one pass counts the distinct ones and their entries. *)
+     so one pass counts the distinct ones and their entries, and sees
+     whether a run is reached twice. *)
   let nkeys = Array.length runs in
-  let nruns = ref 0 and entries = ref 0 and last = ref (-1) in
+  let nruns = ref 0 and entries = ref 0 and last = ref (-1) and shared = ref false in
   for k = 0 to nkeys - 1 do
     let g = runs.(k) in
-    if g >= 0 && g <> !last then begin
-      incr nruns;
-      entries := !entries + groups.Closest.offs.(g + 1) - groups.offs.(g);
-      last := g
-    end
+    if g >= 0 then
+      if g <> !last then begin
+        incr nruns;
+        entries := !entries + groups.Closest.offs.(g + 1) - groups.offs.(g);
+        last := g
+      end
+      else shared := true
   done;
-  let nruns = !nruns in
+  let nruns = !nruns and shared = !shared in
+  let edge offs kids = { keys; runs; offs; kids; shared; cur = 0; trees = [||] } in
   match select with
   | None when nruns > 0 && nruns = Array.length groups.keys ->
       (* Every run is used, in order: key [k]'s run is already its index
          among the distinct runs. *)
-      { keys; runs; offs = groups.offs; kids = ids; cur = 0 }
+      edge groups.offs ids
   | None ->
       let offs = Array.make (nruns + 1) 0 and kids = Array.make !entries 0 in
       let r = ref (-1) and last = ref (-1) in
@@ -192,7 +200,7 @@ let join_edge rctx ~pty ~parents ~cty ~select =
           runs.(k) <- !r
         end
       done;
-      { keys; runs; offs; kids; cur = 0 }
+      edge offs kids
   | Some f ->
       let sels = Array.make nruns [||] and total = ref 0 in
       let r = ref (-1) and last = ref (-1) in
@@ -215,13 +223,14 @@ let join_edge rctx ~pty ~parents ~cty ~select =
         Array.blit sels.(r) 0 kids offs.(r) len;
         offs.(r + 1) <- offs.(r) + len
       done;
-      { keys; runs; offs; kids; cur = 0 }
+      edge offs kids
 
 (* Without parents the edge is empty and nothing is resolved or charged,
    so a node that keeps no instance joins nothing below it. *)
 let build_edge rctx ~pty ~parents ~cty ~select =
   if Array.length parents = 0 then
-    { keys = [||]; runs = [||]; offs = [| 0 |]; kids = [||]; cur = 0 }
+    { keys = [||]; runs = [||]; offs = [| 0 |]; kids = [||]; shared = false; cur = 0;
+      trees = [||] }
   else join_edge rctx ~pty ~parents ~cty ~select
 
 let rec first_sourced (n : Tshape.node) =
@@ -433,10 +442,53 @@ let walk_root rctx f (root, ids) =
   if Array.length ids = 1 && ids.(0) = -1 then f plan ids
   else Xmobs.Ctx.region rctx.ctx Xmobs.Layer.emit (fun () -> f plan ids)
 
+(* What [tree rctx p id] reads, read again in its order, building
+   nothing: the charge of a subtree handed out a second time. *)
+let rec charge rctx (p : planned) id =
+  if Option.is_some p.h.node.source then begin
+    charge_attributes rctx id p.below;
+    ignore (read_value rctx id)
+  end;
+  charge_elements rctx id p.below
+
+and charge_attributes rctx id = function
+  | [] -> ()
+  | (c : planned) :: cs ->
+      (match c.edge with
+      | Some e when c.h.attr ->
+          let r = run_of e id in
+          if r >= 0 && as_attribute c.h (e.offs.(r + 1) - e.offs.(r)) then
+            ignore (read_value rctx e.kids.(e.offs.(r)))
+      | _ -> ());
+      charge_attributes rctx id cs
+
+and charge_elements rctx id = function
+  | [] -> ()
+  | (c : planned) :: cs ->
+      (match c.edge with
+      | None -> charge rctx c id
+      | Some e ->
+          let r = run_of e id in
+          if r >= 0 then begin
+            let lo = e.offs.(r) and hi = e.offs.(r + 1) in
+            if not (as_attribute c.h (hi - lo)) then
+              for i = lo to hi - 1 do
+                charge rctx c e.kids.(i)
+              done
+          end);
+      charge_elements rctx id cs
+
+(* A kid whose subtree is not built yet: no tree the walk builds is this
+   block. *)
+let unbuilt = Xml.Tree.Text ""
+
 (* Trees: [tree] returns instance [id]'s element, its lists built in
    order by tail-modulo-cons calls, so the walk allocates the tree and
    nothing else.  [id] is an instance of [p]'s anchor type; when [p] is
-   sourced it is an instance of [p] itself. *)
+   sourced it is an instance of [p] itself.  Trees are immutable, so a
+   kid in a run that several parents share is built once and the same
+   tree handed to each of them; each later parent re-charges the reads
+   that built it. *)
 let rec tree rctx (p : planned) id =
   let sourced = Option.is_some p.h.node.source in
   let attrs = if sourced then tree_attributes rctx id p.below else [] in
@@ -479,8 +531,23 @@ and[@tail_mod_cons] tree_elements rctx id = function
 and[@tail_mod_cons] tree_run rctx id c e i hi cs =
   if i = hi then tree_elements rctx id cs
   else
-    let t = tree rctx c e.kids.(i) in
+    let t = if e.shared then kid_tree rctx c e i else tree rctx c e.kids.(i) in
     t :: tree_run rctx id c e (i + 1) hi cs
+
+(* Kid [i] of a shared edge: built on its first visit, re-charged on
+   every later one. *)
+and kid_tree rctx c e i =
+  if Array.length e.trees = 0 then e.trees <- Array.make (Array.length e.kids) unbuilt;
+  let t = e.trees.(i) in
+  if t != unbuilt then begin
+    charge rctx c e.kids.(i);
+    t
+  end
+  else begin
+    let t = tree rctx c e.kids.(i) in
+    e.trees.(i) <- t;
+    t
+  end
 
 let[@tail_mod_cons] rec forest rctx plan ids i =
   if i = Array.length ids then []

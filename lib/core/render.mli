@@ -27,7 +27,14 @@
     what a bytes render allocates is its plan and its output.
     {!to_trees} and {!to_tree} return each instance's element from the
     walk, its attribute and child lists built in order: that walk
-    allocates only the tree.  {!Nav.materialize} builds the same
+    allocates only the tree.  A child in a closest run that several
+    parents share is built once, and the same immutable subtree is handed
+    to each of those parents; every later parent charges again the reads
+    that built it, so the charges are the bytes walk's.  Physical identity
+    ([==]) in a rendered tree is therefore coarser than XPath node
+    identity: two output nodes may be one block.  Nothing compares trees
+    physically, and no query can tell: the evaluator has no parent axis
+    and no node identity.  {!Nav.materialize} builds the same
     elements one instance at a time, without a plan.  The plan and the
     walk run sequentially on the caller's domain.
 
@@ -80,7 +87,8 @@ type stats = {
 
 val to_trees : Store.Shredded.t -> Tshape.t -> Xml.Tree.t list
 (** Render each root of the target shape; a root type with [k] instances in
-    the source contributes [k] trees. *)
+    the source contributes [k] trees.  Subtrees of a run shared by
+    several parents are shared too, across trees as within one. *)
 
 val to_tree :
   ?ctx:Xmobs.Ctx.t -> ?wrapper:string -> Store.Shredded.t -> Tshape.t -> Xml.Tree.t

@@ -41,11 +41,13 @@ type t = {
          writes: what a join-side read of the type is charged *)
   guide : Xml.Dataguide.t;
   stats : Io_stats.t;
-  groups : (int * int, Closest.runs) Hashtbl.t;
-      (* GroupedSequence cache: (type, level) -> runs of the sequence
-         sharing their ancestor at that level *)
-  levels : (int * int, int) Hashtbl.t;
-      (* closest-join levels: (type, type), the smaller id first -> level *)
+  groups : (int, Closest.runs) Hashtbl.t;
+      (* GroupedSequence cache: [level * ntypes + type] -> runs of the
+         sequence sharing their ancestor at that level, for the store's
+         [ntypes] types ([Array.length seqs]).  Int keys, so a lookup
+         allocates nothing and an entry keeps no tuple. *)
+  levels : (int, int) Hashtbl.t;
+      (* closest-join levels: [min a b * ntypes + max a b] -> level *)
   lock : Mutex.t;
       (* guards [groups] and [levels]: the daemon's request threads read
          one store concurrently, and every store value derived by
@@ -188,25 +190,29 @@ let charge_join_column ?ctx t ty =
 (* A type's sequence row, uncharged. *)
 let row t ty = if known t ty then t.seqs.(ty) else [||]
 
+(* A type outside the table has no runs, and is not cached: its key
+   would name a known type's entry. *)
 let grouped_sequence ?ctx t ty ~level =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.groups (ty, level) with
-  | Some g ->
-      Mutex.unlock t.lock;
-      g
-  | None ->
-      let g =
-        if known t ty then
+  if not (known t ty && level >= 0) then Closest.no_runs
+  else begin
+    let key = (level * Array.length t.seqs) + ty in
+    Mutex.lock t.lock;
+    match Hashtbl.find t.groups key with
+    | g ->
+        Mutex.unlock t.lock;
+        g
+    | exception Not_found ->
+        let g =
           Closest.runs ~parent:t.parent
             ~hops:(Xml.Type_table.depth (types t) ty - level) t.seqs.(ty)
-        else Closest.no_runs
-      in
-      Hashtbl.replace t.groups (ty, level) g;
-      Mutex.unlock t.lock;
-      (* Building the runs is charged as a read of the type's Dewey
-         column, the access path the paper's store would take. *)
-      charge_join_column ?ctx t ty;
-      g
+        in
+        Hashtbl.replace t.groups key g;
+        Mutex.unlock t.lock;
+        (* Building the runs is charged as a read of the type's Dewey
+           column, the access path the paper's store would take. *)
+        charge_join_column ?ctx t ty;
+        g
+  end
 
 (* When one type is an ancestor-or-self of the other and the descendant
    has instances, each of those has an instance of the ancestor among its
@@ -226,19 +232,24 @@ let compute_level t a b =
     Closest.level ~parent:t.parent ra ~depth_a:(Xml.Type_table.depth tt a) rb
       ~depth_b:(Xml.Type_table.depth tt b)
 
+(* A pair with a type outside the table is computed and not cached, as
+   [grouped_sequence]'s unknown types are not. *)
 let join_level t a b =
-  let key = if a <= b then (a, b) else (b, a) in
-  Mutex.lock t.lock;
-  let l =
-    match Hashtbl.find_opt t.levels key with
-    | Some l -> l
-    | None ->
-        let l = compute_level t a b in
-        Hashtbl.replace t.levels key l;
-        l
-  in
-  Mutex.unlock t.lock;
-  l
+  if not (known t a && known t b) then compute_level t a b
+  else begin
+    let key = (Int.min a b * Array.length t.seqs) + Int.max a b in
+    Mutex.lock t.lock;
+    let l =
+      match Hashtbl.find t.levels key with
+      | l -> l
+      | exception Not_found ->
+          let l = compute_level t a b in
+          Hashtbl.replace t.levels key l;
+          l
+    in
+    Mutex.unlock t.lock;
+    l
+  end
 
 let sequence ?ctx t ty =
   if ty < 0 || ty >= Array.length t.seqs then [||]

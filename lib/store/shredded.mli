@@ -109,7 +109,7 @@ val grouped_sequence :
     the type's join column ({!charge_join_column}), and cached per (type,
     level).  The closest join locates a parent's run by a search over the
     runs' keys ({!Xmutil.Closest.find}) instead of scanning nodes.  No
-    runs for unknown types. *)
+    runs for unknown types, and nothing cached or charged for them. *)
 
 val join_level : t -> Xml.Type_table.id -> Xml.Type_table.id -> int
 (** The closest-join level of two types (Def. 2): the level of the deepest
@@ -119,7 +119,8 @@ val join_level : t -> Xml.Type_table.id -> Xml.Type_table.id -> int
     When one type is an ancestor-or-self of the other and the descendant
     has instances, it is the ancestor's depth; otherwise
     {!Xmutil.Closest.level} over the two sequence rows.  Cached per
-    unordered type pair and charged nothing: the renderer reads both
+    unordered pair of known types (one int key per pair) and charged
+    nothing: the renderer reads both
     types' join columns itself before it joins. *)
 
 val node_count : t -> int

@@ -909,3 +909,35 @@ let suite =
   suite
   @ [ Alcotest.test_case "old generation readable during writes" `Quick
         test_old_generation_under_writes ]
+
+(* The join-level and grouped-run caches key a known pair by one int
+   ([min a b * ntypes + max a b], [level * ntypes + ty]).  A type outside
+   the table would fold onto a known key — [(p - 1, q + ntypes)] onto
+   [(p, q)], [(ty + ntypes, level - 1)] onto [(ty, level)] — so it is
+   answered uncached, and the known entry stays right. *)
+let test_unknown_types_uncached () =
+  let st = shred_fig_a () in
+  let fresh = shred_fig_a () in
+  let n = Xml.Type_table.count (Store.Shredded.types st) in
+  let pairs = ref 0 in
+  for p = 1 to n - 1 do
+    for q = p to n - 1 do
+      let l = Store.Shredded.join_level fresh p q in
+      if l > 0 then begin
+        incr pairs;
+        Alcotest.(check int) "unknown pair" 0 (Store.Shredded.join_level st (p - 1) (q + n));
+        Alcotest.(check int) "known pair" l (Store.Shredded.join_level st p q);
+        Alcotest.(check (array (pair int int))) "unknown type's runs" [||]
+          (spans (Store.Shredded.grouped_sequence st (q + n) ~level:(l - 1)));
+        Alcotest.(check (array (pair int int))) "known type's runs"
+          (spans (Store.Shredded.grouped_sequence fresh q ~level:l))
+          (spans (Store.Shredded.grouped_sequence st q ~level:l))
+      end
+    done
+  done;
+  Alcotest.(check bool) "some pairs join below the root" true (!pairs > 0)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "unknown types are not cached under a known key" `Quick
+        test_unknown_types_uncached ]
